@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"flag"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +21,21 @@ var (
 )
 
 const fixtureScale = 400
+
+// update makes the profile tests rewrite the BENCH_*.json trajectories
+// committed at the repo root (go test ./internal/bench -update).
+// Without it they write to a scratch directory, so a test run leaves
+// the checkout as it found it.
+var update = flag.Bool("update", false, "rewrite the tracked BENCH_*.json trajectory files")
+
+// trajectoryPath is where a profile test writes the named trajectory.
+func trajectoryPath(t *testing.T, name string) string {
+	t.Helper()
+	if *update {
+		return filepath.Join("..", "..", name)
+	}
+	return filepath.Join(t.TempDir(), name)
+}
 
 func systems(t *testing.T) *Systems {
 	t.Helper()

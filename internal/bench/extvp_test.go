@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,9 +15,9 @@ import (
 // group) must win at least 20% aggregate SimTime against the PR 5
 // sketch store, and no query anywhere may regress more than 1% — a
 // rewrite the pricer keeps must actually pay off. The measured profile
-// is then written to BENCH_extvp.json at the repo root; all numbers
-// come from the virtual cost model, so the file only changes when a
-// pricing or engine change moves a tracked metric.
+// is then written out and read back — over BENCH_extvp.json at the
+// repo root under -update, to a scratch directory otherwise; all
+// numbers come from the virtual cost model.
 func TestExtVPProfileShape(t *testing.T) {
 	sys := systems(t)
 	queries := watdiv.BasicQuerySet()
@@ -53,7 +52,7 @@ func TestExtVPProfileShape(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("..", "..", "BENCH_extvp.json")
+	path := trajectoryPath(t, "BENCH_extvp.json")
 	if err := WriteExtVPTrajectory(path, fixtureScale, sys.Cluster.Workers(), recs); err != nil {
 		t.Fatalf("WriteExtVPTrajectory: %v", err)
 	}

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -15,8 +14,9 @@ import (
 // SimTime — ShardProfile fails otherwise) on 1, 2 and 4 shards, every
 // topology must move wire traffic, and on every shuffled join the
 // measured payload must land within 2x of the cost model's network
-// price. The measured profile is then written to BENCH_shard.json at
-// the repo root; SimTime comes from the virtual cost model and the
+// price. The measured profile is then written out and read back — over
+// BENCH_shard.json at the repo root under -update, to a scratch
+// directory otherwise; SimTime comes from the virtual cost model and the
 // byte columns from the deterministic wire encoding, so the file only
 // changes when an engine, pricing or protocol change moves a tracked
 // metric.
@@ -63,7 +63,7 @@ func TestShardProfileShape(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("..", "..", "BENCH_shard.json")
+	path := trajectoryPath(t, "BENCH_shard.json")
 	if err := WriteShardTrajectory(path, fixtureScale, store.Cluster().Workers(), recs); err != nil {
 		t.Fatalf("WriteShardTrajectory: %v", err)
 	}

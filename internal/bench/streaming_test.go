@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -45,9 +44,11 @@ func streamingStore(t *testing.T) *core.Store {
 // produced, and the C-family peak intermediate footprint must drop at
 // least 4x — the broadcast-replica memory the Spark model pins on
 // every executor versus the morsel engine's single shared build hash.
-// The measured profile is then written to BENCH_streaming.json at the
-// repo root; all numbers come from the virtual cost model, so the file
-// only changes when a pricing or engine change moves a tracked metric.
+// The measured profile is then written out and read back — over
+// BENCH_streaming.json at the repo root under -update, to a scratch
+// directory otherwise; all numbers come from the virtual cost model, so
+// the file only changes when a pricing or engine change moves a tracked
+// metric.
 func TestStreamingProfileShape(t *testing.T) {
 	store := streamingStore(t)
 	queries := watdiv.BasicQuerySet()
@@ -82,7 +83,7 @@ func TestStreamingProfileShape(t *testing.T) {
 		}
 	}
 
-	path := filepath.Join("..", "..", "BENCH_streaming.json")
+	path := trajectoryPath(t, "BENCH_streaming.json")
 	if err := WriteStreamingTrajectory(path, fixtureScale, store.Cluster().Workers(), recs); err != nil {
 		t.Fatalf("WriteStreamingTrajectory: %v", err)
 	}

@@ -268,9 +268,7 @@ func (s *Store) ScanNodeParts(n *Node, filters []sparql.Filter, owned func(p int
 			if !owned(p) {
 				continue
 			}
-			arena := engine.NewRowArena(len(spec.schema), 0)
-			processed[p] = scanPTPartition(pt.parts[p], spec.specs, len(spec.schema), rowPred, arena.AppendCopy)
-			parts[p] = arena.Rows()
+			parts[p], processed[p] = scanPTPartitionRows(pt.parts[p], spec, rowPred)
 		}
 		return parts, processed, nil
 	default:

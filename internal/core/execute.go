@@ -455,15 +455,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 		s.mineWorkload(mined, entry.nodes)
 	}
 
-	countCols := pl.Root.CountCols
-	decoded := make([][]rdf.Term, len(rows))
-	for i, r := range rows {
-		terms := make([]rdf.Term, len(r))
-		for j, id := range r {
-			terms[j] = s.decodeCell(id, j < len(countCols) && countCols[j])
-		}
-		decoded[i] = terms
-	}
+	decoded := s.decodeRows(rows, pl.Root.CountCols)
 	return &Result{
 		Vars:                q.Projection(),
 		Rows:                decoded,

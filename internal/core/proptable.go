@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/columnar"
@@ -23,11 +24,16 @@ const (
 	keyOnObject
 )
 
-// PropertyTable is the wide table holding, per key (subject or object),
-// the values of every predicate. It is horizontally partitioned on the
-// key column so each row lives entirely on one node (paper §3.1), and
-// multi-valued predicates are stored as lists that get flattened on
-// access.
+// PropertyTable is the paper's wide table (§3.1): one row per key
+// (subject, or object for the inverse table) and one column per
+// predicate, horizontally partitioned on the key so each row lives
+// entirely on one node. In memory it is kept the way the Parquet file
+// lays it out — column by column, each column sorted on the key — with
+// the NULL cells left out: a column lists only the keys that have a
+// value. A star sub-pattern is then a sorted intersection of a few
+// columns (scanPTPartition), which is the "one scan, no join" the
+// paper builds the table for. Multi-valued predicates hold value lists
+// that are flattened on access.
 type PropertyTable struct {
 	mode  ptKeyMode
 	parts []*ptPartition
@@ -46,54 +52,34 @@ type PropertyTable struct {
 	numKeys int
 }
 
-// ptPartition is one horizontal partition: per-predicate hash maps from
-// key to value(s). Single-valued entries live in single; keys with more
-// than one value live in multi.
+// ptPartition is one horizontal partition: the predicate columns
+// restricted to the keys placed here. A predicate none of those keys
+// carries has no entry.
 type ptPartition struct {
 	cols map[rdf.ID]*ptColumn
 }
 
-// ptColumn holds one predicate's cells within a partition.
+// ptColumn is one predicate's non-NULL cells within a partition, sorted
+// on the key: keys ascending and distinct, the values of keys[i] at
+// vals[i] — or at vals[offs[i]:offs[i+1]] when offs is set, which it is
+// only if some key here has more than one value. The values of one key
+// keep the order their triples were loaded in (the order the encoded
+// file stores them in). All columns of a table share two backing
+// arrays, so the slices are capacity-clipped and never appended to.
 type ptColumn struct {
-	single map[rdf.ID]rdf.ID
-	multi  map[rdf.ID][]rdf.ID
+	keys []rdf.ID
+	vals []rdf.ID
+	offs []uint32
 }
 
-func newPTColumn() *ptColumn {
-	return &ptColumn{single: make(map[rdf.ID]rdf.ID)}
-}
-
-// add appends a value for key, promoting the cell to multi-valued when a
-// second value arrives.
-func (c *ptColumn) add(key, value rdf.ID) {
-	if vs, ok := c.multi[key]; ok {
-		c.multi[key] = append(vs, value)
-		return
+// values returns the values of keys[i], aliasing the column's storage;
+// callers must not mutate them.
+func (c *ptColumn) values(i int) []rdf.ID {
+	if c.offs == nil {
+		return c.vals[i : i+1]
 	}
-	if v, ok := c.single[key]; ok {
-		if c.multi == nil {
-			c.multi = make(map[rdf.ID][]rdf.ID)
-		}
-		c.multi[key] = []rdf.ID{v, value}
-		delete(c.single, key)
-		return
-	}
-	c.single[key] = value
+	return c.vals[c.offs[i]:c.offs[i+1]]
 }
-
-// lookup returns the values stored for key. The returned slice aliases
-// internal storage for multi-valued cells; callers must not mutate it.
-// The scratch buffer (len ≥ 1) avoids allocation for single values.
-func (c *ptColumn) lookup(key rdf.ID, scratch []rdf.ID) []rdf.ID {
-	if v, ok := c.single[key]; ok {
-		scratch[0] = v
-		return scratch[:1]
-	}
-	return c.multi[key]
-}
-
-// keys returns the number of keys with at least one value.
-func (c *ptColumn) keys() int { return len(c.single) + len(c.multi) }
 
 // Columns returns the number of predicate columns.
 func (t *PropertyTable) Columns() int { return len(t.cols) }
@@ -123,6 +109,74 @@ func (t *PropertyTable) scanBytes(preds []rdf.ID) int64 {
 	return total
 }
 
+// ptCell is one triple on its way into the table: the partition and
+// predicate name the column, key and val the cell, and seq (the
+// triple's load position) keeps the values of one key in load order.
+type ptCell struct {
+	part           int32
+	pred, key, val rdf.ID
+	seq            uint32
+}
+
+// fill distributes the triples into the partitions' columns: one sort
+// brings every column's cells together with keys ascending, and one
+// pass cuts the sorted run into columns over two shared backing arrays.
+func (t *PropertyTable) fill(triples []rdf.EncodedTriple) {
+	cells := make([]ptCell, len(triples))
+	for i, tr := range triples {
+		key, value := tr.S, tr.O
+		if t.mode == keyOnObject {
+			key, value = tr.O, tr.S
+		}
+		cells[i] = ptCell{
+			part: int32(engine.PartitionFor(key, len(t.parts))),
+			pred: tr.P, key: key, val: value,
+			seq: uint32(i),
+		}
+	}
+	slices.SortFunc(cells, func(a, b ptCell) int {
+		return cmp.Or(
+			cmp.Compare(a.part, b.part),
+			cmp.Compare(a.pred, b.pred),
+			cmp.Compare(a.key, b.key),
+			cmp.Compare(a.seq, b.seq),
+		)
+	})
+	sameCol := func(a, b ptCell) bool { return a.part == b.part && a.pred == b.pred }
+	// newKey reports whether cells[i] opens a (column, key) cell.
+	newKey := func(i int) bool {
+		return i == 0 || !sameCol(cells[i], cells[i-1]) || cells[i].key != cells[i-1].key
+	}
+	numKeys := 0
+	for i := range cells {
+		if newKey(i) {
+			numKeys++
+		}
+	}
+	keys := make([]rdf.ID, 0, numKeys)
+	vals := make([]rdf.ID, len(cells))
+	var starts []uint32 // scratch: where each key's values start in its column
+	for i := 0; i < len(cells); {
+		first := cells[i]
+		k0, j := len(keys), i
+		starts = starts[:0]
+		for ; j < len(cells) && sameCol(cells[j], first); j++ {
+			if newKey(j) {
+				keys = append(keys, cells[j].key)
+				starts = append(starts, uint32(j-i))
+			}
+			vals[j] = cells[j].val
+		}
+		col := &ptColumn{keys: keys[k0:len(keys):len(keys)], vals: vals[i:j:j]}
+		if len(col.keys) < len(col.vals) {
+			col.offs = slices.Concat(starts, []uint32{uint32(j - i)})
+			t.cols[first.pred] = true
+		}
+		t.parts[first.part].cols[first.pred] = col
+		i = j
+	}
+}
+
 // buildPropertyTable groups the dataset by key (subject or object),
 // partitions the keys with the engine's canonical placement, encodes
 // each partition as a columnar file, writes it to HDFS and charges the
@@ -138,33 +192,10 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 		t.parts[i] = &ptPartition{cols: make(map[rdf.ID]*ptColumn)}
 	}
 
-	// Distribute cells; detect multi-valuedness per predicate.
-	keysSeen := make(map[rdf.ID]struct{})
-	for _, tr := range s.triples {
-		key, value := tr.S, tr.O
-		if mode == keyOnObject {
-			key, value = tr.O, tr.S
-		}
-		p := engine.PartitionFor(key, s.parts)
-		col, ok := t.parts[p].cols[tr.P]
-		if !ok {
-			col = newPTColumn()
-			t.parts[p].cols[tr.P] = col
-		}
-		col.add(key, value)
-		keysSeen[key] = struct{}{}
-	}
-	t.numKeys = len(keysSeen)
 	for _, pred := range s.predOrder {
-		multi := false
-		for _, part := range t.parts {
-			if col, ok := part.cols[pred]; ok && len(col.multi) > 0 {
-				multi = true
-				break
-			}
-		}
-		t.cols[pred] = multi
+		t.cols[pred] = false // multi-valued once any partition finds a list
 	}
+	t.fill(s.triples)
 
 	// Encode each partition as one columnar file and write it to HDFS.
 	prefix := s.opts.PathPrefix + "/pt"
@@ -173,7 +204,9 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 	}
 	var totalWrite int64
 	for pi, part := range t.parts {
-		file, localTerms, err := encodePTPartition(s, part, t.cols)
+		rowKeys := part.rowKeys()
+		t.numKeys += len(rowKeys)
+		file, localTerms, err := encodePTPartition(s, part, rowKeys, t.cols)
 		if err != nil {
 			return nil, err
 		}
@@ -232,62 +265,61 @@ func keyColumnBytes(f *columnar.File) int64 {
 	return n
 }
 
-// encodePTPartition lays one partition out as a columnar file: a key
-// column plus one column per predicate (scalar when globally
-// single-valued, list otherwise), with NULL/empty cells for absent
-// pairs — the NULL-dense layout that RLE makes cheap (paper §3.1).
-func encodePTPartition(s *Store, part *ptPartition, multiByPred map[rdf.ID]bool) (*columnar.File, map[rdf.ID]struct{}, error) {
-	// Row order: all keys present in this partition, ascending.
-	keySet := make(map[rdf.ID]struct{})
+// rowKeys returns the partition's row keys ascending: every key with a
+// value in some column.
+func (part *ptPartition) rowKeys() []rdf.ID {
+	n := 0
 	for _, col := range part.cols {
-		for k := range col.single {
-			keySet[k] = struct{}{}
-		}
-		for k := range col.multi {
-			keySet[k] = struct{}{}
-		}
+		n += len(col.keys)
 	}
-	keys := make([]rdf.ID, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
+	keys := make([]rdf.ID, 0, n)
+	for _, col := range part.cols {
+		keys = append(keys, col.keys...)
 	}
-	sortIDs(keys)
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
 
-	localTerms := make(map[rdf.ID]struct{}, len(keys)*2)
-	for _, k := range keys {
+// encodePTPartition lays one partition out as a columnar file: a key
+// column (rowKeys) plus one column per predicate (scalar when globally
+// single-valued, list otherwise), with NULL/empty cells for absent
+// pairs — the NULL-dense layout that RLE makes cheap (paper §3.1). The
+// in-memory columns are already in row order, so each is aligned to
+// the key column by one merge.
+func encodePTPartition(s *Store, part *ptPartition, rowKeys []rdf.ID, multiByPred map[rdf.ID]bool) (*columnar.File, map[rdf.ID]struct{}, error) {
+	localTerms := make(map[rdf.ID]struct{}, len(rowKeys)*2)
+	for _, k := range rowKeys {
 		localTerms[k] = struct{}{}
 	}
 
 	w := columnar.NewWriter(0)
-	w.AddScalar("key", keys)
-	scratch := make([]rdf.ID, 1)
+	w.AddScalar("key", rowKeys)
 	for _, pred := range s.predOrder {
 		name := ptColumnName(s.dict, pred)
 		col := part.cols[pred]
+		if col == nil {
+			col = &ptColumn{}
+		}
+		for _, v := range col.vals {
+			localTerms[v] = struct{}{}
+		}
+		// Column keys are a subset of rowKeys, both ascending.
+		next := 0
 		if multiByPred[pred] {
-			lists := make([][]rdf.ID, len(keys))
-			if col != nil {
-				for i, k := range keys {
-					vs := col.lookup(k, scratch)
-					if len(vs) > 0 {
-						row := make([]rdf.ID, len(vs))
-						copy(row, vs)
-						lists[i] = row
-						for _, v := range vs {
-							localTerms[v] = struct{}{}
-						}
-					}
+			lists := make([][]rdf.ID, len(rowKeys))
+			for i, k := range rowKeys {
+				if next < len(col.keys) && col.keys[next] == k {
+					lists[i] = col.values(next)
+					next++
 				}
 			}
 			w.AddList(name, lists)
 		} else {
-			vals := make([]rdf.ID, len(keys))
-			if col != nil {
-				for i, k := range keys {
-					if v, ok := col.single[k]; ok {
-						vals[i] = v
-						localTerms[v] = struct{}{}
-					}
+			vals := make([]rdf.ID, len(rowKeys))
+			for i, k := range rowKeys {
+				if next < len(col.keys) && col.keys[next] == k {
+					vals[i] = col.vals[next]
+					next++
 				}
 			}
 			w.AddScalar(name, vals)
@@ -298,9 +330,4 @@ func encodePTPartition(s *Store, part *ptPartition, multiByPred map[rdf.ID]bool)
 		return nil, nil, fmt.Errorf("encoding property table partition: %w", err)
 	}
 	return f, localTerms, nil
-}
-
-// sortIDs sorts IDs ascending in place.
-func sortIDs(ids []rdf.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/rdf"
@@ -45,12 +47,11 @@ func (s *Store) execPTNode(e *engine.Exec, pt *PropertyTable, n *Node, pushed []
 	perPartDisk := pt.scanBytes(spec.preds) / int64(len(pt.parts))
 	outParts := make([][]engine.Row, len(pt.parts))
 	err = s.cluster.RunStage(e.Clock, e.Launch(false), "scan "+n.Label(), len(pt.parts), func(p int) (cluster.TaskStats, error) {
-		arena := engine.NewRowArena(len(spec.schema), 0)
-		processed := scanPTPartition(pt.parts[p], spec.specs, len(spec.schema), rowPred, arena.AppendCopy)
-		outParts[p] = arena.Rows()
+		rows, processed := scanPTPartitionRows(pt.parts[p], spec, rowPred)
+		outParts[p] = rows
 		return cluster.TaskStats{
 			DiskBytes: perPartDisk,
-			Rows:      processed + int64(arena.Len()),
+			Rows:      processed + int64(len(rows)),
 		}, nil
 	})
 	if err != nil {
@@ -132,107 +133,173 @@ func valueTerm(tp sparql.TriplePattern, mode ptKeyMode) sparql.PatternTerm {
 	return tp.O
 }
 
-// scanPTPartition scans one PT partition for the node's specs,
-// yielding each emitted row and returning the number of keys examined.
-// The yielded row is a reused scratch buffer — the callback MUST copy
-// anything it retains (the materialized operator copies into a flat
-// engine.RowArena; the streaming source copies into its current
-// chunk's arena). A non-nil rowPred (pushed-down FILTER predicates)
-// gates each candidate row before it is yielded.
-func scanPTPartition(part *ptPartition, specs []patSpec, width int, rowPred func(engine.Row) bool, yield func(engine.Row)) int64 {
-	cols := make([]*ptColumn, len(specs))
-	driver := -1
+// ptCursor is one pattern's position in its column during a partition
+// scan.
+type ptCursor struct {
+	spec patSpec
+	col  *ptColumn
+	// pos indexes col.keys: every key before it is below the current
+	// driver key.
+	pos int
+	// vals is the current key's value list (aliasing the column) and
+	// next the odometer's position in it; both are used only for
+	// patterns that contribute to the output row.
+	vals []rdf.ID
+	next int
+}
+
+// scanPTPartition evaluates a node's patterns over one PT partition as
+// a sorted intersection of their columns. The column with the fewest
+// keys drives (the first such on a tie): its keys are visited in
+// ascending order and every other pattern's cursor is advanced to the
+// same key by galloping search, so a key missing from any column is
+// skipped without touching its values. For a key present in all of
+// them, bound-value and ?s p ?s patterns are membership tests on the
+// value list, and the remaining lists are combined by an odometer
+// (first pattern slowest) into one reused row — the multi-valued
+// flatten — with repeated variables checked as the row fills. Rows
+// passing rowPred (pushed-down FILTERs, may be nil) are counted and,
+// when yield is non-nil, yielded; the yielded row is scratch the
+// callback MUST copy. A nil yield makes a counting pass, which is how
+// callers size their output before the emitting pass. Nothing is
+// allocated per key.
+//
+// processed is the number of driver keys, the size of the smallest
+// column a Parquet reader would have to walk; it is what the cost
+// model charges the scan for beside its output rows. It is defined on
+// the column, not on the keys the loop happens to reach before another
+// column runs out, so that the priced work of a scan depends on the
+// data alone. A partition lacking one of the columns costs nothing.
+func scanPTPartition(part *ptPartition, specs []patSpec, width int, rowPred func(engine.Row) bool, yield func(engine.Row)) (processed, rows int64) {
+	curs := make([]ptCursor, len(specs))
+	driver := 0
 	for i, sp := range specs {
 		col := part.cols[sp.pid]
 		if col == nil {
-			return 0 // a required predicate has no cells here
+			return 0, 0 // a required predicate has no cells here
 		}
-		cols[i] = col
-		if driver < 0 || col.keys() < cols[driver].keys() {
+		curs[i] = ptCursor{spec: sp, col: col}
+		if len(col.keys) < len(curs[driver].col.keys) {
 			driver = i
 		}
 	}
-
-	var processed int64
-	scratch := make([]rdf.ID, 1)
-	lists := make([][]rdf.ID, len(specs))
-	emit := func(key rdf.ID) {
-		// Gather each pattern's values for this key; bail out on any
-		// missing or failed constraint that needs no prior bindings.
-		for i, sp := range specs {
-			vs := cols[i].lookup(key, scratch)
-			if len(vs) == 0 {
-				return
+	// out lists the patterns whose values reach the row, in pattern
+	// order; the others only constrain.
+	out := make([]*ptCursor, 0, len(specs))
+	for i := range curs {
+		if sp := curs[i].spec; sp.newCol >= 0 || sp.eqCol >= 0 {
+			out = append(out, &curs[i])
+		}
+	}
+	row := make(engine.Row, width)
+	emit := func() {
+		if rowPred == nil || rowPred(row) {
+			rows++
+			if yield != nil {
+				yield(row)
 			}
+		}
+	}
+
+	dkeys := curs[driver].col.keys
+nextKey:
+	for di, key := range dkeys {
+		for i := range curs {
+			c := &curs[i]
+			if i == driver {
+				c.pos = di
+			} else {
+				c.pos = gallop(c.col.keys, c.pos, key)
+				if c.pos == len(c.col.keys) {
+					break nextKey // this column has no key ≥ key left
+				}
+				if c.col.keys[c.pos] != key {
+					continue nextKey
+				}
+			}
+			c.vals = c.col.values(c.pos)
 			switch {
-			case sp.boundVal != rdf.NullID:
-				if !containsID(vs, sp.boundVal) {
-					return
+			case c.spec.boundVal != rdf.NullID:
+				if !slices.Contains(c.vals, c.spec.boundVal) {
+					continue nextKey
 				}
-				lists[i] = nil
-			case sp.eqKey:
-				if !containsID(vs, key) {
-					return
+			case c.spec.eqKey:
+				if !slices.Contains(c.vals, key) {
+					continue nextKey
 				}
-				lists[i] = nil
-			default:
-				// Copy: scratch is reused across specs.
-				own := make([]rdf.ID, len(vs))
-				copy(own, vs)
-				lists[i] = own
 			}
 		}
-		// Cartesian emission over the contributing patterns (the
-		// multi-valued flatten), with repeated-variable equality.
-		row := make(engine.Row, width)
 		row[0] = key
-		var rec func(i int)
-		rec = func(i int) {
-			if i == len(specs) {
-				if rowPred == nil || rowPred(row) {
-					yield(row)
-				}
-				return
-			}
-			sp := specs[i]
-			if lists[i] == nil {
-				rec(i + 1)
-				return
-			}
-			for _, v := range lists[i] {
-				switch {
-				case sp.newCol >= 0:
-					row[sp.newCol] = v
-					rec(i + 1)
-				case sp.eqCol >= 0:
-					if v == row[sp.eqCol] {
-						rec(i + 1)
-					}
-				default:
-					rec(i + 1)
-				}
-			}
+		if len(out) == 0 {
+			emit()
+			continue
 		}
-		rec(0)
+		// Odometer over the contributing lists: lvl is the wheel being
+		// turned, wheels below it hold their current value in row.
+		lvl := 0
+		out[0].next = 0
+		for lvl >= 0 {
+			c := out[lvl]
+			if c.next == len(c.vals) {
+				lvl--
+				continue
+			}
+			v := c.vals[c.next]
+			c.next++
+			if c.spec.newCol >= 0 {
+				row[c.spec.newCol] = v
+			} else if v != row[c.spec.eqCol] {
+				continue
+			}
+			if lvl+1 < len(out) {
+				lvl++
+				out[lvl].next = 0
+				continue
+			}
+			emit()
+		}
 	}
-
-	for key := range cols[driver].single {
-		processed++
-		emit(key)
-	}
-	for key := range cols[driver].multi {
-		processed++
-		emit(key)
-	}
-	return processed
+	return int64(len(dkeys)), rows
 }
 
-// containsID reports whether vs contains v.
-func containsID(vs []rdf.ID, v rdf.ID) bool {
-	for _, x := range vs {
-		if x == v {
-			return true
+// gallop returns the smallest i ≥ from with keys[i] ≥ key, or len(keys)
+// if there is none. keys is ascending. It doubles its stride from from,
+// then bisects the last stride, so a cursor that moves d places costs
+// O(log d) — cheap both when two columns are equally dense (d ≈ 1) and
+// when one is far denser than the driver.
+func gallop(keys []rdf.ID, from int, key rdf.ID) int {
+	if from >= len(keys) || keys[from] >= key {
+		return from
+	}
+	lo, hi := from, from+1 // keys[lo] < key
+	for step := 1; hi < len(keys) && keys[hi] < key; {
+		step *= 2
+		lo, hi = hi, hi+step
+	}
+	if hi > len(keys) {
+		hi = len(keys)
+	}
+	// keys[lo] < key, and hi == len(keys) or keys[hi] ≥ key.
+	for lo+1 < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] < key {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	return false
+	return hi
+}
+
+// scanPTPartitionRows scans one PT partition into an arena allocated
+// once at the exact size a counting pass found.
+func scanPTPartitionRows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool) (rows []engine.Row, processed int64) {
+	width := len(spec.schema)
+	processed, n := scanPTPartition(part, spec.specs, width, rowPred, nil)
+	if n == 0 {
+		return nil, processed
+	}
+	arena := engine.NewRowArena(width, int(n))
+	scanPTPartition(part, spec.specs, width, rowPred, arena.AppendCopy)
+	return arena.Rows(), processed
 }

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
@@ -178,5 +183,396 @@ func TestVPTableAccessors(t *testing.T) {
 	}
 	if s.VPTable(rdf.ID(9999)) != nil {
 		t.Errorf("VPTable of unknown predicate not nil")
+	}
+}
+
+// --- the columnar table and its sorted-intersection scan ---
+
+// starPat is one pattern of a star in key/value terms, so the same
+// template reads as a subject star (PT) or an object star (inverse PT).
+// The value is "?var", or a bound term's local name.
+type starPat struct{ pred, value string }
+
+// patterns renders the star's patterns around key variable ?k.
+func starPatterns(mode ptKeyMode, pats []starPat) []sparql.TriplePattern {
+	term := func(v string) sparql.PatternTerm {
+		if strings.HasPrefix(v, "?") {
+			return sparql.PatternTerm{Var: v[1:]}
+		}
+		return sparql.PatternTerm{Term: rdf.NewIRI(testNS + v)}
+	}
+	out := make([]sparql.TriplePattern, len(pats))
+	for i, p := range pats {
+		key, value := term("?k"), term(p.value)
+		out[i] = sparql.TriplePattern{S: key, P: term(p.pred), O: value}
+		if mode == keyOnObject {
+			out[i].S, out[i].O = value, key
+		}
+	}
+	return out
+}
+
+// randomStarGraph draws a graph over entities e0..e{n-1} (subjects and
+// objects alike, so self loops and object stars exist) and predicates
+// p0..p3 with 0–3 values per (entity, predicate), half of them drawn
+// from e0..e3, plus a predicate
+// "rare" that only two entities carry, so most partitions lack its
+// column.
+func randomStarGraph(rng *rand.Rand, n int) *rdf.Graph {
+	ent := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%se%d", testNS, i)) }
+	pred := func(name string) rdf.Term { return rdf.NewIRI(testNS + name) }
+	g := rdf.NewGraph(0)
+	for s := 0; s < n; s++ {
+		for p := 0; p < 4; p++ {
+			for k := rng.Intn(4); k > 0; k-- {
+				o := rng.Intn(n)
+				if rng.Intn(2) == 0 {
+					o = rng.Intn(4) // popular objects: shared values, hits for bound terms
+				}
+				g.AddSPO(ent(s), pred(fmt.Sprintf("p%d", p)), ent(o))
+			}
+		}
+		if rng.Intn(3) == 0 {
+			g.AddSPO(ent(s), pred(fmt.Sprintf("p%d", rng.Intn(2))), ent(s)) // self loop
+		}
+	}
+	for i := 0; i < 2; i++ {
+		g.AddSPO(ent(rng.Intn(n)), pred("rare"), ent(rng.Intn(n)))
+	}
+	return g
+}
+
+func starStore(t testing.TB, g *rdf.Graph, partitions int) *Store {
+	t.Helper()
+	c := cluster.MustNew(cluster.Config{Workers: 2, DefaultPartitions: partitions})
+	s, err := Load(g, Options{Cluster: c, BuildInversePT: true})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	return s
+}
+
+func allPartitions(int) bool { return true }
+
+// sortedRowStrings renders rows as sorted strings for multiset
+// comparison.
+func sortedRowStrings(rows []engine.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprint([]rdf.ID(r))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestPTScanMatchesReferenceOnRandomGraphs is the differential property
+// of the columnar scan: on random graphs with multi-valued cells, every
+// star shape the scan has a case for — ?k p ?k, a variable shared by
+// two predicates, a predicate repeated with distinct and with shared
+// variables, bound values alone and beside ?k p ?k, a predicate most
+// partitions lack — returns exactly what nested loops over the triples
+// return, from the PT and from the inverse PT, scanned directly and
+// through both executors. Along the way it pins what the cost model is
+// charged (processed = the smallest column's key count, nothing for a
+// partition lacking a column) and that rows come out in ascending key
+// order in their key's partition.
+func TestPTScanMatchesReferenceOnRandomGraphs(t *testing.T) {
+	templates := func(bound string) map[string][]starPat {
+		return map[string][]starPat{
+			"self loop":                   {{"p0", "?k"}, {"p1", "?x"}},
+			"variable across predicates":  {{"p0", "?x"}, {"p1", "?x"}},
+			"predicate twice, two vars":   {{"p2", "?x"}, {"p2", "?y"}},
+			"predicate twice, one var":    {{"p2", "?x"}, {"p2", "?x"}, {"p3", "?y"}},
+			"bound value":                 {{"p0", bound}, {"p1", "?x"}},
+			"bound value and self loop":   {{"p0", bound}, {"p1", "?k"}},
+			"column missing in places":    {{"rare", "?x"}, {"p0", "?y"}},
+			"three multi-valued columns":  {{"p0", "?x"}, {"p1", "?y"}, {"p3", "?z"}},
+			"shared var after a new one":  {{"p0", "?x"}, {"p1", "?y"}, {"p2", "?x"}},
+			"bound value, dense driver":   {{"p3", "?x"}, {"p2", bound}, {"p1", "?y"}},
+			"self loop on the last wheel": {{"p1", "?x"}, {"p3", "?y"}, {"p0", "?k"}},
+		}
+	}
+	matched := map[string]int{} // reference rows per template and table, over all seeds
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(40)
+		g := randomStarGraph(rng, n)
+		s := starStore(t, g, 1+rng.Intn(6))
+		for name, star := range templates(fmt.Sprintf("e%d", rng.Intn(4))) {
+			for _, mode := range []ptKeyMode{keyOnSubject, keyOnObject} {
+				label := fmt.Sprintf("seed %d, %s, inverse=%v", seed, name, mode == keyOnObject)
+				node := &Node{Kind: NodePT, Key: "k", Patterns: starPatterns(mode, star)}
+				pt, strategy := s.pt, StrategyMixed
+				if mode == keyOnObject {
+					node.Kind, pt, strategy = NodeIPT, s.ipt, StrategyMixedIPT
+				}
+				spec := s.ptNodeScan(pt, node)
+				if spec.empty {
+					t.Fatalf("%s: scan recipe empty", label)
+				}
+
+				var want []engine.Row
+				for _, b := range refEvalBGP(s.triples, s, node.Patterns) {
+					r := make(engine.Row, len(spec.schema))
+					for i, v := range spec.schema {
+						r[i] = b[v]
+					}
+					want = append(want, r)
+				}
+				matched[fmt.Sprintf("%s, inverse=%v", name, mode == keyOnObject)] += len(want)
+
+				parts, processed, err := s.ScanNodeParts(node, nil, allPartitions)
+				if err != nil {
+					t.Fatalf("%s: ScanNodeParts: %v", label, err)
+				}
+				var got []engine.Row
+				for p, rows := range parts {
+					got = append(got, rows...)
+					for i, r := range rows {
+						if engine.PartitionFor(r[0], len(parts)) != p {
+							t.Errorf("%s: key %d emitted from partition %d", label, r[0], p)
+						}
+						if i > 0 && r[0] < rows[i-1][0] {
+							t.Errorf("%s: partition %d rows not in ascending key order", label, p)
+						}
+					}
+					driverKeys := int64(-1)
+					for _, sp := range spec.specs {
+						col := pt.parts[p].cols[sp.pid]
+						if col == nil {
+							driverKeys = 0
+							break
+						}
+						if driverKeys < 0 || int64(len(col.keys)) < driverKeys {
+							driverKeys = int64(len(col.keys))
+						}
+					}
+					if processed[p] != driverKeys {
+						t.Errorf("%s: partition %d processed = %d, want the driver column's %d keys", label, p, processed[p], driverKeys)
+					}
+				}
+				eqStrings(t, sortedRowStrings(got), sortedRowStrings(want), label)
+
+				// The same star as a query, through both executors.
+				texts := make([]string, len(node.Patterns))
+				for i, tp := range node.Patterns {
+					texts[i] = tp.String()
+				}
+				q, err := sparql.Parse("SELECT * WHERE { " + strings.Join(texts, " . ") + " }")
+				if err != nil {
+					t.Fatalf("%s: Parse: %v", label, err)
+				}
+				ref := sortLines(refEval(t, s, g, q))
+				for _, streaming := range []bool{false, true} {
+					res, err := s.Query(q, QueryOptions{Strategy: strategy, Streaming: streaming})
+					if err != nil {
+						t.Fatalf("%s streaming=%v: Query: %v", label, streaming, err)
+					}
+					if out := sortLines(renderInOrder(res)); out != ref {
+						t.Errorf("%s streaming=%v: query result differs from the reference:\n got %q\nwant %q", label, streaming, out, ref)
+					}
+				}
+			}
+		}
+	}
+	if len(matched) != 2*len(templates("")) {
+		t.Errorf("%d template × table combinations ran, want %d", len(matched), 2*len(templates("")))
+	}
+	for label, rows := range matched {
+		if rows == 0 {
+			t.Errorf("%s: no seed produced a matching row; the case is not being tested", label)
+		}
+	}
+}
+
+// TestPTColumnsSortedAndComplete checks the layout itself: in every
+// column of both tables keys ascend strictly, offsets (present only
+// where some key has several values) tile the values, each key sits in
+// its placement partition, and the cells are exactly the loaded
+// triples, each key's values in load order.
+func TestPTColumnsSortedAndComplete(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := starStore(t, randomStarGraph(rng, 60), 4)
+	for _, pt := range []*PropertyTable{s.pt, s.ipt} {
+		type cell struct{ pred, key rdf.ID }
+		want := map[cell][]rdf.ID{}
+		for _, tr := range s.triples {
+			c, v := cell{tr.P, tr.S}, tr.O
+			if pt.mode == keyOnObject {
+				c, v = cell{tr.P, tr.O}, tr.S
+			}
+			want[c] = append(want[c], v)
+		}
+		cells, rowKeys := 0, map[rdf.ID]bool{}
+		for p, part := range pt.parts {
+			for pred, col := range part.cols {
+				multi := false
+				for i, key := range col.keys {
+					if i > 0 && key <= col.keys[i-1] {
+						t.Fatalf("mode %d partition %d pred %d: keys not strictly ascending at %d", pt.mode, p, pred, i)
+					}
+					if engine.PartitionFor(key, len(pt.parts)) != p {
+						t.Errorf("mode %d: key %d stored in partition %d", pt.mode, key, p)
+					}
+					vs := col.values(i)
+					if !slices.Equal(vs, want[cell{pred, key}]) {
+						t.Errorf("mode %d pred %d key %d: values %v, want %v (load order)", pt.mode, pred, key, vs, want[cell{pred, key}])
+					}
+					multi = multi || len(vs) > 1
+					cells++
+					rowKeys[key] = true
+				}
+				if (col.offs != nil) != multi {
+					t.Errorf("mode %d partition %d pred %d: offsets present = %v, some key multi-valued = %v", pt.mode, p, pred, col.offs != nil, multi)
+				}
+				if multi && !pt.MultiValued(pred) {
+					t.Errorf("mode %d pred %d: list cells in a column reported single-valued", pt.mode, pred)
+				}
+			}
+		}
+		if cells != len(want) {
+			t.Errorf("mode %d: table holds %d cells, the triples make %d", pt.mode, cells, len(want))
+		}
+		if pt.Rows() != len(rowKeys) {
+			t.Errorf("mode %d: Rows() = %d, distinct keys = %d", pt.mode, pt.Rows(), len(rowKeys))
+		}
+	}
+}
+
+// TestPTScanOrderReproducible: the table is scanned in key order, so
+// two runs of a query return their rows in the same order — in either
+// executor — without an ORDER BY.
+func TestPTScanOrderReproducible(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := starStore(t, randomStarGraph(rng, 300), 3)
+	q := sparql.MustParse(`SELECT * WHERE {
+		?k <http://example.org/p0> ?x .
+		?k <http://example.org/p1> ?y .
+	}`)
+	for _, streaming := range []bool{false, true} {
+		var first string
+		for run := 0; run < 4; run++ {
+			res, err := s.Query(q, QueryOptions{Streaming: streaming, ChunkSize: 64})
+			if err != nil {
+				t.Fatalf("Query: %v", err)
+			}
+			if len(res.Rows) < 300 {
+				t.Fatalf("only %d rows; the test needs enough to make a chance match implausible", len(res.Rows))
+			}
+			out := renderInOrder(res)
+			if run == 0 {
+				first = out
+			} else if out != first {
+				t.Fatalf("streaming=%v: run %d returned the rows in a different order than run 0", streaming, run)
+			}
+		}
+	}
+}
+
+// denseStarStore loads keys subjects, each with one p0 value, two p1
+// values and one p2 value, into a single partition.
+func denseStarStore(t testing.TB, keys int) *Store {
+	g := rdf.NewGraph(0)
+	ent := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%se%d", testNS, i)) }
+	for i := 0; i < keys; i++ {
+		g.AddSPO(ent(i), rdf.NewIRI(testNS+"p0"), ent((i+1)%keys))
+		g.AddSPO(ent(i), rdf.NewIRI(testNS+"p1"), ent((i+2)%keys))
+		g.AddSPO(ent(i), rdf.NewIRI(testNS+"p1"), ent((i+3)%keys))
+		g.AddSPO(ent(i), rdf.NewIRI(testNS+"p2"), ent((i+4)%keys))
+	}
+	return starStore(t, g, 1)
+}
+
+// TestPTScanAllocationsIndependentOfKeyCount: a partition scan allocates
+// its cursors and one row, and the materializing wrapper one arena more
+// — the same handful whether the partition holds a hundred keys or ten
+// thousand. (The map-based table allocated three times per key.)
+func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
+	allocs := func(keys int) (scan, rows float64) {
+		s := denseStarStore(t, keys)
+		node := &Node{Kind: NodePT, Key: "k", Patterns: starPatterns(keyOnSubject,
+			[]starPat{{"p0", "?x"}, {"p1", "?y"}, {"p2", "?z"}})}
+		spec := s.ptNodeScan(s.pt, node)
+		part := s.pt.parts[0]
+		var emitted int64
+		scan = testing.AllocsPerRun(10, func() {
+			emitted = 0
+			scanPTPartition(part, spec.specs, len(spec.schema), nil, func(engine.Row) { emitted++ })
+		})
+		if emitted != int64(2*keys) {
+			t.Fatalf("%d keys: scan emitted %d rows, want %d", keys, emitted, 2*keys)
+		}
+		rows = testing.AllocsPerRun(10, func() {
+			out, processed := scanPTPartitionRows(part, spec, nil)
+			if len(out) != 2*keys || processed != int64(keys) {
+				t.Fatalf("%d keys: %d rows, %d processed", keys, len(out), processed)
+			}
+		})
+		return scan, rows
+	}
+	smallScan, smallRows := allocs(100)
+	bigScan, bigRows := allocs(10000)
+	t.Logf("allocations per scan: %.0f at 100 keys, %.0f at 10000; materialized: %.0f and %.0f", smallScan, bigScan, smallRows, bigRows)
+	if bigScan != smallScan || bigRows != smallRows {
+		t.Errorf("allocations grew with the key count: scan %.0f -> %.0f, materialized %.0f -> %.0f", smallScan, bigScan, smallRows, bigRows)
+	}
+	if bigScan > 4 || bigRows > 12 {
+		t.Errorf("scan allocates %.0f times, materialized %.0f; want at most 4 and 12", bigScan, bigRows)
+	}
+}
+
+// TestDecodeRowsSharesOneBackingSlice: a result's terms are decoded
+// into one slice (two allocations for a thousand rows, not a thousand
+// and one), and a row handed out cannot grow into its neighbour.
+func TestDecodeRowsSharesOneBackingSlice(t *testing.T) {
+	s := denseStarStore(t, 50)
+	rows := make([]engine.Row, 1000)
+	for i := range rows {
+		rows[i] = engine.Row{rdf.ID(1 + i%50), rdf.NullID, rdf.ID(1 + (i+7)%50)}
+	}
+	var decoded [][]rdf.Term
+	if n := testing.AllocsPerRun(10, func() { decoded = s.decodeRows(rows, nil) }); n > 2 {
+		t.Errorf("decoding 1000 rows allocated %.0f times, want 2", n)
+	}
+	for i, r := range rows {
+		for j, id := range r {
+			if want := s.decodeCell(id, false); decoded[i][j] != want {
+				t.Fatalf("row %d col %d decoded to %v, want %v", i, j, decoded[i][j], want)
+			}
+		}
+	}
+	next := decoded[1][0]
+	_ = append(decoded[0], rdf.NewLiteral("spill"))
+	if decoded[1][0] != next {
+		t.Error("appending to a decoded row overwrote the next row")
+	}
+	if got := s.decodeRows(nil, nil); got == nil || len(got) != 0 {
+		t.Errorf("decodeRows(nil) = %v, want an empty non-nil result", got)
+	}
+}
+
+// TestGallopMatchesLinearSearch checks the cursor advance against a
+// linear scan from every start position, for present, absent, too-small
+// and too-large keys.
+func TestGallopMatchesLinearSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 7, 64, 200} {
+		keys := make([]rdf.ID, n)
+		next := rdf.ID(1)
+		for i := range keys {
+			next += rdf.ID(1 + rng.Intn(3))
+			keys[i] = next
+		}
+		for from := 0; from <= n; from++ {
+			for key := rdf.ID(0); key <= next+2; key++ {
+				want := from
+				for want < n && keys[want] < key {
+					want++
+				}
+				if got := gallop(keys, from, key); got != want {
+					t.Fatalf("gallop(%d keys, from %d, key %d) = %d, want %d", n, from, key, got, want)
+				}
+			}
+		}
 	}
 }

@@ -963,34 +963,35 @@ func (p *streamPipe) scanVPPart(pi, chunkSize int) error {
 // scanPTPart streams one PT partition: the cartesian flatten yields
 // reused scratch rows, which are copied into a fresh per-batch arena
 // (retained rows must be stable) and flushed through the steps at
-// chunk boundaries.
+// chunk boundaries. A counting pass first tells how many rows are
+// coming, so each batch's arena is allocated at the size it will fill.
 func (p *streamPipe) scanPTPart(pi, chunkSize int) error {
 	src := p.src
 	width := len(src.spec.schema)
-	arena := engine.NewRowArena(width, chunkSize)
-	var ferr error
-	flush := func() {
-		rows := arena.Rows()
-		if len(rows) == 0 {
-			return
-		}
-		src.out.Add(int64(len(rows)))
-		if err := p.processBatch(pi, rows); err != nil && ferr == nil {
-			ferr = err
-		}
-		arena = engine.NewRowArena(width, chunkSize)
+	part := src.pt.parts[pi]
+	processed, n := scanPTPartition(part, src.spec.specs, width, src.rowPred, nil)
+	src.scanned.Add(processed)
+	if n == 0 {
+		return nil
 	}
-	processed := scanPTPartition(src.pt.parts[pi], src.spec.specs, width, src.rowPred, func(r engine.Row) {
+	left := int(n)
+	var arena *engine.RowArena
+	var ferr error
+	scanPTPartition(part, src.spec.specs, width, src.rowPred, func(r engine.Row) {
 		if ferr != nil {
 			return
 		}
+		if arena == nil {
+			arena = engine.NewRowArena(width, min(left, chunkSize))
+		}
 		arena.AppendCopy(r)
-		if arena.Len() >= chunkSize {
-			flush()
+		left--
+		if arena.Len() == chunkSize || left == 0 {
+			src.out.Add(int64(arena.Len()))
+			ferr = p.processBatch(pi, arena.Rows())
+			arena = nil
 		}
 	})
-	src.scanned.Add(processed)
-	flush()
 	return ferr
 }
 
@@ -1849,15 +1850,7 @@ func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryO
 	}
 	clock.MergeTrace(trace.Stages(), simRes.Done)
 
-	countCols := pl.Root.CountCols
-	decoded := make([][]rdf.Term, len(rows))
-	for i, r := range rows {
-		terms := make([]rdf.Term, len(r))
-		for j, id := range r {
-			terms[j] = s.decodeCell(id, j < len(countCols) && countCols[j])
-		}
-		decoded[i] = terms
-	}
+	decoded := s.decodeRows(rows, pl.Root.CountCols)
 
 	return &Result{
 		Vars:          q.Projection(),

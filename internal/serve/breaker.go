@@ -42,10 +42,14 @@ func (s breakerState) String() string {
 	}
 }
 
-// breakerEvent is one execution outcome on the breaker's timeline.
-type breakerEvent struct {
-	at     time.Time
-	failed bool
+// breakerBuckets is the number of slices the sliding window is counted
+// in: one second each at the default window.
+const breakerBuckets = 30
+
+// breakerBucket counts the execution outcomes of one slice of the
+// window.
+type breakerBucket struct {
+	total, failed int
 }
 
 // breaker sheds /sparql load when the store itself is failing: once the
@@ -55,8 +59,13 @@ type breakerEvent struct {
 // one success closes it, one failure re-opens it. Only execution
 // outcomes feed the window; caller mistakes (400s) and shed requests
 // are not evidence about store health.
+//
+// The window is a fixed ring of per-slice counters with running sums,
+// so recording an outcome costs the same however many requests the
+// window holds. An outcome leaves the window when its whole slice does,
+// up to one slice before it is a full window old.
 type breaker struct {
-	window     time.Duration
+	slice      time.Duration // window / breakerBuckets
 	threshold  float64
 	minSamples int
 	cooldown   time.Duration
@@ -64,8 +73,14 @@ type breaker struct {
 
 	mu       sync.Mutex
 	state    breakerState
-	events   []breakerEvent
 	openedAt time.Time
+	// Slices are numbered from origin, the first outcome's time.
+	// ring[n%breakerBuckets] counts slice n, for the breakerBuckets
+	// slices ending at head; total and failed are the sums over it.
+	origin        time.Time
+	ring          [breakerBuckets]breakerBucket
+	head          int64
+	total, failed int
 }
 
 // newBreaker applies defaults to zero knobs and returns a closed
@@ -84,7 +99,7 @@ func newBreaker(window time.Duration, threshold float64, minSamples int, cooldow
 		cooldown = DefaultBreakerCooldown
 	}
 	return &breaker{
-		window:     window,
+		slice:      max(window/breakerBuckets, 1),
 		threshold:  threshold,
 		minSamples: minSamples,
 		cooldown:   cooldown,
@@ -117,19 +132,19 @@ func (b *breaker) record(failed bool) {
 			b.trip(now)
 		} else {
 			b.state = breakerClosed
-			b.events = b.events[:0]
+			b.clear()
 		}
 	case breakerClosed:
-		b.events = append(b.events, breakerEvent{at: now, failed: failed})
-		b.prune(now)
-		failures := 0
-		for _, e := range b.events {
-			if e.failed {
-				failures++
-			}
+		b.advance(now)
+		slot := &b.ring[b.head%breakerBuckets]
+		slot.total++
+		b.total++
+		if failed {
+			slot.failed++
+			b.failed++
 		}
-		if len(b.events) >= b.minSamples &&
-			float64(failures)/float64(len(b.events)) >= b.threshold {
+		if b.total >= b.minSamples &&
+			float64(b.failed)/float64(b.total) >= b.threshold {
 			b.trip(now)
 		}
 	}
@@ -139,18 +154,34 @@ func (b *breaker) record(failed bool) {
 func (b *breaker) trip(now time.Time) {
 	b.state = breakerOpen
 	b.openedAt = now
-	b.events = b.events[:0]
+	b.clear()
 }
 
-// prune drops events older than the sliding window.
-func (b *breaker) prune(now time.Time) {
-	cut := now.Add(-b.window)
-	i := 0
-	for i < len(b.events) && b.events[i].at.Before(cut) {
-		i++
+// clear empties the window.
+func (b *breaker) clear() {
+	b.ring = [breakerBuckets]breakerBucket{}
+	b.total, b.failed = 0, 0
+}
+
+// advance moves the ring's head to the slice containing now, retiring
+// the slices that fell out of the window: at most breakerBuckets of
+// them, whatever the gap. A clock that steps backwards keeps counting
+// in the head slice.
+func (b *breaker) advance(now time.Time) {
+	if b.origin.IsZero() {
+		b.origin = now
 	}
-	if i > 0 {
-		b.events = append(b.events[:0], b.events[i:]...)
+	slice := int64(now.Sub(b.origin) / b.slice)
+	if slice-b.head >= breakerBuckets {
+		b.clear()
+		b.head = slice
+	}
+	for b.head < slice {
+		b.head++
+		slot := &b.ring[b.head%breakerBuckets]
+		b.total -= slot.total
+		b.failed -= slot.failed
+		*slot = breakerBucket{}
 	}
 }
 

@@ -8,10 +8,24 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/rdf"
 )
+
+// flateWriters recycles deflate writers: a fresh one zeroes about
+// 1.2 MB of tables, which dominated the cost of sizing the many small
+// partition files a load writes. Reset restores the state NewWriter
+// leaves, so a recycled writer emits the same bytes as a fresh one.
+var flateWriters = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
+	if err != nil {
+		// flate.NewWriter fails only on invalid compression levels.
+		panic(fmt.Sprintf("sizeenc: flate writer: %v", err))
+	}
+	return fw
+}}
 
 // CompressedTermBytes returns the deflate-compressed size of the terms
 // named by ids, iterated in ascending ID order for determinism.
@@ -20,21 +34,24 @@ func CompressedTermBytes(dict *rdf.Dictionary, ids map[rdf.ID]struct{}) int64 {
 	for id := range ids {
 		ordered = append(ordered, id)
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
+	slices.Sort(ordered)
 	cw := &CountingWriter{}
-	fw, err := flate.NewWriter(cw, flate.BestSpeed)
-	if err != nil {
-		// flate.NewWriter fails only on invalid compression levels.
-		panic(fmt.Sprintf("sizeenc: flate writer: %v", err))
-	}
+	fw := flateWriters.Get().(*flate.Writer)
+	fw.Reset(cw)
+	// One record per term through a reused buffer (flate.Writer takes
+	// no strings; io.WriteString would copy each). Writes to a
+	// CountingWriter cannot fail.
+	var rec []byte
 	for _, id := range ordered {
 		t := dict.Term(id)
-		io.WriteString(fw, t.Value)
-		io.WriteString(fw, t.Datatype)
-		io.WriteString(fw, t.Lang)
-		fw.Write([]byte{'\n'})
+		rec = append(rec[:0], t.Value...)
+		rec = append(rec, t.Datatype...)
+		rec = append(rec, t.Lang...)
+		rec = append(rec, '\n')
+		fw.Write(rec)
 	}
 	fw.Close()
+	flateWriters.Put(fw)
 	return cw.N
 }
 

@@ -1,7 +1,11 @@
 package sizeenc
 
 import (
+	"compress/flate"
 	"fmt"
+	"io"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/rdf"
@@ -57,6 +61,63 @@ func TestCompressedTermBytesDeterministic(t *testing.T) {
 	b := CompressedTermBytes(d, ids)
 	if a != b {
 		t.Errorf("same input compressed to %d then %d bytes", a, b)
+	}
+}
+
+// freshTermBytes is CompressedTermBytes as it was before the writer
+// pool: a new deflate writer per call, one write per string.
+func freshTermBytes(t *testing.T, dict *rdf.Dictionary, ids map[rdf.ID]struct{}) int64 {
+	t.Helper()
+	ordered := make([]rdf.ID, 0, len(ids))
+	for id := range ids {
+		ordered = append(ordered, id)
+	}
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
+	cw := &CountingWriter{}
+	fw, err := flate.NewWriter(cw, flate.BestSpeed)
+	if err != nil {
+		t.Fatalf("flate.NewWriter: %v", err)
+	}
+	for _, id := range ordered {
+		term := dict.Term(id)
+		io.WriteString(fw, term.Value)
+		io.WriteString(fw, term.Datatype)
+		io.WriteString(fw, term.Lang)
+		fw.Write([]byte{'\n'})
+	}
+	fw.Close()
+	return cw.N
+}
+
+// TestCompressedTermBytesPooledEqualsFresh: a recycled writer must size
+// a term set exactly as a fresh one does, whatever it compressed
+// before — the stored file sizes (Table 1) depend on it.
+func TestCompressedTermBytesPooledEqualsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	d := rdf.NewDictionary()
+	var all []rdf.ID
+	for i := 0; i < 8000; i++ {
+		var term rdf.Term
+		switch rng.Intn(4) {
+		case 0:
+			term = rdf.NewIRI(fmt.Sprintf("http://example.org/%c/entity%d", 'a'+rune(rng.Intn(5)), rng.Intn(1e6)))
+		case 1:
+			term = rdf.NewLiteral(fmt.Sprintf("text %x %x", rng.Int63(), rng.Int63()))
+		case 2:
+			term = rdf.NewTypedLiteral(fmt.Sprint(rng.Intn(1000)), rdf.XSDInteger)
+		default:
+			term = rdf.NewLangLiteral(fmt.Sprintf("mot%d", rng.Intn(500)), "fr")
+		}
+		all = append(all, d.Encode(term))
+	}
+	for round := 0; round < 100; round++ {
+		ids := make(map[rdf.ID]struct{})
+		for n := rng.Intn(6000); n > 0; n-- { // from nothing to several deflate blocks
+			ids[all[rng.Intn(len(all))]] = struct{}{}
+		}
+		if got, want := CompressedTermBytes(d, ids), freshTermBytes(t, d, ids); got != want {
+			t.Fatalf("round %d (%d terms): pooled writer gave %d bytes, fresh writer %d", round, len(ids), got, want)
+		}
 	}
 }
 
