@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -60,6 +61,32 @@ func TestShardProfileShape(t *testing.T) {
 	for _, q := range queries {
 		if !strings.Contains(out, q.Name) {
 			t.Errorf("shard table missing %s:\n%s", q.Name, out)
+		}
+	}
+
+	// The framing may only get leaner: per query, the 2-shard topology's
+	// wire traffic must not exceed what the committed trajectory records.
+	committed, err := os.ReadFile(filepath.Join("..", "..", "BENCH_shard.json"))
+	if err != nil {
+		t.Fatalf("read committed trajectory: %v", err)
+	}
+	var prev struct{ Queries []ShardRecord }
+	if err := json.Unmarshal(committed, &prev); err != nil {
+		t.Fatalf("committed trajectory not valid JSON: %v", err)
+	}
+	prevWire := map[string]int64{}
+	for _, r := range prev.Queries {
+		for _, topo := range r.Topologies {
+			if topo.Shards == 2 {
+				prevWire[r.Query] = topo.WireBytes
+			}
+		}
+	}
+	for _, r := range recs {
+		for _, topo := range r.Topologies {
+			if was, ok := prevWire[r.Query]; ok && topo.Shards == 2 && topo.WireBytes > was {
+				t.Errorf("%s on 2 shards: wireBytes %d exceeds the committed %d", r.Query, topo.WireBytes, was)
+			}
 		}
 	}
 

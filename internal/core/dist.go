@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -30,7 +31,9 @@ import (
 // DistRunner hands out per-query distributed sessions; internal/shard's
 // Coordinator is the production implementation.
 type DistRunner interface {
-	Session(q *sparql.Query) (DistSession, error)
+	// Session opens q's session; ctx is the query's context, and every
+	// shard call the session makes is bounded by it.
+	Session(ctx context.Context, q *sparql.Query) (DistSession, error)
 }
 
 // DistSession executes one query's shard work: scan kernels plus the

@@ -277,7 +277,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 	var distSess DistSession
 	streamingDowngraded := false
 	if opts.Dist != nil {
-		sess, err := opts.Dist.Session(q)
+		sess, err := opts.Dist.Session(ctx, q)
 		if err != nil {
 			return nil, err
 		}

@@ -158,26 +158,6 @@ func DistinctKernel(rows []Row, width int) []Row {
 	return seen.rows
 }
 
-// RowsChecksum digests row partitions exactly like Relation.Checksum,
-// exported so the wire layer can verify an exchanged payload against
-// the checksum its producer framed alongside it.
-func RowsChecksum(parts [][]Row) uint64 {
-	h := fnvOffset
-	for _, part := range parts {
-		for _, row := range part {
-			for _, v := range row {
-				h ^= uint64(v)
-				h *= fnvPrime
-			}
-			h ^= rowBoundaryMark
-			h *= fnvPrime
-		}
-		h ^= partBoundaryMark
-		h *= fnvPrime
-	}
-	return h
-}
-
 // ScanGathered charges a filtered table scan whose surviving rows were
 // produced elsewhere (shard-local evaluation): stats are identical to
 // ScanFiltered — the full stored partition streams off disk and every

@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ID is a dense dictionary-encoded identifier for an RDF term. The engine
@@ -15,13 +16,23 @@ type ID uint32
 const NullID ID = 0
 
 // Dictionary is a bidirectional map between RDF terms and dense IDs.
-// It is safe for concurrent use: Encode takes a write lock, Term and
-// related lookups take a read lock. IDs start at 1 and grow densely, so
-// they double as indexes into columnar dictionaries.
+// It is safe for concurrent use: Encode and Lookup share a lock around
+// the inverse map, while Term and Len — called once per result cell and
+// per term comparison — take none: they read the append-only term list
+// through an atomically published snapshot. IDs start at 1 and grow
+// densely, so they double as indexes into columnar dictionaries.
 type Dictionary struct {
 	mu    sync.RWMutex
-	terms []Term      // terms[i] is the term for ID(i+1)
+	terms []Term      // terms[i] is the term for ID(i+1); appended under mu
 	ids   map[Term]ID // inverse mapping
+
+	// arr is terms' backing array at full capacity, republished whenever
+	// an append moves it; n is the number of terms readers may see,
+	// stored after the term itself is in place. A reader loads n, then
+	// arr: the array it gets holds at least the first n terms, and no
+	// element below n is ever written again.
+	arr atomic.Pointer[[]Term]
+	n   atomic.Int64
 }
 
 // NewDictionary returns an empty dictionary.
@@ -43,7 +54,13 @@ func (d *Dictionary) Encode(t Term) ID {
 	if id, ok := d.ids[t]; ok {
 		return id
 	}
+	moved := len(d.terms) == cap(d.terms)
 	d.terms = append(d.terms, t)
+	if moved {
+		full := d.terms[:cap(d.terms)]
+		d.arr.Store(&full)
+	}
+	d.n.Store(int64(len(d.terms)))
 	id = ID(len(d.terms))
 	d.ids[t] = id
 	return id
@@ -59,23 +76,19 @@ func (d *Dictionary) Lookup(t Term) (ID, bool) {
 	return id, ok
 }
 
-// Term returns the term for an ID. It panics on NullID or out-of-range
-// IDs, which always indicate an engine bug rather than user input.
+// Term returns the term for an ID, without locking. It panics on NullID
+// or out-of-range IDs, which always indicate an engine bug rather than
+// user input.
 func (d *Dictionary) Term(id ID) Term {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id == NullID || int(id) > len(d.terms) {
-		panic(fmt.Sprintf("rdf: dictionary lookup of invalid ID %d (size %d)", id, len(d.terms)))
+	n := d.n.Load()
+	if id == NullID || int64(id) > n {
+		panic(fmt.Sprintf("rdf: dictionary lookup of invalid ID %d (size %d)", id, n))
 	}
-	return d.terms[id-1]
+	return (*d.arr.Load())[id-1]
 }
 
 // Len returns the number of distinct terms interned so far.
-func (d *Dictionary) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.terms)
-}
+func (d *Dictionary) Len() int { return int(d.n.Load()) }
 
 // EncodedTriple is a triple after dictionary encoding.
 type EncodedTriple struct {

@@ -150,3 +150,45 @@ func TestDictionaryApproxBytes(t *testing.T) {
 		t.Errorf("ApproxBytes() = %d, want > 0", d.ApproxBytes())
 	}
 }
+
+// TestDictionaryConcurrentEncodeAndTerm exercises the lock-free read
+// path under the race detector: readers resolve every ID below Len
+// while a writer keeps interning (and so keeps moving the backing
+// array); each must see exactly the term that ID was issued for.
+func TestDictionaryConcurrentEncodeAndTerm(t *testing.T) {
+	d := NewDictionary()
+	const terms = 20000
+	name := func(i int) Term { return NewIRI(fmt.Sprintf("http://t/%d", i)) }
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for stop := false; !stop; {
+				select {
+				case <-done:
+					stop = true // one last pass over the full dictionary
+				default:
+				}
+				for n := d.Len(); n > 0; n -= 1 + n/64 {
+					// The single writer issues IDs in order: ID n is term n-1.
+					if got := d.Term(ID(n)); got != name(n-1) {
+						t.Errorf("Term(%d) = %v, want %v", n, got, name(n-1))
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < terms; i++ {
+		if id := d.Encode(name(i)); id != ID(i+1) {
+			t.Fatalf("Encode issued ID %d for term %d", id, i)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if d.Len() != terms {
+		t.Fatalf("Len() = %d, want %d", d.Len(), terms)
+	}
+}

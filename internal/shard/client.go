@@ -2,10 +2,12 @@ package shard
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -43,6 +45,10 @@ type Coordinator struct {
 	calN      int64
 }
 
+// dialTimeout bounds Dial as a whole, connecting and handshakes, so a
+// shard that accepts and then stalls cannot hang coordinator start-up.
+const dialTimeout = 10 * time.Second
+
 // Dial connects to every shard in addrs (addrs[i] is shard i of
 // len(addrs)) and performs the topology/dataset handshake against the
 // coordinator's own store. Any refusal or connection failure aborts the
@@ -57,19 +63,19 @@ func Dial(store *core.Store, addrs []string) (*Coordinator, error) {
 		fp:      store.Stats().Fingerprint(),
 		leaf:    map[string]int64{},
 	}
+	ctx, cancel := context.WithTimeout(context.TODO(), dialTimeout)
+	defer cancel()
+	var dialer net.Dialer
 	for i, addr := range addrs {
-		nc, err := net.Dial("tcp", addr)
+		nc, err := dialer.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			c.Close()
 			return nil, &wire.ShardError{Addr: addr, Shard: i, Err: err}
 		}
-		sc := &shardConn{addr: addr, shard: i, c: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
+		sc := &shardConn{addr: addr, slot: slot{i, len(addrs)}, c: nc, br: bufio.NewReader(nc)}
 		c.conns = append(c.conns, sc)
-		var resp helloResp
-		if _, _, _, err := sc.call(msgHello, helloReq{
-			Shard: i, Shards: len(addrs),
-			Partitions: c.parts, Workers: c.workers, Fingerprint: c.fp,
-		}, &resp); err != nil {
+		hello := &helloReq{Shard: i, Shards: len(addrs), Partitions: c.parts, Workers: c.workers, Fingerprint: c.fp}
+		if _, _, _, err := sc.call(ctx, msgHello, hello, func(*dec) {}); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -94,8 +100,8 @@ func (c *Coordinator) Shards() int { return len(c.conns) }
 // Session implements core.DistRunner: sessions share the coordinator's
 // connections (per-connection calls serialize) and keep their own
 // exchange records.
-func (c *Coordinator) Session(q *sparql.Query) (core.DistSession, error) {
-	return &session{c: c, filters: append([]sparql.Filter(nil), q.Filters...)}, nil
+func (c *Coordinator) Session(ctx context.Context, q *sparql.Query) (core.DistSession, error) {
+	return &session{ctx: ctx, c: c, filters: append([]sparql.Filter(nil), q.Filters...)}, nil
 }
 
 // NetworkStats implements core.NetworkReporter.
@@ -159,12 +165,14 @@ func (c *Coordinator) noteRecord(r core.ExchangeRecord) {
 // request/response in flight), and every call's bytes and round-trip
 // latency are recorded for /stats.
 type shardConn struct {
-	addr  string
-	shard int
-	c     net.Conn
-	br    *bufio.Reader
-	bw    *bufio.Writer
-	mu    sync.Mutex
+	addr string
+	slot slot
+	c    net.Conn
+	br   *bufio.Reader
+	mu   sync.Mutex
+	// buf is the connection's frame buffer, guarded by mu: a request is
+	// built and written from it, then the response is read back into it.
+	buf []byte
 
 	statMu sync.Mutex
 	sent   int64
@@ -177,47 +185,83 @@ type shardConn struct {
 // overwrite ring-style so quantiles track the recent window.
 const maxRTTSamples = 1 << 13
 
-// call performs one framed request/response exchange. Every failure —
-// transport, shard-reported, or codec — comes back as a
+// maxRetainBytes bounds each buffer a connection keeps between calls:
+// the frame buffer on either end and the server's two decode arenas. A
+// larger message gets exactly sized storage that dies with the call.
+const maxRetainBytes = 256 << 10
+
+// call performs one framed request/response exchange, handing the
+// response payload (valid only during the callback) to decode. Every
+// failure — transport, shard-reported, or codec — comes back as a
 // *wire.ShardError naming this shard, so query errors surface through
 // the task-attempt machinery as a worker outage.
-func (sc *shardConn) call(typ byte, req, resp any) (sent, recv int64, wall time.Duration, err error) {
-	payload, err := encodeMsg(req)
-	if err != nil {
-		return 0, 0, 0, &wire.ShardError{Addr: sc.addr, Shard: sc.shard, Err: err}
-	}
+func (sc *shardConn) call(ctx context.Context, typ byte, req request, decode func(*dec)) (sent, recv int64, wall time.Duration, err error) {
 	sc.mu.Lock()
+	defer sc.mu.Unlock()
 	start := time.Now()
-	var rtyp byte
-	var rp []byte
-	sent, err = wire.WriteFrame(sc.bw, typ, payload)
-	if err == nil {
-		err = sc.bw.Flush()
-	}
-	if err == nil {
-		rtyp, rp, recv, err = wire.ReadFrame(sc.br)
-	}
+	rtyp, payload, sent, recv, err := sc.roundTrip(ctx, typ, req)
 	wall = time.Since(start)
-	sc.mu.Unlock()
 	sc.note(sent, recv, wall)
-	if err != nil {
-		return sent, recv, wall, &wire.ShardError{Addr: sc.addr, Shard: sc.shard, Err: err}
-	}
-	switch rtyp {
-	case msgErr:
-		var er errResp
-		if derr := decodeMsg(rp, &er); derr != nil {
-			er.Msg = fmt.Sprintf("undecodable shard error: %v", derr)
-		}
-		return sent, recv, wall, &wire.ShardError{Addr: sc.addr, Shard: sc.shard, Err: errors.New(er.Msg)}
-	case msgOK:
-		if derr := decodeMsg(rp, resp); derr != nil {
-			return sent, recv, wall, &wire.ShardError{Addr: sc.addr, Shard: sc.shard, Err: derr}
-		}
-		return sent, recv, wall, nil
+	switch {
+	case err != nil:
+	case rtyp == msgErr:
+		err = errors.New(string(payload))
+	case rtyp == msgOK:
+		d := dec{b: payload, slot: sc.slot}
+		decode(&d)
+		err = d.done()
 	default:
-		return sent, recv, wall, &wire.ShardError{Addr: sc.addr, Shard: sc.shard, Err: fmt.Errorf("unexpected response type %d", rtyp)}
+		err = fmt.Errorf("unexpected response type %d", rtyp)
 	}
+	if cap(sc.buf) > maxRetainBytes {
+		sc.buf = nil
+	}
+	if err != nil {
+		err = &wire.ShardError{Addr: sc.addr, Shard: sc.slot.shard, Err: err}
+	}
+	return sent, recv, wall, err
+}
+
+// roundTrip writes the request frame and reads the response frame,
+// both through sc.buf. The connection deadline follows ctx, and a
+// cancellation while the call is blocked in I/O breaks it at once. Any
+// failure past the first written byte leaves the stream mid-frame, so
+// the connection is closed: later calls then fail fast, exactly as
+// after a shard death, instead of reading a desynchronised stream.
+func (sc *shardConn) roundTrip(ctx context.Context, typ byte, req request) (rtyp byte, payload []byte, sent, recv int64, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, nil, 0, 0, err
+	}
+	// The row sections are sized exactly; 256 bytes cover the spec header.
+	frame, err := wire.Finish(req.appendTo(wire.Begin(sc.buf, typ, req.size(sc.slot)+256), sc.slot))
+	if err != nil {
+		return 0, nil, 0, 0, err
+	}
+	sc.buf = frame
+	deadline, _ := ctx.Deadline() // the zero time clears a previous call's
+	sc.c.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, func() { sc.c.SetDeadline(time.Unix(1, 0)) })
+	n, err := sc.c.Write(frame)
+	sent = int64(n)
+	if err == nil {
+		rtyp, payload, sc.buf, recv, err = wire.ReadFrameInto(sc.br, sc.buf)
+	}
+	// A cancellation that raced a completed call still fails it: its
+	// deadline poke may land on the next call otherwise.
+	if !stop() && err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		sc.c.Close()
+		// Report the cause, not the I/O timeout it provoked. The armed
+		// deadline is ctx's own and can fire a moment before ctx does.
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = context.DeadlineExceeded
+		}
+	}
+	return rtyp, payload, sent, recv, err
 }
 
 // note records one call's wire bytes and latency.
@@ -254,8 +298,10 @@ func durationQuantile(samples []time.Duration, q float64) time.Duration {
 
 // session is one query's DistSession: it resolves FILTER indexes
 // against the query it was opened for, fans every exchange out to all
-// shards, and records measured-vs-priced bytes per exchange.
+// shards under the query's context, and records measured-vs-priced
+// bytes per exchange.
 type session struct {
+	ctx     context.Context
 	c       *Coordinator
 	filters []sparql.Filter
 
@@ -282,28 +328,26 @@ func (s *session) record(r core.ExchangeRecord) {
 	s.c.noteRecord(r)
 }
 
-// shardCall is one shard's measured contribution to a fan-out.
-type shardCall struct {
-	sent, recv int64
-	wall       time.Duration
-	parts      [][]engine.Row
-}
-
-// fanOut runs fn for every shard concurrently and merges the responses:
-// out[p] comes from p's owner, wire bytes sum, and the exchange wall
-// time is the slowest shard's round trip (shards work in parallel).
-// The lowest-index error wins, keeping failures deterministic.
-func (s *session) fanOut(total int, fn func(sc *shardConn, own func(p int) bool) (shardCall, error)) (out [][]engine.Row, wireBytes int64, wall time.Duration, err error) {
+// fanOut sends req to every shard concurrently — each connection
+// encodes its own slot's view of it — and merges the responses decode
+// extracts: out[p] comes from p's owner, wire bytes sum, and the
+// exchange wall time is the slowest shard's round trip (shards work in
+// parallel). The lowest-index error wins, keeping failures
+// deterministic.
+func (s *session) fanOut(typ byte, req request, total int, decode func(d *dec) [][]engine.Row) (out [][]engine.Row, wireBytes int64, wall time.Duration, err error) {
 	conns := s.c.conns
-	calls := make([]shardCall, len(conns))
+	parts := make([][][]engine.Row, len(conns))
+	walls := make([]time.Duration, len(conns))
+	wires := make([]int64, len(conns))
 	errs := make([]error, len(conns))
 	var wg sync.WaitGroup
 	for i, sc := range conns {
 		wg.Add(1)
 		go func(i int, sc *shardConn) {
 			defer wg.Done()
-			own := func(p int) bool { return p%len(conns) == i }
-			calls[i], errs[i] = fn(sc, own)
+			var sent, recv int64
+			sent, recv, walls[i], errs[i] = sc.call(s.ctx, typ, req, func(d *dec) { parts[i] = decode(d) })
+			wires[i] = sent + recv
 		}(i, sc)
 	}
 	wg.Wait()
@@ -313,47 +357,40 @@ func (s *session) fanOut(total int, fn func(sc *shardConn, own func(p int) bool)
 		}
 	}
 	out = make([][]engine.Row, total)
-	for i, call := range calls {
-		wireBytes += call.sent + call.recv
-		if call.wall > wall {
-			wall = call.wall
-		}
+	for i := range conns {
+		wireBytes += wires[i]
+		wall = max(wall, walls[i])
 		for p := i; p < total; p += len(conns) {
-			out[p] = call.parts[p]
+			out[p] = parts[i][p]
 		}
 	}
 	return out, wireBytes, wall, nil
 }
 
-// verifyParts decodes and end-to-end-checks one response's partitions.
-func verifyParts(sc *shardConn, packed []byte, total int, sum uint64) ([][]engine.Row, error) {
-	parts, err := decodePartSet(packed, total)
-	if err != nil {
-		return nil, &wire.ShardError{Addr: sc.addr, Shard: sc.shard, Err: err}
+// exchange fans an exchange kernel out — every response is the part set
+// of the kernel's owned output partitions — and records it: rec arrives
+// with the kind, name and byte counts, and leaves with the measurement.
+func (s *session) exchange(typ byte, req *exchangeReq, rec core.ExchangeRecord) (out [][]engine.Row, err error) {
+	total := len(req.A)
+	out, rec.WireBytes, rec.Wall, err = s.fanOut(typ, req, total, func(d *dec) [][]engine.Row { return d.partSet(total) })
+	if err == nil {
+		s.record(rec)
 	}
-	if engine.RowsChecksum(parts) != sum {
-		return nil, &wire.ShardError{Addr: sc.addr, Shard: sc.shard, Err: fmt.Errorf("exchange payload checksum mismatch")}
-	}
-	return parts, nil
+	return out, err
 }
 
 // partPayloadBytes is the packed row-ID payload of a partition set: 4
 // bytes per value, framing excluded. Every partition crosses the wire
 // exactly once (to its owner), so the payload is a property of the
-// fragments alone; sparse-set and frame overhead counts toward
+// fragments alone; part-set and frame overhead counts toward
 // WireBytes instead, keeping MeasuredBytes comparable with the cost
 // model's per-row prices even for tiny exchanges.
-func partPayloadBytes(parts [][]engine.Row, width int) int64 {
+func partPayloadBytes(parts [][]engine.Row) int64 {
 	var rows int64
 	for _, p := range parts {
 		rows += int64(len(p))
 	}
-	return rows * int64(width) * 4
-}
-
-// rowsPayloadBytes is partPayloadBytes for a flat row slice.
-func rowsPayloadBytes(rows []engine.Row, width int) int64 {
-	return int64(len(rows)) * int64(width) * 4
+	return rows * int64(partsWidth(parts)) * 4
 }
 
 // ScanNode implements core.DistSession: every shard scans its owned
@@ -368,33 +405,16 @@ func (s *session) ScanNode(n *core.Node, filterIdx []int, label string, modeledB
 		}
 		filters = append(filters, s.filters[i])
 	}
-	req := scanReq{Node: *n, Filters: filters}
-	processedBy := make([][]int64, len(s.c.conns))
-	out, wireBytes, wall, err := s.fanOut(s.c.parts, func(sc *shardConn, own func(p int) bool) (shardCall, error) {
-		var resp scanResp
-		sent, recv, w, err := sc.call(msgScan, req, &resp)
-		if err != nil {
-			return shardCall{}, err
-		}
-		parts, err := verifyParts(sc, resp.Parts, s.c.parts, resp.Checksum)
-		if err != nil {
-			return shardCall{}, err
-		}
-		if len(resp.Processed) != s.c.parts {
-			return shardCall{}, &wire.ShardError{Addr: sc.addr, Shard: sc.shard,
-				Err: fmt.Errorf("scan returned %d processed counts for %d partitions", len(resp.Processed), s.c.parts)}
-		}
-		processedBy[sc.shard] = resp.Processed
-		return shardCall{sent: sent, recv: recv, wall: w, parts: parts}, nil
+	total := s.c.parts
+	processed := make([]int64, total)
+	out, wireBytes, wall, err := s.fanOut(msgScan, &scanReq{Node: *n, Filters: filters}, total, func(d *dec) [][]engine.Row {
+		// Each shard fills only the counts of the partitions it owns.
+		return d.scanResp(total, processed)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	processed := make([]int64, s.c.parts)
-	for p := range processed {
-		processed[p] = processedBy[p%len(s.c.conns)][p]
-	}
-	payload := partPayloadBytes(out, partsWidth(out))
+	payload := partPayloadBytes(out)
 	key := leafKey(label, filters)
 	priced := s.c.leafPrice(key, modeledBytes)
 	s.c.storeLeaf(key, payload)
@@ -428,134 +448,44 @@ func leafKey(label string, filters []sparql.Filter) string {
 // coordinator-side — but that relay payload counts only toward
 // WireBytes, keeping MeasuredBytes comparable with the price.
 func (s *session) ShuffleJoin(spec engine.ShuffleSpec, lParts, rParts [][]engine.Row) ([][]engine.Row, error) {
-	n := len(lParts)
-	lw, rw := partsWidth(lParts), partsWidth(rParts)
-	out, wireBytes, wall, err := s.fanOut(n, func(sc *shardConn, own func(p int) bool) (shardCall, error) {
-		lBuf := appendPartSet(nil, lParts, lw, own)
-		rBuf := appendPartSet(nil, rParts, rw, own)
-		var resp exchangeResp
-		sent, recv, w, err := sc.call(msgShuffle, shuffleReq{Spec: spec, Parts: n, L: lBuf, R: rBuf}, &resp)
-		if err != nil {
-			return shardCall{}, err
-		}
-		parts, err := verifyParts(sc, resp.Parts, n, resp.Checksum)
-		if err != nil {
-			return shardCall{}, err
-		}
-		return shardCall{sent: sent, recv: recv, wall: w, parts: parts}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	var measured int64
 	if spec.LMovedBytes > 0 {
-		measured += partPayloadBytes(lParts, lw)
+		measured += partPayloadBytes(lParts)
 	}
 	if spec.RMovedBytes > 0 {
-		measured += partPayloadBytes(rParts, rw)
+		measured += partPayloadBytes(rParts)
 	}
-	s.record(core.ExchangeRecord{
-		Kind: "shuffle", Name: spec.Name,
-		PricedBytes: spec.PricedBytes, MeasuredBytes: measured,
-		WireBytes: wireBytes, Wall: wall,
-	})
-	return out, nil
+	req := &exchangeReq{KeyA: spec.LKey, KeyB: spec.RKey, OutWidth: spec.OutWidth, LKeep: spec.LKeep, RKeep: spec.RKeep, A: lParts, B: rParts}
+	return s.exchange(msgShuffle, req,
+		core.ExchangeRecord{Kind: "shuffle", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
 }
 
 // BroadcastJoin implements engine.Exchanger: the build side ships whole
-// to every shard (the measured broadcast payload); the probe side is
-// relay and counts only toward WireBytes.
+// to every shard (one copy each: the measured broadcast payload); the
+// probe side is relay and counts only toward WireBytes.
 func (s *session) BroadcastJoin(spec engine.BroadcastSpec, buildRows []engine.Row, probeParts [][]engine.Row) ([][]engine.Row, error) {
-	n := len(probeParts)
-	bw := rowsWidth(buildRows)
-	buildBuf := appendRowSection(nil, bw, buildRows)
-	pw := partsWidth(probeParts)
-	out, wireBytes, wall, err := s.fanOut(n, func(sc *shardConn, own func(p int) bool) (shardCall, error) {
-		probeBuf := appendPartSet(nil, probeParts, pw, own)
-		var resp exchangeResp
-		sent, recv, w, err := sc.call(msgBroadcast, broadcastReq{Spec: spec, Parts: n, Build: buildBuf, Probe: probeBuf}, &resp)
-		if err != nil {
-			return shardCall{}, err
-		}
-		parts, err := verifyParts(sc, resp.Parts, n, resp.Checksum)
-		if err != nil {
-			return shardCall{}, err
-		}
-		return shardCall{sent: sent, recv: recv, wall: w, parts: parts}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Every shard received one copy of the build side.
-	buildPay := rowsPayloadBytes(buildRows, bw) * int64(len(s.c.conns))
-	s.record(core.ExchangeRecord{
-		Kind: "broadcast", Name: spec.Name,
-		PricedBytes: spec.PricedBytes, MeasuredBytes: buildPay,
-		WireBytes: wireBytes, Wall: wall,
-	})
-	return out, nil
+	measured := partPayloadBytes([][]engine.Row{buildRows}) * int64(len(s.c.conns))
+	req := &exchangeReq{KeyA: spec.BuildKey, KeyB: spec.ProbeKey, AIsLeft: spec.BuildIsLeft,
+		OutWidth: spec.OutWidth, LKeep: spec.LKeep, RKeep: spec.RKeep, Whole: buildRows, A: probeParts}
+	return s.exchange(msgBroadcast, req,
+		core.ExchangeRecord{Kind: "broadcast", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
 }
 
 // Cartesian implements engine.Exchanger; like a broadcast join, the
 // small side's shipped copies are the measured payload.
 func (s *session) Cartesian(spec engine.CartesianSpec, smallRows []engine.Row, largeParts [][]engine.Row) ([][]engine.Row, error) {
-	n := len(largeParts)
-	sw := rowsWidth(smallRows)
-	smallBuf := appendRowSection(nil, sw, smallRows)
-	lw := partsWidth(largeParts)
-	out, wireBytes, wall, err := s.fanOut(n, func(sc *shardConn, own func(p int) bool) (shardCall, error) {
-		largeBuf := appendPartSet(nil, largeParts, lw, own)
-		var resp exchangeResp
-		sent, recv, w, err := sc.call(msgCartesian, cartesianReq{Spec: spec, Parts: n, Small: smallBuf, Large: largeBuf}, &resp)
-		if err != nil {
-			return shardCall{}, err
-		}
-		parts, err := verifyParts(sc, resp.Parts, n, resp.Checksum)
-		if err != nil {
-			return shardCall{}, err
-		}
-		return shardCall{sent: sent, recv: recv, wall: w, parts: parts}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	smallPay := rowsPayloadBytes(smallRows, sw) * int64(len(s.c.conns))
-	s.record(core.ExchangeRecord{
-		Kind: "cartesian", Name: spec.Name,
-		PricedBytes: spec.PricedBytes, MeasuredBytes: smallPay,
-		WireBytes: wireBytes, Wall: wall,
-	})
-	return out, nil
+	measured := partPayloadBytes([][]engine.Row{smallRows}) * int64(len(s.c.conns))
+	req := &exchangeReq{AIsLeft: spec.SmallIsLeft, OutWidth: spec.OutWidth, LKeep: spec.LKeep, RKeep: spec.RKeep, Whole: smallRows, A: largeParts}
+	return s.exchange(msgCartesian, req,
+		core.ExchangeRecord{Kind: "cartesian", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
 }
 
 // Distinct implements engine.Exchanger over an already-shuffled input.
 func (s *session) Distinct(spec engine.DistinctSpec, parts [][]engine.Row) ([][]engine.Row, error) {
-	n := len(parts)
-	w := partsWidth(parts)
-	out, wireBytes, wall, err := s.fanOut(n, func(sc *shardConn, own func(p int) bool) (shardCall, error) {
-		inBuf := appendPartSet(nil, parts, w, own)
-		var resp exchangeResp
-		sent, recv, wd, err := sc.call(msgDistinct, distinctReq{Spec: spec, Parts: n, In: inBuf}, &resp)
-		if err != nil {
-			return shardCall{}, err
-		}
-		outParts, err := verifyParts(sc, resp.Parts, n, resp.Checksum)
-		if err != nil {
-			return shardCall{}, err
-		}
-		return shardCall{sent: sent, recv: recv, wall: wd, parts: outParts}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	var measured int64
 	if spec.PricedBytes > 0 {
-		measured = partPayloadBytes(parts, w)
+		measured = partPayloadBytes(parts)
 	}
-	s.record(core.ExchangeRecord{
-		Kind: "distinct", Name: "distinct",
-		PricedBytes: spec.PricedBytes, MeasuredBytes: measured,
-		WireBytes: wireBytes, Wall: wall,
-	})
-	return out, nil
+	return s.exchange(msgDistinct, &exchangeReq{OutWidth: spec.Width, A: parts},
+		core.ExchangeRecord{Kind: "distinct", Name: "distinct", PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
 }

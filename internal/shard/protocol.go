@@ -8,28 +8,34 @@
 // results and SimTime are bit-identical to single-process execution.
 //
 // The protocol is one request/response frame pair per shard per
-// exchange (package wire framing: magic, type, length, payload, FNV-1a
-// checksum). Payload headers are gob; row data inside them uses the
-// packed dictionary-ID layout of wire.AppendRows, and each response's
-// partitions additionally carry an engine.RowsChecksum the coordinator
-// verifies end to end.
+// exchange (package wire framing: magic, type, length, payload, CRC-32C).
+// Each message is written once, straight into the connection's frame
+// buffer: a small hand-rolled header (uint32 ints, length-prefixed
+// strings and int lists) followed by raw row sections in the packed
+// layout of wire.AppendRows. A part set — one side of an exchange as
+// seen by one shard — is the total partition count followed by one row
+// section per partition that shard owns, in ascending partition order;
+// both ends derive ownership from the topology, so no indexes travel.
+// The frame checksum is the only integrity check: it covers every
+// payload byte once per direction.
 package shard
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/wire"
 )
 
 // Frame type bytes. Requests flow coordinator → shard; every request is
-// answered with msgOK (gob payload of the matching response struct) or
-// msgErr (gob errResp).
+// answered with msgOK (the matching response layout) or msgErr (the
+// failure message as raw bytes).
 const (
 	msgHello byte = 1 + iota
 	msgScan
@@ -41,10 +47,45 @@ const (
 	msgErr
 )
 
+// slot is one shard's position in the topology: it owns the partitions
+// p with p % shards == shard.
+type slot struct{ shard, shards int }
+
+func (sl slot) owns(p int) bool { return p%sl.shards == sl.shard }
+
+// count is how many of total partitions the slot owns.
+func (sl slot) count(total int) int { return (total - sl.shard + sl.shards - 1) / sl.shards }
+
+// request is a coordinator → shard message. An exchange request holds
+// the whole partition set and each connection ships its slot's part:
+// size is the bytes the row sections take for that slot (the frame
+// buffer is sized from it before anything is written), appendTo writes
+// the slot's view, decode reads it back.
+type request interface {
+	size(sl slot) int
+	appendTo(b []byte, sl slot) []byte
+	decode(d *dec)
+}
+
+// newRequest returns an empty request of the given frame type, nil for
+// a type that is not a request.
+func newRequest(typ byte) request {
+	switch typ {
+	case msgHello:
+		return &helloReq{}
+	case msgScan:
+		return &scanReq{}
+	case msgShuffle, msgBroadcast, msgCartesian, msgDistinct:
+		return &exchangeReq{}
+	}
+	return nil
+}
+
 // helloReq opens a connection: the coordinator states the topology and
 // dataset it expects, and the shard refuses the handshake on any
 // mismatch — a shard serving different partitions or a differently
-// loaded dataset would silently corrupt results otherwise.
+// loaded dataset would silently corrupt results otherwise. The
+// response is an empty msgOK.
 type helloReq struct {
 	Shard, Shards int
 	Partitions    int
@@ -52,206 +93,284 @@ type helloReq struct {
 	Fingerprint   uint64
 }
 
-// helloResp acknowledges a validated handshake.
-type helloResp struct{}
-
-// errResp carries a shard-side failure message.
-type errResp struct {
-	Msg string
-}
-
 // scanReq evaluates one Join Tree node's scan kernel over the shard's
 // owned partitions, with the query's pushed-down FILTERs applied
-// shard-side.
+// shard-side. The response is the part set of filtered rows followed by
+// one processed-key count (PT scan pricing needs them) per owned
+// partition.
 type scanReq struct {
 	Node    core.Node
 	Filters []sparql.Filter
 }
 
-// scanResp returns the filtered rows per owned partition plus the
-// per-partition processed key counts PT scan pricing needs.
-type scanResp struct {
-	Parts     []byte
-	Processed []int64
-	Checksum  uint64
+// exchangeReq is the request of all four exchange kernels — the frame
+// type says which. It carries the kernel's parameters (only the spec
+// fields the kernels read travel; names and prices stay coordinator-
+// side), the side that ships whole to every shard, and the partitioned
+// sides, of which each connection ships its slot's part. Every response
+// is the part set of the kernel's output.
+type exchangeReq struct {
+	KeyA, KeyB   []int // shuffle: left and right key; broadcast: build and probe key
+	AIsLeft      bool  // broadcast: the build side is the left; cartesian: the small side is
+	OutWidth     int   // distinct: the row width
+	LKeep, RKeep []int
+	Whole        []engine.Row   // broadcast: build side; cartesian: small side
+	A, B         [][]engine.Row // shuffle: left and right; else A alone: probe, large side, distinct input
 }
 
-// shuffleReq carries both sides' owned fragments of a shuffle hash
-// join whose routing the coordinator already computed.
-type shuffleReq struct {
-	Spec  engine.ShuffleSpec
-	Parts int
-	L, R  []byte
-}
-
-// broadcastReq carries the whole build side (a row section) and the
-// shard's owned probe partitions.
-type broadcastReq struct {
-	Spec  engine.BroadcastSpec
-	Parts int
-	Build []byte
-	Probe []byte
-}
-
-// cartesianReq carries the whole small side and the shard's owned
-// partitions of the large side.
-type cartesianReq struct {
-	Spec  engine.CartesianSpec
-	Parts int
-	Small []byte
-	Large []byte
-}
-
-// distinctReq carries the shard's owned partitions of an
-// already-shuffled distinct input.
-type distinctReq struct {
-	Spec  engine.DistinctSpec
-	Parts int
-	In    []byte
-}
-
-// exchangeResp returns an exchange kernel's owned output partitions.
-type exchangeResp struct {
-	Parts    []byte
-	Checksum uint64
-}
-
-// encodeMsg gob-encodes one protocol struct. A fresh encoder per
-// message keeps frames self-contained (no cross-frame stream state).
-func encodeMsg(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, err
+func (m *helloReq) size(slot) int { return 0 }
+func (m *helloReq) appendTo(b []byte, _ slot) []byte {
+	for _, v := range []int{m.Shard, m.Shards, m.Partitions, m.Workers} {
+		b = appendInt(b, v)
 	}
-	return b.Bytes(), nil
+	return binary.LittleEndian.AppendUint64(b, m.Fingerprint)
+}
+func (m *helloReq) decode(d *dec) {
+	m.Shard, m.Shards, m.Partitions, m.Workers = d.int(), d.int(), d.int(), d.int()
+	m.Fingerprint = d.u64()
 }
 
-// decodeMsg decodes a frame payload into the given protocol struct.
-func decodeMsg(p []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(p)).Decode(v)
-}
-
-// appendRowSection packs engine rows in the wire codec's packed layout
-// (width ++ count ++ row-major IDs, uint32 little-endian — the exact
-// layout of wire.AppendRows). The explicit width covers empty row sets.
-func appendRowSection(buf []byte, width int, rows []engine.Row) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(width))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
-	for _, r := range rows {
-		for _, v := range r {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+func (m *scanReq) size(slot) int { return 0 }
+func (m *scanReq) appendTo(b []byte, _ slot) []byte {
+	b = append(b, byte(m.Node.Kind))
+	b = appendStr(b, m.Node.Key)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Node.Priority))
+	b = appendInt(b, len(m.Node.Patterns))
+	for _, tp := range m.Node.Patterns {
+		for _, pt := range [3]sparql.PatternTerm{tp.S, tp.P, tp.O} {
+			b = appendTerm(appendStr(b, pt.Var), pt.Term)
 		}
 	}
-	return buf
+	b = appendInt(b, len(m.Filters))
+	for _, f := range m.Filters {
+		b = appendTerm(append(appendStr(b, f.Var), byte(f.Op)), f.Value)
+	}
+	return b
 }
-
-// decodeRowSection decodes one packed row section into engine rows,
-// returning the remaining bytes. Guards mirror wire.DecodeRows: a
-// truncated body and an implausible width-0 count are both rejected
-// before any allocation sized from untrusted input.
-func decodeRowSection(buf []byte) ([]engine.Row, []byte, error) {
-	if len(buf) < 8 {
-		return nil, nil, fmt.Errorf("shard: row section truncated header")
-	}
-	width := int(binary.LittleEndian.Uint32(buf))
-	count := int(binary.LittleEndian.Uint32(buf[4:]))
-	buf = buf[8:]
-	if width != 0 && count > len(buf)/(width*4) {
-		return nil, nil, fmt.Errorf("shard: row section truncated body (%d×%d rows, %d bytes left)", count, width, len(buf))
-	}
-	if width == 0 && count > 1<<20 {
-		return nil, nil, fmt.Errorf("shard: implausible width-0 row count %d", count)
-	}
-	rows := make([]engine.Row, count)
-	if width == 0 {
-		for i := range rows {
-			rows[i] = engine.Row{}
+func (m *scanReq) decode(d *dec) {
+	m.Node.Kind, m.Node.Key = core.NodeKind(d.u8()), d.str()
+	m.Node.Priority = math.Float64frombits(d.u64())
+	// Lists grow as entries decode, so a hostile count allocates nothing.
+	for n := d.int(); n > 0 && d.err == nil; n-- {
+		var tp sparql.TriplePattern
+		for _, pt := range [3]*sparql.PatternTerm{&tp.S, &tp.P, &tp.O} {
+			pt.Var, pt.Term = d.str(), d.term()
 		}
-		return rows, buf, nil
+		m.Node.Patterns = append(m.Node.Patterns, tp)
 	}
-	flat := make([]rdf.ID, width*count)
-	for i := range flat {
-		flat[i] = rdf.ID(binary.LittleEndian.Uint32(buf[i*4:]))
+	for n := d.int(); n > 0 && d.err == nil; n-- {
+		m.Filters = append(m.Filters, sparql.Filter{Var: d.str(), Op: sparql.CompareOp(d.u8()), Value: d.term()})
 	}
-	for i := range rows {
-		rows[i] = flat[i*width : (i+1)*width : (i+1)*width]
-	}
-	return rows, buf[width*count*4:], nil
 }
 
-// appendPartSet packs the partitions own selects out of parts: an entry
-// count, then per entry the global partition index followed by a row
-// section. Partitions outside the set decode back as nil.
-func appendPartSet(buf []byte, parts [][]engine.Row, width int, own func(p int) bool) []byte {
-	cntAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0)
-	n := 0
-	for p, rows := range parts {
-		if !own(p) {
-			continue
+// appendScanResp writes a scan response: the part set, then the
+// processed count of every owned partition.
+func appendScanResp(b []byte, parts [][]engine.Row, processed []int64, sl slot) []byte {
+	b = appendPartSet(b, parts, sl)
+	for p := sl.shard; p < len(parts); p += sl.shards {
+		b = binary.LittleEndian.AppendUint64(b, uint64(processed[p]))
+	}
+	return b
+}
+
+// scanResp reads a scan response of total partitions, storing the
+// owned partitions' processed counts into processed.
+func (d *dec) scanResp(total int, processed []int64) [][]engine.Row {
+	parts := d.partSet(total)
+	for p := d.slot.shard; p < len(parts); p += d.slot.shards {
+		processed[p] = int64(d.u64())
+	}
+	return parts
+}
+
+func (m *exchangeReq) size(sl slot) int {
+	return int(wire.RowsSize(m.wholeWidth(), len(m.Whole))) + partSetSize(m.A, sl) + partSetSize(m.B, sl)
+}
+
+func (m *exchangeReq) wholeWidth() int { return partsWidth([][]engine.Row{m.Whole}) }
+
+func (m *exchangeReq) appendTo(b []byte, sl slot) []byte {
+	var aIsLeft byte
+	if m.AIsLeft {
+		aIsLeft = 1
+	}
+	b = append(appendInts(appendInts(b, m.KeyA), m.KeyB), aIsLeft)
+	b = appendInts(appendInts(appendInt(b, m.OutWidth), m.LKeep), m.RKeep)
+	b = wire.AppendRows(b, m.wholeWidth(), m.Whole)
+	return appendPartSet(appendPartSet(b, m.A, sl), m.B, sl)
+}
+func (m *exchangeReq) decode(d *dec) {
+	m.KeyA, m.KeyB, m.AIsLeft = d.ints(), d.ints(), d.u8() != 0
+	m.OutWidth, m.LKeep, m.RKeep = d.int(), d.ints(), d.ints()
+	m.Whole, m.A, m.B = d.rowSection(), d.partSet(-1), d.partSet(-1)
+}
+
+func appendInt(b []byte, v int) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
+
+func appendStr(b []byte, s string) []byte { return append(appendInt(b, len(s)), s...) }
+
+// appendInts writes len+1 then the values; 0 stands for a nil list,
+// which the join kernels distinguish from an empty one (nil LKeep keeps
+// every left column, empty keeps none).
+func appendInts(b []byte, v []int) []byte {
+	if v == nil {
+		return appendInt(b, 0)
+	}
+	b = appendInt(b, len(v)+1)
+	for _, x := range v {
+		b = appendInt(b, x)
+	}
+	return b
+}
+
+func appendTerm(b []byte, t rdf.Term) []byte {
+	return appendStr(appendStr(appendStr(append(b, byte(t.Kind)), t.Value), t.Datatype), t.Lang)
+}
+
+// appendPartSet packs the partitions sl owns out of parts: the total
+// partition count, then one row section per owned partition in
+// ascending order. The width is the first non-empty partition's; on an
+// all-empty set it is a placeholder, since no row bodies follow it.
+func appendPartSet(b []byte, parts [][]engine.Row, sl slot) []byte {
+	b = appendInt(b, len(parts))
+	w := partsWidth(parts)
+	for p := sl.shard; p < len(parts); p += sl.shards {
+		b = wire.AppendRows(b, w, parts[p])
+	}
+	return b
+}
+
+// partSetSize is the encoded size of appendPartSet's output.
+func partSetSize(parts [][]engine.Row, sl slot) int {
+	n, w := 4, partsWidth(parts)
+	for p := sl.shard; p < len(parts); p += sl.shards {
+		n += int(wire.RowsSize(w, len(parts[p])))
+	}
+	return n
+}
+
+// dec reads one message payload. The first failure sticks, every later
+// read returns zero values, and done reports it — so message decoders
+// read field after field without checking each. Every allocation is
+// bounded by the bytes actually present: strings and lists are length-
+// checked against the remaining input before they are built, and row
+// sections go through wire.RowsShape first.
+type dec struct {
+	b    []byte
+	err  error
+	slot slot // whose partitions the part sets carry
+	// flat and rows are the arenas decoded row sections are carved from:
+	// nil on the coordinator (results outlive the call, each part set is
+	// allocated once at its exact size), per-connection scratch on the
+	// server.
+	flat []rdf.ID
+	rows []engine.Row
+}
+
+// take consumes n bytes, nil once the input is exhausted.
+func (d *dec) take(n int) []byte {
+	if d.err == nil && (n < 0 || n > len(d.b)) {
+		d.err = fmt.Errorf("shard: message truncated (%d bytes wanted, %d left)", n, len(d.b))
+	}
+	if d.err != nil {
+		return nil
+	}
+	out := d.b[:n]
+	d.b = d.b[n:]
+	return out
+}
+
+// fixed is take for the fixed-size fields: zeros once the input is
+// exhausted, so the readers below need no failure branch.
+func (d *dec) fixed(n int) []byte {
+	if b := d.take(n); b != nil {
+		return b
+	}
+	return make([]byte, n)
+}
+
+func (d *dec) u8() byte    { return d.fixed(1)[0] }
+func (d *dec) int() int    { return int(binary.LittleEndian.Uint32(d.fixed(4))) }
+func (d *dec) u64() uint64 { return binary.LittleEndian.Uint64(d.fixed(8)) }
+
+func (d *dec) str() string { return string(d.take(d.int())) }
+
+func (d *dec) ints() []int {
+	n := d.int() - 1
+	if n < 0 {
+		return nil
+	}
+	b := d.take(n * 4)
+	if d.err != nil {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = int(binary.LittleEndian.Uint32(b[i*4:]))
+	}
+	return out
+}
+
+func (d *dec) term() rdf.Term {
+	return rdf.Term{Kind: rdf.TermKind(d.u8()), Value: d.str(), Datatype: d.str(), Lang: d.str()}
+}
+
+// rowSection decodes one packed row section into the arenas.
+func (d *dec) rowSection() []engine.Row {
+	if d.err != nil {
+		return nil
+	}
+	at := len(d.rows)
+	d.flat, d.rows, d.b, d.err = wire.DecodeRowsInto(d.b, d.flat, d.rows)
+	return d.rows[at:len(d.rows):len(d.rows)]
+}
+
+// partSet decodes a part set into a dense partition slice, owned
+// entries at their global indexes and the rest nil. want is the
+// partition count the caller expects, -1 for any. The owned sections
+// are measured first, so the whole set lands in one ID arena and one
+// row-header arena however many partitions it has.
+func (d *dec) partSet(want int) [][]engine.Row {
+	total := d.int()
+	owned := d.slot.count(total)
+	// Every owned section is at least its 8-byte header, which bounds
+	// total — and the partition slice below — by the input length.
+	if d.err == nil && (want >= 0 && total != want || owned > len(d.b)/8) {
+		d.err = fmt.Errorf("shard: part set of %d partitions (want %d) in %d bytes", total, want, len(d.b))
+	}
+	ids, rows := 0, 0
+	for b, i := d.b, 0; i < owned && d.err == nil; i++ {
+		var w, c int
+		if w, c, d.err = wire.RowsShape(b); d.err == nil {
+			ids, rows, b = ids+w*c, rows+c, b[wire.RowsSize(w, c):]
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
-		buf = appendRowSection(buf, width, rows)
-		n++
 	}
-	binary.LittleEndian.PutUint32(buf[cntAt:], uint32(n))
-	return buf
-}
-
-// decodePartSet decodes a part set into a dense partition slice of the
-// given total length, entries at their global indexes and absent
-// partitions nil.
-func decodePartSet(buf []byte, total int) ([][]engine.Row, error) {
-	if total < 0 {
-		return nil, fmt.Errorf("shard: negative partition count %d", total)
+	if d.err != nil {
+		return nil
 	}
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("shard: part set truncated header")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	if n > total {
-		return nil, fmt.Errorf("shard: part set has %d entries for %d partitions", n, total)
-	}
+	d.flat, d.rows = slices.Grow(d.flat, ids), slices.Grow(d.rows, rows)
 	parts := make([][]engine.Row, total)
-	for i := 0; i < n; i++ {
-		if len(buf) < 4 {
-			return nil, fmt.Errorf("shard: part set truncated entry %d", i)
-		}
-		p := int(binary.LittleEndian.Uint32(buf))
-		buf = buf[4:]
-		if p >= total {
-			return nil, fmt.Errorf("shard: part set entry index %d out of %d partitions", p, total)
-		}
-		rows, rest, err := decodeRowSection(buf)
-		if err != nil {
-			return nil, err
-		}
-		parts[p] = rows
-		buf = rest
+	for p := d.slot.shard; p < total; p += d.slot.shards {
+		parts[p] = d.rowSection()
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("shard: %d trailing bytes after part set", len(buf))
+	return parts
+}
+
+// done reports the first decode failure, or trailing bytes.
+func (d *dec) done() error {
+	if d.err == nil && len(d.b) != 0 {
+		d.err = fmt.Errorf("shard: %d trailing bytes after message", len(d.b))
 	}
-	return parts, nil
+	return d.err
 }
 
 // partsWidth returns the row width of the first non-empty partition
-// (0 when every partition is empty — the encoded width is then only a
-// placeholder, since no row bodies follow it).
+// (0 when every partition is empty).
 func partsWidth(parts [][]engine.Row) int {
 	for _, rows := range parts {
 		if len(rows) > 0 {
 			return len(rows[0])
 		}
-	}
-	return 0
-}
-
-// rowsWidth is partsWidth for a flat row slice.
-func rowsWidth(rows []engine.Row) int {
-	if len(rows) > 0 {
-		return len(rows[0])
 	}
 	return 0
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/rdf"
 	"repro/internal/wire"
 )
 
@@ -17,8 +18,8 @@ import (
 // per-partition row sets agree everywhere; the server only ever
 // evaluates kernels over the partitions it owns (p % shards == shard).
 type Server struct {
-	store         *core.Store
-	shard, shards int
+	store *core.Store
+	slot  slot
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -32,11 +33,8 @@ func NewServer(store *core.Store, shard, shards int) (*Server, error) {
 	if shards < 1 || shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("shard: invalid position %d of %d", shard, shards)
 	}
-	return &Server{store: store, shard: shard, shards: shards, conns: map[net.Conn]struct{}{}}, nil
+	return &Server{store: store, slot: slot{shard, shards}, conns: map[net.Conn]struct{}{}}, nil
 }
-
-// owned reports whether this shard owns global partition p.
-func (s *Server) owned(p int) bool { return p%s.shards == s.shard }
 
 // Serve accepts coordinator connections on ln until Close. It returns
 // nil after Close, the accept error otherwise.
@@ -114,7 +112,12 @@ func (s *Server) Close() error {
 }
 
 // handle serves one coordinator connection: a strict request/response
-// loop over wire frames, handshake first.
+// loop over wire frames, handshake first. The connection reuses three
+// buffers across requests: the frame buffer — a request is read into
+// it and, once decoded, the response is built in it — and the two
+// arenas request rows decode into. Decoded rows live only until the
+// response is written (kernel outputs may alias them until then), and
+// nothing larger than maxRetainBytes is kept between requests.
 func (s *Server) handle(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -123,67 +126,105 @@ func (s *Server) handle(c net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
+	var buf []byte
+	var flat []rdf.ID
+	var rows []engine.Row
 	helloed := false
 	for {
-		typ, payload, _, err := wire.ReadFrame(br)
+		typ, payload, frame, _, err := wire.ReadFrameInto(br, buf)
 		if err != nil {
 			return
 		}
-		rtyp, resp := s.dispatch(typ, payload, &helloed)
-		if _, err := wire.WriteFrame(bw, rtyp, resp); err != nil {
+		d := dec{b: payload, slot: s.slot, flat: flat[:0], rows: rows[:0]}
+		resp, err := s.handleMsg(typ, &d, frame, &helloed)
+		if err != nil {
+			msg := err.Error()
+			resp = append(wire.Begin(frame, msgErr, len(msg)), msg...)
+		}
+		if frame, err = wire.Finish(resp); err != nil {
 			return
 		}
-		if err := bw.Flush(); err != nil {
+		if _, err := c.Write(frame); err != nil {
 			return
+		}
+		buf, flat, rows = frame, d.flat, d.rows
+		if cap(buf) > maxRetainBytes {
+			buf = nil
+		}
+		// The arenas go together: kept row headers would pin a dropped
+		// ID arena.
+		if cap(flat)*4 > maxRetainBytes || cap(rows)*24 > maxRetainBytes {
+			flat, rows = nil, nil
 		}
 	}
 }
 
-// dispatch runs one request and folds any failure into an msgErr
-// response, keeping the connection alive for the next request.
-func (s *Server) dispatch(typ byte, payload []byte, helloed *bool) (byte, []byte) {
-	out, err := s.handleMsg(typ, payload, helloed)
-	if err != nil {
-		p, eerr := encodeMsg(errResp{Msg: err.Error()})
-		if eerr != nil {
-			p = nil
-		}
-		return msgErr, p
+// handleMsg decodes and evaluates one request and returns the unsealed
+// response frame, built in out — the buffer the request arrived in,
+// free to overwrite once the request is decoded. An error becomes a
+// msgErr response and keeps the connection alive for the next request.
+func (s *Server) handleMsg(typ byte, d *dec, out []byte, helloed *bool) ([]byte, error) {
+	req := newRequest(typ)
+	if req == nil {
+		return nil, fmt.Errorf("shard: unknown message type %d", typ)
 	}
-	return msgOK, out
-}
-
-// handleMsg evaluates one request payload.
-func (s *Server) handleMsg(typ byte, payload []byte, helloed *bool) ([]byte, error) {
-	if typ == msgHello {
-		var req helloReq
-		if err := decodeMsg(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := s.validateHello(req); err != nil {
+	if !*helloed && typ != msgHello {
+		return nil, fmt.Errorf("shard: message type %d before handshake", typ)
+	}
+	if req.decode(d); d.done() != nil {
+		return nil, d.err
+	}
+	var kernel func(p int) []engine.Row
+	switch req := req.(type) {
+	case *helloReq:
+		if err := s.validateHello(*req); err != nil {
 			return nil, err
 		}
 		*helloed = true
-		return encodeMsg(helloResp{})
+		return wire.Begin(out, msgOK, 0), nil
+	case *scanReq:
+		if len(req.Node.Patterns) == 0 {
+			return nil, fmt.Errorf("shard: scan node without patterns")
+		}
+		parts, processed, err := s.store.ScanNodeParts(&req.Node, req.Filters, s.slot.owns)
+		if err != nil {
+			return nil, err
+		}
+		out = wire.Begin(out, msgOK, partSetSize(parts, s.slot)+8*len(processed))
+		return appendScanResp(out, parts, processed, s.slot), nil
+	case *exchangeReq:
+		switch typ {
+		case msgShuffle:
+			// Hash-join the owned partitions of a routed shuffle.
+			if len(req.B) != len(req.A) {
+				return nil, fmt.Errorf("shard: shuffle sides of %d and %d partitions", len(req.A), len(req.B))
+			}
+			kernel = func(p int) []engine.Row {
+				return engine.JoinPartitionKernel(req.A[p], req.B[p], req.KeyA, req.KeyB, req.OutWidth, req.LKeep, req.RKeep)
+			}
+		case msgBroadcast:
+			// Index the build side once and probe every owned partition
+			// against it, exactly as the in-process broadcast join does.
+			jp := engine.NewJoinProbe(req.Whole, req.KeyA)
+			kernel = func(p int) []engine.Row {
+				return jp.Probe(req.A[p], req.KeyB, req.AIsLeft, req.OutWidth, req.LKeep, req.RKeep)
+			}
+		case msgCartesian:
+			// Cross every owned large-side partition with the small side.
+			kernel = func(p int) []engine.Row {
+				return engine.CartesianKernel(req.A[p], req.Whole, req.AIsLeft, req.OutWidth, req.LKeep, req.RKeep)
+			}
+		case msgDistinct:
+			// Dedup the owned partitions of a shuffled distinct.
+			kernel = func(p int) []engine.Row { return engine.DistinctKernel(req.A[p], req.OutWidth) }
+		}
+		parts := make([][]engine.Row, len(req.A))
+		for p := s.slot.shard; p < len(parts); p += s.slot.shards {
+			parts[p] = kernel(p)
+		}
+		out = appendPartSet(wire.Begin(out, msgOK, partSetSize(parts, s.slot)), parts, s.slot)
 	}
-	if !*helloed {
-		return nil, fmt.Errorf("shard: message type %d before handshake", typ)
-	}
-	switch typ {
-	case msgScan:
-		return s.handleScan(payload)
-	case msgShuffle:
-		return s.handleShuffle(payload)
-	case msgBroadcast:
-		return s.handleBroadcast(payload)
-	case msgCartesian:
-		return s.handleCartesian(payload)
-	case msgDistinct:
-		return s.handleDistinct(payload)
-	default:
-		return nil, fmt.Errorf("shard: unknown message type %d", typ)
-	}
+	return out, nil
 }
 
 // validateHello refuses coordinators whose topology or dataset does not
@@ -191,9 +232,9 @@ func (s *Server) handleMsg(typ byte, payload []byte, helloed *bool) ([]byte, err
 // loaded store would corrupt results silently, so every axis the
 // kernels depend on is checked up front.
 func (s *Server) validateHello(req helloReq) error {
-	if req.Shard != s.shard || req.Shards != s.shards {
+	if req.Shard != s.slot.shard || req.Shards != s.slot.shards {
 		return fmt.Errorf("shard: coordinator expects shard %d of %d, this is %d of %d",
-			req.Shard, req.Shards, s.shard, s.shards)
+			req.Shard, req.Shards, s.slot.shard, s.slot.shards)
 	}
 	if req.Partitions != s.store.Partitions() {
 		return fmt.Errorf("shard: coordinator has %d partitions, this store has %d",
@@ -208,134 +249,4 @@ func (s *Server) validateHello(req helloReq) error {
 			req.Fingerprint, s.store.Stats().Fingerprint())
 	}
 	return nil
-}
-
-// handleScan evaluates a scan node over the owned partitions.
-func (s *Server) handleScan(payload []byte) ([]byte, error) {
-	var req scanReq
-	if err := decodeMsg(payload, &req); err != nil {
-		return nil, err
-	}
-	parts, processed, err := s.store.ScanNodeParts(&req.Node, req.Filters, s.owned)
-	if err != nil {
-		return nil, err
-	}
-	return encodeMsg(scanResp{
-		Parts:     appendPartSet(nil, parts, partsWidth(parts), s.owned),
-		Processed: processed,
-		Checksum:  engine.RowsChecksum(parts),
-	})
-}
-
-// handleShuffle hash-joins the owned partitions of a routed shuffle.
-func (s *Server) handleShuffle(payload []byte) ([]byte, error) {
-	var req shuffleReq
-	if err := decodeMsg(payload, &req); err != nil {
-		return nil, err
-	}
-	l, err := decodePartSet(req.L, req.Parts)
-	if err != nil {
-		return nil, err
-	}
-	r, err := decodePartSet(req.R, req.Parts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]engine.Row, req.Parts)
-	for p := range out {
-		if !s.owned(p) {
-			continue
-		}
-		out[p] = engine.JoinPartitionKernel(l[p], r[p],
-			req.Spec.LKey, req.Spec.RKey, req.Spec.OutWidth, req.Spec.LKeep, req.Spec.RKeep)
-	}
-	return encodeExchange(out, req.Spec.OutWidth, s.owned)
-}
-
-// handleBroadcast indexes the build side once and probes every owned
-// partition against it, exactly as the in-process broadcast join does.
-func (s *Server) handleBroadcast(payload []byte) ([]byte, error) {
-	var req broadcastReq
-	if err := decodeMsg(payload, &req); err != nil {
-		return nil, err
-	}
-	build, rest, err := decodeRowSection(req.Build)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("shard: %d trailing bytes after build rows", len(rest))
-	}
-	probe, err := decodePartSet(req.Probe, req.Parts)
-	if err != nil {
-		return nil, err
-	}
-	jp := engine.NewJoinProbe(build, req.Spec.BuildKey)
-	out := make([][]engine.Row, req.Parts)
-	for p := range out {
-		if !s.owned(p) {
-			continue
-		}
-		out[p] = jp.Probe(probe[p], req.Spec.ProbeKey,
-			req.Spec.BuildIsLeft, req.Spec.OutWidth, req.Spec.LKeep, req.Spec.RKeep)
-	}
-	return encodeExchange(out, req.Spec.OutWidth, s.owned)
-}
-
-// handleCartesian crosses every owned large-side partition with the
-// broadcast small side.
-func (s *Server) handleCartesian(payload []byte) ([]byte, error) {
-	var req cartesianReq
-	if err := decodeMsg(payload, &req); err != nil {
-		return nil, err
-	}
-	small, rest, err := decodeRowSection(req.Small)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("shard: %d trailing bytes after small rows", len(rest))
-	}
-	large, err := decodePartSet(req.Large, req.Parts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]engine.Row, req.Parts)
-	for p := range out {
-		if !s.owned(p) {
-			continue
-		}
-		out[p] = engine.CartesianKernel(large[p], small,
-			req.Spec.SmallIsLeft, req.Spec.OutWidth, req.Spec.LKeep, req.Spec.RKeep)
-	}
-	return encodeExchange(out, req.Spec.OutWidth, s.owned)
-}
-
-// handleDistinct dedups the owned partitions of a shuffled distinct.
-func (s *Server) handleDistinct(payload []byte) ([]byte, error) {
-	var req distinctReq
-	if err := decodeMsg(payload, &req); err != nil {
-		return nil, err
-	}
-	in, err := decodePartSet(req.In, req.Parts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]engine.Row, req.Parts)
-	for p := range out {
-		if !s.owned(p) {
-			continue
-		}
-		out[p] = engine.DistinctKernel(in[p], req.Spec.Width)
-	}
-	return encodeExchange(out, req.Spec.Width, s.owned)
-}
-
-// encodeExchange packs an exchange kernel's output partitions with
-// their end-to-end checksum.
-func encodeExchange(out [][]engine.Row, width int, own func(p int) bool) ([]byte, error) {
-	return encodeMsg(exchangeResp{
-		Parts:    appendPartSet(nil, out, width, own),
-		Checksum: engine.RowsChecksum(out),
-	})
 }

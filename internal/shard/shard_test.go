@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/watdiv"
 	"repro/internal/wire"
@@ -335,47 +334,6 @@ func TestHelloRejectsTopologyMismatch(t *testing.T) {
 		t.Fatalf("Dial succeeded across a topology mismatch")
 	} else if !strings.Contains(err.Error(), "shard") {
 		t.Errorf("mismatch error %v does not identify the shard handshake", err)
-	}
-}
-
-// TestPartSetRoundTrip pins the sparse partition codec.
-func TestPartSetRoundTrip(t *testing.T) {
-	parts := [][]engine.Row{
-		{{1, 2}, {3, 4}},
-		nil,
-		{},
-		{{9, 10}},
-	}
-	own := func(p int) bool { return p%2 == 0 }
-	buf := appendPartSet(nil, parts, 2, own)
-	got, err := decodePartSet(buf, len(parts))
-	if err != nil {
-		t.Fatalf("decodePartSet: %v", err)
-	}
-	if engine.RowsChecksum(got) != engine.RowsChecksum([][]engine.Row{parts[0], nil, parts[2], nil}) {
-		t.Errorf("owned partitions do not round-trip: %v", got)
-	}
-	if got[1] != nil || got[3] != nil {
-		t.Errorf("unowned partitions decoded non-nil: %v", got)
-	}
-	// Truncations must error, never panic or misdecode.
-	for cut := 0; cut < len(buf); cut++ {
-		if _, err := decodePartSet(buf[:cut], len(parts)); err == nil {
-			t.Fatalf("truncation at %d decoded successfully", cut)
-		}
-	}
-	if _, err := decodePartSet(buf, 1); err == nil {
-		t.Errorf("part index beyond total decoded successfully")
-	}
-}
-
-// TestRowSectionWidthZero covers existence-relation payloads.
-func TestRowSectionWidthZero(t *testing.T) {
-	rows := []engine.Row{{}}
-	buf := appendRowSection(nil, 0, rows)
-	got, rest, err := decodeRowSection(buf)
-	if err != nil || len(rest) != 0 || len(got) != 1 || len(got[0]) != 0 {
-		t.Fatalf("width-0 round trip: rows=%v rest=%d err=%v", got, len(rest), err)
 	}
 }
 
