@@ -77,10 +77,10 @@ type QueryOptions struct {
 	// executor: operators fuse into chunk-at-a-time pipelines, SimTime
 	// comes from list-scheduling priced morsels onto the simulated
 	// workers, and the result carries first-row latency and the peak
-	// intermediate footprint. Queries the streaming engine does not
-	// take (LIMIT/OFFSET, adaptive Bound plans) fall back to the
-	// materialized scheduler transparently; both modes produce
-	// identical SortedRows.
+	// intermediate footprint. A plan the streaming compiler hands back
+	// (a Bound leaf, a defensive schema mismatch) runs on the
+	// materialized scheduler with Result.StreamingDowngraded set; both
+	// modes produce identical SortedRows.
 	Streaming bool
 	// ChunkSize is the streaming executor's rows-per-chunk (and morsel
 	// batch) granularity (0 = DefaultChunkSize).
@@ -167,8 +167,10 @@ type Result struct {
 	// for display.
 	Ordered bool
 	// StreamingDowngraded reports that QueryOptions.Streaming was
-	// requested but the sharded coordinator path forced it off — the
-	// distributed kernels run only under the materialized scheduler.
+	// requested but the materialized scheduler ran the query: the
+	// sharded coordinator path forced streaming off (the distributed
+	// kernels run only under the scheduler), or the streaming compiler
+	// handed the plan back.
 	StreamingDowngraded bool
 }
 
@@ -344,8 +346,9 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 	// Streaming dispatch: the morsel-driven executor takes every plan
 	// it can run — including the extended operators and LIMIT/OFFSET,
 	// which runs as a bounded top-K sink. handled=false means no work
-	// was done (adaptive Bound plans fall back) — the materialized
-	// path below executes as if Streaming were off.
+	// was done (the compiler handed the plan back) — the materialized
+	// path below executes as if Streaming were off, and the result says
+	// so through StreamingDowngraded.
 	if opts.Streaming {
 		res, handled, err := s.queryStreaming(ctx, q, opts, clock, entry, tree, filters, faults, faultSalt, start)
 		if err != nil {
@@ -355,6 +358,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 			s.mineWorkload(res.Plan, entry.nodes)
 			return res, nil
 		}
+		streamingDowngraded = true
 	}
 
 	sched := &scheduler{

@@ -291,6 +291,23 @@ func gallop(keys []rdf.ID, from int, key rdf.ID) int {
 	return hi
 }
 
+// ptDriverKeys is the number of keys scanPTPartition's driving column
+// holds in the partition — what it reports as processed: the key count
+// of the smallest of the patterns' columns, zero when one is missing.
+func ptDriverKeys(part *ptPartition, specs []patSpec) int {
+	n := -1
+	for _, sp := range specs {
+		col := part.cols[sp.pid]
+		if col == nil {
+			return 0
+		}
+		if n < 0 || len(col.keys) < n {
+			n = len(col.keys)
+		}
+	}
+	return max(n, 0)
+}
+
 // scanPTPartitionRows scans one PT partition into an arena allocated
 // once at the exact size a counting pass found.
 func scanPTPartitionRows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool) (rows []engine.Row, processed int64) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/columnar"
 	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/rdf"
@@ -22,14 +22,19 @@ import (
 // Morsel-driven streaming execution. The materialized scheduler runs a
 // plan operator at a time, each one materializing its full output
 // relation before the next starts; this file rebuilds the same plan as
-// pull-based pipelines over fixed-size column chunks. A pipeline fuses
-// one source scan with every filter, hash-join probe, projection and
-// distinct step up to the next pipeline breaker (a hash-join build
-// side, or the driver), so an intermediate row lives exactly as long
-// as the chunk carrying it. Rows cross pipeline boundaries encoded as
-// columnar.RowChunk batches — the same chunk format the on-disk tables
-// use — which is what drops the memory high-water mark from
-// O(intermediate relations) to O(build sides + chunks in flight).
+// pull-based pipelines over batches of at most ChunkSize rows. A
+// pipeline fuses one source scan with every filter, hash-join probe,
+// projection and distinct step up to the next pipeline breaker (a
+// hash-join build side, a union, or the driver), so an intermediate
+// row lives exactly as long as the batch carrying it. Rows are never
+// re-encoded on the way: every row a step hands on is stable — it
+// aliases table storage or lives in an arena its batch allocated — so
+// a batch is a slice of row headers, a breaker keeps the headers it is
+// handed, and the hash build or the driver reads those same rows. Only
+// the header slices are scratch: each scan worker owns one and steps
+// compact it in place. What drops the memory high-water mark from
+// O(intermediate relations) to O(build sides + batches in flight) is
+// that nothing but a breaker retains a row.
 //
 // Execution and pricing are decoupled: the real row work runs first
 // (producing exactly the materialized path's row multisets, since the
@@ -44,11 +49,12 @@ import (
 // (row counts per operator) rather than an artifact of goroutine
 // interleaving.
 
-// DefaultChunkSize is the number of rows per streaming chunk (and per
-// morsel batch) when QueryOptions.ChunkSize is zero. Small enough that
+// DefaultChunkSize is the number of rows per streaming batch (and per
+// priced morsel) when QueryOptions.ChunkSize is zero. Small enough that
 // the in-flight budget (workers x chunk x width) stays a rounding
-// error next to a C-family build side; large enough that per-chunk
-// encode overhead amortizes.
+// error next to a C-family build side; large enough that the per-batch
+// costs (one step dispatch, one counter update and one output arena
+// per probe or projection) amortize over the rows.
 const DefaultChunkSize = 2048
 
 // memBytesPerValue is the in-memory footprint of one bound value
@@ -116,26 +122,18 @@ type streamStep struct {
 	buf      []engine.Row
 	retained int64
 	// Aggregate barrier state (stepAggregate): the shared group table
-	// under mu. groupIdx maps group columns into the input row;
-	// countIdx maps each COUNT to its counted input column (-1 =
-	// COUNT(*)).
-	groupIdx []int
-	countIdx []int
-	groups   map[string]*aggGroup
+	// under mu.
+	groups *engine.GroupTable
 	// out counts the step's emitted rows — the plan node's observed
 	// cardinality.
 	out atomic.Int64
 }
 
-// aggGroup is one GROUP BY group: its key cells and running counts.
-type aggGroup struct {
-	row    engine.Row
-	counts []int64
-}
-
-// apply runs one chunk batch through the step. Input rows must be
-// stable; output rows are stable (filter/distinct pass rows through,
-// probe and project emit arena-backed rows).
+// apply runs one batch through the step. The rows themselves must be
+// stable and are never written; the header slice belongs to the calling
+// worker, and filter and distinct compact it in place. Output rows are
+// stable (filter/distinct pass rows through, probe and project emit
+// rows in an arena sized to the batch's output).
 func (st *streamStep) apply(rows []engine.Row) []engine.Row {
 	switch st.kind {
 	case stepFilter:
@@ -144,7 +142,7 @@ func (st *streamStep) apply(rows []engine.Row) []engine.Row {
 				break
 			}
 			c.in.Add(int64(len(rows)))
-			kept := make([]engine.Row, 0, len(rows))
+			kept := rows[:0]
 			for _, r := range rows {
 				if c.pred(r[c.col]) {
 					kept = append(kept, r)
@@ -152,18 +150,8 @@ func (st *streamStep) apply(rows []engine.Row) []engine.Row {
 			}
 			rows = kept
 		}
-	case stepProbe:
-		arena := engine.NewRowArena(st.width, len(rows))
-		for _, r := range rows {
-			st.jr.hash.Probe(r, arena)
-		}
-		rows = arena.Rows()
-	case stepProbeOuter:
-		arena := engine.NewRowArena(st.width, len(rows))
-		for _, r := range rows {
-			st.jr.hash.ProbeOuter(r, arena)
-		}
-		rows = arena.Rows()
+	case stepProbe, stepProbeOuter:
+		rows = st.jr.hash.ProbeBatch(rows, st.kind == stepProbeOuter)
 	case stepProject:
 		arena := engine.NewRowArena(st.width, len(rows))
 		for _, r := range rows {
@@ -171,7 +159,7 @@ func (st *streamStep) apply(rows []engine.Row) []engine.Row {
 		}
 		rows = arena.Rows()
 	case stepDistinct:
-		kept := make([]engine.Row, 0, len(rows))
+		kept := rows[:0]
 		st.mu.Lock()
 		for _, r := range rows {
 			if st.dedup.Insert(r) {
@@ -187,7 +175,7 @@ func (st *streamStep) apply(rows []engine.Row) []engine.Row {
 			st.retained = n
 		}
 		if st.keep >= 0 && len(st.buf) > 2*st.keep+64 {
-			sort.SliceStable(st.buf, func(i, j int) bool { return st.less(st.buf[i], st.buf[j]) })
+			engine.SortRowsStable(st.buf, st.less)
 			st.buf = st.buf[:st.keep]
 		}
 		st.mu.Unlock()
@@ -195,21 +183,7 @@ func (st *streamStep) apply(rows []engine.Row) []engine.Row {
 	case stepAggregate:
 		st.mu.Lock()
 		for _, r := range rows {
-			key := aggKey(r, st.groupIdx)
-			g := st.groups[key]
-			if g == nil {
-				gr := make(engine.Row, len(st.groupIdx))
-				for i, gi := range st.groupIdx {
-					gr[i] = r[gi]
-				}
-				g = &aggGroup{row: gr, counts: make([]int64, len(st.countIdx))}
-				st.groups[key] = g
-			}
-			for ci, idx := range st.countIdx {
-				if idx < 0 || r[idx] != rdf.NullID {
-					g.counts[ci]++
-				}
-			}
+			st.groups.Add(r)
 		}
 		st.mu.Unlock()
 		rows = nil
@@ -247,8 +221,8 @@ const (
 	srcVPExist
 	srcPT
 	srcTriples
-	// srcUnion replays the encoded sink chunks of the UNION branch
-	// pipelines, in branch order — the branch boundary is a pipeline
+	// srcUnion replays the rows the UNION branch pipelines' sinks
+	// kept, in branch order — the branch boundary is a pipeline
 	// breaker, like a hash-join build.
 	srcUnion
 )
@@ -280,8 +254,8 @@ type streamSource struct {
 	tp     sparql.TriplePattern
 	pushed []compiledFilter
 
-	// Union: the branch pipelines whose sink chunks this source
-	// replays (their outChunks are retained until consumed).
+	// Union: the branch pipelines whose sink rows this source replays
+	// (their out is retained until consumed).
 	unionFrom []*streamPipe
 
 	// out counts emitted source rows (the scan node's observed
@@ -303,11 +277,13 @@ type streamPipe struct {
 	// width is the sink row width.
 	width int
 
-	// outChunks collects the sink's encoded chunks per source
+	// out collects the batches that reached the sink, per source
 	// partition (each partition is processed by one worker, so the
-	// slots need no locking).
-	outChunks [][]columnar.RowChunk
-	outRows   atomic.Int64
+	// slots need no locking). A batch is kept as handed over unless
+	// its header slice is a scan worker's reused buffer (cloneAtSink).
+	out         [][][]engine.Row
+	cloneAtSink bool
+	outRows     atomic.Int64
 }
 
 // streamPlan is a compiled streaming query: pipelines in dependency
@@ -639,7 +615,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		}
 		st := &streamStep{
 			kind: stepAggregate, node: n, width: len(n.Vars),
-			groupIdx: groupIdx, countIdx: countIdx, groups: map[string]*aggGroup{},
+			groups: engine.NewGroupTable(groupIdx, countIdx),
 		}
 		c.pipe(pi).steps = append(c.pipe(pi).steps, st)
 		c.sp.pipeOf[n.ID] = pi
@@ -652,17 +628,6 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		c.unsupported = true
 		return 0
 	}
-}
-
-// aggKey encodes a row's group columns as the group-table key (the
-// same little-endian layout the materialized Aggregate uses).
-func aggKey(r engine.Row, groupIdx []int) string {
-	kb := make([]byte, 0, 4*len(groupIdx))
-	for _, j := range groupIdx {
-		v := r[j]
-		kb = append(kb, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(kb)
 }
 
 // estBytes is a node's estimated payload, the build-side selection
@@ -786,9 +751,9 @@ func (c *streamCompiler) buildSource(n *plan.Node) *streamSource {
 }
 
 // run executes every pipeline for real, in dependency order: source
-// partitions stream through the fused steps in chunkSize batches, sink
-// chunks are encoded columnar, and each completed build pipeline's
-// rows are decoded once into its join's hash table.
+// partitions stream through the fused steps in chunkSize batches, the
+// sink keeps the rows that reach it, and each completed build
+// pipeline's rows are indexed into its join's hash table.
 func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) error {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -803,16 +768,12 @@ func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) err
 			return err
 		}
 		if p.sink != nil {
-			rows, err := decodeChunks(p.outChunks, p.width)
-			if err != nil {
-				return err
-			}
+			rows := p.sinkRows()
 			p.sink.buildRows = int64(len(rows))
 			p.sink.hash = p.sink.join.Build(rows, p.sink.buildIsLeft)
-			// The chunks fed the hash table; drop them (the hash table
-			// itself is the build side's memory, and the peak sweep
-			// prices it as such).
-			p.outChunks = nil
+			// The hash table holds the rows now (it is the build side's
+			// memory, and the peak sweep prices it as such).
+			p.out = nil
 		}
 	}
 	return nil
@@ -820,60 +781,54 @@ func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) err
 
 // run executes one pipeline's source partitions through its steps.
 func (p *streamPipe) run(ctx context.Context, s *Store, chunkSize, par int) error {
+	if p.src.kind == srcEmpty {
+		return nil
+	}
+	p.out = make([][][]engine.Row, max(p.src.parts, 1))
 	switch p.src.kind {
-	case srcEmpty:
+	case srcVPExist:
+		p.runExistence()
 		return nil
 
-	case srcVPExist:
-		return p.runExistence(chunkSize)
-
 	case srcVP:
-		p.outChunks = make([][]columnar.RowChunk, p.src.parts)
-		return p.forEachPart(ctx, par, func(pi int) error { return p.scanVPPart(pi, chunkSize) })
+		// A VP batch is the worker's buffer until a probe or projection
+		// replaces it with an arena's rows.
+		p.cloneAtSink = !slices.ContainsFunc(p.steps, func(st *streamStep) bool {
+			return st.kind == stepProbe || st.kind == stepProbeOuter || st.kind == stepProject
+		})
+		largest, total := 0, 0
+		for pi := 0; pi < p.src.parts; pi++ {
+			n := len(p.src.table.Rel.Part(pi))
+			largest, total = max(largest, n), total+n
+		}
+		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), min(chunkSize, largest), func(pi int, batch []engine.Row) {
+			p.scanVPPart(pi, chunkSize, batch)
+		})
 
 	case srcPT:
-		p.outChunks = make([][]columnar.RowChunk, p.src.parts)
-		return p.forEachPart(ctx, par, func(pi int) error { return p.scanPTPart(pi, chunkSize) })
+		total := 0
+		for pi := 0; pi < p.src.parts; pi++ {
+			total += ptDriverKeys(p.src.pt.parts[pi], p.src.spec.specs)
+		}
+		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), 0, func(pi int, _ []engine.Row) { p.scanPTPart(pi, chunkSize) })
 
 	case srcTriples:
-		p.outChunks = make([][]columnar.RowChunk, 1)
 		rows, err := s.triplesMatches(p.src.tp, p.src.pushed)
 		if err != nil {
 			return err
 		}
-		p.src.out.Add(int64(len(rows)))
-		for start := 0; start < len(rows); start += chunkSize {
-			end := start + chunkSize
-			if end > len(rows) {
-				end = len(rows)
-			}
-			if err := p.processBatch(0, rows[start:end]); err != nil {
-				return err
-			}
-		}
+		p.feed(rows, chunkSize)
 		return nil
 
 	case srcUnion:
-		p.outChunks = make([][]columnar.RowChunk, 1)
 		for _, cp := range p.src.unionFrom {
-			for _, chunks := range cp.outChunks {
-				for _, rc := range chunks {
-					raw, err := rc.Decode()
-					if err != nil {
-						return err
-					}
-					rows := make([]engine.Row, len(raw))
-					for i, r := range raw {
-						rows[i] = engine.Row(r)
-					}
-					p.src.out.Add(int64(len(rows)))
-					if err := p.processBatch(0, rows); err != nil {
-						return err
-					}
+			for _, batches := range cp.out {
+				for _, rows := range batches {
+					p.feed(rows, chunkSize)
 				}
 			}
-			// Consumed; free the branch's buffered chunks.
-			cp.outChunks = nil
+			// Consumed; free the branch's buffered rows.
+			cp.out = nil
 		}
 		return nil
 
@@ -882,69 +837,97 @@ func (p *streamPipe) run(ctx context.Context, s *Store, chunkSize, par int) erro
 	}
 }
 
-// forEachPart runs fn over the source partitions on a bounded worker
-// pool, one worker per partition (so per-partition state needs no
-// locks). The first error wins; a context cancellation stops new
-// partitions from starting.
-func (p *streamPipe) forEachPart(ctx context.Context, par int, fn func(pi int) error) error {
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+// feed pushes rows the pipeline already holds (a triples scan's
+// matches, a union branch's sink) through the steps as partition 0, in
+// chunkSize batches. The header slice is consumed: steps compact each
+// batch in place.
+func (p *streamPipe) feed(rows []engine.Row, chunkSize int) {
+	p.src.out.Add(int64(len(rows)))
+	for len(rows) > 0 {
+		n := min(chunkSize, len(rows))
+		p.processBatch(0, rows[:n:n])
+		rows = rows[n:]
 	}
-	stopped := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	for pi := 0; pi < p.src.parts; pi++ {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				fail(&CancelError{Err: cerr, CompletedTasks: pi, TotalTasks: p.src.parts})
-				break
-			}
-		}
-		if stopped() {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(pi int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if stopped() {
+}
+
+// workerMorsels is how many morsels (chunkSize rows) of source input a
+// scan must hold for each worker it runs on. A worker beyond the
+// calling goroutine is a thread to wake — on a two-vCPU virtual machine
+// the second of two workers started about 100 us after the first, a
+// fifth of the mean pipeline's run — and the pipeline then ends when
+// the slower of two CPUs does. Below 16,384 rows at the default chunk
+// size that hand-off is worth little and is the unsteady part: fanning
+// the benchmark's join plans (sources of at most 10,000 rows) out over
+// two workers won 11 % in throughput on a quiet host, nothing on a busy
+// one, and nearly tripled the spread between runs (CHANGES.md, PR 15).
+const workerMorsels = 8
+
+// scanWorkers is the number of workers a scan of rows source rows runs
+// on: one per workerMorsels morsels, at least one, at most par.
+func scanWorkers(par, rows, chunkSize int) int {
+	return max(1, min(par, rows/(workerMorsels*chunkSize)))
+}
+
+// forEachPart scans the source partitions on min(workers, partitions)
+// workers that live as long as the pipeline runs, the calling goroutine
+// being the first. Each worker pulls the next partition index, so one
+// partition is processed by exactly one worker (per-partition state
+// needs no locks), and owns one scan batch buffer of batchCap row
+// headers that every partition it scans refills. A context cancellation
+// stops workers from starting further partitions.
+func (p *streamPipe) forEachPart(ctx context.Context, workers, batchCap int, scan func(pi int, batch []engine.Row)) error {
+	parts := p.src.parts
+	var next atomic.Int64
+	var cancelled atomic.Pointer[CancelError]
+	work := func() {
+		var batch []engine.Row
+		for cancelled.Load() == nil {
+			pi := int(next.Add(1)) - 1
+			if pi >= parts {
 				return
 			}
-			if err := fn(pi); err != nil {
-				fail(err)
+			if ctx != nil {
+				if cerr := ctx.Err(); cerr != nil {
+					cancelled.CompareAndSwap(nil, &CancelError{Err: cerr, CompletedTasks: pi, TotalTasks: parts})
+					return
+				}
 			}
-		}(pi)
+			if batch == nil && batchCap > 0 {
+				batch = make([]engine.Row, 0, batchCap)
+			}
+			scan(pi, batch)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, parts); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
-	return firstErr
+	if ce := cancelled.Load(); ce != nil {
+		return ce
+	}
+	return nil
 }
 
 // scanVPPart streams one VP partition through the pipeline: the fused
 // scan predicate runs on the raw (s,o) rows, survivors are shaped by
-// slicing (aliasing the table's stable storage — no copy), and batches
-// of chunkSize flow through the steps.
-func (p *streamPipe) scanVPPart(pi, chunkSize int) error {
+// slicing (aliasing the table's stable storage — no copy) into the
+// worker's batch buffer (empty, with room for min(chunkSize, rows of
+// the largest partition) headers), and batches of chunkSize flow
+// through the steps. The table's own partition slice is only ever read.
+func (p *streamPipe) scanVPPart(pi, chunkSize int, batch []engine.Row) {
 	src := p.src
-	batch := make([]engine.Row, 0, chunkSize)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
+	flush := func() {
+		if len(batch) > 0 {
+			src.out.Add(int64(len(batch)))
+			p.processBatch(pi, batch)
+			batch = batch[:0]
 		}
-		src.out.Add(int64(len(batch)))
-		err := p.processBatch(pi, batch)
-		batch = batch[:0]
-		return err
 	}
 	for _, r := range src.table.Rel.Part(pi) {
 		if src.pred != nil && !src.pred(r) {
@@ -952,12 +935,10 @@ func (p *streamPipe) scanVPPart(pi, chunkSize int) error {
 		}
 		batch = append(batch, r[src.lo:src.hi])
 		if len(batch) == chunkSize {
-			if err := flush(); err != nil {
-				return err
-			}
+			flush()
 		}
 	}
-	return flush()
+	flush()
 }
 
 // scanPTPart streams one PT partition: the cartesian flatten yields
@@ -965,22 +946,18 @@ func (p *streamPipe) scanVPPart(pi, chunkSize int) error {
 // (retained rows must be stable) and flushed through the steps at
 // chunk boundaries. A counting pass first tells how many rows are
 // coming, so each batch's arena is allocated at the size it will fill.
-func (p *streamPipe) scanPTPart(pi, chunkSize int) error {
+func (p *streamPipe) scanPTPart(pi, chunkSize int) {
 	src := p.src
 	width := len(src.spec.schema)
 	part := src.pt.parts[pi]
 	processed, n := scanPTPartition(part, src.spec.specs, width, src.rowPred, nil)
 	src.scanned.Add(processed)
 	if n == 0 {
-		return nil
+		return
 	}
 	left := int(n)
 	var arena *engine.RowArena
-	var ferr error
 	scanPTPartition(part, src.spec.specs, width, src.rowPred, func(r engine.Row) {
-		if ferr != nil {
-			return
-		}
 		if arena == nil {
 			arena = engine.NewRowArena(width, min(left, chunkSize))
 		}
@@ -988,84 +965,61 @@ func (p *streamPipe) scanPTPart(pi, chunkSize int) error {
 		left--
 		if arena.Len() == chunkSize || left == 0 {
 			src.out.Add(int64(arena.Len()))
-			ferr = p.processBatch(pi, arena.Rows())
+			p.processBatch(pi, arena.Rows())
 			arena = nil
 		}
 	})
-	return ferr
 }
 
 // runExistence answers a fully-bound pattern: scan until any row
 // matches, then feed a single width-0 row through the chain (cartesian
 // with one empty row is the join identity, exactly like the
 // materialized existenceRelation).
-func (p *streamPipe) runExistence(chunkSize int) error {
+func (p *streamPipe) runExistence() {
 	src := p.src
-	found := false
-	for pi := 0; pi < src.table.Rel.Partitions() && !found; pi++ {
+	for pi := 0; pi < src.table.Rel.Partitions(); pi++ {
 		for _, r := range src.table.Rel.Part(pi) {
 			if src.pred == nil || src.pred(r) {
-				found = true
-				break
+				src.out.Add(1)
+				p.processBatch(0, []engine.Row{{}})
+				return
 			}
 		}
 	}
-	p.outChunks = make([][]columnar.RowChunk, 1)
-	if !found {
-		return nil
-	}
-	src.out.Add(1)
-	return p.processBatch(0, []engine.Row{{}})
 }
 
-// processBatch pushes one chunk batch through the pipeline's steps and
-// encodes the survivors at the sink.
-func (p *streamPipe) processBatch(part int, rows []engine.Row) error {
+// processBatch pushes one batch through the pipeline's steps; the sink
+// keeps the survivors — the rows are stable, so the batch is retained
+// as it is, or as an exactly-sized copy of its headers when the slice
+// is a buffer its worker will refill.
+func (p *streamPipe) processBatch(part int, rows []engine.Row) {
 	for _, st := range p.steps {
-		rows = st.apply(rows)
-		if len(rows) == 0 {
-			return nil
+		if rows = st.apply(rows); len(rows) == 0 {
+			return
 		}
 	}
-	if len(rows) == 0 {
-		return nil
+	if p.cloneAtSink {
+		rows = slices.Clone(rows)
 	}
-	rc, err := columnar.EncodeRows(p.width, idRows(rows))
-	if err != nil {
-		return err
-	}
-	p.outChunks[part] = append(p.outChunks[part], rc)
+	p.out[part] = append(p.out[part], rows)
 	p.outRows.Add(int64(len(rows)))
-	return nil
 }
 
-// idRows reinterprets engine rows as raw ID rows for chunk encoding.
-func idRows(rows []engine.Row) [][]rdf.ID {
-	out := make([][]rdf.ID, len(rows))
-	for i, r := range rows {
-		out[i] = r
+// sinkRows flattens the pipeline's sink batches in partition order
+// into one exactly-sized slice — what a hash build indexes or the
+// driver returns.
+func (p *streamPipe) sinkRows() []engine.Row {
+	n := p.outRows.Load()
+	if n == 0 {
+		return nil
+	}
+	out := make([]engine.Row, 0, n)
+	for _, batches := range p.out {
+		for _, rows := range batches {
+			out = append(out, rows...)
+		}
 	}
 	return out
-}
-
-// decodeChunks materializes a pipeline's sink chunks back into rows,
-// in partition order. Decoded rows are freshly allocated — the stable
-// rows a hash build or the driver retains.
-func decodeChunks(parts [][]columnar.RowChunk, width int) ([]engine.Row, error) {
-	var out []engine.Row
-	for _, chunks := range parts {
-		for _, rc := range chunks {
-			rows, err := rc.Decode()
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range rows {
-				out = append(out, engine.Row(r))
-			}
-		}
-	}
-	_ = width
-	return out, nil
 }
 
 // recordObs fills the observation with every node's streamed output
@@ -1085,60 +1039,35 @@ func (sp *streamPlan) recordObs(obs *plan.Observation) {
 }
 
 // finalRows produces the streaming query's result rows: the root
-// pipeline's sink chunks for a plan without a blocking tail, otherwise
+// pipeline's sink rows for a plan without a blocking tail, otherwise
 // the finalized barrier (sorted/sliced top-K buffer, or aggregate
 // group rows) with the driver-tail operators applied bottom-up.
 func (sp *streamPlan) finalRows(s *Store) ([]engine.Row, error) {
-	rows, err := decodeChunks(sp.root.outChunks, sp.root.width)
-	if err != nil {
-		return nil, err
-	}
 	b := sp.barrier
 	if b == nil {
-		return rows, nil
+		return sp.root.sinkRows(), nil
 	}
 	sp.tailObs = map[*plan.Node]int64{}
+	var rows []engine.Row
 	switch b.kind {
 	case stepTopK:
-		rows = finalizeTopK(b)
+		engine.SortRowsStable(b.buf, b.less)
+		rows = sliceOffsetLimit(b.buf, b.node.Limit, b.node.Offset)
 	case stepAggregate:
-		rows = finalizeAgg(b)
+		// Group cells then count cells, sorted by raw ID order — exactly
+		// the materialized Aggregate's output.
+		rows = b.groups.Rows()
 	}
 	sp.tailObs[b.node] = int64(len(rows))
 	for i := len(sp.tail) - 1; i >= 0; i-- {
 		n := sp.tail[i]
-		rows, err = s.applyTailOp(n, rows)
-		if err != nil {
+		var err error
+		if rows, err = s.applyTailOp(n, rows); err != nil {
 			return nil, err
 		}
 		sp.tailObs[n] = int64(len(rows))
 	}
 	return rows, nil
-}
-
-// finalizeTopK sorts the barrier's retained buffer by the compiled
-// total order and applies the node's OFFSET/LIMIT slice.
-func finalizeTopK(b *streamStep) []engine.Row {
-	rows := b.buf
-	sort.SliceStable(rows, func(i, j int) bool { return b.less(rows[i], rows[j]) })
-	return sliceOffsetLimit(rows, b.node.Limit, b.node.Offset)
-}
-
-// finalizeAgg emits the barrier's group table as rows — group cells
-// then count cells, sorted by raw ID order — exactly the materialized
-// Aggregate's output, so both executors stay byte-identical.
-func finalizeAgg(b *streamStep) []engine.Row {
-	rows := make([]engine.Row, 0, len(b.groups))
-	for _, g := range b.groups {
-		r := make(engine.Row, 0, len(g.row)+len(g.counts))
-		r = append(r, g.row...)
-		for _, c := range g.counts {
-			r = append(r, rdf.ID(c))
-		}
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return engine.LessRowsID(rows[i], rows[j]) })
-	return rows
 }
 
 // sliceOffsetLimit applies a LIMIT/OFFSET window to sorted rows.
@@ -1192,8 +1121,7 @@ func (s *Store) applyTailOp(n *plan.Node, rows []engine.Row) ([]engine.Row, erro
 	case plan.OpTopK:
 		sorted := make([]engine.Row, len(rows))
 		copy(sorted, rows)
-		less := s.topkLess(n)
-		sort.SliceStable(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
+		engine.SortRowsStable(sorted, s.topkLess(n))
 		return sliceOffsetLimit(sorted, n.Limit, n.Offset), nil
 
 	default:
@@ -1370,7 +1298,7 @@ func (sp *streamPlan) price(s *Store, opts QueryOptions, pl *plan.Plan, chunkSiz
 			}
 
 		case plan.OpUnion:
-			// The union pipe re-reads every branch's buffered chunks.
+			// The union pipe re-reads every branch's buffered rows.
 			var sum int64
 			for _, ch := range n.Children {
 				walk(ch)
@@ -1592,7 +1520,7 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 		case stepTopK:
 			bytes = b.retained * int64(b.width) * memBytesPerValue
 		case stepAggregate:
-			bytes = int64(len(b.groups)) * int64(b.width) * memBytesPerValue
+			bytes = int64(b.groups.Len()) * int64(b.width) * memBytesPerValue
 		}
 		if bytes > 0 {
 			evs = append(evs,
@@ -1601,8 +1529,8 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 			)
 		}
 	}
-	// Union branches buffer their encoded sink chunks from their own
-	// gate until the union pipeline consumes them.
+	// Union branches buffer their sink rows from their own gate until
+	// the union pipeline consumes them.
 	for i, p := range sp.pipes {
 		if p.src.kind != srcUnion {
 			continue
@@ -1749,8 +1677,9 @@ func morselRecorder(r cluster.MorselRecovery, failed bool) *resilienceRecorder {
 
 // queryStreaming executes one query through the streaming engine.
 // handled=false (with a nil error) reports a plan the streaming path
-// does not take — the caller falls back to the materialized scheduler
-// without any work having been done. Once real execution starts,
+// does not take — no work has been done, and the caller runs it on the
+// materialized scheduler with StreamingDowngraded set. Once real
+// execution starts,
 // errors are final (no fallback: the failure modes are shared with the
 // materialized path).
 func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryOptions, clock *cluster.Clock, entry *cachedPlan, tree *JoinTree, filters []compiledFilter, faults *cluster.FaultPlan, faultSalt uint64, start time.Time) (*Result, bool, error) {

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"hash/fnv"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/watdiv"
@@ -259,25 +264,315 @@ func TestStreamingTakesLimit(t *testing.T) {
 	}
 }
 
-// TestStreamingChunkSizeInvariance: the chunk-size knob changes morsel
-// granularity, never results.
+// allWatDivQueries is the full 26-query surface: the 20 basic queries
+// plus E1..E6.
+func allWatDivQueries() []watdiv.Query {
+	return append(watdiv.BasicQuerySet(), watdiv.ExtendedQuerySet()...)
+}
+
+// renderComparable renders a result for comparison across executors:
+// positionally when the query fixes the order or the window (ORDER BY,
+// LIMIT, OFFSET), as a sorted multiset otherwise.
+func renderComparable(q *sparql.Query, res *Result) string {
+	if q.Limit >= 0 || q.Offset > 0 || len(q.Order) > 0 {
+		return renderInOrder(res)
+	}
+	return renderSorted(res)
+}
+
+// TestStreamingChunkSizeInvariance: the chunk-size knob changes batch
+// and morsel granularity, never results. Sinks keep the rows they are
+// handed instead of copies, so a step that handed on a row it later
+// overwrote (or a header slice compacted under a reader) would show at
+// the small sizes, where every row is its own batch. The small sizes
+// are also the ones that put a scan on several workers (one per
+// workerMorsels chunks of source rows), the large ones on the caller
+// alone, so the race detector sees both.
 func TestStreamingChunkSizeInvariance(t *testing.T) {
 	s := watdivStreamStore(t)
-	q := mustQueryByName(t, "C2")
-	var want string
-	for i, chunk := range []int{64, 1024, 1 << 16} {
-		res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: chunk, ReplanThreshold: -1})
+	for _, q := range allWatDivQueries() {
+		base := QueryOptions{Strategy: StrategyMixed, ReplanThreshold: -1}
+		mat, err := s.Query(q.Parsed, base)
 		if err != nil {
-			t.Fatalf("chunk %d: %v", chunk, err)
+			t.Fatalf("%s materialized: %v", q.Name, err)
 		}
-		if !res.Streamed {
-			t.Fatalf("chunk %d: fell back", chunk)
+		want := renderComparable(q.Parsed, mat)
+		for _, chunk := range []int{1, 7, 64, 2048, 1 << 16} {
+			opts := base
+			opts.Streaming, opts.ChunkSize = true, chunk
+			res, err := s.Query(q.Parsed, opts)
+			if err != nil {
+				t.Fatalf("%s chunk %d: %v", q.Name, chunk, err)
+			}
+			if !res.Streamed {
+				t.Fatalf("%s chunk %d: fell back", q.Name, chunk)
+			}
+			if got := renderComparable(q.Parsed, res); got != want {
+				t.Errorf("%s chunk %d: rows differ from materialized", q.Name, chunk)
+			}
 		}
-		got := renderSorted(res)
-		if i == 0 {
-			want = got
-		} else if got != want {
-			t.Errorf("chunk %d: rows differ from chunk 64", chunk)
+	}
+}
+
+// TestStreamingScanWorkers: a scan gets one worker per workerMorsels chunks of
+// source rows, never fewer than the caller and never more than par.
+func TestStreamingScanWorkers(t *testing.T) {
+	for _, c := range []struct{ par, rows, chunk, want int }{
+		{2, 0, 2048, 1},
+		{2, 10000, 2048, 1},
+		{2, 2*workerMorsels*2048 - 1, 2048, 1},
+		{2, 2 * workerMorsels * 2048, 2048, 2},
+		{8, 3 * workerMorsels * 2048, 2048, 3},
+		{2, 1 << 20, 2048, 2},
+		{4, 100, 1, 4},
+		{1, 1 << 20, 1, 1},
+	} {
+		if got := scanWorkers(c.par, c.rows, c.chunk); got != c.want {
+			t.Errorf("scanWorkers(par %d, %d rows, chunk %d) = %d, want %d", c.par, c.rows, c.chunk, got, c.want)
+		}
+	}
+}
+
+// storeFingerprint hashes everything a scan reads: every VP table's
+// rows in partition order, and every Property Table column's keys,
+// values and offsets.
+func storeFingerprint(s *Store) map[string]uint64 {
+	fp := map[string]uint64{}
+	for pid, table := range s.vp {
+		fp[fmt.Sprintf("vp/%d", pid)] = table.Rel.Checksum()
+	}
+	for name, pt := range map[string]*PropertyTable{"pt": s.pt, "ipt": s.ipt} {
+		if pt == nil {
+			continue
+		}
+		for pi, part := range pt.parts {
+			for pred, col := range part.cols {
+				h := fnv.New64a()
+				for _, ids := range [][]rdf.ID{col.keys, col.vals} {
+					for _, v := range ids {
+						h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24), 0xff})
+					}
+					h.Write([]byte{0xfe})
+				}
+				for _, o := range col.offs {
+					h.Write([]byte{byte(o), byte(o >> 8), byte(o >> 16), byte(o >> 24)})
+				}
+				fp[fmt.Sprintf("%s/%d/%d", name, pi, pred)] = h.Sum64()
+			}
+		}
+	}
+	return fp
+}
+
+// liftFilters rewrites a plan so that every FILTER the planner pushed
+// into a scan runs as a residual Filter step directly above that scan
+// — the planner itself never leaves a filter residual on a validated
+// query, so this is how the tests reach the streaming filter step with
+// batches that alias table storage.
+func liftFilters(n *plan.Node) *plan.Node {
+	c := *n
+	c.Children = nil
+	for _, ch := range n.Children {
+		c.Children = append(c.Children, liftFilters(ch))
+	}
+	if n.Op != plan.OpScan || len(n.Filters) == 0 {
+		return &c
+	}
+	c.Filters = nil
+	return &plan.Node{
+		Op: plan.OpFilter, Vars: n.Vars, Est: n.Est, Actual: -1,
+		Children: []*plan.Node{&c}, Filters: n.Filters,
+	}
+}
+
+// streamWithResidualFilters runs q on the streaming pipelines with its
+// pushed filters lifted into residual steps, and renders the rows.
+func streamWithResidualFilters(t *testing.T, s *Store, q *sparql.Query, opts QueryOptions) string {
+	t.Helper()
+	opts.NoPlanCache = true
+	entry, _, _, err := s.planEntry(s.statsSnap.Load(), q, opts.planMode(), opts)
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	filters, err := s.compileFilters(q)
+	if err != nil {
+		t.Fatalf("filters: %v", err)
+	}
+	pl := entry.plan.WithRoot(liftFilters(entry.plan.Root))
+	if !strings.Contains(pl.String(), "Filter") {
+		t.Fatalf("no filter was lifted:\n%s", pl)
+	}
+	sp, ok, err := s.compileStreamPlan(pl, entry.nodes, filters)
+	if err != nil || !ok {
+		t.Fatalf("compile: ok=%v err=%v\n%s", ok, err, pl)
+	}
+	if err := sp.run(context.Background(), s, opts.chunkSize(), opts.Parallelism); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	rows, err := sp.finalRows(s)
+	if err != nil {
+		t.Fatalf("finalRows: %v", err)
+	}
+	return renderSorted(&Result{Rows: s.decodeRows(rows, pl.Root.CountCols)})
+}
+
+// TestStreamingLeavesStoreIntact: streaming compacts filtered batches
+// in place, and its batches alias table storage — the compaction must
+// only ever touch the worker's own header slice. Every VP table and
+// every Property Table column must hash the same after streaming all
+// 26 queries and a set of filtered queries whose filters run as
+// residual steps, and those must still answer like the materialized
+// executor.
+func TestStreamingLeavesStoreIntact(t *testing.T) {
+	s := watdivStreamStore(t)
+	before := storeFingerprint(s)
+	const prefixes = `PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
+		PREFIX rev: <http://purl.org/stuff/rev#>
+		PREFIX foaf: <http://xmlns.com/foaf/>
+		`
+	filtered := []string{
+		`SELECT ?u ?f ?p WHERE { ?u wsdbm:follows ?f . ?f wsdbm:likes ?p . FILTER(?u != wsdbm:User3) FILTER(?p != wsdbm:Product2) }`,
+		`SELECT ?u ?a ?p WHERE { ?u foaf:age ?a . ?u wsdbm:likes ?p . FILTER(?a > 30) }`,
+		`SELECT ?r ?rt ?u WHERE { ?r rev:rating ?rt . ?r rev:reviewer ?u . FILTER(?rt >= 5) FILTER(?u != wsdbm:User1) }`,
+		`SELECT DISTINCT ?f WHERE { ?u wsdbm:follows ?f . ?u wsdbm:friendOf ?g . FILTER(?f != wsdbm:User0) }`,
+	}
+	for _, strat := range []Strategy{StrategyMixed, StrategyVPOnly} {
+		for i, text := range filtered {
+			q := sparql.MustParse(prefixes + text)
+			mat, err := s.Query(q, QueryOptions{Strategy: strat, ReplanThreshold: -1})
+			if err != nil {
+				t.Fatalf("filtered %d/%s materialized: %v", i, strat, err)
+			}
+			want := renderSorted(mat)
+			if want == "" {
+				t.Fatalf("filtered %d/%s: no rows; the query is vacuous at this scale", i, strat)
+			}
+			for _, chunk := range []int{1, 7, 2048} {
+				got := streamWithResidualFilters(t, s, q, QueryOptions{Strategy: strat, ChunkSize: chunk, ReplanThreshold: -1})
+				if got != want {
+					t.Errorf("filtered %d/%s chunk %d: rows differ from materialized", i, strat, chunk)
+				}
+			}
+		}
+	}
+	for _, q := range allWatDivQueries() {
+		for _, chunk := range []int{7, 0} {
+			if _, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: chunk, ReplanThreshold: -1}); err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+		}
+	}
+	after := storeFingerprint(s)
+	if len(after) != len(before) {
+		t.Fatalf("store has %d tables and columns after streaming, %d before", len(after), len(before))
+	}
+	for k, h := range before {
+		if after[k] != h {
+			t.Errorf("%s changed under streaming", k)
+		}
+	}
+}
+
+// TestStreamingHandBackIsReported: a plan the streaming compiler
+// hands back — a Bound leaf, a join whose recorded column order the
+// engine would not reproduce — runs on the materialized scheduler, and
+// the result must say so instead of passing for a quiet fallback.
+func TestStreamingHandBackIsReported(t *testing.T) {
+	s := testStore(t, false)
+	q := sparql.MustParse(`SELECT ?u ?v WHERE {
+		?u <http://example.org/follows> ?v .
+		?v <http://example.org/likes> ?p .
+	}`)
+	opts := QueryOptions{Streaming: true, ReplanThreshold: -1}
+	entry, key, cacheable, err := s.planEntry(s.statsSnap.Load(), q, opts.planMode(), opts)
+	if err != nil || !cacheable {
+		t.Fatalf("planEntry: cacheable=%v err=%v", cacheable, err)
+	}
+
+	bound := entry.plan.WithRoot(&plan.Node{Op: plan.OpBound, Vars: []string{"u", "v"}, Actual: -1})
+	if _, ok, err := s.compileStreamPlan(bound, entry.nodes, nil); ok || err != nil {
+		t.Fatalf("bound leaf: compile ok=%v err=%v, want a hand-back", ok, err)
+	}
+
+	// The scheduler cannot run a Bound leaf outside an adaptive round,
+	// so the end-to-end check plants the other hand-back: the same plan
+	// with one join's recorded columns reversed.
+	want, err := s.Query(q, QueryOptions{ReplanThreshold: -1})
+	if err != nil {
+		t.Fatalf("materialized: %v", err)
+	}
+	skewed := entry.plan.Stamp(plan.NewObservation(entry.plan))
+	var join *plan.Node
+	var find func(n *plan.Node)
+	find = func(n *plan.Node) {
+		if n.Op == plan.OpJoin && join == nil {
+			join = n
+		}
+		for _, ch := range n.Children {
+			find(ch)
+		}
+	}
+	find(skewed.Root)
+	if join == nil || len(join.Vars) < 2 {
+		t.Fatalf("no join to skew in\n%s", skewed)
+	}
+	join.Vars = append([]string(nil), join.Vars...)
+	slices.Reverse(join.Vars)
+	s.planCache.put(key, &cachedPlan{nodes: entry.nodes, plan: skewed})
+
+	res, err := s.Query(q, opts)
+	if err != nil {
+		t.Fatalf("Query: %v", err)
+	}
+	if res.Streamed || !res.StreamingDowngraded {
+		t.Errorf("Streamed=%v StreamingDowngraded=%v, want false/true", res.Streamed, res.StreamingDowngraded)
+	}
+	if got := renderSorted(res); got != renderSorted(want) {
+		t.Errorf("handed-back query rows differ:\ngot:\n%swant:\n%s", got, renderSorted(want))
+	}
+}
+
+// allocsPerQuery reports the heap bytes and allocations one execution
+// of q costs, averaged over runs, from the runtime's cumulative
+// counters (which a collection in between does not disturb).
+func allocsPerQuery(t *testing.T, s *Store, q *sparql.Query, opts QueryOptions) (bytes, mallocs float64) {
+	t.Helper()
+	const runs = 20
+	run := func() {
+		if _, err := s.Query(q, opts); err != nil {
+			t.Fatalf("Query: %v", err)
+		}
+	}
+	run() // plan cache, pooled scratch
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / runs, float64(m1.Mallocs-m0.Mallocs) / runs
+}
+
+// TestStreamingAllocsAtMostMaterialized is the property ROADMAP item 3
+// needs before the materialized scheduler can go: on a complex and a
+// snowflake query the pipelined executor must not cost the process more
+// heap bytes or more allocations per query than the operator-at-a-time
+// one.
+func TestStreamingAllocsAtMostMaterialized(t *testing.T) {
+	s := watdivStreamStore(t)
+	for _, name := range []string{"C2", "F3"} {
+		q := mustQueryByName(t, name)
+		base := QueryOptions{Strategy: StrategyMixed, ReplanThreshold: -1}
+		matB, matN := allocsPerQuery(t, s, q.Parsed, base)
+		opts := base
+		opts.Streaming = true
+		strB, strN := allocsPerQuery(t, s, q.Parsed, opts)
+		t.Logf("%s: streaming %.0f B / %.0f allocs, materialized %.0f B / %.0f allocs", name, strB, strN, matB, matN)
+		if strB > matB {
+			t.Errorf("%s: streaming allocates %.0f B per query, materialized %.0f", name, strB, matB)
+		}
+		if strN > matN {
+			t.Errorf("%s: streaming makes %.0f allocations per query, materialized %.0f", name, strN, matN)
 		}
 	}
 }

@@ -106,26 +106,7 @@ func NewJoinProbe(buildRows []Row, buildKey []int) *JoinProbe {
 // preserving probe-row order (then build-chain order), exactly as the
 // in-process join closures do.
 func (jp *JoinProbe) Probe(probeRows []Row, probeKey []int, buildIsLeft bool, outWidth int, lKeep, rKeep []int) []Row {
-	ix := jp.ix
-	arena := NewRowArena(outWidth, len(probeRows))
-	for _, pr := range probeRows {
-		for i := ix.first(pr, probeKey); i != 0; i = ix.next[i-1] {
-			if !ix.match(i, pr, probeKey) {
-				continue
-			}
-			br := ix.rows[i-1]
-			lr, rr := br, pr
-			if !buildIsLeft {
-				lr, rr = pr, br
-			}
-			if lKeep == nil {
-				arena.AppendJoin(lr, rr, rKeep)
-			} else {
-				arena.AppendJoinPruned(lr, rr, lKeep, rKeep)
-			}
-		}
-	}
-	return arena.Rows()
+	return jp.ix.probeBatch(probeRows, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep})
 }
 
 // CartesianKernel crosses one partition of the large side with the

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -66,22 +67,7 @@ func (e *Exec) LeftJoin(left, right *Relation, name string) (*Relation, error) {
 // Probe, and a probe row with no match emits once, padded with
 // nullRight in the right-only columns.
 func (jp *JoinProbe) ProbeOuter(probeRows []Row, probeKey []int, outWidth int, rKeep []int, nullRight Row) []Row {
-	ix := jp.ix
-	arena := NewRowArena(outWidth, len(probeRows))
-	for _, pr := range probeRows {
-		matched := false
-		for i := ix.first(pr, probeKey); i != 0; i = ix.next[i-1] {
-			if !ix.match(i, pr, probeKey) {
-				continue
-			}
-			arena.AppendJoin(pr, ix.rows[i-1], rKeep)
-			matched = true
-		}
-		if !matched {
-			arena.AppendJoin(pr, nullRight, rKeep)
-		}
-	}
-	return arena.Rows()
+	return jp.ix.probeBatch(probeRows, probeKey, &joinEmit{width: outWidth, rKeep: rKeep, nullRight: nullRight})
 }
 
 // UnionAll concatenates relations with identical schemas, keeping each
@@ -135,7 +121,7 @@ func (e *Exec) TopK(rel *Relation, less func(a, b Row) bool, limit, offset int) 
 		in := rel.Part(p)
 		sorted := make([]Row, len(in))
 		copy(sorted, in)
-		sort.SliceStable(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
+		SortRowsStable(sorted, less)
 		if k >= 0 && k < len(sorted) {
 			sorted = sorted[:k]
 		}
@@ -152,7 +138,7 @@ func (e *Exec) TopK(rel *Relation, less func(a, b Row) bool, limit, offset int) 
 	for _, rows := range kept {
 		all = append(all, rows...)
 	}
-	sort.SliceStable(all, func(i, j int) bool { return less(all[i], all[j]) })
+	SortRowsStable(all, less)
 	if offset > 0 {
 		if offset >= len(all) {
 			all = nil
@@ -201,43 +187,13 @@ func (e *Exec) Aggregate(rel *Relation, groupCols []string, counts []AggCount) (
 		outSchema = append(outSchema, c.As)
 	}
 
-	index := map[string]int{}
-	var groupRows []Row
-	var groupCounts [][]rdf.ID
-	var kb []byte
+	groups := NewGroupTable(gIdx, cIdx)
 	for p := 0; p < rel.Partitions(); p++ {
 		for _, r := range rel.Part(p) {
-			kb = kb[:0]
-			for _, j := range gIdx {
-				v := r[j]
-				kb = append(kb, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-			}
-			gi, ok := index[string(kb)]
-			if !ok {
-				gi = len(groupRows)
-				index[string(kb)] = gi
-				gr := make(Row, len(gIdx))
-				for i, j := range gIdx {
-					gr[i] = r[j]
-				}
-				groupRows = append(groupRows, gr)
-				groupCounts = append(groupCounts, make([]rdf.ID, len(counts)))
-			}
-			for ci, j := range cIdx {
-				if j < 0 || r[j] != rdf.NullID {
-					groupCounts[gi][ci]++
-				}
-			}
+			groups.Add(r)
 		}
 	}
-	out := make([]Row, len(groupRows))
-	for i, gr := range groupRows {
-		row := make(Row, 0, len(gr)+len(counts))
-		row = append(row, gr...)
-		row = append(row, groupCounts[i]...)
-		out[i] = row
-	}
-	sort.Slice(out, func(i, j int) bool { return lessRows(out[i], out[j]) })
+	out := groups.Rows()
 
 	width := int64(len(rel.schema))
 	err := e.Cluster.RunStage(e.Clock, e.Launch(true), "aggregate", rel.Partitions(), func(p int) (cluster.TaskStats, error) {
@@ -248,6 +204,76 @@ func (e *Exec) Aggregate(rel *Relation, groupCols []string, counts []AggCount) (
 		return nil, err
 	}
 	return &Relation{schema: outSchema, parts: [][]Row{out}}, nil
+}
+
+// GroupTable is the hash-aggregation state both executors fill: one
+// output row per distinct group key — the group cells of the first row
+// seen with that key, then one COUNT cell per aggregate, holding the
+// raw count as an rdf.ID. Lookups pack the key into a reused buffer,
+// so adding a row to an existing group allocates nothing. Not safe for
+// concurrent use.
+type GroupTable struct {
+	groupIdx, countIdx []int
+	index              map[string]int
+	rows               []Row
+	kb                 []byte
+}
+
+// NewGroupTable returns an empty table grouping on the input columns
+// groupIdx; countIdx names each COUNT's counted input column (-1 =
+// COUNT(*)).
+func NewGroupTable(groupIdx, countIdx []int) *GroupTable {
+	return &GroupTable{groupIdx: groupIdx, countIdx: countIdx, index: map[string]int{}}
+}
+
+// Add folds one input row into its group.
+func (g *GroupTable) Add(r Row) {
+	g.kb = g.kb[:0]
+	for _, j := range g.groupIdx {
+		v := r[j]
+		g.kb = append(g.kb, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	}
+	gi, ok := g.index[string(g.kb)]
+	if !ok {
+		gi = len(g.rows)
+		g.index[string(g.kb)] = gi
+		row := make(Row, len(g.groupIdx)+len(g.countIdx))
+		for i, j := range g.groupIdx {
+			row[i] = r[j]
+		}
+		g.rows = append(g.rows, row)
+	}
+	counts := g.rows[gi][len(g.groupIdx):]
+	for ci, j := range g.countIdx {
+		if j < 0 || r[j] != rdf.NullID {
+			counts[ci]++
+		}
+	}
+}
+
+// Len returns the number of groups.
+func (g *GroupTable) Len() int { return len(g.rows) }
+
+// Rows returns the group rows sorted by raw ID order (group keys are
+// unique, so the order is total). The table must not be added to
+// afterwards.
+func (g *GroupTable) Rows() []Row {
+	sort.Slice(g.rows, func(i, j int) bool { return lessRows(g.rows[i], g.rows[j]) })
+	return g.rows
+}
+
+// SortRowsStable sorts rows by less, keeping equal rows in input
+// order.
+func SortRowsStable(rows []Row, less func(a, b Row) bool) {
+	slices.SortStableFunc(rows, func(a, b Row) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // LessRowsID is the engine's canonical raw-ID row order (column-wise

@@ -1,6 +1,10 @@
 package engine
 
-import "repro/internal/rdf"
+import (
+	"sync"
+
+	"repro/internal/rdf"
+)
 
 // Join and dedup keys. Rows are dictionary-encoded (rdf.ID is a
 // uint32), so one key column IS the key and two key columns pack
@@ -121,6 +125,99 @@ func (ix *joinIndex) first(pr Row, probeIdx []int) int32 {
 // re-checking the key columns when the packed key is a lossy hash.
 func (ix *joinIndex) match(i int32, pr Row, probeIdx []int) bool {
 	return ix.exact || keysEqual(ix.rows[i-1], ix.keyIdx, pr, probeIdx)
+}
+
+// joinEmit is a probe's emission layout: which input the build side
+// is, the output width and the emission index lists. A non-nil
+// nullRight makes the probe a left outer one: the build side is the
+// right (optional) input, and a probe row without a match emits once,
+// padded with nullRight's NullIDs in the right-only columns.
+type joinEmit struct {
+	buildLeft    bool
+	width        int
+	lKeep, rKeep []int
+	nullRight    Row
+}
+
+// appendTo emits the join of build row br and probe row pr, left
+// columns first.
+func (e *joinEmit) appendTo(arena *RowArena, br, pr Row) {
+	lr, rr := br, pr
+	if !e.buildLeft {
+		lr, rr = pr, br
+	}
+	if e.lKeep == nil {
+		arena.AppendJoin(lr, rr, e.rKeep)
+	} else {
+		arena.AppendJoinPruned(lr, rr, e.lKeep, e.rKeep)
+	}
+}
+
+// countChain returns the number of genuine matches of pr on the chain
+// starting at head.
+func (ix *joinIndex) countChain(head int32, pr Row, probeIdx []int) int {
+	n := 0
+	for i := head; i != 0; i = ix.next[i-1] {
+		if ix.match(i, pr, probeIdx) {
+			n++
+		}
+	}
+	return n
+}
+
+// emitChain appends the join of pr with every genuine match on the
+// chain starting at head, in chain order, and returns how many it
+// emitted. Every hash-join output row of the engine — inner or outer,
+// materialized, sharded or streaming — is written by this loop.
+func (ix *joinIndex) emitChain(head int32, pr Row, probeIdx []int, e *joinEmit, arena *RowArena) int {
+	n := 0
+	for i := head; i != 0; i = ix.next[i-1] {
+		if ix.match(i, pr, probeIdx) {
+			e.appendTo(arena, ix.rows[i-1], pr)
+			n++
+		}
+	}
+	return n
+}
+
+// headsPool recycles probeBatch's chain-head scratch, so a probe
+// allocates nothing per probe row.
+var headsPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// probeBatch joins a batch of probe rows against the index,
+// preserving probe-row order (then build-chain order). It counts
+// before it fills: the first pass looks up every probe row's chain
+// head and counts its matches, the second writes them into an arena
+// allocated at exactly that count, walking the remembered heads
+// instead of hashing again. A batch that emits nothing returns nil
+// without allocating, so a selective probe costs memory for its
+// output, not its input.
+func (ix *joinIndex) probeBatch(probe []Row, probeIdx []int, e *joinEmit) []Row {
+	hp := headsPool.Get().(*[]int32)
+	defer headsPool.Put(hp)
+	if cap(*hp) < len(probe) {
+		*hp = make([]int32, len(probe))
+	}
+	heads := (*hp)[:len(probe)]
+	total := 0
+	for k, pr := range probe {
+		heads[k] = ix.first(pr, probeIdx)
+		n := ix.countChain(heads[k], pr, probeIdx)
+		if n == 0 && e.nullRight != nil {
+			n = 1
+		}
+		total += n
+	}
+	if total == 0 {
+		return nil
+	}
+	arena := NewRowArena(e.width, total)
+	for k, pr := range probe {
+		if ix.emitChain(heads[k], pr, probeIdx, e, arena) == 0 && e.nullRight != nil {
+			e.appendTo(arena, e.nullRight, pr)
+		}
+	}
+	return arena.Rows()
 }
 
 // rowSet is a chained hash set over whole rows, used by Distinct. Like

@@ -18,8 +18,8 @@ type StreamJoin struct {
 	shared       []string
 	lKey, rKey   []int
 	lKeep, rKeep []int
-	// nullRight is a right-width row of NullIDs, the padding ProbeOuter
-	// emits for probe rows with no match (left outer join semantics).
+	// nullRight is a right-width row of NullIDs, the padding an outer
+	// probe emits for probe rows with no match.
 	nullRight Row
 }
 
@@ -57,64 +57,43 @@ func (j *StreamJoin) Build(buildRows []Row, buildIsLeft bool) *StreamHash {
 		buildKey, probeKey = j.lKey, j.rKey
 	}
 	return &StreamHash{
-		j:         j,
 		ix:        buildJoinIndex(buildRows, buildKey),
 		probeKey:  probeKey,
-		buildLeft: buildIsLeft,
+		emit:      joinEmit{buildLeft: buildIsLeft, width: len(j.out), lKeep: j.lKeep, rKeep: j.rKeep},
+		nullRight: j.nullRight,
 	}
 }
 
-// StreamHash is a built hash table ready for chunk-at-a-time probing.
+// StreamHash is a built hash table ready for batch-at-a-time probing.
 // Probing is read-only, so concurrent probe morsels share one table.
 type StreamHash struct {
-	j         *StreamJoin
 	ix        joinIndex
 	probeKey  []int
-	buildLeft bool
+	emit      joinEmit
+	nullRight Row
 }
 
 // BuildRows returns the number of indexed build rows.
 func (h *StreamHash) BuildRows() int { return len(h.ix.rows) }
 
-// Probe appends every join match of probe row pr into arena — the
-// same chain walk and append paths as the materialized join — and
+// Probe appends every join match of probe row pr into arena and
 // returns the number of rows emitted.
 func (h *StreamHash) Probe(pr Row, arena *RowArena) int {
-	n := 0
-	for i := h.ix.first(pr, h.probeKey); i != 0; i = h.ix.next[i-1] {
-		if !h.ix.match(i, pr, h.probeKey) {
-			continue
-		}
-		br := h.ix.rows[i-1]
-		lr, rr := br, pr
-		if !h.buildLeft {
-			lr, rr = pr, br
-		}
-		if h.j.lKeep == nil {
-			arena.AppendJoin(lr, rr, h.j.rKeep)
-		} else {
-			arena.AppendJoinPruned(lr, rr, h.j.lKeep, h.j.rKeep)
-		}
-		n++
-	}
-	return n
+	return h.ix.emitChain(h.ix.first(pr, h.probeKey), pr, h.probeKey, &h.emit, arena)
 }
 
-// ProbeOuter is Probe with left-outer semantics: a probe row with no
-// match emits once, padded with NullID in the right-only columns. It
-// requires the build side to be the right (optional) input
-// (buildIsLeft=false at Build time) — the probe row is the left side
-// whose presence the outer join preserves.
-func (h *StreamHash) ProbeOuter(pr Row, arena *RowArena) int {
-	if n := h.Probe(pr, arena); n > 0 {
-		return n
+// ProbeBatch joins one batch of probe rows against the table into an
+// arena sized by the batch's match count (nil when nothing matches).
+// With outer set the probe has left-outer semantics — a probe row with
+// no match emits once, padded with NullID in the right-only columns —
+// which requires the build side to be the right (optional) input
+// (buildIsLeft=false at Build time).
+func (h *StreamHash) ProbeBatch(probe []Row, outer bool) []Row {
+	e := h.emit
+	if outer {
+		e.nullRight = h.nullRight
 	}
-	if h.j.lKeep == nil {
-		arena.AppendJoin(pr, h.j.nullRight, h.j.rKeep)
-	} else {
-		arena.AppendJoinPruned(pr, h.j.nullRight, h.j.lKeep, h.j.rKeep)
-	}
-	return 1
+	return h.ix.probeBatch(probe, h.probeKey, &e)
 }
 
 // RowDeduper wraps the Distinct operator's row set for streaming use:

@@ -493,7 +493,8 @@ type sparqlStats struct {
 	Ordered bool `json:"ordered,omitempty"`
 	// StreamingDowngraded reports that ?streaming=1 was requested but
 	// the query ran materialized anyway — the sharded coordinator path
-	// executes only under the materialized scheduler.
+	// executes only under the materialized scheduler, and the streaming
+	// compiler hands some plans back.
 	StreamingDowngraded bool `json:"streamingDowngraded,omitempty"`
 }
 
@@ -700,9 +701,10 @@ type statsResponse struct {
 		AvgFirstRowMS   float64 `json:"avgFirstRowMs"`
 		MaxPeakMemBytes int64   `json:"maxPeakMemBytes"`
 		// StreamingDowngraded counts queries that requested streaming
-		// but were forced onto the materialized scheduler (sharded
-		// coordinator mode) — a downgrade the response also reports
-		// per-query in its stats block.
+		// but ran on the materialized scheduler (sharded coordinator
+		// mode, or a plan the streaming compiler handed back) — a
+		// downgrade the response also reports per-query in its stats
+		// block.
 		StreamingDowngraded uint64 `json:"streamingDowngraded"`
 	} `json:"queries"`
 	// Resilience aggregates fault-recovery activity across queries plus

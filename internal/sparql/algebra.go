@@ -444,6 +444,9 @@ func (q *Query) Validate() error {
 	}
 	for _, v := range q.Vars {
 		if aliases[v] {
+			// Each alias is projected once, by its own COUNT; a second
+			// occurrence is a plain variable the pattern does not bind.
+			aliases[v] = false
 			continue
 		}
 		if !bound[v] {

@@ -280,51 +280,55 @@ func TestExtendedStringRoundTrip(t *testing.T) {
 	}
 }
 
+// parseErrorCases are sources Parse must reject (FuzzParse seeds its
+// corpus with them too).
+var parseErrorCases = []struct {
+	name string
+	src  string
+}{
+	{"empty", ""},
+	{"no where", "SELECT ?s"},
+	{"no brace", "SELECT ?s WHERE ?s <http://p> ?o ."},
+	{"unclosed brace", "SELECT ?s WHERE { ?s <http://p> ?o ."},
+	{"undeclared prefix", "SELECT * WHERE { ?s ex:p ?o . }"},
+	{"empty group", "SELECT ?s WHERE { }"},
+	{"projected var missing", "SELECT ?zzz WHERE { ?s <http://p> ?o . }"},
+	{"filtered var missing", "SELECT * WHERE { ?s <http://p> ?o . FILTER(?zzz = 1) }"},
+	{"literal subject", `SELECT * WHERE { "lit" <http://p> ?o . }`},
+	{"literal predicate", `SELECT * WHERE { ?s "lit" ?o . }`},
+	{"no projection", "SELECT WHERE { ?s <http://p> ?o . }"},
+	{"bad limit", "SELECT * WHERE { ?s <http://p> ?o . } LIMIT x"},
+	{"trailing garbage", "SELECT * WHERE { ?s <http://p> ?o . } BOGUS"},
+	{"filter missing paren", "SELECT * WHERE { ?s <http://p> ?o . FILTER ?o = 1 }"},
+	{"empty var", "SELECT ? WHERE { ?s <http://p> ?o . }"},
+	{"lone ampersand", "SELECT * WHERE { ?s <http://p> ?o . FILTER(?o = 1 & ?o = 2) }"},
+	{"unclosed optional", "SELECT * WHERE { ?s <http://p> ?o . OPTIONAL { ?s <http://q> ?x . }"},
+	{"optional missing brace", "SELECT * WHERE { ?s <http://p> ?o . OPTIONAL ?s <http://q> ?x . }"},
+	{"empty optional", "SELECT * WHERE { ?s <http://p> ?o . OPTIONAL { } }"},
+	{"nested optional", "SELECT * WHERE { ?s <http://p> ?o . OPTIONAL { ?s <http://q> ?x . OPTIONAL { ?x <http://r> ?y . } } }"},
+	{"disjoint optional", "SELECT * WHERE { ?s <http://p> ?o . OPTIONAL { ?x <http://q> ?y . } }"},
+	{"union single branch", "SELECT ?a WHERE { { ?a <http://p> ?b . } }"},
+	{"union missing second brace", "SELECT ?a WHERE { { ?a <http://p> ?b . } UNION ?a <http://q> ?b . }"},
+	{"union unclosed branch", "SELECT ?a WHERE { { ?a <http://p> ?b . } UNION { ?a <http://q> ?b . }"},
+	{"union mismatched vars", "SELECT ?a WHERE { { ?a <http://p> ?b . } UNION { ?a <http://q> ?c . } }"},
+	{"union brace inside plain group", "SELECT * WHERE { ?s <http://p> ?o . { ?s <http://q> ?x . } }"},
+	{"count without group by", "SELECT (COUNT(?o) AS ?n) WHERE { ?s <http://p> ?o . }"},
+	{"count missing as", "SELECT (COUNT(?o) ?n) WHERE { ?s <http://p> ?o . } GROUP BY ?s"},
+	{"count missing alias", "SELECT (COUNT(?o) AS) WHERE { ?s <http://p> ?o . } GROUP BY ?s"},
+	{"count bad argument", `SELECT (COUNT("x") AS ?n) WHERE { ?s <http://p> ?o . } GROUP BY ?s`},
+	{"count alias clash", "SELECT ?s (COUNT(?o) AS ?o) WHERE { ?s <http://p> ?o . } GROUP BY ?s"},
+	{"count alias also projected", "SELECT ?s ?n (COUNT(*) AS ?n) WHERE { ?s <http://p> ?o . } GROUP BY ?s"},
+	{"ungrouped projection", "SELECT ?s ?o (COUNT(*) AS ?n) WHERE { ?s <http://p> ?o . } GROUP BY ?s"},
+	{"group by unknown var", "SELECT (COUNT(*) AS ?n) WHERE { ?s <http://p> ?o . } GROUP BY ?zzz"},
+	{"group by no vars", "SELECT ?s WHERE { ?s <http://p> ?o . } GROUP BY"},
+	{"order by bare desc", "SELECT ?s WHERE { ?s <http://p> ?o . } ORDER BY DESC ?s"},
+	{"order by no keys", "SELECT ?s WHERE { ?s <http://p> ?o . } ORDER BY"},
+	{"order by unprojected", "SELECT ?s WHERE { ?s <http://p> ?o . } ORDER BY ?o"},
+	{"order by unclosed paren", "SELECT ?s WHERE { ?s <http://p> ?o . } ORDER BY ASC(?s"},
+}
+
 func TestParseErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		src  string
-	}{
-		{"empty", ""},
-		{"no where", "SELECT ?s"},
-		{"no brace", "SELECT ?s WHERE ?s <http://p> ?o ."},
-		{"unclosed brace", "SELECT ?s WHERE { ?s <http://p> ?o ."},
-		{"undeclared prefix", "SELECT * WHERE { ?s ex:p ?o . }"},
-		{"empty group", "SELECT ?s WHERE { }"},
-		{"projected var missing", "SELECT ?zzz WHERE { ?s <http://p> ?o . }"},
-		{"filtered var missing", "SELECT * WHERE { ?s <http://p> ?o . FILTER(?zzz = 1) }"},
-		{"literal subject", `SELECT * WHERE { "lit" <http://p> ?o . }`},
-		{"literal predicate", `SELECT * WHERE { ?s "lit" ?o . }`},
-		{"no projection", "SELECT WHERE { ?s <http://p> ?o . }"},
-		{"bad limit", "SELECT * WHERE { ?s <http://p> ?o . } LIMIT x"},
-		{"trailing garbage", "SELECT * WHERE { ?s <http://p> ?o . } BOGUS"},
-		{"filter missing paren", "SELECT * WHERE { ?s <http://p> ?o . FILTER ?o = 1 }"},
-		{"empty var", "SELECT ? WHERE { ?s <http://p> ?o . }"},
-		{"lone ampersand", "SELECT * WHERE { ?s <http://p> ?o . FILTER(?o = 1 & ?o = 2) }"},
-		{"unclosed optional", "SELECT * WHERE { ?s <http://p> ?o . OPTIONAL { ?s <http://q> ?x . }"},
-		{"optional missing brace", "SELECT * WHERE { ?s <http://p> ?o . OPTIONAL ?s <http://q> ?x . }"},
-		{"empty optional", "SELECT * WHERE { ?s <http://p> ?o . OPTIONAL { } }"},
-		{"nested optional", "SELECT * WHERE { ?s <http://p> ?o . OPTIONAL { ?s <http://q> ?x . OPTIONAL { ?x <http://r> ?y . } } }"},
-		{"disjoint optional", "SELECT * WHERE { ?s <http://p> ?o . OPTIONAL { ?x <http://q> ?y . } }"},
-		{"union single branch", "SELECT ?a WHERE { { ?a <http://p> ?b . } }"},
-		{"union missing second brace", "SELECT ?a WHERE { { ?a <http://p> ?b . } UNION ?a <http://q> ?b . }"},
-		{"union unclosed branch", "SELECT ?a WHERE { { ?a <http://p> ?b . } UNION { ?a <http://q> ?b . }"},
-		{"union mismatched vars", "SELECT ?a WHERE { { ?a <http://p> ?b . } UNION { ?a <http://q> ?c . } }"},
-		{"union brace inside plain group", "SELECT * WHERE { ?s <http://p> ?o . { ?s <http://q> ?x . } }"},
-		{"count without group by", "SELECT (COUNT(?o) AS ?n) WHERE { ?s <http://p> ?o . }"},
-		{"count missing as", "SELECT (COUNT(?o) ?n) WHERE { ?s <http://p> ?o . } GROUP BY ?s"},
-		{"count missing alias", "SELECT (COUNT(?o) AS) WHERE { ?s <http://p> ?o . } GROUP BY ?s"},
-		{"count bad argument", `SELECT (COUNT("x") AS ?n) WHERE { ?s <http://p> ?o . } GROUP BY ?s`},
-		{"count alias clash", "SELECT ?s (COUNT(?o) AS ?o) WHERE { ?s <http://p> ?o . } GROUP BY ?s"},
-		{"ungrouped projection", "SELECT ?s ?o (COUNT(*) AS ?n) WHERE { ?s <http://p> ?o . } GROUP BY ?s"},
-		{"group by unknown var", "SELECT (COUNT(*) AS ?n) WHERE { ?s <http://p> ?o . } GROUP BY ?zzz"},
-		{"group by no vars", "SELECT ?s WHERE { ?s <http://p> ?o . } GROUP BY"},
-		{"order by bare desc", "SELECT ?s WHERE { ?s <http://p> ?o . } ORDER BY DESC ?s"},
-		{"order by no keys", "SELECT ?s WHERE { ?s <http://p> ?o . } ORDER BY"},
-		{"order by unprojected", "SELECT ?s WHERE { ?s <http://p> ?o . } ORDER BY ?o"},
-		{"order by unclosed paren", "SELECT ?s WHERE { ?s <http://p> ?o . } ORDER BY ASC(?s"},
-	}
-	for _, tt := range tests {
+	for _, tt := range parseErrorCases {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Parse(tt.src); err == nil {
 				t.Errorf("Parse(%q) succeeded, want error", tt.src)
