@@ -139,19 +139,23 @@ func run(in, queryText, queryFile, strategy, planner string, workers int, stream
 	if !res.Ordered {
 		rows = res.SortedRows()
 	}
+	var line []byte
 	for i, row := range rows {
 		if maxRows > 0 && i >= maxRows {
 			fmt.Printf("… (%d more rows)\n", len(res.Rows)-maxRows)
 			break
 		}
-		cells := make([]string, len(row))
+		line = line[:0]
 		for j, t := range row {
-			if t == (rdf.Term{}) {
-				continue // unbound OPTIONAL cell: empty, not "<>"
+			if j > 0 {
+				line = append(line, '\t')
 			}
-			cells[j] = t.String()
+			if t != (rdf.Term{}) { // an unbound OPTIONAL cell stays empty, not "<>"
+				line = t.AppendNTriples(line)
+			}
 		}
-		fmt.Println(strings.Join(cells, "\t"))
+		line = append(line, '\n')
+		os.Stdout.Write(line)
 	}
 	fmt.Printf("\n%d rows; simulated cluster time %v (wall %v, strategy %s)\n",
 		len(res.Rows), res.SimTime, res.WallTime, strat)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -133,58 +134,52 @@ func (s *TaskStats) Add(o TaskStats) {
 	s.KVScanBytes += o.KVScanBytes
 }
 
-// RunStage executes fn once per partition with real parallelism, then
-// charges the stage to clock: the given launch overhead (zero for work
-// that pipelines into an open stage; a stage launch — plus possibly a
-// query-start cost — at shuffle and job boundaries) plus the makespan
-// of the simulated workers (tasks are assigned round-robin; each
-// worker's time is the sum of its tasks' priced time; the stage takes
-// as long as the slowest worker).
+// RunStage executes fn once per partition, then charges the stage to
+// clock: the given launch overhead (zero for work that pipelines into
+// an open stage; a stage launch — plus possibly a query-start cost — at
+// shuffle and job boundaries) plus the makespan of the simulated
+// workers (tasks are assigned round-robin; each worker's time is the
+// sum of its tasks' priced time; the stage takes as long as the slowest
+// worker).
+//
+// At most MaxParallel workers pull partition tasks from a shared
+// counter, and the calling goroutine is one of them, so a stage of one
+// partition (or MaxParallel = 1) starts no goroutine and what a stage
+// allocates does not depend on how many partitions it has. Every
+// partition runs even after one has failed; the error reported is the
+// lowest failing partition's.
 func (c *Cluster) RunStage(clock *Clock, launch time.Duration, name string, partitions int, fn func(part int) (TaskStats, error)) error {
 	if partitions <= 0 {
 		partitions = 1
 	}
-	stats := make([]TaskStats, partitions)
-	errs := make([]error, partitions)
-
 	par := c.cfg.MaxParallel
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > partitions {
-		par = partitions
+	par = min(par, partitions)
+	run := &stageRun{fn: fn, tasks: make([]taskOutcome, partitions)}
+	run.wg.Add(par)
+	for w := 1; w < par; w++ {
+		go run.work()
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, par)
-	for i := 0; i < partitions; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			stats[i], errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
+	run.work()
+	run.wg.Wait()
+	for i := range run.tasks {
+		if err := run.tasks[i].err; err != nil {
 			return fmt.Errorf("cluster: stage %q partition %d: %w", name, i, err)
 		}
 	}
 
 	// Price the stage: round-robin task placement, makespan = max worker.
-	workerTime := make([]time.Duration, c.cfg.Workers)
 	var total TaskStats
-	for i, st := range stats {
-		w := i % c.cfg.Workers
-		workerTime[w] += c.cfg.Cost.TaskTime(st)
-		total.Add(st)
-	}
 	var makespan time.Duration
-	for _, wt := range workerTime {
-		if wt > makespan {
-			makespan = wt
+	for w := 0; w < c.cfg.Workers && w < partitions; w++ {
+		var workerTime time.Duration
+		for i := w; i < partitions; i += c.cfg.Workers {
+			workerTime += c.cfg.Cost.TaskTime(run.tasks[i].stats)
+			total.Add(run.tasks[i].stats)
 		}
+		makespan = max(makespan, workerTime)
 	}
 	elapsed := launch + makespan
 	if clock != nil {
@@ -198,6 +193,33 @@ func (c *Cluster) RunStage(clock *Clock, launch time.Duration, name string, part
 		})
 	}
 	return nil
+}
+
+// stageRun is one stage's task queue: next is the lowest partition no
+// worker has claimed yet, and each partition's outcome lands in its own
+// slot.
+type stageRun struct {
+	fn    func(part int) (TaskStats, error)
+	tasks []taskOutcome
+	next  atomic.Int64
+	wg    sync.WaitGroup
+}
+
+type taskOutcome struct {
+	stats TaskStats
+	err   error
+}
+
+// work runs unclaimed partitions until none is left.
+func (r *stageRun) work() {
+	defer r.wg.Done()
+	for {
+		i := int(r.next.Add(1)) - 1
+		if i >= len(r.tasks) {
+			return
+		}
+		r.tasks[i].stats, r.tasks[i].err = r.fn(i)
+	}
 }
 
 // HashPartition returns the partition index for a key hashed over n

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -288,26 +289,127 @@ func TestRunStageZeroPartitions(t *testing.T) {
 	}
 }
 
-func TestRunStageParallelismBound(t *testing.T) {
-	c := MustNew(Config{Workers: 4, DefaultPartitions: 4, MaxParallel: 2})
-	var cur, max atomic.Int64
-	err := c.RunStage(NewClock(), 0, "bounded", 8, func(part int) (TaskStats, error) {
-		n := cur.Add(1)
-		for {
-			m := max.Load()
-			if n <= m || max.CompareAndSwap(m, n) {
-				break
+// stageTaskStats is an arbitrary but fixed priced work per partition.
+func stageTaskStats(part int) TaskStats {
+	return TaskStats{DiskBytes: int64(part%5) << 20, NetBytes: int64(part%3) << 18, Rows: int64(part*7 + 1), Seeks: int64(part % 2)}
+}
+
+// sequentialStageRecord prices a stage the way RunStage documents it,
+// one partition after the other: round-robin placement on the simulated
+// workers, makespan of the slowest.
+func sequentialStageRecord(c *Cluster, name string, launch time.Duration, partitions int) StageRecord {
+	workerTime := make([]time.Duration, c.cfg.Workers)
+	rec := StageRecord{Name: name, Launch: launch, Tasks: partitions}
+	for i := 0; i < partitions; i++ {
+		st := stageTaskStats(i)
+		workerTime[i%c.cfg.Workers] += c.cfg.Cost.TaskTime(st)
+		rec.Stats.Add(st)
+	}
+	for _, wt := range workerTime {
+		rec.Makespan = max(rec.Makespan, wt)
+	}
+	rec.Elapsed = launch + rec.Makespan
+	return rec
+}
+
+// TestRunStageProperties checks, over stage sizes from none to a
+// thousand partitions and every kind of MaxParallel, that each
+// partition runs exactly once, that no more than the bound run at a
+// time, that a stage a single worker can run stays on the calling
+// goroutine, that the charged StageRecord equals the sequential
+// computation, and that with partitions 3 and 7 failing the rest still
+// run and partition 3 is the one reported.
+func TestRunStageProperties(t *testing.T) {
+	for _, partitions := range []int{0, 1, 2, 17, 1000} {
+		for _, maxPar := range []int{0, 1, 2, 64} {
+			for _, failing := range []bool{false, true} {
+				tasks := max(partitions, 1) // a stage always has one task
+				if failing && tasks <= 7 {
+					continue
+				}
+				bound := maxPar
+				if bound == 0 {
+					bound = runtime.GOMAXPROCS(0)
+				}
+				label := fmt.Sprintf("partitions=%d MaxParallel=%d failing=%v", partitions, maxPar, failing)
+				c := MustNew(Config{Workers: 3, DefaultPartitions: 6, MaxParallel: maxPar})
+				ran := make([]atomic.Int32, tasks)
+				var cur, high, offCaller atomic.Int64
+				boom := errors.New("boom")
+				clock := NewClock()
+				err := c.RunStage(clock, 5*time.Millisecond, "prop", partitions, func(part int) (TaskStats, error) {
+					n := cur.Add(1)
+					for m := high.Load(); n > m && !high.CompareAndSwap(m, n); m = high.Load() {
+					}
+					ran[part].Add(1)
+					if min(bound, tasks) == 1 {
+						var stack [4096]byte
+						if !strings.Contains(string(stack[:runtime.Stack(stack[:], false)]), "TestRunStageProperties") {
+							offCaller.Add(1)
+						}
+					}
+					if part%16 == 0 {
+						runtime.Gosched() // let the other workers overlap
+					}
+					cur.Add(-1)
+					if failing && (part == 3 || part == 7) {
+						return TaskStats{}, fmt.Errorf("task %d: %w", part, boom)
+					}
+					return stageTaskStats(part), nil
+				})
+				for part := range ran {
+					if n := ran[part].Load(); n != 1 {
+						t.Fatalf("%s: partition %d ran %d times", label, part, n)
+					}
+				}
+				if high.Load() > int64(bound) {
+					t.Errorf("%s: %d tasks ran at once, bound is %d", label, high.Load(), bound)
+				}
+				if offCaller.Load() != 0 {
+					t.Errorf("%s: %d tasks ran off the calling goroutine", label, offCaller.Load())
+				}
+				if failing {
+					if !errors.Is(err, boom) || !strings.Contains(err.Error(), "partition 3:") {
+						t.Errorf("%s: error %v, want partition 3's", label, err)
+					}
+					if len(clock.Stages()) != 0 {
+						t.Errorf("%s: a failed stage was charged", label)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if got, want := clock.Stages(), sequentialStageRecord(c, "prop", 5*time.Millisecond, tasks); len(got) != 1 || got[0] != want {
+					t.Errorf("%s: charged %+v, sequential computation gives %+v", label, got, want)
+				}
 			}
 		}
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-		return TaskStats{}, nil
-	})
-	if err != nil {
-		t.Fatalf("RunStage: %v", err)
 	}
-	if max.Load() > 2 {
-		t.Errorf("observed parallelism %d exceeds MaxParallel=2", max.Load())
+}
+
+// TestRunStageAllocsIndependentOfPartitions: a stage allocates its
+// outcome slots and its queue, plus what starting the bounded workers
+// costs — the same number of allocations for two partitions as for a
+// thousand. (One goroutine and closure per partition made it grow.)
+func TestRunStageAllocsIndependentOfPartitions(t *testing.T) {
+	for _, maxPar := range []int{1, 2} {
+		c := MustNew(Config{Workers: 3, DefaultPartitions: 6, MaxParallel: maxPar})
+		clock := NewClock()
+		fn := func(part int) (TaskStats, error) { return stageTaskStats(part), nil }
+		allocs := func(partitions int) float64 {
+			return testing.AllocsPerRun(50, func() {
+				clock.Reset()
+				if err := c.RunStage(clock, 0, "allocs", partitions, fn); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(2), allocs(1000)
+		t.Logf("MaxParallel=%d: %.0f allocations per stage at 2 partitions, %.0f at 1000", maxPar, small, large)
+		if large != small || large > 6 {
+			t.Errorf("MaxParallel=%d: a stage allocates %.0f times at 2 partitions and %.0f at 1000; want the same handful", maxPar, small, large)
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ const (
 // lays it out — column by column, each column sorted on the key — with
 // the NULL cells left out: a column lists only the keys that have a
 // value. A star sub-pattern is then a sorted intersection of a few
-// columns (scanPTPartition), which is the "one scan, no join" the
+// columns (ptScan.run), which is the "one scan, no join" the
 // paper builds the table for. Multi-valued predicates hold value lists
 // that are flattened on access.
 type PropertyTable struct {

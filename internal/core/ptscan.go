@@ -148,50 +148,68 @@ type ptCursor struct {
 	next int
 }
 
-// scanPTPartition evaluates a node's patterns over one PT partition as
-// a sorted intersection of their columns. The column with the fewest
-// keys drives (the first such on a tie): its keys are visited in
-// ascending order and every other pattern's cursor is advanced to the
-// same key by galloping search, so a key missing from any column is
-// skipped without touching its values. For a key present in all of
-// them, bound-value and ?s p ?s patterns are membership tests on the
-// value list, and the remaining lists are combined by an odometer
-// (first pattern slowest) into one reused row — the multi-valued
-// flatten — with repeated variables checked as the row fills. Rows
-// passing rowPred (pushed-down FILTERs, may be nil) are counted and,
-// when yield is non-nil, yielded; the yielded row is scratch the
-// callback MUST copy. A nil yield makes a counting pass, which is how
-// callers size their output before the emitting pass. Nothing is
-// allocated per key.
-//
-// processed is the number of driver keys, the size of the smallest
-// column a Parquet reader would have to walk; it is what the cost
-// model charges the scan for beside its output rows. It is defined on
-// the column, not on the keys the loop happens to reach before another
-// column runs out, so that the priced work of a scan depends on the
-// data alone. A partition lacking one of the columns costs nothing.
-func scanPTPartition(part *ptPartition, specs []patSpec, width int, rowPred func(engine.Row) bool, yield func(engine.Row)) (processed, rows int64) {
-	curs := make([]ptCursor, len(specs))
-	driver := 0
+// ptScan is the scaffolding of one PT partition scan — the patterns'
+// cursors, the ones whose values reach the output row, and the scratch
+// row — built once per partition and shared by the counting pass and
+// the emitting pass that follows it.
+type ptScan struct {
+	curs   []ptCursor
+	driver int
+	// out lists the patterns whose values reach the row, in pattern
+	// order; the others only constrain.
+	out []*ptCursor
+	row engine.Row
+}
+
+// newPTScan prepares a scan of a node's patterns over one PT partition.
+// The column with the fewest keys drives (the first such on a tie). ok
+// is false when the partition lacks one of the columns: it holds no
+// answer and costs nothing.
+func newPTScan(part *ptPartition, specs []patSpec, width int) (sc ptScan, ok bool) {
+	sc.curs = make([]ptCursor, len(specs))
 	for i, sp := range specs {
 		col := part.cols[sp.pid]
 		if col == nil {
-			return 0, 0 // a required predicate has no cells here
+			return ptScan{}, false // a required predicate has no cells here
 		}
-		curs[i] = ptCursor{spec: sp, col: col}
-		if len(col.keys) < len(curs[driver].col.keys) {
-			driver = i
-		}
-	}
-	// out lists the patterns whose values reach the row, in pattern
-	// order; the others only constrain.
-	out := make([]*ptCursor, 0, len(specs))
-	for i := range curs {
-		if sp := curs[i].spec; sp.newCol >= 0 || sp.eqCol >= 0 {
-			out = append(out, &curs[i])
+		sc.curs[i] = ptCursor{spec: sp, col: col}
+		if len(col.keys) < len(sc.curs[sc.driver].col.keys) {
+			sc.driver = i
 		}
 	}
-	row := make(engine.Row, width)
+	sc.out = make([]*ptCursor, 0, len(specs))
+	for i := range sc.curs {
+		if sp := sc.curs[i].spec; sp.newCol >= 0 || sp.eqCol >= 0 {
+			sc.out = append(sc.out, &sc.curs[i])
+		}
+	}
+	sc.row = make(engine.Row, width)
+	return sc, true
+}
+
+// processed is the number of driver keys, the size of the smallest
+// column a Parquet reader would have to walk; it is what the cost model
+// charges the scan for beside its output rows. It is defined on the
+// column, not on the keys a pass happens to reach before another column
+// runs out, so that the priced work of a scan depends on the data
+// alone.
+func (sc *ptScan) processed() int64 { return int64(len(sc.curs[sc.driver].col.keys)) }
+
+// run makes one pass over the partition as a sorted intersection of
+// the patterns' columns: the driver's keys are visited in ascending
+// order and every other pattern's cursor is advanced to the same key by
+// galloping search, so a key missing from any column is skipped without
+// touching its values. For a key present in all of them, bound-value
+// and ?s p ?s patterns are membership tests on the value list, and the
+// remaining lists are combined by an odometer (first pattern slowest)
+// into the one reused row — the multi-valued flatten — with repeated
+// variables checked as the row fills. Rows passing rowPred (pushed-down
+// FILTERs, may be nil) are counted and, when yield is non-nil, yielded;
+// the yielded row is scratch the callback MUST copy. A nil yield makes
+// a counting pass, which is how callers size their output before the
+// emitting pass. Nothing is allocated, per key or per pass.
+func (sc *ptScan) run(rowPred func(engine.Row) bool, yield func(engine.Row)) (rows int64) {
+	curs, out, row, driver := sc.curs, sc.out, sc.row, sc.driver
 	emit := func() {
 		if rowPred == nil || rowPred(row) {
 			rows++
@@ -200,10 +218,12 @@ func scanPTPartition(part *ptPartition, specs []patSpec, width int, rowPred func
 			}
 		}
 	}
+	for i := range curs {
+		curs[i].pos = 0
+	}
 
-	dkeys := curs[driver].col.keys
 nextKey:
-	for di, key := range dkeys {
+	for di, key := range curs[driver].col.keys {
 		for i := range curs {
 			c := &curs[i]
 			if i == driver {
@@ -259,7 +279,7 @@ nextKey:
 			emit()
 		}
 	}
-	return int64(len(dkeys)), rows
+	return rows
 }
 
 // gallop returns the smallest i ≥ from with keys[i] ≥ key, or len(keys)
@@ -291,9 +311,9 @@ func gallop(keys []rdf.ID, from int, key rdf.ID) int {
 	return hi
 }
 
-// ptDriverKeys is the number of keys scanPTPartition's driving column
-// holds in the partition — what it reports as processed: the key count
-// of the smallest of the patterns' columns, zero when one is missing.
+// ptDriverKeys is the number of keys a partition scan's driving column
+// holds — what ptScan.processed reports: the key count of the smallest
+// of the patterns' columns, zero when one is missing.
 func ptDriverKeys(part *ptPartition, specs []patSpec) int {
 	n := -1
 	for _, sp := range specs {
@@ -312,11 +332,15 @@ func ptDriverKeys(part *ptPartition, specs []patSpec) int {
 // once at the exact size a counting pass found.
 func scanPTPartitionRows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool) (rows []engine.Row, processed int64) {
 	width := len(spec.schema)
-	processed, n := scanPTPartition(part, spec.specs, width, rowPred, nil)
+	sc, ok := newPTScan(part, spec.specs, width)
+	if !ok {
+		return nil, 0
+	}
+	n := sc.run(rowPred, nil)
 	if n == 0 {
-		return nil, processed
+		return nil, sc.processed()
 	}
 	arena := engine.NewRowArena(width, int(n))
-	scanPTPartition(part, spec.specs, width, rowPred, arena.AppendCopy)
-	return arena.Rows(), processed
+	sc.run(rowPred, arena.AppendCopy)
+	return arena.Rows(), sc.processed()
 }

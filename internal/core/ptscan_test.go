@@ -500,7 +500,8 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 		var emitted int64
 		scan = testing.AllocsPerRun(10, func() {
 			emitted = 0
-			scanPTPartition(part, spec.specs, len(spec.schema), nil, func(engine.Row) { emitted++ })
+			sc, _ := newPTScan(part, spec.specs, len(spec.schema))
+			sc.run(nil, func(engine.Row) { emitted++ })
 		})
 		if emitted != int64(2*keys) {
 			t.Fatalf("%d keys: scan emitted %d rows, want %d", keys, emitted, 2*keys)

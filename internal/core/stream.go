@@ -876,42 +876,50 @@ func scanWorkers(par, rows, chunkSize int) int {
 // headers that every partition it scans refills. A context cancellation
 // stops workers from starting further partitions.
 func (p *streamPipe) forEachPart(ctx context.Context, workers, batchCap int, scan func(pi int, batch []engine.Row)) error {
-	parts := p.src.parts
-	var next atomic.Int64
-	var cancelled atomic.Pointer[CancelError]
-	work := func() {
-		var batch []engine.Row
-		for cancelled.Load() == nil {
-			pi := int(next.Add(1)) - 1
-			if pi >= parts {
-				return
-			}
-			if ctx != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					cancelled.CompareAndSwap(nil, &CancelError{Err: cerr, CompletedTasks: pi, TotalTasks: parts})
-					return
-				}
-			}
-			if batch == nil && batchCap > 0 {
-				batch = make([]engine.Row, 0, batchCap)
-			}
-			scan(pi, batch)
-		}
+	q := &partQueue{ctx: ctx, parts: p.src.parts, batchCap: batchCap, scan: scan}
+	workers = max(min(workers, q.parts), 1)
+	q.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go q.work()
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, parts); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if ce := cancelled.Load(); ce != nil {
+	q.work()
+	q.wg.Wait()
+	if ce := q.cancelled.Load(); ce != nil {
 		return ce
 	}
 	return nil
+}
+
+// partQueue is the state forEachPart's workers share, in one allocation.
+type partQueue struct {
+	ctx       context.Context
+	parts     int
+	batchCap  int
+	scan      func(pi int, batch []engine.Row)
+	next      atomic.Int64
+	cancelled atomic.Pointer[CancelError]
+	wg        sync.WaitGroup
+}
+
+func (q *partQueue) work() {
+	defer q.wg.Done()
+	var batch []engine.Row
+	for q.cancelled.Load() == nil {
+		pi := int(q.next.Add(1)) - 1
+		if pi >= q.parts {
+			return
+		}
+		if q.ctx != nil {
+			if cerr := q.ctx.Err(); cerr != nil {
+				q.cancelled.CompareAndSwap(nil, &CancelError{Err: cerr, CompletedTasks: pi, TotalTasks: q.parts})
+				return
+			}
+		}
+		if batch == nil && q.batchCap > 0 {
+			batch = make([]engine.Row, 0, q.batchCap)
+		}
+		q.scan(pi, batch)
+	}
 }
 
 // scanVPPart streams one VP partition through the pipeline: the fused
@@ -949,15 +957,17 @@ func (p *streamPipe) scanVPPart(pi, chunkSize int, batch []engine.Row) {
 func (p *streamPipe) scanPTPart(pi, chunkSize int) {
 	src := p.src
 	width := len(src.spec.schema)
-	part := src.pt.parts[pi]
-	processed, n := scanPTPartition(part, src.spec.specs, width, src.rowPred, nil)
-	src.scanned.Add(processed)
-	if n == 0 {
+	sc, ok := newPTScan(src.pt.parts[pi], src.spec.specs, width)
+	if !ok {
 		return
 	}
-	left := int(n)
+	src.scanned.Add(sc.processed())
+	left := int(sc.run(src.rowPred, nil))
+	if left == 0 {
+		return
+	}
 	var arena *engine.RowArena
-	scanPTPartition(part, src.spec.specs, width, src.rowPred, func(r engine.Row) {
+	sc.run(src.rowPred, func(r engine.Row) {
 		if arena == nil {
 			arena = engine.NewRowArena(width, min(left, chunkSize))
 		}
@@ -1761,23 +1771,23 @@ func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryO
 
 	// Publish the trace: one record per pipeline (display-only; the
 	// clock advances by the simulated completion, not the stage sum).
-	trace := cluster.NewClock()
-	trace.Charge("query planning", cost.SQLPlanning)
+	planning := cluster.StageRecord{Name: "query planning", Tasks: 1, Elapsed: cost.SQLPlanning, Makespan: cost.SQLPlanning}
+	trace := append(make([]cluster.StageRecord, 0, len(pipes)+2), planning)
 	for _, p := range pipes {
 		mk := cost.TaskTime(p.Work)
-		trace.Absorb([]cluster.StageRecord{{
+		trace = append(trace, cluster.StageRecord{
 			Name:     "pipeline " + p.Name,
 			Launch:   p.Launch,
 			Tasks:    p.Morsels,
 			Elapsed:  p.Launch + mk,
 			Makespan: mk,
 			Stats:    p.Work,
-		}})
+		})
 	}
 	if rec := simRes.Recovery.Recovery; rec > 0 {
-		trace.Charge("fault recovery (retries, backoff, speculation, recompute)", rec)
+		trace = append(trace, cluster.StageRecord{Name: "fault recovery (retries, backoff, speculation, recompute)", Tasks: 1, Elapsed: rec, Makespan: rec})
 	}
-	clock.MergeTrace(trace.Stages(), simRes.Done)
+	clock.MergeTrace(trace, simRes.Done)
 
 	decoded := s.decodeRows(rows, pl.Root.CountCols)
 

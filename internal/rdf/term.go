@@ -10,7 +10,9 @@ package rdf
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three syntactic categories of RDF terms.
@@ -99,48 +101,74 @@ func (t Term) IsBlank() bool { return t.Kind == KindBlank }
 // String renders the term in N-Triples surface syntax, e.g.
 // <http://example.org/s>, "42"^^<…#integer>, "chat"@fr or _:b0.
 func (t Term) String() string {
+	var buf [96]byte // most terms fit: the string is then the only allocation
+	return string(t.AppendNTriples(buf[:0]))
+}
+
+// AppendNTriples appends the term's N-Triples surface syntax (what
+// String returns) to dst and returns the extended slice. It allocates
+// only when dst has to grow.
+func (t Term) AppendNTriples(dst []byte) []byte {
 	switch t.Kind {
 	case KindIRI:
-		return "<" + t.Value + ">"
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	case KindBlank:
-		return "_:" + t.Value
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	case KindLiteral:
-		var sb strings.Builder
-		sb.WriteByte('"')
-		escapeLiteral(&sb, t.Value)
-		sb.WriteByte('"')
+		dst = append(dst, '"')
+		dst = appendEscapedLiteral(dst, t.Value)
+		dst = append(dst, '"')
 		if t.Lang != "" {
-			sb.WriteByte('@')
-			sb.WriteString(t.Lang)
+			dst = append(dst, '@')
+			dst = append(dst, t.Lang...)
 		} else if t.Datatype != "" {
-			sb.WriteString("^^<")
-			sb.WriteString(t.Datatype)
-			sb.WriteByte('>')
+			dst = append(dst, "^^<"...)
+			dst = append(dst, t.Datatype...)
+			dst = append(dst, '>')
 		}
-		return sb.String()
+		return dst
 	default:
-		return fmt.Sprintf("!invalid-term(%d)", t.Kind)
+		dst = append(dst, "!invalid-term("...)
+		dst = strconv.AppendUint(dst, uint64(t.Kind), 10)
+		return append(dst, ')')
 	}
 }
 
-// escapeLiteral writes s with the N-Triples string escapes applied.
-func escapeLiteral(sb *strings.Builder, s string) {
-	for _, r := range s {
-		switch r {
-		case '"':
-			sb.WriteString(`\"`)
-		case '\\':
-			sb.WriteString(`\\`)
-		case '\n':
-			sb.WriteString(`\n`)
-		case '\r':
-			sb.WriteString(`\r`)
-		case '\t':
-			sb.WriteString(`\t`)
-		default:
-			sb.WriteRune(r)
+// appendEscapedLiteral appends s with the N-Triples string escapes
+// applied. Bytes that are not valid UTF-8 become U+FFFD, one per byte.
+func appendEscapedLiteral(dst []byte, s string) []byte {
+	start := 0 // s[start:i] is pending, copied verbatim at the next escape
+	for i := 0; i < len(s); {
+		var esc string
+		size := 1
+		switch c := s[i]; {
+		case c == '"':
+			esc = `\"`
+		case c == '\\':
+			esc = `\\`
+		case c == '\n':
+			esc = `\n`
+		case c == '\r':
+			esc = `\r`
+		case c == '\t':
+			esc = `\t`
+		case c >= utf8.RuneSelf:
+			var r rune
+			if r, size = utf8.DecodeRuneInString(s[i:]); r == utf8.RuneError && size == 1 {
+				esc = "\uFFFD"
+			}
 		}
+		if esc != "" {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, esc...)
+			start = i + size
+		}
+		i += size
 	}
+	return append(dst, s[start:]...)
 }
 
 // Compare orders terms deterministically: first by kind (IRI < literal <

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -22,11 +23,23 @@ func TestTermString(t *testing.T) {
 		{"escaped newline", NewLiteral("a\nb"), `"a\nb"`},
 		{"escaped tab", NewLiteral("a\tb"), `"a\tb"`},
 		{"escaped cr", NewLiteral("a\rb"), `"a\rb"`},
+		{"empty literal", NewLiteral(""), `""`},
+		{"escape first and last", NewLiteral("\"mid\\"), `"\"mid\\"`},
+		{"multibyte kept", NewLangLiteral("h\u00e9\u2028\U0001F600", "fr"), "\"h\u00e9\u2028\U0001F600\"@fr"},
+		{"invalid utf-8 replaced per byte", NewLiteral("a\xff\xfeb\xc3"), "\"a\uFFFD\uFFFDb\uFFFD\""},
+		{"real U+FFFD kept", NewLiteral("\uFFFD"), "\"\uFFFD\""},
+		{"lang wins over datatype", Term{Kind: KindLiteral, Value: "x", Datatype: XSDString, Lang: "en"}, `"x"@en`},
+		{"longer than the stack buffer", NewIRI("http://example.org/" + strings.Repeat("x", 200)), "<http://example.org/" + strings.Repeat("x", 200) + ">"},
+		{"invalid kind", Term{Kind: 7, Value: "x"}, "!invalid-term(7)"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := tt.term.String(); got != tt.want {
 				t.Errorf("String() = %q, want %q", got, tt.want)
+			}
+			// The appender extends what it is given and renders the same text.
+			if got := string(tt.term.AppendNTriples([]byte("x\t"))); got != "x\t"+tt.want {
+				t.Errorf("AppendNTriples = %q, want %q", got, "x\t"+tt.want)
 			}
 		})
 	}

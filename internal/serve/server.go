@@ -12,7 +12,9 @@
 //	                     ?streaming=1 routes it through the morsel
 //	                     executor (?chunk= sets the chunk size) and the
 //	                     response body is flushed to the client in row
-//	                     chunks as it is written
+//	                     chunks as it is written; every parameter is
+//	                     validated before anything executes (400, or
+//	                     413 for a POST body over 1 MiB)
 //	GET      /explain  — physical plan, estimation errors, adaptive
 //	                     re-plan events / feedback provenance, Join
 //	                     Tree and stage trace (?analyze=0 plans only)
@@ -49,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,7 +59,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
@@ -229,95 +231,136 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// queryText extracts the SPARQL text from ?query= or the request body.
-func queryText(r *http.Request) (string, error) {
-	if q := r.URL.Query().Get("query"); q != "" {
-		return q, nil
-	}
-	if r.Method == http.MethodPost {
-		b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			return "", err
-		}
-		if len(b) > 0 {
-			return string(b), nil
-		}
-	}
-	return "", fmt.Errorf("missing query: pass ?query=… or POST the query text")
+// maxQueryBytes bounds a POSTed query text; a longer body is a 413.
+const maxQueryBytes = 1 << 20
+
+// request is one /sparql or /explain request, validated in full before
+// anything executes.
+type request struct {
+	query *sparql.Query
+	opts  core.QueryOptions
+	tsv   bool // format=tsv (or Accept) rather than JSON
 }
 
-// requestOptions resolves per-request planner/strategy overrides on
-// top of the configured base options.
-func (s *Server) requestOptions(r *http.Request) (core.QueryOptions, error) {
-	opts := s.cfg.Options
-	if v := r.URL.Query().Get("planner"); v != "" {
-		mode, err := core.ParsePlannerMode(v)
-		if err != nil {
-			return opts, err
-		}
-		opts.Planner = mode
+// queryParams parses the request's URL parameters — once; everything
+// downstream takes the parsed values. A query string url.ParseQuery
+// rejects is answered here (400 naming the error, counted as an errored
+// query) and nil returned.
+func (s *Server) queryParams(w http.ResponseWriter, r *http.Request) url.Values {
+	params, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		s.mu.Lock()
+		s.queries++
+		s.errors++
+		s.mu.Unlock()
+		writeError(w, badRequest{fmt.Errorf("malformed query string: %w", err), http.StatusBadRequest})
+		return nil
 	}
-	if v := r.URL.Query().Get("strategy"); v != "" {
+	return params
+}
+
+// parseRequest resolves a request's query text (?query= or the POST
+// body), per-request planner/strategy/streaming overrides on top of the
+// configured base options, and result format. Every failure is the
+// caller's: a badRequest carrying the status to answer with.
+func (s *Server) parseRequest(r *http.Request, params url.Values) (req request, err error) {
+	req.opts = s.cfg.Options
+	bad := func(err error) (request, error) { return request{}, badRequest{err, http.StatusBadRequest} }
+
+	text := params.Get("query")
+	if text == "" && r.Method == http.MethodPost {
+		b, rerr := io.ReadAll(io.LimitReader(r.Body, maxQueryBytes+1))
+		if rerr != nil {
+			return bad(rerr)
+		}
+		if len(b) > maxQueryBytes {
+			return request{}, badRequest{fmt.Errorf("query text exceeds %d bytes", maxQueryBytes), http.StatusRequestEntityTooLarge}
+		}
+		text = string(b)
+	}
+	if text == "" {
+		return bad(fmt.Errorf("missing query: pass ?query=… or POST the query text"))
+	}
+
+	if v := params.Get("planner"); v != "" {
+		if req.opts.Planner, err = core.ParsePlannerMode(v); err != nil {
+			return bad(err)
+		}
+	}
+	if v := params.Get("strategy"); v != "" {
 		strat, err := core.ParseStrategy(v)
 		if err != nil {
-			return opts, err
+			return bad(err)
 		}
 		if strat == core.StrategyMixedIPT && s.cfg.Store.InversePropertyTable() == nil {
-			return opts, fmt.Errorf("strategy %q requires a store loaded with the inverse property table (start prost-serve with -strategy mixed+ipt)", v)
+			return bad(fmt.Errorf("strategy %q requires a store loaded with the inverse property table (start prost-serve with -strategy mixed+ipt)", v))
 		}
-		opts.Strategy = strat
+		req.opts.Strategy = strat
 	}
 	// Boolean and integer parameters are validated whenever the key is
 	// present — ?streaming= with an empty or malformed value is a 400,
 	// not a silent no-op the caller mistakes for having taken effect.
-	if q := r.URL.Query(); q.Has("streaming") {
-		v := q.Get("streaming")
-		on, err := strconv.ParseBool(v)
-		if err != nil {
-			return opts, fmt.Errorf("invalid streaming=%q: want a boolean (1, 0, true, false)", v)
+	if params.Has("streaming") {
+		v := params.Get("streaming")
+		if req.opts.Streaming, err = strconv.ParseBool(v); err != nil {
+			return bad(fmt.Errorf("invalid streaming=%q: want a boolean (1, 0, true, false)", v))
 		}
-		opts.Streaming = on
 	}
-	if q := r.URL.Query(); q.Has("chunk") {
-		v := q.Get("chunk")
+	if params.Has("chunk") {
+		v := params.Get("chunk")
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			return opts, fmt.Errorf("invalid chunk=%q: want a positive row count", v)
+			return bad(fmt.Errorf("invalid chunk=%q: want a positive row count", v))
 		}
-		opts.ChunkSize = n
+		req.opts.ChunkSize = n
 	}
-	return opts, nil
+	format := params.Get("format")
+	if format == "" && strings.Contains(r.Header.Get("Accept"), "text/tab-separated-values") {
+		format = "tsv"
+	}
+	switch format {
+	case "tsv":
+		req.tsv = true
+	case "", "json":
+	default:
+		return bad(fmt.Errorf("unknown format %q (valid formats: json, tsv)", format))
+	}
+
+	if req.query, err = sparql.Parse(text); err != nil {
+		return bad(err)
+	}
+	return req, nil
 }
 
-// runQuery parses and executes one request's query inside the
+// runQuery validates and executes one request's query inside the
 // in-flight bound, recording the server-level counters (failed
 // requests — bad parameters, parse errors, execution errors — count
 // as errors; deadline-exceeded queries additionally count as
 // timeouts, permanently failed or otherwise broken executions as
 // failed). Shed requests (open breaker, draining, in-flight overflow)
 // are rejected before executing and counted only in shedRequests.
-func (s *Server) runQuery(r *http.Request) (*core.Result, error) {
+func (s *Server) runQuery(r *http.Request, params url.Values) (*core.Result, request, error) {
 	if !s.brk.allow() {
 		s.shed.Add(1)
-		return nil, unavailable{
+		return nil, request{}, unavailable{
 			msg:        "circuit breaker open: shedding load until the store recovers",
 			retryAfter: s.brk.cooldown,
 		}
 	}
 	if err := s.beginRequest(); err != nil {
 		s.shed.Add(1)
-		return nil, err
+		return nil, request{}, err
 	}
 	defer s.endRequest()
 
-	res, err := s.doQuery(r)
+	res, req, err := s.doQuery(r, params)
 
 	var ua unavailable
 	if errors.As(err, &ua) {
 		// Shed at the in-flight bound: never executed, so neither a
 		// query counter nor a breaker sample.
 		s.shed.Add(1)
-		return nil, err
+		return nil, request{}, err
 	}
 	var br badRequest
 	isBad := errors.As(err, &br)
@@ -336,7 +379,7 @@ func (s *Server) runQuery(r *http.Request) (*core.Result, error) {
 		} else if !isBad {
 			s.failed++
 		}
-		return nil, err
+		return nil, request{}, err
 	}
 	s.simTotal += res.SimTime
 	s.wallTotal += res.WallTime
@@ -361,12 +404,16 @@ func (s *Server) runQuery(r *http.Request) (*core.Result, error) {
 			}
 		}
 	}
-	return res, nil
+	return res, req, nil
 }
 
 // badRequest marks an error as the caller's fault (malformed query or
-// parameters); everything else renders as a server error.
-type badRequest struct{ err error }
+// parameters) and carries the 4xx status it renders as; everything else
+// renders as a server error.
+type badRequest struct {
+	err    error
+	status int
+}
 
 func (e badRequest) Error() string { return e.err.Error() }
 
@@ -379,15 +426,16 @@ type unavailable struct {
 
 func (e unavailable) Error() string { return e.msg }
 
-// errStatus maps an error to its HTTP status: 400 for caller mistakes,
-// 503 for shed load, 504 for queries stopped at their deadline, 500
-// for other execution failures (including fault-exhausted tasks, whose
-// *core.TaskFailedError body carries the attempt trace), so retry
-// policies and monitoring can tell them apart.
+// errStatus maps an error to its HTTP status: 400 for caller mistakes
+// (413 for an oversized body), 503 for shed load, 504 for queries
+// stopped at their deadline, 500 for other execution failures
+// (including fault-exhausted tasks, whose *core.TaskFailedError body
+// carries the attempt trace), so retry policies and monitoring can tell
+// them apart.
 func errStatus(err error) int {
 	var br badRequest
 	if errors.As(err, &br) {
-		return http.StatusBadRequest
+		return br.status
 	}
 	var ua unavailable
 	if errors.As(err, &ua) {
@@ -417,18 +465,10 @@ func writeError(w http.ResponseWriter, err error) {
 // QueryTimeout the execution runs under a deadline; a timed-out query
 // returns a *core.CancelError whose message carries the partial trace
 // info (completed vs scheduled plan tasks) the 504 body reports.
-func (s *Server) doQuery(r *http.Request) (*core.Result, error) {
-	text, err := queryText(r)
+func (s *Server) doQuery(r *http.Request, params url.Values) (*core.Result, request, error) {
+	req, err := s.parseRequest(r, params)
 	if err != nil {
-		return nil, badRequest{err}
-	}
-	opts, err := s.requestOptions(r)
-	if err != nil {
-		return nil, badRequest{err}
-	}
-	q, err := sparql.Parse(text)
-	if err != nil {
-		return nil, badRequest{err}
+		return nil, request{}, err
 	}
 	// Shed instead of queue: a request over the in-flight bound gets an
 	// immediate 503 + Retry-After, keeping latency bounded under
@@ -436,7 +476,7 @@ func (s *Server) doQuery(r *http.Request) (*core.Result, error) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		return nil, unavailable{
+		return nil, request{}, unavailable{
 			msg:        fmt.Sprintf("over capacity: %d queries already executing", cap(s.sem)),
 			retryAfter: time.Second,
 		}
@@ -448,32 +488,8 @@ func (s *Server) doQuery(r *http.Request) (*core.Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
 		defer cancel()
 	}
-	return s.cfg.Store.QueryContext(ctx, q, opts)
-}
-
-// binding is one variable's value in the SPARQL-JSON results format.
-type binding struct {
-	Type     string `json:"type"`
-	Value    string `json:"value"`
-	Datatype string `json:"datatype,omitempty"`
-	Lang     string `json:"xml:lang,omitempty"`
-}
-
-// unbound reports whether a result cell is an unbound OPTIONAL
-// variable (the zero Term). Unbound cells are omitted from JSON
-// bindings (per the SPARQL results format) and rendered empty in TSV.
-func unbound(t rdf.Term) bool { return t == rdf.Term{} }
-
-// termBinding maps an RDF term to its JSON binding.
-func termBinding(t rdf.Term) binding {
-	switch {
-	case t.IsIRI():
-		return binding{Type: "uri", Value: t.Value}
-	case t.IsBlank():
-		return binding{Type: "bnode", Value: t.Value}
-	default:
-		return binding{Type: "literal", Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
-	}
+	res, err := s.cfg.Store.QueryContext(ctx, req.query, req.opts)
+	return res, req, err
 }
 
 // sparqlStats is the /sparql response's execution record. The
@@ -498,30 +514,32 @@ type sparqlStats struct {
 	StreamingDowngraded bool `json:"streamingDowngraded,omitempty"`
 }
 
-// sparqlResponse documents the /sparql JSON shape: the W3C SPARQL
-// results layout plus a stats block. The handler writes it
-// incrementally rather than marshaling this struct, so a streamed
-// query's bindings reach the client in flushed chunks.
-type sparqlResponse struct {
-	Head struct {
-		Vars []string `json:"vars"`
-	} `json:"head"`
-	Results struct {
-		Bindings []map[string]binding `json:"bindings"`
-	} `json:"results"`
-	Stats sparqlStats `json:"stats"`
-}
-
 // flushEveryRows is how many result rows a streamed /sparql response
 // writes between http.Flusher flushes, in both formats.
 const flushEveryRows = 256
 
+// handleSPARQL answers a query with the W3C SPARQL results layout plus
+// a stats block (JSON), or with tab-separated N-Triples terms (TSV).
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
-	res, err := s.runQuery(r)
+	params := s.queryParams(w, r)
+	if params == nil {
+		return
+	}
+	res, req, err := s.runQuery(r, params)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	s.writeResult(w, res, req.tsv)
+}
+
+// writeResult renders a result as the response body: encoded by the
+// append encoders of encode.go into one pooled buffer, which is written
+// out whenever it passes writeChunkBytes. A streamed query's rows are
+// also flushed to the client every flushEveryRows, so consumers see
+// results while the body is still being written (the HTTP analogue of
+// the executor's first-row latency).
+func (s *Server) writeResult(w http.ResponseWriter, res *core.Result, tsv bool) {
 	// ORDER BY results arrive in query order and must be presented
 	// as-is; everything else is sorted for stable output.
 	rows := res.Rows
@@ -534,81 +552,66 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		truncated = true
 	}
 
-	// Chunked transfer: a streamed query's rows are flushed to the
-	// client in flushEveryRows batches, so consumers see results while
-	// the response body is still being written (the HTTP analogue of
-	// the executor's first-row latency). Materialized results write in
-	// one piece, as before.
-	flusher, _ := w.(http.Flusher)
-	maybeFlush := func(i int) {
-		if res.Streamed && flusher != nil && (i+1)%flushEveryRows == 0 {
-			flusher.Flush()
-		}
-	}
-	st := sparqlStats{
-		Rows:                len(res.Rows),
-		Truncated:           truncated,
-		SimMS:               float64(res.SimTime) / float64(time.Millisecond),
-		WallMS:              float64(res.WallTime) / float64(time.Millisecond),
-		Streamed:            res.Streamed,
-		PeakMemBytes:        res.PeakMemBytes,
-		Ordered:             res.Ordered,
-		StreamingDowngraded: res.StreamingDowngraded,
-	}
-	if res.Streamed {
-		st.FirstRowMS = float64(res.FirstRow) / float64(time.Millisecond)
-	}
-
-	format := r.URL.Query().Get("format")
-	if format == "" && strings.Contains(r.Header.Get("Accept"), "text/tab-separated-values") {
-		format = "tsv"
-	}
-	switch format {
-	case "tsv":
+	enc := encoderPool.Get().(*respEncoder)
+	defer enc.release()
+	enc.buf = enc.buf[:0]
+	if tsv {
 		w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
-		fmt.Fprintln(w, strings.Join(res.Vars, "\t"))
-		for i, row := range rows {
-			cells := make([]string, len(row))
-			for j, t := range row {
-				if unbound(t) {
-					continue // empty TSV cell
-				}
-				cells[j] = t.String()
-			}
-			fmt.Fprintln(w, strings.Join(cells, "\t"))
-			maybeFlush(i)
-		}
-	case "", "json":
+		enc.buf = appendTSVHead(enc.buf, res.Vars)
+	} else {
 		w.Header().Set("Content-Type", "application/json")
-		head, _ := json.Marshal(res.Vars)
-		fmt.Fprintf(w, "{\"head\":{\"vars\":%s},\"results\":{\"bindings\":[", head)
-		for i, row := range rows {
-			b := make(map[string]binding, len(row))
-			for j, t := range row {
-				if j < len(res.Vars) && !unbound(t) {
-					b[res.Vars[j]] = termBinding(t)
-				}
-			}
-			buf, _ := json.Marshal(b)
-			if i > 0 {
-				io.WriteString(w, ",")
-			}
-			io.WriteString(w, "\n")
-			w.Write(buf)
-			maybeFlush(i)
-		}
-		stats, _ := json.Marshal(st)
-		fmt.Fprintf(w, "\n]},\"stats\":%s}\n", stats)
-	default:
-		http.Error(w, fmt.Sprintf("unknown format %q (valid formats: json, tsv)", format), http.StatusBadRequest)
+		enc.setVars(res.Vars)
+		enc.buf = appendJSONHead(enc.buf, res.Vars)
 	}
+	flusher, _ := w.(http.Flusher)
+	for i, row := range rows {
+		if tsv {
+			enc.buf = appendTSVRow(enc.buf, row)
+		} else {
+			enc.buf = enc.appendJSONRow(enc.buf, i == 0, row)
+		}
+		flush := res.Streamed && flusher != nil && (i+1)%flushEveryRows == 0
+		if flush || len(enc.buf) >= writeChunkBytes {
+			if _, err := w.Write(enc.buf); err != nil {
+				return // the client is gone
+			}
+			enc.buf = enc.buf[:0]
+			if flush {
+				flusher.Flush()
+			}
+		}
+	}
+	if !tsv {
+		st := sparqlStats{
+			Rows:                len(res.Rows),
+			Truncated:           truncated,
+			SimMS:               float64(res.SimTime) / float64(time.Millisecond),
+			WallMS:              float64(res.WallTime) / float64(time.Millisecond),
+			Streamed:            res.Streamed,
+			PeakMemBytes:        res.PeakMemBytes,
+			Ordered:             res.Ordered,
+			StreamingDowngraded: res.StreamingDowngraded,
+		}
+		if res.Streamed {
+			st.FirstRowMS = float64(res.FirstRow) / float64(time.Millisecond)
+		}
+		stats, _ := json.Marshal(st) // no field of sparqlStats can fail to encode
+		enc.buf = append(enc.buf, "\n]},\"stats\":"...)
+		enc.buf = append(enc.buf, stats...)
+		enc.buf = append(enc.buf, "}\n"...)
+	}
+	_, _ = w.Write(enc.buf) // nothing left to do for a client that is gone
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	params := s.queryParams(w, r)
+	if params == nil {
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	analyze := true
-	if q := r.URL.Query(); q.Has("analyze") {
-		v := q.Get("analyze")
+	if params.Has("analyze") {
+		v := params.Get("analyze")
 		on, err := strconv.ParseBool(v)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("invalid analyze=%q: want a boolean (1, 0, true, false)", v), http.StatusBadRequest)
@@ -620,22 +623,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		// Plan only: translate and build (through the plan cache is
 		// pointless here — Plan is pure), no execution, so actuals
 		// render as "?" and the error summary reports not-executed.
-		text, err := queryText(r)
+		req, err := s.parseRequest(r, params)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			writeError(w, err)
 			return
 		}
-		opts, err := s.requestOptions(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		q, err := sparql.Parse(text)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		pl, err := s.cfg.Store.Plan(q, opts)
+		pl, err := s.cfg.Store.Plan(req.query, req.opts)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -644,7 +637,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, pl.ErrorSummary())
 		return
 	}
-	res, err := s.runQuery(r)
+	res, _, err := s.runQuery(r, params)
 	if err != nil {
 		writeError(w, err)
 		return

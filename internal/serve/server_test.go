@@ -136,6 +136,60 @@ func TestSPARQLEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestBadRequestsExecuteNothing: a request is validated in full before
+// anything runs. An unknown format, a query string url.ParseQuery
+// rejects and an oversized POST body are each answered 4xx, counted as
+// errored queries, and leave no trace of an execution: no plan-cache
+// lookup, no success counted, no breaker sample.
+func TestBadRequestsExecuteNothing(t *testing.T) {
+	srv := testServer(t)
+	escaped := url.QueryEscape(serveQuery)
+	do := func(method, target string, body io.Reader) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(method, target, body))
+		return w
+	}
+	cases := []struct {
+		name   string
+		w      *httptest.ResponseRecorder
+		status int
+		want   string
+	}{
+		{"unknown format", do(http.MethodGet, "/sparql?format=xml&query="+escaped, nil), http.StatusBadRequest, "valid formats"},
+		{"bad escape in the query string", do(http.MethodGet, "/sparql?query=SELECT%zz", nil), http.StatusBadRequest, "invalid URL escape"},
+		{"semicolon separator", do(http.MethodGet, "/sparql?format=tsv;query="+escaped, nil), http.StatusBadRequest, "semicolon"},
+		{"body over the limit", do(http.MethodPost, "/sparql", strings.NewReader(serveQuery+strings.Repeat(" ", maxQueryBytes))), http.StatusRequestEntityTooLarge, "exceeds"},
+		{"explain with a bad escape", do(http.MethodGet, "/explain?query=%", nil), http.StatusBadRequest, "invalid URL escape"},
+	}
+	for _, tc := range cases {
+		if tc.w.Code != tc.status || !strings.Contains(tc.w.Body.String(), tc.want) {
+			t.Errorf("%s: %d %q, want %d mentioning %q", tc.name, tc.w.Code, tc.w.Body, tc.status, tc.want)
+		}
+	}
+	// A body of exactly the limit is still read whole (and then fails to
+	// parse as SPARQL, which is a 400, not a 413).
+	if w := do(http.MethodPost, "/sparql", strings.NewReader(strings.Repeat("x", maxQueryBytes))); w.Code != http.StatusBadRequest {
+		t.Errorf("body of exactly maxQueryBytes: status %d, want 400", w.Code)
+	}
+
+	var doc struct {
+		PlanCache struct{ Hits, Misses uint64 }
+		Queries   struct{ Total, Errors, Failed uint64 }
+	}
+	if err := json.Unmarshal(get(t, srv, "/stats").Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Queries.Total != 6 || doc.Queries.Errors != 6 || doc.Queries.Failed != 0 {
+		t.Errorf("queries = %+v, want 6 requests, all errors, none failed", doc.Queries)
+	}
+	if doc.PlanCache.Hits+doc.PlanCache.Misses != 0 {
+		t.Errorf("plan cache saw %+v lookups from requests that must not execute", doc.PlanCache)
+	}
+	if srv.brk.total != 0 {
+		t.Errorf("breaker holds %d samples; caller mistakes are not evidence about the store", srv.brk.total)
+	}
+}
+
 func TestExplainEndpoint(t *testing.T) {
 	srv := testServer(t)
 	w := get(t, srv, "/explain?query="+url.QueryEscape(serveQuery))
@@ -987,5 +1041,113 @@ func TestStatsNetworkBlock(t *testing.T) {
 		if sh.Addr != addrs[i] || sh.Calls < 1 {
 			t.Errorf("shard %d = %+v, want addr %s with calls", i, sh, addrs[i])
 		}
+	}
+}
+
+// The renderings below are what /sparql wrote before the append
+// encoders of encode.go: a map[string]binding marshaled per row by
+// encoding/json, and Term.String cells joined with tabs. They stay as
+// the reference the encoders must match byte for byte.
+
+// binding is one variable's value in the SPARQL-JSON results format.
+type binding struct {
+	Type     string `json:"type"`
+	Value    string `json:"value"`
+	Datatype string `json:"datatype,omitempty"`
+	Lang     string `json:"xml:lang,omitempty"`
+}
+
+// termBinding maps an RDF term to its JSON binding.
+func termBinding(t rdf.Term) binding {
+	switch {
+	case t.IsIRI():
+		return binding{Type: "uri", Value: t.Value}
+	case t.IsBlank():
+		return binding{Type: "bnode", Value: t.Value}
+	default:
+		return binding{Type: "literal", Value: t.Value, Datatype: t.Datatype, Lang: t.Lang}
+	}
+}
+
+// referenceJSON renders a /sparql JSON body the old way.
+func referenceJSON(vars []string, rows [][]rdf.Term, st sparqlStats) string {
+	var sb strings.Builder
+	head, _ := json.Marshal(vars)
+	fmt.Fprintf(&sb, "{\"head\":{\"vars\":%s},\"results\":{\"bindings\":[", head)
+	for i, row := range rows {
+		b := make(map[string]binding, len(row))
+		for j, t := range row {
+			if j < len(vars) && !unbound(t) {
+				b[vars[j]] = termBinding(t)
+			}
+		}
+		buf, _ := json.Marshal(b)
+		if i > 0 {
+			sb.WriteString(",")
+		}
+		sb.WriteString("\n")
+		sb.Write(buf)
+	}
+	stats, _ := json.Marshal(st)
+	fmt.Fprintf(&sb, "\n]},\"stats\":%s}\n", stats)
+	return sb.String()
+}
+
+// referenceTSV renders a /sparql TSV body the old way.
+func referenceTSV(vars []string, rows [][]rdf.Term) string {
+	var sb strings.Builder
+	fmt.Fprintln(&sb, strings.Join(vars, "\t"))
+	for _, row := range rows {
+		cells := make([]string, len(row))
+		for j, t := range row {
+			if unbound(t) {
+				continue // empty TSV cell
+			}
+			cells[j] = referenceTermString(t)
+		}
+		fmt.Fprintln(&sb, strings.Join(cells, "\t"))
+	}
+	return sb.String()
+}
+
+// referenceTermString is rdf.Term.String as it was before it shared an
+// appender with the TSV encoder.
+func referenceTermString(t rdf.Term) string {
+	switch t.Kind {
+	case rdf.KindIRI:
+		return "<" + t.Value + ">"
+	case rdf.KindBlank:
+		return "_:" + t.Value
+	case rdf.KindLiteral:
+		var sb strings.Builder
+		sb.WriteByte('"')
+		for _, r := range t.Value {
+			switch r {
+			case '"':
+				sb.WriteString(`\"`)
+			case '\\':
+				sb.WriteString(`\\`)
+			case '\n':
+				sb.WriteString(`\n`)
+			case '\r':
+				sb.WriteString(`\r`)
+			case '\t':
+				sb.WriteString(`\t`)
+			default:
+				sb.WriteRune(r)
+			}
+		}
+		sb.WriteByte('"')
+		if t.Lang != "" {
+			sb.WriteByte('@')
+			sb.WriteString(t.Lang)
+		} else if t.Datatype != "" {
+			sb.WriteString("^^<")
+			sb.WriteString(t.Datatype)
+			sb.WriteByte('>')
+		}
+		return sb.String()
+	default:
+		return fmt.Sprintf("!invalid-term(%d)", t.Kind)
 	}
 }

@@ -16,6 +16,7 @@
 package stats
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/rdf"
@@ -376,35 +377,24 @@ func (c *Collection) StarEstimate(preds []rdf.ID) (subjects, rows float64, ok bo
 		return 0, 0, false
 	}
 	// Scan the csets of the rarest predicate only.
-	need := make(map[rdf.ID]bool, len(preds))
-	for _, p := range preds {
-		need[p] = true
-	}
 	rarest := preds[0]
-	for p := range need {
+	for _, p := range preds[1:] {
 		if len(j.byPred[p]) < len(j.byPred[rarest]) {
 			rarest = p
 		}
 	}
+nextSet:
 	for _, ci := range j.byPred[rarest] {
 		cs := &j.CSets[ci]
-		mult := make(map[rdf.ID]float64, len(cs.Preds))
-		for i, p := range cs.Preds {
-			mult[p] = float64(cs.Triples[i]) / float64(cs.Count)
-		}
-		contained := true
-		for p := range need {
-			if _, in := mult[p]; !in {
-				contained = false
-				break
-			}
-		}
-		if !contained {
-			continue
-		}
+		// cs.Preds is ascending, so each lookup is a binary search; the
+		// product is taken in preds order to keep the estimate's bits.
 		r := float64(cs.Count)
 		for _, p := range preds {
-			r *= mult[p]
+			i, in := slices.BinarySearch(cs.Preds, p)
+			if !in {
+				continue nextSet
+			}
+			r *= float64(cs.Triples[i]) / float64(cs.Count)
 		}
 		subjects += float64(cs.Count)
 		rows += r

@@ -89,6 +89,69 @@ func TestStarEstimateExactOnStars(t *testing.T) {
 	}
 }
 
+// starEstimateByMap is the map-per-cset StarEstimate this package used
+// to run, kept as the reference the search-based one must equal bit for
+// bit.
+func starEstimateByMap(j *JoinStats, preds []rdf.ID) (subjects, rows float64) {
+	for ci := range j.CSets {
+		cs := &j.CSets[ci]
+		mult := make(map[rdf.ID]float64, len(cs.Preds))
+		for i, p := range cs.Preds {
+			mult[p] = float64(cs.Triples[i]) / float64(cs.Count)
+		}
+		r := float64(cs.Count)
+		contained := true
+		for _, p := range preds {
+			m, in := mult[p]
+			contained = contained && in
+			r *= m
+		}
+		if contained {
+			subjects += float64(cs.Count)
+			rows += r
+		}
+	}
+	return subjects, rows
+}
+
+// TestCSetPredsSortedForStarEstimate: StarEstimate finds a predicate in
+// a characteristic set by binary search, so every set's Preds must be
+// strictly ascending however the triples arrived — here subjects emit
+// their predicates in descending ID order with uneven multiplicities —
+// and its estimates must equal the map-based reference exactly.
+func TestCSetPredsSortedForStarEstimate(t *testing.T) {
+	var spo [][3]rdf.ID
+	for s := rdf.ID(1); s <= 60; s++ {
+		for p := rdf.ID(120); p >= 100; p-- {
+			if (uint64(s)*7+uint64(p)*3)%5 < 2 {
+				continue
+			}
+			for o := rdf.ID(0); o <= (s+p)%3; o++ {
+				spo = append(spo, [3]rdf.ID{s, p, 1000 + o})
+			}
+		}
+	}
+	c := CollectJoinStats(enc(spo...), Config{CSets: true})
+	if len(c.Joins.CSets) < 5 {
+		t.Fatalf("fixture yields %d characteristic sets, want a spread", len(c.Joins.CSets))
+	}
+	for _, cs := range c.Joins.CSets {
+		for i := 1; i < len(cs.Preds); i++ {
+			if cs.Preds[i-1] >= cs.Preds[i] {
+				t.Fatalf("cset Preds not strictly ascending: %v", cs.Preds)
+			}
+		}
+	}
+	stars := [][]rdf.ID{{100}, {120, 100}, {105, 110, 115}, {110, 105, 110}, {119, 118, 117, 116}, {100, 999}, {99}}
+	for _, preds := range stars {
+		subj, rows, ok := c.StarEstimate(preds)
+		wantSubj, wantRows := starEstimateByMap(c.Joins, preds)
+		if !ok || subj != wantSubj || rows != wantRows {
+			t.Errorf("StarEstimate(%v) = (%v, %v, %v), map reference (%v, %v)", preds, subj, rows, ok, wantSubj, wantRows)
+		}
+	}
+}
+
 func TestPairSketchCardinalities(t *testing.T) {
 	c := fullStats(t)
 	cases := []struct {
