@@ -196,87 +196,117 @@ func (s *Store) execDistScanNode(e *engine.Exec, sess DistSession, cn *Node, fil
 	}
 }
 
-// ScanNodeParts is the shard-server side of ScanNode: it evaluates a
-// scan node over the partitions owned(p) selects, returning filtered
-// rows and processed key counts per (global) partition index. Shards
-// and the coordinator load the same dataset deterministically, so
-// dictionary IDs, partition placement and per-partition row sets match
-// the coordinator's own tables exactly.
+// ScanNodeParts is the shard-server side of ScanNode in one call: it
+// evaluates a scan node over the partitions owned(p) selects, returning
+// filtered rows and processed key counts per (global) partition index,
+// each partition in storage of its own.
 func (s *Store) ScanNodeParts(n *Node, filters []sparql.Filter, owned func(p int) bool) (parts [][]engine.Row, processed []int64, err error) {
-	pushed, err := s.compileFilterList(filters)
+	ns, err := s.PrepareNodeScan(n, filters)
 	if err != nil {
 		return nil, nil, err
 	}
-	empty := func(np int) ([][]engine.Row, []int64, error) {
-		return make([][]engine.Row, np), make([]int64, np), nil
+	parts = make([][]engine.Row, ns.Partitions())
+	processed = make([]int64, ns.Partitions())
+	for p := range parts {
+		if owned(p) {
+			parts[p], processed[p] = ns.ScanPart(p, nil)
+		}
+	}
+	return parts, processed, nil
+}
+
+// NodeScan is a scan node resolved against the store and ready to be
+// evaluated one partition at a time — the unit a shard server works in.
+// Shards and the coordinator load the same dataset deterministically, so
+// dictionary IDs, partition placement and per-partition row sets match
+// the coordinator's own tables exactly. Not safe for concurrent use.
+type NodeScan struct {
+	partitions int
+	// A VP scan reads vp's partitions through pred (nil keeps every row);
+	// a PT scan runs spec over pt's with rowPred. Neither table set
+	// means the node has no answer: every partition is empty.
+	vp      *engine.Relation
+	pred    func(engine.Row) bool
+	pt      *PropertyTable
+	spec    ptNodeScan
+	rowPred func(engine.Row) bool
+	sc      ptScan
+}
+
+// PrepareNodeScan resolves a VP, PT or IPT scan node and the FILTERs
+// pushed into it.
+func (s *Store) PrepareNodeScan(n *Node, filters []sparql.Filter) (*NodeScan, error) {
+	pushed, err := s.compileFilterList(filters)
+	if err != nil {
+		return nil, err
 	}
 	switch n.Kind {
 	case NodeVP:
 		tp := n.Patterns[0]
 		pid, ok := s.dict.Lookup(tp.P.Term)
-		if !ok {
-			return empty(s.parts)
+		if !ok || s.vp[pid] == nil {
+			return &NodeScan{partitions: s.parts}, nil
 		}
-		table := s.vp[pid]
-		if table == nil {
-			return empty(s.parts)
-		}
+		rel := s.vp[pid].Rel
 		pred, ok, err := s.vpScanPred(tp, pushed)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !ok {
-			return empty(table.Rel.Partitions())
+			return &NodeScan{partitions: rel.Partitions()}, nil
 		}
-		np := table.Rel.Partitions()
-		parts = make([][]engine.Row, np)
-		processed = make([]int64, np)
-		for p := 0; p < np; p++ {
-			if !owned(p) {
-				continue
-			}
-			in := table.Rel.Part(p)
-			if pred == nil {
-				parts[p] = in
-				continue
-			}
-			var kept []engine.Row
-			for _, r := range in {
-				if pred(r) {
-					kept = append(kept, r)
-				}
-			}
-			parts[p] = kept
-		}
-		return parts, processed, nil
+		return &NodeScan{partitions: rel.Partitions(), vp: rel, pred: pred}, nil
 	case NodePT, NodeIPT:
 		pt := s.pt
 		if n.Kind == NodeIPT {
 			if s.ipt == nil {
-				return nil, nil, fmt.Errorf("core: inverse property table not loaded")
+				return nil, fmt.Errorf("core: inverse property table not loaded")
 			}
 			pt = s.ipt
 		}
 		spec := s.ptNodeScan(pt, n)
 		if spec.empty {
-			return empty(len(pt.parts))
+			return &NodeScan{partitions: len(pt.parts)}, nil
 		}
 		rowPred, err := rowPredicate(spec.schema, pushed)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		parts = make([][]engine.Row, len(pt.parts))
-		processed = make([]int64, len(pt.parts))
-		for p := range pt.parts {
-			if !owned(p) {
-				continue
-			}
-			parts[p], processed[p] = scanPTPartitionRows(pt.parts[p], spec, rowPred)
-		}
-		return parts, processed, nil
+		return &NodeScan{partitions: len(pt.parts), pt: pt, spec: spec, rowPred: rowPred}, nil
 	default:
-		return nil, nil, fmt.Errorf("core: dist scan does not support node kind %v", n.Kind)
+		return nil, fmt.Errorf("core: dist scan does not support node kind %v", n.Kind)
 	}
+}
+
+// Partitions is the scanned table's partition count.
+func (ns *NodeScan) Partitions() int { return ns.partitions }
+
+// ScanPart evaluates the scan over partition p: the filtered rows and,
+// for PT scans, the processed key count. With an arena the rows are
+// emitted into it — it is Reset, and they are valid until its next use —
+// so a caller scanning partition after partition allocates only when one
+// outgrows the rest; nil allocates per partition. Either way an
+// unfiltered VP scan returns the stored partition itself.
+func (ns *NodeScan) ScanPart(p int, arena *engine.RowArena) (rows []engine.Row, processed int64) {
+	switch {
+	case ns.pt != nil:
+		return ns.sc.rows(ns.pt.parts[p], ns.spec, ns.rowPred, arena)
+	case ns.vp == nil:
+		return nil, 0
+	case ns.pred == nil:
+		return ns.vp.Part(p), 0
+	}
+	if arena == nil {
+		arena = new(engine.RowArena)
+	}
+	// Kept rows are references into the table: a row header each.
+	arena.Reset(2, 0)
+	for _, r := range ns.vp.Part(p) {
+		if ns.pred(r) {
+			arena.AppendRef(r)
+		}
+	}
+	return arena.Rows(), 0
 }
 
 // wrapShardErr converts a shard-process failure into the typed

@@ -150,8 +150,8 @@ type ptCursor struct {
 
 // ptScan is the scaffolding of one PT partition scan — the patterns'
 // cursors, the ones whose values reach the output row, and the scratch
-// row — built once per partition and shared by the counting pass and
-// the emitting pass that follows it.
+// row — set up once per partition by init and shared by the counting
+// pass and the emitting pass that follows it.
 type ptScan struct {
 	curs   []ptCursor
 	driver int
@@ -161,30 +161,33 @@ type ptScan struct {
 	row engine.Row
 }
 
-// newPTScan prepares a scan of a node's patterns over one PT partition.
-// The column with the fewest keys drives (the first such on a tie). ok
-// is false when the partition lacks one of the columns: it holds no
-// answer and costs nothing.
-func newPTScan(part *ptPartition, specs []patSpec, width int) (sc ptScan, ok bool) {
-	sc.curs = make([]ptCursor, len(specs))
+// init prepares a scan of a node's patterns over one PT partition, in
+// the storage sc holds from the partition before (the zero ptScan
+// allocates it). The column with the fewest keys drives (the first such
+// on a tie). ok is false when the partition lacks one of the columns:
+// it holds no answer and costs nothing.
+func (sc *ptScan) init(part *ptPartition, specs []patSpec, width int) (ok bool) {
+	sc.curs = slices.Grow(sc.curs[:0], len(specs))[:len(specs)]
+	sc.driver = 0
 	for i, sp := range specs {
 		col := part.cols[sp.pid]
 		if col == nil {
-			return ptScan{}, false // a required predicate has no cells here
+			return false // a required predicate has no cells here
 		}
 		sc.curs[i] = ptCursor{spec: sp, col: col}
 		if len(col.keys) < len(sc.curs[sc.driver].col.keys) {
 			sc.driver = i
 		}
 	}
-	sc.out = make([]*ptCursor, 0, len(specs))
+	sc.out = slices.Grow(sc.out[:0], len(specs))
 	for i := range sc.curs {
 		if sp := sc.curs[i].spec; sp.newCol >= 0 || sp.eqCol >= 0 {
 			sc.out = append(sc.out, &sc.curs[i])
 		}
 	}
-	sc.row = make(engine.Row, width)
-	return sc, true
+	// run writes every column of the row before it yields it.
+	sc.row = slices.Grow(sc.row[:0], width)[:width]
+	return true
 }
 
 // processed is the number of driver keys, the size of the smallest
@@ -331,16 +334,29 @@ func ptDriverKeys(part *ptPartition, specs []patSpec) int {
 // scanPTPartitionRows scans one PT partition into an arena allocated
 // once at the exact size a counting pass found.
 func scanPTPartitionRows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool) (rows []engine.Row, processed int64) {
+	var sc ptScan
+	return sc.rows(part, spec, rowPred, nil)
+}
+
+// rows scans one PT partition. A caller working through many partitions
+// lends its arena (Reset here: the rows live in it until its next use)
+// and reuses sc, and the scan is one pass that allocates only when a
+// partition outgrows every earlier one; with a nil arena a counting
+// pass sizes a fresh one exactly.
+func (sc *ptScan) rows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool, arena *engine.RowArena) (rows []engine.Row, processed int64) {
 	width := len(spec.schema)
-	sc, ok := newPTScan(part, spec.specs, width)
-	if !ok {
+	if !sc.init(part, spec.specs, width) {
 		return nil, 0
 	}
-	n := sc.run(rowPred, nil)
-	if n == 0 {
-		return nil, sc.processed()
+	if arena == nil {
+		n := sc.run(rowPred, nil)
+		if n == 0 {
+			return nil, sc.processed()
+		}
+		arena = engine.NewRowArena(width, int(n))
+	} else {
+		arena.Reset(width, 0)
 	}
-	arena := engine.NewRowArena(width, int(n))
 	sc.run(rowPred, arena.AppendCopy)
 	return arena.Rows(), sc.processed()
 }

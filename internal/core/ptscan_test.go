@@ -356,6 +356,21 @@ func TestPTScanMatchesReferenceOnRandomGraphs(t *testing.T) {
 				}
 				eqStrings(t, sortedRowStrings(got), sortedRowStrings(want), label)
 
+				// A partition at a time into one reused arena, the shard
+				// server's way: each partition's rows and count again.
+				ns, err := s.PrepareNodeScan(node, nil)
+				if err != nil {
+					t.Fatalf("%s: PrepareNodeScan: %v", label, err)
+				}
+				var arena engine.RowArena
+				for p := range parts {
+					rows, n := ns.ScanPart(p, &arena)
+					if n != processed[p] || fmt.Sprint(rows) != fmt.Sprint(parts[p]) {
+						t.Errorf("%s: partition %d scanned into a reused arena: %d rows, %d processed; want %d and %d",
+							label, p, len(rows), n, len(parts[p]), processed[p])
+					}
+				}
+
 				// The same star as a query, through both executors.
 				texts := make([]string, len(node.Patterns))
 				for i, tp := range node.Patterns {
@@ -500,7 +515,8 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 		var emitted int64
 		scan = testing.AllocsPerRun(10, func() {
 			emitted = 0
-			sc, _ := newPTScan(part, spec.specs, len(spec.schema))
+			var sc ptScan
+			sc.init(part, spec.specs, len(spec.schema))
 			sc.run(nil, func(engine.Row) { emitted++ })
 		})
 		if emitted != int64(2*keys) {

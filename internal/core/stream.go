@@ -957,8 +957,8 @@ func (p *streamPipe) scanVPPart(pi, chunkSize int, batch []engine.Row) {
 func (p *streamPipe) scanPTPart(pi, chunkSize int) {
 	src := p.src
 	width := len(src.spec.schema)
-	sc, ok := newPTScan(src.pt.parts[pi], src.spec.specs, width)
-	if !ok {
+	var sc ptScan
+	if !sc.init(src.pt.parts[pi], src.spec.specs, width) {
 		return
 	}
 	src.scanned.Add(sc.processed())

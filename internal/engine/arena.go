@@ -1,6 +1,10 @@
 package engine
 
-import "repro/internal/rdf"
+import (
+	"unsafe"
+
+	"repro/internal/rdf"
+)
 
 // RowArena accumulates fixed-width output rows in one flat []rdf.ID
 // backing buffer, handing out rows as capacity-clipped slices into it.
@@ -24,12 +28,37 @@ type RowArena struct {
 // hint from known cardinalities (probe-side row count for joins, exact
 // output size for cartesian products and projections).
 func NewRowArena(width, rowCapHint int) *RowArena {
-	a := &RowArena{width: width}
-	if rowCapHint > 0 {
-		a.buf = make([]rdf.ID, 0, rowCapHint*width)
-		a.rows = make([]Row, 0, rowCapHint)
-	}
+	a := new(RowArena)
+	a.Reset(width, rowCapHint)
 	return a
+}
+
+// Reset empties the arena for rows of the given width with room for
+// rowCapHint of them, keeping the storage it already has — a caller that
+// works through many partitions one after another pays for the largest
+// once. Rows handed out before are dead: their storage is overwritten.
+// The zero RowArena is ready for Reset.
+func (a *RowArena) Reset(width, rowCapHint int) {
+	a.width = width
+	a.buf = emptied(a.buf, rowCapHint*width)
+	a.rows = emptied(a.rows, rowCapHint)
+}
+
+// emptied returns s emptied with room for n elements: in its own
+// storage when that is large enough, in exactly n fresh ones otherwise —
+// so scratch follows its largest use and no further, and a first use
+// allocates what a plain make would.
+func emptied[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, 0, n)
+	}
+	return s[:0]
+}
+
+// largestBuffer is the size in bytes of the larger of the arena's two
+// buffers.
+func (a *RowArena) largestBuffer() int {
+	return max(cap(a.buf)*int(unsafe.Sizeof(rdf.ID(0))), cap(a.rows)*int(unsafe.Sizeof(Row(nil))))
 }
 
 // seal clips the just-written row out of the buffer tail and records
@@ -78,6 +107,10 @@ func (a *RowArena) AppendCopy(r Row) {
 	a.buf = append(a.buf, r...)
 	a.seal(start)
 }
+
+// AppendRef emits r itself, uncopied: the output of a filter over rows
+// that outlive the arena's use costs a row header each, no IDs.
+func (a *RowArena) AppendRef(r Row) { a.rows = append(a.rows, r) }
 
 // AppendProjected emits r's columns at idx, in idx order.
 func (a *RowArena) AppendProjected(r Row, idx []int) {

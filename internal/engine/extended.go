@@ -67,7 +67,7 @@ func (e *Exec) LeftJoin(left, right *Relation, name string) (*Relation, error) {
 // Probe, and a probe row with no match emits once, padded with
 // nullRight in the right-only columns.
 func (jp *JoinProbe) ProbeOuter(probeRows []Row, probeKey []int, outWidth int, rKeep []int, nullRight Row) []Row {
-	return jp.ix.probeBatch(probeRows, probeKey, &joinEmit{width: outWidth, rKeep: rKeep, nullRight: nullRight})
+	return jp.ix.probeBatch(probeRows, probeKey, &joinEmit{width: outWidth, rKeep: rKeep, nullRight: nullRight}, nil)
 }
 
 // UnionAll concatenates relations with identical schemas, keeping each

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/rdf"
 )
@@ -81,40 +82,91 @@ type joinIndex struct {
 	// exact records that the packed key is collision-free, so probe
 	// matches need no column re-check.
 	exact bool
+	// sized1 and sizedN are the most rows a build has indexed through
+	// head1 and headN since each was made: a map never shrinks, so this
+	// is what its memory follows.
+	sized1, sizedN int
+}
+
+// What one entry of a head map is taken to hold when a scratch index
+// states its size: a Go map sized for n entries has between 8/7·n and
+// 16/7·n slots, each the key and value padded to the key's alignment
+// plus a control byte — 9 bytes under an ID key, 17 under a packed one —
+// and the upper end is taken.
+const (
+	head1EntryBytes = 21
+	headNEntryBytes = 39
+)
+
+// largestBuffer is the size in bytes of the largest buffer the index
+// holds, a head map counting as one buffer at its estimated size.
+func (ix *joinIndex) largestBuffer() int {
+	return max(cap(ix.next)*4, ix.sized1*head1EntryBytes, ix.sizedN*headNEntryBytes)
+}
+
+// trim releases each buffer of the index larger than maxBytes, by
+// largestBuffer's measure.
+func (ix *joinIndex) trim(maxBytes int) {
+	if ix.sized1*head1EntryBytes > maxBytes {
+		ix.head1, ix.sized1 = nil, 0
+	}
+	if ix.sizedN*headNEntryBytes > maxBytes {
+		ix.headN, ix.sizedN = nil, 0
+	}
+	if cap(ix.next)*4 > maxBytes {
+		ix.next = nil
+	}
 }
 
 // buildJoinIndex indexes rows by the key columns. The index is
 // read-only after construction and safe for concurrent probing.
 func buildJoinIndex(rows []Row, keyIdx []int) joinIndex {
-	ix := joinIndex{
-		next:   make([]int32, len(rows)),
-		rows:   rows,
-		keyIdx: keyIdx,
-		exact:  len(keyIdx) <= 2,
-	}
+	var ix joinIndex
+	ix.build(rows, keyIdx)
+	return ix
+}
+
+// build (re)indexes rows by the key columns in the storage ix already
+// holds: the chain slice is re-sliced and the head map emptied, so an
+// index rebuilt for partition after partition allocates only when one
+// outgrows every earlier one. The zero joinIndex allocates both exactly
+// sized.
+func (ix *joinIndex) build(rows []Row, keyIdx []int) {
+	ix.rows, ix.keyIdx, ix.exact = rows, keyIdx, len(keyIdx) <= 2
+	// Every link is written below, so stale ones need no clearing.
+	ix.next = emptied(ix.next, len(rows))[:len(rows)]
 	if len(keyIdx) == 1 {
-		ix.head1 = make(map[rdf.ID]int32, len(rows))
+		ix.sized1 = max(ix.sized1, len(rows))
+		if ix.head1 == nil {
+			ix.head1 = make(map[rdf.ID]int32, len(rows))
+		} else {
+			clear(ix.head1)
+		}
 		ki := keyIdx[0]
 		for i, r := range rows {
 			k := r[ki]
 			ix.next[i] = ix.head1[k]
 			ix.head1[k] = int32(i + 1)
 		}
-		return ix
+		return
 	}
-	ix.headN = make(map[uint64]int32, len(rows))
+	ix.sizedN = max(ix.sizedN, len(rows))
+	if ix.headN == nil {
+		ix.headN = make(map[uint64]int32, len(rows))
+	} else {
+		clear(ix.headN)
+	}
 	for i, r := range rows {
 		k, _ := packKey(r, keyIdx)
 		ix.next[i] = ix.headN[k]
 		ix.headN[k] = int32(i + 1)
 	}
-	return ix
 }
 
 // first returns the 1-based head of the chain for probe row pr's key
 // columns, or 0 when no build row shares the packed key.
 func (ix *joinIndex) first(pr Row, probeIdx []int) int32 {
-	if ix.head1 != nil {
+	if len(ix.keyIdx) == 1 {
 		return ix.head1[pr[probeIdx[0]]]
 	}
 	k, _ := packKey(pr, probeIdx)
@@ -180,25 +232,34 @@ func (ix *joinIndex) emitChain(head int32, pr Row, probeIdx []int, e *joinEmit, 
 	return n
 }
 
-// headsPool recycles probeBatch's chain-head scratch, so a probe
-// allocates nothing per probe row.
+// headsPool recycles the chain-head scratch of probeBatch calls that
+// bring none, so a probe allocates nothing per probe row.
 var headsPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // probeBatch joins a batch of probe rows against the index,
 // preserving probe-row order (then build-chain order). It counts
 // before it fills: the first pass looks up every probe row's chain
 // head and counts its matches, the second writes them into an arena
-// allocated at exactly that count, walking the remembered heads
-// instead of hashing again. A batch that emits nothing returns nil
-// without allocating, so a selective probe costs memory for its
-// output, not its input.
-func (ix *joinIndex) probeBatch(probe []Row, probeIdx []int, e *joinEmit) []Row {
-	hp := headsPool.Get().(*[]int32)
-	defer headsPool.Put(hp)
-	if cap(*hp) < len(probe) {
-		*hp = make([]int32, len(probe))
+// sized for exactly that count, walking the remembered heads instead
+// of hashing again. With a scratch the heads and the arena are its
+// own, reused, and the result lives in s.Out until that is next used;
+// with nil the heads are pooled and the arena is fresh. A batch that
+// emits nothing returns nil without allocating, so a selective probe
+// costs memory for its output, not its input.
+func (ix *joinIndex) probeBatch(probe []Row, probeIdx []int, e *joinEmit, s *KernelScratch) []Row {
+	var heads []int32
+	arena := new(RowArena)
+	if s != nil {
+		s.heads = emptied(s.heads, len(probe))
+		heads, arena = s.heads[:len(probe)], &s.Out
+	} else {
+		hp := headsPool.Get().(*[]int32)
+		defer headsPool.Put(hp)
+		if cap(*hp) < len(probe) {
+			*hp = make([]int32, len(probe))
+		}
+		heads = (*hp)[:len(probe)]
 	}
-	heads := (*hp)[:len(probe)]
 	total := 0
 	for k, pr := range probe {
 		heads[k] = ix.first(pr, probeIdx)
@@ -211,7 +272,7 @@ func (ix *joinIndex) probeBatch(probe []Row, probeIdx []int, e *joinEmit) []Row 
 	if total == 0 {
 		return nil
 	}
-	arena := NewRowArena(e.width, total)
+	arena.Reset(e.width, total)
 	for k, pr := range probe {
 		if ix.emitChain(heads[k], pr, probeIdx, e, arena) == 0 && e.nullRight != nil {
 			e.appendTo(arena, e.nullRight, pr)
@@ -228,21 +289,39 @@ type rowSet struct {
 	next   []int32
 	rows   []Row
 	keyIdx []int
+	// sized is the largest hint since head was made; see joinIndex.sized1.
+	sized int
 }
 
 // newRowSet returns a set for rows of the given width, pre-sized for
 // capHint insertions.
 func newRowSet(width, capHint int) *rowSet {
-	keyIdx := make([]int, width)
-	for i := range keyIdx {
-		keyIdx[i] = i
+	s := new(rowSet)
+	s.reset(width, capHint)
+	return s
+}
+
+// reset empties the set for rows of the given width and capHint
+// insertions, keeping the storage it already has; the zero rowSet
+// allocates each buffer at the hint.
+func (s *rowSet) reset(width, capHint int) {
+	s.keyIdx = emptied(s.keyIdx, width)
+	for i := 0; i < width; i++ {
+		s.keyIdx = append(s.keyIdx, i)
 	}
-	return &rowSet{
-		head:   make(map[uint64]int32, capHint),
-		next:   make([]int32, 0, capHint),
-		rows:   make([]Row, 0, capHint),
-		keyIdx: keyIdx,
+	if s.head == nil {
+		s.head = make(map[uint64]int32, capHint)
+	} else {
+		clear(s.head)
 	}
+	s.sized = max(s.sized, capHint)
+	s.next = emptied(s.next, capHint)
+	s.rows = emptied(s.rows, capHint)
+}
+
+// largestBuffer is joinIndex.largestBuffer for the set.
+func (s *rowSet) largestBuffer() int {
+	return max(cap(s.next)*4, cap(s.rows)*int(unsafe.Sizeof(Row(nil))), s.sized*headNEntryBytes)
 }
 
 // insert adds r unless an equal row is already present, reporting

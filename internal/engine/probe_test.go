@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/rdf"
@@ -179,6 +180,79 @@ func TestProbeAllMissAllocatesNothing(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(20, func() { out = hash.ProbeBatch(probe, false) }); a > poolRefill || out != nil {
 			t.Errorf("ProbeBatch of %d missing rows: %v allocations, %d rows", n, a, len(out))
+		}
+	}
+}
+
+// sameRowContents compares row lists value by value: a width-0 row is
+// the same row whether its slice is nil or empty.
+func sameRowContents(a, b []Row) bool {
+	return slices.EqualFunc(a, b, func(x, y Row) bool { return slices.Equal(x, y) })
+}
+
+// TestKernelScratchMatchesOneShotKernels works one KernelScratch through
+// a long random mix of kernels — partition joins, a broadcast build
+// probed by several partitions, cartesians, distincts; key widths that
+// take the ID-keyed, the packed and the hashed index in turn; inputs
+// that grow, shrink and go empty — and requires of every call the rows
+// the one-shot kernel returns. Reuse then costs nothing: the same call
+// again allocates zero times. Trim leaves no buffer over its bound and
+// the scratch still working.
+func TestKernelScratchMatchesOneShotKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var s KernelScratch
+	for iter := 0; iter < 400; iter++ {
+		nk := 1 + rng.Intn(3)
+		lKey, rKey := rng.Perm(4)[:nk], rng.Perm(4)[:nk]
+		var lKeep []int
+		if rng.Intn(2) == 0 {
+			lKeep = rng.Perm(4)[:rng.Intn(4)]
+		}
+		rKeep := rng.Perm(4)[:rng.Intn(4)]
+		width := len(lKeep) + len(rKeep)
+		if lKeep == nil {
+			width = 4 + len(rKeep)
+		}
+		size := func() int { return []int{0, 1, 7, 60, 500}[rng.Intn(5)] }
+		l, r := randomRows(rng, 4, size(), 6), randomRows(rng, 4, size(), 6)
+		var got, want []Row
+		var again func()
+		switch rng.Intn(4) {
+		case 0:
+			again = func() { got = s.JoinPartition(l, r, lKey, rKey, width, lKeep, rKeep) }
+			want = JoinPartitionKernel(l, r, lKey, rKey, width, lKeep, rKeep)
+		case 1:
+			s.Build(l, lKey)
+			jp := NewJoinProbe(l, lKey)
+			for p := 0; p < 3; p++ {
+				part := randomRows(rng, 4, size(), 6)
+				got, want = s.Probe(part, rKey, true, width, lKeep, rKeep), jp.Probe(part, rKey, true, width, lKeep, rKeep)
+				if !sameRowContents(got, want) {
+					t.Fatalf("iter %d: Probe of partition %d returned %d rows, JoinProbe.Probe %d", iter, p, len(got), len(want))
+				}
+			}
+			again = func() { got = s.Probe(r, rKey, true, width, lKeep, rKeep) }
+			want = jp.Probe(r, rKey, true, width, lKeep, rKeep)
+		case 2:
+			small := r[:min(len(r), 3)]
+			again = func() { got = s.Cartesian(l, small, false, width, lKeep, rKeep) }
+			want = CartesianKernel(l, small, false, width, lKeep, rKeep)
+		case 3:
+			again = func() { got = s.Distinct(l, 4) }
+			want = DistinctKernel(l, 4)
+		}
+		again()
+		if !sameRowContents(got, want) {
+			t.Fatalf("iter %d: scratch kernel returned %d rows, one-shot kernel %d", iter, len(got), len(want))
+		}
+		if a := testing.AllocsPerRun(3, again); a != 0 || !sameRowContents(got, want) {
+			t.Fatalf("iter %d: the same call on the warm scratch allocates %v times (rows equal: %v)", iter, a, sameRowContents(got, want))
+		}
+		if iter%50 == 49 {
+			const limit = 4 << 10
+			if s.Trim(limit); s.LargestBuffer() > limit {
+				t.Fatalf("iter %d: a %d-byte buffer survives Trim(%d)", iter, s.LargestBuffer(), limit)
+			}
 		}
 	}
 }

@@ -93,7 +93,7 @@ func (h *StreamHash) ProbeBatch(probe []Row, outer bool) []Row {
 	if outer {
 		e.nullRight = h.nullRight
 	}
-	return h.ix.probeBatch(probe, h.probeKey, &e)
+	return h.ix.probeBatch(probe, h.probeKey, &e, nil)
 }
 
 // RowDeduper wraps the Distinct operator's row set for streaming use:

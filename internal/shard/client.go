@@ -173,6 +173,9 @@ type shardConn struct {
 	// buf is the connection's frame buffer, guarded by mu: a request is
 	// built and written from it, then the response is read back into it.
 	buf []byte
+	// broken is why roundTrip closed the connection, nil while it is
+	// usable; guarded by mu. Calls that find it set fail with it at once.
+	broken error
 
 	statMu sync.Mutex
 	sent   int64
@@ -186,8 +189,9 @@ type shardConn struct {
 const maxRTTSamples = 1 << 13
 
 // maxRetainBytes bounds each buffer a connection keeps between calls:
-// the frame buffer on either end and the server's two decode arenas. A
-// larger message gets exactly sized storage that dies with the call.
+// the frame buffer on the coordinator's end; on the server's, the two
+// frame buffers, the decode scratch and the kernel scratch (conn). A
+// request that needs more gets storage that dies with it.
 const maxRetainBytes = 256 << 10
 
 // call performs one framed request/response exchange, handing the
@@ -226,11 +230,17 @@ func (sc *shardConn) call(ctx context.Context, typ byte, req request, decode fun
 // both through sc.buf. The connection deadline follows ctx, and a
 // cancellation while the call is blocked in I/O breaks it at once. Any
 // failure past the first written byte leaves the stream mid-frame, so
-// the connection is closed: later calls then fail fast, exactly as
-// after a shard death, instead of reading a desynchronised stream.
+// the connection is closed and the cause kept: later calls then fail
+// fast with it, instead of reading a desynchronised stream — or, for a
+// call of the same query that was queued behind the failing one, instead
+// of reporting a closed socket when what happened is the query's own
+// deadline.
 func (sc *shardConn) roundTrip(ctx context.Context, typ byte, req request) (rtyp byte, payload []byte, sent, recv int64, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, 0, 0, err
+	}
+	if sc.broken != nil {
+		return 0, nil, 0, 0, fmt.Errorf("connection closed after an earlier call failed: %w", sc.broken)
 	}
 	// The row sections are sized exactly; 256 bytes cover the spec header.
 	frame, err := wire.Finish(req.appendTo(wire.Begin(sc.buf, typ, req.size(sc.slot)+256), sc.slot))
@@ -260,6 +270,7 @@ func (sc *shardConn) roundTrip(ctx context.Context, typ byte, req request) (rtyp
 		} else if errors.Is(err, os.ErrDeadlineExceeded) {
 			err = context.DeadlineExceeded
 		}
+		sc.broken = err
 	}
 	return rtyp, payload, sent, recv, err
 }

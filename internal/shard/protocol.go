@@ -9,15 +9,25 @@
 //
 // The protocol is one request/response frame pair per shard per
 // exchange (package wire framing: magic, type, length, payload, CRC-32C).
-// Each message is written once, straight into the connection's frame
-// buffer: a small hand-rolled header (uint32 ints, length-prefixed
-// strings and int lists) followed by raw row sections in the packed
-// layout of wire.AppendRows. A part set — one side of an exchange as
-// seen by one shard — is the total partition count followed by one row
-// section per partition that shard owns, in ascending partition order;
-// both ends derive ownership from the topology, so no indexes travel.
-// The frame checksum is the only integrity check: it covers every
-// payload byte once per direction.
+// Each message is written once, straight into a frame buffer its
+// connection owns: a small hand-rolled header (uint32 ints, length-
+// prefixed strings and int lists) followed by raw row sections in the
+// packed layout of wire.AppendRows. A part set — one side of an exchange
+// as seen by one shard — is the total partition count followed by one
+// row section per partition that shard owns, in ascending partition
+// order; both ends derive ownership from the topology, so no indexes
+// travel. The frame checksum is the only integrity check: it covers
+// every payload byte once per direction.
+//
+// The two ends read a message differently. The coordinator decodes a
+// response whole, into exactly sized storage its rows keep for the rest
+// of the query. The server validates a request whole — every section of
+// every part set, before any kernel runs — and then works through it one
+// owned partition at a time: decode that partition's sections into
+// scratch, run the kernel into a reused arena, append the output section
+// to the response frame, reset. What a connection holds between
+// requests follows the largest partition it has seen, not the largest
+// message, and never exceeds maxRetainBytes per buffer.
 package shard
 
 import (
@@ -60,25 +70,10 @@ func (sl slot) count(total int) int { return (total - sl.shard + sl.shards - 1) 
 // the whole partition set and each connection ships its slot's part:
 // size is the bytes the row sections take for that slot (the frame
 // buffer is sized from it before anything is written), appendTo writes
-// the slot's view, decode reads it back.
+// the slot's view. Reading one back is the server's business (conn).
 type request interface {
 	size(sl slot) int
 	appendTo(b []byte, sl slot) []byte
-	decode(d *dec)
-}
-
-// newRequest returns an empty request of the given frame type, nil for
-// a type that is not a request.
-func newRequest(typ byte) request {
-	switch typ {
-	case msgHello:
-		return &helloReq{}
-	case msgScan:
-		return &scanReq{}
-	case msgShuffle, msgBroadcast, msgCartesian, msgDistinct:
-		return &exchangeReq{}
-	}
-	return nil
 }
 
 // helloReq opens a connection: the coordinator states the topology and
@@ -199,10 +194,25 @@ func (m *exchangeReq) appendTo(b []byte, sl slot) []byte {
 	b = wire.AppendRows(b, m.wholeWidth(), m.Whole)
 	return appendPartSet(appendPartSet(b, m.A, sl), m.B, sl)
 }
-func (m *exchangeReq) decode(d *dec) {
+
+// decodeSpec reads the kernel parameters: everything ahead of the rows.
+func (m *exchangeReq) decodeSpec(d *dec) {
 	m.KeyA, m.KeyB, m.AIsLeft = d.ints(), d.ints(), d.u8() != 0
 	m.OutWidth, m.LKeep, m.RKeep = d.int(), d.ints(), d.ints()
-	m.Whole, m.A, m.B = d.rowSection(), d.partSet(-1), d.partSet(-1)
+}
+
+// decodeLazy reads a whole exchange request the way the server works
+// through it: the kernel parameters and the whole side are decoded, and
+// the two part sets are validated to the last byte — so a malformed
+// section anywhere fails the request here, before any kernel runs — but
+// returned still encoded, for sections.next to decode one owned
+// partition at a time. m.A and m.B stay nil.
+func (m *exchangeReq) decodeLazy(d *dec) (a, b sections) {
+	m.decodeSpec(d)
+	m.Whole = d.rowSection()
+	a, b = d.sections(-1), d.sections(-1)
+	d.done()
+	return a, b
 }
 
 func appendInt(b []byte, v int) []byte { return binary.LittleEndian.AppendUint32(b, uint32(v)) }
@@ -249,6 +259,48 @@ func partSetSize(parts [][]engine.Row, sl slot) int {
 	return n
 }
 
+// partSetWriter is appendPartSet for a producer that has one partition
+// at a time: the same bytes, without the set ever existing as a whole.
+type partSetWriter struct {
+	b     []byte
+	first int // where the first section starts
+	owned int // sections the set will have
+	n     int // sections added
+	// width is the set's row width, known once a non-empty partition
+	// has shown it.
+	width int
+	known bool
+}
+
+// beginPartSet starts sl's part set of total partitions on b.
+func beginPartSet(b []byte, total int, sl slot) partSetWriter {
+	b = appendInt(b, total)
+	return partSetWriter{b: b, first: len(b), owned: sl.count(total)}
+}
+
+// add appends the next owned partition's section.
+func (w *partSetWriter) add(rows []engine.Row) {
+	w.n++
+	if !w.known && len(rows) > 0 {
+		// Every section so far is an empty one, a bare header written
+		// with the placeholder width: give them the set's.
+		w.width, w.known = len(rows[0]), true
+		for at := w.first; at < len(w.b); at += 8 {
+			binary.LittleEndian.PutUint32(w.b[at:], uint32(w.width))
+		}
+	}
+	if size := int(wire.RowsSize(w.width, len(rows))); size > cap(w.b)-len(w.b) {
+		// Partitions are hash-placed, so those to come will be about the
+		// size of those so far: grow once, to where the set is heading
+		// (and a little past: a scan's counts and the frame's checksum
+		// follow it), not by doublings that a frame too large to keep
+		// would go through again on every request.
+		mean := (len(w.b) - w.first + size) / w.n
+		w.b = slices.Grow(w.b, size+(w.owned-w.n)*(mean+mean/8)+8*w.owned+16)
+	}
+	w.b = wire.AppendRows(w.b, w.width, rows)
+}
+
 // dec reads one message payload. The first failure sticks, every later
 // read returns zero values, and done reports it — so message decoders
 // read field after field without checking each. Every allocation is
@@ -259,12 +311,15 @@ type dec struct {
 	b    []byte
 	err  error
 	slot slot // whose partitions the part sets carry
-	// flat and rows are the arenas decoded row sections are carved from:
-	// nil on the coordinator (results outlive the call, each part set is
-	// allocated once at its exact size), per-connection scratch on the
-	// server.
-	flat []rdf.ID
-	rows []engine.Row
+	// flat and rows are the arenas decoded row sections are carved from,
+	// and intBuf the one int lists are. All nil on the coordinator: its
+	// rows outlive the call, and each part set is allocated once at its
+	// exact size. The server lends a connection's scratch, which only
+	// ever holds a request's whole side and spec — part sets it decodes
+	// a partition at a time, through sections.
+	flat   []rdf.ID
+	rows   []engine.Row
+	intBuf []int
 }
 
 // take consumes n bytes, nil once the input is exhausted.
@@ -304,11 +359,14 @@ func (d *dec) ints() []int {
 	if d.err != nil {
 		return nil
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(binary.LittleEndian.Uint32(b[i*4:]))
+	if n == 0 {
+		return []int{} // not nil: see appendInts
 	}
-	return out
+	at := len(d.intBuf)
+	for i := 0; i < n; i++ {
+		d.intBuf = append(d.intBuf, int(binary.LittleEndian.Uint32(b[i*4:])))
+	}
+	return d.intBuf[at:len(d.intBuf):len(d.intBuf)]
 }
 
 func (d *dec) term() rdf.Term {
@@ -325,26 +383,36 @@ func (d *dec) rowSection() []engine.Row {
 	return d.rows[at:len(d.rows):len(d.rows)]
 }
 
+// partShape validates the part set at the head of the input without
+// decoding it — the partition count against want (-1 for any) and
+// against the input length, every owned section through wire.RowsShape
+// — and returns the count, the bytes the sections occupy and the IDs and
+// rows they hold. Only the count is consumed.
+func (d *dec) partShape(want int) (total, size, ids, rows int) {
+	total = d.int()
+	owned := d.slot.count(total)
+	// Every owned section is at least its 8-byte header, which bounds
+	// total — and anything sized from it — by the input length.
+	if d.err == nil && (want >= 0 && total != want || owned > len(d.b)/8) {
+		d.err = fmt.Errorf("shard: part set of %d partitions (want %d) in %d bytes", total, want, len(d.b))
+	}
+	b := d.b
+	for i := 0; i < owned && d.err == nil; i++ {
+		var w, c int
+		if w, c, d.err = wire.RowsShape(b); d.err == nil {
+			ids, rows, b = ids+w*c, rows+c, b[wire.RowsSize(w, c):]
+		}
+	}
+	return total, len(d.b) - len(b), ids, rows
+}
+
 // partSet decodes a part set into a dense partition slice, owned
 // entries at their global indexes and the rest nil. want is the
 // partition count the caller expects, -1 for any. The owned sections
 // are measured first, so the whole set lands in one ID arena and one
 // row-header arena however many partitions it has.
 func (d *dec) partSet(want int) [][]engine.Row {
-	total := d.int()
-	owned := d.slot.count(total)
-	// Every owned section is at least its 8-byte header, which bounds
-	// total — and the partition slice below — by the input length.
-	if d.err == nil && (want >= 0 && total != want || owned > len(d.b)/8) {
-		d.err = fmt.Errorf("shard: part set of %d partitions (want %d) in %d bytes", total, want, len(d.b))
-	}
-	ids, rows := 0, 0
-	for b, i := d.b, 0; i < owned && d.err == nil; i++ {
-		var w, c int
-		if w, c, d.err = wire.RowsShape(b); d.err == nil {
-			ids, rows, b = ids+w*c, rows+c, b[wire.RowsSize(w, c):]
-		}
-	}
+	total, _, ids, rows := d.partShape(want)
 	if d.err != nil {
 		return nil
 	}
@@ -354,6 +422,43 @@ func (d *dec) partSet(want int) [][]engine.Row {
 		parts[p] = d.rowSection()
 	}
 	return parts
+}
+
+// sections is a part set validated but not decoded: its partition count
+// and the owned partitions' row sections, back to back.
+type sections struct {
+	total int
+	b     []byte
+}
+
+// sections consumes the part set at the head of the input as partSet
+// would, every check made, nothing decoded.
+func (d *dec) sections(want int) sections {
+	total, size, _, _ := d.partShape(want)
+	return sections{total, d.take(size)}
+}
+
+// rowScratch is storage one row section at a time decodes into.
+type rowScratch struct {
+	flat []rdf.ID
+	rows []engine.Row
+}
+
+// next decodes the set's next owned section into sc, over whatever the
+// section before left there: the rows are valid until sc's next use.
+func (s *sections) next(sc *rowScratch) (rows []engine.Row, err error) {
+	sc.flat, sc.rows, s.b, err = wire.DecodeRowsInto(s.b, sc.flat[:0], sc.rows[:0])
+	return sc.rows, err
+}
+
+// trim drops the scratch, and reports it, if either arena outgrew
+// maxRetainBytes. They go together: kept row headers would pin a
+// dropped ID arena.
+func (sc *rowScratch) trim() (dropped bool) {
+	if dropped = cap(sc.flat)*4 > maxRetainBytes || cap(sc.rows)*24 > maxRetainBytes; dropped {
+		*sc = rowScratch{}
+	}
+	return dropped
 }
 
 // done reports the first decode failure, or trailing bytes.

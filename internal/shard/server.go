@@ -2,13 +2,14 @@ package shard
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/rdf"
 	"repro/internal/wire"
 )
 
@@ -112,12 +113,7 @@ func (s *Server) Close() error {
 }
 
 // handle serves one coordinator connection: a strict request/response
-// loop over wire frames, handshake first. The connection reuses three
-// buffers across requests: the frame buffer — a request is read into
-// it and, once decoded, the response is built in it — and the two
-// arenas request rows decode into. Decoded rows live only until the
-// response is written (kernel outputs may alias them until then), and
-// nothing larger than maxRetainBytes is kept between requests.
+// loop over wire frames, handshake first, until either direction fails.
 func (s *Server) handle(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -126,105 +122,172 @@ func (s *Server) handle(c net.Conn) {
 		s.mu.Unlock()
 	}()
 	br := bufio.NewReader(c)
-	var buf []byte
-	var flat []rdf.ID
-	var rows []engine.Row
-	helloed := false
-	for {
-		typ, payload, frame, _, err := wire.ReadFrameInto(br, buf)
-		if err != nil {
-			return
-		}
-		d := dec{b: payload, slot: s.slot, flat: flat[:0], rows: rows[:0]}
-		resp, err := s.handleMsg(typ, &d, frame, &helloed)
-		if err != nil {
-			msg := err.Error()
-			resp = append(wire.Begin(frame, msgErr, len(msg)), msg...)
-		}
-		if frame, err = wire.Finish(resp); err != nil {
-			return
-		}
-		if _, err := c.Write(frame); err != nil {
-			return
-		}
-		buf, flat, rows = frame, d.flat, d.rows
-		if cap(buf) > maxRetainBytes {
-			buf = nil
-		}
-		// The arenas go together: kept row headers would pin a dropped
-		// ID arena.
-		if cap(flat)*4 > maxRetainBytes || cap(rows)*24 > maxRetainBytes {
-			flat, rows = nil, nil
-		}
+	state := conn{srv: s}
+	for state.next(br, c) == nil {
 	}
 }
 
-// handleMsg decodes and evaluates one request and returns the unsealed
-// response frame, built in out — the buffer the request arrived in,
-// free to overwrite once the request is decoded. An error becomes a
-// msgErr response and keeps the connection alive for the next request.
-func (s *Server) handleMsg(typ byte, d *dec, out []byte, helloed *bool) ([]byte, error) {
-	req := newRequest(typ)
-	if req == nil {
+// conn is the state of one coordinator connection: everything a request
+// needs is the connection's own and reused by the next. Two frame
+// buffers: a request is read into in and stays there, still encoded,
+// while the response is appended to out — the request's sections are
+// read as late as the last partition. The row scratch holds decoded
+// rows: whole the side that ships to every shard, for the length of the
+// request; a and b the current partition's sections, overwritten by the
+// next partition's. ks is where kernels and scans emit that partition's
+// output, which lives until its section is appended to out.
+type conn struct {
+	srv     *Server
+	helloed bool
+
+	in, out     []byte
+	whole, a, b rowScratch
+	ints        []int   // the request's key and keep lists
+	processed   []int64 // a scan's per-partition counts, sent after its rows
+	ks          engine.KernelScratch
+}
+
+// next reads one request frame from r and answers it on w with a frame
+// built in c.out. A request that cannot be served — malformed, refused,
+// failed — is answered msgErr and keeps the connection alive for the
+// next; the error return is for a connection that is over. Afterwards
+// nothing the request grew past maxRetainBytes is still held.
+func (c *conn) next(r io.Reader, w io.Writer) error {
+	typ, payload, frame, _, err := wire.ReadFrameInto(r, c.in)
+	if err != nil {
+		return err
+	}
+	c.in = frame
+	resp, err := c.respond(typ, payload)
+	if err != nil {
+		msg := err.Error()
+		resp = append(wire.Begin(c.out, msgErr, len(msg)), msg...)
+	}
+	if c.out, err = wire.Finish(resp); err == nil {
+		_, err = w.Write(c.out)
+	}
+	c.trim()
+	return err
+}
+
+// trim drops every message-sized buffer that outgrew maxRetainBytes, so
+// nothing larger survives the request that needed it.
+func (c *conn) trim() {
+	if cap(c.in) > maxRetainBytes {
+		c.in = nil
+	}
+	if cap(c.out) > maxRetainBytes {
+		c.out = nil
+	}
+	if cap(c.ints)*8 > maxRetainBytes {
+		c.ints = nil
+	}
+	// The kernel scratch still refers to the rows it last worked on, so
+	// it goes with any row scratch that does.
+	if w, a, b := c.whole.trim(), c.a.trim(), c.b.trim(); w || a || b {
+		c.ks = engine.KernelScratch{}
+	}
+	c.ks.Trim(maxRetainBytes)
+}
+
+// respond evaluates one request and returns its unsealed msgOK frame.
+// The whole payload is decoded or validated before any kernel runs.
+func (c *conn) respond(typ byte, payload []byte) ([]byte, error) {
+	if typ < msgHello || typ > msgDistinct { // the request types
 		return nil, fmt.Errorf("shard: unknown message type %d", typ)
 	}
-	if !*helloed && typ != msgHello {
+	if !c.helloed && typ != msgHello {
 		return nil, fmt.Errorf("shard: message type %d before handshake", typ)
 	}
-	if req.decode(d); d.done() != nil {
-		return nil, d.err
-	}
-	var kernel func(p int) []engine.Row
-	switch req := req.(type) {
-	case *helloReq:
-		if err := s.validateHello(*req); err != nil {
+	d := dec{b: payload, slot: c.srv.slot, flat: c.whole.flat[:0], rows: c.whole.rows[:0], intBuf: c.ints[:0]}
+	switch typ {
+	case msgHello:
+		var m helloReq
+		if m.decode(&d); d.done() != nil {
+			return nil, d.err
+		}
+		if err := c.srv.validateHello(m); err != nil {
 			return nil, err
 		}
-		*helloed = true
-		return wire.Begin(out, msgOK, 0), nil
-	case *scanReq:
-		if len(req.Node.Patterns) == 0 {
-			return nil, fmt.Errorf("shard: scan node without patterns")
+		c.helloed = true
+		return wire.Begin(c.out, msgOK, 0), nil
+	case msgScan:
+		var m scanReq
+		if m.decode(&d); d.done() != nil {
+			return nil, d.err
 		}
-		parts, processed, err := s.store.ScanNodeParts(&req.Node, req.Filters, s.slot.owns)
+		return c.scan(&m)
+	}
+	var m exchangeReq
+	a, b := m.decodeLazy(&d)
+	c.whole.flat, c.whole.rows, c.ints = d.flat, d.rows, d.intBuf
+	if d.err != nil {
+		return nil, d.err
+	}
+	return c.exchange(typ, &m, a, b)
+}
+
+// scan evaluates a scan node over the owned partitions.
+func (c *conn) scan(m *scanReq) ([]byte, error) {
+	if len(m.Node.Patterns) == 0 {
+		return nil, fmt.Errorf("shard: scan node without patterns")
+	}
+	ns, err := c.srv.store.PrepareNodeScan(&m.Node, m.Filters)
+	if err != nil {
+		return nil, err
+	}
+	sl, total := c.srv.slot, ns.Partitions()
+	w := beginPartSet(wire.Begin(c.out, msgOK, 0), total, sl)
+	c.processed = c.processed[:0]
+	for p := sl.shard; p < total; p += sl.shards {
+		rows, processed := ns.ScanPart(p, &c.ks.Out)
+		w.add(rows)
+		c.processed = append(c.processed, processed)
+	}
+	for _, n := range c.processed {
+		w.b = binary.LittleEndian.AppendUint64(w.b, uint64(n))
+	}
+	return w.b, nil
+}
+
+// exchange runs an exchange kernel over the owned partitions of a
+// validated request, one at a time.
+func (c *conn) exchange(typ byte, m *exchangeReq, a, b sections) ([]byte, error) {
+	if typ == msgShuffle && b.total != a.total {
+		return nil, fmt.Errorf("shard: shuffle sides of %d and %d partitions", a.total, b.total)
+	}
+	if typ == msgBroadcast {
+		// Index the build side once and probe every owned partition
+		// against it, exactly as the in-process broadcast join does.
+		c.ks.Build(m.Whole, m.KeyA)
+	}
+	sl := c.srv.slot
+	w := beginPartSet(wire.Begin(c.out, msgOK, 0), a.total, sl)
+	for p := sl.shard; p < a.total; p += sl.shards {
+		rows, err := a.next(&c.a)
 		if err != nil {
 			return nil, err
 		}
-		out = wire.Begin(out, msgOK, partSetSize(parts, s.slot)+8*len(processed))
-		return appendScanResp(out, parts, processed, s.slot), nil
-	case *exchangeReq:
 		switch typ {
 		case msgShuffle:
 			// Hash-join the owned partitions of a routed shuffle.
-			if len(req.B) != len(req.A) {
-				return nil, fmt.Errorf("shard: shuffle sides of %d and %d partitions", len(req.A), len(req.B))
+			right, err := b.next(&c.b)
+			if err != nil {
+				return nil, err
 			}
-			kernel = func(p int) []engine.Row {
-				return engine.JoinPartitionKernel(req.A[p], req.B[p], req.KeyA, req.KeyB, req.OutWidth, req.LKeep, req.RKeep)
-			}
+			rows = c.ks.JoinPartition(rows, right, m.KeyA, m.KeyB, m.OutWidth, m.LKeep, m.RKeep)
 		case msgBroadcast:
-			// Index the build side once and probe every owned partition
-			// against it, exactly as the in-process broadcast join does.
-			jp := engine.NewJoinProbe(req.Whole, req.KeyA)
-			kernel = func(p int) []engine.Row {
-				return jp.Probe(req.A[p], req.KeyB, req.AIsLeft, req.OutWidth, req.LKeep, req.RKeep)
-			}
+			rows = c.ks.Probe(rows, m.KeyB, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
 		case msgCartesian:
 			// Cross every owned large-side partition with the small side.
-			kernel = func(p int) []engine.Row {
-				return engine.CartesianKernel(req.A[p], req.Whole, req.AIsLeft, req.OutWidth, req.LKeep, req.RKeep)
-			}
+			rows = c.ks.Cartesian(rows, m.Whole, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
 		case msgDistinct:
 			// Dedup the owned partitions of a shuffled distinct.
-			kernel = func(p int) []engine.Row { return engine.DistinctKernel(req.A[p], req.OutWidth) }
+			rows = c.ks.Distinct(rows, m.OutWidth)
 		}
-		parts := make([][]engine.Row, len(req.A))
-		for p := s.slot.shard; p < len(parts); p += s.slot.shards {
-			parts[p] = kernel(p)
-		}
-		out = appendPartSet(wire.Begin(out, msgOK, partSetSize(parts, s.slot)), parts, s.slot)
+		w.add(rows)
 	}
-	return out, nil
+	return w.b, nil
 }
 
 // validateHello refuses coordinators whose topology or dataset does not
