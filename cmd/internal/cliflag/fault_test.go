@@ -1,0 +1,87 @@
+package cliflag
+
+import (
+	"context"
+	"flag"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/watdiv"
+)
+
+// parse binds the fault flags on a fresh flag set and parses args, the
+// way both binaries do on flag.CommandLine.
+func parse(t *testing.T, args ...string) *cluster.FaultPlan {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	plan := FaultPlan(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("Parse(%v): %v", args, err)
+	}
+	return plan()
+}
+
+func TestFaultPlanNilWhenNoRateIsSet(t *testing.T) {
+	if fp := parse(t); fp != nil {
+		t.Errorf("no flags: plan %+v, want nil", fp)
+	}
+	if fp := parse(t, "-fault-seed", "7", "-fault-straggler-factor", "3"); fp != nil {
+		t.Errorf("seed and factor only: plan %+v, want nil (no rate set)", fp)
+	}
+	want := &cluster.FaultPlan{Seed: 7, FailRate: 0.25, StragglerRate: 0.5, StragglerFactor: 3, CorruptRate: 0.125}
+	got := parse(t, "-fault-seed", "7", "-fault-fail-rate", "0.25", "-fault-straggler-rate", "0.5",
+		"-fault-straggler-factor", "3", "-fault-corrupt-rate", "0.125")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("plan = %+v, want %+v", got, want)
+	}
+}
+
+// TestInvalidFaultFlagsRefusedOnBothPaths: an out-of-range plan used to
+// stop prost-serve (cluster.New validates Config.Faults) but run under
+// prost-query, whose per-query plan went straight to the fault
+// decisions — 1.5 acting as "always", 0.5 silently becoming the default
+// factor. Both paths now return the same Validate error.
+func TestInvalidFaultFlagsRefusedOnBothPaths(t *testing.T) {
+	const wantMsg = "FaultPlan.FailRate = 1.5 out of [0,1]"
+	bad := parse(t, "-fault-fail-rate", "1.5", "-fault-straggler-factor", "0.5")
+	if bad == nil {
+		t.Fatal("active plan parsed as nil")
+	}
+
+	// prost-serve: the plan is the cluster's.
+	cfg := cluster.DefaultConfig()
+	cfg.Faults = bad
+	if _, err := cluster.New(cfg); err == nil || !strings.Contains(err.Error(), wantMsg) {
+		t.Errorf("cluster.New with the invalid plan: %v, want %q", err, wantMsg)
+	}
+
+	// prost-query: the plan is the query's.
+	g := watdiv.MustGenerate(watdiv.Config{Scale: 100, Seed: 1})
+	store, err := core.Load(g, core.Options{Cluster: cluster.MustNew(cluster.Config{Workers: 2, DefaultPartitions: 4})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := watdiv.BasicQuerySet()[0].Parsed
+	for _, streaming := range []bool{false, true} {
+		_, err := store.QueryContext(context.Background(), q, core.QueryOptions{Faults: bad, Streaming: streaming})
+		if err == nil || !strings.Contains(err.Error(), wantMsg) {
+			t.Errorf("QueryContext(streaming=%v) with the invalid plan: %v, want %q", streaming, err, wantMsg)
+		}
+	}
+	for _, fp := range []*cluster.FaultPlan{
+		{FailRate: 0.5, StragglerFactor: 0.5},
+		{FailRate: 0.5, MaxAttempts: -1},
+	} {
+		if _, err := store.Query(q, core.QueryOptions{Faults: fp}); err == nil {
+			t.Errorf("QueryContext accepted %+v", fp)
+		}
+	}
+	if m := store.ResilienceMetrics(); m != (core.ResilienceMetrics{}) {
+		t.Errorf("a refused plan still executed something: %+v", m)
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/cmd/internal/cliflag"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/rdf"
@@ -43,24 +44,10 @@ func main() {
 	replan := flag.Float64("replan-threshold", 0, "adaptive re-planning trigger: estimation-error factor that pauses and re-plans the remainder (0 = default 8, negative = disabled)")
 	sketches := flag.Int("stats-sketches", 0, "top-K two-predicate join sketches collected at load time (0 = default 512, negative = disable join-graph statistics entirely)")
 	extvpBudget := flag.Int64("extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables; the query runs once to mine and build them, then the measured run may rewrite onto them (0 = subsystem off)")
-	faultSeed := flag.Uint64("fault-seed", 0, "seed for the deterministic fault schedule (fault injection is off unless a -fault-* rate is set)")
-	faultFail := flag.Float64("fault-fail-rate", 0, "probability a task attempt fails outright")
-	faultStraggle := flag.Float64("fault-straggler-rate", 0, "probability a task attempt straggles")
-	faultFactor := flag.Float64("fault-straggler-factor", 0, "slowdown multiple for straggling attempts (0 = default)")
-	faultCorrupt := flag.Float64("fault-corrupt-rate", 0, "probability an exchange delivery is corrupted (detected by checksum, repaired from lineage)")
+	faults := cliflag.FaultPlan(flag.CommandLine)
 	flag.Parse()
 
-	faults := &cluster.FaultPlan{
-		Seed:            *faultSeed,
-		FailRate:        *faultFail,
-		StragglerRate:   *faultStraggle,
-		StragglerFactor: *faultFactor,
-		CorruptRate:     *faultCorrupt,
-	}
-	if !faults.Active() {
-		faults = nil
-	}
-	if err := run(*in, *queryText, *queryFile, *strategy, *planner, *workers, *streaming, *chunkSize, *explain, *maxRows, *replan, *sketches, *extvpBudget, faults); err != nil {
+	if err := run(*in, *queryText, *queryFile, *strategy, *planner, *workers, *streaming, *chunkSize, *explain, *maxRows, *replan, *sketches, *extvpBudget, faults()); err != nil {
 		fmt.Fprintln(os.Stderr, "prost-query:", err)
 		os.Exit(1)
 	}

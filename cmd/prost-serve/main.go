@@ -56,6 +56,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/cmd/internal/cliflag"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -85,11 +86,7 @@ type options struct {
 	breakerWindow    time.Duration
 	breakerCooldown  time.Duration
 
-	faultSeed            uint64
-	faultFailRate        float64
-	faultStragglerRate   float64
-	faultStragglerFactor float64
-	faultCorruptRate     float64
+	faults *cluster.FaultPlan
 }
 
 func main() {
@@ -115,33 +112,14 @@ func main() {
 	flag.Float64Var(&o.breakerThreshold, "breaker-threshold", 0, "execution-failure rate that trips the /sparql circuit breaker (0 = default)")
 	flag.DurationVar(&o.breakerWindow, "breaker-window", 0, "sliding window for the breaker's failure rate (0 = default)")
 	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "how long a tripped breaker sheds load before probing (0 = default)")
-	flag.Uint64Var(&o.faultSeed, "fault-seed", 0, "seed for the deterministic fault schedule (fault injection is off unless a -fault-* rate is set)")
-	flag.Float64Var(&o.faultFailRate, "fault-fail-rate", 0, "probability a task attempt fails outright")
-	flag.Float64Var(&o.faultStragglerRate, "fault-straggler-rate", 0, "probability a task attempt straggles")
-	flag.Float64Var(&o.faultStragglerFactor, "fault-straggler-factor", 0, "slowdown multiple for straggling attempts (0 = default)")
-	flag.Float64Var(&o.faultCorruptRate, "fault-corrupt-rate", 0, "probability an exchange delivery is corrupted (detected by checksum, repaired from lineage)")
+	faults := cliflag.FaultPlan(flag.CommandLine)
 	flag.Parse()
+	o.faults = faults()
 
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "prost-serve:", err)
 		os.Exit(1)
 	}
-}
-
-// faultPlan assembles the injected fault schedule, nil when every rate
-// is zero.
-func (o options) faultPlan() *cluster.FaultPlan {
-	fp := &cluster.FaultPlan{
-		Seed:            o.faultSeed,
-		FailRate:        o.faultFailRate,
-		StragglerRate:   o.faultStragglerRate,
-		StragglerFactor: o.faultStragglerFactor,
-		CorruptRate:     o.faultCorruptRate,
-	}
-	if !fp.Active() {
-		return nil
-	}
-	return fp
 }
 
 func run(o options) error {
@@ -165,7 +143,7 @@ func run(o options) error {
 	cfg := cluster.DefaultConfig()
 	cfg.Workers = o.workers
 	cfg.DefaultPartitions = 2 * o.workers
-	cfg.Faults = o.faultPlan()
+	cfg.Faults = o.faults
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return err

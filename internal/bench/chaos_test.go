@@ -47,23 +47,22 @@ func chaosStore(tb testing.TB) *core.Store {
 // Every decision in a schedule is a pure hash of (seed, task), so each
 // entry is one reproducible disaster.
 var chaosSchedules = []struct {
-	name        string
-	fp          *cluster.FaultPlan
-	maxAttempts int
+	name string
+	fp   *cluster.FaultPlan
 }{
-	{"single-failures", &cluster.FaultPlan{Seed: 1, FailRate: 0.05}, 0},
+	{"single-failures", &cluster.FaultPlan{Seed: 1, FailRate: 0.05}},
 	// Two of four workers lost in overlapping windows early in the run:
 	// retries must rotate onto the surviving machines.
-	{"correlated-worker-loss", &cluster.FaultPlan{Seed: 2, Outages: []cluster.WorkerOutage{
+	{"correlated-worker-loss", &cluster.FaultPlan{Seed: 2, MaxAttempts: 6, Outages: []cluster.WorkerOutage{
 		{Worker: 0, From: 0, Until: 800 * time.Millisecond},
 		{Worker: 1, From: 100 * time.Millisecond, Until: time.Second},
-	}}, 6},
-	{"stragglers-10pct", &cluster.FaultPlan{Seed: 3, StragglerRate: 0.10, StragglerFactor: 6}, 0},
-	{"corrupted-exchange", &cluster.FaultPlan{Seed: 4, CorruptRate: 0.15}, 0},
+	}}},
+	{"stragglers-10pct", &cluster.FaultPlan{Seed: 3, StragglerRate: 0.10, StragglerFactor: 6}},
+	{"corrupted-exchange", &cluster.FaultPlan{Seed: 4, CorruptRate: 0.15}},
 	{"kitchen-sink", &cluster.FaultPlan{
-		Seed: 5, FailRate: 0.05, StragglerRate: 0.05, StragglerFactor: 6, CorruptRate: 0.05,
+		Seed: 5, FailRate: 0.05, StragglerRate: 0.05, StragglerFactor: 6, CorruptRate: 0.05, MaxAttempts: 6,
 		Outages: []cluster.WorkerOutage{{Worker: 2, From: 0, Until: 500 * time.Millisecond}},
-	}, 6},
+	}},
 }
 
 var chaosModes = []struct {
@@ -116,7 +115,6 @@ func TestChaosSchedulesPreserveResults(t *testing.T) {
 					Planner:         m.mode,
 					ReplanThreshold: -1,
 					Faults:          sched.fp,
-					MaxTaskAttempts: sched.maxAttempts,
 				}
 				res, err := s.Query(q.Parsed, opts)
 				if err != nil {
@@ -158,7 +156,6 @@ func TestChaosDeterministicReplay(t *testing.T) {
 			opts := core.QueryOptions{
 				ReplanThreshold: -1,
 				Faults:          sched.fp,
-				MaxTaskAttempts: sched.maxAttempts,
 			}
 			a, err := s.Query(q.Parsed, opts)
 			if err != nil {
@@ -192,7 +189,7 @@ func TestChaosAdaptiveRowsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s clean: %v", sched.name, q.Name, err)
 			}
-			res, err := s.Query(q.Parsed, core.QueryOptions{Faults: sched.fp, MaxTaskAttempts: sched.maxAttempts})
+			res, err := s.Query(q.Parsed, core.QueryOptions{Faults: sched.fp})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", sched.name, q.Name, err)
 			}
@@ -213,13 +210,12 @@ func BenchmarkChaosRecovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, fp *cluster.FaultPlan, maxAttempts int) {
+	run := func(b *testing.B, fp *cluster.FaultPlan) {
 		var sim, rec int64
 		for i := 0; i < b.N; i++ {
 			res, err := s.Query(q.Parsed, core.QueryOptions{
 				ReplanThreshold: -1,
 				Faults:          fp,
-				MaxTaskAttempts: maxAttempts,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -230,8 +226,8 @@ func BenchmarkChaosRecovery(b *testing.B) {
 		b.ReportMetric(float64(sim)/float64(b.N)/1e6, "sim-ms/op")
 		b.ReportMetric(float64(rec)/float64(b.N)/1e6, "recovery-ms/op")
 	}
-	b.Run("fault-free", func(b *testing.B) { run(b, nil, 0) })
+	b.Run("fault-free", func(b *testing.B) { run(b, nil) })
 	for _, sched := range chaosSchedules {
-		b.Run(sched.name, func(b *testing.B) { run(b, sched.fp, sched.maxAttempts) })
+		b.Run(sched.name, func(b *testing.B) { run(b, sched.fp) })
 	}
 }

@@ -163,7 +163,7 @@ func (s *Systems) AblationJoinOrder(queries []watdiv.Query) (Figure, error) {
 		if err != nil {
 			return Figure{}, err
 		}
-		naive, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, NaiveOrder: true})
+		naive, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: core.PlannerNaive})
 		if err != nil {
 			return Figure{}, err
 		}

@@ -6,6 +6,13 @@
 // this package is real computation over real partitioned data; only the
 // *pricing* of cluster effects is simulated, so benchmark shapes mirror
 // the paper without the hardware.
+//
+// Fault tolerance — what the paper gets from Spark — lives here too, in
+// one place: a FaultPlan decides each attempt's fate, and
+// FaultPlan.RunAttempts is the one retry / backoff / speculation loop
+// that acts on those decisions, writing one attempt trace (Attempt) and
+// one recovery record (Recovery). The task scheduler in internal/core
+// and the morsel simulator (SimulateMorsels) both call it.
 package cluster
 
 import (

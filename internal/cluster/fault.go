@@ -32,6 +32,12 @@ type FaultPlan struct {
 	// schedule recoverable: retries beyond it only fail if they land on
 	// a dead worker.
 	MaxFailuresPerTask int
+	// MaxAttempts bounds execution attempts per task (0 =
+	// DefaultMaxAttempts); exhausting it aborts the query with a typed
+	// error carrying the attempt trace. A schedule stays recoverable
+	// only while this exceeds MaxFailuresPerTask plus the attempts its
+	// outage windows can kill.
+	MaxAttempts int
 	// Outages lists worker-loss windows on the virtual timeline: an
 	// attempt placed on a dead worker during its window fails. Retries
 	// rotate to other workers and back off past the window.
@@ -103,6 +109,9 @@ func (fp *FaultPlan) Validate() error {
 	if fp.StragglerFactor != 0 && fp.StragglerFactor < 1 {
 		return fmt.Errorf("cluster: FaultPlan.StragglerFactor = %g must be >= 1", fp.StragglerFactor)
 	}
+	if fp.MaxAttempts < 0 {
+		return fmt.Errorf("cluster: FaultPlan.MaxAttempts = %d must be >= 0", fp.MaxAttempts)
+	}
 	for _, o := range fp.Outages {
 		if o.Worker < 0 {
 			return fmt.Errorf("cluster: FaultPlan outage worker %d must be >= 0", o.Worker)
@@ -128,6 +137,14 @@ func (fp *FaultPlan) maxFailures() int {
 		return fp.MaxFailuresPerTask
 	}
 	return DefaultMaxFailuresPerTask
+}
+
+// maxAttempts resolves the per-task attempt budget.
+func (fp *FaultPlan) maxAttempts() int {
+	if fp.MaxAttempts > 0 {
+		return fp.MaxAttempts
+	}
+	return DefaultMaxAttempts
 }
 
 // stragglerFactor resolves the straggler multiplier.

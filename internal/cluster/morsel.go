@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 )
@@ -13,11 +12,10 @@ import (
 // every morsel onto the simulated workers, so SimTime reflects actual
 // worker contention across concurrent pipelines instead of the
 // materialized scheduler's max-of-branches critical path. Fault
-// injection prices at the same granularity: each morsel rolls its own
-// attempt fates from the FaultPlan, retries back off and rotate
-// workers, stragglers stretch and speculate — mirroring the
-// whole-operator resilience loop, but a retry now re-runs one morsel
-// of work rather than a whole operator.
+// injection prices at the same granularity: each morsel is one task of
+// FaultPlan.RunAttempts — the attempt loop the task scheduler runs per
+// operator — so a retry re-runs one morsel of work rather than a whole
+// operator.
 //
 // The simulation is a pure function of its inputs: placement is
 // earliest-free-worker with deterministic tie-breaks, fault decisions
@@ -62,29 +60,12 @@ type MorselSimConfig struct {
 	Cost CostModel
 	// Start is the query's planning charge; no morsel starts before it.
 	Start time.Duration
-	// Faults, when active, prices per-morsel fault injection; FaultSalt
-	// decorrelates schedules across queries.
+	// Faults, when active, prices per-morsel fault injection (a morsel
+	// that exhausts Faults.MaxAttempts fails the simulation with a
+	// *MorselFailedError); FaultSalt decorrelates schedules across
+	// queries.
 	Faults    *FaultPlan
 	FaultSalt uint64
-	// MaxAttempts bounds attempts per morsel; exhausting it fails the
-	// simulation with a *MorselFailedError.
-	MaxAttempts int
-	// RetryBackoff is the base virtual backoff after a failed attempt,
-	// doubling per failure up to MaxBackoff.
-	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
-	// SpecFactor is the straggler-detection multiple (0 disables
-	// speculation).
-	SpecFactor float64
-}
-
-// MorselRecovery aggregates the simulation's fault-recovery activity,
-// mirroring the materialized executor's resilience record.
-type MorselRecovery struct {
-	Attempts, Retries, Stragglers int64
-	SpecLaunched, SpecWins        int64
-	ChecksumFailures, Recomputes  int64
-	Recovery                      time.Duration
 }
 
 // MorselSimResult is the priced outcome of one streaming execution.
@@ -98,16 +79,7 @@ type MorselSimResult struct {
 	PipelineDone []time.Duration
 	// Recovery is the fault-injection record (zero-valued without an
 	// active fault plan).
-	Recovery MorselRecovery
-}
-
-// MorselAttempt is one attempt of one morsel on the virtual timeline.
-type MorselAttempt struct {
-	Attempt     int
-	Worker      int
-	Start, End  time.Duration
-	Outcome     string
-	Speculative bool
+	Recovery Recovery
 }
 
 // MorselFailedError reports a morsel that exhausted its attempt budget
@@ -115,7 +87,7 @@ type MorselAttempt struct {
 type MorselFailedError struct {
 	Pipeline string
 	Morsel   int
-	Attempts []MorselAttempt
+	Attempts []Attempt
 }
 
 // Error implements error.
@@ -123,10 +95,6 @@ func (e *MorselFailedError) Error() string {
 	return fmt.Sprintf("cluster: pipeline %q morsel %d failed permanently after %d attempts",
 		e.Pipeline, e.Morsel, len(e.Attempts))
 }
-
-// morselSpecBase offsets speculative duplicates into their own fault
-// decision stream, matching the materialized executor's convention.
-const morselSpecBase = 1 << 16
 
 // morselKey derives the fault key of one morsel, decorrelated across
 // pipelines and queries.
@@ -218,15 +186,17 @@ func SimulateMorsels(pipelines []MorselPipeline, cfg MorselSimConfig) (*MorselSi
 				start = gate
 			}
 
-			var mDone time.Duration
-			if faults == nil {
-				mDone = start + dur
-			} else {
-				var err error
-				mDone, err = runMorselResilient(faults, cfg, morselKey(cfg.FaultSalt, pi, mi), start, dur, workers, p.Name, mi, &res.Recovery)
+			mDone := start + dur
+			if faults != nil {
+				// A morsel is priced, not executed: every attempt costs
+				// its share of the pipeline's work.
+				fDone, trace, rec, err := faults.RunAttempts(morselKey(cfg.FaultSalt, pi, mi), start, workers,
+					func() (time.Duration, error) { return dur, nil })
+				res.Recovery.Add(rec)
 				if err != nil {
-					return res, err
+					return res, &MorselFailedError{Pipeline: p.Name, Morsel: mi, Attempts: trace}
 				}
+				mDone = fDone
 			}
 			free[w] = mDone
 			if mDone > done {
@@ -249,7 +219,7 @@ func SimulateMorsels(pipelines []MorselPipeline, cfg MorselSimConfig) (*MorselSi
 		// dependents (or the driver) read the output.
 		if faults != nil && faults.CorruptDelivery(morselKey(cfg.FaultSalt, pi, 1<<19)) {
 			res.Recovery.ChecksumFailures++
-			res.Recovery.Recomputes++
+			res.Recovery.LineageRecomputes++
 			penalty := base
 			if penalty <= 0 {
 				penalty = firstDur
@@ -258,7 +228,7 @@ func SimulateMorsels(pipelines []MorselPipeline, cfg MorselSimConfig) (*MorselSi
 				penalty = 1
 			}
 			done += penalty
-			res.Recovery.Recovery += penalty
+			res.Recovery.RecoveryTime += penalty
 		}
 
 		res.PipelineDone[pi] = done
@@ -284,60 +254,4 @@ func SimulateMorsels(pipelines []MorselPipeline, cfg MorselSimConfig) (*MorselSi
 		res.Done = driverFree
 	}
 	return res, nil
-}
-
-// runMorselResilient prices one morsel's attempt loop under the fault
-// plan: failed attempts consume their time and back off, stragglers
-// stretch and may speculate, and exhaustion fails the simulation. The
-// recovery record accumulates into rec.
-func runMorselResilient(fp *FaultPlan, cfg MorselSimConfig, key uint64, start, dur time.Duration, workers int, name string, morsel int, rec *MorselRecovery) (time.Duration, error) {
-	maxAttempts := cfg.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	var trace []MorselAttempt
-	vstart := start
-	for attempt := 1; ; attempt++ {
-		dec := fp.Decide(key, attempt, vstart, workers)
-		rec.Attempts++
-		if dec.Fail {
-			outcome := "failed"
-			if dec.Outage {
-				outcome = "worker-outage"
-			}
-			trace = append(trace, MorselAttempt{Attempt: attempt, Worker: dec.Worker, Start: vstart, End: vstart + dur, Outcome: outcome})
-			if attempt >= maxAttempts {
-				return 0, &MorselFailedError{Pipeline: name, Morsel: morsel, Attempts: trace}
-			}
-			rec.Retries++
-			wait := cfg.RetryBackoff << (attempt - 1)
-			if wait > cfg.MaxBackoff || wait <= 0 {
-				wait = cfg.MaxBackoff
-			}
-			rec.Recovery += dur + wait
-			vstart += dur + wait
-			continue
-		}
-		done := vstart + dur
-		if dec.DelayFactor > 1 {
-			rec.Stragglers++
-			slowDone := vstart + time.Duration(float64(dur)*dec.DelayFactor)
-			done = slowDone
-			if sf := cfg.SpecFactor; sf > 0 && dec.DelayFactor > sf {
-				specStart := vstart + time.Duration(float64(dur)*sf)
-				specDec := fp.Decide(key, attempt+morselSpecBase, specStart, workers)
-				rec.SpecLaunched++
-				rec.Attempts++
-				if !specDec.Fail {
-					specDone := specStart + time.Duration(float64(dur)*math.Max(specDec.DelayFactor, 1))
-					if specDone < slowDone {
-						done = specDone
-						rec.SpecWins++
-					}
-				}
-			}
-			rec.Recovery += done - (vstart + dur)
-		}
-		return done, nil
-	}
 }

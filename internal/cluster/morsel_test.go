@@ -10,13 +10,9 @@ import (
 // morsel durations easy to reason about: 1000 rows = 120µs.
 func simCfg(workers int) MorselSimConfig {
 	return MorselSimConfig{
-		Workers:      workers,
-		Cost:         DefaultCostModel(),
-		Start:        10 * time.Millisecond,
-		MaxAttempts:  4,
-		RetryBackoff: 50 * time.Millisecond,
-		MaxBackoff:   2 * time.Second,
-		SpecFactor:   2.0,
+		Workers: workers,
+		Cost:    DefaultCostModel(),
+		Start:   10 * time.Millisecond,
 	}
 }
 
@@ -121,8 +117,7 @@ func TestSimulateMorselsFaultsDeterministic(t *testing.T) {
 
 func TestSimulateMorselsPermanentFailure(t *testing.T) {
 	cfg := simCfg(2)
-	cfg.MaxAttempts = 2
-	cfg.Faults = &FaultPlan{Seed: 3, FailRate: 1.0, MaxFailuresPerTask: 10}
+	cfg.Faults = &FaultPlan{Seed: 3, FailRate: 1.0, MaxFailuresPerTask: 10, MaxAttempts: 2}
 	_, err := SimulateMorsels([]MorselPipeline{{Name: "doomed", Morsels: 2, Work: TaskStats{Rows: 100}}}, cfg)
 	var mfe *MorselFailedError
 	if !errors.As(err, &mfe) {

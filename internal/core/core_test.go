@@ -408,7 +408,7 @@ func TestNaiveOrderAblation(t *testing.T) {
 		?a <http://example.org/follows> ?b .
 		?b <http://example.org/name> "bob" .
 	}`)
-	res, err := s.Query(q, QueryOptions{NaiveOrder: true})
+	res, err := s.Query(q, QueryOptions{Planner: PlannerNaive})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}

@@ -33,9 +33,6 @@ type QueryOptions struct {
 	// size cap with CostModel pricing, so priced broadcasts may exceed
 	// it.
 	BroadcastThreshold int64
-	// NaiveOrder joins nodes in the order the query wrote them — the
-	// legacy spelling of Planner: PlannerNaive (ablation A1).
-	NaiveOrder bool
 	// Parallelism bounds the scheduler's worker pool: how many plan
 	// operators may execute concurrently (0 = GOMAXPROCS). Independent
 	// subtrees of the plan run in parallel up to this bound.
@@ -57,22 +54,14 @@ type QueryOptions struct {
 	// overriding the cluster-wide plan (cluster.Config.Faults). Nil
 	// inherits the cluster's; a nil or inactive resolved plan keeps
 	// execution on the unchanged fault-free hot path (no checksums, no
-	// attempt bookkeeping). Fault options never affect planning, so
-	// cached plans are shared across fault settings.
+	// attempt bookkeeping). The plan is the whole fault configuration —
+	// its MaxAttempts is the per-task attempt budget whose exhaustion
+	// aborts the query with a *TaskFailedError; retry backoff and the
+	// speculation multiple are constants beside the attempt loop
+	// (cluster.FaultPlan.RunAttempts). An invalid plan is refused before
+	// planning. Fault options never affect planning, so cached plans are
+	// shared across fault settings.
 	Faults *cluster.FaultPlan
-	// MaxTaskAttempts bounds execution attempts per task under an
-	// active fault plan (0 = DefaultMaxTaskAttempts); exhausting it
-	// aborts the query with a *TaskFailedError.
-	MaxTaskAttempts int
-	// RetryBackoff is the base virtual backoff charged between a failed
-	// attempt and its retry, doubling per failure up to MaxRetryBackoff
-	// (0 = DefaultRetryBackoff).
-	RetryBackoff time.Duration
-	// SpeculativeFactor is the straggler-detection multiple: an attempt
-	// running past this multiple of the median sibling time gets a
-	// speculative duplicate, first finisher wins (0 =
-	// DefaultSpeculativeFactor; negative disables speculation).
-	SpeculativeFactor float64
 	// Streaming routes the query through the morsel-driven pipeline
 	// executor: operators fuse into chunk-at-a-time pipelines, SimTime
 	// comes from list-scheduling priced morsels onto the simulated
@@ -268,6 +257,10 @@ func (s *Store) Query(q *sparql.Query, opts QueryOptions) (*Result, error) {
 // shared read-only, and all execution state is per-call.
 func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOptions) (*Result, error) {
 	start := time.Now()
+	// A per-query plan gets the check cluster.New gives the cluster's.
+	if err := opts.Faults.Validate(); err != nil {
+		return nil, err
+	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = cluster.NewClock()
@@ -375,17 +368,17 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 		distinct:        q.Distinct,
 		costs:           s.planCosts(snap.col, opts),
 		replanCharge:    s.cluster.Config().Cost.SQLPlanning,
-		faults:          faults,
-		faultSalt:       faultSalt,
-		maxAttempts:     opts.maxTaskAttempts(),
-		retryBackoff:    opts.retryBackoffBase(),
-		specFactor:      opts.speculativeFactor(),
+	}
+	if faults != nil {
+		sched.faults = &faultState{plan: faults, salt: faultSalt}
 	}
 	rootTask, err := sched.execute(pl)
+	var resil ResilienceStats
 	if sched.faults != nil {
-		// Recovery counters aggregate on the store even when the query
-		// aborted — failed recovery is exactly what /stats should show.
-		s.resilience.absorb(&sched.res)
+		// The record totals on the store even when the query aborted —
+		// failed recovery is exactly what /stats should show.
+		resil = sched.faults.snapshot()
+		s.resilience.add(resil)
 	}
 	if err != nil {
 		return nil, err
@@ -470,7 +463,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 		Clock:               clock,
 		Replans:             sched.events,
 		CacheFeedback:       entry.corrected,
-		Resilience:          sched.res.stats(),
+		Resilience:          resil,
 		PeakMemBytes:        materializedPeakBytes(sched, simTime),
 		Ordered:             len(q.Order) > 0,
 		StreamingDowngraded: streamingDowngraded,

@@ -105,8 +105,8 @@ func TestFaultRetryRecoversWithBoundedOverhead(t *testing.T) {
 
 func TestFaultExhaustionSurfacesTaskFailedError(t *testing.T) {
 	s := testStore(t, false)
-	fp := &cluster.FaultPlan{Seed: 3, FailRate: 1, MaxFailuresPerTask: 100}
-	opts := QueryOptions{ReplanThreshold: -1, Faults: fp, MaxTaskAttempts: 3}
+	fp := &cluster.FaultPlan{Seed: 3, FailRate: 1, MaxFailuresPerTask: 100, MaxAttempts: 3}
+	opts := QueryOptions{ReplanThreshold: -1, Faults: fp}
 	_, err := s.Query(sparql.MustParse(faultTestQuery), opts)
 	if err == nil {
 		t.Fatal("exhausted attempts did not fail the query")

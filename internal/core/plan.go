@@ -87,13 +87,11 @@ func ParsePlannerMode(s string) (PlannerMode, error) {
 	}
 }
 
-// planMode resolves the options' planner selection, honouring the
-// legacy NaiveOrder knob.
+// planMode resolves the options' planner selection.
 func (o QueryOptions) planMode() plan.Mode {
-	if o.NaiveOrder || o.Planner == PlannerNaive {
-		return plan.ModeNaive
-	}
 	switch o.Planner {
+	case PlannerNaive:
+		return plan.ModeNaive
 	case PlannerHeuristic:
 		return plan.ModeHeuristic
 	case PlannerCostLeftDeep:

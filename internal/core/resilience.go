@@ -3,57 +3,11 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
-	"time"
+	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/sparql"
 )
-
-// Resilience defaults, applied when the corresponding QueryOptions
-// knob is zero.
-const (
-	// DefaultMaxTaskAttempts bounds execution attempts per task under an
-	// active fault plan; exhausting it aborts the query with a
-	// *TaskFailedError.
-	DefaultMaxTaskAttempts = 4
-	// DefaultRetryBackoff is the base virtual delay charged between a
-	// failed attempt and its retry; it doubles per failure.
-	DefaultRetryBackoff = 50 * time.Millisecond
-	// MaxRetryBackoff caps the exponential retry backoff.
-	MaxRetryBackoff = 2 * time.Second
-	// DefaultSpeculativeFactor is the straggler-detection multiple: an
-	// attempt running past this multiple of the median sibling time gets
-	// a speculative duplicate launched against it.
-	DefaultSpeculativeFactor = 2.0
-)
-
-// maxTaskAttempts resolves the options' per-task attempt budget.
-func (o QueryOptions) maxTaskAttempts() int {
-	if o.MaxTaskAttempts > 0 {
-		return o.MaxTaskAttempts
-	}
-	return DefaultMaxTaskAttempts
-}
-
-// retryBackoffBase resolves the options' base retry backoff.
-func (o QueryOptions) retryBackoffBase() time.Duration {
-	if o.RetryBackoff > 0 {
-		return o.RetryBackoff
-	}
-	return DefaultRetryBackoff
-}
-
-// speculativeFactor resolves the options' straggler-detection multiple;
-// negative disables speculation.
-func (o QueryOptions) speculativeFactor() float64 {
-	if o.SpeculativeFactor < 0 {
-		return 0
-	}
-	if o.SpeculativeFactor == 0 {
-		return DefaultSpeculativeFactor
-	}
-	return o.SpeculativeFactor
-}
 
 // queryFaultSalt hashes the query's written patterns into a per-query
 // salt for fault-plan task keys: stable across runs and across
@@ -77,22 +31,6 @@ func queryFaultSalt(q *sparql.Query) uint64 {
 	return h
 }
 
-// retryDelay is the capped exponential virtual backoff before retrying
-// a task whose nth attempt (1-based) just failed.
-func retryDelay(base time.Duration, failedAttempt int) time.Duration {
-	d := base << (failedAttempt - 1)
-	if d > MaxRetryBackoff || d <= 0 {
-		return MaxRetryBackoff
-	}
-	return d
-}
-
-// scaleDuration multiplies a virtual duration by a straggler or
-// speculation factor.
-func scaleDuration(d time.Duration, f float64) time.Duration {
-	return time.Duration(float64(d) * f)
-}
-
 // QueryAbort is the shared face of errors that abort a query
 // mid-execution — context cancellation (*CancelError) and fault
 // exhaustion (*TaskFailedError) — so servers can report partial
@@ -105,50 +43,27 @@ type QueryAbort interface {
 	AbortProgress() (completed, total int)
 }
 
-// Attempt outcomes recorded in a task's attempt trace.
-const (
-	// AttemptOK is a clean successful attempt.
-	AttemptOK = "ok"
-	// AttemptFailed is an injected outright attempt failure.
-	AttemptFailed = "failed"
-	// AttemptOutage is an attempt lost to a worker-outage window.
-	AttemptOutage = "worker-outage"
-	// AttemptStraggler is a successful but slowed attempt that still won
-	// (no speculative duplicate, or the duplicate was slower).
-	AttemptStraggler = "straggler"
-	// AttemptStragglerLost is a straggling attempt beaten by its
-	// speculative duplicate.
-	AttemptStragglerLost = "straggler-lost"
-	// AttemptSpeculativeWin is a speculative duplicate that finished
-	// before the straggler it was launched against.
-	AttemptSpeculativeWin = "speculative-win"
+// The attempt trace and the recovery record are declared once, beside
+// the attempt loop that writes them (cluster.FaultPlan.RunAttempts);
+// these are the names core's callers use for them.
+type (
+	// TaskAttempt is one entry of a task's attempt trace.
+	TaskAttempt = cluster.Attempt
+	// ResilienceStats is one query's recovery record under fault
+	// injection (Result.Resilience); the zero value means a fault-free
+	// execution.
+	ResilienceStats = cluster.Recovery
+	// ResilienceMetrics is the recovery record totalled across a
+	// store's queries.
+	ResilienceMetrics = cluster.Recovery
 )
 
-// TaskAttempt is one entry of a task's attempt trace: where the attempt
-// ran on the virtual timeline and how it ended.
-type TaskAttempt struct {
-	// Attempt is the 1-based attempt number (a speculative duplicate
-	// shares its straggler's number).
-	Attempt int
-	// Worker is the simulated worker the attempt was placed on.
-	Worker int
-	// Start and End bound the attempt on the virtual timeline.
-	Start, End time.Duration
-	// Outcome is one of the Attempt* constants.
-	Outcome string
-	// Speculative marks a duplicate launched by the straggler detector.
-	Speculative bool
-}
-
-// String renders one attempt for the error trace.
-func (a TaskAttempt) String() string {
-	kind := ""
-	if a.Speculative {
-		kind = " (speculative)"
-	}
-	return fmt.Sprintf("attempt %d%s on worker %d [%v..%v]: %s",
-		a.Attempt, kind, a.Worker, a.Start.Round(time.Microsecond), a.End.Round(time.Microsecond), a.Outcome)
-}
+// The two attempt outcomes a *TaskFailedError's trace can end on (the
+// full set is cluster.Attempt*).
+const (
+	AttemptFailed = cluster.AttemptFailed
+	AttemptOutage = cluster.AttemptOutage
+)
 
 // TaskFailedError reports a task that exhausted its attempt budget
 // under fault injection — the permanent-failure abort, carrying the
@@ -203,144 +118,41 @@ var (
 	_ QueryAbort = (*TaskFailedError)(nil)
 )
 
-// resilienceRecorder accumulates one execution's recovery bookkeeping.
-// Only fault-injected executions touch it; the fault-free path never
-// reads or writes these fields.
-type resilienceRecorder struct {
-	attempts   atomic.Int64
-	retries    atomic.Int64
-	stragglers atomic.Int64
-	specLaunch atomic.Int64
-	specWins   atomic.Int64
-	checksums  atomic.Int64
-	recomputes atomic.Int64
-	taskFailed atomic.Int64
-	recoveryNS atomic.Int64 // priced recovery, nanoseconds
+// recoveryTotal is a recovery record several goroutines fold into: a
+// query's concurrent tasks into the scheduler's, concurrent queries
+// into the store's. Only fault-injected executions take the lock.
+type recoveryTotal struct {
+	mu  sync.Mutex
+	rec cluster.Recovery
 }
 
-// addRecovery charges priced recovery time (failed-attempt work,
-// backoff, straggler delay beyond the clean time, lineage recomputes)
-// into the execution's recovery total.
-func (r *resilienceRecorder) addRecovery(d time.Duration) {
-	if d > 0 {
-		r.recoveryNS.Add(int64(d))
-	}
+// add folds one task's or one query's record in.
+func (t *recoveryTotal) add(r cluster.Recovery) {
+	t.mu.Lock()
+	t.rec.Add(r)
+	t.mu.Unlock()
 }
 
-// stats snapshots the recorder into the Result's view.
-func (r *resilienceRecorder) stats() ResilienceStats {
-	return ResilienceStats{
-		Attempts:            r.attempts.Load(),
-		Retries:             r.retries.Load(),
-		Stragglers:          r.stragglers.Load(),
-		SpeculativeLaunched: r.specLaunch.Load(),
-		SpeculativeWins:     r.specWins.Load(),
-		ChecksumFailures:    r.checksums.Load(),
-		LineageRecomputes:   r.recomputes.Load(),
-		RecoveryTime:        time.Duration(r.recoveryNS.Load()),
-	}
+// snapshot returns the record accumulated so far.
+func (t *recoveryTotal) snapshot() cluster.Recovery {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.rec
 }
 
-// ResilienceStats is one query's recovery record under fault injection.
-// The zero value means a fault-free execution.
-type ResilienceStats struct {
-	// Attempts counts every task execution attempt, including clean
-	// first tries and speculative duplicates.
-	Attempts int64
-	// Retries counts re-executions after a failed attempt.
-	Retries int64
-	// Stragglers counts attempts the fault plan slowed down.
-	Stragglers int64
-	// SpeculativeLaunched and SpeculativeWins count straggler-triggered
-	// duplicate attempts and how many finished first.
-	SpeculativeLaunched int64
-	SpeculativeWins     int64
-	// ChecksumFailures counts corrupted exchange payloads detected by
-	// the consumer-side relation checksum.
-	ChecksumFailures int64
-	// LineageRecomputes counts tasks re-executed from lineage to restore
-	// a corrupted or freed input.
-	LineageRecomputes int64
-	// RecoveryTime is the total priced recovery charged into the virtual
-	// clock: failed-attempt work, retry backoff, straggler delay beyond
-	// the clean time and lineage recomputation. SimTime exceeds the
-	// fault-free run by at most this much (recovery on parallel branches
-	// overlaps).
-	RecoveryTime time.Duration
+// faultState is one materialized execution's fault-path state: the active
+// plan, the per-query key salt and the query's recovery record. The
+// scheduler holds it by pointer — nil keeps execution on the unchanged
+// fault-free hot path (no checksums, no attempt bookkeeping) and keeps
+// the per-query scheduler value small.
+type faultState struct {
+	plan *cluster.FaultPlan
+	salt uint64
+	recoveryTotal
 }
 
-// Recovered reports whether the execution hit any injected fault.
-func (r ResilienceStats) Recovered() bool {
-	return r.Retries > 0 || r.Stragglers > 0 || r.ChecksumFailures > 0 ||
-		r.SpeculativeLaunched > 0 || r.LineageRecomputes > 0
-}
-
-// String renders the recovery record for EXPLAIN output; "" when the
-// execution saw no fault activity at all.
-func (r ResilienceStats) String() string {
-	if r.Attempts == 0 {
-		return ""
-	}
-	return fmt.Sprintf(
-		"resilience: attempts=%d retries=%d stragglers=%d speculative=%d/%d checksum-failures=%d lineage-recomputes=%d recovery=%v\n",
-		r.Attempts, r.Retries, r.Stragglers, r.SpeculativeWins, r.SpeculativeLaunched,
-		r.ChecksumFailures, r.LineageRecomputes, r.RecoveryTime.Round(time.Microsecond))
-}
-
-// resilienceCounters aggregates recovery activity across a store's
-// queries, the /stats resilience block.
-type resilienceCounters struct {
-	attempts   atomic.Uint64
-	retries    atomic.Uint64
-	stragglers atomic.Uint64
-	specLaunch atomic.Uint64
-	specWins   atomic.Uint64
-	checksums  atomic.Uint64
-	recomputes atomic.Uint64
-	taskFailed atomic.Uint64
-}
-
-// absorb folds one execution's recorder into the store totals.
-func (c *resilienceCounters) absorb(r *resilienceRecorder) {
-	c.attempts.Add(uint64(r.attempts.Load()))
-	c.retries.Add(uint64(r.retries.Load()))
-	c.stragglers.Add(uint64(r.stragglers.Load()))
-	c.specLaunch.Add(uint64(r.specLaunch.Load()))
-	c.specWins.Add(uint64(r.specWins.Load()))
-	c.checksums.Add(uint64(r.checksums.Load()))
-	c.recomputes.Add(uint64(r.recomputes.Load()))
-	c.taskFailed.Add(uint64(r.taskFailed.Load()))
-}
-
-// ResilienceMetrics snapshots the store's cross-query recovery
-// counters.
-type ResilienceMetrics struct {
-	// Attempts, Retries, Stragglers, SpeculativeLaunched,
-	// SpeculativeWins, ChecksumFailures and LineageRecomputes aggregate
-	// the per-query ResilienceStats fields across executions.
-	Attempts            uint64
-	Retries             uint64
-	Stragglers          uint64
-	SpeculativeLaunched uint64
-	SpeculativeWins     uint64
-	ChecksumFailures    uint64
-	LineageRecomputes   uint64
-	// TasksFailed counts tasks that exhausted their attempt budget and
-	// aborted their query with a *TaskFailedError.
-	TasksFailed uint64
-}
-
-// ResilienceMetrics returns the recovery counters accumulated across
-// queries (all zero unless fault injection ran).
+// ResilienceMetrics returns the recovery record totalled across queries
+// (zero unless fault injection ran).
 func (s *Store) ResilienceMetrics() ResilienceMetrics {
-	return ResilienceMetrics{
-		Attempts:            s.resilience.attempts.Load(),
-		Retries:             s.resilience.retries.Load(),
-		Stragglers:          s.resilience.stragglers.Load(),
-		SpeculativeLaunched: s.resilience.specLaunch.Load(),
-		SpeculativeWins:     s.resilience.specWins.Load(),
-		ChecksumFailures:    s.resilience.checksums.Load(),
-		LineageRecomputes:   s.resilience.recomputes.Load(),
-		TasksFailed:         s.resilience.taskFailed.Load(),
-	}
+	return s.resilience.snapshot()
 }

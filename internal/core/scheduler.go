@@ -155,6 +155,12 @@ type ReplanEvent struct {
 // simulated time, is identical across runs and across concurrency
 // levels.
 //
+// Under an active fault plan a task's attempts run through
+// cluster.FaultPlan.RunAttempts, the loop the morsel simulator shares;
+// what the scheduler owns of fault handling is what only materialized
+// tasks have — consumer-side checksum verification (verifyInput) and
+// lineage recompute.
+//
 // All mutable state is per-execution, so Store.Query remains safe for
 // concurrent callers sharing cached plans.
 type scheduler struct {
@@ -193,16 +199,8 @@ type scheduler struct {
 	errOnce sync.Once
 	err     error
 
-	// Fault injection: the active fault plan (nil keeps execution on the
-	// unchanged fault-free hot path — no checksums, no attempt
-	// bookkeeping), the per-task attempt budget, the base retry backoff
-	// and the straggler-speculation multiple (0 disables speculation).
-	faults       *cluster.FaultPlan
-	faultSalt    uint64
-	maxAttempts  int
-	retryBackoff time.Duration
-	specFactor   float64
-	res          resilienceRecorder
+	// faults is the fault-injection state; nil without an active plan.
+	faults *faultState
 }
 
 // buildTasks flattens the plan into tasks, children before parents.
@@ -526,24 +524,24 @@ func taskKey(roundIdx, nodeID int) uint64 {
 // delivered checksum, guaranteeing a detectable mismatch.
 const corruptFlip uint64 = 0xDEADBEEFCAFEF00D
 
-// runResilient executes one task under the active fault plan: the
-// attempt loop retries injected failures with capped exponential
-// virtual backoff (re-executing the operator for real each time), the
-// straggler detector launches a speculative duplicate when an attempt
-// runs past specFactor times the median sibling time, and every input
-// is checksum-verified before reading — a corrupted exchange recomputes
-// its producer from lineage. All recovery is priced into the task's
-// virtual completion, so SimTime reflects recovery cost; exhausting the
-// attempt budget aborts the query with a typed *TaskFailedError
-// carrying the attempt trace.
+// runResilient executes one task under the active fault plan. What is
+// specific to a materialized task lives here: every input is
+// checksum-verified before reading (a corrupted exchange recomputes its
+// producer from lineage), each attempt re-executes the operator for
+// real, and the output's delivered checksum may be corrupted in turn.
+// The attempt loop itself — retries with capped exponential virtual
+// backoff, straggler speculation, the attempt budget — is
+// cluster.FaultPlan.RunAttempts, shared with the morsel simulator. All
+// recovery is priced into the task's virtual completion, so SimTime
+// reflects recovery cost; exhausting the budget aborts the query with a
+// typed *TaskFailedError carrying the attempt trace.
 //
 // Every fault decision is a pure function of (seed, round, node ID,
 // attempt, virtual start), so the recovery schedule — and therefore
 // SimTime — is deterministic across runs and concurrency levels.
 func (sc *scheduler) runResilient(rr *roundRun, t *execTask) {
-	fp := sc.faults
-	workers := sc.store.cluster.Workers()
-	key := taskKey(rr.idx, t.node.ID) ^ sc.faultSalt
+	f := sc.faults
+	key := taskKey(rr.idx, t.node.ID) ^ f.salt
 
 	// Consumer-side integrity check: verify each input's delivered
 	// checksum against its payload before reading it; recovery time is
@@ -558,110 +556,48 @@ func (sc *scheduler) runResilient(rr *roundRun, t *execTask) {
 		vstart += extra
 	}
 
-	var trace []TaskAttempt
-	for attempt := 1; ; attempt++ {
-		dec := fp.Decide(key, attempt, vstart, workers)
-		clk := cluster.NewClock()
+	// The last attempt's output and stage trace are the task's.
+	var rel *engine.Relation
+	var clk *cluster.Clock
+	done, trace, rec, err := f.plan.RunAttempts(key, vstart, sc.store.cluster.Workers(), func() (time.Duration, error) {
+		clk = cluster.NewClock()
 		e := engine.NewExec(sc.store.cluster, clk)
 		e.StartCost = 0
 		e.BroadcastThreshold = sc.opts.BroadcastThreshold
-		rel, err := sc.execOp(e, t, taskInputs(t))
-		if err != nil {
-			// A real execution error, not an injected fault: fail fast.
-			sc.fail(err)
-			return
+		var err error
+		if rel, err = sc.execOp(e, t, taskInputs(t)); err != nil {
+			return 0, err
 		}
 		elapsed := clk.Elapsed()
 		if elapsed <= 0 {
 			elapsed = 1
 		}
-		sc.res.attempts.Add(1)
-
-		if dec.Fail {
-			// The attempt dies after consuming its priced time; the retry
-			// backs off exponentially and rotates to another worker.
-			outcome := AttemptFailed
-			if dec.Outage {
-				outcome = AttemptOutage
+		return elapsed, nil
+	})
+	f.add(rec)
+	if err != nil {
+		if err == cluster.ErrAttemptsExhausted {
+			err = &TaskFailedError{
+				Task:           nodeDesc(t.node),
+				Attempts:       trace,
+				CompletedTasks: int(sc.completed.Load()),
+				TotalTasks:     int(sc.totalTasks.Load()),
 			}
-			trace = append(trace, TaskAttempt{
-				Attempt: attempt, Worker: dec.Worker,
-				Start: vstart, End: vstart + elapsed, Outcome: outcome,
-			})
-			if attempt >= sc.maxAttempts {
-				sc.res.taskFailed.Add(1)
-				sc.fail(&TaskFailedError{
-					Task:           nodeDesc(t.node),
-					Attempts:       trace,
-					CompletedTasks: int(sc.completed.Load()),
-					TotalTasks:     int(sc.totalTasks.Load()),
-				})
-				return
-			}
-			sc.res.retries.Add(1)
-			wait := retryDelay(sc.retryBackoff, attempt)
-			sc.res.addRecovery(elapsed + wait)
-			vstart += elapsed + wait
-			continue
 		}
-
-		done := vstart + elapsed
-		if dec.DelayFactor > 1 {
-			// Straggling attempt: its priced time stretches by the delay
-			// factor. Sibling partition tasks of one operator are symmetric
-			// in the simulator, so the attempt's own fault-free priced time
-			// stands in for the median sibling time; the detector fires
-			// when the straggler runs past specFactor times that median and
-			// launches a speculative duplicate — first finisher wins.
-			sc.res.stragglers.Add(1)
-			slowDone := vstart + scaleDuration(elapsed, dec.DelayFactor)
-			done = slowDone
-			specWon := false
-			if sf := sc.specFactor; sf > 0 && dec.DelayFactor > sf {
-				specStart := vstart + scaleDuration(elapsed, sf)
-				// The duplicate rolls its own fate (placement and straggler
-				// delay; its attempt number is past the injected-failure
-				// cap, so only an outage window can kill it).
-				specDec := fp.Decide(key, attempt+specAttemptBase, specStart, workers)
-				sc.res.specLaunch.Add(1)
-				sc.res.attempts.Add(1)
-				if !specDec.Fail {
-					specDone := specStart + scaleDuration(elapsed, math.Max(specDec.DelayFactor, 1))
-					if specDone < slowDone {
-						specWon = true
-						done = specDone
-						sc.res.specWins.Add(1)
-						trace = append(trace,
-							TaskAttempt{Attempt: attempt, Worker: dec.Worker, Start: vstart, End: slowDone, Outcome: AttemptStragglerLost},
-							TaskAttempt{Attempt: attempt, Worker: specDec.Worker, Start: specStart, End: specDone, Outcome: AttemptSpeculativeWin, Speculative: true})
-					}
-				}
-			}
-			if !specWon {
-				trace = append(trace, TaskAttempt{
-					Attempt: attempt, Worker: dec.Worker,
-					Start: vstart, End: slowDone, Outcome: AttemptStraggler,
-				})
-			}
-			sc.res.addRecovery(done - (vstart + elapsed))
-		} else {
-			trace = append(trace, TaskAttempt{
-				Attempt: attempt, Worker: dec.Worker,
-				Start: vstart, End: done, Outcome: AttemptOK,
-			})
-		}
-
-		t.rel = rel
-		t.stages = clk.Stages()
-		t.done = done
-		break
+		// Anything else is a real execution error, not an injected
+		// fault: fail fast.
+		sc.fail(err)
+		return
 	}
+	t.rel = rel
+	t.stages = clk.Stages()
+	t.done = done
 
 	// Delivered checksum over the packed-uint64 payload: a corrupted
 	// exchange flips bits in flight; the consumer detects the mismatch
 	// and recomputes this task from lineage.
 	sum := t.rel.Checksum()
-	if fp.CorruptDelivery(key) {
+	if f.plan.CorruptDelivery(key) {
 		sum ^= corruptFlip
 	}
 	t.xsum, t.hasXsum = sum, true
@@ -672,10 +608,6 @@ func (sc *scheduler) runResilient(rr *roundRun, t *execTask) {
 	sc.completed.Add(1)
 	sc.checkTrigger(rr, t)
 }
-
-// specAttemptBase offsets speculative duplicates into their own fault
-// decision stream, far past any real attempt number.
-const specAttemptBase = 1 << 16
 
 // verifyInput checks a produced task's delivered checksum against its
 // payload. On mismatch — the simulated exchange corrupted the relation
@@ -689,23 +621,22 @@ func (sc *scheduler) verifyInput(d *execTask) (time.Duration, error) {
 	if !d.hasXsum || d.rel == nil || d.xsum == d.rel.Checksum() {
 		return 0, nil
 	}
-	sc.res.checksums.Add(1)
+	rec := cluster.Recovery{ChecksumFailures: 1}
 	clk := cluster.NewClock()
 	e := engine.NewExec(sc.store.cluster, clk)
 	e.StartCost = 0
 	e.BroadcastThreshold = sc.opts.BroadcastThreshold
-	rel, err := sc.recompute(e, d)
-	if err != nil {
-		return 0, err
+	rel, err := sc.recompute(e, d, &rec)
+	if err == nil {
+		d.rel = rel
+		d.xsum = rel.Checksum()
+		rec.RecoveryTime = clk.Elapsed()
+		if rec.RecoveryTime <= 0 {
+			rec.RecoveryTime = 1
+		}
 	}
-	d.rel = rel
-	d.xsum = rel.Checksum()
-	elapsed := clk.Elapsed()
-	if elapsed <= 0 {
-		elapsed = 1
-	}
-	sc.res.addRecovery(elapsed)
-	return elapsed, nil
+	sc.faults.add(rec)
+	return rec.RecoveryTime, err
 }
 
 // recompute re-executes a task's operator from its recorded lineage —
@@ -713,9 +644,9 @@ func (sc *scheduler) verifyInput(d *execTask) (time.Duration, error) {
 // are recursively recomputed (scans re-read the store), exactly the
 // lineage-based recovery Spark performs for a lost partition. The
 // transient input relations are not re-retained; only the requested
-// task's output is returned.
-func (sc *scheduler) recompute(e *engine.Exec, t *execTask) (*engine.Relation, error) {
-	sc.res.recomputes.Add(1)
+// task's output is returned; rec counts every task re-executed.
+func (sc *scheduler) recompute(e *engine.Exec, t *execTask, rec *cluster.Recovery) (*engine.Relation, error) {
+	rec.LineageRecomputes++
 	if t.node.Op == plan.OpBound {
 		// Bound relations are retained for their whole round, so reaching
 		// one without a relation means the lineage chain is broken.
@@ -730,7 +661,7 @@ func (sc *scheduler) recompute(e *engine.Exec, t *execTask) (*engine.Relation, e
 			in[i] = d.rel
 			continue
 		}
-		rel, err := sc.recompute(e, d)
+		rel, err := sc.recompute(e, d, rec)
 		if err != nil {
 			return nil, err
 		}
@@ -981,7 +912,7 @@ func (sc *scheduler) appendTrace(clock *cluster.Clock) {
 		// Recovery shows up in the trace as one aggregate record — the
 		// stage list keeps the clean per-operator stages, and SimTime
 		// (the critical path) already includes each task's recovery.
-		if rec := time.Duration(sc.res.recoveryNS.Load()); rec > 0 {
+		if rec := sc.faults.snapshot().RecoveryTime; rec > 0 {
 			clock.Charge("fault recovery (retries, backoff, speculation, recompute)", rec)
 		}
 	}

@@ -162,7 +162,7 @@ type Store struct {
 	adaptive adaptiveCounters
 	// resilience aggregates fault-recovery counters across queries; all
 	// zero unless fault injection ran.
-	resilience resilienceCounters
+	resilience recoveryTotal
 	// estSources tallies, across every plan built, how its estimating
 	// nodes were priced (characteristic sets, pair sketches, or the
 	// independence fallback).

@@ -1667,24 +1667,6 @@ func (sc *scheduler) zeroCopyScan(n *plan.Node) bool {
 	return tp.S.IsVar() && tp.O.IsVar() && tp.S.Var != tp.O.Var
 }
 
-// morselRecorder converts the morsel simulation's recovery record into
-// the store-level resilience recorder shape.
-func morselRecorder(r cluster.MorselRecovery, failed bool) *resilienceRecorder {
-	rec := &resilienceRecorder{}
-	rec.attempts.Store(r.Attempts)
-	rec.retries.Store(r.Retries)
-	rec.stragglers.Store(r.Stragglers)
-	rec.specLaunch.Store(r.SpecLaunched)
-	rec.specWins.Store(r.SpecWins)
-	rec.checksums.Store(r.ChecksumFailures)
-	rec.recomputes.Store(r.Recomputes)
-	rec.recoveryNS.Store(int64(r.Recovery))
-	if failed {
-		rec.taskFailed.Store(1)
-	}
-	return rec
-}
-
 // queryStreaming executes one query through the streaming engine.
 // handled=false (with a nil error) reports a plan the streaming path
 // does not take — no work has been done, and the caller runs it on the
@@ -1721,36 +1703,20 @@ func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryO
 	workers := s.cluster.Workers()
 	pipes := sp.price(s, opts, pl, chunk)
 	simRes, serr := cluster.SimulateMorsels(pipes, cluster.MorselSimConfig{
-		Workers:      workers,
-		Cost:         cost,
-		Start:        cost.SQLPlanning,
-		Faults:       faults,
-		FaultSalt:    faultSalt,
-		MaxAttempts:  opts.maxTaskAttempts(),
-		RetryBackoff: opts.retryBackoffBase(),
-		MaxBackoff:   MaxRetryBackoff,
-		SpecFactor:   opts.speculativeFactor(),
+		Workers:   workers,
+		Cost:      cost,
+		Start:     cost.SQLPlanning,
+		Faults:    faults,
+		FaultSalt: faultSalt,
 	})
-	var resil ResilienceStats
 	if faults != nil && simRes != nil {
-		// Recovery counters aggregate on the store even when the
-		// query aborted — failed recovery is exactly what /stats
-		// should show.
-		rec := morselRecorder(simRes.Recovery, serr != nil)
-		s.resilience.absorb(rec)
-		resil = rec.stats()
+		// The record totals on the store even when the query aborted —
+		// failed recovery is exactly what /stats should show.
+		s.resilience.add(simRes.Recovery)
 	}
 	if serr != nil {
 		var mfe *cluster.MorselFailedError
 		if errors.As(serr, &mfe) {
-			attempts := make([]TaskAttempt, len(mfe.Attempts))
-			for i, a := range mfe.Attempts {
-				attempts[i] = TaskAttempt{
-					Attempt: a.Attempt, Worker: a.Worker,
-					Start: a.Start, End: a.End,
-					Outcome: a.Outcome, Speculative: a.Speculative,
-				}
-			}
 			completed := 0
 			for _, d := range simRes.PipelineDone {
 				if d > 0 {
@@ -1759,7 +1725,7 @@ func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryO
 			}
 			return nil, true, &TaskFailedError{
 				Task:           fmt.Sprintf("%s (morsel %d)", mfe.Pipeline, mfe.Morsel),
-				Attempts:       attempts,
+				Attempts:       mfe.Attempts,
 				CompletedTasks: completed,
 				TotalTasks:     len(pipes),
 			}
@@ -1784,7 +1750,7 @@ func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryO
 			Stats:    p.Work,
 		})
 	}
-	if rec := simRes.Recovery.Recovery; rec > 0 {
+	if rec := simRes.Recovery.RecoveryTime; rec > 0 {
 		trace = append(trace, cluster.StageRecord{Name: "fault recovery (retries, backoff, speculation, recompute)", Tasks: 1, Elapsed: rec, Makespan: rec})
 	}
 	clock.MergeTrace(trace, simRes.Done)
@@ -1800,7 +1766,7 @@ func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryO
 		Plan:          pl.Stamp(obs),
 		Clock:         clock,
 		CacheFeedback: entry.corrected,
-		Resilience:    resil,
+		Resilience:    simRes.Recovery,
 		Streamed:      true,
 		FirstRow:      simRes.FirstEmit,
 		PeakMemBytes:  peak,

@@ -700,19 +700,13 @@ type statsResponse struct {
 		// block.
 		StreamingDowngraded uint64 `json:"streamingDowngraded"`
 	} `json:"queries"`
-	// Resilience aggregates fault-recovery activity across queries plus
-	// the server's own degradation state.
+	// Resilience is the store's recovery record totalled across queries
+	// (its JSON tags are the object's leading keys) plus the server's
+	// own degradation state.
 	Resilience struct {
-		Attempts            uint64 `json:"attempts"`
-		Retries             uint64 `json:"retries"`
-		Stragglers          uint64 `json:"stragglers"`
-		SpeculativeLaunched uint64 `json:"speculativeLaunched"`
-		SpeculativeWins     uint64 `json:"speculativeWins"`
-		ChecksumFailures    uint64 `json:"checksumFailures"`
-		LineageRecomputes   uint64 `json:"lineageRecomputes"`
-		TasksFailed         uint64 `json:"tasksFailed"`
-		BreakerState        string `json:"breakerState"`
-		ShedRequests        uint64 `json:"shedRequests"`
+		core.ResilienceMetrics
+		BreakerState string `json:"breakerState"`
+		ShedRequests uint64 `json:"shedRequests"`
 	} `json:"resilience"`
 	Adaptive struct {
 		ReplansEvaluated uint64 `json:"replansEvaluated"`
@@ -825,15 +819,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	doc.Workload.HitCount = wm.HitCount
 	doc.Workload.Epoch = wm.Epoch
 
-	rm := s.cfg.Store.ResilienceMetrics()
-	doc.Resilience.Attempts = rm.Attempts
-	doc.Resilience.Retries = rm.Retries
-	doc.Resilience.Stragglers = rm.Stragglers
-	doc.Resilience.SpeculativeLaunched = rm.SpeculativeLaunched
-	doc.Resilience.SpeculativeWins = rm.SpeculativeWins
-	doc.Resilience.ChecksumFailures = rm.ChecksumFailures
-	doc.Resilience.LineageRecomputes = rm.LineageRecomputes
-	doc.Resilience.TasksFailed = rm.TasksFailed
+	doc.Resilience.ResilienceMetrics = s.cfg.Store.ResilienceMetrics()
 	doc.Resilience.BreakerState = s.brk.stateName()
 	doc.Resilience.ShedRequests = s.shed.Load()
 

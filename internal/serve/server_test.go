@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -507,8 +508,7 @@ func TestFaultBreakerTripsAndRecovers(t *testing.T) {
 
 	// Every attempt fails and the budget is one: each query aborts with
 	// a *core.TaskFailedError.
-	srv.cfg.Options.Faults = &cluster.FaultPlan{Seed: 1, FailRate: 1, MaxFailuresPerTask: 100}
-	srv.cfg.Options.MaxTaskAttempts = 1
+	srv.cfg.Options.Faults = &cluster.FaultPlan{Seed: 1, FailRate: 1, MaxFailuresPerTask: 100, MaxAttempts: 1}
 	for i := 0; i < DefaultBreakerMinSamples; i++ {
 		w := get(t, srv, "/sparql?query="+url.QueryEscape(serveQuery))
 		if w.Code != http.StatusInternalServerError {
@@ -554,7 +554,6 @@ func TestFaultBreakerTripsAndRecovers(t *testing.T) {
 	// and closes the breaker.
 	clock = clock.Add(DefaultBreakerCooldown + time.Second)
 	srv.cfg.Options.Faults = nil
-	srv.cfg.Options.MaxTaskAttempts = 0
 	if w := get(t, srv, "/sparql?query="+url.QueryEscape(serveQuery)); w.Code != http.StatusOK {
 		t.Fatalf("probe after cooldown = %d (%s), want 200", w.Code, w.Body)
 	}
@@ -1149,5 +1148,57 @@ func referenceTermString(t rdf.Term) string {
 		return sb.String()
 	default:
 		return fmt.Sprintf("!invalid-term(%d)", t.Kind)
+	}
+}
+
+// TestStatsResilienceObjectBytes pins what operators' dashboards parse:
+// the /stats "resilience" object's key names and order (the store's
+// recovery record, then breakerState and shedRequests last; the priced
+// recovery time is not exported there) and the text EXPLAIN prints for
+// the same record.
+func TestStatsResilienceObjectBytes(t *testing.T) {
+	rec := core.ResilienceMetrics{
+		Attempts: 11, Retries: 2, Stragglers: 3, SpeculativeLaunched: 4, SpeculativeWins: 5,
+		ChecksumFailures: 6, LineageRecomputes: 7, TasksFailed: 8, RecoveryTime: 1234567 * time.Nanosecond,
+	}
+	for _, tc := range []struct {
+		name     string
+		rec      core.ResilienceMetrics
+		breaker  string
+		shed     uint64
+		wantJSON string
+		wantText string
+	}{
+		{"zero", core.ResilienceMetrics{}, "closed", 0,
+			`{"attempts":0,"retries":0,"stragglers":0,"speculativeLaunched":0,"speculativeWins":0,"checksumFailures":0,"lineageRecomputes":0,"tasksFailed":0,"breakerState":"closed","shedRequests":0}`,
+			""},
+		{"every field", rec, "open", 9,
+			`{"attempts":11,"retries":2,"stragglers":3,"speculativeLaunched":4,"speculativeWins":5,"checksumFailures":6,"lineageRecomputes":7,"tasksFailed":8,"breakerState":"open","shedRequests":9}`,
+			"resilience: attempts=11 retries=2 stragglers=3 speculative=5/4 checksum-failures=6 lineage-recomputes=7 recovery=1.235ms\n"},
+	} {
+		var doc statsResponse
+		doc.Resilience.ResilienceMetrics = tc.rec
+		doc.Resilience.BreakerState = tc.breaker
+		doc.Resilience.ShedRequests = tc.shed
+		got, err := json.Marshal(doc.Resilience)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.wantJSON {
+			t.Errorf("%s: resilience object\n got %s\nwant %s", tc.name, got, tc.wantJSON)
+		}
+		if got := core.ResilienceStats(tc.rec).String(); got != tc.wantText {
+			t.Errorf("%s: String() = %q, want %q", tc.name, got, tc.wantText)
+		}
+	}
+
+	// The served document carries exactly that object.
+	var body bytes.Buffer
+	if err := json.Compact(&body, get(t, testServer(t), "/stats").Body.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	want := `"resilience":{"attempts":0,"retries":0,"stragglers":0,"speculativeLaunched":0,"speculativeWins":0,"checksumFailures":0,"lineageRecomputes":0,"tasksFailed":0,"breakerState":"closed","shedRequests":0}`
+	if !strings.Contains(body.String(), want) {
+		t.Errorf("/stats lacks %s:\n%s", want, body.String())
 	}
 }
