@@ -81,7 +81,7 @@ func TestInvalidFaultFlagsRefusedOnBothPaths(t *testing.T) {
 			t.Errorf("QueryContext accepted %+v", fp)
 		}
 	}
-	if m := store.ResilienceMetrics(); m != (core.ResilienceMetrics{}) {
+	if m := store.ResilienceMetrics(); m != (cluster.Recovery{}) {
 		t.Errorf("a refused plan still executed something: %+v", m)
 	}
 }

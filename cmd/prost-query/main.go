@@ -26,6 +26,7 @@ import (
 	"repro/cmd/internal/cliflag"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
@@ -35,7 +36,7 @@ func main() {
 	queryText := flag.String("q", "", "SPARQL query text")
 	queryFile := flag.String("f", "", "file containing the SPARQL query")
 	strategy := flag.String("strategy", "mixed", "query strategy: "+strings.Join(core.StrategyNames(), ", "))
-	planner := flag.String("planner", "cost", "planner mode: "+strings.Join(core.PlannerModeNames(), ", "))
+	planner := flag.String("planner", "cost", "planner mode: "+strings.Join(plan.ModeNames(), ", "))
 	workers := flag.Int("workers", 9, "simulated worker machines")
 	streaming := flag.Bool("streaming", false, "execute through the morsel-driven streaming pipelines instead of materialized stages")
 	chunkSize := flag.Int("chunk-size", 0, "streaming rows-per-chunk granularity (0 = default)")
@@ -71,7 +72,7 @@ func run(in, queryText, queryFile, strategy, planner string, workers int, stream
 	if err != nil {
 		return err
 	}
-	mode, err := core.ParsePlannerMode(planner)
+	mode, err := plan.ParseMode(planner)
 	if err != nil {
 		return err
 	}

@@ -59,6 +59,7 @@ import (
 	"repro/cmd/internal/cliflag"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -95,7 +96,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&o.shardAddrs, "shard-addrs", "", "comma-separated prost-shard addresses; set, the server runs as a scale-out coordinator delegating scan and exchange kernels to the shards (addresses in shard order: the i-th address must be the shard started with -shard i)")
 	flag.StringVar(&o.strategy, "strategy", "mixed", "default query strategy: "+strings.Join(core.StrategyNames(), ", "))
-	flag.StringVar(&o.planner, "planner", "cost", "default planner mode: "+strings.Join(core.PlannerModeNames(), ", "))
+	flag.StringVar(&o.planner, "planner", "cost", "default planner mode: "+strings.Join(plan.ModeNames(), ", "))
 	flag.IntVar(&o.workers, "workers", 9, "simulated worker machines")
 	flag.BoolVar(&o.streaming, "streaming", false, "default to morsel-driven streaming execution (per-request ?streaming= overrides)")
 	flag.IntVar(&o.chunkSize, "chunk-size", 0, "streaming rows-per-chunk granularity (0 = default; per-request ?chunk= overrides)")
@@ -130,7 +131,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	mode, err := core.ParsePlannerMode(o.planner)
+	mode, err := plan.ParseMode(o.planner)
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/watdiv"
 )
 
@@ -67,12 +68,12 @@ var chaosSchedules = []struct {
 
 var chaosModes = []struct {
 	name string
-	mode core.PlannerMode
+	mode plan.Mode
 }{
-	{"cost", core.PlannerCost},
-	{"cost-leftdeep", core.PlannerCostLeftDeep},
-	{"heuristic", core.PlannerHeuristic},
-	{"naive", core.PlannerNaive},
+	{"cost", plan.ModeCost},
+	{"cost-leftdeep", plan.ModeCostLeftDeep},
+	{"heuristic", plan.ModeHeuristic},
+	{"naive", plan.ModeNaive},
 }
 
 // chaosRender canonicalizes a result for byte-exact comparison.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/sparql"
 	"repro/internal/watdiv"
 )
@@ -157,13 +158,13 @@ func (s *Systems) AblationJoinOrder(queries []watdiv.Query) (Figure, error) {
 		},
 	}
 	for _, q := range queries {
-		// PlannerHeuristic pins the paper's §3.3 statistics ordering this
+		// plan.ModeHeuristic pins the paper's §3.3 statistics ordering this
 		// ablation measures (the session default is the cost planner).
-		withStats, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: core.PlannerHeuristic})
+		withStats, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeHeuristic})
 		if err != nil {
 			return Figure{}, err
 		}
-		naive, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: core.PlannerNaive})
+		naive, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeNaive})
 		if err != nil {
 			return Figure{}, err
 		}
@@ -188,11 +189,11 @@ func (s *Systems) AblationPlanner(queries []watdiv.Query) (Figure, error) {
 		},
 	}
 	for _, q := range queries {
-		costRes, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: core.PlannerCost, ReplanThreshold: -1})
+		costRes, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeCost, ReplanThreshold: -1})
 		if err != nil {
 			return Figure{}, err
 		}
-		heurRes, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: core.PlannerHeuristic, ReplanThreshold: -1})
+		heurRes, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeHeuristic, ReplanThreshold: -1})
 		if err != nil {
 			return Figure{}, err
 		}
@@ -206,7 +207,7 @@ func (s *Systems) AblationPlanner(queries []watdiv.Query) (Figure, error) {
 	return fig, nil
 }
 
-// AblationBushy compares bushy DAG execution (PlannerCost, the
+// AblationBushy compares bushy DAG execution (plan.ModeCost, the
 // default: independent subtrees become sibling subplans priced and run
 // as parallel branches) against the same cost-based planner restricted
 // to left-deep chains (ablation A4). Same storage, same engine, same
@@ -222,11 +223,11 @@ func (s *Systems) AblationBushy(queries []watdiv.Query) (Figure, error) {
 		},
 	}
 	for _, q := range queries {
-		bushy, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: core.PlannerCost, ReplanThreshold: -1})
+		bushy, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeCost, ReplanThreshold: -1})
 		if err != nil {
 			return Figure{}, err
 		}
-		ld, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: core.PlannerCostLeftDeep, ReplanThreshold: -1})
+		ld, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeCostLeftDeep, ReplanThreshold: -1})
 		if err != nil {
 			return Figure{}, err
 		}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/watdiv"
 )
@@ -96,10 +97,10 @@ var plannerShapes = []struct{ shape, query string }{
 
 var plannerModes = []struct {
 	name string
-	mode core.PlannerMode
+	mode plan.Mode
 }{
-	{"cost", core.PlannerCost},
-	{"heuristic", core.PlannerHeuristic},
+	{"cost", plan.ModeCost},
+	{"heuristic", plan.ModeHeuristic},
 }
 
 // BenchmarkPlannerConstruction measures pure planning cost: translate

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/watdiv"
 )
 
@@ -43,10 +44,10 @@ func BenchmarkSchedulerBushyVsLeftDeep(b *testing.B) {
 	}
 	modes := []struct {
 		name string
-		m    core.PlannerMode
+		m    plan.Mode
 	}{
-		{"bushy", core.PlannerCost},
-		{"left-deep", core.PlannerCostLeftDeep},
+		{"bushy", plan.ModeCost},
+		{"left-deep", plan.ModeCostLeftDeep},
 	}
 	for _, name := range schedulerShapes {
 		q, err := watdiv.QueryByName(name)

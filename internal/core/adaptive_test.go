@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/stats"
@@ -129,7 +130,7 @@ func TestAdaptiveReplanFiresAndKeepsResults(t *testing.T) {
 func TestAdaptiveDisabledForPaperModes(t *testing.T) {
 	s := adaptiveStore(t)
 	q := sparql.MustParse(adaptiveQuery)
-	for _, mode := range []PlannerMode{PlannerHeuristic, PlannerNaive} {
+	for _, mode := range []plan.Mode{plan.ModeHeuristic, plan.ModeNaive} {
 		res, err := s.Query(q, QueryOptions{Planner: mode})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/plan"
 	"repro/internal/sparql"
 	"repro/internal/stats"
 	"repro/internal/watdiv"
@@ -80,9 +81,9 @@ func TestPlanCacheNoCrossTalkBetweenOptions(t *testing.T) {
 		{},
 		{Strategy: StrategyVPOnly},
 		{Strategy: StrategyMixedIPT},
-		{Planner: PlannerHeuristic},
-		{Planner: PlannerNaive},
-		{Planner: PlannerCostLeftDeep},
+		{Planner: plan.ModeHeuristic},
+		{Planner: plan.ModeNaive},
+		{Planner: plan.ModeCostLeftDeep},
 		{BroadcastThreshold: -1},
 		{BroadcastThreshold: 1},
 		{ReplanThreshold: -1},
@@ -285,9 +286,9 @@ func TestConcurrentPlannerModesShareCacheSafely(t *testing.T) {
 		{},
 		{Strategy: StrategyVPOnly},
 		{Strategy: StrategyMixedIPT},
-		{Planner: PlannerHeuristic},
-		{Planner: PlannerCostLeftDeep},
-		{Planner: PlannerNaive},
+		{Planner: plan.ModeHeuristic},
+		{Planner: plan.ModeCostLeftDeep},
+		{Planner: plan.ModeNaive},
 		{Parallelism: 1},
 		{NoPlanCache: true},
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
@@ -408,7 +409,7 @@ func TestNaiveOrderAblation(t *testing.T) {
 		?a <http://example.org/follows> ?b .
 		?b <http://example.org/name> "bob" .
 	}`)
-	res, err := s.Query(q, QueryOptions{Planner: PlannerNaive})
+	res, err := s.Query(q, QueryOptions{Planner: plan.ModeNaive})
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/cluster"
@@ -17,16 +16,21 @@ import (
 // coordinator runs the normal planning and scheduling path unchanged —
 // plan cache, cost model, shuffle routing and stage pricing are all
 // local — and delegates only the per-partition kernels (scans and
-// exchange joins) to shard processes through a DistSession. Kernels
-// are deterministic functions of their fragments, and every stage's
-// TaskStats derive from coordinator-known values, so results and
-// SimTime are identical to single-process execution by construction.
+// exchange joins) to shard processes through a DistSession. A scan is
+// resolved coordinator-side into the same NodeScan a local run reads
+// (nodescan.go) and differs only in where its partitions' rows come
+// from; kernels are deterministic functions of their fragments, and
+// every stage's TaskStats derive from coordinator-known values, so
+// results and SimTime are identical to single-process execution by
+// construction.
 //
 // Restrictions while a DistRunner is installed (all documented in the
 // README's "Distributed deployment" section): streaming, fault
-// injection and adaptive re-planning are forced off, ExtVP rewrites
-// are not taken, and variable-predicate (raw-triples fallback) scans
-// evaluate coordinator-side.
+// injection and adaptive re-planning are forced off; the coordinator
+// does not plan ExtVP rewrites (shards hold the base tables, so the
+// provider is not offered and join pairs are not mined); and
+// variable-predicate (raw-triples fallback) scans evaluate
+// coordinator-side.
 
 // DistRunner hands out per-query distributed sessions; internal/shard's
 // Coordinator is the production implementation.
@@ -122,193 +126,6 @@ type NetworkReporter interface {
 	NetworkStats() NetworkStats
 }
 
-// execDistScanNode evaluates one plan Scan operator with its kernel on
-// the shards. The coordinator still resolves dictionary terms, prices
-// the stage and shapes the output; only the filtered partition scan
-// runs remotely. ExtVP rewrites are not taken here (shards hold the
-// base tables), and variable-predicate fallback scans run locally.
-func (s *Store) execDistScanNode(e *engine.Exec, sess DistSession, cn *Node, filterIdx []int, pushed []compiledFilter) (*engine.Relation, error) {
-	switch cn.Kind {
-	case NodeVP:
-		tp := cn.Patterns[0]
-		pid, ok := s.dict.Lookup(tp.P.Term)
-		if !ok {
-			return s.emptyRelation(tp.Vars()), nil
-		}
-		table := s.vp[pid]
-		if table == nil {
-			return s.emptyRelation(tp.Vars()), nil
-		}
-		// A bound term absent from the dictionary means an empty scan;
-		// decided locally, no wire exchange.
-		if _, ok, err := s.vpScanPred(tp, pushed); err != nil {
-			return nil, err
-		} else if !ok {
-			return s.emptyRelation(tp.Vars()), nil
-		}
-		parts, _, err := sess.ScanNode(cn, filterIdx, cn.Label(), table.FileBytes)
-		if err != nil {
-			return nil, err
-		}
-		if len(parts) != table.Rel.Partitions() {
-			return nil, fmt.Errorf("core: dist scan %s returned %d partitions, table has %d", cn.Label(), len(parts), table.Rel.Partitions())
-		}
-		rel, err := e.ScanGathered(table.Rel, "VP "+localName(tp.P.Term.Value), table.FileBytes, parts)
-		if err != nil {
-			return nil, err
-		}
-		return s.shapeVPScan(e, tp, rel)
-	case NodePT, NodeIPT:
-		pt := s.pt
-		if cn.Kind == NodeIPT {
-			if s.ipt == nil {
-				return nil, fmt.Errorf("core: inverse property table not loaded")
-			}
-			pt = s.ipt
-		}
-		spec := s.ptNodeScan(pt, cn)
-		if spec.empty {
-			return s.emptyRelation(append([]string{cn.Key}, nodeValueVars(cn, pt.mode)...)), nil
-		}
-		scanBytes := pt.scanBytes(spec.preds)
-		parts, processed, err := sess.ScanNode(cn, filterIdx, cn.Label(), scanBytes)
-		if err != nil {
-			return nil, err
-		}
-		if len(parts) != len(pt.parts) || len(processed) != len(pt.parts) {
-			return nil, fmt.Errorf("core: dist scan %s returned %d/%d partitions, table has %d", cn.Label(), len(parts), len(processed), len(pt.parts))
-		}
-		perPartDisk := scanBytes / int64(len(pt.parts))
-		err = s.cluster.RunStage(e.Clock, e.Launch(false), "scan "+cn.Label(), len(pt.parts), func(p int) (cluster.TaskStats, error) {
-			return cluster.TaskStats{
-				DiskBytes: perPartDisk,
-				Rows:      processed[p] + int64(len(parts[p])),
-			}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return engine.NewRelation(spec.schema, parts, cn.Key), nil
-	default:
-		// Raw-triples fallback (variable predicates): outside the WatDiv
-		// workload; evaluated coordinator-side.
-		return s.execNode(e, cn, pushed)
-	}
-}
-
-// ScanNodeParts is the shard-server side of ScanNode in one call: it
-// evaluates a scan node over the partitions owned(p) selects, returning
-// filtered rows and processed key counts per (global) partition index,
-// each partition in storage of its own.
-func (s *Store) ScanNodeParts(n *Node, filters []sparql.Filter, owned func(p int) bool) (parts [][]engine.Row, processed []int64, err error) {
-	ns, err := s.PrepareNodeScan(n, filters)
-	if err != nil {
-		return nil, nil, err
-	}
-	parts = make([][]engine.Row, ns.Partitions())
-	processed = make([]int64, ns.Partitions())
-	for p := range parts {
-		if owned(p) {
-			parts[p], processed[p] = ns.ScanPart(p, nil)
-		}
-	}
-	return parts, processed, nil
-}
-
-// NodeScan is a scan node resolved against the store and ready to be
-// evaluated one partition at a time — the unit a shard server works in.
-// Shards and the coordinator load the same dataset deterministically, so
-// dictionary IDs, partition placement and per-partition row sets match
-// the coordinator's own tables exactly. Not safe for concurrent use.
-type NodeScan struct {
-	partitions int
-	// A VP scan reads vp's partitions through pred (nil keeps every row);
-	// a PT scan runs spec over pt's with rowPred. Neither table set
-	// means the node has no answer: every partition is empty.
-	vp      *engine.Relation
-	pred    func(engine.Row) bool
-	pt      *PropertyTable
-	spec    ptNodeScan
-	rowPred func(engine.Row) bool
-	sc      ptScan
-}
-
-// PrepareNodeScan resolves a VP, PT or IPT scan node and the FILTERs
-// pushed into it.
-func (s *Store) PrepareNodeScan(n *Node, filters []sparql.Filter) (*NodeScan, error) {
-	pushed, err := s.compileFilterList(filters)
-	if err != nil {
-		return nil, err
-	}
-	switch n.Kind {
-	case NodeVP:
-		tp := n.Patterns[0]
-		pid, ok := s.dict.Lookup(tp.P.Term)
-		if !ok || s.vp[pid] == nil {
-			return &NodeScan{partitions: s.parts}, nil
-		}
-		rel := s.vp[pid].Rel
-		pred, ok, err := s.vpScanPred(tp, pushed)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return &NodeScan{partitions: rel.Partitions()}, nil
-		}
-		return &NodeScan{partitions: rel.Partitions(), vp: rel, pred: pred}, nil
-	case NodePT, NodeIPT:
-		pt := s.pt
-		if n.Kind == NodeIPT {
-			if s.ipt == nil {
-				return nil, fmt.Errorf("core: inverse property table not loaded")
-			}
-			pt = s.ipt
-		}
-		spec := s.ptNodeScan(pt, n)
-		if spec.empty {
-			return &NodeScan{partitions: len(pt.parts)}, nil
-		}
-		rowPred, err := rowPredicate(spec.schema, pushed)
-		if err != nil {
-			return nil, err
-		}
-		return &NodeScan{partitions: len(pt.parts), pt: pt, spec: spec, rowPred: rowPred}, nil
-	default:
-		return nil, fmt.Errorf("core: dist scan does not support node kind %v", n.Kind)
-	}
-}
-
-// Partitions is the scanned table's partition count.
-func (ns *NodeScan) Partitions() int { return ns.partitions }
-
-// ScanPart evaluates the scan over partition p: the filtered rows and,
-// for PT scans, the processed key count. With an arena the rows are
-// emitted into it — it is Reset, and they are valid until its next use —
-// so a caller scanning partition after partition allocates only when one
-// outgrows the rest; nil allocates per partition. Either way an
-// unfiltered VP scan returns the stored partition itself.
-func (ns *NodeScan) ScanPart(p int, arena *engine.RowArena) (rows []engine.Row, processed int64) {
-	switch {
-	case ns.pt != nil:
-		return ns.sc.rows(ns.pt.parts[p], ns.spec, ns.rowPred, arena)
-	case ns.vp == nil:
-		return nil, 0
-	case ns.pred == nil:
-		return ns.vp.Part(p), 0
-	}
-	if arena == nil {
-		arena = new(engine.RowArena)
-	}
-	// Kept rows are references into the table: a row header each.
-	arena.Reset(2, 0)
-	for _, r := range ns.vp.Part(p) {
-		if ns.pred(r) {
-			arena.AppendRef(r)
-		}
-	}
-	return arena.Rows(), 0
-}
-
 // wrapShardErr converts a shard-process failure into the typed
 // *TaskFailedError of the PR 6 attempt machinery: a dead shard is a
 // permanent worker outage from the query's point of view — there is no
@@ -322,12 +139,12 @@ func wrapShardErr(err error, task string, start time.Duration, completed, total 
 	}
 	return &TaskFailedError{
 		Task: task,
-		Attempts: []TaskAttempt{{
+		Attempts: []cluster.Attempt{{
 			Attempt: 1,
 			Worker:  se.Shard,
 			Start:   start,
 			End:     start,
-			Outcome: AttemptOutage,
+			Outcome: cluster.AttemptOutage,
 		}},
 		CompletedTasks: completed,
 		TotalTasks:     total,

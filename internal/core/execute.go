@@ -18,10 +18,10 @@ import (
 type QueryOptions struct {
 	// Strategy selects the storage structures (default StrategyMixed).
 	Strategy Strategy
-	// Planner selects the planning mode (default PlannerCost). The
+	// Planner selects the planning mode (default plan.ModeCost). The
 	// heuristic and naive modes keep the paper's §3.3 ordering and the
 	// written-order ablation reproducible.
-	Planner PlannerMode
+	Planner plan.Mode
 	// Clock receives the query's virtual time; a fresh clock is created
 	// when nil.
 	Clock *cluster.Clock
@@ -76,10 +76,12 @@ type QueryOptions struct {
 	ChunkSize int
 	// Dist routes scan and exchange kernels to shard processes through
 	// a per-query DistSession (coordinator mode). Planning, shuffle
-	// routing and stage pricing stay local and unchanged, so results
-	// and SimTime match single-process execution; streaming, fault
-	// injection and adaptive re-planning are forced off for the query,
-	// and ExtVP rewrites are not taken.
+	// routing and stage pricing stay local, every scan resolves to the
+	// NodeScan a local run would read, so results and SimTime match
+	// single-process execution; streaming, fault injection and adaptive
+	// re-planning are forced off for the query, and it is planned
+	// without ExtVP rewrites (shards hold the base tables) and mines no
+	// join pairs for the reduction builder.
 	Dist DistRunner
 }
 
@@ -136,7 +138,7 @@ type Result struct {
 	// Resilience is the query's recovery record under fault injection:
 	// attempts, retries, speculation, checksum failures and the priced
 	// recovery time SimTime absorbed. Zero for fault-free executions.
-	Resilience ResilienceStats
+	Resilience cluster.Recovery
 	// Streamed reports that the morsel-driven streaming executor ran
 	// the query (false when QueryOptions.Streaming was off, or the
 	// query fell back to the materialized scheduler).
@@ -293,7 +295,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 	if q.Extended() {
 		opts.ReplanThreshold = -1
 	}
-	mode := opts.planMode()
+	mode := opts.Planner
 	// One statistics snapshot serves the whole query: the cache key's
 	// fingerprint, leaf estimation, plan pricing and the re-planner's
 	// sketch lookups all read the same collection, so a reload landing
@@ -348,7 +350,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 			return nil, err
 		}
 		if handled {
-			s.mineWorkload(res.Plan, entry.nodes)
+			s.mineWorkload(res.Plan, entry.nodes, opts)
 			return res, nil
 		}
 		streamingDowngraded = true
@@ -373,7 +375,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 		sched.faults = &faultState{plan: faults, salt: faultSalt}
 	}
 	rootTask, err := sched.execute(pl)
-	var resil ResilienceStats
+	var resil cluster.Recovery
 	if sched.faults != nil {
 		// The record totals on the store even when the query aborted —
 		// failed recovery is exactly what /stats should show.
@@ -449,7 +451,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 		if len(sched.rounds) != 1 {
 			mined = pl.Stamp(sched.rounds[0].obs)
 		}
-		s.mineWorkload(mined, entry.nodes)
+		s.mineWorkload(mined, entry.nodes, opts)
 	}
 
 	decoded := s.decodeRows(rows, pl.Root.CountCols)
@@ -477,7 +479,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 func (s *Store) planEntry(snap *statsSnapshot, q *sparql.Query, mode plan.Mode, opts QueryOptions) (entry *cachedPlan, key string, cacheable bool, err error) {
 	cacheable = !opts.NoPlanCache && s.planCache != nil
 	if cacheable {
-		key = planCacheKey(q, mode, opts, snap.fp, s.workloadEpoch())
+		key = planCacheKey(q, mode, opts, snap.fp, s.workloadEpoch(), s.offersExtVP(opts))
 		if e, ok := s.planCache.get(key); ok {
 			return e, key, cacheable, nil
 		}
@@ -671,124 +673,13 @@ func rowPredicate(schema []string, pushed []compiledFilter) (func(engine.Row) bo
 	}, nil
 }
 
-// execNode evaluates one Join Tree node into a relation whose schema is
-// the node's variable list, applying any pushed-down filters during the
-// scan itself.
-func (s *Store) execNode(e *engine.Exec, n *Node, pushed []compiledFilter) (*engine.Relation, error) {
-	switch n.Kind {
-	case NodeVP:
-		return s.execVPNode(e, n.Patterns[0], pushed)
-	case NodePT:
-		return s.execPTNode(e, s.pt, n, pushed)
-	case NodeIPT:
-		if s.ipt == nil {
-			return nil, fmt.Errorf("core: inverse property table not loaded")
-		}
-		return s.execPTNode(e, s.ipt, n, pushed)
-	case NodeTriples:
-		return s.execTriplesNode(e, n.Patterns[0], pushed)
-	default:
-		return nil, fmt.Errorf("core: unknown node kind %v", n.Kind)
-	}
-}
-
-// emptyRelation builds a zero-row relation with the given variables.
-func (s *Store) emptyRelation(vars []string) *engine.Relation {
-	return engine.NewRelation(engine.Schema(vars), make([][]engine.Row, s.parts), "")
-}
-
-// execScanNode evaluates one plan Scan operator. A node the planner
-// rewrote to a materialized semi-join reduction resolves the reduction
-// against the live workload model first — falling back to the full VP
-// table (a superset, so results are unchanged) when it was evicted or
-// invalidated after planning. Everything else goes through execNode.
-func (s *Store) execScanNode(e *engine.Exec, cn *Node, pn *plan.Node, pushed []compiledFilter) (*engine.Relation, error) {
-	if pn != nil && pn.ExtVP != nil && cn.Kind == NodeVP {
-		if t, label, ok := s.extvpTable(pn.ExtVP); ok {
-			return s.execVPTableNode(e, cn.Patterns[0], t, label, pushed)
-		}
-	}
-	return s.execNode(e, cn, pushed)
-}
-
-// execVPNode answers one bound-predicate pattern from its VP table with
-// a single filtered scan: bound-position constraints, repeated-variable
-// equality and pushed-down FILTER predicates all run while the table
-// streams off disk, then the surviving rows are shaped to the pattern's
-// variables. Subject-keyed outputs stay subject-partitioned, so later
-// subject joins avoid the shuffle.
-func (s *Store) execVPNode(e *engine.Exec, tp sparql.TriplePattern, pushed []compiledFilter) (*engine.Relation, error) {
-	pid, ok := s.dict.Lookup(tp.P.Term)
-	if !ok {
-		return s.emptyRelation(tp.Vars()), nil
-	}
-	table := s.vp[pid]
-	if table == nil {
-		return s.emptyRelation(tp.Vars()), nil
-	}
-	return s.execVPTableNode(e, tp, table, "VP "+localName(tp.P.Term.Value), pushed)
-}
-
-// execVPTableNode runs the VP scan over an explicit table — the full
-// predicate table or a workload-materialized reduction of it; both
-// hold raw (s,o) rows, so the scan predicate and output shaping are
-// identical.
-func (s *Store) execVPTableNode(e *engine.Exec, tp sparql.TriplePattern, table *VPTable, label string, pushed []compiledFilter) (*engine.Relation, error) {
-	outVars := tp.Vars()
-	pred, ok, err := s.vpScanPred(tp, pushed)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return s.emptyRelation(outVars), nil
-	}
-	rel, err := e.ScanFiltered(table.Rel, label, table.FileBytes, pred)
-	if err != nil {
-		return nil, err
-	}
-	return s.shapeVPScan(e, tp, rel)
-}
-
-// shapeVPScan shapes a VP scan's surviving raw (s,o) rows to the
-// pattern's variables — shared by the local scan operator and the
-// distributed gather path, so both produce identical relations.
-func (s *Store) shapeVPScan(e *engine.Exec, tp sparql.TriplePattern, rel *engine.Relation) (*engine.Relation, error) {
-	var err error
-	switch {
-	case tp.S.IsVar() && tp.O.IsVar() && tp.S.Var == tp.O.Var:
-		rel, err = e.Project(rel, []string{"s"})
-		if err != nil {
-			return nil, err
-		}
-		return e.Rename(rel, []string{tp.S.Var})
-	case tp.S.IsVar() && tp.O.IsVar():
-		return e.Rename(rel, []string{tp.S.Var, tp.O.Var})
-	case tp.S.IsVar():
-		rel, err = e.Project(rel, []string{"s"})
-		if err != nil {
-			return nil, err
-		}
-		return e.Rename(rel, []string{tp.S.Var})
-	case tp.O.IsVar():
-		rel, err = e.Project(rel, []string{"o"})
-		if err != nil {
-			return nil, err
-		}
-		return e.Rename(rel, []string{tp.O.Var})
-	default:
-		// Fully bound: an existence test. A single empty row keeps join
-		// semantics (cartesian with one row is the identity).
-		return s.existenceRelation(rel), nil
-	}
-}
-
 // vpScanPred assembles the scan-time predicate over a VP table's raw
 // (s,o) rows for one pattern: bound-position constraints,
 // repeated-variable equality and pushed-down FILTER predicates, fused
 // into one check. ok=false reports a bound term absent from the
 // dictionary — the scan is empty. A nil predicate with ok=true keeps
-// every row. Shared by the materialized operator and the streaming
-// pipeline source, so both modes test rows identically.
+// every row. Called by the resolver alone, so every route tests rows
+// identically.
 func (s *Store) vpScanPred(tp sparql.TriplePattern, pushed []compiledFilter) (pred func(engine.Row) bool, ok bool, err error) {
 	var checks []func(engine.Row) bool
 	if !tp.S.IsVar() {
@@ -835,55 +726,25 @@ func (s *Store) vpScanPred(tp sparql.TriplePattern, pushed []compiledFilter) (pr
 	}, true, nil
 }
 
-// existenceRelation reduces a relation to zero columns: one empty row if
-// any row matched, none otherwise.
-func (s *Store) existenceRelation(rel *engine.Relation) *engine.Relation {
-	parts := make([][]engine.Row, 1)
-	if rel.NumRows() > 0 {
-		parts[0] = []engine.Row{{}}
-	}
-	return engine.NewRelation(engine.Schema{}, parts, "")
-}
-
-// execTriplesNode answers a variable-predicate pattern from the raw
-// triple data — the fallback path outside the WatDiv workload.
-func (s *Store) execTriplesNode(e *engine.Exec, tp sparql.TriplePattern, pushed []compiledFilter) (*engine.Relation, error) {
-	outVars := tp.Vars()
-	rows, err := s.triplesMatches(tp, pushed)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := engine.Partition(engine.Schema(outVars), rows, outVars[0], s.parts)
-	if err != nil {
-		return nil, err
-	}
-	// Charge a full-dataset scan (sum of all VP files).
-	return e.Scan(rel, "triples ?"+tp.P.Var, s.triplesScanBytes())
-}
-
 // triplesMatches collects the raw-triple rows matching a
-// variable-predicate pattern, applying pushed filters — the shared row
-// source of the materialized operator and the streaming pipeline.
-// Returned rows are freshly allocated (stable).
-func (s *Store) triplesMatches(tp sparql.TriplePattern, pushed []compiledFilter) ([]engine.Row, error) {
+// variable-predicate pattern and passing rowPred (the pushed filters; nil
+// keeps every row) — the fallback scan's row source on both local
+// routes. Returned rows are freshly allocated (stable).
+func (s *Store) triplesMatches(tp sparql.TriplePattern, rowPred func(engine.Row) bool) []engine.Row {
 	outVars := tp.Vars()
-	rowPred, err := rowPredicate(outVars, pushed)
-	if err != nil {
-		return nil, err
-	}
 	// Resolve bound positions.
 	var sid, oid rdf.ID
 	if !tp.S.IsVar() {
 		id, ok := s.dict.Lookup(tp.S.Term)
 		if !ok {
-			return nil, nil
+			return nil
 		}
 		sid = id
 	}
 	if !tp.O.IsVar() {
 		id, ok := s.dict.Lookup(tp.O.Term)
 		if !ok {
-			return nil, nil
+			return nil
 		}
 		oid = id
 	}
@@ -919,15 +780,5 @@ func (s *Store) triplesMatches(tp sparql.TriplePattern, pushed []compiledFilter)
 			rows = append(rows, row)
 		}
 	}
-	return rows, nil
-}
-
-// triplesScanBytes is the disk charge of a raw-triples fallback scan:
-// the whole dataset (sum of all VP files).
-func (s *Store) triplesScanBytes() int64 {
-	var total int64
-	for _, t := range s.vp {
-		total += t.FileBytes
-	}
-	return total
+	return rows
 }

@@ -124,7 +124,7 @@ func TestExtVPByteIdenticalAcrossModes(t *testing.T) {
 	s := extvpStore(t, 1<<20)
 
 	strategies := []Strategy{StrategyMixed, StrategyVPOnly, StrategyMixedIPT}
-	planners := []PlannerMode{PlannerNaive, PlannerCost, PlannerCostLeftDeep, PlannerHeuristic}
+	planners := []plan.Mode{plan.ModeNaive, plan.ModeCost, plan.ModeCostLeftDeep, plan.ModeHeuristic}
 
 	check := func(phase string) {
 		for qi, src := range extvpQueries {

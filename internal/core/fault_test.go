@@ -49,7 +49,7 @@ func TestFaultInactivePlanStaysOnFastPath(t *testing.T) {
 	if inactive.SimTime != clean.SimTime {
 		t.Errorf("inactive plan SimTime %v != clean %v", inactive.SimTime, clean.SimTime)
 	}
-	if m := s.ResilienceMetrics(); m != (ResilienceMetrics{}) {
+	if m := s.ResilienceMetrics(); m != (cluster.Recovery{}) {
 		t.Errorf("store resilience counters moved without faults: %+v", m)
 	}
 }
@@ -119,8 +119,8 @@ func TestFaultExhaustionSurfacesTaskFailedError(t *testing.T) {
 		t.Errorf("attempt trace has %d entries, want 3: %v", len(tf.Attempts), tf.Attempts)
 	}
 	for _, a := range tf.Attempts {
-		if a.Outcome != AttemptFailed {
-			t.Errorf("attempt %d outcome %q, want %q", a.Attempt, a.Outcome, AttemptFailed)
+		if a.Outcome != cluster.AttemptFailed {
+			t.Errorf("attempt %d outcome %q, want %q", a.Attempt, a.Outcome, cluster.AttemptFailed)
 		}
 	}
 	var abort QueryAbort

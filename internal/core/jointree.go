@@ -327,8 +327,7 @@ func (s *Store) orderNodes(st *stats.Collection, nodes []*Node) []*Node {
 	take := func(i int, joinedSize float64) {
 		n := pending[i]
 		order = append(order, n)
-		size, dist := s.nodeEstimate(st, n)
-		_ = size
+		_, dist := s.nodeEstimate(st, n)
 		for v, d := range dist {
 			if prev, ok := curDist[v]; !ok || d < prev {
 				curDist[v] = d
@@ -385,7 +384,7 @@ func (s *Store) nodeEstimate(st *stats.Collection, n *Node) (float64, map[string
 	dist := map[string]float64{}
 	size := -1.0
 	for _, tp := range n.Patterns {
-		base, svD, ovD := s.patternEstimate(st, tp, n.Kind == NodeIPT)
+		base, svD, ovD := s.patternEstimate(st, tp)
 		if size < 0 || base < size {
 			size = base
 		}
@@ -417,7 +416,7 @@ func (s *Store) nodeEstimate(st *stats.Collection, n *Node) (float64, map[string
 
 // patternEstimate returns (rows, distinct subjects, distinct objects)
 // for one pattern after applying its bound positions.
-func (s *Store) patternEstimate(st *stats.Collection, tp sparql.TriplePattern, inverse bool) (rows, subjD, objD float64) {
+func (s *Store) patternEstimate(st *stats.Collection, tp sparql.TriplePattern) (rows, subjD, objD float64) {
 	if tp.P.IsVar() {
 		t := float64(st.TotalTriples)
 		return t, float64(st.DistinctSubjects), float64(st.DistinctObjects)
@@ -442,6 +441,5 @@ func (s *Store) patternEstimate(st *stats.Collection, tp sparql.TriplePattern, i
 	if !tp.S.IsVar() {
 		rows /= subjD
 	}
-	_ = inverse
 	return rows, subjD, objD
 }

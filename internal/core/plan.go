@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/plan"
@@ -23,84 +22,6 @@ var (
 	_ = [1]struct{}{}[uint8(plan.PairOO)-uint8(stats.JoinOO)]
 )
 
-// PlannerMode selects how a query's physical plan is produced.
-type PlannerMode uint8
-
-// Planner modes.
-const (
-	// PlannerCost (the default) orders joins by greedy cost-based
-	// enumeration over cardinality estimates and selects each join's
-	// physical method by pricing broadcast vs. shuffle on estimated
-	// input sizes.
-	PlannerCost PlannerMode = iota
-	// PlannerHeuristic keeps the paper's §3.3 priority ordering and the
-	// engine's runtime (threshold-based) join selection — the mode that
-	// reproduces the paper's measurements.
-	PlannerHeuristic
-	// PlannerNaive keeps the query's written pattern order (the A1
-	// ablation baseline).
-	PlannerNaive
-	// PlannerCostLeftDeep is the cost-based planner restricted to
-	// left-deep chains — the ablation baseline the bushy planner is
-	// measured against.
-	PlannerCostLeftDeep
-)
-
-// String implements fmt.Stringer.
-func (m PlannerMode) String() string {
-	switch m {
-	case PlannerCost:
-		return "cost"
-	case PlannerHeuristic:
-		return "heuristic"
-	case PlannerNaive:
-		return "naive"
-	case PlannerCostLeftDeep:
-		return "cost-leftdeep"
-	default:
-		return fmt.Sprintf("PlannerMode(%d)", uint8(m))
-	}
-}
-
-// PlannerModeNames lists the values ParsePlannerMode accepts, in
-// documentation order — the single source CLI flags and error messages
-// quote, so an invalid -planner value always names every valid one.
-func PlannerModeNames() []string {
-	return []string{"cost", "cost-leftdeep", "heuristic", "naive"}
-}
-
-// ParsePlannerMode maps a CLI flag value to a PlannerMode. Unknown
-// values are rejected with an error listing every valid mode.
-func ParsePlannerMode(s string) (PlannerMode, error) {
-	switch s {
-	case "cost", "":
-		return PlannerCost, nil
-	case "cost-leftdeep":
-		return PlannerCostLeftDeep, nil
-	case "heuristic":
-		return PlannerHeuristic, nil
-	case "naive":
-		return PlannerNaive, nil
-	default:
-		return 0, fmt.Errorf("core: unknown planner mode %q (valid modes: %s)",
-			s, strings.Join(PlannerModeNames(), ", "))
-	}
-}
-
-// planMode resolves the options' planner selection.
-func (o QueryOptions) planMode() plan.Mode {
-	switch o.Planner {
-	case PlannerNaive:
-		return plan.ModeNaive
-	case PlannerHeuristic:
-		return plan.ModeHeuristic
-	case PlannerCostLeftDeep:
-		return plan.ModeCostLeftDeep
-	default:
-		return plan.ModeCost
-	}
-}
-
 // Plan translates a query and builds its physical plan without
 // executing it — the entry point for EXPLAIN and planner benchmarks.
 func (s *Store) Plan(q *sparql.Query, opts QueryOptions) (*plan.Plan, error) {
@@ -109,7 +30,7 @@ func (s *Store) Plan(q *sparql.Query, opts QueryOptions) (*plan.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode := opts.planMode()
+	mode := opts.Planner
 	if mode == plan.ModeNaive {
 		naiveOrder(tree, q)
 	}
@@ -140,12 +61,20 @@ func (s *Store) planLeaves(st *stats.Collection, tree *JoinTree) []plan.Leaf {
 	leaves := make([]plan.Leaf, len(tree.Nodes))
 	for i, n := range tree.Nodes {
 		size, dist, src := s.leafEstimate(st, n)
+		// Schema and partitioning come from the functions of the node
+		// the scan's resolver uses (nodescan.go), so a leaf's Vars and
+		// the executed scan's schema cannot disagree.
+		vars := nodeSchema(n)
+		var partCols []string
+		if c := nodePartCol(n, vars); c != "" {
+			partCols = []string{c}
+		}
 		leaves[i] = plan.Leaf{
 			Label:     n.Label(),
-			Vars:      leafVars(n),
+			Vars:      vars,
 			Est:       size,
 			Dist:      dist,
-			PartCols:  leafPartCols(n),
+			PartCols:  partCols,
 			Anchor:    leafAnchor(n),
 			Pats:      leafPats(s.dict, n),
 			EstSource: src,
@@ -291,42 +220,6 @@ func leafPats(dict *rdf.Dictionary, n *Node) []plan.PatRef {
 	return out
 }
 
-// leafVars returns a node's output schema in the exact column order
-// its scan produces. PT/IPT selects emit the key column first and the
-// value variables in pattern order — which differs from Node.Vars()
-// pattern order for inverse-PT nodes, whose key is the object.
-func leafVars(n *Node) []string {
-	switch n.Kind {
-	case NodePT:
-		return append([]string{n.Key}, nodeValueVars(n, keyOnSubject)...)
-	case NodeIPT:
-		return append([]string{n.Key}, nodeValueVars(n, keyOnObject)...)
-	default:
-		return n.Vars()
-	}
-}
-
-// leafPartCols predicts the partitioning a node's scan output carries:
-// PT/IPT selects stay partitioned on their key variable, VP scans on
-// their subject variable (the layout VP tables are stored in), and the
-// triple-table fallback on its first output variable.
-func leafPartCols(n *Node) []string {
-	switch n.Kind {
-	case NodePT, NodeIPT:
-		return []string{n.Key}
-	case NodeVP:
-		if tp := n.Patterns[0]; tp.S.IsVar() {
-			return []string{tp.S.Var}
-		}
-		return nil
-	case NodeTriples:
-		if vars := n.Patterns[0].Vars(); len(vars) > 0 {
-			return []string{vars[0]}
-		}
-	}
-	return nil
-}
-
 // leafAnchor grades a node's constant constraints for the planner's
 // start selection, mirroring the §3.3 boosts: bound literals rank
 // above bound IRI objects, which rank above unconstrained patterns.
@@ -406,11 +299,19 @@ func (s *Store) planCosts(st *stats.Collection, opts QueryOptions) plan.Costs {
 		// estimator falls back to independence everywhere.
 		JoinStats: st,
 	}
-	// The assignment is guarded so a disabled workload leaves the
-	// interface nil (a typed-nil provider would look non-nil to the
-	// rewrite pre-pass).
-	if s.workload != nil {
+	// The assignment is guarded so a plan that may not be rewritten
+	// leaves the interface nil (a typed-nil provider would look non-nil
+	// to the rewrite pre-pass).
+	if s.offersExtVP(opts) {
 		c.ExtVP = extvpCosts{s}
 	}
 	return c
+}
+
+// offersExtVP reports whether a query's planner is offered the ExtVP
+// provider: the store has a workload model and the query's scans run in
+// this process. A sharded query's scans read the shards' base tables,
+// so it is planned, priced and labelled without reductions.
+func (s *Store) offersExtVP(opts QueryOptions) bool {
+	return s.workload != nil && opts.Dist == nil
 }

@@ -173,7 +173,7 @@ func TestFilterOnSharedVariableAppliedOnce(t *testing.T) {
 		?v <http://example.org/age> ?a .
 		FILTER(?a > 26)
 	}`
-	for _, mode := range []PlannerMode{PlannerCost, PlannerHeuristic, PlannerNaive} {
+	for _, mode := range []plan.Mode{plan.ModeCost, plan.ModeHeuristic, plan.ModeNaive} {
 		pl := planFor(t, s, src, QueryOptions{Strategy: StrategyVPOnly, Planner: mode})
 		applied := 0
 		for _, sc := range pl.Scans() {
@@ -215,12 +215,12 @@ func TestPlannerModesByteIdenticalOnWatDiv(t *testing.T) {
 	strategies := []Strategy{StrategyMixed, StrategyVPOnly, StrategyMixedIPT}
 	for _, q := range watdiv.BasicQuerySet() {
 		for _, strat := range strategies {
-			baseline, err := s.Query(q.Parsed, QueryOptions{Strategy: strat, Planner: PlannerNaive})
+			baseline, err := s.Query(q.Parsed, QueryOptions{Strategy: strat, Planner: plan.ModeNaive})
 			if err != nil {
 				t.Fatalf("%s/%s naive: %v", q.Name, strat, err)
 			}
 			want := render(baseline)
-			for _, mode := range []PlannerMode{PlannerCost, PlannerCostLeftDeep, PlannerHeuristic} {
+			for _, mode := range []plan.Mode{plan.ModeCost, plan.ModeCostLeftDeep, plan.ModeHeuristic} {
 				res, err := s.Query(q.Parsed, QueryOptions{Strategy: strat, Planner: mode})
 				if err != nil {
 					t.Fatalf("%s/%s %v: %v", q.Name, strat, mode, err)
@@ -262,28 +262,28 @@ func TestIPTLeafVarsMatchScanSchema(t *testing.T) {
 func TestPlannerModeParsing(t *testing.T) {
 	for _, tt := range []struct {
 		in   string
-		want PlannerMode
-	}{{"cost", PlannerCost}, {"", PlannerCost}, {"heuristic", PlannerHeuristic}, {"naive", PlannerNaive}, {"cost-leftdeep", PlannerCostLeftDeep}} {
-		got, err := ParsePlannerMode(tt.in)
+		want plan.Mode
+	}{{"cost", plan.ModeCost}, {"", plan.ModeCost}, {"heuristic", plan.ModeHeuristic}, {"naive", plan.ModeNaive}, {"cost-leftdeep", plan.ModeCostLeftDeep}} {
+		got, err := plan.ParseMode(tt.in)
 		if err != nil || got != tt.want {
-			t.Errorf("ParsePlannerMode(%q) = %v, %v", tt.in, got, err)
+			t.Errorf("plan.ParseMode(%q) = %v, %v", tt.in, got, err)
 		}
 	}
 	// An invalid mode must be rejected with an error naming every
 	// valid value (the CLI relies on this instead of silently falling
 	// back).
-	_, err := ParsePlannerMode("bogus")
+	_, err := plan.ParseMode("bogus")
 	if err == nil {
-		t.Fatalf("ParsePlannerMode(bogus) succeeded")
+		t.Fatalf("plan.ParseMode(bogus) succeeded")
 	}
-	for _, name := range PlannerModeNames() {
+	for _, name := range plan.ModeNames() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list valid mode %q", err, name)
 		}
 	}
-	if PlannerCost.String() != "cost" || PlannerHeuristic.String() != "heuristic" ||
-		PlannerNaive.String() != "naive" || PlannerCostLeftDeep.String() != "cost-leftdeep" {
-		t.Errorf("PlannerMode names wrong")
+	if plan.ModeCost.String() != "cost" || plan.ModeHeuristic.String() != "heuristic" ||
+		plan.ModeNaive.String() != "naive" || plan.ModeCostLeftDeep.String() != "cost-leftdeep" {
+		t.Errorf("plan.Mode names wrong")
 	}
 }
 
@@ -324,7 +324,7 @@ func TestCostPlannerNotSlowerThanNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s cost: %v", q.Name, err)
 		}
-		rn, err := s.Query(q.Parsed, QueryOptions{Planner: PlannerNaive})
+		rn, err := s.Query(q.Parsed, QueryOptions{Planner: plan.ModeNaive})
 		if err != nil {
 			t.Fatalf("%s naive: %v", q.Name, err)
 		}

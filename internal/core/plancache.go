@@ -186,10 +186,12 @@ func (c *planCache) metrics() CacheMetrics {
 // the BGP patterns and filters in written order, the effective
 // projection and DISTINCT flag, the strategy, planner mode and
 // broadcast threshold, the loader-statistics fingerprint (so a
-// statistics reload invalidates every previously cached plan), and the
+// statistics reload invalidates every previously cached plan), the
 // workload epoch (so a plan priced before a reduction was installed,
 // evicted, or a scan cardinality first observed never outlives that
-// state). Written pattern order is kept for every mode — the naive
+// state), and whether the planner was offered the ExtVP provider (a
+// sharded query is not: a rewritten and an unrewritten plan must never
+// share an entry). Written pattern order is kept for every mode — the naive
 // planner keys on it outright, and the heuristic/cost orderings break
 // estimate ties by translation order, so two equivalent queries
 // written differently may legitimately plan differently and must not
@@ -198,7 +200,7 @@ func (c *planCache) metrics() CacheMetrics {
 // GROUP BY/COUNT and LIMIT/OFFSET all shape the composed plan (Union,
 // LeftJoin, Aggregate and TopK operators), and none of them appear in
 // the mirror Patterns/Filters fields.
-func planCacheKey(q *sparql.Query, mode plan.Mode, opts QueryOptions, statsFP, wlEpoch uint64) string {
+func planCacheKey(q *sparql.Query, mode plan.Mode, opts QueryOptions, statsFP, wlEpoch uint64, extvp bool) string {
 	var sb strings.Builder
 	sb.WriteString(mode.String())
 	sb.WriteByte('|')
@@ -214,6 +216,9 @@ func planCacheKey(q *sparql.Query, mode plan.Mode, opts QueryOptions, statsFP, w
 	sb.WriteString(strconv.FormatUint(statsFP, 16))
 	sb.WriteByte('|')
 	sb.WriteString(strconv.FormatUint(wlEpoch, 10))
+	if extvp {
+		sb.WriteString("+extvp")
+	}
 	sb.WriteByte('|')
 	if q.Distinct {
 		sb.WriteString("distinct")

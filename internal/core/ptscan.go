@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -28,43 +27,10 @@ type patSpec struct {
 	eqKey bool
 }
 
-// execPTNode answers a group of patterns sharing the key variable from
-// the (inverse) Property Table with a single partition-parallel select:
-// for every key holding all the required predicates, emit the cartesian
-// combination of the (flattened) value lists — the flatten step the
-// paper charges to multi-valued attributes (§3.1). Pushed-down FILTER
-// predicates are tested on each candidate row inside the same scan
-// stage, before it is materialized.
-func (s *Store) execPTNode(e *engine.Exec, pt *PropertyTable, n *Node, pushed []compiledFilter) (*engine.Relation, error) {
-	spec := s.ptNodeScan(pt, n)
-	if spec.empty {
-		return s.emptyRelation(append([]string{n.Key}, nodeValueVars(n, pt.mode)...)), nil
-	}
-	rowPred, err := rowPredicate(spec.schema, pushed)
-	if err != nil {
-		return nil, err
-	}
-	perPartDisk := pt.scanBytes(spec.preds) / int64(len(pt.parts))
-	outParts := make([][]engine.Row, len(pt.parts))
-	err = s.cluster.RunStage(e.Clock, e.Launch(false), "scan "+n.Label(), len(pt.parts), func(p int) (cluster.TaskStats, error) {
-		rows, processed := scanPTPartitionRows(pt.parts[p], spec, rowPred)
-		outParts[p] = rows
-		return cluster.TaskStats{
-			DiskBytes: perPartDisk,
-			Rows:      processed + int64(len(rows)),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return engine.NewRelation(spec.schema, outParts, n.Key), nil
-}
-
-// ptNodeScan is a PT/IPT node's scan recipe, shared by the
-// materialized operator and the streaming pipeline source: the output
-// schema, the per-pattern specs, and the predicate columns the pruned
-// scan reads. empty marks a node some required predicate or bound term
-// makes unanswerable.
+// ptNodeScan is a PT/IPT node's scan recipe, the part of its NodeScan
+// every route reads: the output schema, the per-pattern specs, and the
+// predicate columns the pruned scan reads. empty marks a node some
+// required predicate or bound term makes unanswerable.
 type ptNodeScan struct {
 	schema engine.Schema
 	specs  []patSpec
@@ -73,16 +39,21 @@ type ptNodeScan struct {
 }
 
 // ptNodeScan resolves a PT/IPT node's patterns against the dictionary
-// and the table's columns into a scan recipe.
+// and the table's columns into a scan recipe. The schema is the node's
+// own (ptSchema), so an empty recipe carries it too.
 func (s *Store) ptNodeScan(pt *PropertyTable, n *Node) ptNodeScan {
-	keyVar := n.Key
-	schema := engine.Schema{keyVar}
+	schema := ptSchema(n)
+	empty := ptNodeScan{schema: schema, empty: true}
 	specs := make([]patSpec, 0, len(n.Patterns))
 	preds := make([]rdf.ID, 0, len(n.Patterns))
+	// filled counts the schema columns some earlier pattern fills; the
+	// schema lists value variables in first-use order, so a variable's
+	// first use is the column at that index.
+	filled := 1
 	for _, tp := range n.Patterns {
 		pid, ok := s.dict.Lookup(tp.P.Term)
 		if !ok || !pt.HasColumn(pid) {
-			return ptNodeScan{empty: true}
+			return empty
 		}
 		value := valueTerm(tp, pt.mode)
 		spec := patSpec{pid: pid, newCol: -1, eqCol: -1}
@@ -90,38 +61,23 @@ func (s *Store) ptNodeScan(pt *PropertyTable, n *Node) ptNodeScan {
 		case !value.IsVar():
 			vid, ok := s.dict.Lookup(value.Term)
 			if !ok {
-				return ptNodeScan{empty: true}
+				return empty
 			}
 			spec.boundVal = vid
-		case value.Var == keyVar:
+		case value.Var == n.Key:
 			spec.eqKey = true
 		default:
-			if i := schema.Index(value.Var); i >= 0 {
+			if i := schema.Index(value.Var); i < filled {
 				spec.eqCol = i
 			} else {
-				spec.newCol = len(schema)
-				schema = append(schema, value.Var)
+				spec.newCol = i
+				filled++
 			}
 		}
 		specs = append(specs, spec)
 		preds = append(preds, pid)
 	}
 	return ptNodeScan{schema: schema, specs: specs, preds: preds}
-}
-
-// nodeValueVars lists the node's value-position variables (used only to
-// shape empty results, where column order is irrelevant).
-func nodeValueVars(n *Node, mode ptKeyMode) []string {
-	seen := map[string]bool{n.Key: true}
-	var out []string
-	for _, tp := range n.Patterns {
-		v := valueTerm(tp, mode)
-		if v.IsVar() && !seen[v.Var] {
-			seen[v.Var] = true
-			out = append(out, v.Var)
-		}
-	}
-	return out
 }
 
 // valueTerm returns the pattern position holding the cell value: the
@@ -329,13 +285,6 @@ func ptDriverKeys(part *ptPartition, specs []patSpec) int {
 		}
 	}
 	return max(n, 0)
-}
-
-// scanPTPartitionRows scans one PT partition into an arena allocated
-// once at the exact size a counting pass found.
-func scanPTPartitionRows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool) (rows []engine.Row, processed int64) {
-	var sc ptScan
-	return sc.rows(part, spec, rowPred, nil)
 }
 
 // rows scans one PT partition. A caller working through many partitions

@@ -523,7 +523,7 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 			t.Fatalf("%d keys: scan emitted %d rows, want %d", keys, emitted, 2*keys)
 		}
 		rows = testing.AllocsPerRun(10, func() {
-			out, processed := scanPTPartitionRows(part, spec, nil)
+			out, processed := new(ptScan).rows(part, spec, nil, nil)
 			if len(out) != 2*keys || processed != int64(keys) {
 				t.Fatalf("%d keys: %d rows, %d processed", keys, len(out), processed)
 			}

@@ -43,28 +43,6 @@ type QueryAbort interface {
 	AbortProgress() (completed, total int)
 }
 
-// The attempt trace and the recovery record are declared once, beside
-// the attempt loop that writes them (cluster.FaultPlan.RunAttempts);
-// these are the names core's callers use for them.
-type (
-	// TaskAttempt is one entry of a task's attempt trace.
-	TaskAttempt = cluster.Attempt
-	// ResilienceStats is one query's recovery record under fault
-	// injection (Result.Resilience); the zero value means a fault-free
-	// execution.
-	ResilienceStats = cluster.Recovery
-	// ResilienceMetrics is the recovery record totalled across a
-	// store's queries.
-	ResilienceMetrics = cluster.Recovery
-)
-
-// The two attempt outcomes a *TaskFailedError's trace can end on (the
-// full set is cluster.Attempt*).
-const (
-	AttemptFailed = cluster.AttemptFailed
-	AttemptOutage = cluster.AttemptOutage
-)
-
 // TaskFailedError reports a task that exhausted its attempt budget
 // under fault injection — the permanent-failure abort, carrying the
 // full attempt trace for diagnosis. prost-serve returns it as a 500
@@ -73,7 +51,7 @@ type TaskFailedError struct {
 	// Task describes the failed plan operator.
 	Task string
 	// Attempts is the task's full attempt trace, in virtual-time order.
-	Attempts []TaskAttempt
+	Attempts []cluster.Attempt
 	// CompletedTasks and TotalTasks count plan operators executed vs
 	// scheduled when the query aborted.
 	CompletedTasks, TotalTasks int
@@ -153,6 +131,6 @@ type faultState struct {
 
 // ResilienceMetrics returns the recovery record totalled across queries
 // (zero unless fault injection ran).
-func (s *Store) ResilienceMetrics() ResilienceMetrics {
+func (s *Store) ResilienceMetrics() cluster.Recovery {
 	return s.resilience.snapshot()
 }

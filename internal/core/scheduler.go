@@ -53,6 +53,10 @@ type execTask struct {
 	done time.Duration
 	// stages is the task's priced stage trace.
 	stages []cluster.StageRecord
+	// zeroCopy marks a scan task whose relation is the stored table's own
+	// rows (NodeScan.zeroCopy): no intermediate exists for the peak-memory
+	// sweep to count.
+	zeroCopy bool
 
 	// xsum is the delivered exchange checksum of the task's output in
 	// the packed-uint64 wire format, possibly corrupted in flight by the
@@ -940,13 +944,7 @@ func (sc *scheduler) execOp(e *engine.Exec, t *execTask, in []*engine.Relation) 
 	n := t.node
 	switch n.Op {
 	case plan.OpScan:
-		var rel *engine.Relation
-		var err error
-		if sc.dist != nil {
-			rel, err = sc.store.execDistScanNode(e, sc.dist, sc.nodes[n.Leaf], n.Filters, pickFilters(sc.filters, n.Filters))
-		} else {
-			rel, err = sc.store.execScanNode(e, sc.nodes[n.Leaf], n, pickFilters(sc.filters, n.Filters))
-		}
+		rel, err := sc.execScan(e, t)
 		if err != nil {
 			return nil, fmt.Errorf("core: executing %s: %w", sc.nodes[n.Leaf].Label(), err)
 		}
@@ -982,6 +980,96 @@ func (sc *scheduler) execOp(e *engine.Exec, t *execTask, in []*engine.Relation) 
 	default:
 		return nil, fmt.Errorf("core: unknown plan operator %v", n.Op)
 	}
+}
+
+// execScan is the scheduler's one scan operator, local and sharded
+// alike. The node is resolved into its NodeScan; the scan stage then runs
+// one task per table partition, whose rows are the stored partition
+// itself when there is nothing to test, come from the NodeScan's
+// per-partition scan in this process, or from the shards' own NodeScans
+// through DistSession.ScanNode — same stage, same charge, same shape step
+// either way. A VP scan that drops a stored column pays the Project pass
+// Spark plans for it; a fully-bound pattern collapses to an existence
+// test (a single empty row keeps join semantics: cartesian with one row
+// is the identity). The raw-triples fallback is evaluated here in both
+// modes.
+func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, error) {
+	s, n := sc.store, t.node
+	cn := sc.nodes[n.Leaf]
+	// Shards hold base tables: the sharded route resolves without the
+	// reduction whatever the plan says, so what the coordinator charges
+	// is what the shards scan.
+	ref := n.ExtVP
+	if sc.dist != nil {
+		ref = nil
+	}
+	ns, err := s.resolveScan(cn, pickFilters(sc.filters, n.Filters), ref)
+	if err != nil {
+		return nil, err
+	}
+	t.zeroCopy = ns.zeroCopy()
+	var name string
+	switch ns.kind {
+	case scanEmpty:
+		return engine.NewRelation(ns.schema(), make([][]engine.Row, ns.parts), ""), nil
+	case scanTriples:
+		rel, err := engine.Partition(ns.storedSchema(), s.triplesMatches(*ns.tp, ns.rowPred), ns.partCol, ns.parts)
+		if err != nil {
+			return nil, err
+		}
+		return e.Scan(rel, "triples ?"+ns.tp.P.Var, ns.diskBytes)
+	case scanPT:
+		name = cn.Label()
+	default:
+		if name = ns.label; name == "" {
+			name = "VP " + localName(cn.Patterns[0].P.Term.Value)
+		}
+	}
+
+	// Where the stage's rows come from is all that tells the routes and
+	// the tables apart: the shards' reply, the stored partitions
+	// themselves (nothing to test, no scan function), or a scan of each
+	// partition inside the stage.
+	var parts [][]engine.Row
+	var scan func(p int) ([]engine.Row, int64)
+	ps := ns.partScan // by value: the tasks outlive no stack frame of ours
+	switch {
+	case sc.dist != nil:
+		reply, processed, err := sc.dist.ScanNode(cn, n.Filters, cn.Label(), ns.diskBytes)
+		if err != nil {
+			return nil, err
+		}
+		if len(reply) != ns.parts || len(processed) != ns.parts {
+			return nil, fmt.Errorf("core: dist scan %s returned %d/%d partitions, table has %d", cn.Label(), len(reply), len(processed), ns.parts)
+		}
+		parts = reply
+		scan = func(p int) ([]engine.Row, int64) {
+			return reply[p], ps.stageRows(p, processed[p], len(reply[p]))
+		}
+	case ns.pt == nil && ns.pred == nil:
+		parts = ns.table.Rel.Parts()
+	default:
+		parts = make([][]engine.Row, ns.parts)
+		scan = func(p int) ([]engine.Row, int64) {
+			var scratch ptScan
+			rows, keys := ps.scan(&scratch, p, nil)
+			return rows, ps.stageRows(p, keys, len(rows))
+		}
+	}
+	rel, err := e.ScanParts(name, ns.storedSchema(), ns.partCol, parts, ns.diskBytes, scan)
+	switch {
+	case err != nil:
+		return nil, err
+	case ns.kind == scanVPExist:
+		parts := make([][]engine.Row, 1)
+		if rel.NumRows() > 0 {
+			parts[0] = []engine.Row{{}}
+		}
+		return engine.NewRelation(engine.Schema{}, parts, ""), nil
+	case ns.projects():
+		return e.Project(rel, ns.schema())
+	}
+	return rel, nil
 }
 
 // CancelError reports a query stopped by its context deadline or

@@ -140,6 +140,10 @@ type Store struct {
 	vp map[rdf.ID]*VPTable
 	// predOrder lists predicate IDs sorted by IRI for determinism.
 	predOrder []rdf.ID
+	// vpBytes is the on-HDFS size of all VP tables together: the disk
+	// charge of a raw-triples fallback scan, which reads the whole
+	// dataset.
+	vpBytes int64
 	// pt is the subject-keyed Property Table.
 	pt *PropertyTable
 	// ipt is the object-keyed inverse Property Table (optional).

@@ -209,53 +209,15 @@ type streamJoinRef struct {
 	buildRows int64
 }
 
-// srcKind enumerates pipeline sources.
-type srcKind uint8
-
-const (
-	// srcEmpty is a scan a dictionary miss made unanswerable.
-	srcEmpty srcKind = iota
-	srcVP
-	// srcVPExist is a fully-bound pattern: an existence test emitting
-	// one width-0 row when any row matches.
-	srcVPExist
-	srcPT
-	srcTriples
-	// srcUnion replays the rows the UNION branch pipelines' sinks
-	// kept, in branch order — the branch boundary is a pipeline
-	// breaker, like a hash-join build.
-	srcUnion
-)
-
-// streamSource is a pipeline's scan: where its rows come from and how
-// they are shaped to the pattern's variables.
+// streamSource is a pipeline's scan: the node's resolved access path —
+// the same NodeScan the materialized operator and a shard server read,
+// iterated here in batches — plus the run-time state of this execution.
+// A union source has no node of its own (the zero NodeScan): it replays
+// the rows its branch pipelines' sinks kept, in branch order — the branch
+// boundary is a pipeline breaker, like a hash-join build.
 type streamSource struct {
-	kind   srcKind
-	node   *plan.Node
-	label  string
-	schema engine.Schema
-	parts  int
-
-	// VP: the table, the fused scan predicate, and the output shape —
-	// rows emit as r[lo:hi] of the stored (s,o) row, aliasing the
-	// table's stable storage. shapeCharge marks the shapes the
-	// materialized path pays an extra Project pass for.
-	table       *VPTable
-	pred        func(engine.Row) bool
-	lo, hi      int
-	shapeCharge bool
-
-	// PT/IPT.
-	pt      *PropertyTable
-	spec    ptNodeScan
-	rowPred func(engine.Row) bool
-
-	// Triples fallback.
-	tp     sparql.TriplePattern
-	pushed []compiledFilter
-
-	// Union: the branch pipelines whose sink rows this source replays
-	// (their out is retained until consumed).
+	NodeScan
+	node      *plan.Node
 	unionFrom []*streamPipe
 
 	// out counts emitted source rows (the scan node's observed
@@ -410,7 +372,11 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		if src == nil {
 			return 0
 		}
-		p := &streamPipe{id: len(c.sp.pipes), name: src.label, src: src, width: len(src.schema)}
+		name := src.label
+		if name == "" {
+			name = c.nodes[n.Leaf].Label()
+		}
+		p := &streamPipe{id: len(c.sp.pipes), name: name, src: src, width: len(n.Vars)}
 		c.sp.pipes = append(c.sp.pipes, p)
 		c.sp.pipeOf[n.ID] = p.id
 		c.notchWidth(p.width)
@@ -559,10 +525,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 			deps = append(deps, ci)
 			from = append(from, c.pipe(ci))
 		}
-		src := &streamSource{
-			kind: srcUnion, node: n, label: "union",
-			schema: engine.Schema(n.Vars), parts: 1, unionFrom: from,
-		}
+		src := &streamSource{node: n, unionFrom: from}
 		p := &streamPipe{id: len(c.sp.pipes), name: "union", src: src, width: len(n.Vars), deps: deps}
 		c.sp.pipes = append(c.sp.pipes, p)
 		c.sp.pipeOf[n.ID] = p.id
@@ -649,105 +612,20 @@ func schemaEq(s engine.Schema, vars []string) bool {
 	return true
 }
 
-// buildSource lowers one Scan node into a pipeline source, resolving
-// dictionary lookups exactly like the materialized scan operators (a
-// miss produces an empty source, not an error).
+// buildSource lowers one Scan node into a pipeline source: the node's
+// resolved access path. A plan whose recorded scan schema the resolved
+// scan would not reproduce is handed back.
 func (c *streamCompiler) buildSource(n *plan.Node) *streamSource {
-	cn := c.nodes[n.Leaf]
-	pushed := pickFilters(c.filters, n.Filters)
-	schema := engine.Schema(n.Vars)
-	empty := func() *streamSource {
-		return &streamSource{kind: srcEmpty, node: n, label: cn.Label(), schema: schema}
-	}
-	switch cn.Kind {
-	case NodeVP:
-		tp := cn.Patterns[0]
-		pid, ok := c.store.dict.Lookup(tp.P.Term)
-		if !ok {
-			return empty()
-		}
-		table := c.store.vp[pid]
-		if table == nil {
-			return empty()
-		}
-		label := cn.Label()
-		// A scan the planner rewrote to a semi-join reduction streams
-		// the reduced table through the same source; a miss (evicted or
-		// invalidated since planning) keeps the full table — a
-		// superset, so results are unchanged.
-		if n.ExtVP != nil {
-			if t, l, ok := c.store.extvpTable(n.ExtVP); ok {
-				table, label = t, l
-			}
-		}
-		pred, ok, err := c.store.vpScanPred(tp, pushed)
-		if err != nil {
-			c.err = err
-			return nil
-		}
-		if !ok {
-			return empty()
-		}
-		src := &streamSource{
-			node: n, label: label, schema: schema,
-			table: table, pred: pred, parts: table.Rel.Partitions(),
-		}
-		switch {
-		case tp.S.IsVar() && tp.O.IsVar() && tp.S.Var == tp.O.Var:
-			src.kind, src.lo, src.hi, src.shapeCharge = srcVP, 0, 1, true
-		case tp.S.IsVar() && tp.O.IsVar():
-			src.kind, src.lo, src.hi = srcVP, 0, 2
-		case tp.S.IsVar():
-			src.kind, src.lo, src.hi, src.shapeCharge = srcVP, 0, 1, true
-		case tp.O.IsVar():
-			src.kind, src.lo, src.hi, src.shapeCharge = srcVP, 1, 2, true
-		default:
-			src.kind, src.parts = srcVPExist, 1
-		}
-		if src.kind == srcVP && len(schema) != src.hi-src.lo {
-			c.unsupported = true
-			return nil
-		}
-		return src
-
-	case NodePT, NodeIPT:
-		pt := c.store.pt
-		if cn.Kind == NodeIPT {
-			pt = c.store.ipt
-			if pt == nil {
-				c.err = fmt.Errorf("core: inverse property table not loaded")
-				return nil
-			}
-		}
-		spec := c.store.ptNodeScan(pt, cn)
-		if spec.empty {
-			return empty()
-		}
-		if !schemaEq(spec.schema, n.Vars) {
-			c.unsupported = true
-			return nil
-		}
-		rowPred, err := rowPredicate(spec.schema, pushed)
-		if err != nil {
-			c.err = err
-			return nil
-		}
-		return &streamSource{
-			kind: srcPT, node: n, label: cn.Label(), schema: schema,
-			pt: pt, spec: spec, rowPred: rowPred, parts: len(pt.parts),
-		}
-
-	case NodeTriples:
-		tp := cn.Patterns[0]
-		return &streamSource{
-			kind: srcTriples, node: n, label: cn.Label(), schema: schema,
-			tp: tp, pushed: pushed, parts: 1,
-		}
-
-	default:
-		c.err = fmt.Errorf("core: unknown node kind %v", cn.Kind)
+	src := &streamSource{node: n}
+	src.NodeScan, c.err = c.store.resolveScan(c.nodes[n.Leaf], pickFilters(c.filters, n.Filters), n.ExtVP)
+	if c.err != nil {
 		return nil
 	}
+	if !schemaEq(src.schema(), n.Vars) {
+		c.unsupported = true
+		return nil
+	}
+	return src
 }
 
 // run executes every pipeline for real, in dependency order: source
@@ -779,49 +657,14 @@ func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) err
 	return nil
 }
 
-// run executes one pipeline's source partitions through its steps.
+// run executes one pipeline's source partitions through its steps. The
+// source kinds share their NodeScan with every other route; what is here
+// is only how each is iterated in batches.
 func (p *streamPipe) run(ctx context.Context, s *Store, chunkSize, par int) error {
-	if p.src.kind == srcEmpty {
-		return nil
-	}
-	p.out = make([][][]engine.Row, max(p.src.parts, 1))
-	switch p.src.kind {
-	case srcVPExist:
-		p.runExistence()
-		return nil
-
-	case srcVP:
-		// A VP batch is the worker's buffer until a probe or projection
-		// replaces it with an arena's rows.
-		p.cloneAtSink = !slices.ContainsFunc(p.steps, func(st *streamStep) bool {
-			return st.kind == stepProbe || st.kind == stepProbeOuter || st.kind == stepProject
-		})
-		largest, total := 0, 0
-		for pi := 0; pi < p.src.parts; pi++ {
-			n := len(p.src.table.Rel.Part(pi))
-			largest, total = max(largest, n), total+n
-		}
-		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), min(chunkSize, largest), func(pi int, batch []engine.Row) {
-			p.scanVPPart(pi, chunkSize, batch)
-		})
-
-	case srcPT:
-		total := 0
-		for pi := 0; pi < p.src.parts; pi++ {
-			total += ptDriverKeys(p.src.pt.parts[pi], p.src.spec.specs)
-		}
-		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), 0, func(pi int, _ []engine.Row) { p.scanPTPart(pi, chunkSize) })
-
-	case srcTriples:
-		rows, err := s.triplesMatches(p.src.tp, p.src.pushed)
-		if err != nil {
-			return err
-		}
-		p.feed(rows, chunkSize)
-		return nil
-
-	case srcUnion:
-		for _, cp := range p.src.unionFrom {
+	src := p.src
+	if src.node.Op == plan.OpUnion {
+		p.out = make([][][]engine.Row, 1)
+		for _, cp := range src.unionFrom {
 			for _, batches := range cp.out {
 				for _, rows := range batches {
 					p.feed(rows, chunkSize)
@@ -831,9 +674,44 @@ func (p *streamPipe) run(ctx context.Context, s *Store, chunkSize, par int) erro
 			cp.out = nil
 		}
 		return nil
+	}
+	if src.kind == scanEmpty {
+		return nil
+	}
+	p.out = make([][][]engine.Row, src.parts)
+	switch src.kind {
+	case scanVPExist:
+		p.runExistence()
+		return nil
+
+	case scanVP:
+		// A VP batch is the worker's buffer until a probe or projection
+		// replaces it with an arena's rows.
+		p.cloneAtSink = !slices.ContainsFunc(p.steps, func(st *streamStep) bool {
+			return st.kind == stepProbe || st.kind == stepProbeOuter || st.kind == stepProject
+		})
+		largest, total := 0, 0
+		for pi := 0; pi < src.parts; pi++ {
+			n := len(src.table.Rel.Part(pi))
+			largest, total = max(largest, n), total+n
+		}
+		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), min(chunkSize, largest), func(pi int, batch []engine.Row) {
+			p.scanVPPart(pi, chunkSize, batch)
+		})
+
+	case scanPT:
+		total := 0
+		for pi := 0; pi < src.parts; pi++ {
+			total += ptDriverKeys(src.pt.parts[pi], src.spec.specs)
+		}
+		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), 0, func(pi int, _ []engine.Row) { p.scanPTPart(pi, chunkSize) })
+
+	case scanTriples:
+		p.feed(s.triplesMatches(*src.tp, src.rowPred), chunkSize)
+		return nil
 
 	default:
-		return fmt.Errorf("core: unknown stream source kind %d", p.src.kind)
+		return fmt.Errorf("core: unknown stream source kind %d", src.kind)
 	}
 }
 
@@ -984,7 +862,7 @@ func (p *streamPipe) scanPTPart(pi, chunkSize int) {
 // runExistence answers a fully-bound pattern: scan until any row
 // matches, then feed a single width-0 row through the chain (cartesian
 // with one empty row is the join identity, exactly like the
-// materialized existenceRelation).
+// materialized existence test).
 func (p *streamPipe) runExistence() {
 	src := p.src
 	for pi := 0; pi < src.table.Rel.Partitions(); pi++ {
@@ -1207,7 +1085,7 @@ func (sp *streamPlan) price(s *Store, opts QueryOptions, pl *plan.Plan, chunkSiz
 		pi := sp.pipeOf[n.ID]
 		switch n.Op {
 		case plan.OpScan:
-			return priceSource(sp.pipes[pi].src, s, &stats[pi])
+			return priceSource(sp.pipes[pi].src, &stats[pi])
 
 		case plan.OpFilter:
 			lay := walk(n.Children[0])
@@ -1354,66 +1232,45 @@ func (sp *streamPlan) price(s *Store, opts QueryOptions, pl *plan.Plan, chunkSiz
 	return out
 }
 
-// priceSource charges one scan's work (mirroring the materialized scan
-// stages, including integer-division rounding of per-partition disk
-// bytes) and returns its virtual output layout.
-func priceSource(src *streamSource, s *Store, st *cluster.TaskStats) vLayout {
-	switch src.kind {
-	case srcEmpty:
-		// The materialized path short-circuits to an empty relation
-		// without charging a stage.
-		return vLayout{nparts: s.parts}
-
-	case srcVP:
-		n := int64(src.table.Rel.Partitions())
-		st.DiskBytes += (src.table.FileBytes / n) * n
-		st.Rows += int64(src.table.Rel.NumRows())
-		if src.shapeCharge {
-			st.Rows += src.out.Load()
-		}
-		lay := vLayout{nparts: src.table.Rel.Partitions()}
-		if src.lo == 0 {
-			// Subject survives the shaping, so subject partitioning
-			// does too.
-			lay.partCols = []string{src.schema[0]}
-		}
+// priceSource charges one scan's work as the materialized scan stage
+// would — the NodeScan's disk bytes with the stage's per-partition
+// integer rounding, the rows examined, and the rows a PT select emits or
+// a column-dropping VP scan re-reads in its Project pass — and returns
+// the scan's virtual output layout. An empty scan charges nothing, as
+// the materialized operator runs no stage for it.
+func priceSource(src *streamSource, st *cluster.TaskStats) vLayout {
+	lay := vLayout{nparts: src.parts}
+	if src.kind == scanEmpty {
+		// The empty relation carries no partitioning either.
 		return lay
-
-	case srcVPExist:
-		n := int64(src.table.Rel.Partitions())
-		st.DiskBytes += (src.table.FileBytes / n) * n
-		st.Rows += int64(src.table.Rel.NumRows())
-		return vLayout{nparts: 1}
-
-	case srcPT:
-		n := int64(src.parts)
-		st.DiskBytes += (src.pt.scanBytes(src.spec.preds) / n) * n
-		st.Rows += src.scanned.Load() + src.out.Load()
-		return vLayout{partCols: []string{src.schema[0]}, nparts: src.parts}
-
-	case srcTriples:
-		n := int64(s.parts)
-		st.DiskBytes += (s.triplesScanBytes() / n) * n
-		st.Rows += src.out.Load()
-		return vLayout{partCols: []string{src.schema[0]}, nparts: s.parts}
-
-	default:
-		return vLayout{}
 	}
+	if src.partCol != "" {
+		lay.partCols = []string{src.partCol}
+	}
+	n := int64(src.parts)
+	st.DiskBytes += (src.diskBytes / n) * n
+	st.Rows += sourceInputRows(src)
+	if src.kind == scanPT || src.projects() {
+		st.Rows += src.out.Load()
+	}
+	if src.kind == scanVPExist {
+		lay.nparts = 1
+	}
+	return lay
 }
 
 // sourceInputRows is the scan input driving a pipeline's morsel split:
 // the rows (or keys) the source examines, not the rows it emits.
 func sourceInputRows(src *streamSource) int64 {
 	switch src.kind {
-	case srcVP, srcVPExist:
+	case scanVP, scanVPExist:
 		return int64(src.table.Rel.NumRows())
-	case srcPT:
+	case scanPT:
 		return src.scanned.Load()
-	case srcTriples, srcUnion:
-		return src.out.Load()
 	default:
-		return 0
+		// The fallback and a union replay examine what they emit; an
+		// empty scan neither.
+		return src.out.Load()
 	}
 }
 
@@ -1542,7 +1399,7 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 	// Union branches buffer their sink rows from their own gate until
 	// the union pipeline consumes them.
 	for i, p := range sp.pipes {
-		if p.src.kind != srcUnion {
+		if p.src.node.Op != plan.OpUnion {
 			continue
 		}
 		for _, cp := range p.src.unionFrom {
@@ -1568,9 +1425,8 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 		// copying stage (PT/triples source arenas, probe and project
 		// output arenas, the sink's encoded chunk).
 		var per int64
-		switch p.src.kind {
-		case srcPT, srcTriples:
-			per += perMorsel(p.src.out.Load(), m) * int64(len(p.src.schema)) * memBytesPerValue
+		if p.src.copiesRows() {
+			per += perMorsel(p.src.out.Load(), m) * int64(len(p.src.schema())) * memBytesPerValue
 		}
 		for _, st := range p.steps {
 			if st.kind == stepProbe || st.kind == stepProject {
@@ -1635,7 +1491,7 @@ func materializedPeakBytes(sc *scheduler, simTime time.Duration) int64 {
 				evs = append(evs, memEvent{at: t.start, delta: rep}, memEvent{at: to, delta: -rep})
 			}
 			act := rr.obs.Actual(t.node)
-			if act <= 0 || sc.zeroCopyScan(t.node) {
+			if act <= 0 || t.zeroCopy {
 				continue
 			}
 			b := act * int64(len(t.node.Vars)) * memBytesPerValue
@@ -1650,21 +1506,6 @@ func materializedPeakBytes(sc *scheduler, simTime time.Duration) int64 {
 		}
 	}
 	return sweepPeak(evs)
-}
-
-// zeroCopyScan reports a scan whose output relation aliases the stored
-// VP table rows (two distinct free variables, no predicate, no pushed
-// filters) — no intermediate copy exists, so the peak sweep skips it.
-func (sc *scheduler) zeroCopyScan(n *plan.Node) bool {
-	if n.Op != plan.OpScan || len(n.Filters) > 0 {
-		return false
-	}
-	cn := sc.nodes[n.Leaf]
-	if cn.Kind != NodeVP {
-		return false
-	}
-	tp := cn.Patterns[0]
-	return tp.S.IsVar() && tp.O.IsVar() && tp.S.Var != tp.O.Var
 }
 
 // queryStreaming executes one query through the streaming engine.

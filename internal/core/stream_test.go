@@ -57,7 +57,7 @@ func renderSorted(res *Result) string {
 }
 
 var streamStrategies = []Strategy{StrategyMixed, StrategyVPOnly, StrategyMixedIPT}
-var streamPlanners = []PlannerMode{PlannerNaive, PlannerCost, PlannerCostLeftDeep, PlannerHeuristic}
+var streamPlanners = []plan.Mode{plan.ModeNaive, plan.ModeCost, plan.ModeCostLeftDeep, plan.ModeHeuristic}
 
 // TestStreamingByteIdenticalOnWatDiv is the streaming-correctness
 // property test: for every WatDiv query, across all four planner modes
@@ -390,7 +390,7 @@ func liftFilters(n *plan.Node) *plan.Node {
 func streamWithResidualFilters(t *testing.T, s *Store, q *sparql.Query, opts QueryOptions) string {
 	t.Helper()
 	opts.NoPlanCache = true
-	entry, _, _, err := s.planEntry(s.statsSnap.Load(), q, opts.planMode(), opts)
+	entry, _, _, err := s.planEntry(s.statsSnap.Load(), q, opts.Planner, opts)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -484,7 +484,7 @@ func TestStreamingHandBackIsReported(t *testing.T) {
 		?v <http://example.org/likes> ?p .
 	}`)
 	opts := QueryOptions{Streaming: true, ReplanThreshold: -1}
-	entry, key, cacheable, err := s.planEntry(s.statsSnap.Load(), q, opts.planMode(), opts)
+	entry, key, cacheable, err := s.planEntry(s.statsSnap.Load(), q, opts.Planner, opts)
 	if err != nil || !cacheable {
 		t.Fatalf("planEntry: cacheable=%v err=%v", cacheable, err)
 	}

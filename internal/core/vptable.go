@@ -85,6 +85,7 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 			fileBytes += size
 		}
 		s.vp[pred] = &VPTable{Pred: pred, Rel: rel, FileBytes: fileBytes}
+		s.vpBytes += fileBytes
 		totalShuffleBytes += int64(len(rows)) * 2 * 5          // rows repartitioned by subject
 		totalWriteBytes += fileBytes * int64(replicationOf(s)) // replicated write
 		totalRows += int64(len(rows))

@@ -170,17 +170,21 @@ func (s *Store) extvpTable(ref *plan.ExtVPRef) (*VPTable, string, bool) {
 
 // mineWorkload feeds one executed (stamped) plan into the workload
 // model: every observed join contributes its predicate pairs weighted
-// by actual output rows, and every clean single-constant VP scan —
-// filter-free and not itself rewritten, so its actual is the full
-// subpattern cardinality — records the exact count for cross-query
-// estimate seeding. nodes is the plan's Join Tree node list
+// by actual output rows — unless the query's planner is not offered the
+// reductions those pairs get built into (a sharded query: the builder
+// would fill the budget with tables nothing scans) — and every clean
+// single-constant VP scan — filter-free and not itself rewritten, so its
+// actual is the full subpattern cardinality — records the exact count
+// for cross-query estimate seeding. nodes is the plan's Join Tree node list
 // (Node.Leaf indexes into it).
-func (s *Store) mineWorkload(p *plan.Plan, nodes []*Node) {
+func (s *Store) mineWorkload(p *plan.Plan, nodes []*Node, opts QueryOptions) {
 	if s.workload == nil || p == nil {
 		return
 	}
-	for _, jo := range p.JoinObservations() {
-		s.workload.ObserveJoin(jo.P1, jo.P2, uint8(jo.Pos), jo.Rows)
+	if s.offersExtVP(opts) {
+		for _, jo := range p.JoinObservations() {
+			s.workload.ObserveJoin(jo.P1, jo.P2, uint8(jo.Pos), jo.Rows)
+		}
 	}
 	for _, n := range p.Scans() {
 		if n.Actual < 0 || len(n.Filters) > 0 || n.ExtVP != nil {

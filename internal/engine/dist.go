@@ -1,7 +1,5 @@
 package engine
 
-import "repro/internal/cluster"
-
 // This file is the engine's distributed-execution seam. Exchange
 // operators (shuffle join, broadcast join, cartesian, distinct)
 // compute their shuffle layout exactly as in single-process execution,
@@ -219,27 +217,4 @@ func CartesianKernel(largeRows, smallRows []Row, smallIsLeft bool, outWidth int,
 // DistinctKernel is the local distinct operator's partition kernel.
 func DistinctKernel(rows []Row, width int) []Row {
 	return (*KernelScratch)(nil).Distinct(rows, width)
-}
-
-// ScanGathered charges a filtered table scan whose surviving rows were
-// produced elsewhere (shard-local evaluation): stats are identical to
-// ScanFiltered — the full stored partition streams off disk and every
-// stored row is processed — but the output partitions are the
-// shard-returned ones. out must have table.Partitions() entries.
-func (e *Exec) ScanGathered(table *Relation, name string, diskBytes int64, out [][]Row) (*Relation, error) {
-	n := table.Partitions()
-	if n == 0 {
-		return table, nil
-	}
-	perPart := diskBytes / int64(n)
-	err := e.Cluster.RunStage(e.Clock, e.Launch(false), "scan "+name, n, func(p int) (cluster.TaskStats, error) {
-		return cluster.TaskStats{
-			DiskBytes: perPart,
-			Rows:      int64(len(table.Part(p))),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Relation{schema: table.schema.Clone(), parts: out, partCols: cloneCols(table.partCols)}, nil
 }

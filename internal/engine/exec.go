@@ -127,56 +127,51 @@ func (e *Exec) saltFraction() float64 {
 // and query plans. Pass diskBytes = 0 for a scan of an in-memory cached
 // table.
 func (e *Exec) Scan(table *Relation, name string, diskBytes int64) (*Relation, error) {
-	n := table.Partitions()
-	if n == 0 {
+	if table.Partitions() == 0 {
 		return table, nil
 	}
-	perPart := diskBytes / int64(n)
-	err := e.Cluster.RunStage(e.Clock, e.Launch(false), "scan "+name, n, func(p int) (cluster.TaskStats, error) {
-		return cluster.TaskStats{
-			DiskBytes: perPart,
-			Rows:      int64(len(table.Part(p))),
-		}, nil
-	})
-	if err != nil {
+	if err := e.scanStage(name, table.parts, diskBytes, nil); err != nil {
 		return nil, err
 	}
 	return table, nil
 }
 
-// ScanFiltered charges a table scan like Scan and applies a
-// pushed-down row predicate inside the same stage: rows are tested as
-// they stream off disk, so the filter costs no extra stage and no
-// materialized intermediate. A nil pred degenerates to Scan. The
-// output keeps the table's partitioning (filtering moves no rows).
-func (e *Exec) ScanFiltered(table *Relation, name string, diskBytes int64, pred func(Row) bool) (*Relation, error) {
-	if pred == nil {
-		return e.Scan(table, name, diskBytes)
-	}
-	n := table.Partitions()
-	if n == 0 {
-		return table, nil
-	}
-	perPart := diskBytes / int64(n)
-	out := make([][]Row, n)
-	err := e.Cluster.RunStage(e.Clock, e.Launch(false), "scan "+name, n, func(p int) (cluster.TaskStats, error) {
-		in := table.Part(p)
-		var kept []Row
-		for _, r := range in {
-			if pred(r) {
-				kept = append(kept, r)
-			}
-		}
-		out[p] = kept
-		return cluster.TaskStats{
-			DiskBytes: perPart,
-			Rows:      int64(len(in)),
-		}, nil
-	})
-	if err != nil {
+// ScanParts is the scan operator of a storage layer that names its own
+// output — a table scan under a pattern's variable names, filtered or
+// column-pruned, evaluated in this process or gathered from shards. With
+// a nil scan the rows in parts exist already (a stored table's own
+// partitions, shared, never written) and are what the stage examines;
+// otherwise scan(p) runs inside the stage, concurrently across
+// partitions, and returns partition p's rows — which ScanParts stores in
+// parts[p] — and how many stored rows or keys it examined, so
+// pushed-down predicates cost no extra stage and no materialized
+// intermediate. The output adopts schema and parts — the caller's to
+// give away, not cloned — and is hash-partitioned on partKey ("" =
+// arbitrary): scanning moves no rows.
+func (e *Exec) ScanParts(name string, schema Schema, partKey string, parts [][]Row, diskBytes int64, scan func(p int) (rows []Row, examined int64)) (*Relation, error) {
+	if err := e.scanStage(name, parts, diskBytes, scan); err != nil {
 		return nil, err
 	}
-	return &Relation{schema: table.schema.Clone(), parts: out, partCols: cloneCols(table.partCols)}, nil
+	rel := &Relation{schema: schema, parts: parts}
+	if partKey != "" {
+		rel.partCols = []string{partKey}
+	}
+	return rel, nil
+}
+
+// scanStage is the one scan charge: a stage "scan <name>" with a task
+// per partition, each charged its even share of diskBytes streamed off
+// disk plus the rows it examined — those scan(p) reports after filling
+// parts[p], or with a nil scan the rows parts[p] already holds.
+func (e *Exec) scanStage(name string, parts [][]Row, diskBytes int64, scan func(p int) ([]Row, int64)) error {
+	perPart := diskBytes / int64(len(parts))
+	return e.Cluster.RunStage(e.Clock, e.Launch(false), "scan "+name, len(parts), func(p int) (cluster.TaskStats, error) {
+		examined := int64(len(parts[p]))
+		if scan != nil {
+			parts[p], examined = scan(p)
+		}
+		return cluster.TaskStats{DiskBytes: perPart, Rows: examined}, nil
+	})
 }
 
 // Filter keeps the rows satisfying pred, partition-wise (no shuffle).

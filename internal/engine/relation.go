@@ -147,6 +147,10 @@ func (r *Relation) PartitionCols() []string { return cloneCols(r.partCols) }
 // Part returns one partition's rows. Callers must not mutate them.
 func (r *Relation) Part(i int) []Row { return r.parts[i] }
 
+// Parts returns every partition's rows, in the relation's own storage:
+// read-only, like Part.
+func (r *Relation) Parts() [][]Row { return r.parts }
+
 // NumRows returns the total row count across partitions.
 func (r *Relation) NumRows() int {
 	n := 0

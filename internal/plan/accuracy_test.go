@@ -202,7 +202,7 @@ func TestEstimatorAccuracyHarness(t *testing.T) {
 		if n, ok := exactCache[key]; ok {
 			return n
 		}
-		res, err := s.Query(q, core.QueryOptions{Strategy: strat, Planner: core.PlannerNaive, ReplanThreshold: -1})
+		res, err := s.Query(q, core.QueryOptions{Strategy: strat, Planner: plan.ModeNaive, ReplanThreshold: -1})
 		if err != nil {
 			t.Fatalf("naive execution of %s: %v", q.Name, err)
 		}

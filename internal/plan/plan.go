@@ -187,6 +187,31 @@ func (m Mode) String() string {
 	}
 }
 
+// ModeNames lists the values ParseMode accepts, in documentation order —
+// the single source CLI flags and error messages quote, so an invalid
+// -planner value always names every valid one.
+func ModeNames() []string {
+	return []string{"cost", "cost-leftdeep", "heuristic", "naive"}
+}
+
+// ParseMode maps a CLI flag or request parameter to a Mode. Unknown
+// values are rejected with an error listing every valid mode.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "cost", "":
+		return ModeCost, nil
+	case "cost-leftdeep":
+		return ModeCostLeftDeep, nil
+	case "heuristic":
+		return ModeHeuristic, nil
+	case "naive":
+		return ModeNaive, nil
+	default:
+		return 0, fmt.Errorf("core: unknown planner mode %q (valid modes: %s)",
+			s, strings.Join(ModeNames(), ", "))
+	}
+}
+
 // Node is one operator of a physical plan.
 type Node struct {
 	// ID is the node's stable index within its plan (preorder from the

@@ -58,7 +58,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/sparql"
 )
 
@@ -283,7 +285,7 @@ func (s *Server) parseRequest(r *http.Request, params url.Values) (req request, 
 	}
 
 	if v := params.Get("planner"); v != "" {
-		if req.opts.Planner, err = core.ParsePlannerMode(v); err != nil {
+		if req.opts.Planner, err = plan.ParseMode(v); err != nil {
 			return bad(err)
 		}
 	}
@@ -704,7 +706,7 @@ type statsResponse struct {
 	// (its JSON tags are the object's leading keys) plus the server's
 	// own degradation state.
 	Resilience struct {
-		core.ResilienceMetrics
+		cluster.Recovery
 		BreakerState string `json:"breakerState"`
 		ShedRequests uint64 `json:"shedRequests"`
 	} `json:"resilience"`
@@ -819,7 +821,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	doc.Workload.HitCount = wm.HitCount
 	doc.Workload.Epoch = wm.Epoch
 
-	doc.Resilience.ResilienceMetrics = s.cfg.Store.ResilienceMetrics()
+	doc.Resilience.Recovery = s.cfg.Store.ResilienceMetrics()
 	doc.Resilience.BreakerState = s.brk.stateName()
 	doc.Resilience.ShedRequests = s.shed.Load()
 

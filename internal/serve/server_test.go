@@ -1157,19 +1157,19 @@ func referenceTermString(t rdf.Term) string {
 // recovery time is not exported there) and the text EXPLAIN prints for
 // the same record.
 func TestStatsResilienceObjectBytes(t *testing.T) {
-	rec := core.ResilienceMetrics{
+	rec := cluster.Recovery{
 		Attempts: 11, Retries: 2, Stragglers: 3, SpeculativeLaunched: 4, SpeculativeWins: 5,
 		ChecksumFailures: 6, LineageRecomputes: 7, TasksFailed: 8, RecoveryTime: 1234567 * time.Nanosecond,
 	}
 	for _, tc := range []struct {
 		name     string
-		rec      core.ResilienceMetrics
+		rec      cluster.Recovery
 		breaker  string
 		shed     uint64
 		wantJSON string
 		wantText string
 	}{
-		{"zero", core.ResilienceMetrics{}, "closed", 0,
+		{"zero", cluster.Recovery{}, "closed", 0,
 			`{"attempts":0,"retries":0,"stragglers":0,"speculativeLaunched":0,"speculativeWins":0,"checksumFailures":0,"lineageRecomputes":0,"tasksFailed":0,"breakerState":"closed","shedRequests":0}`,
 			""},
 		{"every field", rec, "open", 9,
@@ -1177,7 +1177,7 @@ func TestStatsResilienceObjectBytes(t *testing.T) {
 			"resilience: attempts=11 retries=2 stragglers=3 speculative=5/4 checksum-failures=6 lineage-recomputes=7 recovery=1.235ms\n"},
 	} {
 		var doc statsResponse
-		doc.Resilience.ResilienceMetrics = tc.rec
+		doc.Resilience.Recovery = tc.rec
 		doc.Resilience.BreakerState = tc.breaker
 		doc.Resilience.ShedRequests = tc.shed
 		got, err := json.Marshal(doc.Resilience)
@@ -1187,7 +1187,7 @@ func TestStatsResilienceObjectBytes(t *testing.T) {
 		if string(got) != tc.wantJSON {
 			t.Errorf("%s: resilience object\n got %s\nwant %s", tc.name, got, tc.wantJSON)
 		}
-		if got := core.ResilienceStats(tc.rec).String(); got != tc.wantText {
+		if got := cluster.Recovery(tc.rec).String(); got != tc.wantText {
 			t.Errorf("%s: String() = %q, want %q", tc.name, got, tc.wantText)
 		}
 	}

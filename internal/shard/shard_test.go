@@ -110,10 +110,10 @@ func TestShardedExecutionMatchesSingleProcess(t *testing.T) {
 	// broadcast) plus disabled (every join shuffles), so both exchange
 	// families are pinned identical.
 	for _, bcast := range []int64{0, -1} {
-		for _, modeName := range core.PlannerModeNames() {
-			mode, err := core.ParsePlannerMode(modeName)
+		for _, modeName := range plan.ModeNames() {
+			mode, err := plan.ParseMode(modeName)
 			if err != nil {
-				t.Fatalf("ParsePlannerMode(%s): %v", modeName, err)
+				t.Fatalf("ParseMode(%s): %v", modeName, err)
 			}
 			for stratName, strat := range strategies {
 				for _, q := range watdiv.BasicQuerySet() {
@@ -299,7 +299,7 @@ func TestShardDeathSurfacesTypedError(t *testing.T) {
 	if !errors.As(err, &tfe) {
 		t.Fatalf("error %v (%T) is not a *core.TaskFailedError", err, err)
 	}
-	if len(tfe.Attempts) != 1 || tfe.Attempts[0].Outcome != core.AttemptOutage {
+	if len(tfe.Attempts) != 1 || tfe.Attempts[0].Outcome != cluster.AttemptOutage {
 		t.Errorf("attempt trace %+v, want one worker-outage attempt", tfe.Attempts)
 	}
 	if tfe.Attempts[0].Worker != 1 {
