@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/watdiv"
 )
 
@@ -83,5 +84,62 @@ func TestInvalidFaultFlagsRefusedOnBothPaths(t *testing.T) {
 	}
 	if m := store.ResilienceMetrics(); m != (cluster.Recovery{}) {
 		t.Errorf("a refused plan still executed something: %+v", m)
+	}
+}
+
+// TestSharedFlagsMapAsTheBinariesDid: the three flag sets more than one
+// binary registers turn into the values each binary used to write out —
+// two partitions per worker, the -stats-sketches sign convention, and a
+// QueryOptions with the strategy and planner parsed (an unknown one
+// refused, listing the valid names).
+func TestSharedFlagsMapAsTheBinariesDid(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	clusterCfg, sketches, query := Cluster(fs), StatsSketches(fs), Query(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	want := cluster.DefaultConfig()
+	want.Workers, want.DefaultPartitions = 9, 18
+	if got := clusterCfg(); !reflect.DeepEqual(got, want) {
+		t.Errorf("no flags: cluster config %+v, want %+v", got, want)
+	}
+	if q, err := query(); err != nil || !reflect.DeepEqual(q, core.QueryOptions{}) {
+		t.Errorf("no flags: query options %+v, err %v; want the zero value", q, err)
+	}
+
+	args := []string{"-workers", "4", "-stats-sketches", "-1", "-strategy", "mixed+ipt", "-planner", "heuristic",
+		"-streaming", "-chunk-size", "7", "-replan-threshold", "-1", "-fault-seed", "3", "-fault-fail-rate", "0.5"}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	if cfg := clusterCfg(); cfg.Workers != 4 || cfg.DefaultPartitions != 8 {
+		t.Errorf("-workers 4: %d workers, %d partitions; want 4 and 8", cfg.Workers, cfg.DefaultPartitions)
+	}
+	for n, want := range map[string]core.Options{"-1": {DisableJoinStats: true}, "0": {}, "64": {SketchTopK: 64}} {
+		if err := fs.Parse([]string{"-stats-sketches", n}); err != nil {
+			t.Fatal(err)
+		}
+		got := core.Options{SketchTopK: 99, DisableJoinStats: n != "-1"}
+		if sketches(&got); got != want {
+			t.Errorf("-stats-sketches %s: %+v, want %+v", n, got, want)
+		}
+	}
+	q, err := query()
+	wantQ := core.QueryOptions{Strategy: core.StrategyMixedIPT, Planner: plan.ModeHeuristic, Streaming: true, ChunkSize: 7,
+		ReplanThreshold: -1, Faults: &cluster.FaultPlan{Seed: 3, FailRate: 0.5}}
+	if err != nil || !reflect.DeepEqual(q, wantQ) {
+		t.Errorf("query options %+v, err %v; want %+v", q, err, wantQ)
+	}
+	for flagName, valid := range map[string]string{"-strategy": "vp-only", "-planner": "cost-leftdeep"} {
+		if err := fs.Parse([]string{flagName, "bogus"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := query(); err == nil || !strings.Contains(err.Error(), "bogus") || !strings.Contains(err.Error(), valid) {
+			t.Errorf("%s bogus: err %v, want a refusal listing the valid values", flagName, err)
+		}
+		if err := fs.Parse([]string{flagName, valid}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

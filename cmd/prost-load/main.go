@@ -13,13 +13,14 @@ import (
 	"fmt"
 	"os"
 
+	"repro/cmd/internal/cliflag"
 	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
 func main() {
 	in := flag.String("in", "", "input N-Triples file (required)")
-	workers := flag.Int("workers", 9, "simulated worker machines")
+	clusterCfg := cliflag.Cluster(flag.CommandLine)
 	partitions := flag.Int("partitions", 0, "table partitions (0 = 2x workers)")
 	inversePT := flag.Bool("inverse-pt", false, "also build the object-keyed inverse Property Table")
 	showStats := flag.Bool("stats", false, "print per-predicate statistics")
@@ -31,25 +32,23 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*in, *workers, *partitions, *inversePT, *showStats, *extvpBudget); err != nil {
+	cfg := clusterCfg()
+	if *partitions > 0 {
+		cfg.DefaultPartitions = *partitions
+	}
+	if err := run(*in, cfg, *inversePT, *showStats, *extvpBudget); err != nil {
 		fmt.Fprintln(os.Stderr, "prost-load:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in string, workers, partitions int, inversePT, showStats bool, extvpBudget int64) error {
+func run(in string, cfg cluster.Config, inversePT, showStats bool, extvpBudget int64) error {
 	f, err := os.Open(in)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 
-	cfg := cluster.DefaultConfig()
-	cfg.Workers = workers
-	cfg.DefaultPartitions = 2 * workers
-	if partitions > 0 {
-		cfg.DefaultPartitions = partitions
-	}
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return err

@@ -26,89 +26,85 @@ import (
 	"repro/cmd/internal/cliflag"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
 
+// options is the parsed command line.
+type options struct {
+	in, queryText, queryFile string
+	explain                  bool
+	maxRows                  int
+	extvpBudget              int64
+	cluster                  cluster.Config
+	load                     core.Options // what -stats-sketches sets
+	query                    core.QueryOptions
+}
+
 func main() {
-	in := flag.String("in", "", "input N-Triples file (required)")
-	queryText := flag.String("q", "", "SPARQL query text")
-	queryFile := flag.String("f", "", "file containing the SPARQL query")
-	strategy := flag.String("strategy", "mixed", "query strategy: "+strings.Join(core.StrategyNames(), ", "))
-	planner := flag.String("planner", "cost", "planner mode: "+strings.Join(plan.ModeNames(), ", "))
-	workers := flag.Int("workers", 9, "simulated worker machines")
-	streaming := flag.Bool("streaming", false, "execute through the morsel-driven streaming pipelines instead of materialized stages")
-	chunkSize := flag.Int("chunk-size", 0, "streaming rows-per-chunk granularity (0 = default)")
-	explain := flag.Bool("explain", false, "print the physical plan (with estimated vs actual cardinalities), re-plan events, the Join Tree and the stage trace")
-	maxRows := flag.Int("max-rows", 20, "result rows to print (0 = all)")
-	replan := flag.Float64("replan-threshold", 0, "adaptive re-planning trigger: estimation-error factor that pauses and re-plans the remainder (0 = default 8, negative = disabled)")
-	sketches := flag.Int("stats-sketches", 0, "top-K two-predicate join sketches collected at load time (0 = default 512, negative = disable join-graph statistics entirely)")
-	extvpBudget := flag.Int64("extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables; the query runs once to mine and build them, then the measured run may rewrite onto them (0 = subsystem off)")
-	faults := cliflag.FaultPlan(flag.CommandLine)
+	var o options
+	flag.StringVar(&o.in, "in", "", "input N-Triples file (required)")
+	flag.StringVar(&o.queryText, "q", "", "SPARQL query text")
+	flag.StringVar(&o.queryFile, "f", "", "file containing the SPARQL query")
+	flag.BoolVar(&o.explain, "explain", false, "print the physical plan (with estimated vs actual cardinalities), re-plan events, the Join Tree and the stage trace")
+	flag.IntVar(&o.maxRows, "max-rows", 20, "result rows to print (0 = all)")
+	flag.Int64Var(&o.extvpBudget, "extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables; the query runs once to mine and build them, then the measured run may rewrite onto them (0 = subsystem off)")
+	clusterCfg := cliflag.Cluster(flag.CommandLine)
+	sketches := cliflag.StatsSketches(flag.CommandLine)
+	query := cliflag.Query(flag.CommandLine)
 	flag.Parse()
 
-	if err := run(*in, *queryText, *queryFile, *strategy, *planner, *workers, *streaming, *chunkSize, *explain, *maxRows, *replan, *sketches, *extvpBudget, faults()); err != nil {
+	o.cluster = clusterCfg()
+	sketches(&o.load)
+	var err error
+	if o.query, err = query(); err == nil {
+		err = run(o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "prost-query:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, queryText, queryFile, strategy, planner string, workers int, streaming bool, chunkSize int, explain bool, maxRows int, replan float64, sketches int, extvpBudget int64, faults *cluster.FaultPlan) error {
-	if in == "" {
+func run(o options) error {
+	if o.in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	if queryText == "" && queryFile == "" {
+	queryText := o.queryText
+	if queryText == "" && o.queryFile == "" {
 		return fmt.Errorf("one of -q or -f is required")
 	}
 	if queryText == "" {
-		b, err := os.ReadFile(queryFile)
+		b, err := os.ReadFile(o.queryFile)
 		if err != nil {
 			return err
 		}
 		queryText = string(b)
 	}
-	strat, err := core.ParseStrategy(strategy)
-	if err != nil {
-		return err
-	}
-	mode, err := plan.ParseMode(planner)
-	if err != nil {
-		return err
-	}
-
+	opts := o.query
 	q, err := sparql.Parse(queryText)
 	if err != nil {
 		return err
 	}
 
-	f, err := os.Open(in)
+	f, err := os.Open(o.in)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	cfg := cluster.DefaultConfig()
-	cfg.Workers = workers
-	cfg.DefaultPartitions = 2 * workers
-	c, err := cluster.New(cfg)
+	c, err := cluster.New(o.cluster)
 	if err != nil {
 		return err
 	}
-	store, err := core.LoadNTriples(f, core.Options{
-		Cluster:          c,
-		BuildInversePT:   strat == core.StrategyMixedIPT,
-		SketchTopK:       max(sketches, 0),
-		DisableJoinStats: sketches < 0,
-		ExtVPBudget:      extvpBudget,
-		ExtVPBuildAfter:  1,
-	})
+	load := o.load
+	load.Cluster, load.BuildInversePT = c, opts.Strategy == core.StrategyMixedIPT
+	load.ExtVPBudget, load.ExtVPBuildAfter = o.extvpBudget, 1
+	store, err := core.LoadNTriples(f, load)
 	if err != nil {
 		return err
 	}
 
-	opts := core.QueryOptions{Strategy: strat, Planner: mode, ReplanThreshold: replan,
-		Faults: faults, Streaming: streaming, ChunkSize: chunkSize}
-	if extvpBudget > 0 {
+	if o.extvpBudget > 0 {
 		// Priming run: mine the query's join pairs, then wait for the
 		// background builds so the measured run can rewrite onto the
 		// materialized reductions.
@@ -129,8 +125,8 @@ func run(in, queryText, queryFile, strategy, planner string, workers int, stream
 	}
 	var line []byte
 	for i, row := range rows {
-		if maxRows > 0 && i >= maxRows {
-			fmt.Printf("… (%d more rows)\n", len(res.Rows)-maxRows)
+		if o.maxRows > 0 && i >= o.maxRows {
+			fmt.Printf("… (%d more rows)\n", len(res.Rows)-o.maxRows)
 			break
 		}
 		line = line[:0]
@@ -146,14 +142,14 @@ func run(in, queryText, queryFile, strategy, planner string, workers int, stream
 		os.Stdout.Write(line)
 	}
 	fmt.Printf("\n%d rows; simulated cluster time %v (wall %v, strategy %s)\n",
-		len(res.Rows), res.SimTime, res.WallTime, strat)
+		len(res.Rows), res.SimTime, res.WallTime, opts.Strategy)
 	if res.Streamed {
 		fmt.Printf("streamed over morsel pipelines: first row at %v; peak intermediate footprint %d B\n",
 			res.FirstRow, res.PeakMemBytes)
 	} else if res.StreamingDowngraded {
 		fmt.Println("streaming requested but downgraded to materialized execution (no morsel path for this configuration)")
 	}
-	if explain {
+	if o.explain {
 		fmt.Println()
 		fmt.Print(res.Plan.String())
 		fmt.Println(res.Plan.ErrorSummary())

@@ -59,35 +59,34 @@ import (
 	"repro/cmd/internal/cliflag"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
 
-// options carries the parsed command line.
+// options carries the parsed command line; the shared flag sets are
+// the functions cliflag handed out for them.
 type options struct {
-	in, addr          string
-	shardAddrs        string
-	strategy, planner string
-	workers           int
-	streaming         bool
-	chunkSize         int
-	inflight          int
-	parallelism       int
-	cacheSize         int
-	maxRows           int
-	queryTimeout      time.Duration
-	replan            float64
-	sketches          int
-	extvpBudget       int64
-	extvpBuildAfter   int
-	drainTimeout      time.Duration
+	in, addr        string
+	shardAddrs      string
+	inflight        int
+	parallelism     int
+	cacheSize       int
+	maxRows         int
+	queryTimeout    time.Duration
+	extvpBudget     int64
+	extvpBuildAfter int
+	drainTimeout    time.Duration
 
 	breakerThreshold float64
 	breakerWindow    time.Duration
 	breakerCooldown  time.Duration
 
-	faults *cluster.FaultPlan
+	cluster cluster.Config
+	load    core.Options // what -stats-sketches sets
+	// query is the per-request default (?planner=, ?strategy=,
+	// ?streaming= and ?chunk= override it); its fault plan becomes the
+	// cluster's.
+	query core.QueryOptions
 }
 
 func main() {
@@ -95,29 +94,29 @@ func main() {
 	flag.StringVar(&o.in, "in", "", "input N-Triples file (required)")
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&o.shardAddrs, "shard-addrs", "", "comma-separated prost-shard addresses; set, the server runs as a scale-out coordinator delegating scan and exchange kernels to the shards (addresses in shard order: the i-th address must be the shard started with -shard i)")
-	flag.StringVar(&o.strategy, "strategy", "mixed", "default query strategy: "+strings.Join(core.StrategyNames(), ", "))
-	flag.StringVar(&o.planner, "planner", "cost", "default planner mode: "+strings.Join(plan.ModeNames(), ", "))
-	flag.IntVar(&o.workers, "workers", 9, "simulated worker machines")
-	flag.BoolVar(&o.streaming, "streaming", false, "default to morsel-driven streaming execution (per-request ?streaming= overrides)")
-	flag.IntVar(&o.chunkSize, "chunk-size", 0, "streaming rows-per-chunk granularity (0 = default; per-request ?chunk= overrides)")
 	flag.IntVar(&o.inflight, "max-inflight", serve.DefaultMaxInflight, "maximum concurrently executing queries; overflow is shed with 503 + Retry-After")
 	flag.IntVar(&o.parallelism, "parallelism", 0, "per-query scheduler pool width (0 = GOMAXPROCS)")
 	flag.IntVar(&o.cacheSize, "plan-cache", 0, "plan cache entries (0 = default, negative = disabled)")
 	flag.IntVar(&o.maxRows, "max-rows", 0, "cap result rows per response (0 = unlimited)")
 	flag.DurationVar(&o.queryTimeout, "query-timeout", 0, "per-query execution deadline; past it the query stops and the request returns 504 (0 = none)")
-	flag.Float64Var(&o.replan, "replan-threshold", 0, "adaptive re-planning trigger: estimation-error factor that pauses and re-plans the remainder (0 = default 8, negative = disabled)")
-	flag.IntVar(&o.sketches, "stats-sketches", 0, "top-K two-predicate join sketches collected at load time (0 = default 512, negative = disable join-graph statistics entirely)")
 	flag.Int64Var(&o.extvpBudget, "extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables; hot join pairs are materialized in the background and queries rewritten onto them (0 = subsystem off)")
 	flag.IntVar(&o.extvpBuildAfter, "extvp-build-after", 0, "feedback observations of a join pair before its reduction is built (0 = default)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "on SIGTERM, how long to wait for in-flight queries before exiting")
 	flag.Float64Var(&o.breakerThreshold, "breaker-threshold", 0, "execution-failure rate that trips the /sparql circuit breaker (0 = default)")
 	flag.DurationVar(&o.breakerWindow, "breaker-window", 0, "sliding window for the breaker's failure rate (0 = default)")
 	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "how long a tripped breaker sheds load before probing (0 = default)")
-	faults := cliflag.FaultPlan(flag.CommandLine)
+	clusterCfg := cliflag.Cluster(flag.CommandLine)
+	sketches := cliflag.StatsSketches(flag.CommandLine)
+	query := cliflag.Query(flag.CommandLine)
 	flag.Parse()
-	o.faults = faults()
 
-	if err := run(o); err != nil {
+	o.cluster = clusterCfg()
+	sketches(&o.load)
+	var err error
+	if o.query, err = query(); err == nil {
+		err = run(o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "prost-serve:", err)
 		os.Exit(1)
 	}
@@ -127,38 +126,25 @@ func run(o options) error {
 	if o.in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	strat, err := core.ParseStrategy(o.strategy)
-	if err != nil {
-		return err
-	}
-	mode, err := plan.ParseMode(o.planner)
-	if err != nil {
-		return err
-	}
-
 	f, err := os.Open(o.in)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	cfg := cluster.DefaultConfig()
-	cfg.Workers = o.workers
-	cfg.DefaultPartitions = 2 * o.workers
-	cfg.Faults = o.faults
+	// The fault schedule is the cluster's — refused at start-up when
+	// invalid, inherited by every query — not a per-query override.
+	cfg, qopts := o.cluster, o.query
+	cfg.Faults, qopts.Faults = qopts.Faults, nil
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "loading %s…\n", o.in)
-	store, err := core.LoadNTriples(f, core.Options{
-		Cluster:          c,
-		BuildInversePT:   strat == core.StrategyMixedIPT,
-		PlanCacheSize:    o.cacheSize,
-		SketchTopK:       max(o.sketches, 0),
-		DisableJoinStats: o.sketches < 0,
-		ExtVPBudget:      o.extvpBudget,
-		ExtVPBuildAfter:  o.extvpBuildAfter,
-	})
+	load := o.load
+	load.Cluster, load.BuildInversePT = c, qopts.Strategy == core.StrategyMixedIPT
+	load.PlanCacheSize = o.cacheSize
+	load.ExtVPBudget, load.ExtVPBuildAfter = o.extvpBudget, o.extvpBuildAfter
+	store, err := core.LoadNTriples(f, load)
 	if err != nil {
 		return err
 	}
@@ -181,7 +167,7 @@ func run(o options) error {
 	// Coordinator mode: dial the shards after loading (they verify the
 	// topology and statistics fingerprint during the handshake) and
 	// route every query's kernels through them.
-	var dist core.DistRunner
+	qopts.Parallelism = o.parallelism
 	if o.shardAddrs != "" {
 		addrs := strings.Split(o.shardAddrs, ",")
 		for i := range addrs {
@@ -192,21 +178,13 @@ func run(o options) error {
 			return fmt.Errorf("dialing shards: %w", err)
 		}
 		defer coord.Close()
-		dist = coord
+		qopts.Dist = coord
 		fmt.Fprintf(os.Stderr, "coordinating %d shards: %s\n", len(addrs), strings.Join(addrs, ", "))
 	}
 
 	srv, err := serve.New(serve.Config{
-		Store: store,
-		Options: core.QueryOptions{
-			Strategy:        strat,
-			Planner:         mode,
-			Parallelism:     o.parallelism,
-			ReplanThreshold: o.replan,
-			Streaming:       o.streaming,
-			ChunkSize:       o.chunkSize,
-			Dist:            dist,
-		},
+		Store:            store,
+		Options:          qopts,
 		MaxInflight:      o.inflight,
 		MaxRows:          o.maxRows,
 		QueryTimeout:     o.queryTimeout,
@@ -218,7 +196,7 @@ func run(o options) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "serving on %s (strategy %s, planner %s, max in-flight %d)\n",
-		o.addr, strat, mode, o.inflight)
+		o.addr, qopts.Strategy, qopts.Planner, o.inflight)
 
 	// Graceful shutdown: SIGTERM/interrupt stops admitting queries,
 	// drains in-flight ones for up to -drain-timeout, then exits 0.

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/cmd/internal/cliflag"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/shard"
@@ -29,22 +30,27 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input N-Triples file (required, same file the coordinator loads)")
-		listen   = flag.String("listen", ":9101", "listen address for coordinator connections")
-		shardNo  = flag.Int("shard", 0, "this shard's position in the topology")
-		shards   = flag.Int("shards", 1, "total shard count")
-		workers  = flag.Int("workers", 9, "simulated worker machines (must match the coordinator)")
-		ipt      = flag.Bool("ipt", false, "build the inverse property table (required when the coordinator serves strategy mixed+ipt)")
-		sketches = flag.Int("stats-sketches", 0, "top-K two-predicate join sketches, matching the coordinator's -stats-sketches (0 = default 512, negative = disabled); join statistics are part of the handshake fingerprint")
+		in         = flag.String("in", "", "input N-Triples file (required, same file the coordinator loads)")
+		listen     = flag.String("listen", ":9101", "listen address for coordinator connections")
+		shardNo    = flag.Int("shard", 0, "this shard's position in the topology")
+		shards     = flag.Int("shards", 1, "total shard count")
+		clusterCfg = cliflag.Cluster(flag.CommandLine)
+		ipt        = flag.Bool("ipt", false, "build the inverse property table (required when the coordinator's store holds it, i.e. serves strategy mixed+ipt)")
+		sketches   = cliflag.StatsSketches(flag.CommandLine)
 	)
 	flag.Parse()
-	if err := run(*in, *listen, *shardNo, *shards, *workers, *ipt, *sketches); err != nil {
+	// Kernels never plan, but the join statistics still have to be
+	// collected with the coordinator's bounds: they are mixed into the
+	// statistics fingerprint the handshake verifies.
+	opts := core.Options{BuildInversePT: *ipt}
+	sketches(&opts)
+	if err := run(*in, *listen, *shardNo, *shards, clusterCfg(), opts); err != nil {
 		fmt.Fprintln(os.Stderr, "prost-shard:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, listen string, shardNo, shards, workers int, ipt bool, sketches int) error {
+func run(in, listen string, shardNo, shards int, cfg cluster.Config, opts core.Options) error {
 	if in == "" {
 		return fmt.Errorf("-in is required")
 	}
@@ -53,23 +59,11 @@ func run(in, listen string, shardNo, shards, workers int, ipt bool, sketches int
 		return err
 	}
 	defer f.Close()
-	cfg := cluster.DefaultConfig()
-	cfg.Workers = workers
-	cfg.DefaultPartitions = 2 * workers
-	c, err := cluster.New(cfg)
-	if err != nil {
+	if opts.Cluster, err = cluster.New(cfg); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "loading %s…\n", in)
-	// Kernels never plan, but the join statistics still have to be
-	// collected with the coordinator's bounds: they are mixed into the
-	// statistics fingerprint the handshake verifies.
-	store, err := core.LoadNTriples(f, core.Options{
-		Cluster:          c,
-		BuildInversePT:   ipt,
-		SketchTopK:       max(sketches, 0),
-		DisableJoinStats: sketches < 0,
-	})
+	store, err := core.LoadNTriples(f, opts)
 	if err != nil {
 		return err
 	}

@@ -24,11 +24,8 @@ import (
 // results and SimTime are identical to single-process execution by
 // construction.
 //
-// Restrictions while a DistRunner is installed (all documented in the
-// README's "Distributed deployment" section): streaming, fault
-// injection and adaptive re-planning are forced off; the coordinator
-// does not plan ExtVP rewrites (shards hold the base tables, so the
-// provider is not offered and join pairs are not mined); and
+// What a query gives up while a DistRunner is installed is decided in
+// one place, Store.resolve (the first row of its table); beyond that,
 // variable-predicate (raw-triples fallback) scans evaluate
 // coordinator-side.
 
@@ -132,18 +129,18 @@ type NetworkReporter interface {
 // redundant replica to retry against — so the error carries a
 // one-attempt trace with the worker-outage outcome and unwraps to the
 // underlying *wire.ShardError.
-func wrapShardErr(err error, task string, start time.Duration, completed, total int) error {
+func wrapShardErr(err error, t *execTask, completed, total int) error {
 	var se *wire.ShardError
 	if !errors.As(err, &se) {
 		return err
 	}
 	return &TaskFailedError{
-		Task: task,
+		Task: nodeDesc(t.node),
 		Attempts: []cluster.Attempt{{
 			Attempt: 1,
 			Worker:  se.Shard,
-			Start:   start,
-			End:     start,
+			Start:   t.start,
+			End:     t.start,
 			Outcome: cluster.AttemptOutage,
 		}},
 		CompletedTasks: completed,
@@ -164,15 +161,17 @@ func exchangeClass(kind string) string {
 	}
 }
 
-// annotateDistPlan stamps measured-vs-priced exchange bytes onto the
-// executed plan for EXPLAIN: records are matched to operators by
-// (class, label) FIFO — scan records carry the leaf label, join
-// records the join name (the right child's label), so a predicate
-// scanned twice consumes two records in order.
-func annotateDistPlan(p *plan.Plan, records []ExchangeRecord) {
-	if p == nil || len(records) == 0 {
+// annotateDistPlan stamps a sharded query's measured-vs-priced exchange
+// bytes onto the executed plan for EXPLAIN (sess is nil for a local
+// query): records are matched to operators by (class, label) FIFO — scan
+// records carry the leaf label, join records the join name (the right
+// child's label), so a predicate scanned twice consumes two records in
+// order.
+func annotateDistPlan(p *plan.Plan, sess DistSession) {
+	if sess == nil {
 		return
 	}
+	records := sess.Records()
 	byKey := map[string][]ExchangeRecord{}
 	for _, r := range records {
 		k := exchangeClass(r.Kind) + "|" + r.Name

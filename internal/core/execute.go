@@ -12,6 +12,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/stats"
 )
 
 // QueryOptions tunes one query execution.
@@ -22,9 +23,6 @@ type QueryOptions struct {
 	// heuristic and naive modes keep the paper's §3.3 ordering and the
 	// written-order ablation reproducible.
 	Planner plan.Mode
-	// Clock receives the query's virtual time; a fresh clock is created
-	// when nil.
-	Clock *cluster.Clock
 	// BroadcastThreshold overrides the broadcast-join threshold
 	// (0 = Spark default, negative = disabled) — the ablation knob for
 	// Catalyst's physical join selection. The heuristic and naive
@@ -66,10 +64,7 @@ type QueryOptions struct {
 	// executor: operators fuse into chunk-at-a-time pipelines, SimTime
 	// comes from list-scheduling priced morsels onto the simulated
 	// workers, and the result carries first-row latency and the peak
-	// intermediate footprint. A plan the streaming compiler hands back
-	// (a Bound leaf, a defensive schema mismatch) runs on the
-	// materialized scheduler with Result.StreamingDowngraded set; both
-	// modes produce identical SortedRows.
+	// intermediate footprint. Both modes produce identical SortedRows.
 	Streaming bool
 	// ChunkSize is the streaming executor's rows-per-chunk (and morsel
 	// batch) granularity (0 = DefaultChunkSize).
@@ -78,10 +73,8 @@ type QueryOptions struct {
 	// a per-query DistSession (coordinator mode). Planning, shuffle
 	// routing and stage pricing stay local, every scan resolves to the
 	// NodeScan a local run would read, so results and SimTime match
-	// single-process execution; streaming, fault injection and adaptive
-	// re-planning are forced off for the query, and it is planned
-	// without ExtVP rewrites (shards hold the base tables) and mines no
-	// join pairs for the reduction builder.
+	// single-process execution. What a sharded query turns off is the
+	// first row of the table on Store.resolve.
 	Dist DistRunner
 }
 
@@ -91,21 +84,6 @@ type QueryOptions struct {
 // assumption while well-estimated operators stay within a factor of a
 // few, so 8x separates the two populations cleanly.
 const DefaultReplanThreshold = 8.0
-
-// replanThreshold resolves the options' re-planning trigger for the
-// given planner mode.
-func (o QueryOptions) replanThreshold(mode plan.Mode) float64 {
-	if o.ReplanThreshold < 0 {
-		return 0
-	}
-	if mode != plan.ModeCost && mode != plan.ModeCostLeftDeep {
-		return 0
-	}
-	if o.ReplanThreshold == 0 {
-		return DefaultReplanThreshold
-	}
-	return o.ReplanThreshold
-}
 
 // Result is one query's answer plus its execution record.
 type Result struct {
@@ -140,8 +118,7 @@ type Result struct {
 	// recovery time SimTime absorbed. Zero for fault-free executions.
 	Resilience cluster.Recovery
 	// Streamed reports that the morsel-driven streaming executor ran
-	// the query (false when QueryOptions.Streaming was off, or the
-	// query fell back to the materialized scheduler).
+	// the query.
 	Streamed bool
 	// FirstRow is the simulated latency until the first result morsel
 	// finished delivering to the driver — strictly earlier than
@@ -160,8 +137,7 @@ type Result struct {
 	// StreamingDowngraded reports that QueryOptions.Streaming was
 	// requested but the materialized scheduler ran the query: the
 	// sharded coordinator path forced streaming off (the distributed
-	// kernels run only under the scheduler), or the streaming compiler
-	// handed the plan back.
+	// kernels run only under the scheduler).
 	StreamingDowngraded bool
 }
 
@@ -229,27 +205,29 @@ func (s *Store) Query(q *sparql.Query, opts QueryOptions) (*Result, error) {
 	return s.QueryContext(context.Background(), q, opts)
 }
 
-// QueryContext plans and executes a SPARQL query against the store.
-// Planning first consults the plan cache (keyed on the normalized BGP,
-// the options, and the loader-statistics fingerprint); on a miss the
-// Join Tree is translated from the BGP (paper §3.2) and the planner
-// builds a physical plan with estimated cardinalities. Execution runs
-// the plan as a task DAG on a bounded worker pool: independent
-// subtrees (bushy arms, sibling scans) execute concurrently, each
-// operator's actual output cardinality is recorded into a
-// per-execution observation, and the simulated time is the critical
-// path through the DAG.
+// QueryContext runs a SPARQL query against the store in four steps,
+// each written once. Resolve: the options become a resolved value that
+// carries every default and every "feature X turns feature Y off" rule
+// (Store.resolve's table). Plan: the plan cache (keyed on the
+// normalized query, the resolved options and the loader-statistics
+// fingerprint) is consulted; on a miss each BGP group is translated
+// into a Join Tree (paper §3.2) and planned, and an extended query's
+// group plans are composed. Execute: the plan runs on the materialized
+// task scheduler or on the streaming pipelines, whichever the resolver
+// picked; both hand back one execution record. Assemble: the trace is
+// published, store totals and the workload model are fed, and the rows
+// are decoded into the Result.
 //
 // Execution is adaptive: a join whose input's observed cardinality
-// missed its estimate by more than QueryOptions.ReplanThreshold does
-// not run — the unexecuted remainder is re-planned over the
-// materialized intermediates (with exact rebased statistics) and the
-// corrected remainder is spliced in when its priced saving beats the
-// re-planning charge. A query that re-planned writes the corrected
-// plan back to the plan cache (keyed identically, estimates rebased to
-// the observed cardinalities), so the next execution of the same query
-// skips both the mistake and the re-plan. Only fully executed queries
-// write back — a cancelled or failed run never poisons the cache.
+// missed its estimate by more than the re-plan bound does not run — the
+// unexecuted remainder is re-planned over the materialized
+// intermediates (with exact rebased statistics) and the corrected
+// remainder is spliced in when its priced saving beats the re-planning
+// charge. A query that re-planned writes the corrected plan back to the
+// plan cache (keyed identically, estimates rebased to the observed
+// cardinalities), so the next execution of the same query skips both
+// the mistake and the re-plan. Only fully executed queries write back —
+// a cancelled or failed run never poisons the cache.
 //
 // ctx cancels in-flight execution at task granularity: when the
 // deadline passes, no further plan operators start and QueryContext
@@ -259,254 +237,192 @@ func (s *Store) Query(q *sparql.Query, opts QueryOptions) (*Result, error) {
 // shared read-only, and all execution state is per-call.
 func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOptions) (*Result, error) {
 	start := time.Now()
-	// A per-query plan gets the check cluster.New gives the cluster's.
-	if err := opts.Faults.Validate(); err != nil {
-		return nil, err
-	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = cluster.NewClock()
-	}
-	// Coordinator mode: open the per-query shard session and force the
-	// execution paths the distributed kernels do not take — streaming,
-	// fault injection and adaptive re-planning — off. Planning is
-	// unaffected (the session only executes kernels).
-	var distSess DistSession
-	streamingDowngraded := false
-	if opts.Dist != nil {
-		sess, err := opts.Dist.Session(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		distSess = sess
-		defer distSess.Close()
-		// A streaming request against the coordinator is a downgrade,
-		// not a silent no-op: the flag surfaces in the result (and the
-		// HTTP stats) so callers see which executor actually ran.
-		streamingDowngraded = opts.Streaming
-		opts.Streaming = false
-		opts.Faults = nil
-		opts.ReplanThreshold = -1
-	}
-	// The adaptive re-planner reasons over a single BGP's join/scan
-	// remainder; the extended operators (LeftJoin, Union, TopK,
-	// Aggregate) execute statically. Forced off before planning so the
-	// cache key's resolved threshold matches the execution.
-	if q.Extended() {
-		opts.ReplanThreshold = -1
-	}
-	mode := opts.Planner
-	// One statistics snapshot serves the whole query: the cache key's
-	// fingerprint, leaf estimation, plan pricing and the re-planner's
-	// sketch lookups all read the same collection, so a reload landing
-	// mid-query can never produce a plan priced from a mixture of old
-	// and new statistics (or cache one under the wrong fingerprint).
-	snap := s.statsSnap.Load()
-	entry, key, cacheable, err := s.planEntry(snap, q, mode, opts)
+	// Resolve: every default and every feature-off rule, decided once.
+	r, err := s.resolve(q, opts)
 	if err != nil {
 		return nil, err
 	}
-	pl := entry.plan
 
+	// Plan. One statistics snapshot serves the whole query: the cache
+	// key's fingerprint, leaf estimation, plan pricing and the
+	// re-planner's sketch lookups all read the same collection, so a
+	// reload landing mid-query can never produce a plan priced from a
+	// mixture of old and new statistics (or cache one under the wrong
+	// fingerprint).
+	snap := s.statsSnap.Load()
+	entry, key, err := s.planEntry(snap, q, r)
+	if err != nil {
+		return nil, err
+	}
 	filters, err := s.compileFilters(q)
 	if err != nil {
 		return nil, err
 	}
 
-	// The plan may have reordered (or bushed) the leaves; present the
-	// Join Tree in scan execution order, in a fresh slice so the cached
-	// node list is never touched.
-	scans := pl.Scans()
-	ordered := make([]*Node, 0, len(scans))
-	for _, sc := range scans {
-		ordered = append(ordered, entry.nodes[sc.Leaf])
+	// Execute, on the one executor the resolver picked.
+	var x execution
+	if r.streaming {
+		x, err = s.runStreaming(ctx, r, entry, filters)
+	} else {
+		x, err = s.runMaterialized(ctx, q, r, snap.col, entry, filters)
 	}
-	tree := &JoinTree{Nodes: ordered}
-
-	// Resolve the fault plan: per-query override first, then the
-	// cluster-wide schedule; an inactive plan keeps the fault-free hot
-	// path (faults stays nil, so no checksum or attempt bookkeeping).
-	faults := opts.Faults
-	if faults == nil {
-		faults = s.cluster.Config().Faults
-	}
-	if !faults.Active() || distSess != nil {
-		faults = nil
-	}
-	var faultSalt uint64
-	if faults != nil {
-		faultSalt = queryFaultSalt(q)
-	}
-
-	// Streaming dispatch: the morsel-driven executor takes every plan
-	// it can run — including the extended operators and LIMIT/OFFSET,
-	// which runs as a bounded top-K sink. handled=false means no work
-	// was done (the compiler handed the plan back) — the materialized
-	// path below executes as if Streaming were off, and the result says
-	// so through StreamingDowngraded.
-	if opts.Streaming {
-		res, handled, err := s.queryStreaming(ctx, q, opts, clock, entry, tree, filters, faults, faultSalt, start)
-		if err != nil {
-			return nil, err
-		}
-		if handled {
-			s.mineWorkload(res.Plan, entry.nodes, opts)
-			return res, nil
-		}
-		streamingDowngraded = true
-	}
-
-	sched := &scheduler{
-		store:           s,
-		nodes:           entry.nodes,
-		dist:            distSess,
-		filters:         filters,
-		opts:            opts,
-		ctx:             ctx,
-		startCost:       s.cluster.Config().Cost.SQLPlanning,
-		replanThreshold: opts.replanThreshold(mode),
-		filterSpecs:     filterSpecs(q, pl.Leaves),
-		projection:      q.Projection(),
-		distinct:        q.Distinct,
-		costs:           s.planCosts(snap.col, opts),
-		replanCharge:    s.cluster.Config().Cost.SQLPlanning,
-	}
-	if faults != nil {
-		sched.faults = &faultState{plan: faults, salt: faultSalt}
-	}
-	rootTask, err := sched.execute(pl)
-	var resil cluster.Recovery
-	if sched.faults != nil {
+	if r.faults != nil {
 		// The record totals on the store even when the query aborted —
 		// failed recovery is exactly what /stats should show.
-		resil = sched.faults.snapshot()
-		s.resilience.add(resil)
+		s.resilience.add(x.recovery)
 	}
 	if err != nil {
 		return nil, err
 	}
 
-	// Epilogue: collect the root relation, priced on its own clock and
-	// sequenced after the root task on the virtual timeline. An
-	// extended query's plan already applied LIMIT/OFFSET (and ordering)
-	// through its TopK operator, so the collect must preserve partition
-	// order as-is; a plain BGP query has no limit to push (LIMIT makes
-	// a query extended) and collects everything.
-	epiClock := cluster.NewClock()
-	e := engine.NewExec(s.cluster, epiClock)
-	e.StartCost = 0
-	e.BroadcastThreshold = opts.BroadcastThreshold
-	var rows []engine.Row
-	if q.Extended() {
-		rows, err = e.Collect(rootTask.rel)
-	} else {
-		rows, err = e.Limit(rootTask.rel, q.Limit, q.Offset)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// Assemble the query's trace on a private clock — the stages in
-	// deterministic plan order — then publish it into the result clock
-	// in one atomic step, advancing by the DAG's critical path rather
-	// than the stage sum (stages of independent subtrees overlap), so
-	// a caller-shared opts.Clock accumulates correctly under
-	// concurrent queries.
-	trace := cluster.NewClock()
-	trace.Charge("query planning", sched.startCost)
-	sched.appendTrace(trace)
-	trace.Absorb(epiClock.Stages())
-	simTime := rootTask.done + epiClock.Elapsed()
-	clock.MergeTrace(trace.Stages(), simTime)
-
-	// The executed-plan view: the static plan stamped with actuals, or
-	// the corrected grafted plan when re-planning fired.
-	var executed *plan.Plan
-	if len(sched.rounds) == 1 {
-		executed = pl.Stamp(sched.rounds[0].obs)
-	} else {
-		executed = sched.executedPlan()
-	}
-	if distSess != nil {
-		// EXPLAIN view: measured vs priced bytes per exchange node.
-		annotateDistPlan(executed, distSess.Records())
-	}
+	// Assemble. The trace is published in one step, advancing the clock
+	// by the critical path rather than the stage sum (stages of
+	// independent subtrees and pipelines overlap).
+	clock := cluster.NewClock()
+	clock.MergeTrace(x.trace, x.simTime)
 
 	// Feedback write-back: a fully executed query that evaluated a
 	// re-plan stores the corrected plan (estimates rebased to observed
 	// cardinalities) under the same key, turning the cache from a
 	// memoizer into a feedback store — the next execution neither
 	// repeats the estimation mistake nor re-pays the re-plan.
-	if cacheable && len(sched.events) > 0 {
-		s.planCache.put(key, &cachedPlan{nodes: entry.nodes, plan: executed.Rebase(), corrected: true})
+	if r.cacheable && len(x.events) > 0 {
+		s.planCache.put(key, &cachedPlan{nodes: entry.nodes, plan: x.plan.Rebase(), corrected: true})
 	}
-	s.adaptive.record(sched.events)
+	s.adaptive.record(x.events)
+	s.mineWorkload(x.mined, entry.nodes, r)
 
-	// Workload mining reads the first round's stamped plan, never the
-	// grafted executed view: grafted fragments carry Leaf indexes into
-	// other rounds' node lists, and the first round observed every
-	// operator that ran before any re-plan fired.
-	if s.workload != nil {
-		mined := executed
-		if len(sched.rounds) != 1 {
-			mined = pl.Stamp(sched.rounds[0].obs)
-		}
-		s.mineWorkload(mined, entry.nodes, opts)
+	// The plan may have reordered (or bushed) the leaves; present the
+	// Join Tree in scan execution order, in a fresh slice so the cached
+	// node list is never touched.
+	scans := entry.plan.Scans()
+	ordered := make([]*Node, 0, len(scans))
+	for _, sc := range scans {
+		ordered = append(ordered, entry.nodes[sc.Leaf])
 	}
-
-	decoded := s.decodeRows(rows, pl.Root.CountCols)
 	return &Result{
 		Vars:                q.Projection(),
-		Rows:                decoded,
-		SimTime:             simTime,
+		Rows:                s.decodeRows(x.rows, entry.plan.Root.CountCols),
+		SimTime:             x.simTime,
 		WallTime:            time.Since(start),
-		Tree:                tree,
-		Plan:                executed,
+		Tree:                &JoinTree{Nodes: ordered},
+		Plan:                x.plan,
 		Clock:               clock,
-		Replans:             sched.events,
+		Replans:             x.events,
 		CacheFeedback:       entry.corrected,
-		Resilience:          resil,
-		PeakMemBytes:        materializedPeakBytes(sched, simTime),
+		Resilience:          x.recovery,
+		Streamed:            r.streaming,
+		FirstRow:            x.firstRow,
+		PeakMemBytes:        x.peak,
 		Ordered:             len(q.Order) > 0,
-		StreamingDowngraded: streamingDowngraded,
+		StreamingDowngraded: r.downgraded,
 	}, nil
 }
 
-// planEntry resolves the (translate + plan) pipeline through the plan
-// cache: a hit returns the shared immutable entry; a miss translates,
-// plans, inserts and returns. The returned key and cacheable flag let
-// the caller write a corrected plan back after an adaptive run.
-func (s *Store) planEntry(snap *statsSnapshot, q *sparql.Query, mode plan.Mode, opts QueryOptions) (entry *cachedPlan, key string, cacheable bool, err error) {
-	cacheable = !opts.NoPlanCache && s.planCache != nil
-	if cacheable {
-		key = planCacheKey(q, mode, opts, snap.fp, s.workloadEpoch(), s.offersExtVP(opts))
+// execution is what either executor hands the driver: the result as ID
+// rows and everything the run measured. On an abort only recovery is
+// meaningful.
+type execution struct {
+	rows    []engine.Row
+	simTime time.Duration
+	// trace is the stage trace, in deterministic plan order.
+	trace []cluster.StageRecord
+	// plan is the executed plan stamped with actuals — the corrected,
+	// grafted plan when events is not empty; mined is the stamped plan
+	// the workload model reads.
+	plan, mined *plan.Plan
+	events      []ReplanEvent
+	recovery    cluster.Recovery
+	peak        int64
+	firstRow    time.Duration
+}
+
+// runMaterialized executes the plan operator at a time on the task
+// scheduler — locally, or with the kernels on the shards of r.dist,
+// through one session — then collects the root relation.
+func (s *Store) runMaterialized(ctx context.Context, q *sparql.Query, r resolved, st *stats.Collection, entry *cachedPlan, filters []compiledFilter) (execution, error) {
+	pl := entry.plan
+	var sess DistSession
+	if r.dist != nil {
+		var err error
+		if sess, err = r.dist.Session(ctx, q); err != nil {
+			return execution{}, err
+		}
+		defer sess.Close()
+	}
+	sched := &scheduler{
+		store:       s,
+		nodes:       entry.nodes,
+		filters:     filters,
+		r:           r,
+		dist:        sess,
+		ctx:         ctx,
+		planning:    s.cluster.Config().Cost.SQLPlanning,
+		filterSpecs: filterSpecs(q, pl.Leaves),
+		projection:  q.Projection(),
+		distinct:    q.Distinct,
+		costs:       s.planCosts(st, r),
+	}
+	rootTask, err := sched.execute(pl)
+	x := execution{recovery: sched.recovery.snapshot()}
+	if err != nil {
+		return x, err
+	}
+
+	// Epilogue: collect the root relation, priced on its own clock and
+	// sequenced after the root task on the virtual timeline. There is no
+	// limit to push into the collect: LIMIT/OFFSET make a query extended,
+	// and an extended query's plan applies them (and the ordering)
+	// through its TopK operator, so partition order is kept as it is.
+	e := sched.newExec()
+	if x.rows, err = e.Collect(rootTask.rel); err != nil {
+		return x, err
+	}
+
+	// The stages in deterministic plan order, on a private clock.
+	trace := cluster.NewClock()
+	trace.Charge("query planning", sched.planning)
+	sched.appendTrace(trace)
+	trace.Absorb(e.Clock.Stages())
+	x.trace = trace.Stages()
+	x.simTime = rootTask.done + e.Clock.Elapsed()
+
+	// The executed-plan view: the static plan stamped with actuals, or
+	// the corrected grafted plan when re-planning fired. Workload mining
+	// reads the first round's stamped plan even then, never the grafted
+	// view: grafted fragments carry Leaf indexes into other rounds' node
+	// lists, and the first round observed every operator that ran before
+	// any re-plan fired.
+	x.mined = pl.Stamp(sched.rounds[0].obs)
+	x.plan = x.mined
+	if len(sched.rounds) > 1 {
+		x.plan = sched.executedPlan()
+	}
+	annotateDistPlan(x.plan, sess)
+	x.events = sched.events
+	x.peak = materializedPeakBytes(sched, x.simTime)
+	return x, nil
+}
+
+// planEntry is the plan step behind the plan cache: a hit returns the
+// shared immutable entry; a miss plans, inserts and returns. The key
+// lets the driver write a corrected plan back after an adaptive run.
+func (s *Store) planEntry(snap *statsSnapshot, q *sparql.Query, r resolved) (entry *cachedPlan, key string, err error) {
+	if r.cacheable {
+		key = planCacheKey(q, r, snap.fp, s.workloadEpoch())
 		if e, ok := s.planCache.get(key); ok {
-			return e, key, cacheable, nil
+			return e, key, nil
 		}
 	}
-	if q.Extended() {
-		entry, err = s.planExtended(snap, q, mode, opts)
-		if err != nil {
-			return nil, "", false, err
-		}
-	} else {
-		tree, err := s.translateWith(snap.col, q, opts.Strategy)
-		if err != nil {
-			return nil, "", false, err
-		}
-		if mode == plan.ModeNaive {
-			naiveOrder(tree, q)
-		}
-		pl := s.buildPlan(snap.col, tree, q, mode, opts)
-		if pl == nil {
-			return nil, "", false, fmt.Errorf("core: query has no patterns")
-		}
-		entry = &cachedPlan{nodes: tree.Nodes, plan: pl}
+	nodes, pl, err := s.planQuery(snap.col, q, r)
+	if err != nil {
+		return nil, "", err
 	}
-	if cacheable {
+	entry = &cachedPlan{nodes: nodes, plan: pl}
+	if r.cacheable {
 		s.planCache.put(key, entry)
 	}
-	return entry, key, cacheable, nil
+	return entry, key, nil
 }
 
 // PlanCacheMetrics snapshots the store's plan-cache counters.

@@ -1,16 +1,15 @@
 package core
 
 // Extended-surface planning: OPTIONAL, UNION, ORDER BY/LIMIT and
-// GROUP BY/COUNT queries route through planExtended, which runs every
-// UNION branch's BGP (and every OPTIONAL group's) through the
-// unchanged translate + cost-plan pipeline, then grafts the per-group
-// plans into one physical plan via plan.Extend. The per-group plans
+// GROUP BY/COUNT queries take the extended half of planQuery, which
+// runs every UNION branch's BGP (and every OPTIONAL group's) through
+// planGroup — all there is to planning a plain query — then grafts the
+// per-group plans into one physical plan via plan.Extend. The per-group plans
 // carry leaf and filter indexes local to their own group; this file
 // offsets them into the query-global lists so the scheduler executes
 // the composed plan with one node list and one compiled-filter list.
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -18,48 +17,45 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/stats"
 )
 
-// planExtended translates and plans an extended query: each group is
-// planned independently (reusing filter pushdown, join ordering and
-// physical join selection), then the extended operators are composed
-// on top. The returned entry's node list is the concatenation of every
-// group's Join Tree nodes, in branch order (base first, then its
-// OPTIONAL groups) — the same order extendedFilterList concatenates
-// filters in, so the plan's offset leaf and filter indexes line up.
-func (s *Store) planExtended(snap *statsSnapshot, q *sparql.Query, mode plan.Mode, opts QueryOptions) (*cachedPlan, error) {
+// planQuery is the plan step. A plain query is one BGP group. In an
+// extended query each group is planned independently by planGroup
+// (reusing filter pushdown, join ordering and physical join selection),
+// then the extended operators are composed on top. nodes is the Join
+// Tree node list the plan's Leaf indexes point into: for an extended
+// query the concatenation of every group's nodes, in branch order (base
+// first, then its OPTIONAL groups) — the same order extendedFilterList
+// concatenates filters in, so the plan's offset leaf and filter indexes
+// line up.
+func (s *Store) planQuery(st *stats.Collection, q *sparql.Query, r resolved) (nodes []*Node, _ *plan.Plan, _ error) {
+	if !q.Extended() {
+		return s.planGroup(st, q, r)
+	}
 	if err := q.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var (
-		allNodes []*Node
-		leaves   []plan.Leaf
-		labels   []string
+		leaves []plan.Leaf
+		labels []string
 	)
 	planGroup := func(pats []sparql.TriplePattern, fs []sparql.Filter) (*plan.Plan, error) {
 		// The synthetic per-group query projects every pattern variable
 		// (sorted, so the group's output schema is planner-mode
 		// independent) and carries no limit: LIMIT/OFFSET belong to the
 		// composed plan's TopK operator, never to a group.
-		gq := &sparql.Query{
+		gnodes, pl, err := s.planGroup(st, &sparql.Query{
 			Vars:     sortedPatternVars(pats),
 			Patterns: pats,
 			Filters:  fs,
 			Limit:    -1,
-		}
-		tree, err := s.translateWith(snap.col, gq, opts.Strategy)
+		}, r)
 		if err != nil {
 			return nil, err
 		}
-		if mode == plan.ModeNaive {
-			naiveOrder(tree, gq)
-		}
-		pl := s.buildPlan(snap.col, tree, gq, mode, opts)
-		if pl == nil {
-			return nil, fmt.Errorf("core: query group has no patterns")
-		}
 		offsetPlanRefs(pl.Root, len(leaves), len(labels))
-		allNodes = append(allNodes, tree.Nodes...)
+		nodes = append(nodes, gnodes...)
 		leaves = append(leaves, pl.Leaves...)
 		labels = append(labels, pl.FilterLabels...)
 		return pl, nil
@@ -78,14 +74,14 @@ func (s *Store) planExtended(snap *statsSnapshot, q *sparql.Query, mode plan.Mod
 		g := &branches[bi]
 		base, err := planGroup(g.Patterns, g.Filters)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		br := plan.BranchSpec{Base: base}
 		for oi := range g.Optionals {
 			og := &g.Optionals[oi]
 			opl, err := planGroup(og.Patterns, og.Filters)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			br.Optionals = append(br.Optionals, opl)
 		}
@@ -99,7 +95,7 @@ func (s *Store) planExtended(snap *statsSnapshot, q *sparql.Query, mode plan.Mod
 	}
 	spec.Leaves = leaves
 	spec.FilterLabels = labels
-	return &cachedPlan{nodes: allNodes, plan: plan.Extend(spec)}, nil
+	return nodes, plan.Extend(spec), nil
 }
 
 // offsetPlanRefs rebases a group plan's leaf and filter indexes into
@@ -117,7 +113,7 @@ func offsetPlanRefs(n *plan.Node, leafOff, filterOff int) {
 }
 
 // extendedFilterList concatenates every group's FILTERs in the exact
-// order planExtended plans the groups (per branch: base, then its
+// order planQuery plans the groups (per branch: base, then its
 // OPTIONAL groups), matching the composed plan's global filter
 // indexes. For a plain single-BGP query this is q.Filters.
 func extendedFilterList(q *sparql.Query) []sparql.Filter {

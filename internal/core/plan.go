@@ -22,35 +22,40 @@ var (
 	_ = [1]struct{}{}[uint8(plan.PairOO)-uint8(stats.JoinOO)]
 )
 
-// Plan translates a query and builds its physical plan without
-// executing it — the entry point for EXPLAIN and planner benchmarks.
+// Plan resolves the options and plans the query — plain or extended —
+// exactly as QueryContext would on a plan-cache miss, without caching or
+// executing it: the entry point for EXPLAIN and planner benchmarks.
 func (s *Store) Plan(q *sparql.Query, opts QueryOptions) (*plan.Plan, error) {
-	st := s.curStats()
-	tree, err := s.translateWith(st, q, opts.Strategy)
+	r, err := s.resolve(q, opts)
 	if err != nil {
 		return nil, err
 	}
-	mode := opts.Planner
-	if mode == plan.ModeNaive {
-		naiveOrder(tree, q)
-	}
-	return s.buildPlan(st, tree, q, mode, opts), nil
+	_, pl, err := s.planQuery(s.curStats(), q, r)
+	return pl, err
 }
 
-// buildPlan converts the ordered Join Tree to planner leaves and runs
-// the optimizer passes against one statistics snapshot, recording
-// estimate provenance for /stats. The snapshot is the caller's: a plan
-// is always priced end to end from the same collection whose
-// fingerprint keys it in the cache, even when a reload lands while
-// planning runs.
-func (s *Store) buildPlan(st *stats.Collection, tree *JoinTree, q *sparql.Query, mode plan.Mode, opts QueryOptions) *plan.Plan {
-	leaves := s.planLeaves(st, tree)
-	specs := filterSpecs(q, leaves)
-	pl := plan.Build(leaves, specs, q.Projection(), q.Distinct, mode, s.planCosts(st, opts))
-	if pl != nil {
-		s.estSources.record(pl)
+// planGroup plans one BGP group: translate it into a Join Tree (paper
+// §3.2), keep the written order for the naive planner, describe the
+// nodes to the planner as leaves and run the optimizer passes, recording
+// estimate provenance for /stats. Everything is read from the caller's
+// statistics snapshot: a plan is always priced end to end from the same
+// collection whose fingerprint keys it in the cache, even when a reload
+// lands while planning runs.
+func (s *Store) planGroup(st *stats.Collection, q *sparql.Query, r resolved) ([]*Node, *plan.Plan, error) {
+	tree, err := s.translateWith(st, q, r.strategy)
+	if err != nil {
+		return nil, nil, err
 	}
-	return pl
+	if r.mode == plan.ModeNaive {
+		naiveOrder(tree, q)
+	}
+	leaves := s.planLeaves(st, tree)
+	pl := plan.Build(leaves, filterSpecs(q, leaves), q.Projection(), q.Distinct, r.mode, s.planCosts(st, r))
+	if pl == nil {
+		return nil, nil, fmt.Errorf("core: query has no patterns")
+	}
+	s.estSources.record(pl)
+	return tree.Nodes, pl, nil
 }
 
 // planLeaves describes each Join Tree node to the planner: output
@@ -280,17 +285,10 @@ func filterSpecs(q *sparql.Query, leaves []plan.Leaf) []plan.FilterSpec {
 
 // planCosts bundles the cluster facts physical selection prices with,
 // reading join sketches from the caller's statistics snapshot.
-func (s *Store) planCosts(st *stats.Collection, opts QueryOptions) plan.Costs {
-	threshold := opts.BroadcastThreshold
-	if threshold == 0 {
-		threshold = engine.DefaultBroadcastThreshold
-	}
-	if threshold < 0 {
-		threshold = 0 // disabled
-	}
+func (s *Store) planCosts(st *stats.Collection, r resolved) plan.Costs {
 	c := plan.Costs{
 		Workers:            s.cluster.Workers(),
-		BroadcastThreshold: threshold,
+		BroadcastThreshold: max(r.broadcast, 0), // 0: disabled
 		BytesPerValue:      engine.BytesPerValue,
 		SkewSaltFraction:   engine.DefaultSkewSaltFraction,
 		Model:              s.cluster.Config().Cost,
@@ -302,16 +300,8 @@ func (s *Store) planCosts(st *stats.Collection, opts QueryOptions) plan.Costs {
 	// The assignment is guarded so a plan that may not be rewritten
 	// leaves the interface nil (a typed-nil provider would look non-nil
 	// to the rewrite pre-pass).
-	if s.offersExtVP(opts) {
+	if r.extvp {
 		c.ExtVP = extvpCosts{s}
 	}
 	return c
-}
-
-// offersExtVP reports whether a query's planner is offered the ExtVP
-// provider: the store has a workload model and the query's scans run in
-// this process. A sharded query's scans read the shards' base tables,
-// so it is planned, priced and labelled without reductions.
-func (s *Store) offersExtVP(opts QueryOptions) bool {
-	return s.workload != nil && opts.Dist == nil
 }

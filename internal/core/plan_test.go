@@ -337,3 +337,49 @@ func TestCostPlannerNotSlowerThanNaive(t *testing.T) {
 		t.Errorf("cost-based total %d > naive total %d (+1%% slack)", cost, naive)
 	}
 }
+
+// TestPlanMatchesExecutedPlan: Store.Plan — what /explain?analyze=0
+// prints — is the plan Query runs, not yet executed: same operators,
+// labels and estimates, every actual still unknown. It used to plan only
+// the first branch's base BGP, so an OPTIONAL … ORDER BY … LIMIT query
+// showed "Project → Scan" where execution ran
+// "TopK → Project → LeftJoin → …".
+func TestPlanMatchesExecutedPlan(t *testing.T) {
+	s := watdivStreamStore(t)
+	const prefixes = `PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
+		PREFIX foaf: <http://xmlns.com/foaf/>
+		`
+	cases := []struct{ name, body, op string }{
+		{"plain", `SELECT ?u ?f ?p WHERE { ?u wsdbm:follows ?f . ?f wsdbm:likes ?p . }`, "Join"},
+		{"optional+order+limit", `SELECT ?u ?p ?a WHERE { ?u wsdbm:likes ?p . OPTIONAL { ?u foaf:age ?a . } } ORDER BY ?u LIMIT 5`, "LeftJoin"},
+		{"union", `SELECT ?x WHERE { { ?x wsdbm:follows wsdbm:User0 . } UNION { ?x wsdbm:likes wsdbm:Product0 . } }`, "Union"},
+		{"limit+offset", `SELECT ?u ?f WHERE { ?u wsdbm:follows ?f . ?f wsdbm:likes ?p . } LIMIT 7 OFFSET 3`, "TopK"},
+		{"group+count", `SELECT ?u (COUNT(?p) AS ?n) WHERE { ?u wsdbm:likes ?p . } GROUP BY ?u ORDER BY DESC(?n) ?u LIMIT 8`, "Aggregate"},
+	}
+	for _, c := range cases {
+		q := sparql.MustParse(prefixes + c.body)
+		for _, strat := range streamStrategies {
+			for _, mode := range streamPlanners {
+				// Static and uncached: the executed plan is the planned
+				// one, and planning it again prices it the same.
+				opts := QueryOptions{Strategy: strat, Planner: mode, ReplanThreshold: -1, NoPlanCache: true}
+				res, err := s.Query(q, opts)
+				if err != nil {
+					t.Fatalf("%s/%s/%v: Query: %v", c.name, strat, mode, err)
+				}
+				want := res.Plan.Stamp(plan.NewObservation(res.Plan)).String()
+				pl, err := s.Plan(q, opts)
+				if err != nil {
+					t.Fatalf("%s/%s/%v: Plan: %v", c.name, strat, mode, err)
+				}
+				got := pl.String()
+				if got != want {
+					t.Errorf("%s/%s/%v: Store.Plan differs from the plan Query ran\ngot:\n%swant:\n%s", c.name, strat, mode, got, want)
+				}
+				if !strings.Contains(got, c.op) || strings.Contains(strings.ReplaceAll(got, "actual=?", ""), "actual=") {
+					t.Errorf("%s/%s/%v: want a %s operator and no actuals in\n%s", c.name, strat, mode, c.op, got)
+				}
+			}
+		}
+	}
+}

@@ -200,23 +200,23 @@ func (c *planCache) metrics() CacheMetrics {
 // GROUP BY/COUNT and LIMIT/OFFSET all shape the composed plan (Union,
 // LeftJoin, Aggregate and TopK operators), and none of them appear in
 // the mirror Patterns/Filters fields.
-func planCacheKey(q *sparql.Query, mode plan.Mode, opts QueryOptions, statsFP, wlEpoch uint64, extvp bool) string {
+func planCacheKey(q *sparql.Query, r resolved, statsFP, wlEpoch uint64) string {
 	var sb strings.Builder
-	sb.WriteString(mode.String())
+	sb.WriteString(r.mode.String())
 	sb.WriteByte('|')
-	sb.WriteString(opts.Strategy.String())
+	sb.WriteString(r.strategy.String())
 	sb.WriteByte('|')
-	sb.WriteString(strconv.FormatInt(opts.BroadcastThreshold, 10))
+	sb.WriteString(strconv.FormatInt(r.broadcastOpt, 10))
 	sb.WriteByte('|')
-	// The resolved re-plan trigger is part of the key: a corrected plan
+	// The effective re-plan bound is part of the key: a corrected plan
 	// written back under one bound must not serve executions running
 	// with another (or with adaptivity disabled).
-	sb.WriteString(strconv.FormatFloat(opts.replanThreshold(mode), 'g', -1, 64))
+	sb.WriteString(strconv.FormatFloat(r.replan, 'g', -1, 64))
 	sb.WriteByte('|')
 	sb.WriteString(strconv.FormatUint(statsFP, 16))
 	sb.WriteByte('|')
 	sb.WriteString(strconv.FormatUint(wlEpoch, 10))
-	if extvp {
+	if r.extvp {
 		sb.WriteString("+extvp")
 	}
 	sb.WriteByte('|')

@@ -536,8 +536,11 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 	if bigScan != smallScan || bigRows != smallRows {
 		t.Errorf("allocations grew with the key count: scan %.0f -> %.0f, materialized %.0f -> %.0f", smallScan, bigScan, smallRows, bigRows)
 	}
-	if bigScan > 4 || bigRows > 12 {
-		t.Errorf("scan allocates %.0f times, materialized %.0f; want at most 4 and 12", bigScan, bigRows)
+	// The ceilings are what the two take under the race detector, which
+	// heap-allocates this test's own `var sc ptScan` and emit closure
+	// (3 and 5 without it); the property is the equality above.
+	if bigScan > 6 || bigRows > 12 {
+		t.Errorf("scan allocates %.0f times, materialized %.0f; want at most 6 and 12", bigScan, bigRows)
 	}
 }
 

@@ -98,7 +98,7 @@ var (
 
 // recoveryTotal is a recovery record several goroutines fold into: a
 // query's concurrent tasks into the scheduler's, concurrent queries
-// into the store's. Only fault-injected executions take the lock.
+// into the store's. Only fault-injected executions add to one.
 type recoveryTotal struct {
 	mu  sync.Mutex
 	rec cluster.Recovery
@@ -116,17 +116,6 @@ func (t *recoveryTotal) snapshot() cluster.Recovery {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.rec
-}
-
-// faultState is one materialized execution's fault-path state: the active
-// plan, the per-query key salt and the query's recovery record. The
-// scheduler holds it by pointer — nil keeps execution on the unchanged
-// fault-free hot path (no checksums, no attempt bookkeeping) and keeps
-// the per-query scheduler value small.
-type faultState struct {
-	plan *cluster.FaultPlan
-	salt uint64
-	recoveryTotal
 }
 
 // ResilienceMetrics returns the recovery record totalled across queries

@@ -1,0 +1,112 @@
+package core
+
+import (
+	"runtime"
+
+	"repro/internal/cluster"
+	"repro/internal/engine"
+	"repro/internal/plan"
+	"repro/internal/sparql"
+)
+
+// resolved is one query's options after resolution: every default
+// applied and every "feature X turns feature Y off" rule decided, once,
+// before anything is planned. Planning, both executors and result
+// assembly read it; none of them sees QueryOptions.
+type resolved struct {
+	strategy Strategy
+	mode     plan.Mode
+	// replan is the effective re-plan bound; 0 runs the plan statically.
+	replan float64
+	// broadcast is the broadcast joins' build-side cap in bytes, negative
+	// when they are disabled; broadcastOpt is the option as given, which
+	// is how the plan-cache key spells it.
+	broadcast, broadcastOpt int64
+	// chunk is the streaming rows per batch and per priced morsel; par
+	// bounds the operator pool and a scan's workers.
+	chunk, par int
+	// faults is the active fault plan (nil: the fault-free hot path, no
+	// checksums, no attempt bookkeeping); faultSalt decorrelates its
+	// schedule across queries.
+	faults    *cluster.FaultPlan
+	faultSalt uint64
+	// dist is where a sharded query's kernels run — runMaterialized opens
+	// the query's session on it; nil runs every kernel here.
+	dist DistRunner
+	// extvp: the planner is offered the store's semi-join reductions and
+	// the executed join pairs are mined for the reduction builder.
+	extvp bool
+	// cacheable: the plan comes from and goes into the plan cache.
+	cacheable bool
+	// streaming picks the morsel executor; downgraded reports that it was
+	// asked for and the materialized scheduler runs instead.
+	streaming, downgraded bool
+}
+
+// resolve turns a query's options into the resolved value. It is the
+// only place an option is defaulted and the only place one feature turns
+// another off:
+//
+//	when                                then
+//	Dist is set                         kernels run on the shards through one session; streaming off
+//	                                    (reported as a downgrade), fault injection off, re-planning
+//	                                    off, ExtVP not offered (shards hold base tables), no join
+//	                                    pairs mined (nothing would scan the reductions built)
+//	the query is extended               re-planning off (the re-planner reorders one BGP's joins)
+//	planner is heuristic or naive       re-planning off (the paper's static orderings)
+//	ReplanThreshold                     negative: off; 0: DefaultReplanThreshold
+//	Faults                              nil: the cluster's plan; an inactive plan: none
+//	BroadcastThreshold                  0: engine.DefaultBroadcastThreshold; negative: no broadcasts
+//	ChunkSize, Parallelism              0: DefaultChunkSize, GOMAXPROCS
+//	NoPlanCache, or no cache            planned fresh, not inserted, no corrected plan written back
+//	no workload model                   ExtVP not offered, nothing mined
+//
+// An invalid per-query fault plan is refused here, before planning.
+// Resolving has no side effect: Plan and QueryContext share it.
+func (s *Store) resolve(q *sparql.Query, opts QueryOptions) (resolved, error) {
+	// A per-query plan gets the check cluster.New gives the cluster's.
+	if err := opts.Faults.Validate(); err != nil {
+		return resolved{}, err
+	}
+	local := opts.Dist == nil
+	r := resolved{
+		strategy:     opts.Strategy,
+		mode:         opts.Planner,
+		replan:       opts.ReplanThreshold,
+		broadcast:    opts.BroadcastThreshold,
+		broadcastOpt: opts.BroadcastThreshold,
+		chunk:        opts.ChunkSize,
+		par:          opts.Parallelism,
+		faults:       opts.Faults,
+		dist:         opts.Dist,
+		extvp:        local && s.workload != nil,
+		cacheable:    !opts.NoPlanCache && s.planCache != nil,
+		streaming:    local && opts.Streaming,
+		downgraded:   !local && opts.Streaming,
+	}
+	costMode := r.mode == plan.ModeCost || r.mode == plan.ModeCostLeftDeep
+	switch {
+	case !local || q.Extended() || !costMode || r.replan < 0:
+		r.replan = 0
+	case r.replan == 0:
+		r.replan = DefaultReplanThreshold
+	}
+	if r.broadcast == 0 {
+		r.broadcast = engine.DefaultBroadcastThreshold
+	}
+	if r.chunk <= 0 {
+		r.chunk = DefaultChunkSize
+	}
+	if r.par <= 0 {
+		r.par = runtime.GOMAXPROCS(0)
+	}
+	if r.faults == nil {
+		r.faults = s.cluster.Config().Faults
+	}
+	if !local || !r.faults.Active() {
+		r.faults = nil
+	} else {
+		r.faultSalt = queryFaultSalt(q)
+	}
+	return r, nil
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -171,27 +170,25 @@ type scheduler struct {
 	store   *Store
 	nodes   []*Node
 	filters []compiledFilter
-	opts    QueryOptions
-	ctx     context.Context
-	// startCost is the per-query planning charge; every leaf task
-	// starts after it.
-	startCost time.Duration
-
-	// Adaptive re-planning inputs: the trigger bound (0 disables), the
-	// filter/projection description of the query, and the pricing the
-	// re-planner shares with the static planner.
-	replanThreshold float64
-	filterSpecs     []plan.FilterSpec
-	projection      []string
-	distinct        bool
-	costs           plan.Costs
-	replanCharge    time.Duration
-
-	// dist, when non-nil, delegates scan and exchange kernels to shard
-	// processes. Streaming, fault injection and re-planning are forced
-	// off by QueryContext in this mode, so only the fault-free run()
-	// path ever sees it.
+	// r is the query's resolved options: the re-plan bound (0 disables),
+	// the pool width and the broadcast cap. dist, when set, is the shard
+	// session scan and exchange kernels are delegated to (fault
+	// injection and re-planning are off then, so only the fault-free
+	// run() path ever sees it).
+	r    resolved
 	dist DistSession
+	ctx  context.Context
+	// planning is the per-query planning charge: every leaf task starts
+	// after it, and an adopted re-plan pays it again.
+	planning time.Duration
+
+	// Adaptive re-planning inputs: the filter/projection description of
+	// the query, and the pricing the re-planner shares with the static
+	// planner.
+	filterSpecs []plan.FilterSpec
+	projection  []string
+	distinct    bool
+	costs       plan.Costs
 
 	rounds []*roundRun
 	events []ReplanEvent
@@ -203,8 +200,9 @@ type scheduler struct {
 	errOnce sync.Once
 	err     error
 
-	// faults is the fault-injection state; nil without an active plan.
-	faults *faultState
+	// recovery is the query's recovery record; only an execution under an
+	// active fault plan (r.faults) touches it.
+	recovery recoveryTotal
 }
 
 // buildTasks flattens the plan into tasks, children before parents.
@@ -231,7 +229,7 @@ func buildTasks(root *plan.Node) (rootTask *execTask, all []*execTask) {
 func (sc *scheduler) execute(pl *plan.Plan) (*execTask, error) {
 	round := &roundRun{plan: pl, obs: plan.NewObservation(pl)}
 	round.pauseAt.Store(math.MaxInt64)
-	if sc.faults != nil {
+	if sc.r.faults != nil {
 		round.obs.EnableAttempts()
 	}
 	sc.rounds = append(sc.rounds, round)
@@ -240,7 +238,7 @@ func (sc *scheduler) execute(pl *plan.Plan) (*execTask, error) {
 			return nil, err
 		}
 		if round.pauseAt.Load() == math.MaxInt64 {
-			if sc.faults != nil {
+			if sc.r.faults != nil {
 				// The root's own delivery to the driver is an exchange too:
 				// verify it and recompute from lineage on corruption, so the
 				// epilogue always reads a clean payload.
@@ -257,7 +255,7 @@ func (sc *scheduler) execute(pl *plan.Plan) (*execTask, error) {
 			return nil, err
 		}
 		next.idx = round.idx + 1
-		if sc.faults != nil {
+		if sc.r.faults != nil {
 			next.obs.EnableAttempts()
 		}
 		sc.rounds = append(sc.rounds, next)
@@ -277,13 +275,7 @@ func (sc *scheduler) runRound(rr *roundRun) error {
 	rr.root, rr.tasks = rootTask, tasks
 	sc.totalTasks.Add(int64(len(tasks)))
 
-	par := sc.opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > len(tasks) {
-		par = len(tasks)
-	}
+	par := min(sc.r.par, len(tasks))
 
 	// The ready queue is buffered to the task count so resolutions can
 	// enqueue parents without blocking.
@@ -316,7 +308,7 @@ func (sc *scheduler) runRound(rr *roundRun) error {
 		// completion belongs to the re-planned remainder. A trigger
 		// discovered after this check retroactively discards the task
 		// instead — same partition, some wasted (real) work.
-		if sc.replanThreshold > 0 && !sc.failed.Load() && int64(t.start) >= rr.pauseAt.Load() {
+		if sc.r.replan > 0 && !sc.failed.Load() && int64(t.start) >= rr.pauseAt.Load() {
 			t.blocked = true
 			resolve(t)
 			return
@@ -349,7 +341,7 @@ func (sc *scheduler) runRound(rr *roundRun) error {
 	}
 	<-quiesced
 
-	if sc.err == nil && sc.replanThreshold > 0 {
+	if sc.err == nil && sc.r.replan > 0 {
 		if pauseAt := rr.pauseAt.Load(); pauseAt != math.MaxInt64 {
 			// Retroactively discard work the gate could not catch: tasks
 			// that ran but virtually start at or after the pause point.
@@ -382,7 +374,7 @@ func (sc *scheduler) taskStart(rr *roundRun, t *execTask) time.Duration {
 	if t.node.Op == plan.OpBound {
 		return 0
 	}
-	start := sc.startCost
+	start := sc.planning
 	if rr.floor > start {
 		start = rr.floor
 	}
@@ -408,6 +400,17 @@ func obsErrRatio(o *plan.Observation, n *plan.Node) float64 {
 		return est / a
 	}
 	return a / est
+}
+
+// newExec returns an engine context for one task (or the epilogue) on a
+// clock of its own. The per-query planning cost is charged once at the
+// scheduler level, not per task.
+func (sc *scheduler) newExec() *engine.Exec {
+	e := engine.NewExec(sc.store.cluster, cluster.NewClock())
+	e.StartCost = 0
+	e.BroadcastThreshold = sc.r.broadcast
+	e.Dist = sc.dist
+	return e
 }
 
 // fail records the first error and stops further work.
@@ -443,39 +446,30 @@ func (sc *scheduler) run(rr *roundRun, t *execTask) {
 		t.rel = b.rel
 		t.done = b.done
 		rr.bound[t.node.Leaf].rel = nil
-		if sc.faults != nil {
+		if sc.r.faults != nil {
 			t.xsum, t.hasXsum = t.rel.Checksum(), true
 		}
 		rr.obs.Record(t.node, int64(t.rel.NumRows()))
 		sc.completed.Add(1)
 		return
 	}
-	if sc.faults != nil {
+	if sc.r.faults != nil {
 		sc.runResilient(rr, t)
 		return
 	}
-	clk := cluster.NewClock()
-	e := engine.NewExec(sc.store.cluster, clk)
-	// The per-query planning cost is charged once at the scheduler
-	// level, not per task.
-	e.StartCost = 0
-	e.BroadcastThreshold = sc.opts.BroadcastThreshold
-	e.Dist = sc.dist
-
+	e := sc.newExec()
 	rel, err := sc.execOp(e, t, taskInputs(t))
 	if err != nil {
-		if sc.dist != nil {
-			err = wrapShardErr(err, nodeDesc(t.node), t.start,
-				int(sc.completed.Load()), int(sc.totalTasks.Load()))
-		}
-		sc.fail(err)
+		// A dead shard becomes the typed abort; any other error passes
+		// through unchanged.
+		sc.fail(wrapShardErr(err, t, int(sc.completed.Load()), int(sc.totalTasks.Load())))
 		return
 	}
 	t.rel = rel
 	rr.obs.Record(t.node, int64(rel.NumRows()))
-	t.stages = clk.Stages()
+	t.stages = e.Clock.Stages()
 	sc.releaseInputs(t)
-	elapsed := clk.Elapsed()
+	elapsed := e.Clock.Elapsed()
 	if elapsed <= 0 {
 		// Zero-cost operators (empty-table shortcuts) still complete
 		// strictly after they start, so the pause point — the trigger's
@@ -495,7 +489,7 @@ func (sc *scheduler) run(rr *roundRun, t *execTask) {
 // round boundary. Under fault injection a freed input can still be
 // recovered: lineage recomputation re-executes its subtree on demand.
 func (sc *scheduler) releaseInputs(t *execTask) {
-	if sc.replanThreshold > 0 {
+	if sc.r.replan > 0 {
 		return
 	}
 	for _, d := range t.deps {
@@ -509,8 +503,8 @@ func (sc *scheduler) releaseInputs(t *execTask) {
 // later is re-planned. (Projection and DISTINCT estimates are
 // derivative; their errors always trace back to a scan or join below.)
 func (sc *scheduler) checkTrigger(rr *roundRun, t *execTask) {
-	if sc.replanThreshold > 0 && (t.node.Op == plan.OpJoin || t.node.Op == plan.OpScan) &&
-		obsErrRatio(rr.obs, t.node) > sc.replanThreshold {
+	if sc.r.replan > 0 && (t.node.Op == plan.OpJoin || t.node.Op == plan.OpScan) &&
+		obsErrRatio(rr.obs, t.node) > sc.r.replan {
 		rr.pause(t.done)
 	}
 }
@@ -544,8 +538,8 @@ const corruptFlip uint64 = 0xDEADBEEFCAFEF00D
 // attempt, virtual start), so the recovery schedule — and therefore
 // SimTime — is deterministic across runs and concurrency levels.
 func (sc *scheduler) runResilient(rr *roundRun, t *execTask) {
-	f := sc.faults
-	key := taskKey(rr.idx, t.node.ID) ^ f.salt
+	f := sc.r.faults
+	key := taskKey(rr.idx, t.node.ID) ^ sc.r.faultSalt
 
 	// Consumer-side integrity check: verify each input's delivered
 	// checksum against its payload before reading it; recovery time is
@@ -563,11 +557,9 @@ func (sc *scheduler) runResilient(rr *roundRun, t *execTask) {
 	// The last attempt's output and stage trace are the task's.
 	var rel *engine.Relation
 	var clk *cluster.Clock
-	done, trace, rec, err := f.plan.RunAttempts(key, vstart, sc.store.cluster.Workers(), func() (time.Duration, error) {
-		clk = cluster.NewClock()
-		e := engine.NewExec(sc.store.cluster, clk)
-		e.StartCost = 0
-		e.BroadcastThreshold = sc.opts.BroadcastThreshold
+	done, trace, rec, err := f.RunAttempts(key, vstart, sc.store.cluster.Workers(), func() (time.Duration, error) {
+		e := sc.newExec()
+		clk = e.Clock
 		var err error
 		if rel, err = sc.execOp(e, t, taskInputs(t)); err != nil {
 			return 0, err
@@ -578,7 +570,7 @@ func (sc *scheduler) runResilient(rr *roundRun, t *execTask) {
 		}
 		return elapsed, nil
 	})
-	f.add(rec)
+	sc.recovery.add(rec)
 	if err != nil {
 		if err == cluster.ErrAttemptsExhausted {
 			err = &TaskFailedError{
@@ -601,7 +593,7 @@ func (sc *scheduler) runResilient(rr *roundRun, t *execTask) {
 	// exchange flips bits in flight; the consumer detects the mismatch
 	// and recomputes this task from lineage.
 	sum := t.rel.Checksum()
-	if f.plan.CorruptDelivery(key) {
+	if f.CorruptDelivery(key) {
 		sum ^= corruptFlip
 	}
 	t.xsum, t.hasXsum = sum, true
@@ -626,20 +618,17 @@ func (sc *scheduler) verifyInput(d *execTask) (time.Duration, error) {
 		return 0, nil
 	}
 	rec := cluster.Recovery{ChecksumFailures: 1}
-	clk := cluster.NewClock()
-	e := engine.NewExec(sc.store.cluster, clk)
-	e.StartCost = 0
-	e.BroadcastThreshold = sc.opts.BroadcastThreshold
+	e := sc.newExec()
 	rel, err := sc.recompute(e, d, &rec)
 	if err == nil {
 		d.rel = rel
 		d.xsum = rel.Checksum()
-		rec.RecoveryTime = clk.Elapsed()
+		rec.RecoveryTime = e.Clock.Elapsed()
 		if rec.RecoveryTime <= 0 {
 			rec.RecoveryTime = 1
 		}
 	}
-	sc.faults.add(rec)
+	sc.recovery.add(rec)
 	return rec.RecoveryTime, err
 }
 
@@ -700,7 +689,7 @@ func (sc *scheduler) replan(rr *roundRun) (*roundRun, error) {
 			// boundary is the exchange — so every bound relation the next
 			// round adopts is clean, with the recovery priced into the
 			// fragment's completion time.
-			if sc.faults != nil {
+			if sc.r.faults != nil {
 				extra, err := sc.verifyInput(t)
 				if err != nil {
 					return err
@@ -736,7 +725,7 @@ func (sc *scheduler) replan(rr *roundRun) (*roundRun, error) {
 	// The trigger for the event record: the kept operator that set the
 	// pause point (first in preorder on a tie).
 	for _, t := range rr.tasks {
-		if kept(t) && t.done == pauseAt && obsErrRatio(rr.obs, t.node) > sc.replanThreshold {
+		if kept(t) && t.done == pauseAt && obsErrRatio(rr.obs, t.node) > sc.r.replan {
 			if trigger == nil || t.node.ID < trigger.node.ID {
 				trigger = t
 			}
@@ -748,7 +737,7 @@ func (sc *scheduler) replan(rr *roundRun) (*roundRun, error) {
 
 	allowBushy := rr.plan.Mode == plan.ModeCost
 	res := plan.Replan(rr.plan, plan.Remainder{Unexec: unexec, Bound: boundIdx}, bounds,
-		sc.filterSpecs, sc.projection, sc.distinct, allowBushy, sc.costs, sc.replanCharge)
+		sc.filterSpecs, sc.projection, sc.distinct, allowBushy, sc.costs, sc.planning)
 
 	sc.events = append(sc.events, ReplanEvent{
 		Round:        len(sc.rounds),
@@ -770,7 +759,7 @@ func (sc *scheduler) replan(rr *roundRun) (*roundRun, error) {
 		// observed and the re-planning charge paid. A rejected re-plan
 		// keeps the static remainder and costs nothing, so its timing
 		// is identical to never having paused.
-		next.floor = pauseAt + sc.replanCharge
+		next.floor = pauseAt + sc.planning
 	}
 	return next, nil
 }
@@ -901,7 +890,7 @@ func (sc *scheduler) executedPlan() *plan.Plan {
 func (sc *scheduler) appendTrace(clock *cluster.Clock) {
 	for i, rr := range sc.rounds {
 		if i > 0 && sc.events[i-1].Adopted {
-			clock.Charge("adaptive re-plan", sc.replanCharge)
+			clock.Charge("adaptive re-plan", sc.planning)
 		}
 		var walk func(t *execTask)
 		walk = func(t *execTask) {
@@ -912,13 +901,11 @@ func (sc *scheduler) appendTrace(clock *cluster.Clock) {
 		}
 		walk(rr.root)
 	}
-	if sc.faults != nil {
-		// Recovery shows up in the trace as one aggregate record — the
-		// stage list keeps the clean per-operator stages, and SimTime
-		// (the critical path) already includes each task's recovery.
-		if rec := sc.faults.snapshot().RecoveryTime; rec > 0 {
-			clock.Charge("fault recovery (retries, backoff, speculation, recompute)", rec)
-		}
+	// Recovery shows up in the trace as one aggregate record — the stage
+	// list keeps the clean per-operator stages, and SimTime (the critical
+	// path) already includes each task's recovery.
+	if rec := sc.recovery.snapshot().RecoveryTime; rec > 0 {
+		clock.Charge("fault recovery (retries, backoff, speculation, recompute)", rec)
 	}
 }
 
@@ -996,14 +983,7 @@ func (sc *scheduler) execOp(e *engine.Exec, t *execTask, in []*engine.Relation) 
 func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, error) {
 	s, n := sc.store, t.node
 	cn := sc.nodes[n.Leaf]
-	// Shards hold base tables: the sharded route resolves without the
-	// reduction whatever the plan says, so what the coordinator charges
-	// is what the shards scan.
-	ref := n.ExtVP
-	if sc.dist != nil {
-		ref = nil
-	}
-	ns, err := s.resolveScan(cn, pickFilters(sc.filters, n.Filters), ref)
+	ns, err := s.resolveScan(cn, pickFilters(sc.filters, n.Filters), n.ExtVP)
 	if err != nil {
 		return nil, err
 	}
@@ -1033,9 +1013,14 @@ func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, er
 	var parts [][]engine.Row
 	var scan func(p int) ([]engine.Row, int64)
 	ps := ns.partScan // by value: the tasks outlive no stack frame of ours
-	switch {
-	case sc.dist != nil:
-		reply, processed, err := sc.dist.ScanNode(cn, n.Filters, cn.Label(), ns.diskBytes)
+	switch dist := sc.dist; {
+	case dist != nil:
+		// Shards hold base tables; the resolver offers a sharded query's
+		// planner no reduction, so the coordinator never charges one.
+		if n.ExtVP != nil {
+			return nil, fmt.Errorf("core: sharded plan scans a reduction at %s", cn.Label())
+		}
+		reply, processed, err := dist.ScanNode(cn, n.Filters, cn.Label(), ns.diskBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -90,9 +90,6 @@ type Options struct {
 	// PathPrefix is the HDFS directory the store writes under
 	// (default "/prost").
 	PathPrefix string
-	// Partitions is the partition count for tables (0 = cluster
-	// default).
-	Partitions int
 	// BuildInversePT also builds the object-keyed Property Table needed
 	// by StrategyMixedIPT. It costs extra loading time and storage,
 	// which is why the paper leaves it as future work.
@@ -371,10 +368,7 @@ func Load(g *rdf.Graph, opts Options) (*Store, error) {
 	if opts.PathPrefix == "" {
 		opts.PathPrefix = "/prost"
 	}
-	parts := opts.Partitions
-	if parts <= 0 {
-		parts = opts.Cluster.DefaultPartitions()
-	}
+	parts := opts.Cluster.DefaultPartitions()
 
 	start := time.Now()
 	clock := cluster.NewClock()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/rdf"
-	"repro/internal/sparql"
 )
 
 // Morsel-driven streaming execution. The materialized scheduler runs a
@@ -61,14 +59,6 @@ const DefaultChunkSize = 2048
 // (rdf.ID is a uint32). Distinct from engine.BytesPerValue, the
 // serialized wire/disk footprint the cost model prices.
 const memBytesPerValue = 4
-
-// chunkSize resolves the options' streaming chunk size.
-func (o QueryOptions) chunkSize() int {
-	if o.ChunkSize > 0 {
-		return o.ChunkSize
-	}
-	return DefaultChunkSize
-}
 
 // stepKind enumerates the fused per-chunk operators.
 type stepKind uint8
@@ -277,23 +267,27 @@ type streamPlan struct {
 	tailObs map[*plan.Node]int64
 }
 
-// streamCompiler lowers a physical plan into pipelines. unsupported
-// marks plans the streaming engine hands back to the materialized path
-// (Bound leaves from adaptive rounds, defensive schema mismatches);
-// err marks real failures.
+// streamCompiler lowers a physical plan into pipelines. Every plan the
+// planner builds lowers; err reports one that does not — a Bound leaf
+// (those exist only inside an adaptive round of the scheduler), a
+// recorded schema the engine would not reproduce — as the inconsistency
+// it is, naming the node.
 type streamCompiler struct {
-	store       *Store
-	nodes       []*Node
-	filters     []compiledFilter
-	sp          *streamPlan
-	unsupported bool
-	err         error
+	store   *Store
+	nodes   []*Node
+	filters []compiledFilter
+	sp      *streamPlan
+	err     error
 }
 
-// compileStreamPlan lowers pl into a streaming plan. ok=false reports
-// a plan shape the streaming engine does not execute — the caller
-// falls back to the materialized scheduler.
-func (s *Store) compileStreamPlan(pl *plan.Plan, nodes []*Node, filters []compiledFilter) (*streamPlan, bool, error) {
+// cannotLower records that n has no streaming form.
+func (c *streamCompiler) cannotLower(n *plan.Node, why string) int {
+	c.err = fmt.Errorf("core: streaming cannot lower %s: %s", nodeDesc(n), why)
+	return 0
+}
+
+// compileStreamPlan lowers pl into a streaming plan.
+func (s *Store) compileStreamPlan(pl *plan.Plan, nodes []*Node, filters []compiledFilter) (*streamPlan, error) {
 	c := &streamCompiler{
 		store:   s,
 		nodes:   nodes,
@@ -306,13 +300,10 @@ func (s *Store) compileStreamPlan(pl *plan.Plan, nodes []*Node, filters []compil
 	c.sp.tail = tail
 	rootPipe := c.compile(body)
 	if c.err != nil {
-		return nil, false, c.err
-	}
-	if c.unsupported {
-		return nil, false, nil
+		return nil, c.err
 	}
 	c.sp.root = c.sp.pipes[rootPipe]
-	return c.sp, true, nil
+	return c.sp, nil
 }
 
 // peelDriverTail splits the plan at a tail Aggregate: the operators
@@ -363,7 +354,7 @@ func (c *streamCompiler) pipe(i int) *streamPipe { return c.sp.pipes[i] }
 // topological order both the real executor and the morsel simulator
 // rely on.
 func (c *streamCompiler) compile(n *plan.Node) int {
-	if c.err != nil || c.unsupported {
+	if c.err != nil {
 		return 0
 	}
 	switch n.Op {
@@ -384,7 +375,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 
 	case plan.OpFilter:
 		pi := c.compile(n.Children[0])
-		if c.err != nil || c.unsupported {
+		if c.err != nil {
 			return 0
 		}
 		in := engine.Schema(n.Children[0].Vars)
@@ -404,7 +395,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 
 	case plan.OpProject:
 		pi := c.compile(n.Children[0])
-		if c.err != nil || c.unsupported {
+		if c.err != nil {
 			return 0
 		}
 		in := engine.Schema(n.Children[0].Vars)
@@ -426,7 +417,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 
 	case plan.OpDistinct:
 		pi := c.compile(n.Children[0])
-		if c.err != nil || c.unsupported {
+		if c.err != nil {
 			return 0
 		}
 		st := &streamStep{
@@ -451,7 +442,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		}
 		bi := c.compile(buildNode)
 		pi := c.compile(probeNode)
-		if c.err != nil || c.unsupported {
+		if c.err != nil {
 			return 0
 		}
 		jr := &streamJoinRef{
@@ -462,11 +453,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 			join:        engine.NewStreamJoin(engine.Schema(l.Vars), engine.Schema(r.Vars), n.Keep),
 		}
 		if !schemaEq(jr.join.OutSchema(), n.Vars) {
-			// The engine would emit a different column order than the
-			// plan recorded — hand the query back rather than risk a
-			// mismatched result.
-			c.unsupported = true
-			return 0
+			return c.cannotLower(n, fmt.Sprintf("the join emits %v, the plan recorded %v", jr.join.OutSchema(), n.Vars))
 		}
 		c.pipe(bi).sink = jr
 		st := &streamStep{kind: stepProbe, node: n, width: len(n.Vars), jr: jr}
@@ -485,7 +472,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		// see every left row to null-pad the unmatched ones.
 		bi := c.compile(r)
 		pi := c.compile(l)
-		if c.err != nil || c.unsupported {
+		if c.err != nil {
 			return 0
 		}
 		jr := &streamJoinRef{
@@ -496,8 +483,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 			join:        engine.NewStreamJoin(engine.Schema(l.Vars), engine.Schema(r.Vars), nil),
 		}
 		if len(jr.join.Shared()) == 0 || !schemaEq(jr.join.OutSchema(), n.Vars) {
-			c.unsupported = true
-			return 0
+			return c.cannotLower(n, fmt.Sprintf("the left join shares %v and emits %v, the plan recorded %v", jr.join.Shared(), jr.join.OutSchema(), n.Vars))
 		}
 		c.pipe(bi).sink = jr
 		st := &streamStep{kind: stepProbeOuter, node: n, width: len(n.Vars), jr: jr}
@@ -515,12 +501,11 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		var from []*streamPipe
 		for _, ch := range n.Children {
 			ci := c.compile(ch)
-			if c.err != nil || c.unsupported {
+			if c.err != nil {
 				return 0
 			}
 			if c.pipe(ci).width != len(n.Vars) {
-				c.unsupported = true
-				return 0
+				return c.cannotLower(n, fmt.Sprintf("a branch is %d columns wide, the plan recorded %v", c.pipe(ci).width, n.Vars))
 			}
 			deps = append(deps, ci)
 			from = append(from, c.pipe(ci))
@@ -534,7 +519,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 
 	case plan.OpTopK:
 		pi := c.compile(n.Children[0])
-		if c.err != nil || c.unsupported {
+		if c.err != nil {
 			return 0
 		}
 		keep := -1
@@ -552,7 +537,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 
 	case plan.OpAggregate:
 		pi := c.compile(n.Children[0])
-		if c.err != nil || c.unsupported {
+		if c.err != nil {
 			return 0
 		}
 		in := engine.Schema(n.Children[0].Vars)
@@ -588,8 +573,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 	default:
 		// OpBound (an adaptive round's materialized intermediate) and
 		// anything newer than this compiler.
-		c.unsupported = true
-		return 0
+		return c.cannotLower(n, "no pipeline form for this operator")
 	}
 }
 
@@ -613,8 +597,7 @@ func schemaEq(s engine.Schema, vars []string) bool {
 }
 
 // buildSource lowers one Scan node into a pipeline source: the node's
-// resolved access path. A plan whose recorded scan schema the resolved
-// scan would not reproduce is handed back.
+// resolved access path.
 func (c *streamCompiler) buildSource(n *plan.Node) *streamSource {
 	src := &streamSource{node: n}
 	src.NodeScan, c.err = c.store.resolveScan(c.nodes[n.Leaf], pickFilters(c.filters, n.Filters), n.ExtVP)
@@ -622,7 +605,7 @@ func (c *streamCompiler) buildSource(n *plan.Node) *streamSource {
 		return nil
 	}
 	if !schemaEq(src.schema(), n.Vars) {
-		c.unsupported = true
+		c.cannotLower(n, fmt.Sprintf("the scan emits %v, the plan recorded %v", src.schema(), n.Vars))
 		return nil
 	}
 	return src
@@ -633,9 +616,6 @@ func (c *streamCompiler) buildSource(n *plan.Node) *streamSource {
 // sink keeps the rows that reach it, and each completed build
 // pipeline's rows are indexed into its join's hash table.
 func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) error {
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	for done, p := range sp.pipes {
 		if ctx != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -1058,7 +1038,7 @@ func survivingVCols(cols []string, schema []string) []string {
 // probes cross, and the result payload the root delivers. Streaming
 // distinct and the dropped collect stage charge no launch — the
 // streaming path's structural savings.
-func (sp *streamPlan) price(s *Store, opts QueryOptions, pl *plan.Plan, chunkSize int) []cluster.MorselPipeline {
+func (sp *streamPlan) price(s *Store, r resolved, pl *plan.Plan) []cluster.MorselPipeline {
 	cost := s.cluster.Config().Cost
 	workers := s.cluster.Workers()
 	defParts := s.cluster.DefaultPartitions()
@@ -1075,10 +1055,7 @@ func (sp *streamPlan) price(s *Store, opts QueryOptions, pl *plan.Plan, chunkSiz
 		counts[id] = st.out.Load()
 	}
 
-	bt := opts.BroadcastThreshold
-	if bt == 0 {
-		bt = engine.DefaultBroadcastThreshold
-	}
+	bt := r.broadcast
 
 	var walk func(n *plan.Node) vLayout
 	walk = func(n *plan.Node) vLayout {
@@ -1216,7 +1193,7 @@ func (sp *streamPlan) price(s *Store, opts QueryOptions, pl *plan.Plan, chunkSiz
 			Name:    p.name,
 			Deps:    p.deps,
 			Launch:  launch[i],
-			Morsels: morselCount(sourceInputRows(p.src), chunkSize, workers),
+			Morsels: morselCount(sourceInputRows(p.src), r.chunk, workers),
 			Work:    stats[i],
 		}
 		// Only the root pipeline delivers to the driver: union branches
@@ -1339,7 +1316,7 @@ func sweepPeak(evs []memEvent) int64 {
 // stored tables and count nothing, mirroring the materialized sweep's
 // zero-copy scan exclusion) — while it runs. Result chunks stream to
 // the driver morsel by morsel, so the root output never accumulates.
-func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.MorselSimResult, start time.Duration, workers, chunkSize int) int64 {
+func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.MorselSimResult, start time.Duration, workers int) int64 {
 	gates := make([]time.Duration, len(pipes))
 	for i, p := range pipes {
 		g := start
@@ -1508,33 +1485,24 @@ func materializedPeakBytes(sc *scheduler, simTime time.Duration) int64 {
 	return sweepPeak(evs)
 }
 
-// queryStreaming executes one query through the streaming engine.
-// handled=false (with a nil error) reports a plan the streaming path
-// does not take — no work has been done, and the caller runs it on the
-// materialized scheduler with StreamingDowngraded set. Once real
-// execution starts,
-// errors are final (no fallback: the failure modes are shared with the
-// materialized path).
-func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryOptions, clock *cluster.Clock, entry *cachedPlan, tree *JoinTree, filters []compiledFilter, faults *cluster.FaultPlan, faultSalt uint64, start time.Time) (*Result, bool, error) {
+// runStreaming executes the plan on the morsel pipelines: the real row
+// work first, then the virtual morsel schedule that prices it. Errors
+// are final — the failure modes are the materialized path's.
+func (s *Store) runStreaming(ctx context.Context, r resolved, entry *cachedPlan, filters []compiledFilter) (execution, error) {
+	var x execution
 	pl := entry.plan
-	sp, ok, err := s.compileStreamPlan(pl, entry.nodes, filters)
+	sp, err := s.compileStreamPlan(pl, entry.nodes, filters)
 	if err != nil {
-		return nil, false, err
+		return x, err
 	}
-	if !ok {
-		return nil, false, nil
-	}
-
-	chunk := opts.chunkSize()
-	if err := sp.run(ctx, s, chunk, opts.Parallelism); err != nil {
-		return nil, true, err
+	if err := sp.run(ctx, s, r.chunk, r.par); err != nil {
+		return x, err
 	}
 
 	// Finalize before recording: the barrier's and driver tail's output
 	// cardinalities only exist once the blocking state is drained.
-	rows, err := sp.finalRows(s)
-	if err != nil {
-		return nil, true, err
+	if x.rows, err = sp.finalRows(s); err != nil {
+		return x, err
 	}
 
 	obs := plan.NewObservation(pl)
@@ -1542,18 +1510,16 @@ func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryO
 
 	cost := s.cluster.Config().Cost
 	workers := s.cluster.Workers()
-	pipes := sp.price(s, opts, pl, chunk)
+	pipes := sp.price(s, r, pl)
 	simRes, serr := cluster.SimulateMorsels(pipes, cluster.MorselSimConfig{
 		Workers:   workers,
 		Cost:      cost,
 		Start:     cost.SQLPlanning,
-		Faults:    faults,
-		FaultSalt: faultSalt,
+		Faults:    r.faults,
+		FaultSalt: r.faultSalt,
 	})
-	if faults != nil && simRes != nil {
-		// The record totals on the store even when the query aborted —
-		// failed recovery is exactly what /stats should show.
-		s.resilience.add(simRes.Recovery)
+	if simRes != nil {
+		x.recovery = simRes.Recovery
 	}
 	if serr != nil {
 		var mfe *cluster.MorselFailedError
@@ -1564,25 +1530,23 @@ func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryO
 					completed++
 				}
 			}
-			return nil, true, &TaskFailedError{
+			return x, &TaskFailedError{
 				Task:           fmt.Sprintf("%s (morsel %d)", mfe.Pipeline, mfe.Morsel),
 				Attempts:       mfe.Attempts,
 				CompletedTasks: completed,
 				TotalTasks:     len(pipes),
 			}
 		}
-		return nil, true, serr
+		return x, serr
 	}
 
-	peak := sp.peakMemBytes(pipes, simRes, cost.SQLPlanning, workers, chunk)
-
-	// Publish the trace: one record per pipeline (display-only; the
-	// clock advances by the simulated completion, not the stage sum).
+	// One trace record per pipeline (display-only; the clock advances by
+	// the simulated completion, not the stage sum).
 	planning := cluster.StageRecord{Name: "query planning", Tasks: 1, Elapsed: cost.SQLPlanning, Makespan: cost.SQLPlanning}
-	trace := append(make([]cluster.StageRecord, 0, len(pipes)+2), planning)
+	x.trace = append(make([]cluster.StageRecord, 0, len(pipes)+2), planning)
 	for _, p := range pipes {
 		mk := cost.TaskTime(p.Work)
-		trace = append(trace, cluster.StageRecord{
+		x.trace = append(x.trace, cluster.StageRecord{
 			Name:     "pipeline " + p.Name,
 			Launch:   p.Launch,
 			Tasks:    p.Morsels,
@@ -1592,25 +1556,12 @@ func (s *Store) queryStreaming(ctx context.Context, q *sparql.Query, opts QueryO
 		})
 	}
 	if rec := simRes.Recovery.RecoveryTime; rec > 0 {
-		trace = append(trace, cluster.StageRecord{Name: "fault recovery (retries, backoff, speculation, recompute)", Tasks: 1, Elapsed: rec, Makespan: rec})
+		x.trace = append(x.trace, cluster.StageRecord{Name: "fault recovery (retries, backoff, speculation, recompute)", Tasks: 1, Elapsed: rec, Makespan: rec})
 	}
-	clock.MergeTrace(trace, simRes.Done)
-
-	decoded := s.decodeRows(rows, pl.Root.CountCols)
-
-	return &Result{
-		Vars:          q.Projection(),
-		Rows:          decoded,
-		SimTime:       simRes.Done,
-		WallTime:      time.Since(start),
-		Tree:          tree,
-		Plan:          pl.Stamp(obs),
-		Clock:         clock,
-		CacheFeedback: entry.corrected,
-		Resilience:    simRes.Recovery,
-		Streamed:      true,
-		FirstRow:      simRes.FirstEmit,
-		PeakMemBytes:  peak,
-		Ordered:       len(q.Order) > 0,
-	}, true, nil
+	x.simTime = simRes.Done
+	x.firstRow = simRes.FirstEmit
+	x.peak = sp.peakMemBytes(pipes, simRes, cost.SQLPlanning, workers)
+	x.plan = pl.Stamp(obs)
+	x.mined = x.plan
+	return x, nil
 }

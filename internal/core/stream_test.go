@@ -390,7 +390,11 @@ func liftFilters(n *plan.Node) *plan.Node {
 func streamWithResidualFilters(t *testing.T, s *Store, q *sparql.Query, opts QueryOptions) string {
 	t.Helper()
 	opts.NoPlanCache = true
-	entry, _, _, err := s.planEntry(s.statsSnap.Load(), q, opts.Planner, opts)
+	r, err := s.resolve(q, opts)
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	entry, _, err := s.planEntry(s.statsSnap.Load(), q, r)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -402,11 +406,11 @@ func streamWithResidualFilters(t *testing.T, s *Store, q *sparql.Query, opts Que
 	if !strings.Contains(pl.String(), "Filter") {
 		t.Fatalf("no filter was lifted:\n%s", pl)
 	}
-	sp, ok, err := s.compileStreamPlan(pl, entry.nodes, filters)
-	if err != nil || !ok {
-		t.Fatalf("compile: ok=%v err=%v\n%s", ok, err, pl)
+	sp, err := s.compileStreamPlan(pl, entry.nodes, filters)
+	if err != nil {
+		t.Fatalf("compile: %v\n%s", err, pl)
 	}
-	if err := sp.run(context.Background(), s, opts.chunkSize(), opts.Parallelism); err != nil {
+	if err := sp.run(context.Background(), s, r.chunk, r.par); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	rows, err := sp.finalRows(s)
@@ -473,10 +477,11 @@ func TestStreamingLeavesStoreIntact(t *testing.T) {
 	}
 }
 
-// TestStreamingHandBackIsReported: a plan the streaming compiler
-// hands back — a Bound leaf, a join whose recorded column order the
-// engine would not reproduce — runs on the materialized scheduler, and
-// the result must say so instead of passing for a quiet fallback.
+// TestStreamingHandBackIsReported: there is no hand-back. A plan the
+// streaming compiler cannot lower — a Bound leaf, a join whose recorded
+// column order the engine would not reproduce; the planner builds
+// neither — is an inconsistency reported as an error naming the node,
+// never a silent second execution on the materialized scheduler.
 func TestStreamingHandBackIsReported(t *testing.T) {
 	s := testStore(t, false)
 	q := sparql.MustParse(`SELECT ?u ?v WHERE {
@@ -484,23 +489,22 @@ func TestStreamingHandBackIsReported(t *testing.T) {
 		?v <http://example.org/likes> ?p .
 	}`)
 	opts := QueryOptions{Streaming: true, ReplanThreshold: -1}
-	entry, key, cacheable, err := s.planEntry(s.statsSnap.Load(), q, opts.Planner, opts)
-	if err != nil || !cacheable {
-		t.Fatalf("planEntry: cacheable=%v err=%v", cacheable, err)
+	r, err := s.resolve(q, opts)
+	if err != nil || !r.cacheable || !r.streaming {
+		t.Fatalf("resolve: %+v err=%v", r, err)
 	}
-
-	bound := entry.plan.WithRoot(&plan.Node{Op: plan.OpBound, Vars: []string{"u", "v"}, Actual: -1})
-	if _, ok, err := s.compileStreamPlan(bound, entry.nodes, nil); ok || err != nil {
-		t.Fatalf("bound leaf: compile ok=%v err=%v, want a hand-back", ok, err)
-	}
-
-	// The scheduler cannot run a Bound leaf outside an adaptive round,
-	// so the end-to-end check plants the other hand-back: the same plan
-	// with one join's recorded columns reversed.
-	want, err := s.Query(q, QueryOptions{ReplanThreshold: -1})
+	entry, key, err := s.planEntry(s.statsSnap.Load(), q, r)
 	if err != nil {
-		t.Fatalf("materialized: %v", err)
+		t.Fatalf("planEntry: %v", err)
 	}
+
+	bound := entry.plan.WithRoot(&plan.Node{Op: plan.OpBound, Label: "join ?v", Vars: []string{"u", "v"}, Actual: -1})
+	if sp, err := s.compileStreamPlan(bound, entry.nodes, nil); sp != nil || err == nil || !strings.Contains(err.Error(), "cannot lower join ?v") {
+		t.Fatalf("bound leaf: compiled %v, err %v; want an error naming the node", sp, err)
+	}
+
+	// End to end: the same plan with one join's recorded columns
+	// reversed, planted in the cache.
 	skewed := entry.plan.Stamp(plan.NewObservation(entry.plan))
 	var join *plan.Node
 	var find func(n *plan.Node)
@@ -521,14 +525,8 @@ func TestStreamingHandBackIsReported(t *testing.T) {
 	s.planCache.put(key, &cachedPlan{nodes: entry.nodes, plan: skewed})
 
 	res, err := s.Query(q, opts)
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	if res.Streamed || !res.StreamingDowngraded {
-		t.Errorf("Streamed=%v StreamingDowngraded=%v, want false/true", res.Streamed, res.StreamingDowngraded)
-	}
-	if got := renderSorted(res); got != renderSorted(want) {
-		t.Errorf("handed-back query rows differ:\ngot:\n%swant:\n%s", got, renderSorted(want))
+	if res != nil || err == nil || !strings.Contains(err.Error(), "cannot lower "+nodeDesc(join)) {
+		t.Fatalf("planted plan: result %v, err %v; want no rows and an error naming %s", res, err, nodeDesc(join))
 	}
 }
 

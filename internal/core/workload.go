@@ -177,11 +177,11 @@ func (s *Store) extvpTable(ref *plan.ExtVPRef) (*VPTable, string, bool) {
 // actual is the full subpattern cardinality — records the exact count
 // for cross-query estimate seeding. nodes is the plan's Join Tree node list
 // (Node.Leaf indexes into it).
-func (s *Store) mineWorkload(p *plan.Plan, nodes []*Node, opts QueryOptions) {
+func (s *Store) mineWorkload(p *plan.Plan, nodes []*Node, r resolved) {
 	if s.workload == nil || p == nil {
 		return
 	}
-	if s.offersExtVP(opts) {
+	if r.extvp {
 		for _, jo := range p.JoinObservations() {
 			s.workload.ObserveJoin(jo.P1, jo.P2, uint8(jo.Pos), jo.Rows)
 		}

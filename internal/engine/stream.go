@@ -73,9 +73,6 @@ type StreamHash struct {
 	nullRight Row
 }
 
-// BuildRows returns the number of indexed build rows.
-func (h *StreamHash) BuildRows() int { return len(h.ix.rows) }
-
 // Probe appends every join match of probe row pr into arena and
 // returns the number of rows emitted.
 func (h *StreamHash) Probe(pr Row, arena *RowArena) int {

@@ -82,6 +82,7 @@ func Extend(spec ExtendSpec) *Plan {
 				Label:    "optional",
 				Vars:     vars,
 				Est:      cur.Est,
+				Actual:   -1,
 				Children: []*Node{cur, opt.Root},
 				JoinVars: shared,
 			}
@@ -92,6 +93,7 @@ func Extend(spec ExtendSpec) *Plan {
 				Vars:     append([]string(nil), spec.BranchVars...),
 				Cols:     append([]string(nil), spec.BranchVars...),
 				Est:      cur.Est,
+				Actual:   -1,
 				Children: []*Node{cur},
 			}
 		}
@@ -108,6 +110,7 @@ func Extend(spec ExtendSpec) *Plan {
 			Op:       OpUnion,
 			Vars:     append([]string(nil), spec.BranchVars...),
 			Est:      est,
+			Actual:   -1,
 			Children: branchRoots,
 		}
 	}
@@ -127,6 +130,7 @@ func Extend(spec ExtendSpec) *Plan {
 			Op:        OpAggregate,
 			Vars:      vars,
 			Est:       cur.Est,
+			Actual:    -1,
 			Children:  []*Node{cur},
 			GroupCols: append([]string(nil), spec.GroupBy...),
 			CountVars: countVars,
@@ -140,6 +144,7 @@ func Extend(spec ExtendSpec) *Plan {
 			Vars:      append([]string(nil), spec.Projection...),
 			Cols:      append([]string(nil), spec.Projection...),
 			Est:       cur.Est,
+			Actual:    -1,
 			Children:  []*Node{cur},
 			CountCols: projectedCountCols(cur, spec.Projection),
 		}
@@ -150,6 +155,7 @@ func Extend(spec ExtendSpec) *Plan {
 			Op:        OpDistinct,
 			Vars:      cur.Vars,
 			Est:       cur.Est,
+			Actual:    -1,
 			Children:  []*Node{cur},
 			CountCols: cur.CountCols,
 		}
@@ -164,6 +170,7 @@ func Extend(spec ExtendSpec) *Plan {
 			Op:        OpTopK,
 			Vars:      cur.Vars,
 			Est:       est,
+			Actual:    -1,
 			Children:  []*Node{cur},
 			Sort:      append([]SortKey(nil), spec.Order...),
 			Limit:     spec.Limit,

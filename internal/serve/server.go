@@ -511,8 +511,7 @@ type sparqlStats struct {
 	Ordered bool `json:"ordered,omitempty"`
 	// StreamingDowngraded reports that ?streaming=1 was requested but
 	// the query ran materialized anyway — the sharded coordinator path
-	// executes only under the materialized scheduler, and the streaming
-	// compiler hands some plans back.
+	// executes only under the materialized scheduler.
 	StreamingDowngraded bool `json:"streamingDowngraded,omitempty"`
 }
 
@@ -697,9 +696,8 @@ type statsResponse struct {
 		MaxPeakMemBytes int64   `json:"maxPeakMemBytes"`
 		// StreamingDowngraded counts queries that requested streaming
 		// but ran on the materialized scheduler (sharded coordinator
-		// mode, or a plan the streaming compiler handed back) — a
-		// downgrade the response also reports per-query in its stats
-		// block.
+		// mode) — a downgrade the response also reports per-query in its
+		// stats block.
 		StreamingDowngraded uint64 `json:"streamingDowngraded"`
 	} `json:"queries"`
 	// Resilience is the store's recovery record totalled across queries

@@ -215,6 +215,25 @@ func TestExplainEndpoint(t *testing.T) {
 	if strings.Contains(w.Body.String(), "Stage trace") {
 		t.Errorf("analyze=0 must not execute:\n%s", w.Body)
 	}
+
+	// An extended query's unexecuted plan is the plan execution runs —
+	// every operator of it, none with an actual.
+	extended := strings.Replace(serveQuery, "}", "OPTIONAL { ?u <http://example.org/follows> ?f . } }", 1) + " ORDER BY ?u LIMIT 5"
+	body = get(t, srv, "/explain?analyze=0&query="+url.QueryEscape(extended)).Body.String()
+	for _, want := range []string{"TopK", "LeftJoin", "not executed"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("analyze=0 on an OPTIONAL/ORDER BY/LIMIT query: output missing %q:\n%s", want, body)
+		}
+	}
+	if strings.Contains(strings.ReplaceAll(body, "actual=?", ""), "actual=") {
+		t.Errorf("analyze=0 output carries an actual:\n%s", body)
+	}
+	executed := get(t, srv, "/explain?query="+url.QueryEscape(extended)).Body.String()
+	for _, op := range []string{"TopK", "LeftJoin", "Join ", "Scan "} {
+		if got, want := strings.Count(body, op), strings.Count(executed[:strings.Index(executed, "estimation error")], op); got != want {
+			t.Errorf("analyze=0 plan has %d %q operators, the executed plan %d:\n%s\n%s", got, op, want, body, executed)
+		}
+	}
 }
 
 func TestStatsEndpointTracksCacheAndErrors(t *testing.T) {

@@ -74,7 +74,8 @@ func Dial(store *core.Store, addrs []string) (*Coordinator, error) {
 		}
 		sc := &shardConn{addr: addr, slot: slot{i, len(addrs)}, c: nc, br: bufio.NewReader(nc)}
 		c.conns = append(c.conns, sc)
-		hello := &helloReq{Shard: i, Shards: len(addrs), Partitions: c.parts, Workers: c.workers, Fingerprint: c.fp}
+		hello := &helloReq{Shard: i, Shards: len(addrs), Partitions: c.parts, Workers: c.workers, Fingerprint: c.fp,
+			InversePT: store.InversePropertyTable() != nil}
 		if _, _, _, err := sc.call(ctx, msgHello, hello, func(*dec) {}); err != nil {
 			c.Close()
 			return nil, err
@@ -93,9 +94,6 @@ func (c *Coordinator) Close() error {
 	}
 	return err
 }
-
-// Shards returns the topology size.
-func (c *Coordinator) Shards() int { return len(c.conns) }
 
 // Session implements core.DistRunner: sessions share the coordinator's
 // connections (per-connection calls serialize) and keep their own

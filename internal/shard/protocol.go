@@ -86,6 +86,9 @@ type helloReq struct {
 	Partitions    int
 	Workers       int
 	Fingerprint   uint64
+	// InversePT states that the coordinator's store holds the inverse
+	// Property Table, so its plans may scan object stars shard-side.
+	InversePT bool
 }
 
 // scanReq evaluates one Join Tree node's scan kernel over the shard's
@@ -118,11 +121,15 @@ func (m *helloReq) appendTo(b []byte, _ slot) []byte {
 	for _, v := range []int{m.Shard, m.Shards, m.Partitions, m.Workers} {
 		b = appendInt(b, v)
 	}
-	return binary.LittleEndian.AppendUint64(b, m.Fingerprint)
+	b = binary.LittleEndian.AppendUint64(b, m.Fingerprint)
+	if m.InversePT {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 func (m *helloReq) decode(d *dec) {
 	m.Shard, m.Shards, m.Partitions, m.Workers = d.int(), d.int(), d.int(), d.int()
-	m.Fingerprint = d.u64()
+	m.Fingerprint, m.InversePT = d.u64(), d.u8() != 0
 }
 
 func (m *scanReq) size(slot) int { return 0 }

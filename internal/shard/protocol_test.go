@@ -129,7 +129,7 @@ func randRequests(rng *rand.Rand, total int) map[byte]request {
 		return m
 	}
 	return map[byte]request{
-		msgHello:     &helloReq{Shard: rng.Intn(4), Shards: 1 + rng.Intn(4), Partitions: rng.Intn(64), Workers: rng.Intn(16), Fingerprint: rng.Uint64()},
+		msgHello:     &helloReq{Shard: rng.Intn(4), Shards: 1 + rng.Intn(4), Partitions: rng.Intn(64), Workers: rng.Intn(16), Fingerprint: rng.Uint64(), InversePT: rng.Intn(2) == 0},
 		msgScan:      randScanReq(rng),
 		msgShuffle:   shape(&exchangeReq{KeyA: randInts(rng), KeyB: randInts(rng), A: randParts(rng, total), B: randParts(rng, total)}),
 		msgBroadcast: shape(&exchangeReq{KeyA: randInts(rng), KeyB: randInts(rng), AIsLeft: rng.Intn(2) == 0, Whole: randRows(rng, rng.Intn(3), rng.Intn(4)), A: randParts(rng, total)}),

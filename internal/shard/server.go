@@ -311,5 +311,10 @@ func (s *Server) validateHello(req helloReq) error {
 		return fmt.Errorf("shard: dataset statistics fingerprint mismatch (coordinator %x, shard %x) — stores were not loaded from the same input",
 			req.Fingerprint, s.store.Stats().Fingerprint())
 	}
+	// The other direction is harmless: a coordinator without the table
+	// never plans an object star.
+	if req.InversePT && s.store.InversePropertyTable() == nil {
+		return fmt.Errorf("shard: coordinator plans over the inverse property table, this store was loaded without it (start the shard with -ipt)")
+	}
 	return nil
 }

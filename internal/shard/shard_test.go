@@ -337,6 +337,46 @@ func TestHelloRejectsTopologyMismatch(t *testing.T) {
 	}
 }
 
+// TestHelloRejectsInversePTMismatch: a coordinator whose store holds the
+// inverse Property Table plans object stars the shards must scan, so
+// shards loaded without it refuse the handshake — a deployment mismatch
+// caught at Dial, where it used to surface per query as a worker-outage
+// *core.TaskFailedError ("inverse property table not loaded"). The other
+// direction stays allowed: a coordinator without the table never plans
+// an object star.
+func TestHelloRejectsInversePTMismatch(t *testing.T) {
+	with := testStore(t)
+	g := watdiv.MustGenerate(watdiv.Config{Scale: testScale, Seed: 42})
+	without, err := core.Load(g, core.Options{Cluster: cluster.MustNew(cluster.DefaultConfig())})
+	if err != nil {
+		t.Fatalf("loading a store without the inverse PT: %v", err)
+	}
+	if coord, err := Dial(with, startShards(t, without, 2)); err == nil {
+		coord.Close()
+		t.Fatal("Dial succeeded: coordinator with the inverse PT, shards without")
+	} else if !strings.Contains(err.Error(), "inverse property table") || !strings.Contains(err.Error(), "-ipt") {
+		t.Errorf("refusal %v does not name the inverse property table and the -ipt flag", err)
+	}
+
+	coord, err := Dial(without, startShards(t, with, 2))
+	if err != nil {
+		t.Fatalf("Dial refused a coordinator without the inverse PT: %v", err)
+	}
+	defer coord.Close()
+	q := watdiv.BasicQuerySet()[0].Parsed
+	want, err := without.Query(q, core.QueryOptions{ReplanThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := without.Query(q, core.QueryOptions{Dist: coord})
+	if err != nil {
+		t.Fatalf("query on shards that hold the inverse PT: %v", err)
+	}
+	if renderResult(got) != renderResult(want) || got.SimTime != want.SimTime {
+		t.Errorf("sharded rows or SimTime (%v vs %v) differ from single-process", got.SimTime, want.SimTime)
+	}
+}
+
 // TestExplainRendersNetBytes verifies the /explain plumbing end to end:
 // a distributed execution's plan renders measured-vs-priced bytes.
 func TestExplainRendersNetBytes(t *testing.T) {
