@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -351,10 +352,58 @@ func (s *Store) PropertyTable() *PropertyTable { return s.pt }
 // if the store was loaded without BuildInversePT.
 func (s *Store) InversePropertyTable() *PropertyTable { return s.ipt }
 
-// Load builds a PRoST store from an in-memory graph, charging the
-// loading phases (input scan, dictionary encoding, statistics, VP build,
-// PT build) to a virtual clock whose total becomes LoadReport.LoadTime.
+// Load builds a PRoST store from an in-memory graph. It is LoadNTriples
+// with the parsing already done: the two share every step below the
+// source of the triples.
 func Load(g *rdf.Graph, opts Options) (*Store, error) {
+	rest := g.Triples()
+	return load(opts, len(rest), func(d *rdf.Dictionary) (rdf.EncodedTriple, int64, error) {
+		if len(rest) == 0 {
+			return rdf.EncodedTriple{}, 0, io.EOF
+		}
+		t := rest[0]
+		rest = rest[1:]
+		return d.EncodeTriple(t), ntriplesBytes(len(t.S.Value), len(t.P.Value), len(t.O.Value), len(t.O.Datatype), len(t.O.Lang)), nil
+	})
+}
+
+// LoadNTriples loads an N-Triples document from r in one streaming
+// pass: each line's terms go from the reader's buffer straight into the
+// dictionary, and the document is never held as text, strings or terms.
+//
+// The pass is reader → intern → dedup → statistics → VP → PT, each
+// phase charged to a virtual clock whose total becomes
+// LoadReport.LoadTime: the input scan is priced on the bytes and rows
+// read (duplicates included), dictionary encoding per row read,
+// statistics per distinct triple (twice with join statistics), and the
+// table builds on what they shuffle and write.
+func LoadNTriples(r io.Reader, opts Options) (*Store, error) {
+	nr := rdf.NewNTriplesReader(r)
+	return load(opts, 0, func(d *rdf.Dictionary) (rdf.EncodedTriple, int64, error) {
+		s, p, o, err := nr.ReadBytes()
+		if err != nil {
+			if err != io.EOF {
+				err = fmt.Errorf("core: parsing input: %w", err)
+			}
+			return rdf.EncodedTriple{}, 0, err
+		}
+		// Interned in S, P, O order, duplicates included: dictionary IDs
+		// drive hash placement and the LIMIT total order.
+		et := rdf.EncodedTriple{S: d.EncodeBytes(s), P: d.EncodeBytes(p), O: d.EncodeBytes(o)}
+		return et, ntriplesBytes(len(s.Value), len(p.Value), len(o.Value), len(o.Datatype), len(o.Lang)), nil
+	})
+}
+
+// ntriplesBytes is the input volume one triple is priced at: its terms'
+// text plus the line's punctuation.
+func ntriplesBytes(s, p, o, datatype, lang int) int64 {
+	return int64(s + p + o + datatype + lang + 12)
+}
+
+// load is the one loader. next interns the input's next triple into the
+// store's dictionary and returns it with its priced bytes, io.EOF at the
+// end; sizeHint is the number of triples to expect, when known.
+func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTriple, int64, error)) (*Store, error) {
 	if opts.Cluster == nil {
 		return nil, fmt.Errorf("core: Options.Cluster is required")
 	}
@@ -383,15 +432,17 @@ func Load(g *rdf.Graph, opts Options) (*Store, error) {
 		vp:      make(map[rdf.ID]*VPTable),
 	}
 
-	// Phase 1: read + parse the N-Triples input.
-	inputBytes := ntriplesBytes(g)
-	if err := chargeInputScan(s.cluster, clock, inputBytes, g.Len(), parts); err != nil {
+	// Phases 1 and 2, one pass: read + parse the input, dictionary-encode
+	// and deduplicate. Both are priced on what was read, not what was
+	// kept.
+	inputBytes, rows, err := s.ingest(sizeHint, next)
+	if err != nil {
 		return nil, err
 	}
-
-	// Phase 2: dictionary-encode and deduplicate.
-	s.triples = encodeDedup(s.dict, g)
-	clock.Charge("dictionary encode", time.Duration(g.Len())*s.cluster.Config().Cost.RowTime)
+	if err := chargeInputScan(s.cluster, clock, inputBytes, rows, parts); err != nil {
+		return nil, err
+	}
+	clock.Charge("dictionary encode", time.Duration(rows)*s.cluster.Config().Cost.RowTime)
 
 	// Phase 3: statistics (paper §3.3 — "without any significant
 	// overhead": one extra pass). Join-graph statistics (characteristic
@@ -457,23 +508,34 @@ func Load(g *rdf.Graph, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// LoadNTriples parses an N-Triples document from r and loads it.
-func LoadNTriples(r io.Reader, opts Options) (*Store, error) {
-	g, err := rdf.NewNTriplesReader(r).ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("core: parsing input: %w", err)
+// ingest drains next into s.triples, dropping duplicate triples, and
+// returns the priced input volume and the number of triples read. The
+// dedup set dies with the call and the slice is left without slack, so
+// neither is live while the tables are built.
+func (s *Store) ingest(sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTriple, int64, error)) (inputBytes int64, rows int, _ error) {
+	seen := make(map[rdf.EncodedTriple]struct{}, sizeHint)
+	triples := make([]rdf.EncodedTriple, 0, sizeHint)
+	for {
+		et, n, err := next(s.dict)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+		inputBytes += n
+		rows++
+		if _, dup := seen[et]; dup {
+			continue
+		}
+		seen[et] = struct{}{}
+		triples = append(triples, et)
 	}
-	return Load(g, opts)
-}
-
-// ntriplesBytes estimates the serialized input volume.
-func ntriplesBytes(g *rdf.Graph) int64 {
-	var n int64
-	for _, t := range g.Triples() {
-		n += int64(len(t.S.Value) + len(t.P.Value) + len(t.O.Value) +
-			len(t.O.Datatype) + len(t.O.Lang) + 12)
+	if cap(triples) > len(triples) {
+		triples = slices.Clone(triples)
 	}
-	return n
+	s.triples = triples
+	return inputBytes, rows, nil
 }
 
 // chargeInputScan prices the distributed read+parse of the input file.
@@ -483,21 +545,6 @@ func chargeInputScan(c *cluster.Cluster, clock *cluster.Clock, bytes int64, rows
 	return c.RunStage(clock, c.Config().Cost.SQLStageLaunch, "read input", parts, func(p int) (cluster.TaskStats, error) {
 		return cluster.TaskStats{DiskBytes: perPart, Rows: rowsPerPart}, nil
 	})
-}
-
-// encodeDedup interns all terms and drops duplicate triples.
-func encodeDedup(dict *rdf.Dictionary, g *rdf.Graph) []rdf.EncodedTriple {
-	seen := make(map[rdf.EncodedTriple]struct{}, g.Len())
-	out := make([]rdf.EncodedTriple, 0, g.Len())
-	for _, t := range g.Triples() {
-		et := dict.EncodeTriple(t)
-		if _, dup := seen[et]; dup {
-			continue
-		}
-		seen[et] = struct{}{}
-		out = append(out, et)
-	}
-	return out
 }
 
 // sortedPredicates returns the dataset's predicate IDs ordered by IRI.

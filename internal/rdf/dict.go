@@ -49,6 +49,29 @@ func (d *Dictionary) Encode(t Term) ID {
 	if ok {
 		return id
 	}
+	return d.add(t)
+}
+
+// EncodeBytes interns a term still lying in an N-Triples reader's
+// buffers. A term seen before costs a map lookup and no allocation (the
+// compiler does not materialise the strings of a map index's key); a
+// new one is copied into one string of exactly its length, so the
+// dictionary never holds on to the input around it.
+func (d *Dictionary) EncodeBytes(t TermBytes) ID {
+	d.mu.RLock()
+	id, ok := d.ids[Term{Kind: t.Kind, Value: string(t.Value), Datatype: string(t.Datatype), Lang: string(t.Lang)}]
+	d.mu.RUnlock()
+	if ok {
+		return id
+	}
+	text := concat(t.Value, t.Datatype, t.Lang)
+	v, dt := len(t.Value), len(t.Value)+len(t.Datatype)
+	return d.add(Term{Kind: t.Kind, Value: text[:v], Datatype: text[v:dt], Lang: text[dt:]})
+}
+
+// add interns a term no reader found, unless another writer got there
+// first.
+func (d *Dictionary) add(t Term) ID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok := d.ids[t]; ok {
@@ -61,7 +84,7 @@ func (d *Dictionary) Encode(t Term) ID {
 		d.arr.Store(&full)
 	}
 	d.n.Store(int64(len(d.terms)))
-	id = ID(len(d.terms))
+	id := ID(len(d.terms))
 	d.ids[t] = id
 	return id
 }

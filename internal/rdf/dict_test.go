@@ -192,3 +192,47 @@ func TestDictionaryConcurrentEncodeAndTerm(t *testing.T) {
 		t.Fatalf("Len() = %d, want %d", d.Len(), terms)
 	}
 }
+
+// TestDictionaryEncodeBytes holds the span entry point to Encode: the
+// same IDs for the same terms, the literal flavours kept apart, nothing
+// allocated for a term already known, and a new term's strings copied
+// out of the caller's buffer.
+func TestDictionaryEncodeBytes(t *testing.T) {
+	terms := []Term{
+		NewIRI("http://example.org/a"),
+		NewLiteral("http://example.org/a"),
+		NewBlank("http://example.org/a"),
+		NewTypedLiteral("5", XSDInteger),
+		NewLangLiteral("5", "en"),
+		NewLiteral("5"),
+		NewLiteral(""),
+	}
+	span := func(t Term) TermBytes {
+		return TermBytes{Kind: t.Kind, Value: []byte(t.Value), Datatype: []byte(t.Datatype), Lang: []byte(t.Lang)}
+	}
+	d, ref := NewDictionary(), NewDictionary()
+	for round := 0; round < 2; round++ {
+		for _, term := range terms {
+			buf := span(term)
+			id := d.EncodeBytes(buf)
+			if want := ref.Encode(term); id != want {
+				t.Errorf("EncodeBytes(%v) = %d, Encode gives %d", term, id, want)
+			}
+			for _, b := range [][]byte{buf.Value, buf.Datatype, buf.Lang} {
+				for i := range b {
+					b[i] = '!' // the reader's next line
+				}
+			}
+			if got := d.Term(id); got != term {
+				t.Errorf("Term(%d) = %v after the buffer was reused, want %v", id, got, term)
+			}
+		}
+	}
+	if d.Len() != len(terms) {
+		t.Errorf("dictionary holds %d terms, want %d", d.Len(), len(terms))
+	}
+	known := span(terms[3])
+	if avg := testing.AllocsPerRun(100, func() { d.EncodeBytes(known) }); avg != 0 {
+		t.Errorf("interning a known term allocated %.1f times, want 0", avg)
+	}
+}

@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -24,37 +26,101 @@ func (e *ParseError) Error() string {
 // the line-based RDF 1.1 N-Triples grammar: one triple per line, '#'
 // comments, blank lines, and the \t \n \r \" \\ \uXXXX \UXXXXXXXX string
 // escapes.
+//
+// Lines are parsed in place, as bytes: a term is three spans of the
+// scanner's buffer (a literal is copied, unescaped, into the reader's
+// scratch only when it contains a backslash). ReadBytes hands those
+// spans out as they are, so a caller that interns them — the loader —
+// allocates nothing for a term it has seen before; Read copies them
+// into one exact-size string per line.
 type NTriplesReader struct {
 	scan *bufio.Scanner
 	line int
+	// unesc holds the unescaped lexical forms of the current line's
+	// literals; spans into it stay valid until the next line is read.
+	unesc []byte
 }
 
-// NewNTriplesReader returns a reader consuming r. Lines longer than 1 MiB
-// are rejected by the underlying scanner.
+// maxLineBytes is the longest line the reader accepts.
+const maxLineBytes = 1 << 20
+
+// NewNTriplesReader returns a reader consuming r. A line longer than
+// 1 MiB is a syntax error.
 func NewNTriplesReader(r io.Reader) *NTriplesReader {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	return &NTriplesReader{scan: sc}
 }
 
-// Read returns the next triple, or io.EOF when the document is exhausted.
-func (r *NTriplesReader) Read() (Triple, error) {
+// TermBytes is a parsed term whose text still lies in the reader's
+// buffers: the fields mean what Term's do, and are valid only until the
+// reader's next call.
+type TermBytes struct {
+	Kind                  TermKind
+	Value, Datatype, Lang []byte
+}
+
+// Term copies the spans into a Term of their own.
+func (t TermBytes) Term() Term {
+	return Term{Kind: t.Kind, Value: string(t.Value), Datatype: string(t.Datatype), Lang: string(t.Lang)}
+}
+
+// ReadBytes returns the next triple as spans of the reader's buffers,
+// valid until the next call, or io.EOF when the document is exhausted.
+func (r *NTriplesReader) ReadBytes() (s, p, o TermBytes, err error) {
 	for r.scan.Scan() {
 		r.line++
-		line := strings.TrimSpace(r.scan.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(r.scan.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		t, err := parseTripleLine(line, r.line)
-		if err != nil {
-			return Triple{}, err
-		}
-		return t, nil
+		lp := lineParser{s: line, line: r.line, unesc: r.unesc[:0]}
+		err = lp.triple(&s, &p, &o)
+		r.unesc = lp.unesc // keep the scratch at the size it grew to
+		return s, p, o, err
 	}
 	if err := r.scan.Err(); err != nil {
-		return Triple{}, fmt.Errorf("ntriples: read: %w", err)
+		if errors.Is(err, bufio.ErrTooLong) {
+			return s, p, o, &ParseError{Line: r.line + 1, Msg: fmt.Sprintf("line longer than the %d-byte limit", maxLineBytes)}
+		}
+		return s, p, o, fmt.Errorf("ntriples: read: %w", err)
 	}
-	return Triple{}, io.EOF
+	return s, p, o, io.EOF
+}
+
+// Read returns the next triple, or io.EOF when the document is exhausted.
+// The triple's strings share one allocation holding exactly their bytes.
+func (r *NTriplesReader) Read() (Triple, error) {
+	s, p, o, err := r.ReadBytes()
+	if err != nil {
+		return Triple{}, err
+	}
+	// A subject or predicate literal was rejected by the parser, so only
+	// the object can carry a datatype or language tag.
+	text := concat(s.Value, p.Value, o.Value, o.Datatype, o.Lang)
+	pEnd := len(s.Value) + len(p.Value)
+	oEnd := pEnd + len(o.Value)
+	dtEnd := oEnd + len(o.Datatype)
+	return Triple{
+		S: Term{Kind: s.Kind, Value: text[:len(s.Value)]},
+		P: Term{Kind: p.Kind, Value: text[len(s.Value):pEnd]},
+		O: Term{Kind: o.Kind, Value: text[pEnd:oEnd], Datatype: text[oEnd:dtEnd], Lang: text[dtEnd:]},
+	}, nil
+}
+
+// concat returns the parts joined into one string, in one allocation of
+// exactly its length.
+func concat(parts ...[]byte) string {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, part := range parts {
+		sb.Write(part)
+	}
+	return sb.String()
 }
 
 // ReadAll parses every remaining triple into a Graph.
@@ -77,36 +143,39 @@ func ParseNTriples(doc string) (*Graph, error) {
 	return NewNTriplesReader(strings.NewReader(doc)).ReadAll()
 }
 
-// parseTripleLine parses one non-empty, non-comment N-Triples line.
-func parseTripleLine(line string, lineno int) (Triple, error) {
-	p := &lineParser{s: line, line: lineno}
-	s, err := p.term()
-	if err != nil {
-		return Triple{}, err
-	}
-	pred, err := p.term()
-	if err != nil {
-		return Triple{}, err
-	}
-	o, err := p.term()
-	if err != nil {
-		return Triple{}, err
-	}
-	if err := p.dot(); err != nil {
-		return Triple{}, err
-	}
-	t := Triple{S: s, P: pred, O: o}
-	if !t.Valid() {
-		return Triple{}, &ParseError{Line: lineno, Msg: "not a valid RDF triple: " + t.String()}
-	}
-	return t, nil
-}
-
 // lineParser is a tiny cursor over one line of input.
 type lineParser struct {
-	s    string
+	s    []byte
 	pos  int
 	line int
+	// unesc receives the lexical form of each literal that contains an
+	// escape. An append may move it; spans handed out before then keep
+	// pointing at the old array, whose bytes nothing overwrites while
+	// the line is in use.
+	unesc []byte
+}
+
+// triple parses the whole line — three terms and the terminating dot —
+// into s, pred and o.
+func (p *lineParser) triple(s, pred, o *TermBytes) (err error) {
+	if *s, err = p.term(); err != nil {
+		return err
+	}
+	if *pred, err = p.term(); err != nil {
+		return err
+	}
+	if *o, err = p.term(); err != nil {
+		return err
+	}
+	if err = p.dot(); err != nil {
+		return err
+	}
+	// The subject must be an IRI or blank node and the predicate an IRI
+	// (Triple.Valid; the parser never yields an empty IRI or label).
+	if s.Kind == KindLiteral || pred.Kind != KindIRI {
+		return p.errf("not a valid RDF triple: %s", Triple{S: s.Term(), P: pred.Term(), O: o.Term()})
+	}
+	return nil
 }
 
 func (p *lineParser) errf(format string, args ...any) error {
@@ -114,68 +183,114 @@ func (p *lineParser) errf(format string, args ...any) error {
 }
 
 func (p *lineParser) skipSpace() {
-	for p.pos < len(p.s) && (p.s[p.pos] == ' ' || p.s[p.pos] == '\t') {
+	for p.pos < len(p.s) && isTermBoundary(p.s[p.pos]) {
 		p.pos++
 	}
 }
 
 // term parses the next IRI, literal or blank node.
-func (p *lineParser) term() (Term, error) {
+func (p *lineParser) term() (TermBytes, error) {
 	p.skipSpace()
 	if p.pos >= len(p.s) {
-		return Term{}, p.errf("unexpected end of line, expected term")
+		return TermBytes{}, p.errf("unexpected end of line, expected term")
 	}
 	switch c := p.s[p.pos]; {
 	case c == '<':
-		return p.iri()
+		iri, err := p.iri()
+		return TermBytes{Kind: KindIRI, Value: iri}, err
 	case c == '"':
 		return p.literal()
 	case c == '_':
 		return p.blank()
 	default:
-		return Term{}, p.errf("unexpected character %q at column %d", c, p.pos+1)
+		return TermBytes{}, p.errf("unexpected character %q at column %d", c, p.pos+1)
 	}
 }
 
-func (p *lineParser) iri() (Term, error) {
+// iri consumes <...> and returns what is between the brackets.
+func (p *lineParser) iri() ([]byte, error) {
 	start := p.pos + 1
-	end := strings.IndexByte(p.s[start:], '>')
+	end := bytes.IndexByte(p.s[start:], '>')
 	if end < 0 {
-		return Term{}, p.errf("unterminated IRI")
+		return nil, p.errf("unterminated IRI")
 	}
-	iri := p.s[start : start+end]
-	if iri == "" {
-		return Term{}, p.errf("empty IRI")
+	if end == 0 {
+		return nil, p.errf("empty IRI")
 	}
 	p.pos = start + end + 1
-	return NewIRI(iri), nil
+	return p.s[start : start+end], nil
 }
 
-func (p *lineParser) blank() (Term, error) {
+// untilBoundary consumes and returns the bytes up to the next space or
+// tab (or the end of the line).
+func (p *lineParser) untilBoundary() []byte {
+	start := p.pos
+	for p.pos < len(p.s) && !isTermBoundary(p.s[p.pos]) {
+		p.pos++
+	}
+	return p.s[start:p.pos]
+}
+
+func (p *lineParser) blank() (TermBytes, error) {
 	if p.pos+1 >= len(p.s) || p.s[p.pos+1] != ':' {
-		return Term{}, p.errf("malformed blank node label")
+		return TermBytes{}, p.errf("malformed blank node label")
 	}
-	start := p.pos + 2
-	end := start
-	for end < len(p.s) && !isTermBoundary(p.s[end]) {
-		end++
+	p.pos += 2
+	label := p.untilBoundary()
+	if len(label) == 0 {
+		return TermBytes{}, p.errf("empty blank node label")
 	}
-	if end == start {
-		return Term{}, p.errf("empty blank node label")
-	}
-	p.pos = end
-	return NewBlank(p.s[start:end]), nil
+	return TermBytes{Kind: KindBlank, Value: label}, nil
 }
 
 func isTermBoundary(c byte) bool { return c == ' ' || c == '\t' }
 
-func (p *lineParser) literal() (Term, error) {
-	// Opening quote already verified by caller.
+func (p *lineParser) literal() (TermBytes, error) {
+	lex, err := p.lexicalForm()
+	if err != nil {
+		return TermBytes{}, err
+	}
+	t := TermBytes{Kind: KindLiteral, Value: lex}
+	// Optional language tag or datatype.
+	switch {
+	case p.pos < len(p.s) && p.s[p.pos] == '@':
+		p.pos++
+		if t.Lang = p.untilBoundary(); len(t.Lang) == 0 {
+			return TermBytes{}, p.errf("empty language tag")
+		}
+	case bytes.HasPrefix(p.s[p.pos:], []byte("^^")):
+		p.pos += 2
+		if p.pos >= len(p.s) || p.s[p.pos] != '<' {
+			return TermBytes{}, p.errf("datatype must be an IRI")
+		}
+		if t.Datatype, err = p.iri(); err != nil {
+			return TermBytes{}, err
+		}
+	}
+	return t, nil
+}
+
+// lexicalForm consumes a quoted string (the cursor is on the opening
+// quote) and returns its unescaped content: a span of the line itself
+// when it holds no backslash, of the unescape scratch otherwise.
+func (p *lineParser) lexicalForm() ([]byte, error) {
 	p.pos++
-	var sb strings.Builder
+	start := p.pos
+	n := bytes.IndexAny(p.s[start:], "\"\\")
+	if n < 0 {
+		return nil, p.errf("unterminated literal")
+	}
+	p.pos += n
+	if p.s[p.pos] == '"' {
+		p.pos++
+		return p.s[start : p.pos-1], nil
+	}
+	out := p.unesc
+	from := len(out)
+	out = append(out, p.s[start:p.pos]...)
 	for {
 		if p.pos >= len(p.s) {
-			return Term{}, p.errf("unterminated literal")
+			return nil, p.errf("unterminated literal")
 		}
 		c := p.s[p.pos]
 		if c == '"' {
@@ -183,59 +298,37 @@ func (p *lineParser) literal() (Term, error) {
 			break
 		}
 		if c == '\\' {
-			if err := p.escape(&sb); err != nil {
-				return Term{}, err
+			var err error
+			if out, err = p.escape(out); err != nil {
+				return nil, err
 			}
 			continue
 		}
-		sb.WriteByte(c)
+		out = append(out, c)
 		p.pos++
 	}
-	lex := sb.String()
-	// Optional language tag or datatype.
-	if p.pos < len(p.s) && p.s[p.pos] == '@' {
-		start := p.pos + 1
-		end := start
-		for end < len(p.s) && !isTermBoundary(p.s[end]) {
-			end++
-		}
-		if end == start {
-			return Term{}, p.errf("empty language tag")
-		}
-		p.pos = end
-		return NewLangLiteral(lex, p.s[start:end]), nil
-	}
-	if strings.HasPrefix(p.s[p.pos:], "^^") {
-		p.pos += 2
-		if p.pos >= len(p.s) || p.s[p.pos] != '<' {
-			return Term{}, p.errf("datatype must be an IRI")
-		}
-		dt, err := p.iri()
-		if err != nil {
-			return Term{}, err
-		}
-		return NewTypedLiteral(lex, dt.Value), nil
-	}
-	return NewLiteral(lex), nil
+	p.unesc = out
+	return out[from:len(out):len(out)], nil
 }
 
-// escape consumes one backslash escape sequence, writing the decoded rune.
-func (p *lineParser) escape(sb *strings.Builder) error {
+// escape consumes one backslash escape sequence, appending the decoded
+// rune to dst.
+func (p *lineParser) escape(dst []byte) ([]byte, error) {
 	if p.pos+1 >= len(p.s) {
-		return p.errf("dangling backslash")
+		return nil, p.errf("dangling backslash")
 	}
 	c := p.s[p.pos+1]
 	switch c {
 	case 't':
-		sb.WriteByte('\t')
+		dst = append(dst, '\t')
 	case 'n':
-		sb.WriteByte('\n')
+		dst = append(dst, '\n')
 	case 'r':
-		sb.WriteByte('\r')
+		dst = append(dst, '\r')
 	case '"':
-		sb.WriteByte('"')
+		dst = append(dst, '"')
 	case '\\':
-		sb.WriteByte('\\')
+		dst = append(dst, '\\')
 	case 'u', 'U':
 		n := 4
 		if c == 'U' {
@@ -243,27 +336,26 @@ func (p *lineParser) escape(sb *strings.Builder) error {
 		}
 		hexStart := p.pos + 2
 		if hexStart+n > len(p.s) {
-			return p.errf("truncated \\%c escape", c)
+			return nil, p.errf("truncated \\%c escape", c)
 		}
 		var r rune
 		for i := 0; i < n; i++ {
 			d := hexDigit(p.s[hexStart+i])
 			if d < 0 {
-				return p.errf("invalid hex digit %q in \\%c escape", p.s[hexStart+i], c)
+				return nil, p.errf("invalid hex digit %q in \\%c escape", p.s[hexStart+i], c)
 			}
 			r = r<<4 | rune(d)
 		}
 		if !utf8.ValidRune(r) {
-			return p.errf("escape \\%c%s is not a valid rune", c, p.s[hexStart:hexStart+n])
+			return nil, p.errf("escape \\%c%s is not a valid rune", c, p.s[hexStart:hexStart+n])
 		}
-		sb.WriteRune(r)
 		p.pos = hexStart + n
-		return nil
+		return utf8.AppendRune(dst, r), nil
 	default:
-		return p.errf("unknown escape \\%c", c)
+		return nil, p.errf("unknown escape \\%c", c)
 	}
 	p.pos += 2
-	return nil
+	return dst, nil
 }
 
 func hexDigit(c byte) int {
@@ -296,11 +388,10 @@ func (p *lineParser) dot() error {
 // WriteNTriples serializes the graph to w, one triple per line.
 func WriteNTriples(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
+	var line []byte // reused: a triple costs no allocation once it fits
 	for _, t := range g.Triples() {
-		if _, err := bw.WriteString(t.String()); err != nil {
-			return fmt.Errorf("ntriples: write: %w", err)
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(t.AppendNTriples(line[:0]), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return fmt.Errorf("ntriples: write: %w", err)
 		}
 	}

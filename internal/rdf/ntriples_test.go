@@ -128,6 +128,43 @@ func TestParseErrorLineNumbers(t *testing.T) {
 	}
 }
 
+// A line over the scanner's limit is a syntax error like any other: a
+// *ParseError carrying the line's number, not the scanner's bare
+// "token too long".
+func TestParseErrorLineTooLong(t *testing.T) {
+	doc := "<http://s> <http://p> <http://o> .\n# comment\n<http://s> <http://p> \"" +
+		strings.Repeat("x", maxLineBytes) + "\" .\n<http://s> <http://p> <http://o2> .\n"
+	_, err := ParseNTriples(doc)
+	pe, ok := err.(*ParseError)
+	if !ok {
+		t.Fatalf("error %T (%v), want *ParseError", err, err)
+	}
+	if pe.Line != 3 {
+		t.Errorf("error line = %d, want 3", pe.Line)
+	}
+	if !strings.Contains(pe.Msg, "1048576-byte limit") {
+		t.Errorf("error %q does not name the limit", pe.Msg)
+	}
+}
+
+// TestReadAllocatesOneStringPerLine pins what ReadAll costs: the
+// triple's strings share one allocation, escaped literal or not.
+func TestReadAllocatesOneStringPerLine(t *testing.T) {
+	line := `<http://example.org/s> <http://example.org/p> "a\tb \u00e9"^^<http://www.w3.org/2001/XMLSchema#string> .` + "\n"
+	const lines = 100
+	doc := strings.Repeat(line, lines)
+	if avg := testing.AllocsPerRun(20, func() {
+		r := NewNTriplesReader(strings.NewReader(doc))
+		for {
+			if _, err := r.Read(); err != nil {
+				break
+			}
+		}
+	}); avg > lines+5 { // the source, the reader, its scanner, its buffer and its unescape scratch
+		t.Errorf("reading %d lines allocated %.0f times, want one per line", lines, avg)
+	}
+}
+
 func TestNTriplesRoundTrip(t *testing.T) {
 	g := NewGraph(0)
 	g.AddSPO(NewIRI("http://s"), NewIRI("http://p"), NewLiteral("hello \"world\"\nline2"))

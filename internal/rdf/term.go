@@ -2,6 +2,12 @@
 // reproduction: terms, triples, an N-Triples reader/writer and a
 // dictionary encoder that maps terms to dense integer IDs.
 //
+// The loader's path through the package allocates per distinct term,
+// not per line: NTriplesReader.ReadBytes yields each term as spans of
+// the read buffer and Dictionary.EncodeBytes interns them as they lie.
+// Read, ReadAll and Graph build the same triples as values, for tests,
+// baselines and anything that wants the document in memory.
+//
 // The model intentionally covers exactly the subset of RDF 1.1 exercised
 // by the paper's workload (WatDiv): IRIs, plain / typed / language-tagged
 // literals and blank nodes. Generalized RDF (literals in subject

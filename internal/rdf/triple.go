@@ -1,7 +1,5 @@
 package rdf
 
-import "fmt"
-
 // Triple is a single RDF statement (subject, predicate, object).
 type Triple struct {
 	S, P, O Term
@@ -12,7 +10,18 @@ func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
 // String renders the triple as one N-Triples line (without newline).
 func (t Triple) String() string {
-	return fmt.Sprintf("%s %s %s .", t.S, t.P, t.O)
+	return string(t.AppendNTriples(nil))
+}
+
+// AppendNTriples appends the triple as one N-Triples line (without
+// newline) to dst and returns the extended slice.
+func (t Triple) AppendNTriples(dst []byte) []byte {
+	dst = t.S.AppendNTriples(dst)
+	dst = append(dst, ' ')
+	dst = t.P.AppendNTriples(dst)
+	dst = append(dst, ' ')
+	dst = t.O.AppendNTriples(dst)
+	return append(dst, " ."...)
 }
 
 // Valid reports whether the triple is well-formed RDF: the subject must

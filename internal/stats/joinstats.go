@@ -1,7 +1,7 @@
 // Join-graph statistics: characteristic sets and two-predicate join
-// sketches, collected in the same loading pass as the per-predicate
-// counts. They exist to price exactly the joins the independence
-// assumption misprices — correlated predicate pairs (likes ⋈ likes
+// sketches, collected in the same scan as the per-predicate counts.
+// They exist to price exactly the joins the independence assumption
+// misprices — correlated predicate pairs (likes ⋈ likes
 // triangles) and subject stars — before the first execution, so the
 // adaptive re-planner only has to catch what these statistics cannot
 // express.
@@ -16,8 +16,10 @@
 package stats
 
 import (
+	"cmp"
+	"encoding/binary"
+	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/rdf"
 )
@@ -168,101 +170,163 @@ type JoinStats struct {
 }
 
 // CollectJoinStats computes the per-predicate statistics plus the
-// join-graph statistics selected by cfg, in one pass over the encoded
-// triples (plus one pass over the per-key groups).
+// join-graph statistics selected by cfg.
+//
+// Every count is a property of the triples grouped by subject or by
+// object, so the triples are copied twice as packed (key, predicate)
+// pairs — keyed on subject and on object — each copy is sorted, and one
+// merge over both visits every key once with its two runs: the
+// predicates it carries as a subject and as an object, each with its
+// degree. Distinct counts, MultiValued, characteristic sets and the
+// s-s / o-o / s-o pair sketches are all read off those runs; nothing is
+// allocated per key.
 func CollectJoinStats(triples []rdf.EncodedTriple, cfg Config) *Collection {
-	c := Collect(triples)
-	if !cfg.CSets && cfg.SketchTopK < 0 {
+	c := &Collection{ByPredicate: make(map[rdf.ID]*Predicate), TotalTriples: int64(len(triples))}
+	var csets *csetBuilder
+	if cfg.CSets {
+		csets = &csetBuilder{index: make(map[string]int), sets: []CharacteristicSet{}}
+	}
+	var sketches *sketchBuilder
+	if cfg.SketchTopK >= 0 {
+		sketches = &sketchBuilder{index: make(map[pairKey]int)}
+	}
+
+	bySubj := make([]uint64, len(triples))
+	byObj := make([]uint64, len(triples))
+	for i, t := range triples {
+		bySubj[i] = uint64(t.S)<<32 | uint64(t.P)
+		byObj[i] = uint64(t.O)<<32 | uint64(t.P)
+	}
+	slices.Sort(bySubj)
+	slices.Sort(byObj)
+
+	predicate := func(p rdf.ID) *Predicate {
+		ps := c.ByPredicate[p]
+		if ps == nil {
+			ps = &Predicate{}
+			c.ByPredicate[p] = ps
+		}
+		return ps
+	}
+	// head is the pair at i, or past every real key once pairs is spent.
+	head := func(pairs []uint64, i int) uint64 {
+		if i < len(pairs) {
+			return pairs[i]
+		}
+		return math.MaxUint64
+	}
+	var subj, obj []predDeg // the current key's two runs, reused
+	for si, oi := 0, 0; si < len(bySubj) || oi < len(byObj); {
+		key := rdf.ID(min(head(bySubj, si), head(byObj, oi)) >> 32)
+		subj, si = keyRun(bySubj, si, key, subj[:0])
+		obj, oi = keyRun(byObj, oi, key, obj[:0])
+
+		if len(subj) > 0 {
+			c.DistinctSubjects++
+		}
+		for _, pd := range subj {
+			ps := predicate(pd.pred)
+			ps.Triples += pd.deg
+			ps.DistinctSubjects++
+			if pd.deg > 1 {
+				ps.MultiValued = true
+			}
+		}
+		if len(obj) > 0 {
+			c.DistinctObjects++
+		}
+		for _, pd := range obj {
+			predicate(pd.pred).DistinctObjects++
+		}
+		if csets != nil && len(subj) > 0 {
+			csets.add(subj)
+		}
+		if sketches != nil {
+			sketches.addKey(subj, obj)
+		}
+	}
+
+	if csets == nil && sketches == nil {
 		return c
 	}
-	j := &JoinStats{}
-
-	// Group degrees by key once; characteristic sets read the subject
-	// side, sketches read both. The object side is skipped entirely
-	// when pair sketches are disabled — csets never consume it.
-	subjDeg := make(map[rdf.ID]map[rdf.ID]int64)
-	var objDeg map[rdf.ID]map[rdf.ID]int64
-	if cfg.SketchTopK >= 0 {
-		objDeg = make(map[rdf.ID]map[rdf.ID]int64)
+	c.Joins = &JoinStats{}
+	if csets != nil {
+		csets.finish(c.Joins)
 	}
-	for _, t := range triples {
-		sd := subjDeg[t.S]
-		if sd == nil {
-			sd = make(map[rdf.ID]int64, 4)
-			subjDeg[t.S] = sd
-		}
-		sd[t.P]++
-		if objDeg != nil {
-			od := objDeg[t.O]
-			if od == nil {
-				od = make(map[rdf.ID]int64, 2)
-				objDeg[t.O] = od
-			}
-			od[t.P]++
-		}
-	}
-
-	if cfg.CSets {
-		j.collectCSets(subjDeg)
-	}
-	if cfg.SketchTopK >= 0 {
+	if sketches != nil {
 		topK := cfg.SketchTopK
 		if topK == 0 {
 			topK = DefaultSketchTopK
 		}
-		j.collectSketches(subjDeg, objDeg, topK)
+		sketches.finish(c.Joins, topK)
 	}
-	c.Joins = j
 	return c
 }
 
-// collectCSets derives the characteristic sets from the per-subject
-// predicate degrees.
-func (j *JoinStats) collectCSets(subjDeg map[rdf.ID]map[rdf.ID]int64) {
-	type accum struct {
-		count   int64
-		triples map[rdf.ID]int64
-	}
-	sets := make(map[string]*accum)
-	keyOf := make(map[string][]rdf.ID)
-	var keyBuf []byte
-	for _, degs := range subjDeg {
-		preds := make([]rdf.ID, 0, len(degs))
-		for p := range degs {
-			preds = append(preds, p)
-		}
-		sort.Slice(preds, func(a, b int) bool { return preds[a] < preds[b] })
-		keyBuf = keyBuf[:0]
-		for _, p := range preds {
-			keyBuf = append(keyBuf, byte(p), byte(p>>8), byte(p>>16), byte(p>>24))
-		}
-		k := string(keyBuf)
-		a := sets[k]
-		if a == nil {
-			a = &accum{triples: make(map[rdf.ID]int64, len(preds))}
-			sets[k] = a
-			keyOf[k] = preds
-		}
-		a.count++
-		for p, d := range degs {
-			a.triples[p] += d
-		}
-	}
+// predDeg is one predicate at one key: how many of the key's triples
+// (as subject, or as object) carry it.
+type predDeg struct {
+	pred rdf.ID
+	deg  int64
+}
 
-	j.CSets = make([]CharacteristicSet, 0, len(sets))
-	for k, a := range sets {
-		preds := keyOf[k]
-		cs := CharacteristicSet{Preds: preds, Count: a.count, Triples: make([]int64, len(preds))}
-		for i, p := range preds {
-			cs.Triples[i] = a.triples[p]
+// keyRun appends to run the predicates, ascending, of the pairs from
+// pairs[i] on whose key is key — none, if the next pair belongs to a
+// later key — and returns the position after them.
+func keyRun(pairs []uint64, i int, key rdf.ID, run []predDeg) ([]predDeg, int) {
+	for i < len(pairs) && rdf.ID(pairs[i]>>32) == key {
+		pair := pairs[i]
+		n := i + 1
+		for n < len(pairs) && pairs[n] == pair {
+			n++
 		}
-		j.CSets = append(j.CSets, cs)
+		run = append(run, predDeg{pred: rdf.ID(pair), deg: int64(n - i)})
+		i = n
 	}
-	sort.Slice(j.CSets, func(a, b int) bool {
-		if j.CSets[a].Count != j.CSets[b].Count {
-			return j.CSets[a].Count > j.CSets[b].Count
+	return run, i
+}
+
+// csetBuilder accumulates characteristic sets, one subject run at a
+// time.
+type csetBuilder struct {
+	// index maps a predicate list, as its IDs' bytes, to its set.
+	index map[string]int
+	sets  []CharacteristicSet
+	key   []byte
+}
+
+// add counts one subject, whose predicates (ascending) and degrees are
+// run.
+func (b *csetBuilder) add(run []predDeg) {
+	b.key = b.key[:0]
+	for _, pd := range run {
+		b.key = binary.LittleEndian.AppendUint32(b.key, uint32(pd.pred))
+	}
+	i, ok := b.index[string(b.key)]
+	if !ok {
+		i = len(b.sets)
+		b.index[string(b.key)] = i
+		preds := make([]rdf.ID, len(run))
+		for k, pd := range run {
+			preds[k] = pd.pred
 		}
-		return lessPredList(j.CSets[a].Preds, j.CSets[b].Preds)
+		b.sets = append(b.sets, CharacteristicSet{Preds: preds, Triples: make([]int64, len(run))})
+	}
+	cs := &b.sets[i]
+	cs.Count++
+	for k, pd := range run {
+		cs.Triples[k] += pd.deg
+	}
+}
+
+// finish orders the sets and indexes them by predicate.
+func (b *csetBuilder) finish(j *JoinStats) {
+	j.CSets = b.sets
+	slices.SortFunc(j.CSets, func(x, y CharacteristicSet) int {
+		if x.Count != y.Count {
+			return cmp.Compare(y.Count, x.Count)
+		}
+		return slices.Compare(x.Preds, y.Preds)
 	})
 	j.byPred = make(map[rdf.ID][]int)
 	for i, cs := range j.CSets {
@@ -272,92 +336,82 @@ func (j *JoinStats) collectCSets(subjDeg map[rdf.ID]map[rdf.ID]int64) {
 	}
 }
 
-// lessPredList orders predicate lists lexicographically.
-func lessPredList(a, b []rdf.ID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
+// sketchBuilder accumulates, per predicate pair and join position, the
+// exact join cardinality and the shared-key count.
+type sketchBuilder struct {
+	index map[pairKey]int
+	pairs []keyedSketch
 }
 
-// collectSketches enumerates every co-occurring predicate pair per join
-// position, computes its exact join cardinality and shared-key count,
-// and keeps the top-K pairs by join volume.
-func (j *JoinStats) collectSketches(subjDeg, objDeg map[rdf.ID]map[rdf.ID]int64, topK int) {
-	j.TopK = topK
-	acc := make(map[pairKey]*PairSketch)
-	add := func(k pairKey, join int64) {
-		s := acc[k]
-		if s == nil {
-			s = &PairSketch{}
-			acc[k] = s
-		}
-		s.Join += join
-		s.Keys++
-	}
-	for key, sd := range subjDeg {
-		// Same-key subject pairs (s-s), including self-pairs: the
-		// likes ⋈ likes shape.
-		for p1, d1 := range sd {
-			for p2, d2 := range sd {
-				if p2 < p1 {
-					continue
-				}
-				add(pairKey{p1, p2, JoinSS}, d1*d2)
-			}
-		}
-		// Subject-object pairs (s-o) on the same key value.
-		if od := objDeg[key]; od != nil {
-			for p1, d1 := range sd {
-				for p2, d2 := range od {
-					add(pairKey{p1, p2, JoinSO}, d1*d2)
-				}
-			}
-		}
-	}
-	for _, od := range objDeg {
-		for p1, d1 := range od {
-			for p2, d2 := range od {
-				if p2 < p1 {
-					continue
-				}
-				add(pairKey{p1, p2, JoinOO}, d1*d2)
-			}
-		}
-	}
+type keyedSketch struct {
+	key pairKey
+	PairSketch
+}
 
-	j.candidates = make(map[pairKey]struct{}, len(acc))
-	keys := make([]pairKey, 0, len(acc))
-	for k, s := range acc {
-		j.candidates[k] = struct{}{}
-		j.totalVolume += float64(s.Join)
-		keys = append(keys, k)
+// addKey counts one key value: every pair of predicates it carries as a
+// subject (s-s, self-pairs included: the likes ⋈ likes shape), every
+// pair it carries as an object (o-o), and every subject-side predicate
+// against every object-side one (s-o).
+func (b *sketchBuilder) addKey(subj, obj []predDeg) {
+	for i, x := range subj {
+		for _, y := range subj[i:] {
+			b.add(pairKey{x.pred, y.pred, JoinSS}, x.deg*y.deg)
+		}
+		for _, y := range obj {
+			b.add(pairKey{x.pred, y.pred, JoinSO}, x.deg*y.deg)
+		}
 	}
-	// Top-K by join volume, deterministic tie-break by key.
-	sort.Slice(keys, func(a, b int) bool {
-		ja, jb := acc[keys[a]].Join, acc[keys[b]].Join
-		if ja != jb {
-			return ja > jb
+	for i, x := range obj {
+		for _, y := range obj[i:] {
+			b.add(pairKey{x.pred, y.pred, JoinOO}, x.deg*y.deg)
 		}
-		ka, kb := keys[a], keys[b]
-		if ka.pos != kb.pos {
-			return ka.pos < kb.pos
+	}
+}
+
+func (b *sketchBuilder) add(k pairKey, join int64) {
+	i, ok := b.index[k]
+	if !ok {
+		i = len(b.pairs)
+		b.index[k] = i
+		b.pairs = append(b.pairs, keyedSketch{key: k})
+	}
+	b.pairs[i].Join += join
+	b.pairs[i].Keys++
+}
+
+// finish keeps the top-K pairs by join volume, ties broken by key, and
+// remembers every candidate so a trimmed pair is told from one that
+// never co-occurs.
+func (b *sketchBuilder) finish(j *JoinStats, topK int) {
+	j.TopK = topK
+	j.candidates = make(map[pairKey]struct{}, len(b.pairs))
+	for _, p := range b.pairs {
+		j.candidates[p.key] = struct{}{}
+		j.totalVolume += float64(p.Join)
+	}
+	slices.SortFunc(b.pairs, func(x, y keyedSketch) int {
+		if x.Join != y.Join {
+			return cmp.Compare(y.Join, x.Join)
 		}
-		if ka.p1 != kb.p1 {
-			return ka.p1 < kb.p1
-		}
-		return ka.p2 < kb.p2
+		return comparePairKeys(x.key, y.key)
 	})
-	if len(keys) > topK {
-		keys = keys[:topK]
+	kept := b.pairs[:min(len(b.pairs), topK)]
+	j.sketches = make(map[pairKey]PairSketch, len(kept))
+	for _, p := range kept {
+		j.sketches[p.key] = p.PairSketch
+		j.keptVolume += float64(p.Join)
 	}
-	j.sketches = make(map[pairKey]PairSketch, len(keys))
-	for _, k := range keys {
-		j.sketches[k] = *acc[k]
-		j.keptVolume += float64(acc[k].Join)
+}
+
+// comparePairKeys orders pair keys by position, then predicates.
+func comparePairKeys(x, y pairKey) int {
+	if c := cmp.Compare(x.pos, y.pos); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(x.p1, y.p1); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.p2, y.p2)
 }
 
 // StarEstimate prices a subject star (every predicate constraining the
@@ -518,15 +572,7 @@ func (j *JoinStats) fingerprint(mix func(uint64)) {
 	for k := range j.sketches {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].pos != keys[b].pos {
-			return keys[a].pos < keys[b].pos
-		}
-		if keys[a].p1 != keys[b].p1 {
-			return keys[a].p1 < keys[b].p1
-		}
-		return keys[a].p2 < keys[b].p2
-	})
+	slices.SortFunc(keys, comparePairKeys)
 	mix(uint64(len(keys)))
 	for _, k := range keys {
 		s := j.sketches[k]

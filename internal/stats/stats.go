@@ -2,10 +2,11 @@
 // statistics-based optimizer consumes (paper §3.3): the total number of
 // triples per predicate and the number of distinct subjects per
 // predicate, plus the distinct-object counts used by the inverse
-// Property Table extension. The counts are exact and are gathered in one
-// pass over the encoded triples, mirroring the paper's claim that they
-// are "calculated during the loading phase without any significant
-// overhead".
+// Property Table extension. The counts are exact and are read, together
+// with the join-graph statistics of joinstats.go, off the run boundaries
+// of two sorted copies of the encoded triples (CollectJoinStats),
+// mirroring the paper's claim that they are "calculated during the
+// loading phase without any significant overhead".
 package stats
 
 import (
@@ -59,40 +60,9 @@ type Collection struct {
 	Joins *JoinStats
 }
 
-// Collect computes the statistics in one pass.
+// Collect computes the per-predicate statistics alone.
 func Collect(triples []rdf.EncodedTriple) *Collection {
-	c := &Collection{ByPredicate: make(map[rdf.ID]*Predicate)}
-	type pair struct{ a, b rdf.ID }
-	subjSeen := make(map[pair]struct{})
-	objSeen := make(map[pair]struct{})
-	allSubj := make(map[rdf.ID]struct{})
-	allObj := make(map[rdf.ID]struct{})
-	for _, t := range triples {
-		ps, ok := c.ByPredicate[t.P]
-		if !ok {
-			ps = &Predicate{}
-			c.ByPredicate[t.P] = ps
-		}
-		ps.Triples++
-		sk := pair{t.P, t.S}
-		if _, dup := subjSeen[sk]; !dup {
-			subjSeen[sk] = struct{}{}
-			ps.DistinctSubjects++
-		} else {
-			ps.MultiValued = true
-		}
-		ok2 := pair{t.P, t.O}
-		if _, dup := objSeen[ok2]; !dup {
-			objSeen[ok2] = struct{}{}
-			ps.DistinctObjects++
-		}
-		allSubj[t.S] = struct{}{}
-		allObj[t.O] = struct{}{}
-	}
-	c.TotalTriples = int64(len(triples))
-	c.DistinctSubjects = int64(len(allSubj))
-	c.DistinctObjects = int64(len(allObj))
-	return c
+	return CollectJoinStats(triples, Config{SketchTopK: -1})
 }
 
 // Fingerprint returns a content hash of the collection: two
