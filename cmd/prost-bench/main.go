@@ -30,7 +30,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "generator seed")
 	extrapolate := flag.Int64("extrapolate", 100_000_000, "price costs as if the dataset had this many triples (0 = off)")
 	exp := flag.String("exp", "all", "experiment: table1, figure2, figure3, table2, ablations, extension or all")
-	verify := flag.Bool("verify", true, "cross-check that all four systems return identical row counts")
+	verify := flag.Bool("verify", true, "cross-check that all four systems return identical rows")
 	flag.Parse()
 
 	if err := run(*scale, *seed, *extrapolate, *exp, *verify); err != nil {

@@ -1,26 +1,37 @@
 // Package rya reimplements the Rya baseline (Punnoose et al., 2012): an
 // RDF triple store over a sorted key-value store (Apache Accumulo in the
-// original, the mini-Accumulo of internal/kv here). Whole triples are
-// stored as keys in three permutation indexes (SPO, POS, OSP), so point
-// lookups and short ranges are extremely fast; joins are index nested
-// loops executed client-side, one range scan per binding — the
-// architecture that makes Rya the fastest system on highly selective
-// queries and orders of magnitude the slowest when intermediate results
-// grow (paper §4.4).
+// original, the mini-Accumulo of internal/kv here).
+//
+// Rya loads from PRoST's ingest and applies PRoST's FILTER semantics to
+// the terms it decodes; what is its own is
+//
+//   - its layout: whole triples stored as keys in three permutation
+//     indexes (SPO, POS, OSP), batch-written with LSM write
+//     amplification and sized as compressed Accumulo blocks;
+//   - its join order: the most bound patterns first (literal objects
+//     ahead of IRIs), then ascending predicate size, kept connected;
+//   - its pricing: index nested-loop joins run client-side, one range
+//     scan per binding, each scan's seeks and bytes charged with the
+//     BatchScanner's parallelism dividing seek latency — the
+//     architecture that makes Rya the fastest system on highly
+//     selective queries and orders of magnitude the slowest when
+//     intermediate results grow (paper §4.4).
 package rya
 
 import (
 	"bytes"
 	"compress/flate"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/cluster"
-	"repro/internal/hdfs"
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/kv"
 	"repro/internal/rdf"
+	"repro/internal/sizeenc"
 	"repro/internal/sparql"
 	"repro/internal/stats"
 )
@@ -28,54 +39,31 @@ import (
 // sep separates key segments; it sorts below all printable characters.
 const sep = "\x1f"
 
-// Options configures a Rya store.
-type Options struct {
-	// Cluster is the simulated cluster (tablet servers run on its
-	// workers). Required.
-	Cluster *cluster.Cluster
-	// FS records the store's size under /rya (created when nil).
-	FS *hdfs.FS
-	// PathPrefix is the HDFS directory (default "/rya").
-	PathPrefix string
-	// Dict optionally shares a dictionary with other systems.
-	Dict *rdf.Dictionary
-	// BatchParallelism models the Accumulo BatchScanner's concurrent
-	// range lookups (default 8): total seek latency is divided by it.
-	BatchParallelism int
-}
+// pathPrefix is the HDFS directory Rya records its size under.
+const pathPrefix = "/rya"
+
+// batchParallelism models the Accumulo BatchScanner's concurrent range
+// lookups: total seek latency is divided by it.
+const batchParallelism = 8
+
+// Result is a query answer.
+type Result = baselines.Result
 
 // Store is a loaded Rya database.
 type Store struct {
 	cluster *cluster.Cluster
 	dict    *rdf.Dictionary
 	stats   *stats.Collection
-	batch   int
 
 	spo *kv.Store
 	pos *kv.Store
 	osp *kv.Store
 
-	load LoadReport
-}
-
-// LoadReport summarizes loading (Table 1 inputs).
-type LoadReport struct {
-	Triples   int64
-	SizeBytes int64
-	LoadTime  time.Duration
-}
-
-// Result is a query answer.
-type Result struct {
-	Vars     []string
-	Rows     [][]rdf.Term
-	SimTime  time.Duration
-	WallTime time.Duration
-	Clock    *cluster.Clock
+	load baselines.LoadReport
 }
 
 // LoadReport returns the loading summary.
-func (s *Store) LoadReport() LoadReport { return s.load }
+func (s *Store) LoadReport() baselines.LoadReport { return s.load }
 
 // Dictionary returns the store's term dictionary.
 func (s *Store) Dictionary() *rdf.Dictionary { return s.dict }
@@ -84,79 +72,50 @@ func (s *Store) Dictionary() *rdf.Dictionary { return s.dict }
 // IRIs, literals and blanks in disjoint namespaces.
 func keyOf(t rdf.Term) string { return t.String() }
 
-// Load builds the three permutation indexes through batch writers.
-func Load(g *rdf.Graph, opts Options) (*Store, error) {
-	if opts.Cluster == nil {
-		return nil, fmt.Errorf("rya: Options.Cluster is required")
+// Load builds the three permutation indexes through batch writers from
+// the data a PRoST store ingested.
+func Load(st *core.Store) (*Store, error) {
+	if st == nil {
+		return nil, fmt.Errorf("rya: Load needs the loaded PRoST store to read the data from")
 	}
-	if opts.FS == nil {
-		fs, err := hdfs.New(hdfs.Config{DataNodes: opts.Cluster.Workers() + 1})
-		if err != nil {
-			return nil, err
-		}
-		opts.FS = fs
-	}
-	if opts.PathPrefix == "" {
-		opts.PathPrefix = "/rya"
-	}
-	if opts.Dict == nil {
-		opts.Dict = rdf.NewDictionary()
-	}
-	if opts.BatchParallelism <= 0 {
-		opts.BatchParallelism = 8
-	}
+	c := st.Cluster()
 	clock := cluster.NewClock()
-	clock.Charge("bulk load job submit", opts.Cluster.Config().Cost.RDDSubmit)
+	clock.Charge("bulk load job submit", c.Config().Cost.RDDSubmit)
 	s := &Store{
-		cluster: opts.Cluster,
-		dict:    opts.Dict,
-		batch:   opts.BatchParallelism,
+		cluster: c,
+		dict:    st.Dictionary(),
+		stats:   st.Stats(),
 		spo:     kv.NewStore(0),
 		pos:     kv.NewStore(0),
 		osp:     kv.NewStore(0),
 	}
-
-	// Parse input (client-side MapReduce bulk load in the original).
-	var inputBytes int64
-	seen := make(map[rdf.EncodedTriple]struct{}, g.Len())
-	triples := make([]rdf.EncodedTriple, 0, g.Len())
+	triples := st.Triples()
 	var rawKeyBytes int64
-	for _, t := range g.Triples() {
-		inputBytes += int64(len(t.S.Value) + len(t.P.Value) + len(t.O.Value) + 12)
-		et := opts.Dict.EncodeTriple(t)
-		if _, dup := seen[et]; dup {
-			continue
-		}
-		seen[et] = struct{}{}
-		triples = append(triples, et)
-
-		sk, pk, ok := keyOf(t.S), keyOf(t.P), keyOf(t.O)
-		s.spo.Put([]byte(sk+sep+pk+sep+ok), nil)
-		s.pos.Put([]byte(pk+sep+ok+sep+sk), nil)
-		s.osp.Put([]byte(ok+sep+sk+sep+pk), nil)
-		rawKeyBytes += int64(3 * (len(sk) + len(pk) + len(ok) + 6))
+	for _, t := range triples {
+		sk, pk, obk := keyOf(s.dict.Term(t.S)), keyOf(s.dict.Term(t.P)), keyOf(s.dict.Term(t.O))
+		s.spo.Put([]byte(sk+sep+pk+sep+obk), nil)
+		s.pos.Put([]byte(pk+sep+obk+sep+sk), nil)
+		s.osp.Put([]byte(obk+sep+sk+sep+pk), nil)
+		rawKeyBytes += int64(3 * (len(sk) + len(pk) + len(obk) + 6))
 	}
 	s.spo.Flush()
 	s.pos.Flush()
 	s.osp.Flush()
-	s.stats = stats.Collect(triples)
 
-	// Charge: input scan, then batch-writing three indexes with LSM
-	// write amplification (minor + major compaction rewrite the data).
-	parts := opts.Cluster.DefaultPartitions()
-	err := opts.Cluster.RunStage(clock, 0, "read input", parts, func(p int) (cluster.TaskStats, error) {
-		return cluster.TaskStats{DiskBytes: inputBytes / int64(parts), Rows: int64(g.Len()) / int64(parts)}, nil
-	})
-	if err != nil {
+	// Charge: input scan (a client-side MapReduce bulk load in the
+	// original), then batch-writing three indexes with LSM write
+	// amplification (minor + major compaction rewrite the data).
+	if err := st.ChargeInputScan(clock, 0); err != nil {
 		return nil, err
 	}
 	const writeAmplification = 3 // memtable flush + compactions
 	writeBytes := rawKeyBytes * writeAmplification
-	err = opts.Cluster.RunStage(clock, 0, "batch write 3 indexes", parts, func(p int) (cluster.TaskStats, error) {
+	parts := int64(st.Partitions())
+	err := c.RunStage(clock, 0, "batch write 3 indexes", st.Partitions(), func(p int) (cluster.TaskStats, error) {
 		return cluster.TaskStats{
-			DiskBytes: writeBytes / int64(parts),
-			NetBytes:  rawKeyBytes / int64(parts), // client → tablet servers
-			Rows:      3 * int64(len(triples)) / int64(parts),
+			DiskBytes: writeBytes / parts,
+			NetBytes:  rawKeyBytes / parts, // client → tablet servers
+			Rows:      3 * int64(len(triples)) / parts,
 		}, nil
 	})
 	if err != nil {
@@ -166,14 +125,14 @@ func Load(g *rdf.Graph, opts Options) (*Store, error) {
 	// On-disk size: Accumulo compresses blocks (gzip); deflate over the
 	// real sorted keys of each index.
 	var size int64
-	for _, st := range []*kv.Store{s.spo, s.pos, s.osp} {
-		size += compressedIndexBytes(st)
+	for _, idx := range []*kv.Store{s.spo, s.pos, s.osp} {
+		size += compressedIndexBytes(idx)
 	}
-	if _, err := opts.FS.Write(opts.PathPrefix+"/tables", size); err != nil {
+	if _, err := st.FS().Write(pathPrefix+"/tables", size); err != nil {
 		return nil, err
 	}
 
-	s.load = LoadReport{
+	s.load = baselines.LoadReport{
 		Triples:   int64(len(triples)),
 		SizeBytes: size,
 		LoadTime:  clock.Elapsed(),
@@ -192,7 +151,7 @@ func compressedIndexBytes(st *kv.Store) int64 {
 	if err != nil {
 		return st.SizeBytes()
 	}
-	cw := &countingWriter{}
+	cw := &sizeenc.CountingWriter{}
 	fw, ferr := flate.NewWriter(cw, flate.BestSpeed)
 	if ferr != nil {
 		panic(fmt.Sprintf("rya: flate writer: %v", ferr))
@@ -210,14 +169,7 @@ func compressedIndexBytes(st *kv.Store) int64 {
 		fw.Write([]byte{'\n'})
 	}
 	fw.Close()
-	return cw.n
-}
-
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
+	return cw.N
 }
 
 // binding is one partial solution: variable name → term key segment.
@@ -234,7 +186,8 @@ func (s *Store) Query(q *sparql.Query) (*Result, error) {
 	start := time.Now()
 	clock := cluster.NewClock()
 
-	patterns := s.orderPatterns(q.Patterns)
+	// Greedy and connected, so bindings propagate.
+	patterns := baselines.ConnectedOrder(q.Patterns, s.selectivity)
 	bindings := []binding{{}}
 	for i, tp := range patterns {
 		var agg kv.ScanStats
@@ -252,7 +205,7 @@ func (s *Store) Query(q *sparql.Query) (*Result, error) {
 		// One "stage": client-side batched lookups. Seek latency is
 		// divided by the batch parallelism; counts stay truthful.
 		cost := s.cluster.Config().Cost
-		elapsed := time.Duration(float64(agg.Seeks)*float64(cost.SeekTime)/float64(s.batch)) +
+		elapsed := time.Duration(float64(agg.Seeks)*float64(cost.SeekTime)/batchParallelism) +
 			time.Duration(float64(agg.BytesRead)/cost.KVScanBytesPerSec*float64(time.Second)) +
 			time.Duration(int64(len(next)))*cost.RowTime
 		clock.Charge(fmt.Sprintf("pattern %d: %d lookups", i+1, agg.Seeks), elapsed)
@@ -312,67 +265,28 @@ func (s *Store) Query(q *sparql.Query) (*Result, error) {
 	}, nil
 }
 
-// orderPatterns sorts by estimated selectivity: more bound positions
-// first, literals ahead of IRIs, then ascending predicate cardinality —
-// greedily keeping patterns connected so bindings propagate.
-func (s *Store) orderPatterns(pats []sparql.TriplePattern) []sparql.TriplePattern {
-	selectivity := func(tp sparql.TriplePattern) float64 {
-		score := 0.0
-		if !tp.S.IsVar() {
-			score -= 1e9
-		}
-		if !tp.O.IsVar() {
-			score -= 1e9
-			if tp.O.Term.IsLiteral() {
-				score -= 1e8
-			}
-		}
-		if !tp.P.IsVar() {
-			if pid, ok := s.dict.Lookup(tp.P.Term); ok {
-				score += float64(s.stats.Predicate(pid).Triples)
-			}
-		} else {
-			score += float64(s.stats.TotalTriples)
-		}
-		return score
+// selectivity is Rya's ordering score, lowest first: more bound
+// positions first, literal objects ahead of IRIs, then ascending
+// predicate cardinality.
+func (s *Store) selectivity(tp sparql.TriplePattern) float64 {
+	score := 0.0
+	if !tp.S.IsVar() {
+		score -= 1e9
 	}
-	pending := make([]sparql.TriplePattern, len(pats))
-	copy(pending, pats)
-	sort.SliceStable(pending, func(i, j int) bool { return selectivity(pending[i]) < selectivity(pending[j]) })
-
-	var order []sparql.TriplePattern
-	bound := map[string]bool{}
-	take := func(i int) {
-		tp := pending[i]
-		order = append(order, tp)
-		for _, v := range tp.Vars() {
-			bound[v] = true
+	if !tp.O.IsVar() {
+		score -= 1e9
+		if tp.O.Term.IsLiteral() {
+			score -= 1e8
 		}
-		pending = append(pending[:i], pending[i+1:]...)
 	}
-	if len(pending) == 0 {
-		return nil
-	}
-	take(0)
-	for len(pending) > 0 {
-		picked := -1
-		for i, tp := range pending {
-			for _, v := range tp.Vars() {
-				if bound[v] {
-					picked = i
-					break
-				}
-			}
-			if picked >= 0 {
-				break
-			}
+	if !tp.P.IsVar() {
+		if pid, ok := s.dict.Lookup(tp.P.Term); ok {
+			score += float64(s.stats.Predicate(pid).Triples)
 		}
-		if picked < 0 {
-			picked = 0
-		}
-		take(picked)
+	} else {
+		score += float64(s.stats.TotalTriples)
 	}
-	return order
+	return score
 }
 
 // resolved returns the key segment for a pattern position under a
@@ -500,15 +414,23 @@ func varName(pt sparql.PatternTerm) string {
 	return ""
 }
 
-// applyFilters keeps the bindings satisfying every FILTER.
+// applyFilters keeps the bindings satisfying every FILTER, comparing
+// each decoded term the way PRoST does.
 func (s *Store) applyFilters(q *sparql.Query, bindings []binding) ([]binding, error) {
 	if len(q.Filters) == 0 {
 		return bindings, nil
 	}
+	ops := make([]func(int) bool, len(q.Filters))
+	for i, f := range q.Filters {
+		var err error
+		if ops[i], err = engine.FilterOp(f.Op); err != nil {
+			return nil, err
+		}
+	}
 	var out []binding
 	for _, b := range bindings {
 		keep := true
-		for _, f := range q.Filters {
+		for i, f := range q.Filters {
 			seg, ok := b[f.Var]
 			if !ok {
 				keep = false
@@ -518,11 +440,7 @@ func (s *Store) applyFilters(q *sparql.Query, bindings []binding) ([]binding, er
 			if err != nil {
 				return nil, err
 			}
-			match, err := evalFilter(t, f)
-			if err != nil {
-				return nil, err
-			}
-			if !match {
+			if !ops[i](engine.CompareTerms(t, f.Value)) {
 				keep = false
 				break
 			}
@@ -534,78 +452,13 @@ func (s *Store) applyFilters(q *sparql.Query, bindings []binding) ([]binding, er
 	return out, nil
 }
 
-// evalFilter applies one comparison to a term.
-func evalFilter(t rdf.Term, f sparql.Filter) (bool, error) {
-	c := compareTerms(t, f.Value)
-	switch f.Op {
-	case sparql.OpEQ:
-		return c == 0, nil
-	case sparql.OpNE:
-		return c != 0, nil
-	case sparql.OpLT:
-		return c < 0, nil
-	case sparql.OpLE:
-		return c <= 0, nil
-	case sparql.OpGT:
-		return c > 0, nil
-	case sparql.OpGE:
-		return c >= 0, nil
-	default:
-		return false, fmt.Errorf("rya: unsupported filter operator %v", f.Op)
-	}
-}
-
-// compareTerms compares numerically when both are integer literals.
-func compareTerms(a, b rdf.Term) int {
-	if a.IsLiteral() && b.IsLiteral() && a.Datatype == rdf.XSDInteger && b.Datatype == rdf.XSDInteger {
-		av, aok := parseInt(a.Value)
-		bv, bok := parseInt(b.Value)
-		if aok && bok {
-			switch {
-			case av < bv:
-				return -1
-			case av > bv:
-				return 1
-			default:
-				return 0
-			}
-		}
-	}
-	return a.Compare(b)
-}
-
-func parseInt(s string) (int64, bool) {
-	var n int64
-	neg := false
-	if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
-		neg = s[0] == '-'
-		s = s[1:]
-	}
-	if s == "" {
-		return 0, false
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(s[i]-'0')
-	}
-	if neg {
-		n = -n
-	}
-	return n, true
-}
-
 // parseKeySegment decodes a Term.String() segment back into a term.
 func parseKeySegment(seg string) (rdf.Term, error) {
-	doc := "<http://x> <http://y> " + seg + " ."
-	g, err := rdf.ParseNTriples(doc)
-	if err != nil || g.Len() != 1 {
-		// Subject-position segments can be IRIs/blanks only; object
-		// position accepts everything, so parse there.
+	t, err := rdf.ParseTerm(seg)
+	if err != nil {
 		return rdf.Term{}, fmt.Errorf("rya: cannot decode key segment %q: %v", seg, err)
 	}
-	return g.Triples()[0].O, nil
+	return t, nil
 }
 
 // dedupeRows removes duplicate rows preserving order.

@@ -3,12 +3,12 @@ package s2rdf
 import (
 	"fmt"
 	"sort"
-	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/stats"
 )
 
 // Query evaluates a SPARQL query: each triple pattern is answered from
@@ -19,102 +19,30 @@ func (s *Store) Query(q *sparql.Query) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	clock := cluster.NewClock()
-	e := engine.NewExec(s.cluster, clock) // warm Spark SQL session
-	e.BroadcastThreshold = s.bcast
-
 	choices, err := s.choosePatternTables(q.Patterns)
 	if err != nil {
 		return nil, err
 	}
-	order := s.orderChoices(choices)
-
-	var current *engine.Relation
-	for _, ch := range order {
-		rel, err := s.scanChoice(e, ch)
-		if err != nil {
-			return nil, err
-		}
-		rel, err = applyFilters(s.dict, e, rel, q.Filters)
-		if err != nil {
-			return nil, err
-		}
-		if current == nil {
-			current = rel
-			continue
-		}
-		current, err = e.Join(current, rel, ch.label)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if current == nil {
-		return nil, fmt.Errorf("s2rdf: query has no patterns")
-	}
-	proj := q.Projection()
-	current, err = e.Project(current, proj)
-	if err != nil {
-		return nil, err
-	}
-	if q.Distinct {
-		if current, err = e.Distinct(current); err != nil {
-			return nil, err
-		}
-	}
-	rows, err := e.Limit(current, q.Limit, q.Offset)
-	if err != nil {
-		return nil, err
-	}
-	decoded := make([][]rdf.Term, len(rows))
-	for i, r := range rows {
-		terms := make([]rdf.Term, len(r))
-		for j, id := range r {
-			terms[j] = s.dict.Term(id)
-		}
-		decoded[i] = terms
-	}
-	return &Result{
-		Vars:     proj,
-		Rows:     decoded,
-		SimTime:  clock.Elapsed(),
-		WallTime: time.Since(start),
-		Clock:    clock,
-	}, nil
-}
-
-// patternChoice is one pattern plus the table chosen to answer it.
-type patternChoice struct {
-	tp    sparql.TriplePattern
-	tbl   *table
-	label string
-	rows  int
-	empty bool // predicate or constant absent: empty result
+	e := engine.NewExec(s.cluster, cluster.NewClock()) // warm Spark SQL session
+	e.BroadcastThreshold = s.bcast
+	return baselines.Evaluate(e, s.dict, q, "scan ", s.orderChoices(choices))
 }
 
 // choosePatternTables picks, for every pattern, the smallest table among
 // the plain VP table and the ExtVP reductions induced by the query's
 // variable correlations with other patterns (S2RDF's table selection).
-func (s *Store) choosePatternTables(pats []sparql.TriplePattern) ([]patternChoice, error) {
-	choices := make([]patternChoice, len(pats))
+func (s *Store) choosePatternTables(pats []sparql.TriplePattern) ([]baselines.Access, error) {
+	choices := make([]baselines.Access, len(pats))
 	for i, tp := range pats {
-		ch := patternChoice{tp: tp, label: "VP"}
 		if tp.P.IsVar() {
 			return nil, fmt.Errorf("s2rdf: variable predicates are not supported (pattern %s)", tp)
 		}
+		choices[i] = baselines.Access{Pattern: tp, Label: "VP"}
 		pid, ok := s.dict.Lookup(tp.P.Term)
-		if !ok {
-			ch.empty = true
-			choices[i] = ch
+		if !ok || s.vp[pid] == nil {
 			continue
 		}
-		best, okVP := s.vp[pid]
-		if !okVP {
-			ch.empty = true
-			choices[i] = ch
-			continue
-		}
-		label := "VP"
+		best, label := s.vp[pid], "VP"
 		for j, other := range pats {
 			if i == j || other.P.IsVar() {
 				continue
@@ -124,42 +52,35 @@ func (s *Store) choosePatternTables(pats []sparql.TriplePattern) ([]patternChoic
 				continue
 			}
 			for _, corr := range correlations(tp, other) {
-				ext, ok := s.ext[extKey{p: pid, q: qid, kind: corr}]
-				if !ok {
-					continue
-				}
-				if ext.rel.NumRows() < best.rel.NumRows() {
-					best = ext
-					label = fmt.Sprintf("ExtVP_%s", corr)
+				if ext, ok := s.ext[extKey{p: pid, q: qid, kind: corr}]; ok && ext.Rows() < best.Rows() {
+					best, label = ext, fmt.Sprintf("ExtVP_%s", corr)
 				}
 			}
 		}
-		ch.tbl = best
-		ch.label = fmt.Sprintf("%s(%s)", label, patternLabel(tp))
-		ch.rows = best.rel.NumRows()
-		choices[i] = ch
+		choices[i].Table = best
+		choices[i].Label = fmt.Sprintf("%s(%s)", label, baselines.PatternLabel(tp))
 	}
 	return choices, nil
 }
 
 // correlations lists the ExtVP kinds that connect pattern a to pattern
 // b through shared variables (a's side first).
-func correlations(a, b sparql.TriplePattern) []CorrKind {
-	var out []CorrKind
+func correlations(a, b sparql.TriplePattern) []stats.JoinPos {
+	var out []stats.JoinPos
 	if a.S.IsVar() {
 		if b.S.IsVar() && a.S.Var == b.S.Var {
-			out = append(out, CorrSS)
+			out = append(out, stats.JoinSS)
 		}
 		if b.O.IsVar() && a.S.Var == b.O.Var {
-			out = append(out, CorrSO)
+			out = append(out, stats.JoinSO)
 		}
 	}
 	if a.O.IsVar() {
 		if b.S.IsVar() && a.O.Var == b.S.Var {
-			out = append(out, CorrOS)
+			out = append(out, stats.JoinOS)
 		}
 		if b.O.IsVar() && a.O.Var == b.O.Var {
-			out = append(out, CorrOO)
+			out = append(out, stats.JoinOO)
 		}
 	}
 	return out
@@ -168,51 +89,38 @@ func correlations(a, b sparql.TriplePattern) []CorrKind {
 // choiceEstimate returns a choice's estimated output rows after bound
 // positions and the per-variable distinct-value estimates, based on the
 // loader statistics — the inputs to S2RDF's cardinality-driven ordering.
-func (s *Store) choiceEstimate(ch patternChoice) (float64, map[string]float64) {
+func (s *Store) choiceEstimate(ch baselines.Access) (float64, map[string]float64) {
 	dist := map[string]float64{}
-	if ch.empty {
+	if ch.Table == nil {
 		return 0, dist
 	}
-	rows := float64(ch.rows)
+	rows := float64(ch.Table.Rows())
 	var subjD, objD float64 = 1, 1
-	if pid, ok := s.dict.Lookup(ch.tp.P.Term); ok {
+	if pid, ok := s.dict.Lookup(ch.Pattern.P.Term); ok {
 		ps := s.stats.Predicate(pid)
-		subjD = float64(ps.DistinctSubjects)
-		objD = float64(ps.DistinctObjects)
-		if subjD < 1 {
-			subjD = 1
-		}
-		if objD < 1 {
-			objD = 1
-		}
+		subjD = max(float64(ps.DistinctSubjects), 1)
+		objD = max(float64(ps.DistinctObjects), 1)
 	}
-	if !ch.tp.O.IsVar() {
+	if !ch.Pattern.O.IsVar() {
 		rows /= objD
 	}
-	if !ch.tp.S.IsVar() {
+	if !ch.Pattern.S.IsVar() {
 		rows /= subjD
 	}
-	if ch.tp.S.IsVar() {
-		dist[ch.tp.S.Var] = minF(subjD, rows)
+	if ch.Pattern.S.IsVar() {
+		dist[ch.Pattern.S.Var] = min(subjD, rows)
 	}
-	if ch.tp.O.IsVar() {
-		dist[ch.tp.O.Var] = minF(objD, rows)
+	if ch.Pattern.O.IsVar() {
+		dist[ch.Pattern.O.Var] = min(objD, rows)
 	}
 	return rows, dist
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // orderChoices starts from the smallest estimated pattern and greedily
 // appends the connected pattern minimizing the estimated join output
 // under the independence assumption |A⋈B| ≈ |A|·|B|/max(d_A(v),d_B(v)).
-func (s *Store) orderChoices(choices []patternChoice) []patternChoice {
-	pending := make([]patternChoice, len(choices))
+func (s *Store) orderChoices(choices []baselines.Access) []baselines.Access {
+	pending := make([]baselines.Access, len(choices))
 	copy(pending, choices)
 	sort.SliceStable(pending, func(i, j int) bool {
 		ei, _ := s.choiceEstimate(pending[i])
@@ -223,7 +131,7 @@ func (s *Store) orderChoices(choices []patternChoice) []patternChoice {
 		return nil
 	}
 
-	var order []patternChoice
+	var order []baselines.Access
 	curDist := map[string]float64{}
 	var curSize float64
 	take := func(i int, joined float64) {
@@ -247,13 +155,7 @@ func (s *Store) orderChoices(choices []patternChoice) []patternChoice {
 			denom := 0.0
 			for v, d := range dist {
 				if cd, ok := curDist[v]; ok {
-					shared := cd
-					if d > shared {
-						shared = d
-					}
-					if shared > denom {
-						denom = shared
-					}
+					denom = max(denom, cd, d)
 				}
 			}
 			if denom == 0 {
@@ -269,126 +171,7 @@ func (s *Store) orderChoices(choices []patternChoice) []patternChoice {
 			take(0, curSize*size)
 			continue
 		}
-		if bestEst < 1 {
-			bestEst = 1
-		}
-		take(best, bestEst)
+		take(best, max(bestEst, 1))
 	}
 	return order
-}
-
-// scanChoice reads the chosen table and shapes it to the pattern's
-// variables (bound-position filters, projection, renaming).
-func (s *Store) scanChoice(e *engine.Exec, ch patternChoice) (*engine.Relation, error) {
-	tp := ch.tp
-	outVars := tp.Vars()
-	empty := func() *engine.Relation {
-		return engine.NewRelation(engine.Schema(outVars), make([][]engine.Row, s.parts), "")
-	}
-	if ch.empty {
-		return empty(), nil
-	}
-	rel, err := e.Scan(ch.tbl.rel, "scan "+ch.label, ch.tbl.fileBytes)
-	if err != nil {
-		return nil, err
-	}
-	if !tp.S.IsVar() {
-		sid, ok := s.dict.Lookup(tp.S.Term)
-		if !ok {
-			return empty(), nil
-		}
-		if rel, err = e.Filter(rel, "s=const", func(r engine.Row) bool { return r[0] == sid }); err != nil {
-			return nil, err
-		}
-	}
-	if !tp.O.IsVar() {
-		oid, ok := s.dict.Lookup(tp.O.Term)
-		if !ok {
-			return empty(), nil
-		}
-		if rel, err = e.Filter(rel, "o=const", func(r engine.Row) bool { return r[1] == oid }); err != nil {
-			return nil, err
-		}
-	}
-	switch {
-	case tp.S.IsVar() && tp.O.IsVar() && tp.S.Var == tp.O.Var:
-		if rel, err = e.Filter(rel, "s=o", func(r engine.Row) bool { return r[0] == r[1] }); err != nil {
-			return nil, err
-		}
-		if rel, err = e.Project(rel, []string{"s"}); err != nil {
-			return nil, err
-		}
-		return e.Rename(rel, []string{tp.S.Var})
-	case tp.S.IsVar() && tp.O.IsVar():
-		return e.Rename(rel, []string{tp.S.Var, tp.O.Var})
-	case tp.S.IsVar():
-		if rel, err = e.Project(rel, []string{"s"}); err != nil {
-			return nil, err
-		}
-		return e.Rename(rel, []string{tp.S.Var})
-	case tp.O.IsVar():
-		if rel, err = e.Project(rel, []string{"o"}); err != nil {
-			return nil, err
-		}
-		return e.Rename(rel, []string{tp.O.Var})
-	default:
-		parts := make([][]engine.Row, 1)
-		if rel.NumRows() > 0 {
-			parts[0] = []engine.Row{{}}
-		}
-		return engine.NewRelation(engine.Schema{}, parts, ""), nil
-	}
-}
-
-// patternLabel renders a short pattern label for stage names.
-func patternLabel(tp sparql.TriplePattern) string {
-	v := tp.P.Term.Value
-	for i := len(v) - 1; i >= 0; i-- {
-		if v[i] == '/' || v[i] == '#' {
-			return v[i+1:]
-		}
-	}
-	return v
-}
-
-// applyFilters pushes applicable FILTER constraints onto the relation.
-func applyFilters(dict *rdf.Dictionary, e *engine.Exec, rel *engine.Relation, filters []sparql.Filter) (*engine.Relation, error) {
-	for _, f := range filters {
-		idx := rel.Schema().Index(f.Var)
-		if idx < 0 {
-			continue
-		}
-		op, err := compareFn(f.Op)
-		if err != nil {
-			return nil, err
-		}
-		i, value := idx, f.Value
-		rel, err = e.Filter(rel, "?"+f.Var, func(r engine.Row) bool {
-			return engine.CompareIDs(dict, r[i], op, value)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
-}
-
-// compareFn maps a comparison operator to a three-way predicate.
-func compareFn(op sparql.CompareOp) (func(int) bool, error) {
-	switch op {
-	case sparql.OpEQ:
-		return func(c int) bool { return c == 0 }, nil
-	case sparql.OpNE:
-		return func(c int) bool { return c != 0 }, nil
-	case sparql.OpLT:
-		return func(c int) bool { return c < 0 }, nil
-	case sparql.OpLE:
-		return func(c int) bool { return c <= 0 }, nil
-	case sparql.OpGT:
-		return func(c int) bool { return c > 0 }, nil
-	case sparql.OpGE:
-		return func(c int) bool { return c >= 0 }, nil
-	default:
-		return nil, fmt.Errorf("s2rdf: unsupported filter operator %v", op)
-	}
 }

@@ -1,77 +1,49 @@
 // Package s2rdf reimplements the S2RDF baseline (Schätzle et al., VLDB
 // 2016): Vertical Partitioning extended with ExtVP — precomputed
 // semi-join reductions between every correlated pair of VP tables.
-// Queries pick, per triple pattern, the smallest reduction consistent
-// with the query's joins, which shrinks join inputs dramatically; the
-// price is a loading phase that computes O(|P|²) semi-joins and stores
-// their results, reproducing the paper's Table 1 blow-up (6.2 GB,
-// 3h11m versus PRoST's 2.1 GB, 25m).
+//
+// S2RDF loads from PRoST's ingest and evaluates through the shared
+// baselines evaluator; what is its own is
+//
+//   - its layout: PRoST's VP tables written again under /s2rdf/vp, plus
+//     every strict reduction (selectivity below SF = 1.0, the base
+//     configuration) of every predicate pair at all four correlations,
+//     built by core's semi-join and file writer — the O(|P|²) loading
+//     phase behind the paper's Table 1 blow-up (6.2 GB, 3h11m versus
+//     PRoST's 2.1 GB, 25m);
+//   - its table pick (the smallest reduction consistent with the query's
+//     correlations) and join order (greedy on estimated join output);
+//   - its pricing: a Spark SQL stage per candidate reduction at load
+//     time, and queries in one warm Spark SQL session with broadcast
+//     joins.
 package s2rdf
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/cluster"
-	"repro/internal/columnar"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hdfs"
 	"repro/internal/rdf"
-	"repro/internal/sizeenc"
 	"repro/internal/stats"
 )
 
-// CorrKind is the position correlation of an ExtVP table: how table p's
-// rows were filtered against table q.
-type CorrKind uint8
+// SelectivityThreshold is S2RDF's SF parameter: a reduction whose
+// selectivity is at or above it is not materialized. The base
+// configuration (the one the paper's Table 1 measures) materializes
+// every strict reduction, i.e. SF = 1.0.
+const SelectivityThreshold = 1.0
 
-// The four ExtVP correlation kinds (S2RDF §4): p's subject or object
-// semi-joined against q's subject or object.
-const (
-	CorrSS CorrKind = iota // p.s ∈ subjects(q)
-	CorrSO                 // p.s ∈ objects(q)
-	CorrOS                 // p.o ∈ subjects(q)
-	CorrOO                 // p.o ∈ objects(q)
-)
-
-// String implements fmt.Stringer.
-func (c CorrKind) String() string {
-	switch c {
-	case CorrSS:
-		return "SS"
-	case CorrSO:
-		return "SO"
-	case CorrOS:
-		return "OS"
-	case CorrOO:
-		return "OO"
-	default:
-		return fmt.Sprintf("CorrKind(%d)", uint8(c))
-	}
-}
-
-// DefaultSelectivityThreshold is S2RDF's SF parameter: reductions whose
-// selectivity is at or above it are not materialized. S2RDF's base
-// configuration (the one the paper's Table 1 measures at 6.2 GB and
-// 3h11m) materializes every strict reduction, i.e. SF = 1.0; smaller
-// values such as 0.25 are its space-saving variant.
-const DefaultSelectivityThreshold = 1.0
+// pathPrefix is the HDFS directory S2RDF writes under.
+const pathPrefix = "/s2rdf"
 
 // Options configures an S2RDF store.
 type Options struct {
-	// Cluster is the simulated cluster. Required.
-	Cluster *cluster.Cluster
-	// FS is the simulated HDFS instance (created when nil).
-	FS *hdfs.FS
-	// PathPrefix is the HDFS directory (default "/s2rdf").
-	PathPrefix string
-	// Partitions is the table partition count (0 = cluster default).
-	Partitions int
-	// Dict optionally shares a dictionary with other systems.
-	Dict *rdf.Dictionary
-	// SelectivityThreshold overrides the SF parameter (0 = default).
-	SelectivityThreshold float64
 	// BroadcastThreshold overrides the engine's broadcast-join
 	// threshold (0 = Spark default). The benchmark harness shrinks it
 	// when extrapolating costs to a larger dataset, because a table's
@@ -79,16 +51,14 @@ type Options struct {
 	BroadcastThreshold int64
 }
 
-// extKey identifies one ExtVP table.
+// Result is a query answer.
+type Result = baselines.Result
+
+// extKey identifies one ExtVP table: p's rows semi-joined against q at
+// join position kind (p's side first).
 type extKey struct {
 	p, q rdf.ID
-	kind CorrKind
-}
-
-// table is a stored relation plus its on-HDFS size.
-type table struct {
-	rel       *engine.Relation
-	fileBytes int64
+	kind stats.JoinPos
 }
 
 // Store is a loaded S2RDF database.
@@ -97,35 +67,16 @@ type Store struct {
 	fs      *hdfs.FS
 	dict    *rdf.Dictionary
 	stats   *stats.Collection
-	parts   int
 	bcast   int64
 
-	vp  map[rdf.ID]*table
-	ext map[extKey]*table
+	vp  map[rdf.ID]*core.VPTable
+	ext map[extKey]*core.VPTable
 
-	load LoadReport
-}
-
-// LoadReport summarizes loading (Table 1 inputs).
-type LoadReport struct {
-	Triples   int64
-	SizeBytes int64
-	LoadTime  time.Duration
-	// ExtVPTables is the number of materialized reductions.
-	ExtVPTables int
-}
-
-// Result is a query answer.
-type Result struct {
-	Vars     []string
-	Rows     [][]rdf.Term
-	SimTime  time.Duration
-	WallTime time.Duration
-	Clock    *cluster.Clock
+	load baselines.LoadReport
 }
 
 // LoadReport returns the loading summary.
-func (s *Store) LoadReport() LoadReport { return s.load }
+func (s *Store) LoadReport() baselines.LoadReport { return s.load }
 
 // Dictionary returns the store's term dictionary.
 func (s *Store) Dictionary() *rdf.Dictionary { return s.dict }
@@ -133,185 +84,103 @@ func (s *Store) Dictionary() *rdf.Dictionary { return s.dict }
 // ExtVPTableCount returns the number of materialized ExtVP tables.
 func (s *Store) ExtVPTableCount() int { return len(s.ext) }
 
-// Load builds VP tables and the full ExtVP family.
-func Load(g *rdf.Graph, opts Options) (*Store, error) {
-	if opts.Cluster == nil {
-		return nil, fmt.Errorf("s2rdf: Options.Cluster is required")
+// Load builds S2RDF's VP tables and full ExtVP family from the data a
+// PRoST store ingested.
+func Load(st *core.Store, opts Options) (*Store, error) {
+	if st == nil {
+		return nil, fmt.Errorf("s2rdf: Load needs the loaded PRoST store to read the data from")
 	}
-	if opts.FS == nil {
-		fs, err := hdfs.New(hdfs.Config{DataNodes: opts.Cluster.Workers() + 1})
-		if err != nil {
-			return nil, err
-		}
-		opts.FS = fs
-	}
-	if opts.PathPrefix == "" {
-		opts.PathPrefix = "/s2rdf"
-	}
-	if opts.Dict == nil {
-		opts.Dict = rdf.NewDictionary()
-	}
-	if opts.SelectivityThreshold <= 0 {
-		opts.SelectivityThreshold = DefaultSelectivityThreshold
-	}
-	parts := opts.Partitions
-	if parts <= 0 {
-		parts = opts.Cluster.DefaultPartitions()
-	}
-	clock := cluster.NewClock()
-	clock.Charge("job submit", opts.Cluster.Config().Cost.RDDSubmit)
 	s := &Store{
-		cluster: opts.Cluster,
-		fs:      opts.FS,
-		dict:    opts.Dict,
-		parts:   parts,
+		cluster: st.Cluster(),
+		fs:      st.FS(),
+		dict:    st.Dictionary(),
+		stats:   st.Stats(),
 		bcast:   opts.BroadcastThreshold,
-		vp:      make(map[rdf.ID]*table),
-		ext:     make(map[extKey]*table),
+		vp:      make(map[rdf.ID]*core.VPTable),
+		ext:     make(map[extKey]*core.VPTable),
 	}
-
-	// Parse + encode + dedupe + stats.
-	var inputBytes int64
-	seen := make(map[rdf.EncodedTriple]struct{}, g.Len())
-	triples := make([]rdf.EncodedTriple, 0, g.Len())
-	for _, t := range g.Triples() {
-		inputBytes += int64(len(t.S.Value) + len(t.P.Value) + len(t.O.Value) + 12)
-		et := opts.Dict.EncodeTriple(t)
-		if _, dup := seen[et]; dup {
-			continue
-		}
-		seen[et] = struct{}{}
-		triples = append(triples, et)
-	}
-	s.stats = stats.Collect(triples)
-	err := s.cluster.RunStage(clock, s.cluster.Config().Cost.SQLStageLaunch, "read input", parts, func(p int) (cluster.TaskStats, error) {
-		return cluster.TaskStats{DiskBytes: inputBytes / int64(parts), Rows: int64(g.Len()) / int64(parts)}, nil
-	})
-	if err != nil {
+	cost := s.cluster.Config().Cost
+	clock := cluster.NewClock()
+	clock.Charge("job submit", cost.RDDSubmit)
+	if err := st.ChargeInputScan(clock, cost.SQLStageLaunch); err != nil {
 		return nil, err
 	}
 
-	// VP tables (Parquet-like, as in PRoST).
-	byPred := make(map[rdf.ID][]engine.Row)
-	for _, t := range triples {
-		byPred[t.P] = append(byPred[t.P], engine.Row{t.S, t.O})
-	}
-	preds := make([]rdf.ID, 0, len(byPred))
-	for p := range byPred {
-		preds = append(preds, p)
-	}
-	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
+	// VP tables: PRoST's, written as S2RDF's own Parquet files.
+	preds := slices.Sorted(maps.Keys(s.stats.ByPredicate))
+	replication := int64(s.fs.Config().Replication)
 	var vpRows, vpWrite int64
 	for _, pred := range preds {
-		rows := byPred[pred]
-		rel, err := engine.Partition(engine.Schema{"s", "o"}, rows, "s", parts)
+		t := st.VPTable(pred)
+		size, err := core.WriteVPFiles(s.fs, s.dict, fmt.Sprintf("%s/vp/p%d", pathPrefix, pred), t.Rel.Parts())
 		if err != nil {
 			return nil, err
 		}
-		size := s.writeTable(rel, fmt.Sprintf("%s/vp/p%d", opts.PathPrefix, pred))
-		s.vp[pred] = &table{rel: rel, fileBytes: size}
-		vpRows += int64(len(rows))
-		vpWrite += size * int64(s.fs.Config().Replication)
+		s.vp[pred] = t
+		vpRows += int64(t.Rows())
+		vpWrite += size * replication
 	}
-	err = s.cluster.RunStage(clock, s.cluster.Config().Cost.SQLStageLaunch, "build VP tables", parts, func(p int) (cluster.TaskStats, error) {
+	parts := int64(st.Partitions())
+	err := s.cluster.RunStage(clock, cost.SQLStageLaunch, "build VP tables", st.Partitions(), func(p int) (cluster.TaskStats, error) {
 		return cluster.TaskStats{
-			Rows:      vpRows / int64(parts),
-			NetBytes:  vpRows * 10 / int64(parts),
-			DiskBytes: vpWrite / int64(parts),
+			Rows:      vpRows / parts,
+			NetBytes:  vpRows * 10 / parts,
+			DiskBytes: vpWrite / parts,
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// ExtVP: four correlation families over every predicate pair. Each
-	// family needs per-predicate value sets; semi-joins are computed for
-	// real, and every candidate pair charges a Spark SQL stage, which is
-	// exactly why S2RDF's loading takes hours in the paper.
-	if err := s.buildExtVP(clock, preds, byPred, opts); err != nil {
+	if err := s.buildExtVP(clock, preds); err != nil {
 		return nil, err
 	}
-
-	s.load = LoadReport{
-		Triples:     int64(len(triples)),
-		SizeBytes:   s.fs.LogicalBytes(opts.PathPrefix + "/"),
+	s.load = baselines.LoadReport{
+		Triples:     st.LoadReport().Triples,
+		SizeBytes:   s.fs.LogicalBytes(pathPrefix + "/"),
 		LoadTime:    clock.Elapsed(),
 		ExtVPTables: len(s.ext),
 	}
 	return s, nil
 }
 
-// writeTable encodes a relation's partitions as columnar files with
-// local dictionaries and writes them to HDFS, returning the logical size.
-func (s *Store) writeTable(rel *engine.Relation, prefix string) int64 {
-	var total int64
-	for p := 0; p < rel.Partitions(); p++ {
-		part := rel.Part(p)
-		subj := make([]rdf.ID, len(part))
-		obj := make([]rdf.ID, len(part))
-		localTerms := make(map[rdf.ID]struct{}, 2*len(part))
-		for i, r := range part {
-			subj[i], obj[i] = r[0], r[1]
-			localTerms[r[0]] = struct{}{}
-			localTerms[r[1]] = struct{}{}
-		}
-		w := columnar.NewWriter(0)
-		w.AddScalar("s", subj)
-		w.AddScalar("o", obj)
-		f, err := w.Finish()
-		if err != nil {
-			panic(fmt.Sprintf("s2rdf: encoding table: %v", err)) // schema is fixed; cannot fail
-		}
-		size := f.SizeBytes() + sizeenc.CompressedTermBytes(s.dict, localTerms)
-		path := fmt.Sprintf("%s/part-%05d.parquet", prefix, p)
-		if _, err := s.fs.Write(path, size); err != nil {
-			panic(fmt.Sprintf("s2rdf: hdfs write: %v", err)) // paths are well-formed by construction
-		}
-		total += size
-	}
-	return total
-}
-
-// buildExtVP materializes the reductions below the selectivity
-// threshold.
-func (s *Store) buildExtVP(clock *cluster.Clock, preds []rdf.ID, byPred map[rdf.ID][]engine.Row, opts Options) error {
+// buildExtVP materializes, for every ordered predicate pair and all four
+// correlations, the reductions below the selectivity threshold. The
+// semi-joins are computed for real, and every candidate pair charges a
+// Spark SQL stage, which is exactly why S2RDF's loading takes hours in
+// the paper.
+func (s *Store) buildExtVP(clock *cluster.Clock, preds []rdf.ID) error {
 	// Per-predicate subject and object sets, shared by all pairs.
-	subjSet := make(map[rdf.ID]map[rdf.ID]struct{}, len(preds))
-	objSet := make(map[rdf.ID]map[rdf.ID]struct{}, len(preds))
+	keys := make(map[rdf.ID][2]map[rdf.ID]struct{}, len(preds))
 	for _, p := range preds {
-		ss := make(map[rdf.ID]struct{})
-		os := make(map[rdf.ID]struct{})
-		for _, r := range byPred[p] {
-			ss[r[0]] = struct{}{}
-			os[r[1]] = struct{}{}
-		}
-		subjSet[p], objSet[p] = ss, os
+		keys[p] = [2]map[rdf.ID]struct{}{s.vp[p].Keys(0), s.vp[p].Keys(1)}
 	}
-
-	var stages, extRows, extWrite int64
-	var processed int64
+	replication := int64(s.fs.Config().Replication)
+	var stages, processed, extWrite int64
 	for _, p := range preds {
-		rowsP := byPred[p]
+		base := s.vp[p]
 		for _, q := range preds {
 			if p == q {
 				continue
 			}
-			for _, kind := range []CorrKind{CorrSS, CorrSO, CorrOS, CorrOO} {
+			for kind := stats.JoinSS; kind <= stats.JoinOO; kind++ {
 				stages++
-				processed += int64(len(rowsP))
-				kept := semiJoin(rowsP, kind, subjSet[q], objSet[q])
-				sel := float64(len(kept)) / float64(len(rowsP))
-				if len(kept) == 0 || sel >= opts.SelectivityThreshold {
+				processed += int64(base.Rows())
+				pCol, qCol := kind.Cols()
+				kept := base.SemiJoin(pCol, keys[q][qCol])
+				if len(kept) == 0 || float64(len(kept))/float64(base.Rows()) >= SelectivityThreshold {
 					continue
 				}
-				rel, err := engine.Partition(engine.Schema{"s", "o"}, kept, "s", s.parts)
+				rel, err := engine.Partition(engine.Schema{"s", "o"}, kept, "s", base.Rel.Partitions())
 				if err != nil {
 					return err
 				}
-				size := s.writeTable(rel, fmt.Sprintf("%s/extvp/%s/p%d_q%d", opts.PathPrefix, kind, p, q))
-				s.ext[extKey{p: p, q: q, kind: kind}] = &table{rel: rel, fileBytes: size}
-				extRows += int64(len(kept))
-				extWrite += size * int64(s.fs.Config().Replication)
+				size, err := core.WriteVPFiles(s.fs, s.dict, fmt.Sprintf("%s/extvp/%s/p%d_q%d", pathPrefix, kind, p, q), rel.Parts())
+				if err != nil {
+					return err
+				}
+				s.ext[extKey{p: p, q: q, kind: kind}] = &core.VPTable{Pred: p, Rel: rel, FileBytes: size}
+				extWrite += size * replication
 			}
 		}
 	}
@@ -319,37 +188,11 @@ func (s *Store) buildExtVP(clock *cluster.Clock, preds []rdf.ID, byPred map[rdf.
 	// Charge the precomputation: every candidate pair is one Spark SQL
 	// semi-join job over VP_p, plus the writes of materialized tables.
 	// Stage launches dominate (thousands of jobs), matching the paper.
-	launch := s.cluster.Config().Cost.SQLStageLaunch
-	rowTime := s.cluster.Config().Cost.RowTime
-	diskRate := s.cluster.Config().Cost.DiskBytesPerSec
-	elapsed := time.Duration(stages)*launch +
-		time.Duration(processed/int64(s.cluster.Workers()))*rowTime +
-		time.Duration(float64(extWrite)/float64(s.cluster.Workers())/diskRate*float64(time.Second))
+	cost := s.cluster.Config().Cost
+	workers := int64(s.cluster.Workers())
+	elapsed := time.Duration(stages)*cost.SQLStageLaunch +
+		time.Duration(processed/workers)*cost.RowTime +
+		time.Duration(float64(extWrite)/float64(workers)/cost.DiskBytesPerSec*float64(time.Second))
 	clock.Charge(fmt.Sprintf("ExtVP precomputation: %d semi-joins, %d tables", stages, len(s.ext)), elapsed)
-	_ = extRows
 	return nil
-}
-
-// semiJoin filters p's rows by membership of the correlated position in
-// q's value set.
-func semiJoin(rowsP []engine.Row, kind CorrKind, subjQ, objQ map[rdf.ID]struct{}) []engine.Row {
-	var pos int
-	var set map[rdf.ID]struct{}
-	switch kind {
-	case CorrSS:
-		pos, set = 0, subjQ
-	case CorrSO:
-		pos, set = 0, objQ
-	case CorrOS:
-		pos, set = 1, subjQ
-	case CorrOO:
-		pos, set = 1, objQ
-	}
-	var kept []engine.Row
-	for _, r := range rowsP {
-		if _, ok := set[r[pos]]; ok {
-			kept = append(kept, r)
-		}
-	}
-	return kept
 }

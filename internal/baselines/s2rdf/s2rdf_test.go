@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/stats"
 )
 
 const ns = "http://example.org/"
@@ -31,7 +33,11 @@ func fixtureGraph() *rdf.Graph {
 func fixtureStore(t *testing.T) *Store {
 	t.Helper()
 	c := cluster.MustNew(cluster.Config{Workers: 3, DefaultPartitions: 4})
-	s, err := Load(fixtureGraph(), Options{Cluster: c})
+	st, err := core.Load(fixtureGraph(), core.Options{Cluster: c})
+	if err != nil {
+		t.Fatalf("core.Load: %v", err)
+	}
+	s, err := Load(st, Options{})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -80,16 +86,16 @@ func TestLoadMaterializesExtVP(t *testing.T) {
 	// subject likes something: u1 → 1 of 10 rows (selectivity 0.1).
 	follows, _ := s.dict.Lookup(rdf.NewIRI(ns + "follows"))
 	likes, _ := s.dict.Lookup(rdf.NewIRI(ns + "likes"))
-	ext, ok := s.ext[extKey{p: follows, q: likes, kind: CorrSS}]
+	ext, ok := s.ext[extKey{p: follows, q: likes, kind: stats.JoinSS}]
 	if !ok {
 		t.Fatalf("ExtVP SS(follows|likes) not materialized")
 	}
-	if ext.rel.NumRows() != 1 {
-		t.Errorf("ExtVP SS(follows|likes) rows = %d, want 1", ext.rel.NumRows())
+	if ext.Rows() != 1 {
+		t.Errorf("ExtVP SS(follows|likes) rows = %d, want 1", ext.Rows())
 	}
 	// The reverse reduction likes⋉follows keeps all likes rows
 	// (selectivity 1.0 > threshold): must NOT be materialized.
-	if _, ok := s.ext[extKey{p: likes, q: follows, kind: CorrSS}]; ok {
+	if _, ok := s.ext[extKey{p: likes, q: follows, kind: stats.JoinSS}]; ok {
 		t.Errorf("ExtVP SS(likes|follows) materialized despite selectivity 1.0")
 	}
 }
@@ -121,11 +127,11 @@ func TestQueryUsesSmallestTable(t *testing.T) {
 	// Pattern 0 (follows) must pick the OS reduction (follows.o ∈
 	// likes.s keeps rows pointing at likers) or the SS — whichever is
 	// smaller — not the full VP of 10 rows.
-	if choices[0].rows >= 10 {
-		t.Errorf("pattern 0 chose table with %d rows (%s); expected an ExtVP reduction", choices[0].rows, choices[0].label)
+	if choices[0].Table.Rows() >= 10 {
+		t.Errorf("pattern 0 chose table with %d rows (%s); expected an ExtVP reduction", choices[0].Table.Rows(), choices[0].Label)
 	}
-	if !strings.Contains(choices[0].label, "ExtVP") {
-		t.Errorf("pattern 0 label = %q, want an ExtVP table", choices[0].label)
+	if !strings.Contains(choices[0].Label, "ExtVP") {
+		t.Errorf("pattern 0 label = %q, want an ExtVP table", choices[0].Label)
 	}
 }
 
@@ -196,14 +202,14 @@ func TestCorrelations(t *testing.T) {
 	tests := []struct {
 		name  string
 		other sparql.TriplePattern
-		want  []CorrKind
+		want  []stats.JoinPos
 	}{
-		{"ss", sparql.TriplePattern{S: v("x"), P: b("p2"), O: v("z")}, []CorrKind{CorrSS}},
-		{"so", sparql.TriplePattern{S: v("z"), P: b("p2"), O: v("x")}, []CorrKind{CorrSO}},
-		{"os", sparql.TriplePattern{S: v("y"), P: b("p2"), O: v("z")}, []CorrKind{CorrOS}},
-		{"oo", sparql.TriplePattern{S: v("z"), P: b("p2"), O: v("y")}, []CorrKind{CorrOO}},
+		{"ss", sparql.TriplePattern{S: v("x"), P: b("p2"), O: v("z")}, []stats.JoinPos{stats.JoinSS}},
+		{"so", sparql.TriplePattern{S: v("z"), P: b("p2"), O: v("x")}, []stats.JoinPos{stats.JoinSO}},
+		{"os", sparql.TriplePattern{S: v("y"), P: b("p2"), O: v("z")}, []stats.JoinPos{stats.JoinOS}},
+		{"oo", sparql.TriplePattern{S: v("z"), P: b("p2"), O: v("y")}, []stats.JoinPos{stats.JoinOO}},
 		{"none", sparql.TriplePattern{S: v("q"), P: b("p2"), O: v("z")}, nil},
-		{"both", sparql.TriplePattern{S: v("x"), P: b("p2"), O: v("y")}, []CorrKind{CorrSS, CorrOO}},
+		{"both", sparql.TriplePattern{S: v("x"), P: b("p2"), O: v("y")}, []stats.JoinPos{stats.JoinSS, stats.JoinOO}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -221,7 +227,7 @@ func TestCorrelations(t *testing.T) {
 }
 
 func TestLoadRequiresCluster(t *testing.T) {
-	if _, err := Load(fixtureGraph(), Options{}); err == nil {
-		t.Errorf("Load without cluster succeeded")
+	if _, err := Load(nil, Options{}); err == nil {
+		t.Errorf("Load without a PRoST store succeeded")
 	}
 }

@@ -1,218 +1,137 @@
 // Package sparqlgx reimplements the SPARQLGX baseline (Graux et al.,
 // ISWC 2016): SPARQL evaluation over plain Vertical Partitioning files,
-// compiled directly to Spark RDD operations. Three architectural traits
-// drive its performance profile in the paper and are reproduced here:
+// compiled directly to Spark RDD operations.
 //
-//   - tables are stored as (compressed) text files that every query
-//     re-reads from HDFS — no columnar pruning, no caching;
-//   - queries compile to one RDD job per operator, each paying the full
-//     job-launch overhead (no Spark SQL session reuse);
-//   - no Catalyst: joins are always hash shuffles, never broadcasts,
-//     and text partitioning gives no subject co-location.
+// SPARQLGX loads from PRoST's ingest and evaluates through the shared
+// baselines evaluator; what is its own is
 //
-// SPARQLGX does use its own cardinality statistics to order joins, which
-// is also reproduced.
+//   - its layout: one deflated tab-separated text file per predicate,
+//     which every query re-reads in full (no columnar pruning, no
+//     caching), and which is block-partitioned, so no subject
+//     co-location: joins always shuffle;
+//   - its join order: the patterns sorted by its own cardinality
+//     statistics (constants first, then ascending predicate size),
+//     kept connected;
+//   - its pricing: every query is a fresh spark-submit with a job
+//     launch per shuffle stage, and without Catalyst there are no
+//     broadcast joins.
 package sparqlgx
 
 import (
 	"compress/flate"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/hdfs"
 	"repro/internal/rdf"
+	"repro/internal/sizeenc"
 	"repro/internal/sparql"
 	"repro/internal/stats"
 )
 
-// Options configures a SPARQLGX store.
-type Options struct {
-	// Cluster is the simulated cluster. Required.
-	Cluster *cluster.Cluster
-	// FS is the simulated HDFS instance (created when nil).
-	FS *hdfs.FS
-	// PathPrefix is the HDFS directory (default "/sparqlgx").
-	PathPrefix string
-	// Partitions is the table partition count (0 = cluster default).
-	Partitions int
-	// Dict optionally shares a dictionary with other systems (the
-	// benchmark harness loads all four systems from one graph).
-	Dict *rdf.Dictionary
-}
+// pathPrefix is the HDFS directory SPARQLGX writes under.
+const pathPrefix = "/sparqlgx"
+
+// Result is a query answer.
+type Result = baselines.Result
 
 // Store is a loaded SPARQLGX database.
 type Store struct {
 	cluster *cluster.Cluster
-	fs      *hdfs.FS
 	dict    *rdf.Dictionary
 	stats   *stats.Collection
-	parts   int
 
-	// vp maps predicate → rows; text partitioning gives no useful
-	// partition key, so joins always shuffle.
-	vp map[rdf.ID]*vpFile
+	// vp maps predicate → its text file: the rows without a partition
+	// key, and the file's on-HDFS size.
+	vp map[rdf.ID]*core.VPTable
 
-	load LoadReport
-}
-
-// vpFile is one predicate's text file: the rows plus its on-HDFS size.
-type vpFile struct {
-	rel       *engine.Relation
-	textBytes int64
-}
-
-// LoadReport summarizes loading (Table 1 inputs).
-type LoadReport struct {
-	Triples   int64
-	SizeBytes int64
-	LoadTime  time.Duration
-}
-
-// Result is a query answer.
-type Result struct {
-	Vars     []string
-	Rows     [][]rdf.Term
-	SimTime  time.Duration
-	WallTime time.Duration
-	Clock    *cluster.Clock
+	load baselines.LoadReport
 }
 
 // LoadReport returns the loading summary.
-func (s *Store) LoadReport() LoadReport { return s.load }
+func (s *Store) LoadReport() baselines.LoadReport { return s.load }
 
 // Dictionary returns the store's term dictionary.
 func (s *Store) Dictionary() *rdf.Dictionary { return s.dict }
 
-// Load builds the SPARQLGX store: parse, split by predicate, write one
-// compressed text file per predicate.
-func Load(g *rdf.Graph, opts Options) (*Store, error) {
-	if opts.Cluster == nil {
-		return nil, fmt.Errorf("sparqlgx: Options.Cluster is required")
+// Load builds the SPARQLGX store from the data a PRoST store ingested:
+// split by predicate, write one compressed text file per predicate.
+func Load(st *core.Store) (*Store, error) {
+	if st == nil {
+		return nil, fmt.Errorf("sparqlgx: Load needs the loaded PRoST store to read the data from")
 	}
-	if opts.FS == nil {
-		fs, err := hdfs.New(hdfs.Config{DataNodes: opts.Cluster.Workers() + 1})
-		if err != nil {
-			return nil, err
-		}
-		opts.FS = fs
-	}
-	if opts.PathPrefix == "" {
-		opts.PathPrefix = "/sparqlgx"
-	}
-	if opts.Dict == nil {
-		opts.Dict = rdf.NewDictionary()
-	}
-	parts := opts.Partitions
-	if parts <= 0 {
-		parts = opts.Cluster.DefaultPartitions()
-	}
-	clock := cluster.NewClock()
-	clock.Charge("job submit", opts.Cluster.Config().Cost.RDDSubmit)
 	s := &Store{
-		cluster: opts.Cluster,
-		fs:      opts.FS,
-		dict:    opts.Dict,
-		parts:   parts,
-		vp:      make(map[rdf.ID]*vpFile),
+		cluster: st.Cluster(),
+		dict:    st.Dictionary(),
+		stats:   st.Stats(),
+		vp:      make(map[rdf.ID]*core.VPTable),
 	}
+	cost := s.cluster.Config().Cost
+	clock := cluster.NewClock()
+	clock.Charge("job submit", cost.RDDSubmit)
 
-	// Read + parse input. Loading is one long-running bulk job (a
-	// single spark-submit), so it is priced like any other batch stage;
-	// the per-query RDD job overhead applies to queries, where SPARQLGX
-	// really does compile and submit a fresh program each time.
-	var inputBytes int64
-	for _, t := range g.Triples() {
-		inputBytes += int64(len(t.S.Value) + len(t.P.Value) + len(t.O.Value) + 12)
-	}
-	err := s.cluster.RunStage(clock, s.cluster.Config().Cost.SQLStageLaunch, "read input", parts, func(p int) (cluster.TaskStats, error) {
-		return cluster.TaskStats{DiskBytes: inputBytes / int64(parts), Rows: int64(g.Len()) / int64(parts)}, nil
-	})
-	if err != nil {
+	// Loading is one long-running bulk job (a single spark-submit), so
+	// its stages are priced like any other batch stage; the per-query
+	// RDD job overhead applies to queries, where SPARQLGX really does
+	// compile and submit a fresh program each time.
+	if err := st.ChargeInputScan(clock, cost.SQLStageLaunch); err != nil {
 		return nil, err
 	}
+	triples := st.Triples()
+	clock.Charge("statistics", time.Duration(len(triples))*cost.RowTime) // SPARQLGX ships a stats tool
 
-	// Encode, dedupe, gather stats (SPARQLGX ships a stats tool).
-	triples := make([]rdf.EncodedTriple, 0, g.Len())
-	seen := make(map[rdf.EncodedTriple]struct{}, g.Len())
-	for _, t := range g.Triples() {
-		et := s.dict.EncodeTriple(t)
-		if _, dup := seen[et]; dup {
-			continue
-		}
-		seen[et] = struct{}{}
-		triples = append(triples, et)
-	}
-	s.stats = stats.Collect(triples)
-	clock.Charge("statistics", time.Duration(len(triples))*s.cluster.Config().Cost.RowTime)
-
-	// Split by predicate and write compressed text files.
+	// Split by predicate, in input order, and write compressed text files.
 	byPred := make(map[rdf.ID][]engine.Row)
 	for _, t := range triples {
 		byPred[t.P] = append(byPred[t.P], engine.Row{t.S, t.O})
 	}
+	preds := slices.Sorted(maps.Keys(byPred))
+	fs := st.FS()
 	var totalWrite, shuffleBytes int64
-	preds := make([]rdf.ID, 0, len(byPred))
-	for p := range byPred {
-		preds = append(preds, p)
-	}
-	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
 	for _, pred := range preds {
 		rows := byPred[pred]
-		// Text layout is unordered RDD output: no partition key.
-		rel, err := engine.Partition(engine.Schema{"s", "o"}, rows, "s", parts)
-		if err != nil {
-			return nil, err
-		}
-		rel, err = engineStripKey(rel)
-		if err != nil {
-			return nil, err
-		}
 		size := s.textFileBytes(rows)
-		path := fmt.Sprintf("%s/vp/p%d.txt.deflate", opts.PathPrefix, pred)
-		if _, err := s.fs.Write(path, size); err != nil {
+		if _, err := fs.Write(fmt.Sprintf("%s/vp/p%d.txt.deflate", pathPrefix, pred), size); err != nil {
 			return nil, err
 		}
-		s.vp[pred] = &vpFile{rel: rel, textBytes: size}
+		// The rows are PRoST's VP table's, but a text file is block
+		// partitioned: no partition-key claim, so subject co-location
+		// never holds for SPARQLGX.
+		rel := st.VPTable(pred).Rel
+		s.vp[pred] = &core.VPTable{Pred: pred, Rel: engine.NewRelation(rel.Schema(), rel.Parts(), ""), FileBytes: size}
 		totalWrite += size
 		shuffleBytes += int64(len(rows)) * 2 * 5
 	}
-	writeBytes := totalWrite * int64(s.fs.Config().Replication)
-	err = s.cluster.RunStage(clock, s.cluster.Config().Cost.SQLStageLaunch, "write VP text files", parts, func(p int) (cluster.TaskStats, error) {
+	writeBytes := totalWrite * int64(fs.Config().Replication)
+	parts := int64(st.Partitions())
+	err := s.cluster.RunStage(clock, cost.SQLStageLaunch, "write VP text files", st.Partitions(), func(p int) (cluster.TaskStats, error) {
 		return cluster.TaskStats{
-			Rows:      int64(len(triples)) / int64(parts),
-			NetBytes:  shuffleBytes / int64(parts),
-			DiskBytes: writeBytes / int64(parts),
+			Rows:      int64(len(triples)) / parts,
+			NetBytes:  shuffleBytes / parts,
+			DiskBytes: writeBytes / parts,
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	s.load = LoadReport{
+	s.load = baselines.LoadReport{
 		Triples:   int64(len(triples)),
-		SizeBytes: s.fs.LogicalBytes(opts.PathPrefix + "/"),
+		SizeBytes: fs.LogicalBytes(pathPrefix + "/"),
 		LoadTime:  clock.Elapsed(),
 	}
 	return s, nil
 }
 
-// engineStripKey drops the partition-key claim: RDD text files are block
-// partitioned, so subject co-location never holds for SPARQLGX.
-func engineStripKey(rel *engine.Relation) (*engine.Relation, error) {
-	parts := make([][]engine.Row, rel.Partitions())
-	for i := 0; i < rel.Partitions(); i++ {
-		parts[i] = rel.Part(i)
-	}
-	return engine.NewRelation(rel.Schema(), parts, ""), nil
-}
-
 // textFileBytes sizes one predicate file: deflate over the real
 // tab-separated term text, modeling Spark's compressed saveAsTextFile.
 func (s *Store) textFileBytes(rows []engine.Row) int64 {
-	cw := &countingWriter{}
+	cw := &sizeenc.CountingWriter{}
 	fw, err := flate.NewWriter(cw, flate.BestSpeed)
 	if err != nil {
 		panic(fmt.Sprintf("sparqlgx: flate writer: %v", err))
@@ -223,267 +142,51 @@ func (s *Store) textFileBytes(rows []engine.Row) int64 {
 		fmt.Fprintf(fw, "%s\t%s\n", st.Value, ot.String())
 	}
 	fw.Close()
-	return cw.n
-}
-
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
+	return cw.N
 }
 
 // Query evaluates a SPARQL query by compiling the BGP to per-pattern VP
-// scans and RDD hash joins, ordered by SPARQLGX's own cardinality
-// statistics.
+// text-file scans and RDD hash joins, ordered by SPARQLGX's own
+// cardinality statistics.
 func (s *Store) Query(q *sparql.Query) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	clock := cluster.NewClock()
-	e := engine.NewRDDExec(s.cluster, clock) // spark-submit per query
-	e.BroadcastThreshold = -1                // no Catalyst, no broadcast joins
-
-	order := s.orderPatterns(q.Patterns)
-	var current *engine.Relation
-	for _, tp := range order {
-		rel, err := s.scanPattern(e, tp)
-		if err != nil {
-			return nil, err
+	order := baselines.ConnectedOrder(q.Patterns, s.estimate)
+	access := make([]baselines.Access, len(order))
+	for i, tp := range order {
+		if tp.P.IsVar() {
+			// SPARQLGX compiles one file read per concrete predicate; the
+			// WatDiv workload never uses variable predicates, so this
+			// reimplementation declines them rather than faking a plan.
+			return nil, fmt.Errorf("sparqlgx: variable predicates are not supported (pattern %s)", tp)
 		}
-		rel, err = applyFilters(s.dict, e, rel, q.Filters)
-		if err != nil {
-			return nil, err
-		}
-		if current == nil {
-			current = rel
-			continue
-		}
-		current, err = e.Join(current, rel, patternLabel(tp))
-		if err != nil {
-			return nil, err
+		access[i] = baselines.Access{Pattern: tp, Label: baselines.PatternLabel(tp)}
+		if pid, ok := s.dict.Lookup(tp.P.Term); ok {
+			access[i].Table = s.vp[pid]
 		}
 	}
-	if current == nil {
-		return nil, fmt.Errorf("sparqlgx: query has no patterns")
-	}
-	proj := q.Projection()
-	current, err := e.Project(current, proj)
-	if err != nil {
-		return nil, err
-	}
-	if q.Distinct {
-		if current, err = e.Distinct(current); err != nil {
-			return nil, err
-		}
-	}
-	rows, err := e.Limit(current, q.Limit, q.Offset)
-	if err != nil {
-		return nil, err
-	}
-	decoded := make([][]rdf.Term, len(rows))
-	for i, r := range rows {
-		terms := make([]rdf.Term, len(r))
-		for j, id := range r {
-			terms[j] = s.dict.Term(id)
-		}
-		decoded[i] = terms
-	}
-	return &Result{
-		Vars:     proj,
-		Rows:     decoded,
-		SimTime:  clock.Elapsed(),
-		WallTime: time.Since(start),
-		Clock:    clock,
-	}, nil
+	e := engine.NewRDDExec(s.cluster, cluster.NewClock()) // spark-submit per query
+	e.BroadcastThreshold = -1                             // no Catalyst, no broadcast joins
+	return baselines.Evaluate(e, s.dict, q, "VP text ", access)
 }
 
-// orderPatterns sorts patterns by estimated cardinality (constants
-// first, then ascending predicate triple count), greedily keeping the
-// join connected — SPARQLGX's statistics-driven join ordering.
-func (s *Store) orderPatterns(pats []sparql.TriplePattern) []sparql.TriplePattern {
-	est := func(tp sparql.TriplePattern) float64 {
-		size := float64(s.stats.TotalTriples)
-		if !tp.P.IsVar() {
-			if pid, ok := s.dict.Lookup(tp.P.Term); ok {
-				size = float64(s.stats.Predicate(pid).Triples)
-			} else {
-				size = 0
-			}
-		}
-		if !tp.O.IsVar() {
-			size /= 100
-		}
-		if !tp.S.IsVar() {
-			size /= 100
-		}
-		return size
-	}
-	pending := make([]sparql.TriplePattern, len(pats))
-	copy(pending, pats)
-	sort.SliceStable(pending, func(i, j int) bool { return est(pending[i]) < est(pending[j]) })
-
-	var order []sparql.TriplePattern
-	bound := map[string]bool{}
-	take := func(i int) {
-		tp := pending[i]
-		order = append(order, tp)
-		for _, v := range tp.Vars() {
-			bound[v] = true
-		}
-		pending = append(pending[:i], pending[i+1:]...)
-	}
-	if len(pending) == 0 {
-		return nil
-	}
-	take(0)
-	for len(pending) > 0 {
-		picked := -1
-		for i, tp := range pending {
-			for _, v := range tp.Vars() {
-				if bound[v] {
-					picked = i
-					break
-				}
-			}
-			if picked >= 0 {
-				break
-			}
-		}
-		if picked < 0 {
-			picked = 0
-		}
-		take(picked)
-	}
-	return order
-}
-
-// scanPattern reads one pattern's VP text file (charged in full — no
-// column pruning in text files) and shapes it to the pattern variables.
-func (s *Store) scanPattern(e *engine.Exec, tp sparql.TriplePattern) (*engine.Relation, error) {
-	outVars := tp.Vars()
-	empty := func() *engine.Relation {
-		return engine.NewRelation(engine.Schema(outVars), make([][]engine.Row, s.parts), "")
-	}
-	if tp.P.IsVar() {
-		// SPARQLGX compiles one file read per concrete predicate; the
-		// WatDiv workload never uses variable predicates, so this
-		// reimplementation declines them rather than faking a plan.
-		return nil, fmt.Errorf("sparqlgx: variable predicates are not supported (pattern %s)", tp)
-	}
-	pid, ok := s.dict.Lookup(tp.P.Term)
-	if !ok {
-		return empty(), nil
-	}
-	f, ok := s.vp[pid]
-	if !ok {
-		return empty(), nil
-	}
-	rel, err := e.Scan(f.rel, "VP text "+patternLabel(tp), f.textBytes)
-	if err != nil {
-		return nil, err
-	}
-	if !tp.S.IsVar() {
-		sid, ok := s.dict.Lookup(tp.S.Term)
-		if !ok {
-			return empty(), nil
-		}
-		if rel, err = e.Filter(rel, "s=const", func(r engine.Row) bool { return r[0] == sid }); err != nil {
-			return nil, err
+// estimate is SPARQLGX's cardinality score: the predicate's triple
+// count, divided by 100 per bound subject or object.
+func (s *Store) estimate(tp sparql.TriplePattern) float64 {
+	size := float64(s.stats.TotalTriples)
+	if !tp.P.IsVar() {
+		if pid, ok := s.dict.Lookup(tp.P.Term); ok {
+			size = float64(s.stats.Predicate(pid).Triples)
+		} else {
+			size = 0
 		}
 	}
 	if !tp.O.IsVar() {
-		oid, ok := s.dict.Lookup(tp.O.Term)
-		if !ok {
-			return empty(), nil
-		}
-		if rel, err = e.Filter(rel, "o=const", func(r engine.Row) bool { return r[1] == oid }); err != nil {
-			return nil, err
-		}
+		size /= 100
 	}
-	switch {
-	case tp.S.IsVar() && tp.O.IsVar() && tp.S.Var == tp.O.Var:
-		if rel, err = e.Filter(rel, "s=o", func(r engine.Row) bool { return r[0] == r[1] }); err != nil {
-			return nil, err
-		}
-		if rel, err = e.Project(rel, []string{"s"}); err != nil {
-			return nil, err
-		}
-		return e.Rename(rel, []string{tp.S.Var})
-	case tp.S.IsVar() && tp.O.IsVar():
-		return e.Rename(rel, []string{tp.S.Var, tp.O.Var})
-	case tp.S.IsVar():
-		if rel, err = e.Project(rel, []string{"s"}); err != nil {
-			return nil, err
-		}
-		return e.Rename(rel, []string{tp.S.Var})
-	case tp.O.IsVar():
-		if rel, err = e.Project(rel, []string{"o"}); err != nil {
-			return nil, err
-		}
-		return e.Rename(rel, []string{tp.O.Var})
-	default:
-		parts := make([][]engine.Row, 1)
-		if rel.NumRows() > 0 {
-			parts[0] = []engine.Row{{}}
-		}
-		return engine.NewRelation(engine.Schema{}, parts, ""), nil
+	if !tp.S.IsVar() {
+		size /= 100
 	}
-}
-
-// patternLabel renders a short pattern label for stage names.
-func patternLabel(tp sparql.TriplePattern) string {
-	if tp.P.IsVar() {
-		return "?" + tp.P.Var
-	}
-	v := tp.P.Term.Value
-	for i := len(v) - 1; i >= 0; i-- {
-		if v[i] == '/' || v[i] == '#' {
-			return v[i+1:]
-		}
-	}
-	return v
-}
-
-// applyFilters pushes applicable FILTER constraints onto the relation.
-func applyFilters(dict *rdf.Dictionary, e *engine.Exec, rel *engine.Relation, filters []sparql.Filter) (*engine.Relation, error) {
-	for _, f := range filters {
-		idx := rel.Schema().Index(f.Var)
-		if idx < 0 {
-			continue
-		}
-		op, err := compareFn(f.Op)
-		if err != nil {
-			return nil, err
-		}
-		i, value := idx, f.Value
-		rel, err = e.Filter(rel, "?"+f.Var, func(r engine.Row) bool {
-			return engine.CompareIDs(dict, r[i], op, value)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
-}
-
-// compareFn maps a comparison operator to a three-way predicate.
-func compareFn(op sparql.CompareOp) (func(int) bool, error) {
-	switch op {
-	case sparql.OpEQ:
-		return func(c int) bool { return c == 0 }, nil
-	case sparql.OpNE:
-		return func(c int) bool { return c != 0 }, nil
-	case sparql.OpLT:
-		return func(c int) bool { return c < 0 }, nil
-	case sparql.OpLE:
-		return func(c int) bool { return c <= 0 }, nil
-	case sparql.OpGT:
-		return func(c int) bool { return c > 0 }, nil
-	case sparql.OpGE:
-		return func(c int) bool { return c >= 0 }, nil
-	default:
-		return nil, fmt.Errorf("sparqlgx: unsupported filter operator %v", op)
-	}
+	return size
 }

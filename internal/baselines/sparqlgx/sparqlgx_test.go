@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
@@ -32,7 +33,11 @@ func fixtureGraph() *rdf.Graph {
 func fixtureStore(t *testing.T) *Store {
 	t.Helper()
 	c := cluster.MustNew(cluster.Config{Workers: 3, DefaultPartitions: 4})
-	s, err := Load(fixtureGraph(), Options{Cluster: c})
+	st, err := core.Load(fixtureGraph(), core.Options{Cluster: c})
+	if err != nil {
+		t.Fatalf("core.Load: %v", err)
+	}
+	s, err := Load(st)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -175,7 +180,7 @@ func TestBoundSubject(t *testing.T) {
 }
 
 func TestLoadRequiresCluster(t *testing.T) {
-	if _, err := Load(fixtureGraph(), Options{}); err == nil {
-		t.Errorf("Load without cluster succeeded")
+	if _, err := Load(nil); err == nil {
+		t.Errorf("Load without a PRoST store succeeded")
 	}
 }

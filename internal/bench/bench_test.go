@@ -56,6 +56,58 @@ func TestAllSystemsAgreeOnEveryQuery(t *testing.T) {
 	if err := s.VerifyAgreement(watdiv.BasicQuerySet()); err != nil {
 		t.Fatalf("systems disagree: %v", err)
 	}
+	// One FILTER semantics: PRoST's compiled filters, the SQL
+	// baselines' filter stages and Rya's test on decoded terms must keep
+	// the same rows. Every query returns rows at the fixture (four of the
+	// basic queries do not, and prove nothing).
+	filters := filterQueries(t)
+	if err := s.VerifyAgreement(filters); err != nil {
+		t.Fatalf("systems disagree on FILTER: %v", err)
+	}
+	for _, q := range filters {
+		out, err := s.RunOn(SysPRoST, q.Parsed)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		if out.Rows == 0 {
+			t.Errorf("%s returns no rows at the fixture", q.Name)
+		}
+	}
+}
+
+// filterQueries covers each kind of FILTER comparison: integers (< and
+// >=), xsd:date literals, IRIs (= and !=), and a filtered variable that
+// Rya's order binds in its first pattern (FR1: userId is smaller than
+// follows) and in its last (FR2: the bound-object pattern goes first,
+// then reviewer, then rating).
+func filterQueries(t *testing.T) []watdiv.Query {
+	t.Helper()
+	raw := []struct{ name, body string }{
+		{"FI1", `SELECT ?u ?a WHERE { ?u foaf:age ?a . ?u wsdbm:likes ?p . FILTER(?a < 25) }`},
+		{"FI2", `SELECT ?r ?x WHERE { ?r rev:rating ?x . ?r rev:reviewer ?u . FILTER(?x >= 8) }`},
+		{"FD1", `SELECT ?o ?d WHERE { ?o gr:validFrom ?d . FILTER(?d >= "2010-01-01"^^xsd:date) }`},
+		{"FE1", `SELECT ?u ?p WHERE { ?u wsdbm:livesIn ?c . ?u wsdbm:likes ?p . FILTER(?c = wsdbm:City3) }`},
+		{"FN1", `SELECT ?u ?c WHERE { ?u sorg:nationality ?c . ?u wsdbm:follows ?f . FILTER(?c != wsdbm:Country1) }`},
+		{"FR1", `SELECT ?u ?id ?f WHERE { ?u wsdbm:userId ?id . ?u wsdbm:follows ?f . FILTER(?id < 50) }`},
+		{"FR2", `SELECT ?r ?x ?u WHERE { ?r rev:rating ?x . ?r rev:reviewer ?u . ?u sorg:nationality wsdbm:Country2 . FILTER(?x > 5) }`},
+	}
+	const prologue = `
+PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
+PREFIX sorg: <http://schema.org/>
+PREFIX rev: <http://purl.org/stuff/rev#>
+PREFIX gr: <http://purl.org/goodrelations/>
+PREFIX foaf: <http://xmlns.com/foaf/>
+PREFIX xsd: <http://www.w3.org/2001/XMLSchema#>
+`
+	var out []watdiv.Query
+	for _, r := range raw {
+		parsed, err := parseMust(prologue+r.body, r.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, watdiv.Query{Name: r.name, Group: "FILTER", Text: prologue + r.body, Parsed: parsed})
+	}
+	return out
 }
 
 func TestTable1Shape(t *testing.T) {

@@ -5,13 +5,21 @@
 // Figure 3 (per-query comparison of the four systems) and Table 2
 // (average querying time per query family) — plus the ablations and the
 // future-work extension experiment called out in DESIGN.md.
+//
+// The four systems are configurations of one engine. PRoST ingests the
+// dataset once; S2RDF, SPARQLGX and Rya build their stores from that
+// ingest, and what each keeps of its own is its storage layout and size
+// accounting (Table 1), its join-order rule and its pricing — the
+// quantities the comparison is about (internal/baselines).
 package bench
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/baselines/rya"
 	"repro/internal/baselines/s2rdf"
 	"repro/internal/baselines/sparqlgx"
@@ -38,11 +46,10 @@ func SystemNames() []string {
 }
 
 // Systems bundles the four loaded stores over one shared cluster,
-// filesystem and dictionary.
+// filesystem and dictionary (PRoST's).
 type Systems struct {
 	Cluster *cluster.Cluster
 	FS      *hdfs.FS
-	Dict    *rdf.Dictionary
 
 	PRoST    *core.Store
 	S2RDF    *s2rdf.Store
@@ -98,9 +105,10 @@ type LoadOptions struct {
 	ExtrapolateTriples int64
 }
 
-// LoadAll loads the graph into the four systems. The shared dictionary
-// keeps cross-system result comparison exact; each system still builds
-// and prices its own storage.
+// LoadAll loads the graph into the four systems. PRoST ingests it —
+// the one parse, dictionary, deduplication and statistics pass — and
+// each baseline then builds and prices its own storage from that store,
+// so every system shares one dictionary and reads the same input bytes.
 func LoadAll(g *rdf.Graph, opts LoadOptions) (*Systems, error) {
 	c := opts.Cluster
 	if c == nil {
@@ -124,8 +132,7 @@ func LoadAll(g *rdf.Graph, opts LoadOptions) (*Systems, error) {
 	if err != nil {
 		return nil, err
 	}
-	dict := rdf.NewDictionary()
-	sys := &Systems{Cluster: c, FS: fs, Dict: dict, BroadcastThreshold: bcast}
+	sys := &Systems{Cluster: c, FS: fs, BroadcastThreshold: bcast, graph: g, inversePT: opts.InversePT}
 
 	prost, err := core.Load(g, core.Options{Cluster: c, FS: fs, BuildInversePT: opts.InversePT})
 	if err != nil {
@@ -133,23 +140,22 @@ func LoadAll(g *rdf.Graph, opts LoadOptions) (*Systems, error) {
 	}
 	sys.PRoST = prost
 	sys.loads = append(sys.loads, LoadRow{SysPRoST, prost.LoadReport().SizeBytes, prost.LoadReport().LoadTime})
-	sys.graph, sys.inversePT = g, opts.InversePT
 
-	s2, err := s2rdf.Load(g, s2rdf.Options{Cluster: c, FS: fs, Dict: dict, BroadcastThreshold: bcast})
+	s2, err := s2rdf.Load(prost, s2rdf.Options{BroadcastThreshold: bcast})
 	if err != nil {
 		return nil, fmt.Errorf("bench: loading S2RDF: %w", err)
 	}
 	sys.S2RDF = s2
 	sys.loads = append(sys.loads, LoadRow{SysS2RDF, s2.LoadReport().SizeBytes, s2.LoadReport().LoadTime})
 
-	gx, err := sparqlgx.Load(g, sparqlgx.Options{Cluster: c, FS: fs, Dict: dict})
+	gx, err := sparqlgx.Load(prost)
 	if err != nil {
 		return nil, fmt.Errorf("bench: loading SPARQLGX: %w", err)
 	}
 	sys.SPARQLGX = gx
 	sys.loads = append(sys.loads, LoadRow{SysSPARQLGX, gx.LoadReport().SizeBytes, gx.LoadReport().LoadTime})
 
-	ry, err := rya.Load(g, rya.Options{Cluster: c, FS: fs, Dict: dict})
+	ry, err := rya.Load(prost)
 	if err != nil {
 		return nil, fmt.Errorf("bench: loading Rya: %w", err)
 	}
@@ -219,6 +225,15 @@ type Outcome struct {
 
 // RunOn executes a parsed query on the named system.
 func (s *Systems) RunOn(system string, q *sparql.Query) (Outcome, error) {
+	out, _, err := s.run(system, q)
+	return out, err
+}
+
+// run executes a parsed query on the named system and returns its
+// measurement and its rows.
+func (s *Systems) run(system string, q *sparql.Query) (Outcome, [][]rdf.Term, error) {
+	var res *baselines.Result
+	var err error
 	switch system {
 	case SysPRoST:
 		// Paper figures measure the static planner (ReplanThreshold -1):
@@ -226,53 +241,60 @@ func (s *Systems) RunOn(system string, q *sparql.Query) (Outcome, error) {
 		// cache, which would make later experiments' numbers depend on
 		// which experiment ran first. Adaptivity is measured by ablation
 		// A5, which manages its own options.
-		res, err := s.PRoST.Query(q, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, ReplanThreshold: -1})
+		r, err := s.PRoST.Query(q, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, ReplanThreshold: -1})
 		if err != nil {
-			return Outcome{}, err
+			return Outcome{}, nil, err
 		}
-		return Outcome{System: system, Query: q.Name, Rows: len(res.Rows), SimTime: res.SimTime, WallTime: res.WallTime}, nil
+		return Outcome{System: system, Query: q.Name, Rows: len(r.Rows), SimTime: r.SimTime, WallTime: r.WallTime}, r.Rows, nil
 	case SysS2RDF:
-		res, err := s.S2RDF.Query(q)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{System: system, Query: q.Name, Rows: len(res.Rows), SimTime: res.SimTime, WallTime: res.WallTime}, nil
+		res, err = s.S2RDF.Query(q)
 	case SysSPARQLGX:
-		res, err := s.SPARQLGX.Query(q)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{System: system, Query: q.Name, Rows: len(res.Rows), SimTime: res.SimTime, WallTime: res.WallTime}, nil
+		res, err = s.SPARQLGX.Query(q)
 	case SysRya:
-		res, err := s.Rya.Query(q)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return Outcome{System: system, Query: q.Name, Rows: len(res.Rows), SimTime: res.SimTime, WallTime: res.WallTime}, nil
+		res, err = s.Rya.Query(q)
 	default:
-		return Outcome{}, fmt.Errorf("bench: unknown system %q", system)
+		return Outcome{}, nil, fmt.Errorf("bench: unknown system %q", system)
 	}
+	if err != nil {
+		return Outcome{}, nil, err
+	}
+	return Outcome{System: system, Query: q.Name, Rows: len(res.Rows), SimTime: res.SimTime, WallTime: res.WallTime}, res.Rows, nil
 }
 
 // VerifyAgreement runs every query on all four systems and returns an
-// error when any two disagree on the result-row count — the harness's
-// cross-implementation correctness check.
+// error when a baseline's rows, rendered and sorted, differ from
+// PRoST's — the harness's cross-implementation correctness check.
 func (s *Systems) VerifyAgreement(queries []watdiv.Query) error {
 	for _, q := range queries {
-		counts := map[string]int{}
+		var want []string
 		for _, name := range SystemNames() {
-			out, err := s.RunOn(name, q.Parsed)
+			_, rows, err := s.run(name, q.Parsed)
 			if err != nil {
 				return fmt.Errorf("bench: %s on %s: %w", q.Name, name, err)
 			}
-			counts[name] = out.Rows
-		}
-		base := counts[SysPRoST]
-		for name, n := range counts {
-			if n != base {
-				return fmt.Errorf("bench: %s: %s returned %d rows, PRoST returned %d", q.Name, name, n, base)
+			got := renderRows(rows)
+			if name == SysPRoST {
+				want = got
+				continue
+			}
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("bench: %s: %s returned %d rows, PRoST %d, and they differ", q.Name, name, len(got), len(want))
 			}
 		}
 	}
 	return nil
+}
+
+// renderRows renders each row in N-Triples term syntax and sorts them.
+func renderRows(rows [][]rdf.Term) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		var b []byte
+		for _, t := range r {
+			b = append(t.AppendNTriples(b), ' ')
+		}
+		out[i] = string(b)
+	}
+	slices.Sort(out)
+	return out
 }

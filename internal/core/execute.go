@@ -502,7 +502,7 @@ func (s *Store) compileFilters(q *sparql.Query) ([]compiledFilter, error) {
 func (s *Store) compileFilterList(filters []sparql.Filter) ([]compiledFilter, error) {
 	out := make([]compiledFilter, 0, len(filters))
 	for _, f := range filters {
-		op, err := compareFn(f.Op)
+		op, err := engine.FilterOp(f.Op)
 		if err != nil {
 			return nil, err
 		}
@@ -515,27 +515,6 @@ func (s *Store) compileFilterList(filters []sparql.Filter) ([]compiledFilter, er
 		})
 	}
 	return out, nil
-}
-
-// compareFn maps a comparison operator to a predicate over Compare's
-// three-way result.
-func compareFn(op sparql.CompareOp) (func(int) bool, error) {
-	switch op {
-	case sparql.OpEQ:
-		return func(c int) bool { return c == 0 }, nil
-	case sparql.OpNE:
-		return func(c int) bool { return c != 0 }, nil
-	case sparql.OpLT:
-		return func(c int) bool { return c < 0 }, nil
-	case sparql.OpLE:
-		return func(c int) bool { return c <= 0 }, nil
-	case sparql.OpGT:
-		return func(c int) bool { return c > 0 }, nil
-	case sparql.OpGE:
-		return func(c int) bool { return c >= 0 }, nil
-	default:
-		return nil, fmt.Errorf("core: unsupported filter operator %v", op)
-	}
 }
 
 // applyResidualFilters applies filters the planner could not push into

@@ -149,6 +149,10 @@ type Store struct {
 	// triples retains the encoded dataset for variable-predicate
 	// patterns (the triple-table fallback).
 	triples []rdf.EncodedTriple
+	// inputBytes and rowsRead are what the load read: the priced input
+	// volume and the triples read, duplicates included.
+	inputBytes int64
+	rowsRead   int
 
 	// planCache memoizes physical plans across queries; its keys embed
 	// the loader-statistics fingerprint, so replacing the statistics
@@ -435,14 +439,13 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 	// Phases 1 and 2, one pass: read + parse the input, dictionary-encode
 	// and deduplicate. Both are priced on what was read, not what was
 	// kept.
-	inputBytes, rows, err := s.ingest(sizeHint, next)
-	if err != nil {
+	if err := s.ingest(sizeHint, next); err != nil {
 		return nil, err
 	}
-	if err := chargeInputScan(s.cluster, clock, inputBytes, rows, parts); err != nil {
+	if err := s.ChargeInputScan(clock, s.cluster.Config().Cost.SQLStageLaunch); err != nil {
 		return nil, err
 	}
-	clock.Charge("dictionary encode", time.Duration(rows)*s.cluster.Config().Cost.RowTime)
+	clock.Charge("dictionary encode", time.Duration(s.rowsRead)*s.cluster.Config().Cost.RowTime)
 
 	// Phase 3: statistics (paper §3.3 — "without any significant
 	// overhead": one extra pass). Join-graph statistics (characteristic
@@ -498,7 +501,7 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 
 	s.load = LoadReport{
 		Triples:    int64(len(s.triples)),
-		InputBytes: inputBytes,
+		InputBytes: s.inputBytes,
 		SizeBytes:  s.fs.LogicalBytes(opts.PathPrefix + "/"),
 		LoadTime:   clock.Elapsed(),
 		WallTime:   time.Since(start),
@@ -509,10 +512,10 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 }
 
 // ingest drains next into s.triples, dropping duplicate triples, and
-// returns the priced input volume and the number of triples read. The
+// records the priced input volume and the number of triples read. The
 // dedup set dies with the call and the slice is left without slack, so
 // neither is live while the tables are built.
-func (s *Store) ingest(sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTriple, int64, error)) (inputBytes int64, rows int, _ error) {
+func (s *Store) ingest(sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTriple, int64, error)) error {
 	seen := make(map[rdf.EncodedTriple]struct{}, sizeHint)
 	triples := make([]rdf.EncodedTriple, 0, sizeHint)
 	for {
@@ -521,10 +524,10 @@ func (s *Store) ingest(sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTrip
 			break
 		}
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
-		inputBytes += n
-		rows++
+		s.inputBytes += n
+		s.rowsRead++
 		if _, dup := seen[et]; dup {
 			continue
 		}
@@ -535,14 +538,21 @@ func (s *Store) ingest(sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTrip
 		triples = slices.Clone(triples)
 	}
 	s.triples = triples
-	return inputBytes, rows, nil
+	return nil
 }
 
-// chargeInputScan prices the distributed read+parse of the input file.
-func chargeInputScan(c *cluster.Cluster, clock *cluster.Clock, bytes int64, rows, parts int) error {
-	perPart := bytes / int64(parts)
-	rowsPerPart := int64(rows) / int64(parts)
-	return c.RunStage(clock, c.Config().Cost.SQLStageLaunch, "read input", parts, func(p int) (cluster.TaskStats, error) {
+// Triples returns the deduplicated encoded dataset in input order. The
+// slice is the store's own: callers must not modify it.
+func (s *Store) Triples() []rdf.EncodedTriple { return s.triples }
+
+// ChargeInputScan prices one distributed read + parse of the store's
+// input file — the bytes and triples (duplicates included) its load
+// read — with the given stage launch overhead. PRoST's load pays it;
+// so does each baseline loading the same file.
+func (s *Store) ChargeInputScan(clock *cluster.Clock, launch time.Duration) error {
+	perPart := s.inputBytes / int64(s.parts)
+	rowsPerPart := int64(s.rowsRead) / int64(s.parts)
+	return s.cluster.RunStage(clock, launch, "read input", s.parts, func(p int) (cluster.TaskStats, error) {
 		return cluster.TaskStats{DiskBytes: perPart, Rows: rowsPerPart}, nil
 	})
 }

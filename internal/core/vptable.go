@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/columnar"
 	"repro/internal/engine"
+	"repro/internal/hdfs"
 	"repro/internal/rdf"
 )
 
@@ -24,6 +25,66 @@ type VPTable struct {
 
 // Rows returns the table's tuple count.
 func (t *VPTable) Rows() int { return t.Rel.NumRows() }
+
+// Keys returns the distinct values of column col (0 subject, 1 object):
+// the key set a semi-join against this table probes.
+func (t *VPTable) Keys(col int) map[rdf.ID]struct{} {
+	keys := make(map[rdf.ID]struct{}, t.Rel.NumRows())
+	for _, part := range t.Rel.Parts() {
+		for _, r := range part {
+			keys[r[col]] = struct{}{}
+		}
+	}
+	return keys
+}
+
+// SemiJoin returns the rows, in partition order, whose column col value
+// is in keys: the semi-join reduction an ExtVP table materializes.
+func (t *VPTable) SemiJoin(col int, keys map[rdf.ID]struct{}) []engine.Row {
+	var rows []engine.Row
+	for _, part := range t.Rel.Parts() {
+		for _, r := range part {
+			if _, ok := keys[r[col]]; ok {
+				rows = append(rows, r)
+			}
+		}
+	}
+	return rows
+}
+
+// WriteVPFiles writes (s,o) rows to HDFS as columnar files
+// dir/part-00000.parquet, dir/part-00001.parquet, … — one per element of
+// parts, holding the two ID columns plus the compressed local term
+// dictionary a Parquet file carries — and returns their total logical
+// size. It is the one writer of VP-shaped files: PRoST's VP tables and
+// ExtVP reductions and S2RDF's tables all go through it.
+func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts [][]engine.Row) (int64, error) {
+	var total int64
+	for p, part := range parts {
+		subjCol := make([]rdf.ID, len(part))
+		objCol := make([]rdf.ID, len(part))
+		localTerms := make(map[rdf.ID]struct{}, 2*len(part))
+		for i, r := range part {
+			subjCol[i] = r[0]
+			objCol[i] = r[1]
+			localTerms[r[0]] = struct{}{}
+			localTerms[r[1]] = struct{}{}
+		}
+		w := columnar.NewWriter(0)
+		w.AddScalar("s", subjCol)
+		w.AddScalar("o", objCol)
+		f, err := w.Finish()
+		if err != nil {
+			return 0, fmt.Errorf("encoding %s part %d: %w", dir, p, err)
+		}
+		size := f.SizeBytes() + compressedStringBytes(dict, localTerms)
+		if _, err := fs.Write(fmt.Sprintf("%s/part-%05d.parquet", dir, p), size); err != nil {
+			return 0, err
+		}
+		total += size
+	}
+	return total, nil
+}
 
 // buildVP groups the dataset by predicate and materializes one VP table
 // per predicate: partition rows by subject, encode each partition as a
@@ -58,31 +119,9 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 		if err != nil {
 			return err
 		}
-		var fileBytes int64
-		for p := 0; p < rel.Partitions(); p++ {
-			part := rel.Part(p)
-			subjCol := make([]rdf.ID, len(part))
-			objCol := make([]rdf.ID, len(part))
-			localTerms := make(map[rdf.ID]struct{}, 2*len(part))
-			for i, r := range part {
-				subjCol[i] = r[0]
-				objCol[i] = r[1]
-				localTerms[r[0]] = struct{}{}
-				localTerms[r[1]] = struct{}{}
-			}
-			w := columnar.NewWriter(0)
-			w.AddScalar("s", subjCol)
-			w.AddScalar("o", objCol)
-			f, err := w.Finish()
-			if err != nil {
-				return fmt.Errorf("encoding VP partition %d of predicate %d: %w", p, pred, err)
-			}
-			size := f.SizeBytes() + compressedStringBytes(s.dict, localTerms)
-			path := fmt.Sprintf("%s/vp/p%d/part-%05d.parquet", s.opts.PathPrefix, pred, p)
-			if _, err := s.fs.Write(path, size); err != nil {
-				return err
-			}
-			fileBytes += size
+		fileBytes, err := WriteVPFiles(s.fs, s.dict, fmt.Sprintf("%s/vp/p%d", s.opts.PathPrefix, pred), rel.Parts())
+		if err != nil {
+			return err
 		}
 		s.vp[pred] = &VPTable{Pred: pred, Rel: rel, FileBytes: fileBytes}
 		s.vpBytes += fileBytes

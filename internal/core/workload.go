@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/columnar"
 	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/rdf"
@@ -59,21 +58,8 @@ func (s *Store) buildExtVPTable(pred, partner uint64, pos uint8, gen uint64) (wo
 	if base == nil || other == nil {
 		return workload.Table{}, false
 	}
-	predCol, partnerCol := extvpCols(pos)
-	keys := make(map[rdf.ID]struct{}, other.Rel.NumRows())
-	for p := 0; p < other.Rel.Partitions(); p++ {
-		for _, r := range other.Rel.Part(p) {
-			keys[r[partnerCol]] = struct{}{}
-		}
-	}
-	var rows []engine.Row
-	for p := 0; p < base.Rel.Partitions(); p++ {
-		for _, r := range base.Rel.Part(p) {
-			if _, ok := keys[r[predCol]]; ok {
-				rows = append(rows, r)
-			}
-		}
-	}
+	predCol, partnerCol := stats.JoinPos(pos).Cols()
+	rows := base.SemiJoin(predCol, other.Keys(partnerCol))
 	// An empty reduction is useless to scan, and one as large as its
 	// source saves nothing — neither is worth budget bytes.
 	if len(rows) == 0 || len(rows) >= base.Rel.NumRows() {
@@ -89,45 +75,13 @@ func (s *Store) buildExtVPTable(pred, partner uint64, pos uint8, gen uint64) (wo
 	// usually far smaller than its source, and per-partition file
 	// overhead plus cross-partition term-dictionary duplication would
 	// swallow most of the byte savings the scan price is based on.
-	subjCol := make([]rdf.ID, len(rows))
-	objCol := make([]rdf.ID, len(rows))
-	localTerms := make(map[rdf.ID]struct{}, 2*len(rows))
-	for i, r := range rows {
-		subjCol[i] = r[0]
-		objCol[i] = r[1]
-		localTerms[r[0]] = struct{}{}
-		localTerms[r[1]] = struct{}{}
-	}
-	w := columnar.NewWriter(0)
-	w.AddScalar("s", subjCol)
-	w.AddScalar("o", objCol)
-	f, err := w.Finish()
+	dir := fmt.Sprintf("%s/extvp/g%d/p%d_p%d_%d", s.opts.PathPrefix, gen, pred, partner, pos)
+	fileBytes, err := WriteVPFiles(s.fs, s.dict, dir, [][]engine.Row{rows})
 	if err != nil {
-		return workload.Table{}, false
-	}
-	fileBytes := f.SizeBytes() + compressedStringBytes(s.dict, localTerms)
-	path := fmt.Sprintf("%s/extvp/g%d/p%d_p%d_%d/part-00000.parquet",
-		s.opts.PathPrefix, gen, pred, partner, pos)
-	if _, err := s.fs.Write(path, fileBytes); err != nil {
 		return workload.Table{}, false
 	}
 	t := &VPTable{Pred: rdf.ID(pred), Rel: rel, FileBytes: fileBytes}
 	return workload.Table{Rows: int64(len(rows)), Bytes: fileBytes, Data: t}, true
-}
-
-// extvpCols maps a join position (stats.JoinPos encoding, seen from
-// pred's side) to the (s,o) column index each table joins on.
-func extvpCols(pos uint8) (predCol, partnerCol int) {
-	switch stats.JoinPos(pos) {
-	case stats.JoinSS:
-		return 0, 0
-	case stats.JoinSO:
-		return 0, 1
-	case stats.JoinOS:
-		return 1, 0
-	default:
-		return 1, 1
-	}
 }
 
 // extvpCosts implements plan.ExtVPProvider over the store's live

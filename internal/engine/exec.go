@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 )
 
 // DefaultBroadcastThreshold mirrors Spark's
@@ -387,35 +388,34 @@ func (e *Exec) Limit(rel *Relation, limit, offset int) ([]Row, error) {
 	return gathered[offset:], nil
 }
 
-// CompareIDs applies a SPARQL FILTER comparison to two dictionary IDs,
-// resolving them through dict. Numeric literals compare numerically;
-// everything else compares by term ordering.
-func CompareIDs(dict *rdf.Dictionary, a rdf.ID, op func(int) bool, b rdf.Term) bool {
-	ta := dict.Term(a)
-	if na, oka := numericValue(ta); oka {
-		if nb, okb := numericValue(b); okb {
-			switch {
-			case na < nb:
-				return op(-1)
-			case na > nb:
-				return op(1)
-			default:
-				return op(0)
-			}
-		}
+// FilterOp maps a FILTER comparison operator to a test of CompareTerms'
+// three-way result. It is the one place an operator is interpreted:
+// PRoST's compiled filters and all three baselines go through it.
+func FilterOp(op sparql.CompareOp) (func(int) bool, error) {
+	switch op {
+	case sparql.OpEQ:
+		return func(c int) bool { return c == 0 }, nil
+	case sparql.OpNE:
+		return func(c int) bool { return c != 0 }, nil
+	case sparql.OpLT:
+		return func(c int) bool { return c < 0 }, nil
+	case sparql.OpLE:
+		return func(c int) bool { return c <= 0 }, nil
+	case sparql.OpGT:
+		return func(c int) bool { return c > 0 }, nil
+	case sparql.OpGE:
+		return func(c int) bool { return c >= 0 }, nil
+	default:
+		return nil, fmt.Errorf("engine: unsupported filter operator %v", op)
 	}
-	return op(ta.Compare(b))
 }
 
-// CompareTermIDs three-way-compares two dictionary IDs through dict
-// the way FILTER comparisons do: integer-typed literals compare
-// numerically, everything else by term ordering. Callers must have
-// resolved NullID (unbound) cells before calling — the dictionary
-// panics on NullID by design.
-func CompareTermIDs(dict *rdf.Dictionary, a, b rdf.ID) int {
-	ta, tb := dict.Term(a), dict.Term(b)
-	if na, oka := numericValue(ta); oka {
-		if nb, okb := numericValue(tb); okb {
+// CompareTerms three-way-compares two terms the way FILTER comparisons
+// (and ORDER BY) do: integer-typed literals numerically, everything
+// else by term ordering.
+func CompareTerms(a, b rdf.Term) int {
+	if na, oka := numericValue(a); oka {
+		if nb, okb := numericValue(b); okb {
 			switch {
 			case na < nb:
 				return -1
@@ -426,7 +426,20 @@ func CompareTermIDs(dict *rdf.Dictionary, a, b rdf.ID) int {
 			}
 		}
 	}
-	return ta.Compare(tb)
+	return a.Compare(b)
+}
+
+// CompareIDs applies a FILTER comparison (a FilterOp result) to the
+// term dictionary ID a stands for and the constant b.
+func CompareIDs(dict *rdf.Dictionary, a rdf.ID, op func(int) bool, b rdf.Term) bool {
+	return op(CompareTerms(dict.Term(a), b))
+}
+
+// CompareTermIDs is CompareTerms over two dictionary IDs. Callers must
+// have resolved NullID (unbound) cells before calling — the dictionary
+// panics on NullID by design.
+func CompareTermIDs(dict *rdf.Dictionary, a, b rdf.ID) int {
+	return CompareTerms(dict.Term(a), dict.Term(b))
 }
 
 // numericValue parses integer-typed literals.

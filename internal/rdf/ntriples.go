@@ -143,6 +143,20 @@ func ParseNTriples(doc string) (*Graph, error) {
 	return NewNTriplesReader(strings.NewReader(doc)).ReadAll()
 }
 
+// ParseTerm parses one term in N-Triples syntax — the text Term.String
+// renders — with nothing before or after it.
+func ParseTerm(s string) (Term, error) {
+	p := lineParser{s: []byte(s), line: 1}
+	t, err := p.term()
+	if err == nil && p.pos != len(p.s) {
+		err = p.errf("trailing text after term at column %d", p.pos+1)
+	}
+	if err != nil {
+		return Term{}, err
+	}
+	return t.Term(), nil
+}
+
 // lineParser is a tiny cursor over one line of input.
 type lineParser struct {
 	s    []byte

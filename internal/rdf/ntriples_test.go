@@ -212,6 +212,28 @@ func TestNTriplesRoundTripProperty(t *testing.T) {
 	}
 }
 
+func TestParseTerm(t *testing.T) {
+	// Whatever Term.String renders, ParseTerm reads back.
+	for _, want := range []Term{
+		NewIRI("http://example.org/x"),
+		NewLiteral("plain words"),
+		NewLiteral("tab\tquote\" backslash\\ newline\n é"),
+		NewTypedLiteral("42", XSDInteger),
+		NewLangLiteral("chat", "fr"),
+		NewBlank("b0"),
+	} {
+		got, err := ParseTerm(want.String())
+		if err != nil || got != want {
+			t.Errorf("ParseTerm(%s) = %v, %v; want %v", want, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "<http://x> <http://y>", `"open`, "http://x", `"a" .`} {
+		if got, err := ParseTerm(bad); err == nil {
+			t.Errorf("ParseTerm(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
 func TestNTriplesReaderStreaming(t *testing.T) {
 	doc := "<http://s> <http://p> \"1\" .\n<http://s> <http://p> \"2\" .\n"
 	r := NewNTriplesReader(strings.NewReader(doc))

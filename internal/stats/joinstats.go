@@ -123,6 +123,21 @@ func CanonicalPair(p1, p2 rdf.ID, pos JoinPos) (q1, q2 rdf.ID, qpos JoinPos) {
 	return k.p1, k.p2, k.pos
 }
 
+// Cols returns the column each side joins on in a two-column (s, o)
+// table — 0 for the subject, 1 for the object: p1's, then p2's.
+func (p JoinPos) Cols() (c1, c2 int) {
+	switch p {
+	case JoinSS:
+		return 0, 0
+	case JoinSO:
+		return 0, 1
+	case JoinOS:
+		return 1, 0
+	default:
+		return 1, 1
+	}
+}
+
 // Transpose returns the join position as seen from the other side of
 // the pair: s-o becomes o-s and the symmetric positions are unchanged.
 func (p JoinPos) Transpose() JoinPos {
