@@ -35,17 +35,16 @@ func StatsSketches(fs *flag.FlagSet) func(*core.Options) {
 }
 
 // Query registers the flags a query's options are made of — -strategy,
-// -planner, -streaming, -chunk-size, -replan-threshold and the -fault-*
-// set — and returns a function that, once fs is parsed, assembles them,
-// refusing an unknown strategy or planner. prost-serve uses the result
-// as its per-request default.
+// -planner, -streaming, -chunk-size and the -fault-* set — and returns
+// a function that, once fs is parsed, assembles them, refusing an
+// unknown strategy or planner. prost-serve uses the result as its
+// per-request default.
 func Query(fs *flag.FlagSet) func() (core.QueryOptions, error) {
 	var o core.QueryOptions
 	strategy := fs.String("strategy", "mixed", "query strategy (prost-serve: the default, ?strategy= overrides per request): "+strings.Join(core.StrategyNames(), ", "))
 	planner := fs.String("planner", "cost", "planner mode (prost-serve: the default, ?planner= overrides per request): "+strings.Join(plan.ModeNames(), ", "))
 	fs.BoolVar(&o.Streaming, "streaming", false, "execute through the morsel-driven streaming pipelines instead of materialized stages (prost-serve: the default, ?streaming= overrides per request)")
 	fs.IntVar(&o.ChunkSize, "chunk-size", 0, "streaming rows-per-chunk granularity (0 = default; prost-serve: ?chunk= overrides per request)")
-	fs.Float64Var(&o.ReplanThreshold, "replan-threshold", 0, "adaptive re-planning trigger: estimation-error factor that pauses and re-plans the remainder (0 = default 8, negative = disabled)")
 	faults := FaultPlan(fs)
 	return func() (core.QueryOptions, error) {
 		var err error

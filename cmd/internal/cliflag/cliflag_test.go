@@ -109,7 +109,7 @@ func TestSharedFlagsMapAsTheBinariesDid(t *testing.T) {
 	}
 
 	args := []string{"-workers", "4", "-stats-sketches", "-1", "-strategy", "mixed+ipt", "-planner", "heuristic",
-		"-streaming", "-chunk-size", "7", "-replan-threshold", "-1", "-fault-seed", "3", "-fault-fail-rate", "0.5"}
+		"-streaming", "-chunk-size", "7", "-fault-seed", "3", "-fault-fail-rate", "0.5"}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSharedFlagsMapAsTheBinariesDid(t *testing.T) {
 	}
 	q, err := query()
 	wantQ := core.QueryOptions{Strategy: core.StrategyMixedIPT, Planner: plan.ModeHeuristic, Streaming: true, ChunkSize: 7,
-		ReplanThreshold: -1, Faults: &cluster.FaultPlan{Seed: 3, FailRate: 0.5}}
+		Faults: &cluster.FaultPlan{Seed: 3, FailRate: 0.5}}
 	if err != nil || !reflect.DeepEqual(q, wantQ) {
 		t.Errorf("query options %+v, err %v; want %+v", q, err, wantQ)
 	}

@@ -46,7 +46,7 @@ func main() {
 	flag.StringVar(&o.in, "in", "", "input N-Triples file (required)")
 	flag.StringVar(&o.queryText, "q", "", "SPARQL query text")
 	flag.StringVar(&o.queryFile, "f", "", "file containing the SPARQL query")
-	flag.BoolVar(&o.explain, "explain", false, "print the physical plan (with estimated vs actual cardinalities), re-plan events, the Join Tree and the stage trace")
+	flag.BoolVar(&o.explain, "explain", false, "print the physical plan (with estimated vs actual cardinalities), the correction the execution made, the Join Tree and the stage trace")
 	flag.IntVar(&o.maxRows, "max-rows", 20, "result rows to print (0 = all)")
 	flag.Int64Var(&o.extvpBudget, "extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables; the query runs once to mine and build them, then the measured run may rewrite onto them (0 = subsystem off)")
 	clusterCfg := cliflag.Cluster(flag.CommandLine)

@@ -1,11 +1,10 @@
 package bench
 
-// Microbenchmark of the adaptive execution loop (ablation A5): the
+// Microbenchmark of correction between executions (ablation A5): the
 // C-family queries — where the independence assumption's triangle-join
-// errors trigger mid-query re-planning — executed with the static cost
-// planner, as an adaptive first run (re-plan evaluated and possibly
-// spliced), and through the feedback cache (the corrected plan a
-// previous adaptive run wrote back). Run with
+// errors exceed the correction bound — executed with the static cost
+// plan and through the plan cache, whose entry the first execution
+// corrects from the cardinalities it observed. Run with
 //
 //	go test ./internal/bench -bench AblationAdaptive
 //
@@ -20,8 +19,8 @@ import (
 
 func BenchmarkAblationAdaptive(b *testing.B) {
 	// The independence-estimator store: with join-graph statistics on,
-	// the C-family estimates hold and no re-plan ever triggers (that is
-	// BenchmarkAblationSketches' subject) — the adaptive loop needs the
+	// the C-family estimates hold and nothing is ever corrected (that is
+	// BenchmarkAblationSketches' subject) — correction needs the
 	// mis-estimates to exist. Resolved up front so the lazy load never
 	// lands inside a timed region.
 	f := plannerStore(b)
@@ -31,15 +30,10 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 		opts func(core.QueryOptions) core.QueryOptions
 	}{
 		{"static", func(o core.QueryOptions) core.QueryOptions {
-			o.ReplanThreshold = -1
 			o.NoPlanCache = true
 			return o
 		}},
-		{"adaptive-1st", func(o core.QueryOptions) core.QueryOptions {
-			o.NoPlanCache = true
-			return o
-		}},
-		{"adaptive-cached", func(o core.QueryOptions) core.QueryOptions { return o }},
+		{"cached", func(o core.QueryOptions) core.QueryOptions { return o }},
 	}
 	for _, name := range []string{"C1", "C2", "C3"} {
 		q, err := watdiv.QueryByName(name)

@@ -321,14 +321,13 @@ func TestAblationBushy(t *testing.T) {
 	}
 }
 
-// TestAblationAdaptive pins the A5 acceptance shape: at least one
-// C-family query must improve by more than 5% on its very first
-// adaptive execution (the under-estimated triangle join triggers a
-// re-plan whose splice pays for itself), the steady-state feedback-
-// cache execution must match or beat the re-planned first run (it
-// skips the re-planning charge), and no query may regress more than
-// 2% against the static cost planner — the adopt-only-when-it-pays
-// rule makes adaptivity free where it cannot help.
+// TestAblationAdaptive pins the A5 acceptance shape. Correction happens
+// between executions, so every query's first execution runs exactly the
+// static plan; no steady state is slower than the static plan (a
+// correction re-plans from observed cardinalities, never from worse
+// numbers); and at least one C-family query's steady state is more than
+// 5% faster than its static plan — the under-estimated triangle join is
+// re-planned from what the first execution counted.
 func TestAblationAdaptive(t *testing.T) {
 	s := systems(t)
 	queries := watdiv.BasicQuerySet()
@@ -337,38 +336,40 @@ func TestAblationAdaptive(t *testing.T) {
 		t.Fatalf("AblationAdaptive: %v", err)
 	}
 	cWins := 0
+	var cSum time.Duration
 	for i, label := range fig.Labels {
-		first, second, static := fig.Series[0].Values[i], fig.Series[1].Values[i], fig.Series[2].Values[i]
-		if strings.HasPrefix(label, "C") && float64(first) < float64(static)*0.95 {
-			cWins++
+		first, corrected, static := fig.Series[0].Values[i], fig.Series[1].Values[i], fig.Series[2].Values[i]
+		if first != static {
+			t.Errorf("%s: first execution (%v) differs from the static plan (%v)", label, first, static)
 		}
-		if float64(first) > float64(static)*1.02 {
-			t.Errorf("%s: adaptive first run (%v) regresses >2%% vs static (%v)", label, first, static)
+		if corrected > static {
+			t.Errorf("%s: corrected steady state (%v) slower than the static plan (%v)", label, corrected, static)
 		}
-		// "Matches or beats": the steady-state run re-executes the
-		// corrected plan without the re-plan stall, so it must not be
-		// slower than the first adaptive run beyond pricing noise.
-		if float64(second) > float64(first)*1.001 {
-			t.Errorf("%s: feedback-cache run (%v) slower than re-planned first run (%v)", label, second, first)
+		if strings.HasPrefix(label, "C") {
+			cSum += corrected
+			if float64(corrected) < float64(static)*0.95 {
+				cWins++
+			}
 		}
-		t.Logf("%-4s first=%12v second=%12v static=%12v (first %+.2f%%, second %+.2f%% vs static)",
-			label, first, second, static,
-			100*(float64(first)/float64(static)-1), 100*(float64(second)/float64(static)-1))
+		t.Logf("%-4s first=%12v corrected=%12v static=%12v (corrected %+.2f%% vs static)",
+			label, first, corrected, static, 100*(float64(corrected)/float64(static)-1))
 	}
+	t.Logf("C-family corrected steady-state sum %v", cSum)
 	if cWins < 1 {
-		t.Errorf("no C-family query improves >5%% on its first adaptive execution")
+		t.Errorf("no C-family query's corrected steady state improves >5%% on the static plan")
 	}
 }
 
 // TestAblationSketches pins the A6 acceptance shape: load-time
-// join-graph statistics (characteristic sets + pair sketches) must turn
-// PR 4's first-run adaptive rescue into a static win. Concretely: C3's
-// first execution with sketches matches or beats the re-planned
-// adaptive first run on the independence store; no query regresses more
-// than 1% against that adaptive baseline; the C-family first executions
-// fire no re-plan triggers at all (their worst estimation error sits
-// below the 8x threshold); and the estimator actually used csets and
-// sketches (provenance counters).
+// join-graph statistics (characteristic sets + pair sketches) turn the
+// independence estimator's first-execution mistakes into a static win.
+// Concretely: C3's first execution with sketches beats the independence
+// store's first execution outright; no query regresses more than 1%
+// against it; the C-family first executions correct nothing (their
+// worst estimation error sits below the 8x bound); and the estimator
+// actually used csets and sketches (provenance counters). The corrected
+// independence steady state is logged beside them: what repeated
+// executions reach without sketches.
 func TestAblationSketches(t *testing.T) {
 	s := systems(t)
 	queries := watdiv.BasicQuerySet()
@@ -376,42 +377,42 @@ func TestAblationSketches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AblationSketches: %v", err)
 	}
-	var sketchTotal, adaptiveTotal time.Duration
+	var sketchTotal, staticTotal time.Duration
 	for i, label := range fig.Labels {
-		sketch, adaptive, static := fig.Series[0].Values[i], fig.Series[1].Values[i], fig.Series[2].Values[i]
+		sketch, corrected, static := fig.Series[0].Values[i], fig.Series[1].Values[i], fig.Series[2].Values[i]
 		sketchTotal += sketch
-		adaptiveTotal += adaptive
-		if float64(sketch) > float64(adaptive)*1.01 {
-			t.Errorf("%s: sketches (%v) regress >1%% vs adaptive first run (%v)", label, sketch, adaptive)
+		staticTotal += static
+		if float64(sketch) > float64(static)*1.01 {
+			t.Errorf("%s: sketches (%v) regress >1%% vs the independence first run (%v)", label, sketch, static)
 		}
-		if label == "C3" && sketch > adaptive {
-			t.Errorf("C3: sketch first run (%v) does not match or beat the adaptive first run (%v)", sketch, adaptive)
+		if label == "C3" && sketch >= static {
+			t.Errorf("C3: sketch first run (%v) does not beat the independence first run (%v)", sketch, static)
 		}
-		t.Logf("%-4s sketches=%12v indep-adaptive=%12v indep-static=%12v (%+.2f%% vs adaptive)",
-			label, sketch, adaptive, static, 100*(float64(sketch)/float64(adaptive)-1))
+		t.Logf("%-4s sketches=%12v indep-corrected=%12v indep-static=%12v (%+.2f%% vs static)",
+			label, sketch, corrected, static, 100*(float64(sketch)/float64(static)-1))
 	}
-	if sketchTotal > adaptiveTotal {
-		t.Errorf("sketch total (%v) slower than adaptive-baseline total (%v)", sketchTotal, adaptiveTotal)
+	if sketchTotal > staticTotal {
+		t.Errorf("sketch total (%v) slower than independence first-run total (%v)", sketchTotal, staticTotal)
 	}
 
 	// The C-family estimation mistakes (269x/63x/57x under independence)
-	// must shrink below the re-plan threshold: no trigger fires, and the
-	// executed plans' worst error stays under 8x.
+	// must shrink below the correction bound: nothing is corrected, and
+	// the executed plans' worst error stays under 8x.
 	for _, name := range []string{"C1", "C2", "C3"} {
 		q, err := watdiv.QueryByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, NoPlanCache: true})
+		res, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if len(res.Replans) != 0 {
-			t.Errorf("%s: %d re-plan trigger(s) fired with sketches on; estimates should hold below the threshold", name, len(res.Replans))
+			t.Errorf("%s: %d correction(s) with sketches on; estimates should hold below the bound", name, len(res.Replans))
 		}
-		if ratio, at := res.Plan.MaxErrorRatio(); at != nil && ratio > core.DefaultReplanThreshold {
-			t.Errorf("%s: worst estimation error %.1fx still above the %gx re-plan threshold (at %s)",
-				name, ratio, core.DefaultReplanThreshold, at.Label)
+		if ratio, at := res.Plan.MaxErrorRatio(); at != nil && ratio > core.CorrectionBound {
+			t.Errorf("%s: worst estimation error %.1fx still above the %gx correction bound (at %s)",
+				name, ratio, core.CorrectionBound, at.Label)
 		}
 	}
 

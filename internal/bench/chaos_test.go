@@ -95,15 +95,15 @@ func chaosRender(res *core.Result) string {
 // schedule × planner mode × basic query must produce byte-identical
 // rows to the fault-free run, and the virtual clock may exceed the
 // fault-free run only by the recovery cost the scheduler priced in.
-// Static plans (ReplanThreshold -1) keep the bound exact — recovery
-// delays cannot move adaptive pause points.
+// Static plans (NoPlanCache) keep the bound exact — the clean run cannot
+// correct the plan the faulted runs execute.
 func TestChaosSchedulesPreserveResults(t *testing.T) {
 	s := chaosStore(t)
 	queries := watdiv.BasicQuerySet()
 	for _, m := range chaosModes {
 		clean := make(map[string]*core.Result, len(queries))
 		for _, q := range queries {
-			res, err := s.Query(q.Parsed, core.QueryOptions{Planner: m.mode, ReplanThreshold: -1})
+			res, err := s.Query(q.Parsed, core.QueryOptions{Planner: m.mode, NoPlanCache: true})
 			if err != nil {
 				t.Fatalf("%s/%s clean: %v", m.name, q.Name, err)
 			}
@@ -113,9 +113,9 @@ func TestChaosSchedulesPreserveResults(t *testing.T) {
 			recovered := int64(0)
 			for _, q := range queries {
 				opts := core.QueryOptions{
-					Planner:         m.mode,
-					ReplanThreshold: -1,
-					Faults:          sched.fp,
+					Planner:     m.mode,
+					NoPlanCache: true,
+					Faults:      sched.fp,
 				}
 				res, err := s.Query(q.Parsed, opts)
 				if err != nil {
@@ -155,8 +155,8 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	for _, sched := range chaosSchedules {
 		for _, q := range queries {
 			opts := core.QueryOptions{
-				ReplanThreshold: -1,
-				Faults:          sched.fp,
+				NoPlanCache: true,
+				Faults:      sched.fp,
 			}
 			a, err := s.Query(q.Parsed, opts)
 			if err != nil {
@@ -177,10 +177,10 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestChaosAdaptiveRowsIdentical runs the schedules with adaptive
-// re-planning left ON. Recovery delays may legitimately shift re-plan
-// pause points (so no timing bound here), but the rows must still be
-// byte-identical to the fault-free adaptive run.
+// TestChaosAdaptiveRowsIdentical runs the schedules through the plan
+// cache, where executions may correct the entries later ones run (so no
+// timing bound here), but the rows must still be byte-identical to the
+// fault-free cached run.
 func TestChaosAdaptiveRowsIdentical(t *testing.T) {
 	s := chaosStore(t)
 	queries := watdiv.BasicQuerySet()[:6]
@@ -195,7 +195,7 @@ func TestChaosAdaptiveRowsIdentical(t *testing.T) {
 				t.Fatalf("%s/%s: %v", sched.name, q.Name, err)
 			}
 			if got, want := chaosRender(res), chaosRender(base); got != want {
-				t.Errorf("%s/%s: adaptive rows differ under faults", sched.name, q.Name)
+				t.Errorf("%s/%s: cached rows differ under faults", sched.name, q.Name)
 			}
 		}
 	}
@@ -215,8 +215,8 @@ func BenchmarkChaosRecovery(b *testing.B) {
 		var sim, rec int64
 		for i := 0; i < b.N; i++ {
 			res, err := s.Query(q.Parsed, core.QueryOptions{
-				ReplanThreshold: -1,
-				Faults:          fp,
+				NoPlanCache: true,
+				Faults:      fp,
 			})
 			if err != nil {
 				b.Fatal(err)

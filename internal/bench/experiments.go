@@ -34,11 +34,11 @@ func (s *Systems) Figure2(queries []watdiv.Query) (Figure, error) {
 		},
 	}
 	for _, q := range queries {
-		vp, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyVPOnly, BroadcastThreshold: s.BroadcastThreshold, ReplanThreshold: -1})
+		vp, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyVPOnly, BroadcastThreshold: s.BroadcastThreshold, NoPlanCache: true})
 		if err != nil {
 			return Figure{}, fmt.Errorf("bench: figure 2, %s vp-only: %w", q.Name, err)
 		}
-		mixed, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, ReplanThreshold: -1})
+		mixed, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, NoPlanCache: true})
 		if err != nil {
 			return Figure{}, fmt.Errorf("bench: figure 2, %s mixed: %w", q.Name, err)
 		}
@@ -178,8 +178,8 @@ func (s *Systems) AblationJoinOrder(queries []watdiv.Query) (Figure, error) {
 // AblationPlanner compares the cost-based physical planner against the
 // paper's §3.3 heuristic ordering (ablation A3): same storage, same
 // engine, only join order and per-join physical selection differ —
-// adaptive re-planning is pinned off on both sides so the delta
-// isolates the planner variable (A5 measures adaptivity).
+// the plan cache is bypassed on both sides so the delta isolates the
+// planner variable (A5 measures correction).
 func (s *Systems) AblationPlanner(queries []watdiv.Query) (Figure, error) {
 	fig := Figure{
 		Title: "Ablation A3: cost-based planner vs §3.3 heuristic",
@@ -189,11 +189,11 @@ func (s *Systems) AblationPlanner(queries []watdiv.Query) (Figure, error) {
 		},
 	}
 	for _, q := range queries {
-		costRes, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeCost, ReplanThreshold: -1})
+		costRes, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeCost, NoPlanCache: true})
 		if err != nil {
 			return Figure{}, err
 		}
-		heurRes, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeHeuristic, ReplanThreshold: -1})
+		heurRes, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeHeuristic, NoPlanCache: true})
 		if err != nil {
 			return Figure{}, err
 		}
@@ -211,7 +211,7 @@ func (s *Systems) AblationPlanner(queries []watdiv.Query) (Figure, error) {
 // default: independent subtrees become sibling subplans priced and run
 // as parallel branches) against the same cost-based planner restricted
 // to left-deep chains (ablation A4). Same storage, same engine, same
-// join arithmetic, re-planning pinned off on both sides — only the
+// join arithmetic, static plans on both sides — only the
 // plan shape differs, so the delta is the critical-path saving of
 // running snowflake arms concurrently.
 func (s *Systems) AblationBushy(queries []watdiv.Query) (Figure, error) {
@@ -223,11 +223,11 @@ func (s *Systems) AblationBushy(queries []watdiv.Query) (Figure, error) {
 		},
 	}
 	for _, q := range queries {
-		bushy, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeCost, ReplanThreshold: -1})
+		bushy, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeCost, NoPlanCache: true})
 		if err != nil {
 			return Figure{}, err
 		}
-		ld, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeCostLeftDeep, ReplanThreshold: -1})
+		ld, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, Planner: plan.ModeCostLeftDeep, NoPlanCache: true})
 		if err != nil {
 			return Figure{}, err
 		}
@@ -241,38 +241,30 @@ func (s *Systems) AblationBushy(queries []watdiv.Query) (Figure, error) {
 	return fig, nil
 }
 
-// AblationAdaptive compares adaptive mid-query re-planning against the
-// static cost planner (ablation A5), Mixed strategy throughout. Three
-// series per query:
+// AblationAdaptive compares the static cost plan with what correction
+// between executions makes of it (ablation A5), Mixed strategy
+// throughout. Three series per query:
 //
-//   - static: the cost planner with re-planning disabled (the PR 3
-//     behaviour), planned fresh each time.
-//   - adaptive-1st: a first execution with the default re-plan trigger
-//     and no plan cache — mis-estimated operators pause the frontier,
-//     the remainder is re-planned over materialized intermediates, and
-//     the corrected remainder is spliced in when its priced saving
-//     beats the re-planning charge.
-//   - adaptive-2nd: the steady-state cached execution — the feedback
-//     cache serves the corrected plan written back by a completed
-//     adaptive run, so the query neither repeats the estimation
-//     mistake nor re-pays the re-plan.
+//   - first: the query's first execution through the plan cache — the
+//     static plan, run to completion. A run whose worst Scan or Join
+//     missed its estimate by more than core.CorrectionBound re-plans its
+//     cache entry from the cardinalities it observed.
+//   - corrected: the steady state, once repeated executions stop
+//     changing the simulated time (an entry that still misses by more
+//     than the bound is corrected again, with more observations).
+//   - static: the cost planner with the plan cache bypassed.
 //
-// The adopt-only-when-it-pays rule means a query without a genuine
-// correction opportunity runs exactly the static plan at exactly the
-// static time, so adaptivity is free where it cannot help.
-//
-// Since join-graph statistics landed, A5 runs on the independence-only
-// store (PRoSTIndep): on the default store the sketches fix the very
-// estimation mistakes the adaptive loop exists to catch, so no trigger
-// ever fires (that is ablation A6's claim). A5 keeps pinning the
-// adaptive machinery itself, which production stores still need for
-// the shapes sketches cannot express.
+// A query whose estimates hold never corrects, so its three series are
+// equal. A5 runs on an independence-only store (join-graph statistics
+// off) loaded for the call, so every first execution meets an empty
+// cache: on the default store the sketches fix the very estimation
+// mistakes correction exists for (ablation A6's claim).
 func (s *Systems) AblationAdaptive(queries []watdiv.Query) (Figure, error) {
 	fig := Figure{
-		Title: "Ablation A5: adaptive re-planning vs static cost planner (independence estimator)",
+		Title: "Ablation A5: corrected steady state vs static cost planner (independence estimator)",
 		Series: []Series{
-			{Name: "adaptive-1st"},
-			{Name: "adaptive-2nd"},
+			{Name: "first"},
+			{Name: "corrected"},
 			{Name: "static"},
 		},
 	}
@@ -284,74 +276,75 @@ func (s *Systems) AblationAdaptive(queries []watdiv.Query) (Figure, error) {
 		base := core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold}
 
 		staticOpts := base
-		staticOpts.ReplanThreshold = -1
 		staticOpts.NoPlanCache = true
 		static, err := indep.Query(q.Parsed, staticOpts)
 		if err != nil {
 			return Figure{}, fmt.Errorf("bench: adaptive ablation, %s static: %w", q.Name, err)
 		}
-
-		firstOpts := base
-		firstOpts.NoPlanCache = true
-		first, err := indep.Query(q.Parsed, firstOpts)
+		first, err := indep.Query(q.Parsed, base)
 		if err != nil {
 			return Figure{}, fmt.Errorf("bench: adaptive ablation, %s first: %w", q.Name, err)
 		}
-
-		// Steady state through the feedback cache: a corrected entry may
-		// itself be corrected once more (a re-plan exposes new operators
-		// whose estimates were never observed), so warm until the
-		// simulated time stops changing.
-		var second *core.Result
-		prev := time.Duration(-1)
-		for i := 0; i < 6; i++ {
-			res, err := indep.Query(q.Parsed, base)
-			if err != nil {
-				return Figure{}, fmt.Errorf("bench: adaptive ablation, %s cached run: %w", q.Name, err)
-			}
-			second = res
-			if res.SimTime == prev {
-				break
-			}
-			prev = res.SimTime
+		corrected, err := steadyState(indep, q, base)
+		if err != nil {
+			return Figure{}, fmt.Errorf("bench: adaptive ablation, %s: %w", q.Name, err)
 		}
 
-		if len(first.Rows) != len(static.Rows) || len(second.Rows) != len(static.Rows) {
-			return Figure{}, fmt.Errorf("bench: adaptive ablation, %s: row counts diverge (static %d, first %d, second %d)",
-				q.Name, len(static.Rows), len(first.Rows), len(second.Rows))
+		if len(first.Rows) != len(static.Rows) || len(corrected.Rows) != len(static.Rows) {
+			return Figure{}, fmt.Errorf("bench: adaptive ablation, %s: row counts diverge (static %d, first %d, corrected %d)",
+				q.Name, len(static.Rows), len(first.Rows), len(corrected.Rows))
 		}
 		fig.Labels = append(fig.Labels, q.Name)
 		fig.Series[0].Values = append(fig.Series[0].Values, first.SimTime)
-		fig.Series[1].Values = append(fig.Series[1].Values, second.SimTime)
+		fig.Series[1].Values = append(fig.Series[1].Values, corrected.SimTime)
 		fig.Series[2].Values = append(fig.Series[2].Values, static.SimTime)
 	}
 	return fig, nil
 }
 
+// steadyState repeats q through the plan cache until its simulated time
+// stops changing — a corrected entry may be corrected once more, when
+// its re-plan exposes joins no execution observed yet — and returns the
+// last execution.
+func steadyState(store *core.Store, q watdiv.Query, opts core.QueryOptions) (*core.Result, error) {
+	var res *core.Result
+	prev := time.Duration(-1)
+	for i := 0; i < 6; i++ {
+		var err error
+		if res, err = store.Query(q.Parsed, opts); err != nil {
+			return nil, fmt.Errorf("cached run %d: %w", i, err)
+		}
+		if res.SimTime == prev {
+			break
+		}
+		prev = res.SimTime
+	}
+	return res, nil
+}
+
 // AblationSketches measures the join-graph statistics (ablation A6):
 // first-execution times on the default store (characteristic sets +
-// pair sketches collected at load time) against the pre-sketch
-// independence estimator, with and without PR 4's adaptive rescue.
-// Three series per query, Mixed strategy, fresh plans throughout
-// (NoPlanCache — this is the cost a *new* query pays):
+// pair sketches collected at load time) against the independence
+// estimator, statically and once correction between executions has
+// repaired its mistakes. Three series per query, Mixed strategy:
 //
-//   - sketches-1st: the default store; the adaptive loop stays armed
-//     but the sketch-based estimates are intended to make it idle.
-//   - indep-adaptive-1st: the sketch-less store with the adaptive loop
-//     — what PR 4 paid on a first execution to fix the independence
-//     assumption's mistakes at runtime.
-//   - indep-static: the sketch-less store, static — the unrescued
-//     baseline.
+//   - sketches-1st: the default store, a fresh plan — the cost a *new*
+//     query pays.
+//   - indep-corrected: the sketch-less store's steady state through the
+//     plan cache — what repeated executions of the query earn from
+//     correcting its cache entry.
+//   - indep-static: the sketch-less store, a fresh plan — the
+//     uncorrected baseline.
 //
-// The A6 claim: sketches turn the adaptive loop's first-run rescue
-// into a static win — sketches-1st matches or beats indep-adaptive-1st
-// everywhere, without re-plan triggers firing.
+// The A6 claim: sketches make a new query's first execution at least
+// as good as the independence estimator's, with no correction firing;
+// indep-corrected shows what repeated executions reach without them.
 func (s *Systems) AblationSketches(queries []watdiv.Query) (Figure, error) {
 	fig := Figure{
 		Title: "Ablation A6: join-graph statistics (csets + sketches) vs independence estimator",
 		Series: []Series{
 			{Name: "sketches-1st"},
-			{Name: "indep-adaptive-1st"},
+			{Name: "indep-corrected"},
 			{Name: "indep-static"},
 		},
 	}
@@ -360,32 +353,30 @@ func (s *Systems) AblationSketches(queries []watdiv.Query) (Figure, error) {
 		return Figure{}, fmt.Errorf("bench: sketch ablation: %w", err)
 	}
 	for _, q := range queries {
-		base := core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, NoPlanCache: true}
+		base := core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold}
+		fresh := base
+		fresh.NoPlanCache = true
 
-		sketch, err := s.PRoST.Query(q.Parsed, base)
+		sketch, err := s.PRoST.Query(q.Parsed, fresh)
 		if err != nil {
 			return Figure{}, fmt.Errorf("bench: sketch ablation, %s sketches: %w", q.Name, err)
 		}
-
-		indepAdaptive, err := indep.Query(q.Parsed, base)
+		indepCorrected, err := steadyState(indep, q, base)
 		if err != nil {
-			return Figure{}, fmt.Errorf("bench: sketch ablation, %s indep-adaptive: %w", q.Name, err)
+			return Figure{}, fmt.Errorf("bench: sketch ablation, %s indep-corrected: %w", q.Name, err)
 		}
-
-		staticOpts := base
-		staticOpts.ReplanThreshold = -1
-		indepStatic, err := indep.Query(q.Parsed, staticOpts)
+		indepStatic, err := indep.Query(q.Parsed, fresh)
 		if err != nil {
 			return Figure{}, fmt.Errorf("bench: sketch ablation, %s indep-static: %w", q.Name, err)
 		}
 
-		if len(sketch.Rows) != len(indepStatic.Rows) || len(indepAdaptive.Rows) != len(indepStatic.Rows) {
-			return Figure{}, fmt.Errorf("bench: sketch ablation, %s: row counts diverge (sketch %d, adaptive %d, static %d)",
-				q.Name, len(sketch.Rows), len(indepAdaptive.Rows), len(indepStatic.Rows))
+		if len(sketch.Rows) != len(indepStatic.Rows) || len(indepCorrected.Rows) != len(indepStatic.Rows) {
+			return Figure{}, fmt.Errorf("bench: sketch ablation, %s: row counts diverge (sketch %d, corrected %d, static %d)",
+				q.Name, len(sketch.Rows), len(indepCorrected.Rows), len(indepStatic.Rows))
 		}
 		fig.Labels = append(fig.Labels, q.Name)
 		fig.Series[0].Values = append(fig.Series[0].Values, sketch.SimTime)
-		fig.Series[1].Values = append(fig.Series[1].Values, indepAdaptive.SimTime)
+		fig.Series[1].Values = append(fig.Series[1].Values, indepCorrected.SimTime)
 		fig.Series[2].Values = append(fig.Series[2].Values, indepStatic.SimTime)
 	}
 	return fig, nil
@@ -402,11 +393,11 @@ func (s *Systems) AblationBroadcast(queries []watdiv.Query) (Figure, error) {
 		},
 	}
 	for _, q := range queries {
-		on, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, ReplanThreshold: -1})
+		on, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, NoPlanCache: true})
 		if err != nil {
 			return Figure{}, err
 		}
-		off, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: -1, ReplanThreshold: -1})
+		off, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: -1, NoPlanCache: true})
 		if err != nil {
 			return Figure{}, err
 		}
@@ -429,11 +420,11 @@ func (s *Systems) ExtensionInversePT(queries []watdiv.Query) (Figure, error) {
 		},
 	}
 	for _, q := range queries {
-		mixed, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, ReplanThreshold: -1})
+		mixed, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, NoPlanCache: true})
 		if err != nil {
 			return Figure{}, err
 		}
-		ipt, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixedIPT, BroadcastThreshold: s.BroadcastThreshold, ReplanThreshold: -1})
+		ipt, err := s.PRoST.Query(q.Parsed, core.QueryOptions{Strategy: core.StrategyMixedIPT, BroadcastThreshold: s.BroadcastThreshold, NoPlanCache: true})
 		if err != nil {
 			return Figure{}, err
 		}

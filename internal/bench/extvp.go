@@ -35,17 +35,16 @@ type ExtVPRecord struct {
 //
 // Both sides run VP-only: the rewrite targets VP scans, and under the
 // mixed strategy star shapes route through the Property Table where a
-// per-predicate reduction has nothing to attach to. Re-planning is
-// pinned off and the plan cache bypassed so every run prices and pays
-// for a fresh plan — the comparison is planner output vs planner
-// output, not cache state.
+// per-predicate reduction has nothing to attach to. The plan cache is
+// bypassed so every run prices and pays for a fresh plan — the
+// comparison is planner output vs planner output, not cache state.
 func (s *Systems) ExtVPProfile(queries []watdiv.Query) ([]ExtVPRecord, error) {
 	store, err := s.PRoSTExtVP()
 	if err != nil {
 		return nil, fmt.Errorf("bench: extvp profile: %w", err)
 	}
 	opts := core.QueryOptions{Strategy: core.StrategyVPOnly, BroadcastThreshold: s.BroadcastThreshold,
-		ReplanThreshold: -1, NoPlanCache: true}
+		NoPlanCache: true}
 
 	// Cold pass: the workload model observes every executed join and
 	// queues builds; no reductions exist yet, so plans are unrewritten.

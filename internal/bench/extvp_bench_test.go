@@ -33,7 +33,7 @@ func (f *plannerFixture) extvpStore(b *testing.B) *core.Store {
 			return
 		}
 		opts := core.QueryOptions{Strategy: core.StrategyVPOnly, BroadcastThreshold: f.bcast,
-			ReplanThreshold: -1, NoPlanCache: true}
+			NoPlanCache: true}
 		for i := 0; i < 3; i++ {
 			for _, q := range watdiv.BasicQuerySet() {
 				if _, f.extvpErr = s.Query(q.Parsed, opts); f.extvpErr != nil {
@@ -68,7 +68,7 @@ func BenchmarkAblationExtVP(b *testing.B) {
 		for _, v := range variants {
 			b.Run(name+"/"+v.name, func(b *testing.B) {
 				opts := core.QueryOptions{Strategy: core.StrategyVPOnly, BroadcastThreshold: f.bcast,
-					ReplanThreshold: -1, NoPlanCache: true}
+					NoPlanCache: true}
 				var sim int64
 				for i := 0; i < b.N; i++ {
 					res, err := v.store.Query(q.Parsed, opts)

@@ -27,7 +27,7 @@ import (
 // 100M-triple scale (same extrapolation as the Systems fixture,
 // without loading the three baseline systems). indepStore lazily adds
 // the same data without join-graph statistics — the estimator the
-// adaptive-loop benchmarks exercise and the sketch ablation measures
+// correction benchmarks exercise and the sketch ablation measures
 // against; benchmarks that never touch it never pay the extra load.
 type plannerFixture struct {
 	store *core.Store
@@ -137,10 +137,9 @@ func BenchmarkPlannerSimTime(b *testing.B) {
 		}
 		for _, m := range plannerModes {
 			b.Run(sh.shape+"/"+m.name, func(b *testing.B) {
-				// Re-planning pinned off: this benchmark isolates the
-				// static planner variable (AblationAdaptive measures the
-				// adaptive loop).
-				opts := core.QueryOptions{Planner: m.mode, BroadcastThreshold: f.bcast, ReplanThreshold: -1}
+				// The static plan: this benchmark isolates the planner
+				// variable (AblationAdaptive measures correction).
+				opts := core.QueryOptions{Planner: m.mode, BroadcastThreshold: f.bcast, NoPlanCache: true}
 				var sim int64
 				for i := 0; i < b.N; i++ {
 					res, err := f.store.Query(q.Parsed, opts)

@@ -57,9 +57,9 @@ func BenchmarkSchedulerBushyVsLeftDeep(b *testing.B) {
 		for _, st := range strategies {
 			for _, m := range modes {
 				b.Run(name+"/"+st.name+"/"+m.name, func(b *testing.B) {
-					// Re-planning pinned off: the benchmark isolates the
+					// The static plan: the benchmark isolates the
 					// bushy-vs-left-deep plan shape.
-					opts := core.QueryOptions{Strategy: st.s, Planner: m.m, BroadcastThreshold: f.bcast, ReplanThreshold: -1}
+					opts := core.QueryOptions{Strategy: st.s, Planner: m.m, BroadcastThreshold: f.bcast, NoPlanCache: true}
 					var sim int64
 					for i := 0; i < b.N; i++ {
 						res, err := f.store.Query(q.Parsed, opts)

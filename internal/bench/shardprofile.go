@@ -134,7 +134,7 @@ func ShardProfile(store *core.Store, queries []watdiv.Query, shardCounts []int) 
 		}
 	}()
 
-	base := core.QueryOptions{Strategy: core.StrategyMixed, ReplanThreshold: -1, BroadcastThreshold: -1}
+	base := core.QueryOptions{Strategy: core.StrategyMixed, NoPlanCache: true, BroadcastThreshold: -1}
 	var out []ShardRecord
 	for _, q := range queries {
 		single, err := store.Query(q.Parsed, base)

@@ -4,8 +4,8 @@ package bench
 // C-family queries executed as a first run (fresh plan, no cache) on
 // the default store — characteristic sets + pair sketches collected at
 // load time price the correlated joins statically — against the same
-// first run on the independence-estimator store with and without PR 4's
-// adaptive rescue. Run with
+// first run on the independence-estimator store and that store's cached
+// executions, whose entries correction repairs. Run with
 //
 //	go test ./internal/bench -bench AblationSketches
 //
@@ -32,13 +32,9 @@ func BenchmarkAblationSketches(b *testing.B) {
 			o.NoPlanCache = true
 			return o
 		}},
-		{"indep-adaptive-1st", indep, func(o core.QueryOptions) core.QueryOptions {
-			o.NoPlanCache = true
-			return o
-		}},
+		{"indep-cached", indep, func(o core.QueryOptions) core.QueryOptions { return o }},
 		{"indep-static", indep, func(o core.QueryOptions) core.QueryOptions {
 			o.NoPlanCache = true
-			o.ReplanThreshold = -1
 			return o
 		}},
 	}

@@ -29,7 +29,7 @@ type StreamingRecord struct {
 }
 
 // StreamingProfile measures every query twice on a PRoST store —
-// materialized and streaming, Mixed strategy, re-planning pinned off
+// materialized and streaming, Mixed strategy, the plan cache bypassed
 // so both modes execute the same static plan — and reports the paired
 // record. Row counts must agree or the profile fails.
 //
@@ -43,7 +43,7 @@ type StreamingRecord struct {
 func StreamingProfile(store *core.Store, queries []watdiv.Query) ([]StreamingRecord, error) {
 	var out []StreamingRecord
 	for _, q := range queries {
-		base := core.QueryOptions{Strategy: core.StrategyMixed, ReplanThreshold: -1}
+		base := core.QueryOptions{Strategy: core.StrategyMixed, NoPlanCache: true}
 		mat, err := store.Query(q.Parsed, base)
 		if err != nil {
 			return nil, fmt.Errorf("bench: streaming profile, %s materialized: %w", q.Name, err)

@@ -56,15 +56,11 @@ type Systems struct {
 	SPARQLGX *sparqlgx.Store
 	Rya      *rya.Store
 
-	// graph and inversePT let PRoSTIndep build its store lazily: only
-	// the adaptive (A5) and sketch (A6) ablations need it, so other
-	// experiments never pay the extra load.
+	// graph and inversePT let PRoSTIndep load on demand: only the
+	// correction ablations need it, so other experiments never pay the
+	// extra load.
 	graph     *rdf.Graph
 	inversePT bool
-
-	indepOnce sync.Once
-	indep     *core.Store
-	indepErr  error
 
 	extvpOnce sync.Once
 	extvp     *core.Store
@@ -177,18 +173,13 @@ func scaleCostModel(m cluster.CostModel, factor float64) cluster.CostModel {
 	return m
 }
 
-// PRoSTIndep returns the same data loaded without join-graph
-// statistics (characteristic sets + pair sketches): the pre-sketch
-// independence-only estimator, built lazily on first use. The adaptive
-// ablation (A5) runs on it — with sketches on, the estimation mistakes
-// that trigger mid-query re-planning no longer occur — and the sketch
-// ablation (A6) measures the two stores against each other.
+// PRoSTIndep loads the same data once more without join-graph
+// statistics (characteristic sets + pair sketches) — the pre-sketch
+// independence-only estimator — on a file system and plan cache of its
+// own, at every call: the correction ablations (A5, A6) start from a
+// cold cache whatever ran before them.
 func (s *Systems) PRoSTIndep() (*core.Store, error) {
-	s.indepOnce.Do(func() {
-		s.indep, s.indepErr = core.Load(s.graph, core.Options{Cluster: s.Cluster, FS: s.FS,
-			BuildInversePT: s.inversePT, PathPrefix: "/prost-indep", DisableJoinStats: true})
-	})
-	return s.indep, s.indepErr
+	return core.Load(s.graph, core.Options{Cluster: s.Cluster, BuildInversePT: s.inversePT, DisableJoinStats: true})
 }
 
 // PRoSTExtVP returns the same data loaded with the workload model
@@ -236,12 +227,11 @@ func (s *Systems) run(system string, q *sparql.Query) (Outcome, [][]rdf.Term, er
 	var err error
 	switch system {
 	case SysPRoST:
-		// Paper figures measure the static planner (ReplanThreshold -1):
-		// adaptive re-planning writes corrected plans back to the shared
-		// cache, which would make later experiments' numbers depend on
-		// which experiment ran first. Adaptivity is measured by ablation
-		// A5, which manages its own options.
-		r, err := s.PRoST.Query(q, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, ReplanThreshold: -1})
+		// Paper figures measure the static plan (NoPlanCache): a cached
+		// entry may be corrected by an earlier execution, which would make
+		// later experiments' numbers depend on which experiment ran first.
+		// Correction is measured by ablation A5, on a store of its own.
+		r, err := s.PRoST.Query(q, core.QueryOptions{Strategy: core.StrategyMixed, BroadcastThreshold: s.BroadcastThreshold, NoPlanCache: true})
 		if err != nil {
 			return Outcome{}, nil, err
 		}

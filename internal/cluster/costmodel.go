@@ -100,8 +100,8 @@ func (m CostModel) BroadcastJoinTime(buildBytes, rows int64, workers int) time.D
 //     per-row term is priced on the hot fraction instead of the fair
 //     share — the makespan penalty salting exists to remove.
 //
-// The adaptive re-planner uses it to price shuffle candidates over
-// materialized intermediates whose key histogram is known exactly.
+// It needs the key histogram of an input; the planner's leaf statistics
+// keep none, so plan pricing uses ShuffleJoinTime.
 func (m CostModel) SkewedShuffleJoinTime(movedBytes, rows int64, workers int, hotFrac, saltFrac float64) time.Duration {
 	if workers < 1 {
 		workers = 1

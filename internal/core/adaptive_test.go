@@ -1,9 +1,11 @@
 package core
 
-// Tests for the adaptive execution loop: mid-query re-planning, the
-// feedback plan cache, per-query cancellation, and determinism of the
-// adaptive path under concurrent callers (the TestConcurrent* names
-// are load-bearing: CI's fast gate runs -run 'Concurrent|Adaptive').
+// Tests for correction between executions: a badly mis-estimated
+// execution re-plans its cache entry from the cardinalities it
+// observed, the feedback plan cache serves the corrected entry,
+// per-query cancellation never writes back, and the corrected path is
+// deterministic under concurrent callers (the TestConcurrent* names are
+// load-bearing: CI's fast gate runs -run 'Concurrent|Adaptive').
 
 import (
 	"context"
@@ -25,9 +27,9 @@ import (
 // independence assumption: predicates a and b share one hot object
 // carried by 80% of their triples plus a distinct-value tail, so the
 // planner's |A||B|/max(d) estimate misses the a⋈b join by >10x — the
-// trigger shape the adaptive executor exists for. Predicate c hangs a
-// second join off b's subjects, giving the re-planner a remainder to
-// reorder, and d is an unrelated predicate for cache-isolation tests.
+// shape correction exists for. Predicate c hangs a second join off b's
+// subjects, giving the corrected plan a join order to change, and d is
+// an unrelated predicate for cache-isolation tests.
 func correlatedGraph() *rdf.Graph {
 	iri := func(s string) rdf.Term { return rdf.NewIRI(testNS + s) }
 	g := rdf.NewGraph(0)
@@ -56,8 +58,8 @@ func adaptiveStore(t *testing.T) *Store {
 	t.Helper()
 	c := cluster.MustNew(cluster.Config{Workers: 4, DefaultPartitions: 8})
 	// Join-graph statistics are disabled on purpose: the pair sketch for
-	// a⋈b would price the correlated join exactly and no re-plan would
-	// ever trigger. These tests pin the adaptive machinery itself, which
+	// a⋈b would price the correlated join exactly and nothing would ever
+	// be corrected. These tests pin the correction itself, which
 	// production stores only exercise for the shapes sketches cannot
 	// express.
 	s, err := Load(correlatedGraph(), Options{Cluster: c, DisableJoinStats: true})
@@ -67,38 +69,42 @@ func adaptiveStore(t *testing.T) *Store {
 	return s
 }
 
-// TestAdaptiveReplanFiresAndKeepsResults checks the core loop: the
-// correlated join trips the trigger, the re-planned execution returns
-// exactly the static planner's rows, and the corrected plan lands in
-// the feedback cache so the second execution reports the provenance
-// and never re-evaluates the mistake.
+// TestAdaptiveReplanFiresAndKeepsResults checks the correction: the
+// first execution runs the static plan to completion — same rows, same
+// SimTime — and, because the correlated join missed its estimate beyond
+// the bound, re-plans its cache entry from what it counted; the second
+// execution reports the feedback provenance and runs the corrected plan,
+// priced from those observations, to the same rows.
 func TestAdaptiveReplanFiresAndKeepsResults(t *testing.T) {
 	s := adaptiveStore(t)
 	q := sparql.MustParse(adaptiveQuery)
 
-	static, err := s.Query(q, QueryOptions{ReplanThreshold: -1, NoPlanCache: true})
+	static, err := s.Query(q, QueryOptions{NoPlanCache: true})
 	if err != nil {
 		t.Fatalf("static: %v", err)
 	}
+	if len(static.Replans) != 0 {
+		t.Errorf("an uncached execution corrected something: %+v", static.Replans)
+	}
 	first, err := s.Query(q, QueryOptions{})
 	if err != nil {
-		t.Fatalf("adaptive: %v", err)
+		t.Fatalf("first: %v", err)
 	}
-	if len(first.Replans) == 0 {
-		t.Fatalf("correlated join (est misses actual >10x) did not trigger a re-plan")
+	if first.SimTime != static.SimTime || first.Plan.String() != static.Plan.String() {
+		t.Errorf("first execution did not run the static plan: %v vs %v\n%s\n%s", first.SimTime, static.SimTime, first.Plan, static.Plan)
+	}
+	if len(first.Replans) != 1 {
+		t.Fatalf("correlated join (est misses actual >10x) made %d corrections, want 1", len(first.Replans))
 	}
 	ev := first.Replans[0]
-	if ev.Ratio <= DefaultReplanThreshold {
-		t.Errorf("trigger ratio %.2f not above the default threshold", ev.Ratio)
+	if ev.Ratio <= CorrectionBound || ev.Trigger == "" || ev.Observed == 0 {
+		t.Errorf("correction event incomplete or under the bound: %+v", ev)
 	}
-	if ev.Trigger == "" || ev.OldRemainder == "" || ev.NewRemainder == "" {
-		t.Errorf("re-plan event incomplete: %+v", ev)
-	}
-	eqStrings(t, renderRows(first), renderRows(static), "adaptive vs static rows")
+	eqStrings(t, renderRows(first), renderRows(static), "first vs static rows")
 
 	m := s.PlanCacheMetrics()
 	if m.CorrectedEntries == 0 {
-		t.Fatalf("completed adaptive run did not write a corrected plan back (metrics %+v)", m)
+		t.Fatalf("a fully executed, mis-estimated run did not correct its entry (metrics %+v)", m)
 	}
 	second, err := s.Query(q, QueryOptions{})
 	if err != nil {
@@ -114,31 +120,67 @@ func TestAdaptiveReplanFiresAndKeepsResults(t *testing.T) {
 	if sum := second.ReplanSummary(); !strings.Contains(sum, "feedback cache") {
 		t.Errorf("ReplanSummary does not report feedback provenance:\n%s", sum)
 	}
-	// The stamped feedback plan carries rebased estimates, so its worst
-	// error ratio must be far below the trigger.
-	if ratio, at := second.Plan.MaxErrorRatio(); at != nil && ratio > DefaultReplanThreshold {
+	if !strings.Contains(second.Plan.String(), "est-source="+plan.EstObserved) {
+		t.Errorf("corrected plan prices nothing from an observation:\n%s", second.Plan)
+	}
+	// Every join the first execution counted is priced at its count, so
+	// the corrected plan's worst error must be far below the bound.
+	if ratio, at := second.Plan.MaxErrorRatio(); at != nil && ratio > CorrectionBound {
 		t.Errorf("feedback plan still reports %.1fx estimation error at %s", ratio, at.Label)
 	}
-	if am := s.AdaptiveMetrics(); am.Evaluated == 0 {
-		t.Errorf("store adaptive counters not updated: %+v", am)
+	if second.SimTime > first.SimTime {
+		t.Errorf("corrected plan (%v) slower than the static plan (%v)", second.SimTime, first.SimTime)
+	}
+	if am := s.AdaptiveMetrics(); am.Corrections != 1 {
+		t.Errorf("store correction counter %+v, want 1", am)
 	}
 }
 
 // TestAdaptiveDisabledForPaperModes keeps the heuristic and naive
 // planners exactly static: they reproduce the paper's measurements and
-// must never re-plan regardless of estimation error.
+// their cache entries are never corrected, whatever the estimation
+// error.
 func TestAdaptiveDisabledForPaperModes(t *testing.T) {
 	s := adaptiveStore(t)
 	q := sparql.MustParse(adaptiveQuery)
 	for _, mode := range []plan.Mode{plan.ModeHeuristic, plan.ModeNaive} {
-		res, err := s.Query(q, QueryOptions{Planner: mode})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if len(res.Replans) != 0 {
-			t.Errorf("%v planner re-planned; the paper modes must stay static", mode)
+		for run := 0; run < 2; run++ {
+			res, err := s.Query(q, QueryOptions{Planner: mode})
+			if err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			if len(res.Replans) != 0 || res.CacheFeedback {
+				t.Errorf("%v planner run %d corrected its plan; the paper modes must stay static", mode, run)
+			}
 		}
 	}
+	if m := s.PlanCacheMetrics(); m.CorrectedEntries != 0 {
+		t.Errorf("paper-mode executions corrected %d entries", m.CorrectedEntries)
+	}
+}
+
+// TestAdaptiveFaultRecomputeKeepsRows is the regression test for a bug
+// of mid-query re-planning: under corrupted exchanges on the correlated
+// store, lineage recompute reached a Bound leaf of a re-planned round
+// whose relation had already been handed on, and the query failed with
+// "bound leaf … lost its relation during lineage recompute". Every plan
+// now runs to completion, so recompute only ever re-executes operators
+// of the one plan: the faulted run must return the fault-free rows.
+func TestAdaptiveFaultRecomputeKeepsRows(t *testing.T) {
+	s := adaptiveStore(t)
+	q := sparql.MustParse(adaptiveQuery)
+	clean, err := s.Query(q, QueryOptions{NoPlanCache: true})
+	if err != nil {
+		t.Fatalf("clean: %v", err)
+	}
+	res, err := s.Query(q, QueryOptions{NoPlanCache: true, Faults: &cluster.FaultPlan{Seed: 2, CorruptRate: 0.5}})
+	if err != nil {
+		t.Fatalf("faulted: %v", err)
+	}
+	if res.Resilience.ChecksumFailures == 0 {
+		t.Errorf("the fault plan corrupted no exchange; the test no longer reaches lineage recompute")
+	}
+	eqStrings(t, renderRows(res), renderRows(clean), "faulted vs clean rows")
 }
 
 // TestTimedOutQueryLeavesCacheUntouched is the poisoning regression: a
@@ -169,7 +211,7 @@ func TestTimedOutQueryLeavesCacheUntouched(t *testing.T) {
 		t.Fatalf("timed-out query poisoned the cache with %d corrected entries", m.CorrectedEntries)
 	}
 
-	static, err := s.Query(q, QueryOptions{ReplanThreshold: -1, NoPlanCache: true})
+	static, err := s.Query(q, QueryOptions{NoPlanCache: true})
 	if err != nil {
 		t.Fatalf("static: %v", err)
 	}
@@ -183,7 +225,7 @@ func TestTimedOutQueryLeavesCacheUntouched(t *testing.T) {
 // TestFeedbackEntryInvalidatedByGenerationBump pins the generation
 // counter: reloading statistics — even bit-identical ones, where the
 // fingerprint key cannot change — strands corrected entries, because
-// their rebased estimates are observations of the old data.
+// they were re-planned from observations of the old data.
 func TestFeedbackEntryInvalidatedByGenerationBump(t *testing.T) {
 	s := adaptiveStore(t)
 	q := sparql.MustParse(adaptiveQuery)
@@ -237,8 +279,8 @@ func TestStaleGenerationFreesFIFOSlot(t *testing.T) {
 // statistics (different sketch top-K → different fingerprint AND a
 // generation bump) while 16 goroutines keep querying — the -race gate
 // for swapStats under load. The store is loaded with SketchTopK 1 so
-// the a⋈b correlation stays uncovered and the adaptive loop writes
-// corrected feedback entries; the reload must strand them, and no
+// the a⋈b correlation stays uncovered and executions write corrected
+// feedback entries; the reload must strand them, and no
 // post-reload execution may serve a plan priced against the old
 // sketches: a post-reload query's estimates must match a fresh plan
 // built from the new collection.
@@ -249,19 +291,19 @@ func TestConcurrentStatsReloadWithSketches(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	q := sparql.MustParse(adaptiveQuery)
-	static, err := s.Query(q, QueryOptions{ReplanThreshold: -1, NoPlanCache: true})
+	static, err := s.Query(q, QueryOptions{NoPlanCache: true})
 	if err != nil {
 		t.Fatalf("static: %v", err)
 	}
 	want := renderRows(static)
 
 	// Warm to a corrected feedback entry (the top-1 sketch bound leaves
-	// the correlated pair uncovered, so the trigger still fires).
+	// the correlated pair uncovered, so the estimate still misses).
 	if _, err := s.Query(q, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if m := s.PlanCacheMetrics(); m.CorrectedEntries == 0 {
-		t.Fatalf("no corrected entry before the reload (metrics %+v); the sketch bound no longer leaves the trigger uncovered", m)
+		t.Fatalf("no corrected entry before the reload (metrics %+v); the sketch bound no longer leaves the correlated join uncovered", m)
 	}
 	baseGen := s.PlanCacheMetrics().Generation
 
@@ -323,9 +365,9 @@ func TestConcurrentStatsReloadWithSketches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, wantEst := res.Plan.Root.Est, fresh.Root.Est; got != wantEst {
-		// The served plan may be a corrected (rebased) entry written
-		// back AFTER the reload — that is current-generation feedback,
-		// not staleness — so only a non-feedback plan must match.
+		// The served plan may be a corrected entry written back AFTER
+		// the reload — that is current-generation feedback, not
+		// staleness — so only a non-feedback plan must match.
 		if !res.CacheFeedback {
 			t.Errorf("post-reload plan root est %g != fresh plan est %g (stale sketch pricing served)", got, wantEst)
 		}
@@ -333,13 +375,12 @@ func TestConcurrentStatsReloadWithSketches(t *testing.T) {
 	eqStrings(t, renderRows(res), want, "post-reload result")
 }
 
-// TestConcurrentAdaptiveReplanSharedCache hammers the adaptive path
+// TestConcurrentAdaptiveReplanSharedCache hammers the corrected path
 // from 16 goroutines against one shared store and plan cache (the
 // -race gate): every result must be byte-identical to the sequential
 // baseline, and once the feedback cache reaches steady state the
-// simulated times must be deterministic too — the executed/remainder
-// partition depends only on virtual times and actuals, never on pool
-// interleaving.
+// simulated times must be deterministic too — a plan's SimTime depends
+// only on the plan and the data, never on pool interleaving.
 func TestConcurrentAdaptiveReplanSharedCache(t *testing.T) {
 	s := adaptiveStore(t)
 	queries := []string{

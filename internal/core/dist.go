@@ -47,9 +47,10 @@ type DistSession interface {
 	// filtered rows per (global) partition, plus per-partition processed
 	// counts (keys examined, for PT scans; zero for VP scans, whose Rows
 	// stat is the raw partition length the coordinator already knows).
+	// planNode is the scan's plan node ID, for its ExchangeRecord;
 	// filterIdx indexes the session query's FILTER list; label and
 	// modeledBytes feed the calibration layer's leaf-pricing record.
-	ScanNode(n *Node, filterIdx []int, label string, modeledBytes int64) (parts [][]engine.Row, processed []int64, err error)
+	ScanNode(planNode int, n *Node, filterIdx []int, label string, modeledBytes int64) (parts [][]engine.Row, processed []int64, err error)
 	// Records returns the session's exchange records in execution order.
 	Records() []ExchangeRecord
 	// Close releases the session.
@@ -59,6 +60,8 @@ type DistSession interface {
 // ExchangeRecord measures one wire exchange against its cost-model
 // price — the calibration evidence /stats and /explain report.
 type ExchangeRecord struct {
+	// Node is the ID of the plan operator the exchange executed.
+	Node int
 	// Kind is the exchange flavor: "shuffle", "broadcast", "cartesian",
 	// "distinct" or "scan".
 	Kind string
@@ -149,59 +152,26 @@ func wrapShardErr(err error, t *execTask, completed, total int) error {
 	}
 }
 
-// exchangeClass folds a record kind into the operator class it
-// annotates: scans, distincts, and everything else (the join flavors —
-// shuffle, broadcast, cartesian, colocated).
-func exchangeClass(kind string) string {
-	switch kind {
-	case "scan", "distinct":
-		return kind
-	default:
-		return "join"
-	}
-}
-
 // annotateDistPlan stamps a sharded query's measured-vs-priced exchange
 // bytes onto the executed plan for EXPLAIN (sess is nil for a local
-// query): records are matched to operators by (class, label) FIFO — scan
-// records carry the leaf label, join records the join name (the right
-// child's label), so a predicate scanned twice consumes two records in
-// order.
+// query): every record names the plan node that made it, so the match
+// does not depend on the order the pool ran the exchanges in.
 func annotateDistPlan(p *plan.Plan, sess DistSession) {
 	if sess == nil {
 		return
 	}
-	records := sess.Records()
-	byKey := map[string][]ExchangeRecord{}
-	for _, r := range records {
-		k := exchangeClass(r.Kind) + "|" + r.Name
-		byKey[k] = append(byKey[k], r)
-	}
-	take := func(key string) (ExchangeRecord, bool) {
-		q := byKey[key]
-		if len(q) == 0 {
-			return ExchangeRecord{}, false
+	byNode := map[int]ExchangeRecord{}
+	for _, r := range sess.Records() {
+		if _, dup := byNode[r.Node]; !dup {
+			byNode[r.Node] = r
 		}
-		byKey[key] = q[1:]
-		return q[0], true
 	}
 	var walk func(n *plan.Node)
 	walk = func(n *plan.Node) {
 		for _, c := range n.Children {
 			walk(c)
 		}
-		var key string
-		switch n.Op {
-		case plan.OpScan:
-			key = "scan|" + n.Label
-		case plan.OpJoin:
-			key = "join|" + n.Children[1].Label
-		case plan.OpDistinct:
-			key = "distinct|distinct"
-		default:
-			return
-		}
-		if r, ok := take(key); ok {
+		if r, ok := byNode[n.ID]; ok {
 			n.PricedNetBytes = r.PricedBytes
 			n.MeasuredNetBytes = r.MeasuredBytes
 			n.HasNetBytes = true

@@ -36,18 +36,9 @@ type QueryOptions struct {
 	// subtrees of the plan run in parallel up to this bound.
 	Parallelism int
 	// NoPlanCache bypasses the store's plan cache for this query: the
-	// plan is built from scratch and not inserted.
+	// plan is built from scratch, not inserted, and never corrected — the
+	// static plan, exactly as a first execution runs it.
 	NoPlanCache bool
-	// ReplanThreshold is the adaptive re-planning trigger: when an
-	// executed operator's observed cardinality misses its estimate by
-	// more than this factor, the scheduler pauses the unexecuted
-	// remainder, re-plans it over the materialized intermediates, and
-	// splices the corrected remainder in when its priced saving beats
-	// the re-planning charge. 0 uses DefaultReplanThreshold; negative
-	// disables re-planning (the static ablation baseline). Only the
-	// cost-based planner modes re-plan — the heuristic and naive modes
-	// reproduce the paper's static behaviour exactly.
-	ReplanThreshold float64
 	// Faults injects a deterministic fault schedule for this query,
 	// overriding the cluster-wide plan (cluster.Config.Faults). Nil
 	// inherits the cluster's; a nil or inactive resolved plan keeps
@@ -78,12 +69,12 @@ type QueryOptions struct {
 	Dist DistRunner
 }
 
-// DefaultReplanThreshold is the estimation-error factor that triggers
-// adaptive re-planning when QueryOptions.ReplanThreshold is zero. The
-// C-family triangle joins miss by ~40x under the independence
-// assumption while well-estimated operators stay within a factor of a
-// few, so 8x separates the two populations cleanly.
-const DefaultReplanThreshold = 8.0
+// CorrectionBound is the estimation-error factor beyond which an
+// executed plan corrects its cache entry (Store.correct). The C-family
+// triangle joins miss by ~40x under the independence assumption while
+// well-estimated operators stay within a factor of a few, so 8x
+// separates the two populations cleanly.
+const CorrectionBound = 8.0
 
 // Result is one query's answer plus its execution record.
 type Result struct {
@@ -100,18 +91,16 @@ type Result struct {
 	// execution order.
 	Tree *JoinTree
 	// Plan is the physical plan the query executed, with per-node
-	// estimated and actual cardinalities filled in. When adaptive
-	// re-planning fired, this is the corrected plan the query actually
-	// ran — executed fragments grafted under the re-planned remainder.
+	// estimated and actual cardinalities filled in.
 	Plan *plan.Plan
 	// Clock exposes the full stage trace.
 	Clock *cluster.Clock
-	// Replans records the adaptive re-planning decisions the execution
-	// evaluated, in round order (empty for a static run).
+	// Replans records the correction this execution made to its plan's
+	// cache entry: one event, or none when the estimates held.
 	Replans []ReplanEvent
-	// CacheFeedback reports that the plan came from a feedback-cache
-	// entry: a corrected plan written back by a previous execution's
-	// re-plan, so this execution never repeats the original mistake.
+	// CacheFeedback reports that the plan came from a corrected cache
+	// entry: one a previous execution re-planned from the cardinalities
+	// it observed, so this execution never repeats that mistake.
 	CacheFeedback bool
 	// Resilience is the query's recovery record under fault injection:
 	// attempts, retries, speculation, checksum failures and the priced
@@ -141,44 +130,35 @@ type Result struct {
 	StreamingDowngraded bool
 }
 
-// ReplanSummary renders the adaptive re-planning record for EXPLAIN
-// output: the plan's provenance when it came from the feedback cache,
-// and one block per evaluated re-plan with the trigger node, the error
-// ratio, the decision, and the old vs new remainder. It returns ""
-// when nothing adaptive happened.
-func (r *Result) ReplanSummary() string {
-	if len(r.Replans) == 0 && !r.CacheFeedback {
-		return ""
-	}
-	var sb strings.Builder
-	if r.CacheFeedback {
-		sb.WriteString("plan source: feedback cache (corrected by a previous execution's re-plan)\n")
-	}
-	for _, ev := range r.Replans {
-		verdict := "kept static remainder (saving under re-plan charge)"
-		if ev.Adopted {
-			verdict = "adopted corrected remainder"
-		}
-		fmt.Fprintf(&sb, "re-plan round %d: trigger %s est=%.4g actual=%d (%.1fx error): %s, remainder %v -> %v\n",
-			ev.Round, ev.Trigger, ev.Est, ev.Actual, ev.Ratio, verdict,
-			ev.OldCrit.Round(time.Microsecond), ev.NewCrit.Round(time.Microsecond))
-		if ev.Adopted {
-			sb.WriteString(indentBlock("  old remainder: ", ev.OldRemainder))
-			sb.WriteString(indentBlock("  new remainder: ", ev.NewRemainder))
-		}
-	}
-	return sb.String()
+// ReplanEvent records one correction for EXPLAIN and /stats: the
+// executed node whose actual missed its estimate the most, by how much,
+// and how many observed cardinalities the cache entry was re-planned
+// with.
+type ReplanEvent struct {
+	// Trigger describes the worst-estimated executed node.
+	Trigger string
+	// Est and Actual are the trigger's estimated and observed
+	// cardinalities; Ratio is the error factor between them.
+	Est    float64
+	Actual int64
+	Ratio  float64
+	// Observed counts the cardinalities the corrected entry carries,
+	// accumulated over every correction of the entry.
+	Observed int
 }
 
-// indentBlock renders a multi-line plan under a header, indented.
-func indentBlock(header, block string) string {
+// ReplanSummary renders the correction record for EXPLAIN output: the
+// plan's provenance when it came from a corrected cache entry, and the
+// correction this execution made, if any. It returns "" when neither
+// applies.
+func (r *Result) ReplanSummary() string {
 	var sb strings.Builder
-	sb.WriteString(header)
-	sb.WriteByte('\n')
-	for _, line := range strings.Split(strings.TrimRight(block, "\n"), "\n") {
-		sb.WriteString("    ")
-		sb.WriteString(line)
-		sb.WriteByte('\n')
+	if r.CacheFeedback {
+		sb.WriteString("plan source: feedback cache (corrected from a previous execution's observed cardinalities)\n")
+	}
+	for _, ev := range r.Replans {
+		fmt.Fprintf(&sb, "correction: trigger %s est=%.4g actual=%d (%.1fx error): cache entry re-planned from %d observed cardinalities\n",
+			ev.Trigger, ev.Est, ev.Actual, ev.Ratio, ev.Observed)
 	}
 	return sb.String()
 }
@@ -212,22 +192,19 @@ func (s *Store) Query(q *sparql.Query, opts QueryOptions) (*Result, error) {
 // normalized query, the resolved options and the loader-statistics
 // fingerprint) is consulted; on a miss each BGP group is translated
 // into a Join Tree (paper §3.2) and planned, and an extended query's
-// group plans are composed. Execute: the plan runs on the materialized
-// task scheduler or on the streaming pipelines, whichever the resolver
-// picked; both hand back one execution record. Assemble: the trace is
-// published, store totals and the workload model are fed, and the rows
-// are decoded into the Result.
+// group plans are composed. Execute: the plan runs to completion on the
+// materialized task scheduler or on the streaming pipelines, whichever
+// the resolver picked; both hand back one execution record. Assemble:
+// the cache entry is corrected when the execution showed it badly
+// mis-estimated (Store.correct), the trace is published, store totals
+// and the workload model are fed, and the rows are decoded into the
+// Result.
 //
-// Execution is adaptive: a join whose input's observed cardinality
-// missed its estimate by more than the re-plan bound does not run — the
-// unexecuted remainder is re-planned over the materialized
-// intermediates (with exact rebased statistics) and the corrected
-// remainder is spliced in when its priced saving beats the re-planning
-// charge. A query that re-planned writes the corrected plan back to the
-// plan cache (keyed identically, estimates rebased to the observed
-// cardinalities), so the next execution of the same query skips both
-// the mistake and the re-plan. Only fully executed queries write back —
-// a cancelled or failed run never poisons the cache.
+// Correction happens between executions, never inside one: a query
+// always runs the plan it looked up, and a later execution of the same
+// query runs the entry re-planned from what this one counted. Only fully
+// executed queries write back — a cancelled or failed run never poisons
+// the cache.
 //
 // ctx cancels in-flight execution at task granularity: when the
 // deadline passes, no further plan operators start and QueryContext
@@ -244,11 +221,10 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 	}
 
 	// Plan. One statistics snapshot serves the whole query: the cache
-	// key's fingerprint, leaf estimation, plan pricing and the
-	// re-planner's sketch lookups all read the same collection, so a
-	// reload landing mid-query can never produce a plan priced from a
-	// mixture of old and new statistics (or cache one under the wrong
-	// fingerprint).
+	// key's fingerprint, leaf estimation, plan pricing and a correction's
+	// re-plan all read the same collection, so a reload landing mid-query
+	// can never produce a plan priced from a mixture of old and new
+	// statistics (or cache one under the wrong fingerprint).
 	snap := s.statsSnap.Load()
 	entry, key, err := s.planEntry(snap, q, r)
 	if err != nil {
@@ -264,7 +240,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 	if r.streaming {
 		x, err = s.runStreaming(ctx, r, entry, filters)
 	} else {
-		x, err = s.runMaterialized(ctx, q, r, snap.col, entry, filters)
+		x, err = s.runMaterialized(ctx, q, r, entry, filters)
 	}
 	if r.faults != nil {
 		// The record totals on the store even when the query aborted —
@@ -281,16 +257,8 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 	clock := cluster.NewClock()
 	clock.MergeTrace(x.trace, x.simTime)
 
-	// Feedback write-back: a fully executed query that evaluated a
-	// re-plan stores the corrected plan (estimates rebased to observed
-	// cardinalities) under the same key, turning the cache from a
-	// memoizer into a feedback store — the next execution neither
-	// repeats the estimation mistake nor re-pays the re-plan.
-	if r.cacheable && len(x.events) > 0 {
-		s.planCache.put(key, &cachedPlan{nodes: entry.nodes, plan: x.plan.Rebase(), corrected: true})
-	}
-	s.adaptive.record(x.events)
-	s.mineWorkload(x.mined, entry.nodes, r)
+	events := s.correct(snap.col, q, r, key, entry, x.plan)
+	s.mineWorkload(x.plan, entry.nodes, r)
 
 	// The plan may have reordered (or bushed) the leaves; present the
 	// Join Tree in scan execution order, in a fresh slice so the cached
@@ -308,7 +276,7 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 		Tree:                &JoinTree{Nodes: ordered},
 		Plan:                x.plan,
 		Clock:               clock,
-		Replans:             x.events,
+		Replans:             events,
 		CacheFeedback:       entry.corrected,
 		Resilience:          x.recovery,
 		Streamed:            r.streaming,
@@ -327,20 +295,17 @@ type execution struct {
 	simTime time.Duration
 	// trace is the stage trace, in deterministic plan order.
 	trace []cluster.StageRecord
-	// plan is the executed plan stamped with actuals — the corrected,
-	// grafted plan when events is not empty; mined is the stamped plan
-	// the workload model reads.
-	plan, mined *plan.Plan
-	events      []ReplanEvent
-	recovery    cluster.Recovery
-	peak        int64
-	firstRow    time.Duration
+	// plan is the executed plan stamped with actuals.
+	plan     *plan.Plan
+	recovery cluster.Recovery
+	peak     int64
+	firstRow time.Duration
 }
 
 // runMaterialized executes the plan operator at a time on the task
 // scheduler — locally, or with the kernels on the shards of r.dist,
 // through one session — then collects the root relation.
-func (s *Store) runMaterialized(ctx context.Context, q *sparql.Query, r resolved, st *stats.Collection, entry *cachedPlan, filters []compiledFilter) (execution, error) {
+func (s *Store) runMaterialized(ctx context.Context, q *sparql.Query, r resolved, entry *cachedPlan, filters []compiledFilter) (execution, error) {
 	pl := entry.plan
 	var sess DistSession
 	if r.dist != nil {
@@ -351,17 +316,13 @@ func (s *Store) runMaterialized(ctx context.Context, q *sparql.Query, r resolved
 		defer sess.Close()
 	}
 	sched := &scheduler{
-		store:       s,
-		nodes:       entry.nodes,
-		filters:     filters,
-		r:           r,
-		dist:        sess,
-		ctx:         ctx,
-		planning:    s.cluster.Config().Cost.SQLPlanning,
-		filterSpecs: filterSpecs(q, pl.Leaves),
-		projection:  q.Projection(),
-		distinct:    q.Distinct,
-		costs:       s.planCosts(st, r),
+		store:    s,
+		nodes:    entry.nodes,
+		filters:  filters,
+		r:        r,
+		dist:     sess,
+		ctx:      ctx,
+		planning: s.cluster.Config().Cost.SQLPlanning,
 	}
 	rootTask, err := sched.execute(pl)
 	x := execution{recovery: sched.recovery.snapshot()}
@@ -374,7 +335,7 @@ func (s *Store) runMaterialized(ctx context.Context, q *sparql.Query, r resolved
 	// limit to push into the collect: LIMIT/OFFSET make a query extended,
 	// and an extended query's plan applies them (and the ordering)
 	// through its TopK operator, so partition order is kept as it is.
-	e := sched.newExec()
+	e := sched.newExec(rootTask.node)
 	if x.rows, err = e.Collect(rootTask.rel); err != nil {
 		return x, err
 	}
@@ -387,26 +348,15 @@ func (s *Store) runMaterialized(ctx context.Context, q *sparql.Query, r resolved
 	x.trace = trace.Stages()
 	x.simTime = rootTask.done + e.Clock.Elapsed()
 
-	// The executed-plan view: the static plan stamped with actuals, or
-	// the corrected grafted plan when re-planning fired. Workload mining
-	// reads the first round's stamped plan even then, never the grafted
-	// view: grafted fragments carry Leaf indexes into other rounds' node
-	// lists, and the first round observed every operator that ran before
-	// any re-plan fired.
-	x.mined = pl.Stamp(sched.rounds[0].obs)
-	x.plan = x.mined
-	if len(sched.rounds) > 1 {
-		x.plan = sched.executedPlan()
-	}
+	x.plan = pl.Stamp(sched.obs)
 	annotateDistPlan(x.plan, sess)
-	x.events = sched.events
 	x.peak = materializedPeakBytes(sched, x.simTime)
 	return x, nil
 }
 
 // planEntry is the plan step behind the plan cache: a hit returns the
 // shared immutable entry; a miss plans, inserts and returns. The key
-// lets the driver write a corrected plan back after an adaptive run.
+// lets the driver write a corrected entry back after the execution.
 func (s *Store) planEntry(snap *statsSnapshot, q *sparql.Query, r resolved) (entry *cachedPlan, key string, err error) {
 	if r.cacheable {
 		key = planCacheKey(q, r, snap.fp, s.workloadEpoch())
@@ -423,6 +373,32 @@ func (s *Store) planEntry(snap *statsSnapshot, q *sparql.Query, r resolved) (ent
 		s.planCache.put(key, entry)
 	}
 	return entry, key, nil
+}
+
+// correct is the one correction step between executions. It applies to
+// a fully executed plain BGP query whose plan is a cost-based planner's
+// cache entry: when the executed plan's worst observable Scan or Join
+// (plan.Plan.WorstObservable) missed its estimate by more than
+// CorrectionBound, the entry is re-planned once — the same planGroup
+// input plus every cardinality this execution counted, merged over the
+// observations the entry already carries — and written back under the
+// same key. It returns the correction's event, or nil.
+func (s *Store) correct(st *stats.Collection, q *sparql.Query, r resolved, key string, entry *cachedPlan, executed *plan.Plan) []ReplanEvent {
+	if !r.cacheable || q.Extended() || (r.mode != plan.ModeCost && r.mode != plan.ModeCostLeftDeep) {
+		return nil
+	}
+	ratio, at := executed.WorstObservable()
+	if ratio <= CorrectionBound {
+		return nil
+	}
+	obs := executed.Observations(entry.obs)
+	nodes, pl, err := s.planGroup(st, q, r, obs)
+	if err != nil {
+		return nil // the same input planned once already; unreachable
+	}
+	s.planCache.put(key, &cachedPlan{nodes: nodes, plan: pl, obs: obs, corrected: true})
+	s.corrections.Add(1)
+	return []ReplanEvent{{Trigger: nodeDesc(at), Est: at.Est, Actual: at.Actual, Ratio: ratio, Observed: len(obs)}}
 }
 
 // PlanCacheMetrics snapshots the store's plan-cache counters.

@@ -31,7 +31,7 @@ import (
 // line up.
 func (s *Store) planQuery(st *stats.Collection, q *sparql.Query, r resolved) (nodes []*Node, _ *plan.Plan, _ error) {
 	if !q.Extended() {
-		return s.planGroup(st, q, r)
+		return s.planGroup(st, q, r, nil)
 	}
 	if err := q.Validate(); err != nil {
 		return nil, nil, err
@@ -50,7 +50,7 @@ func (s *Store) planQuery(st *stats.Collection, q *sparql.Query, r resolved) (no
 			Patterns: pats,
 			Filters:  fs,
 			Limit:    -1,
-		}, r)
+		}, r, nil)
 		if err != nil {
 			return nil, err
 		}

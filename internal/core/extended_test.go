@@ -350,7 +350,7 @@ func TestExtendedByteIdenticalOnWatDiv(t *testing.T) {
 		for _, strat := range streamStrategies {
 			for _, mode := range streamPlanners {
 				for _, streaming := range []bool{false, true} {
-					opts := QueryOptions{Strategy: strat, Planner: mode, ReplanThreshold: -1, Streaming: streaming}
+					opts := QueryOptions{Strategy: strat, Planner: mode, Streaming: streaming}
 					res, err := s.Query(q.Parsed, opts)
 					if err != nil {
 						t.Fatalf("%s/%s/%v/streaming=%v: %v", q.Name, strat, mode, streaming, err)
@@ -390,7 +390,7 @@ func TestLimitDeterministicAcrossConfigs(t *testing.T) {
 	for _, strat := range streamStrategies {
 		for _, mode := range streamPlanners {
 			for _, streaming := range []bool{false, true} {
-				res, err := s.Query(q, QueryOptions{Strategy: strat, Planner: mode, ReplanThreshold: -1, Streaming: streaming})
+				res, err := s.Query(q, QueryOptions{Strategy: strat, Planner: mode, Streaming: streaming})
 				if err != nil {
 					t.Fatalf("%s/%v/streaming=%v: %v", strat, mode, streaming, err)
 				}
@@ -422,7 +422,7 @@ func TestStreamingTopKBoundsPeakMemory(t *testing.T) {
 	} ORDER BY ?u ?f`
 	limited := sparql.MustParse(base + " LIMIT 10")
 	unlimited := sparql.MustParse(base)
-	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, ReplanThreshold: -1}
+	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true}
 	lres, err := s.Query(limited, opts)
 	if err != nil {
 		t.Fatalf("limited: %v", err)
@@ -447,12 +447,41 @@ func TestStreamingTopKBoundsPeakMemory(t *testing.T) {
 	}
 }
 
+// TestStreamingTopKPeakMemoryDeterministic: the top-K sink's footprint
+// is priced from its bound — every active worker keeps at most
+// offset+limit rows — not from the high-water mark of the shared buffer,
+// which depends on the order the workers' batches happened to arrive
+// in. At seven rows a batch and the default pool width, twenty runs must
+// report one PeakMemBytes.
+func TestStreamingTopKPeakMemoryDeterministic(t *testing.T) {
+	s := watdivStreamStore(t)
+	q := sparql.MustParse(`SELECT ?u ?f WHERE {
+		?u <http://db.uwaterloo.ca/~galuc/wsdbm/follows> ?f .
+		?f <http://db.uwaterloo.ca/~galuc/wsdbm/likes> ?p .
+	} ORDER BY ?u ?f LIMIT 10`)
+	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: 7}
+	var want int64
+	for run := 0; run < 20; run++ {
+		res, err := s.Query(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			want = res.PeakMemBytes
+			continue
+		}
+		if res.PeakMemBytes != want {
+			t.Fatalf("run %d: PeakMemBytes %d, run 0 had %d", run, res.PeakMemBytes, want)
+		}
+	}
+}
+
 // BenchmarkStreamingTopK tracks the fused top-K path: E3 (ORDER BY
 // DESC rating, LIMIT 10) under the streaming executor.
 func BenchmarkStreamingTopK(b *testing.B) {
 	s := watdivStreamStore(b)
 	q := mustQueryByName(b, "E3")
-	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, ReplanThreshold: -1}
+	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true}
 	b.ResetTimer()
 	var res *Result
 	for i := 0; i < b.N; i++ {

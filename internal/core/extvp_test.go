@@ -431,7 +431,7 @@ func TestConcurrentExtVPQueriesDuringBuilds(t *testing.T) {
 // test: with the cache at capacity and the working set exactly filling
 // it, the corrected-plan write-back (same key, replaced in place) must
 // not consume a new FIFO slot — an append there makes the stale slot
-// pop a live entry and every subsequent run misses, re-plans and
+// pop a live entry and every subsequent run misses, corrects and
 // rewrites forever.
 func TestPlanCacheFeedbackWriteBackNoEvictionLoop(t *testing.T) {
 	c := cluster.MustNew(cluster.Config{Workers: 4, DefaultPartitions: 8})
@@ -448,14 +448,14 @@ func TestPlanCacheFeedbackWriteBackNoEvictionLoop(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		if i == 0 && len(res.Replans) == 0 {
-			t.Fatalf("first run did not trigger the corrective re-plan")
+			t.Fatalf("first run did not correct its entry")
 		}
 		if i > 0 {
 			if !res.CacheFeedback {
 				t.Errorf("run %d missed the corrected entry (eviction loop)", i)
 			}
 			if len(res.Replans) != 0 {
-				t.Errorf("run %d re-evaluated the re-plan despite the corrected entry", i)
+				t.Errorf("run %d corrected again despite the corrected entry", i)
 			}
 		}
 	}

@@ -23,12 +23,12 @@ SELECT ?u ?v ?p WHERE {
   ?p <http://example.org/hasGenre> ?g .
 }`
 
-// faultRun executes the query with static plans (exact recovery
-// accounting needs fault-shifted completions not to move adaptive
-// pause points) and the given fault fields.
+// faultRun executes the query's static plan (NoPlanCache: exact
+// recovery accounting compares runs of one plan, which no earlier
+// execution may have corrected) with the given fault fields.
 func faultRun(t *testing.T, s *Store, fp *cluster.FaultPlan, tweak func(*QueryOptions)) *Result {
 	t.Helper()
-	opts := QueryOptions{ReplanThreshold: -1, Faults: fp}
+	opts := QueryOptions{NoPlanCache: true, Faults: fp}
 	if tweak != nil {
 		tweak(&opts)
 	}
@@ -106,7 +106,7 @@ func TestFaultRetryRecoversWithBoundedOverhead(t *testing.T) {
 func TestFaultExhaustionSurfacesTaskFailedError(t *testing.T) {
 	s := testStore(t, false)
 	fp := &cluster.FaultPlan{Seed: 3, FailRate: 1, MaxFailuresPerTask: 100, MaxAttempts: 3}
-	opts := QueryOptions{ReplanThreshold: -1, Faults: fp}
+	opts := QueryOptions{NoPlanCache: true, Faults: fp}
 	_, err := s.Query(sparql.MustParse(faultTestQuery), opts)
 	if err == nil {
 		t.Fatal("exhausted attempts did not fail the query")
@@ -217,9 +217,9 @@ func TestFaultDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestFaultAdaptiveReplanRowsIdentical runs fault injection with
-// adaptive re-planning ON (recovery delays may legally shift pause
-// points, so only row identity is asserted, not a timing bound).
+// TestFaultAdaptiveReplanRowsIdentical runs fault injection through the
+// plan cache, whose entry the clean run may have corrected (so only row
+// identity is asserted, not a timing bound).
 func TestFaultAdaptiveReplanRowsIdentical(t *testing.T) {
 	s := testStore(t, false)
 	q := sparql.MustParse(faultTestQuery)
@@ -233,7 +233,7 @@ func TestFaultAdaptiveReplanRowsIdentical(t *testing.T) {
 		t.Fatalf("fault: %v", err)
 	}
 	if got, want := renderRows(res), renderRows(clean); strings.Join(got, ";") != strings.Join(want, ";") {
-		t.Fatalf("adaptive rows differ under faults: %v vs %v", got, want)
+		t.Fatalf("cached rows differ under faults: %v vs %v", got, want)
 	}
 }
 

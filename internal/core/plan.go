@@ -37,11 +37,12 @@ func (s *Store) Plan(q *sparql.Query, opts QueryOptions) (*plan.Plan, error) {
 // planGroup plans one BGP group: translate it into a Join Tree (paper
 // §3.2), keep the written order for the naive planner, describe the
 // nodes to the planner as leaves and run the optimizer passes, recording
-// estimate provenance for /stats. Everything is read from the caller's
-// statistics snapshot: a plan is always priced end to end from the same
-// collection whose fingerprint keys it in the cache, even when a reload
-// lands while planning runs.
-func (s *Store) planGroup(st *stats.Collection, q *sparql.Query, r resolved) ([]*Node, *plan.Plan, error) {
+// estimate provenance for /stats. obs is what earlier executions of the
+// query counted (nil but for a correction, Store.correct). Everything is
+// read from the caller's statistics snapshot: a plan is always priced
+// end to end from the same collection whose fingerprint keys it in the
+// cache, even when a reload lands while planning runs.
+func (s *Store) planGroup(st *stats.Collection, q *sparql.Query, r resolved, obs plan.Observed) ([]*Node, *plan.Plan, error) {
 	tree, err := s.translateWith(st, q, r.strategy)
 	if err != nil {
 		return nil, nil, err
@@ -50,7 +51,7 @@ func (s *Store) planGroup(st *stats.Collection, q *sparql.Query, r resolved) ([]
 		naiveOrder(tree, q)
 	}
 	leaves := s.planLeaves(st, tree)
-	pl := plan.Build(leaves, filterSpecs(q, leaves), q.Projection(), q.Distinct, r.mode, s.planCosts(st, r))
+	pl := plan.Build(leaves, filterSpecs(q, leaves), q.Projection(), q.Distinct, r.mode, s.planCosts(st, r), obs)
 	if pl == nil {
 		return nil, nil, fmt.Errorf("core: query has no patterns")
 	}
@@ -290,7 +291,6 @@ func (s *Store) planCosts(st *stats.Collection, r resolved) plan.Costs {
 		Workers:            s.cluster.Workers(),
 		BroadcastThreshold: max(r.broadcast, 0), // 0: disabled
 		BytesPerValue:      engine.BytesPerValue,
-		SkewSaltFraction:   engine.DefaultSkewSaltFraction,
 		Model:              s.cluster.Config().Cost,
 		// The loader statistics implement the sketch lookup; with join
 		// statistics disabled every lookup reports no sketch and the

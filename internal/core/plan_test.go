@@ -362,7 +362,7 @@ func TestPlanMatchesExecutedPlan(t *testing.T) {
 			for _, mode := range streamPlanners {
 				// Static and uncached: the executed plan is the planned
 				// one, and planning it again prices it the same.
-				opts := QueryOptions{Strategy: strat, Planner: mode, ReplanThreshold: -1, NoPlanCache: true}
+				opts := QueryOptions{Strategy: strat, Planner: mode, NoPlanCache: true}
 				res, err := s.Query(q, opts)
 				if err != nil {
 					t.Fatalf("%s/%s/%v: Query: %v", c.name, strat, mode, err)

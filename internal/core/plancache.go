@@ -21,16 +21,18 @@ const defaultPlanCacheSize = 256
 // cardinalities go into per-execution plan.Observations, and the
 // display Join Tree is re-sequenced into a fresh slice per query.
 //
-// A corrected entry is the feedback form: the plan a fully executed
-// adaptive run actually ran, with its estimates rebased to the
-// observed cardinalities, written back over the static entry under the
-// same key. Executions hitting it neither repeat the estimation
-// mistake nor re-pay the re-plan. gen records the cache generation the
+// A corrected entry is the feedback form (Store.correct): the query
+// re-planned from the cardinalities fully executed runs of it observed,
+// written back over the entry they ran under the same key; obs is what
+// it was re-planned with, accumulated over every correction, so a
+// further correction only ever adds to it. Executions hitting it do not
+// repeat the estimation mistake. gen records the cache generation the
 // entry was written in; a statistics reload bumps the generation and
 // strands older entries.
 type cachedPlan struct {
 	nodes     []*Node
 	plan      *plan.Plan
+	obs       plan.Observed
 	corrected bool
 	gen       uint64
 }
@@ -46,7 +48,7 @@ type CacheMetrics struct {
 	// Entries is the current number of cached plans.
 	Entries int
 	// FeedbackHits counts hits on corrected entries — plans a previous
-	// adaptive execution rebased and wrote back.
+	// execution re-planned from its observed cardinalities.
 	FeedbackHits uint64
 	// CorrectedEntries is the current number of corrected plans held.
 	CorrectedEntries int
@@ -90,8 +92,8 @@ func newPlanCache(max int) *planCache {
 
 // get looks a key up, counting the hit or miss. An entry written under
 // an older statistics generation is dropped and reported as a miss —
-// its plan (and, for corrected entries, its rebased observed
-// cardinalities) describes data that no longer exists.
+// its plan (and, for corrected entries, its observed cardinalities)
+// describes data that no longer exists.
 func (c *planCache) get(key string) (*cachedPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -148,8 +150,8 @@ func (c *planCache) put(key string, e *cachedPlan) {
 
 // bumpGeneration advances the statistics generation and purges the
 // cache outright: every existing entry — static plans keyed on the old
-// fingerprint, corrected plans whose rebased estimates are
-// observations of the old data — is a guaranteed miss under the new
+// fingerprint, corrected plans re-planned from observations of the old
+// data — is a guaranteed miss under the new
 // generation, so dropping them eagerly frees the memory and keeps the
 // metrics consistent. The generation check in get remains as a
 // defensive backstop.
@@ -207,11 +209,6 @@ func planCacheKey(q *sparql.Query, r resolved, statsFP, wlEpoch uint64) string {
 	sb.WriteString(r.strategy.String())
 	sb.WriteByte('|')
 	sb.WriteString(strconv.FormatInt(r.broadcastOpt, 10))
-	sb.WriteByte('|')
-	// The effective re-plan bound is part of the key: a corrected plan
-	// written back under one bound must not serve executions running
-	// with another (or with adaptivity disabled).
-	sb.WriteString(strconv.FormatFloat(r.replan, 'g', -1, 64))
 	sb.WriteByte('|')
 	sb.WriteString(strconv.FormatUint(statsFP, 16))
 	sb.WriteByte('|')

@@ -16,8 +16,6 @@ import (
 type resolved struct {
 	strategy Strategy
 	mode     plan.Mode
-	// replan is the effective re-plan bound; 0 runs the plan statically.
-	replan float64
 	// broadcast is the broadcast joins' build-side cap in bytes, negative
 	// when they are disabled; broadcastOpt is the option as given, which
 	// is how the plan-cache key spells it.
@@ -36,7 +34,8 @@ type resolved struct {
 	// extvp: the planner is offered the store's semi-join reductions and
 	// the executed join pairs are mined for the reduction builder.
 	extvp bool
-	// cacheable: the plan comes from and goes into the plan cache.
+	// cacheable: the plan comes from and goes into the plan cache, and
+	// an execution may correct it there (Store.correct).
 	cacheable bool
 	// streaming picks the morsel executor; downgraded reports that it was
 	// asked for and the materialized scheduler runs instead.
@@ -49,20 +48,20 @@ type resolved struct {
 //
 //	when                                then
 //	Dist is set                         kernels run on the shards through one session; streaming off
-//	                                    (reported as a downgrade), fault injection off, re-planning
-//	                                    off, ExtVP not offered (shards hold base tables), no join
-//	                                    pairs mined (nothing would scan the reductions built)
-//	the query is extended               re-planning off (the re-planner reorders one BGP's joins)
-//	planner is heuristic or naive       re-planning off (the paper's static orderings)
-//	ReplanThreshold                     negative: off; 0: DefaultReplanThreshold
+//	                                    (reported as a downgrade), fault injection off, ExtVP not
+//	                                    offered (shards hold base tables), no join pairs mined
+//	                                    (nothing would scan the reductions built)
 //	Faults                              nil: the cluster's plan; an inactive plan: none
 //	BroadcastThreshold                  0: engine.DefaultBroadcastThreshold; negative: no broadcasts
 //	ChunkSize, Parallelism              0: DefaultChunkSize, GOMAXPROCS
-//	NoPlanCache, or no cache            planned fresh, not inserted, no corrected plan written back
+//	NoPlanCache, or no cache            planned fresh, not inserted, never corrected
 //	no workload model                   ExtVP not offered, nothing mined
 //
-// An invalid per-query fault plan is refused here, before planning.
-// Resolving has no side effect: Plan and QueryContext share it.
+// Whether an execution corrects its cache entry is decided after it ran,
+// by Store.correct: only cost-planned plain BGP queries do, on any route
+// and either executor. An invalid per-query fault plan is refused here,
+// before planning. Resolving has no side effect: Plan and QueryContext
+// share it.
 func (s *Store) resolve(q *sparql.Query, opts QueryOptions) (resolved, error) {
 	// A per-query plan gets the check cluster.New gives the cluster's.
 	if err := opts.Faults.Validate(); err != nil {
@@ -72,7 +71,6 @@ func (s *Store) resolve(q *sparql.Query, opts QueryOptions) (resolved, error) {
 	r := resolved{
 		strategy:     opts.Strategy,
 		mode:         opts.Planner,
-		replan:       opts.ReplanThreshold,
 		broadcast:    opts.BroadcastThreshold,
 		broadcastOpt: opts.BroadcastThreshold,
 		chunk:        opts.ChunkSize,
@@ -83,13 +81,6 @@ func (s *Store) resolve(q *sparql.Query, opts QueryOptions) (resolved, error) {
 		cacheable:    !opts.NoPlanCache && s.planCache != nil,
 		streaming:    local && opts.Streaming,
 		downgraded:   !local && opts.Streaming,
-	}
-	costMode := r.mode == plan.ModeCost || r.mode == plan.ModeCostLeftDeep
-	switch {
-	case !local || q.Extended() || !costMode || r.replan < 0:
-		r.replan = 0
-	case r.replan == 0:
-		r.replan = DefaultReplanThreshold
 	}
 	if r.broadcast == 0 {
 		r.broadcast = engine.DefaultBroadcastThreshold

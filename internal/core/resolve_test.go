@@ -36,11 +36,12 @@ const (
 // Store.resolve, row by row, on the resolver alone — nothing is
 // executed. Each row states what the scattered code the resolver
 // replaced computed for that combination (QueryContext's in-flight
-// option rewriting, replanThreshold(mode), chunkSize(), offersExtVP, the
-// fault-plan and broadcast-threshold defaulting), and the plan-cache key
-// it looked the plan up under: the keys were recorded from a run of that
-// code (%FP% stands for the statistics fingerprint) and must stay
-// string-equal, so no cached plan is ever shared or split differently.
+// option rewriting, chunkSize(), offersExtVP, the fault-plan and
+// broadcast-threshold defaulting), and the plan-cache key it looked the
+// plan up under: the keys were recorded from a run of that code (%FP%
+// stands for the statistics fingerprint; the re-plan bound's segment is
+// gone with the option) and must stay string-equal, so no cached plan is
+// ever shared or split differently.
 func TestResolveTable(t *testing.T) {
 	clusterFaults := &cluster.FaultPlan{Seed: 7, FailRate: 0.1}
 	queryFaults := &cluster.FaultPlan{Seed: 8, StragglerRate: 0.3}
@@ -53,9 +54,8 @@ func TestResolveTable(t *testing.T) {
 	// Keys shared by several rows.
 	const (
 		keyTail     = "||u,v|?u <http://example.org/follows> ?v\n?v <http://example.org/likes> ?p\n|"
-		keyDefault  = "cost|mixed|0|8|%FP%|0" + keyTail
-		keyStatic   = "cost|mixed|0|0|%FP%|0" + keyTail
-		keyExtended = keyStatic + "|ext|SELECT ?u ?v WHERE {\n  ?u <http://example.org/follows> ?v .\n  ?v <http://example.org/likes> ?p .\n}\nORDER BY ASC(?u)\nLIMIT 2"
+		keyDefault  = "cost|mixed|0|%FP%|0" + keyTail
+		keyExtended = keyDefault + "|ext|SELECT ?u ?v WHERE {\n  ?u <http://example.org/follows> ?v .\n  ?v <http://example.org/likes> ?p .\n}\nORDER BY ASC(?u)\nLIMIT 2"
 	)
 	rows := []struct {
 		name, store, query string
@@ -68,39 +68,44 @@ func TestResolveTable(t *testing.T) {
 		{"defaults", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{} },
 			func(r *resolved) {}, keyDefault},
 
-		// Dist: streaming, faults and re-planning off, ExtVP not offered.
+		// Dist: streaming and faults off, ExtVP not offered.
 		{"dist", "plain", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d} },
-			func(r *resolved) { r.replan = 0 }, keyStatic},
+			func(r *resolved) {}, keyDefault},
 		{"dist + streaming", "plain", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d, Streaming: true} },
-			func(r *resolved) { r.replan, r.downgraded = 0, true }, keyStatic},
+			func(r *resolved) { r.downgraded = true }, keyDefault},
 		{"dist + faults", "plain", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d, Faults: queryFaults} },
-			func(r *resolved) { r.replan = 0 }, keyStatic},
+			func(r *resolved) {}, keyDefault},
 		{"dist on a cluster with faults", "cluster-faults", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d} },
-			func(r *resolved) { r.replan = 0 }, keyStatic},
-		{"dist + explicit re-plan bound", "plain", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d, ReplanThreshold: 4} },
-			func(r *resolved) { r.replan = 0 }, keyStatic},
-		{"dist + negative re-plan bound", "plain", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d, ReplanThreshold: -1} },
-			func(r *resolved) { r.replan = 0 }, keyStatic},
+			func(r *resolved) {}, keyDefault},
 		{"dist on a store with a workload model", "workload", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d} },
-			func(r *resolved) { r.replan = 0 }, keyStatic},
+			func(r *resolved) {}, keyDefault},
 		{"local on a store with a workload model", "workload", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{} },
 			func(r *resolved) { r.extvp = true }, strings.Replace(keyDefault, "|0"+keyTail, "|0+extvp"+keyTail, 1)},
 
-		// Re-planning: cost modes only, one BGP only.
+		// Planner modes and extended queries resolve as given; whether an
+		// execution corrects its entry is decided after it ran.
 		{"extended query", "plain", resolveExtended, func(DistRunner) QueryOptions { return QueryOptions{} },
-			func(r *resolved) { r.replan = 0 }, keyExtended},
-		{"extended query + explicit re-plan bound", "plain", resolveExtended, func(DistRunner) QueryOptions { return QueryOptions{ReplanThreshold: 4} },
-			func(r *resolved) { r.replan = 0 }, keyExtended},
-		{"heuristic planner", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Planner: plan.ModeHeuristic, ReplanThreshold: 4} },
-			func(r *resolved) { r.mode, r.replan = plan.ModeHeuristic, 0 }, strings.Replace(keyStatic, "cost|", "heuristic|", 1)},
+			func(r *resolved) {}, keyExtended},
+		{"heuristic planner", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Planner: plan.ModeHeuristic} },
+			func(r *resolved) { r.mode = plan.ModeHeuristic }, strings.Replace(keyDefault, "cost|", "heuristic|", 1)},
 		{"naive planner", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Planner: plan.ModeNaive} },
-			func(r *resolved) { r.mode, r.replan = plan.ModeNaive, 0 }, strings.Replace(keyStatic, "cost|", "naive|", 1)},
+			func(r *resolved) { r.mode = plan.ModeNaive }, strings.Replace(keyDefault, "cost|", "naive|", 1)},
 		{"left-deep cost planner", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Planner: plan.ModeCostLeftDeep} },
 			func(r *resolved) { r.mode = plan.ModeCostLeftDeep }, strings.Replace(keyDefault, "cost|", "cost-leftdeep|", 1)},
-		{"explicit re-plan bound", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{ReplanThreshold: 4} },
-			func(r *resolved) { r.replan = 4 }, strings.Replace(keyDefault, "|0|8|", "|0|4|", 1)},
-		{"negative re-plan bound", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{ReplanThreshold: -1} },
-			func(r *resolved) { r.replan = 0 }, keyStatic},
+
+		// The re-plan bound is no longer an option (CorrectionBound is a
+		// constant): the combinations that used to set one resolve exactly
+		// as without it, under one key.
+		{"dist + explicit re-plan bound", "plain", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d} },
+			func(r *resolved) {}, keyDefault},
+		{"dist + negative re-plan bound", "plain", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d} },
+			func(r *resolved) {}, keyDefault},
+		{"extended query + explicit re-plan bound", "plain", resolveExtended, func(DistRunner) QueryOptions { return QueryOptions{} },
+			func(r *resolved) {}, keyExtended},
+		{"explicit re-plan bound", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{} },
+			func(r *resolved) {}, keyDefault},
+		{"negative re-plan bound", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{} },
+			func(r *resolved) {}, keyDefault},
 
 		// Faults: per query, else the cluster's, else none. Never in the key.
 		{"cluster-wide fault plan", "cluster-faults", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{} },
@@ -114,9 +119,9 @@ func TestResolveTable(t *testing.T) {
 
 		// Broadcast threshold: the key spells the option, not the default.
 		{"broadcast threshold set", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{BroadcastThreshold: 2048} },
-			func(r *resolved) { r.broadcast, r.broadcastOpt = 2048, 2048 }, strings.Replace(keyDefault, "|0|8|", "|2048|8|", 1)},
+			func(r *resolved) { r.broadcast, r.broadcastOpt = 2048, 2048 }, strings.Replace(keyDefault, "|mixed|0|", "|mixed|2048|", 1)},
 		{"broadcast joins disabled", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{BroadcastThreshold: -1} },
-			func(r *resolved) { r.broadcast, r.broadcastOpt = -1, -1 }, strings.Replace(keyDefault, "|0|8|", "|-1|8|", 1)},
+			func(r *resolved) { r.broadcast, r.broadcastOpt = -1, -1 }, strings.Replace(keyDefault, "|mixed|0|", "|mixed|-1|", 1)},
 
 		// Executor knobs: never in the key.
 		{"chunk size and pool width set", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Streaming: true, ChunkSize: 7, Parallelism: 3} },
@@ -157,8 +162,8 @@ func TestResolveTable(t *testing.T) {
 				t.Fatalf("resolve: %v", err)
 			}
 			want := resolved{
-				replan: DefaultReplanThreshold, broadcast: engine.DefaultBroadcastThreshold,
-				chunk: DefaultChunkSize, par: runtime.GOMAXPROCS(0), cacheable: true,
+				broadcast: engine.DefaultBroadcastThreshold,
+				chunk:     DefaultChunkSize, par: runtime.GOMAXPROCS(0), cacheable: true,
 			}
 			row.want(&want)
 			if want.faults != nil {

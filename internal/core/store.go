@@ -105,8 +105,8 @@ type Options struct {
 	// DisableJoinStats skips the join-graph statistics entirely —
 	// characteristic sets and pair sketches — leaving the pre-sketch
 	// independence-only estimator. Kept as the ablation baseline (A6)
-	// and for tests that exercise the adaptive re-planner's response to
-	// estimation mistakes the sketches would otherwise prevent.
+	// and for tests that exercise correction between executions, which
+	// answers estimation mistakes the sketches would otherwise prevent.
 	DisableJoinStats bool
 	// ExtVPBudget enables the workload-driven ExtVP subsystem and caps
 	// the total bytes of materialized semi-join reductions. Zero (the
@@ -164,8 +164,8 @@ type Store struct {
 	// cardinalities. Nil unless Options.ExtVPBudget is positive.
 	workload *workload.Model
 
-	// adaptive aggregates re-planning counters across queries.
-	adaptive adaptiveCounters
+	// corrections counts cache entries re-planned by Store.correct.
+	corrections atomic.Uint64
 	// resilience aggregates fault-recovery counters across queries; all
 	// zero unless fault injection ran.
 	resilience recoveryTotal
@@ -177,38 +177,16 @@ type Store struct {
 	load LoadReport
 }
 
-// adaptiveCounters tallies the adaptive executor's decisions.
-type adaptiveCounters struct {
-	evaluated atomic.Uint64
-	adopted   atomic.Uint64
-}
-
-// record folds one query's re-plan events into the counters.
-func (a *adaptiveCounters) record(events []ReplanEvent) {
-	for _, ev := range events {
-		a.evaluated.Add(1)
-		if ev.Adopted {
-			a.adopted.Add(1)
-		}
-	}
-}
-
-// AdaptiveMetrics snapshots the store's adaptive re-planning counters.
+// AdaptiveMetrics snapshots the store's correction counter.
 type AdaptiveMetrics struct {
-	// Evaluated counts re-plan decisions taken (a trigger fired and the
-	// remainder was re-priced).
-	Evaluated uint64
-	// Adopted counts re-plans whose corrected remainder was spliced in.
-	Adopted uint64
+	// Corrections counts cache entries re-planned from an execution's
+	// observed cardinalities (one per Result.Replans event).
+	Corrections uint64
 }
 
-// AdaptiveMetrics returns the re-planning counters accumulated across
-// queries.
+// AdaptiveMetrics returns the corrections accumulated across queries.
 func (s *Store) AdaptiveMetrics() AdaptiveMetrics {
-	return AdaptiveMetrics{
-		Evaluated: s.adaptive.evaluated.Load(),
-		Adopted:   s.adaptive.adopted.Load(),
-	}
+	return AdaptiveMetrics{Corrections: s.corrections.Load()}
 }
 
 // estSourceCounters tallies estimate provenance across built plans.
@@ -315,7 +293,7 @@ func (s *Store) statsFingerprint() uint64 { return s.statsSnap.Load().fp }
 // fingerprint. Cached plans keyed on the old fingerprint become
 // unreachable, and the plan cache's generation counter advances so any
 // entry from the old statistics era — including corrected feedback
-// plans, whose rebased estimates are observations of the old data —
+// plans, re-planned from observations of the old data —
 // is invalidated outright. Safe to call with queries in flight: the
 // snapshot swap is atomic, in-flight executions keep the collection
 // they started with, and any entry such an execution writes back is

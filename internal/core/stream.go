@@ -105,12 +105,12 @@ type streamStep struct {
 	// under mu, trimmed back to keep rows whenever the buffer doubles —
 	// the early termination that bounds an ORDER BY + LIMIT query's
 	// footprint to O(offset+limit) instead of O(result). keep < 0
-	// retains everything (ORDER BY without LIMIT). retained is the
-	// buffer's high-water mark for the peak-memory sweep.
-	less     func(a, b engine.Row) bool
-	keep     int
-	buf      []engine.Row
-	retained int64
+	// retains everything (ORDER BY without LIMIT). arrived counts the
+	// rows handed to the buffer, for the peak-memory sweep.
+	less    func(a, b engine.Row) bool
+	keep    int
+	buf     []engine.Row
+	arrived int64
 	// Aggregate barrier state (stepAggregate): the shared group table
 	// under mu.
 	groups *engine.GroupTable
@@ -161,9 +161,7 @@ func (st *streamStep) apply(rows []engine.Row) []engine.Row {
 	case stepTopK:
 		st.mu.Lock()
 		st.buf = append(st.buf, rows...)
-		if n := int64(len(st.buf)); n > st.retained {
-			st.retained = n
-		}
+		st.arrived += int64(len(rows))
 		if st.keep >= 0 && len(st.buf) > 2*st.keep+64 {
 			engine.SortRowsStable(st.buf, st.less)
 			st.buf = st.buf[:st.keep]
@@ -268,10 +266,9 @@ type streamPlan struct {
 }
 
 // streamCompiler lowers a physical plan into pipelines. Every plan the
-// planner builds lowers; err reports one that does not — a Bound leaf
-// (those exist only inside an adaptive round of the scheduler), a
-// recorded schema the engine would not reproduce — as the inconsistency
-// it is, naming the node.
+// planner builds lowers; err reports one that does not — a recorded
+// schema the engine would not reproduce — as the inconsistency it is,
+// naming the node.
 type streamCompiler struct {
 	store   *Store
 	nodes   []*Node
@@ -571,8 +568,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		return pi
 
 	default:
-		// OpBound (an adaptive round's materialized intermediate) and
-		// anything newer than this compiler.
+		// Anything newer than this compiler.
 		return c.cannotLower(n, "no pipeline form for this operator")
 	}
 }
@@ -1354,15 +1350,20 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 		)
 	}
 	// The fused barrier's retained state lives from its pipe's gate to
-	// the end: the top-K buffer's high-water mark — bounded to
-	// O(offset+limit) by the early trim, which is exactly the footprint
-	// a LIMIT saves over the unlimited ORDER BY — or the aggregate
-	// group table.
+	// the end: the top-K buffer — each of the pipe's active workers keeps
+	// at most offset+limit rows, the footprint a LIMIT saves over the
+	// unlimited ORDER BY, and never more than arrived — or the aggregate
+	// group table. The bound, not the buffer's high-water mark, is
+	// priced: the mark depends on the order batches happened to arrive in.
 	if b := sp.barrier; b != nil {
 		var bytes int64
 		switch b.kind {
 		case stepTopK:
-			bytes = b.retained * int64(b.width) * memBytesPerValue
+			rows := b.arrived
+			if b.keep >= 0 {
+				rows = min(rows, int64(min(workers, max(pipes[sp.barrierPipe].Morsels, 1))*b.keep))
+			}
+			bytes = rows * int64(b.width) * memBytesPerValue
 		case stepAggregate:
 			bytes = int64(b.groups.Len()) * int64(b.width) * memBytesPerValue
 		}
@@ -1427,14 +1428,13 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 }
 
 // materializedPeakBytes sweeps the materialized scheduler's simulated
-// memory high-water mark after a successful run. The scheduler retains
-// every executed operator's relation until its round ends — adaptive
-// re-planning may bind any intermediate into the next round, and the
-// lineage-retry fault layer recomputes consumers from their retained
-// inputs — so each relation lives from its task's completion to the
-// end of the query. Scans whose output aliases the stored table (an
-// unshaped, unfiltered VP scan) count nothing, matching the streaming
-// sweep's treatment of aliased source batches.
+// memory high-water mark after a successful run. Each relation lives
+// from its task's completion to the end of the query, as Spark keeps a
+// job's shuffle outputs until the job ends (the scheduler itself frees
+// an intermediate as soon as its consumer completed; lineage recompute
+// recovers it on demand). Scans whose output aliases the stored table
+// (an unshaped, unfiltered VP scan) count nothing, matching the
+// streaming sweep's treatment of aliased source batches.
 //
 // Broadcast joins additionally pin one deserialized copy of the build
 // relation on every receiving executor for the rest of the job — the
@@ -1448,39 +1448,34 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 // — that asymmetry, not scheduling, is the broadcast memory story.
 func materializedPeakBytes(sc *scheduler, simTime time.Duration) int64 {
 	var evs []memEvent
-	for _, rr := range sc.rounds {
-		for _, t := range rr.tasks {
-			if !t.executed || t.discarded || t.node.Op == plan.OpBound {
+	for _, t := range sc.tasks {
+		for _, st := range t.stages {
+			if !strings.HasPrefix(st.Name, "broadcast join ") && !strings.HasPrefix(st.Name, "cartesian ") {
 				continue
 			}
-			for _, st := range t.stages {
-				if !strings.HasPrefix(st.Name, "broadcast join ") && !strings.HasPrefix(st.Name, "cartesian ") {
-					continue
-				}
-				rep := st.Stats.NetBytes / engine.BytesPerValue * memBytesPerValue
-				if rep <= 0 {
-					continue
-				}
-				to := simTime
-				if to <= t.start {
-					to = t.start + 1
-				}
-				evs = append(evs, memEvent{at: t.start, delta: rep}, memEvent{at: to, delta: -rep})
-			}
-			act := rr.obs.Actual(t.node)
-			if act <= 0 || t.zeroCopy {
-				continue
-			}
-			b := act * int64(len(t.node.Vars)) * memBytesPerValue
-			if b <= 0 {
+			rep := st.Stats.NetBytes / engine.BytesPerValue * memBytesPerValue
+			if rep <= 0 {
 				continue
 			}
 			to := simTime
-			if to <= t.done {
-				to = t.done + 1
+			if to <= t.start {
+				to = t.start + 1
 			}
-			evs = append(evs, memEvent{at: t.done, delta: b}, memEvent{at: to, delta: -b})
+			evs = append(evs, memEvent{at: t.start, delta: rep}, memEvent{at: to, delta: -rep})
 		}
+		act := sc.obs.Actual(t.node)
+		if act <= 0 || t.zeroCopy {
+			continue
+		}
+		b := act * int64(len(t.node.Vars)) * memBytesPerValue
+		if b <= 0 {
+			continue
+		}
+		to := simTime
+		if to <= t.done {
+			to = t.done + 1
+		}
+		evs = append(evs, memEvent{at: t.done, delta: b}, memEvent{at: to, delta: -b})
 	}
 	return sweepPeak(evs)
 }
@@ -1562,6 +1557,5 @@ func (s *Store) runStreaming(ctx context.Context, r resolved, entry *cachedPlan,
 	x.firstRow = simRes.FirstEmit
 	x.peak = sp.peakMemBytes(pipes, simRes, cost.SQLPlanning, workers)
 	x.plan = pl.Stamp(obs)
-	x.mined = x.plan
 	return x, nil
 }

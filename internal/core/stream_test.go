@@ -69,7 +69,7 @@ func TestStreamingByteIdenticalOnWatDiv(t *testing.T) {
 	for _, q := range watdiv.BasicQuerySet() {
 		for _, strat := range streamStrategies {
 			for _, mode := range streamPlanners {
-				base := QueryOptions{Strategy: strat, Planner: mode, ReplanThreshold: -1}
+				base := QueryOptions{Strategy: strat, Planner: mode, NoPlanCache: true}
 				mat, err := s.Query(q.Parsed, base)
 				if err != nil {
 					t.Fatalf("%s/%s/%v materialized: %v", q.Name, strat, mode, err)
@@ -104,7 +104,7 @@ func TestStreamingByteIdenticalUnderFaults(t *testing.T) {
 		CorruptRate:   0.1,
 	}
 	for _, q := range watdiv.BasicQuerySet() {
-		base := QueryOptions{Strategy: StrategyMixed, ReplanThreshold: -1}
+		base := QueryOptions{Strategy: StrategyMixed, NoPlanCache: true}
 		mat, err := s.Query(q.Parsed, base)
 		if err != nil {
 			t.Fatalf("%s materialized: %v", q.Name, err)
@@ -146,7 +146,7 @@ func TestStreamingByteIdenticalUnderFaults(t *testing.T) {
 func TestStreamingSimTimeWithinBudget(t *testing.T) {
 	s := watdivStreamStore(t)
 	for _, q := range watdiv.BasicQuerySet() {
-		base := QueryOptions{Strategy: StrategyMixed, ReplanThreshold: -1}
+		base := QueryOptions{Strategy: StrategyMixed, NoPlanCache: true}
 		mat, err := s.Query(q.Parsed, base)
 		if err != nil {
 			t.Fatalf("%s materialized: %v", q.Name, err)
@@ -172,7 +172,7 @@ func TestStreamingFirstRowBeatsSimTime(t *testing.T) {
 	s := watdivStreamStore(t)
 	checked := 0
 	for _, q := range watdiv.BasicQuerySet() {
-		res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ReplanThreshold: -1})
+		res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, NoPlanCache: true})
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
@@ -211,7 +211,7 @@ func TestStreamingPeakMemoryDrop(t *testing.T) {
 		if q.Group != "C" {
 			continue
 		}
-		base := QueryOptions{Strategy: StrategyMixed, ReplanThreshold: -1}
+		base := QueryOptions{Strategy: StrategyMixed, NoPlanCache: true}
 		mat, err := s.Query(q.Parsed, base)
 		if err != nil {
 			t.Fatalf("%s materialized: %v", q.Name, err)
@@ -291,7 +291,7 @@ func renderComparable(q *sparql.Query, res *Result) string {
 func TestStreamingChunkSizeInvariance(t *testing.T) {
 	s := watdivStreamStore(t)
 	for _, q := range allWatDivQueries() {
-		base := QueryOptions{Strategy: StrategyMixed, ReplanThreshold: -1}
+		base := QueryOptions{Strategy: StrategyMixed, NoPlanCache: true}
 		mat, err := s.Query(q.Parsed, base)
 		if err != nil {
 			t.Fatalf("%s materialized: %v", q.Name, err)
@@ -402,7 +402,18 @@ func streamWithResidualFilters(t *testing.T, s *Store, q *sparql.Query, opts Que
 	if err != nil {
 		t.Fatalf("filters: %v", err)
 	}
-	pl := entry.plan.WithRoot(liftFilters(entry.plan.Root))
+	lifted := *entry.plan
+	lifted.Root = liftFilters(entry.plan.Root)
+	pl := &lifted
+	id := 0
+	var number func(n *plan.Node)
+	number = func(n *plan.Node) {
+		n.ID, id = id, id+1
+		for _, c := range n.Children {
+			number(c)
+		}
+	}
+	number(pl.Root)
 	if !strings.Contains(pl.String(), "Filter") {
 		t.Fatalf("no filter was lifted:\n%s", pl)
 	}
@@ -443,7 +454,7 @@ func TestStreamingLeavesStoreIntact(t *testing.T) {
 	for _, strat := range []Strategy{StrategyMixed, StrategyVPOnly} {
 		for i, text := range filtered {
 			q := sparql.MustParse(prefixes + text)
-			mat, err := s.Query(q, QueryOptions{Strategy: strat, ReplanThreshold: -1})
+			mat, err := s.Query(q, QueryOptions{Strategy: strat, NoPlanCache: true})
 			if err != nil {
 				t.Fatalf("filtered %d/%s materialized: %v", i, strat, err)
 			}
@@ -452,7 +463,7 @@ func TestStreamingLeavesStoreIntact(t *testing.T) {
 				t.Fatalf("filtered %d/%s: no rows; the query is vacuous at this scale", i, strat)
 			}
 			for _, chunk := range []int{1, 7, 2048} {
-				got := streamWithResidualFilters(t, s, q, QueryOptions{Strategy: strat, ChunkSize: chunk, ReplanThreshold: -1})
+				got := streamWithResidualFilters(t, s, q, QueryOptions{Strategy: strat, ChunkSize: chunk})
 				if got != want {
 					t.Errorf("filtered %d/%s chunk %d: rows differ from materialized", i, strat, chunk)
 				}
@@ -461,7 +472,7 @@ func TestStreamingLeavesStoreIntact(t *testing.T) {
 	}
 	for _, q := range allWatDivQueries() {
 		for _, chunk := range []int{7, 0} {
-			if _, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: chunk, ReplanThreshold: -1}); err != nil {
+			if _, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: chunk, NoPlanCache: true}); err != nil {
 				t.Fatalf("%s: %v", q.Name, err)
 			}
 		}
@@ -478,17 +489,17 @@ func TestStreamingLeavesStoreIntact(t *testing.T) {
 }
 
 // TestStreamingHandBackIsReported: there is no hand-back. A plan the
-// streaming compiler cannot lower — a Bound leaf, a join whose recorded
-// column order the engine would not reproduce; the planner builds
-// neither — is an inconsistency reported as an error naming the node,
-// never a silent second execution on the materialized scheduler.
+// streaming compiler cannot lower — a join whose recorded column order
+// the engine would not reproduce, which the planner never builds — is an
+// inconsistency reported as an error naming the node, never a silent
+// second execution on the materialized scheduler.
 func TestStreamingHandBackIsReported(t *testing.T) {
 	s := testStore(t, false)
 	q := sparql.MustParse(`SELECT ?u ?v WHERE {
 		?u <http://example.org/follows> ?v .
 		?v <http://example.org/likes> ?p .
 	}`)
-	opts := QueryOptions{Streaming: true, ReplanThreshold: -1}
+	opts := QueryOptions{Streaming: true}
 	r, err := s.resolve(q, opts)
 	if err != nil || !r.cacheable || !r.streaming {
 		t.Fatalf("resolve: %+v err=%v", r, err)
@@ -498,13 +509,8 @@ func TestStreamingHandBackIsReported(t *testing.T) {
 		t.Fatalf("planEntry: %v", err)
 	}
 
-	bound := entry.plan.WithRoot(&plan.Node{Op: plan.OpBound, Label: "join ?v", Vars: []string{"u", "v"}, Actual: -1})
-	if sp, err := s.compileStreamPlan(bound, entry.nodes, nil); sp != nil || err == nil || !strings.Contains(err.Error(), "cannot lower join ?v") {
-		t.Fatalf("bound leaf: compiled %v, err %v; want an error naming the node", sp, err)
-	}
-
-	// End to end: the same plan with one join's recorded columns
-	// reversed, planted in the cache.
+	// The plan with one join's recorded columns reversed, planted in the
+	// cache.
 	skewed := entry.plan.Stamp(plan.NewObservation(entry.plan))
 	var join *plan.Node
 	var find func(n *plan.Node)
@@ -560,7 +566,7 @@ func TestStreamingAllocsAtMostMaterialized(t *testing.T) {
 	s := watdivStreamStore(t)
 	for _, name := range []string{"C2", "F3"} {
 		q := mustQueryByName(t, name)
-		base := QueryOptions{Strategy: StrategyMixed, ReplanThreshold: -1}
+		base := QueryOptions{Strategy: StrategyMixed}
 		matB, matN := allocsPerQuery(t, s, q.Parsed, base)
 		opts := base
 		opts.Streaming = true
@@ -583,7 +589,7 @@ func TestStreamingConcurrentQueries(t *testing.T) {
 	queries := watdiv.BasicQuerySet()
 	want := make([]string, len(queries))
 	for i, q := range queries {
-		res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, ReplanThreshold: -1})
+		res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, NoPlanCache: true})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", q.Name, err)
 		}
@@ -596,7 +602,7 @@ func TestStreamingConcurrentQueries(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i, q := range queries {
-				res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: 512 << (w % 3), ReplanThreshold: -1})
+				res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: 512 << (w % 3), NoPlanCache: true})
 				if err != nil {
 					errs <- fmt.Errorf("%s worker %d: %v", q.Name, w, err)
 					return
@@ -628,7 +634,7 @@ func mustQueryByName(t testing.TB, name string) watdiv.Query {
 func BenchmarkStreamingFirstRow(b *testing.B) {
 	s := watdivStreamStore(b)
 	q := mustQueryByName(b, "C1")
-	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, ReplanThreshold: -1}
+	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true}
 	b.ResetTimer()
 	var res *Result
 	for i := 0; i < b.N; i++ {
@@ -651,11 +657,11 @@ func BenchmarkStreamingPeakMemory(b *testing.B) {
 	var mat, str *Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		mat, err = s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, ReplanThreshold: -1})
+		mat, err = s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed})
 		if err != nil {
 			b.Fatal(err)
 		}
-		str, err = s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ReplanThreshold: -1})
+		str, err = s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true})
 		if err != nil {
 			b.Fatal(err)
 		}

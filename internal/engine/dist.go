@@ -10,11 +10,13 @@ package engine
 // same fragments produces bit-identical partitions, and every stage's
 // TaskStats are computed from coordinator-known values (fragment
 // lengths and returned row counts) — SimTime is invariant under where
-// the kernels physically ran.
+// the kernels physically ran. Every spec carries Node, the ID of the
+// plan operator the exchange executes (Exec.Node).
 
 // ShuffleSpec describes the partition-wise hash-join kernel of a
 // shuffle join whose fragments were already routed by the coordinator.
 type ShuffleSpec struct {
+	Node         int
 	Name         string
 	LKey, RKey   []int
 	OutWidth     int
@@ -34,6 +36,7 @@ type ShuffleSpec struct {
 // BroadcastSpec describes a broadcast hash join: the build side ships
 // whole, the probe side stays put.
 type BroadcastSpec struct {
+	Node               int
 	Name               string
 	BuildKey, ProbeKey []int
 	BuildIsLeft        bool
@@ -45,6 +48,7 @@ type BroadcastSpec struct {
 // CartesianSpec describes a cross product via broadcast of the small
 // side.
 type CartesianSpec struct {
+	Node         int
 	Name         string
 	SmallIsLeft  bool
 	OutWidth     int
@@ -54,6 +58,7 @@ type CartesianSpec struct {
 
 // DistinctSpec describes a post-shuffle dedup kernel.
 type DistinctSpec struct {
+	Node        int
 	Width       int
 	PricedBytes int64
 }

@@ -16,8 +16,7 @@ const DefaultBroadcastThreshold = 10 << 20
 // DefaultSkewSaltFraction is the shuffle-salting trigger: a join key
 // carrying at least this fraction of one input's rows would serialize
 // a fifth of the join on one worker, so it is salted into per-worker
-// sub-keys instead. The planner prices shuffle candidates with the
-// same bound (plan.Costs.SkewSaltFraction).
+// sub-keys instead.
 const DefaultSkewSaltFraction = 0.2
 
 // Exec is the execution context for one query: the cluster it runs on,
@@ -51,6 +50,10 @@ type Exec struct {
 	// Layout decisions, shuffle routing and stage pricing stay local,
 	// so SimTime and results are identical to single-process runs.
 	Dist Exchanger
+	// Node is the ID of the plan operator this context executes. Every
+	// exchange spec carries it, so a distributed session attributes its
+	// measurements to the operator rather than to a label.
+	Node int
 
 	started bool
 }
@@ -273,7 +276,7 @@ func (e *Exec) Distinct(rel *Relation) (*Relation, error) {
 		for _, m := range moved {
 			priced += m
 		}
-		res, err := e.Dist.Distinct(DistinctSpec{Width: width, PricedBytes: priced}, shuffled)
+		res, err := e.Dist.Distinct(DistinctSpec{Node: e.Node, Width: width, PricedBytes: priced}, shuffled)
 		if err != nil {
 			return nil, err
 		}

@@ -248,7 +248,7 @@ func (e *Exec) shuffleJoin(left, right *Relation, shared []string, name string, 
 			rSum += rMoved[p]
 		}
 		res, err := e.Dist.ShuffleJoin(ShuffleSpec{
-			Name: name, LKey: lKey, RKey: rKey,
+			Node: e.Node, Name: name, LKey: lKey, RKey: rKey,
 			OutWidth: len(outSchema), LKeep: lKeep, RKeep: rKeep,
 			PricedBytes: lSum + rSum, LMovedBytes: lSum, RMovedBytes: rSum,
 		}, lParts, rParts)
@@ -300,7 +300,7 @@ func (e *Exec) broadcastJoin(probe, build *Relation, shared []string, name strin
 			w = probe.Partitions()
 		}
 		res, err := e.Dist.BroadcastJoin(BroadcastSpec{
-			Name: name, BuildKey: buildKey, ProbeKey: probeKey,
+			Node: e.Node, Name: name, BuildKey: buildKey, ProbeKey: probeKey,
 			BuildIsLeft: buildIsLeft, OutWidth: len(outSchema),
 			LKeep: lKeep, RKeep: rKeep,
 			PricedBytes: buildBytes * int64(w),
@@ -355,7 +355,7 @@ func (e *Exec) cartesian(left, right *Relation, name string, keep []string) (*Re
 			w = large.Partitions()
 		}
 		res, err := e.Dist.Cartesian(CartesianSpec{
-			Name: name, SmallIsLeft: smallIsLeft, OutWidth: len(outSchema),
+			Node: e.Node, Name: name, SmallIsLeft: smallIsLeft, OutWidth: len(outSchema),
 			LKeep: lKeep, RKeep: rKeep,
 			PricedBytes: smallBytes * int64(w),
 		}, smallRows, large.parts)

@@ -3,7 +3,7 @@ package plan_test
 // The estimator accuracy harness — the regression gate for all future
 // estimator work. For every 2- and 3-pattern connected subquery of the
 // WatDiv query set it computes the exact result cardinality with the
-// naive engine (written order, no re-planning; the planner cannot
+// naive planner (written order, a static plan; the planner cannot
 // influence row counts) and compares the cost planner's root estimate
 // against it, under both the Mixed strategy (characteristic sets price
 // the PT stars) and VP-only (pair sketches price every join).
@@ -202,7 +202,7 @@ func TestEstimatorAccuracyHarness(t *testing.T) {
 		if n, ok := exactCache[key]; ok {
 			return n
 		}
-		res, err := s.Query(q, core.QueryOptions{Strategy: strat, Planner: plan.ModeNaive, ReplanThreshold: -1})
+		res, err := s.Query(q, core.QueryOptions{Strategy: strat, Planner: plan.ModeNaive})
 		if err != nil {
 			t.Fatalf("naive execution of %s: %v", q.Name, err)
 		}

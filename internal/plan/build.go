@@ -69,24 +69,6 @@ type Costs struct {
 	BroadcastThreshold int64
 	// BytesPerValue is the wire footprint of one encoded value.
 	BytesPerValue int64
-	// SkewSaltFraction is the engine's shuffle-salting trigger: a join
-	// key carrying at least this fraction of one side's rows is salted
-	// into per-worker sub-keys at execution time. The planner prices
-	// shuffle candidates with the same bound, so a skewed input (known
-	// exactly for the re-planner's materialized intermediates) is priced
-	// as a salted, balanced shuffle rather than a serialized one. Zero
-	// or negative means salting is disabled.
-	SkewSaltFraction float64
-	// RuntimeRules makes shuffle-family pricing model the engine's
-	// runtime join rule: a planned shuffle executes as StrategyAuto,
-	// which broadcasts outright when the smaller input fits under the
-	// broadcast threshold. The re-planner sets it — its input sizes are
-	// observed, not estimated, so the runtime rule's behaviour is
-	// predictable — which keeps the static baseline priced at what
-	// finishing the old plan would actually cost. Static planning
-	// leaves it off: pricing a runtime downgrade from unreliable
-	// estimates would double-count the very adaptivity it feeds.
-	RuntimeRules bool
 	// Model prices shuffle and broadcast exchanges.
 	Model cluster.CostModel
 	// JoinStats provides two-predicate join sketches for correlated-join
@@ -111,7 +93,11 @@ type Costs struct {
 // stages) beats the left-deep chain's. Filters are pushed into exactly
 // one scan exposing their variable. Join methods are priced per join
 // in the cost modes and left to the engine's runtime rule otherwise.
-func Build(leaves []Leaf, filters []FilterSpec, projection []string, distinct bool, mode Mode, c Costs) *Plan {
+//
+// obs, when non-nil, holds what earlier executions of the same query
+// counted: every scan, chain, DP and GOO state whose key it holds is
+// priced at the observation instead of its estimate (see Observed).
+func Build(leaves []Leaf, filters []FilterSpec, projection []string, distinct bool, mode Mode, c Costs, obs Observed) *Plan {
 	if len(leaves) == 0 {
 		return nil
 	}
@@ -144,7 +130,7 @@ func Build(leaves []Leaf, filters []FilterSpec, projection []string, distinct bo
 		order[i] = i
 	}
 	if effMode == ModeCost {
-		order = costOrder(leaves, filters, c)
+		order = costOrder(leaves, filters, c, obs)
 	}
 
 	// Pass 1: push each filter into the earliest scan (in the final
@@ -155,7 +141,7 @@ func Build(leaves []Leaf, filters []FilterSpec, projection []string, distinct bo
 	// Pass 2: build the left-deep operator tree in the chosen order,
 	// carrying estimated cardinality, per-variable distinct counts and
 	// the predicted partitioning through every join.
-	cur := buildChain(leaves, filters, order, pushed, projection, effMode, c)
+	cur := buildChain(leaves, filters, order, pushed, projection, effMode, c, obs)
 
 	// Pass 3 (ModeCost only): enumerate bushy candidates and keep the
 	// best one when its priced critical path is strictly shorter than
@@ -175,13 +161,13 @@ func Build(leaves []Leaf, filters []FilterSpec, projection []string, distinct bo
 	//     estimate): a shape-first variant that can escape the chain
 	//     order entirely.
 	if mode == ModeCost && len(leaves) > 2 {
-		if dpCand := bushySequenceDP(leaves, filters, order, pushed, projection, c); dpCand.crit < cur.crit {
+		if dpCand := bushySequenceDP(leaves, filters, order, pushed, projection, c, obs); dpCand.crit < cur.crit {
 			cur = dpCand // chain-order filters and residual still apply
 			p.Bushy = true
 		}
 		bPushed, bResidual := pushFiltersBushy(leaves, filters)
 		for _, byCrit := range []bool{false, true} {
-			if bushy := buildBushy(leaves, filters, bPushed, projection, c, byCrit); bushy.crit < cur.crit {
+			if bushy := buildBushy(leaves, filters, bPushed, projection, c, byCrit, obs); bushy.crit < cur.crit {
 				cur = bushy
 				residual = bResidual
 				p.Bushy = true
@@ -241,10 +227,10 @@ func pushFiltersBushy(leaves []Leaf, filters []FilterSpec) (pushed [][]int, resi
 }
 
 // buildChain constructs the left-deep join chain over the given order.
-func buildChain(leaves []Leaf, filters []FilterSpec, order []int, pushed [][]int, projection []string, effMode Mode, c Costs) state {
-	cur := scanState(leaves[order[0]], order[0], pushed[order[0]], filters, c)
+func buildChain(leaves []Leaf, filters []FilterSpec, order []int, pushed [][]int, projection []string, effMode Mode, c Costs, obs Observed) state {
+	cur := scanState(leaves[order[0]], order[0], pushed[order[0]], filters, c, obs)
 	for pos, li := range order[1:] {
-		next := scanState(leaves[li], li, pushed[li], filters, c)
+		next := scanState(leaves[li], li, pushed[li], filters, c, obs)
 		var retain map[string]bool
 		if effMode == ModeCost {
 			retain = retainSet(projection, leaves, order[pos+2:])
@@ -256,16 +242,15 @@ func buildChain(leaves []Leaf, filters []FilterSpec, order []int, pushed [][]int
 
 // buildBushy is greedy operator ordering (GOO) over connected
 // components: every leaf starts as its own component, and the best
-// pair of connected components (bestGOOPair — the comparator shared
-// with the re-planner, selected by byCrit) merges until one component
-// remains. Independent subtrees grow as siblings and meet at the top
+// pair of connected components (bestGOOPair, selected by byCrit)
+// merges until one component remains. Independent subtrees grow as siblings and meet at the top
 // instead of being threaded through one chain, and each component's
 // crit field prices the critical path of its subtree.
-func buildBushy(leaves []Leaf, filters []FilterSpec, pushed [][]int, projection []string, c Costs, byCrit bool) state {
+func buildBushy(leaves []Leaf, filters []FilterSpec, pushed [][]int, projection []string, c Costs, byCrit bool, obs Observed) state {
 	comps := make([]state, len(leaves))
 	leafSets := make([][]int, len(leaves))
 	for i, l := range leaves {
-		comps[i] = scanState(l, i, pushed[i], filters, c)
+		comps[i] = scanState(l, i, pushed[i], filters, c, obs)
 		leafSets[i] = []int{i}
 	}
 
@@ -347,12 +332,6 @@ type state struct {
 	est      float64
 	dist     map[string]float64
 	partCols []string
-	// hot maps a variable to the fraction of rows carried by its single
-	// hottest value — the skew signal shuffle pricing reads. It is nil
-	// for statistics-estimated leaves (loader statistics keep no key
-	// histograms) and exact for the re-planner's bound leaves; join
-	// outputs drop it (the output histogram is unknown).
-	hot map[string]float64
 	// pats accumulates the triple patterns of every leaf under the
 	// subplan, so sketch lookups can resolve predicate pairs for any
 	// later join variable.
@@ -360,11 +339,14 @@ type state struct {
 	// crit is the subtree's priced completion time under parallel
 	// execution: own priced time plus max over the children's crit.
 	crit time.Duration
+	// obs is Build's observations, consulted by every estimate made for
+	// the subplan or a join of it.
+	obs Observed
 }
 
 // scanState builds the Scan node for one leaf with its pushed filters
-// applied to the estimate.
-func scanState(l Leaf, idx int, pushedFilters []int, filters []FilterSpec, c Costs) state {
+// applied to the estimate, or at its observation.
+func scanState(l Leaf, idx int, pushedFilters []int, filters []FilterSpec, c Costs, obs Observed) state {
 	est := l.Est
 	dist := make(map[string]float64, len(l.Dist))
 	for v, d := range l.Dist {
@@ -377,22 +359,22 @@ func scanState(l Leaf, idx int, pushedFilters []int, filters []FilterSpec, c Cos
 			dist[f.Var] = math.Max(d*f.Selectivity, 1)
 		}
 	}
-	capDist(dist, est)
 	src := l.EstSource
 	if src == "" {
 		src = EstIndep
 	}
 	n := &Node{
-		Op:        OpScan,
-		Label:     l.Label,
-		Vars:      append([]string(nil), l.Vars...),
-		Est:       est,
-		Actual:    -1,
-		Leaf:      idx,
-		Filters:   pushedFilters,
-		EstSource: src,
-		ExtVP:     l.ExtVP,
+		Op:      OpScan,
+		Label:   l.Label,
+		Vars:    append([]string(nil), l.Vars...),
+		Actual:  -1,
+		Leaf:    idx,
+		Filters: pushedFilters,
+		ExtVP:   l.ExtVP,
 	}
+	est, n.EstSource = obs.seed(est, src, n)
+	n.Est = est
+	capDist(dist, est)
 	s := state{
 		node:     n,
 		vars:     n.Vars,
@@ -400,6 +382,7 @@ func scanState(l Leaf, idx int, pushedFilters []int, filters []FilterSpec, c Cos
 		dist:     dist,
 		partCols: append([]string(nil), l.PartCols...),
 		pats:     l.Pats,
+		obs:      obs,
 	}
 	// Scans pipeline (no stage launch); their priced time is the raw
 	// read before filtering plus per-row work, spread over the workers.
@@ -429,7 +412,7 @@ func joinStates(left, right state, mode Mode, c Costs, retain map[string]bool) s
 	src := EstIndep
 	var joinKeys map[string]float64
 	if len(shared) == 0 {
-		est = left.est * right.est
+		est, src = left.obs.seed(left.est*right.est, src, left.node, right.node)
 		method = MethodCartesian
 		ownTime = c.Model.ShuffleJoinTime(
 			estBytes(left, c)+estBytes(right, c),
@@ -483,7 +466,31 @@ func joinStates(left, right state, mode Mode, c Costs, retain map[string]bool) s
 	}
 	pats := make([]PatRef, 0, len(left.pats)+len(right.pats))
 	pats = append(append(pats, left.pats...), right.pats...)
-	return state{node: n, vars: outVars, est: est, dist: dist, partCols: partCols, pats: pats, crit: crit + ownTime}
+	return state{node: n, vars: outVars, est: est, dist: dist, partCols: partCols, pats: pats, crit: crit + ownTime, obs: left.obs}
+}
+
+// mergeDist min-merges the per-variable distinct counts of two join
+// inputs over the output schema, capped to the output estimate.
+func mergeDist(left, right state, outVars []string, est float64) map[string]float64 {
+	dist := make(map[string]float64, len(outVars))
+	for _, v := range outVars {
+		dl, okL := left.dist[v]
+		dr, okR := right.dist[v]
+		switch {
+		case okL && okR:
+			if dl < dr {
+				dist[v] = dl
+			} else {
+				dist[v] = dr
+			}
+		case okL:
+			dist[v] = dl
+		case okR:
+			dist[v] = dr
+		}
+	}
+	capDist(dist, est)
+	return dist
 }
 
 // retainSet is the set of variables later operators still need: the
@@ -541,8 +548,7 @@ func selectMethod(left, right state, shared []string, outEst float64, c Costs) (
 // methodTime prices one join executed with a specific physical method
 // on the candidate inputs, returning the predicted output partitioning
 // and the priced time. It is the single pricing implementation behind
-// selectMethod, the ordering passes and the re-planner's pinned
-// baseline, so none of them can drift from the others.
+// selectMethod and the ordering passes, so they cannot drift apart.
 func methodTime(left, right state, shared []string, outEst float64, method JoinMethod, c Costs) ([]string, time.Duration) {
 	lBytes := estBytes(left, c)
 	rBytes := estBytes(right, c)
@@ -560,36 +566,7 @@ func methodTime(left, right state, shared []string, outEst float64, method JoinM
 		return append([]string(nil), probe.partCols...),
 			c.Model.BroadcastJoinTime(buildBytes, bRows, c.Workers)
 	default: // MethodShuffle, MethodCoPartitioned, MethodAuto
-		// Under the engine's runtime rule a planned shuffle broadcasts
-		// outright when the smaller side fits under the threshold; with
-		// observed input sizes that behaviour is certain, so price it.
-		if c.RuntimeRules && c.BroadcastThreshold > 0 {
-			buildBytes, probe := rBytes, left
-			if lBytes < rBytes {
-				buildBytes, probe = lBytes, right
-			}
-			if buildBytes <= c.BroadcastThreshold {
-				bRows := estRows(probe.est) + estRows(outEst)
-				return append([]string(nil), probe.partCols...),
-					c.Model.BroadcastJoinTime(buildBytes, bRows, c.Workers)
-			}
-		}
-		hot := 0.0
-		for _, v := range shared {
-			if f := left.hot[v]; f > hot {
-				hot = f
-			}
-			if f := right.hot[v]; f > hot {
-				hot = f
-			}
-		}
 		rows := estRows(left.est) + estRows(right.est) + estRows(outEst)
-		// A salted execution re-places both sides (alignment shortcuts
-		// do not apply) and its output layout is not the key hash, so
-		// the pricing and the predicted partitioning must say the same.
-		if c.SkewSaltFraction > 0 && hot >= c.SkewSaltFraction {
-			return nil, c.Model.SkewedShuffleJoinTime(lBytes+rBytes, rows, c.Workers, hot, c.SkewSaltFraction)
-		}
 		var moved int64
 		if !colsEqual(left.partCols, shared) {
 			moved += lBytes
@@ -598,7 +575,7 @@ func methodTime(left, right state, shared []string, outEst float64, method JoinM
 			moved += rBytes
 		}
 		return append([]string(nil), shared...),
-			c.Model.SkewedShuffleJoinTime(moved, rows, c.Workers, hot, c.SkewSaltFraction)
+			c.Model.ShuffleJoinTime(moved, rows, c.Workers)
 	}
 }
 
@@ -614,7 +591,7 @@ func methodTime(left, right state, shared []string, outEst float64, method JoinM
 // tie-breaking (priced time), never in the estimate formula.
 // Disconnected leaves fall back to the smallest remaining (cartesian
 // product either way).
-func costOrder(leaves []Leaf, filters []FilterSpec, c Costs) []int {
+func costOrder(leaves []Leaf, filters []FilterSpec, c Costs, obs Observed) []int {
 	states := make([]state, len(leaves))
 	for i, l := range leaves {
 		var pushed []int
@@ -626,7 +603,7 @@ func costOrder(leaves []Leaf, filters []FilterSpec, c Costs) []int {
 		// For ordering purposes every exposing leaf is estimated as
 		// filtered; the final single-site assignment happens after the
 		// order is fixed.
-		states[i] = scanState(l, i, pushed, filters, c)
+		states[i] = scanState(l, i, pushed, filters, c, obs)
 	}
 
 	remaining := make([]int, len(leaves))
@@ -650,8 +627,9 @@ func costOrder(leaves []Leaf, filters []FilterSpec, c Costs) []int {
 		var bestEst float64
 		// The running chain for estimation purposes: the heuristic's
 		// min-merged distinct counts and propagated size, plus the
-		// accumulated patterns sketch lookups resolve pairs from.
-		running := state{vars: cur.vars, est: curSize, dist: curDist, pats: curPats}
+		// accumulated patterns sketch lookups resolve pairs from, and
+		// the chain's node and observations an observed join is found by.
+		running := state{node: cur.node, vars: cur.vars, est: curSize, dist: curDist, pats: curPats, obs: obs}
 		for pos, li := range remaining {
 			shared := sharedVars(cur.vars, states[li].vars)
 			if len(shared) == 0 {
@@ -671,7 +649,7 @@ func costOrder(leaves []Leaf, filters []FilterSpec, c Costs) []int {
 					best = pos
 				}
 			}
-			bestEst = curSize * states[remaining[best]].est
+			bestEst, _ = obs.seed(curSize*states[remaining[best]].est, "", cur.node, states[remaining[best]].node)
 		}
 		li := remaining[best]
 		order = append(order, li)
@@ -842,10 +820,8 @@ func containsVar(vars []string, v string) bool {
 	return false
 }
 
-// bestGOOPair picks one GOO round's merge pair over the components —
-// the single comparator buildBushy and the re-planner's gooStates
-// share, so the planner and re-planner can never disagree on bushy
-// merge order. With byCrit false the best connected pair has the
+// bestGOOPair picks one GOO round's merge pair over the components.
+// With byCrit false the best connected pair has the
 // smallest estimated join output (ties by priced time, then input
 // order); with byCrit true it has the shortest merged critical path
 // (ties by estimate). A fully disconnected component set falls back to
@@ -907,12 +883,12 @@ func bestGOOPair(comps []state, c Costs, byCrit bool) (bi, bj int) {
 // holds the best subplan for order[i..j]; the recurrence tries every
 // split point, pricing each join with the same estimator and method
 // selection as the chain (ties broken toward the smaller estimate).
-func bushySequenceDP(leaves []Leaf, filters []FilterSpec, order []int, pushed [][]int, projection []string, c Costs) state {
+func bushySequenceDP(leaves []Leaf, filters []FilterSpec, order []int, pushed [][]int, projection []string, c Costs, obs Observed) state {
 	n := len(order)
 	dp := make([][]state, n)
 	for i := range dp {
 		dp[i] = make([]state, n)
-		dp[i][i] = scanState(leaves[order[i]], order[i], pushed[order[i]], filters, c)
+		dp[i][i] = scanState(leaves[order[i]], order[i], pushed[order[i]], filters, c, obs)
 	}
 	// retain(i, j): the variables operators outside order[i..j] still
 	// need — the projection plus every leaf not in the segment.

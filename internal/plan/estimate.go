@@ -1,12 +1,20 @@
 package plan
 
-import "math"
+import (
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+)
 
 // This file is the join-cardinality estimator. Every join estimate in
-// the planner — chain ordering, bushy enumeration, physical selection
-// and the adaptive re-planner's rebased candidates — flows through
-// joinEstimate, which applies the documented precedence:
+// the planner — chain ordering, bushy enumeration and physical
+// selection — flows through joinEstimate, which applies the documented
+// precedence:
 //
+//  0. An observation (Observed): the rows an earlier execution of the
+//     same query counted for exactly this set of leaves and filters.
+//     It replaces whatever the sources below would estimate.
 //  1. Two-predicate join sketches (Costs.JoinStats): for a shared
 //     variable exposed by a triple pattern on each side, the exact
 //     leaf-level join cardinality of the predicate pair at its join
@@ -32,17 +40,15 @@ const (
 	EstCSet = "cset"
 	// EstSketch marks an estimate priced from a pair join sketch.
 	EstSketch = "sketch"
-	// EstExact marks a materialized intermediate (bound leaf) whose
-	// cardinality was observed, not estimated.
-	EstExact = "exact"
 	// EstExtVP marks a scan rewritten to a materialized semi-join
 	// reduction (workload-driven ExtVP table); its estimate is the
 	// reduction's exact row count (scaled by the pattern's constant
 	// selectivity when a position is bound).
 	EstExtVP = "extvp"
-	// EstObserved marks a scan whose cardinality was seeded from a
-	// previous execution of the same (predicate, constant) subpattern —
-	// the workload model's cross-query feedback.
+	// EstObserved marks a cardinality an earlier execution counted: a
+	// scan seeded from a previous execution of the same (predicate,
+	// constant) subpattern — the workload model's cross-query feedback —
+	// or a scan or join a corrected cache entry was re-planned with.
 	EstObserved = "obs"
 )
 
@@ -135,7 +141,8 @@ func joinEstimate(left, right state, shared []string, c Costs) (float64, string,
 			restDenom = d
 		}
 	}
-	return est / restDenom, src, keys
+	est, src = left.obs.seed(est/restDenom, src, left.node, right.node)
+	return est, src, keys
 }
 
 // pairSelectivity combines every sketch-covered predicate pair
@@ -219,4 +226,101 @@ func capDistKeys(dist, keys map[string]float64) {
 			dist[v] = math.Max(k, 1)
 		}
 	}
+}
+
+// Observed holds the cardinalities earlier executions of one query
+// counted, keyed by obsKey: the set of leaves a Scan or Join covers and
+// the set of filters applied at or below it. Build prices every chain,
+// DP and GOO state whose key it holds at the observation.
+type Observed map[string]float64
+
+// seed returns the observation filed under the key of the given
+// subplans taken together, tagged EstObserved, where there is one that
+// differs from est; otherwise est and src unchanged.
+func (o Observed) seed(est float64, src string, nodes ...*Node) (float64, string) {
+	if o == nil {
+		return est, src
+	}
+	if v, ok := o[obsKey(nodes...)]; ok && v != est {
+		return v, EstObserved
+	}
+	return est, src
+}
+
+// obsKey renders the observation key of the given subplans taken
+// together: their scanned leaf indexes, then the filter indexes their
+// Scan and Filter nodes apply, each sorted. Where a filter applies is
+// not part of the key — every placement yields the same rows.
+func obsKey(nodes ...*Node) string {
+	var leaves, filters []int
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		switch n.Op {
+		case OpScan:
+			leaves = append(leaves, n.Leaf)
+			filters = append(filters, n.Filters...)
+		case OpFilter:
+			filters = append(filters, n.Filters...)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, n := range nodes {
+		walk(n)
+	}
+	slices.Sort(leaves)
+	slices.Sort(filters)
+	var sb strings.Builder
+	for i, l := range leaves {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(strconv.Itoa(l))
+	}
+	sb.WriteByte('|')
+	for i, f := range slices.Compact(filters) {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(strconv.Itoa(f))
+	}
+	return sb.String()
+}
+
+// observable reports whether an executed plan (stamped with actuals)
+// counted n's own cardinality: an executed Scan or Join, except a scan
+// that read an ExtVP reduction — it counted the reduction's rows, not
+// its leaf's.
+func observable(n *Node) bool {
+	return n.Actual >= 0 && (n.Op == OpJoin || n.Op == OpScan && n.ExtVP == nil)
+}
+
+// WorstObservable returns the largest estimation-error factor among an
+// executed plan's observable nodes, and the node it occurs at (1 and nil
+// when none executed). Only an observable node can correct its own
+// estimate, so only these decide whether a re-plan would learn anything.
+func (p *Plan) WorstObservable() (float64, *Node) {
+	return p.worstError(observable)
+}
+
+// Observations returns prior plus what an executed plan counted: the
+// actual rows of every observable node, filed under the node's obsKey.
+// prior is not modified.
+func (p *Plan) Observations(prior Observed) Observed {
+	obs := make(Observed, len(prior)+p.NumNodes())
+	for k, v := range prior {
+		obs[k] = v
+	}
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		for _, c := range n.Children {
+			walk(c)
+		}
+		if observable(n) {
+			obs[obsKey(n)] = float64(n.Actual)
+		}
+	}
+	walk(p.Root)
+	return obs
 }

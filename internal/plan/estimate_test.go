@@ -85,7 +85,7 @@ func TestJoinEstimateUsesSketchSelectivity(t *testing.T) {
 			{1, 2, uint64(PairOS)}: {Join: 5000, Keys: 60},
 		},
 	}
-	p := Build(sketchLeaves(), nil, []string{"x", "z"}, false, ModeCost, c)
+	p := Build(sketchLeaves(), nil, []string{"x", "z"}, false, ModeCost, c, nil)
 	join := joinNode(t, p)
 	if join.EstSource != EstSketch {
 		t.Fatalf("join est-source = %q, want sketch:\n%s", join.EstSource, p)
@@ -114,7 +114,7 @@ func TestJoinEstimateScalesSketchToFilteredInputs(t *testing.T) {
 	}
 	// A carries 1000 of predicate 1's 2000 triples (a filtered leaf):
 	// containment scaling halves the sketch join → 2000.
-	p := Build(sketchLeaves(), nil, []string{"x", "z"}, false, ModeCost, c)
+	p := Build(sketchLeaves(), nil, []string{"x", "z"}, false, ModeCost, c, nil)
 	join := joinNode(t, p)
 	if math.Abs(join.Est-2000) > 1e-6 {
 		t.Errorf("join est = %g, want 2000 (4000 · 1000/2000 · 200/200)", join.Est)
@@ -130,7 +130,7 @@ func TestJoinEstimateExactZeroPair(t *testing.T) {
 			{1, 2, uint64(PairOS)}: {Join: 0, Keys: 0, Exact: true},
 		},
 	}
-	p := Build(sketchLeaves(), nil, []string{"x", "z"}, false, ModeCost, c)
+	p := Build(sketchLeaves(), nil, []string{"x", "z"}, false, ModeCost, c, nil)
 	join := joinNode(t, p)
 	if join.Est != 0 || join.EstSource != EstSketch {
 		t.Errorf("join est = %g source %q, want exact zero from the sketch", join.Est, join.EstSource)
@@ -140,14 +140,14 @@ func TestJoinEstimateExactZeroPair(t *testing.T) {
 func TestJoinEstimateFallsBackToIndependence(t *testing.T) {
 	// No provider, and a provider without the pair, must both reproduce
 	// the pre-sketch estimate bit-for-bit.
-	base := Build(sketchLeaves(), nil, []string{"x", "z"}, false, ModeCost, testCosts())
+	base := Build(sketchLeaves(), nil, []string{"x", "z"}, false, ModeCost, testCosts(), nil)
 	want := joinNode(t, base).Est
 	if want != 1000*200/100 {
 		t.Fatalf("independence est = %g, want 2000", want)
 	}
 	c := testCosts()
 	c.JoinStats = &fakeSketches{triples: map[uint64]float64{1: 1000, 2: 200}}
-	p := Build(sketchLeaves(), nil, []string{"x", "z"}, false, ModeCost, c)
+	p := Build(sketchLeaves(), nil, []string{"x", "z"}, false, ModeCost, c, nil)
 	join := joinNode(t, p)
 	if join.Est != want || join.EstSource != EstIndep {
 		t.Errorf("uncovered pair: est = %g source %q, want %g indep", join.Est, join.EstSource, want)
@@ -177,7 +177,7 @@ func TestJoinEstimateGeometricMeanOverCandidates(t *testing.T) {
 			{3, 2, uint64(PairOS)}: {Join: 1250, Keys: 90}, // sel 1/160
 		},
 	}
-	p := Build(leaves, nil, []string{"x", "z"}, false, ModeCost, c)
+	p := Build(leaves, nil, []string{"x", "z"}, false, ModeCost, c, nil)
 	join := joinNode(t, p)
 	want := 1000.0 * 200 / 80
 	if math.Abs(join.Est-want) > 1e-6 {

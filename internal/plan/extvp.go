@@ -218,10 +218,7 @@ type JoinObservation struct {
 // JoinObservations mines a stamped plan for executed joins: every Join
 // node with an observed cardinality yields one observation per
 // predicate pair exposing a join variable on opposite sides — the same
-// pair resolution the sketch estimator prices with. Bound leaves
-// (materialized intermediates of an earlier round) carry no patterns
-// and contribute nothing, which is why the caller mines the first
-// round's stamped plan rather than a grafted one.
+// pair resolution the sketch estimator prices with.
 func (p *Plan) JoinObservations() []JoinObservation {
 	var out []JoinObservation
 	var pats func(n *Node) []PatRef

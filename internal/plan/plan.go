@@ -52,11 +52,6 @@ const (
 	OpProject
 	// OpDistinct removes duplicate rows.
 	OpDistinct
-	// OpBound reads an intermediate result a previous execution round
-	// already materialized — the leaf the adaptive re-planner rebuilds
-	// the unexecuted remainder of a plan over. Its estimate is the
-	// observed cardinality, exact by construction.
-	OpBound
 	// OpLeftJoin is a left outer join (OPTIONAL): every left row
 	// survives, padded with NullID in right-only columns when
 	// unmatched. The right child is always the build side.
@@ -88,8 +83,6 @@ func (o Op) String() string {
 		return "Project"
 	case OpDistinct:
 		return "Distinct"
-	case OpBound:
-		return "Bound"
 	case OpLeftJoin:
 		return "LeftJoin"
 	case OpUnion:
@@ -260,11 +253,11 @@ type Node struct {
 	Keep []string
 	// Cols are the Project node's output columns.
 	Cols []string
-	// EstSource records what produced Est for Scan, Join and Bound
-	// nodes: EstCSet (characteristic sets), EstSketch (pair join
-	// sketches), EstIndep (the independence assumption) or EstExact
-	// (observed cardinality of a materialized intermediate). Empty for
-	// derivative operators (Filter/Project/Distinct inherit their
+	// EstSource records what produced Est for Scan and Join nodes:
+	// EstCSet (characteristic sets), EstSketch (pair join sketches),
+	// EstIndep (the independence assumption), EstExtVP (a reduction's
+	// exact size) or EstObserved (an earlier execution's count). Empty
+	// for derivative operators (Filter/Project/Distinct inherit their
 	// input's quality).
 	EstSource string
 	// Sort holds a TopK node's ORDER BY keys; empty means the
@@ -437,45 +430,6 @@ func (p *Plan) Stamp(o *Observation) *Plan {
 	return &out
 }
 
-// WithRoot returns a plan sharing p's metadata (mode, leaves, filter
-// labels) but rooted at the given operator tree, with node IDs freshly
-// assigned. The adaptive executor uses it to assemble the corrected
-// plan a query actually executed out of grafted round fragments.
-func (p *Plan) WithRoot(root *Node) *Plan {
-	out := *p
-	out.Root = root
-	out.assignIDs()
-	return &out
-}
-
-// Rebase returns a copy of the plan with every executed node's estimate
-// replaced by its observed cardinality and the actuals reset to -1 —
-// the feedback form the plan cache stores, so the next execution plans
-// its trigger checks (and any further re-planning) from corrected
-// numbers instead of repeating the original estimation mistake.
-func (p *Plan) Rebase() *Plan {
-	out := *p
-	var clone func(n *Node) *Node
-	clone = func(n *Node) *Node {
-		c := *n
-		if n.Actual >= 0 {
-			c.Est = float64(n.Actual)
-		}
-		c.Actual = -1
-		c.Attempts = 0
-		if len(n.Children) > 0 {
-			c.Children = make([]*Node, len(n.Children))
-			for i, ch := range n.Children {
-				c.Children[i] = clone(ch)
-			}
-		}
-		return &c
-	}
-	out.Root = clone(p.Root)
-	out.assignIDs()
-	return &out
-}
-
 // Scans returns the plan's Scan nodes in execution (left-deep) order.
 func (p *Plan) Scans() []*Node {
 	var out []*Node
@@ -524,8 +478,6 @@ func (p *Plan) render(sb *strings.Builder, n *Node, indent string) {
 		desc = "Project " + varList(n.Cols)
 	case OpDistinct:
 		desc = "Distinct"
-	case OpBound:
-		desc = "Bound " + n.Label
 	case OpLeftJoin:
 		desc = fmt.Sprintf("LeftJoin on %s", varList(n.JoinVars))
 	case OpUnion:
@@ -628,13 +580,19 @@ func varList(vars []string) string {
 // infinite/zero ratios a missing actual would imply. Plans with no
 // executed nodes return (1, nil).
 func (p *Plan) MaxErrorRatio() (float64, *Node) {
-	worst, at := 1.0, (*Node)(nil)
+	return p.worstError(func(n *Node) bool { return n.Actual >= 0 })
+}
+
+// worstError returns the largest estimation-error factor —
+// max(est,1)/max(actual,1) or its inverse, whichever exceeds 1 — among
+// the executed nodes counts accepts, in preorder (the first node wins a
+// tie), and that node; 1 and nil when it accepts none.
+func (p *Plan) worstError(counts func(*Node) bool) (worst float64, at *Node) {
+	worst = 1
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if n.Actual >= 0 {
-			est := math.Max(n.Est, 1)
-			act := math.Max(float64(n.Actual), 1)
-			r := est / act
+		if counts(n) {
+			r := math.Max(n.Est, 1) / math.Max(float64(n.Actual), 1)
 			if r < 1 {
 				r = 1 / r
 			}

@@ -35,7 +35,7 @@ func scanLabels(p *Plan) []string {
 }
 
 func TestCostOrderStartsAtSmallestLeaf(t *testing.T) {
-	p := Build(chainLeaves(), nil, []string{"x"}, false, ModeCost, testCosts())
+	p := Build(chainLeaves(), nil, []string{"x"}, false, ModeCost, testCosts(), nil)
 	got := scanLabels(p)
 	want := []string{"C", "B", "A"}
 	for i := range want {
@@ -47,7 +47,7 @@ func TestCostOrderStartsAtSmallestLeaf(t *testing.T) {
 
 func TestHeuristicAndNaiveKeepGivenOrder(t *testing.T) {
 	for _, mode := range []Mode{ModeHeuristic, ModeNaive} {
-		p := Build(chainLeaves(), nil, []string{"x"}, false, mode, testCosts())
+		p := Build(chainLeaves(), nil, []string{"x"}, false, mode, testCosts(), nil)
 		got := scanLabels(p)
 		want := []string{"A", "B", "C"}
 		for i := range want {
@@ -60,7 +60,7 @@ func TestHeuristicAndNaiveKeepGivenOrder(t *testing.T) {
 
 func TestFilterPushedOnceToEarliestExposingScan(t *testing.T) {
 	filters := []FilterSpec{{Var: "y", Selectivity: 0.5, Label: "?y>5"}}
-	p := Build(chainLeaves(), filters, []string{"x"}, false, ModeCost, testCosts())
+	p := Build(chainLeaves(), filters, []string{"x"}, false, ModeCost, testCosts(), nil)
 	// Order is C,B,A; both B and A expose y, so the filter must sit on
 	// B's scan — and only there.
 	count := 0
@@ -88,7 +88,7 @@ func TestJoinEstimateIndependenceFormula(t *testing.T) {
 		{Label: "A", Vars: []string{"x", "y"}, Est: 1000, Dist: map[string]float64{"x": 1000, "y": 100}},
 		{Label: "B", Vars: []string{"y", "z"}, Est: 200, Dist: map[string]float64{"y": 50, "z": 200}},
 	}
-	p := Build(leaves, nil, []string{"x"}, false, ModeHeuristic, testCosts())
+	p := Build(leaves, nil, []string{"x"}, false, ModeHeuristic, testCosts(), nil)
 	join := p.Root.Children[0]
 	if join.Op != OpJoin {
 		t.Fatalf("expected join under project, got %v", join.Op)
@@ -107,7 +107,7 @@ func TestPhysicalSelectionBroadcastForSmallBuildSide(t *testing.T) {
 		{Label: "big", Vars: []string{"x", "y"}, Est: 5e6, Dist: map[string]float64{"x": 5e6, "y": 1000}},
 		{Label: "small", Vars: []string{"y"}, Est: 10, Dist: map[string]float64{"y": 10}},
 	}
-	p := Build(leaves, nil, []string{"x"}, false, ModeCost, testCosts())
+	p := Build(leaves, nil, []string{"x"}, false, ModeCost, testCosts(), nil)
 	join := p.Root.Children[0]
 	if join.Method != MethodBroadcast {
 		t.Errorf("method = %v, want broadcast (build side is tiny)", join.Method)
@@ -121,7 +121,7 @@ func TestPhysicalSelectionCoPartitionedSkipsShuffle(t *testing.T) {
 		{Label: "L", Vars: []string{"s", "a"}, Est: 3e6, Dist: map[string]float64{"s": 1e6, "a": 3e6}, PartCols: []string{"s"}},
 		{Label: "R", Vars: []string{"s", "b"}, Est: 3e6, Dist: map[string]float64{"s": 1e6, "b": 3e6}, PartCols: []string{"s"}},
 	}
-	p := Build(leaves, nil, []string{"a"}, false, ModeCost, testCosts())
+	p := Build(leaves, nil, []string{"a"}, false, ModeCost, testCosts(), nil)
 	join := p.Root.Children[0]
 	if join.Method != MethodCoPartitioned {
 		t.Errorf("method = %v, want co-partitioned", join.Method)
@@ -138,7 +138,7 @@ func TestPhysicalSelectionShuffleForLargeMisalignedSides(t *testing.T) {
 		{Label: "L", Vars: []string{"s", "a"}, Est: 3e6, Dist: map[string]float64{"s": 1e6, "a": 3e6}, PartCols: []string{"a"}},
 		{Label: "R", Vars: []string{"s", "b"}, Est: 3e6, Dist: map[string]float64{"s": 1e6, "b": 3e6}, PartCols: []string{"b"}},
 	}
-	p := Build(leaves, nil, []string{"a"}, false, ModeCost, costs)
+	p := Build(leaves, nil, []string{"a"}, false, ModeCost, costs, nil)
 	join := p.Root.Children[0]
 	if join.Method != MethodShuffle {
 		t.Errorf("method = %v, want shuffle (large misaligned sides, wide cluster)", join.Method)
@@ -158,7 +158,7 @@ func TestPhysicalSelectionBroadcastAboveThresholdWhenPriced(t *testing.T) {
 	if buildBytes := int64(3e5 * 1 * 5); buildBytes <= costs.BroadcastThreshold {
 		t.Fatalf("fixture broken: build side %d under threshold %d", buildBytes, costs.BroadcastThreshold)
 	}
-	p := Build(leaves, nil, []string{"v"}, false, ModeCost, costs)
+	p := Build(leaves, nil, []string{"v"}, false, ModeCost, costs, nil)
 	join := p.Root.Children[0]
 	if join.Method != MethodBroadcast {
 		t.Errorf("method = %v, want broadcast above threshold", join.Method)
@@ -170,7 +170,7 @@ func TestCartesianForDisconnectedLeaves(t *testing.T) {
 		{Label: "A", Vars: []string{"x"}, Est: 10, Dist: map[string]float64{"x": 10}},
 		{Label: "B", Vars: []string{"y"}, Est: 20, Dist: map[string]float64{"y": 20}},
 	}
-	p := Build(leaves, nil, []string{"x", "y"}, false, ModeCost, testCosts())
+	p := Build(leaves, nil, []string{"x", "y"}, false, ModeCost, testCosts(), nil)
 	join := p.Root.Children[0]
 	if join.Method != MethodCartesian {
 		t.Errorf("method = %v, want cartesian", join.Method)
@@ -184,7 +184,7 @@ func TestDistinctEstimateBoundedByProjectedDistincts(t *testing.T) {
 	leaves := []Leaf{
 		{Label: "A", Vars: []string{"x", "y"}, Est: 1000, Dist: map[string]float64{"x": 4, "y": 100}},
 	}
-	p := Build(leaves, nil, []string{"x"}, true, ModeCost, testCosts())
+	p := Build(leaves, nil, []string{"x"}, true, ModeCost, testCosts(), nil)
 	if p.Root.Op != OpDistinct {
 		t.Fatalf("root = %v, want Distinct", p.Root.Op)
 	}
@@ -195,7 +195,7 @@ func TestDistinctEstimateBoundedByProjectedDistincts(t *testing.T) {
 
 func TestRenderingAndErrorSummary(t *testing.T) {
 	filters := []FilterSpec{{Var: "y", Selectivity: 0.5, Label: "?y>5"}}
-	p := Build(chainLeaves(), filters, []string{"x"}, true, ModeCost, testCosts())
+	p := Build(chainLeaves(), filters, []string{"x"}, true, ModeCost, testCosts(), nil)
 	out := p.String()
 	for _, want := range []string{"cost planner", "Scan C", "Join[", "Project ?x", "Distinct", "est=", "actual=?", "?y>5"} {
 		if !strings.Contains(out, want) {
@@ -225,7 +225,7 @@ func TestRenderingAndErrorSummary(t *testing.T) {
 }
 
 func TestEmptyLeavesReturnNilPlan(t *testing.T) {
-	if p := Build(nil, nil, nil, false, ModeCost, testCosts()); p != nil {
+	if p := Build(nil, nil, nil, false, ModeCost, testCosts(), nil); p != nil {
 		t.Errorf("Build with no leaves returned %v", p)
 	}
 }
@@ -280,14 +280,14 @@ func rightDeepJoin(n *Node) bool {
 }
 
 func TestBushyPlanForSnowflake(t *testing.T) {
-	bushy := Build(snowflakeLeaves(), nil, []string{"a"}, false, ModeCost, testCosts())
+	bushy := Build(snowflakeLeaves(), nil, []string{"a"}, false, ModeCost, testCosts(), nil)
 	if !bushy.Bushy {
 		t.Fatalf("ModeCost did not choose a bushy shape:\n%s", bushy)
 	}
 	if !rightDeepJoin(bushy.Root) {
 		t.Errorf("bushy plan has no sibling join subtree:\n%s", bushy)
 	}
-	ld := Build(snowflakeLeaves(), nil, []string{"a"}, false, ModeCostLeftDeep, testCosts())
+	ld := Build(snowflakeLeaves(), nil, []string{"a"}, false, ModeCostLeftDeep, testCosts(), nil)
 	if ld.Bushy {
 		t.Errorf("ModeCostLeftDeep produced a bushy plan")
 	}
@@ -305,14 +305,14 @@ func TestBushyPlanForSnowflake(t *testing.T) {
 func TestBushyNeverChosenWhenChainPricesEqual(t *testing.T) {
 	// A pure chain has no independent subtrees: the bushy candidate
 	// cannot beat the left-deep critical path, so the chain is kept.
-	p := Build(chainLeaves(), nil, []string{"x"}, false, ModeCost, testCosts())
+	p := Build(chainLeaves(), nil, []string{"x"}, false, ModeCost, testCosts(), nil)
 	if p.Bushy {
 		t.Errorf("chain query chose a bushy plan:\n%s", p)
 	}
 }
 
 func TestNodeIDsAreStablePreorder(t *testing.T) {
-	p := Build(snowflakeLeaves(), nil, []string{"a"}, false, ModeCost, testCosts())
+	p := Build(snowflakeLeaves(), nil, []string{"a"}, false, ModeCost, testCosts(), nil)
 	seen := make(map[int]bool)
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -334,7 +334,7 @@ func TestNodeIDsAreStablePreorder(t *testing.T) {
 }
 
 func TestObservationStampLeavesPlanUntouched(t *testing.T) {
-	p := Build(chainLeaves(), nil, []string{"x"}, false, ModeCost, testCosts())
+	p := Build(chainLeaves(), nil, []string{"x"}, false, ModeCost, testCosts(), nil)
 	obs := NewObservation(p)
 	// Record actuals for the scans only: a partially executed query.
 	for _, sc := range p.Scans() {
@@ -367,7 +367,7 @@ func TestObservationStampLeavesPlanUntouched(t *testing.T) {
 // MaxErrorRatio, and a fully unexecuted (e.g. cached, unstamped) plan
 // reports "not executed".
 func TestErrorRatioSkipsUnexecutedNodes(t *testing.T) {
-	p := Build(chainLeaves(), nil, []string{"x"}, false, ModeCost, testCosts())
+	p := Build(chainLeaves(), nil, []string{"x"}, false, ModeCost, testCosts(), nil)
 	if ratio, at := p.MaxErrorRatio(); at != nil || ratio != 1 {
 		t.Errorf("unexecuted plan MaxErrorRatio = %g at %v, want (1, nil)", ratio, at)
 	}

@@ -170,9 +170,9 @@ func FuzzAppendJSONString(f *testing.F) {
 	})
 }
 
-// watdivServer loads a small WatDiv graph behind a Server. Adaptive
-// re-planning is off so a query's simulated time does not depend on
-// which executions came before it.
+// watdivServer loads a small WatDiv graph behind a Server. The plan
+// cache is off, so no execution corrects a plan and a query's simulated
+// time does not depend on which executions came before it.
 func watdivServer(t testing.TB) *Server {
 	t.Helper()
 	g := watdiv.MustGenerate(watdiv.Config{Scale: 150, Seed: 7})
@@ -180,7 +180,7 @@ func watdivServer(t testing.TB) *Server {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	srv, err := New(Config{Store: store, Options: core.QueryOptions{ReplanThreshold: -1}})
+	srv, err := New(Config{Store: store, Options: core.QueryOptions{NoPlanCache: true}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -15,11 +15,11 @@
 //	                     chunks as it is written; every parameter is
 //	                     validated before anything executes (400, or
 //	                     413 for a POST body over 1 MiB)
-//	GET      /explain  — physical plan, estimation errors, adaptive
-//	                     re-plan events / feedback provenance, Join
+//	GET      /explain  — physical plan, estimation errors, the
+//	                     correction made / feedback provenance, Join
 //	                     Tree and stage trace (?analyze=0 plans only)
 //	GET      /stats    — plan-cache hit rate (incl. feedback hits),
-//	                     adaptive re-plan counters, query counters,
+//	                     the correction counter, query counters,
 //	                     estimation-error aggregates and the resilience
 //	                     block (fault recovery, breaker, shed), as JSON;
 //	                     running as a shard coordinator adds a network
@@ -708,9 +708,10 @@ type statsResponse struct {
 		BreakerState string `json:"breakerState"`
 		ShedRequests uint64 `json:"shedRequests"`
 	} `json:"resilience"`
+	// Adaptive counts cache entries corrected from an execution's
+	// observed cardinalities.
 	Adaptive struct {
-		ReplansEvaluated uint64 `json:"replansEvaluated"`
-		ReplansAdopted   uint64 `json:"replansAdopted"`
+		Corrections uint64 `json:"corrections"`
 	} `json:"adaptive"`
 	Estimation struct {
 		Observed  uint64  `json:"observed"`
@@ -796,9 +797,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	doc.PlanCache.FeedbackHits = m.FeedbackHits
 	doc.PlanCache.CorrectedEntries = m.CorrectedEntries
 
-	am := s.cfg.Store.AdaptiveMetrics()
-	doc.Adaptive.ReplansEvaluated = am.Evaluated
-	doc.Adaptive.ReplansAdopted = am.Adopted
+	doc.Adaptive.Corrections = s.cfg.Store.AdaptiveMetrics().Corrections
 
 	em := s.cfg.Store.EstSourceMetrics()
 	doc.Estimation.CSetNodes = em.CSet

@@ -335,8 +335,7 @@ func TestQueryTimeoutReturns504(t *testing.T) {
 			Timeouts uint64
 		}
 		Adaptive struct {
-			ReplansEvaluated uint64 `json:"replansEvaluated"`
-			ReplansAdopted   uint64 `json:"replansAdopted"`
+			Corrections uint64 `json:"corrections"`
 		}
 		PlanCache struct {
 			FeedbackHits     uint64 `json:"feedbackHits"`

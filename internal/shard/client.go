@@ -406,7 +406,7 @@ func partPayloadBytes(parts [][]engine.Row) int64 {
 // partitions of the node's table with the pushed filters applied
 // shard-side; the merged result and summed processed counts are exactly
 // what the local scan kernels produce.
-func (s *session) ScanNode(n *core.Node, filterIdx []int, label string, modeledBytes int64) ([][]engine.Row, []int64, error) {
+func (s *session) ScanNode(planNode int, n *core.Node, filterIdx []int, label string, modeledBytes int64) ([][]engine.Row, []int64, error) {
 	filters := make([]sparql.Filter, 0, len(filterIdx))
 	for _, i := range filterIdx {
 		if i < 0 || i >= len(s.filters) {
@@ -428,7 +428,7 @@ func (s *session) ScanNode(n *core.Node, filterIdx []int, label string, modeledB
 	priced := s.c.leafPrice(key, modeledBytes)
 	s.c.storeLeaf(key, payload)
 	s.record(core.ExchangeRecord{
-		Kind: "scan", Name: label,
+		Node: planNode, Kind: "scan", Name: label,
 		PricedBytes: priced, MeasuredBytes: payload,
 		WireBytes: wireBytes, Wall: wall,
 	})
@@ -466,7 +466,7 @@ func (s *session) ShuffleJoin(spec engine.ShuffleSpec, lParts, rParts [][]engine
 	}
 	req := &exchangeReq{KeyA: spec.LKey, KeyB: spec.RKey, OutWidth: spec.OutWidth, LKeep: spec.LKeep, RKeep: spec.RKeep, A: lParts, B: rParts}
 	return s.exchange(msgShuffle, req,
-		core.ExchangeRecord{Kind: "shuffle", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
+		core.ExchangeRecord{Node: spec.Node, Kind: "shuffle", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
 }
 
 // BroadcastJoin implements engine.Exchanger: the build side ships whole
@@ -477,7 +477,7 @@ func (s *session) BroadcastJoin(spec engine.BroadcastSpec, buildRows []engine.Ro
 	req := &exchangeReq{KeyA: spec.BuildKey, KeyB: spec.ProbeKey, AIsLeft: spec.BuildIsLeft,
 		OutWidth: spec.OutWidth, LKeep: spec.LKeep, RKeep: spec.RKeep, Whole: buildRows, A: probeParts}
 	return s.exchange(msgBroadcast, req,
-		core.ExchangeRecord{Kind: "broadcast", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
+		core.ExchangeRecord{Node: spec.Node, Kind: "broadcast", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
 }
 
 // Cartesian implements engine.Exchanger; like a broadcast join, the
@@ -486,7 +486,7 @@ func (s *session) Cartesian(spec engine.CartesianSpec, smallRows []engine.Row, l
 	measured := partPayloadBytes([][]engine.Row{smallRows}) * int64(len(s.c.conns))
 	req := &exchangeReq{AIsLeft: spec.SmallIsLeft, OutWidth: spec.OutWidth, LKeep: spec.LKeep, RKeep: spec.RKeep, Whole: smallRows, A: largeParts}
 	return s.exchange(msgCartesian, req,
-		core.ExchangeRecord{Kind: "cartesian", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
+		core.ExchangeRecord{Node: spec.Node, Kind: "cartesian", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
 }
 
 // Distinct implements engine.Exchanger over an already-shuffled input.
@@ -496,5 +496,5 @@ func (s *session) Distinct(spec engine.DistinctSpec, parts [][]engine.Row) ([][]
 		measured = partPayloadBytes(parts)
 	}
 	return s.exchange(msgDistinct, &exchangeReq{OutWidth: spec.Width, A: parts},
-		core.ExchangeRecord{Kind: "distinct", Name: "distinct", PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
+		core.ExchangeRecord{Node: spec.Node, Kind: "distinct", Name: "distinct", PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
 }

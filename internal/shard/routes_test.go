@@ -66,8 +66,8 @@ func TestScanShapesAgreeAcrossRoutes(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := shape.name + "/" + stratName
-			// Re-planning off: the coordinator forces it off.
-			opts := core.QueryOptions{Strategy: strat, ReplanThreshold: -1}
+			// The static plan: no route runs an entry another corrected.
+			opts := core.QueryOptions{Strategy: strat, NoPlanCache: true}
 			mat, err := store.Query(q, opts)
 			if err != nil {
 				t.Fatalf("%s materialized: %v", label, err)
@@ -139,7 +139,7 @@ func TestCoordinatorPlansWithoutExtVP(t *testing.T) {
 	plain := testStore(t)
 	coord := dialShards(t, ext, 2)
 	queries := watdiv.BasicQuerySet()
-	opts := core.QueryOptions{Strategy: core.StrategyVPOnly, ReplanThreshold: -1}
+	opts := core.QueryOptions{Strategy: core.StrategyVPOnly, NoPlanCache: true}
 
 	// Warm the model with local runs of the constant-free queries — the
 	// join pairs they mine are the ones the others share, and they leave

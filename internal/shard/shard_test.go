@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/plan"
+	"repro/internal/sparql"
 	"repro/internal/watdiv"
 	"repro/internal/wire"
 )
@@ -90,8 +92,8 @@ func renderResult(res *core.Result) string {
 // gate: every WatDiv query, under every planner mode and storage
 // strategy, must produce byte-identical SortedRows and the identical
 // SimTime on 2-shard and 4-shard topologies as in single-process
-// execution. The baseline disables adaptive re-planning, matching the
-// restriction distributed mode enforces.
+// execution. The baseline bypasses the plan cache, so neither side runs
+// a plan the other's execution corrected.
 func TestShardedExecutionMatchesSingleProcess(t *testing.T) {
 	store := testStore(t)
 	coords := map[int]*Coordinator{
@@ -117,7 +119,7 @@ func TestShardedExecutionMatchesSingleProcess(t *testing.T) {
 			}
 			for stratName, strat := range strategies {
 				for _, q := range watdiv.BasicQuerySet() {
-					opts := core.QueryOptions{Strategy: strat, Planner: mode, ReplanThreshold: -1, BroadcastThreshold: bcast}
+					opts := core.QueryOptions{Strategy: strat, Planner: mode, NoPlanCache: true, BroadcastThreshold: bcast}
 					base, err := store.Query(q.Parsed, opts)
 					if err != nil {
 						t.Fatalf("%s/%s/%s single-process: %v", q.Name, modeName, stratName, err)
@@ -364,7 +366,7 @@ func TestHelloRejectsInversePTMismatch(t *testing.T) {
 	}
 	defer coord.Close()
 	q := watdiv.BasicQuerySet()[0].Parsed
-	want, err := without.Query(q, core.QueryOptions{ReplanThreshold: -1})
+	want, err := without.Query(q, core.QueryOptions{NoPlanCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,5 +394,67 @@ func TestExplainRendersNetBytes(t *testing.T) {
 	}
 	if out := res.Plan.String(); !strings.Contains(out, "net=") {
 		t.Errorf("plan rendering lacks net= annotation:\n%s", out)
+	}
+}
+
+// netAnnotation renders every executed plan node's exchange measurement
+// by node ID.
+func netAnnotation(p *plan.Plan) string {
+	var sb strings.Builder
+	for _, n := range netAnnotated(p) {
+		fmt.Fprintf(&sb, "%d %s net=%d/%d\n", n.ID, n.Op, n.PricedNetBytes, n.MeasuredNetBytes)
+	}
+	return sb.String()
+}
+
+// TestNetAnnotationKeyedByNode: EXPLAIN's net= annotation names the plan
+// node each exchange ran for. The query's two arms are the same join
+// over different variables — joins with one label, scans with another —
+// and run concurrently at the default pool width; matched by label in
+// arrival order, their records would swap whenever the arms finished the
+// other way round. Every run must annotate exactly as the
+// one-operator-at-a-time run does. (A warm-up run first settles the
+// coordinator's leaf pricing, which prices a scan label's first
+// measurement differently from the later ones.)
+func TestNetAnnotationKeyedByNode(t *testing.T) {
+	store := testStore(t)
+	coord := dialShards(t, store, 2)
+	q := sparql.MustParse(`PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
+		SELECT ?x ?z WHERE {
+			?x wsdbm:follows ?y . ?y wsdbm:likes ?p .
+			?z wsdbm:follows ?w . ?w wsdbm:likes ?p .
+			FILTER(?z != wsdbm:User0) FILTER(?z != wsdbm:User1) FILTER(?z != wsdbm:User2)
+		}`)
+	opts := core.QueryOptions{Strategy: core.StrategyVPOnly, NoPlanCache: true, Dist: coord, BroadcastThreshold: -1}
+	serial := opts
+	serial.Parallelism = 1
+	if _, err := store.Query(q, serial); err != nil {
+		t.Fatal(err)
+	}
+	want, err := store.Query(q, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]int{}
+	for _, n := range netAnnotated(want.Plan) {
+		if n.Op == plan.OpJoin {
+			labels[n.Children[1].Label]++
+		}
+	}
+	twice := false
+	for _, c := range labels {
+		twice = twice || c >= 2
+	}
+	if !twice {
+		t.Fatalf("no two annotated joins share a label: %v\n%s", labels, want.Plan)
+	}
+	for run := 0; run < 20; run++ {
+		res, err := store.Query(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := netAnnotation(res.Plan); got != netAnnotation(want.Plan) {
+			t.Fatalf("run %d annotates\n%swant (Parallelism 1)\n%s", run, got, netAnnotation(want.Plan))
+		}
 	}
 }

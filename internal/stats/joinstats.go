@@ -2,9 +2,9 @@
 // sketches, collected in the same scan as the per-predicate counts.
 // They exist to price exactly the joins the independence assumption
 // misprices — correlated predicate pairs (likes ⋈ likes
-// triangles) and subject stars — before the first execution, so the
-// adaptive re-planner only has to catch what these statistics cannot
-// express.
+// triangles) and subject stars — before the first execution, so
+// correction between executions only has to catch what these statistics
+// cannot express.
 //
 // Estimator precedence (documented contract, enforced by the accuracy
 // harness in internal/plan): characteristic sets price subject stars,
