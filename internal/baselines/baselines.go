@@ -111,17 +111,24 @@ func Evaluate(e *engine.Exec, dict *rdf.Dictionary, q *sparql.Query, scanPrefix 
 			return nil, err
 		}
 	}
-	rows, err := e.Limit(current, q.Limit, q.Offset)
+	blocks, err := e.Limit(current, q.Limit, q.Offset)
 	if err != nil {
 		return nil, err
 	}
-	decoded := make([][]rdf.Term, len(rows))
-	for i, r := range rows {
-		terms := make([]rdf.Term, len(r))
-		for j, id := range r {
-			terms[j] = dict.Term(id)
+	n := 0
+	for _, b := range blocks {
+		n += b.Len()
+	}
+	decoded := make([][]rdf.Term, 0, n)
+	for _, b := range blocks {
+		for i := 0; i < b.Len(); i++ {
+			r := b.Row(i)
+			terms := make([]rdf.Term, len(r))
+			for j, id := range r {
+				terms[j] = dict.Term(id)
+			}
+			decoded = append(decoded, terms)
 		}
-		decoded[i] = terms
 	}
 	return &Result{Vars: proj, Rows: decoded, SimTime: e.Clock.Elapsed(), WallTime: time.Since(start), Clock: e.Clock}, nil
 }
@@ -132,7 +139,7 @@ func Evaluate(e *engine.Exec, dict *rdf.Dictionary, q *sparql.Query, scanPrefix 
 func scan(e *engine.Exec, dict *rdf.Dictionary, a Access, label string) (*engine.Relation, error) {
 	tp := a.Pattern
 	empty := func() *engine.Relation {
-		return engine.NewRelation(engine.Schema(tp.Vars()), make([][]engine.Row, e.Cluster.DefaultPartitions()), "")
+		return engine.NewBlockRelation(engine.Schema(tp.Vars()), make([]engine.Block, e.Cluster.DefaultPartitions()), "")
 	}
 	if a.Table == nil {
 		return empty(), nil
@@ -175,11 +182,11 @@ func scan(e *engine.Exec, dict *rdf.Dictionary, a Access, label string) (*engine
 		}
 		return e.Rename(rel, []string{tp.O.Var})
 	default:
-		parts := make([][]engine.Row, 1)
+		parts := make([]engine.Block, 1)
 		if rel.NumRows() > 0 {
-			parts[0] = []engine.Row{{}}
+			parts[0] = engine.MakeBlock(0, 1, nil)
 		}
-		return engine.NewRelation(engine.Schema{}, parts, ""), nil
+		return engine.NewBlockRelation(engine.Schema{}, parts, ""), nil
 	}
 }
 

@@ -168,10 +168,10 @@ func (s *Store) buildExtVP(clock *cluster.Clock, preds []rdf.ID) error {
 				processed += int64(base.Rows())
 				pCol, qCol := kind.Cols()
 				kept := base.SemiJoin(pCol, keys[q][qCol])
-				if len(kept) == 0 || float64(len(kept))/float64(base.Rows()) >= SelectivityThreshold {
+				if kept.Len() == 0 || float64(kept.Len())/float64(base.Rows()) >= SelectivityThreshold {
 					continue
 				}
-				rel, err := engine.Partition(engine.Schema{"s", "o"}, kept, "s", base.Rel.Partitions())
+				rel, err := engine.PartitionBlock(engine.Schema{"s", "o"}, kept, "s", base.Rel.Partitions())
 				if err != nil {
 					return err
 				}

@@ -103,7 +103,7 @@ func Load(st *core.Store) (*Store, error) {
 		// partitioned: no partition-key claim, so subject co-location
 		// never holds for SPARQLGX.
 		rel := st.VPTable(pred).Rel
-		s.vp[pred] = &core.VPTable{Pred: pred, Rel: engine.NewRelation(rel.Schema(), rel.Parts(), ""), FileBytes: size}
+		s.vp[pred] = &core.VPTable{Pred: pred, Rel: engine.NewBlockRelation(rel.Schema(), rel.Parts(), ""), FileBytes: size}
 		totalWrite += size
 		shuffleBytes += int64(len(rows)) * 2 * 5
 	}

@@ -50,7 +50,7 @@ type DistSession interface {
 	// planNode is the scan's plan node ID, for its ExchangeRecord;
 	// filterIdx indexes the session query's FILTER list; label and
 	// modeledBytes feed the calibration layer's leaf-pricing record.
-	ScanNode(planNode int, n *Node, filterIdx []int, label string, modeledBytes int64) (parts [][]engine.Row, processed []int64, err error)
+	ScanNode(planNode int, n *Node, filterIdx []int, label string, modeledBytes int64) (parts []engine.Block, processed []int64, err error)
 	// Records returns the session's exchange records in execution order.
 	Records() []ExchangeRecord
 	// Close releases the session.

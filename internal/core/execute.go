@@ -287,11 +287,11 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 	}, nil
 }
 
-// execution is what either executor hands the driver: the result as ID
-// rows and everything the run measured. On an abort only recovery is
-// meaningful.
+// execution is what either executor hands the driver: the result as
+// blocks of ID rows, in result order, and everything the run measured.
+// On an abort only recovery is meaningful.
 type execution struct {
-	rows    []engine.Row
+	rows    []engine.Block
 	simTime time.Duration
 	// trace is the stage trace, in deterministic plan order.
 	trace []cluster.StageRecord
@@ -600,26 +600,28 @@ func (s *Store) vpScanPred(tp sparql.TriplePattern, pushed []compiledFilter) (pr
 // triplesMatches collects the raw-triple rows matching a
 // variable-predicate pattern and passing rowPred (the pushed filters; nil
 // keeps every row) — the fallback scan's row source on both local
-// routes. Returned rows are freshly allocated (stable).
-func (s *Store) triplesMatches(tp sparql.TriplePattern, rowPred func(engine.Row) bool) []engine.Row {
+// routes — into a block of their own.
+func (s *Store) triplesMatches(tp sparql.TriplePattern, rowPred func(engine.Row) bool) engine.Block {
 	outVars := tp.Vars()
+	var rows engine.RowArena
+	rows.Reset(len(outVars), 0)
 	// Resolve bound positions.
 	var sid, oid rdf.ID
 	if !tp.S.IsVar() {
 		id, ok := s.dict.Lookup(tp.S.Term)
 		if !ok {
-			return nil
+			return rows.Block()
 		}
 		sid = id
 	}
 	if !tp.O.IsVar() {
 		id, ok := s.dict.Lookup(tp.O.Term)
 		if !ok {
-			return nil
+			return rows.Block()
 		}
 		oid = id
 	}
-	var rows []engine.Row
+	row := make(engine.Row, 0, len(outVars))
 	for _, t := range s.triples {
 		if sid != rdf.NullID && t.S != sid {
 			continue
@@ -627,7 +629,7 @@ func (s *Store) triplesMatches(tp sparql.TriplePattern, rowPred func(engine.Row)
 		if oid != rdf.NullID && t.O != oid {
 			continue
 		}
-		row := make(engine.Row, 0, len(outVars))
+		row = row[:0]
 		vals := map[string]rdf.ID{}
 		okRow := true
 		for _, pos := range []struct {
@@ -648,8 +650,8 @@ func (s *Store) triplesMatches(tp sparql.TriplePattern, rowPred func(engine.Row)
 			row = append(row, pos.val)
 		}
 		if okRow && (rowPred == nil || rowPred(row)) {
-			rows = append(rows, row)
+			rows.AppendCopy(row)
 		}
 	}
-	return rows
+	return rows.Block()
 }

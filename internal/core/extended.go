@@ -231,23 +231,33 @@ func (s *Store) decodeCell(id rdf.ID, isCount bool) rdf.Term {
 	return s.dict.Term(id)
 }
 
-// decodeRows turns result rows into terms. The rows of one result share
-// a width, so their terms live in one rows×width backing slice and each
-// decoded row is a capacity-clipped window of it: a caller appending to
-// a row cannot write into the next one.
-func (s *Store) decodeRows(rows []engine.Row, countCols []bool) [][]rdf.Term {
-	decoded := make([][]rdf.Term, len(rows))
-	if len(rows) == 0 {
+// decodeRows turns result rows — blocks, read in order where they lie —
+// into terms. The rows of one result share a width, so their terms live
+// in one rows×width backing slice and each decoded row is a
+// capacity-clipped window of it: a caller appending to a row cannot
+// write into the next one.
+func (s *Store) decodeRows(blocks []engine.Block, countCols []bool) [][]rdf.Term {
+	n, width := 0, 0
+	for _, b := range blocks {
+		if b.Len() > 0 {
+			n, width = n+b.Len(), b.Width()
+		}
+	}
+	decoded := make([][]rdf.Term, n)
+	if n == 0 {
 		return decoded
 	}
-	width := len(rows[0])
-	terms := make([]rdf.Term, len(rows)*width)
-	for i, r := range rows {
-		out := terms[i*width : (i+1)*width : (i+1)*width]
-		for j, id := range r {
-			out[j] = s.decodeCell(id, j < len(countCols) && countCols[j])
+	terms := make([]rdf.Term, n*width)
+	i := 0
+	for _, b := range blocks {
+		for r := 0; r < b.Len(); r++ {
+			out := terms[i*width : (i+1)*width : (i+1)*width]
+			for j, id := range b.Row(r) {
+				out[j] = s.decodeCell(id, j < len(countCols) && countCols[j])
+			}
+			decoded[i] = out
+			i++
 		}
-		decoded[i] = out
 	}
 	return decoded
 }

@@ -259,9 +259,10 @@ func (ns *NodeScan) projects() bool { return ns.kind == scanVP && ns.hi-ns.lo < 
 // intermediate copy exists for a memory sweep to count.
 func (ns *NodeScan) zeroCopy() bool { return ns.kind == scanVP && ns.pred == nil && !ns.projects() }
 
-// copiesRows reports a scan that emits rows into storage of its own (a
-// PT select flattens value lists, the fallback builds its rows); a VP
-// scan's rows alias the table's.
+// copiesRows reports a scan the streaming memory sweep prices as
+// emitting rows into storage of its own (a PT select flattens value
+// lists, the fallback builds its rows); a VP scan is priced as reading
+// the table's rows in place.
 func (ns *NodeScan) copiesRows() bool { return ns.kind == scanPT || ns.kind == scanTriples }
 
 // stageRows is the Rows charge of partition p's scan task: the stored
@@ -271,7 +272,7 @@ func (ps partScan) stageRows(p int, processed int64, emitted int) int64 {
 	if ps.pt != nil {
 		return processed + int64(emitted)
 	}
-	return int64(len(ps.table.Rel.Part(p)))
+	return int64(ps.table.Rel.Part(p).Len())
 }
 
 // ScanPart evaluates a VP, PT or IPT scan over partition p: the rows
@@ -279,34 +280,25 @@ func (ps partScan) stageRows(p int, processed int64, emitted int) int64 {
 // and, for PT scans, the processed key count. With an arena the rows are
 // emitted into it — it is Reset, and they are valid until its next use —
 // so a caller scanning partition after partition allocates only when one
-// outgrows the rest; nil allocates per partition. Either way an
-// unfiltered VP scan returns the stored partition itself.
-func (ns *NodeScan) ScanPart(p int, arena *engine.RowArena) (rows []engine.Row, processed int64) {
+// outgrows the rest; nil allocates one exactly sized block per
+// partition. Either way a VP scan whose predicate keeps every row (or
+// that has none) returns the stored block itself.
+func (ns *NodeScan) ScanPart(p int, arena *engine.RowArena) (rows engine.Block, processed int64) {
 	return ns.scan(&ns.sc, p, arena)
 }
 
 // scan is ScanPart with the PT scan scratch the caller owns, so that
 // concurrent partition tasks need share nothing.
-func (ps partScan) scan(sc *ptScan, p int, arena *engine.RowArena) (rows []engine.Row, processed int64) {
+func (ps partScan) scan(sc *ptScan, p int, arena *engine.RowArena) (rows engine.Block, processed int64) {
 	switch {
 	case ps.pt != nil:
 		return sc.rows(ps.pt.parts[p], ps.spec, ps.rowPred, arena)
 	case ps.table == nil:
-		return nil, 0
+		return engine.Block{}, 0
 	case ps.pred == nil:
 		return ps.table.Rel.Part(p), 0
 	}
-	if arena == nil {
-		arena = new(engine.RowArena)
-	}
-	// Kept rows are references into the table: a row header each.
-	arena.Reset(2, 0)
-	for _, r := range ps.table.Rel.Part(p) {
-		if ps.pred(r) {
-			arena.AppendRef(r)
-		}
-	}
-	return arena.Rows(), 0
+	return ps.table.Rel.Part(p).Select(ps.pred, arena), 0
 }
 
 // PrepareNodeScan resolves a VP, PT or IPT scan node and the FILTERs
@@ -328,10 +320,12 @@ func (s *Store) PrepareNodeScan(n *Node, filters []sparql.Filter) (*NodeScan, er
 	return &ns, nil
 }
 
-// ScanNodeParts is the shard-server side of a distributed scan in one
-// call: it evaluates a scan node over the partitions owned(p) selects,
-// returning filtered rows and processed key counts per (global)
-// partition index, each partition in storage of its own.
+// ScanNodeParts evaluates a scan node over the partitions owned(p)
+// selects in one call, returning filtered rows and processed key counts
+// per (global) partition index. It is the row-slice form of a shard's
+// scan, for callers that hold rows as []engine.Row (tests, the
+// benchmark's scan probe): every owned partition is one ScanPart, its
+// rows handed out as views of the block it returned.
 func (s *Store) ScanNodeParts(n *Node, filters []sparql.Filter, owned func(p int) bool) (parts [][]engine.Row, processed []int64, err error) {
 	ns, err := s.PrepareNodeScan(n, filters)
 	if err != nil {
@@ -341,7 +335,9 @@ func (s *Store) ScanNodeParts(n *Node, filters []sparql.Filter, owned func(p int
 	processed = make([]int64, ns.Partitions())
 	for p := range parts {
 		if owned(p) {
-			parts[p], processed[p] = ns.ScanPart(p, nil)
+			var rows engine.Block
+			rows, processed[p] = ns.ScanPart(p, nil)
+			parts[p] = rows.Rows()
 		}
 	}
 	return parts, processed, nil

@@ -153,8 +153,8 @@ func TestResolveScanErrors(t *testing.T) {
 		t.Fatalf("vp filter on ?a: pred %v, err %v", ns.pred != nil, err)
 	}
 	for p := 0; p < ns.Partitions(); p++ {
-		if rows, _ := ns.ScanPart(p, nil); len(rows) != 0 {
-			t.Errorf("partition %d: %d rows passed an always-false filter", p, len(rows))
+		if rows, _ := ns.ScanPart(p, nil); rows.Len() != 0 {
+			t.Errorf("partition %d: %d rows passed an always-false filter", p, rows.Len())
 		}
 	}
 
@@ -233,7 +233,7 @@ func TestResolveScanReduction(t *testing.T) {
 	count := func(ns NodeScan) (n int) {
 		for p := 0; p < ns.Partitions(); p++ {
 			rows, _ := ns.ScanPart(p, nil)
-			n += len(rows)
+			n += rows.Len()
 		}
 		return n
 	}

@@ -291,21 +291,21 @@ func ptDriverKeys(part *ptPartition, specs []patSpec) int {
 // lends its arena (Reset here: the rows live in it until its next use)
 // and reuses sc, and the scan is one pass that allocates only when a
 // partition outgrows every earlier one; with a nil arena a counting
-// pass sizes a fresh one exactly.
-func (sc *ptScan) rows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool, arena *engine.RowArena) (rows []engine.Row, processed int64) {
+// pass sizes a fresh block exactly.
+func (sc *ptScan) rows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool, arena *engine.RowArena) (rows engine.Block, processed int64) {
 	width := len(spec.schema)
 	if !sc.init(part, spec.specs, width) {
-		return nil, 0
+		return engine.Block{}, 0
 	}
 	if arena == nil {
 		n := sc.run(rowPred, nil)
 		if n == 0 {
-			return nil, sc.processed()
+			return engine.Block{}, sc.processed()
 		}
 		arena = engine.NewRowArena(width, int(n))
 	} else {
 		arena.Reset(width, 0)
 	}
 	sc.run(rowPred, arena.AppendCopy)
-	return arena.Rows(), sc.processed()
+	return arena.Block(), sc.processed()
 }

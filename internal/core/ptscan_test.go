@@ -365,9 +365,9 @@ func TestPTScanMatchesReferenceOnRandomGraphs(t *testing.T) {
 				var arena engine.RowArena
 				for p := range parts {
 					rows, n := ns.ScanPart(p, &arena)
-					if n != processed[p] || fmt.Sprint(rows) != fmt.Sprint(parts[p]) {
+					if n != processed[p] || fmt.Sprint(rows.Rows()) != fmt.Sprint(parts[p]) {
 						t.Errorf("%s: partition %d scanned into a reused arena: %d rows, %d processed; want %d and %d",
-							label, p, len(rows), n, len(parts[p]), processed[p])
+							label, p, rows.Len(), n, len(parts[p]), processed[p])
 					}
 				}
 
@@ -524,8 +524,8 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 		}
 		rows = testing.AllocsPerRun(10, func() {
 			out, processed := new(ptScan).rows(part, spec, nil, nil)
-			if len(out) != 2*keys || processed != int64(keys) {
-				t.Fatalf("%d keys: %d rows, %d processed", keys, len(out), processed)
+			if out.Len() != 2*keys || processed != int64(keys) {
+				t.Fatalf("%d keys: %d rows, %d processed", keys, out.Len(), processed)
 			}
 		})
 		return scan, rows
@@ -553,8 +553,11 @@ func TestDecodeRowsSharesOneBackingSlice(t *testing.T) {
 	for i := range rows {
 		rows[i] = engine.Row{rdf.ID(1 + i%50), rdf.NullID, rdf.ID(1 + (i+7)%50)}
 	}
+	// Three blocks, one empty, as a result's partitions arrive.
+	all := engine.NewBlock(3, rows)
+	blocks := []engine.Block{all.Slice(0, 400), all.Slice(400, 400), all.Slice(400, 1000)}
 	var decoded [][]rdf.Term
-	if n := testing.AllocsPerRun(10, func() { decoded = s.decodeRows(rows, nil) }); n > 2 {
+	if n := testing.AllocsPerRun(10, func() { decoded = s.decodeRows(blocks, nil) }); n > 2 {
 		t.Errorf("decoding 1000 rows allocated %.0f times, want 2", n)
 	}
 	for i, r := range rows {
@@ -597,5 +600,43 @@ func TestGallopMatchesLinearSearch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestQueryAllocsIndependentOfRowCount: a plain BGP query allocates the
+// same at 10 result rows as at 1,000 — every operator's output is one
+// block per partition, a shuffle's targets one allocation, and the
+// driver decodes the root's blocks where they lie — apart from the two
+// slices decodeRows fills, whose size, not count, follows the rows. The
+// query joins n subjects, through a shuffle of their side on the object
+// (broadcasts are off), to ten objects that build the hash table at
+// either size; one partition keeps the partitions holding rows the same.
+func TestQueryAllocsIndependentOfRowCount(t *testing.T) {
+	allocs := func(n int) float64 {
+		g := rdf.NewGraph(0)
+		iri := func(f string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%s%s%d", testNS, f, i)) }
+		for i := 0; i < n; i++ {
+			g.AddSPO(iri("s", i), rdf.NewIRI(testNS+"p"), iri("o", i%10))
+		}
+		for i := 0; i < 10; i++ {
+			g.AddSPO(iri("o", i), rdf.NewIRI(testNS+"q"), iri("x", i))
+		}
+		s := starStore(t, g, 1)
+		q, err := sparql.Parse("SELECT ?s ?o ?x WHERE { ?s <" + testNS + "p> ?o . ?o <" + testNS + "q> ?x }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := QueryOptions{BroadcastThreshold: -1}
+		return testing.AllocsPerRun(20, func() {
+			res, err := s.Query(q, opts)
+			if err != nil || len(res.Rows) != n {
+				t.Fatalf("%d subjects: %d rows (err %v)", n, len(res.Rows), err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(1000)
+	t.Logf("allocations per query: %.0f at 10 rows, %.0f at 1,000", small, large)
+	if large > small {
+		t.Errorf("a query's allocations follow its row count: %.0f at 10 rows, %.0f at 1,000", small, large)
 	}
 }

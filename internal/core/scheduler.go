@@ -487,9 +487,9 @@ func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, er
 	var name string
 	switch ns.kind {
 	case scanEmpty:
-		return engine.NewRelation(ns.schema(), make([][]engine.Row, ns.parts), ""), nil
+		return engine.NewBlockRelation(ns.schema(), make([]engine.Block, ns.parts), ""), nil
 	case scanTriples:
-		rel, err := engine.Partition(ns.storedSchema(), s.triplesMatches(*ns.tp, ns.rowPred), ns.partCol, ns.parts)
+		rel, err := engine.PartitionBlock(ns.storedSchema(), s.triplesMatches(*ns.tp, ns.rowPred), ns.partCol, ns.parts)
 		if err != nil {
 			return nil, err
 		}
@@ -506,8 +506,8 @@ func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, er
 	// the tables apart: the shards' reply, the stored partitions
 	// themselves (nothing to test, no scan function), or a scan of each
 	// partition inside the stage.
-	var parts [][]engine.Row
-	var scan func(p int) ([]engine.Row, int64)
+	var parts []engine.Block
+	var scan func(p int) (engine.Block, int64)
 	ps := ns.partScan // by value: the tasks outlive no stack frame of ours
 	switch dist := sc.dist; {
 	case dist != nil:
@@ -524,17 +524,17 @@ func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, er
 			return nil, fmt.Errorf("core: dist scan %s returned %d/%d partitions, table has %d", cn.Label(), len(reply), len(processed), ns.parts)
 		}
 		parts = reply
-		scan = func(p int) ([]engine.Row, int64) {
-			return reply[p], ps.stageRows(p, processed[p], len(reply[p]))
+		scan = func(p int) (engine.Block, int64) {
+			return reply[p], ps.stageRows(p, processed[p], reply[p].Len())
 		}
 	case ns.pt == nil && ns.pred == nil:
 		parts = ns.table.Rel.Parts()
 	default:
-		parts = make([][]engine.Row, ns.parts)
-		scan = func(p int) ([]engine.Row, int64) {
+		parts = make([]engine.Block, ns.parts)
+		scan = func(p int) (engine.Block, int64) {
 			var scratch ptScan
 			rows, keys := ps.scan(&scratch, p, nil)
-			return rows, ps.stageRows(p, keys, len(rows))
+			return rows, ps.stageRows(p, keys, rows.Len())
 		}
 	}
 	rel, err := e.ScanParts(name, ns.storedSchema(), ns.partCol, parts, ns.diskBytes, scan)
@@ -542,11 +542,11 @@ func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, er
 	case err != nil:
 		return nil, err
 	case ns.kind == scanVPExist:
-		parts := make([][]engine.Row, 1)
+		parts := make([]engine.Block, 1)
 		if rel.NumRows() > 0 {
-			parts[0] = []engine.Row{{}}
+			parts[0] = engine.MakeBlock(0, 1, nil)
 		}
-		return engine.NewRelation(engine.Schema{}, parts, ""), nil
+		return engine.NewBlockRelation(engine.Schema{}, parts, ""), nil
 	case ns.projects():
 		return e.Project(rel, ns.schema())
 	}

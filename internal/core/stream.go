@@ -24,13 +24,14 @@ import (
 // pipeline fuses one source scan with every filter, hash-join probe,
 // projection and distinct step up to the next pipeline breaker (a
 // hash-join build side, a union, or the driver), so an intermediate
-// row lives exactly as long as the batch carrying it. Rows are never
-// re-encoded on the way: every row a step hands on is stable — it
-// aliases table storage or lives in an arena its batch allocated — so
-// a batch is a slice of row headers, a breaker keeps the headers it is
-// handed, and the hash build or the driver reads those same rows. Only
-// the header slices are scratch: each scan worker owns one and steps
-// compact it in place. What drops the memory high-water mark from
+// row lives exactly as long as the batch carrying it. A batch is an
+// engine.Block, like a materialized partition: a stored VP partition is
+// cut into batches by slicing its block, uncopied; a scan that filters,
+// shapes or flattens rows writes them into its worker's reused arena; a
+// probe or projection emits a new block. A breaker keeps the blocks it
+// is handed — copying only a batch that lives in a worker's arena — and
+// the hash build or the driver reads those same blocks, indexed or
+// decoded where they lie. What drops the memory high-water mark from
 // O(intermediate relations) to O(build sides + batches in flight) is
 // that nothing but a breaker retains a row.
 //
@@ -101,16 +102,18 @@ type streamStep struct {
 	// across partition workers.
 	mu    sync.Mutex
 	dedup *engine.RowDeduper
-	// Top-K barrier state (stepTopK): incoming rows accumulate in buf
+	// Top-K barrier state (stepTopK): incoming rows are copied into buf
 	// under mu, trimmed back to keep rows whenever the buffer doubles —
 	// the early termination that bounds an ORDER BY + LIMIT query's
-	// footprint to O(offset+limit) instead of O(result). keep < 0
-	// retains everything (ORDER BY without LIMIT). arrived counts the
-	// rows handed to the buffer, for the peak-memory sweep.
-	less    func(a, b engine.Row) bool
-	keep    int
-	buf     []engine.Row
-	arrived int64
+	// footprint to O(offset+limit) instead of O(result). A trim sorts
+	// into spare, through perm, and swaps the two. keep < 0 retains
+	// everything (ORDER BY without LIMIT). arrived counts the rows handed
+	// to the buffer, for the peak-memory sweep.
+	less       func(a, b engine.Row) bool
+	keep       int
+	buf, spare engine.RowArena
+	perm       []int32
+	arrived    int64
 	// Aggregate barrier state (stepAggregate): the shared group table
 	// under mu.
 	groups *engine.GroupTable
@@ -119,64 +122,60 @@ type streamStep struct {
 	out atomic.Int64
 }
 
-// apply runs one batch through the step. The rows themselves must be
-// stable and are never written; the header slice belongs to the calling
-// worker, and filter and distinct compact it in place. Output rows are
-// stable (filter/distinct pass rows through, probe and project emit
-// rows in an arena sized to the batch's output).
-func (st *streamStep) apply(rows []engine.Row) []engine.Row {
+// apply runs one batch through the step. The batch is never written;
+// it may live in the calling worker's arena, valid only until the worker
+// scans on. Filter passes a batch it keeps whole and copies the rows it
+// keeps otherwise; distinct hands on the rows it added to its set, a
+// slice of the set's own storage; probe and project emit a block sized
+// to the batch's output.
+func (st *streamStep) apply(rows engine.Block) engine.Block {
 	switch st.kind {
 	case stepFilter:
 		for _, c := range st.checks {
-			if len(rows) == 0 {
+			if rows.Len() == 0 {
 				break
 			}
-			c.in.Add(int64(len(rows)))
-			kept := rows[:0]
-			for _, r := range rows {
-				if c.pred(r[c.col]) {
-					kept = append(kept, r)
-				}
-			}
-			rows = kept
+			c.in.Add(int64(rows.Len()))
+			rows = rows.Select(func(r engine.Row) bool { return c.pred(r[c.col]) }, nil)
 		}
 	case stepProbe, stepProbeOuter:
 		rows = st.jr.hash.ProbeBatch(rows, st.kind == stepProbeOuter)
 	case stepProject:
-		arena := engine.NewRowArena(st.width, len(rows))
-		for _, r := range rows {
-			arena.AppendProjected(r, st.proj)
+		var arena engine.RowArena
+		arena.Reset(st.width, rows.Len())
+		for i := 0; i < rows.Len(); i++ {
+			arena.AppendProjected(rows.Row(i), st.proj)
 		}
-		rows = arena.Rows()
+		rows = arena.Block()
 	case stepDistinct:
-		kept := rows[:0]
 		st.mu.Lock()
-		for _, r := range rows {
-			if st.dedup.Insert(r) {
-				kept = append(kept, r)
-			}
+		before := st.dedup.Len()
+		for i := 0; i < rows.Len(); i++ {
+			st.dedup.Insert(rows.Row(i))
 		}
+		rows = st.dedup.Rows().Slice(before, st.dedup.Len())
 		st.mu.Unlock()
-		rows = kept
 	case stepTopK:
 		st.mu.Lock()
-		st.buf = append(st.buf, rows...)
-		st.arrived += int64(len(rows))
-		if st.keep >= 0 && len(st.buf) > 2*st.keep+64 {
-			engine.SortRowsStable(st.buf, st.less)
-			st.buf = st.buf[:st.keep]
+		for i := 0; i < rows.Len(); i++ {
+			st.buf.AppendCopy(rows.Row(i))
+		}
+		st.arrived += int64(rows.Len())
+		if st.keep >= 0 && st.buf.Len() > 2*st.keep+64 {
+			_, st.perm = engine.SortInto(&st.spare, st.buf.Block(), st.less, st.keep, st.perm)
+			st.buf, st.spare = st.spare, st.buf
 		}
 		st.mu.Unlock()
-		rows = nil
+		rows = engine.Block{}
 	case stepAggregate:
 		st.mu.Lock()
-		for _, r := range rows {
-			st.groups.Add(r)
+		for i := 0; i < rows.Len(); i++ {
+			st.groups.Add(rows.Row(i))
 		}
 		st.mu.Unlock()
-		rows = nil
+		rows = engine.Block{}
 	}
-	st.out.Add(int64(len(rows)))
+	st.out.Add(int64(rows.Len()))
 	return rows
 }
 
@@ -229,9 +228,9 @@ type streamPipe struct {
 
 	// out collects the batches that reached the sink, per source
 	// partition (each partition is processed by one worker, so the
-	// slots need no locking). A batch is kept as handed over unless
-	// its header slice is a scan worker's reused buffer (cloneAtSink).
-	out         [][][]engine.Row
+	// slots need no locking). A batch is kept as handed over unless it
+	// can still be one in a scan worker's reused arena (cloneAtSink).
+	out         [][]engine.Block
 	cloneAtSink bool
 	outRows     atomic.Int64
 }
@@ -527,6 +526,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 			kind: stepTopK, node: n, width: len(n.Vars),
 			less: c.store.topkLess(n), keep: keep,
 		}
+		st.buf.Reset(st.width, 0)
 		c.pipe(pi).steps = append(c.pipe(pi).steps, st)
 		c.sp.pipeOf[n.ID] = pi
 		c.sp.barrier, c.sp.barrierPipe = st, pi
@@ -622,10 +622,9 @@ func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) err
 			return err
 		}
 		if p.sink != nil {
-			rows := p.sinkRows()
-			p.sink.buildRows = int64(len(rows))
-			p.sink.hash = p.sink.join.Build(rows, p.sink.buildIsLeft)
-			// The hash table holds the rows now (it is the build side's
+			p.sink.buildRows = p.outRows.Load()
+			p.sink.hash = p.sink.join.BuildBlocks(p.sinkBlocks(), p.sink.buildIsLeft)
+			// The hash table holds the blocks now (it is the build side's
 			// memory, and the peak sweep prices it as such).
 			p.out = nil
 		}
@@ -639,11 +638,11 @@ func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) err
 func (p *streamPipe) run(ctx context.Context, s *Store, chunkSize, par int) error {
 	src := p.src
 	if src.node.Op == plan.OpUnion {
-		p.out = make([][][]engine.Row, 1)
+		p.out = make([][]engine.Block, 1)
 		for _, cp := range src.unionFrom {
 			for _, batches := range cp.out {
 				for _, rows := range batches {
-					p.feed(rows, chunkSize)
+					p.feed(0, rows, chunkSize)
 				}
 			}
 			// Consumed; free the branch's buffered rows.
@@ -654,36 +653,40 @@ func (p *streamPipe) run(ctx context.Context, s *Store, chunkSize, par int) erro
 	if src.kind == scanEmpty {
 		return nil
 	}
-	p.out = make([][][]engine.Row, src.parts)
+	p.out = make([][]engine.Block, src.parts)
+	// A batch that lives in a scan worker's arena stays there until a
+	// probe or projection replaces it with a block of its own; a sink it
+	// reaches first keeps a copy.
+	replaced := slices.ContainsFunc(p.steps, func(st *streamStep) bool {
+		return st.kind == stepProbe || st.kind == stepProbeOuter || st.kind == stepProject
+	})
 	switch src.kind {
 	case scanVPExist:
 		p.runExistence()
 		return nil
 
 	case scanVP:
-		// A VP batch is the worker's buffer until a probe or projection
-		// replaces it with an arena's rows.
-		p.cloneAtSink = !slices.ContainsFunc(p.steps, func(st *streamStep) bool {
-			return st.kind == stepProbe || st.kind == stepProbeOuter || st.kind == stepProject
-		})
-		largest, total := 0, 0
+		p.cloneAtSink = !replaced && (src.pred != nil || src.hi-src.lo < 2)
+		total := 0
 		for pi := 0; pi < src.parts; pi++ {
-			n := len(src.table.Rel.Part(pi))
-			largest, total = max(largest, n), total+n
+			total += src.table.Rel.Part(pi).Len()
 		}
-		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), min(chunkSize, largest), func(pi int, batch []engine.Row) {
-			p.scanVPPart(pi, chunkSize, batch)
+		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), func(pi int, arena *engine.RowArena) {
+			p.scanVPPart(pi, chunkSize, arena)
 		})
 
 	case scanPT:
+		p.cloneAtSink = !replaced
 		total := 0
 		for pi := 0; pi < src.parts; pi++ {
 			total += ptDriverKeys(src.pt.parts[pi], src.spec.specs)
 		}
-		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), 0, func(pi int, _ []engine.Row) { p.scanPTPart(pi, chunkSize) })
+		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), func(pi int, arena *engine.RowArena) {
+			p.scanPTPart(pi, chunkSize, arena)
+		})
 
 	case scanTriples:
-		p.feed(s.triplesMatches(*src.tp, src.rowPred), chunkSize)
+		p.feed(0, s.triplesMatches(*src.tp, src.rowPred), chunkSize)
 		return nil
 
 	default:
@@ -691,16 +694,13 @@ func (p *streamPipe) run(ctx context.Context, s *Store, chunkSize, par int) erro
 	}
 }
 
-// feed pushes rows the pipeline already holds (a triples scan's
-// matches, a union branch's sink) through the steps as partition 0, in
-// chunkSize batches. The header slice is consumed: steps compact each
-// batch in place.
-func (p *streamPipe) feed(rows []engine.Row, chunkSize int) {
-	p.src.out.Add(int64(len(rows)))
-	for len(rows) > 0 {
-		n := min(chunkSize, len(rows))
-		p.processBatch(0, rows[:n:n])
-		rows = rows[n:]
+// feed pushes rows that exist already (a stored VP partition, a triples
+// scan's matches, a union branch's sink) through the steps as partition
+// part, in chunkSize batches sliced off the block, uncopied.
+func (p *streamPipe) feed(part int, rows engine.Block, chunkSize int) {
+	p.src.out.Add(int64(rows.Len()))
+	for lo := 0; lo < rows.Len(); lo += chunkSize {
+		p.processBatch(part, rows.Slice(lo, min(lo+chunkSize, rows.Len())))
 	}
 }
 
@@ -726,11 +726,11 @@ func scanWorkers(par, rows, chunkSize int) int {
 // workers that live as long as the pipeline runs, the calling goroutine
 // being the first. Each worker pulls the next partition index, so one
 // partition is processed by exactly one worker (per-partition state
-// needs no locks), and owns one scan batch buffer of batchCap row
-// headers that every partition it scans refills. A context cancellation
-// stops workers from starting further partitions.
-func (p *streamPipe) forEachPart(ctx context.Context, workers, batchCap int, scan func(pi int, batch []engine.Row)) error {
-	q := &partQueue{ctx: ctx, parts: p.src.parts, batchCap: batchCap, scan: scan}
+// needs no locks), and owns one arena that the batches of every
+// partition it scans are built in. A context cancellation stops workers
+// from starting further partitions.
+func (p *streamPipe) forEachPart(ctx context.Context, workers int, scan func(pi int, arena *engine.RowArena)) error {
+	q := &partQueue{ctx: ctx, parts: p.src.parts, scan: scan}
 	workers = max(min(workers, q.parts), 1)
 	q.wg.Add(workers)
 	for w := 1; w < workers; w++ {
@@ -748,8 +748,7 @@ func (p *streamPipe) forEachPart(ctx context.Context, workers, batchCap int, sca
 type partQueue struct {
 	ctx       context.Context
 	parts     int
-	batchCap  int
-	scan      func(pi int, batch []engine.Row)
+	scan      func(pi int, arena *engine.RowArena)
 	next      atomic.Int64
 	cancelled atomic.Pointer[CancelError]
 	wg        sync.WaitGroup
@@ -757,7 +756,7 @@ type partQueue struct {
 
 func (q *partQueue) work() {
 	defer q.wg.Done()
-	var batch []engine.Row
+	var arena engine.RowArena
 	for q.cancelled.Load() == nil {
 		pi := int(q.next.Add(1)) - 1
 		if pi >= q.parts {
@@ -769,34 +768,39 @@ func (q *partQueue) work() {
 				return
 			}
 		}
-		if batch == nil && q.batchCap > 0 {
-			batch = make([]engine.Row, 0, q.batchCap)
-		}
-		q.scan(pi, batch)
+		q.scan(pi, &arena)
 	}
 }
 
-// scanVPPart streams one VP partition through the pipeline: the fused
-// scan predicate runs on the raw (s,o) rows, survivors are shaped by
-// slicing (aliasing the table's stable storage — no copy) into the
-// worker's batch buffer (empty, with room for min(chunkSize, rows of
-// the largest partition) headers), and batches of chunkSize flow
-// through the steps. The table's own partition slice is only ever read.
-func (p *streamPipe) scanVPPart(pi, chunkSize int, batch []engine.Row) {
+// scanVPPart streams one VP partition through the pipeline in batches
+// of chunkSize rows. An unfiltered scan emitting the stored (s,o) rows
+// whole slices the stored block, copying nothing; otherwise the fused
+// scan predicate runs on the raw (s,o) rows, and the survivors, shaped
+// to r[lo:hi], are copied into the worker's arena, one batch at a time.
+// The table's own block is only ever read.
+func (p *streamPipe) scanVPPart(pi, chunkSize int, arena *engine.RowArena) {
 	src := p.src
+	part := src.table.Rel.Part(pi)
+	if src.pred == nil && src.hi-src.lo == 2 {
+		p.feed(pi, part, chunkSize)
+		return
+	}
+	width := src.hi - src.lo
+	arena.Reset(width, min(chunkSize, part.Len()))
 	flush := func() {
-		if len(batch) > 0 {
-			src.out.Add(int64(len(batch)))
-			p.processBatch(pi, batch)
-			batch = batch[:0]
+		if arena.Len() > 0 {
+			src.out.Add(int64(arena.Len()))
+			p.processBatch(pi, arena.Block())
+			arena.Reset(width, 0)
 		}
 	}
-	for _, r := range src.table.Rel.Part(pi) {
+	for i := 0; i < part.Len(); i++ {
+		r := part.Row(i)
 		if src.pred != nil && !src.pred(r) {
 			continue
 		}
-		batch = append(batch, r[src.lo:src.hi])
-		if len(batch) == chunkSize {
+		arena.AppendCopy(r[src.lo:src.hi])
+		if arena.Len() == chunkSize {
 			flush()
 		}
 	}
@@ -804,11 +808,11 @@ func (p *streamPipe) scanVPPart(pi, chunkSize int, batch []engine.Row) {
 }
 
 // scanPTPart streams one PT partition: the cartesian flatten yields
-// reused scratch rows, which are copied into a fresh per-batch arena
-// (retained rows must be stable) and flushed through the steps at
-// chunk boundaries. A counting pass first tells how many rows are
-// coming, so each batch's arena is allocated at the size it will fill.
-func (p *streamPipe) scanPTPart(pi, chunkSize int) {
+// reused scratch rows, which are copied into the worker's arena and
+// flushed through the steps at chunk boundaries. A counting pass first
+// tells how many rows are coming, so the arena is sized for the first
+// batch before it fills.
+func (p *streamPipe) scanPTPart(pi, chunkSize int, arena *engine.RowArena) {
 	src := p.src
 	width := len(src.spec.schema)
 	var sc ptScan
@@ -820,17 +824,14 @@ func (p *streamPipe) scanPTPart(pi, chunkSize int) {
 	if left == 0 {
 		return
 	}
-	var arena *engine.RowArena
+	arena.Reset(width, min(left, chunkSize))
 	sc.run(src.rowPred, func(r engine.Row) {
-		if arena == nil {
-			arena = engine.NewRowArena(width, min(left, chunkSize))
-		}
 		arena.AppendCopy(r)
 		left--
 		if arena.Len() == chunkSize || left == 0 {
 			src.out.Add(int64(arena.Len()))
-			p.processBatch(pi, arena.Rows())
-			arena = nil
+			p.processBatch(pi, arena.Block())
+			arena.Reset(width, 0)
 		}
 	})
 }
@@ -842,10 +843,11 @@ func (p *streamPipe) scanPTPart(pi, chunkSize int) {
 func (p *streamPipe) runExistence() {
 	src := p.src
 	for pi := 0; pi < src.table.Rel.Partitions(); pi++ {
-		for _, r := range src.table.Rel.Part(pi) {
-			if src.pred == nil || src.pred(r) {
+		part := src.table.Rel.Part(pi)
+		for i := 0; i < part.Len(); i++ {
+			if src.pred == nil || src.pred(part.Row(i)) {
 				src.out.Add(1)
-				p.processBatch(0, []engine.Row{{}})
+				p.processBatch(0, engine.MakeBlock(0, 1, nil))
 				return
 			}
 		}
@@ -853,35 +855,31 @@ func (p *streamPipe) runExistence() {
 }
 
 // processBatch pushes one batch through the pipeline's steps; the sink
-// keeps the survivors — the rows are stable, so the batch is retained
-// as it is, or as an exactly-sized copy of its headers when the slice
-// is a buffer its worker will refill.
-func (p *streamPipe) processBatch(part int, rows []engine.Row) {
+// keeps the survivors — the batch as it is, or an exactly sized copy
+// when it may still be a worker's arena (cloneAtSink).
+func (p *streamPipe) processBatch(part int, rows engine.Block) {
 	for _, st := range p.steps {
-		if rows = st.apply(rows); len(rows) == 0 {
+		if rows = st.apply(rows); rows.Len() == 0 {
 			return
 		}
 	}
 	if p.cloneAtSink {
-		rows = slices.Clone(rows)
+		rows = engine.MakeBlock(rows.Width(), rows.Len(), slices.Clone(rows.IDs()))
 	}
 	p.out[part] = append(p.out[part], rows)
-	p.outRows.Add(int64(len(rows)))
+	p.outRows.Add(int64(rows.Len()))
 }
 
-// sinkRows flattens the pipeline's sink batches in partition order
-// into one exactly-sized slice — what a hash build indexes or the
-// driver returns.
-func (p *streamPipe) sinkRows() []engine.Row {
-	n := p.outRows.Load()
-	if n == 0 {
-		return nil
-	}
-	out := make([]engine.Row, 0, n)
+// sinkBlocks lists the pipeline's sink batches in partition order —
+// what a hash build indexes or the driver decodes, where they lie.
+func (p *streamPipe) sinkBlocks() []engine.Block {
+	n := 0
 	for _, batches := range p.out {
-		for _, rows := range batches {
-			out = append(out, rows...)
-		}
+		n += len(batches)
+	}
+	out := make([]engine.Block, 0, n)
+	for _, batches := range p.out {
+		out = append(out, batches...)
 	}
 	return out
 }
@@ -903,55 +901,49 @@ func (sp *streamPlan) recordObs(obs *plan.Observation) {
 }
 
 // finalRows produces the streaming query's result rows: the root
-// pipeline's sink rows for a plan without a blocking tail, otherwise
-// the finalized barrier (sorted/sliced top-K buffer, or aggregate
-// group rows) with the driver-tail operators applied bottom-up.
-func (sp *streamPlan) finalRows(s *Store) ([]engine.Row, error) {
+// pipeline's sink batches for a plan without a blocking tail, otherwise
+// the finalized barrier (sorted/sliced top-K buffer, or aggregate group
+// rows) with the driver-tail operators applied bottom-up.
+func (sp *streamPlan) finalRows(s *Store) ([]engine.Block, error) {
 	b := sp.barrier
 	if b == nil {
-		return sp.root.sinkRows(), nil
+		return sp.root.sinkBlocks(), nil
 	}
 	sp.tailObs = map[*plan.Node]int64{}
-	var rows []engine.Row
+	var rows engine.Block
 	switch b.kind {
 	case stepTopK:
-		engine.SortRowsStable(b.buf, b.less)
-		rows = sliceOffsetLimit(b.buf, b.node.Limit, b.node.Offset)
+		rows = sliceOffsetLimit(engine.SortBlock(b.buf.Block(), b.less, b.keep), b.node.Limit, b.node.Offset)
 	case stepAggregate:
 		// Group cells then count cells, sorted by raw ID order — exactly
 		// the materialized Aggregate's output.
 		rows = b.groups.Rows()
 	}
-	sp.tailObs[b.node] = int64(len(rows))
+	sp.tailObs[b.node] = int64(rows.Len())
 	for i := len(sp.tail) - 1; i >= 0; i-- {
 		n := sp.tail[i]
 		var err error
 		if rows, err = s.applyTailOp(n, rows); err != nil {
 			return nil, err
 		}
-		sp.tailObs[n] = int64(len(rows))
+		sp.tailObs[n] = int64(rows.Len())
 	}
-	return rows, nil
+	return []engine.Block{rows}, nil
 }
 
 // sliceOffsetLimit applies a LIMIT/OFFSET window to sorted rows.
-func sliceOffsetLimit(rows []engine.Row, limit, offset int) []engine.Row {
-	if offset > 0 {
-		if offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[offset:]
-		}
+func sliceOffsetLimit(rows engine.Block, limit, offset int) engine.Block {
+	lo := min(max(offset, 0), rows.Len())
+	hi := rows.Len()
+	if limit >= 0 {
+		hi = min(hi, lo+limit)
 	}
-	if limit >= 0 && limit < len(rows) {
-		rows = rows[:limit]
-	}
-	return rows
+	return rows.Slice(lo, hi)
 }
 
 // applyTailOp runs one driver-tail operator over the finalized group
 // rows (at most one row per group — epilogue-sized input).
-func (s *Store) applyTailOp(n *plan.Node, rows []engine.Row) ([]engine.Row, error) {
+func (s *Store) applyTailOp(n *plan.Node, rows engine.Block) (engine.Block, error) {
 	switch n.Op {
 	case plan.OpProject:
 		in := engine.Schema(n.Children[0].Vars)
@@ -959,37 +951,27 @@ func (s *Store) applyTailOp(n *plan.Node, rows []engine.Row) ([]engine.Row, erro
 		for i, col := range n.Cols {
 			proj[i] = in.Index(col)
 			if proj[i] < 0 {
-				return nil, fmt.Errorf("core: projected column ?%s not in schema %v", col, in)
+				return engine.Block{}, fmt.Errorf("core: projected column ?%s not in schema %v", col, in)
 			}
 		}
-		out := make([]engine.Row, len(rows))
-		for i, r := range rows {
-			pr := make(engine.Row, len(proj))
-			for j, idx := range proj {
-				pr[j] = r[idx]
-			}
-			out[i] = pr
+		out := engine.NewRowArena(len(proj), rows.Len())
+		for i := 0; i < rows.Len(); i++ {
+			out.AppendProjected(rows.Row(i), proj)
 		}
-		return out, nil
+		return out.Block(), nil
 
 	case plan.OpDistinct:
-		d := engine.NewRowDeduper(len(n.Vars), len(rows))
-		kept := make([]engine.Row, 0, len(rows))
-		for _, r := range rows {
-			if d.Insert(r) {
-				kept = append(kept, r)
-			}
+		d := engine.NewRowDeduper(len(n.Vars), rows.Len())
+		for i := 0; i < rows.Len(); i++ {
+			d.Insert(rows.Row(i))
 		}
-		return kept, nil
+		return d.Rows(), nil
 
 	case plan.OpTopK:
-		sorted := make([]engine.Row, len(rows))
-		copy(sorted, rows)
-		engine.SortRowsStable(sorted, s.topkLess(n))
-		return sliceOffsetLimit(sorted, n.Limit, n.Offset), nil
+		return sliceOffsetLimit(engine.SortBlock(rows, s.topkLess(n), -1), n.Limit, n.Offset), nil
 
 	default:
-		return nil, fmt.Errorf("core: unsupported driver tail operator %v", n.Op)
+		return engine.Block{}, fmt.Errorf("core: unsupported driver tail operator %v", n.Op)
 	}
 }
 

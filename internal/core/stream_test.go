@@ -431,9 +431,9 @@ func streamWithResidualFilters(t *testing.T, s *Store, q *sparql.Query, opts Que
 	return renderSorted(&Result{Rows: s.decodeRows(rows, pl.Root.CountCols)})
 }
 
-// TestStreamingLeavesStoreIntact: streaming compacts filtered batches
-// in place, and its batches alias table storage — the compaction must
-// only ever touch the worker's own header slice. Every VP table and
+// TestStreamingLeavesStoreIntact: streaming batches are slices of the
+// tables' own blocks, and filter steps pass a batch they keep whole —
+// no step may write into one. Every VP table and
 // every Property Table column must hash the same after streaming all
 // 26 queries and a set of filtered queries whose filters run as
 // residual steps, and those must still answer like the materialized

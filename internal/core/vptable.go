@@ -31,25 +31,28 @@ func (t *VPTable) Rows() int { return t.Rel.NumRows() }
 func (t *VPTable) Keys(col int) map[rdf.ID]struct{} {
 	keys := make(map[rdf.ID]struct{}, t.Rel.NumRows())
 	for _, part := range t.Rel.Parts() {
-		for _, r := range part {
-			keys[r[col]] = struct{}{}
+		ids := part.IDs()
+		for i := col; i < len(ids); i += 2 {
+			keys[ids[i]] = struct{}{}
 		}
 	}
 	return keys
 }
 
 // SemiJoin returns the rows, in partition order, whose column col value
-// is in keys: the semi-join reduction an ExtVP table materializes.
-func (t *VPTable) SemiJoin(col int, keys map[rdf.ID]struct{}) []engine.Row {
-	var rows []engine.Row
+// is in keys — the semi-join reduction an ExtVP table materializes — as
+// one block of (s,o) rows.
+func (t *VPTable) SemiJoin(col int, keys map[rdf.ID]struct{}) engine.Block {
+	var kept []rdf.ID
 	for _, part := range t.Rel.Parts() {
-		for _, r := range part {
-			if _, ok := keys[r[col]]; ok {
-				rows = append(rows, r)
+		ids := part.IDs()
+		for i := 0; i < len(ids); i += 2 {
+			if _, ok := keys[ids[i+col]]; ok {
+				kept = append(kept, ids[i], ids[i+1])
 			}
 		}
 	}
-	return rows
+	return engine.MakeBlock(2, len(kept)/2, kept)
 }
 
 // WriteVPFiles writes (s,o) rows to HDFS as columnar files
@@ -58,13 +61,14 @@ func (t *VPTable) SemiJoin(col int, keys map[rdf.ID]struct{}) []engine.Row {
 // dictionary a Parquet file carries — and returns their total logical
 // size. It is the one writer of VP-shaped files: PRoST's VP tables and
 // ExtVP reductions and S2RDF's tables all go through it.
-func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts [][]engine.Row) (int64, error) {
+func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts []engine.Block) (int64, error) {
 	var total int64
 	for p, part := range parts {
-		subjCol := make([]rdf.ID, len(part))
-		objCol := make([]rdf.ID, len(part))
-		localTerms := make(map[rdf.ID]struct{}, 2*len(part))
-		for i, r := range part {
+		subjCol := make([]rdf.ID, part.Len())
+		objCol := make([]rdf.ID, part.Len())
+		localTerms := make(map[rdf.ID]struct{}, 2*part.Len())
+		for i := range subjCol {
+			r := part.Row(i)
 			subjCol[i] = r[0]
 			objCol[i] = r[1]
 			localTerms[r[0]] = struct{}{}
@@ -90,44 +94,46 @@ func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts [][]engin
 // per predicate: partition rows by subject, encode each partition as a
 // columnar file (IDs plus a local term dictionary, like a Parquet file),
 // write it to HDFS, and charge the shuffle + write to the clock.
+//
+// Every table's partitions are blocks of one array, laid out from the
+// rows each (predicate, partition) pair counts: one pass over the
+// triples counts them, a second writes every (s,o) pair straight into
+// its partition, in input order.
 func (s *Store) buildVP(clock *cluster.Clock) error {
-	// Emit each predicate's (s,o) rows through one pre-sized RowArena —
-	// the engine's flat row representation — instead of allocating a
-	// two-value Row per triple.
-	counts := make(map[rdf.ID]int)
-	for _, t := range s.triples {
-		counts[t.P]++
-	}
-	arenas := make(map[rdf.ID]*engine.RowArena, len(counts))
-	for p, c := range counts {
-		arenas[p] = engine.NewRowArena(2, c)
-	}
-	for _, t := range s.triples {
-		arenas[t.P].AppendCopy(engine.Row{t.S, t.O})
-	}
-	byPred := make(map[rdf.ID][]engine.Row, len(arenas))
-	for p, a := range arenas {
-		byPred[p] = a.Rows()
-	}
 	s.predOrder = sortedPredicates(s.dict, s.curStats())
+	slot := make(map[rdf.ID]int, len(s.predOrder))
+	for i, pred := range s.predOrder {
+		slot[pred] = i * s.parts
+	}
+	counts := make([]int, len(s.predOrder)*s.parts)
+	for _, t := range s.triples {
+		if base, ok := slot[t.P]; ok {
+			counts[base+engine.PartitionFor(t.S, s.parts)]++
+		}
+	}
+	blocks, fill, ids := engine.LayoutBlocks(2, counts)
+	for _, t := range s.triples {
+		if base, ok := slot[t.P]; ok {
+			at := base + engine.PartitionFor(t.S, s.parts)
+			ids[fill[at]], ids[fill[at]+1] = t.S, t.O
+			fill[at] += 2
+		}
+	}
 
 	var totalShuffleBytes, totalWriteBytes int64
 	var totalRows int64
-	for _, pred := range s.predOrder {
-		rows := byPred[pred]
-		rel, err := engine.Partition(engine.Schema{"s", "o"}, rows, "s", s.parts)
-		if err != nil {
-			return err
-		}
+	for i, pred := range s.predOrder {
+		rel := engine.NewBlockRelation(engine.Schema{"s", "o"}, blocks[i*s.parts:(i+1)*s.parts:(i+1)*s.parts], "s")
 		fileBytes, err := WriteVPFiles(s.fs, s.dict, fmt.Sprintf("%s/vp/p%d", s.opts.PathPrefix, pred), rel.Parts())
 		if err != nil {
 			return err
 		}
 		s.vp[pred] = &VPTable{Pred: pred, Rel: rel, FileBytes: fileBytes}
 		s.vpBytes += fileBytes
-		totalShuffleBytes += int64(len(rows)) * 2 * 5          // rows repartitioned by subject
+		rows := int64(rel.NumRows())
+		totalShuffleBytes += rows * 2 * 5                      // rows repartitioned by subject
 		totalWriteBytes += fileBytes * int64(replicationOf(s)) // replicated write
-		totalRows += int64(len(rows))
+		totalRows += rows
 	}
 
 	// One Spark SQL job covers the whole VP build (a single

@@ -62,10 +62,10 @@ func (s *Store) buildExtVPTable(pred, partner uint64, pos uint8, gen uint64) (wo
 	rows := base.SemiJoin(predCol, other.Keys(partnerCol))
 	// An empty reduction is useless to scan, and one as large as its
 	// source saves nothing — neither is worth budget bytes.
-	if len(rows) == 0 || len(rows) >= base.Rel.NumRows() {
+	if rows.Len() == 0 || rows.Len() >= base.Rel.NumRows() {
 		return workload.Table{}, false
 	}
-	rel, err := engine.Partition(engine.Schema{"s", "o"}, rows, "s", s.parts)
+	rel, err := engine.PartitionBlock(engine.Schema{"s", "o"}, rows, "s", s.parts)
 	if err != nil {
 		return workload.Table{}, false
 	}
@@ -76,12 +76,12 @@ func (s *Store) buildExtVPTable(pred, partner uint64, pos uint8, gen uint64) (wo
 	// overhead plus cross-partition term-dictionary duplication would
 	// swallow most of the byte savings the scan price is based on.
 	dir := fmt.Sprintf("%s/extvp/g%d/p%d_p%d_%d", s.opts.PathPrefix, gen, pred, partner, pos)
-	fileBytes, err := WriteVPFiles(s.fs, s.dict, dir, [][]engine.Row{rows})
+	fileBytes, err := WriteVPFiles(s.fs, s.dict, dir, []engine.Block{rows})
 	if err != nil {
 		return workload.Table{}, false
 	}
 	t := &VPTable{Pred: rdf.ID(pred), Rel: rel, FileBytes: fileBytes}
-	return workload.Table{Rows: int64(len(rows)), Bytes: fileBytes, Data: t}, true
+	return workload.Table{Rows: int64(rows.Len()), Bytes: fileBytes, Data: t}, true
 }
 
 // extvpCosts implements plan.ExtVPProvider over the store's live

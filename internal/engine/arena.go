@@ -1,32 +1,25 @@
 package engine
 
 import (
-	"unsafe"
-
 	"repro/internal/rdf"
 )
 
-// RowArena accumulates fixed-width output rows in one flat []rdf.ID
-// backing buffer, handing out rows as capacity-clipped slices into it.
-// Operators allocate one arena per partition instead of one Row per
-// output tuple, so emitting n rows costs O(log n) buffer growths
-// rather than n heap allocations. If the buffer grows, already-issued
-// rows keep pointing into the previous backing array, which stays
-// valid — rows are immutable once emitted.
+// RowArena builds a Block: fixed-width rows are appended to one flat
+// []rdf.ID buffer, and Block hands the rows out as a block over it.
+// Operators size one arena per output partition from known
+// cardinalities (the probe's counted matches, a cartesian product's
+// exact size), so emitting n rows is one allocation rather than n.
 //
-// The arena is exported so storage layers (property-table and VP
-// scans in internal/core) can emit their scan output in the same
-// representation the join core produces.
+// The arena is exported so storage layers (property-table and VP scans
+// in internal/core) and streaming pipelines build their batches the way
+// the join core builds its output.
 type RowArena struct {
-	width int
-	buf   []rdf.ID
-	rows  []Row
+	width, n int
+	buf      []rdf.ID
 }
 
 // NewRowArena returns an arena for rows of the given width, pre-sized
-// to hold rowCapHint rows without reallocating. Callers derive the
-// hint from known cardinalities (probe-side row count for joins, exact
-// output size for cartesian products and projections).
+// to hold rowCapHint rows without reallocating.
 func NewRowArena(width, rowCapHint int) *RowArena {
 	a := new(RowArena)
 	a.Reset(width, rowCapHint)
@@ -36,12 +29,11 @@ func NewRowArena(width, rowCapHint int) *RowArena {
 // Reset empties the arena for rows of the given width with room for
 // rowCapHint of them, keeping the storage it already has — a caller that
 // works through many partitions one after another pays for the largest
-// once. Rows handed out before are dead: their storage is overwritten.
+// once. Blocks handed out before are dead: their storage is overwritten.
 // The zero RowArena is ready for Reset.
 func (a *RowArena) Reset(width, rowCapHint int) {
-	a.width = width
+	a.width, a.n = width, 0
 	a.buf = emptied(a.buf, rowCapHint*width)
-	a.rows = emptied(a.rows, rowCapHint)
 }
 
 // emptied returns s emptied with room for n elements: in its own
@@ -55,75 +47,64 @@ func emptied[S ~[]E, E any](s S, n int) S {
 	return s[:0]
 }
 
-// largestBuffer is the size in bytes of the larger of the arena's two
-// buffers.
-func (a *RowArena) largestBuffer() int {
-	return max(cap(a.buf)*int(unsafe.Sizeof(rdf.ID(0))), cap(a.rows)*int(unsafe.Sizeof(Row(nil))))
-}
+// largestBuffer is the size in bytes of the arena's buffer.
+func (a *RowArena) largestBuffer() int { return cap(a.buf) * 4 }
 
-// seal clips the just-written row out of the buffer tail and records
-// it. The capacity clip guarantees no later append can write into an
-// issued row.
-func (a *RowArena) seal(start int) {
-	a.rows = append(a.rows, a.buf[start:len(a.buf):len(a.buf)])
-}
-
-// AppendJoin emits left ++ right[keep] — the hash-join output shape —
-// as one arena row.
+// AppendJoin emits left ++ right[keep] — the hash-join output shape.
 func (a *RowArena) AppendJoin(left, right Row, keep []int) {
-	start := len(a.buf)
 	a.buf = append(a.buf, left...)
 	for _, i := range keep {
 		a.buf = append(a.buf, right[i])
 	}
-	a.seal(start)
+	a.n++
 }
 
 // AppendJoinPruned emits left[lKeep] ++ right[rKeep] — the hash-join
-// output shape with fused column pruning — as one arena row.
+// output shape with fused column pruning.
 func (a *RowArena) AppendJoinPruned(left, right Row, lKeep, rKeep []int) {
-	start := len(a.buf)
 	for _, i := range lKeep {
 		a.buf = append(a.buf, left[i])
 	}
 	for _, i := range rKeep {
 		a.buf = append(a.buf, right[i])
 	}
-	a.seal(start)
+	a.n++
 }
 
-// AppendConcat emits x ++ y (the cartesian-product shape) as one
-// arena row.
+// AppendConcat emits x ++ y (the cartesian-product shape).
 func (a *RowArena) AppendConcat(x, y Row) {
-	start := len(a.buf)
 	a.buf = append(a.buf, x...)
 	a.buf = append(a.buf, y...)
-	a.seal(start)
+	a.n++
 }
 
 // AppendCopy emits a copy of r, which the caller may reuse as scratch.
 func (a *RowArena) AppendCopy(r Row) {
-	start := len(a.buf)
 	a.buf = append(a.buf, r...)
-	a.seal(start)
+	a.n++
 }
-
-// AppendRef emits r itself, uncopied: the output of a filter over rows
-// that outlive the arena's use costs a row header each, no IDs.
-func (a *RowArena) AppendRef(r Row) { a.rows = append(a.rows, r) }
 
 // AppendProjected emits r's columns at idx, in idx order.
 func (a *RowArena) AppendProjected(r Row, idx []int) {
-	start := len(a.buf)
 	for _, j := range idx {
 		a.buf = append(a.buf, r[j])
 	}
-	a.seal(start)
+	a.n++
 }
 
 // Len returns the number of rows emitted so far.
-func (a *RowArena) Len() int { return len(a.rows) }
+func (a *RowArena) Len() int { return a.n }
 
-// Rows returns the emitted rows. The arena must not be appended to
-// afterwards.
-func (a *RowArena) Rows() []Row { return a.rows }
+// Block returns the emitted rows as a block over the arena's buffer,
+// valid until the arena's next Reset. Its width is the rows' own: the
+// width given to Reset sizes the buffer and names the width of an empty
+// block, but a row is as wide as what was appended for it — a join's
+// keep lists, not a caller's statement of them, decide its output's
+// width.
+func (a *RowArena) Block() Block {
+	width := a.width
+	if a.n > 0 {
+		width = len(a.buf) / a.n
+	}
+	return Block{width: width, n: a.n, ids: a.buf[:len(a.buf):len(a.buf)]}
+}

@@ -1,0 +1,200 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/rdf"
+)
+
+// Block is one partition's rows: a width, a row count, and the rows'
+// IDs row-major in one pointer-free slice. A block holds no per-row
+// headers, so the collector never scans it and a partition of n rows is
+// one object whatever n is. The count is stored, not derived, so width-0
+// rows — an existence test's one empty row — still count.
+//
+// Blocks are immutable once built: operators read their inputs and
+// write new blocks (through RowArena), so a block, a Slice of one and a
+// Row of one may be shared by any number of relations and readers.
+type Block struct {
+	width, n int
+	ids      []rdf.ID
+}
+
+// MakeBlock adopts ids as n rows of the given width. len(ids) must be
+// width×n; the caller gives the slice away.
+func MakeBlock(width, n int, ids []rdf.ID) Block {
+	if width < 0 || n < 0 || len(ids) != width*n {
+		panic(fmt.Sprintf("engine: %d IDs are not %d rows of width %d", len(ids), n, width))
+	}
+	return Block{width: width, n: n, ids: ids[:len(ids):len(ids)]}
+}
+
+// Len returns the row count.
+func (b Block) Len() int { return b.n }
+
+// Width returns the row width.
+func (b Block) Width() int { return b.width }
+
+// IDs returns the rows' IDs, row-major, in the block's own storage:
+// read-only.
+func (b Block) IDs() []rdf.ID { return b.ids }
+
+// Row returns row i as a view of the block's storage, clipped to the
+// row's width so that appending to it can never write into row i+1. It
+// allocates nothing.
+func (b Block) Row(i int) Row {
+	lo := i * b.width
+	hi := lo + b.width
+	return Row(b.ids[lo:hi:hi])
+}
+
+// Slice returns rows [i, j) as a block sharing b's storage.
+func (b Block) Slice(i, j int) Block {
+	if i < 0 || j < i || j > b.n {
+		panic(fmt.Sprintf("engine: slice [%d:%d] of a %d-row block", i, j, b.n))
+	}
+	lo, hi := i*b.width, j*b.width
+	return Block{width: b.width, n: j - i, ids: b.ids[lo:hi:hi]}
+}
+
+// emptyBlock is a block of no rows of the given width.
+func emptyBlock(width int) Block { return Block{width: width} }
+
+// totalRows is the row count of a sequence of blocks.
+func totalRows(blocks []Block) int {
+	n := 0
+	for _, b := range blocks {
+		n += b.n
+	}
+	return n
+}
+
+// concatBlocks copies the rows of blocks, in order, into one block of
+// the given width — one allocation; none when fewer than two blocks hold
+// rows, whose rows are returned as they are.
+func concatBlocks(width int, blocks []Block) Block {
+	var only Block
+	holding := 0
+	for _, b := range blocks {
+		if b.n > 0 {
+			only = b
+			holding++
+		}
+	}
+	switch holding {
+	case 0:
+		return emptyBlock(width)
+	case 1:
+		return only
+	}
+	n := totalRows(blocks)
+	ids := make([]rdf.ID, 0, n*width)
+	for _, b := range blocks {
+		ids = append(ids, b.ids...)
+	}
+	return Block{width: width, n: n, ids: ids}
+}
+
+// LayoutBlocks lays out one allocation of IDs as consecutive blocks of
+// counts[p] rows each, for a caller that counted its rows before placing
+// them: it returns the blocks, their storage still to be written, the
+// storage itself, and per block the offset in ids its first row goes to.
+func LayoutBlocks(width int, counts []int) (blocks []Block, fill []int, ids []rdf.ID) {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	ids = make([]rdf.ID, total*width)
+	blocks = make([]Block, len(counts))
+	fill = make([]int, len(counts))
+	at := 0
+	for p, c := range counts {
+		blocks[p] = Block{width: width, n: c, ids: ids[at : at+c*width : at+c*width]}
+		fill[p] = at
+		at += c * width
+	}
+	return blocks, fill, ids
+}
+
+// Select returns the rows of b that keep accepts, in order: b itself
+// when keep accepts every row, otherwise a copy in a's storage (Reset
+// here; the rows live until its next use) or, with a nil a, in one
+// exactly sized allocation. The accepted row numbers are remembered in
+// pooled scratch between the test and the copy, so keep runs once per
+// row.
+func (b Block) Select(keep func(Row) bool, a *RowArena) Block {
+	hp := headsPool.Get().(*[]int32)
+	defer headsPool.Put(hp)
+	kept := (*hp)[:0]
+	for i := 0; i < b.n; i++ {
+		if keep(b.Row(i)) {
+			kept = append(kept, int32(i))
+		}
+	}
+	*hp = kept
+	if len(kept) == b.n {
+		return b
+	}
+	return gather(b, kept, a)
+}
+
+// gather copies b's rows at idx, in idx order, into a's storage (Reset
+// here) or, with a nil a, into one exactly sized allocation.
+func gather(b Block, idx []int32, a *RowArena) Block {
+	if len(idx) == 0 {
+		return emptyBlock(b.width)
+	}
+	if a == nil {
+		a = new(RowArena)
+	}
+	a.Reset(b.width, len(idx))
+	for _, i := range idx {
+		a.AppendCopy(b.Row(int(i)))
+	}
+	return a.Block()
+}
+
+// SortBlock returns b's rows ordered stably by less, keeping the first k
+// of them (all when k < 0), in a new block. It sorts a permutation of
+// row numbers and copies the rows once, into their final order.
+func SortBlock(b Block, less func(x, y Row) bool, k int) Block {
+	out, _ := SortInto(new(RowArena), b, less, k, nil)
+	return out
+}
+
+// SortInto is SortBlock into storage the caller keeps: the rows land in
+// dst (Reset here, so b must not live in it), the permutation in perm's
+// storage, which is returned for the next call.
+func SortInto(dst *RowArena, b Block, less func(x, y Row) bool, k int, perm []int32) (Block, []int32) {
+	perm = sortPerm(b, less, perm)
+	top := perm
+	if k >= 0 && k < len(top) {
+		top = top[:k]
+	}
+	dst.Reset(b.width, len(top))
+	for _, i := range top {
+		dst.AppendCopy(b.Row(int(i)))
+	}
+	return dst.Block(), perm
+}
+
+// sortPerm returns b's row numbers ordered stably by less, in perm's
+// storage (grown as needed).
+func sortPerm(b Block, less func(x, y Row) bool, perm []int32) []int32 {
+	perm = emptied(perm, b.n)
+	for i := 0; i < b.n; i++ {
+		perm = append(perm, int32(i))
+	}
+	slices.SortStableFunc(perm, func(i, j int32) int {
+		x, y := b.Row(int(i)), b.Row(int(j))
+		switch {
+		case less(x, y):
+			return -1
+		case less(y, x):
+			return 1
+		}
+		return 0
+	})
+	return perm
+}

@@ -13,8 +13,8 @@ package engine
 func (r *Relation) Checksum() uint64 {
 	h := fnvOffset
 	for _, part := range r.parts {
-		for _, row := range part {
-			for _, v := range row {
+		for i := 0; i < part.n; i++ {
+			for _, v := range part.Row(i) {
 				h ^= uint64(v)
 				h *= fnvPrime
 			}

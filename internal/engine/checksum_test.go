@@ -7,7 +7,7 @@ import (
 )
 
 func ckRel(parts [][]Row) *Relation {
-	return &Relation{schema: Schema{"a", "b"}, parts: parts}
+	return NewRelation(Schema{"a", "b"}, parts, "")
 }
 
 func TestChecksumStableAndSensitive(t *testing.T) {
@@ -16,17 +16,23 @@ func TestChecksumStableAndSensitive(t *testing.T) {
 		t.Fatal("identical relations hash differently")
 	}
 	variants := map[string]*Relation{
-		"value changed":   ckRel([][]Row{{{1, 2}, {3, 7}}, {{5, 6}}}),
-		"rows regrouped":  ckRel([][]Row{{{1, 2, 3, 4}}, {{5, 6}}}),
-		"rows reordered":  ckRel([][]Row{{{3, 4}, {1, 2}}, {{5, 6}}}),
-		"row moved":       ckRel([][]Row{{{1, 2}}, {{3, 4}, {5, 6}}}),
-		"row dropped":     ckRel([][]Row{{{1, 2}, {3, 4}}, {}}),
-		"empty row added": ckRel([][]Row{{{1, 2}, {3, 4}}, {{5, 6}, {}}}),
+		"value changed":  ckRel([][]Row{{{1, 2}, {3, 7}}, {{5, 6}}}),
+		"rows reordered": ckRel([][]Row{{{3, 4}, {1, 2}}, {{5, 6}}}),
+		"row moved":      ckRel([][]Row{{{1, 2}}, {{3, 4}, {5, 6}}}),
+		"row dropped":    ckRel([][]Row{{{1, 2}, {3, 4}}, {}}),
 	}
 	for name, v := range variants {
 		if v.Checksum() == base.Checksum() {
 			t.Errorf("%s: checksum unchanged", name)
 		}
+	}
+	// Row boundaries are part of the digest: one row [1 2 3 4] is not the
+	// rows [1 2] and [3 4], and one empty row is not two.
+	if NewRelation(Schema{"a", "b", "c", "d"}, [][]Row{{{1, 2, 3, 4}}}, "").Checksum() == ckRel([][]Row{{{1, 2}, {3, 4}}}).Checksum() {
+		t.Error("rows regrouped: checksum unchanged")
+	}
+	if NewRelation(Schema{}, [][]Row{{{}}}, "").Checksum() == NewRelation(Schema{}, [][]Row{{{}, {}}}, "").Checksum() {
+		t.Error("empty row added: checksum unchanged")
 	}
 }
 

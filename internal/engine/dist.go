@@ -67,11 +67,15 @@ type DistinctSpec struct {
 // must return exactly len(input-partitions) output partitions with the
 // same rows the local kernels would produce; internal/shard's
 // coordinator session is the production implementation.
+//
+// The side that ships whole to every shard (a broadcast join's build
+// side, a cartesian product's small side) is passed as the relation's
+// blocks; it travels as one row section, their rows in order.
 type Exchanger interface {
-	ShuffleJoin(spec ShuffleSpec, lParts, rParts [][]Row) ([][]Row, error)
-	BroadcastJoin(spec BroadcastSpec, buildRows []Row, probeParts [][]Row) ([][]Row, error)
-	Cartesian(spec CartesianSpec, smallRows []Row, largeParts [][]Row) ([][]Row, error)
-	Distinct(spec DistinctSpec, parts [][]Row) ([][]Row, error)
+	ShuffleJoin(spec ShuffleSpec, lParts, rParts []Block) ([]Block, error)
+	BroadcastJoin(spec BroadcastSpec, build []Block, probeParts []Block) ([]Block, error)
+	Cartesian(spec CartesianSpec, small []Block, largeParts []Block) ([]Block, error)
+	Distinct(spec DistinctSpec, parts []Block) ([]Block, error)
 }
 
 // KernelScratch is storage a caller lends the partition kernels, so that
@@ -79,10 +83,11 @@ type Exchanger interface {
 // request — allocates for the largest of them once instead of for each:
 // every call empties and refills the output arena, a hash index or the
 // dedup set. A kernel's result aliases the scratch (and, as always, the
-// input rows) and is valid until the next call on it. The zero
+// input blocks) and is valid until the next call on it. The zero
 // KernelScratch is ready to use. Every kernel also runs on a nil
 // *KernelScratch, in fresh, exactly sized storage that the result keeps:
-// the one-shot kernels below are that. Not safe for concurrent use.
+// the in-process operators run them that way. Not safe for concurrent
+// use.
 type KernelScratch struct {
 	// Out is the arena output rows are emitted into, exposed so a caller's
 	// own per-partition producers (scans) can share it.
@@ -104,8 +109,8 @@ func (s *KernelScratch) LargestBuffer() int {
 }
 
 // Trim releases every buffer of the scratch larger than maxBytes (the
-// output arena's two and the dedup set's go together), for owners that
-// bound what they keep between uses.
+// dedup set's rows and chain go together), for owners that bound what
+// they keep between uses.
 func (s *KernelScratch) Trim(maxBytes int) {
 	if s.Out.largestBuffer() > maxBytes {
 		s.Out = RowArena{}
@@ -123,103 +128,77 @@ func (s *KernelScratch) Trim(maxBytes int) {
 // JoinPartition hash-joins one shuffle partition: the smaller side (by
 // row count; left on ties) becomes the build side, and output rows keep
 // left-to-right column order.
-func (s *KernelScratch) JoinPartition(lRows, rRows []Row, lKey, rKey []int, outWidth int, lKeep, rKeep []int) []Row {
-	build, probe := lRows, rRows
+func (s *KernelScratch) JoinPartition(l, r Block, lKey, rKey []int, outWidth int, lKeep, rKeep []int) Block {
+	build, probe := l, r
 	buildKey, probeKey := lKey, rKey
 	buildIsLeft := true
-	if len(probe) < len(build) {
+	if probe.n < build.n {
 		build, probe = probe, build
 		buildKey, probeKey = probeKey, buildKey
 		buildIsLeft = false
 	}
-	ix := new(joinIndex)
+	var fresh joinIndex
+	ix := &fresh
 	if s != nil {
 		ix = &s.part
 	}
-	ix.build(build, buildKey)
+	ix.buildOne(build, buildKey)
 	return ix.probeBatch(probe, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, s)
 }
 
-// Build indexes a join's build side on the key columns for the Probe
-// calls that follow: once per broadcast join, whose every partition
-// probes the same side. (The one-shot form is NewJoinProbe.)
-func (s *KernelScratch) Build(buildRows []Row, buildKey []int) { s.whole.build(buildRows, buildKey) }
+// Build indexes a join's build side — its blocks, in order — on the key
+// columns for the Probe calls that follow: once per broadcast join,
+// whose every partition probes the same side.
+func (s *KernelScratch) Build(build []Block, buildKey []int) { s.whole.build(build, buildKey) }
 
-// Probe is JoinProbe.Probe against the side last given to Build.
-func (s *KernelScratch) Probe(probeRows []Row, probeKey []int, buildIsLeft bool, outWidth int, lKeep, rKeep []int) []Row {
-	return s.whole.probeBatch(probeRows, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, s)
+// Probe joins probe against the side last given to Build, preserving
+// probe-row order (then build-chain order), exactly as the in-process
+// broadcast join does.
+func (s *KernelScratch) Probe(probe Block, probeKey []int, buildIsLeft bool, outWidth int, lKeep, rKeep []int) Block {
+	return s.whole.probeBatch(probe, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, s)
 }
 
 // Cartesian crosses one partition of the large side with the whole
-// broadcast small side, in the local operator's emission order.
-func (s *KernelScratch) Cartesian(largeRows, smallRows []Row, smallIsLeft bool, outWidth int, lKeep, rKeep []int) []Row {
-	arena := new(RowArena)
+// broadcast small side — its blocks, in order — in the local operator's
+// emission order.
+func (s *KernelScratch) Cartesian(large Block, small []Block, smallIsLeft bool, outWidth int, lKeep, rKeep []int) Block {
+	var fresh RowArena
+	arena := &fresh
 	if s != nil {
 		arena = &s.Out
 	}
 	// The output cardinality is exact, so the arena never regrows.
-	arena.Reset(outWidth, len(largeRows)*len(smallRows))
-	for _, lr := range largeRows {
-		for _, sr := range smallRows {
-			l, r := sr, lr
-			if !smallIsLeft {
-				l, r = lr, sr
-			}
-			if lKeep == nil {
-				arena.AppendConcat(l, r)
-			} else {
-				arena.AppendJoinPruned(l, r, lKeep, rKeep)
+	arena.Reset(outWidth, large.n*totalRows(small))
+	for i := 0; i < large.n; i++ {
+		lr := large.Row(i)
+		for _, sb := range small {
+			for j := 0; j < sb.n; j++ {
+				l, r := sb.Row(j), lr
+				if !smallIsLeft {
+					l, r = r, l
+				}
+				if lKeep == nil {
+					arena.AppendConcat(l, r)
+				} else {
+					arena.AppendJoinPruned(l, r, lKeep, rKeep)
+				}
 			}
 		}
 	}
-	return arena.Rows()
+	return arena.Block()
 }
 
 // Distinct dedups one shuffled partition, keeping first-seen row order
 // like the local distinct closure.
-func (s *KernelScratch) Distinct(rows []Row, width int) []Row {
-	seen := new(rowSet)
+func (s *KernelScratch) Distinct(rows Block, width int) Block {
+	var fresh rowSet
+	seen := &fresh
 	if s != nil {
 		seen = &s.seen
 	}
-	seen.reset(width, len(rows))
-	for _, r := range rows {
-		seen.insert(r)
+	seen.reset(width, rows.n)
+	for i := 0; i < rows.n; i++ {
+		seen.insert(rows.Row(i))
 	}
-	return seen.rows
-}
-
-// JoinPartitionKernel is the exact kernel shuffleJoin runs locally,
-// exported so shard processes reproduce its output bit for bit.
-func JoinPartitionKernel(lRows, rRows []Row, lKey, rKey []int, outWidth int, lKeep, rKeep []int) []Row {
-	return (*KernelScratch)(nil).JoinPartition(lRows, rRows, lKey, rKey, outWidth, lKeep, rKeep)
-}
-
-// JoinProbe is a hash index over a join's build side, read-only once
-// built: the in-process broadcast join builds it once and its partition
-// tasks probe it concurrently.
-type JoinProbe struct {
-	ix joinIndex
-}
-
-// NewJoinProbe indexes buildRows on the key columns.
-func NewJoinProbe(buildRows []Row, buildKey []int) *JoinProbe {
-	return &JoinProbe{ix: buildJoinIndex(buildRows, buildKey)}
-}
-
-// Probe emits the join of probeRows against the indexed build side,
-// preserving probe-row order (then build-chain order), exactly as the
-// in-process join closures do.
-func (jp *JoinProbe) Probe(probeRows []Row, probeKey []int, buildIsLeft bool, outWidth int, lKeep, rKeep []int) []Row {
-	return jp.ix.probeBatch(probeRows, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, nil)
-}
-
-// CartesianKernel is the local cartesian operator's partition kernel.
-func CartesianKernel(largeRows, smallRows []Row, smallIsLeft bool, outWidth int, lKeep, rKeep []int) []Row {
-	return (*KernelScratch)(nil).Cartesian(largeRows, smallRows, smallIsLeft, outWidth, lKeep, rKeep)
-}
-
-// DistinctKernel is the local distinct operator's partition kernel.
-func DistinctKernel(rows []Row, width int) []Row {
-	return (*KernelScratch)(nil).Distinct(rows, width)
+	return seen.rows.Block()
 }

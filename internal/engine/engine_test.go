@@ -54,7 +54,7 @@ func TestPartitionColocatesKeys(t *testing.T) {
 	// All rows with s=1 must share a partition.
 	home := -1
 	for p := 0; p < r.Partitions(); p++ {
-		for _, row := range r.Part(p) {
+		for _, row := range r.Part(p).Rows() {
 			if row[0] == 1 {
 				if home == -1 {
 					home = p
@@ -318,36 +318,36 @@ func TestCollectAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
-	if len(rows) != 5 {
-		t.Errorf("Collect = %d rows, want 5", len(rows))
+	if totalRows(rows) != 5 {
+		t.Errorf("Collect = %d rows, want 5", totalRows(rows))
 	}
 	lim, err := e.Limit(r, 2, 0)
 	if err != nil {
 		t.Fatalf("Limit: %v", err)
 	}
-	if len(lim) != 2 {
-		t.Errorf("Limit(2) = %d rows", len(lim))
+	if totalRows(lim) != 2 {
+		t.Errorf("Limit(2) = %d rows", totalRows(lim))
 	}
 	all, err := e.Limit(r, -1, 0)
 	if err != nil {
 		t.Fatalf("Limit(-1): %v", err)
 	}
-	if len(all) != 5 {
-		t.Errorf("Limit(-1) = %d rows, want 5", len(all))
+	if totalRows(all) != 5 {
+		t.Errorf("Limit(-1) = %d rows, want 5", totalRows(all))
 	}
 	off, err := e.Limit(r, -1, 3)
 	if err != nil {
 		t.Fatalf("Limit offset: %v", err)
 	}
-	if len(off) != 2 {
-		t.Errorf("Offset(3) = %d rows, want 2", len(off))
+	if totalRows(off) != 2 {
+		t.Errorf("Offset(3) = %d rows, want 2", totalRows(off))
 	}
 	none, err := e.Limit(r, -1, 99)
 	if err != nil {
 		t.Fatalf("Limit big offset: %v", err)
 	}
-	if len(none) != 0 {
-		t.Errorf("Offset(99) = %d rows, want 0", len(none))
+	if totalRows(none) != 0 {
+		t.Errorf("Offset(99) = %d rows, want 0", totalRows(none))
 	}
 }
 

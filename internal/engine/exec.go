@@ -144,7 +144,7 @@ func (e *Exec) Scan(table *Relation, name string, diskBytes int64) (*Relation, e
 // output — a table scan under a pattern's variable names, filtered or
 // column-pruned, evaluated in this process or gathered from shards. With
 // a nil scan the rows in parts exist already (a stored table's own
-// partitions, shared, never written) and are what the stage examines;
+// blocks, shared, never written) and are what the stage examines;
 // otherwise scan(p) runs inside the stage, concurrently across
 // partitions, and returns partition p's rows — which ScanParts stores in
 // parts[p] — and how many stored rows or keys it examined, so
@@ -152,7 +152,7 @@ func (e *Exec) Scan(table *Relation, name string, diskBytes int64) (*Relation, e
 // intermediate. The output adopts schema and parts — the caller's to
 // give away, not cloned — and is hash-partitioned on partKey ("" =
 // arbitrary): scanning moves no rows.
-func (e *Exec) ScanParts(name string, schema Schema, partKey string, parts [][]Row, diskBytes int64, scan func(p int) (rows []Row, examined int64)) (*Relation, error) {
+func (e *Exec) ScanParts(name string, schema Schema, partKey string, parts []Block, diskBytes int64, scan func(p int) (rows Block, examined int64)) (*Relation, error) {
 	if err := e.scanStage(name, parts, diskBytes, scan); err != nil {
 		return nil, err
 	}
@@ -167,10 +167,10 @@ func (e *Exec) ScanParts(name string, schema Schema, partKey string, parts [][]R
 // per partition, each charged its even share of diskBytes streamed off
 // disk plus the rows it examined — those scan(p) reports after filling
 // parts[p], or with a nil scan the rows parts[p] already holds.
-func (e *Exec) scanStage(name string, parts [][]Row, diskBytes int64, scan func(p int) ([]Row, int64)) error {
+func (e *Exec) scanStage(name string, parts []Block, diskBytes int64, scan func(p int) (Block, int64)) error {
 	perPart := diskBytes / int64(len(parts))
 	return e.Cluster.RunStage(e.Clock, e.Launch(false), "scan "+name, len(parts), func(p int) (cluster.TaskStats, error) {
-		examined := int64(len(parts[p]))
+		examined := int64(parts[p].n)
 		if scan != nil {
 			parts[p], examined = scan(p)
 		}
@@ -178,19 +178,15 @@ func (e *Exec) scanStage(name string, parts [][]Row, diskBytes int64, scan func(
 	})
 }
 
-// Filter keeps the rows satisfying pred, partition-wise (no shuffle).
+// Filter keeps the rows satisfying pred, partition-wise (no shuffle): a
+// partition whose every row passes is shared, any other copies the rows
+// it keeps into a block of its own.
 func (e *Exec) Filter(rel *Relation, name string, pred func(Row) bool) (*Relation, error) {
-	out := make([][]Row, rel.Partitions())
+	out := make([]Block, rel.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.Launch(false), "filter "+name, rel.Partitions(), func(p int) (cluster.TaskStats, error) {
-		in := rel.Part(p)
-		var kept []Row
-		for _, r := range in {
-			if pred(r) {
-				kept = append(kept, r)
-			}
-		}
-		out[p] = kept
-		return cluster.TaskStats{Rows: int64(len(in))}, nil
+		in := rel.parts[p]
+		out[p] = in.Select(pred, nil)
+		return cluster.TaskStats{Rows: int64(in.n)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -217,15 +213,16 @@ func (e *Exec) Project(rel *Relation, cols []string) (*Relation, error) {
 			break
 		}
 	}
-	out := make([][]Row, rel.Partitions())
+	out := make([]Block, rel.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.Launch(false), "project", rel.Partitions(), func(p int) (cluster.TaskStats, error) {
-		in := rel.Part(p)
-		arena := NewRowArena(len(idx), len(in))
-		for _, r := range in {
-			arena.AppendProjected(r, idx)
+		in := rel.parts[p]
+		var arena RowArena
+		arena.Reset(len(idx), in.n)
+		for i := 0; i < in.n; i++ {
+			arena.AppendProjected(in.Row(i), idx)
 		}
-		out[p] = arena.Rows()
-		return cluster.TaskStats{Rows: int64(len(in))}, nil
+		out[p] = arena.Block()
+		return cluster.TaskStats{Rows: int64(in.n)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -263,14 +260,14 @@ func (e *Exec) Distinct(rel *Relation) (*Relation, error) {
 	for i := range keyIdx {
 		keyIdx[i] = i
 	}
-	var shuffled [][]Row
+	var shuffled []Block
 	moved := make([]int64, n)
 	if alignedOnCols(rel, rel.schema, n) {
 		shuffled = rel.parts
 	} else {
 		shuffled, moved = shuffleRows(rel, keyIdx, n)
 	}
-	run := func(p int) []Row { return DistinctKernel(shuffled[p], width) }
+	run := func(p int) Block { return (*KernelScratch)(nil).Distinct(shuffled[p], width) }
 	if e.Dist != nil {
 		var priced int64
 		for _, m := range moved {
@@ -280,13 +277,13 @@ func (e *Exec) Distinct(rel *Relation) (*Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		run = func(p int) []Row { return res[p] }
+		run = func(p int) Block { return res[p] }
 	}
-	out := make([][]Row, n)
+	out := make([]Block, n)
 	err := e.Cluster.RunStage(e.Clock, e.Launch(true), "distinct", n, func(p int) (cluster.TaskStats, error) {
 		out[p] = run(p)
 		return cluster.TaskStats{
-			Rows:     int64(len(shuffled[p])),
+			Rows:     int64(shuffled[p].n),
 			NetBytes: moved[p],
 		}, nil
 	})
@@ -296,7 +293,9 @@ func (e *Exec) Distinct(rel *Relation) (*Relation, error) {
 	return &Relation{schema: rel.schema.Clone(), parts: out, partCols: cloneCols(rel.schema)}, nil
 }
 
-// Union concatenates two relations with identical schemas.
+// Union concatenates two relations with identical schemas, partition
+// by partition: an output partition holding rows from both inputs is a
+// copy of them, one holding rows from one input shares its block.
 func (e *Exec) Union(a, b *Relation) (*Relation, error) {
 	if len(a.schema) != len(b.schema) {
 		return nil, fmt.Errorf("engine: union schema mismatch %v vs %v", a.schema, b.schema)
@@ -306,26 +305,26 @@ func (e *Exec) Union(a, b *Relation) (*Relation, error) {
 			return nil, fmt.Errorf("engine: union schema mismatch %v vs %v", a.schema, b.schema)
 		}
 	}
-	n := a.Partitions()
-	if b.Partitions() > n {
-		n = b.Partitions()
-	}
-	parts := make([][]Row, n)
-	for i := 0; i < n; i++ {
+	n := max(a.Partitions(), b.Partitions())
+	parts := make([]Block, n)
+	for i := range parts {
+		var pair [2]Block
 		if i < a.Partitions() {
-			parts[i] = append(parts[i], a.Part(i)...)
+			pair[0] = a.parts[i]
 		}
 		if i < b.Partitions() {
-			parts[i] = append(parts[i], b.Part(i)...)
+			pair[1] = b.parts[i]
 		}
+		parts[i] = concatBlocks(len(a.schema), pair[:])
 	}
 	return &Relation{schema: a.schema.Clone(), parts: parts}, nil
 }
 
-// Collect gathers all rows to the driver, charging their transfer.
-func (e *Exec) Collect(rel *Relation) ([]Row, error) {
+// Collect hands all rows to the driver, charging their transfer: the
+// relation's own blocks, in partition order, uncopied.
+func (e *Exec) Collect(rel *Relation) ([]Block, error) {
 	err := e.Cluster.RunStage(e.Clock, e.Launch(true), "collect", rel.Partitions(), func(p int) (cluster.TaskStats, error) {
-		rows := int64(len(rel.Part(p)))
+		rows := int64(rel.parts[p].n)
 		return cluster.TaskStats{
 			Rows:     rows,
 			NetBytes: rows * int64(len(rel.schema)) * bytesPerValue,
@@ -334,46 +333,42 @@ func (e *Exec) Collect(rel *Relation) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rel.Rows(), nil
+	return rel.parts, nil
 }
 
-// Limit gathers rows to the driver in partition order, pushing
+// Limit hands rows to the driver in partition order, pushing
 // offset/limit into the collection itself: partitions are consumed in
 // order and gathering stops as soon as offset+limit rows are taken, so
 // only the consumed prefix crosses the wire (and is charged) — a
 // LIMIT 10 over a million-row relation transfers 10 rows, not all of
 // them. The surviving rows are identical to collecting everything and
-// slicing. A negative limit means "no limit" and degenerates to
-// Collect.
-func (e *Exec) Limit(rel *Relation, limit, offset int) ([]Row, error) {
-	if limit < 0 {
-		rows, err := e.Collect(rel)
-		if err != nil {
-			return nil, err
-		}
-		if offset > 0 {
-			if offset >= len(rows) {
-				return nil, nil
-			}
-			rows = rows[offset:]
-		}
-		return rows, nil
-	}
-	if offset < 0 {
-		offset = 0
-	}
-	need := offset + limit
+// slicing; they come back as slices of the relation's blocks, uncopied.
+// A negative limit means "no limit" and degenerates to Collect.
+func (e *Exec) Limit(rel *Relation, limit, offset int) ([]Block, error) {
+	offset = max(offset, 0)
 	n := rel.Partitions()
 	taken := make([]int64, n)
-	gathered := make([]Row, 0, need)
-	for p := 0; p < n && len(gathered) < need; p++ {
-		part := rel.Part(p)
-		take := need - len(gathered)
-		if take > len(part) {
-			take = len(part)
-		}
-		gathered = append(gathered, part[:take]...)
+	need := offset + limit
+	if limit < 0 {
+		need = rel.NumRows()
+	}
+	var window []Block
+	got := 0
+	for p := 0; p < n && got < need; p++ {
+		part := rel.parts[p]
+		take := min(need-got, part.n)
 		taken[p] = int64(take)
+		// The rows [offset, need) of the whole gather are the window.
+		if lo := max(offset-got, 0); lo < take {
+			window = append(window, part.Slice(lo, take))
+		}
+		got += take
+	}
+	if limit < 0 {
+		if _, err := e.Collect(rel); err != nil {
+			return nil, err
+		}
+		return window, nil
 	}
 	width := int64(len(rel.schema))
 	err := e.Cluster.RunStage(e.Clock, e.Launch(true), "collect", n, func(p int) (cluster.TaskStats, error) {
@@ -385,10 +380,7 @@ func (e *Exec) Limit(rel *Relation, limit, offset int) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if offset >= len(gathered) {
-		return nil, nil
-	}
-	return gathered[offset:], nil
+	return window, nil
 }
 
 // FilterOp maps a FILTER comparison operator to a test of CompareTerms'

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/rdf"
@@ -39,16 +38,15 @@ func (e *Exec) LeftJoin(left, right *Relation, name string) (*Relation, error) {
 		return nil, fmt.Errorf("engine: left join %s has no shared columns (%v vs %v)", name, left.schema, right.schema)
 	}
 	outSchema, _, rKeep := joinLayout(left.schema, right.schema, shared, nil)
-	buildKey := keyIndexes(right.schema, shared)
+	ix := buildJoinIndex(right.parts, keyIndexes(right.schema, shared))
 	probeKey := keyIndexes(left.schema, shared)
-	jp := NewJoinProbe(right.Rows(), buildKey)
-	nullRight := make(Row, len(right.schema))
+	emit := joinEmit{width: len(outSchema), rKeep: rKeep, nullRight: make(Row, len(right.schema))}
 	buildBytes := right.EstimatedBytes()
 	workers := e.Cluster.Workers()
-	out := make([][]Row, left.Partitions())
+	out := make([]Block, left.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.launchBroadcast(), "left join "+name, left.Partitions(), func(p int) (cluster.TaskStats, error) {
-		out[p] = jp.ProbeOuter(left.Part(p), probeKey, len(outSchema), rKeep, nullRight)
-		st := cluster.TaskStats{Rows: int64(len(left.Part(p)) + len(out[p]))}
+		out[p] = ix.probeBatch(left.parts[p], probeKey, &emit, nil)
+		st := cluster.TaskStats{Rows: int64(left.parts[p].n + out[p].n)}
 		// One build-side copy per worker, paid by its first task.
 		if p < workers {
 			st.NetBytes = buildBytes
@@ -59,15 +57,6 @@ func (e *Exec) LeftJoin(left, right *Relation, name string) (*Relation, error) {
 		return nil, err
 	}
 	return &Relation{schema: outSchema, parts: out, partCols: survivingCols(left.partCols, outSchema)}, nil
-}
-
-// ProbeOuter emits the left outer join of probeRows (the left side)
-// against the indexed build side (the right side), preserving
-// probe-row order: matched rows go through the same AppendJoin path as
-// Probe, and a probe row with no match emits once, padded with
-// nullRight in the right-only columns.
-func (jp *JoinProbe) ProbeOuter(probeRows []Row, probeKey []int, outWidth int, rKeep []int, nullRight Row) []Row {
-	return jp.ix.probeBatch(probeRows, probeKey, &joinEmit{width: outWidth, rKeep: rKeep, nullRight: nullRight}, nil)
 }
 
 // UnionAll concatenates relations with identical schemas, keeping each
@@ -89,7 +78,7 @@ func (e *Exec) UnionAll(rels ...*Relation) (*Relation, error) {
 			}
 		}
 	}
-	var parts [][]Row
+	var parts []Block
 	for _, r := range rels {
 		parts = append(parts, r.parts...)
 	}
@@ -97,59 +86,73 @@ func (e *Exec) UnionAll(rels ...*Relation) (*Relation, error) {
 }
 
 // TopK orders the relation by less and keeps rows [offset,
-// offset+limit). Each partition pre-sorts locally and forwards only
-// its first offset+limit rows — the top-K pushdown below the exchange
-// — so the transfer (and its NetBytes charge) shrinks with the limit;
-// the driver merges the per-partition survivors and applies the final
-// offset/limit slice. A negative limit keeps every row (a plain
-// ORDER BY). less must be a strict total order for the output to be
-// deterministic across partitionings; it is called concurrently from
-// partition tasks and must be safe for that. The result is a
-// single-partition relation in sorted order.
+// offset+limit). Each partition sorts a permutation of its rows locally
+// and forwards only its first offset+limit — the top-K pushdown below
+// the exchange — so the transfer (and its NetBytes charge) shrinks with
+// the limit; the driver merges the per-partition survivors and copies
+// the final offset/limit window out, the only rows TopK copies. A
+// negative limit keeps every row (a plain ORDER BY). less must be a
+// strict total order for the output to be deterministic across
+// partitionings; it is called concurrently from partition tasks and
+// must be safe for that. The result is a single-partition relation in
+// sorted order.
 func (e *Exec) TopK(rel *Relation, less func(a, b Row) bool, limit, offset int) (*Relation, error) {
-	if offset < 0 {
-		offset = 0
-	}
+	offset = max(offset, 0)
 	k := -1
 	if limit >= 0 {
 		k = offset + limit
 	}
 	n := rel.Partitions()
-	kept := make([][]Row, n)
+	kept := make([][]int32, n)
 	width := int64(len(rel.schema))
 	err := e.Cluster.RunStage(e.Clock, e.Launch(true), "topk", n, func(p int) (cluster.TaskStats, error) {
-		in := rel.Part(p)
-		sorted := make([]Row, len(in))
-		copy(sorted, in)
-		SortRowsStable(sorted, less)
-		if k >= 0 && k < len(sorted) {
-			sorted = sorted[:k]
+		in := rel.parts[p]
+		perm := sortPerm(in, less, nil)
+		if k >= 0 && k < len(perm) {
+			perm = perm[:k]
 		}
-		kept[p] = sorted
+		kept[p] = perm
 		return cluster.TaskStats{
-			Rows:     int64(len(in)),
-			NetBytes: int64(len(sorted)) * width * bytesPerValue,
+			Rows:     int64(in.n),
+			NetBytes: int64(len(perm)) * width * bytesPerValue,
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var all []Row
-	for _, rows := range kept {
-		all = append(all, rows...)
+	// The survivors, as (partition, row) pairs in partition order, merged
+	// by a stable sort: the order a sort of their concatenation gives.
+	type at struct{ p, i int32 }
+	total := 0
+	for _, perm := range kept {
+		total += len(perm)
 	}
-	SortRowsStable(all, less)
-	if offset > 0 {
-		if offset >= len(all) {
-			all = nil
-		} else {
-			all = all[offset:]
+	all := make([]at, 0, total)
+	for p, perm := range kept {
+		for _, i := range perm {
+			all = append(all, at{int32(p), i})
 		}
 	}
+	row := func(a at) Row { return rel.parts[a.p].Row(int(a.i)) }
+	slices.SortStableFunc(all, func(a, b at) int {
+		switch {
+		case less(row(a), row(b)):
+			return -1
+		case less(row(b), row(a)):
+			return 1
+		}
+		return 0
+	})
+	all = all[min(offset, len(all)):]
 	if limit >= 0 && limit < len(all) {
 		all = all[:limit]
 	}
-	return &Relation{schema: rel.schema.Clone(), parts: [][]Row{all}}, nil
+	var arena RowArena
+	arena.Reset(len(rel.schema), len(all))
+	for _, a := range all {
+		arena.AppendCopy(row(a))
+	}
+	return &Relation{schema: rel.schema.Clone(), parts: []Block{arena.Block()}}, nil
 }
 
 // Aggregate hash-groups the relation on groupCols and appends one
@@ -188,34 +191,34 @@ func (e *Exec) Aggregate(rel *Relation, groupCols []string, counts []AggCount) (
 	}
 
 	groups := NewGroupTable(gIdx, cIdx)
-	for p := 0; p < rel.Partitions(); p++ {
-		for _, r := range rel.Part(p) {
-			groups.Add(r)
+	for _, part := range rel.parts {
+		for i := 0; i < part.n; i++ {
+			groups.Add(part.Row(i))
 		}
 	}
 	out := groups.Rows()
 
 	width := int64(len(rel.schema))
 	err := e.Cluster.RunStage(e.Clock, e.Launch(true), "aggregate", rel.Partitions(), func(p int) (cluster.TaskStats, error) {
-		rows := int64(len(rel.Part(p)))
+		rows := int64(rel.parts[p].n)
 		return cluster.TaskStats{Rows: rows, NetBytes: rows * width * bytesPerValue}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Relation{schema: outSchema, parts: [][]Row{out}}, nil
+	return &Relation{schema: outSchema, parts: []Block{out}}, nil
 }
 
 // GroupTable is the hash-aggregation state both executors fill: one
 // output row per distinct group key — the group cells of the first row
 // seen with that key, then one COUNT cell per aggregate, holding the
-// raw count as an rdf.ID. Lookups pack the key into a reused buffer,
-// so adding a row to an existing group allocates nothing. Not safe for
-// concurrent use.
+// raw count as an rdf.ID — in one flat buffer. Lookups pack the key into
+// a reused buffer, so adding a row to an existing group allocates
+// nothing. Not safe for concurrent use.
 type GroupTable struct {
 	groupIdx, countIdx []int
 	index              map[string]int
-	rows               []Row
+	rows               RowArena
 	kb                 []byte
 }
 
@@ -223,7 +226,9 @@ type GroupTable struct {
 // groupIdx; countIdx names each COUNT's counted input column (-1 =
 // COUNT(*)).
 func NewGroupTable(groupIdx, countIdx []int) *GroupTable {
-	return &GroupTable{groupIdx: groupIdx, countIdx: countIdx, index: map[string]int{}}
+	g := &GroupTable{groupIdx: groupIdx, countIdx: countIdx, index: map[string]int{}}
+	g.rows.Reset(len(groupIdx)+len(countIdx), 0)
+	return g
 }
 
 // Add folds one input row into its group.
@@ -235,15 +240,17 @@ func (g *GroupTable) Add(r Row) {
 	}
 	gi, ok := g.index[string(g.kb)]
 	if !ok {
-		gi = len(g.rows)
+		gi = g.rows.n
 		g.index[string(g.kb)] = gi
-		row := make(Row, len(g.groupIdx)+len(g.countIdx))
-		for i, j := range g.groupIdx {
-			row[i] = r[j]
+		for _, j := range g.groupIdx {
+			g.rows.buf = append(g.rows.buf, r[j])
 		}
-		g.rows = append(g.rows, row)
+		for range g.countIdx {
+			g.rows.buf = append(g.rows.buf, 0)
+		}
+		g.rows.n++
 	}
-	counts := g.rows[gi][len(g.groupIdx):]
+	counts := g.rows.buf[gi*g.rows.width+len(g.groupIdx) : (gi+1)*g.rows.width]
 	for ci, j := range g.countIdx {
 		if j < 0 || r[j] != rdf.NullID {
 			counts[ci]++
@@ -252,29 +259,11 @@ func (g *GroupTable) Add(r Row) {
 }
 
 // Len returns the number of groups.
-func (g *GroupTable) Len() int { return len(g.rows) }
+func (g *GroupTable) Len() int { return g.rows.n }
 
 // Rows returns the group rows sorted by raw ID order (group keys are
-// unique, so the order is total). The table must not be added to
-// afterwards.
-func (g *GroupTable) Rows() []Row {
-	sort.Slice(g.rows, func(i, j int) bool { return lessRows(g.rows[i], g.rows[j]) })
-	return g.rows
-}
-
-// SortRowsStable sorts rows by less, keeping equal rows in input
-// order.
-func SortRowsStable(rows []Row, less func(a, b Row) bool) {
-	slices.SortStableFunc(rows, func(a, b Row) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		}
-		return 0
-	})
-}
+// unique, so the order is total), in a block of their own.
+func (g *GroupTable) Rows() Block { return SortBlock(g.rows.Block(), lessRows, -1) }
 
 // LessRowsID is the engine's canonical raw-ID row order (column-wise
 // by dictionary ID, shorter rows first) — the deterministic total

@@ -179,8 +179,8 @@ func TestLimitTransfersOnlyPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Limit: %v", err)
 	}
-	if len(got) != 5 {
-		t.Fatalf("Limit returned %d rows, want 5", len(got))
+	if totalRows(got) != 5 {
+		t.Fatalf("Limit returned %d rows, want 5", totalRows(got))
 	}
 	if net := stageNet(e.Clock, "collect"); net != 5*2*bytesPerValue {
 		t.Errorf("LIMIT 5 charged %d B, want %d B", net, 5*2*bytesPerValue)

@@ -153,29 +153,44 @@ func keyIndexes(s Schema, shared []string) []int {
 }
 
 // shuffleRows hash-repartitions rel's rows by the key columns into n
-// partitions. It returns the new partitions and, per target partition,
-// the network bytes that landed there. Rows staying on the same
-// partition index are treated as local only when the relation was
-// already partitioned correctly — the caller decides by not calling
-// shuffleRows at all in that case.
-func shuffleRows(rel *Relation, keyIdx []int, n int) ([][]Row, []int64) {
-	parts := make([][]Row, n)
-	moved := make([]int64, n)
-	rowB := int64(len(rel.schema)) * bytesPerValue
-	for pi := 0; pi < rel.Partitions(); pi++ {
-		for _, r := range rel.Part(pi) {
-			p := cluster.HashPartition(hashRowKey(r, keyIdx), n)
-			parts[p] = append(parts[p], r)
-			moved[p] += rowB
+// partitions. It returns the new partitions — counted first, so all of
+// them are one allocation of IDs — and, per target partition, the
+// network bytes that landed there. Rows staying on the same partition
+// index are treated as local only when the relation was already
+// partitioned correctly — the caller decides by not calling shuffleRows
+// at all in that case.
+func shuffleRows(rel *Relation, keyIdx []int, n int) ([]Block, []int64) {
+	counts := make([]int, n)
+	for _, part := range rel.parts {
+		for i := 0; i < part.n; i++ {
+			counts[cluster.HashPartition(hashRowKey(part.Row(i), keyIdx), n)]++
 		}
 	}
-	return parts, moved
+	parts, fill, ids := LayoutBlocks(len(rel.schema), counts)
+	for _, part := range rel.parts {
+		for i := 0; i < part.n; i++ {
+			r := part.Row(i)
+			p := cluster.HashPartition(hashRowKey(r, keyIdx), n)
+			fill[p] += copy(ids[fill[p]:], r)
+		}
+	}
+	return parts, movedBytes(counts, len(rel.schema))
+}
+
+// movedBytes is the network bytes per target partition of a shuffle
+// that sent counts[p] rows of the given width to partition p.
+func movedBytes(counts []int, width int) []int64 {
+	moved := make([]int64, len(counts))
+	for p, c := range counts {
+		moved[p] = int64(c) * int64(width) * bytesPerValue
+	}
+	return moved
 }
 
 // alignedOnCols reports whether rel is already hash-partitioned so that
 // a join shuffling on cols (in that exact order) needs no shuffle: the
 // relation's recorded partition columns must equal cols as a sequence
-// and the partition count must match — shuffleRows, Partition and join
+// and the partition count must match — shuffleRows, PartitionBlock and join
 // outputs all place rows with the engine's canonical row-key hash over
 // the partition columns in recorded order, so an aligned side's
 // placement is already correct.
@@ -212,7 +227,7 @@ func (e *Exec) shuffleJoin(left, right *Relation, shared []string, name string, 
 
 	// A side already partitioned on the join columns keeps its layout
 	// and pays zero shuffle bytes.
-	var lParts, rParts [][]Row
+	var lParts, rParts []Block
 	lMoved := make([]int64, n)
 	rMoved := make([]int64, n)
 	switch {
@@ -233,13 +248,13 @@ func (e *Exec) shuffleJoin(left, right *Relation, shared []string, name string, 
 	}
 
 	outSchema, lKeep, rKeep := joinLayout(left.schema, right.schema, shared, keep)
-	out := make([][]Row, n)
+	out := make([]Block, n)
 	// The kernel runs locally, or on remote shards when an Exchanger is
 	// installed — identical fragments in, identical rows out, and the
 	// stage stats below are computed from fragment lengths and output
 	// counts either way, so pricing never depends on where it ran.
-	run := func(p int) []Row {
-		return JoinPartitionKernel(lParts[p], rParts[p], lKey, rKey, len(outSchema), lKeep, rKeep)
+	run := func(p int) Block {
+		return (*KernelScratch)(nil).JoinPartition(lParts[p], rParts[p], lKey, rKey, len(outSchema), lKeep, rKeep)
 	}
 	if e.Dist != nil {
 		var lSum, rSum int64
@@ -255,12 +270,12 @@ func (e *Exec) shuffleJoin(left, right *Relation, shared []string, name string, 
 		if err != nil {
 			return nil, err
 		}
-		run = func(p int) []Row { return res[p] }
+		run = func(p int) Block { return res[p] }
 	}
 	err := e.Cluster.RunStage(e.Clock, e.Launch(true), "join "+name, n, func(p int) (cluster.TaskStats, error) {
 		out[p] = run(p)
 		return cluster.TaskStats{
-			Rows:     int64(len(lParts[p]) + len(rParts[p]) + len(out[p])),
+			Rows:     int64(lParts[p].n + rParts[p].n + out[p].n),
 			NetBytes: lMoved[p] + rMoved[p],
 		}, nil
 	})
@@ -293,7 +308,7 @@ func (e *Exec) broadcastJoin(probe, build *Relation, shared []string, name strin
 	}
 
 	workers := e.Cluster.Workers()
-	var run func(p int) []Row
+	var run func(p int) Block
 	if e.Dist != nil {
 		w := workers
 		if probe.Partitions() < w {
@@ -304,22 +319,22 @@ func (e *Exec) broadcastJoin(probe, build *Relation, shared []string, name strin
 			BuildIsLeft: buildIsLeft, OutWidth: len(outSchema),
 			LKeep: lKeep, RKeep: rKeep,
 			PricedBytes: buildBytes * int64(w),
-		}, build.Rows(), probe.parts)
+		}, build.parts, probe.parts)
 		if err != nil {
 			return nil, err
 		}
-		run = func(p int) []Row { return res[p] }
+		run = func(p int) Block { return res[p] }
 	} else {
-		// Hash index over the build side, shared read-only by all tasks.
-		jp := NewJoinProbe(build.Rows(), buildKey)
-		run = func(p int) []Row {
-			return jp.Probe(probe.Part(p), probeKey, buildIsLeft, len(outSchema), lKeep, rKeep)
-		}
+		// Hash index over the build side's blocks, shared read-only by
+		// all tasks.
+		ix := buildJoinIndex(build.parts, buildKey)
+		emit := joinEmit{buildLeft: buildIsLeft, width: len(outSchema), lKeep: lKeep, rKeep: rKeep}
+		run = func(p int) Block { return ix.probeBatch(probe.parts[p], probeKey, &emit, nil) }
 	}
-	out := make([][]Row, probe.Partitions())
+	out := make([]Block, probe.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.launchBroadcast(), "broadcast join "+name, probe.Partitions(), func(p int) (cluster.TaskStats, error) {
 		out[p] = run(p)
-		st := cluster.TaskStats{Rows: int64(len(probe.Part(p)) + len(out[p]))}
+		st := cluster.TaskStats{Rows: int64(probe.parts[p].n + out[p].n)}
 		// Each worker receives one copy of the build side; tasks are
 		// placed round-robin, so the first task on each worker pays it.
 		if p < workers {
@@ -341,13 +356,11 @@ func (e *Exec) cartesian(left, right *Relation, name string, keep []string) (*Re
 		small, large = right, left
 		smallIsLeft = false
 	}
-	smallRows := small.Rows()
 	outSchema, lKeep, rKeep := joinLayout(left.schema, right.schema, nil, keep)
 	workers := e.Cluster.Workers()
 	smallBytes := small.EstimatedBytes()
-	run := func(p int) []Row {
-		// The output cardinality is exact, so the arena never regrows.
-		return CartesianKernel(large.Part(p), smallRows, smallIsLeft, len(outSchema), lKeep, rKeep)
+	run := func(p int) Block {
+		return (*KernelScratch)(nil).Cartesian(large.parts[p], small.parts, smallIsLeft, len(outSchema), lKeep, rKeep)
 	}
 	if e.Dist != nil {
 		w := workers
@@ -358,16 +371,16 @@ func (e *Exec) cartesian(left, right *Relation, name string, keep []string) (*Re
 			Node: e.Node, Name: name, SmallIsLeft: smallIsLeft, OutWidth: len(outSchema),
 			LKeep: lKeep, RKeep: rKeep,
 			PricedBytes: smallBytes * int64(w),
-		}, smallRows, large.parts)
+		}, small.parts, large.parts)
 		if err != nil {
 			return nil, err
 		}
-		run = func(p int) []Row { return res[p] }
+		run = func(p int) Block { return res[p] }
 	}
-	out := make([][]Row, large.Partitions())
+	out := make([]Block, large.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.launchBroadcast(), "cartesian "+name, large.Partitions(), func(p int) (cluster.TaskStats, error) {
 		out[p] = run(p)
-		st := cluster.TaskStats{Rows: int64(len(out[p]))}
+		st := cluster.TaskStats{Rows: int64(out[p].n)}
 		if p < workers {
 			st.NetBytes = smallBytes
 		}
@@ -395,10 +408,8 @@ func (e *Exec) skewDowngrade(probe *Relation) bool {
 		return false
 	}
 	maxPart := 0
-	for i := 0; i < n; i++ {
-		if l := len(probe.Part(i)); l > maxPart {
-			maxPart = l
-		}
+	for _, part := range probe.parts {
+		maxPart = max(maxPart, part.n)
 	}
 	if maxPart*n < 3*total {
 		return false

@@ -1,8 +1,9 @@
 package engine
 
 import (
+	"math"
+	"math/bits"
 	"sync"
-	"unsafe"
 
 	"repro/internal/rdf"
 )
@@ -63,10 +64,17 @@ func keysEqual(a Row, aIdx []int, b Row, bIdx []int) bool {
 }
 
 // joinIndex is a chained hash index over the build side of a hash
-// join. Building one costs two allocations total (the head map and the
-// chain slice) regardless of row count or key cardinality — no string
-// keys, no per-key bucket slices. Chains store 1-based row indexes so
-// the zero value of a map lookup doubles as "no entry".
+// join, the side's blocks indexed where they lie — however many there
+// are, with no row gathered. Building one costs two allocations total
+// (the head map and the chain slice) regardless of row count or key
+// cardinality — no string keys, no per-key bucket slices — plus the
+// block offsets when the side spans several blocks. An entry locates
+// one build row: with one block it is the row number plus one (so the
+// zero value of a map lookup doubles as "no entry"), with several the
+// block number sits above shift bits of row number.
+//
+// One block is held in one, not in a slice, so that indexing a single
+// partition needs no slice of blocks made for it.
 type joinIndex struct {
 	// head1 serves the single-column fast path, keyed directly on the
 	// dictionary ID.
@@ -74,10 +82,19 @@ type joinIndex struct {
 	// headN serves multi-column keys, packed (two columns) or hashed
 	// (three or more) into a uint64.
 	headN map[uint64]int32
-	// next[i] links row i to the previous row inserted with the same
-	// packed key; 0 terminates the chain.
-	next   []int32
-	rows   []Row
+	// next[g] links build row g — rows numbered across the blocks in
+	// order — to the previous entry inserted with the same packed key; 0
+	// terminates the chain.
+	next []int32
+	// The indexed rows: blocks when there are several, nil and one when
+	// there is one.
+	blocks []Block
+	one    Block
+	// base[b] is the number of block b's first row, and shift the bits
+	// an entry gives the row within its block; both unused with one
+	// block.
+	base   []int32
+	shift  uint
 	keyIdx []int
 	// exact records that the packed key is collision-free, so probe
 	// matches need no column re-check.
@@ -118,52 +135,114 @@ func (ix *joinIndex) trim(maxBytes int) {
 	}
 }
 
-// buildJoinIndex indexes rows by the key columns. The index is
-// read-only after construction and safe for concurrent probing.
-func buildJoinIndex(rows []Row, keyIdx []int) joinIndex {
+// buildJoinIndex indexes the rows of blocks by the key columns. The
+// index is read-only after construction and safe for concurrent
+// probing; it keeps the blocks, not a copy.
+func buildJoinIndex(blocks []Block, keyIdx []int) joinIndex {
 	var ix joinIndex
-	ix.build(rows, keyIdx)
+	ix.build(blocks, keyIdx)
 	return ix
 }
 
-// build (re)indexes rows by the key columns in the storage ix already
-// holds: the chain slice is re-sliced and the head map emptied, so an
-// index rebuilt for partition after partition allocates only when one
-// outgrows every earlier one. The zero joinIndex allocates both exactly
-// sized.
-func (ix *joinIndex) build(rows []Row, keyIdx []int) {
-	ix.rows, ix.keyIdx, ix.exact = rows, keyIdx, len(keyIdx) <= 2
+// build (re)indexes the rows of blocks by the key columns in the storage
+// ix already holds: the chain slice is re-sliced and the head map
+// emptied, so an index rebuilt for partition after partition allocates
+// only when one outgrows every earlier one. The zero joinIndex allocates
+// both exactly sized.
+func (ix *joinIndex) build(blocks []Block, keyIdx []int) {
+	if len(blocks) == 1 {
+		ix.buildOne(blocks[0], keyIdx)
+		return
+	}
+	largest := 0
+	for _, b := range blocks {
+		largest = max(largest, b.n)
+	}
+	ix.shift = uint(bits.Len(uint(largest)))
+	if uint64(len(blocks))<<ix.shift > math.MaxInt32 {
+		// Entries cannot address this many blocks of this size: index one
+		// copy of the rows instead.
+		ix.buildOne(concatBlocks(blocks[0].width, blocks), keyIdx)
+		return
+	}
+	ix.blocks = blocks
+	ix.base = emptied(ix.base, len(blocks))
+	g := 0
+	for _, b := range blocks {
+		ix.base = append(ix.base, int32(g))
+		g += b.n
+	}
+	ix.index(keyIdx)
+}
+
+// buildOne is build over a single block.
+func (ix *joinIndex) buildOne(b Block, keyIdx []int) {
+	ix.blocks, ix.one = nil, b
+	ix.index(keyIdx)
+}
+
+// nblocks and block enumerate the indexed blocks.
+func (ix *joinIndex) nblocks() int {
+	if ix.blocks == nil {
+		return 1
+	}
+	return len(ix.blocks)
+}
+
+func (ix *joinIndex) block(bi int) Block {
+	if ix.blocks == nil {
+		return ix.one
+	}
+	return ix.blocks[bi]
+}
+
+// index fills the head map and the chain over the blocks build chose.
+func (ix *joinIndex) index(keyIdx []int) {
+	total := 0
+	for bi := 0; bi < ix.nblocks(); bi++ {
+		total += ix.block(bi).n
+	}
+	ix.keyIdx, ix.exact = keyIdx, len(keyIdx) <= 2
 	// Every link is written below, so stale ones need no clearing.
-	ix.next = emptied(ix.next, len(rows))[:len(rows)]
+	ix.next = emptied(ix.next, total)[:total]
+	g := 0
 	if len(keyIdx) == 1 {
-		ix.sized1 = max(ix.sized1, len(rows))
+		ix.sized1 = max(ix.sized1, total)
 		if ix.head1 == nil {
-			ix.head1 = make(map[rdf.ID]int32, len(rows))
+			ix.head1 = make(map[rdf.ID]int32, total)
 		} else {
 			clear(ix.head1)
 		}
 		ki := keyIdx[0]
-		for i, r := range rows {
-			k := r[ki]
-			ix.next[i] = ix.head1[k]
-			ix.head1[k] = int32(i + 1)
+		for bi := 0; bi < ix.nblocks(); bi++ {
+			b := ix.block(bi)
+			for r := 0; r < b.n; r++ {
+				k := b.ids[r*b.width+ki]
+				ix.next[g] = ix.head1[k]
+				ix.head1[k] = int32(bi<<ix.shift|r) + 1
+				g++
+			}
 		}
 		return
 	}
-	ix.sizedN = max(ix.sizedN, len(rows))
+	ix.sizedN = max(ix.sizedN, total)
 	if ix.headN == nil {
-		ix.headN = make(map[uint64]int32, len(rows))
+		ix.headN = make(map[uint64]int32, total)
 	} else {
 		clear(ix.headN)
 	}
-	for i, r := range rows {
-		k, _ := packKey(r, keyIdx)
-		ix.next[i] = ix.headN[k]
-		ix.headN[k] = int32(i + 1)
+	for bi := 0; bi < ix.nblocks(); bi++ {
+		b := ix.block(bi)
+		for r := 0; r < b.n; r++ {
+			k, _ := packKey(b.Row(r), keyIdx)
+			ix.next[g] = ix.headN[k]
+			ix.headN[k] = int32(bi<<ix.shift|r) + 1
+			g++
+		}
 	}
 }
 
-// first returns the 1-based head of the chain for probe row pr's key
+// first returns the head entry of the chain for probe row pr's key
 // columns, or 0 when no build row shares the packed key.
 func (ix *joinIndex) first(pr Row, probeIdx []int) int32 {
 	if len(ix.keyIdx) == 1 {
@@ -173,10 +252,21 @@ func (ix *joinIndex) first(pr Row, probeIdx []int) int32 {
 	return ix.headN[k]
 }
 
-// match reports whether chain entry i (1-based) genuinely matches pr,
-// re-checking the key columns when the packed key is a lossy hash.
-func (ix *joinIndex) match(i int32, pr Row, probeIdx []int) bool {
-	return ix.exact || keysEqual(ix.rows[i-1], ix.keyIdx, pr, probeIdx)
+// entry resolves chain entry i (non-zero) to its build row and the entry
+// after it on the chain.
+func (ix *joinIndex) entry(i int32) (row Row, next int32) {
+	loc := int(i - 1)
+	if ix.blocks == nil {
+		return ix.one.Row(loc), ix.next[loc]
+	}
+	b, r := loc>>ix.shift, loc&(1<<ix.shift-1)
+	return ix.blocks[b].Row(r), ix.next[int(ix.base[b])+r]
+}
+
+// match reports whether build row br genuinely matches pr, re-checking
+// the key columns when the packed key is a lossy hash.
+func (ix *joinIndex) match(br, pr Row, probeIdx []int) bool {
+	return ix.exact || keysEqual(br, ix.keyIdx, pr, probeIdx)
 }
 
 // joinEmit is a probe's emission layout: which input the build side
@@ -209,10 +299,12 @@ func (e *joinEmit) appendTo(arena *RowArena, br, pr Row) {
 // starting at head.
 func (ix *joinIndex) countChain(head int32, pr Row, probeIdx []int) int {
 	n := 0
-	for i := head; i != 0; i = ix.next[i-1] {
-		if ix.match(i, pr, probeIdx) {
+	for i := head; i != 0; {
+		br, next := ix.entry(i)
+		if ix.match(br, pr, probeIdx) {
 			n++
 		}
+		i = next
 	}
 	return n
 }
@@ -223,17 +315,20 @@ func (ix *joinIndex) countChain(head int32, pr Row, probeIdx []int) int {
 // materialized, sharded or streaming — is written by this loop.
 func (ix *joinIndex) emitChain(head int32, pr Row, probeIdx []int, e *joinEmit, arena *RowArena) int {
 	n := 0
-	for i := head; i != 0; i = ix.next[i-1] {
-		if ix.match(i, pr, probeIdx) {
-			e.appendTo(arena, ix.rows[i-1], pr)
+	for i := head; i != 0; {
+		br, next := ix.entry(i)
+		if ix.match(br, pr, probeIdx) {
+			e.appendTo(arena, br, pr)
 			n++
 		}
+		i = next
 	}
 	return n
 }
 
-// headsPool recycles the chain-head scratch of probeBatch calls that
-// bring none, so a probe allocates nothing per probe row.
+// headsPool recycles []int32 scratch — the chain heads of probeBatch
+// calls that bring none, the kept row numbers of Block.Select — so a
+// probe or a filter allocates nothing per input row.
 var headsPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // probeBatch joins a batch of probe rows against the index,
@@ -243,25 +338,28 @@ var headsPool = sync.Pool{New: func() any { return new([]int32) }}
 // sized for exactly that count, walking the remembered heads instead
 // of hashing again. With a scratch the heads and the arena are its
 // own, reused, and the result lives in s.Out until that is next used;
-// with nil the heads are pooled and the arena is fresh. A batch that
-// emits nothing returns nil without allocating, so a selective probe
-// costs memory for its output, not its input.
-func (ix *joinIndex) probeBatch(probe []Row, probeIdx []int, e *joinEmit, s *KernelScratch) []Row {
+// with nil the heads are pooled and the output is one fresh, exactly
+// sized allocation. A batch that emits nothing returns an empty block
+// without allocating, so a selective probe costs memory for its output,
+// not its input.
+func (ix *joinIndex) probeBatch(probe Block, probeIdx []int, e *joinEmit, s *KernelScratch) Block {
 	var heads []int32
-	arena := new(RowArena)
+	var arena RowArena
+	out := &arena
 	if s != nil {
-		s.heads = emptied(s.heads, len(probe))
-		heads, arena = s.heads[:len(probe)], &s.Out
+		s.heads = emptied(s.heads, probe.n)
+		heads, out = s.heads[:probe.n], &s.Out
 	} else {
 		hp := headsPool.Get().(*[]int32)
 		defer headsPool.Put(hp)
-		if cap(*hp) < len(probe) {
-			*hp = make([]int32, len(probe))
+		if cap(*hp) < probe.n {
+			*hp = make([]int32, probe.n)
 		}
-		heads = (*hp)[:len(probe)]
+		heads = (*hp)[:probe.n]
 	}
 	total := 0
-	for k, pr := range probe {
+	for k := range heads {
+		pr := probe.Row(k)
 		heads[k] = ix.first(pr, probeIdx)
 		n := ix.countChain(heads[k], pr, probeIdx)
 		if n == 0 && e.nullRight != nil {
@@ -270,24 +368,27 @@ func (ix *joinIndex) probeBatch(probe []Row, probeIdx []int, e *joinEmit, s *Ker
 		total += n
 	}
 	if total == 0 {
-		return nil
+		return emptyBlock(e.width)
 	}
-	arena.Reset(e.width, total)
-	for k, pr := range probe {
-		if ix.emitChain(heads[k], pr, probeIdx, e, arena) == 0 && e.nullRight != nil {
-			e.appendTo(arena, e.nullRight, pr)
+	out.Reset(e.width, total)
+	for k, head := range heads {
+		pr := probe.Row(k)
+		if ix.emitChain(head, pr, probeIdx, e, out) == 0 && e.nullRight != nil {
+			e.appendTo(out, e.nullRight, pr)
 		}
 	}
-	return arena.Rows()
+	return out.Block()
 }
 
 // rowSet is a chained hash set over whole rows, used by Distinct. Like
-// joinIndex it allocates only its head map and chain, and re-checks
-// hashed (wide-row) keys column-wise so collisions never drop rows.
+// joinIndex it allocates only its head map and chain, plus one flat
+// buffer the inserted rows are copied into — so its rows are a block of
+// its own, in first-seen order — and re-checks hashed (wide-row) keys
+// column-wise so collisions never drop rows.
 type rowSet struct {
 	head   map[uint64]int32
 	next   []int32
-	rows   []Row
+	rows   RowArena
 	keyIdx []int
 	// sized is the largest hint since head was made; see joinIndex.sized1.
 	sized int
@@ -316,26 +417,27 @@ func (s *rowSet) reset(width, capHint int) {
 	}
 	s.sized = max(s.sized, capHint)
 	s.next = emptied(s.next, capHint)
-	s.rows = emptied(s.rows, capHint)
+	s.rows.Reset(width, capHint)
 }
 
 // largestBuffer is joinIndex.largestBuffer for the set.
 func (s *rowSet) largestBuffer() int {
-	return max(cap(s.next)*4, cap(s.rows)*int(unsafe.Sizeof(Row(nil))), s.sized*headNEntryBytes)
+	return max(cap(s.next)*4, s.rows.largestBuffer(), s.sized*headNEntryBytes)
 }
 
-// insert adds r unless an equal row is already present, reporting
-// whether r was new. Inserted rows are retained (not copied) in
-// first-seen order; see rows.
+// insert adds a copy of r unless an equal row is already present,
+// reporting whether r was new.
 func (s *rowSet) insert(r Row) bool {
 	k, exact := packKey(r, s.keyIdx)
+	w := s.rows.width
 	for i := s.head[k]; i != 0; i = s.next[i-1] {
-		if exact || keysEqual(s.rows[i-1], s.keyIdx, r, s.keyIdx) {
+		at := int(i-1) * w
+		if exact || keysEqual(s.rows.buf[at:at+w], s.keyIdx, r, s.keyIdx) {
 			return false
 		}
 	}
-	s.rows = append(s.rows, r)
+	s.rows.AppendCopy(r)
 	s.next = append(s.next, s.head[k])
-	s.head[k] = int32(len(s.rows))
+	s.head[k] = int32(s.rows.n)
 	return true
 }

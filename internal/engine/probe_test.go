@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/rdf"
 )
 
@@ -116,10 +118,13 @@ func TestProbeBatchMatchesReference(t *testing.T) {
 						for _, col := range []int{2, 1, 0}[nKeys:] {
 							rs[col] += "'"
 						}
+						// The streaming build indexes its sink's batches where
+						// they lie: several blocks of uneven sizes, one empty.
 						sj := NewStreamJoin(ls, rs, keep)
-						hash := sj.Build(build, buildLeft)
+						hash := sj.BuildBlocks(splitBlocks(buildW, build), buildLeft)
+						probeBlock := NewBlock(probeW, probe)
 						wantS := refProbe(build, probe, buildKey, probeKey, buildLeft, sj.lKeep, sj.rKeep, nil)
-						if got := hash.ProbeBatch(probe, false); !sameRows(got, wantS) {
+						if got := hash.ProbeBatch(probeBlock, false).Rows(); !sameRows(got, wantS) {
 							t.Errorf("%s: ProbeBatch = %v, want %v", name, got, wantS)
 						}
 						arena := NewRowArena(len(sj.OutSchema()), 0)
@@ -135,7 +140,7 @@ func TestProbeBatchMatchesReference(t *testing.T) {
 						}
 						nullRight := make(Row, len(right))
 						wantO := refProbe(build, probe, buildKey, probeKey, false, sj.lKeep, sj.rKeep, nullRight)
-						if got := hash.ProbeBatch(probe, true); !sameRows(got, wantO) {
+						if got := hash.ProbeBatch(probeBlock, true).Rows(); !sameRows(got, wantO) {
 							t.Errorf("%s: outer ProbeBatch = %v, want %v", name, got, wantO)
 						}
 						if !pruned {
@@ -152,6 +157,16 @@ func TestProbeBatchMatchesReference(t *testing.T) {
 	testCollideHashedKeys = false
 }
 
+// splitBlocks copies rows into blocks of 1, 3, 9, … rows, with an empty
+// block after the first.
+func splitBlocks(width int, rows []Row) []Block {
+	out := []Block{NewBlock(width, rows[:min(1, len(rows))]), NewBlock(width, nil)}
+	for lo, size := min(1, len(rows)), 3; lo < len(rows); lo, size = lo+size, size*3 {
+		out = append(out, NewBlock(width, rows[lo:min(lo+size, len(rows))]))
+	}
+	return out
+}
+
 // sameRows compares row lists positionally, treating nil and empty
 // alike.
 func sameRows(a, b []Row) bool {
@@ -165,21 +180,23 @@ func sameRows(a, b []Row) bool {
 // runs) the pooled chain-head slice again.
 func TestProbeAllMissAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	build := randomRows(rng, 2, 500, 400)
-	jp := NewJoinProbe(build, []int{0})
-	hash := NewStreamJoin(Schema{"k", "p"}, Schema{"k", "b"}, nil).Build(build, false)
+	build := NewBlock(2, randomRows(rng, 2, 500, 400))
+	ix := buildJoinIndex([]Block{build}, []int{0})
+	hash := NewStreamJoin(Schema{"k", "p"}, Schema{"k", "b"}, nil).BuildBlocks(splitBlocks(2, build.Rows()), false)
 	const poolRefill = 2 // the pooled *[]int32 and its backing array
 	for _, n := range []int{100, 10000} {
-		probe := randomRows(rng, 2, n, 400)
-		for _, pr := range probe {
+		rows := randomRows(rng, 2, n, 400)
+		for _, pr := range rows {
 			pr[0] += 1000
 		}
-		var out []Row
-		if a := testing.AllocsPerRun(20, func() { out = jp.Probe(probe, []int{0}, false, 3, nil, []int{1}) }); a > poolRefill || out != nil {
-			t.Errorf("JoinProbe.Probe of %d missing rows: %v allocations, %d rows", n, a, len(out))
+		probe := NewBlock(2, rows)
+		var out Block
+		emit := joinEmit{width: 3, rKeep: []int{1}}
+		if a := testing.AllocsPerRun(20, func() { out = ix.probeBatch(probe, []int{0}, &emit, nil) }); a > poolRefill || out.Len() != 0 {
+			t.Errorf("broadcast probe of %d missing rows: %v allocations, %d rows", n, a, out.Len())
 		}
-		if a := testing.AllocsPerRun(20, func() { out = hash.ProbeBatch(probe, false) }); a > poolRefill || out != nil {
-			t.Errorf("ProbeBatch of %d missing rows: %v allocations, %d rows", n, a, len(out))
+		if a := testing.AllocsPerRun(20, func() { out = hash.ProbeBatch(probe, false) }); a > poolRefill || out.Len() != 0 {
+			t.Errorf("ProbeBatch of %d missing rows: %v allocations, %d rows", n, a, out.Len())
 		}
 	}
 }
@@ -215,43 +232,96 @@ func TestKernelScratchMatchesOneShotKernels(t *testing.T) {
 		}
 		size := func() int { return []int{0, 1, 7, 60, 500}[rng.Intn(5)] }
 		l, r := randomRows(rng, 4, size(), 6), randomRows(rng, 4, size(), 6)
-		var got, want []Row
+		lb, rb := NewBlock(4, l), NewBlock(4, r)
+		var got Block
+		var want []Row
 		var again func()
 		switch rng.Intn(4) {
 		case 0:
-			again = func() { got = s.JoinPartition(l, r, lKey, rKey, width, lKeep, rKeep) }
+			again = func() { got = s.JoinPartition(lb, rb, lKey, rKey, width, lKeep, rKeep) }
 			want = JoinPartitionKernel(l, r, lKey, rKey, width, lKeep, rKeep)
 		case 1:
-			s.Build(l, lKey)
+			s.Build([]Block{lb}, lKey)
 			jp := NewJoinProbe(l, lKey)
 			for p := 0; p < 3; p++ {
 				part := randomRows(rng, 4, size(), 6)
-				got, want = s.Probe(part, rKey, true, width, lKeep, rKeep), jp.Probe(part, rKey, true, width, lKeep, rKeep)
-				if !sameRowContents(got, want) {
-					t.Fatalf("iter %d: Probe of partition %d returned %d rows, JoinProbe.Probe %d", iter, p, len(got), len(want))
+				got, want = s.Probe(NewBlock(4, part), rKey, true, width, lKeep, rKeep), jp.Probe(part, rKey, true, width, lKeep, rKeep)
+				if !sameRowContents(got.Rows(), want) {
+					t.Fatalf("iter %d: Probe of partition %d returned %d rows, JoinProbe.Probe %d", iter, p, got.Len(), len(want))
 				}
 			}
-			again = func() { got = s.Probe(r, rKey, true, width, lKeep, rKeep) }
+			again = func() { got = s.Probe(rb, rKey, true, width, lKeep, rKeep) }
 			want = jp.Probe(r, rKey, true, width, lKeep, rKeep)
 		case 2:
-			small := r[:min(len(r), 3)]
-			again = func() { got = s.Cartesian(l, small, false, width, lKeep, rKeep) }
-			want = CartesianKernel(l, small, false, width, lKeep, rKeep)
+			small := rb.Slice(0, min(rb.Len(), 3))
+			again = func() { got = s.Cartesian(lb, []Block{small}, false, width, lKeep, rKeep) }
+			want = CartesianKernel(l, small.Rows(), false, width, lKeep, rKeep)
 		case 3:
-			again = func() { got = s.Distinct(l, 4) }
+			again = func() { got = s.Distinct(lb, 4) }
 			want = DistinctKernel(l, 4)
 		}
 		again()
-		if !sameRowContents(got, want) {
-			t.Fatalf("iter %d: scratch kernel returned %d rows, one-shot kernel %d", iter, len(got), len(want))
+		if !sameRowContents(got.Rows(), want) {
+			t.Fatalf("iter %d: scratch kernel returned %d rows, one-shot kernel %d", iter, got.Len(), len(want))
 		}
-		if a := testing.AllocsPerRun(3, again); a != 0 || !sameRowContents(got, want) {
-			t.Fatalf("iter %d: the same call on the warm scratch allocates %v times (rows equal: %v)", iter, a, sameRowContents(got, want))
+		if a := testing.AllocsPerRun(3, again); a != 0 || !sameRowContents(got.Rows(), want) {
+			t.Fatalf("iter %d: the same call on the warm scratch allocates %v times (rows equal: %v)", iter, a, sameRowContents(got.Rows(), want))
 		}
 		if iter%50 == 49 {
 			const limit = 4 << 10
 			if s.Trim(limit); s.LargestBuffer() > limit {
 				t.Fatalf("iter %d: a %d-byte buffer survives Trim(%d)", iter, s.LargestBuffer(), limit)
+			}
+		}
+	}
+}
+
+// TestJoinOutputPartitionAllocatesOnce: an output partition of a shuffle
+// join or a broadcast probe is one allocation, whatever its row count.
+// The same join is run with every probe row matching and with none, over
+// a build side of one row per partition claimed partitioned on the key,
+// so neither side moves and the runs differ only in their output. The
+// collector is off while it counts: a collection empties the pool the
+// probes' chain heads come from, and refilling it is not the output's
+// cost.
+func TestJoinOutputPartitionAllocatesOnce(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const parts = 8
+	c := cluster.MustNew(cluster.Config{Workers: 3, DefaultPartitions: parts})
+	keyed := func(schema Schema, perPart int, key func(p int) rdf.ID) *Relation {
+		rows := make([][]Row, parts)
+		for p := range rows {
+			for i := 0; i < perPart; i++ {
+				rows[p] = append(rows[p], Row{key(p), rdf.ID(i)})
+			}
+		}
+		return NewRelation(schema, rows, "k")
+	}
+	build := keyed(Schema{"k", "b"}, 1, func(p int) rdf.ID { return rdf.ID(p + 1) })
+	for _, strategy := range []JoinStrategy{StrategyShuffle, StrategyBroadcast} {
+		for _, perPart := range []int{100, 10_000} {
+			allocs := func(hit bool) float64 {
+				probe := keyed(Schema{"k", "a"}, perPart, func(p int) rdf.ID {
+					if hit {
+						return rdf.ID(p + 1)
+					}
+					return rdf.ID(p + 1001)
+				})
+				want := 0
+				if hit {
+					want = parts * perPart
+				}
+				e := NewExec(c, nil)
+				return testing.AllocsPerRun(20, func() {
+					out, err := e.JoinWith(probe, build, "pin", strategy)
+					if err != nil || out.NumRows() != want {
+						t.Fatalf("join: %d rows, want %d (err %v)", out.NumRows(), want, err)
+					}
+				})
+			}
+			if extra := allocs(true) - allocs(false); extra != parts {
+				t.Errorf("strategy %d, %d rows per partition: %d output partitions cost %.0f allocations, want %d",
+					strategy, perPart, parts, extra, parts)
 			}
 		}
 	}

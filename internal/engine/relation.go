@@ -12,22 +12,32 @@
 // relation already hash-partitioned on the join key — single- or
 // multi-column — is not moved).
 //
+// Rows are stored the way Spark SQL's operators pass them, as flat
+// binary buffers: a partition is a Block — a width, a row count and one
+// []rdf.ID of width×count IDs, with no per-row slice header and no
+// pointer for the collector to chase. A Row is only ever a view of a
+// block (Block.Row), made on the stack while an operator reads it.
+// Operators that keep every row share the input's blocks (an unfiltered
+// scan, Rename, UnionAll) or slices of them (Limit); operators that drop
+// or reshape rows write a new block through RowArena, sized from a known
+// cardinality, so an output partition is one allocation whatever its row
+// count.
+//
 // The join/shuffle/distinct hot path is allocation-light by design:
 // rows are dictionary-encoded, so join keys of one or two columns pack
 // losslessly into the hash-table key (no materialization at all) and
 // wider keys fold to a uint64 hash with a column-wise re-check on
-// collision (key.go); hash joins probe a chained index that allocates
-// only its head map and chain (joinIndex); and operators emit output
-// rows into one flat per-partition backing buffer (RowArena) instead
-// of allocating each row separately. Partition tasks run with real
-// goroutine parallelism under cluster.RunStage; all per-partition
-// state (arena, index, output slot) is task-local, and broadcast-join
-// indexes are built once and probed read-only.
+// collision (key.go); hash joins probe a chained index over the build
+// side's blocks, as many as it has, that allocates only its head map and
+// chain (joinIndex); and a shuffle counts its targets before it copies,
+// so every target partition lands in one allocation. Partition tasks run
+// with real goroutine parallelism under cluster.RunStage; all
+// per-partition state (arena, index, output slot) is task-local, and
+// broadcast-join indexes are built once and probed read-only.
 package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/rdf"
@@ -79,11 +89,12 @@ const BytesPerValue = 5
 // bytesPerValue is the package-internal alias.
 const bytesPerValue = BytesPerValue
 
-// Relation is an immutable, partitioned table of rows. Operators never
-// mutate their inputs; they build new relations.
+// Relation is an immutable, partitioned table of rows: one Block per
+// partition. Operators never mutate their inputs; they build new
+// relations, which may share their inputs' blocks.
 type Relation struct {
 	schema Schema
-	parts  [][]Row
+	parts  []Block
 	// partCols are the columns the partitions are hash-distributed by,
 	// in the exact order the shuffle hashed them (nil when the layout
 	// is arbitrary). Joins shuffling on the same column sequence skip
@@ -91,10 +102,10 @@ type Relation struct {
 	partCols []string
 }
 
-// NewRelation builds a relation directly from pre-partitioned rows. The
-// caller asserts that rows are hash-partitioned by partKey (or passes ""
-// if the layout is arbitrary).
-func NewRelation(schema Schema, parts [][]Row, partKey string) *Relation {
+// NewBlockRelation builds a relation directly from pre-partitioned
+// blocks, which it adopts. The caller asserts that rows are
+// hash-partitioned by partKey (or passes "" if the layout is arbitrary).
+func NewBlockRelation(schema Schema, parts []Block, partKey string) *Relation {
 	r := &Relation{schema: schema.Clone(), parts: parts}
 	if partKey != "" {
 		r.partCols = []string{partKey}
@@ -102,12 +113,13 @@ func NewRelation(schema Schema, parts [][]Row, partKey string) *Relation {
 	return r
 }
 
-// Partition hash-distributes rows by the key column into n partitions.
-// It performs no cost charging: loaders charge their own load stages.
-// Placement uses the engine's canonical row-key hash, so every relation
-// carrying a partition key is laid out identically and joins on that key
-// can skip the shuffle outright.
-func Partition(schema Schema, rows []Row, key string, n int) (*Relation, error) {
+// PartitionBlock hash-distributes rows by the key column into n
+// partitions, all of them in one allocation of IDs. It performs no cost
+// charging: loaders charge their own load stages. Placement uses the
+// engine's canonical row-key hash, so every relation carrying a
+// partition key is laid out identically and joins on that key can skip
+// the shuffle outright.
+func PartitionBlock(schema Schema, rows Block, key string, n int) (*Relation, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("engine: partition count %d must be positive", n)
 	}
@@ -115,11 +127,19 @@ func Partition(schema Schema, rows []Row, key string, n int) (*Relation, error) 
 	if ki < 0 {
 		return nil, fmt.Errorf("engine: partition key %q not in schema %v", key, schema)
 	}
-	keyIdx := []int{ki}
-	parts := make([][]Row, n)
-	for _, r := range rows {
-		p := cluster.HashPartition(hashRowKey(r, keyIdx), n)
-		parts[p] = append(parts[p], r)
+	width := len(schema)
+	if rows.n > 0 && rows.width != width {
+		return nil, fmt.Errorf("engine: rows of width %d under schema %v", rows.width, schema)
+	}
+	counts := make([]int, n)
+	for i := 0; i < rows.n; i++ {
+		counts[PartitionFor(rows.Row(i)[ki], n)]++
+	}
+	parts, fill, ids := LayoutBlocks(width, counts)
+	for i := 0; i < rows.n; i++ {
+		r := rows.Row(i)
+		p := PartitionFor(r[ki], n)
+		fill[p] += copy(ids[fill[p]:], r)
 	}
 	return &Relation{schema: schema.Clone(), parts: parts, partCols: []string{key}}, nil
 }
@@ -144,45 +164,20 @@ func (r *Relation) PartitionKey() string {
 // by, in shuffle-hash order, or nil. The returned slice is a copy.
 func (r *Relation) PartitionCols() []string { return cloneCols(r.partCols) }
 
-// Part returns one partition's rows. Callers must not mutate them.
-func (r *Relation) Part(i int) []Row { return r.parts[i] }
+// Part returns one partition's block.
+func (r *Relation) Part(i int) Block { return r.parts[i] }
 
-// Parts returns every partition's rows, in the relation's own storage:
-// read-only, like Part.
-func (r *Relation) Parts() [][]Row { return r.parts }
+// Parts returns every partition's block, in the relation's own slice:
+// read-only, like the blocks.
+func (r *Relation) Parts() []Block { return r.parts }
 
 // NumRows returns the total row count across partitions.
-func (r *Relation) NumRows() int {
-	n := 0
-	for _, p := range r.parts {
-		n += len(p)
-	}
-	return n
-}
+func (r *Relation) NumRows() int { return totalRows(r.parts) }
 
 // EstimatedBytes approximates the relation's wire footprint, the input
 // to broadcast-join selection.
 func (r *Relation) EstimatedBytes() int64 {
 	return int64(r.NumRows()) * int64(len(r.schema)) * bytesPerValue
-}
-
-// Rows gathers every partition's rows into one slice (driver-side
-// materialization without cost accounting; use Exec.Collect inside
-// queries).
-func (r *Relation) Rows() []Row {
-	out := make([]Row, 0, r.NumRows())
-	for _, p := range r.parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// SortedRows returns all rows sorted lexicographically, for
-// deterministic test assertions.
-func (r *Relation) SortedRows() []Row {
-	rows := r.Rows()
-	sort.Slice(rows, func(i, j int) bool { return lessRows(rows[i], rows[j]) })
-	return rows
 }
 
 func lessRows(a, b Row) bool {
@@ -195,11 +190,11 @@ func lessRows(a, b Row) bool {
 }
 
 // PartitionFor returns the canonical partition index for a
-// single-column key value — the placement used by Partition, shuffles
-// and join outputs alike. Storage layers partition their files with it
+// single-column key value — the placement used by PartitionBlock,
+// shuffles and join outputs alike (hashRowKey over one column). Storage layers partition their files with it
 // so scans produce relations whose joins on the key skip the shuffle.
 func PartitionFor(v rdf.ID, n int) int {
-	return cluster.HashPartition(hashRowKey(Row{v}, []int{0}), n)
+	return cluster.HashPartition((fnvOffset^uint64(v))*fnvPrime, n)
 }
 
 // hashRowKey combines the values at key positions into a shuffle hash.

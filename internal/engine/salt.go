@@ -116,9 +116,9 @@ func sampleSuggestsHotKey(rel *Relation, keyIdx []int, frac float64) bool {
 	counts := make(map[uint64]int, saltSampleSize)
 	sampled, max, next := 0, 0, 0
 	for p := 0; p < rel.Partitions(); p++ {
-		rows := rel.Part(p)
-		for next < len(rows) {
-			h := hashRowKey(rows[next], keyIdx)
+		rows := rel.parts[p]
+		for next < rows.n {
+			h := hashRowKey(rows.Row(next), keyIdx)
 			c := counts[h] + 1
 			counts[h] = c
 			if c > max {
@@ -127,7 +127,7 @@ func sampleSuggestsHotKey(rel *Relation, keyIdx []int, frac float64) bool {
 			sampled++
 			next += stride
 		}
-		next -= len(rows)
+		next -= rows.n
 	}
 	return sampled > 0 && float64(max) >= 0.5*frac*float64(sampled)
 }
@@ -135,9 +135,9 @@ func sampleSuggestsHotKey(rel *Relation, keyIdx []int, frac float64) bool {
 // keyHistogram counts rows per join-key hash across all partitions.
 func keyHistogram(rel *Relation, keyIdx []int) map[uint64]int {
 	counts := make(map[uint64]int, 256)
-	for p := 0; p < rel.Partitions(); p++ {
-		for _, r := range rel.Part(p) {
-			counts[hashRowKey(r, keyIdx)]++
+	for _, part := range rel.parts {
+		for i := 0; i < part.n; i++ {
+			counts[hashRowKey(part.Row(i), keyIdx)]++
 		}
 	}
 	return counts
@@ -163,34 +163,49 @@ func saltTargets(h uint64, workers, n int) []int {
 // saltedShuffleRows hash-repartitions one side of a salted shuffle:
 // non-hot rows place canonically, the spread side's hot rows
 // round-robin over their key's target partitions, and the replicating
-// side's hot rows land once in every target partition. It returns the
-// new partitions and, per target partition, the network bytes that
-// landed there (replicas ship — and are charged — per copy).
-func saltedShuffleRows(rel *Relation, keyIdx []int, n int, salted map[uint64]*saltedKey, isLeft bool) ([][]Row, []int64) {
-	parts := make([][]Row, n)
-	moved := make([]int64, n)
-	rowB := int64(len(rel.schema)) * bytesPerValue
-	for pi := 0; pi < rel.Partitions(); pi++ {
-		for _, r := range rel.Part(pi) {
-			h := hashRowKey(r, keyIdx)
-			sk := salted[h]
-			switch {
-			case sk == nil:
-				p := cluster.HashPartition(h, n)
-				parts[p] = append(parts[p], r)
-				moved[p] += rowB
-			case sk.spreadLeft == isLeft:
-				p := sk.targets[sk.next%len(sk.targets)]
-				sk.next++
-				parts[p] = append(parts[p], r)
-				moved[p] += rowB
-			default:
-				for _, p := range sk.targets {
-					parts[p] = append(parts[p], r)
-					moved[p] += rowB
-				}
+// side's hot rows land once in every target partition. Like shuffleRows
+// it counts every target before it copies, so the partitions are one
+// allocation of IDs; the round-robin cursors are rewound between the
+// two passes, so both route every row alike. It returns the new
+// partitions and, per target partition, the network bytes that landed
+// there (replicas ship — and are charged — per copy).
+func saltedShuffleRows(rel *Relation, keyIdx []int, n int, salted map[uint64]*saltedKey, isLeft bool) ([]Block, []int64) {
+	route := func(r Row, emit func(p int)) {
+		h := hashRowKey(r, keyIdx)
+		sk := salted[h]
+		switch {
+		case sk == nil:
+			emit(cluster.HashPartition(h, n))
+		case sk.spreadLeft == isLeft:
+			emit(sk.targets[sk.next%len(sk.targets)])
+			sk.next++
+		default:
+			for _, p := range sk.targets {
+				emit(p)
 			}
 		}
 	}
-	return parts, moved
+	width := len(rel.schema)
+	counts := make([]int, n)
+	count := func(p int) { counts[p]++ }
+	for _, part := range rel.parts {
+		for i := 0; i < part.n; i++ {
+			route(part.Row(i), count)
+		}
+	}
+	for _, sk := range salted {
+		if sk.spreadLeft == isLeft {
+			sk.next = 0
+		}
+	}
+	parts, fill, ids := LayoutBlocks(width, counts)
+	var row Row
+	put := func(p int) { fill[p] += copy(ids[fill[p]:], row) }
+	for _, part := range rel.parts {
+		for i := 0; i < part.n; i++ {
+			row = part.Row(i)
+			route(row, put)
+		}
+	}
+	return parts, movedBytes(counts, width)
 }

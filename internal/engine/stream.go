@@ -6,9 +6,9 @@ package engine
 // exports exactly the pieces it needs — join layout, chained hash
 // index, row dedup set — as thin wrappers so the streaming path emits
 // rows through the same packKey/joinLayout/arena machinery the
-// materialized operators use. Sharing those code paths, not just the
-// semantics, is what keeps the two execution modes byte-identical on
-// SortedRows.
+// materialized operators use. A batch is a Block, like a partition.
+// Sharing those code paths, not just the semantics, is what keeps the
+// two execution modes byte-identical on SortedRows.
 
 // StreamJoin is one hash join's precomputed layout: output schema,
 // emission index lists and per-side key columns, fixed at
@@ -49,15 +49,16 @@ func (j *StreamJoin) OutSchema() Schema { return j.out }
 // Shared returns the join variables.
 func (j *StreamJoin) Shared() []string { return j.shared }
 
-// Build indexes the buffered build side. Build rows must be stable
-// (the index and probes retain them); arena-backed rows qualify.
-func (j *StreamJoin) Build(buildRows []Row, buildIsLeft bool) *StreamHash {
+// BuildBlocks indexes the buffered build side where it lies: the
+// blocks, in order, are what the index and its probes read, so they must
+// stay unchanged while the hash is in use.
+func (j *StreamJoin) BuildBlocks(blocks []Block, buildIsLeft bool) *StreamHash {
 	buildKey, probeKey := j.rKey, j.lKey
 	if buildIsLeft {
 		buildKey, probeKey = j.lKey, j.rKey
 	}
 	return &StreamHash{
-		ix:        buildJoinIndex(buildRows, buildKey),
+		ix:        buildJoinIndex(blocks, buildKey),
 		probeKey:  probeKey,
 		emit:      joinEmit{buildLeft: buildIsLeft, width: len(j.out), lKeep: j.lKeep, rKeep: j.rKeep},
 		nullRight: j.nullRight,
@@ -73,19 +74,13 @@ type StreamHash struct {
 	nullRight Row
 }
 
-// Probe appends every join match of probe row pr into arena and
-// returns the number of rows emitted.
-func (h *StreamHash) Probe(pr Row, arena *RowArena) int {
-	return h.ix.emitChain(h.ix.first(pr, h.probeKey), pr, h.probeKey, &h.emit, arena)
-}
-
-// ProbeBatch joins one batch of probe rows against the table into an
-// arena sized by the batch's match count (nil when nothing matches).
-// With outer set the probe has left-outer semantics — a probe row with
-// no match emits once, padded with NullID in the right-only columns —
-// which requires the build side to be the right (optional) input
-// (buildIsLeft=false at Build time).
-func (h *StreamHash) ProbeBatch(probe []Row, outer bool) []Row {
+// ProbeBatch joins one batch of probe rows against the table into a
+// block sized by the batch's match count (empty, and unallocated, when
+// nothing matches). With outer set the probe has left-outer semantics —
+// a probe row with no match emits once, padded with NullID in the
+// right-only columns — which requires the build side to be the right
+// (optional) input (buildIsLeft=false at build time).
+func (h *StreamHash) ProbeBatch(probe Block, outer bool) Block {
 	e := h.emit
 	if outer {
 		e.nullRight = h.nullRight
@@ -105,13 +100,15 @@ func NewRowDeduper(width, capHint int) *RowDeduper {
 	return &RowDeduper{set: newRowSet(width, capHint)}
 }
 
-// Insert adds r unless an equal row was already seen, reporting
-// whether r was new. r is retained, not copied — callers streaming
-// from reused scratch buffers must copy first.
+// Insert adds a copy of r unless an equal row was already seen,
+// reporting whether r was new.
 func (d *RowDeduper) Insert(r Row) bool { return d.set.insert(r) }
 
-// Rows returns the retained distinct rows in first-seen order.
-func (d *RowDeduper) Rows() []Row { return d.set.rows }
+// Rows returns the distinct rows seen so far, in first-seen order, as a
+// block over the deduper's storage. Rows are only ever appended to it,
+// so the block — or a Slice of it, the rows one batch added — stays
+// valid as later inserts go on.
+func (d *RowDeduper) Rows() Block { return d.set.rows.Block() }
 
 // Len returns the number of distinct rows seen.
-func (d *RowDeduper) Len() int { return len(d.set.rows) }
+func (d *RowDeduper) Len() int { return d.set.rows.n }

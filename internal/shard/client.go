@@ -343,9 +343,9 @@ func (s *session) record(r core.ExchangeRecord) {
 // exchange wall time is the slowest shard's round trip (shards work in
 // parallel). The lowest-index error wins, keeping failures
 // deterministic.
-func (s *session) fanOut(typ byte, req request, total int, decode func(d *dec) [][]engine.Row) (out [][]engine.Row, wireBytes int64, wall time.Duration, err error) {
+func (s *session) fanOut(typ byte, req request, total int, decode func(d *dec) []engine.Block) (out []engine.Block, wireBytes int64, wall time.Duration, err error) {
 	conns := s.c.conns
-	parts := make([][][]engine.Row, len(conns))
+	parts := make([][]engine.Block, len(conns))
 	walls := make([]time.Duration, len(conns))
 	wires := make([]int64, len(conns))
 	errs := make([]error, len(conns))
@@ -365,7 +365,7 @@ func (s *session) fanOut(typ byte, req request, total int, decode func(d *dec) [
 			return nil, 0, 0, e
 		}
 	}
-	out = make([][]engine.Row, total)
+	out = make([]engine.Block, total)
 	for i := range conns {
 		wireBytes += wires[i]
 		wall = max(wall, walls[i])
@@ -379,9 +379,9 @@ func (s *session) fanOut(typ byte, req request, total int, decode func(d *dec) [
 // exchange fans an exchange kernel out — every response is the part set
 // of the kernel's owned output partitions — and records it: rec arrives
 // with the kind, name and byte counts, and leaves with the measurement.
-func (s *session) exchange(typ byte, req *exchangeReq, rec core.ExchangeRecord) (out [][]engine.Row, err error) {
+func (s *session) exchange(typ byte, req *exchangeReq, rec core.ExchangeRecord) (out []engine.Block, err error) {
 	total := len(req.A)
-	out, rec.WireBytes, rec.Wall, err = s.fanOut(typ, req, total, func(d *dec) [][]engine.Row { return d.partSet(total) })
+	out, rec.WireBytes, rec.Wall, err = s.fanOut(typ, req, total, func(d *dec) []engine.Block { return d.partSet(total) })
 	if err == nil {
 		s.record(rec)
 	}
@@ -394,19 +394,15 @@ func (s *session) exchange(typ byte, req *exchangeReq, rec core.ExchangeRecord) 
 // fragments alone; part-set and frame overhead counts toward
 // WireBytes instead, keeping MeasuredBytes comparable with the cost
 // model's per-row prices even for tiny exchanges.
-func partPayloadBytes(parts [][]engine.Row) int64 {
-	var rows int64
-	for _, p := range parts {
-		rows += int64(len(p))
-	}
-	return rows * int64(partsWidth(parts)) * 4
+func partPayloadBytes(parts []engine.Block) int64 {
+	return int64(totalRows(parts)) * int64(partsWidth(parts)) * 4
 }
 
 // ScanNode implements core.DistSession: every shard scans its owned
 // partitions of the node's table with the pushed filters applied
 // shard-side; the merged result and summed processed counts are exactly
 // what the local scan kernels produce.
-func (s *session) ScanNode(planNode int, n *core.Node, filterIdx []int, label string, modeledBytes int64) ([][]engine.Row, []int64, error) {
+func (s *session) ScanNode(planNode int, n *core.Node, filterIdx []int, label string, modeledBytes int64) ([]engine.Block, []int64, error) {
 	filters := make([]sparql.Filter, 0, len(filterIdx))
 	for _, i := range filterIdx {
 		if i < 0 || i >= len(s.filters) {
@@ -416,7 +412,7 @@ func (s *session) ScanNode(planNode int, n *core.Node, filterIdx []int, label st
 	}
 	total := s.c.parts
 	processed := make([]int64, total)
-	out, wireBytes, wall, err := s.fanOut(msgScan, &scanReq{Node: *n, Filters: filters}, total, func(d *dec) [][]engine.Row {
+	out, wireBytes, wall, err := s.fanOut(msgScan, &scanReq{Node: *n, Filters: filters}, total, func(d *dec) []engine.Block {
 		// Each shard fills only the counts of the partitions it owns.
 		return d.scanResp(total, processed)
 	})
@@ -456,7 +452,7 @@ func leafKey(label string, filters []sparql.Filter) string {
 // (aligned on the join key) still crosses the wire — its relation lives
 // coordinator-side — but that relay payload counts only toward
 // WireBytes, keeping MeasuredBytes comparable with the price.
-func (s *session) ShuffleJoin(spec engine.ShuffleSpec, lParts, rParts [][]engine.Row) ([][]engine.Row, error) {
+func (s *session) ShuffleJoin(spec engine.ShuffleSpec, lParts, rParts []engine.Block) ([]engine.Block, error) {
 	var measured int64
 	if spec.LMovedBytes > 0 {
 		measured += partPayloadBytes(lParts)
@@ -472,25 +468,25 @@ func (s *session) ShuffleJoin(spec engine.ShuffleSpec, lParts, rParts [][]engine
 // BroadcastJoin implements engine.Exchanger: the build side ships whole
 // to every shard (one copy each: the measured broadcast payload); the
 // probe side is relay and counts only toward WireBytes.
-func (s *session) BroadcastJoin(spec engine.BroadcastSpec, buildRows []engine.Row, probeParts [][]engine.Row) ([][]engine.Row, error) {
-	measured := partPayloadBytes([][]engine.Row{buildRows}) * int64(len(s.c.conns))
+func (s *session) BroadcastJoin(spec engine.BroadcastSpec, build []engine.Block, probeParts []engine.Block) ([]engine.Block, error) {
+	measured := partPayloadBytes(build) * int64(len(s.c.conns))
 	req := &exchangeReq{KeyA: spec.BuildKey, KeyB: spec.ProbeKey, AIsLeft: spec.BuildIsLeft,
-		OutWidth: spec.OutWidth, LKeep: spec.LKeep, RKeep: spec.RKeep, Whole: buildRows, A: probeParts}
+		OutWidth: spec.OutWidth, LKeep: spec.LKeep, RKeep: spec.RKeep, Whole: build, A: probeParts}
 	return s.exchange(msgBroadcast, req,
 		core.ExchangeRecord{Node: spec.Node, Kind: "broadcast", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
 }
 
 // Cartesian implements engine.Exchanger; like a broadcast join, the
 // small side's shipped copies are the measured payload.
-func (s *session) Cartesian(spec engine.CartesianSpec, smallRows []engine.Row, largeParts [][]engine.Row) ([][]engine.Row, error) {
-	measured := partPayloadBytes([][]engine.Row{smallRows}) * int64(len(s.c.conns))
-	req := &exchangeReq{AIsLeft: spec.SmallIsLeft, OutWidth: spec.OutWidth, LKeep: spec.LKeep, RKeep: spec.RKeep, Whole: smallRows, A: largeParts}
+func (s *session) Cartesian(spec engine.CartesianSpec, small []engine.Block, largeParts []engine.Block) ([]engine.Block, error) {
+	measured := partPayloadBytes(small) * int64(len(s.c.conns))
+	req := &exchangeReq{AIsLeft: spec.SmallIsLeft, OutWidth: spec.OutWidth, LKeep: spec.LKeep, RKeep: spec.RKeep, Whole: small, A: largeParts}
 	return s.exchange(msgCartesian, req,
 		core.ExchangeRecord{Node: spec.Node, Kind: "cartesian", Name: spec.Name, PricedBytes: spec.PricedBytes, MeasuredBytes: measured})
 }
 
 // Distinct implements engine.Exchanger over an already-shuffled input.
-func (s *session) Distinct(spec engine.DistinctSpec, parts [][]engine.Row) ([][]engine.Row, error) {
+func (s *session) Distinct(spec engine.DistinctSpec, parts []engine.Block) ([]engine.Block, error) {
 	var measured int64
 	if spec.PricedBytes > 0 {
 		measured = partPayloadBytes(parts)

@@ -19,13 +19,17 @@
 // travel. The frame checksum is the only integrity check: it covers
 // every payload byte once per direction.
 //
+// A row section is the bytes of an engine.Block — width, count, the IDs
+// row-major — so each end encodes a block with one pass over its IDs and
+// decodes a section into one block, one copy into one flat buffer.
+//
 // The two ends read a message differently. The coordinator decodes a
-// response whole, into exactly sized storage its rows keep for the rest
-// of the query. The server validates a request whole — every section of
-// every part set, before any kernel runs — and then works through it one
-// owned partition at a time: decode that partition's sections into
-// scratch, run the kernel into a reused arena, append the output section
-// to the response frame, reset. What a connection holds between
+// response whole, every section into one exactly sized ID buffer its
+// blocks keep for the rest of the query. The server validates a request
+// whole — every section of every part set, before any kernel runs — and
+// then works through it one owned partition at a time: decode that
+// partition's sections into scratch, run the kernel into a reused arena,
+// append the output section to the response frame, reset. What a connection holds between
 // requests follows the largest partition it has seen, not the largest
 // message, and never exceeds maxRetainBytes per buffer.
 package shard
@@ -112,8 +116,8 @@ type exchangeReq struct {
 	AIsLeft      bool  // broadcast: the build side is the left; cartesian: the small side is
 	OutWidth     int   // distinct: the row width
 	LKeep, RKeep []int
-	Whole        []engine.Row   // broadcast: build side; cartesian: small side
-	A, B         [][]engine.Row // shuffle: left and right; else A alone: probe, large side, distinct input
+	Whole        []engine.Block // broadcast: build side; cartesian: small side — one section, the blocks' rows in order
+	A, B         []engine.Block // shuffle: left and right; else A alone: probe, large side, distinct input
 }
 
 func (m *helloReq) size(slot) int { return 0 }
@@ -165,19 +169,10 @@ func (m *scanReq) decode(d *dec) {
 	}
 }
 
-// appendScanResp writes a scan response: the part set, then the
-// processed count of every owned partition.
-func appendScanResp(b []byte, parts [][]engine.Row, processed []int64, sl slot) []byte {
-	b = appendPartSet(b, parts, sl)
-	for p := sl.shard; p < len(parts); p += sl.shards {
-		b = binary.LittleEndian.AppendUint64(b, uint64(processed[p]))
-	}
-	return b
-}
-
-// scanResp reads a scan response of total partitions, storing the
-// owned partitions' processed counts into processed.
-func (d *dec) scanResp(total int, processed []int64) [][]engine.Row {
+// scanResp reads a scan response — the part set of total partitions,
+// then the processed count of every owned partition — storing the
+// counts into processed.
+func (d *dec) scanResp(total int, processed []int64) []engine.Block {
 	parts := d.partSet(total)
 	for p := d.slot.shard; p < len(parts); p += d.slot.shards {
 		processed[p] = int64(d.u64())
@@ -186,10 +181,8 @@ func (d *dec) scanResp(total int, processed []int64) [][]engine.Row {
 }
 
 func (m *exchangeReq) size(sl slot) int {
-	return int(wire.RowsSize(m.wholeWidth(), len(m.Whole))) + partSetSize(m.A, sl) + partSetSize(m.B, sl)
+	return int(wire.RowsSize(partsWidth(m.Whole), totalRows(m.Whole))) + partSetSize(m.A, sl) + partSetSize(m.B, sl)
 }
-
-func (m *exchangeReq) wholeWidth() int { return partsWidth([][]engine.Row{m.Whole}) }
 
 func (m *exchangeReq) appendTo(b []byte, sl slot) []byte {
 	var aIsLeft byte
@@ -198,7 +191,10 @@ func (m *exchangeReq) appendTo(b []byte, sl slot) []byte {
 	}
 	b = append(appendInts(appendInts(b, m.KeyA), m.KeyB), aIsLeft)
 	b = appendInts(appendInts(appendInt(b, m.OutWidth), m.LKeep), m.RKeep)
-	b = wire.AppendRows(b, m.wholeWidth(), m.Whole)
+	b = wire.AppendRowsHeader(b, partsWidth(m.Whole), totalRows(m.Whole))
+	for _, blk := range m.Whole {
+		b = wire.AppendIDs(b, blk.IDs())
+	}
 	return appendPartSet(appendPartSet(b, m.A, sl), m.B, sl)
 }
 
@@ -209,14 +205,15 @@ func (m *exchangeReq) decodeSpec(d *dec) {
 }
 
 // decodeLazy reads a whole exchange request the way the server works
-// through it: the kernel parameters and the whole side are decoded, and
-// the two part sets are validated to the last byte — so a malformed
-// section anywhere fails the request here, before any kernel runs — but
-// returned still encoded, for sections.next to decode one owned
-// partition at a time. m.A and m.B stay nil.
-func (m *exchangeReq) decodeLazy(d *dec) (a, b sections) {
+// through it: the kernel parameters and the whole side are decoded — the
+// side's one block into whole's storage, which m.Whole then is — and the
+// two part sets are validated to the last byte — so a malformed section
+// anywhere fails the request here, before any kernel runs — but returned
+// still encoded, for sections.next to decode one owned partition at a
+// time. m.A and m.B stay nil.
+func (m *exchangeReq) decodeLazy(d *dec, whole []engine.Block) (a, b sections) {
 	m.decodeSpec(d)
-	m.Whole = d.rowSection()
+	m.Whole = append(whole[:0], d.rowSection())
 	a, b = d.sections(-1), d.sections(-1)
 	d.done()
 	return a, b
@@ -248,20 +245,20 @@ func appendTerm(b []byte, t rdf.Term) []byte {
 // partition count, then one row section per owned partition in
 // ascending order. The width is the first non-empty partition's; on an
 // all-empty set it is a placeholder, since no row bodies follow it.
-func appendPartSet(b []byte, parts [][]engine.Row, sl slot) []byte {
+func appendPartSet(b []byte, parts []engine.Block, sl slot) []byte {
 	b = appendInt(b, len(parts))
 	w := partsWidth(parts)
 	for p := sl.shard; p < len(parts); p += sl.shards {
-		b = wire.AppendRows(b, w, parts[p])
+		b = wire.AppendIDs(wire.AppendRowsHeader(b, w, parts[p].Len()), parts[p].IDs())
 	}
 	return b
 }
 
 // partSetSize is the encoded size of appendPartSet's output.
-func partSetSize(parts [][]engine.Row, sl slot) int {
+func partSetSize(parts []engine.Block, sl slot) int {
 	n, w := 4, partsWidth(parts)
 	for p := sl.shard; p < len(parts); p += sl.shards {
-		n += int(wire.RowsSize(w, len(parts[p])))
+		n += int(wire.RowsSize(w, parts[p].Len()))
 	}
 	return n
 }
@@ -286,17 +283,17 @@ func beginPartSet(b []byte, total int, sl slot) partSetWriter {
 }
 
 // add appends the next owned partition's section.
-func (w *partSetWriter) add(rows []engine.Row) {
+func (w *partSetWriter) add(rows engine.Block) {
 	w.n++
-	if !w.known && len(rows) > 0 {
+	if !w.known && rows.Len() > 0 {
 		// Every section so far is an empty one, a bare header written
 		// with the placeholder width: give them the set's.
-		w.width, w.known = len(rows[0]), true
+		w.width, w.known = rows.Width(), true
 		for at := w.first; at < len(w.b); at += 8 {
 			binary.LittleEndian.PutUint32(w.b[at:], uint32(w.width))
 		}
 	}
-	if size := int(wire.RowsSize(w.width, len(rows))); size > cap(w.b)-len(w.b) {
+	if size := int(wire.RowsSize(w.width, rows.Len())); size > cap(w.b)-len(w.b) {
 		// Partitions are hash-placed, so those to come will be about the
 		// size of those so far: grow once, to where the set is heading
 		// (and a little past: a scan's counts and the frame's checksum
@@ -305,7 +302,7 @@ func (w *partSetWriter) add(rows []engine.Row) {
 		mean := (len(w.b) - w.first + size) / w.n
 		w.b = slices.Grow(w.b, size+(w.owned-w.n)*(mean+mean/8)+8*w.owned+16)
 	}
-	w.b = wire.AppendRows(w.b, w.width, rows)
+	w.b = wire.AppendIDs(wire.AppendRowsHeader(w.b, w.width, rows.Len()), rows.IDs())
 }
 
 // dec reads one message payload. The first failure sticks, every later
@@ -318,14 +315,14 @@ type dec struct {
 	b    []byte
 	err  error
 	slot slot // whose partitions the part sets carry
-	// flat and rows are the arenas decoded row sections are carved from,
-	// and intBuf the one int lists are. All nil on the coordinator: its
-	// rows outlive the call, and each part set is allocated once at its
-	// exact size. The server lends a connection's scratch, which only
-	// ever holds a request's whole side and spec — part sets it decodes
-	// a partition at a time, through sections.
+	// flat is the buffer decoded row sections are carved from, each a
+	// block over its own stretch, and intBuf the one int lists are. Both
+	// nil on the coordinator: its rows outlive the call, and each part
+	// set is allocated once at its exact size. The server lends a
+	// connection's scratch, which only ever holds a request's whole side
+	// and spec — part sets it decodes a partition at a time, through
+	// sections.
 	flat   []rdf.ID
-	rows   []engine.Row
 	intBuf []int
 }
 
@@ -380,22 +377,25 @@ func (d *dec) term() rdf.Term {
 	return rdf.Term{Kind: rdf.TermKind(d.u8()), Value: d.str(), Datatype: d.str(), Lang: d.str()}
 }
 
-// rowSection decodes one packed row section into the arenas.
-func (d *dec) rowSection() []engine.Row {
+// rowSection decodes one packed row section into flat, as a block.
+func (d *dec) rowSection() engine.Block {
 	if d.err != nil {
-		return nil
+		return engine.Block{}
 	}
-	at := len(d.rows)
-	d.flat, d.rows, d.b, d.err = wire.DecodeRowsInto(d.b, d.flat, d.rows)
-	return d.rows[at:len(d.rows):len(d.rows)]
+	at := len(d.flat)
+	var width, count int
+	if width, count, d.flat, d.b, d.err = wire.DecodeIDsInto(d.b, d.flat); d.err != nil {
+		return engine.Block{}
+	}
+	return engine.MakeBlock(width, count, d.flat[at:])
 }
 
 // partShape validates the part set at the head of the input without
 // decoding it — the partition count against want (-1 for any) and
 // against the input length, every owned section through wire.RowsShape
-// — and returns the count, the bytes the sections occupy and the IDs and
-// rows they hold. Only the count is consumed.
-func (d *dec) partShape(want int) (total, size, ids, rows int) {
+// — and returns the count, the bytes the sections occupy and the IDs
+// they hold. Only the count is consumed.
+func (d *dec) partShape(want int) (total, size, ids int) {
 	total = d.int()
 	owned := d.slot.count(total)
 	// Every owned section is at least its 8-byte header, which bounds
@@ -407,24 +407,24 @@ func (d *dec) partShape(want int) (total, size, ids, rows int) {
 	for i := 0; i < owned && d.err == nil; i++ {
 		var w, c int
 		if w, c, d.err = wire.RowsShape(b); d.err == nil {
-			ids, rows, b = ids+w*c, rows+c, b[wire.RowsSize(w, c):]
+			ids, b = ids+w*c, b[wire.RowsSize(w, c):]
 		}
 	}
-	return total, len(d.b) - len(b), ids, rows
+	return total, len(d.b) - len(b), ids
 }
 
 // partSet decodes a part set into a dense partition slice, owned
-// entries at their global indexes and the rest nil. want is the
+// entries at their global indexes and the rest empty. want is the
 // partition count the caller expects, -1 for any. The owned sections
-// are measured first, so the whole set lands in one ID arena and one
-// row-header arena however many partitions it has.
-func (d *dec) partSet(want int) [][]engine.Row {
-	total, _, ids, rows := d.partShape(want)
+// are measured first, so the whole set lands in one ID buffer however
+// many partitions it has.
+func (d *dec) partSet(want int) []engine.Block {
+	total, _, ids := d.partShape(want)
 	if d.err != nil {
 		return nil
 	}
-	d.flat, d.rows = slices.Grow(d.flat, ids), slices.Grow(d.rows, rows)
-	parts := make([][]engine.Row, total)
+	d.flat = slices.Grow(d.flat, ids)
+	parts := make([]engine.Block, total)
 	for p := d.slot.shard; p < total; p += d.slot.shards {
 		parts[p] = d.rowSection()
 	}
@@ -441,28 +441,28 @@ type sections struct {
 // sections consumes the part set at the head of the input as partSet
 // would, every check made, nothing decoded.
 func (d *dec) sections(want int) sections {
-	total, size, _, _ := d.partShape(want)
+	total, size, _ := d.partShape(want)
 	return sections{total, d.take(size)}
 }
 
 // rowScratch is storage one row section at a time decodes into.
 type rowScratch struct {
 	flat []rdf.ID
-	rows []engine.Row
 }
 
 // next decodes the set's next owned section into sc, over whatever the
-// section before left there: the rows are valid until sc's next use.
-func (s *sections) next(sc *rowScratch) (rows []engine.Row, err error) {
-	sc.flat, sc.rows, s.b, err = wire.DecodeRowsInto(s.b, sc.flat[:0], sc.rows[:0])
-	return sc.rows, err
+// section before left there: the block is valid until sc's next use.
+func (s *sections) next(sc *rowScratch) (rows engine.Block, err error) {
+	var width, count int
+	if width, count, sc.flat, s.b, err = wire.DecodeIDsInto(s.b, sc.flat[:0]); err != nil {
+		return engine.Block{}, err
+	}
+	return engine.MakeBlock(width, count, sc.flat), nil
 }
 
-// trim drops the scratch, and reports it, if either arena outgrew
-// maxRetainBytes. They go together: kept row headers would pin a
-// dropped ID arena.
+// trim drops the scratch, and reports it, if it outgrew maxRetainBytes.
 func (sc *rowScratch) trim() (dropped bool) {
-	if dropped = cap(sc.flat)*4 > maxRetainBytes || cap(sc.rows)*24 > maxRetainBytes; dropped {
+	if dropped = cap(sc.flat)*4 > maxRetainBytes; dropped {
 		*sc = rowScratch{}
 	}
 	return dropped
@@ -478,11 +478,20 @@ func (d *dec) done() error {
 
 // partsWidth returns the row width of the first non-empty partition
 // (0 when every partition is empty).
-func partsWidth(parts [][]engine.Row) int {
+func partsWidth(parts []engine.Block) int {
 	for _, rows := range parts {
-		if len(rows) > 0 {
-			return len(rows[0])
+		if rows.Len() > 0 {
+			return rows.Width()
 		}
 	}
 	return 0
+}
+
+// totalRows is the row count of a part set or a whole side.
+func totalRows(parts []engine.Block) int {
+	n := 0
+	for _, rows := range parts {
+		n += rows.Len()
+	}
+	return n
 }

@@ -44,21 +44,32 @@ func randRows(rng *rand.Rand, width, n int) []engine.Row {
 	return rows
 }
 
-// randParts draws a partition set with nil, empty and populated
+// randParts draws a partition set with zero, empty and populated
 // partitions of one width (width 0 included: existence relations).
-func randParts(rng *rand.Rand, total int) [][]engine.Row {
+func randParts(rng *rand.Rand, total int) []engine.Block {
 	width := rng.Intn(4)
-	parts := make([][]engine.Row, total)
+	parts := make([]engine.Block, total)
 	for p := range parts {
 		switch rng.Intn(3) {
-		case 0: // nil
+		case 0: // the zero block
 		case 1:
-			parts[p] = []engine.Row{}
+			parts[p] = engine.NewBlock(width, nil)
 		default:
-			parts[p] = randRows(rng, width, 1+rng.Intn(5))
+			parts[p] = engine.NewBlock(width, randRows(rng, width, 1+rng.Intn(5)))
 		}
 	}
 	return parts
+}
+
+// randWhole draws a whole side: up to three blocks of one width, the
+// rows of a broadcast relation's partitions.
+func randWhole(rng *rand.Rand) []engine.Block {
+	width := rng.Intn(3)
+	whole := make([]engine.Block, rng.Intn(4))
+	for i := range whole {
+		whole[i] = engine.NewBlock(width, randRows(rng, width, rng.Intn(3)))
+	}
+	return whole
 }
 
 func randTerm(rng *rand.Rand) rdf.Term {
@@ -112,7 +123,7 @@ func newRequest(typ byte) decodable {
 // this is the reference that path is tested against.
 func (m *exchangeReq) decode(d *dec) {
 	m.decodeSpec(d)
-	m.Whole, m.A, m.B = d.rowSection(), d.partSet(-1), d.partSet(-1)
+	m.Whole, m.A, m.B = []engine.Block{d.rowSection()}, d.partSet(-1), d.partSet(-1)
 }
 
 // decodeReq decodes one whole request payload.
@@ -132,8 +143,8 @@ func randRequests(rng *rand.Rand, total int) map[byte]request {
 		msgHello:     &helloReq{Shard: rng.Intn(4), Shards: 1 + rng.Intn(4), Partitions: rng.Intn(64), Workers: rng.Intn(16), Fingerprint: rng.Uint64(), InversePT: rng.Intn(2) == 0},
 		msgScan:      randScanReq(rng),
 		msgShuffle:   shape(&exchangeReq{KeyA: randInts(rng), KeyB: randInts(rng), A: randParts(rng, total), B: randParts(rng, total)}),
-		msgBroadcast: shape(&exchangeReq{KeyA: randInts(rng), KeyB: randInts(rng), AIsLeft: rng.Intn(2) == 0, Whole: randRows(rng, rng.Intn(3), rng.Intn(4)), A: randParts(rng, total)}),
-		msgCartesian: shape(&exchangeReq{AIsLeft: rng.Intn(2) == 0, Whole: randRows(rng, rng.Intn(3), rng.Intn(4)), A: randParts(rng, total)}),
+		msgBroadcast: shape(&exchangeReq{KeyA: randInts(rng), KeyB: randInts(rng), AIsLeft: rng.Intn(2) == 0, Whole: randWhole(rng), A: randParts(rng, total)}),
+		msgCartesian: shape(&exchangeReq{AIsLeft: rng.Intn(2) == 0, Whole: randWhole(rng), A: randParts(rng, total)}),
 		msgDistinct:  &exchangeReq{OutWidth: rng.Intn(8), A: randParts(rng, total)},
 	}
 }
@@ -157,20 +168,29 @@ func sameRows(a, b []engine.Row) bool {
 	return true
 }
 
+// rowsOf lists the rows of blocks, in order.
+func rowsOf(blocks []engine.Block) []engine.Row {
+	var rows []engine.Row
+	for _, b := range blocks {
+		rows = append(rows, b.Rows()...)
+	}
+	return rows
+}
+
 // checkParts asserts got is sl's view of want: owned partitions equal,
 // the rest absent.
-func checkParts(t *testing.T, what string, got, want [][]engine.Row, sl slot) {
+func checkParts(t *testing.T, what string, got, want []engine.Block, sl slot) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d partitions, want %d", what, len(got), len(want))
 	}
 	for p := range want {
 		if !sl.owns(p) {
-			if got[p] != nil {
-				t.Fatalf("%s: unowned partition %d decoded %v", what, p, got[p])
+			if got[p].Len() != 0 {
+				t.Fatalf("%s: unowned partition %d decoded %v", what, p, got[p].Rows())
 			}
-		} else if !sameRows(got[p], want[p]) {
-			t.Fatalf("%s: partition %d = %v, want %v", what, p, got[p], want[p])
+		} else if !sameRows(got[p].Rows(), want[p].Rows()) {
+			t.Fatalf("%s: partition %d = %v, want %v", what, p, got[p].Rows(), want[p].Rows())
 		}
 	}
 }
@@ -184,7 +204,6 @@ func checkParts(t *testing.T, what string, got, want [][]engine.Row, sl slot) {
 func TestMessageRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	var flat []rdf.ID
-	var rows []engine.Row
 	for iter := 0; iter < 300; iter++ {
 		shards := []int{1, 2, 4}[iter%3]
 		sl := slot{rng.Intn(shards), shards}
@@ -197,16 +216,16 @@ func TestMessageRoundTrip(t *testing.T) {
 			got := newRequest(typ)
 			d := dec{b: enc, slot: sl}
 			if iter%2 == 1 {
-				d.flat, d.rows = flat[:0], rows[:0]
+				d.flat = flat[:0]
 			}
 			if err := decodeReq(&d, got); err != nil {
 				t.Fatalf("type %d: decode: %v", typ, err)
 			}
-			flat, rows = d.flat, d.rows
+			flat = d.flat
 			if w, ok := want.(*exchangeReq); ok {
 				g := got.(*exchangeReq)
-				if !sameRows(g.Whole, w.Whole) {
-					t.Fatalf("type %d: whole side %v, want %v", typ, g.Whole, w.Whole)
+				if !sameRows(rowsOf(g.Whole), rowsOf(w.Whole)) {
+					t.Fatalf("type %d: whole side %v, want %v", typ, rowsOf(g.Whole), rowsOf(w.Whole))
 				}
 				checkParts(t, "side A", g.A, w.A, sl)
 				checkParts(t, "side B", g.B, w.B, sl)
@@ -230,7 +249,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		for p := range processed {
 			processed[p] = rng.Int63()
 		}
-		enc := appendScanResp(nil, parts, processed, sl)
+		enc := appendCounts(appendPartSet(nil, parts, sl), processed, sl)
 		if want := partSetSize(parts, sl) + 8*sl.count(total); len(enc) != want {
 			t.Fatalf("scan response is %d bytes, sized %d", len(enc), want)
 		}
@@ -275,8 +294,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		d := dec{b: data, slot: sl}
 		var scratch rowScratch
 		if kind&0x80 != 0 {
-			d.flat, d.rows, d.intBuf = make([]rdf.ID, 3, 8), make([]engine.Row, 2, 4), make([]int, 1, 2)
-			scratch = rowScratch{make([]rdf.ID, 5, 8), make([]engine.Row, 1, 4)}
+			d.flat, d.intBuf = make([]rdf.ID, 3, 8), make([]int, 1, 2)
+			scratch = rowScratch{make([]rdf.ID, 5, 8)}
 		}
 		switch typ := msgHello + kind&0x7f%(msgDistinct-msgHello+1); typ {
 		case msgHello:
@@ -292,7 +311,7 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 		default:
 			var m exchangeReq
-			a, b := m.decodeLazy(&d)
+			a, b := m.decodeLazy(&d, nil)
 			if d.err != nil {
 				return
 			}
@@ -300,12 +319,10 @@ func FuzzDecodeRequest(f *testing.F) {
 				t.Fatalf("%d list entries decoded from %d bytes", n, len(data))
 			}
 			ids := 0
-			count := func(rows []engine.Row) {
-				for _, r := range rows {
-					ids += len(r)
-				}
+			count := func(rows engine.Block) { ids += len(rows.IDs()) }
+			for _, whole := range m.Whole {
+				count(whole)
 			}
-			count(m.Whole)
 			for _, set := range []sections{a, b} {
 				if set.total > sl.shards*(len(data)/8+1) {
 					t.Fatalf("%d partitions accepted from %d bytes on %d shards", set.total, len(data), sl.shards)
@@ -346,16 +363,10 @@ func TestBroadcastAllocsIndependentOfRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	const parts, keys = 8, 16
-	build := make([]engine.Row, keys)
-	for i := range build {
-		build[i] = engine.Row{rdf.ID(i + 1), rdf.ID(100 + i)}
-	}
+	build := spreadRows(keys, 1, keys)
 	spec := engine.BroadcastSpec{Name: "allocs", BuildKey: []int{0}, ProbeKey: []int{0}, OutWidth: 3, RKeep: []int{1}}
 	allocs := func(n int) float64 {
-		probe := make([][]engine.Row, parts)
-		for i := 0; i < n; i++ {
-			probe[i%parts] = append(probe[i%parts], engine.Row{rdf.ID(i%keys + 1), rdf.ID(i)})
-		}
+		probe := spreadRows(n, parts, keys)
 		return testing.AllocsPerRun(5, func() {
 			out, err := sess.BroadcastJoin(spec, build, probe)
 			if err != nil {
@@ -363,7 +374,7 @@ func TestBroadcastAllocsIndependentOfRows(t *testing.T) {
 			}
 			got := 0
 			for _, p := range out {
-				got += len(p)
+				got += p.Len()
 			}
 			if got != n {
 				t.Fatalf("join of %d probe rows returned %d", n, got)

@@ -132,9 +132,10 @@ func (s *Server) handle(c net.Conn) {
 // buffers: a request is read into in and stays there, still encoded,
 // while the response is appended to out — the request's sections are
 // read as late as the last partition. The row scratch holds decoded
-// rows: whole the side that ships to every shard, for the length of the
-// request; a and b the current partition's sections, overwritten by the
-// next partition's. ks is where kernels and scans emit that partition's
+// blocks: whole the side that ships to every shard, for the length of
+// the request (wholeSide is the one-block list a request's Whole is); a
+// and b the current partition's sections, overwritten by the next
+// partition's. ks is where kernels and scans emit that partition's
 // output, which lives until its section is appended to out.
 type conn struct {
 	srv     *Server
@@ -142,6 +143,7 @@ type conn struct {
 
 	in, out     []byte
 	whole, a, b rowScratch
+	wholeSide   []engine.Block
 	ints        []int   // the request's key and keep lists
 	processed   []int64 // a scan's per-partition counts, sent after its rows
 	ks          engine.KernelScratch
@@ -182,9 +184,14 @@ func (c *conn) trim() {
 	if cap(c.ints)*8 > maxRetainBytes {
 		c.ints = nil
 	}
-	// The kernel scratch still refers to the rows it last worked on, so
-	// it goes with any row scratch that does.
-	if w, a, b := c.whole.trim(), c.a.trim(), c.b.trim(); w || a || b {
+	// The kernel scratch still refers to the rows it last worked on, and
+	// the whole side to the whole scratch, so each goes with any row
+	// scratch it refers to.
+	w, a, b := c.whole.trim(), c.a.trim(), c.b.trim()
+	if w {
+		c.wholeSide = nil
+	}
+	if w || a || b {
 		c.ks = engine.KernelScratch{}
 	}
 	c.ks.Trim(maxRetainBytes)
@@ -199,7 +206,7 @@ func (c *conn) respond(typ byte, payload []byte) ([]byte, error) {
 	if !c.helloed && typ != msgHello {
 		return nil, fmt.Errorf("shard: message type %d before handshake", typ)
 	}
-	d := dec{b: payload, slot: c.srv.slot, flat: c.whole.flat[:0], rows: c.whole.rows[:0], intBuf: c.ints[:0]}
+	d := dec{b: payload, slot: c.srv.slot, flat: c.whole.flat[:0], intBuf: c.ints[:0]}
 	switch typ {
 	case msgHello:
 		var m helloReq
@@ -219,8 +226,8 @@ func (c *conn) respond(typ byte, payload []byte) ([]byte, error) {
 		return c.scan(&m)
 	}
 	var m exchangeReq
-	a, b := m.decodeLazy(&d)
-	c.whole.flat, c.whole.rows, c.ints = d.flat, d.rows, d.intBuf
+	a, b := m.decodeLazy(&d, c.wholeSide)
+	c.whole.flat, c.wholeSide, c.ints = d.flat, m.Whole, d.intBuf
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -54,19 +56,51 @@ func exchangeOver(t *testing.T, c *conn, frame []byte) (byte, []byte) {
 func (c *conn) largestBuffer() int {
 	n := max(cap(c.in), cap(c.out), cap(c.ints)*8, c.ks.LargestBuffer())
 	for _, sc := range []rowScratch{c.whole, c.a, c.b} {
-		n = max(n, cap(sc.flat)*4, cap(sc.rows)*24)
+		n = max(n, cap(sc.flat)*4)
 	}
 	return n
 }
 
 // spreadRows deals n rows of (key, serial) over parts partitions, keys
 // cycling through 1..keys.
-func spreadRows(n, parts, keys int) [][]engine.Row {
-	out := make([][]engine.Row, parts)
+func spreadRows(n, parts, keys int) []engine.Block {
+	rows := make([][]engine.Row, parts)
 	for i := 0; i < n; i++ {
-		out[i%parts] = append(out[i%parts], engine.Row{rdf.ID(i%keys + 1), rdf.ID(i)})
+		rows[i%parts] = append(rows[i%parts], engine.Row{rdf.ID(i%keys + 1), rdf.ID(i)})
+	}
+	return blocksOf(2, rows)
+}
+
+// blocksOf copies each partition's rows into a block of the given
+// width.
+func blocksOf(width int, parts [][]engine.Row) []engine.Block {
+	out := make([]engine.Block, len(parts))
+	for p, rows := range parts {
+		out[p] = engine.NewBlock(width, rows)
 	}
 	return out
+}
+
+// appendCounts appends the processed count of every partition sl owns,
+// as a scan response carries them after its part set.
+func appendCounts(b []byte, processed []int64, sl slot) []byte {
+	for p := sl.shard; p < len(processed); p += sl.shards {
+		b = binary.LittleEndian.AppendUint64(b, uint64(processed[p]))
+	}
+	return b
+}
+
+// appendScanResp writes the scan response a server answers with for
+// parts and processed, the rows ScanNodeParts returns.
+func appendScanResp(b []byte, parts [][]engine.Row, processed []int64, sl slot) []byte {
+	width := 0
+	for _, rows := range parts {
+		if len(rows) > 0 {
+			width = len(rows[0])
+			break
+		}
+	}
+	return appendCounts(appendPartSet(b, blocksOf(width, parts), sl), processed, sl)
 }
 
 func wsdbm(local string) sparql.PatternTerm {
@@ -109,7 +143,7 @@ func TestWarmConnAllocations(t *testing.T) {
 	c := testConn(t, sl)
 	const parts = 8
 	probe := spreadRows(4000, parts, 16)
-	build := spreadRows(16, 1, 16)[0]
+	build := spreadRows(16, 1, 16)
 	type kind struct {
 		name string
 		typ  byte
@@ -119,7 +153,7 @@ func TestWarmConnAllocations(t *testing.T) {
 	kinds := []kind{
 		{"shuffle", msgShuffle, &exchangeReq{KeyA: []int{0}, KeyB: []int{0}, OutWidth: 3, RKeep: []int{1}, A: spreadRows(16, parts, 16), B: probe}, 0},
 		{"broadcast", msgBroadcast, &exchangeReq{KeyA: []int{0}, KeyB: []int{0}, OutWidth: 3, RKeep: []int{1}, Whole: build, A: probe}, 0},
-		{"cartesian", msgCartesian, &exchangeReq{AIsLeft: true, OutWidth: 4, RKeep: []int{0, 1}, Whole: build[:3], A: probe}, 0},
+		{"cartesian", msgCartesian, &exchangeReq{AIsLeft: true, OutWidth: 4, RKeep: []int{0, 1}, Whole: []engine.Block{build[0].Slice(0, 3)}, A: probe}, 0},
 		{"distinct", msgDistinct, &exchangeReq{OutWidth: 2, A: spreadRows(4000, parts, 16)}, 0},
 	}
 	scanAllocs := map[string]float64{"VP": 3, "VP absent": 3, "VP bound": 7, "VP filter": 10, "PT": 16, "IPT": 13}
@@ -154,7 +188,7 @@ func TestWarmConnAllocations(t *testing.T) {
 func TestConnKeepsNothingLarge(t *testing.T) {
 	sl := slot{0, 1}
 	c := testConn(t, sl)
-	build := spreadRows(16, 1, 16)[0]
+	build := spreadRows(16, 1, 16)
 	for _, n := range []int{100_000, 1_000} {
 		req := &exchangeReq{KeyA: []int{0}, KeyB: []int{0}, OutWidth: 3, RKeep: []int{1}, Whole: build, A: spreadRows(n, 8, 16)}
 		typ, payload := exchangeOver(t, c, frameOf(t, msgBroadcast, req, sl))
@@ -188,24 +222,25 @@ func randKeep(rng *rand.Rand, width int) []int {
 }
 
 // randJoinParts is randParts over a small value domain, so keys meet.
-func randJoinParts(rng *rand.Rand, total int) (parts [][]engine.Row, width int) {
+func randJoinParts(rng *rand.Rand, total int) (parts []engine.Block, width int) {
 	width = rng.Intn(4)
-	parts = make([][]engine.Row, total)
+	parts = make([]engine.Block, total)
 	if rng.Intn(8) == 0 {
 		return parts, width // an all-empty set
 	}
 	for p := range parts {
 		switch rng.Intn(3) {
-		case 0: // nil
+		case 0: // the zero block
 		case 1:
-			parts[p] = []engine.Row{}
+			parts[p] = engine.NewBlock(width, nil)
 		default:
-			parts[p] = randRows(rng, width, 1+rng.Intn(6))
-			for _, r := range parts[p] {
+			rows := randRows(rng, width, 1+rng.Intn(6))
+			for _, r := range rows {
 				for j := range r {
 					r[j] %= 3
 				}
 			}
+			parts[p] = engine.NewBlock(width, rows)
 		}
 	}
 	return parts, width
@@ -228,8 +263,8 @@ func randKernelRequests(rng *rand.Rand, total int) map[byte]*exchangeReq {
 	bKeyA, bKeyB := keys(ww, wa)
 	return map[byte]*exchangeReq{
 		msgShuffle:   {KeyA: sKeyA, KeyB: sKeyB, OutWidth: rng.Intn(8), LKeep: randKeep(rng, wa), RKeep: randKeep(rng, wb), A: a, B: b},
-		msgBroadcast: {KeyA: bKeyA, KeyB: bKeyB, AIsLeft: true, OutWidth: rng.Intn(8), LKeep: randKeep(rng, ww), RKeep: randKeep(rng, wa), Whole: whole[0], A: a},
-		msgCartesian: {AIsLeft: false, OutWidth: rng.Intn(8), LKeep: randKeep(rng, wa), RKeep: randKeep(rng, ww), Whole: whole[0], A: a},
+		msgBroadcast: {KeyA: bKeyA, KeyB: bKeyB, AIsLeft: true, OutWidth: rng.Intn(8), LKeep: randKeep(rng, ww), RKeep: randKeep(rng, wa), Whole: whole, A: a},
+		msgCartesian: {AIsLeft: false, OutWidth: rng.Intn(8), LKeep: randKeep(rng, wa), RKeep: randKeep(rng, ww), Whole: whole, A: a},
 		msgDistinct:  {OutWidth: wa, A: a},
 	}
 }
@@ -237,22 +272,27 @@ func randKernelRequests(rng *rand.Rand, total int) map[byte]*exchangeReq {
 // wholeKernels is the reference evaluation of an exchange request: the
 // exported whole-partition kernels over sl's partitions, each output in
 // storage of its own.
-func wholeKernels(typ byte, m *exchangeReq, sl slot) [][]engine.Row {
-	out := make([][]engine.Row, len(m.A))
+func wholeKernels(typ byte, m *exchangeReq, sl slot) []engine.Block {
+	out := make([]engine.Block, len(m.A))
 	var jp *engine.JoinProbe
+	whole := rowsOf(m.Whole)
 	if typ == msgBroadcast {
-		jp = engine.NewJoinProbe(m.Whole, m.KeyA)
+		jp = engine.NewJoinProbe(whole, m.KeyA)
 	}
 	for p := sl.shard; p < len(out); p += sl.shards {
+		var rows []engine.Row
 		switch typ {
 		case msgShuffle:
-			out[p] = engine.JoinPartitionKernel(m.A[p], m.B[p], m.KeyA, m.KeyB, m.OutWidth, m.LKeep, m.RKeep)
+			rows = engine.JoinPartitionKernel(m.A[p].Rows(), m.B[p].Rows(), m.KeyA, m.KeyB, m.OutWidth, m.LKeep, m.RKeep)
 		case msgBroadcast:
-			out[p] = jp.Probe(m.A[p], m.KeyB, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
+			rows = jp.Probe(m.A[p].Rows(), m.KeyB, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
 		case msgCartesian:
-			out[p] = engine.CartesianKernel(m.A[p], m.Whole, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
+			rows = engine.CartesianKernel(m.A[p].Rows(), whole, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
 		case msgDistinct:
-			out[p] = engine.DistinctKernel(m.A[p], m.OutWidth)
+			rows = engine.DistinctKernel(m.A[p].Rows(), m.OutWidth)
+		}
+		if len(rows) > 0 {
+			out[p] = engine.NewBlock(len(rows[0]), rows)
 		}
 	}
 	return out
@@ -312,6 +352,82 @@ func TestResponseFramesMatchWholeKernels(t *testing.T) {
 				}
 				check(fmt.Sprintf("shard %d/%d %s scan", shard, shards, name), msgScan, req, appendScanResp(nil, parts, processed, sl))
 			}
+		}
+	}
+}
+
+// TestWireFramesUnchanged pins the shard wire format byte for byte: a
+// broadcast, a shuffle and a scan exchange — requests as the coordinator
+// encodes them for shard 0 of 2, responses as the server answers them —
+// against frames recorded when rows were still encoded from per-row
+// slices. The broadcast's and the shuffle's first owned partitions are
+// empty, so the server writes its placeholder width ahead of the first
+// populated section and patches it.
+func TestWireFramesUnchanged(t *testing.T) {
+	sl := slot{0, 2}
+	c := testConn(t, sl)
+	rows := func(vals ...rdf.ID) engine.Block {
+		r := make([]engine.Row, 0, len(vals)/2)
+		for i := 0; i < len(vals); i += 2 {
+			r = append(r, engine.Row{vals[i], vals[i+1]})
+		}
+		return engine.NewBlock(2, r)
+	}
+	broadcast := &exchangeReq{KeyA: []int{0}, KeyB: []int{0}, OutWidth: 3, RKeep: []int{1},
+		Whole: []engine.Block{rows(1, 100), rows(), rows(2, 101, 3, 102)},
+		A:     []engine.Block{{}, rows(1, 10), rows(2, 11, 3, 12, 9, 13), rows(), {}}}
+	shuffle := &exchangeReq{KeyA: []int{1}, KeyB: []int{0}, OutWidth: 3, LKeep: []int{0, 1}, RKeep: []int{1},
+		A: []engine.Block{rows(), rows(5, 1), rows(6, 2, 7, 3, 8, 2), {}},
+		B: []engine.Block{{}, rows(1, 50), rows(2, 60, 2, 61), rows(3, 70)}}
+	for _, k := range []struct {
+		name      string
+		typ       byte
+		req       request
+		req0, ok0 string
+	}{
+		{"broadcast", msgBroadcast, broadcast,
+			"5052573204790000000200000000000000020000000000000000030000000000" +
+				"0000020000000100000002000000030000000100000064000000020000006500" +
+				"0000030000006600000005000000020000000000000002000000030000000200" +
+				"00000b000000030000000c000000090000000d00000002000000000000000000" +
+				"00002f5c8921",
+			"5052573207340000000500000003000000000000000300000002000000020000" +
+				"000b00000065000000030000000c000000660000000300000000000000d46309" +
+				"d0"},
+		{"shuffle", msgShuffle, shuffle,
+			"5052573203810000000200000001000000020000000000000000030000000300" +
+				"0000000000000100000002000000010000000000000000000000040000000200" +
+				"0000000000000200000003000000060000000200000007000000030000000800" +
+				"0000020000000400000002000000000000000200000002000000020000003c00" +
+				"0000020000003d00000030ab0bed",
+			"5052573207440000000400000003000000000000000300000004000000060000" +
+				"00020000003d00000006000000020000003c00000008000000020000003d0000" +
+				"0008000000020000003c000000d31e8859"},
+		{"scan", msgScan, scanRequests()["VP bound"],
+			"50525732029d0000000000000000000000000000000001000000010000007500" +
+				"00000000000000000000000000000000002b000000687474703a2f2f64622e75" +
+				"77617465726c6f6f2e63612f7e67616c75632f777364626d2f666f6c6c6f7773" +
+				"0000000000000000000000000029000000687474703a2f2f64622e7577617465" +
+				"726c6f6f2e63612f7e67616c75632f777364626d2f5573657233000000000000" +
+				"00000000000086b0027f",
+			"5052573207bc0000001200000002000000000000000200000000000000020000" +
+				"000000000002000000010000007d0100004c0100000200000000000000020000" +
+				"00010000009d0100004c0100000200000002000000650100004c010000070200" +
+				"004c01000002000000000000000200000001000000fb0100004c010000000000" +
+				"0000000000000000000000000000000000000000000000000000000000000000" +
+				"0000000000000000000000000000000000000000000000000000000000000000" +
+				"0000000000a1cc1de8"},
+	} {
+		frame := frameOf(t, k.typ, k.req, sl)
+		if got := hex.EncodeToString(frame); got != k.req0 {
+			t.Errorf("%s request frame\n got %s\nwant %s", k.name, got, k.req0)
+		}
+		var resp bytes.Buffer
+		if err := c.next(bytes.NewReader(frame), &resp); err != nil {
+			t.Fatalf("%s: conn.next: %v", k.name, err)
+		}
+		if got := hex.EncodeToString(resp.Bytes()); got != k.ok0 {
+			t.Errorf("%s response frame\n got %s\nwant %s", k.name, got, k.ok0)
 		}
 	}
 }

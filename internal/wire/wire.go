@@ -19,9 +19,11 @@
 //
 // Row payloads use PR 1's packed layout: each value is one uint32
 // dictionary ID, rows are fixed-width, so a partition serializes as
-// width ++ count ++ count*width IDs with no per-row framing. AppendRows
-// and DecodeRowsInto are the tree's only row-section encoder and
-// decoder, generic so engine.Row and plain []uint32 rows share them.
+// width ++ count ++ count*width IDs with no per-row framing — the bytes
+// of a flat, row-major block of IDs, which is how both ends hold rows.
+// AppendRowsHeader + AppendIDs encode a section and DecodeIDsInto
+// decodes one, each in one pass over the IDs; AppendRows and DecodeRows
+// are the same codec over row slices.
 package wire
 
 import (
@@ -168,18 +170,31 @@ func ReadFrameInto(r io.Reader, buf []byte) (typ byte, payload, grown []byte, n 
 	return buf[len(Magic)], buf[headerLen:end:end], buf, n, nil
 }
 
+// AppendRowsHeader appends the header of a packed rows section —
+// width and row count — whose count×width IDs the caller appends next
+// (AppendIDs), in one call or several. Width 0 rows (existence
+// relations) are legal: only the count carries information.
+func AppendRowsHeader(buf []byte, width, count int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(width))
+	return binary.LittleEndian.AppendUint32(buf, uint32(count))
+}
+
+// AppendIDs appends IDs to a rows section, uint32 little-endian.
+func AppendIDs[T ~uint32](buf []byte, ids []T) []byte {
+	for _, v := range ids {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	return buf
+}
+
 // AppendRows serializes fixed-width uint32 rows onto buf in the packed
 // PR 1 layout: width, row count, then the IDs row-major, all uint32
-// little-endian. Width 0 rows (existence relations) are legal: only
-// the count carries information.
+// little-endian.
 func AppendRows[R ~[]T, T ~uint32](buf []byte, width int, rows []R) []byte {
 	buf = slices.Grow(buf, int(RowsSize(width, len(rows))))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(width))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
+	buf = AppendRowsHeader(buf, width, len(rows))
 	for _, r := range rows {
-		for _, v := range r {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-		}
+		buf = AppendIDs(buf, r)
 	}
 	return buf
 }
@@ -206,41 +221,37 @@ func RowsShape(buf []byte) (width, count int, err error) {
 	return width, count, nil
 }
 
-// DecodeRowsInto decodes the packed rows section at the head of buf,
-// appending its IDs to flat and its row headers to rows (the section's
-// rows are the appended tail) and returning both with the remaining
-// bytes. Nothing aliases buf. Callers that pre-size flat and rows keep
-// every section of a message in two allocations; passing nil allocates
-// each exactly.
-func DecodeRowsInto[R ~[]T, T ~uint32](buf []byte, flat []T, rows []R) ([]T, []R, []byte, error) {
-	width, count, err := RowsShape(buf)
+// DecodeIDsInto decodes the packed rows section at the head of buf,
+// appending its IDs to flat — the section's rows are flat's
+// width×count tail — and returning its shape, flat and the remaining
+// bytes. Nothing aliases buf. A caller that pre-sizes flat keeps every
+// section of a message in one allocation; passing nil allocates each
+// exactly.
+func DecodeIDsInto[T ~uint32](buf []byte, flat []T) (width, count int, ids []T, rest []byte, err error) {
+	width, count, err = RowsShape(buf)
 	if err != nil {
-		return flat, rows, nil, err
+		return 0, 0, flat, nil, err
 	}
 	body := buf[8 : 8+width*count*4]
-	rows = slices.Grow(rows, count)
-	if width == 0 {
-		empty := R(make([]T, 0))
-		for i := 0; i < count; i++ {
-			rows = append(rows, empty)
-		}
-		return flat, rows, buf[8:], nil
-	}
 	flat = slices.Grow(flat, width*count)
 	for i := 0; i < len(body); i += 4 {
 		flat = append(flat, T(binary.LittleEndian.Uint32(body[i:])))
 	}
-	for lo := len(flat) - width*count; lo < len(flat); lo += width {
-		rows = append(rows, R(flat[lo:lo+width:lo+width]))
-	}
-	return flat, rows, buf[8+len(body):], nil
+	return width, count, flat, buf[8+len(body):], nil
 }
 
 // DecodeRows decodes a packed rows section from buf into freshly
 // allocated rows, returning them and the remaining bytes.
 func DecodeRows(buf []byte) (rows [][]uint32, rest []byte, err error) {
-	_, rows, rest, err = DecodeRowsInto[[]uint32](buf, nil, nil)
-	return rows, rest, err
+	width, count, flat, rest, err := DecodeIDsInto[uint32](buf, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows = make([][]uint32, count)
+	for i := range rows {
+		rows[i] = flat[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows, rest, nil
 }
 
 // RowsSize returns the encoded size in bytes of a packed rows section.
