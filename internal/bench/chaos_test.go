@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/watdiv"
 )
@@ -231,4 +232,15 @@ func BenchmarkChaosRecovery(b *testing.B) {
 	for _, sched := range chaosSchedules {
 		b.Run(sched.name, func(b *testing.B) { run(b, sched.fp) })
 	}
+}
+
+// TestReleasedRegionsPoisoned runs the chaos schedules with
+// engine.PoisonReleased on: retried, speculated and recomputed operators
+// all work in the query's region, and none of them may read it after the
+// query released it.
+func TestReleasedRegionsPoisoned(t *testing.T) {
+	defer engine.PoisonReleased(engine.PoisonReleased(true))
+	t.Run("PreserveResults", TestChaosSchedulesPreserveResults)
+	t.Run("DeterministicReplay", TestChaosDeterministicReplay)
+	t.Run("AdaptiveRowsIdentical", TestChaosAdaptiveRowsIdentical)
 }

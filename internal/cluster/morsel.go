@@ -138,7 +138,15 @@ func SimulateMorsels(pipelines []MorselPipeline, cfg MorselSimConfig) (*MorselSi
 		done    time.Duration
 		deliver time.Duration
 	}
-	var emits []emitRec
+	// One delivery per emitting morsel, counted up front so that a
+	// pipeline cut into more morsels costs no more allocations.
+	deliveries := 0
+	for _, p := range pipelines {
+		if p.EmitRows {
+			deliveries += max(p.Morsels, 1)
+		}
+	}
+	emits := make([]emitRec, 0, deliveries)
 
 	for pi, p := range pipelines {
 		gate := cfg.Start

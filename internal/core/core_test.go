@@ -499,3 +499,87 @@ func TestMixedCostsLessThanVPOnlyOnStars(t *testing.T) {
 		t.Errorf("star query: mixed (%v) not faster than vp-only (%v)", mixed.SimTime, vp.SimTime)
 	}
 }
+
+// bigIntegerStore holds one ex:val integer literal per subject, among
+// them values past int64 and values written with a sign and leading
+// zeros.
+func bigIntegerStore(t *testing.T) *Store {
+	t.Helper()
+	g := rdf.NewGraph(0)
+	for s, v := range map[string]string{
+		"neg":   "-5",
+		"seven": "7",
+		"plus7": "+007",
+		"hund":  "100",
+		"max":   "9223372036854775807",
+		"wrapN": "18446744073709551615",
+		"wrapP": "99999999999999999999",
+	} {
+		g.AddSPO(rdf.NewIRI(testNS+s), rdf.NewIRI(testNS+"val"), rdf.NewTypedLiteral(v, rdf.XSDInteger))
+	}
+	c := cluster.MustNew(cluster.Config{Workers: 2, DefaultPartitions: 3})
+	s, err := Load(g, Options{Cluster: c})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	return s
+}
+
+// TestIntegerFilterBeyondInt64: FILTER compares integer literals by
+// value at any length — a 20-digit integer is above int64's maximum, not
+// the int64 it wraps to — and "+007" equals 7; on both executors.
+func TestIntegerFilterBeyondInt64(t *testing.T) {
+	s := bigIntegerStore(t)
+	for _, c := range []struct {
+		filter string
+		want   string
+	}{
+		{`FILTER(?v > "9223372036854775807"^^<` + rdf.XSDInteger + `>)`, "wrapN,wrapP"},
+		{`FILTER(?v < "100000000000000000000"^^<` + rdf.XSDInteger + `>)`, "hund,max,neg,plus7,seven,wrapN,wrapP"},
+		{`FILTER(?v = "7"^^<` + rdf.XSDInteger + `>)`, "plus7,seven"},
+		{`FILTER(?v >= "+0007"^^<` + rdf.XSDInteger + `>) FILTER(?v <= "0100"^^<` + rdf.XSDInteger + `>)`, "hund,plus7,seven"},
+	} {
+		q, err := sparql.Parse(`SELECT ?s WHERE { ?s <` + testNS + `val> ?v . ` + c.filter + ` }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, streaming := range []bool{false, true} {
+			res, err := s.Query(q, QueryOptions{Streaming: streaming})
+			if err != nil {
+				t.Fatalf("%s: %v", c.filter, err)
+			}
+			var got []string
+			for _, row := range res.SortedRows() {
+				got = append(got, strings.TrimPrefix(row[0].Value, testNS))
+			}
+			if strings.Join(got, ",") != c.want {
+				t.Errorf("%s (streaming %v): %v, want %s", c.filter, streaming, got, c.want)
+			}
+		}
+	}
+}
+
+// TestIntegerOrderBeyondInt64: ORDER BY sorts integer literals by value
+// at any length, ties ("+007" and "7") broken by the next key; on both
+// executors.
+func TestIntegerOrderBeyondInt64(t *testing.T) {
+	s := bigIntegerStore(t)
+	q, err := sparql.Parse(`SELECT ?s ?v WHERE { ?s <` + testNS + `val> ?v . } ORDER BY ?v ?s`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "neg,plus7,seven,hund,max,wrapN,wrapP"
+	for _, streaming := range []bool{false, true} {
+		res, err := s.Query(q, QueryOptions{Streaming: streaming})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, row := range res.Rows {
+			got = append(got, strings.TrimPrefix(row[0].Value, testNS))
+		}
+		if strings.Join(got, ",") != want {
+			t.Errorf("streaming %v: ORDER BY ?v gave %v, want %s", streaming, got, want)
+		}
+	}
+}

@@ -33,8 +33,10 @@ import (
 // Coordinator is the production implementation.
 type DistRunner interface {
 	// Session opens q's session; ctx is the query's context, and every
-	// shard call the session makes is bounded by it.
-	Session(ctx context.Context, q *sparql.Query) (DistSession, error)
+	// shard call the session makes is bounded by it. The rows the session
+	// decodes from shard responses are carved from region, the query's,
+	// which outlives the session.
+	Session(ctx context.Context, q *sparql.Query, region *engine.Region) (DistSession, error)
 }
 
 // DistSession executes one query's shard work: scan kernels plus the

@@ -206,6 +206,17 @@ func (s *Store) Query(q *sparql.Query, opts QueryOptions) (*Result, error) {
 // executed queries write back — a cancelled or failed run never poisons
 // the cache.
 //
+// Execution happens in one engine.Region per call: every intermediate
+// relation, batch, permutation, hash table and scratch buffer of the
+// query — on this process's operators, its streaming workers and the
+// part sets a coordinator decodes from its shards — is carved from it,
+// and its slabs go back to a pool when QueryContext returns. The
+// lifetime rule that makes this safe: once QueryContext returns, nothing
+// reachable may point into the region. Result.Rows is decoded out of it
+// (decodeRows copies), the plan and trace hold no rows, every goroutine
+// the query started has finished, and the stored VP and PT blocks a scan
+// shares are never region memory.
+//
 // ctx cancels in-flight execution at task granularity: when the
 // deadline passes, no further plan operators start and QueryContext
 // returns a *CancelError wrapping the context error.
@@ -235,12 +246,15 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 		return nil, err
 	}
 
-	// Execute, on the one executor the resolver picked.
+	// Execute, on the one executor the resolver picked, in the query's
+	// region.
+	region := engine.NewRegion()
+	defer region.Release()
 	var x execution
 	if r.streaming {
-		x, err = s.runStreaming(ctx, r, entry, filters)
+		x, err = s.runStreaming(ctx, r, entry, filters, region)
 	} else {
-		x, err = s.runMaterialized(ctx, q, r, entry, filters)
+		x, err = s.runMaterialized(ctx, q, r, entry, filters, region)
 	}
 	if r.faults != nil {
 		// The record totals on the store even when the query aborted —
@@ -288,8 +302,9 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 }
 
 // execution is what either executor hands the driver: the result as
-// blocks of ID rows, in result order, and everything the run measured.
-// On an abort only recovery is meaningful.
+// blocks of ID rows, in result order — region memory, decoded before the
+// region goes — and everything the run measured. On an abort only
+// recovery is meaningful.
 type execution struct {
 	rows    []engine.Block
 	simTime time.Duration
@@ -303,14 +318,14 @@ type execution struct {
 }
 
 // runMaterialized executes the plan operator at a time on the task
-// scheduler — locally, or with the kernels on the shards of r.dist,
-// through one session — then collects the root relation.
-func (s *Store) runMaterialized(ctx context.Context, q *sparql.Query, r resolved, entry *cachedPlan, filters []compiledFilter) (execution, error) {
+// scheduler, in region — locally, or with the kernels on the shards of
+// r.dist, through one session — then collects the root relation.
+func (s *Store) runMaterialized(ctx context.Context, q *sparql.Query, r resolved, entry *cachedPlan, filters []compiledFilter, region *engine.Region) (execution, error) {
 	pl := entry.plan
 	var sess DistSession
 	if r.dist != nil {
 		var err error
-		if sess, err = r.dist.Session(ctx, q); err != nil {
+		if sess, err = r.dist.Session(ctx, q, region); err != nil {
 			return execution{}, err
 		}
 		defer sess.Close()
@@ -322,6 +337,7 @@ func (s *Store) runMaterialized(ctx context.Context, q *sparql.Query, r resolved
 		r:        r,
 		dist:     sess,
 		ctx:      ctx,
+		region:   region,
 		planning: s.cluster.Config().Cost.SQLPlanning,
 	}
 	rootTask, err := sched.execute(pl)
@@ -600,11 +616,10 @@ func (s *Store) vpScanPred(tp sparql.TriplePattern, pushed []compiledFilter) (pr
 // triplesMatches collects the raw-triple rows matching a
 // variable-predicate pattern and passing rowPred (the pushed filters; nil
 // keeps every row) — the fallback scan's row source on both local
-// routes — into a block of their own.
-func (s *Store) triplesMatches(tp sparql.TriplePattern, rowPred func(engine.Row) bool) engine.Block {
+// routes — into a block of their own in region r.
+func (s *Store) triplesMatches(tp sparql.TriplePattern, rowPred func(engine.Row) bool, r *engine.Region) engine.Block {
 	outVars := tp.Vars()
-	var rows engine.RowArena
-	rows.Reset(len(outVars), 0)
+	rows := r.Arena(len(outVars), 0)
 	// Resolve bound positions.
 	var sid, oid rdf.ID
 	if !tp.S.IsVar() {
@@ -650,6 +665,7 @@ func (s *Store) triplesMatches(tp sparql.TriplePattern, rowPred func(engine.Row)
 			row = append(row, pos.val)
 		}
 		if okRow && (rowPred == nil || rowPred(row)) {
+			rows.Grow(1)
 			rows.AppendCopy(row)
 		}
 	}

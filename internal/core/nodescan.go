@@ -284,19 +284,24 @@ func (ps partScan) stageRows(p int, processed int64, emitted int) int64 {
 // partition. Either way a VP scan whose predicate keeps every row (or
 // that has none) returns the stored block itself.
 func (ns *NodeScan) ScanPart(p int, arena *engine.RowArena) (rows engine.Block, processed int64) {
-	return ns.scan(&ns.sc, p, arena)
+	return ns.scan(&ns.sc, p, arena, nil)
 }
 
 // scan is ScanPart with the PT scan scratch the caller owns, so that
-// concurrent partition tasks need share nothing.
-func (ps partScan) scan(sc *ptScan, p int, arena *engine.RowArena) (rows engine.Block, processed int64) {
+// concurrent partition tasks need share nothing, and with the region a
+// nil arena's exactly sized block is carved from.
+func (ps partScan) scan(sc *ptScan, p int, arena *engine.RowArena, r *engine.Region) (rows engine.Block, processed int64) {
 	switch {
 	case ps.pt != nil:
-		return sc.rows(ps.pt.parts[p], ps.spec, ps.rowPred, arena)
+		return sc.rows(ps.pt.parts[p], ps.spec, ps.rowPred, arena, r)
 	case ps.table == nil:
 		return engine.Block{}, 0
 	case ps.pred == nil:
 		return ps.table.Rel.Part(p), 0
+	}
+	if arena == nil {
+		a := r.Arena(0, 0)
+		arena = &a
 	}
 	return ps.table.Rel.Part(p).Select(ps.pred, arena), 0
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/plan"
@@ -202,44 +201,45 @@ func (c *planCache) metrics() CacheMetrics {
 // GROUP BY/COUNT and LIMIT/OFFSET all shape the composed plan (Union,
 // LeftJoin, Aggregate and TopK operators), and none of them appear in
 // the mirror Patterns/Filters fields.
+//
+// The key is appended into a buffer on the stack, every term through
+// rdf.Term.AppendNTriples, so a lookup allocates once — the key string —
+// unless the key outgrows the buffer.
 func planCacheKey(q *sparql.Query, r resolved, statsFP, wlEpoch uint64) string {
-	var sb strings.Builder
-	sb.WriteString(r.mode.String())
-	sb.WriteByte('|')
-	sb.WriteString(r.strategy.String())
-	sb.WriteByte('|')
-	sb.WriteString(strconv.FormatInt(r.broadcastOpt, 10))
-	sb.WriteByte('|')
-	sb.WriteString(strconv.FormatUint(statsFP, 16))
-	sb.WriteByte('|')
-	sb.WriteString(strconv.FormatUint(wlEpoch, 10))
+	var buf [planKeyBuffer]byte
+	b := append(buf[:0], r.mode.String()...)
+	b = append(append(b, '|'), r.strategy.String()...)
+	b = strconv.AppendInt(append(b, '|'), r.broadcastOpt, 10)
+	b = strconv.AppendUint(append(b, '|'), statsFP, 16)
+	b = strconv.AppendUint(append(b, '|'), wlEpoch, 10)
 	if r.extvp {
-		sb.WriteString("+extvp")
+		b = append(b, "+extvp"...)
 	}
-	sb.WriteByte('|')
+	b = append(b, '|')
 	if q.Distinct {
-		sb.WriteString("distinct")
+		b = append(b, "distinct"...)
 	}
-	sb.WriteByte('|')
+	b = append(b, '|')
 	for i, v := range q.Projection() {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		sb.WriteString(v)
+		b = append(b, v...)
 	}
-	sb.WriteByte('|')
+	b = append(b, '|')
 	for _, tp := range q.Patterns {
-		sb.WriteString(tp.String())
-		sb.WriteByte('\n')
+		b = append(tp.AppendTo(b), '\n')
 	}
-	sb.WriteByte('|')
+	b = append(b, '|')
 	for _, f := range q.Filters {
-		sb.WriteString(f.String())
-		sb.WriteByte('\n')
+		b = append(f.AppendTo(b), '\n')
 	}
 	if q.Extended() {
-		sb.WriteString("|ext|")
-		sb.WriteString(q.String())
+		b = q.AppendTo(append(b, "|ext|"...))
 	}
-	return sb.String()
+	return string(b)
 }
+
+// planKeyBuffer is the stack buffer planCacheKey renders into: larger
+// than the key of every WatDiv and extended query.
+const planKeyBuffer = 2048

@@ -117,6 +117,31 @@ type ptScan struct {
 	row engine.Row
 }
 
+// ptScans returns scratch for the n partition scans of one node, which
+// may run concurrently: a window of three shared buffers each, the row's
+// carved from r, sized for spec so that init grows none of them. A scan
+// stage's scratch is then the same few allocations whatever its
+// partition count. The windows lie a cache line apart, so that scans
+// running at once never write to one line.
+func ptScans(spec ptNodeScan, n int, r *engine.Region) []ptScan {
+	k, w := len(spec.specs), len(spec.schema)
+	// The gaps: a cursor is wider than a line, a pointer an eighth of
+	// one, an ID a sixteenth.
+	ck, ok, rw := k+1, k+8, w+16
+	curs := make([]ptCursor, n*ck)
+	out := make([]*ptCursor, n*ok)
+	row := r.IDs(n * rw)
+	scans := make([]ptScan, n)
+	for i := range scans {
+		scans[i] = ptScan{
+			curs: curs[i*ck : i*ck : i*ck+k],
+			out:  out[i*ok : i*ok : i*ok+k],
+			row:  row[i*rw : i*rw : i*rw+w],
+		}
+	}
+	return scans
+}
+
 // init prepares a scan of a node's patterns over one PT partition, in
 // the storage sc holds from the partition before (the zero ptScan
 // allocates it). The column with the fewest keys drives (the first such
@@ -291,8 +316,8 @@ func ptDriverKeys(part *ptPartition, specs []patSpec) int {
 // lends its arena (Reset here: the rows live in it until its next use)
 // and reuses sc, and the scan is one pass that allocates only when a
 // partition outgrows every earlier one; with a nil arena a counting
-// pass sizes a fresh block exactly.
-func (sc *ptScan) rows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool, arena *engine.RowArena) (rows engine.Block, processed int64) {
+// pass sizes a fresh block in r (the heap when nil) exactly.
+func (sc *ptScan) rows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool, arena *engine.RowArena, r *engine.Region) (rows engine.Block, processed int64) {
 	width := len(spec.schema)
 	if !sc.init(part, spec.specs, width) {
 		return engine.Block{}, 0
@@ -302,7 +327,8 @@ func (sc *ptScan) rows(part *ptPartition, spec ptNodeScan, rowPred func(engine.R
 		if n == 0 {
 			return engine.Block{}, sc.processed()
 		}
-		arena = engine.NewRowArena(width, int(n))
+		a := r.Arena(width, int(n))
+		arena = &a
 	} else {
 		arena.Reset(width, 0)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -10,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 )
@@ -523,7 +526,7 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 			t.Fatalf("%d keys: scan emitted %d rows, want %d", keys, emitted, 2*keys)
 		}
 		rows = testing.AllocsPerRun(10, func() {
-			out, processed := new(ptScan).rows(part, spec, nil, nil)
+			out, processed := new(ptScan).rows(part, spec, nil, nil, nil)
 			if out.Len() != 2*keys || processed != int64(keys) {
 				t.Fatalf("%d keys: %d rows, %d processed", keys, out.Len(), processed)
 			}
@@ -638,5 +641,48 @@ func TestQueryAllocsIndependentOfRowCount(t *testing.T) {
 	t.Logf("allocations per query: %.0f at 10 rows, %.0f at 1,000", small, large)
 	if large > small {
 		t.Errorf("a query's allocations follow its row count: %.0f at 10 rows, %.0f at 1,000", small, large)
+	}
+}
+
+// TestPTScanScratchIndependentOfPartitions: a property-table scan sets
+// up its cursors, its output list and its scratch row once per scan, not
+// once per partition, so scanning 16 partitions allocates what scanning
+// 2 does, on both executors. The star's pushed FILTER keeps no row, so
+// the scan's work is all there is to count.
+func TestPTScanScratchIndependentOfPartitions(t *testing.T) {
+	g := rdf.NewGraph(0)
+	for i := 0; i < 400; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("%ss%d", testNS, i))
+		g.AddSPO(s, rdf.NewIRI(testNS+"p"), rdf.NewIRI(fmt.Sprintf("%so%d", testNS, i%7)))
+		g.AddSPO(s, rdf.NewIRI(testNS+"q"), rdf.NewIRI(fmt.Sprintf("%sx%d", testNS, i%5)))
+		g.AddSPO(s, rdf.NewIRI(testNS+"r"), rdf.NewIRI(fmt.Sprintf("%sv%d", testNS, i)))
+	}
+	q := sparql.MustParse("SELECT ?s ?o WHERE { ?s <" + testNS + "p> ?o . ?s <" + testNS + "q> ?x . ?s <" + testNS + "r> ?v . FILTER(?o = <" + testNS + "x1>) }")
+	for _, streaming := range []bool{false, true} {
+		allocs := func(parts int) float64 {
+			c := cluster.MustNew(cluster.Config{Workers: 2, DefaultPartitions: parts, MaxParallel: 1})
+			s, err := Load(g, Options{Cluster: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := QueryOptions{Streaming: streaming, Parallelism: 1}
+			run := func() {
+				res, err := s.Query(q, opts)
+				if err != nil || len(res.Rows) != 0 || res.Plan.Root.Op != plan.OpScan && res.Plan.Root.Children[0].Op != plan.OpScan {
+					t.Fatalf("%d partitions: %d rows (err %v), plan\n%s", parts, len(res.Rows), err, res.Plan)
+				}
+			}
+			// One processor, no collection: see
+			// TestWarmQueryAllocsIndependentOfIntermediateRows.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			run()
+			return testing.AllocsPerRun(20, run)
+		}
+		few, many := allocs(2), allocs(16)
+		t.Logf("streaming %v: %.0f allocations per query over 2 partitions, %.0f over 16", streaming, few, many)
+		if many > few {
+			t.Errorf("streaming %v: a PT scan's allocations follow its partition count: %.0f over 2 partitions, %.0f over 16", streaming, few, many)
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // planning never open a session.
 type fakeDist struct{ opened int }
 
-func (d *fakeDist) Session(context.Context, *sparql.Query) (DistSession, error) {
+func (d *fakeDist) Session(context.Context, *sparql.Query, *engine.Region) (DistSession, error) {
 	d.opened++
 	return nil, errors.New("fakeDist executes nothing")
 }

@@ -76,6 +76,8 @@ type scheduler struct {
 	r    resolved
 	dist DistSession
 	ctx  context.Context
+	// region is the query's memory: every operator's output and scratch.
+	region *engine.Region
 	// planning is the per-query planning charge every leaf task starts
 	// after.
 	planning time.Duration
@@ -187,6 +189,7 @@ func (sc *scheduler) newExec(n *plan.Node) *engine.Exec {
 	e.BroadcastThreshold = sc.r.broadcast
 	e.Dist = sc.dist
 	e.Node = n.ID
+	e.Region = sc.region
 	return e
 }
 
@@ -489,7 +492,7 @@ func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, er
 	case scanEmpty:
 		return engine.NewBlockRelation(ns.schema(), make([]engine.Block, ns.parts), ""), nil
 	case scanTriples:
-		rel, err := engine.PartitionBlock(ns.storedSchema(), s.triplesMatches(*ns.tp, ns.rowPred), ns.partCol, ns.parts)
+		rel, err := engine.PartitionBlock(ns.storedSchema(), s.triplesMatches(*ns.tp, ns.rowPred, sc.region), ns.partCol, ns.parts)
 		if err != nil {
 			return nil, err
 		}
@@ -531,9 +534,16 @@ func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, er
 		parts = ns.table.Rel.Parts()
 	default:
 		parts = make([]engine.Block, ns.parts)
+		var scans []ptScan
+		if ps.pt != nil {
+			scans = ptScans(ps.spec, ns.parts, sc.region)
+		}
 		scan = func(p int) (engine.Block, int64) {
-			var scratch ptScan
-			rows, keys := ps.scan(&scratch, p, nil)
+			var scratch *ptScan
+			if scans != nil {
+				scratch = &scans[p]
+			}
+			rows, keys := ps.scan(scratch, p, nil, sc.region)
 			return rows, ps.stageRows(p, keys, rows.Len())
 		}
 	}

@@ -106,13 +106,12 @@ type streamStep struct {
 	// under mu, trimmed back to keep rows whenever the buffer doubles —
 	// the early termination that bounds an ORDER BY + LIMIT query's
 	// footprint to O(offset+limit) instead of O(result). A trim sorts
-	// into spare, through perm, and swaps the two. keep < 0 retains
-	// everything (ORDER BY without LIMIT). arrived counts the rows handed
-	// to the buffer, for the peak-memory sweep.
+	// into spare and swaps the two. keep < 0 retains everything (ORDER BY
+	// without LIMIT). arrived counts the rows handed to the buffer, for
+	// the peak-memory sweep.
 	less       func(a, b engine.Row) bool
 	keep       int
 	buf, spare engine.RowArena
-	perm       []int32
 	arrived    int64
 	// Aggregate barrier state (stepAggregate): the shared group table
 	// under mu.
@@ -127,8 +126,9 @@ type streamStep struct {
 // scans on. Filter passes a batch it keeps whole and copies the rows it
 // keeps otherwise; distinct hands on the rows it added to its set, a
 // slice of the set's own storage; probe and project emit a block sized
-// to the batch's output.
-func (st *streamStep) apply(rows engine.Block) engine.Block {
+// to the batch's output. A filter's or projection's new block is carved
+// from region, the query's.
+func (st *streamStep) apply(rows engine.Block, region *engine.Region) engine.Block {
 	switch st.kind {
 	case stepFilter:
 		for _, c := range st.checks {
@@ -136,13 +136,13 @@ func (st *streamStep) apply(rows engine.Block) engine.Block {
 				break
 			}
 			c.in.Add(int64(rows.Len()))
-			rows = rows.Select(func(r engine.Row) bool { return c.pred(r[c.col]) }, nil)
+			arena := region.Arena(0, 0)
+			rows = rows.Select(func(r engine.Row) bool { return c.pred(r[c.col]) }, &arena)
 		}
 	case stepProbe, stepProbeOuter:
 		rows = st.jr.hash.ProbeBatch(rows, st.kind == stepProbeOuter)
 	case stepProject:
-		var arena engine.RowArena
-		arena.Reset(st.width, rows.Len())
+		arena := region.Arena(st.width, rows.Len())
 		for i := 0; i < rows.Len(); i++ {
 			arena.AppendProjected(rows.Row(i), st.proj)
 		}
@@ -157,12 +157,13 @@ func (st *streamStep) apply(rows engine.Block) engine.Block {
 		st.mu.Unlock()
 	case stepTopK:
 		st.mu.Lock()
+		st.buf.Grow(rows.Len())
 		for i := 0; i < rows.Len(); i++ {
 			st.buf.AppendCopy(rows.Row(i))
 		}
 		st.arrived += int64(rows.Len())
 		if st.keep >= 0 && st.buf.Len() > 2*st.keep+64 {
-			_, st.perm = engine.SortInto(&st.spare, st.buf.Block(), st.less, st.keep, st.perm)
+			engine.SortInto(&st.spare, st.buf.Block(), st.less, st.keep)
 			st.buf, st.spare = st.spare, st.buf
 		}
 		st.mu.Unlock()
@@ -225,6 +226,9 @@ type streamPipe struct {
 	sink  *streamJoinRef
 	// width is the sink row width.
 	width int
+	// region is the query's: scan workers' arenas and the sink's copies
+	// are carved from it.
+	region *engine.Region
 
 	// out collects the batches that reached the sink, per source
 	// partition (each partition is processed by one worker, so the
@@ -238,8 +242,11 @@ type streamPipe struct {
 // streamPlan is a compiled streaming query: pipelines in dependency
 // order (every build pipeline precedes the pipeline probing it).
 type streamPlan struct {
-	pipes []*streamPipe
-	joins []*streamJoinRef
+	// region is the query's memory, which every pipeline, step and hash
+	// table of the plan carves from.
+	region *engine.Region
+	pipes  []*streamPipe
+	joins  []*streamJoinRef
 	// pipeOf maps plan node ID -> the pipeline carrying its work;
 	// stepOf maps node ID -> its fused step (scans map to sources).
 	pipeOf map[int]int
@@ -282,13 +289,13 @@ func (c *streamCompiler) cannotLower(n *plan.Node, why string) int {
 	return 0
 }
 
-// compileStreamPlan lowers pl into a streaming plan.
-func (s *Store) compileStreamPlan(pl *plan.Plan, nodes []*Node, filters []compiledFilter) (*streamPlan, error) {
+// compileStreamPlan lowers pl into a streaming plan that runs in region.
+func (s *Store) compileStreamPlan(pl *plan.Plan, nodes []*Node, filters []compiledFilter, region *engine.Region) (*streamPlan, error) {
 	c := &streamCompiler{
 		store:   s,
 		nodes:   nodes,
 		filters: filters,
-		sp:      &streamPlan{pipeOf: map[int]int{}, stepOf: map[int]*streamStep{}},
+		sp:      &streamPlan{region: region, pipeOf: map[int]int{}, stepOf: map[int]*streamStep{}},
 	}
 	// Operators above an Aggregate run driver-side on the finalized
 	// group rows; everything at or below it compiles into pipelines.
@@ -363,7 +370,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		if name == "" {
 			name = c.nodes[n.Leaf].Label()
 		}
-		p := &streamPipe{id: len(c.sp.pipes), name: name, src: src, width: len(n.Vars)}
+		p := &streamPipe{id: len(c.sp.pipes), name: name, src: src, width: len(n.Vars), region: c.sp.region}
 		c.sp.pipes = append(c.sp.pipes, p)
 		c.sp.pipeOf[n.ID] = p.id
 		c.notchWidth(p.width)
@@ -420,7 +427,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 			kind:  stepDistinct,
 			node:  n,
 			width: len(n.Vars),
-			dedup: engine.NewRowDeduper(len(n.Vars), 0),
+			dedup: engine.NewRowDeduper(c.sp.region, len(n.Vars), 0),
 		}
 		c.pipe(pi).steps = append(c.pipe(pi).steps, st)
 		c.sp.pipeOf[n.ID], c.sp.stepOf[n.ID] = pi, st
@@ -507,7 +514,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 			from = append(from, c.pipe(ci))
 		}
 		src := &streamSource{node: n, unionFrom: from}
-		p := &streamPipe{id: len(c.sp.pipes), name: "union", src: src, width: len(n.Vars), deps: deps}
+		p := &streamPipe{id: len(c.sp.pipes), name: "union", src: src, width: len(n.Vars), deps: deps, region: c.sp.region}
 		c.sp.pipes = append(c.sp.pipes, p)
 		c.sp.pipeOf[n.ID] = p.id
 		c.notchWidth(p.width)
@@ -525,8 +532,8 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		st := &streamStep{
 			kind: stepTopK, node: n, width: len(n.Vars),
 			less: c.store.topkLess(n), keep: keep,
+			buf: c.sp.region.Arena(len(n.Vars), 0), spare: c.sp.region.Arena(len(n.Vars), 0),
 		}
-		st.buf.Reset(st.width, 0)
 		c.pipe(pi).steps = append(c.pipe(pi).steps, st)
 		c.sp.pipeOf[n.ID] = pi
 		c.sp.barrier, c.sp.barrierPipe = st, pi
@@ -623,7 +630,7 @@ func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) err
 		}
 		if p.sink != nil {
 			p.sink.buildRows = p.outRows.Load()
-			p.sink.hash = p.sink.join.BuildBlocks(p.sinkBlocks(), p.sink.buildIsLeft)
+			p.sink.hash = p.sink.join.BuildBlocks(sp.region, p.sinkBlocks(), p.sink.buildIsLeft)
 			// The hash table holds the blocks now (it is the build side's
 			// memory, and the peak sweep prices it as such).
 			p.out = nil
@@ -681,12 +688,13 @@ func (p *streamPipe) run(ctx context.Context, s *Store, chunkSize, par int) erro
 		for pi := 0; pi < src.parts; pi++ {
 			total += ptDriverKeys(src.pt.parts[pi], src.spec.specs)
 		}
+		scans := ptScans(src.spec, src.parts, p.region)
 		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), func(pi int, arena *engine.RowArena) {
-			p.scanPTPart(pi, chunkSize, arena)
+			p.scanPTPart(pi, chunkSize, &scans[pi], arena)
 		})
 
 	case scanTriples:
-		p.feed(0, s.triplesMatches(*src.tp, src.rowPred), chunkSize)
+		p.feed(0, s.triplesMatches(*src.tp, src.rowPred, p.region), chunkSize)
 		return nil
 
 	default:
@@ -726,11 +734,11 @@ func scanWorkers(par, rows, chunkSize int) int {
 // workers that live as long as the pipeline runs, the calling goroutine
 // being the first. Each worker pulls the next partition index, so one
 // partition is processed by exactly one worker (per-partition state
-// needs no locks), and owns one arena that the batches of every
-// partition it scans are built in. A context cancellation stops workers
-// from starting further partitions.
+// needs no locks), and owns one arena, in the query's region, that the
+// batches of every partition it scans are built in. A context
+// cancellation stops workers from starting further partitions.
 func (p *streamPipe) forEachPart(ctx context.Context, workers int, scan func(pi int, arena *engine.RowArena)) error {
-	q := &partQueue{ctx: ctx, parts: p.src.parts, scan: scan}
+	q := &partQueue{ctx: ctx, region: p.region, parts: p.src.parts, scan: scan}
 	workers = max(min(workers, q.parts), 1)
 	q.wg.Add(workers)
 	for w := 1; w < workers; w++ {
@@ -747,6 +755,7 @@ func (p *streamPipe) forEachPart(ctx context.Context, workers int, scan func(pi 
 // partQueue is the state forEachPart's workers share, in one allocation.
 type partQueue struct {
 	ctx       context.Context
+	region    *engine.Region
 	parts     int
 	scan      func(pi int, arena *engine.RowArena)
 	next      atomic.Int64
@@ -756,7 +765,7 @@ type partQueue struct {
 
 func (q *partQueue) work() {
 	defer q.wg.Done()
-	var arena engine.RowArena
+	arena := q.region.Arena(0, 0)
 	for q.cancelled.Load() == nil {
 		pi := int(q.next.Add(1)) - 1
 		if pi >= q.parts {
@@ -807,15 +816,14 @@ func (p *streamPipe) scanVPPart(pi, chunkSize int, arena *engine.RowArena) {
 	flush()
 }
 
-// scanPTPart streams one PT partition: the cartesian flatten yields
-// reused scratch rows, which are copied into the worker's arena and
-// flushed through the steps at chunk boundaries. A counting pass first
-// tells how many rows are coming, so the arena is sized for the first
-// batch before it fills.
-func (p *streamPipe) scanPTPart(pi, chunkSize int, arena *engine.RowArena) {
+// scanPTPart streams one PT partition with the partition's scan scratch
+// sc: the cartesian flatten yields reused scratch rows, which are copied
+// into the worker's arena and flushed through the steps at chunk
+// boundaries. A counting pass first tells how many rows are coming, so
+// the arena is sized for the first batch before it fills.
+func (p *streamPipe) scanPTPart(pi, chunkSize int, sc *ptScan, arena *engine.RowArena) {
 	src := p.src
 	width := len(src.spec.schema)
-	var sc ptScan
 	if !sc.init(src.pt.parts[pi], src.spec.specs, width) {
 		return
 	}
@@ -855,16 +863,18 @@ func (p *streamPipe) runExistence() {
 }
 
 // processBatch pushes one batch through the pipeline's steps; the sink
-// keeps the survivors — the batch as it is, or an exactly sized copy
-// when it may still be a worker's arena (cloneAtSink).
+// keeps the survivors — the batch as it is, or an exactly sized copy in
+// the region when it may still be a worker's arena (cloneAtSink).
 func (p *streamPipe) processBatch(part int, rows engine.Block) {
 	for _, st := range p.steps {
-		if rows = st.apply(rows); rows.Len() == 0 {
+		if rows = st.apply(rows, p.region); rows.Len() == 0 {
 			return
 		}
 	}
 	if p.cloneAtSink {
-		rows = engine.MakeBlock(rows.Width(), rows.Len(), slices.Clone(rows.IDs()))
+		ids := p.region.IDs(len(rows.IDs()))
+		copy(ids, rows.IDs())
+		rows = engine.MakeBlock(rows.Width(), rows.Len(), ids)
 	}
 	p.out[part] = append(p.out[part], rows)
 	p.outRows.Add(int64(rows.Len()))
@@ -913,7 +923,8 @@ func (sp *streamPlan) finalRows(s *Store) ([]engine.Block, error) {
 	var rows engine.Block
 	switch b.kind {
 	case stepTopK:
-		rows = sliceOffsetLimit(engine.SortBlock(b.buf.Block(), b.less, b.keep), b.node.Limit, b.node.Offset)
+		sorted := sp.region.Arena(0, 0)
+		rows = sliceOffsetLimit(engine.SortInto(&sorted, b.buf.Block(), b.less, b.keep), b.node.Limit, b.node.Offset)
 	case stepAggregate:
 		// Group cells then count cells, sorted by raw ID order — exactly
 		// the materialized Aggregate's output.
@@ -923,7 +934,7 @@ func (sp *streamPlan) finalRows(s *Store) ([]engine.Block, error) {
 	for i := len(sp.tail) - 1; i >= 0; i-- {
 		n := sp.tail[i]
 		var err error
-		if rows, err = s.applyTailOp(n, rows); err != nil {
+		if rows, err = s.applyTailOp(n, rows, sp.region); err != nil {
 			return nil, err
 		}
 		sp.tailObs[n] = int64(rows.Len())
@@ -942,8 +953,8 @@ func sliceOffsetLimit(rows engine.Block, limit, offset int) engine.Block {
 }
 
 // applyTailOp runs one driver-tail operator over the finalized group
-// rows (at most one row per group — epilogue-sized input).
-func (s *Store) applyTailOp(n *plan.Node, rows engine.Block) (engine.Block, error) {
+// rows (at most one row per group — epilogue-sized input), into region.
+func (s *Store) applyTailOp(n *plan.Node, rows engine.Block, region *engine.Region) (engine.Block, error) {
 	switch n.Op {
 	case plan.OpProject:
 		in := engine.Schema(n.Children[0].Vars)
@@ -954,21 +965,22 @@ func (s *Store) applyTailOp(n *plan.Node, rows engine.Block) (engine.Block, erro
 				return engine.Block{}, fmt.Errorf("core: projected column ?%s not in schema %v", col, in)
 			}
 		}
-		out := engine.NewRowArena(len(proj), rows.Len())
+		out := region.Arena(len(proj), rows.Len())
 		for i := 0; i < rows.Len(); i++ {
 			out.AppendProjected(rows.Row(i), proj)
 		}
 		return out.Block(), nil
 
 	case plan.OpDistinct:
-		d := engine.NewRowDeduper(len(n.Vars), rows.Len())
+		d := engine.NewRowDeduper(region, len(n.Vars), rows.Len())
 		for i := 0; i < rows.Len(); i++ {
 			d.Insert(rows.Row(i))
 		}
 		return d.Rows(), nil
 
 	case plan.OpTopK:
-		return sliceOffsetLimit(engine.SortBlock(rows, s.topkLess(n), -1), n.Limit, n.Offset), nil
+		sorted := region.Arena(0, 0)
+		return sliceOffsetLimit(engine.SortInto(&sorted, rows, s.topkLess(n), -1), n.Limit, n.Offset), nil
 
 	default:
 		return engine.Block{}, fmt.Errorf("core: unsupported driver tail operator %v", n.Op)
@@ -1462,13 +1474,13 @@ func materializedPeakBytes(sc *scheduler, simTime time.Duration) int64 {
 	return sweepPeak(evs)
 }
 
-// runStreaming executes the plan on the morsel pipelines: the real row
-// work first, then the virtual morsel schedule that prices it. Errors
-// are final — the failure modes are the materialized path's.
-func (s *Store) runStreaming(ctx context.Context, r resolved, entry *cachedPlan, filters []compiledFilter) (execution, error) {
+// runStreaming executes the plan on the morsel pipelines, in region: the
+// real row work first, then the virtual morsel schedule that prices it.
+// Errors are final — the failure modes are the materialized path's.
+func (s *Store) runStreaming(ctx context.Context, r resolved, entry *cachedPlan, filters []compiledFilter, region *engine.Region) (execution, error) {
 	var x execution
 	pl := entry.plan
-	sp, err := s.compileStreamPlan(pl, entry.nodes, filters)
+	sp, err := s.compileStreamPlan(pl, entry.nodes, filters, region)
 	if err != nil {
 		return x, err
 	}

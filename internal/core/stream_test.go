@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
@@ -417,7 +418,9 @@ func streamWithResidualFilters(t *testing.T, s *Store, q *sparql.Query, opts Que
 	if !strings.Contains(pl.String(), "Filter") {
 		t.Fatalf("no filter was lifted:\n%s", pl)
 	}
-	sp, err := s.compileStreamPlan(pl, entry.nodes, filters)
+	region := engine.NewRegion()
+	defer region.Release()
+	sp, err := s.compileStreamPlan(pl, entry.nodes, filters, region)
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, pl)
 	}

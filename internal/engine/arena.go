@@ -8,7 +8,8 @@ import (
 // []rdf.ID buffer, and Block hands the rows out as a block over it.
 // Operators size one arena per output partition from known
 // cardinalities (the probe's counted matches, a cartesian product's
-// exact size), so emitting n rows is one allocation rather than n.
+// exact size), so emitting n rows is one allocation rather than n — or,
+// in a query's Region, none.
 //
 // The arena is exported so storage layers (property-table and VP scans
 // in internal/core) and streaming pipelines build their batches the way
@@ -16,12 +17,25 @@ import (
 type RowArena struct {
 	width, n int
 	buf      []rdf.ID
+	// region is where buf comes from; nil is the heap.
+	region *Region
+	// nums is row-number scratch: the rows Select keeps between its test
+	// and its copy, the permutation SortInto sorts.
+	nums []int32
 }
 
-// NewRowArena returns an arena for rows of the given width, pre-sized
-// to hold rowCapHint rows without reallocating.
+// NewRowArena returns a heap arena for rows of the given width,
+// pre-sized to hold rowCapHint rows without reallocating.
 func NewRowArena(width, rowCapHint int) *RowArena {
 	a := new(RowArena)
+	a.Reset(width, rowCapHint)
+	return a
+}
+
+// Arena returns an arena whose storage is carved from r (the heap when
+// r is nil), sized for rowCapHint rows of the given width.
+func (r *Region) Arena(width, rowCapHint int) RowArena {
+	a := RowArena{region: r}
 	a.Reset(width, rowCapHint)
 	return a
 }
@@ -30,10 +44,28 @@ func NewRowArena(width, rowCapHint int) *RowArena {
 // rowCapHint of them, keeping the storage it already has — a caller that
 // works through many partitions one after another pays for the largest
 // once. Blocks handed out before are dead: their storage is overwritten.
-// The zero RowArena is ready for Reset.
+// The zero RowArena is ready for Reset and builds on the heap.
 func (a *RowArena) Reset(width, rowCapHint int) {
 	a.width, a.n = width, 0
-	a.buf = emptied(a.buf, rowCapHint*width)
+	if n := rowCapHint * width; cap(a.buf) < n {
+		a.buf = a.region.IDs(n)[:0]
+	} else {
+		a.buf = a.buf[:0]
+	}
+}
+
+// Grow makes room for rows more rows, so the appends that follow do not
+// reallocate: an arena in a region grows there, by doubling. Blocks
+// handed out before stay valid — they keep the storage they were built
+// in.
+func (a *RowArena) Grow(rows int) {
+	need := len(a.buf) + rows*a.width
+	if need <= cap(a.buf) {
+		return
+	}
+	buf := a.region.IDs(max(need, 2*cap(a.buf)))[:len(a.buf)]
+	copy(buf, a.buf)
+	a.buf = buf
 }
 
 // emptied returns s emptied with room for n elements: in its own
@@ -47,8 +79,8 @@ func emptied[S ~[]E, E any](s S, n int) S {
 	return s[:0]
 }
 
-// largestBuffer is the size in bytes of the arena's buffer.
-func (a *RowArena) largestBuffer() int { return cap(a.buf) * 4 }
+// largestBuffer is the size in bytes of the arena's largest buffer.
+func (a *RowArena) largestBuffer() int { return max(cap(a.buf), cap(a.nums)) * 4 }
 
 // AppendJoin emits left ++ right[keep] — the hash-join output shape.
 func (a *RowArena) AppendJoin(left, right Row, keep []int) {

@@ -71,9 +71,10 @@ func totalRows(blocks []Block) int {
 }
 
 // concatBlocks copies the rows of blocks, in order, into one block of
-// the given width — one allocation; none when fewer than two blocks hold
-// rows, whose rows are returned as they are.
-func concatBlocks(width int, blocks []Block) Block {
+// the given width, carved from r (one allocation when r is nil); it
+// copies nothing when fewer than two blocks hold rows, whose rows are
+// returned as they are.
+func concatBlocks(r *Region, width int, blocks []Block) Block {
 	var only Block
 	holding := 0
 	for _, b := range blocks {
@@ -89,7 +90,7 @@ func concatBlocks(width int, blocks []Block) Block {
 		return only
 	}
 	n := totalRows(blocks)
-	ids := make([]rdf.ID, 0, n*width)
+	ids := r.IDs(n * width)[:0]
 	for _, b := range blocks {
 		ids = append(ids, b.ids...)
 	}
@@ -101,11 +102,16 @@ func concatBlocks(width int, blocks []Block) Block {
 // them: it returns the blocks, their storage still to be written, the
 // storage itself, and per block the offset in ids its first row goes to.
 func LayoutBlocks(width int, counts []int) (blocks []Block, fill []int, ids []rdf.ID) {
+	return layoutBlocks(nil, width, counts)
+}
+
+// layoutBlocks is LayoutBlocks with the storage carved from r.
+func layoutBlocks(r *Region, width int, counts []int) (blocks []Block, fill []int, ids []rdf.ID) {
 	total := 0
 	for _, c := range counts {
 		total += c
 	}
-	ids = make([]rdf.ID, total*width)
+	ids = r.IDs(total * width)
 	blocks = make([]Block, len(counts))
 	fill = make([]int, len(counts))
 	at := 0
@@ -119,20 +125,17 @@ func LayoutBlocks(width int, counts []int) (blocks []Block, fill []int, ids []rd
 
 // Select returns the rows of b that keep accepts, in order: b itself
 // when keep accepts every row, otherwise a copy in a's storage (Reset
-// here; the rows live until its next use) or, with a nil a, in one
-// exactly sized allocation. The accepted row numbers are remembered in
-// pooled scratch between the test and the copy, so keep runs once per
-// row.
+// here, to exactly the rows kept; they live until its next use). The
+// accepted row numbers are remembered in a's row-number scratch between
+// the test and the copy, so keep runs once per row.
 func (b Block) Select(keep func(Row) bool, a *RowArena) Block {
-	hp := headsPool.Get().(*[]int32)
-	defer headsPool.Put(hp)
-	kept := (*hp)[:0]
+	kept := scratch32(a.region, a.nums, b.n)[:0]
 	for i := 0; i < b.n; i++ {
 		if keep(b.Row(i)) {
 			kept = append(kept, int32(i))
 		}
 	}
-	*hp = kept
+	a.nums = kept
 	if len(kept) == b.n {
 		return b
 	}
@@ -140,13 +143,10 @@ func (b Block) Select(keep func(Row) bool, a *RowArena) Block {
 }
 
 // gather copies b's rows at idx, in idx order, into a's storage (Reset
-// here) or, with a nil a, into one exactly sized allocation.
+// here).
 func gather(b Block, idx []int32, a *RowArena) Block {
 	if len(idx) == 0 {
 		return emptyBlock(b.width)
-	}
-	if a == nil {
-		a = new(RowArena)
 	}
 	a.Reset(b.width, len(idx))
 	for _, i := range idx {
@@ -156,33 +156,31 @@ func gather(b Block, idx []int32, a *RowArena) Block {
 }
 
 // SortBlock returns b's rows ordered stably by less, keeping the first k
-// of them (all when k < 0), in a new block. It sorts a permutation of
-// row numbers and copies the rows once, into their final order.
+// of them (all when k < 0), in a new heap block. It sorts a permutation
+// of row numbers and copies the rows once, into their final order.
 func SortBlock(b Block, less func(x, y Row) bool, k int) Block {
-	out, _ := SortInto(new(RowArena), b, less, k, nil)
-	return out
+	return SortInto(new(RowArena), b, less, k)
 }
 
-// SortInto is SortBlock into storage the caller keeps: the rows land in
-// dst (Reset here, so b must not live in it), the permutation in perm's
-// storage, which is returned for the next call.
-func SortInto(dst *RowArena, b Block, less func(x, y Row) bool, k int, perm []int32) (Block, []int32) {
-	perm = sortPerm(b, less, perm)
-	top := perm
-	if k >= 0 && k < len(top) {
-		top = top[:k]
+// SortInto is SortBlock into dst's storage (Reset here, so b must not
+// live in it); the permutation is dst's row-number scratch.
+func SortInto(dst *RowArena, b Block, less func(x, y Row) bool, k int) Block {
+	perm := sortPerm(b, less, scratch32(dst.region, dst.nums, b.n))
+	dst.nums = perm
+	if k >= 0 && k < len(perm) {
+		perm = perm[:k]
 	}
-	dst.Reset(b.width, len(top))
-	for _, i := range top {
+	dst.Reset(b.width, len(perm))
+	for _, i := range perm {
 		dst.AppendCopy(b.Row(int(i)))
 	}
-	return dst.Block(), perm
+	return dst.Block()
 }
 
 // sortPerm returns b's row numbers ordered stably by less, in perm's
-// storage (grown as needed).
+// storage, which must hold b.n of them.
 func sortPerm(b Block, less func(x, y Row) bool, perm []int32) []int32 {
-	perm = emptied(perm, b.n)
+	perm = perm[:0]
 	for i := 0; i < b.n; i++ {
 		perm = append(perm, int32(i))
 	}

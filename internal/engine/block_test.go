@@ -45,7 +45,7 @@ func TestBlockWidthZeroKeepsCount(t *testing.T) {
 	if err != nil || u.NumRows() != 14 {
 		t.Errorf("Union of two 7-row existence relations: %d rows, err %v", u.NumRows(), err)
 	}
-	parts, moved := shuffleRows(rel, nil, 4)
+	parts, moved := shuffleRows(nil, rel, nil, 4)
 	if totalRows(parts) != 7 || len(parts) != 4 {
 		t.Errorf("shuffle of 7 empty rows into 4 partitions kept %d rows", totalRows(parts))
 	}

@@ -81,7 +81,7 @@ func (r *Relation) Rows() []Row {
 // SortedRows returns all rows sorted lexicographically, for
 // deterministic test assertions.
 func (r *Relation) SortedRows() []Row {
-	return SortBlock(concatBlocks(len(r.schema), r.parts), lessRows, -1).Rows()
+	return SortBlock(concatBlocks(nil, len(r.schema), r.parts), lessRows, -1).Rows()
 }
 
 // JoinPartitionKernel is the shuffle join's partition kernel
@@ -114,14 +114,14 @@ type JoinProbe struct {
 
 // NewJoinProbe indexes a copy of buildRows on the key columns.
 func NewJoinProbe(buildRows []Row, buildKey []int) *JoinProbe {
-	return &JoinProbe{ix: buildJoinIndex([]Block{blockOf(buildRows)}, buildKey)}
+	return &JoinProbe{ix: buildJoinIndex(nil, []Block{blockOf(buildRows)}, buildKey)}
 }
 
 // Probe emits the join of probeRows against the indexed build side,
 // preserving probe-row order (then build-chain order), exactly as the
 // broadcast join's partition tasks do.
 func (jp *JoinProbe) Probe(probeRows []Row, probeKey []int, buildIsLeft bool, outWidth int, lKeep, rKeep []int) []Row {
-	return jp.ix.probeBatch(blockOf(probeRows), probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, nil).Rows()
+	return jp.ix.probeBatch(nil, blockOf(probeRows), probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, nil).Rows()
 }
 
 // ProbeOuter emits the left outer join of probeRows (the left side)
@@ -129,13 +129,13 @@ func (jp *JoinProbe) Probe(probeRows []Row, probeKey []int, buildIsLeft bool, ou
 // partition tasks do: a probe row with no match emits once, padded with
 // nullRight in the right-only columns.
 func (jp *JoinProbe) ProbeOuter(probeRows []Row, probeKey []int, outWidth int, rKeep []int, nullRight Row) []Row {
-	return jp.ix.probeBatch(blockOf(probeRows), probeKey, &joinEmit{width: outWidth, rKeep: rKeep, nullRight: nullRight}, nil).Rows()
+	return jp.ix.probeBatch(nil, blockOf(probeRows), probeKey, &joinEmit{width: outWidth, rKeep: rKeep, nullRight: nullRight}, nil).Rows()
 }
 
 // Build indexes a copy of buildRows; see BuildBlocks. With Probe below
 // it is what the benchmark's engine.stream_probe_ns_per_row probe times.
 func (j *StreamJoin) Build(buildRows []Row, buildIsLeft bool) *StreamHash {
-	return j.BuildBlocks([]Block{blockOf(buildRows)}, buildIsLeft)
+	return j.BuildBlocks(nil, []Block{blockOf(buildRows)}, buildIsLeft)
 }
 
 // Probe appends every join match of probe row pr into arena and

@@ -85,32 +85,33 @@ type Exchanger interface {
 // dedup set. A kernel's result aliases the scratch (and, as always, the
 // input blocks) and is valid until the next call on it. The zero
 // KernelScratch is ready to use. Every kernel also runs on a nil
-// *KernelScratch, in fresh, exactly sized storage that the result keeps:
-// the in-process operators run them that way. Not safe for concurrent
-// use.
+// *KernelScratch, in fresh, exactly sized heap storage that the result
+// keeps: the row-slice adapters (compat.go) run them that way. The
+// in-process operators run the same kernels in their query's Region
+// instead, where every call's output is fresh region memory. Not safe for
+// concurrent use.
 type KernelScratch struct {
 	// Out is the arena output rows are emitted into, exposed so a caller's
 	// own per-partition producers (scans) can share it.
 	Out RowArena
 	// heads is probeBatch's memory between its two passes.
 	heads []int32
-	// whole is Build's index, probed by Probe; part is JoinPartition's,
-	// rebuilt by every call. They are two because emptying a head map
-	// costs what its largest build did: a partition's build must not pay
-	// for a broadcast side's.
-	whole, part joinIndex
-	seen        rowSet
+	// ix is the hash index: Build's, probed by Probe, or JoinPartition's,
+	// rebuilt by every call. Rebuilding empties only as much of the head
+	// table as the new build needs.
+	ix   joinIndex
+	seen rowSet
 }
 
 // LargestBuffer is the size in bytes of the largest single buffer the
-// scratch holds, a head map counting as one at its estimated size.
+// scratch holds.
 func (s *KernelScratch) LargestBuffer() int {
-	return max(s.Out.largestBuffer(), cap(s.heads)*4, s.whole.largestBuffer(), s.part.largestBuffer(), s.seen.largestBuffer())
+	return max(s.Out.largestBuffer(), cap(s.heads)*4, s.ix.largestBuffer(), s.seen.largestBuffer())
 }
 
 // Trim releases every buffer of the scratch larger than maxBytes (the
-// dedup set's rows and chain go together), for owners that bound what
-// they keep between uses.
+// dedup set's buffers go together), for owners that bound what they keep
+// between uses.
 func (s *KernelScratch) Trim(maxBytes int) {
 	if s.Out.largestBuffer() > maxBytes {
 		s.Out = RowArena{}
@@ -118,8 +119,7 @@ func (s *KernelScratch) Trim(maxBytes int) {
 	if cap(s.heads)*4 > maxBytes {
 		s.heads = nil
 	}
-	s.whole.trim(maxBytes)
-	s.part.trim(maxBytes)
+	s.ix.trim(maxBytes)
 	if s.seen.largestBuffer() > maxBytes {
 		s.seen = rowSet{}
 	}
@@ -129,6 +129,12 @@ func (s *KernelScratch) Trim(maxBytes int) {
 // row count; left on ties) becomes the build side, and output rows keep
 // left-to-right column order.
 func (s *KernelScratch) JoinPartition(l, r Block, lKey, rKey []int, outWidth int, lKeep, rKeep []int) Block {
+	return joinPartition(nil, s, l, r, lKey, rKey, outWidth, lKeep, rKeep)
+}
+
+// joinPartition is JoinPartition in reg, or, with a nil reg, in s's
+// storage (fresh heap storage when s is nil too).
+func joinPartition(reg *Region, s *KernelScratch, l, r Block, lKey, rKey []int, outWidth int, lKeep, rKeep []int) Block {
 	build, probe := l, r
 	buildKey, probeKey := lKey, rKey
 	buildIsLeft := true
@@ -140,22 +146,22 @@ func (s *KernelScratch) JoinPartition(l, r Block, lKey, rKey []int, outWidth int
 	var fresh joinIndex
 	ix := &fresh
 	if s != nil {
-		ix = &s.part
+		ix = &s.ix
 	}
-	ix.buildOne(build, buildKey)
-	return ix.probeBatch(probe, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, s)
+	ix.buildOne(reg, build, buildKey)
+	return ix.probeBatch(reg, probe, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, s)
 }
 
 // Build indexes a join's build side — its blocks, in order — on the key
 // columns for the Probe calls that follow: once per broadcast join,
 // whose every partition probes the same side.
-func (s *KernelScratch) Build(build []Block, buildKey []int) { s.whole.build(build, buildKey) }
+func (s *KernelScratch) Build(build []Block, buildKey []int) { s.ix.build(nil, build, buildKey) }
 
 // Probe joins probe against the side last given to Build, preserving
 // probe-row order (then build-chain order), exactly as the in-process
 // broadcast join does.
 func (s *KernelScratch) Probe(probe Block, probeKey []int, buildIsLeft bool, outWidth int, lKeep, rKeep []int) Block {
-	return s.whole.probeBatch(probe, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, s)
+	return s.ix.probeBatch(nil, probe, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, s)
 }
 
 // Cartesian crosses one partition of the large side with the whole
@@ -167,6 +173,11 @@ func (s *KernelScratch) Cartesian(large Block, small []Block, smallIsLeft bool, 
 	if s != nil {
 		arena = &s.Out
 	}
+	return cartesian(arena, large, small, smallIsLeft, outWidth, lKeep, rKeep)
+}
+
+// cartesian is the Cartesian kernel into arena (Reset here).
+func cartesian(arena *RowArena, large Block, small []Block, smallIsLeft bool, outWidth int, lKeep, rKeep []int) Block {
 	// The output cardinality is exact, so the arena never regrows.
 	arena.Reset(outWidth, large.n*totalRows(small))
 	for i := 0; i < large.n; i++ {
@@ -196,7 +207,13 @@ func (s *KernelScratch) Distinct(rows Block, width int) Block {
 	if s != nil {
 		seen = &s.seen
 	}
-	seen.reset(width, rows.n)
+	return distinct(nil, seen, rows, width)
+}
+
+// distinct is the Distinct kernel over seen, reset in r (or, with a nil
+// r, in its own storage).
+func distinct(r *Region, seen *rowSet, rows Block, width int) Block {
+	seen.reset(r, width, rows.n)
 	for i := 0; i < rows.n; i++ {
 		seen.insert(rows.Row(i))
 	}

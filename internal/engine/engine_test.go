@@ -398,25 +398,66 @@ func TestCompareIDs(t *testing.T) {
 	}
 }
 
+// TestNumericValue: an integer literal parses into its sign and
+// canonical digits however long it is, and integers compare by value —
+// past int64, with signs and leading zeros — where a wrapped int64
+// misordered them.
 func TestNumericValue(t *testing.T) {
 	tests := []struct {
 		term rdf.Term
-		want int64
+		want integer
 		ok   bool
 	}{
-		{rdf.NewTypedLiteral("42", rdf.XSDInteger), 42, true},
-		{rdf.NewTypedLiteral("-7", rdf.XSDInteger), -7, true},
-		{rdf.NewTypedLiteral("+3", rdf.XSDInteger), 3, true},
-		{rdf.NewTypedLiteral("x", rdf.XSDInteger), 0, false},
-		{rdf.NewTypedLiteral("", rdf.XSDInteger), 0, false},
-		{rdf.NewTypedLiteral("-", rdf.XSDInteger), 0, false},
-		{rdf.NewLiteral("42"), 0, false},
-		{rdf.NewIRI("http://42"), 0, false},
+		{rdf.NewTypedLiteral("42", rdf.XSDInteger), integer{digits: "42"}, true},
+		{rdf.NewTypedLiteral("-7", rdf.XSDInteger), integer{neg: true, digits: "7"}, true},
+		{rdf.NewTypedLiteral("+3", rdf.XSDInteger), integer{digits: "3"}, true},
+		{rdf.NewTypedLiteral("+007", rdf.XSDInteger), integer{digits: "7"}, true},
+		{rdf.NewTypedLiteral("-000", rdf.XSDInteger), integer{}, true},
+		{rdf.NewTypedLiteral("99999999999999999999", rdf.XSDInteger), integer{digits: "99999999999999999999"}, true},
+		{rdf.NewTypedLiteral("x", rdf.XSDInteger), integer{}, false},
+		{rdf.NewTypedLiteral("", rdf.XSDInteger), integer{}, false},
+		{rdf.NewTypedLiteral("-", rdf.XSDInteger), integer{}, false},
+		{rdf.NewTypedLiteral("1e3", rdf.XSDInteger), integer{}, false},
+		{rdf.NewLiteral("42"), integer{}, false},
+		{rdf.NewIRI("http://42"), integer{}, false},
 	}
 	for _, tt := range tests {
-		got, ok := numericValue(tt.term)
+		got, ok := integerValue(tt.term)
 		if got != tt.want || ok != tt.ok {
-			t.Errorf("numericValue(%v) = %d,%v want %d,%v", tt.term, got, ok, tt.want, tt.ok)
+			t.Errorf("integerValue(%v) = %+v,%v want %+v,%v", tt.term, got, ok, tt.want, tt.ok)
+		}
+	}
+	// Ascending, with equal neighbours in one group.
+	order := [][]string{
+		{"-99999999999999999999"},
+		{"-9223372036854775809"},
+		{"-10"},
+		{"-7", "-007"},
+		{"0", "-0", "+000"},
+		{"7", "+007", "0007"},
+		{"10"},
+		{"9223372036854775807"},
+		{"9223372036854775808"},
+		{"18446744073709551616"},
+		{"99999999999999999999"},
+		{"100000000000000000000"},
+	}
+	lit := func(v string) rdf.Term { return rdf.NewTypedLiteral(v, rdf.XSDInteger) }
+	for i, gi := range order {
+		for j, gj := range order {
+			for _, a := range gi {
+				for _, b := range gj {
+					want := 0
+					if i < j {
+						want = -1
+					} else if i > j {
+						want = 1
+					}
+					if got := CompareTerms(lit(a), lit(b)); got != want {
+						t.Errorf("CompareTerms(%s, %s) = %d, want %d", a, b, got, want)
+					}
+				}
+			}
 		}
 	}
 }

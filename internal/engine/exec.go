@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -54,6 +55,11 @@ type Exec struct {
 	// exchange spec carries it, so a distributed session attributes its
 	// measurements to the operator rather than to a label.
 	Node int
+	// Region is where the operators put what dies with the query — their
+	// outputs, permutations, hash tables and scratch — released when the
+	// query returns. Nil puts it on the heap, for the collector to free
+	// (the baselines run that way).
+	Region *Region
 
 	started bool
 }
@@ -185,7 +191,8 @@ func (e *Exec) Filter(rel *Relation, name string, pred func(Row) bool) (*Relatio
 	out := make([]Block, rel.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.Launch(false), "filter "+name, rel.Partitions(), func(p int) (cluster.TaskStats, error) {
 		in := rel.parts[p]
-		out[p] = in.Select(pred, nil)
+		arena := RowArena{region: e.Region}
+		out[p] = in.Select(pred, &arena)
 		return cluster.TaskStats{Rows: int64(in.n)}, nil
 	})
 	if err != nil {
@@ -216,8 +223,7 @@ func (e *Exec) Project(rel *Relation, cols []string) (*Relation, error) {
 	out := make([]Block, rel.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.Launch(false), "project", rel.Partitions(), func(p int) (cluster.TaskStats, error) {
 		in := rel.parts[p]
-		var arena RowArena
-		arena.Reset(len(idx), in.n)
+		arena := e.Region.Arena(len(idx), in.n)
 		for i := 0; i < in.n; i++ {
 			arena.AppendProjected(in.Row(i), idx)
 		}
@@ -265,9 +271,12 @@ func (e *Exec) Distinct(rel *Relation) (*Relation, error) {
 	if alignedOnCols(rel, rel.schema, n) {
 		shuffled = rel.parts
 	} else {
-		shuffled, moved = shuffleRows(rel, keyIdx, n)
+		shuffled, moved = shuffleRows(e.Region, rel, keyIdx, n)
 	}
-	run := func(p int) Block { return (*KernelScratch)(nil).Distinct(shuffled[p], width) }
+	run := func(p int) Block {
+		var seen rowSet
+		return distinct(e.Region, &seen, shuffled[p], width)
+	}
 	if e.Dist != nil {
 		var priced int64
 		for _, m := range moved {
@@ -315,7 +324,7 @@ func (e *Exec) Union(a, b *Relation) (*Relation, error) {
 		if i < b.Partitions() {
 			pair[1] = b.parts[i]
 		}
-		parts[i] = concatBlocks(len(a.schema), pair[:])
+		parts[i] = concatBlocks(e.Region, len(a.schema), pair[:])
 	}
 	return &Relation{schema: a.schema.Clone(), parts: parts}, nil
 }
@@ -406,19 +415,12 @@ func FilterOp(op sparql.CompareOp) (func(int) bool, error) {
 }
 
 // CompareTerms three-way-compares two terms the way FILTER comparisons
-// (and ORDER BY) do: integer-typed literals numerically, everything
-// else by term ordering.
+// (and ORDER BY) do: integer-typed literals numerically, whatever their
+// length, everything else by term ordering.
 func CompareTerms(a, b rdf.Term) int {
-	if na, oka := numericValue(a); oka {
-		if nb, okb := numericValue(b); okb {
-			switch {
-			case na < nb:
-				return -1
-			case na > nb:
-				return 1
-			default:
-				return 0
-			}
+	if na, oka := integerValue(a); oka {
+		if nb, okb := integerValue(b); okb {
+			return na.compare(nb)
 		}
 	}
 	return a.Compare(b)
@@ -437,29 +439,56 @@ func CompareTermIDs(dict *rdf.Dictionary, a, b rdf.ID) int {
 	return CompareTerms(dict.Term(a), dict.Term(b))
 }
 
-// numericValue parses integer-typed literals.
-func numericValue(t rdf.Term) (int64, bool) {
+// integer is an xsd:integer in canonical form: its sign and its decimal
+// digits without leading zeros — empty for zero, which has no sign.
+type integer struct {
+	neg    bool
+	digits string
+}
+
+// integerValue parses an integer-typed literal: an optional sign, then
+// at least one decimal digit, as many as it has.
+func integerValue(t rdf.Term) (integer, bool) {
 	if !t.IsLiteral() || t.Datatype != rdf.XSDInteger {
-		return 0, false
+		return integer{}, false
 	}
-	var n int64
-	neg := false
 	s := t.Value
+	neg := false
 	if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
 		neg = s[0] == '-'
 		s = s[1:]
 	}
 	if s == "" {
-		return 0, false
+		return integer{}, false
 	}
 	for i := 0; i < len(s); i++ {
 		if s[i] < '0' || s[i] > '9' {
-			return 0, false
+			return integer{}, false
 		}
-		n = n*10 + int64(s[i]-'0')
 	}
-	if neg {
-		n = -n
+	s = strings.TrimLeft(s, "0")
+	return integer{neg: neg && s != "", digits: s}, true
+}
+
+// compare three-way-compares two integers: by sign, then — a longer
+// canonical digit string being the larger magnitude — by length, then
+// digit by digit.
+func (x integer) compare(y integer) int {
+	if x.neg != y.neg {
+		if x.neg {
+			return -1
+		}
+		return 1
 	}
-	return n, true
+	c := len(x.digits) - len(y.digits)
+	if c == 0 {
+		c = strings.Compare(x.digits, y.digits)
+	}
+	switch {
+	case c == 0:
+		return 0
+	case (c < 0) != x.neg:
+		return -1
+	}
+	return 1
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/rdf"
@@ -38,14 +37,14 @@ func (e *Exec) LeftJoin(left, right *Relation, name string) (*Relation, error) {
 		return nil, fmt.Errorf("engine: left join %s has no shared columns (%v vs %v)", name, left.schema, right.schema)
 	}
 	outSchema, _, rKeep := joinLayout(left.schema, right.schema, shared, nil)
-	ix := buildJoinIndex(right.parts, keyIndexes(right.schema, shared))
+	ix := buildJoinIndex(e.Region, right.parts, keyIndexes(right.schema, shared))
 	probeKey := keyIndexes(left.schema, shared)
 	emit := joinEmit{width: len(outSchema), rKeep: rKeep, nullRight: make(Row, len(right.schema))}
 	buildBytes := right.EstimatedBytes()
 	workers := e.Cluster.Workers()
 	out := make([]Block, left.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.launchBroadcast(), "left join "+name, left.Partitions(), func(p int) (cluster.TaskStats, error) {
-		out[p] = ix.probeBatch(left.parts[p], probeKey, &emit, nil)
+		out[p] = ix.probeBatch(e.Region, left.parts[p], probeKey, &emit, nil)
 		st := cluster.TaskStats{Rows: int64(left.parts[p].n + out[p].n)}
 		// One build-side copy per worker, paid by its first task.
 		if p < workers {
@@ -89,13 +88,13 @@ func (e *Exec) UnionAll(rels ...*Relation) (*Relation, error) {
 // offset+limit). Each partition sorts a permutation of its rows locally
 // and forwards only its first offset+limit — the top-K pushdown below
 // the exchange — so the transfer (and its NetBytes charge) shrinks with
-// the limit; the driver merges the per-partition survivors and copies
-// the final offset/limit window out, the only rows TopK copies. A
-// negative limit keeps every row (a plain ORDER BY). less must be a
-// strict total order for the output to be deterministic across
-// partitionings; it is called concurrently from partition tasks and
-// must be safe for that. The result is a single-partition relation in
-// sorted order.
+// the limit; the driver gathers the per-partition survivors in partition
+// order and sorts them again, stably — the order a sort of their
+// concatenation gives — keeping the window. A negative limit keeps every
+// row (a plain ORDER BY). less must be a strict total order for the
+// output to be deterministic across partitionings; it is called
+// concurrently from partition tasks and must be safe for that. The
+// result is a single-partition relation in sorted order.
 func (e *Exec) TopK(rel *Relation, less func(a, b Row) bool, limit, offset int) (*Relation, error) {
 	offset = max(offset, 0)
 	k := -1
@@ -107,7 +106,7 @@ func (e *Exec) TopK(rel *Relation, less func(a, b Row) bool, limit, offset int) 
 	width := int64(len(rel.schema))
 	err := e.Cluster.RunStage(e.Clock, e.Launch(true), "topk", n, func(p int) (cluster.TaskStats, error) {
 		in := rel.parts[p]
-		perm := sortPerm(in, less, nil)
+		perm := sortPerm(in, less, e.Region.int32s(in.n))
 		if k >= 0 && k < len(perm) {
 			perm = perm[:k]
 		}
@@ -120,39 +119,20 @@ func (e *Exec) TopK(rel *Relation, less func(a, b Row) bool, limit, offset int) 
 	if err != nil {
 		return nil, err
 	}
-	// The survivors, as (partition, row) pairs in partition order, merged
-	// by a stable sort: the order a sort of their concatenation gives.
-	type at struct{ p, i int32 }
 	total := 0
 	for _, perm := range kept {
 		total += len(perm)
 	}
-	all := make([]at, 0, total)
+	survivors := e.Region.Arena(len(rel.schema), total)
 	for p, perm := range kept {
 		for _, i := range perm {
-			all = append(all, at{int32(p), i})
+			survivors.AppendCopy(rel.parts[p].Row(int(i)))
 		}
 	}
-	row := func(a at) Row { return rel.parts[a.p].Row(int(a.i)) }
-	slices.SortStableFunc(all, func(a, b at) int {
-		switch {
-		case less(row(a), row(b)):
-			return -1
-		case less(row(b), row(a)):
-			return 1
-		}
-		return 0
-	})
-	all = all[min(offset, len(all)):]
-	if limit >= 0 && limit < len(all) {
-		all = all[:limit]
-	}
-	var arena RowArena
-	arena.Reset(len(rel.schema), len(all))
-	for _, a := range all {
-		arena.AppendCopy(row(a))
-	}
-	return &Relation{schema: rel.schema.Clone(), parts: []Block{arena.Block()}}, nil
+	sorted := e.Region.Arena(0, 0)
+	rows := SortInto(&sorted, survivors.Block(), less, k)
+	rows = rows.Slice(min(offset, rows.Len()), rows.Len())
+	return &Relation{schema: rel.schema.Clone(), parts: []Block{rows}}, nil
 }
 
 // Aggregate hash-groups the relation on groupCols and appends one

@@ -154,24 +154,24 @@ func keyIndexes(s Schema, shared []string) []int {
 
 // shuffleRows hash-repartitions rel's rows by the key columns into n
 // partitions. It returns the new partitions — counted first, so all of
-// them are one allocation of IDs — and, per target partition, the
+// them are one buffer of IDs, carved from r — and, per target partition, the
 // network bytes that landed there. Rows staying on the same partition
 // index are treated as local only when the relation was already
 // partitioned correctly — the caller decides by not calling shuffleRows
 // at all in that case.
-func shuffleRows(rel *Relation, keyIdx []int, n int) ([]Block, []int64) {
+func shuffleRows(r *Region, rel *Relation, keyIdx []int, n int) ([]Block, []int64) {
 	counts := make([]int, n)
 	for _, part := range rel.parts {
 		for i := 0; i < part.n; i++ {
 			counts[cluster.HashPartition(hashRowKey(part.Row(i), keyIdx), n)]++
 		}
 	}
-	parts, fill, ids := LayoutBlocks(len(rel.schema), counts)
+	parts, fill, ids := layoutBlocks(r, len(rel.schema), counts)
 	for _, part := range rel.parts {
 		for i := 0; i < part.n; i++ {
-			r := part.Row(i)
-			p := cluster.HashPartition(hashRowKey(r, keyIdx), n)
-			fill[p] += copy(ids[fill[p]:], r)
+			row := part.Row(i)
+			p := cluster.HashPartition(hashRowKey(row, keyIdx), n)
+			fill[p] += copy(ids[fill[p]:], row)
 		}
 	}
 	return parts, movedBytes(counts, len(rel.schema))
@@ -232,18 +232,18 @@ func (e *Exec) shuffleJoin(left, right *Relation, shared []string, name string, 
 	rMoved := make([]int64, n)
 	switch {
 	case salted != nil:
-		lParts, lMoved = saltedShuffleRows(left, lKey, n, salted, true)
-		rParts, rMoved = saltedShuffleRows(right, rKey, n, salted, false)
+		lParts, lMoved = saltedShuffleRows(e.Region, left, lKey, n, salted, true)
+		rParts, rMoved = saltedShuffleRows(e.Region, right, rKey, n, salted, false)
 	default:
 		if alignedOnCols(left, shared, n) {
 			lParts = left.parts
 		} else {
-			lParts, lMoved = shuffleRows(left, lKey, n)
+			lParts, lMoved = shuffleRows(e.Region, left, lKey, n)
 		}
 		if alignedOnCols(right, shared, n) {
 			rParts = right.parts
 		} else {
-			rParts, rMoved = shuffleRows(right, rKey, n)
+			rParts, rMoved = shuffleRows(e.Region, right, rKey, n)
 		}
 	}
 
@@ -254,7 +254,7 @@ func (e *Exec) shuffleJoin(left, right *Relation, shared []string, name string, 
 	// stage stats below are computed from fragment lengths and output
 	// counts either way, so pricing never depends on where it ran.
 	run := func(p int) Block {
-		return (*KernelScratch)(nil).JoinPartition(lParts[p], rParts[p], lKey, rKey, len(outSchema), lKeep, rKeep)
+		return joinPartition(e.Region, nil, lParts[p], rParts[p], lKey, rKey, len(outSchema), lKeep, rKeep)
 	}
 	if e.Dist != nil {
 		var lSum, rSum int64
@@ -327,9 +327,9 @@ func (e *Exec) broadcastJoin(probe, build *Relation, shared []string, name strin
 	} else {
 		// Hash index over the build side's blocks, shared read-only by
 		// all tasks.
-		ix := buildJoinIndex(build.parts, buildKey)
+		ix := buildJoinIndex(e.Region, build.parts, buildKey)
 		emit := joinEmit{buildLeft: buildIsLeft, width: len(outSchema), lKeep: lKeep, rKeep: rKeep}
-		run = func(p int) Block { return ix.probeBatch(probe.parts[p], probeKey, &emit, nil) }
+		run = func(p int) Block { return ix.probeBatch(e.Region, probe.parts[p], probeKey, &emit, nil) }
 	}
 	out := make([]Block, probe.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.launchBroadcast(), "broadcast join "+name, probe.Partitions(), func(p int) (cluster.TaskStats, error) {
@@ -360,7 +360,8 @@ func (e *Exec) cartesian(left, right *Relation, name string, keep []string) (*Re
 	workers := e.Cluster.Workers()
 	smallBytes := small.EstimatedBytes()
 	run := func(p int) Block {
-		return (*KernelScratch)(nil).Cartesian(large.parts[p], small.parts, smallIsLeft, len(outSchema), lKeep, rKeep)
+		arena := RowArena{region: e.Region}
+		return cartesian(&arena, large.parts[p], small.parts, smallIsLeft, len(outSchema), lKeep, rKeep)
 	}
 	if e.Dist != nil {
 		w := workers

@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"math/bits"
-	"sync"
 
 	"repro/internal/rdf"
 )
@@ -63,25 +62,135 @@ func keysEqual(a Row, aIdx []int, b Row, bIdx []int) bool {
 	return true
 }
 
+// headTable maps a packed key to the entry heading its chain. It is
+// open-addressed and linearly probed, and a slot holds the key — one ID
+// for a one-column key, its low and high words for a packed or hashed
+// one — then the entry, 0 while the slot is free: a lookup that misses
+// reads the table and nothing else, never a row. It is at most two
+// thirds full, and it is one []rdf.ID: carved from a region, or, for a
+// scratch index, the storage the build before left.
+type headTable struct {
+	slots []rdf.ID
+	// words is a slot's size in IDs: the key's, plus the entry.
+	words int
+	// shift turns a key's multiplicative hash into a slot number — 64
+	// minus log2 of the slot count — and mask wraps a slot number past
+	// the last.
+	shift uint
+	mask  int
+	// used counts the occupied slots, for a table that grows.
+	used int
+}
+
+// smallTable is the slot count up to which a table is kept at most a
+// third full: a table that stays in cache costs what its probes touch,
+// so short probe runs pay, while a large one costs its cache misses,
+// which a lower load does not save, and its memory.
+const smallTable = 1 << 14
+
+// reset empties the table for up to n keys of keyWords IDs each (1 or
+// 2), in r or in its own storage.
+func (t *headTable) reset(r *Region, n, keyWords int) {
+	size := 2
+	for size < n+n/2 || size < 3*n && size < smallTable {
+		size <<= 1
+	}
+	t.words = keyWords + 1
+	t.slots = scratchIDs(r, t.slots, size*t.words)
+	clear(t.slots)
+	t.shift, t.mask = uint(64-bits.TrailingZeros(uint(size))), size-1
+	t.used = 0
+}
+
+// find returns the offset of the slot holding key, or of the free slot
+// where it goes.
+func (t *headTable) find(key uint64) int {
+	lo, hi := rdf.ID(key), rdf.ID(key>>32)
+	i := int((key * 0x9E3779B97F4A7C15) >> t.shift)
+	if t.words == 2 {
+		for ; ; i = (i + 1) & t.mask {
+			if at := 2 * i; t.slots[at+1] == 0 || t.slots[at] == lo {
+				return at
+			}
+		}
+	}
+	for ; ; i = (i + 1) & t.mask {
+		if at := 3 * i; t.slots[at+2] == 0 || t.slots[at] == lo && t.slots[at+1] == hi {
+			return at
+		}
+	}
+}
+
+// get returns key's entry, 0 when no entry has the key.
+func (t *headTable) get(key uint64) int32 {
+	return int32(t.slots[t.find(key)+t.words-1])
+}
+
+// push makes e the entry of key and returns the entry it displaces (0
+// when the key is new), which the caller chains behind e.
+func (t *headTable) push(key uint64, e int32) int32 {
+	at := t.find(key)
+	s := t.slots[at : at+t.words]
+	prev := int32(s[len(s)-1])
+	if prev == 0 {
+		s[0] = rdf.ID(key)
+		if len(s) == 3 {
+			s[1] = rdf.ID(key >> 32)
+		}
+		t.used++
+	}
+	s[len(s)-1] = rdf.ID(e)
+	return prev
+}
+
+// grow doubles the table, in r, when one more key would fill it past
+// two thirds — for a table whose key count is not known when it is
+// reset.
+func (t *headTable) grow(r *Region) {
+	w, size := t.words, t.mask+1
+	if 3*(t.used+1) <= 2*size {
+		return
+	}
+	old := t.slots
+	t.slots = r.IDs(2 * size * w)
+	clear(t.slots)
+	t.shift, t.mask = t.shift-1, 2*size-1
+	t.used = 0
+	for at := 0; at < len(old); at += w {
+		if e := old[at+w-1]; e != 0 {
+			key := uint64(old[at])
+			if w == 3 {
+				key |= uint64(old[at+1]) << 32
+			}
+			t.push(key, int32(e))
+		}
+	}
+}
+
+// keyWords is how many IDs a head-table slot needs for a key over n
+// columns: one column's ID is the key, anything else packs or hashes to
+// 64 bits.
+func keyWords(n int) int {
+	if n == 1 {
+		return 1
+	}
+	return 2
+}
+
 // joinIndex is a chained hash index over the build side of a hash
 // join, the side's blocks indexed where they lie — however many there
-// are, with no row gathered. Building one costs two allocations total
-// (the head map and the chain slice) regardless of row count or key
-// cardinality — no string keys, no per-key bucket slices — plus the
-// block offsets when the side spans several blocks. An entry locates
-// one build row: with one block it is the row number plus one (so the
-// zero value of a map lookup doubles as "no entry"), with several the
-// block number sits above shift bits of row number.
+// are, with no row gathered. It is two buffers whatever the row count or
+// key cardinality — the head table and the chain — plus the block
+// offsets when the side spans several blocks, all carved from the
+// query's region when it has one. An entry locates one build row: with
+// one block it is the row number plus one (so 0 can mean "no entry"),
+// with several the block number sits above shift bits of row number.
 //
 // One block is held in one, not in a slice, so that indexing a single
 // partition needs no slice of blocks made for it.
 type joinIndex struct {
-	// head1 serves the single-column fast path, keyed directly on the
-	// dictionary ID.
-	head1 map[rdf.ID]int32
-	// headN serves multi-column keys, packed (two columns) or hashed
-	// (three or more) into a uint64.
-	headN map[uint64]int32
+	// heads maps each packed key to the newest entry with that key.
+	heads headTable
 	// next[g] links build row g — rows numbered across the blocks in
 	// order — to the previous entry inserted with the same packed key; 0
 	// terminates the chain.
@@ -99,59 +208,44 @@ type joinIndex struct {
 	// exact records that the packed key is collision-free, so probe
 	// matches need no column re-check.
 	exact bool
-	// sized1 and sizedN are the most rows a build has indexed through
-	// head1 and headN since each was made: a map never shrinks, so this
-	// is what its memory follows.
-	sized1, sizedN int
 }
-
-// What one entry of a head map is taken to hold when a scratch index
-// states its size: a Go map sized for n entries has between 8/7·n and
-// 16/7·n slots, each the key and value padded to the key's alignment
-// plus a control byte — 9 bytes under an ID key, 17 under a packed one —
-// and the upper end is taken.
-const (
-	head1EntryBytes = 21
-	headNEntryBytes = 39
-)
 
 // largestBuffer is the size in bytes of the largest buffer the index
-// holds, a head map counting as one buffer at its estimated size.
+// holds.
 func (ix *joinIndex) largestBuffer() int {
-	return max(cap(ix.next)*4, ix.sized1*head1EntryBytes, ix.sizedN*headNEntryBytes)
+	return max(cap(ix.heads.slots), cap(ix.next), cap(ix.base)) * 4
 }
 
-// trim releases each buffer of the index larger than maxBytes, by
-// largestBuffer's measure.
+// trim releases each buffer of the index larger than maxBytes.
 func (ix *joinIndex) trim(maxBytes int) {
-	if ix.sized1*head1EntryBytes > maxBytes {
-		ix.head1, ix.sized1 = nil, 0
-	}
-	if ix.sizedN*headNEntryBytes > maxBytes {
-		ix.headN, ix.sizedN = nil, 0
+	if cap(ix.heads.slots)*4 > maxBytes {
+		ix.heads = headTable{}
 	}
 	if cap(ix.next)*4 > maxBytes {
 		ix.next = nil
 	}
+	if cap(ix.base)*4 > maxBytes {
+		ix.base = nil
+	}
 }
 
-// buildJoinIndex indexes the rows of blocks by the key columns. The
-// index is read-only after construction and safe for concurrent
-// probing; it keeps the blocks, not a copy.
-func buildJoinIndex(blocks []Block, keyIdx []int) joinIndex {
+// buildJoinIndex indexes the rows of blocks by the key columns, in r
+// (the heap when nil). The index is read-only after construction and
+// safe for concurrent probing; it keeps the blocks, not a copy.
+func buildJoinIndex(r *Region, blocks []Block, keyIdx []int) joinIndex {
 	var ix joinIndex
-	ix.build(blocks, keyIdx)
+	ix.build(r, blocks, keyIdx)
 	return ix
 }
 
-// build (re)indexes the rows of blocks by the key columns in the storage
-// ix already holds: the chain slice is re-sliced and the head map
-// emptied, so an index rebuilt for partition after partition allocates
-// only when one outgrows every earlier one. The zero joinIndex allocates
-// both exactly sized.
-func (ix *joinIndex) build(blocks []Block, keyIdx []int) {
+// build (re)indexes the rows of blocks by the key columns: in r, or,
+// with a nil r, in the storage ix already holds — re-sliced and cleared
+// as far as this build needs, so an index rebuilt for partition after
+// partition allocates only when one outgrows every earlier one, and
+// pays for emptying what it uses, not what its largest build did.
+func (ix *joinIndex) build(r *Region, blocks []Block, keyIdx []int) {
 	if len(blocks) == 1 {
-		ix.buildOne(blocks[0], keyIdx)
+		ix.buildOne(r, blocks[0], keyIdx)
 		return
 	}
 	largest := 0
@@ -162,23 +256,23 @@ func (ix *joinIndex) build(blocks []Block, keyIdx []int) {
 	if uint64(len(blocks))<<ix.shift > math.MaxInt32 {
 		// Entries cannot address this many blocks of this size: index one
 		// copy of the rows instead.
-		ix.buildOne(concatBlocks(blocks[0].width, blocks), keyIdx)
+		ix.buildOne(r, concatBlocks(r, blocks[0].width, blocks), keyIdx)
 		return
 	}
 	ix.blocks = blocks
-	ix.base = emptied(ix.base, len(blocks))
+	ix.base = scratch32(r, ix.base, len(blocks))[:0]
 	g := 0
 	for _, b := range blocks {
 		ix.base = append(ix.base, int32(g))
 		g += b.n
 	}
-	ix.index(keyIdx)
+	ix.index(r, keyIdx)
 }
 
 // buildOne is build over a single block.
-func (ix *joinIndex) buildOne(b Block, keyIdx []int) {
+func (ix *joinIndex) buildOne(r *Region, b Block, keyIdx []int) {
 	ix.blocks, ix.one = nil, b
-	ix.index(keyIdx)
+	ix.index(r, keyIdx)
 }
 
 // nblocks and block enumerate the indexed blocks.
@@ -196,47 +290,22 @@ func (ix *joinIndex) block(bi int) Block {
 	return ix.blocks[bi]
 }
 
-// index fills the head map and the chain over the blocks build chose.
-func (ix *joinIndex) index(keyIdx []int) {
+// index fills the head table and the chain over the blocks build chose.
+func (ix *joinIndex) index(r *Region, keyIdx []int) {
 	total := 0
 	for bi := 0; bi < ix.nblocks(); bi++ {
 		total += ix.block(bi).n
 	}
 	ix.keyIdx, ix.exact = keyIdx, len(keyIdx) <= 2
 	// Every link is written below, so stale ones need no clearing.
-	ix.next = emptied(ix.next, total)[:total]
+	ix.next = scratch32(r, ix.next, total)
+	ix.heads.reset(r, total, keyWords(len(keyIdx)))
 	g := 0
-	if len(keyIdx) == 1 {
-		ix.sized1 = max(ix.sized1, total)
-		if ix.head1 == nil {
-			ix.head1 = make(map[rdf.ID]int32, total)
-		} else {
-			clear(ix.head1)
-		}
-		ki := keyIdx[0]
-		for bi := 0; bi < ix.nblocks(); bi++ {
-			b := ix.block(bi)
-			for r := 0; r < b.n; r++ {
-				k := b.ids[r*b.width+ki]
-				ix.next[g] = ix.head1[k]
-				ix.head1[k] = int32(bi<<ix.shift|r) + 1
-				g++
-			}
-		}
-		return
-	}
-	ix.sizedN = max(ix.sizedN, total)
-	if ix.headN == nil {
-		ix.headN = make(map[uint64]int32, total)
-	} else {
-		clear(ix.headN)
-	}
 	for bi := 0; bi < ix.nblocks(); bi++ {
 		b := ix.block(bi)
-		for r := 0; r < b.n; r++ {
-			k, _ := packKey(b.Row(r), keyIdx)
-			ix.next[g] = ix.headN[k]
-			ix.headN[k] = int32(bi<<ix.shift|r) + 1
+		for row := 0; row < b.n; row++ {
+			k, _ := packKey(b.Row(row), keyIdx)
+			ix.next[g] = ix.heads.push(k, int32(bi<<ix.shift|row)+1)
 			g++
 		}
 	}
@@ -245,11 +314,8 @@ func (ix *joinIndex) index(keyIdx []int) {
 // first returns the head entry of the chain for probe row pr's key
 // columns, or 0 when no build row shares the packed key.
 func (ix *joinIndex) first(pr Row, probeIdx []int) int32 {
-	if len(ix.keyIdx) == 1 {
-		return ix.head1[pr[probeIdx[0]]]
-	}
 	k, _ := packKey(pr, probeIdx)
-	return ix.headN[k]
+	return ix.heads.get(k)
 }
 
 // entry resolves chain entry i (non-zero) to its build row and the entry
@@ -326,11 +392,6 @@ func (ix *joinIndex) emitChain(head int32, pr Row, probeIdx []int, e *joinEmit, 
 	return n
 }
 
-// headsPool recycles []int32 scratch — the chain heads of probeBatch
-// calls that bring none, the kept row numbers of Block.Select — so a
-// probe or a filter allocates nothing per input row.
-var headsPool = sync.Pool{New: func() any { return new([]int32) }}
-
 // probeBatch joins a batch of probe rows against the index,
 // preserving probe-row order (then build-chain order). It counts
 // before it fills: the first pass looks up every probe row's chain
@@ -338,24 +399,19 @@ var headsPool = sync.Pool{New: func() any { return new([]int32) }}
 // sized for exactly that count, walking the remembered heads instead
 // of hashing again. With a scratch the heads and the arena are its
 // own, reused, and the result lives in s.Out until that is next used;
-// with nil the heads are pooled and the output is one fresh, exactly
-// sized allocation. A batch that emits nothing returns an empty block
-// without allocating, so a selective probe costs memory for its output,
-// not its input.
-func (ix *joinIndex) probeBatch(probe Block, probeIdx []int, e *joinEmit, s *KernelScratch) Block {
+// without, both are carved from r — fresh heap storage when r is nil,
+// the output one exactly sized allocation. A batch that emits nothing
+// returns an empty block, so a selective probe costs memory for its
+// output, not its input.
+func (ix *joinIndex) probeBatch(r *Region, probe Block, probeIdx []int, e *joinEmit, s *KernelScratch) Block {
 	var heads []int32
-	var arena RowArena
+	arena := RowArena{region: r}
 	out := &arena
 	if s != nil {
 		s.heads = emptied(s.heads, probe.n)
 		heads, out = s.heads[:probe.n], &s.Out
 	} else {
-		hp := headsPool.Get().(*[]int32)
-		defer headsPool.Put(hp)
-		if cap(*hp) < probe.n {
-			*hp = make([]int32, probe.n)
-		}
-		heads = (*hp)[:probe.n]
+		heads = r.int32s(probe.n)
 	}
 	total := 0
 	for k := range heads {
@@ -381,48 +437,48 @@ func (ix *joinIndex) probeBatch(probe Block, probeIdx []int, e *joinEmit, s *Ker
 }
 
 // rowSet is a chained hash set over whole rows, used by Distinct. Like
-// joinIndex it allocates only its head map and chain, plus one flat
-// buffer the inserted rows are copied into — so its rows are a block of
-// its own, in first-seen order — and re-checks hashed (wide-row) keys
-// column-wise so collisions never drop rows.
+// joinIndex it is a head table and a chain, plus one flat buffer the
+// inserted rows are copied into — so its rows are a block of its own, in
+// first-seen order — and it re-checks hashed (wide-row) keys column-wise
+// so collisions never drop rows. In a region every buffer grows there,
+// so a set sized for no rows may take any number.
 type rowSet struct {
-	head   map[uint64]int32
+	heads  headTable
 	next   []int32
 	rows   RowArena
 	keyIdx []int
-	// sized is the largest hint since head was made; see joinIndex.sized1.
-	sized int
 }
 
-// newRowSet returns a set for rows of the given width, pre-sized for
-// capHint insertions.
-func newRowSet(width, capHint int) *rowSet {
-	s := new(rowSet)
-	s.reset(width, capHint)
-	return s
-}
+// firstCols is 0, 1, 2, …: a whole-row key's column list is a prefix of
+// it, shared read-only, for every width but the widest.
+var firstCols = func() (cols [64]int) {
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}()
 
 // reset empties the set for rows of the given width and capHint
-// insertions, keeping the storage it already has; the zero rowSet
-// allocates each buffer at the hint.
-func (s *rowSet) reset(width, capHint int) {
-	s.keyIdx = emptied(s.keyIdx, width)
-	for i := 0; i < width; i++ {
-		s.keyIdx = append(s.keyIdx, i)
-	}
-	if s.head == nil {
-		s.head = make(map[uint64]int32, capHint)
+// insertions: in r, or, with a nil r, in the storage it already has (the
+// zero rowSet allocates each buffer at the hint).
+func (s *rowSet) reset(r *Region, width, capHint int) {
+	if width <= len(firstCols) {
+		s.keyIdx = firstCols[:width:width]
 	} else {
-		clear(s.head)
+		s.keyIdx = make([]int, width)
+		for i := range s.keyIdx {
+			s.keyIdx[i] = i
+		}
 	}
-	s.sized = max(s.sized, capHint)
-	s.next = emptied(s.next, capHint)
+	s.heads.reset(r, capHint, keyWords(width))
+	s.next = scratch32(r, s.next, capHint)[:0]
+	s.rows.region = r
 	s.rows.Reset(width, capHint)
 }
 
 // largestBuffer is joinIndex.largestBuffer for the set.
 func (s *rowSet) largestBuffer() int {
-	return max(cap(s.next)*4, s.rows.largestBuffer(), s.sized*headNEntryBytes)
+	return max(cap(s.heads.slots)*4, cap(s.next)*4, s.rows.largestBuffer())
 }
 
 // insert adds a copy of r unless an equal row is already present,
@@ -430,14 +486,16 @@ func (s *rowSet) largestBuffer() int {
 func (s *rowSet) insert(r Row) bool {
 	k, exact := packKey(r, s.keyIdx)
 	w := s.rows.width
-	for i := s.head[k]; i != 0; i = s.next[i-1] {
+	for i := s.heads.get(k); i != 0; i = s.next[i-1] {
 		at := int(i-1) * w
 		if exact || keysEqual(s.rows.buf[at:at+w], s.keyIdx, r, s.keyIdx) {
 			return false
 		}
 	}
+	reg := s.rows.region
+	s.heads.grow(reg)
+	s.rows.Grow(1)
 	s.rows.AppendCopy(r)
-	s.next = append(s.next, s.head[k])
-	s.head[k] = int32(s.rows.n)
+	s.next = append(grow32(reg, s.next), s.heads.push(k, int32(s.rows.n)))
 	return true
 }

@@ -121,7 +121,7 @@ func TestProbeBatchMatchesReference(t *testing.T) {
 						// The streaming build indexes its sink's batches where
 						// they lie: several blocks of uneven sizes, one empty.
 						sj := NewStreamJoin(ls, rs, keep)
-						hash := sj.BuildBlocks(splitBlocks(buildW, build), buildLeft)
+						hash := sj.BuildBlocks(nil, splitBlocks(buildW, build), buildLeft)
 						probeBlock := NewBlock(probeW, probe)
 						wantS := refProbe(build, probe, buildKey, probeKey, buildLeft, sj.lKeep, sj.rKeep, nil)
 						if got := hash.ProbeBatch(probeBlock, false).Rows(); !sameRows(got, wantS) {
@@ -175,15 +175,17 @@ func sameRows(a, b []Row) bool {
 
 // TestProbeAllMissAllocatesNothing: a probe that emits nothing must
 // not pay for its input — no output arena, no per-row scratch — so it
-// allocates the same at 100 probe rows and at 10,000: nothing, or (when
-// the collector or the race detector emptied the scratch pool between
-// runs) the pooled chain-head slice again.
+// allocates the same at 100 probe rows and at 10,000: nothing in a
+// query's region, once the region's slabs are warm, and on the heap only
+// the chain-head slice. The collector is off while it counts: a
+// collection empties the slab pool.
 func TestProbeAllMissAllocatesNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(4))
 	build := NewBlock(2, randomRows(rng, 2, 500, 400))
-	ix := buildJoinIndex([]Block{build}, []int{0})
-	hash := NewStreamJoin(Schema{"k", "p"}, Schema{"k", "b"}, nil).BuildBlocks(splitBlocks(2, build.Rows()), false)
-	const poolRefill = 2 // the pooled *[]int32 and its backing array
+	ix := buildJoinIndex(nil, []Block{build}, []int{0})
+	hash := NewStreamJoin(Schema{"k", "p"}, Schema{"k", "b"}, nil).BuildBlocks(nil, splitBlocks(2, build.Rows()), false)
+	region := NewRegion()
 	for _, n := range []int{100, 10000} {
 		rows := randomRows(rng, 2, n, 400)
 		for _, pr := range rows {
@@ -192,10 +194,17 @@ func TestProbeAllMissAllocatesNothing(t *testing.T) {
 		probe := NewBlock(2, rows)
 		var out Block
 		emit := joinEmit{width: 3, rKeep: []int{1}}
-		if a := testing.AllocsPerRun(20, func() { out = ix.probeBatch(probe, []int{0}, &emit, nil) }); a > poolRefill || out.Len() != 0 {
+		inRegion := func() {
+			out = ix.probeBatch(region, probe, []int{0}, &emit, nil)
+			region.Release()
+		}
+		if a := testing.AllocsPerRun(20, inRegion); a != 0 || out.Len() != 0 {
+			t.Errorf("broadcast probe of %d missing rows in a region: %v allocations, %d rows", n, a, out.Len())
+		}
+		if a := testing.AllocsPerRun(20, func() { out = ix.probeBatch(nil, probe, []int{0}, &emit, nil) }); a > 1 || out.Len() != 0 {
 			t.Errorf("broadcast probe of %d missing rows: %v allocations, %d rows", n, a, out.Len())
 		}
-		if a := testing.AllocsPerRun(20, func() { out = hash.ProbeBatch(probe, false) }); a > poolRefill || out.Len() != 0 {
+		if a := testing.AllocsPerRun(20, func() { out = hash.ProbeBatch(probe, false) }); a > 1 || out.Len() != 0 {
 			t.Errorf("ProbeBatch of %d missing rows: %v allocations, %d rows", n, a, out.Len())
 		}
 	}

@@ -20,18 +20,19 @@
 // Operators that keep every row share the input's blocks (an unfiltered
 // scan, Rename, UnionAll) or slices of them (Limit); operators that drop
 // or reshape rows write a new block through RowArena, sized from a known
-// cardinality, so an output partition is one allocation whatever its row
-// count.
+// cardinality, so an output partition is one buffer whatever its row
+// count — carved from the query's Region (region.go) when the Exec has
+// one, one allocation on the heap when it has none.
 //
 // The join/shuffle/distinct hot path is allocation-light by design:
 // rows are dictionary-encoded, so join keys of one or two columns pack
 // losslessly into the hash-table key (no materialization at all) and
 // wider keys fold to a uint64 hash with a column-wise re-check on
 // collision (key.go); hash joins probe a chained index over the build
-// side's blocks, as many as it has, that allocates only its head map and
-// chain (joinIndex); and a shuffle counts its targets before it copies,
-// so every target partition lands in one allocation. Partition tasks run
-// with real goroutine parallelism under cluster.RunStage; all
+// side's blocks, as many as it has, that is only a flat head table and
+// a chain (joinIndex); and a shuffle counts its targets before it
+// copies, so every target partition lands in one buffer. Partition tasks
+// run with real goroutine parallelism under cluster.RunStage; all
 // per-partition state (arena, index, output slot) is task-local, and
 // broadcast-join indexes are built once and probed read-only.
 package engine

@@ -165,13 +165,13 @@ func saltTargets(h uint64, workers, n int) []int {
 // round-robin over their key's target partitions, and the replicating
 // side's hot rows land once in every target partition. Like shuffleRows
 // it counts every target before it copies, so the partitions are one
-// allocation of IDs; the round-robin cursors are rewound between the
+// buffer of IDs, carved from r; the round-robin cursors are rewound between the
 // two passes, so both route every row alike. It returns the new
 // partitions and, per target partition, the network bytes that landed
 // there (replicas ship — and are charged — per copy).
-func saltedShuffleRows(rel *Relation, keyIdx []int, n int, salted map[uint64]*saltedKey, isLeft bool) ([]Block, []int64) {
-	route := func(r Row, emit func(p int)) {
-		h := hashRowKey(r, keyIdx)
+func saltedShuffleRows(r *Region, rel *Relation, keyIdx []int, n int, salted map[uint64]*saltedKey, isLeft bool) ([]Block, []int64) {
+	route := func(row Row, emit func(p int)) {
+		h := hashRowKey(row, keyIdx)
 		sk := salted[h]
 		switch {
 		case sk == nil:
@@ -198,7 +198,7 @@ func saltedShuffleRows(rel *Relation, keyIdx []int, n int, salted map[uint64]*sa
 			sk.next = 0
 		}
 	}
-	parts, fill, ids := LayoutBlocks(width, counts)
+	parts, fill, ids := layoutBlocks(r, width, counts)
 	var row Row
 	put := func(p int) { fill[p] += copy(ids[fill[p]:], row) }
 	for _, part := range rel.parts {

@@ -49,16 +49,17 @@ func (j *StreamJoin) OutSchema() Schema { return j.out }
 // Shared returns the join variables.
 func (j *StreamJoin) Shared() []string { return j.shared }
 
-// BuildBlocks indexes the buffered build side where it lies: the
-// blocks, in order, are what the index and its probes read, so they must
-// stay unchanged while the hash is in use.
-func (j *StreamJoin) BuildBlocks(blocks []Block, buildIsLeft bool) *StreamHash {
+// BuildBlocks indexes the buffered build side where it lies, in r (the
+// heap when nil): the blocks, in order, are what the index and its
+// probes read, so they must stay unchanged while the hash is in use.
+func (j *StreamJoin) BuildBlocks(r *Region, blocks []Block, buildIsLeft bool) *StreamHash {
 	buildKey, probeKey := j.rKey, j.lKey
 	if buildIsLeft {
 		buildKey, probeKey = j.lKey, j.rKey
 	}
 	return &StreamHash{
-		ix:        buildJoinIndex(blocks, buildKey),
+		ix:        buildJoinIndex(r, blocks, buildKey),
+		region:    r,
 		probeKey:  probeKey,
 		emit:      joinEmit{buildLeft: buildIsLeft, width: len(j.out), lKeep: j.lKeep, rKeep: j.rKeep},
 		nullRight: j.nullRight,
@@ -68,24 +69,26 @@ func (j *StreamJoin) BuildBlocks(blocks []Block, buildIsLeft bool) *StreamHash {
 // StreamHash is a built hash table ready for batch-at-a-time probing.
 // Probing is read-only, so concurrent probe morsels share one table.
 type StreamHash struct {
-	ix        joinIndex
+	ix joinIndex
+	// region is where the table lives and probes emit.
+	region    *Region
 	probeKey  []int
 	emit      joinEmit
 	nullRight Row
 }
 
 // ProbeBatch joins one batch of probe rows against the table into a
-// block sized by the batch's match count (empty, and unallocated, when
-// nothing matches). With outer set the probe has left-outer semantics —
-// a probe row with no match emits once, padded with NullID in the
-// right-only columns — which requires the build side to be the right
-// (optional) input (buildIsLeft=false at build time).
+// block sized by the batch's match count, in the table's region (empty,
+// and unallocated, when nothing matches). With outer set the probe has
+// left-outer semantics — a probe row with no match emits once, padded
+// with NullID in the right-only columns — which requires the build side
+// to be the right (optional) input (buildIsLeft=false at build time).
 func (h *StreamHash) ProbeBatch(probe Block, outer bool) Block {
 	e := h.emit
 	if outer {
 		e.nullRight = h.nullRight
 	}
-	return h.ix.probeBatch(probe, h.probeKey, &e, nil)
+	return h.ix.probeBatch(h.region, probe, h.probeKey, &e, nil)
 }
 
 // RowDeduper wraps the Distinct operator's row set for streaming use:
@@ -95,9 +98,12 @@ type RowDeduper struct {
 	set *rowSet
 }
 
-// NewRowDeduper returns a deduper for rows of the given width.
-func NewRowDeduper(width, capHint int) *RowDeduper {
-	return &RowDeduper{set: newRowSet(width, capHint)}
+// NewRowDeduper returns a deduper for rows of the given width, whose set
+// lives in r (the heap when nil) and grows there past capHint rows.
+func NewRowDeduper(r *Region, width, capHint int) *RowDeduper {
+	set := new(rowSet)
+	set.reset(r, width, capHint)
+	return &RowDeduper{set: set}
 }
 
 // Insert adds a copy of r unless an equal row was already seen,

@@ -76,7 +76,7 @@ func Dial(store *core.Store, addrs []string) (*Coordinator, error) {
 		c.conns = append(c.conns, sc)
 		hello := &helloReq{Shard: i, Shards: len(addrs), Partitions: c.parts, Workers: c.workers, Fingerprint: c.fp,
 			InversePT: store.InversePropertyTable() != nil}
-		if _, _, _, err := sc.call(ctx, msgHello, hello, func(*dec) {}); err != nil {
+		if _, _, _, err := sc.call(ctx, nil, msgHello, hello, func(*dec) {}); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -97,9 +97,9 @@ func (c *Coordinator) Close() error {
 
 // Session implements core.DistRunner: sessions share the coordinator's
 // connections (per-connection calls serialize) and keep their own
-// exchange records.
-func (c *Coordinator) Session(ctx context.Context, q *sparql.Query) (core.DistSession, error) {
-	return &session{ctx: ctx, c: c, filters: append([]sparql.Filter(nil), q.Filters...)}, nil
+// exchange records; the part sets they decode are carved from region.
+func (c *Coordinator) Session(ctx context.Context, q *sparql.Query, region *engine.Region) (core.DistSession, error) {
+	return &session{ctx: ctx, c: c, region: region, filters: append([]sparql.Filter(nil), q.Filters...)}, nil
 }
 
 // NetworkStats implements core.NetworkReporter.
@@ -193,11 +193,12 @@ const maxRTTSamples = 1 << 13
 const maxRetainBytes = 256 << 10
 
 // call performs one framed request/response exchange, handing the
-// response payload (valid only during the callback) to decode. Every
-// failure — transport, shard-reported, or codec — comes back as a
-// *wire.ShardError naming this shard, so query errors surface through
-// the task-attempt machinery as a worker outage.
-func (sc *shardConn) call(ctx context.Context, typ byte, req request, decode func(*dec)) (sent, recv int64, wall time.Duration, err error) {
+// response payload (valid only during the callback) to decode, whose
+// row sections are carved from region. Every failure — transport,
+// shard-reported, or codec — comes back as a *wire.ShardError naming
+// this shard, so query errors surface through the task-attempt
+// machinery as a worker outage.
+func (sc *shardConn) call(ctx context.Context, region *engine.Region, typ byte, req request, decode func(*dec)) (sent, recv int64, wall time.Duration, err error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	start := time.Now()
@@ -209,7 +210,7 @@ func (sc *shardConn) call(ctx context.Context, typ byte, req request, decode fun
 	case rtyp == msgErr:
 		err = errors.New(string(payload))
 	case rtyp == msgOK:
-		d := dec{b: payload, slot: sc.slot}
+		d := dec{b: payload, slot: sc.slot, region: region}
 		decode(&d)
 		err = d.done()
 	default:
@@ -307,11 +308,12 @@ func durationQuantile(samples []time.Duration, q float64) time.Duration {
 
 // session is one query's DistSession: it resolves FILTER indexes
 // against the query it was opened for, fans every exchange out to all
-// shards under the query's context, and records measured-vs-priced
-// bytes per exchange.
+// shards under the query's context, decodes their rows into the query's
+// region, and records measured-vs-priced bytes per exchange.
 type session struct {
 	ctx     context.Context
 	c       *Coordinator
+	region  *engine.Region
 	filters []sparql.Filter
 
 	mu      sync.Mutex
@@ -355,7 +357,7 @@ func (s *session) fanOut(typ byte, req request, total int, decode func(d *dec) [
 		go func(i int, sc *shardConn) {
 			defer wg.Done()
 			var sent, recv int64
-			sent, recv, walls[i], errs[i] = sc.call(s.ctx, typ, req, func(d *dec) { parts[i] = decode(d) })
+			sent, recv, walls[i], errs[i] = sc.call(s.ctx, s.region, typ, req, func(d *dec) { parts[i] = decode(d) })
 			wires[i] = sent + recv
 		}(i, sc)
 	}

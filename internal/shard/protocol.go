@@ -24,8 +24,9 @@
 // decodes a section into one block, one copy into one flat buffer.
 //
 // The two ends read a message differently. The coordinator decodes a
-// response whole, every section into one exactly sized ID buffer its
-// blocks keep for the rest of the query. The server validates a request
+// response whole, every section into one exactly sized ID buffer carved
+// from the query's region, which its blocks keep for the rest of the
+// query. The server validates a request
 // whole — every section of every part set, before any kernel runs — and
 // then works through it one owned partition at a time: decode that
 // partition's sections into scratch, run the kernel into a reused arena,
@@ -318,12 +319,13 @@ type dec struct {
 	// flat is the buffer decoded row sections are carved from, each a
 	// block over its own stretch, and intBuf the one int lists are. Both
 	// nil on the coordinator: its rows outlive the call, and each part
-	// set is allocated once at its exact size. The server lends a
-	// connection's scratch, which only ever holds a request's whole side
-	// and spec — part sets it decodes a partition at a time, through
-	// sections.
+	// set is carved once at its exact size from region, the query's (the
+	// heap when nil). The server lends a connection's scratch, which only
+	// ever holds a request's whole side and spec — part sets it decodes a
+	// partition at a time, through sections.
 	flat   []rdf.ID
 	intBuf []int
+	region *engine.Region
 }
 
 // take consumes n bytes, nil once the input is exhausted.
@@ -423,7 +425,7 @@ func (d *dec) partSet(want int) []engine.Block {
 	if d.err != nil {
 		return nil
 	}
-	d.flat = slices.Grow(d.flat, ids)
+	d.flat = d.region.IDs(ids)[:0]
 	parts := make([]engine.Block, total)
 	for p := d.slot.shard; p < total; p += d.slot.shards {
 		parts[p] = d.rowSection()

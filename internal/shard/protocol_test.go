@@ -358,7 +358,7 @@ func FuzzDecodeRequest(f *testing.F) {
 func TestBroadcastAllocsIndependentOfRows(t *testing.T) {
 	store := testStore(t)
 	coord := dialShards(t, store, 1)
-	sess, err := coord.Session(context.Background(), &sparql.Query{})
+	sess, err := coord.Session(context.Background(), &sparql.Query{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/sparql"
 	"repro/internal/watdiv"
@@ -457,4 +458,18 @@ func TestNetAnnotationKeyedByNode(t *testing.T) {
 			t.Fatalf("run %d annotates\n%swant (Parallelism 1)\n%s", run, got, netAnnotation(want.Plan))
 		}
 	}
+}
+
+// TestReleasedRegionsPoisoned runs the sharded routes with
+// engine.PoisonReleased on: the 2- and 4-shard identity gates and the
+// scan shapes, whose coordinator decodes every part set into the
+// query's region, and the hung shard, whose query gives up on its
+// deadline — QueryContext may release the region only once the fan-out
+// blocked on the shard has unwound, or a part set decoded late lands in
+// poisoned, recycled memory.
+func TestReleasedRegionsPoisoned(t *testing.T) {
+	defer engine.PoisonReleased(engine.PoisonReleased(true))
+	t.Run("ShardedMatchesSingleProcess", TestShardedExecutionMatchesSingleProcess)
+	t.Run("ScanShapes", TestScanShapesAgreeAcrossRoutes)
+	t.Run("HungShard", TestHungShardDoesNotHangQuery)
 }

@@ -11,7 +11,7 @@ package sparql
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/rdf"
 )
@@ -38,6 +38,14 @@ func (p PatternTerm) String() string {
 	return p.Term.String()
 }
 
+// AppendTo appends what String returns to dst.
+func (p PatternTerm) AppendTo(dst []byte) []byte {
+	if p.IsVar() {
+		return append(append(dst, '?'), p.Var...)
+	}
+	return p.Term.AppendNTriples(dst)
+}
+
 // Variable returns a PatternTerm for variable name (no '?').
 func Variable(name string) PatternTerm { return PatternTerm{Var: name} }
 
@@ -51,7 +59,15 @@ type TriplePattern struct {
 
 // String renders the pattern in SPARQL surface syntax.
 func (tp TriplePattern) String() string {
-	return fmt.Sprintf("%s %s %s", tp.S, tp.P, tp.O)
+	var buf [128]byte // most patterns fit: the string is then the only allocation
+	return string(tp.AppendTo(buf[:0]))
+}
+
+// AppendTo appends what String returns to dst.
+func (tp TriplePattern) AppendTo(dst []byte) []byte {
+	dst = append(tp.S.AppendTo(dst), ' ')
+	dst = append(tp.P.AppendTo(dst), ' ')
+	return tp.O.AppendTo(dst)
 }
 
 // Vars returns the distinct variable names used by the pattern, in S,P,O
@@ -124,7 +140,15 @@ type Filter struct {
 
 // String renders the filter in SPARQL surface syntax.
 func (f Filter) String() string {
-	return fmt.Sprintf("FILTER(?%s %s %s)", f.Var, f.Op, f.Value)
+	var buf [128]byte // most filters fit: the string is then the only allocation
+	return string(f.AppendTo(buf[:0]))
+}
+
+// AppendTo appends what String returns to dst.
+func (f Filter) AppendTo(dst []byte) []byte {
+	dst = append(append(dst, "FILTER(?"...), f.Var...)
+	dst = append(append(append(dst, ' '), f.Op.String()...), ' ')
+	return append(f.Value.AppendNTriples(dst), ')')
 }
 
 // GroupPattern is one UNION branch of a WHERE clause: a Basic Graph
@@ -283,87 +307,107 @@ func (q *Query) Projection() []string {
 // String renders the query in SPARQL surface syntax (without prefixes;
 // all IRIs are absolute).
 func (q *Query) String() string {
-	var sb strings.Builder
-	sb.WriteString("SELECT ")
+	var buf [1024]byte // most queries fit: the string is then the only allocation
+	return string(q.AppendTo(buf[:0]))
+}
+
+// AppendTo appends what String returns to dst.
+func (q *Query) AppendTo(b []byte) []byte {
+	b = append(b, "SELECT "...)
 	if q.Distinct {
-		sb.WriteString("DISTINCT ")
-	}
-	aliases := map[string]string{} // alias -> rendered COUNT expression
-	for _, c := range q.Counts {
-		arg := "*"
-		if c.Var != "" {
-			arg = "?" + c.Var
-		}
-		aliases[c.Alias] = fmt.Sprintf("(COUNT(%s) AS ?%s)", arg, c.Alias)
+		b = append(b, "DISTINCT "...)
 	}
 	if len(q.Vars) == 0 {
-		sb.WriteString("*")
-	} else {
-		for i, v := range q.Vars {
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			if expr, ok := aliases[v]; ok {
-				sb.WriteString(expr)
-			} else {
-				sb.WriteString("?" + v)
-			}
-		}
+		b = append(b, '*')
 	}
-	sb.WriteString(" WHERE {\n")
+	for i, v := range q.Vars {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = q.appendProjected(b, v)
+	}
+	b = append(b, " WHERE {\n"...)
 	branches := q.BranchGroups()
 	if len(branches) == 1 {
-		writeGroupBody(&sb, &branches[0], "  ")
+		b = appendGroupBody(b, &branches[0], 2)
 	} else {
 		for i := range branches {
 			if i > 0 {
-				sb.WriteString("  UNION\n")
+				b = append(b, "  UNION\n"...)
 			}
-			sb.WriteString("  {\n")
-			writeGroupBody(&sb, &branches[i], "    ")
-			sb.WriteString("  }\n")
+			b = append(b, "  {\n"...)
+			b = appendGroupBody(b, &branches[i], 4)
+			b = append(b, "  }\n"...)
 		}
 	}
-	sb.WriteString("}")
+	b = append(b, '}')
 	if len(q.GroupBy) > 0 {
-		sb.WriteString("\nGROUP BY")
+		b = append(b, "\nGROUP BY"...)
 		for _, v := range q.GroupBy {
-			sb.WriteString(" ?" + v)
+			b = append(append(b, " ?"...), v...)
 		}
 	}
 	if len(q.Order) > 0 {
-		sb.WriteString("\nORDER BY")
+		b = append(b, "\nORDER BY"...)
 		for _, k := range q.Order {
 			if k.Desc {
-				sb.WriteString(" DESC(?" + k.Var + ")")
+				b = append(b, " DESC(?"...)
 			} else {
-				sb.WriteString(" ASC(?" + k.Var + ")")
+				b = append(b, " ASC(?"...)
 			}
+			b = append(append(b, k.Var...), ')')
 		}
 	}
 	if q.Limit >= 0 {
-		fmt.Fprintf(&sb, "\nLIMIT %d", q.Limit)
+		b = strconv.AppendInt(append(b, "\nLIMIT "...), int64(q.Limit), 10)
 	}
 	if q.Offset > 0 {
-		fmt.Fprintf(&sb, "\nOFFSET %d", q.Offset)
+		b = strconv.AppendInt(append(b, "\nOFFSET "...), int64(q.Offset), 10)
 	}
-	return sb.String()
+	return b
 }
 
-// writeGroupBody renders a group's patterns, filters, and OPTIONAL
-// sub-groups with the given indentation.
-func writeGroupBody(sb *strings.Builder, g *GroupPattern, indent string) {
+// appendProjected appends one projected name: the COUNT expression when
+// a COUNT aggregate is aliased to it (the last such), the variable
+// otherwise.
+func (q *Query) appendProjected(b []byte, v string) []byte {
+	for i := len(q.Counts) - 1; i >= 0; i-- {
+		c := q.Counts[i]
+		if c.Alias != v {
+			continue
+		}
+		b = append(b, "(COUNT("...)
+		if c.Var == "" {
+			b = append(b, '*')
+		} else {
+			b = append(append(b, '?'), c.Var...)
+		}
+		return append(append(append(b, ") AS ?"...), c.Alias...), ')')
+	}
+	return append(append(b, '?'), v...)
+}
+
+// appendGroupBody renders a group's patterns, filters, and OPTIONAL
+// sub-groups, each line indented by indent spaces.
+func appendGroupBody(b []byte, g *GroupPattern, indent int) []byte {
+	pad := func(b []byte, n int) []byte {
+		for ; n > 0; n-- {
+			b = append(b, ' ')
+		}
+		return b
+	}
 	for _, tp := range g.Patterns {
-		sb.WriteString(indent + tp.String() + " .\n")
+		b = append(tp.AppendTo(pad(b, indent)), " .\n"...)
 	}
 	for _, f := range g.Filters {
-		sb.WriteString(indent + f.String() + "\n")
+		b = append(f.AppendTo(pad(b, indent)), '\n')
 	}
 	for i := range g.Optionals {
-		sb.WriteString(indent + "OPTIONAL {\n")
-		writeGroupBody(sb, &g.Optionals[i], indent+"  ")
-		sb.WriteString(indent + "}\n")
+		b = append(pad(b, indent), "OPTIONAL {\n"...)
+		b = appendGroupBody(b, &g.Optionals[i], indent+2)
+		b = append(pad(b, indent), "}\n"...)
 	}
+	return b
 }
 
 // Validate checks structural well-formedness: every branch has at least
