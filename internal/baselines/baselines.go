@@ -68,6 +68,7 @@ type Access struct {
 // pricing is e's.
 func Evaluate(e *engine.Exec, dict *rdf.Dictionary, q *sparql.Query, scanPrefix string, order []Access) (*Result, error) {
 	start := time.Now()
+	terms := dict.Snapshot()
 	var current *engine.Relation
 	for _, a := range order {
 		rel, err := scan(e, dict, a, scanPrefix+a.Label)
@@ -85,7 +86,7 @@ func Evaluate(e *engine.Exec, dict *rdf.Dictionary, q *sparql.Query, scanPrefix 
 			}
 			value := f.Value
 			if rel, err = e.Filter(rel, "?"+f.Var, func(r engine.Row) bool {
-				return engine.CompareIDs(dict, r[idx], op, value)
+				return engine.CompareIDs(terms, r[idx], op, value)
 			}); err != nil {
 				return nil, err
 			}
@@ -123,11 +124,11 @@ func Evaluate(e *engine.Exec, dict *rdf.Dictionary, q *sparql.Query, scanPrefix 
 	for _, b := range blocks {
 		for i := 0; i < b.Len(); i++ {
 			r := b.Row(i)
-			terms := make([]rdf.Term, len(r))
+			row := make([]rdf.Term, len(r))
 			for j, id := range r {
-				terms[j] = dict.Term(id)
+				row[j] = terms.Term(id)
 			}
-			decoded = append(decoded, terms)
+			decoded = append(decoded, row)
 		}
 	}
 	return &Result{Vars: proj, Rows: decoded, SimTime: e.Clock.Elapsed(), WallTime: time.Since(start), Clock: e.Clock}, nil

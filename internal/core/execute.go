@@ -493,6 +493,7 @@ func (s *Store) compileFilters(q *sparql.Query) ([]compiledFilter, error) {
 // equal by deterministic loading).
 func (s *Store) compileFilterList(filters []sparql.Filter) ([]compiledFilter, error) {
 	out := make([]compiledFilter, 0, len(filters))
+	terms := s.dict.Snapshot() // every ID a query's rows hold was issued at load
 	for _, f := range filters {
 		op, err := engine.FilterOp(f.Op)
 		if err != nil {
@@ -502,7 +503,7 @@ func (s *Store) compileFilterList(filters []sparql.Filter) ([]compiledFilter, er
 		out = append(out, compiledFilter{
 			v: f.Var,
 			pred: func(id rdf.ID) bool {
-				return engine.CompareIDs(s.dict, id, op, value)
+				return engine.CompareIDs(terms, id, op, value)
 			},
 		})
 	}

@@ -175,9 +175,10 @@ func (s *Store) topkLess(n *plan.Node) func(a, b engine.Row) bool {
 			}
 		}
 	}
+	terms := s.dict.Snapshot()
 	return func(a, b engine.Row) bool {
 		for _, k := range keys {
-			c := s.compareCell(a[k.col], b[k.col], k.count)
+			c := compareCell(terms, a[k.col], b[k.col], k.count)
 			if k.desc {
 				c = -c
 			}
@@ -198,7 +199,7 @@ func (s *Store) topkLess(n *plan.Node) func(a, b engine.Row) bool {
 // columns hold raw counts, compared numerically; term columns compare
 // unbound (NullID) first, then by CompareTermIDs (numeric for integer
 // literals, deterministic term order otherwise).
-func (s *Store) compareCell(x, y rdf.ID, isCount bool) int {
+func compareCell(terms rdf.Snapshot, x, y rdf.ID, isCount bool) int {
 	if x == y {
 		return 0
 	}
@@ -214,21 +215,21 @@ func (s *Store) compareCell(x, y rdf.ID, isCount bool) int {
 	if y == rdf.NullID {
 		return 1
 	}
-	return engine.CompareTermIDs(s.dict, x, y)
+	return engine.CompareTermIDs(terms, x, y)
 }
 
 // decodeCell turns one result cell into a term: COUNT columns hold raw
 // counts (decoded to xsd:integer literals), NullID is an unbound
 // OPTIONAL variable (decoded to the zero Term — callers render it as
 // an empty binding), everything else is a dictionary ID.
-func (s *Store) decodeCell(id rdf.ID, isCount bool) rdf.Term {
+func decodeCell(terms rdf.Snapshot, id rdf.ID, isCount bool) rdf.Term {
 	if isCount {
 		return rdf.NewTypedLiteral(strconv.FormatUint(uint64(id), 10), rdf.XSDInteger)
 	}
 	if id == rdf.NullID {
 		return rdf.Term{}
 	}
-	return s.dict.Term(id)
+	return terms.Term(id)
 }
 
 // decodeRows turns result rows — blocks, read in order where they lie —
@@ -247,13 +248,14 @@ func (s *Store) decodeRows(blocks []engine.Block, countCols []bool) [][]rdf.Term
 	if n == 0 {
 		return decoded
 	}
-	terms := make([]rdf.Term, n*width)
+	cells := make([]rdf.Term, n*width)
+	terms := s.dict.Snapshot()
 	i := 0
 	for _, b := range blocks {
 		for r := 0; r < b.Len(); r++ {
-			out := terms[i*width : (i+1)*width : (i+1)*width]
+			out := cells[i*width : (i+1)*width : (i+1)*width]
 			for j, id := range b.Row(r) {
-				out[j] = s.decodeCell(id, j < len(countCols) && countCols[j])
+				out[j] = decodeCell(terms, id, j < len(countCols) && countCols[j])
 			}
 			decoded[i] = out
 			i++

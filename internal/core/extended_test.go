@@ -96,7 +96,7 @@ func refEval(t *testing.T, s *Store, g *rdf.Graph, q *sparql.Query) string {
 			if i > 0 {
 				sb.WriteByte('\t')
 			}
-			sb.WriteString(s.decodeCell(id, countAlias[proj[i]]).String())
+			sb.WriteString(decodeCell(s.dict.Snapshot(), id, countAlias[proj[i]]).String())
 		}
 		sb.WriteByte('\n')
 	}
@@ -289,10 +289,11 @@ func refLess(s *Store, q *sparql.Query, proj []string, rows []engine.Row) func(i
 			}
 		}
 	}
+	terms := s.dict.Snapshot()
 	return func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		for _, k := range keys {
-			c := s.compareCell(a[k.col], b[k.col], k.count)
+			c := compareCell(terms, a[k.col], b[k.col], k.count)
 			if k.desc {
 				c = -c
 			}

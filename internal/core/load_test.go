@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"reflect"
 	"runtime"
 	"strings"
@@ -183,13 +185,38 @@ func TestLoadEntryPointsAgreeOnNastyDocument(t *testing.T) {
 	}
 }
 
-// TestLoadNTriplesAllocs bounds what the loader allocates for a
-// document: at most two objects per input triple, tables, statistics
-// and dictionary included, at the benchmark's load scale (the
-// string-per-line, Graph-then-encode loader took 4.1 there). The
-// tables' share is per partition file, not per triple, so the ratio
-// rises on smaller inputs: 2.4 at scale 1000, where it was 5.5.
-func TestLoadNTriplesAllocs(t *testing.T) {
+// frozenDictDigest is the FNV-1a digest of (ID, N-Triples form) over
+// every term of the WatDiv scale-1000 / seed-1 text load, taken before
+// the dictionary's internals changed: IDs drive hash placement and the
+// LIMIT order, so no change to the dictionary may move one.
+const frozenDictDigest = 0xfebf066e27cd1791
+
+// TestDictionaryIDsPinned holds every term's ID to the frozen digest.
+func TestDictionaryIDsPinned(t *testing.T) {
+	g := watdiv.MustGenerate(watdiv.Config{Scale: 1000, Seed: 1})
+	var doc bytes.Buffer
+	if err := rdf.WriteNTriples(&doc, g); err != nil {
+		t.Fatal(err)
+	}
+	s, err := LoadNTriples(&doc, Options{Cluster: cluster.MustNew(cluster.DefaultConfig())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf []byte
+	for id := rdf.ID(1); int(id) <= s.dict.Len(); id++ {
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(id))
+		buf = append(s.dict.Term(id).AppendNTriples(buf), '\n')
+		h.Write(buf)
+	}
+	if got := h.Sum64(); got != frozenDictDigest {
+		t.Errorf("dictionary of %d terms digests to %#x, frozen %#x: an ID moved", s.dict.Len(), got, uint64(frozenDictDigest))
+	}
+}
+
+// loadCost loads WatDiv scale 4000 / seed 1 from text and returns what
+// the load allocated per input triple: objects and bytes.
+func loadCost(t *testing.T) (mallocs, allocated float64) {
 	g := watdiv.MustGenerate(watdiv.Config{Scale: 4000, Seed: 1})
 	var doc bytes.Buffer
 	if err := rdf.WriteNTriples(&doc, g); err != nil {
@@ -202,9 +229,34 @@ func TestLoadNTriplesAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	perTriple := float64(after.Mallocs-before.Mallocs) / float64(g.Len())
+	n := float64(g.Len())
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+// TestLoadNTriplesAllocs bounds what the loader allocates for a
+// document: at most 0.6 objects per input triple, tables, statistics
+// and dictionary included, at the benchmark's load scale (the
+// string-per-line, Graph-then-encode loader took 4.1 there, a string
+// per new term and a map-backed dictionary 0.89). The tables' share is
+// per partition file, not per triple, so the ratio rises on smaller
+// inputs.
+func TestLoadNTriplesAllocs(t *testing.T) {
+	perTriple, _ := loadCost(t)
 	t.Logf("%.2f mallocs per input triple", perTriple)
-	if perTriple > 2.0 {
-		t.Errorf("loading allocated %.2f objects per input triple, want at most 2.0", perTriple)
+	if perTriple > 0.6 {
+		t.Errorf("loading allocated %.2f objects per input triple, want at most 0.6", perTriple)
+	}
+}
+
+// TestLoadNTriplesBytes bounds the bytes a load allocates per input
+// triple at the same scale: the dictionary writes its text once into
+// pages and the dedup keeps no map, so what is allocated is mostly
+// what is kept (a growing map-backed dictionary and a map dedup
+// allocated about 640 B).
+func TestLoadNTriplesBytes(t *testing.T) {
+	_, perTriple := loadCost(t)
+	t.Logf("%.0f bytes allocated per input triple", perTriple)
+	if perTriple > 400 {
+		t.Errorf("loading allocated %.0f bytes per input triple, want at most 400", perTriple)
 	}
 }

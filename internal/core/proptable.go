@@ -9,6 +9,7 @@ import (
 	"repro/internal/columnar"
 	"repro/internal/engine"
 	"repro/internal/rdf"
+	"repro/internal/sizeenc"
 )
 
 // ptKeyMode selects which triple position keys the Property Table rows.
@@ -203,14 +204,16 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 		prefix = s.opts.PathPrefix + "/ipt"
 	}
 	var totalWrite int64
+	var localTerms []rdf.ID // reused across the partitions' files
 	for pi, part := range t.parts {
 		rowKeys := part.rowKeys()
 		t.numKeys += len(rowKeys)
-		file, localTerms, err := encodePTPartition(s, part, rowKeys, t.cols)
+		file, err := encodePTPartition(s, part, rowKeys, t.cols)
 		if err != nil {
 			return nil, err
 		}
-		size := file.SizeBytes() + compressedStringBytes(s.dict, localTerms)
+		localTerms = part.localTerms(localTerms[:0], rowKeys)
+		size := file.SizeBytes() + sizeenc.CompressedTermBytes(s.dict, localTerms)
 		path := fmt.Sprintf("%s/part-%05d.parquet", prefix, pi)
 		if _, err := s.fs.Write(path, size); err != nil {
 			return nil, err
@@ -286,12 +289,7 @@ func (part *ptPartition) rowKeys() []rdf.ID {
 // pairs — the NULL-dense layout that RLE makes cheap (paper §3.1). The
 // in-memory columns are already in row order, so each is aligned to
 // the key column by one merge.
-func encodePTPartition(s *Store, part *ptPartition, rowKeys []rdf.ID, multiByPred map[rdf.ID]bool) (*columnar.File, map[rdf.ID]struct{}, error) {
-	localTerms := make(map[rdf.ID]struct{}, len(rowKeys)*2)
-	for _, k := range rowKeys {
-		localTerms[k] = struct{}{}
-	}
-
+func encodePTPartition(s *Store, part *ptPartition, rowKeys []rdf.ID, multiByPred map[rdf.ID]bool) (*columnar.File, error) {
 	w := columnar.NewWriter(0)
 	w.AddScalar("key", rowKeys)
 	for _, pred := range s.predOrder {
@@ -299,9 +297,6 @@ func encodePTPartition(s *Store, part *ptPartition, rowKeys []rdf.ID, multiByPre
 		col := part.cols[pred]
 		if col == nil {
 			col = &ptColumn{}
-		}
-		for _, v := range col.vals {
-			localTerms[v] = struct{}{}
 		}
 		// Column keys are a subset of rowKeys, both ascending.
 		next := 0
@@ -327,7 +322,19 @@ func encodePTPartition(s *Store, part *ptPartition, rowKeys []rdf.ID, multiByPre
 	}
 	f, err := w.Finish()
 	if err != nil {
-		return nil, nil, fmt.Errorf("encoding property table partition: %w", err)
+		return nil, fmt.Errorf("encoding property table partition: %w", err)
 	}
-	return f, localTerms, nil
+	return f, nil
+}
+
+// localTerms appends to buf the terms a partition's file names — its
+// row keys and every column value — ascending and distinct, the local
+// dictionary the file carries.
+func (part *ptPartition) localTerms(buf, rowKeys []rdf.ID) []rdf.ID {
+	buf = append(buf, rowKeys...)
+	for _, col := range part.cols {
+		buf = append(buf, col.vals...)
+	}
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }

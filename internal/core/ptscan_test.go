@@ -565,7 +565,7 @@ func TestDecodeRowsSharesOneBackingSlice(t *testing.T) {
 	}
 	for i, r := range rows {
 		for j, id := range r {
-			if want := s.decodeCell(id, false); decoded[i][j] != want {
+			if want := decodeCell(s.dict.Snapshot(), id, false); decoded[i][j] != want {
 				t.Fatalf("row %d col %d decoded to %v, want %v", i, j, decoded[i][j], want)
 			}
 		}

@@ -11,7 +11,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"slices"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -21,7 +21,6 @@ import (
 	"repro/internal/hdfs"
 	"repro/internal/plan"
 	"repro/internal/rdf"
-	"repro/internal/sizeenc"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -490,33 +489,71 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 }
 
 // ingest drains next into s.triples, dropping duplicate triples, and
-// records the priced input volume and the number of triples read. The
-// dedup set dies with the call and the slice is left without slack, so
-// neither is live while the tables are built.
+// records the priced input volume and the number of triples read.
+//
+// Kept triples grow in fixed-size chunks, so none is ever copied while
+// reading, and are copied once, in input order, into a slice of exactly
+// their number. Duplicates are found through an open-addressed set of
+// indexes into the kept triples, at most half full; a triple is kept at
+// its first occurrence. Chunks and set die with the call, so neither is
+// live while the tables are built.
 func (s *Store) ingest(sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTriple, int64, error)) error {
-	seen := make(map[rdf.EncodedTriple]struct{}, sizeHint)
-	triples := make([]rdf.EncodedTriple, 0, sizeHint)
+	var chunks [][]rdf.EncodedTriple
+	kept := func(i int32) rdf.EncodedTriple { return chunks[i/ingestChunk][i%ingestChunk] }
+	set := make([]int32, max(1<<bits.Len(uint(2*sizeHint)), 1024)) // index+1 of a kept triple; 0 is empty
+	n := int32(0)
 	for {
-		et, n, err := next(s.dict)
+		et, priced, err := next(s.dict)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		s.inputBytes += n
+		s.inputBytes += priced
 		s.rowsRead++
-		if _, dup := seen[et]; dup {
+		mask := len(set) - 1
+		slot := tripleHash(et) & mask
+		for set[slot] != 0 && kept(set[slot]-1) != et {
+			slot = (slot + 1) & mask
+		}
+		if set[slot] != 0 {
 			continue
 		}
-		seen[et] = struct{}{}
-		triples = append(triples, et)
+		if n%ingestChunk == 0 {
+			chunks = append(chunks, make([]rdf.EncodedTriple, 0, ingestChunk))
+		}
+		c := &chunks[len(chunks)-1]
+		*c = append(*c, et)
+		n++
+		set[slot] = n
+		if 2*int(n) > len(set) {
+			set = make([]int32, 2*len(set))
+			for i := int32(0); i < n; i++ {
+				slot := tripleHash(kept(i)) & (len(set) - 1)
+				for set[slot] != 0 {
+					slot = (slot + 1) & (len(set) - 1)
+				}
+				set[slot] = i + 1
+			}
+		}
 	}
-	if cap(triples) > len(triples) {
-		triples = slices.Clone(triples)
+	s.triples = make([]rdf.EncodedTriple, 0, n)
+	for _, c := range chunks {
+		s.triples = append(s.triples, c...)
 	}
-	s.triples = triples
 	return nil
+}
+
+// ingestChunk is how many triples one chunk of ingest's kept triples
+// holds (96 KiB of them).
+const ingestChunk = 8192
+
+// tripleHash places an encoded triple in ingest's dedup set.
+func tripleHash(t rdf.EncodedTriple) int {
+	h := (uint64(t.S)<<32 | uint64(t.P)) * 0x9e3779b97f4a7c15
+	h = (h ^ uint64(t.O)) * 0xff51afd7ed558ccd
+	return int(h >> 32)
 }
 
 // Triples returns the deduplicated encoded dataset in input order. The
@@ -545,11 +582,4 @@ func sortedPredicates(dict *rdf.Dictionary, st *stats.Collection) []rdf.ID {
 		return dict.Term(out[i]).Value < dict.Term(out[j]).Value
 	})
 	return out
-}
-
-// compressedStringBytes returns the deflate-compressed size of the terms
-// named by ids, modeling a Parquet file's local dictionary pages. Real
-// compression over the real strings keeps Table 1's size ratios honest.
-func compressedStringBytes(dict *rdf.Dictionary, ids map[rdf.ID]struct{}) int64 {
-	return sizeenc.CompressedTermBytes(dict, ids)
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/columnar"
 	"repro/internal/engine"
 	"repro/internal/hdfs"
 	"repro/internal/rdf"
+	"repro/internal/sizeenc"
 )
 
 // VPTable is one Vertical Partitioning table: the (subject, object)
@@ -63,17 +65,18 @@ func (t *VPTable) SemiJoin(col int, keys map[rdf.ID]struct{}) engine.Block {
 // ExtVP reductions and S2RDF's tables all go through it.
 func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts []engine.Block) (int64, error) {
 	var total int64
+	var localTerms []rdf.ID // reused across the table's files
 	for p, part := range parts {
 		subjCol := make([]rdf.ID, part.Len())
 		objCol := make([]rdf.ID, part.Len())
-		localTerms := make(map[rdf.ID]struct{}, 2*part.Len())
 		for i := range subjCol {
 			r := part.Row(i)
 			subjCol[i] = r[0]
 			objCol[i] = r[1]
-			localTerms[r[0]] = struct{}{}
-			localTerms[r[1]] = struct{}{}
 		}
+		localTerms = append(append(localTerms[:0], subjCol...), objCol...)
+		slices.Sort(localTerms)
+		localTerms = slices.Compact(localTerms)
 		w := columnar.NewWriter(0)
 		w.AddScalar("s", subjCol)
 		w.AddScalar("o", objCol)
@@ -81,7 +84,7 @@ func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts []engine.
 		if err != nil {
 			return 0, fmt.Errorf("encoding %s part %d: %w", dir, p, err)
 		}
-		size := f.SizeBytes() + compressedStringBytes(dict, localTerms)
+		size := f.SizeBytes() + sizeenc.CompressedTermBytes(dict, localTerms)
 		if _, err := fs.Write(fmt.Sprintf("%s/part-%05d.parquet", dir, p), size); err != nil {
 			return 0, err
 		}

@@ -376,9 +376,10 @@ func TestEstimatedBytes(t *testing.T) {
 }
 
 func TestCompareIDs(t *testing.T) {
-	d := rdf.NewDictionary()
-	five := d.Encode(rdf.NewTypedLiteral("5", rdf.XSDInteger))
-	alpha := d.Encode(rdf.NewLiteral("alpha"))
+	dict := rdf.NewDictionary()
+	five := dict.Encode(rdf.NewTypedLiteral("5", rdf.XSDInteger))
+	alpha := dict.Encode(rdf.NewLiteral("alpha"))
+	d := dict.Snapshot()
 
 	lt := func(c int) bool { return c < 0 }
 	eq := func(c int) bool { return c == 0 }

@@ -427,16 +427,18 @@ func CompareTerms(a, b rdf.Term) int {
 }
 
 // CompareIDs applies a FILTER comparison (a FilterOp result) to the
-// term dictionary ID a stands for and the constant b.
-func CompareIDs(dict *rdf.Dictionary, a rdf.ID, op func(int) bool, b rdf.Term) bool {
-	return op(CompareTerms(dict.Term(a), b))
+// term the dictionary ID a stands for and the constant b. terms is a
+// dictionary snapshot the caller takes once, not once per cell.
+func CompareIDs(terms rdf.Snapshot, a rdf.ID, op func(int) bool, b rdf.Term) bool {
+	return op(CompareTerms(terms.Term(a), b))
 }
 
-// CompareTermIDs is CompareTerms over two dictionary IDs. Callers must
-// have resolved NullID (unbound) cells before calling — the dictionary
-// panics on NullID by design.
-func CompareTermIDs(dict *rdf.Dictionary, a, b rdf.ID) int {
-	return CompareTerms(dict.Term(a), dict.Term(b))
+// CompareTermIDs is CompareTerms over two dictionary IDs, resolved
+// through a snapshot the caller takes once. Callers must have resolved
+// NullID (unbound) cells before calling — the dictionary panics on
+// NullID by design.
+func CompareTermIDs(terms rdf.Snapshot, a, b rdf.ID) int {
+	return CompareTerms(terms.Term(a), terms.Term(b))
 }
 
 // integer is an xsd:integer in canonical form: its sign and its decimal

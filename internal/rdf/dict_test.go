@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -63,15 +65,6 @@ func TestDictionaryTermPanicsOnInvalid(t *testing.T) {
 			}()
 			d.Term(id)
 		}()
-	}
-}
-
-func TestDictionaryTripleRoundTrip(t *testing.T) {
-	d := NewDictionary()
-	tr := NewTriple(NewIRI("http://s"), NewIRI("http://p"), NewLangLiteral("o", "de"))
-	enc := d.EncodeTriple(tr)
-	if got := d.DecodeTriple(enc); got != tr {
-		t.Errorf("round trip = %v, want %v", got, tr)
 	}
 }
 
@@ -137,17 +130,6 @@ func TestDictionaryEncodeDecodePropery(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDictionaryApproxBytes(t *testing.T) {
-	d := NewDictionary()
-	if d.ApproxBytes() != 0 {
-		t.Errorf("empty dictionary ApproxBytes() = %d, want 0", d.ApproxBytes())
-	}
-	d.Encode(NewIRI("http://example.org/abcd"))
-	if d.ApproxBytes() <= 0 {
-		t.Errorf("ApproxBytes() = %d, want > 0", d.ApproxBytes())
 	}
 }
 
@@ -235,4 +217,158 @@ func TestDictionaryEncodeBytes(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { d.EncodeBytes(known) }); avg != 0 {
 		t.Errorf("interning a known term allocated %.1f times, want 0", avg)
 	}
+}
+
+// TestDictionaryNewTermsAllocs: a new term costs no allocation of its
+// own. What interning allocates is a text page now and then and the
+// record array and index doubling, so a thousand new terms cost at most
+// two allocations, whichever entry point interns them.
+func TestDictionaryNewTermsAllocs(t *testing.T) {
+	const batch, runs = 1000, 20
+	spans := make([]TermBytes, batch*(runs+1))
+	terms := make([]Term, len(spans))
+	for i := range spans {
+		terms[i] = NewIRI(fmt.Sprintf("http://example.org/entity/%d", i))
+		if i%3 == 0 {
+			terms[i] = NewTypedLiteral(fmt.Sprint(i), XSDInteger)
+		}
+		spans[i] = TermBytes{Kind: terms[i].Kind, Value: []byte(terms[i].Value), Datatype: []byte(terms[i].Datatype)}
+	}
+	for _, viaBytes := range []bool{false, true} {
+		d, next := NewDictionary(), 0
+		avg := testing.AllocsPerRun(runs, func() {
+			for i := next; i < next+batch; i++ {
+				if viaBytes {
+					d.EncodeBytes(spans[i])
+				} else {
+					d.Encode(terms[i])
+				}
+			}
+			next += batch
+		})
+		if d.Len() != len(terms) {
+			t.Fatalf("dictionary holds %d terms, want %d", d.Len(), len(terms))
+		}
+		if avg > 2 {
+			t.Errorf("interning %d new terms (EncodeBytes: %v) allocated %.1f times, want at most 2", batch, viaBytes, avg)
+		}
+	}
+}
+
+// FuzzDictionary holds the dictionary to a map[Term]ID reference: Encode,
+// EncodeBytes, Lookup, Term and Snapshot agree with it, and IDs are
+// dense in first-seen order. Each op is three bytes — what to do and
+// with which kind, how many of the following bytes are the term's text,
+// and where that text splits into value, datatype and language tag —
+// so the same bytes split two ways ("ab"+"" against "a"+"b") are two
+// terms. An op with the high bit set repeats its text past a page.
+func FuzzDictionary(f *testing.F) {
+	f.Add([]byte{0x04, 2, 2, 'a', 'b', 0x04, 2, 1 + 9*1, 'a', 'b', 0x05, 2, 1 + 9*1, 'a', 'b'})
+	f.Add([]byte{0x00, 0, 0, 0x01, 0, 0, 0x02, 0, 0, 0x04, 0, 0, 0x08, 0, 0, 0x0b, 0, 0})
+	f.Add([]byte{0x04, 3, 1 + 9*2, 'x', 'e', 'n', 0x08, 3, 0, 'x', 'e', 'n', 0x81, 4, 4, 'b', 'i', 'g', '!', 0x80, 4, 4, 'b', 'i', 'g', '!', 0x03, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDictionary()
+		ref := map[Term]ID{}
+		var order []Term
+		var buf []byte // EncodeBytes' spans, overwritten after every call
+		bigs := 0
+		for len(data) >= 3 {
+			op, n, cuts := data[0], int(data[1])%16, data[2]
+			data = data[3:]
+			n = min(n, len(data))
+			text := string(data[:n])
+			data = data[n:]
+			if op&0x80 != 0 && bigs < 2 && text != "" {
+				bigs++
+				text = strings.Repeat(text, maxPageBytes/len(text)+1)
+			}
+			c1 := min(int(cuts%9), len(text))
+			c2 := min(c1+int(cuts/9%9), len(text))
+			term := Term{Kind: TermKind(op >> 2 % 3), Value: text[:c1], Datatype: text[c1:c2], Lang: text[c2:]}
+			want, known := ref[term]
+			if !known {
+				want = ID(len(order) + 1)
+			}
+			var got ID
+			switch op & 3 {
+			case 0:
+				got = d.Encode(term)
+			case 1:
+				buf = append(buf[:0], text...)
+				got = d.EncodeBytes(TermBytes{Kind: term.Kind, Value: buf[:c1], Datatype: buf[c1:c2], Lang: buf[c2:]})
+				for i := range buf {
+					buf[i] = '!'
+				}
+			case 2:
+				id, ok := d.Lookup(term)
+				if ok != known || (known && id != want) {
+					t.Fatalf("Lookup(%q) = %d, %v; the reference holds %d, %v", term, id, ok, ref[term], known)
+				}
+				continue
+			case 3:
+				if len(order) > 0 {
+					id := ID(int(cuts)%len(order) + 1)
+					if got := d.Term(id); got != order[id-1] {
+						t.Fatalf("Term(%d) = %q, want %q", id, got, order[id-1])
+					}
+				}
+				continue
+			}
+			if got != want {
+				t.Fatalf("interning %q gave ID %d, want %d", term, got, want)
+			}
+			if !known {
+				ref[term] = want
+				order = append(order, term)
+			}
+		}
+		snap := d.Snapshot()
+		if d.Len() != len(order) {
+			t.Fatalf("dictionary holds %d terms, the reference %d", d.Len(), len(order))
+		}
+		for i, term := range order {
+			id := ID(i + 1)
+			if got := d.Term(id); got != term {
+				t.Fatalf("Term(%d) = %q, want %q", id, got, term)
+			}
+			if got := snap.Term(id); got != term {
+				t.Fatalf("Snapshot().Term(%d) = %q, want %q", id, got, term)
+			}
+			if got, ok := d.Lookup(term); !ok || got != id {
+				t.Fatalf("Lookup(%q) = %d, %v, want %d", term, got, ok, id)
+			}
+		}
+	})
+}
+
+// termSink keeps the benchmarked lookups from being optimised away.
+var termSink int
+
+// BenchmarkDictionaryTerm resolves 4,096 random IDs of a 50,000-term
+// dictionary, once through Term per ID and once through one Snapshot.
+func BenchmarkDictionaryTerm(b *testing.B) {
+	d := NewDictionary()
+	for i := 0; i < 50000; i++ {
+		d.Encode(NewIRI(fmt.Sprintf("http://example.org/entity/%d", i)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	ids := make([]ID, 4096)
+	for i := range ids {
+		ids[i] = ID(rng.Intn(d.Len()) + 1)
+	}
+	b.Run("per-call", func(b *testing.B) {
+		for b.Loop() {
+			for _, id := range ids {
+				termSink += len(d.Term(id).Value)
+			}
+		}
+	})
+	b.Run("snapshot", func(b *testing.B) {
+		for b.Loop() {
+			terms := d.Snapshot()
+			for _, id := range ids {
+				termSink += len(terms.Term(id).Value)
+			}
+		}
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"repro/internal/rdf"
@@ -28,13 +27,10 @@ var flateWriters = sync.Pool{New: func() any {
 }}
 
 // CompressedTermBytes returns the deflate-compressed size of the terms
-// named by ids, iterated in ascending ID order for determinism.
-func CompressedTermBytes(dict *rdf.Dictionary, ids map[rdf.ID]struct{}) int64 {
-	ordered := make([]rdf.ID, 0, len(ids))
-	for id := range ids {
-		ordered = append(ordered, id)
-	}
-	slices.Sort(ordered)
+// named by ids, which must be ascending and distinct (slices.Sort then
+// slices.Compact): the order makes the size deterministic.
+func CompressedTermBytes(dict *rdf.Dictionary, ids []rdf.ID) int64 {
+	terms := dict.Snapshot()
 	cw := &CountingWriter{}
 	fw := flateWriters.Get().(*flate.Writer)
 	fw.Reset(cw)
@@ -42,8 +38,8 @@ func CompressedTermBytes(dict *rdf.Dictionary, ids map[rdf.ID]struct{}) int64 {
 	// no strings; io.WriteString would copy each). Writes to a
 	// CountingWriter cannot fail.
 	var rec []byte
-	for _, id := range ordered {
-		t := dict.Term(id)
+	for _, id := range ids {
+		t := terms.Term(id)
 		rec = append(rec[:0], t.Value...)
 		rec = append(rec, t.Datatype...)
 		rec = append(rec, t.Lang...)

@@ -5,18 +5,22 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/rdf"
 )
 
-func termSet(dict *rdf.Dictionary, terms ...rdf.Term) map[rdf.ID]struct{} {
-	ids := make(map[rdf.ID]struct{}, len(terms))
+// termSet interns terms and returns their IDs the way
+// CompressedTermBytes takes them: ascending and distinct.
+func termSet(dict *rdf.Dictionary, terms ...rdf.Term) []rdf.ID {
+	ids := make([]rdf.ID, 0, len(terms))
 	for _, t := range terms {
-		ids[dict.Encode(t)] = struct{}{}
+		ids = append(ids, dict.Encode(t))
 	}
-	return ids
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 func TestCompressedTermBytesEmpty(t *testing.T) {
@@ -30,10 +34,11 @@ func TestCompressedTermBytesEmpty(t *testing.T) {
 func TestCompressedTermBytesGrowsWithContent(t *testing.T) {
 	d := rdf.NewDictionary()
 	small := termSet(d, rdf.NewIRI("http://example.org/a"))
-	big := make(map[rdf.ID]struct{})
+	var terms []rdf.Term
 	for i := 0; i < 500; i++ {
-		big[d.Encode(rdf.NewIRI(fmt.Sprintf("http://example.org/entity/%d", i)))] = struct{}{}
+		terms = append(terms, rdf.NewIRI(fmt.Sprintf("http://example.org/entity/%d", i)))
 	}
+	big := termSet(d, terms...)
 	sSmall := CompressedTermBytes(d, small)
 	sBig := CompressedTermBytes(d, big)
 	if sBig <= sSmall {
@@ -41,7 +46,7 @@ func TestCompressedTermBytesGrowsWithContent(t *testing.T) {
 	}
 	// Shared prefixes must compress well below the raw string volume.
 	var raw int64
-	for id := range big {
+	for _, id := range big {
 		raw += int64(len(d.Term(id).Value))
 	}
 	if sBig >= raw {
@@ -65,7 +70,8 @@ func TestCompressedTermBytesDeterministic(t *testing.T) {
 }
 
 // freshTermBytes is CompressedTermBytes as it was before the writer
-// pool: a new deflate writer per call, one write per string.
+// pool and the sorted-slice term sets: a new deflate writer per call,
+// one write per string, the set a map it orders itself.
 func freshTermBytes(t *testing.T, dict *rdf.Dictionary, ids map[rdf.ID]struct{}) int64 {
 	t.Helper()
 	ordered := make([]rdf.ID, 0, len(ids))
@@ -112,10 +118,15 @@ func TestCompressedTermBytesPooledEqualsFresh(t *testing.T) {
 	}
 	for round := 0; round < 100; round++ {
 		ids := make(map[rdf.ID]struct{})
+		var sorted []rdf.ID
 		for n := rng.Intn(6000); n > 0; n-- { // from nothing to several deflate blocks
-			ids[all[rng.Intn(len(all))]] = struct{}{}
+			id := all[rng.Intn(len(all))]
+			ids[id] = struct{}{}
+			sorted = append(sorted, id)
 		}
-		if got, want := CompressedTermBytes(d, ids), freshTermBytes(t, d, ids); got != want {
+		slices.Sort(sorted)
+		sorted = slices.Compact(sorted)
+		if got, want := CompressedTermBytes(d, sorted), freshTermBytes(t, d, ids); got != want {
 			t.Fatalf("round %d (%d terms): pooled writer gave %d bytes, fresh writer %d", round, len(ids), got, want)
 		}
 	}
