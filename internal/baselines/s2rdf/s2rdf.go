@@ -171,7 +171,7 @@ func (s *Store) buildExtVP(clock *cluster.Clock, preds []rdf.ID) error {
 				if kept.Len() == 0 || float64(kept.Len())/float64(base.Rows()) >= SelectivityThreshold {
 					continue
 				}
-				rel, err := engine.PartitionBlock(engine.Schema{"s", "o"}, kept, "s", base.Rel.Partitions())
+				rel, err := engine.PartitionBlock(nil, engine.Schema{"s", "o"}, kept, "s", base.Rel.Partitions())
 				if err != nil {
 					return err
 				}

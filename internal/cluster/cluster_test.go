@@ -163,36 +163,6 @@ func TestCostModelTaskTime(t *testing.T) {
 	}
 }
 
-// TestSkewedShuffleJoinTime pins the three pricing regimes of the
-// skew-aware shuffle: fair-share skew prices like a plain shuffle, a
-// hot key below the salt bound serializes one worker (priced on the
-// hot fraction), and a saltable hot key balances again at a modest
-// replication surcharge — strictly cheaper than serializing, strictly
-// dearer than no skew at all.
-func TestSkewedShuffleJoinTime(t *testing.T) {
-	m := DefaultCostModel()
-	const workers = 8
-	const bytes = 64 << 20
-	const rows = 4_000_000
-
-	plain := m.ShuffleJoinTime(bytes, rows, workers)
-	if got := m.SkewedShuffleJoinTime(bytes, rows, workers, 1.0/float64(workers), 0.2); got != plain {
-		t.Errorf("fair-share skew priced %v, want plain shuffle %v", got, plain)
-	}
-	serialized := m.SkewedShuffleJoinTime(bytes, rows, workers, 0.15, 0.2)
-	if serialized <= plain {
-		t.Errorf("hot key below salt bound priced %v, want above plain %v", serialized, plain)
-	}
-	salted := m.SkewedShuffleJoinTime(bytes, rows, workers, 0.8, 0.2)
-	hotSerialized := m.SkewedShuffleJoinTime(bytes, rows, workers, 0.8, 0) // salting disabled
-	if salted >= hotSerialized {
-		t.Errorf("salted hot key priced %v, want below serialized %v", salted, hotSerialized)
-	}
-	if salted <= plain {
-		t.Errorf("salted shuffle priced %v, want above plain %v (replication is not free)", salted, plain)
-	}
-}
-
 func TestTaskStatsAdd(t *testing.T) {
 	a := TaskStats{DiskBytes: 1, NetBytes: 2, Rows: 3, Seeks: 4, KVScanBytes: 5}
 	b := TaskStats{DiskBytes: 10, NetBytes: 20, Rows: 30, Seeks: 40, KVScanBytes: 50}

@@ -85,46 +85,6 @@ func (m CostModel) BroadcastJoinTime(buildBytes, rows int64, workers int) time.D
 	return m.SQLStageLaunch/3 + m.TaskTime(per)
 }
 
-// SkewedShuffleJoinTime prices a shuffle hash join whose input rows
-// concentrate on one key: hotFrac is the fraction of all rows sharing
-// the hottest join-key value, and saltFrac is the engine's salting
-// trigger (a hot key at or above it is split into per-worker sub-keys;
-// zero or negative disables salting). Three regimes fall out:
-//
-//   - hotFrac within one worker's fair share: the plain shuffle price —
-//     the hot key does not dominate any worker.
-//   - hotFrac at or above saltFrac: the engine salts, so the rows
-//     balance again, at the cost of shipping and probing one extra copy
-//     of the hot fraction (the replicated probe rows).
-//   - in between: the hot key's rows serialize on one worker, so the
-//     per-row term is priced on the hot fraction instead of the fair
-//     share — the makespan penalty salting exists to remove.
-//
-// It needs the key histogram of an input; the planner's leaf statistics
-// keep none, so plan pricing uses ShuffleJoinTime.
-func (m CostModel) SkewedShuffleJoinTime(movedBytes, rows int64, workers int, hotFrac, saltFrac float64) time.Duration {
-	if workers < 1 {
-		workers = 1
-	}
-	fair := 1.0 / float64(workers)
-	if hotFrac <= fair {
-		return m.ShuffleJoinTime(movedBytes, rows, workers)
-	}
-	if saltFrac > 0 && hotFrac >= saltFrac {
-		grown := 1 + hotFrac
-		per := TaskStats{
-			NetBytes: int64(float64(movedBytes) * grown / float64(workers)),
-			Rows:     int64(float64(rows) * grown / float64(workers)),
-		}
-		return m.SQLStageLaunch + m.TaskTime(per)
-	}
-	per := TaskStats{
-		NetBytes: movedBytes / int64(workers),
-		Rows:     int64(float64(rows) * hotFrac),
-	}
-	return m.SQLStageLaunch + m.TaskTime(per)
-}
-
 // TaskTime prices one task's recorded work.
 func (m CostModel) TaskTime(s TaskStats) time.Duration {
 	var d time.Duration

@@ -277,33 +277,26 @@ func (ps partScan) stageRows(p int, processed int64, emitted int) int64 {
 
 // ScanPart evaluates a VP, PT or IPT scan over partition p: the rows
 // passing the scan's predicates — a VP scan's still as stored, (s,o) —
-// and, for PT scans, the processed key count. With an arena the rows are
-// emitted into it — it is Reset, and they are valid until its next use —
-// so a caller scanning partition after partition allocates only when one
-// outgrows the rest; nil allocates one exactly sized block per
-// partition. Either way a VP scan whose predicate keeps every row (or
-// that has none) returns the stored block itself.
-func (ns *NodeScan) ScanPart(p int, arena *engine.RowArena) (rows engine.Block, processed int64) {
-	return ns.scan(&ns.sc, p, arena, nil)
+// and, for PT scans, the processed key count. The rows are carved from r
+// (the heap when nil), except that a VP scan whose predicate keeps every
+// row (or that has none) returns the stored block itself.
+func (ns *NodeScan) ScanPart(p int, r *engine.Region) (rows engine.Block, processed int64) {
+	return ns.scan(&ns.sc, p, r)
 }
 
 // scan is ScanPart with the PT scan scratch the caller owns, so that
-// concurrent partition tasks need share nothing, and with the region a
-// nil arena's exactly sized block is carved from.
-func (ps partScan) scan(sc *ptScan, p int, arena *engine.RowArena, r *engine.Region) (rows engine.Block, processed int64) {
+// concurrent partition tasks need share nothing.
+func (ps partScan) scan(sc *ptScan, p int, r *engine.Region) (rows engine.Block, processed int64) {
 	switch {
 	case ps.pt != nil:
-		return sc.rows(ps.pt.parts[p], ps.spec, ps.rowPred, arena, r)
+		return sc.rows(ps.pt.parts[p], ps.spec, ps.rowPred, r)
 	case ps.table == nil:
 		return engine.Block{}, 0
 	case ps.pred == nil:
 		return ps.table.Rel.Part(p), 0
 	}
-	if arena == nil {
-		a := r.Arena(0, 0)
-		arena = &a
-	}
-	return ps.table.Rel.Part(p).Select(ps.pred, arena), 0
+	arena := r.Arena(0, 0)
+	return ps.table.Rel.Part(p).Select(ps.pred, &arena), 0
 }
 
 // PrepareNodeScan resolves a VP, PT or IPT scan node and the FILTERs

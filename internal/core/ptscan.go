@@ -106,8 +106,8 @@ type ptCursor struct {
 
 // ptScan is the scaffolding of one PT partition scan — the patterns'
 // cursors, the ones whose values reach the output row, and the scratch
-// row — set up once per partition by init and shared by the counting
-// pass and the emitting pass that follows it.
+// row — set up once per partition by init and shared by every pass over
+// it.
 type ptScan struct {
 	curs   []ptCursor
 	driver int
@@ -190,8 +190,9 @@ func (sc *ptScan) processed() int64 { return int64(len(sc.curs[sc.driver].col.ke
 // variables checked as the row fills. Rows passing rowPred (pushed-down
 // FILTERs, may be nil) are counted and, when yield is non-nil, yielded;
 // the yielded row is scratch the callback MUST copy. A nil yield makes
-// a counting pass, which is how callers size their output before the
-// emitting pass. Nothing is allocated, per key or per pass.
+// a counting pass, which is how the streaming scan learns its batch
+// boundaries before its emitting pass. Nothing is allocated, per key or
+// per pass.
 func (sc *ptScan) run(rowPred func(engine.Row) bool, yield func(engine.Row)) (rows int64) {
 	curs, out, row, driver := sc.curs, sc.out, sc.row, sc.driver
 	emit := func() {
@@ -312,26 +313,18 @@ func ptDriverKeys(part *ptPartition, specs []patSpec) int {
 	return max(n, 0)
 }
 
-// rows scans one PT partition. A caller working through many partitions
-// lends its arena (Reset here: the rows live in it until its next use)
-// and reuses sc, and the scan is one pass that allocates only when a
-// partition outgrows every earlier one; with a nil arena a counting
-// pass sizes a fresh block in r (the heap when nil) exactly.
-func (sc *ptScan) rows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool, arena *engine.RowArena, r *engine.Region) (rows engine.Block, processed int64) {
+// rows scans one PT partition in one pass, into an arena carved from r
+// (the heap when nil) that grows there by doubling as rows arrive. A
+// counting pass to size the arena first would repeat the whole
+// intersection, which costs more than the copies doubling makes.
+func (sc *ptScan) rows(part *ptPartition, spec ptNodeScan, rowPred func(engine.Row) bool, r *engine.Region) (rows engine.Block, processed int64) {
 	width := len(spec.schema)
 	if !sc.init(part, spec.specs, width) {
 		return engine.Block{}, 0
 	}
-	if arena == nil {
-		n := sc.run(rowPred, nil)
-		if n == 0 {
-			return engine.Block{}, sc.processed()
-		}
-		a := r.Arena(width, int(n))
-		arena = &a
-	} else {
-		arena.Reset(width, 0)
+	arena := r.Arena(width, 0)
+	if sc.run(rowPred, func(row engine.Row) { arena.Grow(1); arena.AppendCopy(row) }) == 0 {
+		return engine.Block{}, sc.processed()
 	}
-	sc.run(rowPred, arena.AppendCopy)
 	return arena.Block(), sc.processed()
 }

@@ -359,20 +359,21 @@ func TestPTScanMatchesReferenceOnRandomGraphs(t *testing.T) {
 				}
 				eqStrings(t, sortedRowStrings(got), sortedRowStrings(want), label)
 
-				// A partition at a time into one reused arena, the shard
-				// server's way: each partition's rows and count again.
+				// A partition at a time into one region, the shard server's
+				// way: each partition's rows and count again.
 				ns, err := s.PrepareNodeScan(node, nil)
 				if err != nil {
 					t.Fatalf("%s: PrepareNodeScan: %v", label, err)
 				}
-				var arena engine.RowArena
+				region := engine.NewRegion()
 				for p := range parts {
-					rows, n := ns.ScanPart(p, &arena)
+					rows, n := ns.ScanPart(p, region)
 					if n != processed[p] || fmt.Sprint(rows.Rows()) != fmt.Sprint(parts[p]) {
-						t.Errorf("%s: partition %d scanned into a reused arena: %d rows, %d processed; want %d and %d",
+						t.Errorf("%s: partition %d scanned into a region: %d rows, %d processed; want %d and %d",
 							label, p, rows.Len(), n, len(parts[p]), processed[p])
 					}
 				}
+				region.Release()
 
 				// The same star as a query, through both executors.
 				texts := make([]string, len(node.Patterns))
@@ -505,10 +506,13 @@ func denseStarStore(t testing.TB, keys int) *Store {
 }
 
 // TestPTScanAllocationsIndependentOfKeyCount: a partition scan allocates
-// its cursors and one row, and the materializing wrapper one arena more
-// — the same handful whether the partition holds a hundred keys or ten
-// thousand. (The map-based table allocated three times per key.)
+// its cursors and one row, and the materializing wrapper — in a region,
+// where every caller runs it, its arena growing there — the same handful
+// more, whether the partition holds a hundred keys or ten thousand. (The
+// map-based table allocated three times per key.) The wrapper's count
+// crosses slab-pool traffic, so the collector is off while it counts.
 func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(keys int) (scan, rows float64) {
 		s := denseStarStore(t, keys)
 		node := &Node{Kind: NodePT, Key: "k", Patterns: starPatterns(keyOnSubject,
@@ -525,11 +529,13 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 		if emitted != int64(2*keys) {
 			t.Fatalf("%d keys: scan emitted %d rows, want %d", keys, emitted, 2*keys)
 		}
+		region := engine.NewRegion()
 		rows = testing.AllocsPerRun(10, func() {
-			out, processed := new(ptScan).rows(part, spec, nil, nil, nil)
+			out, processed := new(ptScan).rows(part, spec, nil, region)
 			if out.Len() != 2*keys || processed != int64(keys) {
 				t.Fatalf("%d keys: %d rows, %d processed", keys, out.Len(), processed)
 			}
+			region.Release()
 		})
 		return scan, rows
 	}
@@ -539,9 +545,10 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 	if bigScan != smallScan || bigRows != smallRows {
 		t.Errorf("allocations grew with the key count: scan %.0f -> %.0f, materialized %.0f -> %.0f", smallScan, bigScan, smallRows, bigRows)
 	}
-	// The ceilings are what the two take under the race detector, which
-	// heap-allocates this test's own `var sc ptScan` and emit closure
-	// (3 and 5 without it); the property is the equality above.
+	// The property is the equality above; the ceilings are loose (3 and 3
+	// measured). It is an allocation pin (ALLOC_PINS): under the race
+	// detector sync.Pool drops a share of the slabs put back, so the
+	// wrapper's count follows the pool, not the scan.
 	if bigScan > 6 || bigRows > 12 {
 		t.Errorf("scan allocates %.0f times, materialized %.0f; want at most 6 and 12", bigScan, bigRows)
 	}

@@ -94,10 +94,13 @@ func TestReleasedRegionsPoisoned(t *testing.T) {
 // star) to ten objects, through a shuffle (broadcasts off) and through a
 // broadcast, and return ten rows whatever n is — DISTINCT over the ten
 // objects' partners, or the first ten in ORDER BY order — so what
-// decodeRows allocates is fixed too. The streaming runs cut the scans
-// into 512-row batches, so their batch count grows with n as well; the
-// one thing that may grow is the virtual scheduler's record of the
-// morsels it priced, 16 B a morsel.
+// decodeRows allocates is fixed too. A third query groups the n subjects'
+// n distinct ?v values and keeps the first ten groups by count, so its
+// aggregate table holds n groups and its result ten rows: the group
+// table, its index and its sorted rows are region memory too. The
+// streaming runs cut the scans into 512-row batches, so their batch count
+// grows with n as well; the one thing that may grow is the virtual
+// scheduler's record of the morsels it priced, 16 B a morsel.
 func TestWarmQueryAllocsIndependentOfIntermediateRows(t *testing.T) {
 	stores := map[int]*Store{}
 	for _, n := range []int{100, 20000} {
@@ -120,7 +123,8 @@ func TestWarmQueryAllocsIndependentOfIntermediateRows(t *testing.T) {
 		stores[n] = s
 	}
 	where := " WHERE { ?s <" + testNS + "p> ?o . ?s <" + testNS + "r> ?v . ?o <" + testNS + "q> ?x }"
-	for _, text := range []string{"SELECT DISTINCT ?x" + where, "SELECT ?s ?x" + where + " ORDER BY ?x ?s LIMIT 10"} {
+	grouped := "SELECT ?v (COUNT(?s) AS ?c) WHERE { ?s <" + testNS + "p> ?o . ?s <" + testNS + "r> ?v } GROUP BY ?v ORDER BY DESC(?c) ?v LIMIT 10"
+	for _, text := range []string{"SELECT DISTINCT ?x" + where, "SELECT ?s ?x" + where + " ORDER BY ?x ?s LIMIT 10", grouped} {
 		q := sparql.MustParse(text)
 		for _, c := range []struct {
 			name string

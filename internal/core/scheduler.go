@@ -492,7 +492,7 @@ func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, er
 	case scanEmpty:
 		return engine.NewBlockRelation(ns.schema(), make([]engine.Block, ns.parts), ""), nil
 	case scanTriples:
-		rel, err := engine.PartitionBlock(ns.storedSchema(), s.triplesMatches(*ns.tp, ns.rowPred, sc.region), ns.partCol, ns.parts)
+		rel, err := engine.PartitionBlock(sc.region, ns.storedSchema(), s.triplesMatches(*ns.tp, ns.rowPred, sc.region), ns.partCol, ns.parts)
 		if err != nil {
 			return nil, err
 		}
@@ -543,7 +543,7 @@ func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, er
 			if scans != nil {
 				scratch = &scans[p]
 			}
-			rows, keys := ps.scan(scratch, p, nil, sc.region)
+			rows, keys := ps.scan(scratch, p, sc.region)
 			return rows, ps.stageRows(p, keys, rows.Len())
 		}
 	}

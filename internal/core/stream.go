@@ -567,7 +567,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		}
 		st := &streamStep{
 			kind: stepAggregate, node: n, width: len(n.Vars),
-			groups: engine.NewGroupTable(groupIdx, countIdx),
+			groups: engine.NewGroupTable(c.sp.region, groupIdx, countIdx),
 		}
 		c.pipe(pi).steps = append(c.pipe(pi).steps, st)
 		c.sp.pipeOf[n.ID] = pi

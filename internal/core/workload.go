@@ -65,7 +65,7 @@ func (s *Store) buildExtVPTable(pred, partner uint64, pos uint8, gen uint64) (wo
 	if rows.Len() == 0 || rows.Len() >= base.Rel.NumRows() {
 		return workload.Table{}, false
 	}
-	rel, err := engine.PartitionBlock(engine.Schema{"s", "o"}, rows, "s", s.parts)
+	rel, err := engine.PartitionBlock(nil, engine.Schema{"s", "o"}, rows, "s", s.parts)
 	if err != nil {
 		return workload.Table{}, false
 	}

@@ -19,9 +19,6 @@ type RowArena struct {
 	buf      []rdf.ID
 	// region is where buf comes from; nil is the heap.
 	region *Region
-	// nums is row-number scratch: the rows Select keeps between its test
-	// and its copy, the permutation SortInto sorts.
-	nums []int32
 }
 
 // NewRowArena returns a heap arena for rows of the given width,
@@ -67,20 +64,6 @@ func (a *RowArena) Grow(rows int) {
 	copy(buf, a.buf)
 	a.buf = buf
 }
-
-// emptied returns s emptied with room for n elements: in its own
-// storage when that is large enough, in exactly n fresh ones otherwise —
-// so scratch follows its largest use and no further, and a first use
-// allocates what a plain make would.
-func emptied[S ~[]E, E any](s S, n int) S {
-	if cap(s) < n {
-		return make(S, 0, n)
-	}
-	return s[:0]
-}
-
-// largestBuffer is the size in bytes of the arena's largest buffer.
-func (a *RowArena) largestBuffer() int { return max(cap(a.buf), cap(a.nums)) * 4 }
 
 // AppendJoin emits left ++ right[keep] — the hash-join output shape.
 func (a *RowArena) AppendJoin(left, right Row, keep []int) {

@@ -126,16 +126,15 @@ func layoutBlocks(r *Region, width int, counts []int) (blocks []Block, fill []in
 // Select returns the rows of b that keep accepts, in order: b itself
 // when keep accepts every row, otherwise a copy in a's storage (Reset
 // here, to exactly the rows kept; they live until its next use). The
-// accepted row numbers are remembered in a's row-number scratch between
-// the test and the copy, so keep runs once per row.
+// accepted row numbers are remembered between the test and the copy, in
+// a's region, so keep runs once per row.
 func (b Block) Select(keep func(Row) bool, a *RowArena) Block {
-	kept := scratch32(a.region, a.nums, b.n)[:0]
+	kept := a.region.int32s(b.n)[:0]
 	for i := 0; i < b.n; i++ {
 		if keep(b.Row(i)) {
 			kept = append(kept, int32(i))
 		}
 	}
-	a.nums = kept
 	if len(kept) == b.n {
 		return b
 	}
@@ -163,10 +162,9 @@ func SortBlock(b Block, less func(x, y Row) bool, k int) Block {
 }
 
 // SortInto is SortBlock into dst's storage (Reset here, so b must not
-// live in it); the permutation is dst's row-number scratch.
+// live in it); the permutation is carved from dst's region.
 func SortInto(dst *RowArena, b Block, less func(x, y Row) bool, k int) Block {
-	perm := sortPerm(b, less, scratch32(dst.region, dst.nums, b.n))
-	dst.nums = perm
+	perm := sortPerm(b, less, dst.region.int32s(b.n))
 	if k >= 0 && k < len(perm) {
 		perm = perm[:k]
 	}

@@ -61,9 +61,10 @@ func NewRelation(schema Schema, parts [][]Row, partKey string) *Relation {
 	return NewBlockRelation(schema, blocks, partKey)
 }
 
-// Partition is PartitionBlock over rows as wide as the schema.
+// Partition is PartitionBlock over rows as wide as the schema, on the
+// heap.
 func Partition(schema Schema, rows []Row, key string, n int) (*Relation, error) {
-	return PartitionBlock(schema, NewBlock(len(schema), rows), key, n)
+	return PartitionBlock(nil, schema, NewBlock(len(schema), rows), key, n)
 }
 
 // Rows returns every partition's rows, in partition order, as views of
@@ -85,43 +86,37 @@ func (r *Relation) SortedRows() []Row {
 }
 
 // JoinPartitionKernel is the shuffle join's partition kernel
-// (KernelScratch.JoinPartition) over rows: the benchmark's
-// engine.join_kernel_* probes time it, adapter included.
+// (JoinPartition) over rows: the benchmark's engine.join_kernel_* probes
+// time it, adapter included.
 func JoinPartitionKernel(lRows, rRows []Row, lKey, rKey []int, outWidth int, lKeep, rKeep []int) []Row {
-	return (*KernelScratch)(nil).JoinPartition(blockOf(lRows), blockOf(rRows), lKey, rKey, outWidth, lKeep, rKeep).Rows()
+	return JoinPartition(nil, blockOf(lRows), blockOf(rRows), lKey, rKey, outWidth, lKeep, rKeep).Rows()
 }
 
 // CartesianKernel is the cartesian operator's partition kernel over
 // rows.
 func CartesianKernel(largeRows, smallRows []Row, smallIsLeft bool, outWidth int, lKeep, rKeep []int) []Row {
-	return (*KernelScratch)(nil).Cartesian(blockOf(largeRows), []Block{blockOf(smallRows)}, smallIsLeft, outWidth, lKeep, rKeep).Rows()
+	return Cartesian(nil, blockOf(largeRows), []Block{blockOf(smallRows)}, smallIsLeft, outWidth, lKeep, rKeep).Rows()
 }
 
 // DistinctKernel is the distinct operator's partition kernel
-// (KernelScratch.Distinct) over rows: the benchmark's
-// engine.distinct_ns_per_row probe times it, adapter included.
+// (Distinct) over rows: the benchmark's engine.distinct_ns_per_row probe
+// times it, adapter included.
 func DistinctKernel(rows []Row, width int) []Row {
-	return (*KernelScratch)(nil).Distinct(NewBlock(width, rows), width).Rows()
+	return Distinct(nil, NewBlock(width, rows), width).Rows()
 }
 
-// JoinProbe is a hash index over a join's build side, read-only once
-// built, probed with rows: the broadcast join's index and probe kernel
-// behind an adapter, which the benchmark's engine.probe_ns_per_row probe
-// times with it.
-type JoinProbe struct {
-	ix joinIndex
-}
-
-// NewJoinProbe indexes a copy of buildRows on the key columns.
+// NewJoinProbe indexes a copy of buildRows on the key columns, for the
+// row-slice probes below, which the benchmark's engine.probe_ns_per_row
+// probe times.
 func NewJoinProbe(buildRows []Row, buildKey []int) *JoinProbe {
-	return &JoinProbe{ix: buildJoinIndex(nil, []Block{blockOf(buildRows)}, buildKey)}
+	jp := BuildJoinProbe(nil, []Block{blockOf(buildRows)}, buildKey)
+	return &jp
 }
 
-// Probe emits the join of probeRows against the indexed build side,
-// preserving probe-row order (then build-chain order), exactly as the
-// broadcast join's partition tasks do.
+// Probe emits the join of probeRows against the indexed build side; see
+// ProbeBlock.
 func (jp *JoinProbe) Probe(probeRows []Row, probeKey []int, buildIsLeft bool, outWidth int, lKeep, rKeep []int) []Row {
-	return jp.ix.probeBatch(nil, blockOf(probeRows), probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, nil).Rows()
+	return jp.ProbeBlock(nil, blockOf(probeRows), probeKey, buildIsLeft, outWidth, lKeep, rKeep).Rows()
 }
 
 // ProbeOuter emits the left outer join of probeRows (the left side)
@@ -129,7 +124,7 @@ func (jp *JoinProbe) Probe(probeRows []Row, probeKey []int, buildIsLeft bool, ou
 // partition tasks do: a probe row with no match emits once, padded with
 // nullRight in the right-only columns.
 func (jp *JoinProbe) ProbeOuter(probeRows []Row, probeKey []int, outWidth int, rKeep []int, nullRight Row) []Row {
-	return jp.ix.probeBatch(nil, blockOf(probeRows), probeKey, &joinEmit{width: outWidth, rKeep: rKeep, nullRight: nullRight}, nil).Rows()
+	return jp.ix.probeBatch(nil, blockOf(probeRows), probeKey, &joinEmit{width: outWidth, rKeep: rKeep, nullRight: nullRight}).Rows()
 }
 
 // Build indexes a copy of buildRows; see BuildBlocks. With Probe below

@@ -12,6 +12,12 @@ package engine
 // lengths and returned row counts) — SimTime is invariant under where
 // the kernels physically ran. Every spec carries Node, the ID of the
 // plan operator the exchange executes (Exec.Node).
+//
+// Each kernel is a plain function of the Region its scratch and output
+// are carved from, and the output lives as long as that region: the
+// query's in process, the request's on a shard server (which releases it
+// once the response frame is written), or the heap (nil), where the
+// row-slice adapters of compat.go run them.
 
 // ShuffleSpec describes the partition-wise hash-join kernel of a
 // shuffle join whose fragments were already routed by the coordinator.
@@ -78,64 +84,11 @@ type Exchanger interface {
 	Distinct(spec DistinctSpec, parts []Block) ([]Block, error)
 }
 
-// KernelScratch is storage a caller lends the partition kernels, so that
-// a loop over many partitions — a shard server working through a
-// request — allocates for the largest of them once instead of for each:
-// every call empties and refills the output arena, a hash index or the
-// dedup set. A kernel's result aliases the scratch (and, as always, the
-// input blocks) and is valid until the next call on it. The zero
-// KernelScratch is ready to use. Every kernel also runs on a nil
-// *KernelScratch, in fresh, exactly sized heap storage that the result
-// keeps: the row-slice adapters (compat.go) run them that way. The
-// in-process operators run the same kernels in their query's Region
-// instead, where every call's output is fresh region memory. Not safe for
-// concurrent use.
-type KernelScratch struct {
-	// Out is the arena output rows are emitted into, exposed so a caller's
-	// own per-partition producers (scans) can share it.
-	Out RowArena
-	// heads is probeBatch's memory between its two passes.
-	heads []int32
-	// ix is the hash index: Build's, probed by Probe, or JoinPartition's,
-	// rebuilt by every call. Rebuilding empties only as much of the head
-	// table as the new build needs.
-	ix   joinIndex
-	seen rowSet
-}
-
-// LargestBuffer is the size in bytes of the largest single buffer the
-// scratch holds.
-func (s *KernelScratch) LargestBuffer() int {
-	return max(s.Out.largestBuffer(), cap(s.heads)*4, s.ix.largestBuffer(), s.seen.largestBuffer())
-}
-
-// Trim releases every buffer of the scratch larger than maxBytes (the
-// dedup set's buffers go together), for owners that bound what they keep
-// between uses.
-func (s *KernelScratch) Trim(maxBytes int) {
-	if s.Out.largestBuffer() > maxBytes {
-		s.Out = RowArena{}
-	}
-	if cap(s.heads)*4 > maxBytes {
-		s.heads = nil
-	}
-	s.ix.trim(maxBytes)
-	if s.seen.largestBuffer() > maxBytes {
-		s.seen = rowSet{}
-	}
-}
-
 // JoinPartition hash-joins one shuffle partition: the smaller side (by
 // row count; left on ties) becomes the build side, and output rows keep
 // left-to-right column order.
-func (s *KernelScratch) JoinPartition(l, r Block, lKey, rKey []int, outWidth int, lKeep, rKeep []int) Block {
-	return joinPartition(nil, s, l, r, lKey, rKey, outWidth, lKeep, rKeep)
-}
-
-// joinPartition is JoinPartition in reg, or, with a nil reg, in s's
-// storage (fresh heap storage when s is nil too).
-func joinPartition(reg *Region, s *KernelScratch, l, r Block, lKey, rKey []int, outWidth int, lKeep, rKeep []int) Block {
-	build, probe := l, r
+func JoinPartition(r *Region, left, right Block, lKey, rKey []int, outWidth int, lKeep, rKeep []int) Block {
+	build, probe := left, right
 	buildKey, probeKey := lKey, rKey
 	buildIsLeft := true
 	if probe.n < build.n {
@@ -143,43 +96,37 @@ func joinPartition(reg *Region, s *KernelScratch, l, r Block, lKey, rKey []int, 
 		buildKey, probeKey = probeKey, buildKey
 		buildIsLeft = false
 	}
-	var fresh joinIndex
-	ix := &fresh
-	if s != nil {
-		ix = &s.ix
-	}
-	ix.buildOne(reg, build, buildKey)
-	return ix.probeBatch(reg, probe, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, s)
+	var ix joinIndex
+	ix.buildOne(r, build, buildKey)
+	return ix.probeBatch(r, probe, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep})
 }
 
-// Build indexes a join's build side — its blocks, in order — on the key
-// columns for the Probe calls that follow: once per broadcast join,
-// whose every partition probes the same side.
-func (s *KernelScratch) Build(build []Block, buildKey []int) { s.ix.build(nil, build, buildKey) }
+// JoinProbe is a hash index over a broadcast join's build side, read-only
+// once built, so the partitions that probe it may share it.
+type JoinProbe struct {
+	ix joinIndex
+}
 
-// Probe joins probe against the side last given to Build, preserving
+// BuildJoinProbe indexes a join's build side — its blocks, in order,
+// where they lie — on the key columns, in r: once per broadcast join,
+// whose every partition probes the same side.
+func BuildJoinProbe(r *Region, build []Block, buildKey []int) JoinProbe {
+	return JoinProbe{ix: buildJoinIndex(r, build, buildKey)}
+}
+
+// ProbeBlock joins probe against the indexed side into r, preserving
 // probe-row order (then build-chain order), exactly as the in-process
 // broadcast join does.
-func (s *KernelScratch) Probe(probe Block, probeKey []int, buildIsLeft bool, outWidth int, lKeep, rKeep []int) Block {
-	return s.ix.probeBatch(nil, probe, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep}, s)
+func (jp *JoinProbe) ProbeBlock(r *Region, probe Block, probeKey []int, buildIsLeft bool, outWidth int, lKeep, rKeep []int) Block {
+	return jp.ix.probeBatch(r, probe, probeKey, &joinEmit{buildLeft: buildIsLeft, width: outWidth, lKeep: lKeep, rKeep: rKeep})
 }
 
 // Cartesian crosses one partition of the large side with the whole
 // broadcast small side — its blocks, in order — in the local operator's
 // emission order.
-func (s *KernelScratch) Cartesian(large Block, small []Block, smallIsLeft bool, outWidth int, lKeep, rKeep []int) Block {
-	var fresh RowArena
-	arena := &fresh
-	if s != nil {
-		arena = &s.Out
-	}
-	return cartesian(arena, large, small, smallIsLeft, outWidth, lKeep, rKeep)
-}
-
-// cartesian is the Cartesian kernel into arena (Reset here).
-func cartesian(arena *RowArena, large Block, small []Block, smallIsLeft bool, outWidth int, lKeep, rKeep []int) Block {
+func Cartesian(r *Region, large Block, small []Block, smallIsLeft bool, outWidth int, lKeep, rKeep []int) Block {
 	// The output cardinality is exact, so the arena never regrows.
-	arena.Reset(outWidth, large.n*totalRows(small))
+	arena := r.Arena(outWidth, large.n*totalRows(small))
 	for i := 0; i < large.n; i++ {
 		lr := large.Row(i)
 		for _, sb := range small {
@@ -200,19 +147,9 @@ func cartesian(arena *RowArena, large Block, small []Block, smallIsLeft bool, ou
 }
 
 // Distinct dedups one shuffled partition, keeping first-seen row order
-// like the local distinct closure.
-func (s *KernelScratch) Distinct(rows Block, width int) Block {
-	var fresh rowSet
-	seen := &fresh
-	if s != nil {
-		seen = &s.seen
-	}
-	return distinct(nil, seen, rows, width)
-}
-
-// distinct is the Distinct kernel over seen, reset in r (or, with a nil
-// r, in its own storage).
-func distinct(r *Region, seen *rowSet, rows Block, width int) Block {
+// like the local distinct operator.
+func Distinct(r *Region, rows Block, width int) Block {
+	var seen rowSet
 	seen.reset(r, width, rows.n)
 	for i := 0; i < rows.n; i++ {
 		seen.insert(rows.Row(i))

@@ -273,10 +273,7 @@ func (e *Exec) Distinct(rel *Relation) (*Relation, error) {
 	} else {
 		shuffled, moved = shuffleRows(e.Region, rel, keyIdx, n)
 	}
-	run := func(p int) Block {
-		var seen rowSet
-		return distinct(e.Region, &seen, shuffled[p], width)
-	}
+	run := func(p int) Block { return Distinct(e.Region, shuffled[p], width) }
 	if e.Dist != nil {
 		var priced int64
 		for _, m := range moved {

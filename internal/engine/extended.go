@@ -44,7 +44,7 @@ func (e *Exec) LeftJoin(left, right *Relation, name string) (*Relation, error) {
 	workers := e.Cluster.Workers()
 	out := make([]Block, left.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.launchBroadcast(), "left join "+name, left.Partitions(), func(p int) (cluster.TaskStats, error) {
-		out[p] = ix.probeBatch(e.Region, left.parts[p], probeKey, &emit, nil)
+		out[p] = ix.probeBatch(e.Region, left.parts[p], probeKey, &emit)
 		st := cluster.TaskStats{Rows: int64(left.parts[p].n + out[p].n)}
 		// One build-side copy per worker, paid by its first task.
 		if p < workers {
@@ -170,7 +170,7 @@ func (e *Exec) Aggregate(rel *Relation, groupCols []string, counts []AggCount) (
 		outSchema = append(outSchema, c.As)
 	}
 
-	groups := NewGroupTable(gIdx, cIdx)
+	groups := NewGroupTable(e.Region, gIdx, cIdx)
 	for _, part := range rel.parts {
 		for i := 0; i < part.n; i++ {
 			groups.Add(part.Row(i))
@@ -192,45 +192,43 @@ func (e *Exec) Aggregate(rel *Relation, groupCols []string, counts []AggCount) (
 // GroupTable is the hash-aggregation state both executors fill: one
 // output row per distinct group key — the group cells of the first row
 // seen with that key, then one COUNT cell per aggregate, holding the
-// raw count as an rdf.ID — in one flat buffer. Lookups pack the key into
-// a reused buffer, so adding a row to an existing group allocates
-// nothing. Not safe for concurrent use.
+// raw count as an rdf.ID. Groups are found through a rowSet over their
+// keys — the engine's one head table and chain, keyed on the packed
+// group columns — and every buffer is carved from the region the table
+// was given, so a table of any size allocates nothing on the heap in a
+// region. Not safe for concurrent use.
 type GroupTable struct {
 	groupIdx, countIdx []int
-	index              map[string]int
-	rows               RowArena
-	kb                 []byte
+	// keys holds each group's key cells and counts its COUNT cells, group
+	// by group in first-seen order; key is the row being added's key
+	// cells.
+	keys   rowSet
+	counts RowArena
+	key    Row
 }
 
-// NewGroupTable returns an empty table grouping on the input columns
-// groupIdx; countIdx names each COUNT's counted input column (-1 =
-// COUNT(*)).
-func NewGroupTable(groupIdx, countIdx []int) *GroupTable {
-	g := &GroupTable{groupIdx: groupIdx, countIdx: countIdx, index: map[string]int{}}
-	g.rows.Reset(len(groupIdx)+len(countIdx), 0)
+// NewGroupTable returns an empty table in r grouping on the input
+// columns groupIdx; countIdx names each COUNT's counted input column (-1
+// = COUNT(*)).
+func NewGroupTable(r *Region, groupIdx, countIdx []int) *GroupTable {
+	g := &GroupTable{groupIdx: groupIdx, countIdx: countIdx, counts: r.Arena(len(countIdx), 0), key: Row(r.IDs(len(groupIdx)))}
+	g.keys.reset(r, len(groupIdx), 0)
 	return g
 }
 
 // Add folds one input row into its group.
 func (g *GroupTable) Add(r Row) {
-	g.kb = g.kb[:0]
-	for _, j := range g.groupIdx {
-		v := r[j]
-		g.kb = append(g.kb, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	for i, j := range g.groupIdx {
+		g.key[i] = r[j]
 	}
-	gi, ok := g.index[string(g.kb)]
-	if !ok {
-		gi = g.rows.n
-		g.index[string(g.kb)] = gi
-		for _, j := range g.groupIdx {
-			g.rows.buf = append(g.rows.buf, r[j])
-		}
-		for range g.countIdx {
-			g.rows.buf = append(g.rows.buf, 0)
-		}
-		g.rows.n++
+	gi, added := g.keys.insert(g.key)
+	nc := len(g.countIdx)
+	if added {
+		g.counts.Grow(1)
+		g.counts.buf = append(g.counts.buf, make(Row, nc)...)
+		g.counts.n++
 	}
-	counts := g.rows.buf[gi*g.rows.width+len(g.groupIdx) : (gi+1)*g.rows.width]
+	counts := g.counts.buf[gi*nc : (gi+1)*nc]
 	for ci, j := range g.countIdx {
 		if j < 0 || r[j] != rdf.NullID {
 			counts[ci]++
@@ -239,11 +237,20 @@ func (g *GroupTable) Add(r Row) {
 }
 
 // Len returns the number of groups.
-func (g *GroupTable) Len() int { return g.rows.n }
+func (g *GroupTable) Len() int { return g.keys.rows.n }
 
-// Rows returns the group rows sorted by raw ID order (group keys are
-// unique, so the order is total), in a block of their own.
-func (g *GroupTable) Rows() Block { return SortBlock(g.rows.Block(), lessRows, -1) }
+// Rows returns the group rows sorted by raw ID order, in a block of the
+// table's region. Group keys are unique, so their order is the rows'
+// and is total.
+func (g *GroupTable) Rows() Block {
+	r := g.counts.region
+	keys, counts := g.keys.rows.Block(), g.counts.Block()
+	out := r.Arena(len(g.groupIdx)+len(g.countIdx), keys.n)
+	for _, i := range sortPerm(keys, lessRows, r.int32s(keys.n)) {
+		out.AppendConcat(keys.Row(int(i)), counts.Row(int(i)))
+	}
+	return out.Block()
+}
 
 // LessRowsID is the engine's canonical raw-ID row order (column-wise
 // by dictionary ID, shorter rows first) — the deterministic total

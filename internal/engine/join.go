@@ -254,7 +254,7 @@ func (e *Exec) shuffleJoin(left, right *Relation, shared []string, name string, 
 	// stage stats below are computed from fragment lengths and output
 	// counts either way, so pricing never depends on where it ran.
 	run := func(p int) Block {
-		return joinPartition(e.Region, nil, lParts[p], rParts[p], lKey, rKey, len(outSchema), lKeep, rKeep)
+		return JoinPartition(e.Region, lParts[p], rParts[p], lKey, rKey, len(outSchema), lKeep, rKeep)
 	}
 	if e.Dist != nil {
 		var lSum, rSum int64
@@ -329,7 +329,7 @@ func (e *Exec) broadcastJoin(probe, build *Relation, shared []string, name strin
 		// all tasks.
 		ix := buildJoinIndex(e.Region, build.parts, buildKey)
 		emit := joinEmit{buildLeft: buildIsLeft, width: len(outSchema), lKeep: lKeep, rKeep: rKeep}
-		run = func(p int) Block { return ix.probeBatch(e.Region, probe.parts[p], probeKey, &emit, nil) }
+		run = func(p int) Block { return ix.probeBatch(e.Region, probe.parts[p], probeKey, &emit) }
 	}
 	out := make([]Block, probe.Partitions())
 	err := e.Cluster.RunStage(e.Clock, e.launchBroadcast(), "broadcast join "+name, probe.Partitions(), func(p int) (cluster.TaskStats, error) {
@@ -360,8 +360,7 @@ func (e *Exec) cartesian(left, right *Relation, name string, keep []string) (*Re
 	workers := e.Cluster.Workers()
 	smallBytes := small.EstimatedBytes()
 	run := func(p int) Block {
-		arena := RowArena{region: e.Region}
-		return cartesian(&arena, large.parts[p], small.parts, smallIsLeft, len(outSchema), lKeep, rKeep)
+		return Cartesian(e.Region, large.parts[p], small.parts, smallIsLeft, len(outSchema), lKeep, rKeep)
 	}
 	if e.Dist != nil {
 		w := workers

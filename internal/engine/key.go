@@ -67,8 +67,8 @@ func keysEqual(a Row, aIdx []int, b Row, bIdx []int) bool {
 // for a one-column key, its low and high words for a packed or hashed
 // one — then the entry, 0 while the slot is free: a lookup that misses
 // reads the table and nothing else, never a row. It is at most two
-// thirds full, and it is one []rdf.ID: carved from a region, or, for a
-// scratch index, the storage the build before left.
+// thirds full, and it is one []rdf.ID, carved from a region (the heap
+// when nil).
 type headTable struct {
 	slots []rdf.ID
 	// words is a slot's size in IDs: the key's, plus the entry.
@@ -89,14 +89,14 @@ type headTable struct {
 const smallTable = 1 << 14
 
 // reset empties the table for up to n keys of keyWords IDs each (1 or
-// 2), in r or in its own storage.
+// 2), in r.
 func (t *headTable) reset(r *Region, n, keyWords int) {
 	size := 2
 	for size < n+n/2 || size < 3*n && size < smallTable {
 		size <<= 1
 	}
 	t.words = keyWords + 1
-	t.slots = scratchIDs(r, t.slots, size*t.words)
+	t.slots = r.IDs(size * t.words)
 	clear(t.slots)
 	t.shift, t.mask = uint(64-bits.TrailingZeros(uint(size))), size-1
 	t.used = 0
@@ -210,25 +210,6 @@ type joinIndex struct {
 	exact bool
 }
 
-// largestBuffer is the size in bytes of the largest buffer the index
-// holds.
-func (ix *joinIndex) largestBuffer() int {
-	return max(cap(ix.heads.slots), cap(ix.next), cap(ix.base)) * 4
-}
-
-// trim releases each buffer of the index larger than maxBytes.
-func (ix *joinIndex) trim(maxBytes int) {
-	if cap(ix.heads.slots)*4 > maxBytes {
-		ix.heads = headTable{}
-	}
-	if cap(ix.next)*4 > maxBytes {
-		ix.next = nil
-	}
-	if cap(ix.base)*4 > maxBytes {
-		ix.base = nil
-	}
-}
-
 // buildJoinIndex indexes the rows of blocks by the key columns, in r
 // (the heap when nil). The index is read-only after construction and
 // safe for concurrent probing; it keeps the blocks, not a copy.
@@ -238,11 +219,7 @@ func buildJoinIndex(r *Region, blocks []Block, keyIdx []int) joinIndex {
 	return ix
 }
 
-// build (re)indexes the rows of blocks by the key columns: in r, or,
-// with a nil r, in the storage ix already holds — re-sliced and cleared
-// as far as this build needs, so an index rebuilt for partition after
-// partition allocates only when one outgrows every earlier one, and
-// pays for emptying what it uses, not what its largest build did.
+// build indexes the rows of blocks by the key columns, in r.
 func (ix *joinIndex) build(r *Region, blocks []Block, keyIdx []int) {
 	if len(blocks) == 1 {
 		ix.buildOne(r, blocks[0], keyIdx)
@@ -260,7 +237,7 @@ func (ix *joinIndex) build(r *Region, blocks []Block, keyIdx []int) {
 		return
 	}
 	ix.blocks = blocks
-	ix.base = scratch32(r, ix.base, len(blocks))[:0]
+	ix.base = r.int32s(len(blocks))[:0]
 	g := 0
 	for _, b := range blocks {
 		ix.base = append(ix.base, int32(g))
@@ -298,7 +275,7 @@ func (ix *joinIndex) index(r *Region, keyIdx []int) {
 	}
 	ix.keyIdx, ix.exact = keyIdx, len(keyIdx) <= 2
 	// Every link is written below, so stale ones need no clearing.
-	ix.next = scratch32(r, ix.next, total)
+	ix.next = r.int32s(total)
 	ix.heads.reset(r, total, keyWords(len(keyIdx)))
 	g := 0
 	for bi := 0; bi < ix.nblocks(); bi++ {
@@ -397,22 +374,12 @@ func (ix *joinIndex) emitChain(head int32, pr Row, probeIdx []int, e *joinEmit, 
 // before it fills: the first pass looks up every probe row's chain
 // head and counts its matches, the second writes them into an arena
 // sized for exactly that count, walking the remembered heads instead
-// of hashing again. With a scratch the heads and the arena are its
-// own, reused, and the result lives in s.Out until that is next used;
-// without, both are carved from r — fresh heap storage when r is nil,
-// the output one exactly sized allocation. A batch that emits nothing
-// returns an empty block, so a selective probe costs memory for its
-// output, not its input.
-func (ix *joinIndex) probeBatch(r *Region, probe Block, probeIdx []int, e *joinEmit, s *KernelScratch) Block {
-	var heads []int32
-	arena := RowArena{region: r}
-	out := &arena
-	if s != nil {
-		s.heads = emptied(s.heads, probe.n)
-		heads, out = s.heads[:probe.n], &s.Out
-	} else {
-		heads = r.int32s(probe.n)
-	}
+// of hashing again. Both are carved from r — fresh heap storage when r
+// is nil, the output one exactly sized allocation. A batch that emits
+// nothing returns an empty block, so a selective probe costs memory for
+// its output, not its input.
+func (ix *joinIndex) probeBatch(r *Region, probe Block, probeIdx []int, e *joinEmit) Block {
+	heads := r.int32s(probe.n)
 	total := 0
 	for k := range heads {
 		pr := probe.Row(k)
@@ -426,22 +393,23 @@ func (ix *joinIndex) probeBatch(r *Region, probe Block, probeIdx []int, e *joinE
 	if total == 0 {
 		return emptyBlock(e.width)
 	}
-	out.Reset(e.width, total)
+	out := r.Arena(e.width, total)
 	for k, head := range heads {
 		pr := probe.Row(k)
-		if ix.emitChain(head, pr, probeIdx, e, out) == 0 && e.nullRight != nil {
-			e.appendTo(out, e.nullRight, pr)
+		if ix.emitChain(head, pr, probeIdx, e, &out) == 0 && e.nullRight != nil {
+			e.appendTo(&out, e.nullRight, pr)
 		}
 	}
 	return out.Block()
 }
 
-// rowSet is a chained hash set over whole rows, used by Distinct. Like
-// joinIndex it is a head table and a chain, plus one flat buffer the
-// inserted rows are copied into — so its rows are a block of its own, in
-// first-seen order — and it re-checks hashed (wide-row) keys column-wise
-// so collisions never drop rows. In a region every buffer grows there,
-// so a set sized for no rows may take any number.
+// rowSet is a chained hash set over whole rows, used by Distinct and, over
+// group keys, by GroupTable. Like joinIndex it is a head table and a
+// chain, plus one flat buffer the inserted rows are copied into — so its
+// rows are a block of its own, in first-seen order — and it re-checks
+// hashed (wide-row) keys column-wise so collisions never drop rows. In a
+// region every buffer grows there, so a set sized for no rows may take
+// any number.
 type rowSet struct {
 	heads  headTable
 	next   []int32
@@ -459,8 +427,7 @@ var firstCols = func() (cols [64]int) {
 }()
 
 // reset empties the set for rows of the given width and capHint
-// insertions: in r, or, with a nil r, in the storage it already has (the
-// zero rowSet allocates each buffer at the hint).
+// insertions, in r.
 func (s *rowSet) reset(r *Region, width, capHint int) {
 	if width <= len(firstCols) {
 		s.keyIdx = firstCols[:width:width]
@@ -471,25 +438,20 @@ func (s *rowSet) reset(r *Region, width, capHint int) {
 		}
 	}
 	s.heads.reset(r, capHint, keyWords(width))
-	s.next = scratch32(r, s.next, capHint)[:0]
-	s.rows.region = r
-	s.rows.Reset(width, capHint)
+	s.next = r.int32s(capHint)[:0]
+	s.rows = r.Arena(width, capHint)
 }
 
-// largestBuffer is joinIndex.largestBuffer for the set.
-func (s *rowSet) largestBuffer() int {
-	return max(cap(s.heads.slots)*4, cap(s.next)*4, s.rows.largestBuffer())
-}
-
-// insert adds a copy of r unless an equal row is already present,
-// reporting whether r was new.
-func (s *rowSet) insert(r Row) bool {
+// insert adds a copy of r unless an equal row is already present. It
+// returns the row's number in the set — first-seen order, from 0 — and
+// whether r was new.
+func (s *rowSet) insert(r Row) (row int, added bool) {
 	k, exact := packKey(r, s.keyIdx)
 	w := s.rows.width
 	for i := s.heads.get(k); i != 0; i = s.next[i-1] {
 		at := int(i-1) * w
 		if exact || keysEqual(s.rows.buf[at:at+w], s.keyIdx, r, s.keyIdx) {
-			return false
+			return int(i - 1), false
 		}
 	}
 	reg := s.rows.region
@@ -497,5 +459,5 @@ func (s *rowSet) insert(r Row) bool {
 	s.rows.Grow(1)
 	s.rows.AppendCopy(r)
 	s.next = append(grow32(reg, s.next), s.heads.push(k, int32(s.rows.n)))
-	return true
+	return s.rows.n - 1, true
 }

@@ -195,13 +195,13 @@ func TestProbeAllMissAllocatesNothing(t *testing.T) {
 		var out Block
 		emit := joinEmit{width: 3, rKeep: []int{1}}
 		inRegion := func() {
-			out = ix.probeBatch(region, probe, []int{0}, &emit, nil)
+			out = ix.probeBatch(region, probe, []int{0}, &emit)
 			region.Release()
 		}
 		if a := testing.AllocsPerRun(20, inRegion); a != 0 || out.Len() != 0 {
 			t.Errorf("broadcast probe of %d missing rows in a region: %v allocations, %d rows", n, a, out.Len())
 		}
-		if a := testing.AllocsPerRun(20, func() { out = ix.probeBatch(nil, probe, []int{0}, &emit, nil) }); a > 1 || out.Len() != 0 {
+		if a := testing.AllocsPerRun(20, func() { out = ix.probeBatch(nil, probe, []int{0}, &emit) }); a > 1 || out.Len() != 0 {
 			t.Errorf("broadcast probe of %d missing rows: %v allocations, %d rows", n, a, out.Len())
 		}
 		if a := testing.AllocsPerRun(20, func() { out = hash.ProbeBatch(probe, false) }); a > 1 || out.Len() != 0 {
@@ -214,75 +214,6 @@ func TestProbeAllMissAllocatesNothing(t *testing.T) {
 // the same row whether its slice is nil or empty.
 func sameRowContents(a, b []Row) bool {
 	return slices.EqualFunc(a, b, func(x, y Row) bool { return slices.Equal(x, y) })
-}
-
-// TestKernelScratchMatchesOneShotKernels works one KernelScratch through
-// a long random mix of kernels — partition joins, a broadcast build
-// probed by several partitions, cartesians, distincts; key widths that
-// take the ID-keyed, the packed and the hashed index in turn; inputs
-// that grow, shrink and go empty — and requires of every call the rows
-// the one-shot kernel returns. Reuse then costs nothing: the same call
-// again allocates zero times. Trim leaves no buffer over its bound and
-// the scratch still working.
-func TestKernelScratchMatchesOneShotKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	var s KernelScratch
-	for iter := 0; iter < 400; iter++ {
-		nk := 1 + rng.Intn(3)
-		lKey, rKey := rng.Perm(4)[:nk], rng.Perm(4)[:nk]
-		var lKeep []int
-		if rng.Intn(2) == 0 {
-			lKeep = rng.Perm(4)[:rng.Intn(4)]
-		}
-		rKeep := rng.Perm(4)[:rng.Intn(4)]
-		width := len(lKeep) + len(rKeep)
-		if lKeep == nil {
-			width = 4 + len(rKeep)
-		}
-		size := func() int { return []int{0, 1, 7, 60, 500}[rng.Intn(5)] }
-		l, r := randomRows(rng, 4, size(), 6), randomRows(rng, 4, size(), 6)
-		lb, rb := NewBlock(4, l), NewBlock(4, r)
-		var got Block
-		var want []Row
-		var again func()
-		switch rng.Intn(4) {
-		case 0:
-			again = func() { got = s.JoinPartition(lb, rb, lKey, rKey, width, lKeep, rKeep) }
-			want = JoinPartitionKernel(l, r, lKey, rKey, width, lKeep, rKeep)
-		case 1:
-			s.Build([]Block{lb}, lKey)
-			jp := NewJoinProbe(l, lKey)
-			for p := 0; p < 3; p++ {
-				part := randomRows(rng, 4, size(), 6)
-				got, want = s.Probe(NewBlock(4, part), rKey, true, width, lKeep, rKeep), jp.Probe(part, rKey, true, width, lKeep, rKeep)
-				if !sameRowContents(got.Rows(), want) {
-					t.Fatalf("iter %d: Probe of partition %d returned %d rows, JoinProbe.Probe %d", iter, p, got.Len(), len(want))
-				}
-			}
-			again = func() { got = s.Probe(rb, rKey, true, width, lKeep, rKeep) }
-			want = jp.Probe(r, rKey, true, width, lKeep, rKeep)
-		case 2:
-			small := rb.Slice(0, min(rb.Len(), 3))
-			again = func() { got = s.Cartesian(lb, []Block{small}, false, width, lKeep, rKeep) }
-			want = CartesianKernel(l, small.Rows(), false, width, lKeep, rKeep)
-		case 3:
-			again = func() { got = s.Distinct(lb, 4) }
-			want = DistinctKernel(l, 4)
-		}
-		again()
-		if !sameRowContents(got.Rows(), want) {
-			t.Fatalf("iter %d: scratch kernel returned %d rows, one-shot kernel %d", iter, got.Len(), len(want))
-		}
-		if a := testing.AllocsPerRun(3, again); a != 0 || !sameRowContents(got.Rows(), want) {
-			t.Fatalf("iter %d: the same call on the warm scratch allocates %v times (rows equal: %v)", iter, a, sameRowContents(got.Rows(), want))
-		}
-		if iter%50 == 49 {
-			const limit = 4 << 10
-			if s.Trim(limit); s.LargestBuffer() > limit {
-				t.Fatalf("iter %d: a %d-byte buffer survives Trim(%d)", iter, s.LargestBuffer(), limit)
-			}
-		}
-	}
 }
 
 // TestJoinOutputPartitionAllocatesOnce: an output partition of a shuffle

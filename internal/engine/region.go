@@ -9,12 +9,15 @@ import (
 	"repro/internal/rdf"
 )
 
-// Region is one query's memory for everything that dies with the query:
-// operator outputs, permutations, hash-table heads and chains, scratch.
-// It hands out []rdf.ID buffers carved from slabs — pointer-free, so the
-// collector never scans them — and Release gives every slab back at
-// once. Carving is guarded by one mutex, because a query's stage tasks,
-// streaming workers and shard fan-out goroutines all carve from it
+// Region is the memory for everything that dies with one query or one
+// shard request: operator and kernel outputs, decoded row sections,
+// permutations, hash-table heads and chains, scratch. A coordinator query
+// owns one from QueryContext to its return; a shard server's request owns
+// one from the decode of its first section to the write of its response
+// frame. It hands out []rdf.ID buffers carved from slabs — pointer-free,
+// so the collector never scans them — and Release gives every slab back
+// at once. Carving is guarded by one mutex, because a query's stage
+// tasks, streaming workers and shard fan-out goroutines all carve from it
 // concurrently.
 //
 // Free slabs wait in a sync.Pool between queries, not in a list the
@@ -28,9 +31,9 @@ import (
 // kept past the query are never region memory. Buffers come back with
 // whatever an earlier query left in them: callers write before they
 // read. A nil *Region is the heap: every method allocates fresh,
-// zeroed storage that the collector frees, which is how a caller
-// without a query (a baseline, a benchmark probe, a shard server's
-// KernelScratch) runs the same kernels.
+// zeroed storage that the collector frees, which is how memory that
+// outlives every query — stored tables, the baselines' runs, the
+// row-slice adapters of compat.go — comes from the same kernels.
 type Region struct {
 	mu sync.Mutex
 	// free is the unused tail of the slab small buffers are carved from,
@@ -174,24 +177,6 @@ func (r *Region) int32s(n int) []int32 {
 		return nil
 	}
 	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(r.IDs(n)))), n)
-}
-
-// scratch32 returns n int32s of scratch for a kernel: carved from r when
-// the kernel runs in a region, otherwise s's own storage when it is
-// large enough or n fresh ones — the reuse a KernelScratch lends.
-func scratch32(r *Region, s []int32, n int) []int32 {
-	if r != nil {
-		return r.int32s(n)
-	}
-	return emptied(s, n)[:n]
-}
-
-// scratchIDs is scratch32 for IDs.
-func scratchIDs(r *Region, s []rdf.ID, n int) []rdf.ID {
-	if r != nil {
-		return r.IDs(n)
-	}
-	return emptied(s, n)[:n]
 }
 
 // grow32 returns s with room for at least one more element, grown

@@ -115,12 +115,13 @@ func NewBlockRelation(schema Schema, parts []Block, partKey string) *Relation {
 }
 
 // PartitionBlock hash-distributes rows by the key column into n
-// partitions, all of them in one allocation of IDs. It performs no cost
-// charging: loaders charge their own load stages. Placement uses the
-// engine's canonical row-key hash, so every relation carrying a
-// partition key is laid out identically and joins on that key can skip
-// the shuffle outright.
-func PartitionBlock(schema Schema, rows Block, key string, n int) (*Relation, error) {
+// partitions, all of them in one buffer of IDs carved from r: a query's
+// region for a scan's intermediate, the heap (nil) for a stored table.
+// It performs no cost charging: loaders charge their own load stages.
+// Placement uses the engine's canonical row-key hash, so every relation
+// carrying a partition key is laid out identically and joins on that key
+// can skip the shuffle outright.
+func PartitionBlock(r *Region, schema Schema, rows Block, key string, n int) (*Relation, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("engine: partition count %d must be positive", n)
 	}
@@ -136,11 +137,11 @@ func PartitionBlock(schema Schema, rows Block, key string, n int) (*Relation, er
 	for i := 0; i < rows.n; i++ {
 		counts[PartitionFor(rows.Row(i)[ki], n)]++
 	}
-	parts, fill, ids := LayoutBlocks(width, counts)
+	parts, fill, ids := layoutBlocks(r, width, counts)
 	for i := 0; i < rows.n; i++ {
-		r := rows.Row(i)
-		p := PartitionFor(r[ki], n)
-		fill[p] += copy(ids[fill[p]:], r)
+		row := rows.Row(i)
+		p := PartitionFor(row[ki], n)
+		fill[p] += copy(ids[fill[p]:], row)
 	}
 	return &Relation{schema: schema.Clone(), parts: parts, partCols: []string{key}}, nil
 }

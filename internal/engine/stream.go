@@ -88,7 +88,7 @@ func (h *StreamHash) ProbeBatch(probe Block, outer bool) Block {
 	if outer {
 		e.nullRight = h.nullRight
 	}
-	return h.ix.probeBatch(h.region, probe, h.probeKey, &e, nil)
+	return h.ix.probeBatch(h.region, probe, h.probeKey, &e)
 }
 
 // RowDeduper wraps the Distinct operator's row set for streaming use:
@@ -108,7 +108,10 @@ func NewRowDeduper(r *Region, width, capHint int) *RowDeduper {
 
 // Insert adds a copy of r unless an equal row was already seen,
 // reporting whether r was new.
-func (d *RowDeduper) Insert(r Row) bool { return d.set.insert(r) }
+func (d *RowDeduper) Insert(r Row) bool {
+	_, added := d.set.insert(r)
+	return added
+}
 
 // Rows returns the distinct rows seen so far, in first-seen order, as a
 // block over the deduper's storage. Rows are only ever appended to it,

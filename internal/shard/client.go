@@ -188,8 +188,9 @@ const maxRTTSamples = 1 << 13
 
 // maxRetainBytes bounds each buffer a connection keeps between calls:
 // the frame buffer on the coordinator's end; on the server's, the two
-// frame buffers, the decode scratch and the kernel scratch (conn). A
-// request that needs more gets storage that dies with it.
+// frame buffers and the int lists (conn). A request that needs more gets
+// storage that dies with it. Rows are region memory on both ends and are
+// never kept.
 const maxRetainBytes = 256 << 10
 
 // call performs one framed request/response exchange, handing the

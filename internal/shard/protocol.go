@@ -23,16 +23,19 @@
 // row-major — so each end encodes a block with one pass over its IDs and
 // decodes a section into one block, one copy into one flat buffer.
 //
-// The two ends read a message differently. The coordinator decodes a
+// The two ends read a message differently, into the same kind of memory:
+// an engine.Region that dies with the exchange. The coordinator decodes a
 // response whole, every section into one exactly sized ID buffer carved
 // from the query's region, which its blocks keep for the rest of the
-// query. The server validates a request
-// whole — every section of every part set, before any kernel runs — and
-// then works through it one owned partition at a time: decode that
-// partition's sections into scratch, run the kernel into a reused arena,
-// append the output section to the response frame, reset. What a connection holds between
-// requests follows the largest partition it has seen, not the largest
-// message, and never exceeds maxRetainBytes per buffer.
+// query. The server validates a request whole — every section of every
+// part set, before any kernel runs — and then works through it one owned
+// partition at a time: decode that partition's sections into IDs carved
+// from the request's region, sized from each section's header, run the
+// kernel into the same region, append the output section to the response
+// frame. The request's region is released once its response is written,
+// so a connection keeps no row or hash table between requests; what it
+// does keep — its frame buffers and int lists — never exceeds
+// maxRetainBytes per buffer.
 package shard
 
 import (
@@ -316,13 +319,12 @@ type dec struct {
 	b    []byte
 	err  error
 	slot slot // whose partitions the part sets carry
-	// flat is the buffer decoded row sections are carved from, each a
-	// block over its own stretch, and intBuf the one int lists are. Both
-	// nil on the coordinator: its rows outlive the call, and each part
-	// set is carved once at its exact size from region, the query's (the
-	// heap when nil). The server lends a connection's scratch, which only
-	// ever holds a request's whole side and spec — part sets it decodes a
-	// partition at a time, through sections.
+	// flat is the buffer decoded row sections land in, each a block over
+	// its own stretch: a part set is carved once at its exact size from
+	// region — the query's on the coordinator, the request's on the server
+	// (the heap when nil) — and a lone section at its own. intBuf is the
+	// buffer int lists are decoded into, nil on the coordinator; the
+	// server lends a connection's.
 	flat   []rdf.ID
 	intBuf []int
 	region *engine.Region
@@ -379,14 +381,22 @@ func (d *dec) term() rdf.Term {
 	return rdf.Term{Kind: rdf.TermKind(d.u8()), Value: d.str(), Datatype: d.str(), Lang: d.str()}
 }
 
-// rowSection decodes one packed row section into flat, as a block.
+// rowSection decodes one packed row section into flat, as a block —
+// into IDs carved from region at the size its header states when flat
+// has no room for them.
 func (d *dec) rowSection() engine.Block {
 	if d.err != nil {
 		return engine.Block{}
 	}
-	at := len(d.flat)
 	var width, count int
-	if width, count, d.flat, d.b, d.err = wire.DecodeIDsInto(d.b, d.flat); d.err != nil {
+	if width, count, d.err = wire.RowsShape(d.b); d.err != nil {
+		return engine.Block{}
+	}
+	if cap(d.flat)-len(d.flat) < width*count {
+		d.flat = d.region.IDs(width * count)[:0]
+	}
+	at := len(d.flat)
+	if _, _, d.flat, d.b, d.err = wire.DecodeIDsInto(d.b, d.flat); d.err != nil {
 		return engine.Block{}
 	}
 	return engine.MakeBlock(width, count, d.flat[at:])
@@ -447,27 +457,12 @@ func (d *dec) sections(want int) sections {
 	return sections{total, d.take(size)}
 }
 
-// rowScratch is storage one row section at a time decodes into.
-type rowScratch struct {
-	flat []rdf.ID
-}
-
-// next decodes the set's next owned section into sc, over whatever the
-// section before left there: the block is valid until sc's next use.
-func (s *sections) next(sc *rowScratch) (rows engine.Block, err error) {
-	var width, count int
-	if width, count, sc.flat, s.b, err = wire.DecodeIDsInto(s.b, sc.flat[:0]); err != nil {
-		return engine.Block{}, err
-	}
-	return engine.MakeBlock(width, count, sc.flat), nil
-}
-
-// trim drops the scratch, and reports it, if it outgrew maxRetainBytes.
-func (sc *rowScratch) trim() (dropped bool) {
-	if dropped = cap(sc.flat)*4 > maxRetainBytes; dropped {
-		*sc = rowScratch{}
-	}
-	return dropped
+// next decodes the set's next owned section into IDs carved from r.
+func (s *sections) next(r *engine.Region) (engine.Block, error) {
+	d := dec{b: s.b, region: r}
+	rows := d.rowSection()
+	s.b = d.b
+	return rows, d.err
 }
 
 // done reports the first decode failure, or trailing bytes.

@@ -292,10 +292,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		sl := slot{int(topo>>4) % 4, 1 + int(topo&3)}
 		sl.shard %= sl.shards
 		d := dec{b: data, slot: sl}
-		var scratch rowScratch
 		if kind&0x80 != 0 {
 			d.flat, d.intBuf = make([]rdf.ID, 3, 8), make([]int, 1, 2)
-			scratch = rowScratch{make([]rdf.ID, 5, 8)}
 		}
 		switch typ := msgHello + kind&0x7f%(msgDistinct-msgHello+1); typ {
 		case msgHello:
@@ -328,7 +326,7 @@ func FuzzDecodeRequest(f *testing.F) {
 					t.Fatalf("%d partitions accepted from %d bytes on %d shards", set.total, len(data), sl.shards)
 				}
 				for p := sl.shard; p < set.total; p += sl.shards {
-					rows, err := set.next(&scratch)
+					rows, err := set.next(nil)
 					if err != nil {
 						t.Fatalf("partition %d of a validated part set: %v", p, err)
 					}
@@ -350,11 +348,12 @@ func FuzzDecodeRequest(f *testing.F) {
 // rows: the allocations of the whole round trip must not follow the row
 // (or partition) count. At 1,000 rows everything the server needs is
 // warm, and what is left is the coordinator's fan-out and the result it
-// hands back: 18 allocations (20 under the race detector). The larger
-// message is past maxRetainBytes on both ends, so each exchange takes
-// again the buffers the retention bound refuses to keep — frames,
-// partition scratch, the output arena, the index that went with them:
-// 17 more (25 under the race detector), a constant, whatever the size.
+// hands back: 17 allocations (20 under the race detector). The larger
+// message is past maxRetainBytes on both ends, so each exchange takes its
+// frames again, and the large slabs of the server's request region — a
+// few per owned partition: its section, chain heads and output — come
+// back from pools that the collector, run by those frames, empties: 18
+// more, a constant, whatever the size.
 func TestBroadcastAllocsIndependentOfRows(t *testing.T) {
 	store := testStore(t)
 	coord := dialShards(t, store, 1)

@@ -127,33 +127,33 @@ func (s *Server) handle(c net.Conn) {
 	}
 }
 
-// conn is the state of one coordinator connection: everything a request
-// needs is the connection's own and reused by the next. Two frame
-// buffers: a request is read into in and stays there, still encoded,
-// while the response is appended to out — the request's sections are
-// read as late as the last partition. The row scratch holds decoded
-// blocks: whole the side that ships to every shard, for the length of
-// the request (wholeSide is the one-block list a request's Whole is); a
-// and b the current partition's sections, overwritten by the next
-// partition's. ks is where kernels and scans emit that partition's
-// output, which lives until its section is appended to out.
+// conn is the state of one coordinator connection. Two frame buffers: a
+// request is read into in and stays there, still encoded, while the
+// response is appended to out — the request's sections are read as late
+// as the last partition. Everything else the request holds as rows — the
+// whole side that ships to every shard (wholeSide is the one-block list a
+// request's Whole is), each owned partition's decoded sections, hash
+// tables and outputs — is carved from region, which the request owns
+// from its first decode until its response frame is written. The frames,
+// wholeSide and the int lists are the connection's own, reused by the
+// next request.
 type conn struct {
 	srv     *Server
 	helloed bool
 
-	in, out     []byte
-	whole, a, b rowScratch
-	wholeSide   []engine.Block
-	ints        []int   // the request's key and keep lists
-	processed   []int64 // a scan's per-partition counts, sent after its rows
-	ks          engine.KernelScratch
+	in, out   []byte
+	wholeSide []engine.Block
+	ints      []int   // the request's key and keep lists
+	processed []int64 // a scan's per-partition counts, sent after its rows
+	region    engine.Region
 }
 
 // next reads one request frame from r and answers it on w with a frame
 // built in c.out. A request that cannot be served — malformed, refused,
 // failed — is answered msgErr and keeps the connection alive for the
-// next; the error return is for a connection that is over. Afterwards
-// nothing the request grew past maxRetainBytes is still held.
+// next; the error return is for a connection that is over. Once the
+// response is written the request's region is released, and nothing the
+// request grew past maxRetainBytes is still held.
 func (c *conn) next(r io.Reader, w io.Writer) error {
 	typ, payload, frame, _, err := wire.ReadFrameInto(r, c.in)
 	if err != nil {
@@ -168,6 +168,10 @@ func (c *conn) next(r io.Reader, w io.Writer) error {
 	if c.out, err = wire.Finish(resp); err == nil {
 		_, err = w.Write(c.out)
 	}
+	// The whole side is region memory: no block of it may outlive the
+	// release.
+	clear(c.wholeSide)
+	c.region.Release()
 	c.trim()
 	return err
 }
@@ -184,17 +188,6 @@ func (c *conn) trim() {
 	if cap(c.ints)*8 > maxRetainBytes {
 		c.ints = nil
 	}
-	// The kernel scratch still refers to the rows it last worked on, and
-	// the whole side to the whole scratch, so each goes with any row
-	// scratch it refers to.
-	w, a, b := c.whole.trim(), c.a.trim(), c.b.trim()
-	if w {
-		c.wholeSide = nil
-	}
-	if w || a || b {
-		c.ks = engine.KernelScratch{}
-	}
-	c.ks.Trim(maxRetainBytes)
 }
 
 // respond evaluates one request and returns its unsealed msgOK frame.
@@ -206,7 +199,7 @@ func (c *conn) respond(typ byte, payload []byte) ([]byte, error) {
 	if !c.helloed && typ != msgHello {
 		return nil, fmt.Errorf("shard: message type %d before handshake", typ)
 	}
-	d := dec{b: payload, slot: c.srv.slot, flat: c.whole.flat[:0], intBuf: c.ints[:0]}
+	d := dec{b: payload, slot: c.srv.slot, intBuf: c.ints[:0], region: &c.region}
 	switch typ {
 	case msgHello:
 		var m helloReq
@@ -227,7 +220,7 @@ func (c *conn) respond(typ byte, payload []byte) ([]byte, error) {
 	}
 	var m exchangeReq
 	a, b := m.decodeLazy(&d, c.wholeSide)
-	c.whole.flat, c.wholeSide, c.ints = d.flat, m.Whole, d.intBuf
+	c.wholeSide, c.ints = m.Whole, d.intBuf
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -247,7 +240,7 @@ func (c *conn) scan(m *scanReq) ([]byte, error) {
 	w := beginPartSet(wire.Begin(c.out, msgOK, 0), total, sl)
 	c.processed = c.processed[:0]
 	for p := sl.shard; p < total; p += sl.shards {
-		rows, processed := ns.ScanPart(p, &c.ks.Out)
+		rows, processed := ns.ScanPart(p, &c.region)
 		w.add(rows)
 		c.processed = append(c.processed, processed)
 	}
@@ -258,39 +251,41 @@ func (c *conn) scan(m *scanReq) ([]byte, error) {
 }
 
 // exchange runs an exchange kernel over the owned partitions of a
-// validated request, one at a time.
+// validated request, one at a time, in the request's region.
 func (c *conn) exchange(typ byte, m *exchangeReq, a, b sections) ([]byte, error) {
 	if typ == msgShuffle && b.total != a.total {
 		return nil, fmt.Errorf("shard: shuffle sides of %d and %d partitions", a.total, b.total)
 	}
+	r := &c.region
+	var build engine.JoinProbe
 	if typ == msgBroadcast {
 		// Index the build side once and probe every owned partition
 		// against it, exactly as the in-process broadcast join does.
-		c.ks.Build(m.Whole, m.KeyA)
+		build = engine.BuildJoinProbe(r, m.Whole, m.KeyA)
 	}
 	sl := c.srv.slot
 	w := beginPartSet(wire.Begin(c.out, msgOK, 0), a.total, sl)
 	for p := sl.shard; p < a.total; p += sl.shards {
-		rows, err := a.next(&c.a)
+		rows, err := a.next(r)
 		if err != nil {
 			return nil, err
 		}
 		switch typ {
 		case msgShuffle:
 			// Hash-join the owned partitions of a routed shuffle.
-			right, err := b.next(&c.b)
+			right, err := b.next(r)
 			if err != nil {
 				return nil, err
 			}
-			rows = c.ks.JoinPartition(rows, right, m.KeyA, m.KeyB, m.OutWidth, m.LKeep, m.RKeep)
+			rows = engine.JoinPartition(r, rows, right, m.KeyA, m.KeyB, m.OutWidth, m.LKeep, m.RKeep)
 		case msgBroadcast:
-			rows = c.ks.Probe(rows, m.KeyB, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
+			rows = build.ProbeBlock(r, rows, m.KeyB, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
 		case msgCartesian:
 			// Cross every owned large-side partition with the small side.
-			rows = c.ks.Cartesian(rows, m.Whole, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
+			rows = engine.Cartesian(r, rows, m.Whole, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
 		case msgDistinct:
 			// Dedup the owned partitions of a shuffled distinct.
-			rows = c.ks.Distinct(rows, m.OutWidth)
+			rows = engine.Distinct(r, rows, m.OutWidth)
 		}
 		w.add(rows)
 	}

@@ -52,13 +52,10 @@ func exchangeOver(t *testing.T, c *conn, frame []byte) (byte, []byte) {
 	return typ, payload
 }
 
-// largestBuffer is the size in bytes of the largest buffer c holds.
+// largestBuffer is the size in bytes of the largest buffer c holds
+// between requests: its frames and int lists.
 func (c *conn) largestBuffer() int {
-	n := max(cap(c.in), cap(c.out), cap(c.ints)*8, c.ks.LargestBuffer())
-	for _, sc := range []rowScratch{c.whole, c.a, c.b} {
-		n = max(n, cap(sc.flat)*4)
-	}
-	return n
+	return max(cap(c.in), cap(c.out), cap(c.ints)*8)
 }
 
 // spreadRows deals n rows of (key, serial) over parts partitions, keys
@@ -129,10 +126,12 @@ func scanRequests() map[string]*scanReq {
 }
 
 // TestWarmConnAllocations: once a connection has served a request, the
-// same request again — frame read, decode, kernels, response, trim —
-// allocates for what it cannot reuse and nothing else. Exchanges reuse
-// everything (scratch rows, hash index or row set, output arena, both
-// frames): zero. A scan still decodes its node and resolves it against
+// same request again — frame read, decode, kernels, response, release,
+// trim — allocates for what it cannot reuse and nothing else. Exchanges
+// reuse both frames and carve everything else (decoded rows, hash index
+// or row set, outputs) from the request's region, whose slabs the pools
+// hand back: zero — a server that never released would drain the pools
+// and allocate. A scan still decodes its node and resolves it against
 // the store once per request — strings, pattern and filter lists, the
 // predicate closures, the NodeScan — a count that belongs to the node,
 // not to its rows or its 18 partitions, and is pinned here per kind (the
@@ -182,9 +181,10 @@ func TestWarmConnAllocations(t *testing.T) {
 }
 
 // TestConnKeepsNothingLarge: a 100,000-row broadcast over 8 partitions
-// needs frames, scratch and an arena past maxRetainBytes; once it is
-// answered, and again after a 1,000-row request, no buffer the
-// connection still holds is larger than that.
+// needs frames past maxRetainBytes; once it is answered, and again after
+// a 1,000-row request, no buffer the connection still holds — frames and
+// int lists; its rows were region memory, released — is larger than
+// that.
 func TestConnKeepsNothingLarge(t *testing.T) {
 	sl := slot{0, 1}
 	c := testConn(t, sl)

@@ -466,10 +466,13 @@ func TestNetAnnotationKeyedByNode(t *testing.T) {
 // query's region, and the hung shard, whose query gives up on its
 // deadline — QueryContext may release the region only once the fan-out
 // blocked on the shard has unwound, or a part set decoded late lands in
-// poisoned, recycled memory.
+// poisoned, recycled memory. The server's side is the response frames:
+// a request's sections, scans and kernel outputs live in its region,
+// which may be released only once the last section is appended.
 func TestReleasedRegionsPoisoned(t *testing.T) {
 	defer engine.PoisonReleased(engine.PoisonReleased(true))
 	t.Run("ShardedMatchesSingleProcess", TestShardedExecutionMatchesSingleProcess)
 	t.Run("ScanShapes", TestScanShapesAgreeAcrossRoutes)
 	t.Run("HungShard", TestHungShardDoesNotHangQuery)
+	t.Run("ResponseFrames", TestResponseFramesMatchWholeKernels)
 }
