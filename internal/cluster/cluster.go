@@ -155,6 +155,10 @@ func (s *TaskStats) Add(o TaskStats) {
 // allocates does not depend on how many partitions it has. Every
 // partition runs even after one has failed; the error reported is the
 // lowest failing partition's.
+//
+// A nil clock runs the tasks the same way and charges nothing: real
+// work whose cost a priced stage accounts for elsewhere (the loader
+// encodes its tables so) gets the same bounded workers.
 func (c *Cluster) RunStage(clock *Clock, launch time.Duration, name string, partitions int, fn func(part int) (TaskStats, error)) error {
 	if partitions <= 0 {
 		partitions = 1

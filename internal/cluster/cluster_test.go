@@ -283,78 +283,97 @@ func sequentialStageRecord(c *Cluster, name string, launch time.Duration, partit
 }
 
 // TestRunStageProperties checks, over stage sizes from none to a
-// thousand partitions and every kind of MaxParallel, that each
-// partition runs exactly once, that no more than the bound run at a
-// time, that a stage a single worker can run stays on the calling
-// goroutine, that the charged StageRecord equals the sequential
-// computation, and that with partitions 3 and 7 failing the rest still
-// run and partition 3 is the one reported.
+// thousand partitions, every kind of MaxParallel and a clock or none,
+// that each partition runs exactly once, that no more than the bound
+// run at a time, that a stage a single worker can run stays on the
+// calling goroutine, that the charged StageRecord equals the sequential
+// computation — and that a stage given no clock charges nothing — and
+// that with partitions 3 and 7 failing the rest still run and partition
+// 3 is the one reported.
 func TestRunStageProperties(t *testing.T) {
 	for _, partitions := range []int{0, 1, 2, 17, 1000} {
 		for _, maxPar := range []int{0, 1, 2, 64} {
 			for _, failing := range []bool{false, true} {
-				tasks := max(partitions, 1) // a stage always has one task
-				if failing && tasks <= 7 {
-					continue
-				}
-				bound := maxPar
-				if bound == 0 {
-					bound = runtime.GOMAXPROCS(0)
-				}
-				label := fmt.Sprintf("partitions=%d MaxParallel=%d failing=%v", partitions, maxPar, failing)
-				c := MustNew(Config{Workers: 3, DefaultPartitions: 6, MaxParallel: maxPar})
-				ran := make([]atomic.Int32, tasks)
-				var cur, high, offCaller atomic.Int64
-				boom := errors.New("boom")
-				clock := NewClock()
-				err := c.RunStage(clock, 5*time.Millisecond, "prop", partitions, func(part int) (TaskStats, error) {
-					n := cur.Add(1)
-					for m := high.Load(); n > m && !high.CompareAndSwap(m, n); m = high.Load() {
-					}
-					ran[part].Add(1)
-					if min(bound, tasks) == 1 {
-						var stack [4096]byte
-						if !strings.Contains(string(stack[:runtime.Stack(stack[:], false)]), "TestRunStageProperties") {
-							offCaller.Add(1)
-						}
-					}
-					if part%16 == 0 {
-						runtime.Gosched() // let the other workers overlap
-					}
-					cur.Add(-1)
-					if failing && (part == 3 || part == 7) {
-						return TaskStats{}, fmt.Errorf("task %d: %w", part, boom)
-					}
-					return stageTaskStats(part), nil
-				})
-				for part := range ran {
-					if n := ran[part].Load(); n != 1 {
-						t.Fatalf("%s: partition %d ran %d times", label, part, n)
-					}
-				}
-				if high.Load() > int64(bound) {
-					t.Errorf("%s: %d tasks ran at once, bound is %d", label, high.Load(), bound)
-				}
-				if offCaller.Load() != 0 {
-					t.Errorf("%s: %d tasks ran off the calling goroutine", label, offCaller.Load())
-				}
-				if failing {
-					if !errors.Is(err, boom) || !strings.Contains(err.Error(), "partition 3:") {
-						t.Errorf("%s: error %v, want partition 3's", label, err)
-					}
-					if len(clock.Stages()) != 0 {
-						t.Errorf("%s: a failed stage was charged", label)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if got, want := clock.Stages(), sequentialStageRecord(c, "prop", 5*time.Millisecond, tasks); len(got) != 1 || got[0] != want {
-					t.Errorf("%s: charged %+v, sequential computation gives %+v", label, got, want)
+				for _, noClock := range []bool{false, true} {
+					runStageCase(t, partitions, maxPar, failing, noClock)
 				}
 			}
 		}
+	}
+}
+
+// runStageCase is one case of TestRunStageProperties.
+func runStageCase(t *testing.T, partitions, maxPar int, failing, noClock bool) {
+	t.Helper()
+	tasks := max(partitions, 1) // a stage always has one task
+	if failing && tasks <= 7 {
+		return
+	}
+	bound := maxPar
+	if bound == 0 {
+		bound = runtime.GOMAXPROCS(0)
+	}
+	label := fmt.Sprintf("partitions=%d MaxParallel=%d failing=%v noClock=%v", partitions, maxPar, failing, noClock)
+	c := MustNew(Config{Workers: 3, DefaultPartitions: 6, MaxParallel: maxPar})
+	ran := make([]atomic.Int32, tasks)
+	var cur, high, offCaller atomic.Int64
+	boom := errors.New("boom")
+	charged := NewClock()
+	clock := charged
+	if noClock {
+		clock = nil
+	}
+	err := c.RunStage(clock, 5*time.Millisecond, "prop", partitions, func(part int) (TaskStats, error) {
+		n := cur.Add(1)
+		for m := high.Load(); n > m && !high.CompareAndSwap(m, n); m = high.Load() {
+		}
+		ran[part].Add(1)
+		if min(bound, tasks) == 1 {
+			var stack [4096]byte
+			if !strings.Contains(string(stack[:runtime.Stack(stack[:], false)]), "TestRunStageProperties") {
+				offCaller.Add(1)
+			}
+		}
+		if part%16 == 0 {
+			runtime.Gosched() // let the other workers overlap
+		}
+		cur.Add(-1)
+		if failing && (part == 3 || part == 7) {
+			return TaskStats{}, fmt.Errorf("task %d: %w", part, boom)
+		}
+		return stageTaskStats(part), nil
+	})
+	for part := range ran {
+		if n := ran[part].Load(); n != 1 {
+			t.Fatalf("%s: partition %d ran %d times", label, part, n)
+		}
+	}
+	if high.Load() > int64(bound) {
+		t.Errorf("%s: %d tasks ran at once, bound is %d", label, high.Load(), bound)
+	}
+	if offCaller.Load() != 0 {
+		t.Errorf("%s: %d tasks ran off the calling goroutine", label, offCaller.Load())
+	}
+	if failing {
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "partition 3:") {
+			t.Errorf("%s: error %v, want partition 3's", label, err)
+		}
+		if len(charged.Stages()) != 0 {
+			t.Errorf("%s: a failed stage was charged", label)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if noClock {
+		if len(charged.Stages()) != 0 || charged.Elapsed() != 0 {
+			t.Errorf("%s: a stage run without a clock charged %+v", label, charged.Stages())
+		}
+		return
+	}
+	if got, want := charged.Stages(), sequentialStageRecord(c, "prop", 5*time.Millisecond, tasks); len(got) != 1 || got[0] != want {
+		t.Errorf("%s: charged %+v, sequential computation gives %+v", label, got, want)
 	}
 }
 

@@ -36,8 +36,9 @@ func loadBoth(t *testing.T, g *rdf.Graph, doc []byte, opts Options) (fromGraph, 
 
 // sameStore fails the test unless the two loads decided everything
 // alike: the report (the virtual clock and the stored bytes included),
-// the statistics, every dictionary ID, the retained triples and every
-// VP partition's rows.
+// the statistics, every dictionary ID, the retained triples, every VP
+// partition's rows, both Property Tables and every file the loads
+// wrote, block placement included.
 func sameStore(t *testing.T, a, b *Store) {
 	t.Helper()
 	ra, rb := a.LoadReport(), b.LoadReport()
@@ -71,6 +72,63 @@ func sameStore(t *testing.T, a, b *Store) {
 			if !reflect.DeepEqual(va.Rel.Part(p), vb.Rel.Part(p)) {
 				t.Errorf("VP table %d partition %d holds different rows", pred, p)
 			}
+		}
+	}
+	samePropertyTable(t, "property table", a.pt, b.pt)
+	samePropertyTable(t, "inverse property table", a.ipt, b.ipt)
+	sameFiles(t, a, b)
+}
+
+// samePropertyTable fails the test unless the two tables hold the same
+// columns, partition by partition, and price them alike.
+func samePropertyTable(t *testing.T, what string, a, b *PropertyTable) {
+	t.Helper()
+	if a == nil || b == nil {
+		if a != b {
+			t.Errorf("one store has a %s and the other none", what)
+		}
+		return
+	}
+	if a.numKeys != b.numKeys || a.fileBytes != b.fileBytes || a.keyBytes != b.keyBytes {
+		t.Errorf("%s: %d keys, %d file bytes, %d key bytes in one store; %d, %d, %d in the other",
+			what, a.numKeys, a.fileBytes, a.keyBytes, b.numKeys, b.fileBytes, b.keyBytes)
+	}
+	if !reflect.DeepEqual(a.colBytes, b.colBytes) {
+		t.Errorf("%s: column sizes differ", what)
+	}
+	if !reflect.DeepEqual(a.cols, b.cols) {
+		t.Errorf("%s: column sets differ", what)
+	}
+	if len(a.parts) != len(b.parts) {
+		t.Fatalf("%s: %d partitions in one store, %d in the other", what, len(a.parts), len(b.parts))
+	}
+	for p := range a.parts {
+		if !reflect.DeepEqual(a.parts[p].cols, b.parts[p].cols) {
+			t.Errorf("%s: partition %d holds different columns", what, p)
+		}
+	}
+}
+
+// sameFiles fails the test unless the two stores wrote the same files
+// under their path prefix: path, size and every block with its
+// replicas, which record the order the files were written in.
+func sameFiles(t *testing.T, a, b *Store) {
+	t.Helper()
+	pa, pb := a.fs.ListPrefix(a.opts.PathPrefix+"/"), b.fs.ListPrefix(b.opts.PathPrefix+"/")
+	if !reflect.DeepEqual(pa, pb) {
+		t.Fatalf("the stores wrote %d and %d files, not the same paths", len(pa), len(pb))
+	}
+	for _, path := range pa {
+		fa, err := a.fs.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := b.fs.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fa, fb) {
+			t.Errorf("%s: %+v in one store, %+v in the other", path, *fa, *fb)
 		}
 	}
 }
@@ -118,6 +176,30 @@ func TestLoadEntryPointsAgreeOnWatDiv(t *testing.T) {
 	}
 	a, b = loadBoth(t, g, doc.Bytes(), Options{BuildInversePT: true, DisableJoinStats: true})
 	sameStore(t, a, b)
+}
+
+// TestLoadSameAtAnyParallelism loads one document with the table builds
+// on one worker and on four: the encoding runs as tasks in any order,
+// but what is stored, written, priced and summed must not notice.
+func TestLoadSameAtAnyParallelism(t *testing.T) {
+	g := watdiv.MustGenerate(watdiv.Config{Scale: 1000, Seed: 1})
+	var doc bytes.Buffer
+	if err := rdf.WriteNTriples(&doc, g); err != nil {
+		t.Fatal(err)
+	}
+	load := func(maxParallel int, opts Options) *Store {
+		cfg := cluster.DefaultConfig()
+		cfg.MaxParallel = maxParallel
+		opts.Cluster = cluster.MustNew(cfg)
+		s, err := LoadNTriples(bytes.NewReader(doc.Bytes()), opts)
+		if err != nil {
+			t.Fatalf("MaxParallel %d: %v", maxParallel, err)
+		}
+		return s
+	}
+	for _, opts := range []Options{{}, {BuildInversePT: true}} {
+		sameStore(t, load(1, opts), load(4, opts))
+	}
 }
 
 // nastyDoc is everything the N-Triples reader has to cope with, and

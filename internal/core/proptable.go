@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/columnar"
@@ -110,78 +111,106 @@ func (t *PropertyTable) scanBytes(preds []rdf.ID) int64 {
 	return total
 }
 
-// ptCell is one triple on its way into the table: the partition and
-// predicate name the column, key and val the cell, and seq (the
-// triple's load position) keeps the values of one key in load order.
+// ptCell is one triple on its way into the table: pred names the
+// column within the cell's partition, key and val the cell, and seq
+// (the triple's load position) keeps the values of one key in load
+// order.
 type ptCell struct {
-	part           int32
 	pred, key, val rdf.ID
 	seq            uint32
 }
 
-// fill distributes the triples into the partitions' columns: one sort
-// brings every column's cells together with keys ascending, and one
-// pass cuts the sorted run into columns over two shared backing arrays.
-func (t *PropertyTable) fill(triples []rdf.EncodedTriple) {
-	cells := make([]ptCell, len(triples))
-	for i, tr := range triples {
-		key, value := tr.S, tr.O
+// fill distributes the triples into the partitions' columns. A counting
+// pass places each cell in its partition's run, in load order; each run
+// is sorted on (predicate, key, seq) as one task on the cluster's
+// workers, which brings every column's cells together with keys
+// ascending; and one pass cuts the runs into columns over two shared
+// backing arrays. seq is unique, so the runs sort exactly as one sort
+// of all cells on (partition, predicate, key, seq) would.
+func (t *PropertyTable) fill(s *Store) error {
+	n := len(t.parts)
+	keyed := func(tr rdf.EncodedTriple) (key, value rdf.ID) {
 		if t.mode == keyOnObject {
-			key, value = tr.O, tr.S
+			return tr.O, tr.S
 		}
-		cells[i] = ptCell{
-			part: int32(engine.PartitionFor(key, len(t.parts))),
-			pred: tr.P, key: key, val: value,
-			seq: uint32(i),
-		}
+		return tr.S, tr.O
 	}
-	slices.SortFunc(cells, func(a, b ptCell) int {
-		return cmp.Or(
-			cmp.Compare(a.part, b.part),
-			cmp.Compare(a.pred, b.pred),
-			cmp.Compare(a.key, b.key),
-			cmp.Compare(a.seq, b.seq),
-		)
+	// Partition p's run is cells[bounds[p]:bounds[p+1]].
+	bounds := make([]int, n+1)
+	for _, tr := range s.triples {
+		key, _ := keyed(tr)
+		bounds[engine.PartitionFor(key, n)+1]++
+	}
+	for p := range n {
+		bounds[p+1] += bounds[p]
+	}
+	next := slices.Clone(bounds[:n])
+	cells := make([]ptCell, len(s.triples))
+	for i, tr := range s.triples {
+		key, value := keyed(tr)
+		p := engine.PartitionFor(key, n)
+		cells[next[p]] = ptCell{pred: tr.P, key: key, val: value, seq: uint32(i)}
+		next[p]++
+	}
+	err := s.onWorkers("sort property table runs", n, func(p int) error {
+		slices.SortFunc(cells[bounds[p]:bounds[p+1]], func(a, b ptCell) int {
+			return cmp.Or(
+				cmp.Compare(a.pred, b.pred),
+				cmp.Compare(a.key, b.key),
+				cmp.Compare(a.seq, b.seq),
+			)
+		})
+		return nil
 	})
-	sameCol := func(a, b ptCell) bool { return a.part == b.part && a.pred == b.pred }
-	// newKey reports whether cells[i] opens a (column, key) cell.
-	newKey := func(i int) bool {
-		return i == 0 || !sameCol(cells[i], cells[i-1]) || cells[i].key != cells[i-1].key
+	if err != nil {
+		return err
 	}
+
+	// A (column, key) cell opens wherever the predicate or the key
+	// changes within a run.
 	numKeys := 0
-	for i := range cells {
-		if newKey(i) {
-			numKeys++
+	for p := range n {
+		for i := bounds[p]; i < bounds[p+1]; i++ {
+			if i == bounds[p] || cells[i].pred != cells[i-1].pred || cells[i].key != cells[i-1].key {
+				numKeys++
+			}
 		}
 	}
 	keys := make([]rdf.ID, 0, numKeys)
 	vals := make([]rdf.ID, len(cells))
 	var starts []uint32 // scratch: where each key's values start in its column
-	for i := 0; i < len(cells); {
-		first := cells[i]
-		k0, j := len(keys), i
-		starts = starts[:0]
-		for ; j < len(cells) && sameCol(cells[j], first); j++ {
-			if newKey(j) {
-				keys = append(keys, cells[j].key)
-				starts = append(starts, uint32(j-i))
+	for p := range n {
+		for i, end := bounds[p], bounds[p+1]; i < end; {
+			pred := cells[i].pred
+			k0, j := len(keys), i
+			starts = starts[:0]
+			for ; j < end && cells[j].pred == pred; j++ {
+				if j == i || cells[j].key != cells[j-1].key {
+					keys = append(keys, cells[j].key)
+					starts = append(starts, uint32(j-i))
+				}
+				vals[j] = cells[j].val
 			}
-			vals[j] = cells[j].val
+			col := &ptColumn{keys: keys[k0:len(keys):len(keys)], vals: vals[i:j:j]}
+			if len(col.keys) < len(col.vals) {
+				col.offs = slices.Concat(starts, []uint32{uint32(j - i)})
+				t.cols[pred] = true
+			}
+			t.parts[p].cols[pred] = col
+			i = j
 		}
-		col := &ptColumn{keys: keys[k0:len(keys):len(keys)], vals: vals[i:j:j]}
-		if len(col.keys) < len(col.vals) {
-			col.offs = slices.Concat(starts, []uint32{uint32(j - i)})
-			t.cols[first.pred] = true
-		}
-		t.parts[first.part].cols[first.pred] = col
-		i = j
 	}
+	return nil
 }
 
 // buildPropertyTable groups the dataset by key (subject or object),
 // partitions the keys with the engine's canonical placement, encodes
 // each partition as a columnar file, writes it to HDFS and charges the
 // clock for the shuffle and replicated write.
+//
+// The partitions are encoded and sized as tasks on the cluster's
+// workers, which charge nothing; the files are then written, and the
+// table's sizes summed, in partition order.
 func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*PropertyTable, error) {
 	t := &PropertyTable{
 		mode:     mode,
@@ -196,35 +225,57 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 	for _, pred := range s.predOrder {
 		t.cols[pred] = false // multi-valued once any partition finds a list
 	}
-	t.fill(s.triples)
-
-	// Encode each partition as one columnar file and write it to HDFS.
-	prefix := s.opts.PathPrefix + "/pt"
-	if mode == keyOnObject {
-		prefix = s.opts.PathPrefix + "/ipt"
+	if err := t.fill(s); err != nil {
+		return nil, err
 	}
-	var totalWrite int64
-	var localTerms []rdf.ID // reused across the partitions' files
-	for pi, part := range t.parts {
+
+	// Encode each partition as one columnar file and size it.
+	prefix, what := s.opts.PathPrefix+"/pt", "property table"
+	if mode == keyOnObject {
+		prefix, what = s.opts.PathPrefix+"/ipt", "inverse property table"
+	}
+	type encoded struct {
+		file *columnar.File
+		size int64
+		keys int
+	}
+	files := make([]encoded, len(t.parts))
+	var bufs termBufs // local-term buffers, one per running worker
+	err := s.onWorkers("encode "+what, len(t.parts), func(pi int) error {
+		part := t.parts[pi]
 		rowKeys := part.rowKeys()
-		t.numKeys += len(rowKeys)
 		file, err := encodePTPartition(s, part, rowKeys, t.cols)
+		if err != nil {
+			return err
+		}
+		localTerms := part.localTerms(bufs.get(), rowKeys)
+		files[pi] = encoded{file: file, size: file.SizeBytes() + sizeenc.CompressedTermBytes(s.dict, localTerms), keys: len(rowKeys)}
+		bufs.put(localTerms)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Write the files to HDFS.
+	var totalWrite int64
+	for pi, f := range files {
+		path := fmt.Sprintf("%s/part-%05d.parquet", prefix, pi)
+		if _, err := s.fs.Write(path, f.size); err != nil {
+			return nil, err
+		}
+		t.numKeys += f.keys
+		t.fileBytes += f.size
+		totalWrite += f.size
+		kb, err := keyColumnBytes(f.file)
 		if err != nil {
 			return nil, err
 		}
-		localTerms = part.localTerms(localTerms[:0], rowKeys)
-		size := file.SizeBytes() + sizeenc.CompressedTermBytes(s.dict, localTerms)
-		path := fmt.Sprintf("%s/part-%05d.parquet", prefix, pi)
-		if _, err := s.fs.Write(path, size); err != nil {
-			return nil, err
-		}
-		t.fileBytes += size
-		totalWrite += size
-		t.keyBytes += keyColumnBytes(file)
+		t.keyBytes += kb
 		for _, pred := range s.predOrder {
 			name := ptColumnName(s.dict, pred)
-			if file.HasColumn(name) {
-				cb, err := file.ColumnSizeBytes(name)
+			if f.file.HasColumn(name) {
+				cb, err := f.file.ColumnSizeBytes(name)
 				if err != nil {
 					return nil, err
 				}
@@ -237,11 +288,7 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 	// partition) plus the replicated write.
 	shuffleBytes := int64(len(s.triples)) * 3 * 5
 	writeBytes := totalWrite * int64(replicationOf(s))
-	name := "build property table"
-	if mode == keyOnObject {
-		name = "build inverse property table"
-	}
-	err := s.cluster.RunStage(clock, s.cluster.Config().Cost.SQLStageLaunch, name, s.parts, func(p int) (cluster.TaskStats, error) {
+	err = s.cluster.RunStage(clock, s.cluster.Config().Cost.SQLStageLaunch, "build "+what, s.parts, func(p int) (cluster.TaskStats, error) {
 		return cluster.TaskStats{
 			Rows:      int64(len(s.triples)) / int64(s.parts),
 			NetBytes:  shuffleBytes / int64(s.parts),
@@ -254,18 +301,42 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 	return t, nil
 }
 
+// termBufs lends local-term buffers to the tasks of one stage: a task
+// takes one and gives it back when done, so the stage grows as many as
+// ran at once, not one per task.
+type termBufs struct {
+	mu   sync.Mutex
+	free [][]rdf.ID
+}
+
+// get returns an empty buffer, reusing a returned one when it can.
+func (b *termBufs) get() []rdf.ID {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := len(b.free)
+	if n == 0 {
+		return nil
+	}
+	buf := b.free[n-1]
+	b.free = b.free[:n-1]
+	return buf[:0]
+}
+
+// put gives buf back for the next task.
+func (b *termBufs) put(buf []rdf.ID) {
+	b.mu.Lock()
+	b.free = append(b.free, buf)
+	b.mu.Unlock()
+}
+
 // ptColumnName is the columnar-file column name for a predicate.
 func ptColumnName(dict *rdf.Dictionary, pred rdf.ID) string {
 	return dict.Term(pred).Value
 }
 
 // keyColumnBytes returns the key column's size within one partition file.
-func keyColumnBytes(f *columnar.File) int64 {
-	n, err := f.ColumnSizeBytes("key")
-	if err != nil {
-		return 0
-	}
-	return n
+func keyColumnBytes(f *columnar.File) (int64, error) {
+	return f.ColumnSizeBytes("key")
 }
 
 // rowKeys returns the partition's row keys ascending: every key with a

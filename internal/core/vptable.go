@@ -64,7 +64,18 @@ func (t *VPTable) SemiJoin(col int, keys map[rdf.ID]struct{}) engine.Block {
 // size. It is the one writer of VP-shaped files: PRoST's VP tables and
 // ExtVP reductions and S2RDF's tables all go through it.
 func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts []engine.Block) (int64, error) {
-	var total int64
+	sizes, err := vpFileSizes(dict, dir, parts)
+	if err != nil {
+		return 0, err
+	}
+	return writeVPFiles(fs, dir, sizes)
+}
+
+// vpFileSizes encodes each part as WriteVPFiles lays it out and
+// returns the files' sizes, in part order. It only reads the
+// dictionary and writes nothing, so tables can be sized concurrently.
+func vpFileSizes(dict *rdf.Dictionary, dir string, parts []engine.Block) ([]int64, error) {
+	sizes := make([]int64, len(parts))
 	var localTerms []rdf.ID // reused across the table's files
 	for p, part := range parts {
 		subjCol := make([]rdf.ID, part.Len())
@@ -82,9 +93,18 @@ func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts []engine.
 		w.AddScalar("o", objCol)
 		f, err := w.Finish()
 		if err != nil {
-			return 0, fmt.Errorf("encoding %s part %d: %w", dir, p, err)
+			return nil, fmt.Errorf("encoding %s part %d: %w", dir, p, err)
 		}
-		size := f.SizeBytes() + sizeenc.CompressedTermBytes(dict, localTerms)
+		sizes[p] = f.SizeBytes() + sizeenc.CompressedTermBytes(dict, localTerms)
+	}
+	return sizes, nil
+}
+
+// writeVPFiles writes dir/part-%05d.parquet of the given sizes, in part
+// order, and returns their total.
+func writeVPFiles(fs *hdfs.FS, dir string, sizes []int64) (int64, error) {
+	var total int64
+	for p, size := range sizes {
 		if _, err := fs.Write(fmt.Sprintf("%s/part-%05d.parquet", dir, p), size); err != nil {
 			return 0, err
 		}
@@ -123,11 +143,27 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 		}
 	}
 
+	// Encoding and sizing the tables is real work only: it runs on the
+	// cluster's workers, one table per task, and charges nothing. The
+	// files are written below, in predicate order, so their block
+	// placement does not depend on which task finished first.
+	dirs := make([]string, len(s.predOrder))
+	sizes := make([][]int64, len(s.predOrder))
+	err := s.onWorkers("encode VP tables", len(s.predOrder), func(i int) error {
+		dirs[i] = fmt.Sprintf("%s/vp/p%d", s.opts.PathPrefix, s.predOrder[i])
+		var err error
+		sizes[i], err = vpFileSizes(s.dict, dirs[i], blocks[i*s.parts:(i+1)*s.parts])
+		return err
+	})
+	if err != nil {
+		return err
+	}
+
 	var totalShuffleBytes, totalWriteBytes int64
 	var totalRows int64
 	for i, pred := range s.predOrder {
 		rel := engine.NewBlockRelation(engine.Schema{"s", "o"}, blocks[i*s.parts:(i+1)*s.parts:(i+1)*s.parts], "s")
-		fileBytes, err := WriteVPFiles(s.fs, s.dict, fmt.Sprintf("%s/vp/p%d", s.opts.PathPrefix, pred), rel.Parts())
+		fileBytes, err := writeVPFiles(s.fs, dirs[i], sizes[i])
 		if err != nil {
 			return err
 		}
@@ -148,6 +184,19 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 			NetBytes:  perPart(totalShuffleBytes),
 			DiskBytes: perPart(totalWriteBytes),
 		}, nil
+	})
+}
+
+// onWorkers runs fn(0), …, fn(n-1) as the tasks of a stage on the
+// cluster's workers (at most Config.MaxParallel at a time) and charges
+// nothing: it is the real work behind a load stage priced on its own.
+// The error is the lowest failing task's.
+func (s *Store) onWorkers(name string, n int, fn func(i int) error) error {
+	if n == 0 {
+		return nil
+	}
+	return s.cluster.RunStage(nil, 0, name, n, func(i int) (cluster.TaskStats, error) {
+		return cluster.TaskStats{}, fn(i)
 	})
 }
 
