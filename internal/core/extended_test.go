@@ -10,6 +10,9 @@ package core
 // part of the contract, not just the row set.
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -379,35 +382,113 @@ func TestExtendedByteIdenticalOnWatDiv(t *testing.T) {
 // TestLimitDeterministicAcrossConfigs pins satellite behaviour: a
 // LIMIT without ORDER BY is not "any K rows" — the dictionary-ID total
 // order makes the selected rows and their order byte-identical across
-// every planner mode, storage strategy and both executors.
+// every planner mode, storage strategy and both executors, the
+// streaming one at the default chunk size and at 1 and 7 rows a batch.
+// Beside a plain window, the table holds the edges of a bounded
+// selection: LIMIT 0, an OFFSET past the last row, and a window whose
+// end cuts through a run of identical projected rows (E6's star with
+// ?p dropped), where the streaming top-K drops rows that only tie its
+// worst kept row.
 func TestLimitDeterministicAcrossConfigs(t *testing.T) {
 	s := watdivStreamStore(t)
-	q := sparql.MustParse(`SELECT ?u ?f WHERE {
-		?u <http://db.uwaterloo.ca/~galuc/wsdbm/follows> ?f .
-		?f <http://db.uwaterloo.ca/~galuc/wsdbm/likes> ?p .
-	} LIMIT 7 OFFSET 3`)
-	var want string
-	first := true
-	for _, strat := range streamStrategies {
-		for _, mode := range streamPlanners {
-			for _, streaming := range []bool{false, true} {
-				res, err := s.Query(q, QueryOptions{Strategy: strat, Planner: mode, Streaming: streaming})
-				if err != nil {
-					t.Fatalf("%s/%v/streaming=%v: %v", strat, mode, streaming, err)
-				}
-				if len(res.Rows) != 7 {
-					t.Fatalf("%s/%v/streaming=%v: got %d rows, want 7", strat, mode, streaming, len(res.Rows))
-				}
-				got := renderInOrder(res)
-				if first {
-					want, first = got, false
-				} else if got != want {
-					t.Errorf("%s/%v/streaming=%v: limited rows differ\ngot:\n%s\nwant:\n%s",
-						strat, mode, streaming, got, want)
+	const (
+		chain = `SELECT ?u ?f WHERE {
+			?u <http://db.uwaterloo.ca/~galuc/wsdbm/follows> ?f .
+			?f <http://db.uwaterloo.ca/~galuc/wsdbm/likes> ?p .
+		}`
+		star = `SELECT ?u ?f WHERE {
+			?u <http://db.uwaterloo.ca/~galuc/wsdbm/follows> ?f .
+			?u <http://db.uwaterloo.ca/~galuc/wsdbm/likes> ?p .
+		}`
+	)
+	all, err := s.Query(sparql.MustParse(chain), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offset, limit := identicalRunCut(t, s, star)
+	const grouped = `SELECT ?f (COUNT(?u) AS ?n) WHERE {
+			?u <http://db.uwaterloo.ca/~galuc/wsdbm/follows> ?f .
+		} GROUP BY ?f ORDER BY DESC(?n) ?f`
+	groups, err := s.Query(sparql.MustParse(grouped), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// LIMIT takes any non-negative int, so offset+limit, and twice it,
+	// may overflow; every row after the offset is then in the window.
+	const huge = " LIMIT 5000000000000000000"
+	maxWindow := fmt.Sprintf(" LIMIT %d OFFSET 1", math.MaxInt)
+	cases := []struct {
+		name, text string
+		rows       int
+	}{
+		{"window", chain + " LIMIT 7 OFFSET 3", 7},
+		{"LIMIT 0", chain + " LIMIT 0", 0},
+		{"OFFSET past the last row", chain + fmt.Sprintf(" LIMIT 5 OFFSET %d", len(all.Rows)+1), 0},
+		{"cut through identical rows", star + fmt.Sprintf(" LIMIT %d OFFSET %d", limit, offset), limit},
+		{"LIMIT past any row count", chain + huge, len(all.Rows)},
+		{"ORDER BY, LIMIT past any row count", chain + " ORDER BY ?f" + huge, len(all.Rows)},
+		{"OFFSET+LIMIT past MaxInt", chain + maxWindow, len(all.Rows) - 1},
+		{"aggregate tail, OFFSET+LIMIT past MaxInt", grouped + maxWindow, len(groups.Rows) - 1},
+	}
+	for _, tc := range cases {
+		q := sparql.MustParse(tc.text)
+		var want string
+		first := true
+		for _, strat := range streamStrategies {
+			for _, mode := range streamPlanners {
+				for _, cfg := range []struct {
+					streaming bool
+					chunk     int
+				}{{false, 0}, {true, 0}, {true, 1}, {true, 7}} {
+					res, err := s.Query(q, QueryOptions{Strategy: strat, Planner: mode, Streaming: cfg.streaming, ChunkSize: cfg.chunk})
+					if err != nil {
+						t.Fatalf("%s: %s/%v/%+v: %v", tc.name, strat, mode, cfg, err)
+					}
+					if len(res.Rows) != tc.rows {
+						t.Fatalf("%s: %s/%v/%+v: got %d rows, want %d", tc.name, strat, mode, cfg, len(res.Rows), tc.rows)
+					}
+					got := renderInOrder(res)
+					if first {
+						want, first = got, false
+					} else if got != want {
+						t.Errorf("%s: %s/%v/%+v: limited rows differ\ngot:\n%s\nwant:\n%s",
+							tc.name, strat, mode, cfg, got, want)
+					}
 				}
 			}
 		}
 	}
+}
+
+// identicalRunCut returns a LIMIT/OFFSET window over the unordered query
+// text whose last row is identical to the row after it, in the
+// dictionary-ID order a LIMIT without ORDER BY selects by. The window
+// lies far enough into the result that the streaming top-K trims its
+// buffer, with rows left over, before the last batch arrives.
+func identicalRunCut(t *testing.T, s *Store, text string) (offset, limit int) {
+	t.Helper()
+	res, err := s.Query(sparql.MustParse(text), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]engine.Row, len(res.Rows))
+	for i, terms := range res.Rows {
+		for _, term := range terms {
+			id, ok := s.dict.Lookup(term)
+			if !ok {
+				t.Fatalf("result term %v is not in the dictionary", term)
+			}
+			rows[i] = append(rows[i], id)
+		}
+	}
+	slices.SortFunc(rows, func(a, b engine.Row) int { return slices.Compare(a, b) })
+	for i := 10; i+1 < len(rows); i++ {
+		if slices.Equal(rows[i], rows[i+1]) && len(rows) > 2*(i+1)+64 {
+			return i - 4, 5
+		}
+	}
+	t.Fatalf("no run of identical rows in the first part of %d rows of %s", len(rows), text)
+	return 0, 0
 }
 
 // TestStreamingTopKBoundsPeakMemory is the memory acceptance check for

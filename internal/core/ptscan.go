@@ -106,8 +106,7 @@ type ptCursor struct {
 
 // ptScan is the scaffolding of one PT partition scan — the patterns'
 // cursors, the ones whose values reach the output row, and the scratch
-// row — set up once per partition by init and shared by every pass over
-// it.
+// row — set up once per partition by init for its one pass.
 type ptScan struct {
 	curs   []ptCursor
 	driver int
@@ -188,19 +187,16 @@ func (sc *ptScan) processed() int64 { return int64(len(sc.curs[sc.driver].col.ke
 // remaining lists are combined by an odometer (first pattern slowest)
 // into the one reused row — the multi-valued flatten — with repeated
 // variables checked as the row fills. Rows passing rowPred (pushed-down
-// FILTERs, may be nil) are counted and, when yield is non-nil, yielded;
-// the yielded row is scratch the callback MUST copy. A nil yield makes
-// a counting pass, which is how the streaming scan learns its batch
-// boundaries before its emitting pass. Nothing is allocated, per key or
-// per pass.
-func (sc *ptScan) run(rowPred func(engine.Row) bool, yield func(engine.Row)) (rows int64) {
+// FILTERs, may be nil) are yielded; the yielded row is scratch the
+// callback MUST copy. Every caller makes one pass per partition — a
+// counting pass ahead of it would repeat the whole intersection — so
+// each candidate row is built and tested once. Nothing is allocated,
+// per key or per pass.
+func (sc *ptScan) run(rowPred func(engine.Row) bool, yield func(engine.Row)) {
 	curs, out, row, driver := sc.curs, sc.out, sc.row, sc.driver
 	emit := func() {
 		if rowPred == nil || rowPred(row) {
-			rows++
-			if yield != nil {
-				yield(row)
-			}
+			yield(row)
 		}
 	}
 	for i := range curs {
@@ -264,7 +260,6 @@ nextKey:
 			emit()
 		}
 	}
-	return rows
 }
 
 // gallop returns the smallest i ≥ from with keys[i] ≥ key, or len(keys)
@@ -323,7 +318,8 @@ func (sc *ptScan) rows(part *ptPartition, spec ptNodeScan, rowPred func(engine.R
 		return engine.Block{}, 0
 	}
 	arena := r.Arena(width, 0)
-	if sc.run(rowPred, func(row engine.Row) { arena.Grow(1); arena.AppendCopy(row) }) == 0 {
+	sc.run(rowPred, func(row engine.Row) { arena.Grow(1); arena.AppendCopy(row) })
+	if arena.Len() == 0 {
 		return engine.Block{}, sc.processed()
 	}
 	return arena.Block(), sc.processed()

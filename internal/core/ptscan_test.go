@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -690,6 +692,71 @@ func TestPTScanScratchIndependentOfPartitions(t *testing.T) {
 		t.Logf("streaming %v: %.0f allocations per query over 2 partitions, %.0f over 16", streaming, few, many)
 		if many > few {
 			t.Errorf("streaming %v: a PT scan's allocations follow its partition count: %.0f over 2 partitions, %.0f over 16", streaming, few, many)
+		}
+	}
+}
+
+// TestPTStreamExaminesEachCandidateOnce: the streaming PT source makes
+// one pass over each partition, so the star's pushed FILTER runs on
+// each candidate row once — as many times streamed, at any chunk size,
+// as materialized. A counting pass ahead of the emitting one doubled it.
+func TestPTStreamExaminesEachCandidateOnce(t *testing.T) {
+	s := watdivStreamStore(t)
+	q := sparql.MustParse(`PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
+		PREFIX foaf: <http://xmlns.com/foaf/>
+		SELECT ?u ?a ?p WHERE { ?u foaf:age ?a . ?u wsdbm:likes ?p . FILTER(?a > 30) }`)
+	// calls runs q on one executor with the query's filter predicates
+	// counting their calls.
+	calls := func(opts QueryOptions) (n int64) {
+		opts.Strategy, opts.NoPlanCache = StrategyMixed, true
+		r, err := s.resolve(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, _, err := s.planEntry(s.statsSnap.Load(), q, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc := entry.plan.Scans(); len(sc) != 1 || entry.nodes[sc[0].Leaf].Kind != NodePT || len(sc[0].Filters) != 1 {
+			t.Fatalf("want one PT scan with the FILTER pushed into it, planned\n%s", entry.plan)
+		}
+		filters, err := s.compileFilters(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var count atomic.Int64
+		for i := range filters {
+			pred := filters[i].pred
+			filters[i].pred = func(id rdf.ID) bool { count.Add(1); return pred(id) }
+		}
+		region := engine.NewRegion()
+		defer region.Release()
+		var x execution
+		if r.streaming {
+			x, err = s.runStreaming(context.Background(), r, entry, filters, region)
+		} else {
+			x, err = s.runMaterialized(context.Background(), q, r, entry, filters, region)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for _, b := range x.rows {
+			rows += b.Len()
+		}
+		if rows == 0 {
+			t.Fatal("the query returns no rows; it is vacuous at this scale")
+		}
+		return count.Load()
+	}
+	if parts := len(s.pt.parts); parts < 2 {
+		t.Fatalf("the property table has %d partition(s); the test needs several", parts)
+	}
+	want := calls(QueryOptions{})
+	t.Logf("the FILTER ran %d times materialized", want)
+	for _, chunk := range []int{7, 0} {
+		if got := calls(QueryOptions{Streaming: true, ChunkSize: chunk}); got != want {
+			t.Errorf("chunk size %d: the FILTER ran %d times streamed, %d times materialized", chunk, got, want)
 		}
 	}
 }

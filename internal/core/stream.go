@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -105,13 +106,18 @@ type streamStep struct {
 	// Top-K barrier state (stepTopK): incoming rows are copied into buf
 	// under mu, trimmed back to keep rows whenever the buffer doubles —
 	// the early termination that bounds an ORDER BY + LIMIT query's
-	// footprint to O(offset+limit) instead of O(result). A trim sorts
-	// into spare and swaps the two. keep < 0 retains everything (ORDER BY
-	// without LIMIT). arrived counts the rows handed to the buffer, for
-	// the peak-memory sweep.
+	// footprint to O(offset+limit) instead of O(result). A trim selects
+	// the first keep rows into spare (engine.SortInto) and swaps the two,
+	// and worst, carved from the query's region, remembers the last of
+	// them: a later row not less than it cannot change the result (less
+	// is topkLess, under which only identical rows tie), and is dropped
+	// before it is copied. keep < 0 retains everything (ORDER BY without
+	// LIMIT). arrived counts every row handed to the step, dropped or
+	// not, for the peak-memory sweep.
 	less       func(a, b engine.Row) bool
 	keep       int
 	buf, spare engine.RowArena
+	worst      engine.Row
 	arrived    int64
 	// Aggregate barrier state (stepAggregate): the shared group table
 	// under mu.
@@ -159,12 +165,22 @@ func (st *streamStep) apply(rows engine.Block, region *engine.Region) engine.Blo
 		st.mu.Lock()
 		st.buf.Grow(rows.Len())
 		for i := 0; i < rows.Len(); i++ {
-			st.buf.AppendCopy(rows.Row(i))
+			if r := rows.Row(i); st.worst == nil || st.less(r, st.worst) {
+				st.buf.AppendCopy(r)
+			}
 		}
 		st.arrived += int64(rows.Len())
-		if st.keep >= 0 && st.buf.Len() > 2*st.keep+64 {
-			engine.SortInto(&st.spare, st.buf.Block(), st.less, st.keep)
+		// keep < buf.Len() is tested first so that 2*keep cannot
+		// overflow: LIMIT takes any non-negative int.
+		if st.keep >= 0 && st.keep < st.buf.Len() && st.buf.Len() > 2*st.keep+64 {
+			kept := engine.SortInto(&st.spare, st.buf.Block(), st.less, st.keep)
 			st.buf, st.spare = st.spare, st.buf
+			if k := kept.Len(); k > 0 && k == st.keep {
+				if st.worst == nil {
+					st.worst = engine.Row(region.IDs(kept.Width()))
+				}
+				copy(st.worst, kept.Row(k-1))
+			}
 		}
 		st.mu.Unlock()
 		rows = engine.Block{}
@@ -525,13 +541,9 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		if c.err != nil {
 			return 0
 		}
-		keep := -1
-		if n.Limit >= 0 {
-			keep = n.Offset + n.Limit
-		}
 		st := &streamStep{
 			kind: stepTopK, node: n, width: len(n.Vars),
-			less: c.store.topkLess(n), keep: keep,
+			less: c.store.topkLess(n), keep: topKeep(n),
 			buf: c.sp.region.Arena(len(n.Vars), 0), spare: c.sp.region.Arena(len(n.Vars), 0),
 		}
 		c.pipe(pi).steps = append(c.pipe(pi).steps, st)
@@ -817,10 +829,10 @@ func (p *streamPipe) scanVPPart(pi, chunkSize int, arena *engine.RowArena) {
 }
 
 // scanPTPart streams one PT partition with the partition's scan scratch
-// sc: the cartesian flatten yields reused scratch rows, which are copied
-// into the worker's arena and flushed through the steps at chunk
-// boundaries. A counting pass first tells how many rows are coming, so
-// the arena is sized for the first batch before it fills.
+// sc, in one pass: the cartesian flatten yields reused scratch rows,
+// which are copied into the worker's arena — growing there by doubling,
+// like ptScan.rows — and flushed through the steps every chunkSize rows
+// and once more at the partition's end.
 func (p *streamPipe) scanPTPart(pi, chunkSize int, sc *ptScan, arena *engine.RowArena) {
 	src := p.src
 	width := len(src.spec.schema)
@@ -828,20 +840,22 @@ func (p *streamPipe) scanPTPart(pi, chunkSize int, sc *ptScan, arena *engine.Row
 		return
 	}
 	src.scanned.Add(sc.processed())
-	left := int(sc.run(src.rowPred, nil))
-	if left == 0 {
-		return
+	arena.Reset(width, 0)
+	flush := func() {
+		src.out.Add(int64(arena.Len()))
+		p.processBatch(pi, arena.Block())
+		arena.Reset(width, 0)
 	}
-	arena.Reset(width, min(left, chunkSize))
 	sc.run(src.rowPred, func(r engine.Row) {
+		arena.Grow(1)
 		arena.AppendCopy(r)
-		left--
-		if arena.Len() == chunkSize || left == 0 {
-			src.out.Add(int64(arena.Len()))
-			p.processBatch(pi, arena.Block())
-			arena.Reset(width, 0)
+		if arena.Len() == chunkSize {
+			flush()
 		}
 	})
+	if arena.Len() > 0 {
+		flush()
+	}
 }
 
 // runExistence answers a fully-bound pattern: scan until any row
@@ -942,12 +956,23 @@ func (sp *streamPlan) finalRows(s *Store) ([]engine.Block, error) {
 	return []engine.Block{rows}, nil
 }
 
+// topKeep is how many leading rows a TopK node's window needs:
+// offset+limit, or -1 (all of them) without a LIMIT or when the sum
+// overflows an int, which no row count reaches.
+func topKeep(n *plan.Node) int {
+	offset := max(n.Offset, 0)
+	if n.Limit < 0 || n.Limit > math.MaxInt-offset {
+		return -1
+	}
+	return offset + n.Limit
+}
+
 // sliceOffsetLimit applies a LIMIT/OFFSET window to sorted rows.
 func sliceOffsetLimit(rows engine.Block, limit, offset int) engine.Block {
 	lo := min(max(offset, 0), rows.Len())
 	hi := rows.Len()
-	if limit >= 0 {
-		hi = min(hi, lo+limit)
+	if limit >= 0 && limit < hi-lo {
+		hi = lo + limit
 	}
 	return rows.Slice(lo, hi)
 }
@@ -980,7 +1005,7 @@ func (s *Store) applyTailOp(n *plan.Node, rows engine.Block, region *engine.Regi
 
 	case plan.OpTopK:
 		sorted := region.Arena(0, 0)
-		return sliceOffsetLimit(engine.SortInto(&sorted, rows, s.topkLess(n), -1), n.Limit, n.Offset), nil
+		return sliceOffsetLimit(engine.SortInto(&sorted, rows, s.topkLess(n), topKeep(n)), n.Limit, n.Offset), nil
 
 	default:
 		return engine.Block{}, fmt.Errorf("core: unsupported driver tail operator %v", n.Op)
@@ -1354,8 +1379,10 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 		switch b.kind {
 		case stepTopK:
 			rows := b.arrived
-			if b.keep >= 0 {
-				rows = min(rows, int64(min(workers, max(pipes[sp.barrierPipe].Morsels, 1))*b.keep))
+			// Only a keep below arrived can bind, which also keeps
+			// the product from overflowing.
+			if b.keep >= 0 && int64(b.keep) < rows {
+				rows = min(rows, int64(min(workers, max(pipes[sp.barrierPipe].Morsels, 1)))*int64(b.keep))
 			}
 			bytes = rows * int64(b.width) * memBytesPerValue
 		case stepAggregate:

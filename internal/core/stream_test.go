@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -671,4 +673,59 @@ func BenchmarkStreamingPeakMemory(b *testing.B) {
 	}
 	b.ReportMetric(float64(mat.PeakMemBytes)/1024, "mat-peak-KiB")
 	b.ReportMetric(float64(str.PeakMemBytes)/1024, "stream-peak-KiB")
+}
+
+// TestStreamingTopKSinkKeepsTheWinners drives the streaming top-K step
+// directly. Rows arrive in batches: full of duplicates in random order,
+// the same in descending order (every later row beats the rows kept so
+// far), and distinct even values before odd ones (a later row lands
+// between two kept rows). The buffer the step is left with must
+// finalize to the first keep rows of the full sort — so the rows it
+// drops without copying, those not less than its worst kept row, are
+// never ones that win — and arrived must count every row handed to it.
+func TestStreamingTopKSinkKeepsTheWinners(t *testing.T) {
+	const n, width = 2000, 2
+	rng := rand.New(rand.NewSource(35))
+	rows := engine.NewRowArena(width, n)
+	for i := 0; i < n; i++ {
+		rows.AppendCopy(engine.Row{rdf.ID(rng.Intn(500)), rdf.ID(rng.Intn(2))})
+	}
+	random := rows.Block()
+	parity := engine.NewRowArena(width, n)
+	for _, odd := range []int{0, 1} {
+		for _, v := range rng.Perm(n / 2) {
+			parity.AppendCopy(engine.Row{rdf.ID(2*v + odd), 0})
+		}
+	}
+	inputs := map[string]engine.Block{
+		"random":           random,
+		"descending":       engine.SortBlock(random, func(x, y engine.Row) bool { return engine.LessRowsID(y, x) }, -1),
+		"evens, then odds": parity.Block(),
+	}
+	for name, in := range inputs {
+		// The last two keeps are LIMITs the parser accepts whose doubled
+		// buffer bound would overflow an int.
+		for _, keep := range []int{0, 1, 2, 5, 100, n, 5_000_000_000_000_000_000, math.MaxInt} {
+			want := engine.SortBlock(in, engine.LessRowsID, keep).Rows()
+			for _, chunk := range []int{1, 7, 64} {
+				region := engine.NewRegion()
+				st := &streamStep{
+					kind: stepTopK, width: width, less: engine.LessRowsID, keep: keep,
+					buf: region.Arena(width, 0), spare: region.Arena(width, 0),
+				}
+				for lo := 0; lo < n; lo += chunk {
+					st.apply(in.Slice(lo, min(lo+chunk, n)), region)
+				}
+				var dst engine.RowArena
+				got := engine.SortInto(&dst, st.buf.Block(), st.less, st.keep).Rows()
+				if !slices.EqualFunc(got, want, slices.Equal) {
+					t.Errorf("%s, keep %d, chunk %d: kept\n%v\nwant\n%v", name, keep, chunk, got, want)
+				}
+				if st.arrived != n {
+					t.Errorf("%s, keep %d, chunk %d: arrived %d, want %d", name, keep, chunk, st.arrived, n)
+				}
+				region.Release()
+			}
+		}
+	}
 }

@@ -154,20 +154,19 @@ func gather(b Block, idx []int32, a *RowArena) Block {
 	return a.Block()
 }
 
-// SortBlock returns b's rows ordered stably by less, keeping the first k
-// of them (all when k < 0), in a new heap block. It sorts a permutation
-// of row numbers and copies the rows once, into their final order.
+// SortBlock returns b's first k rows under less (all when k < 0), in
+// order, in a new heap block: the first k of the stable sort, ties kept
+// in row order. It orders row numbers (topPerm) and copies the rows
+// once, into their final order.
 func SortBlock(b Block, less func(x, y Row) bool, k int) Block {
 	return SortInto(new(RowArena), b, less, k)
 }
 
 // SortInto is SortBlock into dst's storage (Reset here, so b must not
-// live in it); the permutation is carved from dst's region.
+// live in it); the row numbers are carved from dst's region. A k below
+// b's row count selects rather than sorts.
 func SortInto(dst *RowArena, b Block, less func(x, y Row) bool, k int) Block {
-	perm := sortPerm(b, less, dst.region.int32s(b.n))
-	if k >= 0 && k < len(perm) {
-		perm = perm[:k]
-	}
+	perm := topPerm(b, less, k, dst.region)
 	dst.Reset(b.width, len(perm))
 	for _, i := range perm {
 		dst.AppendCopy(b.Row(int(i)))
@@ -175,8 +174,80 @@ func SortInto(dst *RowArena, b Block, less func(x, y Row) bool, k int) Block {
 	return dst.Block()
 }
 
+// topPerm returns the row numbers of b's first k rows under less, in
+// order, carved from r: the first k of sortPerm's order. When 0 ≤ k <
+// b.n it selects instead of sorting. A max-heap holds the k best rows
+// seen so far, ordered by less and then by row number, and a later row
+// enters only when less puts it before the root, so a row that cannot
+// win costs one call of less; the k survivors are sorted at the end.
+// Otherwise (k < 0 or k ≥ b.n) it is sortPerm.
+func topPerm(b Block, less func(x, y Row) bool, k int, r *Region) []int32 {
+	if k < 0 || k >= b.n {
+		return sortPerm(b, less, r.int32s(b.n))
+	}
+	if k == 0 {
+		return nil
+	}
+	// after reports whether row i sorts after row j, a tie going to the
+	// earlier row; it is total over distinct row numbers.
+	after := func(i, j int32) bool {
+		x, y := b.Row(int(i)), b.Row(int(j))
+		if less(y, x) {
+			return true
+		}
+		return i > j && !less(x, y)
+	}
+	heap := r.int32s(k)
+	for i := range heap {
+		heap[i] = int32(i)
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(heap, i, after)
+	}
+	for i := k; i < b.n; i++ {
+		// Row i's number is above every number in the heap, so a tie
+		// goes to the heap: it enters only when less puts it first.
+		if less(b.Row(i), b.Row(int(heap[0]))) {
+			heap[0] = int32(i)
+			siftDown(heap, 0, after)
+		}
+	}
+	slices.SortFunc(heap, func(i, j int32) int {
+		switch {
+		case i == j:
+			return 0
+		case after(i, j):
+			return 1
+		}
+		return -1
+	})
+	return heap
+}
+
+// siftDown restores the max-heap order of h below position i, the
+// largest under after at the root.
+func siftDown(h []int32, i int, after func(i, j int32) bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && after(h[c+1], h[c]) {
+			c++
+		}
+		if !after(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // sortPerm returns b's row numbers ordered stably by less, in perm's
-// storage, which must hold b.n of them.
+// storage, which must hold b.n of them — the full sort, the only place
+// stability is left to the sort: topPerm's selection breaks ties on the
+// row number itself, so a limited result is this order's prefix under
+// any strict weak order.
 func sortPerm(b Block, less func(x, y Row) bool, perm []int32) []int32 {
 	perm = perm[:0]
 	for i := 0; i < b.n; i++ {

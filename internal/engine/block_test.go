@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/rdf"
 )
 
 // TestBlockRowIsCapacityClipped: a row handed out by a block — built
@@ -95,5 +97,64 @@ func TestBlockRowsRoundTrip(t *testing.T) {
 				t.Errorf("width %d, %d rows: relation round trip gave %v, want %v", width, n, got, rows)
 			}
 		}
+	}
+}
+
+// TestTopPermMatchesFullSort: selecting a block's first k rows returns
+// exactly the first k row numbers of the stable full sort — over blocks
+// full of duplicate rows, under the total row order and under an order
+// on the first column alone, where only the tie rule decides — and a
+// selection over many rows calls less about once per row, where the
+// full sort calls it about 2·n·log₂n times.
+func TestTopPermMatchesFullSort(t *testing.T) {
+	orders := map[string]func(x, y Row) bool{
+		"rows":   lessRows,
+		"column": func(x, y Row) bool { return x[0] < y[0] },
+	}
+	rng := rand.New(rand.NewSource(35))
+	for width := 1; width <= 3; width++ {
+		for _, n := range []int{0, 1, 2, 7, 64, 65, 1000} {
+			a := NewRowArena(width, n)
+			row := make(Row, width)
+			for i := 0; i < n; i++ {
+				for j := range row {
+					row[j] = rdf.ID(rng.Intn(4)) // few values: many duplicate rows
+				}
+				a.AppendCopy(row)
+			}
+			b := a.Block()
+			for name, less := range orders {
+				full := sortPerm(b, less, make([]int32, n))
+				for _, k := range []int{-1, 0, 1, n / 2, n - 1, n, n + 1} {
+					want := full
+					if k >= 0 && k < n {
+						want = full[:k]
+					}
+					if got := topPerm(b, less, k, nil); !slices.Equal(got, want) {
+						t.Errorf("width %d, n %d, k %d, %s order: row numbers %v, want %v", width, n, k, name, got, want)
+					}
+					if got, wantRows := SortBlock(b, less, k).Rows(), SortBlock(b, less, -1).Rows()[:len(want)]; !sameRowContents(got, wantRows) {
+						t.Errorf("width %d, n %d, k %d, %s order: rows %v, want %v", width, n, k, name, got, wantRows)
+					}
+				}
+			}
+		}
+	}
+
+	const n, k = 100_000, 10
+	a := NewRowArena(1, n)
+	for _, v := range rng.Perm(n) {
+		a.AppendCopy(Row{rdf.ID(v)})
+	}
+	calls := 0
+	perm := topPerm(a.Block(), func(x, y Row) bool { calls++; return x[0] < y[0] }, k, nil)
+	for i, p := range perm {
+		if got := a.Block().Row(int(p))[0]; got != rdf.ID(i) {
+			t.Fatalf("selected row %d holds %d, want %d", i, got, i)
+		}
+	}
+	t.Logf("%d calls of less to select %d of %d rows", calls, k, n)
+	if calls > n*11/10 {
+		t.Errorf("selecting %d of %d rows called less %d times, want at most %d", k, n, calls, n*11/10)
 	}
 }

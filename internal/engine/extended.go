@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/rdf"
@@ -85,20 +86,22 @@ func (e *Exec) UnionAll(rels ...*Relation) (*Relation, error) {
 }
 
 // TopK orders the relation by less and keeps rows [offset,
-// offset+limit). Each partition sorts a permutation of its rows locally
-// and forwards only its first offset+limit — the top-K pushdown below
-// the exchange — so the transfer (and its NetBytes charge) shrinks with
-// the limit; the driver gathers the per-partition survivors in partition
-// order and sorts them again, stably — the order a sort of their
-// concatenation gives — keeping the window. A negative limit keeps every
-// row (a plain ORDER BY). less must be a strict total order for the
-// output to be deterministic across partitionings; it is called
-// concurrently from partition tasks and must be safe for that. The
-// result is a single-partition relation in sorted order.
+// offset+limit). Each partition selects its own first offset+limit rows
+// (topPerm: a bounded heap of row numbers, not a sort of all of them)
+// and forwards only those — the top-K pushdown below the exchange — so
+// the transfer (and its NetBytes charge) shrinks with the limit; the
+// driver gathers the per-partition survivors in partition order and
+// selects from them again, ties in gathered order — what a stable sort
+// of their concatenation gives — keeping the window. A negative limit
+// keeps every row (a plain ORDER BY), fully sorted. less must be a
+// strict total order for the output to be deterministic across
+// partitionings; it is called concurrently from partition tasks and
+// must be safe for that. The result is a single-partition relation in
+// sorted order.
 func (e *Exec) TopK(rel *Relation, less func(a, b Row) bool, limit, offset int) (*Relation, error) {
 	offset = max(offset, 0)
-	k := -1
-	if limit >= 0 {
+	k := -1 // every row: no LIMIT, or offset+limit past any row count
+	if limit >= 0 && limit <= math.MaxInt-offset {
 		k = offset + limit
 	}
 	n := rel.Partitions()
@@ -106,14 +109,10 @@ func (e *Exec) TopK(rel *Relation, less func(a, b Row) bool, limit, offset int) 
 	width := int64(len(rel.schema))
 	err := e.Cluster.RunStage(e.Clock, e.Launch(true), "topk", n, func(p int) (cluster.TaskStats, error) {
 		in := rel.parts[p]
-		perm := sortPerm(in, less, e.Region.int32s(in.n))
-		if k >= 0 && k < len(perm) {
-			perm = perm[:k]
-		}
-		kept[p] = perm
+		kept[p] = topPerm(in, less, k, e.Region)
 		return cluster.TaskStats{
 			Rows:     int64(in.n),
-			NetBytes: int64(len(perm)) * width * bytesPerValue,
+			NetBytes: int64(len(kept[p])) * width * bytesPerValue,
 		}, nil
 	})
 	if err != nil {
