@@ -2,7 +2,6 @@ package columnar
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -101,186 +100,5 @@ func TestEncodingString(t *testing.T) {
 	}
 	if Encoding(9).String() != "Encoding(9)" {
 		t.Errorf("unknown encoding name: %v", Encoding(9))
-	}
-}
-
-func TestListChunkRoundTrip(t *testing.T) {
-	lists := [][]rdf.ID{
-		{1, 2, 3},
-		nil,
-		{7},
-		{},
-		{5, 5},
-	}
-	lc := EncodeLists(lists)
-	if lc.Rows() != 5 {
-		t.Fatalf("Rows() = %d, want 5", lc.Rows())
-	}
-	got, err := lc.Decode()
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	want := [][]rdf.ID{{1, 2, 3}, nil, {7}, nil, {5, 5}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Decode() = %v, want %v", got, want)
-	}
-}
-
-func TestListChunkProperty(t *testing.T) {
-	f := func(spec []uint8) bool {
-		// Build lists whose lengths come from spec.
-		lists := make([][]rdf.ID, len(spec))
-		v := rdf.ID(1)
-		for i, n := range spec {
-			for j := 0; j < int(n%5); j++ {
-				lists[i] = append(lists[i], v)
-				v++
-			}
-		}
-		got, err := EncodeLists(lists).Decode()
-		if err != nil || len(got) != len(lists) {
-			return false
-		}
-		for i := range lists {
-			if len(got[i]) != len(lists[i]) {
-				return false
-			}
-			for j := range lists[i] {
-				if got[i][j] != lists[i][j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFileWriterRoundTrip(t *testing.T) {
-	w := NewWriter(4) // tiny row groups to exercise splitting
-	subjects := []rdf.ID{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	ages := []rdf.ID{0, 20, 0, 21, 0, 0, 0, 22, 0, 0}
-	likes := [][]rdf.ID{{100, 101}, nil, {102}, nil, nil, {103, 104, 105}, nil, nil, nil, {106}}
-	w.AddScalar("s", subjects).AddScalar("age", ages).AddList("likes", likes)
-	f, err := w.Finish()
-	if err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	if f.Rows() != 10 {
-		t.Fatalf("Rows() = %d, want 10", f.Rows())
-	}
-	if !reflect.DeepEqual(f.ColumnNames(), []string{"s", "age", "likes"}) {
-		t.Errorf("ColumnNames() = %v", f.ColumnNames())
-	}
-	gotS, err := f.ReadScalar("s")
-	if err != nil {
-		t.Fatalf("ReadScalar(s): %v", err)
-	}
-	if !reflect.DeepEqual(gotS, subjects) {
-		t.Errorf("s column = %v, want %v", gotS, subjects)
-	}
-	gotLikes, err := f.ReadList("likes")
-	if err != nil {
-		t.Fatalf("ReadList(likes): %v", err)
-	}
-	for i := range likes {
-		if len(gotLikes[i]) != len(likes[i]) {
-			t.Errorf("likes row %d = %v, want %v", i, gotLikes[i], likes[i])
-		}
-	}
-	if f.SizeBytes() <= 0 {
-		t.Errorf("SizeBytes() = %d", f.SizeBytes())
-	}
-}
-
-func TestFileWriterErrors(t *testing.T) {
-	t.Run("row mismatch", func(t *testing.T) {
-		w := NewWriter(0)
-		w.AddScalar("a", []rdf.ID{1, 2, 3}).AddScalar("b", []rdf.ID{1})
-		if _, err := w.Finish(); err == nil {
-			t.Errorf("Finish succeeded with mismatched row counts")
-		}
-	})
-	t.Run("duplicate column", func(t *testing.T) {
-		w := NewWriter(0)
-		w.AddScalar("a", []rdf.ID{1}).AddScalar("a", []rdf.ID{2})
-		if _, err := w.Finish(); err == nil {
-			t.Errorf("Finish succeeded with duplicate column")
-		}
-	})
-}
-
-func TestFileColumnAccessErrors(t *testing.T) {
-	w := NewWriter(0)
-	w.AddScalar("s", []rdf.ID{1}).AddList("l", [][]rdf.ID{{2}})
-	f, err := w.Finish()
-	if err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	if _, err := f.ReadScalar("missing"); err == nil {
-		t.Errorf("ReadScalar(missing) succeeded")
-	}
-	if _, err := f.ReadScalar("l"); err == nil {
-		t.Errorf("ReadScalar on list column succeeded")
-	}
-	if _, err := f.ReadList("s"); err == nil {
-		t.Errorf("ReadList on scalar column succeeded")
-	}
-	if _, err := f.ColumnSizeBytes("missing"); err == nil {
-		t.Errorf("ColumnSizeBytes(missing) succeeded")
-	}
-	if !f.HasColumn("s") || f.HasColumn("zzz") {
-		t.Errorf("HasColumn wrong")
-	}
-}
-
-func TestColumnPruningSizes(t *testing.T) {
-	// The sum of per-column sizes must not exceed the file size, and a
-	// wide-but-sparse column must cost less than a dense one.
-	w := NewWriter(0)
-	n := 5000
-	dense := make([]rdf.ID, n)
-	sparse := make([]rdf.ID, n)
-	for i := range dense {
-		dense[i] = rdf.ID(i + 1)
-	}
-	sparse[42] = 7
-	w.AddScalar("dense", dense).AddScalar("sparse", sparse)
-	f, err := w.Finish()
-	if err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	sd, _ := f.ColumnSizeBytes("dense")
-	ss, _ := f.ColumnSizeBytes("sparse")
-	if ss >= sd {
-		t.Errorf("sparse column (%d bytes) not smaller than dense (%d bytes)", ss, sd)
-	}
-	if sd+ss > f.SizeBytes() {
-		t.Errorf("column sizes %d+%d exceed file size %d", sd, ss, f.SizeBytes())
-	}
-	stats := f.Stats()
-	if len(stats) != 2 || stats[0].Name != "dense" {
-		t.Errorf("Stats() = %v", stats)
-	}
-}
-
-func TestEmptyFile(t *testing.T) {
-	w := NewWriter(0)
-	w.AddScalar("s", nil)
-	f, err := w.Finish()
-	if err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	if f.Rows() != 0 {
-		t.Errorf("Rows() = %d, want 0", f.Rows())
-	}
-	vals, err := f.ReadScalar("s")
-	if err != nil {
-		t.Fatalf("ReadScalar: %v", err)
-	}
-	if len(vals) != 0 {
-		t.Errorf("decoded %d values from empty column", len(vals))
 	}
 }

@@ -6,14 +6,10 @@ import (
 	"repro/internal/rdf"
 )
 
-// RowChunk is one fixed-width batch of rows encoded column-at-a-time:
-// each column is its own Chunk (plain varint or RLE, whichever is
-// smaller), so a chunk of join output whose key column repeats — or a
-// Property-Table column dense in NullID — compresses exactly like the
-// on-disk format. The streaming executor moves intermediate rows
-// between pipeline stages in this representation, which is what bounds
-// the memory high-water mark to O(chunks in flight) instead of
-// O(intermediate relations).
+// RowChunk is one batch of fixed-width rows encoded column at a time,
+// each column its own Chunk, so a column that repeats (a join key, or
+// one dense in NullID) compresses under RLE. The benchmark's columnar
+// probes measure encoding and decoding join output in this form.
 //
 // Width-0 chunks (existence results) are valid: they carry a row count
 // and no columns.
@@ -87,31 +83,6 @@ func (rc RowChunk) Decode() ([][]rdf.ID, error) {
 		for i, v := range vals {
 			out[i][c] = v
 		}
-	}
-	return out, nil
-}
-
-// ChunkRows splits rows into encoded chunks of at most chunkSize rows —
-// the morsel boundary the streaming executor hands batches across. A
-// chunkSize <= 0 produces a single chunk.
-func ChunkRows(width int, rows [][]rdf.ID, chunkSize int) ([]RowChunk, error) {
-	if chunkSize <= 0 {
-		chunkSize = len(rows)
-	}
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	out := make([]RowChunk, 0, (len(rows)+chunkSize-1)/chunkSize)
-	for start := 0; start < len(rows); start += chunkSize {
-		end := start + chunkSize
-		if end > len(rows) {
-			end = len(rows)
-		}
-		rc, err := EncodeRows(width, rows[start:end])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rc)
 	}
 	return out, nil
 }

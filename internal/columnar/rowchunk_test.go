@@ -6,6 +6,19 @@ import (
 	"repro/internal/rdf"
 )
 
+// chunkRows encodes rows as chunks of at most chunkSize rows each.
+func chunkRows(width int, rows [][]rdf.ID, chunkSize int) ([]RowChunk, error) {
+	var out []RowChunk
+	for start := 0; start < len(rows); start += chunkSize {
+		rc, err := EncodeRows(width, rows[start:min(start+chunkSize, len(rows))])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rc)
+	}
+	return out, nil
+}
+
 // TestRowChunkRLEAcrossMorselBoundaries verifies that a long run of
 // equal values split across chunk edges round-trips: each chunk
 // re-encodes its slice of the run independently (RLE state never spans
@@ -19,7 +32,7 @@ func TestRowChunkRLEAcrossMorselBoundaries(t *testing.T) {
 		// encoder picks plain for one column and RLE for the other.
 		rows[i] = []rdf.ID{rdf.ID(i/100 + 1), rdf.ID(i + 1)}
 	}
-	chunks, err := ChunkRows(width, rows, chunkSize)
+	chunks, err := chunkRows(width, rows, chunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +78,7 @@ func TestRowChunkNullDense(t *testing.T) {
 		}
 		rows[i] = []rdf.ID{v}
 	}
-	chunks, err := ChunkRows(1, rows, chunkSize)
+	chunks, err := chunkRows(1, rows, chunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +110,7 @@ func TestRowChunkNullDense(t *testing.T) {
 // streaming executor produces: empty batches (no chunks at all) and
 // width-0 existence rows (row count, no columns).
 func TestRowChunkEmptyAndZeroWidth(t *testing.T) {
-	chunks, err := ChunkRows(3, nil, 64)
+	chunks, err := chunkRows(3, nil, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -296,6 +298,101 @@ func TestDictionaryIDsPinned(t *testing.T) {
 	}
 }
 
+// frozenSizesDigest is the FNV-1a digest of every size the WatDiv
+// scale-1000 / seed-1 text load prices, without and with the inverse
+// Property Table, taken while the loader still built each columnar
+// file to measure it: every HDFS path with its size, and each Property
+// Table's file, key-column and per-predicate column bytes.
+const frozenSizesDigest = 0xd2e9880fd5d9dbb0
+
+// TestLoadSizesFrozen holds every priced byte to the frozen digest:
+// sizing a file must give what encoding it gave, byte for byte.
+func TestLoadSizesFrozen(t *testing.T) {
+	g := watdiv.MustGenerate(watdiv.Config{Scale: 1000, Seed: 1})
+	var doc bytes.Buffer
+	if err := rdf.WriteNTriples(&doc, g); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var buf []byte
+	put := func(vals ...int64) {
+		buf = buf[:0]
+		for _, v := range vals {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		h.Write(buf)
+	}
+	for _, opts := range []Options{{}, {BuildInversePT: true}} {
+		opts.Cluster = cluster.MustNew(cluster.DefaultConfig())
+		s, err := LoadNTriples(bytes.NewReader(doc.Bytes()), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range s.fs.ListPrefix(s.opts.PathPrefix + "/") {
+			fi, err := s.fs.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write([]byte(path))
+			put(fi.Size)
+		}
+		for _, pt := range []*PropertyTable{s.pt, s.ipt} {
+			if pt == nil {
+				continue
+			}
+			put(pt.fileBytes, pt.keyBytes)
+			preds := slices.Sorted(maps.Keys(pt.colBytes))
+			for _, p := range preds {
+				put(int64(p), pt.colBytes[p])
+			}
+		}
+	}
+	if got := h.Sum64(); got != frozenSizesDigest {
+		t.Errorf("the load's sizes digest to %#x, frozen %#x: a priced byte moved", got, uint64(frozenSizesDigest))
+	}
+}
+
+// TestLoadPredicateNamedKey loads a document whose predicate IRI is
+// <key>, the name of the Property Table's key column. Columns are sized
+// by position, so the load succeeds, and it prices exactly like the
+// same document with a predicate name of the same length.
+func TestLoadPredicateNamedKey(t *testing.T) {
+	doc := func(pred string) string {
+		return "<http://ex/s1> <" + pred + "> <http://ex/o1> .\n" +
+			"<http://ex/s1> <" + pred + "> <http://ex/o2> .\n" +
+			"<http://ex/s2> <" + pred + "> <http://ex/o1> .\n" +
+			"<http://ex/s2> <http://ex/p> \"v\" .\n"
+	}
+	for _, inverse := range []bool{false, true} {
+		load := func(pred string) *Store {
+			s, err := LoadNTriples(strings.NewReader(doc(pred)), Options{
+				Cluster:        cluster.MustNew(cluster.DefaultConfig()),
+				BuildInversePT: inverse,
+			})
+			if err != nil {
+				t.Fatalf("inverse PT %v, predicate <%s>: %v", inverse, pred, err)
+			}
+			return s
+		}
+		key, kex := load("key"), load("kex")
+		rk, rx := key.LoadReport(), kex.LoadReport()
+		rk.WallTime, rx.WallTime = 0, 0
+		if rk != rx {
+			t.Errorf("inverse PT %v: <key> loads as %+v, <kex> as %+v", inverse, rk, rx)
+		}
+		for _, pair := range [][2]*PropertyTable{{key.pt, kex.pt}, {key.ipt, kex.ipt}} {
+			a, b := pair[0], pair[1]
+			if a == nil || b == nil {
+				continue
+			}
+			if a.fileBytes != b.fileBytes || a.keyBytes != b.keyBytes || !reflect.DeepEqual(a.colBytes, b.colBytes) {
+				t.Errorf("inverse PT %v: <key> prices %d/%d/%v, <kex> %d/%d/%v", inverse,
+					a.fileBytes, a.keyBytes, a.colBytes, b.fileBytes, b.keyBytes, b.colBytes)
+			}
+		}
+	}
+}
+
 // loadCost loads WatDiv scale 4000 / seed 1 from text and returns what
 // the load allocated per input triple: objects and bytes.
 func loadCost(t *testing.T) (mallocs, allocated float64) {
@@ -316,29 +413,31 @@ func loadCost(t *testing.T) (mallocs, allocated float64) {
 }
 
 // TestLoadNTriplesAllocs bounds what the loader allocates for a
-// document: at most 0.6 objects per input triple, tables, statistics
+// document: at most 0.2 objects per input triple, tables, statistics
 // and dictionary included, at the benchmark's load scale (the
 // string-per-line, Graph-then-encode loader took 4.1 there, a string
-// per new term and a map-backed dictionary 0.89). The tables' share is
-// per partition file, not per triple, so the ratio rises on smaller
+// per new term and a map-backed dictionary 0.89, and building each
+// columnar file to measure it 0.47). The tables' share is per
+// partition file, not per triple, so the ratio rises on smaller
 // inputs.
 func TestLoadNTriplesAllocs(t *testing.T) {
 	perTriple, _ := loadCost(t)
 	t.Logf("%.2f mallocs per input triple", perTriple)
-	if perTriple > 0.6 {
-		t.Errorf("loading allocated %.2f objects per input triple, want at most 0.6", perTriple)
+	if perTriple > 0.2 {
+		t.Errorf("loading allocated %.2f objects per input triple, want at most 0.2", perTriple)
 	}
 }
 
 // TestLoadNTriplesBytes bounds the bytes a load allocates per input
 // triple at the same scale: the dictionary writes its text once into
-// pages and the dedup keeps no map, so what is allocated is mostly
-// what is kept (a growing map-backed dictionary and a map dedup
-// allocated about 640 B).
+// pages, the dedup keeps no map and the files are sized without being
+// encoded, so what is allocated is mostly what is kept (a growing
+// map-backed dictionary and a map dedup allocated about 640 B, and
+// encoding every file to measure it 318 B).
 func TestLoadNTriplesBytes(t *testing.T) {
 	_, perTriple := loadCost(t)
 	t.Logf("%.0f bytes allocated per input triple", perTriple)
-	if perTriple > 400 {
-		t.Errorf("loading allocated %.0f bytes per input triple, want at most 400", perTriple)
+	if perTriple > 250 {
+		t.Errorf("loading allocated %.0f bytes per input triple, want at most 250", perTriple)
 	}
 }

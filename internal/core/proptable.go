@@ -65,9 +65,9 @@ type ptPartition struct {
 // on the key: keys ascending and distinct, the values of keys[i] at
 // vals[i] — or at vals[offs[i]:offs[i+1]] when offs is set, which it is
 // only if some key here has more than one value. The values of one key
-// keep the order their triples were loaded in (the order the encoded
-// file stores them in). All columns of a table share two backing
-// arrays, so the slices are capacity-clipped and never appended to.
+// keep the order their triples were loaded in (the order the file
+// stores them in). All columns of a table share two backing arrays, so
+// the slices are capacity-clipped and never appended to.
 type ptColumn struct {
 	keys []rdf.ID
 	vals []rdf.ID
@@ -204,13 +204,13 @@ func (t *PropertyTable) fill(s *Store) error {
 }
 
 // buildPropertyTable groups the dataset by key (subject or object),
-// partitions the keys with the engine's canonical placement, encodes
+// partitions the keys with the engine's canonical placement, sizes
 // each partition as a columnar file, writes it to HDFS and charges the
 // clock for the shuffle and replicated write.
 //
-// The partitions are encoded and sized as tasks on the cluster's
-// workers, which charge nothing; the files are then written, and the
-// table's sizes summed, in partition order.
+// The partitions are sized as tasks on the cluster's workers, which
+// charge nothing; the files are then written, and the table's sizes
+// summed, in partition order.
 func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*PropertyTable, error) {
 	t := &PropertyTable{
 		mode:     mode,
@@ -229,28 +229,36 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 		return nil, err
 	}
 
-	// Encode each partition as one columnar file and size it.
+	// Every partition file has the same columns, a key column and one per
+	// predicate, so the same footers.
+	footers := columnar.FileFooterBytes + columnar.ColumnFooterBytes("key")
+	for _, pred := range s.predOrder {
+		footers += columnar.ColumnFooterBytes(ptColumnName(s.dict, pred))
+	}
+	// Size each partition as one columnar file.
 	prefix, what := s.opts.PathPrefix+"/pt", "property table"
 	if mode == keyOnObject {
 		prefix, what = s.opts.PathPrefix+"/ipt", "inverse property table"
 	}
-	type encoded struct {
-		file *columnar.File
-		size int64
-		keys int
+	type sized struct {
+		file, key int64
+		cols      []int64 // indexed like s.predOrder
+		keys      int
 	}
-	files := make([]encoded, len(t.parts))
-	var bufs termBufs // local-term buffers, one per running worker
-	err := s.onWorkers("encode "+what, len(t.parts), func(pi int) error {
+	files := make([]sized, len(t.parts))
+	n := len(s.predOrder)
+	cols := make([]int64, len(t.parts)*n) // one backing array for every partition's column sizes
+	var bufs termBufs                     // local-term buffers, one per running worker
+	err := s.onWorkers("size "+what, len(t.parts), func(pi int) error {
 		part := t.parts[pi]
 		rowKeys := part.rowKeys()
-		file, err := encodePTPartition(s, part, rowKeys, t.cols)
-		if err != nil {
-			return err
-		}
+		f := sized{cols: cols[pi*n : (pi+1)*n], keys: len(rowKeys)}
+		var data int64
+		data, f.key = t.sizePartition(s.predOrder, part, rowKeys, f.cols)
 		localTerms := part.localTerms(bufs.get(), rowKeys)
-		files[pi] = encoded{file: file, size: file.SizeBytes() + sizeenc.CompressedTermBytes(s.dict, localTerms), keys: len(rowKeys)}
+		f.file = footers + data + sizeenc.CompressedTermBytes(s.dict, localTerms)
 		bufs.put(localTerms)
+		files[pi] = f
 		return nil
 	})
 	if err != nil {
@@ -261,26 +269,15 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 	var totalWrite int64
 	for pi, f := range files {
 		path := fmt.Sprintf("%s/part-%05d.parquet", prefix, pi)
-		if _, err := s.fs.Write(path, f.size); err != nil {
+		if _, err := s.fs.Write(path, f.file); err != nil {
 			return nil, err
 		}
 		t.numKeys += f.keys
-		t.fileBytes += f.size
-		totalWrite += f.size
-		kb, err := keyColumnBytes(f.file)
-		if err != nil {
-			return nil, err
-		}
-		t.keyBytes += kb
-		for _, pred := range s.predOrder {
-			name := ptColumnName(s.dict, pred)
-			if f.file.HasColumn(name) {
-				cb, err := f.file.ColumnSizeBytes(name)
-				if err != nil {
-					return nil, err
-				}
-				t.colBytes[pred] += cb
-			}
+		t.fileBytes += f.file
+		totalWrite += f.file
+		t.keyBytes += f.key
+		for i, pred := range s.predOrder {
+			t.colBytes[pred] += f.cols[i]
 		}
 	}
 
@@ -334,11 +331,6 @@ func ptColumnName(dict *rdf.Dictionary, pred rdf.ID) string {
 	return dict.Term(pred).Value
 }
 
-// keyColumnBytes returns the key column's size within one partition file.
-func keyColumnBytes(f *columnar.File) (int64, error) {
-	return f.ColumnSizeBytes("key")
-}
-
 // rowKeys returns the partition's row keys ascending: every key with a
 // value in some column.
 func (part *ptPartition) rowKeys() []rdf.ID {
@@ -354,48 +346,43 @@ func (part *ptPartition) rowKeys() []rdf.ID {
 	return slices.Compact(keys)
 }
 
-// encodePTPartition lays one partition out as a columnar file: a key
-// column (rowKeys) plus one column per predicate (scalar when globally
-// single-valued, list otherwise), with NULL/empty cells for absent
-// pairs — the NULL-dense layout that RLE makes cheap (paper §3.1). The
-// in-memory columns are already in row order, so each is aligned to
-// the key column by one merge.
-func encodePTPartition(s *Store, part *ptPartition, rowKeys []rdf.ID, multiByPred map[rdf.ID]bool) (*columnar.File, error) {
-	w := columnar.NewWriter(0)
-	w.AddScalar("key", rowKeys)
-	for _, pred := range s.predOrder {
-		name := ptColumnName(s.dict, pred)
-		col := part.cols[pred]
-		if col == nil {
-			col = &ptColumn{}
-		}
-		// Column keys are a subset of rowKeys, both ascending.
-		next := 0
-		if multiByPred[pred] {
-			lists := make([][]rdf.ID, len(rowKeys))
-			for i, k := range rowKeys {
-				if next < len(col.keys) && col.keys[next] == k {
-					lists[i] = col.values(next)
-					next++
-				}
-			}
-			w.AddList(name, lists)
-		} else {
-			vals := make([]rdf.ID, len(rowKeys))
-			for i, k := range rowKeys {
-				if next < len(col.keys) && col.keys[next] == k {
-					vals[i] = col.vals[next]
-					next++
-				}
-			}
-			w.AddScalar(name, vals)
-		}
+// sizePartition sizes one partition's columnar file without building
+// it. The file holds a key column (rowKeys) and one column per
+// predicate of predOrder — a list column when the predicate is
+// multi-valued anywhere in the table, scalar otherwise — with a NULL,
+// or an empty list, wherever a key has no value: the NULL-dense layout
+// RLE makes cheap (paper §3.1). Each sparse column is merged against
+// rowKeys as it is stored, so no NULL-dense column is built. It puts
+// each predicate column's bytes in cols, indexed like predOrder, and
+// returns the bytes of all the file's columns and of its key column.
+func (t *PropertyTable) sizePartition(predOrder []rdf.ID, part *ptPartition, rowKeys []rdf.ID, cols []int64) (data, key int64) {
+	var z columnar.Sizer
+	for _, k := range rowKeys {
+		z.Add(k)
 	}
-	f, err := w.Finish()
-	if err != nil {
-		return nil, fmt.Errorf("encoding property table partition: %w", err)
+	key = z.Bytes()
+	data = key
+	for i, pred := range predOrder {
+		z = columnar.Sizer{}
+		multi, next := t.cols[pred], 0 // next: the first row not yet sized
+		if col := part.cols[pred]; col != nil {
+			for j, k := range col.keys {
+				// The column's keys are a subset of rowKeys, both ascending.
+				gap, _ := slices.BinarySearch(rowKeys[next:], k)
+				z.AddNulls(gap)
+				if multi {
+					z.AddList(col.values(j))
+				} else {
+					z.Add(col.vals[j])
+				}
+				next += gap + 1
+			}
+		}
+		z.AddNulls(len(rowKeys) - next)
+		cols[i] = z.Bytes()
+		data += cols[i]
 	}
-	return f, nil
+	return data, key
 }
 
 // localTerms appends to buf the terms a partition's file names — its

@@ -64,40 +64,33 @@ func (t *VPTable) SemiJoin(col int, keys map[rdf.ID]struct{}) engine.Block {
 // size. It is the one writer of VP-shaped files: PRoST's VP tables and
 // ExtVP reductions and S2RDF's tables all go through it.
 func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts []engine.Block) (int64, error) {
-	sizes, err := vpFileSizes(dict, dir, parts)
-	if err != nil {
-		return 0, err
-	}
-	return writeVPFiles(fs, dir, sizes)
+	return writeVPFiles(fs, dir, vpFileSizes(dict, parts))
 }
 
-// vpFileSizes encodes each part as WriteVPFiles lays it out and
-// returns the files' sizes, in part order. It only reads the
-// dictionary and writes nothing, so tables can be sized concurrently.
-func vpFileSizes(dict *rdf.Dictionary, dir string, parts []engine.Block) ([]int64, error) {
+// vpFileSizes sizes each part as WriteVPFiles lays it out — an "s" and
+// an "o" column plus the local dictionary — and returns the files'
+// sizes, in part order. It only reads the dictionary and writes
+// nothing, so tables can be sized concurrently.
+func vpFileSizes(dict *rdf.Dictionary, parts []engine.Block) []int64 {
 	sizes := make([]int64, len(parts))
 	var localTerms []rdf.ID // reused across the table's files
 	for p, part := range parts {
-		subjCol := make([]rdf.ID, part.Len())
-		objCol := make([]rdf.ID, part.Len())
-		for i := range subjCol {
+		var subj, obj columnar.Sizer
+		localTerms = localTerms[:0]
+		for i := range part.Len() {
 			r := part.Row(i)
-			subjCol[i] = r[0]
-			objCol[i] = r[1]
+			subj.Add(r[0])
+			obj.Add(r[1])
+			localTerms = append(localTerms, r[0], r[1])
 		}
-		localTerms = append(append(localTerms[:0], subjCol...), objCol...)
 		slices.Sort(localTerms)
 		localTerms = slices.Compact(localTerms)
-		w := columnar.NewWriter(0)
-		w.AddScalar("s", subjCol)
-		w.AddScalar("o", objCol)
-		f, err := w.Finish()
-		if err != nil {
-			return nil, fmt.Errorf("encoding %s part %d: %w", dir, p, err)
-		}
-		sizes[p] = f.SizeBytes() + sizeenc.CompressedTermBytes(dict, localTerms)
+		sizes[p] = columnar.FileFooterBytes +
+			subj.Bytes() + columnar.ColumnFooterBytes("s") +
+			obj.Bytes() + columnar.ColumnFooterBytes("o") +
+			sizeenc.CompressedTermBytes(dict, localTerms)
 	}
-	return sizes, nil
+	return sizes
 }
 
 // writeVPFiles writes dir/part-%05d.parquet of the given sizes, in part
@@ -114,7 +107,7 @@ func writeVPFiles(fs *hdfs.FS, dir string, sizes []int64) (int64, error) {
 }
 
 // buildVP groups the dataset by predicate and materializes one VP table
-// per predicate: partition rows by subject, encode each partition as a
+// per predicate: partition rows by subject, size each partition as a
 // columnar file (IDs plus a local term dictionary, like a Parquet file),
 // write it to HDFS, and charge the shuffle + write to the clock.
 //
@@ -143,17 +136,14 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 		}
 	}
 
-	// Encoding and sizing the tables is real work only: it runs on the
-	// cluster's workers, one table per task, and charges nothing. The
-	// files are written below, in predicate order, so their block
-	// placement does not depend on which task finished first.
-	dirs := make([]string, len(s.predOrder))
+	// Sizing the tables is real work only: it runs on the cluster's
+	// workers, one table per task, and charges nothing. The files are
+	// written below, in predicate order, so their block placement does
+	// not depend on which task finished first.
 	sizes := make([][]int64, len(s.predOrder))
-	err := s.onWorkers("encode VP tables", len(s.predOrder), func(i int) error {
-		dirs[i] = fmt.Sprintf("%s/vp/p%d", s.opts.PathPrefix, s.predOrder[i])
-		var err error
-		sizes[i], err = vpFileSizes(s.dict, dirs[i], blocks[i*s.parts:(i+1)*s.parts])
-		return err
+	err := s.onWorkers("size VP tables", len(s.predOrder), func(i int) error {
+		sizes[i] = vpFileSizes(s.dict, blocks[i*s.parts:(i+1)*s.parts])
+		return nil
 	})
 	if err != nil {
 		return err
@@ -163,7 +153,7 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 	var totalRows int64
 	for i, pred := range s.predOrder {
 		rel := engine.NewBlockRelation(engine.Schema{"s", "o"}, blocks[i*s.parts:(i+1)*s.parts:(i+1)*s.parts], "s")
-		fileBytes, err := writeVPFiles(s.fs, dirs[i], sizes[i])
+		fileBytes, err := writeVPFiles(s.fs, fmt.Sprintf("%s/vp/p%d", s.opts.PathPrefix, pred), sizes[i])
 		if err != nil {
 			return err
 		}
