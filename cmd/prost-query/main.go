@@ -105,13 +105,11 @@ func run(o options) error {
 	}
 
 	if o.extvpBudget > 0 {
-		// Priming run: mine the query's join pairs, then wait for the
-		// background builds so the measured run can rewrite onto the
-		// materialized reductions.
+		// Priming run: it mines the query's join pairs and builds their
+		// reductions before it returns.
 		if _, err := store.Query(q, opts); err != nil {
 			return err
 		}
-		store.Workload().Wait()
 	}
 	res, err := store.Query(q, opts)
 	if err != nil {

@@ -99,7 +99,7 @@ func main() {
 	flag.IntVar(&o.cacheSize, "plan-cache", 0, "plan cache entries (0 = default, negative = disabled)")
 	flag.IntVar(&o.maxRows, "max-rows", 0, "cap result rows per response (0 = unlimited)")
 	flag.DurationVar(&o.queryTimeout, "query-timeout", 0, "per-query execution deadline; past it the query stops and the request returns 504 (0 = none)")
-	flag.Int64Var(&o.extvpBudget, "extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables; hot join pairs are materialized in the background and queries rewritten onto them (0 = subsystem off)")
+	flag.Int64Var(&o.extvpBudget, "extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables; the query that makes a join pair hot materializes its reductions, and later queries are rewritten onto them (0 = subsystem off)")
 	flag.IntVar(&o.extvpBuildAfter, "extvp-build-after", 0, "feedback observations of a join pair before its reduction is built (0 = default)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "on SIGTERM, how long to wait for in-flight queries before exiting")
 	flag.Float64Var(&o.breakerThreshold, "breaker-threshold", 0, "execution-failure rate that trips the /sparql circuit breaker (0 = default)")

@@ -11,10 +11,10 @@ import (
 )
 
 // ExtVPRecord is one query's A/B/C measurement of the workload-driven
-// ExtVP semi-join tables against the PR 5 sketch store: the sketch
-// baseline, the cold run (workload model on but no reductions built
-// yet — the price of mining), and the warm run after the background
-// builder has materialized the workload's hot pairs.
+// ExtVP semi-join tables against the sketch store: the sketch
+// baseline, the cold run (the query's first run on the workload store,
+// which sees only the reductions the queries before it earned), and the
+// warm run once the workload's hot pairs are materialized.
 type ExtVPRecord struct {
 	Query     string  `json:"query"`
 	Group     string  `json:"group"`
@@ -28,10 +28,12 @@ type ExtVPRecord struct {
 }
 
 // ExtVPProfile measures the workload-driven semi-join tables (A7):
-// every query runs cold on the ExtVP store (mining its join pairs),
-// the background builder drains, the workload is replayed until the
-// rewritten plans stabilize, and the stable warm time is paired with
-// the sketch baseline measured on the default store.
+// every query runs cold on the ExtVP store, mining its join pairs and
+// building the reductions they earn before the next query starts; the
+// workload is then replayed until the rewritten plans stabilize, and
+// the stable warm time is paired with the sketch baseline measured on
+// the default store. Builds run on the query that earns them, so the
+// profile depends only on the query order.
 //
 // Both sides run VP-only: the rewrite targets VP scans, and under the
 // mixed strategy star shapes route through the Property Table where a
@@ -46,8 +48,9 @@ func (s *Systems) ExtVPProfile(queries []watdiv.Query) ([]ExtVPRecord, error) {
 	opts := core.QueryOptions{Strategy: core.StrategyVPOnly, BroadcastThreshold: s.BroadcastThreshold,
 		NoPlanCache: true}
 
-	// Cold pass: the workload model observes every executed join and
-	// queues builds; no reductions exist yet, so plans are unrewritten.
+	// Cold pass: the workload model observes every executed join, and
+	// a query whose joins cross the build threshold builds their
+	// reductions, so later cold queries may already rewrite onto them.
 	cold := make(map[string]*core.Result, len(queries))
 	for _, q := range queries {
 		res, err := store.Query(q.Parsed, opts)
@@ -56,12 +59,10 @@ func (s *Systems) ExtVPProfile(queries []watdiv.Query) ([]ExtVPRecord, error) {
 		}
 		cold[q.Name] = res
 	}
-	store.Workload().Wait()
 
 	// Warm until stable: a rewritten plan can shift which joins execute
 	// and therefore which pairs the model sees next, so replay the
-	// workload (draining builds between rounds) until the aggregate
-	// simulated time stops moving.
+	// workload until the aggregate simulated time stops moving.
 	warm := make(map[string]*core.Result, len(queries))
 	prev := time.Duration(-1)
 	for i := 0; i < 6; i++ {
@@ -74,7 +75,6 @@ func (s *Systems) ExtVPProfile(queries []watdiv.Query) ([]ExtVPRecord, error) {
 			warm[q.Name] = res
 			total += res.SimTime
 		}
-		store.Workload().Wait()
 		if total == prev {
 			break
 		}

@@ -1,7 +1,7 @@
 package bench
 
 // Microbenchmark of the workload-driven ExtVP semi-join tables
-// (ablation A7): the C-family queries executed VP-only on the PR 5
+// (ablation A7): the C-family queries executed VP-only on the
 // sketch store against the same queries on a store whose workload
 // model has already mined the query mix and materialized its hot
 // reductions — the steady state a repeated workload converges to. Run
@@ -20,9 +20,9 @@ import (
 
 // extvpStore returns the fixture's workload-model store, loaded on
 // first use and warmed outside any timed region: the basic query set
-// runs until the background builder has materialized every hot pair
-// the mix surfaces, so the benchmark measures rewritten steady-state
-// plans rather than mining.
+// runs three times, materializing every hot pair the mix surfaces, so
+// the benchmark measures rewritten steady-state plans rather than
+// mining.
 func (f *plannerFixture) extvpStore(b *testing.B) *core.Store {
 	b.Helper()
 	f.extvpOnce.Do(func() {
@@ -40,7 +40,6 @@ func (f *plannerFixture) extvpStore(b *testing.B) *core.Store {
 					return
 				}
 			}
-			s.Workload().Wait()
 		}
 		f.extvp = s
 	})

@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // TestExtVPProfileShape pins the workload-driven ExtVP acceptance
 // shape on the extrapolated cross-system fixture: once the hot pairs
 // are materialized, the C-family (complex queries, the join-heaviest
-// group) must win at least 20% aggregate SimTime against the PR 5
+// group) must win at least 20% aggregate SimTime against the
 // sketch store, and no query anywhere may regress more than 1% — a
 // rewrite the pricer keeps must actually pay off. The measured profile
 // is then written out and read back — over BENCH_extvp.json at the
@@ -70,5 +71,32 @@ func TestExtVPProfileShape(t *testing.T) {
 	}
 	if doc.Scale != fixtureScale || doc.Workers != sys.Cluster.Workers() || len(doc.Queries) != len(recs) {
 		t.Errorf("trajectory round-trip mismatch: scale=%d workers=%d queries=%d", doc.Scale, doc.Workers, len(doc.Queries))
+	}
+}
+
+// TestExtVPProfileDeterministic: reductions are built by the query that
+// earns them, before the next query starts, so the profile depends only
+// on the query order. Two freshly loaded fixtures must agree in every
+// record, all four simulated-time fields included.
+func TestExtVPProfileDeterministic(t *testing.T) {
+	queries := watdiv.BasicQuerySet()
+	var runs [2][]ExtVPRecord
+	for i := range runs {
+		g := watdiv.MustGenerate(watdiv.Config{Scale: fixtureScale, Seed: 42})
+		sys, err := LoadAll(g, LoadOptions{InversePT: true, ExtrapolateTriples: 100_000_000})
+		if err != nil {
+			t.Fatalf("LoadAll: %v", err)
+		}
+		if runs[i], err = sys.ExtVPProfile(queries); err != nil {
+			t.Fatalf("ExtVPProfile: %v", err)
+		}
+	}
+	if len(runs[0]) != len(runs[1]) {
+		t.Fatalf("profiles hold %d and %d records", len(runs[0]), len(runs[1]))
+	}
+	for i, r := range runs[0] {
+		if !reflect.DeepEqual(r, runs[1][i]) {
+			t.Errorf("%s differs between runs:\n%+v\n%+v", r.Query, r, runs[1][i])
+		}
 	}
 }

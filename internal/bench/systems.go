@@ -184,8 +184,8 @@ func (s *Systems) PRoSTIndep() (*core.Store, error) {
 
 // PRoSTExtVP returns the same data loaded with the workload model
 // enabled under a generous byte budget (every hot pair is buildable)
-// and an observation threshold of one, so a single mining pass is
-// enough to queue every candidate reduction. The ExtVP ablation (A7)
+// and an observation threshold of one, so the first query to execute a
+// join builds that pair's reductions. The ExtVP ablation (A7)
 // runs on it; other experiments never pay the extra load. Built
 // lazily on first use, on the shared cluster and filesystem but under
 // its own HDFS path prefix.

@@ -4,8 +4,8 @@ package core
 // rewritten executions across every planner/strategy/executor
 // combination, budget enforcement end to end, invalidation on
 // statistics reload, cross-query estimate seeding, and race-detector
-// coverage of queries running concurrently with background builds
-// (the TestConcurrent* name is load-bearing: CI's race gate runs
+// coverage of queries running concurrently with reduction builds on
+// other queries' goroutines (the TestConcurrent* name is load-bearing: CI's race gate runs
 // -run Concurrent).
 
 import (
@@ -117,8 +117,8 @@ func planUsesExtVP(p *plan.Plan) bool {
 // TestExtVPByteIdenticalAcrossModes is the correctness property test:
 // for every query, across all planners, strategies and both executors,
 // rows must be byte-identical between the plain store and the
-// ExtVP-enabled store — cold (tables building in the background) and
-// warm (reductions installed and rewrites firing).
+// ExtVP-enabled store — cold (each query's mining builds the tables
+// it earns) and warm (reductions installed and rewrites firing).
 func TestExtVPByteIdenticalAcrossModes(t *testing.T) {
 	plain := plainExtvpStore(t)
 	s := extvpStore(t, 1<<20)
@@ -149,8 +149,7 @@ func TestExtVPByteIdenticalAcrossModes(t *testing.T) {
 		}
 	}
 
-	check("cold") // mines pairs; builds run in the background
-	s.Workload().Wait()
+	check("cold") // mines pairs; the queries that earn them build reductions
 	met := s.WorkloadMetrics()
 	if met.TablesBuilt == 0 {
 		t.Fatalf("no reductions built after the cold pass (metrics %+v)", met)
@@ -173,7 +172,6 @@ func TestExtVPRewriteRecorded(t *testing.T) {
 	if _, err := s.Query(q, QueryOptions{Strategy: StrategyVPOnly}); err != nil {
 		t.Fatalf("cold query: %v", err)
 	}
-	s.Workload().Wait()
 	res, err := s.Query(q, QueryOptions{Strategy: StrategyVPOnly})
 	if err != nil {
 		t.Fatalf("warm query: %v", err)
@@ -213,7 +211,6 @@ func TestExtVPBudgetHonored(t *testing.T) {
 			t.Fatalf("measure query: %v", err)
 		}
 	}
-	big.Workload().Wait()
 	full := big.WorkloadMetrics()
 	if full.TablesBuilt < 2 {
 		t.Fatalf("measurement store built %d tables, need >= 2 for an eviction test", full.TablesBuilt)
@@ -233,7 +230,6 @@ func TestExtVPBudgetHonored(t *testing.T) {
 		}
 		eqStrings(t, renderRows(got), renderRows(want), "budgeted cold "+src[:30])
 	}
-	s.Workload().Wait()
 	met := s.WorkloadMetrics()
 	if met.TableBytes > met.BudgetBytes {
 		t.Errorf("live table bytes %d exceed budget %d", met.TableBytes, met.BudgetBytes)
@@ -253,6 +249,42 @@ func TestExtVPBudgetHonored(t *testing.T) {
 	}
 }
 
+// TestExtVPFilesMatchLiveTables: the file system holds exactly the live
+// reductions. Under a budget one byte short of the full footprint,
+// evicted and rejected reductions must lose their files with their
+// tables, and a statistics reload must delete every reduction's files.
+func TestExtVPFilesMatchLiveTables(t *testing.T) {
+	big := extvpStore(t, 1<<30)
+	for _, src := range extvpQueries {
+		if _, err := big.Query(sparql.MustParse(src), QueryOptions{Strategy: StrategyVPOnly}); err != nil {
+			t.Fatalf("measure query: %v", err)
+		}
+	}
+	s := extvpStore(t, big.WorkloadMetrics().TableBytes-1)
+	check := func(when string) {
+		t.Helper()
+		got := s.FS().LogicalBytes(s.opts.PathPrefix + "/extvp/")
+		if live := s.WorkloadMetrics().TableBytes; got != live {
+			t.Errorf("%s: %d bytes of reduction files on HDFS, %d bytes of live reductions", when, got, live)
+		}
+	}
+	for i, src := range extvpQueries {
+		if _, err := s.Query(sparql.MustParse(src), QueryOptions{Strategy: StrategyVPOnly}); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		check(fmt.Sprintf("after query %d", i))
+	}
+	if s.WorkloadMetrics().TablesEvicted == 0 {
+		t.Fatalf("the budgeted pass evicted nothing: the test exercises no drop")
+	}
+	s.swapStats(stats.CollectJoinStats(s.triples, stats.Config{CSets: true}))
+	check("after the reload")
+	if _, err := s.Query(sparql.MustParse(extvpQueries[0]), QueryOptions{Strategy: StrategyVPOnly}); err != nil {
+		t.Fatalf("re-mine: %v", err)
+	}
+	check("after rebuilding")
+}
+
 // TestExtVPInvalidatedOnStatsReload pins the generation contract: a
 // statistics reload drops every reduction and observation, stale plan
 // entries become unreachable (workload epoch moved), and no execution
@@ -267,7 +299,6 @@ func TestExtVPInvalidatedOnStatsReload(t *testing.T) {
 	if _, err := s.Query(q, opts); err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	s.Workload().Wait()
 	warm, err := s.Query(q, opts)
 	if err != nil {
 		t.Fatalf("warm: %v", err)
@@ -310,7 +341,6 @@ func TestExtVPInvalidatedOnStatsReload(t *testing.T) {
 	if _, err := s.Query(q, opts); err != nil {
 		t.Fatalf("re-mine: %v", err)
 	}
-	s.Workload().Wait()
 	if met := s.WorkloadMetrics(); met.TablesLive == 0 {
 		t.Errorf("no reductions rebuilt after the reload (metrics %+v)", met)
 	}
@@ -359,9 +389,9 @@ func TestExtVPObservedSeeding(t *testing.T) {
 }
 
 // TestConcurrentExtVPQueriesDuringBuilds races 16 query goroutines
-// (both executors, all strategies) against background reduction builds
-// and two mid-flight statistics reloads; every result must match the
-// plain store and the store must quiesce cleanly. Run under -race in
+// (both executors, all strategies) whose mining builds reductions on
+// their own goroutines, against two mid-flight statistics reloads;
+// every result must match the plain store. Run under -race in
 // CI's concurrent gate.
 func TestConcurrentExtVPQueriesDuringBuilds(t *testing.T) {
 	s := extvpStore(t, 1<<20)
@@ -411,7 +441,7 @@ func TestConcurrentExtVPQueriesDuringBuilds(t *testing.T) {
 			}
 		}(w)
 	}
-	// Two reloads land while queries and builds are in flight.
+	// Two reloads land while queries and their builds are running.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -424,7 +454,10 @@ func TestConcurrentExtVPQueriesDuringBuilds(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	s.Workload().Wait()
+	// Builds a reload made stale were discarded with their files.
+	if got, live := s.FS().LogicalBytes(s.opts.PathPrefix+"/extvp/"), s.WorkloadMetrics().TableBytes; got != live {
+		t.Errorf("%d bytes of reduction files on HDFS, %d bytes of live reductions", got, live)
+	}
 }
 
 // TestPlanCacheFeedbackWriteBackNoEvictionLoop is the FIFO regression

@@ -184,7 +184,6 @@ func TestResolveScanReduction(t *testing.T) {
 	if _, err := s.Query(q, opts); err != nil {
 		t.Fatalf("cold: %v", err)
 	}
-	s.Workload().Wait()
 	warm, err := s.Query(q, opts)
 	if err != nil {
 		t.Fatalf("warm: %v", err)

@@ -110,12 +110,12 @@ type Options struct {
 	// ExtVPBudget enables the workload-driven ExtVP subsystem and caps
 	// the total bytes of materialized semi-join reductions. Zero (the
 	// default) disables the subsystem entirely: no mining, no
-	// background builds, no cross-query estimate seeding — the store
+	// reduction builds, no cross-query estimate seeding — the store
 	// behaves exactly as before.
 	ExtVPBudget int64
 	// ExtVPBuildAfter is the number of feedback observations a
-	// predicate pair needs before its reductions are built in the
-	// background (0 = workload.DefaultBuildAfter).
+	// predicate pair needs before the query that observes it builds
+	// its reductions (0 = workload.DefaultBuildAfter).
 	ExtVPBuildAfter int
 }
 
@@ -305,8 +305,9 @@ func (s *Store) swapStats(st *stats.Collection) {
 	}
 	if s.workload != nil {
 		// Reductions and observed cardinalities describe the old data;
-		// the generation bump also strands any build still in flight.
-		s.workload.Invalidate()
+		// the generation bump also strands any build still running on
+		// another query's goroutine.
+		s.dropExtVP(s.workload.Invalidate())
 	}
 }
 

@@ -13,12 +13,13 @@ import (
 
 // This file wires the cross-query workload model (internal/workload)
 // into the store: the Builder callback that materializes one ExtVP
-// semi-join reduction on the model's background goroutine, the
+// semi-join reduction on the goroutine of the query that earned it, the
 // plan.ExtVPProvider the planner's rewrite pre-pass probes, the
 // execution-time resolution of a rewritten scan back to its table
-// (with full-table fallback when the reduction was evicted), and the
+// (with full-table fallback when the reduction was evicted), the
 // post-execution mining hook that feeds executed joins and scan
-// cardinalities back into the model.
+// cardinalities back into the model, and the deletion of the files of
+// every reduction the model drops.
 
 // Workload returns the store's workload model, or nil when the store
 // was loaded without an ExtVP budget (Options.ExtVPBudget).
@@ -43,15 +44,22 @@ func (s *Store) workloadEpoch() uint64 {
 	return s.workload.Epoch()
 }
 
+// reduction is the handle buildExtVPTable gives the workload model: the
+// reduced table and the HDFS directory holding its file.
+type reduction struct {
+	*VPTable
+	dir string
+}
+
 // buildExtVPTable is the workload model's Builder callback: it
 // materializes the semi-join reduction of pred's VP table against
 // partner at pos — the rows of pred whose join-position value occurs
 // anywhere in partner's full table — re-partitioned by subject and
 // written to HDFS under a generation-stamped path, so a build racing a
 // statistics reload never collides with the next generation's files.
-// It runs on the model's single background goroutine, concurrently
-// with queries; everything it reads (the VP relations, the dictionary)
-// is immutable after Load.
+// It runs on the goroutine of the query whose mining crossed the build
+// threshold, concurrently with other queries and builds; everything it
+// reads (the VP relations, the dictionary) is immutable after Load.
 func (s *Store) buildExtVPTable(pred, partner uint64, pos uint8, gen uint64) (workload.Table, bool) {
 	base := s.vp[rdf.ID(pred)]
 	other := s.vp[rdf.ID(partner)]
@@ -80,8 +88,18 @@ func (s *Store) buildExtVPTable(pred, partner uint64, pos uint8, gen uint64) (wo
 	if err != nil {
 		return workload.Table{}, false
 	}
-	t := &VPTable{Pred: rdf.ID(pred), Rel: rel, FileBytes: fileBytes}
+	t := &reduction{&VPTable{Pred: rdf.ID(pred), Rel: rel, FileBytes: fileBytes}, dir}
 	return workload.Table{Rows: int64(rows.Len()), Bytes: fileBytes, Data: t}, true
+}
+
+// dropExtVP deletes the files of reductions the workload model dropped,
+// so the file system holds exactly the live reductions.
+func (s *Store) dropExtVP(dropped []workload.Table) {
+	for _, t := range dropped {
+		for _, path := range s.fs.ListPrefix(t.Data.(*reduction).dir + "/") {
+			_ = s.fs.Delete(path) // listed just now; no one else deletes it
+		}
+	}
 }
 
 // extvpCosts implements plan.ExtVPProvider over the store's live
@@ -113,13 +131,9 @@ func (s *Store) extvpTable(ref *plan.ExtVPRef) (*VPTable, string, bool) {
 	if !ok {
 		return nil, "", false
 	}
-	vt, ok := t.Data.(*VPTable)
-	if !ok || vt == nil {
-		return nil, "", false
-	}
 	label := "ExtVP " + localName(s.dict.Term(rdf.ID(ref.Pred)).Value) +
 		"<-" + localName(s.dict.Term(rdf.ID(ref.Partner)).Value)
-	return vt, label, true
+	return t.Data.(*reduction).VPTable, label, true
 }
 
 // mineWorkload feeds one executed (stamped) plan into the workload
@@ -130,14 +144,16 @@ func (s *Store) extvpTable(ref *plan.ExtVPRef) (*VPTable, string, bool) {
 // single-constant VP scan — filter-free and not itself rewritten, so its
 // actual is the full subpattern cardinality — records the exact count
 // for cross-query estimate seeding. nodes is the plan's Join Tree node list
-// (Node.Leaf indexes into it).
+// (Node.Leaf indexes into it). A join observation that crosses the build
+// threshold builds its reductions here, before the query returns, so
+// they are live for the next query.
 func (s *Store) mineWorkload(p *plan.Plan, nodes []*Node, r resolved) {
 	if s.workload == nil || p == nil {
 		return
 	}
 	if r.extvp {
 		for _, jo := range p.JoinObservations() {
-			s.workload.ObserveJoin(jo.P1, jo.P2, uint8(jo.Pos), jo.Rows)
+			s.dropExtVP(s.workload.ObserveJoin(jo.P1, jo.P2, uint8(jo.Pos), jo.Rows))
 		}
 	}
 	for _, n := range p.Scans() {

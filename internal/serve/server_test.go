@@ -779,7 +779,6 @@ func TestStatsWorkloadBlock(t *testing.T) {
 	if w := get(t, srv, path); w.Code != http.StatusOK {
 		t.Fatalf("cold query: %d %s", w.Code, w.Body)
 	}
-	store.Workload().Wait()
 	if w := get(t, srv, path); w.Code != http.StatusOK {
 		t.Fatalf("warm query: %d %s", w.Code, w.Body)
 	}

@@ -144,8 +144,9 @@ func TestCoordinatorPlansWithoutExtVP(t *testing.T) {
 	// Warm the model with local runs of the constant-free queries — the
 	// join pairs they mine are the ones the others share, and they leave
 	// no observed scan cardinality behind to seed estimates the plain
-	// store cannot have — draining the builder after each so the set of
-	// live reductions is settled before anything is compared.
+	// store cannot have. Each run builds the reductions it earns before
+	// it returns, so the set of live reductions is settled before
+	// anything is compared.
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
 			if !constantFree(q.Parsed) {
@@ -154,7 +155,6 @@ func TestCoordinatorPlansWithoutExtVP(t *testing.T) {
 			if _, err := ext.Query(q.Parsed, opts); err != nil {
 				t.Fatalf("%s local: %v", q.Name, err)
 			}
-			ext.Workload().Wait()
 		}
 	}
 	rewritten := 0
@@ -199,7 +199,6 @@ func TestCoordinatorPlansWithoutExtVP(t *testing.T) {
 			t.Errorf("%s: stage trace differs from the plain store's\ngot:\n%swant:\n%s", q.Name, renderTrace(got), renderTrace(want))
 		}
 	}
-	ext.Workload().Wait()
 	if now := ext.WorkloadMetrics().TablesBuilt; now != built {
 		t.Errorf("sharded queries fed the reduction builder: %d tables built, %d before", now, built)
 	}

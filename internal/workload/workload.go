@@ -1,21 +1,27 @@
 // Package workload maintains the cross-query workload model: it mines
 // executed plans for hot predicate pairs (by executed join volume ×
-// frequency), triggers background builds of ExtVP-style semi-join
-// reductions for the hottest pairs under a byte budget, and records
-// observed cardinalities of (predicate, constant) subpatterns so later
-// queries sharing the subpattern start from an exact estimate instead
-// of the independence guess.
+// frequency), builds ExtVP-style semi-join reductions for the hottest
+// pairs under a byte budget, and records observed cardinalities of
+// (predicate, constant) subpatterns so later queries sharing the
+// subpattern start from an exact estimate instead of the independence
+// guess.
+//
+// A pair's reductions are built by the observation that takes it across
+// the build threshold, on the observing query's goroutine, before that
+// observation returns: the model starts no goroutine, so which tables
+// a query sees depends only on the order of the observations before it.
 //
 // The model is storage-agnostic: the owning store registers a Builder
 // callback that materializes one directional reduction and returns its
 // exact row count, byte footprint and an opaque handle the executor
-// later resolves. Invalidation is generational — a stats reload bumps
-// the generation, dropping every table and discarding any build still
-// in flight — and every externally visible change (table installed,
-// table evicted, invalidation, first observation of a subpattern)
-// bumps a separate epoch counter that plan-cache keys incorporate, so
-// cached plans never outlive the workload state they were priced
-// against.
+// later resolves. Every method that drops tables returns them, so the
+// owner can release their storage. Invalidation is generational — a
+// stats reload bumps the generation, dropping every table and
+// discarding any build still running on another goroutine — and every
+// externally visible change (table installed, table evicted,
+// invalidation, first observation of a subpattern) bumps a separate
+// epoch counter that plan-cache keys incorporate, so cached plans never
+// outlive the workload state they were priced against.
 package workload
 
 import (
@@ -33,7 +39,8 @@ const DefaultBuildAfter = 2
 // Table is one materialized directional reduction: the rows of Pred's
 // VP table that survive the semi-join with Partner at the recorded
 // position. Data is an opaque handle owned by the registered Builder
-// (the core store keeps its *VPTable there); Rows and Bytes are exact.
+// (the core store keeps the table and its file location there); Rows
+// and Bytes are exact.
 type Table struct {
 	Rows  int64
 	Bytes int64
@@ -49,9 +56,10 @@ type TableKey struct {
 }
 
 // Builder materializes one directional reduction. It runs on the
-// model's background goroutine, must be safe to run concurrently with
-// queries, and returns ok=false when the reduction is not worth
-// keeping (empty, or the predicate vanished after a reload).
+// goroutine of the query whose observation earned the build, with the
+// model unlocked, so it must be safe to run concurrently with other
+// queries and other builds. It returns ok=false when the reduction is
+// not worth keeping (empty, or the predicate vanished after a reload).
 type Builder func(pred, partner uint64, pos uint8, gen uint64) (Table, bool)
 
 // Config tunes a Model.
@@ -77,7 +85,7 @@ type pairKey struct {
 type pairStat struct {
 	hits   int64
 	volume int64 // sum of actual join output rows observed
-	built  bool  // reductions built (or scheduled) for this pair
+	built  bool  // reductions built (or being built) for this pair
 }
 
 // obsKey identifies one (predicate, constant) subpattern: SubjBound
@@ -93,15 +101,9 @@ type tableEntry struct {
 	pair  pairKey // the pair whose volume is this table's benefit
 }
 
-// buildReq is one queued background build.
-type buildReq struct {
-	pair pairKey
-	gen  uint64
-}
-
 // Model is the workload model. All methods are safe for concurrent
-// use; builds run on a single background goroutine so table installs
-// are serialized and deterministic given a deterministic observation
+// use; builds run on the observing caller with the lock released, so
+// table installs are deterministic given a deterministic observation
 // order.
 type Model struct {
 	cfg Config
@@ -113,10 +115,6 @@ type Model struct {
 	obs    map[obsKey]int64
 	gen    uint64 // bumped by Invalidate; stale builds discard
 	epoch  uint64 // bumped on any externally visible change
-
-	queue   []buildReq
-	working bool
-	wg      sync.WaitGroup
 
 	built   uint64 // cumulative tables installed
 	evicted uint64 // cumulative tables evicted
@@ -144,9 +142,11 @@ func (m *Model) enabled() bool {
 
 // ObserveJoin records one executed join between two predicates at a
 // join position (stats.JoinPos encoding, as seen from p1's side) with
-// its actual output row count. Crossing the build threshold schedules
-// background builds of both directional reductions.
-func (m *Model) ObserveJoin(p1, p2 uint64, pos uint8, actualRows int64) {
+// its actual output row count. The observation that crosses the build
+// threshold builds and installs both directional reductions before it
+// returns. ObserveJoin returns the tables it dropped: those evicted to
+// make room, and a new one discarded at install.
+func (m *Model) ObserveJoin(p1, p2 uint64, pos uint8, actualRows int64) []Table {
 	q1, q2, qpos := canonical(p1, p2, pos)
 	k := pairKey{q1, q2, qpos}
 	m.mu.Lock()
@@ -157,54 +157,20 @@ func (m *Model) ObserveJoin(p1, p2 uint64, pos uint8, actualRows int64) {
 	}
 	st.hits++
 	st.volume += actualRows
-	schedule := m.enabled() && !st.built && st.hits >= int64(m.cfg.BuildAfter)
-	if schedule {
-		st.built = true
-		m.queue = append(m.queue, buildReq{pair: k, gen: m.gen})
-		m.wg.Add(1)
-		if !m.working {
-			m.working = true
-			go m.runBuilds()
-		}
-	}
+	build := m.enabled() && !st.built && st.hits >= int64(m.cfg.BuildAfter)
+	st.built = st.built || build
+	gen := m.gen
 	m.mu.Unlock()
-}
-
-// runBuilds drains the build queue on a single goroutine.
-func (m *Model) runBuilds() {
-	for {
-		m.mu.Lock()
-		if len(m.queue) == 0 {
-			m.working = false
-			m.mu.Unlock()
-			return
-		}
-		req := m.queue[0]
-		m.queue = m.queue[1:]
-		m.mu.Unlock()
-		m.build(req)
-		m.wg.Done()
+	if !build {
+		return nil
 	}
-}
-
-// build materializes both directional reductions of one pair and
-// installs them, unless an invalidation raced past the request.
-func (m *Model) build(req buildReq) {
-	keys := directions(req.pair)
-	for _, tk := range keys {
-		m.mu.Lock()
-		_, have := m.tables[tk]
-		stale := m.gen != req.gen
-		m.mu.Unlock()
-		if have || stale {
-			continue
+	var dropped []Table
+	for _, tk := range directions(k) {
+		if t, ok := m.cfg.Builder(tk.Pred, tk.Partner, tk.Pos, gen); ok {
+			dropped = append(dropped, m.install(tk, k, t, gen)...)
 		}
-		t, ok := m.cfg.Builder(tk.Pred, tk.Partner, tk.Pos, req.gen)
-		if !ok {
-			continue
-		}
-		m.install(tk, t, req)
 	}
+	return dropped
 }
 
 // directions expands a canonical pair into its two directional table
@@ -218,31 +184,31 @@ func directions(k pairKey) []TableKey {
 	return []TableKey{a, b}
 }
 
-// install registers a freshly built table, evicting lower-value tables
-// to stay within budget. A build whose generation went stale while
-// materializing is dropped on the floor.
-func (m *Model) install(tk TableKey, t Table, req buildReq) {
+// install registers a table built for pair at generation gen,
+// evicting lower-value tables to stay within budget, and returns the
+// tables it dropped. A table whose generation went stale while it was
+// built, or that cannot fit even alone, is itself dropped. The pair's
+// built flag admits one build per key and generation, so tk is never
+// already live.
+func (m *Model) install(tk TableKey, pair pairKey, t Table, gen uint64) []Table {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.gen != req.gen {
-		return
+	if m.gen != gen || t.Bytes > m.cfg.BudgetBytes {
+		return []Table{t}
 	}
-	if t.Bytes > m.cfg.BudgetBytes {
-		return // cannot fit even alone
-	}
-	if _, have := m.tables[tk]; have {
-		return
-	}
-	m.tables[tk] = &tableEntry{table: t, pair: req.pair}
+	m.tables[tk] = &tableEntry{table: t, pair: pair}
 	m.bytes += t.Bytes
 	m.built++
-	m.evictLocked(tk)
 	m.epoch++
+	return m.evictLocked(tk)
 }
 
 // evictLocked removes lowest benefit/byte tables until the budget
-// holds, sparing the just-installed key so installs cannot thrash.
-func (m *Model) evictLocked(spare TableKey) {
+// holds, sparing the just-installed key so installs cannot thrash, and
+// returns the evicted tables. The spared table fits by the install
+// guard, so a victim always exists while the budget is exceeded.
+func (m *Model) evictLocked(spare TableKey) []Table {
+	var evicted []Table
 	for m.bytes > m.cfg.BudgetBytes {
 		var victim TableKey
 		best := 0.0
@@ -256,15 +222,13 @@ func (m *Model) evictLocked(spare TableKey) {
 				victim, best, found = tk, score, true
 			}
 		}
-		if !found {
-			// Only the spared table remains and it fits by the install
-			// guard, so this cannot loop; bail defensively anyway.
-			return
-		}
-		m.bytes -= m.tables[victim].table.Bytes
+		e := m.tables[victim]
+		evicted = append(evicted, e.table)
+		m.bytes -= e.table.Bytes
 		delete(m.tables, victim)
 		m.evicted++
 	}
+	return evicted
 }
 
 // scoreLocked is a table's eviction score: accumulated pair volume per
@@ -342,26 +306,26 @@ func (m *Model) LookupObserved(pred, constID uint64, subjBound bool) (int64, boo
 
 // Invalidate drops every table and observation and bumps the
 // generation: reductions and observed cardinalities were computed
-// against data that no longer exists. Builds in flight against the old
-// generation discard their result on install.
-func (m *Model) Invalidate() {
+// against data that no longer exists. Builds still running against the
+// old generation discard their result on install. Invalidate returns
+// the tables it dropped.
+func (m *Model) Invalidate() []Table {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.gen++
 	m.epoch++
 	m.evicted += uint64(len(m.tables))
+	dropped := make([]Table, 0, len(m.tables))
+	for _, e := range m.tables {
+		dropped = append(dropped, e.table)
+	}
 	m.tables = make(map[TableKey]*tableEntry)
 	m.bytes = 0
 	m.obs = make(map[obsKey]int64)
 	for _, st := range m.pairs {
 		st.built = false // allow rebuilds against the new data
 	}
-	// Queued builds target the old generation; dropping them here must
-	// settle their Wait accounting, since runBuilds will never see them.
-	for range m.queue {
-		m.wg.Done()
-	}
-	m.queue = nil
-	m.mu.Unlock()
+	return dropped
 }
 
 // Generation returns the current invalidation generation.
@@ -376,12 +340,6 @@ func (m *Model) Epoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.epoch
-}
-
-// Wait blocks until every scheduled background build has completed
-// (or been discarded). Tests and benchmarks use it to quiesce.
-func (m *Model) Wait() {
-	m.wg.Wait()
 }
 
 // Metrics is the /stats workload block.

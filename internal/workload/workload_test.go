@@ -3,6 +3,7 @@ package workload
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -25,12 +26,10 @@ func TestBuildAfterThreshold(t *testing.T) {
 
 	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 50)
 	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 50)
-	m.Wait()
 	if _, ok := m.Lookup(1, 2, uint8(stats.JoinSO)); ok {
 		t.Fatalf("table built after 2 observations, want threshold 3")
 	}
 	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 50)
-	m.Wait()
 	if _, ok := m.Lookup(1, 2, uint8(stats.JoinSO)); !ok {
 		t.Fatalf("table not built after crossing threshold")
 	}
@@ -51,7 +50,6 @@ func TestSelfPairSingleDirection(t *testing.T) {
 	var calls []TableKey
 	m := New(Config{BudgetBytes: 1 << 20, BuildAfter: 1, Builder: countingBuilder(100, &mu, &calls)})
 	m.ObserveJoin(7, 7, uint8(stats.JoinSS), 5)
-	m.Wait()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(calls) != 1 {
@@ -82,12 +80,10 @@ func TestBudgetEviction(t *testing.T) {
 	m := New(Config{BudgetBytes: 250, BuildAfter: 1, Builder: countingBuilder(100, &mu, &calls)})
 
 	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 10) // low volume
-	m.Wait()
 	if _, ok := m.Lookup(1, 2, uint8(stats.JoinSO)); !ok {
 		t.Fatalf("first pair not built")
 	}
-	m.ObserveJoin(3, 4, uint8(stats.JoinSO), 1000) // high volume
-	m.Wait()
+	dropped := m.ObserveJoin(3, 4, uint8(stats.JoinSO), 1000) // high volume
 
 	met := m.Metrics()
 	if met.TableBytes > met.BudgetBytes {
@@ -95,6 +91,9 @@ func TestBudgetEviction(t *testing.T) {
 	}
 	if met.TablesEvicted == 0 {
 		t.Fatalf("no eviction recorded under budget pressure")
+	}
+	if uint64(len(dropped)) != met.TablesEvicted {
+		t.Fatalf("ObserveJoin returned %d dropped tables, %d were evicted", len(dropped), met.TablesEvicted)
 	}
 	// The high-volume pair's tables survive.
 	if _, ok := m.Peek(3, 4, uint8(stats.JoinSO)); !ok {
@@ -115,11 +114,13 @@ func TestOversizedTableRejected(t *testing.T) {
 	var mu sync.Mutex
 	var calls []TableKey
 	m := New(Config{BudgetBytes: 50, BuildAfter: 1, Builder: countingBuilder(100, &mu, &calls)})
-	m.ObserveJoin(1, 2, uint8(stats.JoinSS), 10)
-	m.Wait()
+	dropped := m.ObserveJoin(1, 2, uint8(stats.JoinSS), 10)
 	met := m.Metrics()
 	if met.TablesLive != 0 || met.TableBytes != 0 {
 		t.Fatalf("table larger than the whole budget was installed: %+v", met)
+	}
+	if len(dropped) != 2 {
+		t.Fatalf("ObserveJoin returned %d dropped tables, want both rejected directions", len(dropped))
 	}
 }
 
@@ -128,12 +129,13 @@ func TestInvalidateDropsEverything(t *testing.T) {
 	var calls []TableKey
 	m := New(Config{BudgetBytes: 1 << 20, BuildAfter: 1, Builder: countingBuilder(100, &mu, &calls)})
 	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 10)
-	m.Wait()
 	m.ObserveScan(1, 99, true, 42)
 	epoch := m.Epoch()
 	gen := m.Generation()
 
-	m.Invalidate()
+	if dropped := m.Invalidate(); len(dropped) != 2 {
+		t.Fatalf("Invalidate returned %d dropped tables, want both directions", len(dropped))
+	}
 	if m.Generation() != gen+1 {
 		t.Fatalf("generation %d, want %d", m.Generation(), gen+1)
 	}
@@ -149,24 +151,50 @@ func TestInvalidateDropsEverything(t *testing.T) {
 	// The pair's build eligibility resets: one more observation crosses
 	// the threshold again and rebuilds against the new generation.
 	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 10)
-	m.Wait()
 	if _, ok := m.Lookup(1, 2, uint8(stats.JoinSO)); !ok {
 		t.Fatalf("pair not rebuilt after invalidation")
 	}
 }
 
+// TestBuildInstalledWhenObserveReturns pins the build contract: the
+// observation that crosses the threshold returns only once both
+// reductions are live, however long the Builder takes.
+func TestBuildInstalledWhenObserveReturns(t *testing.T) {
+	m := New(Config{BudgetBytes: 1 << 20, BuildAfter: 1, Builder: func(pred, partner uint64, pos uint8, gen uint64) (Table, bool) {
+		time.Sleep(5 * time.Millisecond)
+		return Table{Rows: 1, Bytes: 10, Data: pred}, true
+	}})
+	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 10)
+	if _, ok := m.Lookup(1, 2, uint8(stats.JoinSO)); !ok {
+		t.Fatalf("reduction not live when the crossing ObserveJoin returned")
+	}
+	if _, ok := m.Lookup(2, 1, uint8(stats.JoinOS)); !ok {
+		t.Fatalf("transposed reduction not live when the crossing ObserveJoin returned")
+	}
+}
+
+// TestStaleBuildDiscarded: an invalidation that lands while another
+// goroutine's ObserveJoin is building makes that build stale, so it
+// installs nothing and hands both tables back as dropped.
 func TestStaleBuildDiscarded(t *testing.T) {
+	building := make(chan struct{}, 2)
 	release := make(chan struct{})
 	m := New(Config{BudgetBytes: 1 << 20, BuildAfter: 1, Builder: func(pred, partner uint64, pos uint8, gen uint64) (Table, bool) {
+		building <- struct{}{}
 		<-release // hold the build until the invalidation lands
 		return Table{Rows: 1, Bytes: 10, Data: nil}, true
 	}})
-	m.ObserveJoin(1, 2, uint8(stats.JoinSS), 10)
-	m.Invalidate() // races past the in-flight build
+	done := make(chan []Table)
+	go func() { done <- m.ObserveJoin(1, 2, uint8(stats.JoinSS), 10) }()
+	<-building
+	m.Invalidate() // races past the running build
 	close(release)
-	m.Wait()
+	dropped := <-done
 	if met := m.Metrics(); met.TablesLive != 0 {
 		t.Fatalf("stale build installed %d tables after invalidation", met.TablesLive)
+	}
+	if len(dropped) != 2 {
+		t.Fatalf("ObserveJoin returned %d dropped tables, want both stale directions", len(dropped))
 	}
 }
 
@@ -193,7 +221,6 @@ func TestDisabledModelStillTracks(t *testing.T) {
 	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 10)
 	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 10)
 	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 10)
-	m.Wait()
 	met := m.Metrics()
 	if met.PairsTracked != 1 {
 		t.Fatalf("disabled model tracked %d pairs, want 1", met.PairsTracked)
