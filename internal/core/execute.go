@@ -31,9 +31,12 @@ type QueryOptions struct {
 	// size cap with CostModel pricing, so priced broadcasts may exceed
 	// it.
 	BroadcastThreshold int64
-	// Parallelism bounds the scheduler's worker pool: how many plan
-	// operators may execute concurrently (0 = GOMAXPROCS). Independent
-	// subtrees of the plan run in parallel up to this bound.
+	// Parallelism bounds the real workers a query runs on (0 =
+	// GOMAXPROCS): how many plan operators the materialized scheduler
+	// executes concurrently — independent subtrees of the plan run in
+	// parallel up to this bound — and how many workers a streaming scan
+	// fans out over, min(Parallelism, partitions). It never changes a
+	// result or anything the virtual clock prices.
 	Parallelism int
 	// NoPlanCache bypasses the store's plan cache for this query: the
 	// plan is built from scratch, not inserted, and never corrected — the

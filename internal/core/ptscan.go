@@ -291,23 +291,6 @@ func gallop(keys []rdf.ID, from int, key rdf.ID) int {
 	return hi
 }
 
-// ptDriverKeys is the number of keys a partition scan's driving column
-// holds — what ptScan.processed reports: the key count of the smallest
-// of the patterns' columns, zero when one is missing.
-func ptDriverKeys(part *ptPartition, specs []patSpec) int {
-	n := -1
-	for _, sp := range specs {
-		col := part.cols[sp.pid]
-		if col == nil {
-			return 0
-		}
-		if n < 0 || len(col.keys) < n {
-			n = len(col.keys)
-		}
-	}
-	return max(n, 0)
-}
-
 // rows scans one PT partition in one pass, into an arena carved from r
 // (the heap when nil) that grows there by doubling as rows arrive. A
 // counting pass to size the arena first would repeat the whole

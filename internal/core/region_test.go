@@ -73,7 +73,8 @@ func TestCancelledQueriesLeaveRegionsAlone(t *testing.T) {
 
 // TestReleasedRegionsPoisoned runs the suites that end queries every way
 // they can end — completed on every planner, strategy and executor,
-// extended, cancelled mid-flight, timed out before they start — with
+// extended, cancelled mid-flight, timed out before they start, finished
+// while a scan helper has yet to start — with
 // engine.PoisonReleased on, so that anything read from a query's region
 // after it was released decodes as no term at all instead of passing by
 // luck.
@@ -82,6 +83,7 @@ func TestReleasedRegionsPoisoned(t *testing.T) {
 	t.Run("ByteIdentityMatrix", TestStreamingByteIdenticalOnWatDiv)
 	t.Run("ExtendedMatrix", TestExtendedByteIdenticalOnWatDiv)
 	t.Run("Cancelled", TestCancelledQueriesLeaveRegionsAlone)
+	t.Run("LateHelper", TestStreamingLateHelper)
 	t.Run("TimedOut", TestTimedOutQueryLeavesCacheUntouched)
 }
 

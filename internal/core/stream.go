@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -35,6 +36,15 @@ import (
 // decoded where they lie. What drops the memory high-water mark from
 // O(intermediate relations) to O(build sides + batches in flight) is
 // that nothing but a breaker retains a row.
+//
+// Pipelines run one after another, each on every core it can use: a VP
+// or PT source's partitions are dispatched to min(Parallelism,
+// partitions) workers, the calling goroutine first, whatever the
+// source's size — the morsel-driven dispatch of Leis et al. (SIGMOD
+// 2014), with a partition as the unit, as cluster.RunStage runs a
+// materialized stage. A worker keeps everything it writes to itself —
+// its scan arena, its part of a top-K or aggregate barrier — so the
+// only lock a batch can meet is the distinct step's shared set.
 //
 // Execution and pricing are decoupled: the real row work runs first
 // (producing exactly the materialized path's row multisets, since the
@@ -86,8 +96,9 @@ type filterCheck struct {
 }
 
 // streamStep is one fused operator of a pipeline. Steps are shared by
-// every partition worker of the pipeline; all mutable state is either
-// atomic (counters) or lock-guarded (the distinct set).
+// every scan worker of the pipeline: counters are atomic, the distinct
+// set is lock-guarded, and a barrier step keeps its state per worker
+// (barrierPart), so no batch ends waiting for another worker's.
 type streamStep struct {
 	kind stepKind
 	node *plan.Node
@@ -99,42 +110,64 @@ type streamStep struct {
 	jr *streamJoinRef
 	// proj maps output columns into the input row.
 	proj []int
-	// dedup is the distinct step's row set; mu serializes inserts
-	// across partition workers.
+	// dedup is the distinct step's row set, one for all workers: the rows
+	// it hands on must be first occurrences over the whole input. mu
+	// serializes inserts.
 	mu    sync.Mutex
 	dedup *engine.RowDeduper
-	// Top-K barrier state (stepTopK): incoming rows are copied into buf
-	// under mu, trimmed back to keep rows whenever the buffer doubles —
-	// the early termination that bounds an ORDER BY + LIMIT query's
-	// footprint to O(offset+limit) instead of O(result). A trim selects
-	// the first keep rows into spare (engine.SortInto) and swaps the two,
-	// and worst, carved from the query's region, remembers the last of
-	// them: a later row not less than it cannot change the result (less
-	// is topkLess, under which only identical rows tie), and is dropped
-	// before it is copied. keep < 0 retains everything (ORDER BY without
-	// LIMIT). arrived counts every row handed to the step, dropped or
-	// not, for the peak-memory sweep.
-	less       func(a, b engine.Row) bool
-	keep       int
-	buf, spare engine.RowArena
-	worst      engine.Row
-	arrived    int64
-	// Aggregate barrier state (stepAggregate): the shared group table
-	// under mu.
-	groups *engine.GroupTable
+	// less orders a top-K step's rows and keep is how many leading rows
+	// its window needs (< 0: all of them, ORDER BY without LIMIT).
+	less func(a, b engine.Row) bool
+	keep int
+	// groupIdx and countIdx are an aggregate step's group and counted
+	// input columns.
+	groupIdx, countIdx []int
 	// out counts the step's emitted rows — the plan node's observed
 	// cardinality.
 	out atomic.Int64
 }
 
-// apply runs one batch through the step. The batch is never written;
-// it may live in the calling worker's arena, valid only until the worker
-// scans on. Filter passes a batch it keeps whole and copies the rows it
-// keeps otherwise; distinct hands on the rows it added to its set, a
-// slice of the set's own storage; probe and project emit a block sized
-// to the batch's output. A filter's or projection's new block is carved
-// from region, the query's.
-func (st *streamStep) apply(rows engine.Block, region *engine.Region) engine.Block {
+// barrierPart is one worker's share of the plan's barrier step; finish
+// merges the workers' parts once every pipeline has drained.
+//
+// Top-K: incoming rows are copied into buf, trimmed back to keep rows
+// whenever the buffer doubles — the early termination that bounds an
+// ORDER BY + LIMIT query's footprint to O(offset+limit) per worker
+// instead of O(result). A trim selects the first keep rows into spare
+// (engine.SortInto) and swaps the two, and worst, carved from the
+// query's region, remembers the last of them: a later row not less than
+// it cannot change the result (less is topkLess, under which only
+// identical rows tie), and is dropped before it is copied. Every winner
+// of the whole input is a winner of the part it reached, so the merged
+// parts hold them all. arrived counts every row handed to the part,
+// dropped or not, for the peak-memory sweep.
+//
+// Aggregate: the worker's group table.
+type barrierPart struct {
+	buf, spare engine.RowArena
+	worst      engine.Row
+	arrived    int64
+	groups     engine.GroupTable
+}
+
+// initPart readies b for the barrier step st, in region.
+func (st *streamStep) initPart(b *barrierPart, region *engine.Region) {
+	switch st.kind {
+	case stepTopK:
+		b.buf, b.spare = region.Arena(st.width, 0), region.Arena(st.width, 0)
+	case stepAggregate:
+		b.groups.Reset(region, st.groupIdx, st.countIdx)
+	}
+}
+
+// apply runs one batch through the step on worker w. The batch is never
+// written; it may live in w's arena, valid only until w scans on. Filter
+// passes a batch it keeps whole and copies the rows it keeps otherwise;
+// distinct hands on the rows it added to its set, a slice of the set's
+// own storage; probe and project emit a block sized to the batch's
+// output; a barrier step keeps the rows in w's part and hands on none. A
+// filter's or projection's new block is carved from region, the query's.
+func (st *streamStep) apply(rows engine.Block, w *streamWorker, region *engine.Region) engine.Block {
 	switch st.kind {
 	case stepFilter:
 		for _, c := range st.checks {
@@ -162,38 +195,66 @@ func (st *streamStep) apply(rows engine.Block, region *engine.Region) engine.Blo
 		rows = st.dedup.Rows().Slice(before, st.dedup.Len())
 		st.mu.Unlock()
 	case stepTopK:
-		st.mu.Lock()
-		st.buf.Grow(rows.Len())
+		b := &w.part
+		b.buf.Grow(rows.Len())
 		for i := 0; i < rows.Len(); i++ {
-			if r := rows.Row(i); st.worst == nil || st.less(r, st.worst) {
-				st.buf.AppendCopy(r)
+			if r := rows.Row(i); b.worst == nil || st.less(r, b.worst) {
+				b.buf.AppendCopy(r)
 			}
 		}
-		st.arrived += int64(rows.Len())
+		b.arrived += int64(rows.Len())
 		// keep < buf.Len() is tested first so that 2*keep cannot
 		// overflow: LIMIT takes any non-negative int.
-		if st.keep >= 0 && st.keep < st.buf.Len() && st.buf.Len() > 2*st.keep+64 {
-			kept := engine.SortInto(&st.spare, st.buf.Block(), st.less, st.keep)
-			st.buf, st.spare = st.spare, st.buf
+		if st.keep >= 0 && st.keep < b.buf.Len() && b.buf.Len() > 2*st.keep+64 {
+			kept := engine.SortInto(&b.spare, b.buf.Block(), st.less, st.keep)
+			b.buf, b.spare = b.spare, b.buf
 			if k := kept.Len(); k > 0 && k == st.keep {
-				if st.worst == nil {
-					st.worst = engine.Row(region.IDs(kept.Width()))
+				if b.worst == nil {
+					b.worst = engine.Row(region.IDs(kept.Width()))
 				}
-				copy(st.worst, kept.Row(k-1))
+				copy(b.worst, kept.Row(k-1))
 			}
 		}
-		st.mu.Unlock()
 		rows = engine.Block{}
 	case stepAggregate:
-		st.mu.Lock()
 		for i := 0; i < rows.Len(); i++ {
-			st.groups.Add(rows.Row(i))
+			w.part.groups.Add(rows.Row(i))
 		}
-		st.mu.Unlock()
 		rows = engine.Block{}
 	}
 	st.out.Add(int64(rows.Len()))
 	return rows
+}
+
+// finish merges the workers' parts of the barrier step st into the
+// first and returns its rows: a top-K step's first keep rows in order
+// (the window still to be cut), an aggregate's group rows sorted by raw
+// ID. Neither depends on which worker held which rows — topkLess ties
+// identical rows only, and group keys are unique — so the result is the
+// one worker's result.
+func (st *streamStep) finish(workers []streamWorker, region *engine.Region) engine.Block {
+	b := &workers[0].part
+	for i := 1; i < len(workers); i++ {
+		o := &workers[i].part
+		switch st.kind {
+		case stepTopK:
+			b.arrived += o.arrived
+			rows := o.buf.Block()
+			b.buf.Grow(rows.Len())
+			for j := 0; j < rows.Len(); j++ {
+				b.buf.AppendCopy(rows.Row(j))
+			}
+		case stepAggregate:
+			b.groups.Merge(&o.groups)
+		}
+	}
+	if st.kind == stepTopK {
+		sorted := region.Arena(0, 0)
+		return engine.SortInto(&sorted, b.buf.Block(), st.less, st.keep)
+	}
+	// Group cells then count cells, sorted by raw ID order — exactly the
+	// materialized Aggregate's output.
+	return b.groups.Rows()
 }
 
 // streamJoinRef is one hash join shared between its build pipeline
@@ -245,6 +306,8 @@ type streamPipe struct {
 	// region is the query's: scan workers' arenas and the sink's copies
 	// are carved from it.
 	region *engine.Region
+	// q hands a VP or PT source's partitions out to the scan workers.
+	q partQueue
 
 	// out collects the batches that reached the sink, per source
 	// partition (each partition is processed by one worker, so the
@@ -253,6 +316,15 @@ type streamPipe struct {
 	out         [][]engine.Block
 	cloneAtSink bool
 	outRows     atomic.Int64
+}
+
+// streamWorker is one of a query's scan workers: the arena its scan
+// batches are built in, reused by every pipeline of the query, and its
+// part of the barrier step. Slot 0 is the calling goroutine's; a helper
+// takes a slot only after it has claimed a partition.
+type streamWorker struct {
+	arena engine.RowArena
+	part  barrierPart
 }
 
 // streamPlan is a compiled streaming query: pipelines in dependency
@@ -273,9 +345,13 @@ type streamPlan struct {
 	maxWidth int
 	// barrier is the root pipeline's fused blocking step — a bounded
 	// top-K buffer or the aggregate group table — when the plan ends in
-	// one; the driver finalizes it after every pipeline drains.
+	// one; the driver finalizes it after every pipeline drains, merging
+	// the workers' parts into workers[0].part.
 	barrier     *streamStep
 	barrierPipe int
+	// workers are the scan workers, min(par, partitions of the widest
+	// source) of them, shared by the pipelines, which run one at a time.
+	workers []streamWorker
 	// tail holds the plan operators above a fused Aggregate (Project /
 	// Distinct / TopK over the group rows), top-down; the driver
 	// applies them in reverse after finalizing the aggregate. Group
@@ -541,11 +617,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 		if c.err != nil {
 			return 0
 		}
-		st := &streamStep{
-			kind: stepTopK, node: n, width: len(n.Vars),
-			less: c.store.topkLess(n), keep: topKeep(n),
-			buf: c.sp.region.Arena(len(n.Vars), 0), spare: c.sp.region.Arena(len(n.Vars), 0),
-		}
+		st := &streamStep{kind: stepTopK, node: n, width: len(n.Vars), less: c.store.topkLess(n), keep: topKeep(n)}
 		c.pipe(pi).steps = append(c.pipe(pi).steps, st)
 		c.sp.pipeOf[n.ID] = pi
 		c.sp.barrier, c.sp.barrierPipe = st, pi
@@ -577,10 +649,7 @@ func (c *streamCompiler) compile(n *plan.Node) int {
 				return 0
 			}
 		}
-		st := &streamStep{
-			kind: stepAggregate, node: n, width: len(n.Vars),
-			groups: engine.NewGroupTable(c.sp.region, groupIdx, countIdx),
-		}
+		st := &streamStep{kind: stepAggregate, node: n, width: len(n.Vars), groupIdx: groupIdx, countIdx: countIdx}
 		c.pipe(pi).steps = append(c.pipe(pi).steps, st)
 		c.sp.pipeOf[n.ID] = pi
 		c.sp.barrier, c.sp.barrierPipe = st, pi
@@ -629,16 +698,33 @@ func (c *streamCompiler) buildSource(n *plan.Node) *streamSource {
 // run executes every pipeline for real, in dependency order: source
 // partitions stream through the fused steps in chunkSize batches, the
 // sink keeps the rows that reach it, and each completed build
-// pipeline's rows are indexed into its join's hash table.
+// pipeline's rows are indexed into its join's hash table. A
+// cancellation counts the pipelines completed before it.
 func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) error {
-	for done, p := range sp.pipes {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return &CancelError{Err: cerr, CompletedTasks: done, TotalTasks: len(sp.pipes)}
-			}
+	n := 1
+	for _, p := range sp.pipes {
+		if k := p.src.kind; k == scanVP || k == scanPT {
+			n = max(n, min(par, p.src.parts))
 		}
-		if err := p.run(ctx, s, chunkSize, par); err != nil {
-			return err
+	}
+	sp.workers = make([]streamWorker, n)
+	for i := range sp.workers {
+		w := &sp.workers[i]
+		w.arena = sp.region.Arena(0, 0)
+		if sp.barrier != nil {
+			sp.barrier.initPart(&w.part, sp.region)
+		}
+	}
+	for done, p := range sp.pipes {
+		stopped := ctx != nil && ctx.Err() != nil
+		if !stopped {
+			if err := p.run(ctx, s, sp.workers, chunkSize); err != nil {
+				return err
+			}
+			stopped = p.q.stopped.Load()
+		}
+		if stopped {
+			return &CancelError{Err: ctx.Err(), CompletedTasks: done, TotalTasks: len(sp.pipes)}
 		}
 		if p.sink != nil {
 			p.sink.buildRows = p.outRows.Load()
@@ -653,15 +739,16 @@ func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) err
 
 // run executes one pipeline's source partitions through its steps. The
 // source kinds share their NodeScan with every other route; what is here
-// is only how each is iterated in batches.
-func (p *streamPipe) run(ctx context.Context, s *Store, chunkSize, par int) error {
-	src := p.src
+// is only how each is iterated in batches. A VP or PT source fans out
+// over the workers (fanOut); the others run on the caller's, workers[0].
+func (p *streamPipe) run(ctx context.Context, s *Store, workers []streamWorker, chunkSize int) error {
+	src, w := p.src, &workers[0]
 	if src.node.Op == plan.OpUnion {
 		p.out = make([][]engine.Block, 1)
 		for _, cp := range src.unionFrom {
 			for _, batches := range cp.out {
 				for _, rows := range batches {
-					p.feed(0, rows, chunkSize)
+					p.feed(w, 0, rows, chunkSize)
 				}
 			}
 			// Consumed; free the branch's buffered rows.
@@ -681,129 +768,155 @@ func (p *streamPipe) run(ctx context.Context, s *Store, chunkSize, par int) erro
 	})
 	switch src.kind {
 	case scanVPExist:
-		p.runExistence()
-		return nil
-
+		p.runExistence(w)
 	case scanVP:
 		p.cloneAtSink = !replaced && (src.pred != nil || src.hi-src.lo < 2)
-		total := 0
-		for pi := 0; pi < src.parts; pi++ {
-			total += src.table.Rel.Part(pi).Len()
-		}
-		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), func(pi int, arena *engine.RowArena) {
-			p.scanVPPart(pi, chunkSize, arena)
-		})
-
+		p.fanOut(ctx, workers, chunkSize)
 	case scanPT:
 		p.cloneAtSink = !replaced
-		total := 0
-		for pi := 0; pi < src.parts; pi++ {
-			total += ptDriverKeys(src.pt.parts[pi], src.spec.specs)
-		}
-		scans := ptScans(src.spec, src.parts, p.region)
-		return p.forEachPart(ctx, scanWorkers(par, total, chunkSize), func(pi int, arena *engine.RowArena) {
-			p.scanPTPart(pi, chunkSize, &scans[pi], arena)
-		})
-
+		p.q.scans = ptScans(src.spec, src.parts, p.region)
+		p.fanOut(ctx, workers, chunkSize)
 	case scanTriples:
-		p.feed(0, s.triplesMatches(*src.tp, src.rowPred, p.region), chunkSize)
-		return nil
-
+		p.feed(w, 0, s.triplesMatches(*src.tp, src.rowPred, p.region), chunkSize)
 	default:
 		return fmt.Errorf("core: unknown stream source kind %d", src.kind)
-	}
-}
-
-// feed pushes rows that exist already (a stored VP partition, a triples
-// scan's matches, a union branch's sink) through the steps as partition
-// part, in chunkSize batches sliced off the block, uncopied.
-func (p *streamPipe) feed(part int, rows engine.Block, chunkSize int) {
-	p.src.out.Add(int64(rows.Len()))
-	for lo := 0; lo < rows.Len(); lo += chunkSize {
-		p.processBatch(part, rows.Slice(lo, min(lo+chunkSize, rows.Len())))
-	}
-}
-
-// workerMorsels is how many morsels (chunkSize rows) of source input a
-// scan must hold for each worker it runs on. A worker beyond the
-// calling goroutine is a thread to wake — on a two-vCPU virtual machine
-// the second of two workers started about 100 us after the first, a
-// fifth of the mean pipeline's run — and the pipeline then ends when
-// the slower of two CPUs does. Below 16,384 rows at the default chunk
-// size that hand-off is worth little and is the unsteady part: fanning
-// the benchmark's join plans (sources of at most 10,000 rows) out over
-// two workers won 11 % in throughput on a quiet host, nothing on a busy
-// one, and nearly tripled the spread between runs (CHANGES.md, PR 15).
-const workerMorsels = 8
-
-// scanWorkers is the number of workers a scan of rows source rows runs
-// on: one per workerMorsels morsels, at least one, at most par.
-func scanWorkers(par, rows, chunkSize int) int {
-	return max(1, min(par, rows/(workerMorsels*chunkSize)))
-}
-
-// forEachPart scans the source partitions on min(workers, partitions)
-// workers that live as long as the pipeline runs, the calling goroutine
-// being the first. Each worker pulls the next partition index, so one
-// partition is processed by exactly one worker (per-partition state
-// needs no locks), and owns one arena, in the query's region, that the
-// batches of every partition it scans are built in. A context
-// cancellation stops workers from starting further partitions.
-func (p *streamPipe) forEachPart(ctx context.Context, workers int, scan func(pi int, arena *engine.RowArena)) error {
-	q := &partQueue{ctx: ctx, region: p.region, parts: p.src.parts, scan: scan}
-	workers = max(min(workers, q.parts), 1)
-	q.wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go q.work()
-	}
-	q.work()
-	q.wg.Wait()
-	if ce := q.cancelled.Load(); ce != nil {
-		return ce
 	}
 	return nil
 }
 
-// partQueue is the state forEachPart's workers share, in one allocation.
-type partQueue struct {
-	ctx       context.Context
-	region    *engine.Region
-	parts     int
-	scan      func(pi int, arena *engine.RowArena)
-	next      atomic.Int64
-	cancelled atomic.Pointer[CancelError]
-	wg        sync.WaitGroup
-}
-
-func (q *partQueue) work() {
-	defer q.wg.Done()
-	arena := q.region.Arena(0, 0)
-	for q.cancelled.Load() == nil {
-		pi := int(q.next.Add(1)) - 1
-		if pi >= q.parts {
-			return
-		}
-		if q.ctx != nil {
-			if cerr := q.ctx.Err(); cerr != nil {
-				q.cancelled.CompareAndSwap(nil, &CancelError{Err: cerr, CompletedTasks: pi, TotalTasks: q.parts})
-				return
-			}
-		}
-		q.scan(pi, &arena)
+// feed pushes rows that exist already (a stored VP partition, a triples
+// scan's matches, a union branch's sink) through the steps on worker w
+// as partition part, in chunkSize batches sliced off the block,
+// uncopied.
+func (p *streamPipe) feed(w *streamWorker, part int, rows engine.Block, chunkSize int) {
+	p.src.out.Add(int64(rows.Len()))
+	for lo := 0; lo < rows.Len(); lo += chunkSize {
+		p.processBatch(w, part, rows.Slice(lo, min(lo+chunkSize, rows.Len())))
 	}
 }
 
+// partQueue hands a scan's source partitions out, one at a time, to the
+// workers fanOut runs: next is the lowest partition not yet claimed,
+// done counts the partitions finished, and helpers the worker slots
+// helpers took. It lives in its pipe, so fanning a scan out allocates
+// nothing.
+type partQueue struct {
+	ctx     context.Context
+	chunk   int
+	workers []streamWorker
+	scans   []ptScan
+	next    atomic.Int64
+	done    atomic.Int64
+	helpers atomic.Int64
+	stopped atomic.Bool
+}
+
+// fanOut scans the source partitions on min(len(workers), partitions)
+// workers, the calling goroutine first, as cluster.RunStage runs a
+// stage's tasks. Every worker claims the next partition until none is
+// left, so one partition is processed by exactly one worker
+// (per-partition state needs no locks). Completion is counted per
+// partition: the caller claims until the queue is empty and then waits
+// only for the partitions a helper claimed — at most one partition's
+// work per helper, never a helper that has not started. It waits by
+// yielding its processor rather than parking: a parked caller is woken
+// on the helper's processor and goes on with the query on a core whose
+// caches hold none of its rows (WatDiv E2, whose union replay and decode
+// follow two fanned-out scans, ran 3 % slower so, and slower than on one
+// worker). A helper that starts after the last claim finds the queue
+// empty and touches nothing else. A context cancellation stops workers
+// from scanning further partitions; they still count them done, and
+// q.stopped reports it.
+func (p *streamPipe) fanOut(ctx context.Context, workers []streamWorker, chunkSize int) {
+	q := &p.q
+	q.ctx, q.chunk, q.workers = ctx, chunkSize, workers
+	for range min(len(workers), p.src.parts) - 1 {
+		select {
+		case streamHelpers <- p:
+			go streamHelper()
+		default:
+			// Every buffered pipe is waiting for a helper to start; the
+			// workers already running take this one's partitions.
+		}
+	}
+	for pi := p.claim(); pi >= 0; pi = p.claim() {
+		p.scanPart(pi, &workers[0])
+	}
+	for q.done.Load() < int64(p.src.parts) {
+		runtime.Gosched()
+	}
+}
+
+// streamHelpers carries each pipe fanOut wants a helper for to the
+// goroutine it starts for it: a pipe passed in a closure would cost an
+// allocation per helper. Each send is followed by one go streamHelper(),
+// so every helper receives exactly one pipe — maybe another query's,
+// which changes nothing. The buffer holds the pipes of helpers not yet
+// running; 256 of them means every processor is long busy, and a fanOut
+// that finds it full goes on with the workers it has.
+var streamHelpers = make(chan *streamPipe, 256)
+
+// helperHook, when set, runs in every helper before its first claim: a
+// test hook that holds helpers back, so that they start late.
+var helperHook atomic.Pointer[func()]
+
+// streamHelper is one helper worker of a fanned-out scan. It returns
+// when the queue is empty, and nothing waits for it to: the caller waits
+// for the partitions it claimed. It takes a worker slot only once it has
+// claimed a partition: one that starts after the queue emptied leaves
+// with nothing touched but the queue's counter, so it never carves from
+// a region its query may have released.
+func streamHelper() {
+	p := <-streamHelpers
+	if h := helperHook.Load(); h != nil {
+		(*h)()
+	}
+	pi := p.claim()
+	if pi < 0 {
+		return
+	}
+	w := &p.q.workers[p.q.helpers.Add(1)]
+	for ; pi >= 0; pi = p.claim() {
+		p.scanPart(pi, w)
+	}
+}
+
+// claim returns the next unclaimed source partition, or -1 when every
+// one has been claimed.
+func (p *streamPipe) claim() int {
+	if pi := int(p.q.next.Add(1)) - 1; pi < p.src.parts {
+		return pi
+	}
+	return -1
+}
+
+// scanPart scans claimed partition pi on worker w and counts it done —
+// unscanned once the query's context is cancelled.
+func (p *streamPipe) scanPart(pi int, w *streamWorker) {
+	q := &p.q
+	switch {
+	case q.stopped.Load():
+	case q.ctx != nil && q.ctx.Err() != nil:
+		q.stopped.Store(true)
+	case p.src.kind == scanPT:
+		p.scanPTPart(pi, &q.scans[pi], w)
+	default:
+		p.scanVPPart(pi, w)
+	}
+	q.done.Add(1)
+}
+
 // scanVPPart streams one VP partition through the pipeline in batches
-// of chunkSize rows. An unfiltered scan emitting the stored (s,o) rows
+// of chunk rows. An unfiltered scan emitting the stored (s,o) rows
 // whole slices the stored block, copying nothing; otherwise the fused
 // scan predicate runs on the raw (s,o) rows, and the survivors, shaped
 // to r[lo:hi], are copied into the worker's arena, one batch at a time.
 // The table's own block is only ever read.
-func (p *streamPipe) scanVPPart(pi, chunkSize int, arena *engine.RowArena) {
-	src := p.src
+func (p *streamPipe) scanVPPart(pi int, w *streamWorker) {
+	src, chunkSize, arena := p.src, p.q.chunk, &w.arena
 	part := src.table.Rel.Part(pi)
 	if src.pred == nil && src.hi-src.lo == 2 {
-		p.feed(pi, part, chunkSize)
+		p.feed(w, pi, part, chunkSize)
 		return
 	}
 	width := src.hi - src.lo
@@ -811,7 +924,7 @@ func (p *streamPipe) scanVPPart(pi, chunkSize int, arena *engine.RowArena) {
 	flush := func() {
 		if arena.Len() > 0 {
 			src.out.Add(int64(arena.Len()))
-			p.processBatch(pi, arena.Block())
+			p.processBatch(w, pi, arena.Block())
 			arena.Reset(width, 0)
 		}
 	}
@@ -831,10 +944,10 @@ func (p *streamPipe) scanVPPart(pi, chunkSize int, arena *engine.RowArena) {
 // scanPTPart streams one PT partition with the partition's scan scratch
 // sc, in one pass: the cartesian flatten yields reused scratch rows,
 // which are copied into the worker's arena — growing there by doubling,
-// like ptScan.rows — and flushed through the steps every chunkSize rows
+// like ptScan.rows — and flushed through the steps every chunk rows
 // and once more at the partition's end.
-func (p *streamPipe) scanPTPart(pi, chunkSize int, sc *ptScan, arena *engine.RowArena) {
-	src := p.src
+func (p *streamPipe) scanPTPart(pi int, sc *ptScan, w *streamWorker) {
+	src, chunkSize, arena := p.src, p.q.chunk, &w.arena
 	width := len(src.spec.schema)
 	if !sc.init(src.pt.parts[pi], src.spec.specs, width) {
 		return
@@ -843,7 +956,7 @@ func (p *streamPipe) scanPTPart(pi, chunkSize int, sc *ptScan, arena *engine.Row
 	arena.Reset(width, 0)
 	flush := func() {
 		src.out.Add(int64(arena.Len()))
-		p.processBatch(pi, arena.Block())
+		p.processBatch(w, pi, arena.Block())
 		arena.Reset(width, 0)
 	}
 	sc.run(src.rowPred, func(r engine.Row) {
@@ -862,26 +975,27 @@ func (p *streamPipe) scanPTPart(pi, chunkSize int, sc *ptScan, arena *engine.Row
 // matches, then feed a single width-0 row through the chain (cartesian
 // with one empty row is the join identity, exactly like the
 // materialized existence test).
-func (p *streamPipe) runExistence() {
+func (p *streamPipe) runExistence(w *streamWorker) {
 	src := p.src
 	for pi := 0; pi < src.table.Rel.Partitions(); pi++ {
 		part := src.table.Rel.Part(pi)
 		for i := 0; i < part.Len(); i++ {
 			if src.pred == nil || src.pred(part.Row(i)) {
 				src.out.Add(1)
-				p.processBatch(0, engine.MakeBlock(0, 1, nil))
+				p.processBatch(w, 0, engine.MakeBlock(0, 1, nil))
 				return
 			}
 		}
 	}
 }
 
-// processBatch pushes one batch through the pipeline's steps; the sink
-// keeps the survivors — the batch as it is, or an exactly sized copy in
-// the region when it may still be a worker's arena (cloneAtSink).
-func (p *streamPipe) processBatch(part int, rows engine.Block) {
+// processBatch pushes one batch through the pipeline's steps on worker
+// w; the sink keeps the survivors — the batch as it is, or an exactly
+// sized copy in the region when it may still be a worker's arena
+// (cloneAtSink).
+func (p *streamPipe) processBatch(w *streamWorker, part int, rows engine.Block) {
 	for _, st := range p.steps {
-		if rows = st.apply(rows, p.region); rows.Len() == 0 {
+		if rows = st.apply(rows, w, p.region); rows.Len() == 0 {
 			return
 		}
 	}
@@ -934,15 +1048,9 @@ func (sp *streamPlan) finalRows(s *Store) ([]engine.Block, error) {
 		return sp.root.sinkBlocks(), nil
 	}
 	sp.tailObs = map[*plan.Node]int64{}
-	var rows engine.Block
-	switch b.kind {
-	case stepTopK:
-		sorted := sp.region.Arena(0, 0)
-		rows = sliceOffsetLimit(engine.SortInto(&sorted, b.buf.Block(), b.less, b.keep), b.node.Limit, b.node.Offset)
-	case stepAggregate:
-		// Group cells then count cells, sorted by raw ID order — exactly
-		// the materialized Aggregate's output.
-		rows = b.groups.Rows()
+	rows := b.finish(sp.workers, sp.region)
+	if b.kind == stepTopK {
+		rows = sliceOffsetLimit(rows, b.node.Limit, b.node.Offset)
 	}
 	sp.tailObs[b.node] = int64(rows.Len())
 	for i := len(sp.tail) - 1; i >= 0; i-- {
@@ -1375,10 +1483,11 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 	// group table. The bound, not the buffer's high-water mark, is
 	// priced: the mark depends on the order batches happened to arrive in.
 	if b := sp.barrier; b != nil {
+		merged := &sp.workers[0].part
 		var bytes int64
 		switch b.kind {
 		case stepTopK:
-			rows := b.arrived
+			rows := merged.arrived
 			// Only a keep below arrived can bind, which also keeps
 			// the product from overflowing.
 			if b.keep >= 0 && int64(b.keep) < rows {
@@ -1386,7 +1495,7 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 			}
 			bytes = rows * int64(b.width) * memBytesPerValue
 		case stepAggregate:
-			bytes = int64(b.groups.Len()) * int64(b.width) * memBytesPerValue
+			bytes = int64(merged.groups.Len()) * int64(b.width) * memBytesPerValue
 		}
 		if bytes > 0 {
 			evs = append(evs,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -10,7 +11,9 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -287,10 +290,10 @@ func renderComparable(q *sparql.Query, res *Result) string {
 // and morsel granularity, never results. Sinks keep the rows they are
 // handed instead of copies, so a step that handed on a row it later
 // overwrote (or a header slice compacted under a reader) would show at
-// the small sizes, where every row is its own batch. The small sizes
-// are also the ones that put a scan on several workers (one per
-// workerMorsels chunks of source rows), the large ones on the caller
-// alone, so the race detector sees both.
+// the small sizes, where every row is its own batch. Every scan runs on
+// min(GOMAXPROCS, partitions) workers whatever the chunk size, so under
+// -cpu 1,2,4 the race detector sees the small batches shared between
+// workers too.
 func TestStreamingChunkSizeInvariance(t *testing.T) {
 	s := watdivStreamStore(t)
 	for _, q := range allWatDivQueries() {
@@ -317,21 +320,276 @@ func TestStreamingChunkSizeInvariance(t *testing.T) {
 	}
 }
 
-// TestStreamingScanWorkers: a scan gets one worker per workerMorsels chunks of
-// source rows, never fewer than the caller and never more than par.
-func TestStreamingScanWorkers(t *testing.T) {
-	for _, c := range []struct{ par, rows, chunk, want int }{
-		{2, 0, 2048, 1},
-		{2, 10000, 2048, 1},
-		{2, 2*workerMorsels*2048 - 1, 2048, 1},
-		{2, 2 * workerMorsels * 2048, 2048, 2},
-		{8, 3 * workerMorsels * 2048, 2048, 3},
-		{2, 1 << 20, 2048, 2},
-		{4, 100, 1, 4},
-		{1, 1 << 20, 1, 1},
+// TestStreamingSameAtAnyParallelism: how many workers a scan fans out
+// over is real-time scheduling, never a result. Every WatDiv query at
+// Parallelism 2, 4 and 8 must return what it returns at 1 — in order
+// under ORDER BY or LIMIT, as a multiset otherwise — at a chunk size
+// that cuts partitions into many batches and at the default, and the
+// virtual clock must not see the worker count: SimTime, FirstRow,
+// PeakMemBytes and every stamped observation are bit-identical.
+func TestStreamingSameAtAnyParallelism(t *testing.T) {
+	s := watdivStreamStore(t)
+	for _, q := range allWatDivQueries() {
+		for _, chunk := range []int{7, 0} {
+			run := func(par int) *Result {
+				res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: chunk, Parallelism: par, NoPlanCache: true})
+				if err != nil {
+					t.Fatalf("%s chunk %d parallelism %d: %v", q.Name, chunk, par, err)
+				}
+				return res
+			}
+			one := run(1)
+			want, wantPlan := renderComparable(q.Parsed, one), one.Plan.String()
+			for _, par := range []int{2, 4, 8} {
+				res := run(par)
+				if got := renderComparable(q.Parsed, res); got != want {
+					t.Errorf("%s chunk %d: rows at parallelism %d differ from parallelism 1", q.Name, chunk, par)
+				}
+				if res.SimTime != one.SimTime || res.FirstRow != one.FirstRow || res.PeakMemBytes != one.PeakMemBytes {
+					t.Errorf("%s chunk %d parallelism %d: SimTime %v, FirstRow %v, PeakMemBytes %d; parallelism 1: %v, %v, %d",
+						q.Name, chunk, par, res.SimTime, res.FirstRow, res.PeakMemBytes, one.SimTime, one.FirstRow, one.PeakMemBytes)
+				}
+				if got := res.Plan.String(); got != wantPlan {
+					t.Errorf("%s chunk %d parallelism %d: observations differ\n%s\nparallelism 1:\n%s", q.Name, chunk, par, got, wantPlan)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamingGroupByAtAnyParallelism: a fanned-out aggregate keeps a
+// group table per worker and merges them at finalize, so the groups
+// must come out as the materialized executor's at any worker count — one
+// group and 20,000, COUNT(*) beside COUNT(?v) over an OPTIONAL that
+// leaves every other ?v unbound, and the groups' raw-ID order.
+func TestStreamingGroupByAtAnyParallelism(t *testing.T) {
+	const n = 20000
+	g := rdf.NewGraph(0)
+	iri := func(f string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%s%s%d", testNS, f, i)) }
+	for i := 0; i < n; i++ {
+		g.AddSPO(iri("s", i), rdf.NewIRI(testNS+"p"), iri("o", 0))
+		if i%2 == 0 {
+			g.AddSPO(iri("s", i), rdf.NewIRI(testNS+"r"), iri("v", i/2))
+		}
+	}
+	s, err := Load(g, Options{Cluster: cluster.MustNew(cluster.Config{Workers: 4, DefaultPartitions: 8})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	where := " WHERE { ?s <" + testNS + "p> ?o OPTIONAL { ?s <" + testNS + "r> ?v } }"
+	for _, c := range []struct {
+		text   string
+		groups int
+	}{
+		{"SELECT ?o (COUNT(*) AS ?all) (COUNT(?v) AS ?bound)" + where + " GROUP BY ?o", 1},
+		{"SELECT ?s (COUNT(?v) AS ?bound) (COUNT(*) AS ?all)" + where + " GROUP BY ?s", n},
+		{"SELECT ?v (COUNT(*) AS ?all)" + where + " GROUP BY ?v", n/2 + 1},
 	} {
-		if got := scanWorkers(c.par, c.rows, c.chunk); got != c.want {
-			t.Errorf("scanWorkers(par %d, %d rows, chunk %d) = %d, want %d", c.par, c.rows, c.chunk, got, c.want)
+		q := sparql.MustParse(c.text)
+		mat, err := s.Query(q, QueryOptions{NoPlanCache: true})
+		if err != nil {
+			t.Fatalf("%s materialized: %v", c.text, err)
+		}
+		if len(mat.Rows) != c.groups {
+			t.Fatalf("%s: %d groups materialized, want %d", c.text, len(mat.Rows), c.groups)
+		}
+		want := renderInOrder(mat)
+		for par := 1; par <= 8; par++ {
+			for _, chunk := range []int{7, 0} {
+				res, err := s.Query(q, QueryOptions{Streaming: true, Parallelism: par, ChunkSize: chunk, NoPlanCache: true})
+				if err != nil {
+					t.Fatalf("%s parallelism %d chunk %d: %v", c.text, par, chunk, err)
+				}
+				if got := renderInOrder(res); got != want {
+					t.Errorf("%s parallelism %d chunk %d: groups differ from materialized", c.text, par, chunk)
+				}
+			}
+		}
+	}
+}
+
+// flipCtx is a context whose Err reports context.Canceled from its
+// after-th call on: a cancellation at an exact point of the execution.
+type flipCtx struct {
+	context.Context
+	calls, after int64
+	mu           sync.Mutex
+}
+
+func (c *flipCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.calls++; c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestStreamingCancelCountsPipelines: a streamed query cancelled at any
+// point — between pipelines or inside a scan fanned out over several
+// workers — reports how many of its pipelines completed, out of all of
+// them, like a cancellation between pipelines always did. A scan's
+// claimed partition index, reported as "plan tasks", counted partitions
+// still running on another worker, out of the scan's partitions.
+func TestStreamingCancelCountsPipelines(t *testing.T) {
+	s := watdivStreamStore(t)
+	q := mustQueryByName(t, "C1")
+	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: 7, Parallelism: 4}
+	res, err := s.Query(q.Parsed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipes := 0
+	for _, st := range res.Clock.Stages() {
+		if strings.HasPrefix(st.Name, "pipeline ") {
+			pipes++
+		}
+	}
+	// Each pipeline asks the context once before it starts; every other
+	// point the query can be cancelled at is inside a scan.
+	cancels := 0
+	for after := int64(0); ; after++ {
+		ctx := &flipCtx{Context: context.Background(), after: after}
+		_, err := s.QueryContext(ctx, q.Parsed, opts)
+		if err == nil {
+			break
+		}
+		var ce *CancelError
+		if !errors.As(err, &ce) {
+			t.Fatalf("cancelled after %d Err calls: %v, want a *CancelError", after, err)
+		}
+		if ce.TotalTasks != pipes || ce.CompletedTasks < 0 || ce.CompletedTasks >= pipes {
+			t.Errorf("cancelled after %d Err calls: %d/%d plan tasks completed, want k/%d with k < %d", after, ce.CompletedTasks, ce.TotalTasks, pipes, pipes)
+		}
+		cancels++
+	}
+	t.Logf("%d pipelines; cancelled at %d points", pipes, cancels)
+	if cancels <= pipes {
+		t.Errorf("cancelled at %d points, no more than the %d pipelines: none inside a scan", cancels, pipes)
+	}
+}
+
+// TestStreamingLateHelper holds every scan helper back before its first
+// claim, as a helper whose goroutine the runtime starts late. The
+// pipelines must finish on the calling goroutine alone, every partition
+// claimed and scanned, with the rows of a run without helpers. Released
+// after the query's region is, each helper must take nothing but its
+// failed claim: no worker slot, so no arena, and no carve from the
+// released region (TestReleasedRegionsPoisoned runs this with released
+// slabs poisoned, under -race in CI).
+func TestStreamingLateHelper(t *testing.T) {
+	s := watdivStreamStore(t)
+	const par = 4
+	for _, name := range []string{"C1", "E5"} {
+		q := mustQueryByName(t, name)
+		r, err := s.resolve(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, NoPlanCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, _, err := s.planEntry(s.statsSnap.Load(), q.Parsed, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filters, err := s.compileFilters(q.Parsed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// rows runs the plan in a region of its own and returns its result
+		// rows, sorted, and the plan it ran.
+		rows := func(par int, region *engine.Region) ([]string, *streamPlan) {
+			sp, err := s.compileStreamPlan(entry.plan, entry.nodes, filters, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- sp.run(context.Background(), s, 7, par) }()
+			select {
+			case err = <-done:
+			case <-time.After(time.Minute):
+				t.Fatalf("%s: the pipelines are waiting for a held helper", name)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, err := sp.finalRows(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []string
+			for _, b := range blocks {
+				for i := 0; i < b.Len(); i++ {
+					out = append(out, fmt.Sprint(b.Row(i)))
+				}
+			}
+			slices.Sort(out)
+			return out, sp
+		}
+		ref := engine.NewRegion()
+		want, _ := rows(1, ref)
+		ref.Release()
+
+		// Helpers earlier queries started that have yet to run hold their
+		// pipes on the channel, and a full channel starts no helper; let
+		// them go first, so that the helpers counted below are this
+		// query's.
+		for deadline := time.Now().Add(time.Minute); len(streamHelpers) > 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d helpers never started", len(streamHelpers))
+			}
+			time.Sleep(time.Millisecond)
+		}
+		var held atomic.Int64
+		hold := make(chan struct{})
+		hook := func() { held.Add(1); <-hold }
+		helperHook.Store(&hook)
+		region := engine.NewRegion()
+		got, sp := rows(par, region)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: %d rows with held helpers, %d without", name, len(got), len(want))
+		}
+		// Each fanned-out pipe started min(par, partitions)-1 helpers; the
+		// caller claimed every partition and once more.
+		helpers, fanned := int64(0), 0
+		for _, p := range sp.pipes {
+			if k := p.src.kind; k != scanVP && k != scanPT {
+				continue
+			}
+			fanned++
+			helpers += int64(min(par, p.src.parts) - 1)
+			if next := p.q.next.Load(); next != int64(p.src.parts)+1 {
+				t.Errorf("%s: pipeline %s: queue at %d, want every one of %d partitions claimed, by the caller", name, p.name, next, p.src.parts)
+			}
+		}
+		if fanned == 0 || helpers == 0 {
+			t.Fatalf("%s: no scan fanned out", name)
+		}
+		t.Logf("%s: %d pipelines fanned out, %d helpers held", name, fanned, helpers)
+		region.Release()
+		for deadline := time.Now().Add(time.Minute); held.Load() < helpers; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d of %d helpers started", name, held.Load(), helpers)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		helperHook.Store(nil)
+		close(hold)
+		for _, p := range sp.pipes {
+			if k := p.src.kind; k != scanVP && k != scanPT {
+				continue
+			}
+			want := int64(p.src.parts) + 1 + int64(min(par, p.src.parts)-1)
+			for deadline := time.Now().Add(time.Minute); p.q.next.Load() < want; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: pipeline %s: released helpers never claimed: queue at %d, want %d, %d held", name, p.name, p.q.next.Load(), want, held.Load())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if next := p.q.next.Load(); next != want {
+				t.Errorf("%s: pipeline %s: %d claims, want %d", name, p.name, next, want)
+			}
+			if n := p.q.helpers.Load(); n != 0 {
+				t.Errorf("%s: pipeline %s: %d late helpers took a worker slot", name, p.name, n)
+			}
 		}
 	}
 }
@@ -679,10 +937,12 @@ func BenchmarkStreamingPeakMemory(b *testing.B) {
 // directly. Rows arrive in batches: full of duplicates in random order,
 // the same in descending order (every later row beats the rows kept so
 // far), and distinct even values before odd ones (a later row lands
-// between two kept rows). The buffer the step is left with must
-// finalize to the first keep rows of the full sort — so the rows it
-// drops without copying, those not less than its worst kept row, are
-// never ones that win — and arrived must count every row handed to it.
+// between two kept rows). The batches go to one worker's part, or to
+// three, round-robin or a contiguous third each (so one part may hold
+// every winner and the others none). The parts must finish to the first
+// keep rows of the full sort — so the rows a part drops without copying,
+// those not less than its worst kept row, are never ones that win — and
+// arrived must count every row handed to any part.
 func TestStreamingTopKSinkKeepsTheWinners(t *testing.T) {
 	const n, width = 2000, 2
 	rng := rand.New(rand.NewSource(35))
@@ -702,29 +962,38 @@ func TestStreamingTopKSinkKeepsTheWinners(t *testing.T) {
 		"descending":       engine.SortBlock(random, func(x, y engine.Row) bool { return engine.LessRowsID(y, x) }, -1),
 		"evens, then odds": parity.Block(),
 	}
+	// spreads map a batch starting at row lo to a worker of nw.
+	spreads := map[string]func(batch, lo, nw int) int{
+		"round-robin": func(batch, _, nw int) int { return batch % nw },
+		"contiguous":  func(_, lo, nw int) int { return lo * nw / n },
+	}
 	for name, in := range inputs {
 		// The last two keeps are LIMITs the parser accepts whose doubled
 		// buffer bound would overflow an int.
 		for _, keep := range []int{0, 1, 2, 5, 100, n, 5_000_000_000_000_000_000, math.MaxInt} {
 			want := engine.SortBlock(in, engine.LessRowsID, keep).Rows()
-			for _, chunk := range []int{1, 7, 64} {
-				region := engine.NewRegion()
-				st := &streamStep{
-					kind: stepTopK, width: width, less: engine.LessRowsID, keep: keep,
-					buf: region.Arena(width, 0), spare: region.Arena(width, 0),
+			for _, nw := range []int{1, 3} {
+				for spread, worker := range spreads {
+					for _, chunk := range []int{1, 7, 64} {
+						region := engine.NewRegion()
+						st := &streamStep{kind: stepTopK, width: width, less: engine.LessRowsID, keep: keep}
+						workers := make([]streamWorker, nw)
+						for i := range workers {
+							st.initPart(&workers[i].part, region)
+						}
+						for batch, lo := 0, 0; lo < n; batch, lo = batch+1, lo+chunk {
+							st.apply(in.Slice(lo, min(lo+chunk, n)), &workers[worker(batch, lo, nw)], region)
+						}
+						got := st.finish(workers, region).Rows()
+						if !slices.EqualFunc(got, want, slices.Equal) {
+							t.Errorf("%s, keep %d, %d workers %s, chunk %d: kept\n%v\nwant\n%v", name, keep, nw, spread, chunk, got, want)
+						}
+						if a := workers[0].part.arrived; a != n {
+							t.Errorf("%s, keep %d, %d workers %s, chunk %d: arrived %d, want %d", name, keep, nw, spread, chunk, a, n)
+						}
+						region.Release()
+					}
 				}
-				for lo := 0; lo < n; lo += chunk {
-					st.apply(in.Slice(lo, min(lo+chunk, n)), region)
-				}
-				var dst engine.RowArena
-				got := engine.SortInto(&dst, st.buf.Block(), st.less, st.keep).Rows()
-				if !slices.EqualFunc(got, want, slices.Equal) {
-					t.Errorf("%s, keep %d, chunk %d: kept\n%v\nwant\n%v", name, keep, chunk, got, want)
-				}
-				if st.arrived != n {
-					t.Errorf("%s, keep %d, chunk %d: arrived %d, want %d", name, keep, chunk, st.arrived, n)
-				}
-				region.Release()
 			}
 		}
 	}

@@ -195,7 +195,8 @@ func (e *Exec) Aggregate(rel *Relation, groupCols []string, counts []AggCount) (
 // keys — the engine's one head table and chain, keyed on the packed
 // group columns — and every buffer is carved from the region the table
 // was given, so a table of any size allocates nothing on the heap in a
-// region. Not safe for concurrent use.
+// region. Not safe for concurrent use: concurrent fillers keep a table
+// each and Merge them.
 type GroupTable struct {
 	groupIdx, countIdx []int
 	// keys holds each group's key cells and counts its COUNT cells, group
@@ -210,9 +211,16 @@ type GroupTable struct {
 // columns groupIdx; countIdx names each COUNT's counted input column (-1
 // = COUNT(*)).
 func NewGroupTable(r *Region, groupIdx, countIdx []int) *GroupTable {
-	g := &GroupTable{groupIdx: groupIdx, countIdx: countIdx, counts: r.Arena(len(countIdx), 0), key: Row(r.IDs(len(groupIdx)))}
-	g.keys.reset(r, len(groupIdx), 0)
+	g := new(GroupTable)
+	g.Reset(r, groupIdx, countIdx)
 	return g
+}
+
+// Reset empties g for grouping on groupIdx and counting countIdx, as
+// NewGroupTable describes, in r: the way to set up a table held by value.
+func (g *GroupTable) Reset(r *Region, groupIdx, countIdx []int) {
+	*g = GroupTable{groupIdx: groupIdx, countIdx: countIdx, counts: r.Arena(len(countIdx), 0), key: Row(r.IDs(len(groupIdx)))}
+	g.keys.reset(r, len(groupIdx), 0)
 }
 
 // Add folds one input row into its group.
@@ -220,19 +228,37 @@ func (g *GroupTable) Add(r Row) {
 	for i, j := range g.groupIdx {
 		g.key[i] = r[j]
 	}
-	gi, added := g.keys.insert(g.key)
+	counts := g.group(g.key)
+	for ci, j := range g.countIdx {
+		if j < 0 || r[j] != rdf.NullID {
+			counts[ci]++
+		}
+	}
+}
+
+// Merge folds o's groups into g, summing the counts of a group both
+// hold. o must group and count the same columns as g; it is only read.
+func (g *GroupTable) Merge(o *GroupTable) {
+	keys, counts := o.keys.rows.Block(), o.counts.Block()
+	for i := 0; i < keys.n; i++ {
+		into := g.group(keys.Row(i))
+		for ci, c := range counts.Row(i) {
+			into[ci] += c
+		}
+	}
+}
+
+// group returns the COUNT cells of key's group, adding the group with
+// zero counts if it is new.
+func (g *GroupTable) group(key Row) Row {
+	gi, added := g.keys.insert(key)
 	nc := len(g.countIdx)
 	if added {
 		g.counts.Grow(1)
 		g.counts.buf = append(g.counts.buf, make(Row, nc)...)
 		g.counts.n++
 	}
-	counts := g.counts.buf[gi*nc : (gi+1)*nc]
-	for ci, j := range g.countIdx {
-		if j < 0 || r[j] != rdf.NullID {
-			counts[ci]++
-		}
-	}
+	return g.counts.buf[gi*nc : (gi+1)*nc]
 }
 
 // Len returns the number of groups.
