@@ -25,17 +25,8 @@ func Cluster(fs *flag.FlagSet) func() cluster.Config {
 	}
 }
 
-// StatsSketches registers -stats-sketches on fs and returns a function
-// that, once fs is parsed, sets the load options the value stands for.
-func StatsSketches(fs *flag.FlagSet) func(*core.Options) {
-	n := fs.Int("stats-sketches", 0, "top-K two-predicate join sketches collected at load time (0 = default 512, negative = disable join-graph statistics entirely); join statistics are part of the shard handshake fingerprint, so a prost-shard must be given its coordinator's value")
-	return func(o *core.Options) {
-		o.SketchTopK, o.DisableJoinStats = max(*n, 0), *n < 0
-	}
-}
-
 // Query registers the flags a query's options are made of — -strategy,
-// -planner, -streaming, -chunk-size and the -fault-* set — and returns
+// -planner, -streaming and the -fault-* set — and returns
 // a function that, once fs is parsed, assembles them, refusing an
 // unknown strategy or planner. prost-serve uses the result as its
 // per-request default.
@@ -44,7 +35,6 @@ func Query(fs *flag.FlagSet) func() (core.QueryOptions, error) {
 	strategy := fs.String("strategy", "mixed", "query strategy (prost-serve: the default, ?strategy= overrides per request): "+strings.Join(core.StrategyNames(), ", "))
 	planner := fs.String("planner", "cost", "planner mode (prost-serve: the default, ?planner= overrides per request): "+strings.Join(plan.ModeNames(), ", "))
 	fs.BoolVar(&o.Streaming, "streaming", false, "execute through the morsel-driven streaming pipelines instead of materialized stages (prost-serve: the default, ?streaming= overrides per request)")
-	fs.IntVar(&o.ChunkSize, "chunk-size", 0, "streaming rows-per-chunk granularity (0 = default; prost-serve: ?chunk= overrides per request)")
 	faults := FaultPlan(fs)
 	return func() (core.QueryOptions, error) {
 		var err error

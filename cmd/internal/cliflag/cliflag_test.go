@@ -87,15 +87,14 @@ func TestInvalidFaultFlagsRefusedOnBothPaths(t *testing.T) {
 	}
 }
 
-// TestSharedFlagsMapAsTheBinariesDid: the three flag sets more than one
+// TestSharedFlagsMapAsTheBinariesDid: the flag sets more than one
 // binary registers turn into the values each binary used to write out —
-// two partitions per worker, the -stats-sketches sign convention, and a
-// QueryOptions with the strategy and planner parsed (an unknown one
+// two partitions per worker and a QueryOptions with the strategy and planner parsed (an unknown one
 // refused, listing the valid names).
 func TestSharedFlagsMapAsTheBinariesDid(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	clusterCfg, sketches, query := Cluster(fs), StatsSketches(fs), Query(fs)
+	clusterCfg, query := Cluster(fs), Query(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -108,25 +107,16 @@ func TestSharedFlagsMapAsTheBinariesDid(t *testing.T) {
 		t.Errorf("no flags: query options %+v, err %v; want the zero value", q, err)
 	}
 
-	args := []string{"-workers", "4", "-stats-sketches", "-1", "-strategy", "mixed+ipt", "-planner", "heuristic",
-		"-streaming", "-chunk-size", "7", "-fault-seed", "3", "-fault-fail-rate", "0.5"}
+	args := []string{"-workers", "4", "-strategy", "mixed+ipt", "-planner", "heuristic",
+		"-streaming", "-fault-seed", "3", "-fault-fail-rate", "0.5"}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
 	if cfg := clusterCfg(); cfg.Workers != 4 || cfg.DefaultPartitions != 8 {
 		t.Errorf("-workers 4: %d workers, %d partitions; want 4 and 8", cfg.Workers, cfg.DefaultPartitions)
 	}
-	for n, want := range map[string]core.Options{"-1": {DisableJoinStats: true}, "0": {}, "64": {SketchTopK: 64}} {
-		if err := fs.Parse([]string{"-stats-sketches", n}); err != nil {
-			t.Fatal(err)
-		}
-		got := core.Options{SketchTopK: 99, DisableJoinStats: n != "-1"}
-		if sketches(&got); got != want {
-			t.Errorf("-stats-sketches %s: %+v, want %+v", n, got, want)
-		}
-	}
 	q, err := query()
-	wantQ := core.QueryOptions{Strategy: core.StrategyMixedIPT, Planner: plan.ModeHeuristic, Streaming: true, ChunkSize: 7,
+	wantQ := core.QueryOptions{Strategy: core.StrategyMixedIPT, Planner: plan.ModeHeuristic, Streaming: true,
 		Faults: &cluster.FaultPlan{Seed: 3, FailRate: 0.5}}
 	if err != nil || !reflect.DeepEqual(q, wantQ) {
 		t.Errorf("query options %+v, err %v; want %+v", q, err, wantQ)

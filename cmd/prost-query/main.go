@@ -10,7 +10,7 @@
 //	prost-query -in dataset.nt -q 'SELECT ?s WHERE { ?s <http://…> ?o . }'
 //	prost-query -in dataset.nt -f query.sparql -strategy vp-only -explain
 //	prost-query -in dataset.nt -f query.sparql -planner heuristic -explain
-//	prost-query -in dataset.nt -f query.sparql -streaming -chunk-size 1024
+//	prost-query -in dataset.nt -f query.sparql -streaming
 //
 // With -streaming the query executes through the morsel-driven
 // pipelines over columnar chunks and the summary additionally reports
@@ -37,7 +37,6 @@ type options struct {
 	maxRows                  int
 	extvpBudget              int64
 	cluster                  cluster.Config
-	load                     core.Options // what -stats-sketches sets
 	query                    core.QueryOptions
 }
 
@@ -50,12 +49,10 @@ func main() {
 	flag.IntVar(&o.maxRows, "max-rows", 20, "result rows to print (0 = all)")
 	flag.Int64Var(&o.extvpBudget, "extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables; the query runs once to mine and build them, then the measured run may rewrite onto them (0 = subsystem off)")
 	clusterCfg := cliflag.Cluster(flag.CommandLine)
-	sketches := cliflag.StatsSketches(flag.CommandLine)
 	query := cliflag.Query(flag.CommandLine)
 	flag.Parse()
 
 	o.cluster = clusterCfg()
-	sketches(&o.load)
 	var err error
 	if o.query, err = query(); err == nil {
 		err = run(o)
@@ -96,10 +93,12 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	load := o.load
-	load.Cluster, load.BuildInversePT = c, opts.Strategy == core.StrategyMixedIPT
-	load.ExtVPBudget, load.ExtVPBuildAfter = o.extvpBudget, 1
-	store, err := core.LoadNTriples(f, load)
+	store, err := core.LoadNTriples(f, core.Options{
+		Cluster:         c,
+		BuildInversePT:  opts.Strategy == core.StrategyMixedIPT,
+		ExtVPBudget:     o.extvpBudget,
+		ExtVPBuildAfter: 1,
+	})
 	if err != nil {
 		return err
 	}
@@ -164,7 +163,7 @@ func run(o options) error {
 			fmt.Printf("join statistics: %d characteristic sets, %d/%d pair sketches kept (top-%d, %.1f%% of join volume, ~%d bytes)\n",
 				js.CSets, js.SketchPairs, js.CandidatePairs, js.TopK, 100*js.VolumeCoverage, js.MemoryBytes)
 			if js.VolumeCoverage < 1 {
-				fmt.Println("  (est-source=indep on a sketchable pair means it fell outside the kept top-K; raise -stats-sketches to cover it)")
+				fmt.Println("  (est-source=indep on a sketchable pair means it fell outside the kept top-K)")
 			}
 		} else {
 			fmt.Println("join statistics: disabled (independence estimator everywhere)")

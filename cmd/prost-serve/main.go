@@ -16,7 +16,7 @@
 //
 //	/sparql   execute a query (?query=… or POST body); JSON results by
 //	          default, TSV with ?format=tsv; per-request ?planner=,
-//	          ?strategy=, ?streaming= and ?chunk= overrides. Streaming
+//	          ?strategy= and ?streaming= overrides. Streaming
 //	          queries write results incrementally (chunked transfer
 //	          with periodic flushes) and report first-row latency and
 //	          peak intermediate memory in the response stats
@@ -32,10 +32,12 @@
 // The server degrades gracefully: requests over -max-inflight are shed
 // with 503 + Retry-After instead of queueing, a circuit breaker trips
 // /sparql to fast 503s when the execution-failure rate crosses its
-// threshold, and SIGTERM drains in-flight queries (up to
-// -drain-timeout) before exiting 0. The -fault-* flags inject a
-// deterministic fault schedule into the simulated cluster to exercise
-// recovery end to end.
+// threshold (half the executions of the last 30 s, once there are five)
+// and admits one probe at a time after a 5 s cooldown (a probe out for
+// another 5 s is superseded by the next query), and SIGTERM
+// drains in-flight queries (up to -drain-timeout) before exiting 0.
+// The -fault-* flags inject a deterministic fault schedule into the
+// simulated cluster to exercise recovery end to end.
 //
 // With -shard-addrs the server runs as a scale-out coordinator:
 // planning, shuffle routing and stage pricing stay local, while scan
@@ -70,22 +72,15 @@ type options struct {
 	shardAddrs      string
 	inflight        int
 	parallelism     int
-	cacheSize       int
 	maxRows         int
 	queryTimeout    time.Duration
 	extvpBudget     int64
 	extvpBuildAfter int
 	drainTimeout    time.Duration
 
-	breakerThreshold float64
-	breakerWindow    time.Duration
-	breakerCooldown  time.Duration
-
 	cluster cluster.Config
-	load    core.Options // what -stats-sketches sets
-	// query is the per-request default (?planner=, ?strategy=,
-	// ?streaming= and ?chunk= override it); its fault plan becomes the
-	// cluster's.
+	// query is the per-request default (?planner=, ?strategy= and
+	// ?streaming= override it); its fault plan becomes the cluster's.
 	query core.QueryOptions
 }
 
@@ -95,23 +90,17 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&o.shardAddrs, "shard-addrs", "", "comma-separated prost-shard addresses; set, the server runs as a scale-out coordinator delegating scan and exchange kernels to the shards (addresses in shard order: the i-th address must be the shard started with -shard i)")
 	flag.IntVar(&o.inflight, "max-inflight", serve.DefaultMaxInflight, "maximum concurrently executing queries; overflow is shed with 503 + Retry-After")
-	flag.IntVar(&o.parallelism, "parallelism", 0, "per-query scheduler pool width (0 = GOMAXPROCS)")
-	flag.IntVar(&o.cacheSize, "plan-cache", 0, "plan cache entries (0 = default, negative = disabled)")
+	flag.IntVar(&o.parallelism, "parallelism", 0, "per query, how many plan operators run at once and how many workers a streaming scan fans out over (0 = GOMAXPROCS); the partition tasks of one materialized stage run on GOMAXPROCS workers whatever it is")
 	flag.IntVar(&o.maxRows, "max-rows", 0, "cap result rows per response (0 = unlimited)")
 	flag.DurationVar(&o.queryTimeout, "query-timeout", 0, "per-query execution deadline; past it the query stops and the request returns 504 (0 = none)")
 	flag.Int64Var(&o.extvpBudget, "extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables; the query that makes a join pair hot materializes its reductions, and later queries are rewritten onto them (0 = subsystem off)")
 	flag.IntVar(&o.extvpBuildAfter, "extvp-build-after", 0, "feedback observations of a join pair before its reduction is built (0 = default)")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 15*time.Second, "on SIGTERM, how long to wait for in-flight queries before exiting")
-	flag.Float64Var(&o.breakerThreshold, "breaker-threshold", 0, "execution-failure rate that trips the /sparql circuit breaker (0 = default)")
-	flag.DurationVar(&o.breakerWindow, "breaker-window", 0, "sliding window for the breaker's failure rate (0 = default)")
-	flag.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "how long a tripped breaker sheds load before probing (0 = default)")
 	clusterCfg := cliflag.Cluster(flag.CommandLine)
-	sketches := cliflag.StatsSketches(flag.CommandLine)
 	query := cliflag.Query(flag.CommandLine)
 	flag.Parse()
 
 	o.cluster = clusterCfg()
-	sketches(&o.load)
 	var err error
 	if o.query, err = query(); err == nil {
 		err = run(o)
@@ -140,11 +129,12 @@ func run(o options) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "loading %s…\n", o.in)
-	load := o.load
-	load.Cluster, load.BuildInversePT = c, qopts.Strategy == core.StrategyMixedIPT
-	load.PlanCacheSize = o.cacheSize
-	load.ExtVPBudget, load.ExtVPBuildAfter = o.extvpBudget, o.extvpBuildAfter
-	store, err := core.LoadNTriples(f, load)
+	store, err := core.LoadNTriples(f, core.Options{
+		Cluster:         c,
+		BuildInversePT:  qopts.Strategy == core.StrategyMixedIPT,
+		ExtVPBudget:     o.extvpBudget,
+		ExtVPBuildAfter: o.extvpBuildAfter,
+	})
 	if err != nil {
 		return err
 	}
@@ -183,14 +173,11 @@ func run(o options) error {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Store:            store,
-		Options:          qopts,
-		MaxInflight:      o.inflight,
-		MaxRows:          o.maxRows,
-		QueryTimeout:     o.queryTimeout,
-		BreakerThreshold: o.breakerThreshold,
-		BreakerWindow:    o.breakerWindow,
-		BreakerCooldown:  o.breakerCooldown,
+		Store:        store,
+		Options:      qopts,
+		MaxInflight:  o.inflight,
+		MaxRows:      o.maxRows,
+		QueryTimeout: o.queryTimeout,
 	})
 	if err != nil {
 		return err

@@ -10,11 +10,11 @@
 //	prost-shard -in dataset.nt -listen :9102 -shard 1 -shards 2 &
 //	prost-serve -in dataset.nt -addr :8080 -shard-addrs localhost:9101,localhost:9102
 //
-// The -workers and -stats-sketches flags (and -ipt when the
-// coordinator serves the mixed+ipt strategy) must match the
-// coordinator's: the handshake verifies topology, partition count,
-// simulated worker count and the statistics fingerprint, and refuses
-// mismatched coordinators rather than silently corrupting results.
+// The -workers flag (and -ipt when the coordinator serves the
+// mixed+ipt strategy) must match the coordinator's: the handshake
+// verifies topology, partition count, simulated worker count and the
+// statistics fingerprint, and refuses mismatched coordinators rather
+// than silently corrupting results.
 package main
 
 import (
@@ -36,14 +36,9 @@ func main() {
 		shards     = flag.Int("shards", 1, "total shard count")
 		clusterCfg = cliflag.Cluster(flag.CommandLine)
 		ipt        = flag.Bool("ipt", false, "build the inverse property table (required when the coordinator's store holds it, i.e. serves strategy mixed+ipt)")
-		sketches   = cliflag.StatsSketches(flag.CommandLine)
 	)
 	flag.Parse()
-	// Kernels never plan, but the join statistics still have to be
-	// collected with the coordinator's bounds: they are mixed into the
-	// statistics fingerprint the handshake verifies.
 	opts := core.Options{BuildInversePT: *ipt}
-	sketches(&opts)
 	if err := run(*in, *listen, *shardNo, *shards, clusterCfg(), opts); err != nil {
 		fmt.Fprintln(os.Stderr, "prost-shard:", err)
 		os.Exit(1)

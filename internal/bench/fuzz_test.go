@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sparql"
 	"repro/internal/watdiv"
@@ -110,83 +108,6 @@ func randomBGP(rng *rand.Rand, preds []string) string {
 		src += "  " + p + "\n"
 	}
 	return src + "}"
-}
-
-// TestRandomBGPEstimationModesAgree is the estimator-isolation property
-// test: planner output rows must be byte-identical whether cardinality
-// estimates come from the independence assumption, characteristic sets
-// only, or characteristic sets plus pair sketches — estimates may steer
-// join order and physical methods, but they must never change results.
-// Checked for random connected BGPs under all three storage strategies.
-func TestRandomBGPEstimationModesAgree(t *testing.T) {
-	g := watdiv.MustGenerate(watdiv.Config{Scale: 150, Seed: 21})
-	load := func(opts core.Options) *core.Store {
-		opts.Cluster = cluster.MustNew(cluster.Config{Workers: 4, DefaultPartitions: 8})
-		opts.BuildInversePT = true
-		s, err := core.Load(g, opts)
-		if err != nil {
-			t.Fatalf("Load: %v", err)
-		}
-		return s
-	}
-	stores := []struct {
-		name  string
-		store *core.Store
-	}{
-		{"indep", load(core.Options{DisableJoinStats: true})},
-		{"cset", load(core.Options{SketchTopK: -1})},
-		{"sketch", load(core.Options{})},
-	}
-
-	render := func(res *core.Result) string {
-		var sb strings.Builder
-		for _, row := range res.SortedRows() {
-			for i, term := range row {
-				if i > 0 {
-					sb.WriteByte('\t')
-				}
-				sb.WriteString(term.String())
-			}
-			sb.WriteByte('\n')
-		}
-		return sb.String()
-	}
-
-	rng := rand.New(rand.NewSource(5))
-	preds := []string{
-		watdiv.NSwsdbm + "follows",
-		watdiv.NSwsdbm + "likes",
-		watdiv.NSwsdbm + "friendOf",
-		watdiv.NSrev + "reviewer",
-		watdiv.NSrev + "rating",
-		watdiv.NSwsdbm + "hasGenre",
-		watdiv.NSwsdbm + "livesIn",
-		watdiv.NSsorg + "caption",
-	}
-	strategies := []coreStrategy{coreStrategyMixed, coreStrategyVPOnly, coreStrategyMixedIPT}
-	for qi := 0; qi < 12; qi++ {
-		src := randomBGP(rng, preds)
-		q, err := sparql.Parse(src)
-		if err != nil {
-			t.Fatalf("query %d does not parse: %v\n%s", qi, err, src)
-		}
-		for _, strat := range strategies {
-			want := ""
-			for i, st := range stores {
-				res, err := st.store.Query(q, core.QueryOptions{Strategy: strat})
-				if err != nil {
-					t.Fatalf("query %d strategy %v on %s store: %v\n%s", qi, strat, st.name, err, src)
-				}
-				got := render(res)
-				if i == 0 {
-					want = got
-				} else if got != want {
-					t.Errorf("query %d strategy %v: %s-store rows differ from indep-store rows\n%s\nplan:\n%s",
-						qi, strat, st.name, src, res.Plan)
-				}
-			}
-		}
-	}
 }
 
 // TestRandomBGPStrategiesAgree additionally checks PRoST's three

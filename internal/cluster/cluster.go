@@ -34,9 +34,6 @@ type Config struct {
 	DefaultPartitions int
 	// Cost prices distributed operations on the virtual clock.
 	Cost CostModel
-	// MaxParallel bounds real goroutine parallelism when executing
-	// stages; 0 means GOMAXPROCS.
-	MaxParallel int
 	// Faults is an optional cluster-wide fault-injection schedule;
 	// queries may override it per QueryOptions. Nil (or inactive) means
 	// every resilience hook stays off the execution hot path.
@@ -149,10 +146,10 @@ func (s *TaskStats) Add(o TaskStats) {
 // sum of its tasks' priced time; the stage takes as long as the slowest
 // worker).
 //
-// At most MaxParallel workers pull partition tasks from a shared
-// counter, and the calling goroutine is one of them, so a stage of one
-// partition (or MaxParallel = 1) starts no goroutine and what a stage
-// allocates does not depend on how many partitions it has. Every
+// min(GOMAXPROCS, partitions) workers pull partition tasks from a
+// shared counter, and the calling goroutine is one of them, so a stage
+// of one partition (or on one processor) starts no goroutine and what a
+// stage allocates does not depend on how many partitions it has. Every
 // partition runs even after one has failed; the error reported is the
 // lowest failing partition's.
 //
@@ -163,11 +160,7 @@ func (c *Cluster) RunStage(clock *Clock, launch time.Duration, name string, part
 	if partitions <= 0 {
 		partitions = 1
 	}
-	par := c.cfg.MaxParallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	par = min(par, partitions)
+	par := min(runtime.GOMAXPROCS(0), partitions)
 	run := &stageRun{fn: fn, tasks: make([]taskOutcome, partitions)}
 	run.wg.Add(par)
 	for w := 1; w < par; w++ {

@@ -283,7 +283,7 @@ func sequentialStageRecord(c *Cluster, name string, launch time.Duration, partit
 }
 
 // TestRunStageProperties checks, over stage sizes from none to a
-// thousand partitions, every kind of MaxParallel and a clock or none,
+// thousand partitions, one, two or many processors and a clock or none,
 // that each partition runs exactly once, that no more than the bound
 // run at a time, that a stage a single worker can run stays on the
 // calling goroutine, that the charged StageRecord equals the sequential
@@ -292,29 +292,28 @@ func sequentialStageRecord(c *Cluster, name string, launch time.Duration, partit
 // 3 is the one reported.
 func TestRunStageProperties(t *testing.T) {
 	for _, partitions := range []int{0, 1, 2, 17, 1000} {
-		for _, maxPar := range []int{0, 1, 2, 64} {
+		for _, procs := range []int{1, 2, 64} {
 			for _, failing := range []bool{false, true} {
 				for _, noClock := range []bool{false, true} {
-					runStageCase(t, partitions, maxPar, failing, noClock)
+					runStageCase(t, partitions, procs, failing, noClock)
 				}
 			}
 		}
 	}
 }
 
-// runStageCase is one case of TestRunStageProperties.
-func runStageCase(t *testing.T, partitions, maxPar int, failing, noClock bool) {
+// runStageCase is one case of TestRunStageProperties, run on procs
+// processors.
+func runStageCase(t *testing.T, partitions, procs int, failing, noClock bool) {
 	t.Helper()
 	tasks := max(partitions, 1) // a stage always has one task
 	if failing && tasks <= 7 {
 		return
 	}
-	bound := maxPar
-	if bound == 0 {
-		bound = runtime.GOMAXPROCS(0)
-	}
-	label := fmt.Sprintf("partitions=%d MaxParallel=%d failing=%v noClock=%v", partitions, maxPar, failing, noClock)
-	c := MustNew(Config{Workers: 3, DefaultPartitions: 6, MaxParallel: maxPar})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	bound := procs
+	label := fmt.Sprintf("partitions=%d GOMAXPROCS=%d failing=%v noClock=%v", partitions, procs, failing, noClock)
+	c := MustNew(Config{Workers: 3, DefaultPartitions: 6})
 	ran := make([]atomic.Int32, tasks)
 	var cur, high, offCaller atomic.Int64
 	boom := errors.New("boom")
@@ -380,14 +379,16 @@ func runStageCase(t *testing.T, partitions, maxPar int, failing, noClock bool) {
 // TestRunStageAllocsIndependentOfPartitions: a stage allocates its
 // outcome slots and its queue, plus what starting the bounded workers
 // costs — the same number of allocations for two partitions as for a
-// thousand. (One goroutine and closure per partition made it grow.)
+// thousand, on one processor and on two. (One goroutine and closure per
+// partition made it grow.)
 func TestRunStageAllocsIndependentOfPartitions(t *testing.T) {
-	for _, maxPar := range []int{1, 2} {
-		c := MustNew(Config{Workers: 3, DefaultPartitions: 6, MaxParallel: maxPar})
+	for _, procs := range []int{1, 2} {
+		setProcs(t, procs)
+		c := MustNew(Config{Workers: 3, DefaultPartitions: 6})
 		clock := NewClock()
 		fn := func(part int) (TaskStats, error) { return stageTaskStats(part), nil }
 		allocs := func(partitions int) float64 {
-			return testing.AllocsPerRun(50, func() {
+			return allocsPerRun(50, func() {
 				clock.Reset()
 				if err := c.RunStage(clock, 0, "allocs", partitions, fn); err != nil {
 					t.Fatal(err)
@@ -395,11 +396,32 @@ func TestRunStageAllocsIndependentOfPartitions(t *testing.T) {
 			})
 		}
 		small, large := allocs(2), allocs(1000)
-		t.Logf("MaxParallel=%d: %.0f allocations per stage at 2 partitions, %.0f at 1000", maxPar, small, large)
+		t.Logf("GOMAXPROCS=%d: %.0f allocations per stage at 2 partitions, %.0f at 1000", procs, small, large)
 		if large != small || large > 6 {
-			t.Errorf("MaxParallel=%d: a stage allocates %.0f times at 2 partitions and %.0f at 1000; want the same handful", maxPar, small, large)
+			t.Errorf("GOMAXPROCS=%d: a stage allocates %.0f times at 2 partitions and %.0f at 1000; want the same handful", procs, small, large)
 		}
 	}
+}
+
+// setProcs runs the rest of the test on n processors, the bound on a
+// stage's workers.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// allocsPerRun is testing.AllocsPerRun without its switch to one
+// processor, which would leave every stage a single worker.
+func allocsPerRun(runs int, f func()) float64 {
+	f() // warm-up, as AllocsPerRun does
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.Mallocs
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m)
+	return float64((m.Mallocs - before) / uint64(runs))
 }
 
 func ExampleCluster_RunStage() {

@@ -278,7 +278,8 @@ func TestStaleGenerationFreesFIFOSlot(t *testing.T) {
 // TestConcurrentStatsReloadWithSketches reloads the join-graph
 // statistics (different sketch top-K → different fingerprint AND a
 // generation bump) while 16 goroutines keep querying — the -race gate
-// for swapStats under load. The store is loaded with SketchTopK 1 so
+// for swapStats under load. The store's statistics are swapped for a
+// collection with one pair sketch right after loading, so
 // the a⋈b correlation stays uncovered and executions write corrected
 // feedback entries; the reload must strand them, and no
 // post-reload execution may serve a plan priced against the old
@@ -286,10 +287,11 @@ func TestStaleGenerationFreesFIFOSlot(t *testing.T) {
 // built from the new collection.
 func TestConcurrentStatsReloadWithSketches(t *testing.T) {
 	c := cluster.MustNew(cluster.Config{Workers: 4, DefaultPartitions: 8})
-	s, err := Load(correlatedGraph(), Options{Cluster: c, SketchTopK: 1})
+	s, err := Load(correlatedGraph(), Options{Cluster: c})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
+	s.swapStats(stats.CollectJoinStats(s.triples, stats.Config{CSets: true, SketchTopK: 1}))
 	q := sparql.MustParse(adaptiveQuery)
 	static, err := s.Query(q, QueryOptions{NoPlanCache: true})
 	if err != nil {

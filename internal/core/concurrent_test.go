@@ -112,10 +112,15 @@ func TestPlanCacheNoCrossTalkBetweenOptions(t *testing.T) {
 	}
 }
 
-func TestPlanCacheBypassAndDisable(t *testing.T) {
+// TestPlanCacheBypass: a fresh store has an empty plan cache at
+// generation 0, and NoPlanCache queries neither read nor write it.
+func TestPlanCacheBypass(t *testing.T) {
 	s := testStore(t, false)
 	q := sparql.MustParse(cacheTestQuery)
 	base := s.PlanCacheMetrics()
+	if base != (CacheMetrics{}) {
+		t.Errorf("fresh store's plan cache: %+v, want empty at generation 0", base)
+	}
 	for i := 0; i < 3; i++ {
 		if _, err := s.Query(q, QueryOptions{NoPlanCache: true}); err != nil {
 			t.Fatalf("Query: %v", err)
@@ -124,20 +129,6 @@ func TestPlanCacheBypassAndDisable(t *testing.T) {
 	m := s.PlanCacheMetrics()
 	if m.Hits != base.Hits || m.Misses != base.Misses || m.Entries != base.Entries {
 		t.Errorf("NoPlanCache queries touched the cache: %+v -> %+v", base, m)
-	}
-
-	c := cluster.MustNew(cluster.Config{Workers: 3, DefaultPartitions: 4})
-	disabled, err := Load(testGraph(), Options{Cluster: c, PlanCacheSize: -1})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := disabled.Query(q, QueryOptions{}); err != nil {
-			t.Fatalf("Query: %v", err)
-		}
-	}
-	if m := disabled.PlanCacheMetrics(); m.Hits != 0 || m.Entries != 0 {
-		t.Errorf("disabled cache recorded hits/entries: %+v", m)
 	}
 }
 
@@ -171,10 +162,11 @@ func TestPlanCacheHitRateOnRepeatedWorkload(t *testing.T) {
 
 func TestPlanCacheEviction(t *testing.T) {
 	c := cluster.MustNew(cluster.Config{Workers: 3, DefaultPartitions: 4})
-	s, err := Load(testGraph(), Options{Cluster: c, PlanCacheSize: 2})
+	s, err := Load(testGraph(), Options{Cluster: c})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
+	s.planCache = newPlanCache(2)
 	preds := []string{"likes", "follows", "age", "hasGenre"}
 	for _, p := range preds {
 		src := fmt.Sprintf(`SELECT ?s WHERE { ?s <http://example.org/%s> ?o . }`, p)

@@ -31,12 +31,14 @@ type QueryOptions struct {
 	// size cap with CostModel pricing, so priced broadcasts may exceed
 	// it.
 	BroadcastThreshold int64
-	// Parallelism bounds the real workers a query runs on (0 =
-	// GOMAXPROCS): how many plan operators the materialized scheduler
-	// executes concurrently — independent subtrees of the plan run in
-	// parallel up to this bound — and how many workers a streaming scan
-	// fans out over, min(Parallelism, partitions). It never changes a
-	// result or anything the virtual clock prices.
+	// Parallelism (0 = GOMAXPROCS) bounds two things: how many plan
+	// operators the materialized scheduler runs at once — independent
+	// subtrees of the plan run in parallel up to this bound — and how
+	// many workers a streaming scan fans out over, min(Parallelism,
+	// partitions). It does not bound the tasks inside one materialized
+	// stage: those run on min(GOMAXPROCS, partitions) workers whatever
+	// it is set to (cluster.RunStage). It never changes a result or
+	// anything the virtual clock prices.
 	Parallelism int
 	// NoPlanCache bypasses the store's plan cache for this query: the
 	// plan is built from scratch, not inserted, and never corrected — the
@@ -60,9 +62,6 @@ type QueryOptions struct {
 	// workers, and the result carries first-row latency and the peak
 	// intermediate footprint. Both modes produce identical SortedRows.
 	Streaming bool
-	// ChunkSize is the streaming executor's rows-per-chunk (and morsel
-	// batch) granularity (0 = DefaultChunkSize).
-	ChunkSize int
 	// Dist routes scan and exchange kernels to shard processes through
 	// a per-query DistSession (coordinator mode). Planning, shuffle
 	// routing and stage pricing stay local, every scan resolves to the
@@ -70,6 +69,11 @@ type QueryOptions struct {
 	// single-process execution. What a sharded query turns off is the
 	// first row of the table on Store.resolve.
 	Dist DistRunner
+
+	// chunkSize overrides DefaultChunkSize, the streaming rows per batch
+	// and per priced morsel, when positive. Only this package's tests
+	// set it.
+	chunkSize int
 }
 
 // CorrectionBound is the estimation-error factor beyond which an
@@ -422,9 +426,6 @@ func (s *Store) correct(st *stats.Collection, q *sparql.Query, r resolved, key s
 
 // PlanCacheMetrics snapshots the store's plan-cache counters.
 func (s *Store) PlanCacheMetrics() CacheMetrics {
-	if s.planCache == nil {
-		return CacheMetrics{}
-	}
 	return s.planCache.metrics()
 }
 

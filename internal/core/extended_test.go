@@ -440,7 +440,7 @@ func TestLimitDeterministicAcrossConfigs(t *testing.T) {
 					streaming bool
 					chunk     int
 				}{{false, 0}, {true, 0}, {true, 1}, {true, 7}} {
-					res, err := s.Query(q, QueryOptions{Strategy: strat, Planner: mode, Streaming: cfg.streaming, ChunkSize: cfg.chunk})
+					res, err := s.Query(q, QueryOptions{Strategy: strat, Planner: mode, Streaming: cfg.streaming, chunkSize: cfg.chunk})
 					if err != nil {
 						t.Fatalf("%s: %s/%v/%+v: %v", tc.name, strat, mode, cfg, err)
 					}
@@ -541,7 +541,7 @@ func TestStreamingTopKPeakMemoryDeterministic(t *testing.T) {
 		?u <http://db.uwaterloo.ca/~galuc/wsdbm/follows> ?f .
 		?f <http://db.uwaterloo.ca/~galuc/wsdbm/likes> ?p .
 	} ORDER BY ?u ?f LIMIT 10`)
-	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: 7}
+	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, chunkSize: 7}
 	var want int64
 	for run := 0; run < 20; run++ {
 		res, err := s.Query(q, opts)

@@ -468,10 +468,11 @@ func TestConcurrentExtVPQueriesDuringBuilds(t *testing.T) {
 // rewrites forever.
 func TestPlanCacheFeedbackWriteBackNoEvictionLoop(t *testing.T) {
 	c := cluster.MustNew(cluster.Config{Workers: 4, DefaultPartitions: 8})
-	s, err := Load(correlatedGraph(), Options{Cluster: c, DisableJoinStats: true, PlanCacheSize: 1})
+	s, err := Load(correlatedGraph(), Options{Cluster: c, DisableJoinStats: true})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
+	s.planCache = newPlanCache(1)
 	q := sparql.MustParse(adaptiveQuery)
 
 	const runs = 5

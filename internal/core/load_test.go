@@ -181,21 +181,21 @@ func TestLoadEntryPointsAgreeOnWatDiv(t *testing.T) {
 }
 
 // TestLoadSameAtAnyParallelism loads one document with the table builds
-// on one worker and on four: the encoding runs as tasks in any order,
-// but what is stored, written, priced and summed must not notice.
+// on one worker and on four (GOMAXPROCS bounds a stage's workers): the
+// encoding runs as tasks in any order, but what is stored, written,
+// priced and summed must not notice.
 func TestLoadSameAtAnyParallelism(t *testing.T) {
 	g := watdiv.MustGenerate(watdiv.Config{Scale: 1000, Seed: 1})
 	var doc bytes.Buffer
 	if err := rdf.WriteNTriples(&doc, g); err != nil {
 		t.Fatal(err)
 	}
-	load := func(maxParallel int, opts Options) *Store {
-		cfg := cluster.DefaultConfig()
-		cfg.MaxParallel = maxParallel
-		opts.Cluster = cluster.MustNew(cfg)
+	load := func(procs int, opts Options) *Store {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		opts.Cluster = cluster.MustNew(cluster.DefaultConfig())
 		s, err := LoadNTriples(bytes.NewReader(doc.Bytes()), opts)
 		if err != nil {
-			t.Fatalf("MaxParallel %d: %v", maxParallel, err)
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 		}
 		return s
 	}

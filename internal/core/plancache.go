@@ -8,10 +8,10 @@ import (
 	"repro/internal/sparql"
 )
 
-// defaultPlanCacheSize bounds the plan cache when Options.PlanCacheSize
-// is zero. Plans are a few KiB each, so the default costs ~1 MiB while
-// covering far more distinct query shapes than any benchmark workload.
-const defaultPlanCacheSize = 256
+// planCacheSize bounds every store's plan cache. Plans are a few KiB
+// each, so the cache costs ~1 MiB while covering far more distinct
+// query shapes than any benchmark workload.
+const planCacheSize = 256
 
 // cachedPlan is one immutable plan-cache entry: the translated Join
 // Tree nodes (the scan descriptors the plan's Leaf indexes point into)
@@ -82,9 +82,7 @@ type planCache struct {
 	feedbackHits uint64
 }
 
-// newPlanCache returns a cache bounded to max entries. Callers wanting
-// no cache keep a nil *planCache instead (the query path skips key
-// construction entirely then); the max < 1 guard in put is defensive.
+// newPlanCache returns a cache bounded to max entries (at least one).
 func newPlanCache(max int) *planCache {
 	return &planCache{max: max, entries: make(map[string]*cachedPlan)}
 }
@@ -127,9 +125,6 @@ func (c *planCache) get(key string) (*cachedPlan, bool) {
 // (the feedback write-back path) replaces the entry in place without
 // consuming a new FIFO slot.
 func (c *planCache) put(key string, e *cachedPlan) {
-	if c.max < 1 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.gen = c.gen

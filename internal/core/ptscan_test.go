@@ -473,7 +473,7 @@ func TestPTScanOrderReproducible(t *testing.T) {
 	for _, streaming := range []bool{false, true} {
 		var first string
 		for run := 0; run < 4; run++ {
-			res, err := s.Query(q, QueryOptions{Streaming: streaming, ChunkSize: 64})
+			res, err := s.Query(q, QueryOptions{Streaming: streaming, chunkSize: 64})
 			if err != nil {
 				t.Fatalf("Query: %v", err)
 			}
@@ -666,7 +666,7 @@ func TestPTScanScratchIndependentOfPartitions(t *testing.T) {
 	q := sparql.MustParse("SELECT ?s ?o WHERE { ?s <" + testNS + "p> ?o . ?s <" + testNS + "q> ?x . ?s <" + testNS + "r> ?v . FILTER(?o = <" + testNS + "x1>) }")
 	for _, streaming := range []bool{false, true} {
 		allocs := func(parts int) float64 {
-			c := cluster.MustNew(cluster.Config{Workers: 2, DefaultPartitions: parts, MaxParallel: 1})
+			c := cluster.MustNew(cluster.Config{Workers: 2, DefaultPartitions: parts})
 			s, err := Load(g, Options{Cluster: c})
 			if err != nil {
 				t.Fatal(err)
@@ -752,7 +752,7 @@ func TestPTStreamExaminesEachCandidateOnce(t *testing.T) {
 	want := calls(QueryOptions{})
 	t.Logf("the FILTER ran %d times materialized", want)
 	for _, chunk := range []int{7, 0} {
-		if got := calls(QueryOptions{Streaming: true, ChunkSize: chunk}); got != want {
+		if got := calls(QueryOptions{Streaming: true, chunkSize: chunk}); got != want {
 			t.Errorf("chunk size %d: the FILTER ran %d times streamed, %d times materialized", chunk, got, want)
 		}
 	}

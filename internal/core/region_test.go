@@ -48,7 +48,7 @@ func TestCancelledQueriesLeaveRegionsAlone(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for r := 0; r < rounds; r++ {
 				qi := rng.Intn(len(queries))
-				opts := QueryOptions{Streaming: rng.Intn(2) == 0, ChunkSize: []int{0, 16, 64}[rng.Intn(3)]}
+				opts := QueryOptions{Streaming: rng.Intn(2) == 0, chunkSize: []int{0, 16, 64}[rng.Intn(3)]}
 				ctx, cancel := context.WithCancel(context.Background())
 				if r%2 == 0 {
 					time.AfterFunc(time.Duration(rng.Intn(200))*time.Microsecond, cancel)
@@ -59,7 +59,7 @@ func TestCancelledQueriesLeaveRegionsAlone(t *testing.T) {
 				case err != nil && !errors.Is(err, context.Canceled):
 					errs <- fmt.Errorf("%s: %w", queries[qi].Name, err)
 				case err == nil && renderSorted(res) != want[qi]:
-					errs <- fmt.Errorf("%s (streaming %v, chunk %d): rows differ from the reference", queries[qi].Name, opts.Streaming, opts.ChunkSize)
+					errs <- fmt.Errorf("%s (streaming %v, chunk %d): rows differ from the reference", queries[qi].Name, opts.Streaming, opts.chunkSize)
 				}
 			}
 		}(g)
@@ -115,9 +115,7 @@ func TestWarmQueryAllocsIndependentOfIntermediateRows(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			g.AddSPO(iri("o", i), rdf.NewIRI(testNS+"q"), iri("x", i))
 		}
-		// One task at a time: concurrent tasks carve in a different order
-		// from run to run, so a query's slabs vary by one now and then.
-		c := cluster.MustNew(cluster.Config{Workers: 2, DefaultPartitions: 2, MaxParallel: 1})
+		c := cluster.MustNew(cluster.Config{Workers: 2, DefaultPartitions: 2})
 		s, err := Load(g, Options{Cluster: c, BuildInversePT: true})
 		if err != nil {
 			t.Fatal(err)
@@ -134,8 +132,8 @@ func TestWarmQueryAllocsIndependentOfIntermediateRows(t *testing.T) {
 		}{
 			{"materialized, shuffle", QueryOptions{BroadcastThreshold: -1, Parallelism: 1}},
 			{"materialized, broadcast", QueryOptions{Parallelism: 1}},
-			{"streaming, shuffle", QueryOptions{BroadcastThreshold: -1, Streaming: true, ChunkSize: 512, Parallelism: 1}},
-			{"streaming, broadcast", QueryOptions{Streaming: true, ChunkSize: 512, Parallelism: 1}},
+			{"streaming, shuffle", QueryOptions{BroadcastThreshold: -1, Streaming: true, chunkSize: 512, Parallelism: 1}},
+			{"streaming, broadcast", QueryOptions{Streaming: true, chunkSize: 512, Parallelism: 1}},
 		} {
 			allocs := func(n int) (mallocs, bytes float64) {
 				run := func() {
@@ -148,7 +146,10 @@ func TestWarmQueryAllocsIndependentOfIntermediateRows(t *testing.T) {
 				// runs the query: a collection empties the slab pools, and a
 				// goroutine that moved to another processor finds the slab
 				// it put back in the old one's private slot — the pool's
-				// refills are not the query's cost.
+				// refills are not the query's cost. On one processor a stage
+				// also runs one task at a time: concurrent tasks carve in a
+				// different order from run to run, so a query's slabs would
+				// vary by one now and then.
 				defer debug.SetGCPercent(debug.SetGCPercent(-1))
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 				run()

@@ -53,8 +53,8 @@ type resolved struct {
 //	                                    (nothing would scan the reductions built)
 //	Faults                              nil: the cluster's plan; an inactive plan: none
 //	BroadcastThreshold                  0: engine.DefaultBroadcastThreshold; negative: no broadcasts
-//	ChunkSize, Parallelism              0: DefaultChunkSize, GOMAXPROCS
-//	NoPlanCache, or no cache            planned fresh, not inserted, never corrected
+//	Parallelism                         0: GOMAXPROCS
+//	NoPlanCache                         planned fresh, not inserted, never corrected
 //	no workload model                   ExtVP not offered, nothing mined
 //
 // Whether an execution corrects its cache entry is decided after it ran,
@@ -73,12 +73,12 @@ func (s *Store) resolve(q *sparql.Query, opts QueryOptions) (resolved, error) {
 		mode:         opts.Planner,
 		broadcast:    opts.BroadcastThreshold,
 		broadcastOpt: opts.BroadcastThreshold,
-		chunk:        opts.ChunkSize,
+		chunk:        opts.chunkSize,
 		par:          opts.Parallelism,
 		faults:       opts.Faults,
 		dist:         opts.Dist,
 		extvp:        local && s.workload != nil,
-		cacheable:    !opts.NoPlanCache && s.planCache != nil,
+		cacheable:    !opts.NoPlanCache,
 		streaming:    local && opts.Streaming,
 		downgraded:   !local && opts.Streaming,
 	}

@@ -48,7 +48,6 @@ func TestResolveTable(t *testing.T) {
 	stores := map[string]Options{
 		"plain":          {},
 		"workload":       {ExtVPBudget: 1 << 20},
-		"cache-less":     {PlanCacheSize: -1},
 		"cluster-faults": {},
 	}
 	// Keys shared by several rows.
@@ -124,15 +123,13 @@ func TestResolveTable(t *testing.T) {
 			func(r *resolved) { r.broadcast, r.broadcastOpt = -1, -1 }, strings.Replace(keyDefault, "|mixed|0|", "|mixed|-1|", 1)},
 
 		// Executor knobs: never in the key.
-		{"chunk size and pool width set", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Streaming: true, ChunkSize: 7, Parallelism: 3} },
+		{"chunk size and pool width set", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Streaming: true, chunkSize: 7, Parallelism: 3} },
 			func(r *resolved) { r.streaming, r.chunk, r.par = true, 7, 3 }, keyDefault},
-		{"negative chunk size and pool width", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{ChunkSize: -5, Parallelism: -2} },
+		{"negative chunk size and pool width", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{chunkSize: -5, Parallelism: -2} },
 			func(r *resolved) {}, keyDefault},
 
-		// The plan cache.
+		// The plan cache: every store has one; NoPlanCache bypasses it.
 		{"NoPlanCache", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{NoPlanCache: true} },
-			func(r *resolved) { r.cacheable = false }, ""},
-		{"store without a plan cache", "cache-less", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{} },
 			func(r *resolved) { r.cacheable = false }, ""},
 
 		// Strategy: resolved as given; the translator refuses it.

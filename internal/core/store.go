@@ -94,13 +94,6 @@ type Options struct {
 	// by StrategyMixedIPT. It costs extra loading time and storage,
 	// which is why the paper leaves it as future work.
 	BuildInversePT bool
-	// PlanCacheSize bounds the store's plan cache (entries). 0 uses the
-	// default; negative disables plan caching entirely.
-	PlanCacheSize int
-	// SketchTopK bounds the two-predicate join sketches collected at
-	// load time (0 = stats.DefaultSketchTopK, negative = no pair
-	// sketches; characteristic sets are kept either way).
-	SketchTopK int
 	// DisableJoinStats skips the join-graph statistics entirely —
 	// characteristic sets and pair sketches — leaving the pre-sketch
 	// independence-only estimator. Kept as the ablation baseline (A6)
@@ -300,9 +293,7 @@ func (s *Store) statsFingerprint() uint64 { return s.statsSnap.Load().fp }
 // on the old fingerprint (unreachable after it).
 func (s *Store) swapStats(st *stats.Collection) {
 	s.statsSnap.Store(&statsSnapshot{col: st, fp: st.Fingerprint()})
-	if s.planCache != nil {
-		s.planCache.bumpGeneration()
-	}
+	s.planCache.bumpGeneration()
 	if s.workload != nil {
 		// Reductions and observed cardinalities describe the old data;
 		// the generation bump also strands any build still running on
@@ -406,12 +397,13 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 	// Every loader is one submitted Spark (or bulk-ingest) application.
 	clock.Charge("job submit", opts.Cluster.Config().Cost.RDDSubmit)
 	s := &Store{
-		opts:    opts,
-		cluster: opts.Cluster,
-		fs:      opts.FS,
-		dict:    rdf.NewDictionary(),
-		parts:   parts,
-		vp:      make(map[rdf.ID]*VPTable),
+		opts:      opts,
+		cluster:   opts.Cluster,
+		fs:        opts.FS,
+		dict:      rdf.NewDictionary(),
+		parts:     parts,
+		vp:        make(map[rdf.ID]*VPTable),
+		planCache: newPlanCache(planCacheSize),
 	}
 
 	// Phases 1 and 2, one pass: read + parse the input, dictionary-encode
@@ -429,24 +421,18 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 	// overhead": one extra pass). Join-graph statistics (characteristic
 	// sets + pair sketches) ride the same subject-grouped layout the
 	// Property Table build needs and cost one more pass over the rows.
+	var col *stats.Collection
 	if opts.DisableJoinStats {
-		s.swapStats(stats.Collect(s.triples))
+		col = stats.Collect(s.triples)
 		clock.Charge("statistics", time.Duration(len(s.triples))*s.cluster.Config().Cost.RowTime)
 	} else {
-		s.swapStats(stats.CollectJoinStats(s.triples, stats.Config{CSets: true, SketchTopK: opts.SketchTopK}))
+		col = stats.CollectJoinStats(s.triples, stats.Config{CSets: true})
 		clock.Charge("statistics", time.Duration(len(s.triples))*s.cluster.Config().Cost.RowTime)
 		clock.Charge("join statistics", time.Duration(len(s.triples))*s.cluster.Config().Cost.RowTime)
 	}
-
-	cacheSize := opts.PlanCacheSize
-	if cacheSize == 0 {
-		cacheSize = defaultPlanCacheSize
-	}
-	if cacheSize > 0 {
-		// A negative size disables caching outright: planCache stays
-		// nil, so queries skip key construction and locking entirely.
-		s.planCache = newPlanCache(cacheSize)
-	}
+	// The first statistics invalidate nothing, so the plan cache starts
+	// at generation 0; swapStats is for replacing them.
+	s.statsSnap.Store(&statsSnapshot{col: col, fp: col.Fingerprint()})
 
 	if opts.ExtVPBudget > 0 {
 		s.workload = workload.New(workload.Config{

@@ -22,7 +22,7 @@ import (
 // Morsel-driven streaming execution. The materialized scheduler runs a
 // plan operator at a time, each one materializing its full output
 // relation before the next starts; this file rebuilds the same plan as
-// pull-based pipelines over batches of at most ChunkSize rows. A
+// pull-based pipelines over batches of at most DefaultChunkSize rows. A
 // pipeline fuses one source scan with every filter, hash-join probe,
 // projection and distinct step up to the next pipeline breaker (a
 // hash-join build side, a union, or the driver), so an intermediate
@@ -60,7 +60,7 @@ import (
 // interleaving.
 
 // DefaultChunkSize is the number of rows per streaming batch (and per
-// priced morsel) when QueryOptions.ChunkSize is zero. Small enough that
+// priced morsel). Small enough that
 // the in-flight budget (workers x chunk x width) stays a rounding
 // error next to a C-family build side; large enough that the per-batch
 // costs (one step dispatch, one counter update and one output arena

@@ -286,7 +286,7 @@ func renderComparable(q *sparql.Query, res *Result) string {
 	return renderSorted(res)
 }
 
-// TestStreamingChunkSizeInvariance: the chunk-size knob changes batch
+// TestStreamingChunkSizeInvariance: the chunk size changes batch
 // and morsel granularity, never results. Sinks keep the rows they are
 // handed instead of copies, so a step that handed on a row it later
 // overwrote (or a header slice compacted under a reader) would show at
@@ -305,7 +305,7 @@ func TestStreamingChunkSizeInvariance(t *testing.T) {
 		want := renderComparable(q.Parsed, mat)
 		for _, chunk := range []int{1, 7, 64, 2048, 1 << 16} {
 			opts := base
-			opts.Streaming, opts.ChunkSize = true, chunk
+			opts.Streaming, opts.chunkSize = true, chunk
 			res, err := s.Query(q.Parsed, opts)
 			if err != nil {
 				t.Fatalf("%s chunk %d: %v", q.Name, chunk, err)
@@ -332,7 +332,7 @@ func TestStreamingSameAtAnyParallelism(t *testing.T) {
 	for _, q := range allWatDivQueries() {
 		for _, chunk := range []int{7, 0} {
 			run := func(par int) *Result {
-				res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: chunk, Parallelism: par, NoPlanCache: true})
+				res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, chunkSize: chunk, Parallelism: par, NoPlanCache: true})
 				if err != nil {
 					t.Fatalf("%s chunk %d parallelism %d: %v", q.Name, chunk, par, err)
 				}
@@ -396,7 +396,7 @@ func TestStreamingGroupByAtAnyParallelism(t *testing.T) {
 		want := renderInOrder(mat)
 		for par := 1; par <= 8; par++ {
 			for _, chunk := range []int{7, 0} {
-				res, err := s.Query(q, QueryOptions{Streaming: true, Parallelism: par, ChunkSize: chunk, NoPlanCache: true})
+				res, err := s.Query(q, QueryOptions{Streaming: true, Parallelism: par, chunkSize: chunk, NoPlanCache: true})
 				if err != nil {
 					t.Fatalf("%s parallelism %d chunk %d: %v", c.text, par, chunk, err)
 				}
@@ -434,7 +434,7 @@ func (c *flipCtx) Err() error {
 func TestStreamingCancelCountsPipelines(t *testing.T) {
 	s := watdivStreamStore(t)
 	q := mustQueryByName(t, "C1")
-	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: 7, Parallelism: 4}
+	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, chunkSize: 7, Parallelism: 4}
 	res, err := s.Query(q.Parsed, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -726,7 +726,7 @@ func TestStreamingLeavesStoreIntact(t *testing.T) {
 				t.Fatalf("filtered %d/%s: no rows; the query is vacuous at this scale", i, strat)
 			}
 			for _, chunk := range []int{1, 7, 2048} {
-				got := streamWithResidualFilters(t, s, q, QueryOptions{Strategy: strat, ChunkSize: chunk})
+				got := streamWithResidualFilters(t, s, q, QueryOptions{Strategy: strat, chunkSize: chunk})
 				if got != want {
 					t.Errorf("filtered %d/%s chunk %d: rows differ from materialized", i, strat, chunk)
 				}
@@ -735,7 +735,7 @@ func TestStreamingLeavesStoreIntact(t *testing.T) {
 	}
 	for _, q := range allWatDivQueries() {
 		for _, chunk := range []int{7, 0} {
-			if _, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: chunk, NoPlanCache: true}); err != nil {
+			if _, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, chunkSize: chunk, NoPlanCache: true}); err != nil {
 				t.Fatalf("%s: %v", q.Name, err)
 			}
 		}
@@ -865,7 +865,7 @@ func TestStreamingConcurrentQueries(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i, q := range queries {
-				res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, ChunkSize: 512 << (w % 3), NoPlanCache: true})
+				res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, chunkSize: 512 << (w % 3), NoPlanCache: true})
 				if err != nil {
 					errs <- fmt.Errorf("%s worker %d: %v", q.Name, w, err)
 					return

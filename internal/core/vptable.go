@@ -178,7 +178,7 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 }
 
 // onWorkers runs fn(0), …, fn(n-1) as the tasks of a stage on the
-// cluster's workers (at most Config.MaxParallel at a time) and charges
+// cluster's workers (at most GOMAXPROCS at a time) and charges
 // nothing: it is the real work behind a load stage priced on its own.
 // The error is the lowest failing task's.
 func (s *Store) onWorkers(name string, n int, fn func(i int) error) error {

@@ -14,12 +14,6 @@ import (
 // spark.sql.autoBroadcastJoinThreshold default of 10 MiB.
 const DefaultBroadcastThreshold = 10 << 20
 
-// DefaultSkewSaltFraction is the shuffle-salting trigger: a join key
-// carrying at least this fraction of one input's rows would serialize
-// a fifth of the join on one worker, so it is salted into per-worker
-// sub-keys instead.
-const DefaultSkewSaltFraction = 0.2
-
 // Exec is the execution context for one query: the cluster it runs on,
 // the virtual clock it charges, and the physical-planning knobs.
 type Exec struct {
@@ -40,12 +34,6 @@ type Exec struct {
 	// joins; 0 means DefaultBroadcastThreshold, negative disables
 	// broadcasting entirely (the ablation knob).
 	BroadcastThreshold int64
-	// SkewSaltFraction is the shuffle-salting trigger: a join key
-	// carrying at least this fraction of one input's rows is split into
-	// per-worker sub-keys, with the other side's matching rows
-	// replicated, so a zipfian hot key no longer serializes one worker.
-	// 0 means DefaultSkewSaltFraction; negative disables salting.
-	SkewSaltFraction float64
 	// Dist, when non-nil, delegates exchange kernels (shuffle join,
 	// broadcast join, cartesian, distinct) to remote shard processes.
 	// Layout decisions, shuffle routing and stage pricing stay local,
@@ -62,6 +50,9 @@ type Exec struct {
 	Region *Region
 
 	started bool
+	// noSalt turns shuffle salting off; only this package's tests set
+	// it, to measure what salting buys.
+	noSalt bool
 }
 
 // NewExec returns an execution context with warm-session Spark SQL
@@ -118,17 +109,6 @@ func (e *Exec) broadcastThreshold() int64 {
 		return DefaultBroadcastThreshold
 	}
 	return e.BroadcastThreshold
-}
-
-// saltFraction resolves the shuffle-salting trigger (0 when disabled).
-func (e *Exec) saltFraction() float64 {
-	if e.SkewSaltFraction == 0 {
-		return DefaultSkewSaltFraction
-	}
-	if e.SkewSaltFraction < 0 {
-		return 0
-	}
-	return e.SkewSaltFraction
 }
 
 // Scan charges a table scan of the relation: diskBytes streamed evenly

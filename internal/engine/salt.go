@@ -10,7 +10,7 @@ import (
 // their join key, so a zipfian hot key sends all of its rows — and all
 // of its join work — to one partition on one worker, serializing the
 // stage no matter how many workers exist. When an input's key
-// histogram shows a value at or above Exec.SkewSaltFraction of its
+// histogram shows a value at or above skewSaltFraction of its
 // rows, the shuffle salts that key: the hot side's rows round-robin
 // over K=workers sub-keys (one shuffle target partition each), and the
 // other side's matching rows are replicated with one copy per distinct
@@ -18,6 +18,11 @@ import (
 // while the row work spreads across the cluster. This generalizes the
 // broadcast-only skew guard (skewDowngrade) to the shuffle path, where
 // concurrent DAG branches would otherwise pile onto one worker.
+
+// skewSaltFraction is the shuffle-salting trigger: a join key carrying
+// at least this fraction of one input's rows would serialize a fifth of
+// the join on one worker, so it is salted instead.
+const skewSaltFraction = 0.2
 
 // saltedKey describes one hot join-key value the shuffle salts: the
 // distinct target partitions its rows spread over, which input side
@@ -35,8 +40,7 @@ type saltedKey struct {
 // widen a salt group — correctness never depends on the hash, because
 // the per-partition hash join still tests the real key columns.
 func (e *Exec) saltPlan(left, right *Relation, lKey, rKey []int) map[uint64]*saltedKey {
-	frac := e.saltFraction()
-	if frac <= 0 {
+	if e.noSalt {
 		return nil
 	}
 	workers := e.Cluster.Workers()
@@ -51,18 +55,18 @@ func (e *Exec) saltPlan(left, right *Relation, lKey, rKey []int) map[uint64]*sal
 	if lTotal < minRows && rTotal < minRows {
 		return nil
 	}
-	// Screen cheaply before counting: a key carrying frac of a side's
-	// rows cannot hide from a deterministic stride sample, so the full
-	// histogram — a map touched once per row, real cost on the PR 1
-	// allocation-light hot path — is built only when the sample says a
-	// hot key is plausible. The sample uses a relaxed bound so sampling
+	// Screen cheaply before counting: a key carrying the trigger share
+	// of a side's rows cannot hide from a deterministic stride sample,
+	// so the full histogram — a map touched once per row, real cost on
+	// the PR 1 allocation-light hot path — is built only when the sample
+	// says a hot key is plausible. The sample uses a relaxed bound so sampling
 	// noise cannot suppress a genuinely hot key; the exact rule below
 	// still decides on the full counts.
 	var lCounts, rCounts map[uint64]int
-	if lTotal >= minRows && sampleSuggestsHotKey(left, lKey, frac) {
+	if lTotal >= minRows && sampleSuggestsHotKey(left, lKey) {
 		lCounts = keyHistogram(left, lKey)
 	}
-	if rTotal >= minRows && sampleSuggestsHotKey(right, rKey, frac) {
+	if rTotal >= minRows && sampleSuggestsHotKey(right, rKey) {
 		rCounts = keyHistogram(right, rKey)
 	}
 	if lCounts == nil && rCounts == nil {
@@ -81,12 +85,12 @@ func (e *Exec) saltPlan(left, right *Relation, lKey, rKey []int) map[uint64]*sal
 		salted[h] = &saltedKey{targets: targets, spreadLeft: lCounts[h] >= rCounts[h]}
 	}
 	for h, c := range lCounts {
-		if float64(c) >= frac*float64(lTotal) {
+		if float64(c) >= skewSaltFraction*float64(lTotal) {
 			consider(h)
 		}
 	}
 	for h, c := range rCounts {
-		if float64(c) >= frac*float64(rTotal) {
+		if float64(c) >= skewSaltFraction*float64(rTotal) {
 			consider(h)
 		}
 	}
@@ -102,12 +106,12 @@ const saltSampleSize = 512
 // sampleSuggestsHotKey strides through the relation counting at most
 // saltSampleSize keys and reports whether any sampled key plausibly
 // reaches the salt fraction. The bound is relaxed to half the trigger:
-// a key truly carrying frac of the rows concentrates the same share of
-// a stride sample (the stride is independent of the key), so a 0.2-hot
-// key essentially cannot sample below 0.1 at 512 draws, while uniform
-// key distributions screen out without ever allocating a full
+// a key truly carrying that share of the rows concentrates the same
+// share of a stride sample (the stride is independent of the key), so
+// a 0.2-hot key essentially cannot sample below 0.1 at 512 draws, while
+// uniform key distributions screen out without ever allocating a full
 // histogram.
-func sampleSuggestsHotKey(rel *Relation, keyIdx []int, frac float64) bool {
+func sampleSuggestsHotKey(rel *Relation, keyIdx []int) bool {
 	total := rel.NumRows()
 	stride := total / saltSampleSize
 	if stride < 1 {
@@ -129,7 +133,7 @@ func sampleSuggestsHotKey(rel *Relation, keyIdx []int, frac float64) bool {
 		}
 		next -= rows.n
 	}
-	return sampled > 0 && float64(max) >= 0.5*frac*float64(sampled)
+	return sampled > 0 && float64(max) >= 0.5*skewSaltFraction*float64(sampled)
 }
 
 // keyHistogram counts rows per join-key hash across all partitions.

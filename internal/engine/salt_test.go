@@ -80,7 +80,7 @@ func TestSaltedShuffleSpreadsHotKey(t *testing.T) {
 	lRows := zipfRows(rng, 2, 4000, 1, 0.9)
 	rRows := zipfRows(rng, 2, 4000, 0, 0.9)
 
-	run := func(saltFrac float64) (time.Duration, int64) {
+	run := func(noSalt bool) (time.Duration, int64) {
 		left, err := Partition(lSchema, lRows, "a", 16)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestSaltedShuffleSpreadsHotKey(t *testing.T) {
 		clk := cluster.NewClock()
 		e := NewExec(c, clk)
 		e.BroadcastThreshold = -1
-		e.SkewSaltFraction = saltFrac
+		e.noSalt = noSalt
 		out, err := e.Join(left, right, "skewed")
 		if err != nil {
 			t.Fatal(err)
@@ -104,13 +104,13 @@ func TestSaltedShuffleSpreadsHotKey(t *testing.T) {
 			}
 		}
 		if join.Name == "" {
-			t.Fatalf("join stage missing from trace (salt=%v); rows=%d", saltFrac, out.NumRows())
+			t.Fatalf("join stage missing from trace (noSalt=%v); rows=%d", noSalt, out.NumRows())
 		}
 		return join.Makespan, join.Stats.NetBytes
 	}
 
-	saltedSpan, saltedNet := run(0)      // 0 = engine default (enabled)
-	unsaltedSpan, unsaltedNet := run(-1) // negative disables salting
+	saltedSpan, saltedNet := run(false)
+	unsaltedSpan, unsaltedNet := run(true)
 
 	if saltedSpan >= unsaltedSpan {
 		t.Errorf("salted makespan %v not shorter than unsalted %v", saltedSpan, unsaltedSpan)

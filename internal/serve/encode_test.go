@@ -283,7 +283,7 @@ func linearStore(t testing.TB, n int) *core.Store {
 		g.AddSPO(watdiv.UserIRI(3), likes, watdiv.ProductIRI(i))
 		g.AddSPO(watdiv.ProductIRI(i), caption, rdf.NewLiteral(fmt.Sprintf("caption <%d>", i)))
 	}
-	store, err := core.Load(g, core.Options{Cluster: cluster.MustNew(cluster.Config{Workers: 3, DefaultPartitions: 4, MaxParallel: 1})})
+	store, err := core.Load(g, core.Options{Cluster: cluster.MustNew(cluster.Config{Workers: 3, DefaultPartitions: 4})})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

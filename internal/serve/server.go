@@ -10,11 +10,11 @@
 //	GET|POST /sparql   — execute a query (?query=… or POST body),
 //	                     JSON results by default, TSV with ?format=tsv;
 //	                     ?streaming=1 routes it through the morsel
-//	                     executor (?chunk= sets the chunk size) and the
-//	                     response body is flushed to the client in row
-//	                     chunks as it is written; every parameter is
-//	                     validated before anything executes (400, or
-//	                     413 for a POST body over 1 MiB)
+//	                     executor and the response body is flushed to
+//	                     the client in row chunks as it is written;
+//	                     every parameter is validated before anything
+//	                     executes (400, or 413 for a POST body over
+//	                     1 MiB)
 //	GET      /explain  — physical plan, estimation errors, the
 //	                     correction made / feedback provenance, Join
 //	                     Tree and stage trace (?analyze=0 plans only)
@@ -85,16 +85,6 @@ type Config struct {
 	// the request returns 504 with partial trace info (how much of the
 	// plan had executed). 0 means no timeout.
 	QueryTimeout time.Duration
-	// BreakerWindow, BreakerThreshold, BreakerMinSamples and
-	// BreakerCooldown configure the /sparql circuit breaker: once at
-	// least MinSamples executions land in the sliding Window and their
-	// failure rate reaches Threshold, the breaker opens and queries are
-	// shed with fast 503s until a post-Cooldown probe succeeds. Zero
-	// values take the DefaultBreaker* constants.
-	BreakerWindow     time.Duration
-	BreakerThreshold  float64
-	BreakerMinSamples int
-	BreakerCooldown   time.Duration
 }
 
 // Server is the prost-serve HTTP handler. It is safe for concurrent
@@ -144,7 +134,7 @@ func New(cfg Config) (*Server, error) {
 		cfg: cfg,
 		mux: http.NewServeMux(),
 		sem: make(chan struct{}, cfg.MaxInflight),
-		brk: newBreaker(cfg.BreakerWindow, cfg.BreakerThreshold, cfg.BreakerMinSamples, cfg.BreakerCooldown),
+		brk: newBreaker(),
 	}
 	s.mux.HandleFunc("/sparql", s.handleSPARQL)
 	s.mux.HandleFunc("/explain", s.handleExplain)
@@ -299,22 +289,14 @@ func (s *Server) parseRequest(r *http.Request, params url.Values) (req request, 
 		}
 		req.opts.Strategy = strat
 	}
-	// Boolean and integer parameters are validated whenever the key is
-	// present — ?streaming= with an empty or malformed value is a 400,
-	// not a silent no-op the caller mistakes for having taken effect.
+	// ?streaming= is validated whenever the key is present: an empty or
+	// malformed value is a 400, not a silent no-op the caller mistakes
+	// for having taken effect.
 	if params.Has("streaming") {
 		v := params.Get("streaming")
 		if req.opts.Streaming, err = strconv.ParseBool(v); err != nil {
 			return bad(fmt.Errorf("invalid streaming=%q: want a boolean (1, 0, true, false)", v))
 		}
-	}
-	if params.Has("chunk") {
-		v := params.Get("chunk")
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return bad(fmt.Errorf("invalid chunk=%q: want a positive row count", v))
-		}
-		req.opts.ChunkSize = n
 	}
 	format := params.Get("format")
 	if format == "" && strings.Contains(r.Header.Get("Accept"), "text/tab-separated-values") {
@@ -342,13 +324,17 @@ func (s *Server) parseRequest(r *http.Request, params url.Values) (req request, 
 // failed). Shed requests (open breaker, draining, in-flight overflow)
 // are rejected before executing and counted only in shedRequests.
 func (s *Server) runQuery(r *http.Request, params url.Values) (*core.Result, request, error) {
-	if !s.brk.allow() {
+	ok, probe := s.brk.allow()
+	if !ok {
 		s.shed.Add(1)
 		return nil, request{}, unavailable{
 			msg:        "circuit breaker open: shedding load until the store recovers",
-			retryAfter: s.brk.cooldown,
+			retryAfter: breakerCooldown,
 		}
 	}
+	// A probe that records has already freed its slot; any other way
+	// out (shed, bad request, panic) frees it here.
+	defer s.brk.abandon(probe)
 	if err := s.beginRequest(); err != nil {
 		s.shed.Add(1)
 		return nil, request{}, err
@@ -368,7 +354,7 @@ func (s *Server) runQuery(r *http.Request, params url.Values) (*core.Result, req
 	isBad := errors.As(err, &br)
 	if !isBad {
 		// Only execution outcomes are evidence about store health.
-		s.brk.record(err != nil)
+		s.brk.record(err != nil, probe)
 	}
 
 	s.mu.Lock()

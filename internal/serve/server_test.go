@@ -527,7 +527,7 @@ func TestFaultBreakerTripsAndRecovers(t *testing.T) {
 	// Every attempt fails and the budget is one: each query aborts with
 	// a *core.TaskFailedError.
 	srv.cfg.Options.Faults = &cluster.FaultPlan{Seed: 1, FailRate: 1, MaxFailuresPerTask: 100, MaxAttempts: 1}
-	for i := 0; i < DefaultBreakerMinSamples; i++ {
+	for i := 0; i < breakerMinSamples; i++ {
 		w := get(t, srv, "/sparql?query="+url.QueryEscape(serveQuery))
 		if w.Code != http.StatusInternalServerError {
 			t.Fatalf("faulted query %d = %d (%s), want 500", i, w.Code, w.Body)
@@ -561,8 +561,8 @@ func TestFaultBreakerTripsAndRecovers(t *testing.T) {
 	if err := json.Unmarshal(get(t, srv, "/stats").Body.Bytes(), &doc); err != nil {
 		t.Fatalf("bad stats JSON: %v", err)
 	}
-	if doc.Queries.Failed != uint64(DefaultBreakerMinSamples) || doc.Queries.Timeouts != 0 {
-		t.Errorf("queries = %+v, want %d failed / 0 timeouts", doc.Queries, DefaultBreakerMinSamples)
+	if doc.Queries.Failed != uint64(breakerMinSamples) || doc.Queries.Timeouts != 0 {
+		t.Errorf("queries = %+v, want %d failed / 0 timeouts", doc.Queries, breakerMinSamples)
 	}
 	if doc.Resilience.BreakerState != "open" || doc.Resilience.ShedRequests == 0 || doc.Resilience.TasksFailed == 0 {
 		t.Errorf("resilience = %+v, want open breaker with shed requests and failed tasks", doc.Resilience)
@@ -570,7 +570,7 @@ func TestFaultBreakerTripsAndRecovers(t *testing.T) {
 
 	// Cooldown elapses and the store heals: the half-open probe succeeds
 	// and closes the breaker.
-	clock = clock.Add(DefaultBreakerCooldown + time.Second)
+	clock = clock.Add(breakerCooldown + time.Second)
 	srv.cfg.Options.Faults = nil
 	if w := get(t, srv, "/sparql?query="+url.QueryEscape(serveQuery)); w.Code != http.StatusOK {
 		t.Fatalf("probe after cooldown = %d (%s), want 200", w.Code, w.Body)
@@ -580,6 +580,155 @@ func TestFaultBreakerTripsAndRecovers(t *testing.T) {
 	}
 	if w := get(t, srv, "/readyz"); w.Code != http.StatusOK {
 		t.Errorf("readyz after recovery = %d, want 200", w.Code)
+	}
+}
+
+// TestFaultBreakerHalfOpenAdmitsOneProbe: past its cooldown a tripped
+// breaker lets exactly one probe execute against the still-failing
+// store; the queries that arrive while the probe is out are shed with
+// 503 + Retry-After. A probe that ends without an execution outcome — a
+// bad request, a shed at the in-flight bound, a drain — frees the probe
+// slot, so the breaker is never stuck half-open.
+func TestFaultBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
+	srv := testServer(t)
+	clock := time.Unix(1000, 0)
+	srv.brk.now = func() time.Time { return clock }
+	srv.cfg.Options.Faults = &cluster.FaultPlan{Seed: 1, FailRate: 1, MaxFailuresPerTask: 100, MaxAttempts: 1}
+	query := "/sparql?query=" + url.QueryEscape(serveQuery)
+	tripAndCool := func() {
+		t.Helper()
+		for i := 0; i < breakerMinSamples; i++ {
+			if w := get(t, srv, query); w.Code != http.StatusInternalServerError && w.Code != http.StatusServiceUnavailable {
+				t.Fatalf("tripping query = %d (%s)", w.Code, w.Body)
+			}
+		}
+		if st := srv.brk.stateName(); st != "open" {
+			t.Fatalf("breaker %q after failing queries, want open", st)
+		}
+		clock = clock.Add(breakerCooldown + time.Second)
+	}
+	failed := func() uint64 {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.failed
+	}
+	tripAndCool()
+
+	// The probe: admitted, then held in flight by stalling its POST body.
+	pr, pw := io.Pipe()
+	held := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		srv.ServeHTTP(held, httptest.NewRequest(http.MethodPost, "/sparql", pr))
+		close(done)
+	}()
+	waitInflight(t, srv, 1)
+
+	const k = 8
+	before := failed()
+	codes := make([]int, k)
+	retry := make([]string, k)
+	var wg sync.WaitGroup
+	for i := range k {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := get(t, srv, query)
+			codes[i], retry[i] = w.Code, w.Header().Get("Retry-After")
+		}()
+	}
+	wg.Wait()
+	for i := range k {
+		if codes[i] != http.StatusServiceUnavailable || retry[i] == "" {
+			t.Errorf("query %d while the probe is out = %d (Retry-After %q), want 503 with Retry-After", i, codes[i], retry[i])
+		}
+	}
+	if n := failed() - before; n != 0 {
+		t.Errorf("%d queries executed beside the probe, want 0", n)
+	}
+	if _, err := pw.Write([]byte(serveQuery)); err != nil {
+		t.Fatal(err)
+	}
+	pw.Close()
+	<-done
+	if held.Code != http.StatusInternalServerError {
+		t.Errorf("probe = %d (%s), want 500 from the failing store", held.Code, held.Body)
+	}
+	if n := failed() - before; n != 1 {
+		t.Errorf("%d queries executed after the cooldown, want exactly the probe", n)
+	}
+	if st := srv.brk.stateName(); st != "open" {
+		t.Errorf("breaker %q after a failed probe, want open", st)
+	}
+
+	// A stalled probe holds the slot for at most a cooldown: past that
+	// the next query supersedes it and executes.
+	clock = clock.Add(breakerCooldown + time.Second)
+	pr, pw = io.Pipe()
+	held = httptest.NewRecorder()
+	done = make(chan struct{})
+	go func() {
+		srv.ServeHTTP(held, httptest.NewRequest(http.MethodPost, "/sparql", pr))
+		close(done)
+	}()
+	waitInflight(t, srv, 1)
+	if w := get(t, srv, query); w.Code != http.StatusServiceUnavailable {
+		t.Errorf("query beside a fresh probe = %d (%s), want 503", w.Code, w.Body)
+	}
+	clock = clock.Add(breakerCooldown)
+	before = failed()
+	if w := get(t, srv, query); w.Code != http.StatusInternalServerError {
+		t.Errorf("query a cooldown after a stalled probe = %d (%s), want it to execute (500)", w.Code, w.Body)
+	}
+	if n := failed() - before; n != 1 {
+		t.Errorf("%d queries executed superseding the stalled probe, want 1", n)
+	}
+	if st := srv.brk.stateName(); st != "open" {
+		t.Errorf("breaker %q after the superseding probe failed, want open", st)
+	}
+	pw.CloseWithError(io.ErrUnexpectedEOF)
+	<-done
+
+	// A probe shed at the in-flight bound frees the slot.
+	clock = clock.Add(breakerCooldown + time.Second)
+	for range cap(srv.sem) {
+		srv.sem <- struct{}{}
+	}
+	if w := get(t, srv, query); w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "over capacity") {
+		t.Errorf("probe at the in-flight bound = %d %q, want 503 over capacity", w.Code, w.Body)
+	}
+	for range cap(srv.sem) {
+		<-srv.sem
+	}
+	if w := get(t, srv, query); w.Code != http.StatusInternalServerError {
+		t.Errorf("probe after an over-capacity probe = %d (%s), want it to execute (500)", w.Code, w.Body)
+	}
+
+	// A bad-request probe frees the slot: the store heals, the next
+	// probe executes and closes the breaker.
+	clock = clock.Add(breakerCooldown + time.Second)
+	if w := get(t, srv, "/sparql?query=SELECT+nonsense"); w.Code != http.StatusBadRequest {
+		t.Errorf("bad-request probe = %d (%s), want 400", w.Code, w.Body)
+	}
+	srv.cfg.Options.Faults = nil
+	if w := get(t, srv, query); w.Code != http.StatusOK {
+		t.Errorf("probe after a bad-request probe = %d (%s), want 200", w.Code, w.Body)
+	}
+	if st := srv.brk.stateName(); st != "closed" {
+		t.Errorf("breaker %q after a successful probe, want closed", st)
+	}
+
+	// A probe caught by a drain frees the slot too.
+	srv.cfg.Options.Faults = &cluster.FaultPlan{Seed: 1, FailRate: 1, MaxFailuresPerTask: 100, MaxAttempts: 1}
+	tripAndCool()
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if w := get(t, srv, query); w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "draining") {
+		t.Errorf("probe during drain = %d %q, want 503 draining", w.Code, w.Body)
+	}
+	if srv.brk.stateName() != "half-open" || srv.brk.probing {
+		t.Errorf("after a drained probe: state %q, probe out %v; want half-open with the slot free", srv.brk.stateName(), srv.brk.probing)
 	}
 }
 
@@ -631,7 +780,7 @@ func TestSPARQLStreamingEndpoint(t *testing.T) {
 	base := "/sparql?query=" + url.QueryEscape(serveQuery)
 
 	mat := get(t, srv, base)
-	str := get(t, srv, base+"&streaming=1&chunk=512")
+	str := get(t, srv, base+"&streaming=1")
 	if str.Code != http.StatusOK {
 		t.Fatalf("streaming status = %d, body %s", str.Code, str.Body)
 	}
@@ -674,9 +823,6 @@ func TestSPARQLStreamingEndpoint(t *testing.T) {
 		t.Errorf("streaming TSV differs from materialized:\n%q\nvs\n%q", strTSV.Body, matTSV.Body)
 	}
 
-	if w := get(t, srv, base+"&chunk=bogus"); w.Code != http.StatusBadRequest {
-		t.Errorf("chunk=bogus status = %d, want 400", w.Code)
-	}
 	if w := get(t, srv, base+"&streaming=maybe"); w.Code != http.StatusBadRequest {
 		t.Errorf("streaming=maybe status = %d, want 400", w.Code)
 	}
@@ -706,8 +852,8 @@ func TestSPARQLStreamingEndpoint(t *testing.T) {
 }
 
 // TestMalformedParamsReturn400 pins the validation contract: a
-// boolean/int parameter is parsed whenever the key is present, so an
-// empty or malformed ?streaming=, ?chunk= or ?analyze= returns 400
+// boolean parameter is parsed whenever the key is present, so an
+// empty or malformed ?streaming= or ?analyze= returns 400
 // with a parse error rather than silently falling back to defaults.
 func TestMalformedParamsReturn400(t *testing.T) {
 	srv := testServer(t)
@@ -718,9 +864,6 @@ func TestMalformedParamsReturn400(t *testing.T) {
 	}{
 		{"/sparql?query=" + q + "&streaming=", "invalid streaming"},
 		{"/sparql?query=" + q + "&streaming=yes-please", "invalid streaming"},
-		{"/sparql?query=" + q + "&chunk=", "invalid chunk"},
-		{"/sparql?query=" + q + "&chunk=-3", "invalid chunk"},
-		{"/sparql?query=" + q + "&chunk=many", "invalid chunk"},
 		{"/explain?query=" + q + "&analyze=", "invalid analyze"},
 		{"/explain?query=" + q + "&analyze=maybe", "invalid analyze"},
 		{"/explain?query=" + q + "&streaming=", "invalid streaming"},
@@ -736,7 +879,7 @@ func TestMalformedParamsReturn400(t *testing.T) {
 	}
 	// Well-formed values keep working.
 	for _, path := range []string{
-		"/sparql?query=" + q + "&streaming=1&chunk=2",
+		"/sparql?query=" + q + "&streaming=1",
 		"/sparql?query=" + q + "&streaming=false",
 		"/explain?query=" + q + "&analyze=0",
 		"/explain?query=" + q + "&analyze=true",
