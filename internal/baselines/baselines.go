@@ -120,14 +120,15 @@ func Evaluate(e *engine.Exec, dict *rdf.Dictionary, q *sparql.Query, scanPrefix 
 	for _, b := range blocks {
 		n += b.Len()
 	}
+	// One backing slice; each row is a capacity-clipped window of it.
+	width := len(proj)
+	cells := make([]rdf.Term, n*width)
 	decoded := make([][]rdf.Term, 0, n)
 	for _, b := range blocks {
 		for i := 0; i < b.Len(); i++ {
-			r := b.Row(i)
-			row := make([]rdf.Term, len(r))
-			for j, id := range r {
-				row[j] = terms.Term(id)
-			}
+			k := len(decoded) * width
+			row := cells[k : k+width : k+width]
+			terms.DecodeInto(row, b.Row(i))
 			decoded = append(decoded, row)
 		}
 	}

@@ -220,9 +220,11 @@ func (s *Store) Query(q *sparql.Query, opts QueryOptions) (*Result, error) {
 // and its slabs go back to a pool when QueryContext returns. The
 // lifetime rule that makes this safe: once QueryContext returns, nothing
 // reachable may point into the region. Result.Rows is decoded out of it
-// (decodeRows copies), the plan and trace hold no rows, every goroutine
-// the query started has finished, and the stored VP and PT blocks a scan
-// shares are never region memory.
+// (decodeRows copies; a large result decodes on up to GOMAXPROCS
+// workers, whatever Parallelism is, as a materialized stage's tasks do,
+// and every one has finished when decodeRows returns), the plan and
+// trace hold no rows, every goroutine the query started has finished,
+// and the stored VP and PT blocks a scan shares are never region memory.
 //
 // ctx cancels in-flight execution at task granularity: when the
 // deadline passes, no further plan operators start and QueryContext

@@ -10,9 +10,11 @@ package core
 // the composed plan with one node list and one compiled-filter list.
 
 import (
+	"runtime"
 	"sort"
 	"strconv"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/rdf"
@@ -221,7 +223,9 @@ func compareCell(terms rdf.Snapshot, x, y rdf.ID, isCount bool) int {
 // decodeCell turns one result cell into a term: COUNT columns hold raw
 // counts (decoded to xsd:integer literals), NullID is an unbound
 // OPTIONAL variable (decoded to the zero Term — callers render it as
-// an empty binding), everything else is a dictionary ID.
+// an empty binding), everything else is a dictionary ID. decodeRows
+// calls it for COUNT columns alone; the tests decode every cell through
+// it, as the reference a row decoded in place must match.
 func decodeCell(terms rdf.Snapshot, id rdf.ID, isCount bool) rdf.Term {
 	if isCount {
 		return rdf.NewTypedLiteral(strconv.FormatUint(uint64(id), 10), rdf.XSDInteger)
@@ -232,11 +236,21 @@ func decodeCell(terms rdf.Snapshot, id rdf.ID, isCount bool) rdf.Term {
 	return terms.Term(id)
 }
 
+// decodeSplitCells is the fewest cells a result needs for its decode to
+// be split across the cluster's workers. Below it one caller decodes
+// faster than a stage starts.
+const decodeSplitCells = 4096
+
 // decodeRows turns result rows — blocks, read in order where they lie —
-// into terms. The rows of one result share a width, so their terms live
-// in one rows×width backing slice and each decoded row is a
-// capacity-clipped window of it: a caller appending to a row cannot
-// write into the next one.
+// into terms. Each decoded row is a capacity-clipped window of a
+// backing slice of terms, so a caller appending to a row cannot write
+// into the next one. A result of at least decodeSplitCells cells is
+// split into contiguous row ranges, at most GOMAXPROCS of them, each
+// decoded as a task of a stage on the cluster's workers into a backing
+// slice of its own, so its zeroing runs in parallel too. A smaller
+// result, or one on one processor, decodes on the caller into one
+// slice. The rows are the same, in the same order, either way, and
+// every task has finished when decodeRows returns.
 func (s *Store) decodeRows(blocks []engine.Block, countCols []bool) [][]rdf.Term {
 	n, width := 0, 0
 	for _, b := range blocks {
@@ -245,21 +259,53 @@ func (s *Store) decodeRows(blocks []engine.Block, countCols []bool) [][]rdf.Term
 		}
 	}
 	decoded := make([][]rdf.Term, n)
-	if n == 0 {
+	terms := s.dict.Snapshot()
+	ranges := 1
+	if n*width >= decodeSplitCells {
+		ranges = min(runtime.GOMAXPROCS(0), n)
+	}
+	if ranges == 1 {
+		decodeRange(terms, decoded, blocks, 0, n, width, countCols)
 		return decoded
 	}
-	cells := make([]rdf.Term, n*width)
-	terms := s.dict.Snapshot()
-	i := 0
+	// No task fails: decoding an ID the dictionary issued cannot.
+	_ = s.cluster.RunStage(nil, 0, "decode result", ranges, func(i int) (cluster.TaskStats, error) {
+		decodeRange(terms, decoded, blocks, i*n/ranges, (i+1)*n/ranges, width, countCols)
+		return cluster.TaskStats{}, nil
+	})
+	return decoded
+}
+
+// decodeRange decodes the result rows [lo, hi), numbered across the
+// blocks in order, into decoded[lo:hi], over a backing slice of its own.
+func decodeRange(terms rdf.Snapshot, decoded [][]rdf.Term, blocks []engine.Block, lo, hi, width int, countCols []bool) {
+	cells := make([]rdf.Term, (hi-lo)*width)
+	first := 0 // the result row number of the block's first row
 	for _, b := range blocks {
-		for r := 0; r < b.Len(); r++ {
-			out := cells[i*width : (i+1)*width : (i+1)*width]
-			for j, id := range b.Row(r) {
-				out[j] = decodeCell(terms, id, j < len(countCols) && countCols[j])
-			}
+		for r := max(lo-first, 0); r < min(hi-first, b.Len()); r++ {
+			i := first + r
+			k := (i - lo) * width
+			out := cells[k : k+width : k+width]
+			decodeRow(terms, out, b.Row(r), countCols)
 			decoded[i] = out
-			i++
+		}
+		if first += b.Len(); first >= hi {
+			return
 		}
 	}
-	return decoded
+}
+
+// decodeRow writes row's terms into out, each where it lies. COUNT
+// columns alone go through decodeCell, which turns their raw counts
+// into xsd:integer literals.
+func decodeRow(terms rdf.Snapshot, out []rdf.Term, row engine.Row, countCols []bool) {
+	from := 0
+	for j, isCount := range countCols[:min(len(countCols), len(row))] {
+		if isCount {
+			terms.DecodeInto(out[from:j], row[from:j])
+			out[j] = decodeCell(terms, row[j], true)
+			from = j + 1
+		}
+	}
+	terms.DecodeInto(out[from:], row[from:])
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -348,6 +349,20 @@ func TestCollectAndLimit(t *testing.T) {
 	}
 	if totalRows(none) != 0 {
 		t.Errorf("Offset(99) = %d rows, want 0", totalRows(none))
+	}
+	// offset+limit past math.MaxInt is no limit; it once wrapped negative
+	// and took no row.
+	for _, c := range []struct{ limit, offset, want int }{
+		{math.MaxInt, 0, 5}, {math.MaxInt, 1, 4}, {math.MaxInt - 1, 2, 3},
+		{2, math.MaxInt, 0}, {math.MaxInt, math.MaxInt, 0},
+	} {
+		got, err := e.Limit(r, c.limit, c.offset)
+		if err != nil {
+			t.Fatalf("Limit(%d, offset %d): %v", c.limit, c.offset, err)
+		}
+		if totalRows(got) != c.want {
+			t.Errorf("Limit(%d, offset %d) = %d rows, want %d", c.limit, c.offset, totalRows(got), c.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -329,9 +330,13 @@ func (e *Exec) Collect(rel *Relation) ([]Block, error) {
 // LIMIT 10 over a million-row relation transfers 10 rows, not all of
 // them. The surviving rows are identical to collecting everything and
 // slicing; they come back as slices of the relation's blocks, uncopied.
-// A negative limit means "no limit" and degenerates to Collect.
+// A negative limit means "no limit" and degenerates to Collect, as
+// does a limit that would take offset+limit past math.MaxInt.
 func (e *Exec) Limit(rel *Relation, limit, offset int) ([]Block, error) {
 	offset = max(offset, 0)
+	if limit > math.MaxInt-offset {
+		limit = -1
+	}
 	n := rel.Partitions()
 	taken := make([]int64, n)
 	need := offset + limit

@@ -284,6 +284,21 @@ func (s Snapshot) Term(id ID) (t Term) {
 	return t
 }
 
+// DecodeInto sets dst[j] to the term for ids[j], for every j, and to
+// the zero Term where ids[j] is NullID (an unbound cell). Each term is
+// written where it lies in dst, with no temporary copied in: a result
+// row decodes this way. dst must be at least as long as ids.
+func (s Snapshot) DecodeInto(dst []Term, ids []ID) {
+	dst = dst[:len(ids)]
+	for j, id := range ids {
+		if id == NullID {
+			dst[j] = Term{}
+			continue
+		}
+		s.termTo(&dst[j], id)
+	}
+}
+
 // termTo sets *t to the term for id. Its strings view the page: page
 // bytes a record covers are never written again, and add places each
 // record's text inside its page, so the views need no bounds check.

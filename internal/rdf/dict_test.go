@@ -68,6 +68,40 @@ func TestDictionaryTermPanicsOnInvalid(t *testing.T) {
 	}
 }
 
+// TestSnapshotDecodeRowsInPlace: DecodeInto writes the term Term
+// returns into every cell of a row, and the zero Term where the row
+// holds NullID, whatever the cell held before, allocating nothing.
+func TestSnapshotDecodeRowsInPlace(t *testing.T) {
+	d := NewDictionary()
+	for _, term := range []Term{
+		NewIRI("http://a"), NewLiteral("x"), NewTypedLiteral("7", XSDInteger),
+		NewLangLiteral("chat", "fr"), NewBlank("b0"), NewLiteral(""),
+	} {
+		d.Encode(term)
+	}
+	terms := d.Snapshot()
+	ids := []ID{3, NullID, 1, 6, 4, NullID, 2, 5}
+	dst := make([]Term, len(ids)+1)
+	for j := range dst {
+		dst[j] = NewIRI("stale")
+	}
+	if n := testing.AllocsPerRun(10, func() { terms.DecodeInto(dst, ids) }); n != 0 {
+		t.Errorf("DecodeInto allocated %.0f times, want 0", n)
+	}
+	for j, id := range ids {
+		want := Term{}
+		if id != NullID {
+			want = d.Term(id)
+		}
+		if dst[j] != want {
+			t.Errorf("cell %d (ID %d) = %#v, want %#v", j, id, dst[j], want)
+		}
+	}
+	if dst[len(ids)] != NewIRI("stale") {
+		t.Errorf("DecodeInto wrote past the row: %#v", dst[len(ids)])
+	}
+}
+
 func TestDictionaryEncodeGraph(t *testing.T) {
 	g := NewGraph(0)
 	g.AddSPO(NewIRI("http://s"), NewIRI("http://p"), NewLiteral("1"))

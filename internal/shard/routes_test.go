@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -201,5 +202,45 @@ func TestCoordinatorPlansWithoutExtVP(t *testing.T) {
 	}
 	if now := ext.WorkloadMetrics().TablesBuilt; now != built {
 		t.Errorf("sharded queries fed the reduction builder: %d tables built, %d before", now, built)
+	}
+}
+
+// TestDecodeRowsSameAtAnyParallelismOnShards: a coordinator's result
+// decodes as a single process's does, split across the workers once it
+// is large enough. Every triple of the fixture, on 2 shards, comes back
+// in the same order at GOMAXPROCS 1, 2 and 8, and as the same rows as
+// single-process execution returns.
+func TestDecodeRowsSameAtAnyParallelismOnShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	store := testStore(t)
+	coord := dialShards(t, store, 2)
+	q := sparql.MustParse(`SELECT ?s ?p ?o WHERE { ?s ?p ?o }`)
+	single, err := store.Query(q, core.QueryOptions{NoPlanCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Past any split: a few thousand cells.
+	if cells := 3 * len(single.Rows); cells < 5000 {
+		t.Fatalf("the fixture returns %d cells, too few to split", cells)
+	}
+	var first string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		res, err := store.Query(q, core.QueryOptions{NoPlanCache: true, Dist: coord})
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d on 2 shards: %v", procs, err)
+		}
+		var sb strings.Builder
+		for _, row := range res.Rows {
+			fmt.Fprintln(&sb, row)
+		}
+		if procs == 1 {
+			first = sb.String()
+			if got, want := renderResult(res), renderResult(single); got != want {
+				t.Errorf("rows on 2 shards diverge from single-process")
+			}
+		} else if sb.String() != first {
+			t.Errorf("rows on 2 shards at GOMAXPROCS %d differ from GOMAXPROCS 1, or come in another order", procs)
+		}
 	}
 }
