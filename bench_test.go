@@ -308,7 +308,7 @@ func BenchmarkEngineShuffleJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := engine.NewExec(c, nil)
+		e := engine.NewExec(c, cluster.NewClock())
 		e.BroadcastThreshold = -1
 		if _, err := e.Join(l, r, "bench"); err != nil {
 			b.Fatal(err)

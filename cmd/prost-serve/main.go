@@ -1,8 +1,8 @@
 // Command prost-serve loads an N-Triples dataset into PRoST and serves
 // SPARQL queries over HTTP, exercising the concurrent execution path:
 // plans are cached and shared read-only across requests, every query
-// schedules its plan DAG on a bounded worker pool, and an in-flight
-// semaphore caps concurrently executing queries.
+// runs its tasks on at most GOMAXPROCS workers (cluster.Run), and an
+// in-flight semaphore caps concurrently executing queries.
 //
 // Usage:
 //
@@ -35,7 +35,8 @@
 // threshold (half the executions of the last 30 s, once there are five)
 // and admits one probe at a time after a 5 s cooldown (a probe out for
 // another 5 s is superseded by the next query), and SIGTERM
-// drains in-flight queries (up to -drain-timeout) before exiting 0.
+// drains in-flight queries (up to -drain-timeout) before exiting 0. A
+// client slower than readHeaderTimeout or readTimeout loses its connection.
 // The -fault-* flags inject a deterministic fault schedule into the
 // simulated cluster to exercise recovery end to end.
 //
@@ -71,7 +72,6 @@ type options struct {
 	in, addr        string
 	shardAddrs      string
 	inflight        int
-	parallelism     int
 	maxRows         int
 	queryTimeout    time.Duration
 	extvpBudget     int64
@@ -90,7 +90,6 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&o.shardAddrs, "shard-addrs", "", "comma-separated prost-shard addresses; set, the server runs as a scale-out coordinator delegating scan and exchange kernels to the shards (addresses in shard order: the i-th address must be the shard started with -shard i)")
 	flag.IntVar(&o.inflight, "max-inflight", serve.DefaultMaxInflight, "maximum concurrently executing queries; overflow is shed with 503 + Retry-After")
-	flag.IntVar(&o.parallelism, "parallelism", 0, "per query, how many plan operators run at once and how many workers a streaming scan fans out over (0 = GOMAXPROCS); the partition tasks of one materialized stage run on GOMAXPROCS workers whatever it is")
 	flag.IntVar(&o.maxRows, "max-rows", 0, "cap result rows per response (0 = unlimited)")
 	flag.DurationVar(&o.queryTimeout, "query-timeout", 0, "per-query execution deadline; past it the query stops and the request returns 504 (0 = none)")
 	flag.Int64Var(&o.extvpBudget, "extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables; the query that makes a join pair hot materializes its reductions, and later queries are rewritten onto them (0 = subsystem off)")
@@ -157,7 +156,6 @@ func run(o options) error {
 	// Coordinator mode: dial the shards after loading (they verify the
 	// topology and statistics fingerprint during the handshake) and
 	// route every query's kernels through them.
-	qopts.Parallelism = o.parallelism
 	if o.shardAddrs != "" {
 		addrs := strings.Split(o.shardAddrs, ",")
 		for i := range addrs {
@@ -189,7 +187,7 @@ func run(o options) error {
 	// drains in-flight ones for up to -drain-timeout, then exits 0.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	httpSrv := &http.Server{Addr: o.addr, Handler: srv}
+	httpSrv := newHTTPServer(o.addr, srv)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	select {
@@ -209,4 +207,18 @@ func run(o options) error {
 		fmt.Fprintln(os.Stderr, "drained; bye")
 		return nil
 	}
+}
+
+// A client must send a request's headers within readHeaderTimeout and all
+// of it within readTimeout. Neither bounds the handler (-query-timeout):
+// once the body has been read, net/http clears the connection's read
+// deadline before it watches for the client going away.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
+// newHTTPServer returns the server prost-serve listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 }

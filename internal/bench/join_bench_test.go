@@ -71,7 +71,7 @@ func benchJoin(b *testing.B, shared int, threshold int64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := engine.NewExec(c, nil)
+		e := engine.NewExec(c, cluster.NewClock())
 		e.BroadcastThreshold = threshold
 		out, err := e.Join(left, right, "bench")
 		if err != nil {
@@ -121,7 +121,7 @@ func BenchmarkDistinct(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e := engine.NewExec(c, nil)
+				e := engine.NewExec(c, cluster.NewClock())
 				out, err := e.Distinct(rel)
 				if err != nil {
 					b.Fatal(err)

@@ -7,6 +7,9 @@
 // *pricing* of cluster effects is simulated, so benchmark shapes mirror
 // the paper without the hardware.
 //
+// Run is the one place the process runs tasks in parallel; RunStage is
+// Run plus a stage's pricing.
+//
 // Fault tolerance — what the paper gets from Spark — lives here too, in
 // one place: a FaultPlan decides each attempt's fate, and
 // FaultPlan.RunAttempts is the one retry / backoff / speculation loop
@@ -18,8 +21,6 @@ package cluster
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -146,32 +147,19 @@ func (s *TaskStats) Add(o TaskStats) {
 // sum of its tasks' priced time; the stage takes as long as the slowest
 // worker).
 //
-// min(GOMAXPROCS, partitions) workers pull partition tasks from a
-// shared counter, and the calling goroutine is one of them, so a stage
-// of one partition (or on one processor) starts no goroutine and what a
-// stage allocates does not depend on how many partitions it has. Every
+// The partitions are the tasks of one Run on min(GOMAXPROCS,
+// partitions) workers, the calling goroutine first, so a stage of one
+// partition (or on one processor) starts no goroutine and what a stage
+// allocates does not depend on how many partitions it has. Every
 // partition runs even after one has failed; the error reported is the
-// lowest failing partition's.
-//
-// A nil clock runs the tasks the same way and charges nothing: real
-// work whose cost a priced stage accounts for elsewhere (the loader
-// encodes its tables so) gets the same bounded workers.
+// lowest failing partition's, and a failed stage charges nothing.
 func (c *Cluster) RunStage(clock *Clock, launch time.Duration, name string, partitions int, fn func(part int) (TaskStats, error)) error {
 	if partitions <= 0 {
 		partitions = 1
 	}
-	par := min(runtime.GOMAXPROCS(0), partitions)
-	run := &stageRun{fn: fn, tasks: make([]taskOutcome, partitions)}
-	run.wg.Add(par)
-	for w := 1; w < par; w++ {
-		go run.work()
-	}
-	run.work()
-	run.wg.Wait()
-	for i := range run.tasks {
-		if err := run.tasks[i].err; err != nil {
-			return fmt.Errorf("cluster: stage %q partition %d: %w", name, i, err)
-		}
+	st := &stage{name: name, fn: fn, stats: make([]TaskStats, partitions)}
+	if err := Run(runtime.GOMAXPROCS(0), partitions, &st.tasks, st); err != nil {
+		return err
 	}
 
 	// Price the stage: round-robin task placement, makespan = max worker.
@@ -180,50 +168,38 @@ func (c *Cluster) RunStage(clock *Clock, launch time.Duration, name string, part
 	for w := 0; w < c.cfg.Workers && w < partitions; w++ {
 		var workerTime time.Duration
 		for i := w; i < partitions; i += c.cfg.Workers {
-			workerTime += c.cfg.Cost.TaskTime(run.tasks[i].stats)
-			total.Add(run.tasks[i].stats)
+			workerTime += c.cfg.Cost.TaskTime(st.stats[i])
+			total.Add(st.stats[i])
 		}
 		makespan = max(makespan, workerTime)
 	}
-	elapsed := launch + makespan
-	if clock != nil {
-		clock.chargeStage(StageRecord{
-			Name:     name,
-			Launch:   launch,
-			Tasks:    partitions,
-			Elapsed:  elapsed,
-			Stats:    total,
-			Makespan: makespan,
-		})
-	}
+	clock.chargeStage(StageRecord{
+		Name:     name,
+		Launch:   launch,
+		Tasks:    partitions,
+		Elapsed:  launch + makespan,
+		Stats:    total,
+		Makespan: makespan,
+	})
 	return nil
 }
 
-// stageRun is one stage's task queue: next is the lowest partition no
-// worker has claimed yet, and each partition's outcome lands in its own
-// slot.
-type stageRun struct {
+// stage is one RunStage's Run: each partition's priced work lands in its
+// own slot.
+type stage struct {
+	tasks Tasks
+	name  string
 	fn    func(part int) (TaskStats, error)
-	tasks []taskOutcome
-	next  atomic.Int64
-	wg    sync.WaitGroup
+	stats []TaskStats
 }
 
-type taskOutcome struct {
-	stats TaskStats
-	err   error
-}
-
-// work runs unclaimed partitions until none is left.
-func (r *stageRun) work() {
-	defer r.wg.Done()
-	for {
-		i := int(r.next.Add(1)) - 1
-		if i >= len(r.tasks) {
-			return
-		}
-		r.tasks[i].stats, r.tasks[i].err = r.fn(i)
+// Task implements Job: it runs partition part.
+func (s *stage) Task(_, part int) error {
+	var err error
+	if s.stats[part], err = s.fn(part); err != nil {
+		return fmt.Errorf("cluster: stage %q partition %d: %w", s.name, part, err)
 	}
+	return nil
 }
 
 // HashPartition returns the partition index for a key hashed over n

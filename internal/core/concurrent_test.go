@@ -8,9 +8,11 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/plan"
@@ -279,7 +281,6 @@ func TestConcurrentPlannerModesShareCacheSafely(t *testing.T) {
 		{Planner: plan.ModeHeuristic},
 		{Planner: plan.ModeCostLeftDeep},
 		{Planner: plan.ModeNaive},
-		{Parallelism: 1},
 		{NoPlanCache: true},
 	}
 	var wg sync.WaitGroup
@@ -313,5 +314,42 @@ func TestConcurrentPlannerModesShareCacheSafely(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestGoroutinesSettleAfterWarmQueries: a query ends every goroutine it
+// starts. After 1,000 warm queries on each executor, with helpers
+// fanning every stage and scan out, the goroutine count returns to what
+// it was before them. (A helper that starts after its run's last claim
+// ends after the query returned, so the count is given a moment.)
+func TestGoroutinesSettleAfterWarmQueries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := testStore(t, true)
+	q := sparql.MustParse(cacheTestQuery)
+	for _, streaming := range []bool{false, true} {
+		query := func() {
+			if _, err := s.Query(q, QueryOptions{Streaming: streaming}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := runtime.NumGoroutine()
+		query()
+		before := goroutinesAtMost(start)
+		for range 1000 {
+			query()
+		}
+		if after := goroutinesAtMost(before); after > before {
+			t.Errorf("streaming %v: %d goroutines after 1,000 warm queries, %d before", streaming, after, before)
+		}
+	}
+}
+
+// goroutinesAtMost waits up to ten seconds for at most n goroutines to
+// be left, and returns how many are.
+func goroutinesAtMost(n int) int {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if got := runtime.NumGoroutine(); got <= n || time.Now().After(deadline) {
+			return got
+		}
 	}
 }

@@ -31,15 +31,6 @@ type QueryOptions struct {
 	// size cap with CostModel pricing, so priced broadcasts may exceed
 	// it.
 	BroadcastThreshold int64
-	// Parallelism (0 = GOMAXPROCS) bounds two things: how many plan
-	// operators the materialized scheduler runs at once — independent
-	// subtrees of the plan run in parallel up to this bound — and how
-	// many workers a streaming scan fans out over, min(Parallelism,
-	// partitions). It does not bound the tasks inside one materialized
-	// stage: those run on min(GOMAXPROCS, partitions) workers whatever
-	// it is set to (cluster.RunStage). It never changes a result or
-	// anything the virtual clock prices.
-	Parallelism int
 	// NoPlanCache bypasses the store's plan cache for this query: the
 	// plan is built from scratch, not inserted, and never corrected — the
 	// static plan, exactly as a first execution runs it.
@@ -221,10 +212,11 @@ func (s *Store) Query(q *sparql.Query, opts QueryOptions) (*Result, error) {
 // lifetime rule that makes this safe: once QueryContext returns, nothing
 // reachable may point into the region. Result.Rows is decoded out of it
 // (decodeRows copies; a large result decodes on up to GOMAXPROCS
-// workers, whatever Parallelism is, as a materialized stage's tasks do,
-// and every one has finished when decodeRows returns), the plan and
-// trace hold no rows, every goroutine the query started has finished,
-// and the stored VP and PT blocks a scan shares are never region memory.
+// workers, as a materialized stage's tasks do, and every task has
+// finished when decodeRows returns), the plan and trace hold no rows,
+// every task the query ran has finished (a helper that starts late
+// finds none left to claim and touches nothing), and the stored VP and
+// PT blocks a scan shares are never region memory.
 //
 // ctx cancels in-flight execution at task granularity: when the
 // deadline passes, no further plan operators start and QueryContext

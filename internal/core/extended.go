@@ -237,8 +237,8 @@ func decodeCell(terms rdf.Snapshot, id rdf.ID, isCount bool) rdf.Term {
 }
 
 // decodeSplitCells is the fewest cells a result needs for its decode to
-// be split across the cluster's workers. Below it one caller decodes
-// faster than a stage starts.
+// be split across workers. Below it one caller decodes faster than a
+// helper starts.
 const decodeSplitCells = 4096
 
 // decodeRows turns result rows — blocks, read in order where they lie —
@@ -246,11 +246,11 @@ const decodeSplitCells = 4096
 // backing slice of terms, so a caller appending to a row cannot write
 // into the next one. A result of at least decodeSplitCells cells is
 // split into contiguous row ranges, at most GOMAXPROCS of them, each
-// decoded as a task of a stage on the cluster's workers into a backing
-// slice of its own, so its zeroing runs in parallel too. A smaller
-// result, or one on one processor, decodes on the caller into one
-// slice. The rows are the same, in the same order, either way, and
-// every task has finished when decodeRows returns.
+// decoded as a task of one cluster.Run into a backing slice of its own,
+// so its zeroing runs in parallel too. A smaller result, or one on one
+// processor, decodes on the caller into one slice. The rows are the
+// same, in the same order, either way, and every task has finished
+// when decodeRows returns.
 func (s *Store) decodeRows(blocks []engine.Block, countCols []bool) [][]rdf.Term {
 	n, width := 0, 0
 	for _, b := range blocks {
@@ -269,10 +269,10 @@ func (s *Store) decodeRows(blocks []engine.Block, countCols []bool) [][]rdf.Term
 		return decoded
 	}
 	// No task fails: decoding an ID the dictionary issued cannot.
-	_ = s.cluster.RunStage(nil, 0, "decode result", ranges, func(i int) (cluster.TaskStats, error) {
+	_ = cluster.Run(ranges, ranges, new(cluster.Tasks), cluster.Func(func(_, i int) error {
 		decodeRange(terms, decoded, blocks, i*n/ranges, (i+1)*n/ranges, width, countCols)
-		return cluster.TaskStats{}, nil
-	})
+		return nil
+	}))
 	return decoded
 }
 

@@ -3,8 +3,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/columnar"
@@ -152,7 +152,7 @@ func (t *PropertyTable) fill(s *Store) error {
 		cells[next[p]] = ptCell{pred: tr.P, key: key, val: value, seq: uint32(i)}
 		next[p]++
 	}
-	err := s.onWorkers("sort property table runs", n, func(p int) error {
+	err := cluster.Run(runtime.GOMAXPROCS(0), n, new(cluster.Tasks), cluster.Func(func(_, p int) error {
 		slices.SortFunc(cells[bounds[p]:bounds[p+1]], func(a, b ptCell) int {
 			return cmp.Or(
 				cmp.Compare(a.pred, b.pred),
@@ -161,7 +161,7 @@ func (t *PropertyTable) fill(s *Store) error {
 			)
 		})
 		return nil
-	})
+	}))
 	if err != nil {
 		return err
 	}
@@ -248,19 +248,19 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 	files := make([]sized, len(t.parts))
 	n := len(s.predOrder)
 	cols := make([]int64, len(t.parts)*n) // one backing array for every partition's column sizes
-	var bufs termBufs                     // local-term buffers, one per running worker
-	err := s.onWorkers("size "+what, len(t.parts), func(pi int) error {
+	width := runtime.GOMAXPROCS(0)
+	bufs := make([][]rdf.ID, width) // local-term buffers, one per worker slot
+	err := cluster.Run(width, len(t.parts), new(cluster.Tasks), cluster.Func(func(w, pi int) error {
 		part := t.parts[pi]
 		rowKeys := part.rowKeys()
 		f := sized{cols: cols[pi*n : (pi+1)*n], keys: len(rowKeys)}
 		var data int64
 		data, f.key = t.sizePartition(s.predOrder, part, rowKeys, f.cols)
-		localTerms := part.localTerms(bufs.get(), rowKeys)
-		f.file = footers + data + sizeenc.CompressedTermBytes(s.dict, localTerms)
-		bufs.put(localTerms)
+		bufs[w] = part.localTerms(bufs[w][:0], rowKeys)
+		f.file = footers + data + sizeenc.CompressedTermBytes(s.dict, bufs[w])
 		files[pi] = f
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -296,34 +296,6 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 		return nil, err
 	}
 	return t, nil
-}
-
-// termBufs lends local-term buffers to the tasks of one stage: a task
-// takes one and gives it back when done, so the stage grows as many as
-// ran at once, not one per task.
-type termBufs struct {
-	mu   sync.Mutex
-	free [][]rdf.ID
-}
-
-// get returns an empty buffer, reusing a returned one when it can.
-func (b *termBufs) get() []rdf.ID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := len(b.free)
-	if n == 0 {
-		return nil
-	}
-	buf := b.free[n-1]
-	b.free = b.free[:n-1]
-	return buf[:0]
-}
-
-// put gives buf back for the next task.
-func (b *termBufs) put(buf []rdf.ID) {
-	b.mu.Lock()
-	b.free = append(b.free, buf)
-	b.mu.Unlock()
 }
 
 // ptColumnName is the columnar-file column name for a predicate.

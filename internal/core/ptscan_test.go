@@ -674,7 +674,7 @@ func TestPTScanScratchIndependentOfPartitions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := QueryOptions{Streaming: streaming, Parallelism: 1}
+			opts := QueryOptions{Streaming: streaming}
 			run := func() {
 				res, err := s.Query(q, opts)
 				if err != nil || len(res.Rows) != 0 || res.Plan.Root.Op != plan.OpScan && res.Plan.Root.Children[0].Op != plan.OpScan {

@@ -130,10 +130,10 @@ func TestWarmQueryAllocsIndependentOfIntermediateRows(t *testing.T) {
 			name string
 			opts QueryOptions
 		}{
-			{"materialized, shuffle", QueryOptions{BroadcastThreshold: -1, Parallelism: 1}},
-			{"materialized, broadcast", QueryOptions{Parallelism: 1}},
-			{"streaming, shuffle", QueryOptions{BroadcastThreshold: -1, Streaming: true, chunkSize: 512, Parallelism: 1}},
-			{"streaming, broadcast", QueryOptions{Streaming: true, chunkSize: 512, Parallelism: 1}},
+			{"materialized, shuffle", QueryOptions{BroadcastThreshold: -1}},
+			{"materialized, broadcast", QueryOptions{}},
+			{"streaming, shuffle", QueryOptions{BroadcastThreshold: -1, Streaming: true, chunkSize: 512}},
+			{"streaming, broadcast", QueryOptions{Streaming: true, chunkSize: 512}},
 		} {
 			allocs := func(n int) (mallocs, bytes float64) {
 				run := func() {

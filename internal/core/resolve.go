@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/plan"
@@ -20,9 +18,8 @@ type resolved struct {
 	// when they are disabled; broadcastOpt is the option as given, which
 	// is how the plan-cache key spells it.
 	broadcast, broadcastOpt int64
-	// chunk is the streaming rows per batch and per priced morsel; par
-	// bounds the operator pool and a scan's workers.
-	chunk, par int
+	// chunk is the streaming rows per batch and per priced morsel.
+	chunk int
 	// faults is the active fault plan (nil: the fault-free hot path, no
 	// checksums, no attempt bookkeeping); faultSalt decorrelates its
 	// schedule across queries.
@@ -53,7 +50,6 @@ type resolved struct {
 //	                                    (nothing would scan the reductions built)
 //	Faults                              nil: the cluster's plan; an inactive plan: none
 //	BroadcastThreshold                  0: engine.DefaultBroadcastThreshold; negative: no broadcasts
-//	Parallelism                         0: GOMAXPROCS
 //	NoPlanCache                         planned fresh, not inserted, never corrected
 //	no workload model                   ExtVP not offered, nothing mined
 //
@@ -74,7 +70,6 @@ func (s *Store) resolve(q *sparql.Query, opts QueryOptions) (resolved, error) {
 		broadcast:    opts.BroadcastThreshold,
 		broadcastOpt: opts.BroadcastThreshold,
 		chunk:        opts.chunkSize,
-		par:          opts.Parallelism,
 		faults:       opts.Faults,
 		dist:         opts.Dist,
 		extvp:        local && s.workload != nil,
@@ -87,9 +82,6 @@ func (s *Store) resolve(q *sparql.Query, opts QueryOptions) (resolved, error) {
 	}
 	if r.chunk <= 0 {
 		r.chunk = DefaultChunkSize
-	}
-	if r.par <= 0 {
-		r.par = runtime.GOMAXPROCS(0)
 	}
 	if r.faults == nil {
 		r.faults = s.cluster.Config().Faults

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -123,9 +122,9 @@ func TestResolveTable(t *testing.T) {
 			func(r *resolved) { r.broadcast, r.broadcastOpt = -1, -1 }, strings.Replace(keyDefault, "|mixed|0|", "|mixed|-1|", 1)},
 
 		// Executor knobs: never in the key.
-		{"chunk size and pool width set", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Streaming: true, chunkSize: 7, Parallelism: 3} },
-			func(r *resolved) { r.streaming, r.chunk, r.par = true, 7, 3 }, keyDefault},
-		{"negative chunk size and pool width", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{chunkSize: -5, Parallelism: -2} },
+		{"chunk size set", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Streaming: true, chunkSize: 7} },
+			func(r *resolved) { r.streaming, r.chunk = true, 7 }, keyDefault},
+		{"negative chunk size", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{chunkSize: -5} },
 			func(r *resolved) {}, keyDefault},
 
 		// The plan cache: every store has one; NoPlanCache bypasses it.
@@ -160,7 +159,7 @@ func TestResolveTable(t *testing.T) {
 			}
 			want := resolved{
 				broadcast: engine.DefaultBroadcastThreshold,
-				chunk:     DefaultChunkSize, par: runtime.GOMAXPROCS(0), cacheable: true,
+				chunk:     DefaultChunkSize, cacheable: true,
 			}
 			row.want(&want)
 			if want.faults != nil {

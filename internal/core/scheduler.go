@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,11 +51,11 @@ type execTask struct {
 	hasXsum bool
 }
 
-// scheduler executes one physical plan as a task DAG on a bounded
-// worker pool, to completion. Independent subtrees run concurrently,
+// scheduler executes one physical plan as a task DAG on a bounded set
+// of workers, to completion. Independent subtrees run concurrently,
 // both for real and on the virtual clock; every task records its
 // observed cardinality, and a task's virtual times depend only on the
-// plan and those cardinalities, never on pool interleaving, so SimTime
+// plan and those cardinalities, never on worker interleaving, so SimTime
 // is identical across runs and concurrency levels.
 //
 // Under an active fault plan a task's attempts run through
@@ -69,8 +70,8 @@ type scheduler struct {
 	store   *Store
 	nodes   []*Node
 	filters []compiledFilter
-	// r is the query's resolved options: the pool width and the
-	// broadcast cap. dist, when set, is the shard session scan and
+	// r is the query's resolved options: the broadcast cap and the fault
+	// plan. dist, when set, is the shard session scan and
 	// exchange kernels are delegated to (fault injection is off then, so
 	// only the fault-free run() path ever sees it).
 	r    resolved
@@ -88,8 +89,11 @@ type scheduler struct {
 	root  *execTask
 	obs   *plan.Observation
 
-	completed  atomic.Int64
-	totalTasks atomic.Int64
+	// ops runs the operators; ready queues those whose inputs are all in.
+	ops   cluster.Tasks
+	ready chan *execTask
+
+	completed atomic.Int64
 
 	failed  atomic.Bool
 	errOnce sync.Once
@@ -116,53 +120,25 @@ func buildTasks(root *plan.Node) (rootTask *execTask, all []*execTask) {
 }
 
 // execute runs the plan's DAG to completion and returns the root task.
-// A task is dispatched the moment its last dependency completes; the
-// ready queue is buffered to the task count, so completing a task never
-// blocks on enqueueing its parent.
+// Its operators run as the tasks of one cluster.Run on min(GOMAXPROCS,
+// operators) workers; the ready queue is buffered to the operator count,
+// so completing one never blocks on queueing its parent.
 func (sc *scheduler) execute(pl *plan.Plan) (*execTask, error) {
 	sc.root, sc.tasks = buildTasks(pl.Root)
 	sc.obs = plan.NewObservation(pl)
 	if sc.r.faults != nil {
 		sc.obs.EnableAttempts()
 	}
-	sc.totalTasks.Store(int64(len(sc.tasks)))
 
-	ready := make(chan *execTask, len(sc.tasks))
-	done := make(chan struct{})
-	remaining := int32(len(sc.tasks))
-	dispatch := func(t *execTask) {
-		t.start = sc.planning
-		for _, d := range t.deps {
-			t.start = max(t.start, d.done)
-		}
-		ready <- t
-	}
-	// Seed the leaves before any worker starts, so the initial pending
+	sc.ready = make(chan *execTask, len(sc.tasks))
+	// Queue the leaves before any worker starts, so the initial pending
 	// reads are free of concurrent completions.
 	for _, t := range sc.tasks {
 		if t.pending == 0 {
-			dispatch(t)
+			sc.dispatch(t)
 		}
 	}
-	for range min(sc.r.par, len(sc.tasks)) {
-		go func() {
-			for {
-				select {
-				case t := <-ready:
-					sc.run(t)
-					if p := t.parent; p != nil && atomic.AddInt32(&p.pending, -1) == 0 {
-						dispatch(p)
-					}
-					if atomic.AddInt32(&remaining, -1) == 0 {
-						close(done)
-					}
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
-	<-done
+	_ = cluster.Run(runtime.GOMAXPROCS(0), len(sc.tasks), &sc.ops, sc) // a failure is sc.err
 	if sc.err != nil {
 		return nil, sc.err
 	}
@@ -177,6 +153,28 @@ func (sc *scheduler) execute(pl *plan.Plan) (*execTask, error) {
 		sc.root.done += extra
 	}
 	return sc.root, nil
+}
+
+// dispatch queues t, its dependencies all done, to start at the last.
+func (sc *scheduler) dispatch(t *execTask) {
+	t.start = sc.planning
+	for _, d := range t.deps {
+		t.start = max(t.start, d.done)
+	}
+	sc.ready <- t
+}
+
+// Task implements cluster.Job: it runs the next ready operator and
+// queues its parent once that has every input. There are as many tasks
+// as operators, so each runs once, and a worker waiting for one always
+// has another running ahead of it.
+func (sc *scheduler) Task(_, _ int) error {
+	t := <-sc.ready
+	sc.run(t)
+	if p := t.parent; p != nil && atomic.AddInt32(&p.pending, -1) == 0 {
+		sc.dispatch(p)
+	}
+	return nil
 }
 
 // newExec returns an engine context for plan node n's task (or the
@@ -211,7 +209,7 @@ func (sc *scheduler) run(t *execTask) {
 			sc.fail(&CancelError{
 				Err:            cerr,
 				CompletedTasks: int(sc.completed.Load()),
-				TotalTasks:     int(sc.totalTasks.Load()),
+				TotalTasks:     len(sc.tasks),
 			})
 			return
 		}
@@ -225,7 +223,7 @@ func (sc *scheduler) run(t *execTask) {
 	if err != nil {
 		// A dead shard becomes the typed abort; any other error passes
 		// through unchanged.
-		sc.fail(wrapShardErr(err, t, int(sc.completed.Load()), int(sc.totalTasks.Load())))
+		sc.fail(wrapShardErr(err, t, int(sc.completed.Load()), len(sc.tasks)))
 		return
 	}
 	t.rel = rel
@@ -311,7 +309,7 @@ func (sc *scheduler) runResilient(t *execTask) {
 				Task:           nodeDesc(t.node),
 				Attempts:       trace,
 				CompletedTasks: int(sc.completed.Load()),
-				TotalTasks:     int(sc.totalTasks.Load()),
+				TotalTasks:     len(sc.tasks),
 			}
 		}
 		// Anything else is a real execution error, not an injected

@@ -38,13 +38,13 @@ import (
 // that nothing but a breaker retains a row.
 //
 // Pipelines run one after another, each on every core it can use: a VP
-// or PT source's partitions are dispatched to min(Parallelism,
-// partitions) workers, the calling goroutine first, whatever the
-// source's size — the morsel-driven dispatch of Leis et al. (SIGMOD
-// 2014), with a partition as the unit, as cluster.RunStage runs a
-// materialized stage. A worker keeps everything it writes to itself —
-// its scan arena, its part of a top-K or aggregate barrier — so the
-// only lock a batch can meet is the distinct step's shared set.
+// or PT source's partitions are the tasks of one cluster.Run on
+// min(GOMAXPROCS, partitions) workers, the calling goroutine first,
+// whatever the source's size — the morsel-driven dispatch of Leis et al.
+// (SIGMOD 2014), with a partition as the unit, as a materialized stage
+// runs its tasks. A worker keeps everything it writes to itself, in its
+// Run slot — its scan arena, its part of a top-K or aggregate barrier —
+// so the only lock a batch can meet is the distinct step's shared set.
 //
 // Execution and pricing are decoupled: the real row work runs first
 // (producing exactly the materialized path's row multisets, since the
@@ -306,8 +306,16 @@ type streamPipe struct {
 	// region is the query's: scan workers' arenas and the sink's copies
 	// are carved from it.
 	region *engine.Region
-	// q hands a VP or PT source's partitions out to the scan workers.
-	q partQueue
+	// A VP or PT source's partitions are the tasks of one cluster.Run,
+	// whose state is tasks; ctx, chunk, workers and scans are what a
+	// worker needs to scan one, and stopped records a cancellation. They
+	// live in the pipe, so fanning a scan out allocates nothing.
+	tasks   cluster.Tasks
+	ctx     context.Context
+	chunk   int
+	workers []streamWorker
+	scans   []ptScan
+	stopped atomic.Bool
 
 	// out collects the batches that reached the sink, per source
 	// partition (each partition is processed by one worker, so the
@@ -349,8 +357,9 @@ type streamPlan struct {
 	// the workers' parts into workers[0].part.
 	barrier     *streamStep
 	barrierPipe int
-	// workers are the scan workers, min(par, partitions of the widest
-	// source) of them, shared by the pipelines, which run one at a time.
+	// workers are the scan workers, min(GOMAXPROCS, partitions of the
+	// widest source) of them, shared by the pipelines, which run one at
+	// a time.
 	workers []streamWorker
 	// tail holds the plan operators above a fused Aggregate (Project /
 	// Distinct / TopK over the group rows), top-down; the driver
@@ -700,8 +709,8 @@ func (c *streamCompiler) buildSource(n *plan.Node) *streamSource {
 // sink keeps the rows that reach it, and each completed build
 // pipeline's rows are indexed into its join's hash table. A
 // cancellation counts the pipelines completed before it.
-func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) error {
-	n := 1
+func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize int) error {
+	n, par := 1, runtime.GOMAXPROCS(0)
 	for _, p := range sp.pipes {
 		if k := p.src.kind; k == scanVP || k == scanPT {
 			n = max(n, min(par, p.src.parts))
@@ -721,7 +730,7 @@ func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) err
 			if err := p.run(ctx, s, sp.workers, chunkSize); err != nil {
 				return err
 			}
-			stopped = p.q.stopped.Load()
+			stopped = p.stopped.Load()
 		}
 		if stopped {
 			return &CancelError{Err: ctx.Err(), CompletedTasks: done, TotalTasks: len(sp.pipes)}
@@ -739,8 +748,12 @@ func (sp *streamPlan) run(ctx context.Context, s *Store, chunkSize, par int) err
 
 // run executes one pipeline's source partitions through its steps. The
 // source kinds share their NodeScan with every other route; what is here
-// is only how each is iterated in batches. A VP or PT source fans out
-// over the workers (fanOut); the others run on the caller's, workers[0].
+// is only how each is iterated in batches. A VP or PT source's
+// partitions are the tasks (Task) of one cluster.Run on
+// min(len(workers), partitions) workers, the calling goroutine first;
+// the others run on the caller's, workers[0]. A context cancellation
+// stops the workers from scanning further partitions; they still count
+// them done, and p.stopped reports it.
 func (p *streamPipe) run(ctx context.Context, s *Store, workers []streamWorker, chunkSize int) error {
 	src, w := p.src, &workers[0]
 	if src.node.Op == plan.OpUnion {
@@ -769,19 +782,20 @@ func (p *streamPipe) run(ctx context.Context, s *Store, workers []streamWorker, 
 	switch src.kind {
 	case scanVPExist:
 		p.runExistence(w)
-	case scanVP:
-		p.cloneAtSink = !replaced && (src.pred != nil || src.hi-src.lo < 2)
-		p.fanOut(ctx, workers, chunkSize)
-	case scanPT:
-		p.cloneAtSink = !replaced
-		p.q.scans = ptScans(src.spec, src.parts, p.region)
-		p.fanOut(ctx, workers, chunkSize)
+		return nil
 	case scanTriples:
 		p.feed(w, 0, s.triplesMatches(*src.tp, src.rowPred, p.region), chunkSize)
+		return nil
+	case scanVP:
+		p.cloneAtSink = !replaced && (src.pred != nil || src.hi-src.lo < 2)
+	case scanPT:
+		p.cloneAtSink = !replaced
+		p.scans = ptScans(src.spec, src.parts, p.region)
 	default:
 		return fmt.Errorf("core: unknown stream source kind %d", src.kind)
 	}
-	return nil
+	p.ctx, p.chunk, p.workers = ctx, chunkSize, workers
+	return cluster.Run(len(workers), src.parts, &p.tasks, p)
 }
 
 // feed pushes rows that exist already (a stored VP partition, a triples
@@ -795,115 +809,19 @@ func (p *streamPipe) feed(w *streamWorker, part int, rows engine.Block, chunkSiz
 	}
 }
 
-// partQueue hands a scan's source partitions out, one at a time, to the
-// workers fanOut runs: next is the lowest partition not yet claimed,
-// done counts the partitions finished, and helpers the worker slots
-// helpers took. It lives in its pipe, so fanning a scan out allocates
-// nothing.
-type partQueue struct {
-	ctx     context.Context
-	chunk   int
-	workers []streamWorker
-	scans   []ptScan
-	next    atomic.Int64
-	done    atomic.Int64
-	helpers atomic.Int64
-	stopped atomic.Bool
-}
-
-// fanOut scans the source partitions on min(len(workers), partitions)
-// workers, the calling goroutine first, as cluster.RunStage runs a
-// stage's tasks. Every worker claims the next partition until none is
-// left, so one partition is processed by exactly one worker
-// (per-partition state needs no locks). Completion is counted per
-// partition: the caller claims until the queue is empty and then waits
-// only for the partitions a helper claimed — at most one partition's
-// work per helper, never a helper that has not started. It waits by
-// yielding its processor rather than parking: a parked caller is woken
-// on the helper's processor and goes on with the query on a core whose
-// caches hold none of its rows (WatDiv E2, whose union replay and decode
-// follow two fanned-out scans, ran 3 % slower so, and slower than on one
-// worker). A helper that starts after the last claim finds the queue
-// empty and touches nothing else. A context cancellation stops workers
-// from scanning further partitions; they still count them done, and
-// q.stopped reports it.
-func (p *streamPipe) fanOut(ctx context.Context, workers []streamWorker, chunkSize int) {
-	q := &p.q
-	q.ctx, q.chunk, q.workers = ctx, chunkSize, workers
-	for range min(len(workers), p.src.parts) - 1 {
-		select {
-		case streamHelpers <- p:
-			go streamHelper()
-		default:
-			// Every buffered pipe is waiting for a helper to start; the
-			// workers already running take this one's partitions.
-		}
-	}
-	for pi := p.claim(); pi >= 0; pi = p.claim() {
-		p.scanPart(pi, &workers[0])
-	}
-	for q.done.Load() < int64(p.src.parts) {
-		runtime.Gosched()
-	}
-}
-
-// streamHelpers carries each pipe fanOut wants a helper for to the
-// goroutine it starts for it: a pipe passed in a closure would cost an
-// allocation per helper. Each send is followed by one go streamHelper(),
-// so every helper receives exactly one pipe — maybe another query's,
-// which changes nothing. The buffer holds the pipes of helpers not yet
-// running; 256 of them means every processor is long busy, and a fanOut
-// that finds it full goes on with the workers it has.
-var streamHelpers = make(chan *streamPipe, 256)
-
-// helperHook, when set, runs in every helper before its first claim: a
-// test hook that holds helpers back, so that they start late.
-var helperHook atomic.Pointer[func()]
-
-// streamHelper is one helper worker of a fanned-out scan. It returns
-// when the queue is empty, and nothing waits for it to: the caller waits
-// for the partitions it claimed. It takes a worker slot only once it has
-// claimed a partition: one that starts after the queue emptied leaves
-// with nothing touched but the queue's counter, so it never carves from
-// a region its query may have released.
-func streamHelper() {
-	p := <-streamHelpers
-	if h := helperHook.Load(); h != nil {
-		(*h)()
-	}
-	pi := p.claim()
-	if pi < 0 {
-		return
-	}
-	w := &p.q.workers[p.q.helpers.Add(1)]
-	for ; pi >= 0; pi = p.claim() {
-		p.scanPart(pi, w)
-	}
-}
-
-// claim returns the next unclaimed source partition, or -1 when every
-// one has been claimed.
-func (p *streamPipe) claim() int {
-	if pi := int(p.q.next.Add(1)) - 1; pi < p.src.parts {
-		return pi
-	}
-	return -1
-}
-
-// scanPart scans claimed partition pi on worker w and counts it done —
-// unscanned once the query's context is cancelled.
-func (p *streamPipe) scanPart(pi int, w *streamWorker) {
-	q := &p.q
+// Task implements cluster.Job: it scans claimed partition pi on worker
+// slot w — unscanned once the query's context is cancelled.
+func (p *streamPipe) Task(w, pi int) error {
 	switch {
-	case q.stopped.Load():
-	case q.ctx != nil && q.ctx.Err() != nil:
-		q.stopped.Store(true)
+	case p.stopped.Load():
+	case p.ctx != nil && p.ctx.Err() != nil:
+		p.stopped.Store(true)
 	case p.src.kind == scanPT:
-		p.scanPTPart(pi, &q.scans[pi], w)
+		p.scanPTPart(pi, &p.scans[pi], &p.workers[w])
 	default:
-		p.scanVPPart(pi, w)
+		p.scanVPPart(pi, &p.workers[w])
 	}
-	q.done.Add(1)
+	return nil
 }
 
 // scanVPPart streams one VP partition through the pipeline in batches
@@ -913,7 +831,7 @@ func (p *streamPipe) scanPart(pi int, w *streamWorker) {
 // to r[lo:hi], are copied into the worker's arena, one batch at a time.
 // The table's own block is only ever read.
 func (p *streamPipe) scanVPPart(pi int, w *streamWorker) {
-	src, chunkSize, arena := p.src, p.q.chunk, &w.arena
+	src, chunkSize, arena := p.src, p.chunk, &w.arena
 	part := src.table.Rel.Part(pi)
 	if src.pred == nil && src.hi-src.lo == 2 {
 		p.feed(w, pi, part, chunkSize)
@@ -947,7 +865,7 @@ func (p *streamPipe) scanVPPart(pi int, w *streamWorker) {
 // like ptScan.rows — and flushed through the steps every chunk rows
 // and once more at the partition's end.
 func (p *streamPipe) scanPTPart(pi int, sc *ptScan, w *streamWorker) {
-	src, chunkSize, arena := p.src, p.q.chunk, &w.arena
+	src, chunkSize, arena := p.src, p.chunk, &w.arena
 	width := len(src.spec.schema)
 	if !sc.init(src.pt.parts[pi], src.spec.specs, width) {
 		return
@@ -1620,7 +1538,7 @@ func (s *Store) runStreaming(ctx context.Context, r resolved, entry *cachedPlan,
 	if err != nil {
 		return x, err
 	}
-	if err := sp.run(ctx, s, r.chunk, r.par); err != nil {
+	if err := sp.run(ctx, s, r.chunk); err != nil {
 		return x, err
 	}
 

@@ -322,7 +322,7 @@ func TestStreamingChunkSizeInvariance(t *testing.T) {
 
 // TestStreamingSameAtAnyParallelism: how many workers a scan fans out
 // over is real-time scheduling, never a result. Every WatDiv query at
-// Parallelism 2, 4 and 8 must return what it returns at 1 — in order
+// GOMAXPROCS 2, 4 and 8 must return what it returns at 1 — in order
 // under ORDER BY or LIMIT, as a multiset otherwise — at a chunk size
 // that cuts partitions into many batches and at the default, and the
 // virtual clock must not see the worker count: SimTime, FirstRow,
@@ -332,9 +332,10 @@ func TestStreamingSameAtAnyParallelism(t *testing.T) {
 	for _, q := range allWatDivQueries() {
 		for _, chunk := range []int{7, 0} {
 			run := func(par int) *Result {
-				res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, chunkSize: chunk, Parallelism: par, NoPlanCache: true})
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+				res, err := s.Query(q.Parsed, QueryOptions{Strategy: StrategyMixed, Streaming: true, chunkSize: chunk, NoPlanCache: true})
 				if err != nil {
-					t.Fatalf("%s chunk %d parallelism %d: %v", q.Name, chunk, par, err)
+					t.Fatalf("%s chunk %d GOMAXPROCS %d: %v", q.Name, chunk, par, err)
 				}
 				return res
 			}
@@ -343,14 +344,14 @@ func TestStreamingSameAtAnyParallelism(t *testing.T) {
 			for _, par := range []int{2, 4, 8} {
 				res := run(par)
 				if got := renderComparable(q.Parsed, res); got != want {
-					t.Errorf("%s chunk %d: rows at parallelism %d differ from parallelism 1", q.Name, chunk, par)
+					t.Errorf("%s chunk %d: rows at GOMAXPROCS %d differ from GOMAXPROCS 1", q.Name, chunk, par)
 				}
 				if res.SimTime != one.SimTime || res.FirstRow != one.FirstRow || res.PeakMemBytes != one.PeakMemBytes {
-					t.Errorf("%s chunk %d parallelism %d: SimTime %v, FirstRow %v, PeakMemBytes %d; parallelism 1: %v, %v, %d",
+					t.Errorf("%s chunk %d GOMAXPROCS %d: SimTime %v, FirstRow %v, PeakMemBytes %d; GOMAXPROCS 1: %v, %v, %d",
 						q.Name, chunk, par, res.SimTime, res.FirstRow, res.PeakMemBytes, one.SimTime, one.FirstRow, one.PeakMemBytes)
 				}
 				if got := res.Plan.String(); got != wantPlan {
-					t.Errorf("%s chunk %d parallelism %d: observations differ\n%s\nparallelism 1:\n%s", q.Name, chunk, par, got, wantPlan)
+					t.Errorf("%s chunk %d GOMAXPROCS %d: observations differ\n%s\nGOMAXPROCS 1:\n%s", q.Name, chunk, par, got, wantPlan)
 				}
 			}
 		}
@@ -376,6 +377,7 @@ func TestStreamingGroupByAtAnyParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	where := " WHERE { ?s <" + testNS + "p> ?o OPTIONAL { ?s <" + testNS + "r> ?v } }"
 	for _, c := range []struct {
 		text   string
@@ -395,13 +397,14 @@ func TestStreamingGroupByAtAnyParallelism(t *testing.T) {
 		}
 		want := renderInOrder(mat)
 		for par := 1; par <= 8; par++ {
+			runtime.GOMAXPROCS(par)
 			for _, chunk := range []int{7, 0} {
-				res, err := s.Query(q, QueryOptions{Streaming: true, Parallelism: par, chunkSize: chunk, NoPlanCache: true})
+				res, err := s.Query(q, QueryOptions{Streaming: true, chunkSize: chunk, NoPlanCache: true})
 				if err != nil {
-					t.Fatalf("%s parallelism %d chunk %d: %v", c.text, par, chunk, err)
+					t.Fatalf("%s GOMAXPROCS %d chunk %d: %v", c.text, par, chunk, err)
 				}
 				if got := renderInOrder(res); got != want {
-					t.Errorf("%s parallelism %d chunk %d: groups differ from materialized", c.text, par, chunk)
+					t.Errorf("%s GOMAXPROCS %d chunk %d: groups differ from materialized", c.text, par, chunk)
 				}
 			}
 		}
@@ -434,7 +437,8 @@ func (c *flipCtx) Err() error {
 func TestStreamingCancelCountsPipelines(t *testing.T) {
 	s := watdivStreamStore(t)
 	q := mustQueryByName(t, "C1")
-	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, chunkSize: 7, Parallelism: 4}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	opts := QueryOptions{Strategy: StrategyMixed, Streaming: true, chunkSize: 7}
 	res, err := s.Query(q.Parsed, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -497,12 +501,13 @@ func TestStreamingLateHelper(t *testing.T) {
 		// rows runs the plan in a region of its own and returns its result
 		// rows, sorted, and the plan it ran.
 		rows := func(par int, region *engine.Region) ([]string, *streamPlan) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 			sp, err := s.compileStreamPlan(entry.plan, entry.nodes, filters, region)
 			if err != nil {
 				t.Fatal(err)
 			}
 			done := make(chan error, 1)
-			go func() { done <- sp.run(context.Background(), s, 7, par) }()
+			go func() { done <- sp.run(context.Background(), s, 7) }()
 			select {
 			case err = <-done:
 			case <-time.After(time.Minute):
@@ -532,16 +537,16 @@ func TestStreamingLateHelper(t *testing.T) {
 		// pipes on the channel, and a full channel starts no helper; let
 		// them go first, so that the helpers counted below are this
 		// query's.
-		for deadline := time.Now().Add(time.Minute); len(streamHelpers) > 0; {
+		for deadline := time.Now().Add(time.Minute); !cluster.HelpersStarted(); {
 			if time.Now().After(deadline) {
-				t.Fatalf("%d helpers never started", len(streamHelpers))
+				t.Fatal("helpers never started")
 			}
 			time.Sleep(time.Millisecond)
 		}
 		var held atomic.Int64
 		hold := make(chan struct{})
 		hook := func() { held.Add(1); <-hold }
-		helperHook.Store(&hook)
+		cluster.HelperHook.Store(&hook)
 		region := engine.NewRegion()
 		got, sp := rows(par, region)
 		if !slices.Equal(got, want) {
@@ -556,7 +561,7 @@ func TestStreamingLateHelper(t *testing.T) {
 			}
 			fanned++
 			helpers += int64(min(par, p.src.parts) - 1)
-			if next := p.q.next.Load(); next != int64(p.src.parts)+1 {
+			if next, _ := p.tasks.Claims(); next != int64(p.src.parts)+1 {
 				t.Errorf("%s: pipeline %s: queue at %d, want every one of %d partitions claimed, by the caller", name, p.name, next, p.src.parts)
 			}
 		}
@@ -571,24 +576,26 @@ func TestStreamingLateHelper(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		helperHook.Store(nil)
+		cluster.HelperHook.Store(nil)
 		close(hold)
 		for _, p := range sp.pipes {
 			if k := p.src.kind; k != scanVP && k != scanPT {
 				continue
 			}
 			want := int64(p.src.parts) + 1 + int64(min(par, p.src.parts)-1)
-			for deadline := time.Now().Add(time.Minute); p.q.next.Load() < want; {
+			claims := func() int64 { n, _ := p.tasks.Claims(); return n }
+			for deadline := time.Now().Add(time.Minute); claims() < want; {
 				if time.Now().After(deadline) {
-					t.Fatalf("%s: pipeline %s: released helpers never claimed: queue at %d, want %d, %d held", name, p.name, p.q.next.Load(), want, held.Load())
+					t.Fatalf("%s: pipeline %s: released helpers never claimed: queue at %d, want %d, %d held", name, p.name, claims(), want, held.Load())
 				}
 				time.Sleep(time.Millisecond)
 			}
-			if next := p.q.next.Load(); next != want {
+			next, slots := p.tasks.Claims()
+			if next != want {
 				t.Errorf("%s: pipeline %s: %d claims, want %d", name, p.name, next, want)
 			}
-			if n := p.q.helpers.Load(); n != 0 {
-				t.Errorf("%s: pipeline %s: %d late helpers took a worker slot", name, p.name, n)
+			if slots != 0 {
+				t.Errorf("%s: pipeline %s: %d late helpers took a worker slot", name, p.name, slots)
 			}
 		}
 	}
@@ -684,7 +691,7 @@ func streamWithResidualFilters(t *testing.T, s *Store, q *sparql.Query, opts Que
 	if err != nil {
 		t.Fatalf("compile: %v\n%s", err, pl)
 	}
-	if err := sp.run(context.Background(), s, r.chunk, r.par); err != nil {
+	if err := sp.run(context.Background(), s, r.chunk); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	rows, err := sp.finalRows(s)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
 	"repro/internal/cluster"
@@ -141,10 +142,10 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 	// written below, in predicate order, so their block placement does
 	// not depend on which task finished first.
 	sizes := make([][]int64, len(s.predOrder))
-	err := s.onWorkers("size VP tables", len(s.predOrder), func(i int) error {
+	err := cluster.Run(runtime.GOMAXPROCS(0), len(s.predOrder), new(cluster.Tasks), cluster.Func(func(_, i int) error {
 		sizes[i] = vpFileSizes(s.dict, blocks[i*s.parts:(i+1)*s.parts])
 		return nil
-	})
+	}))
 	if err != nil {
 		return err
 	}
@@ -174,19 +175,6 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 			NetBytes:  perPart(totalShuffleBytes),
 			DiskBytes: perPart(totalWriteBytes),
 		}, nil
-	})
-}
-
-// onWorkers runs fn(0), …, fn(n-1) as the tasks of a stage on the
-// cluster's workers (at most GOMAXPROCS at a time) and charges
-// nothing: it is the real work behind a load stage priced on its own.
-// The error is the lowest failing task's.
-func (s *Store) onWorkers(name string, n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	return s.cluster.RunStage(nil, 0, name, n, func(i int) (cluster.TaskStats, error) {
-		return cluster.TaskStats{}, fn(i)
 	})
 }
 

@@ -251,7 +251,7 @@ func TestJoinOutputPartitionAllocatesOnce(t *testing.T) {
 				if hit {
 					want = parts * perPart
 				}
-				e := NewExec(c, nil)
+				e := NewExec(c, cluster.NewClock())
 				return testing.AllocsPerRun(20, func() {
 					out, err := e.JoinWith(probe, build, "pin", strategy)
 					if err != nil || out.NumRows() != want {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/cluster"
 	"repro/internal/rdf"
 )
 
@@ -136,9 +137,9 @@ func TestRegionKernelsMatchHeapKernels(t *testing.T) {
 		return out
 	}
 	c := testExec(t).Cluster
-	heap := run(NewExec(c, nil))
+	heap := run(NewExec(c, cluster.NewClock()))
 	region := NewRegion()
-	e := NewExec(c, nil)
+	e := NewExec(c, cluster.NewClock())
 	e.Region = region
 	got := run(e)
 	region.Release()

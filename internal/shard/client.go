@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sparql"
@@ -340,40 +341,35 @@ func (s *session) record(r core.ExchangeRecord) {
 	s.c.noteRecord(r)
 }
 
-// fanOut sends req to every shard concurrently — each connection
-// encodes its own slot's view of it — and merges the responses decode
-// extracts: out[p] comes from p's owner, wire bytes sum, and the
-// exchange wall time is the slowest shard's round trip (shards work in
-// parallel). The lowest-index error wins, keeping failures
-// deterministic.
+// fanOut sends req to every shard, one task of one cluster.Run per
+// shard on as many workers as shards — a call waits on its socket, not
+// on a processor — and each connection encodes its own slot's view of
+// it. It merges the responses decode extracts: out[p] comes from p's
+// owner, wire bytes sum, and the exchange wall time is the slowest
+// shard's round trip (shards work in parallel). The lowest-index error
+// wins, keeping failures deterministic.
 func (s *session) fanOut(typ byte, req request, total int, decode func(d *dec) []engine.Block) (out []engine.Block, wireBytes int64, wall time.Duration, err error) {
-	conns := s.c.conns
-	parts := make([][]engine.Block, len(conns))
-	walls := make([]time.Duration, len(conns))
-	wires := make([]int64, len(conns))
-	errs := make([]error, len(conns))
-	var wg sync.WaitGroup
-	for i, sc := range conns {
-		wg.Add(1)
-		go func(i int, sc *shardConn) {
-			defer wg.Done()
-			var sent, recv int64
-			sent, recv, walls[i], errs[i] = sc.call(s.ctx, s.region, typ, req, func(d *dec) { parts[i] = decode(d) })
-			wires[i] = sent + recv
-		}(i, sc)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, 0, 0, e
-		}
+	n := len(s.c.conns)
+	calls := make([]struct {
+		parts []engine.Block
+		wire  int64
+		wall  time.Duration
+	}, n)
+	err = cluster.Run(n, n, new(cluster.Tasks), cluster.Func(func(_, i int) error {
+		c := &calls[i]
+		sent, recv, wall, err := s.c.conns[i].call(s.ctx, s.region, typ, req, func(d *dec) { c.parts = decode(d) })
+		c.wire, c.wall = sent+recv, wall
+		return err
+	}))
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	out = make([]engine.Block, total)
-	for i := range conns {
-		wireBytes += wires[i]
-		wall = max(wall, walls[i])
-		for p := i; p < total; p += len(conns) {
-			out[p] = parts[i][p]
+	for i, c := range calls {
+		wireBytes += c.wire
+		wall = max(wall, c.wall)
+		for p := i; p < total; p += n {
+			out[p] = c.parts[p]
 		}
 	}
 	return out, wireBytes, wall, nil

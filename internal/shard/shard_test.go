@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -427,12 +429,15 @@ func TestNetAnnotationKeyedByNode(t *testing.T) {
 			FILTER(?z != wsdbm:User0) FILTER(?z != wsdbm:User1) FILTER(?z != wsdbm:User2)
 		}`)
 	opts := core.QueryOptions{Strategy: core.StrategyVPOnly, NoPlanCache: true, Dist: coord, BroadcastThreshold: -1}
-	serial := opts
-	serial.Parallelism = 1
-	if _, err := store.Query(q, serial); err != nil {
+	// On one processor the plan runs one operator at a time.
+	serial := func() (*core.Result, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return store.Query(q, opts)
+	}
+	if _, err := serial(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := store.Query(q, serial)
+	want, err := serial()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +460,7 @@ func TestNetAnnotationKeyedByNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := netAnnotation(res.Plan); got != netAnnotation(want.Plan) {
-			t.Fatalf("run %d annotates\n%swant (Parallelism 1)\n%s", run, got, netAnnotation(want.Plan))
+			t.Fatalf("run %d annotates\n%swant (GOMAXPROCS 1)\n%s", run, got, netAnnotation(want.Plan))
 		}
 	}
 }
@@ -475,4 +480,41 @@ func TestReleasedRegionsPoisoned(t *testing.T) {
 	t.Run("ScanShapes", TestScanShapesAgreeAcrossRoutes)
 	t.Run("HungShard", TestHungShardDoesNotHangQuery)
 	t.Run("ResponseFrames", TestResponseFramesMatchWholeKernels)
+}
+
+// TestGoroutinesSettleOnCoordinator: a sharded query ends every
+// goroutine it starts — the per-shard calls of each exchange included.
+// After 1,000 warm queries on a 2-shard coordinator the goroutine count
+// returns to what it was before them; the shard servers' connection
+// goroutines were running already.
+func TestGoroutinesSettleOnCoordinator(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	store := testStore(t)
+	coord := dialShards(t, store, 2)
+	q := sparql.MustParse(`PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
+		SELECT ?x ?p WHERE { ?x wsdbm:follows ?y . ?y wsdbm:likes ?p . }`)
+	query := func() {
+		if _, err := store.Query(q, core.QueryOptions{Dist: coord, BroadcastThreshold: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := runtime.NumGoroutine()
+	query()
+	before := goroutinesAtMost(start)
+	for range 1000 {
+		query()
+	}
+	if after := goroutinesAtMost(before); after > before {
+		t.Errorf("%d goroutines after 1,000 warm queries, %d before", after, before)
+	}
+}
+
+// goroutinesAtMost waits up to ten seconds for at most n goroutines to
+// be left, and returns how many are.
+func goroutinesAtMost(n int) int {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if got := runtime.NumGoroutine(); got <= n || time.Now().After(deadline) {
+			return got
+		}
+	}
 }
