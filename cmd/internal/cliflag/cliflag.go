@@ -28,8 +28,8 @@ func Cluster(fs *flag.FlagSet) func() cluster.Config {
 // Query registers the flags a query's options are made of — -strategy,
 // -planner, -streaming and the -fault-* set — and returns
 // a function that, once fs is parsed, assembles them, refusing an
-// unknown strategy or planner. prost-serve uses the result as its
-// per-request default.
+// unknown strategy or planner and an invalid fault plan at start-up.
+// prost-serve uses the result as its per-request default.
 func Query(fs *flag.FlagSet) func() (core.QueryOptions, error) {
 	var o core.QueryOptions
 	strategy := fs.String("strategy", "mixed", "query strategy (prost-serve: the default, ?strategy= overrides per request): "+strings.Join(core.StrategyNames(), ", "))
@@ -41,24 +41,26 @@ func Query(fs *flag.FlagSet) func() (core.QueryOptions, error) {
 		if o.Strategy, err = core.ParseStrategy(*strategy); err != nil {
 			return o, err
 		}
-		o.Planner, err = plan.ParseMode(*planner)
+		if o.Planner, err = plan.ParseMode(*planner); err != nil {
+			return o, err
+		}
 		o.Faults = faults()
-		return o, err
+		return o, o.Faults.Validate()
 	}
 }
 
 // FaultPlan registers the -fault-* flags on fs and returns a function
 // that, once fs is parsed, assembles the injected fault schedule — nil
 // when no rate is set, which keeps execution on the fault-free path.
-// The plan is not validated here: cluster.New (a cluster-wide plan) and
-// Store.QueryContext (a per-query one) both refuse an invalid plan.
+// The plan is not validated here: Query refuses an invalid plan at
+// start-up, and Store.QueryContext refuses one per query.
 func FaultPlan(fs *flag.FlagSet) func() *cluster.FaultPlan {
 	fp := &cluster.FaultPlan{}
 	fs.Uint64Var(&fp.Seed, "fault-seed", 0, "seed for the deterministic fault schedule (fault injection is off unless a -fault-* rate is set)")
 	fs.Float64Var(&fp.FailRate, "fault-fail-rate", 0, "probability a task attempt fails outright")
 	fs.Float64Var(&fp.StragglerRate, "fault-straggler-rate", 0, "probability a task attempt straggles")
 	fs.Float64Var(&fp.StragglerFactor, "fault-straggler-factor", 0, "slowdown multiple for straggling attempts (0 = default)")
-	fs.Float64Var(&fp.CorruptRate, "fault-corrupt-rate", 0, "probability an exchange delivery is corrupted (detected by checksum, repaired from lineage)")
+	fs.Float64Var(&fp.CorruptRate, "fault-corrupt-rate", 0, "probability an exchange delivery is corrupted (priced as a checksum failure and a recompute of the producer's lineage)")
 	return func() *cluster.FaultPlan {
 		if !fp.Active() {
 			return nil

@@ -43,25 +43,31 @@ func TestFaultPlanNilWhenNoRateIsSet(t *testing.T) {
 }
 
 // TestInvalidFaultFlagsRefusedOnBothPaths: an out-of-range plan used to
-// stop prost-serve (cluster.New validates Config.Faults) but run under
-// prost-query, whose per-query plan went straight to the fault
-// decisions — 1.5 acting as "always", 0.5 silently becoming the default
-// factor. Both paths now return the same Validate error.
+// stop prost-serve but run under prost-query, whose per-query plan went
+// straight to the fault decisions — 1.5 acting as "always", 0.5
+// silently becoming the default factor. Both binaries now refuse it at
+// start-up (Query), and a query carrying it is refused with the same
+// Validate error.
 func TestInvalidFaultFlagsRefusedOnBothPaths(t *testing.T) {
 	const wantMsg = "FaultPlan.FailRate = 1.5 out of [0,1]"
-	bad := parse(t, "-fault-fail-rate", "1.5", "-fault-straggler-factor", "0.5")
+	args := []string{"-fault-fail-rate", "1.5", "-fault-straggler-factor", "0.5"}
+	bad := parse(t, args...)
 	if bad == nil {
 		t.Fatal("active plan parsed as nil")
 	}
 
-	// prost-serve: the plan is the cluster's.
-	cfg := cluster.DefaultConfig()
-	cfg.Faults = bad
-	if _, err := cluster.New(cfg); err == nil || !strings.Contains(err.Error(), wantMsg) {
-		t.Errorf("cluster.New with the invalid plan: %v, want %q", err, wantMsg)
+	// Start-up: the flags are the binaries' per-query default.
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	query := Query(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := query(); err == nil || !strings.Contains(err.Error(), wantMsg) {
+		t.Errorf("Query with the invalid plan: %v, want %q", err, wantMsg)
 	}
 
-	// prost-query: the plan is the query's.
+	// A query carrying the plan.
 	g := watdiv.MustGenerate(watdiv.Config{Scale: 100, Seed: 1})
 	store, err := core.Load(g, core.Options{Cluster: cluster.MustNew(cluster.Config{Workers: 2, DefaultPartitions: 4})})
 	if err != nil {

@@ -37,8 +37,9 @@
 // another 5 s is superseded by the next query), and SIGTERM
 // drains in-flight queries (up to -drain-timeout) before exiting 0. A
 // client slower than readHeaderTimeout or readTimeout loses its connection.
-// The -fault-* flags inject a deterministic fault schedule into the
-// simulated cluster to exercise recovery end to end.
+// The -fault-* flags set a deterministic fault schedule in the
+// per-request default options; every query prices its recovery on the
+// virtual clock (the rows never change).
 //
 // With -shard-addrs the server runs as a scale-out coordinator:
 // planning, shuffle routing and stage pricing stay local, while scan
@@ -79,8 +80,8 @@ type options struct {
 	drainTimeout    time.Duration
 
 	cluster cluster.Config
-	// query is the per-request default (?planner=, ?strategy= and
-	// ?streaming= override it); its fault plan becomes the cluster's.
+	// query is the per-request default, fault plan included (?planner=,
+	// ?strategy= and ?streaming= override it).
 	query core.QueryOptions
 }
 
@@ -119,11 +120,8 @@ func run(o options) error {
 		return err
 	}
 	defer f.Close()
-	// The fault schedule is the cluster's — refused at start-up when
-	// invalid, inherited by every query — not a per-query override.
-	cfg, qopts := o.cluster, o.query
-	cfg.Faults, qopts.Faults = qopts.Faults, nil
-	c, err := cluster.New(cfg)
+	qopts := o.query
+	c, err := cluster.New(o.cluster)
 	if err != nil {
 		return err
 	}
@@ -148,7 +146,7 @@ func run(o options) error {
 		fmt.Fprintf(os.Stderr, "ExtVP enabled: %.2f MiB budget for workload-driven semi-join tables\n",
 			float64(o.extvpBudget)/(1<<20))
 	}
-	if fp := c.Config().Faults; fp != nil {
+	if fp := qopts.Faults; fp != nil {
 		fmt.Fprintf(os.Stderr, "fault injection active: seed %d, fail %.2f, straggle %.2f, corrupt %.2f\n",
 			fp.Seed, fp.FailRate, fp.StragglerRate, fp.CorruptRate)
 	}

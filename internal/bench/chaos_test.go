@@ -11,6 +11,8 @@ package bench
 //	go test ./internal/bench -bench Chaos -benchtime 1x
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"strings"
 	"sync"
 	"testing"
@@ -235,12 +237,63 @@ func BenchmarkChaosRecovery(b *testing.B) {
 }
 
 // TestReleasedRegionsPoisoned runs the chaos schedules with
-// engine.PoisonReleased on: retried, speculated and recomputed operators
-// all work in the query's region, and none of them may read it after the
-// query released it.
+// engine.PoisonReleased on: every operator of a faulted query works in
+// the query's region, and none of them may read it after the query
+// released it.
 func TestReleasedRegionsPoisoned(t *testing.T) {
 	defer engine.PoisonReleased(engine.PoisonReleased(true))
 	t.Run("PreserveResults", TestChaosSchedulesPreserveResults)
 	t.Run("DeterministicReplay", TestChaosDeterministicReplay)
 	t.Run("AdaptiveRowsIdentical", TestChaosAdaptiveRowsIdentical)
+}
+
+// frozenFaultedMatrix is the FNV-1a digest of every faulted cell's
+// SimTime (ns), recovery record and error text, recorded while the
+// materialized scheduler still re-executed each attempt and recomputed
+// corrupted inputs from lineage for real.
+const frozenFaultedMatrix = 0x3d85563fde10b929
+
+// TestFaultedMatrixFrozen holds the priced recovery of every chaos
+// schedule, plus one that corrupts every delivery, to the frozen digest
+// on both executors, under every planner, on the basic query set.
+func TestFaultedMatrixFrozen(t *testing.T) {
+	s := chaosStore(t)
+	var plans []*cluster.FaultPlan
+	for _, sched := range chaosSchedules {
+		plans = append(plans, sched.fp)
+	}
+	plans = append(plans, &cluster.FaultPlan{Seed: 6, CorruptRate: 1})
+	h := fnv.New64a()
+	var buf []byte
+	put := func(vals ...int64) {
+		buf = buf[:0]
+		for _, v := range vals {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
+		h.Write(buf)
+	}
+	for _, fp := range plans {
+		for _, m := range chaosModes {
+			for _, streaming := range []bool{false, true} {
+				for _, q := range watdiv.BasicQuerySet() {
+					res, err := s.Query(q.Parsed, core.QueryOptions{
+						Planner:     m.mode,
+						NoPlanCache: true,
+						Faults:      fp,
+						Streaming:   streaming,
+					})
+					if err != nil {
+						h.Write([]byte(err.Error()))
+						continue
+					}
+					r := res.Resilience
+					put(int64(res.SimTime), r.Attempts, r.Retries, r.Stragglers, r.SpeculativeLaunched,
+						r.SpeculativeWins, r.ChecksumFailures, r.LineageRecomputes, r.TasksFailed, int64(r.RecoveryTime))
+				}
+			}
+		}
+	}
+	if got := h.Sum64(); got != frozenFaultedMatrix {
+		t.Errorf("the faulted matrix digests to %#x, frozen %#x: a priced recovery moved", got, uint64(frozenFaultedMatrix))
+	}
 }

@@ -35,10 +35,6 @@ type Config struct {
 	DefaultPartitions int
 	// Cost prices distributed operations on the virtual clock.
 	Cost CostModel
-	// Faults is an optional cluster-wide fault-injection schedule;
-	// queries may override it per QueryOptions. Nil (or inactive) means
-	// every resilience hook stays off the execution hot path.
-	Faults *FaultPlan
 }
 
 // DefaultConfig mirrors the paper's benchmark environment: 9 workers,
@@ -58,9 +54,6 @@ func (c Config) Validate() error {
 	}
 	if c.DefaultPartitions <= 0 {
 		return fmt.Errorf("cluster: DefaultPartitions must be positive, got %d", c.DefaultPartitions)
-	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
 	}
 	return nil
 }

@@ -18,8 +18,8 @@ import (
 // loses: outright task-attempt failures (FailRate), workers dead for a
 // virtual-time window (Outages), stragglers whose priced time is
 // multiplied (StragglerRate/StragglerFactor), and corrupted exchange
-// payloads detected by the consumer's per-relation checksum
-// (CorruptRate).
+// deliveries (CorruptRate). Faults are priced on the virtual clock, not
+// acted out: no payload is ever touched and nothing is re-executed.
 type FaultPlan struct {
 	// Seed selects the pseudo-random schedule; two plans with different
 	// seeds inject disjoint fault patterns at the same rates.
@@ -49,9 +49,9 @@ type FaultPlan struct {
 	// (0 = DefaultStragglerFactor; must be >= 1 otherwise).
 	StragglerFactor float64
 	// CorruptRate is the probability a task's first output delivery is
-	// corrupted in the exchange — detected by the consumer's checksum
-	// over the packed-uint64 row payload, recovered by recomputing the
-	// producer from lineage. Re-deliveries are always clean.
+	// corrupted in the exchange, priced as the consumer's checksum
+	// failing and the producer being recomputed from lineage.
+	// Re-deliveries are always clean.
 	CorruptRate float64
 }
 
@@ -124,8 +124,8 @@ func (fp *FaultPlan) Validate() error {
 }
 
 // Active reports whether the plan injects anything at all; executors
-// skip every resilience hook (checksums, attempt bookkeeping) for an
-// inactive plan, keeping the fault-free hot path untouched.
+// skip every resilience hook (recovery pricing, attempt bookkeeping) for
+// an inactive plan, keeping the fault-free hot path untouched.
 func (fp *FaultPlan) Active() bool {
 	return fp != nil && (fp.FailRate > 0 || len(fp.Outages) > 0 ||
 		fp.StragglerRate > 0 || fp.CorruptRate > 0)
@@ -198,8 +198,8 @@ func (fp *FaultPlan) Decide(taskKey uint64, attempt int, start time.Duration, wo
 
 // CorruptDelivery reports whether the task's first output delivery is
 // corrupted in its exchange. The decision is per task, not per
-// attempt: once the consumer detects the mismatch and the payload is
-// recomputed from lineage, the re-delivery is clean.
+// attempt: once the consumer's checksum fails and the payload is
+// priced as recomputed from lineage, the re-delivery is clean.
 func (fp *FaultPlan) CorruptDelivery(taskKey uint64) bool {
 	return fp.CorruptRate > 0 &&
 		unitFloat(mix64(fp.Seed, taskKey, saltCorrupt)) < fp.CorruptRate

@@ -137,7 +137,4 @@ func TestFaultPlanValidateAndActive(t *testing.T) {
 			t.Errorf("bad plan %d passed Validate", i)
 		}
 	}
-	if _, err := New(Config{Workers: 3, DefaultPartitions: 6, Faults: &FaultPlan{FailRate: 2}}); err == nil {
-		t.Fatal("cluster.New accepted invalid FaultPlan")
-	}
 }

@@ -198,10 +198,9 @@ func SimulateMorsels(pipelines []MorselPipeline, cfg MorselSimConfig) (*MorselSi
 			if faults != nil {
 				// A morsel is priced, not executed: every attempt costs
 				// its share of the pipeline's work.
-				fDone, trace, rec, err := faults.RunAttempts(morselKey(cfg.FaultSalt, pi, mi), start, workers,
-					func() (time.Duration, error) { return dur, nil })
+				fDone, trace, rec, exhausted := faults.RunAttempts(morselKey(cfg.FaultSalt, pi, mi), start, workers, dur)
 				res.Recovery.Add(rec)
-				if err != nil {
+				if exhausted {
 					return res, &MorselFailedError{Pipeline: p.Name, Morsel: mi, Attempts: trace}
 				}
 				mDone = fDone

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -9,10 +8,10 @@ import (
 
 // What an executor does about a FaultPlan's decisions: the one attempt
 // loop (RunAttempts), the attempt trace it writes and the recovery
-// record it charges. Both executors price recovery through this loop;
-// what differs is the caller's unit of work — the task scheduler
-// re-runs a whole operator per attempt, the morsel simulator re-prices
-// one morsel — not the mechanism.
+// record it charges. Both executors price recovery through this loop,
+// never re-executing anything; what differs is the caller's unit of
+// work — one operator for the task scheduler, one morsel for the morsel
+// simulator — not the mechanism.
 
 // The retry and speculation policy. Constants, not options: nothing in
 // the tree ever set them to anything else, and every seeded schedule's
@@ -102,11 +101,11 @@ type Recovery struct {
 	// duplicate attempts and how many finished first.
 	SpeculativeLaunched int64 `json:"speculativeLaunched"`
 	SpeculativeWins     int64 `json:"speculativeWins"`
-	// ChecksumFailures counts corrupted exchange payloads detected by
-	// the consumer-side checksum.
+	// ChecksumFailures counts the corrupted deliveries the fault plan
+	// injected, each priced as detected by its consumer's checksum.
 	ChecksumFailures int64 `json:"checksumFailures"`
-	// LineageRecomputes counts tasks re-executed from lineage to restore
-	// a corrupted or freed input.
+	// LineageRecomputes counts the tasks (operators or morsels) priced
+	// as recomputed from lineage to restore a corrupted delivery.
 	LineageRecomputes int64 `json:"lineageRecomputes"`
 	// TasksFailed counts tasks that exhausted their attempt budget and
 	// aborted their query.
@@ -150,38 +149,26 @@ func (r Recovery) String() string {
 		r.ChecksumFailures, r.LineageRecomputes, r.RecoveryTime.Round(time.Microsecond))
 }
 
-// ErrAttemptsExhausted is what RunAttempts returns when a task's last
-// budgeted attempt failed; callers wrap it into their own typed error
-// with the attempt trace.
-var ErrAttemptsExhausted = errors.New("cluster: attempt budget exhausted")
-
-// RunAttempts runs one task's attempt loop on the virtual timeline.
-// attempt executes (or re-prices) the task once and returns its
-// fault-free priced time; it is called once per non-speculative attempt,
-// and an error from it — a real failure, not an injected one — stops
-// the loop and is returned as is. An injected failure consumes the
-// attempt's time, backs off (capped exponential) and retries on the next
-// worker; a straggler stretches by its delay factor and, past
-// SpeculativeFactor, races a speculative duplicate. Sibling tasks of
-// one operator are symmetric in the simulator, so the attempt's own
-// fault-free time stands in for the median sibling time the detector
-// compares against.
+// RunAttempts prices one task's attempt loop on the virtual timeline;
+// dur is the task's fault-free priced time, which every attempt costs.
+// An injected failure consumes the attempt's time, backs off (capped
+// exponential) and retries on the next worker; a straggler stretches by
+// its delay factor and, past SpeculativeFactor, races a speculative
+// duplicate. Sibling tasks of one operator are symmetric in the
+// simulator, so the task's own fault-free time stands in for the median
+// sibling time the detector compares against.
 //
 // It returns the task's virtual completion time, the full attempt
-// trace, and the recovery it charged — all valid on error too, where
-// they describe the attempts made so far. ErrAttemptsExhausted means the
-// budget (FaultPlan.MaxAttempts) ran out; rec.TasksFailed is 1 then.
-// Everything is a pure function of (Seed, key, start, workers) and the
-// times attempt returns.
-func (fp *FaultPlan) RunAttempts(key uint64, start time.Duration, workers int, attempt func() (time.Duration, error)) (done time.Duration, trace []Attempt, rec Recovery, err error) {
+// trace, and the recovery it charged. exhausted means the budget
+// (FaultPlan.MaxAttempts) ran out: there is no completion time then,
+// rec.TasksFailed is 1, and the trace ends with the last failed
+// attempt; callers wrap it into their own typed error. Everything is a
+// pure function of (Seed, key, start, workers, dur).
+func (fp *FaultPlan) RunAttempts(key uint64, start time.Duration, workers int, dur time.Duration) (done time.Duration, trace []Attempt, rec Recovery, exhausted bool) {
 	budget := fp.maxAttempts()
 	vstart := start
 	for n := 1; ; n++ {
 		dec := fp.Decide(key, n, vstart, workers)
-		dur, aerr := attempt()
-		if aerr != nil {
-			return 0, trace, rec, aerr
-		}
 		rec.Attempts++
 
 		if dec.Fail {
@@ -192,7 +179,7 @@ func (fp *FaultPlan) RunAttempts(key uint64, start time.Duration, workers int, a
 			trace = append(trace, Attempt{Attempt: n, Worker: dec.Worker, Start: vstart, End: vstart + dur, Outcome: outcome})
 			if n >= budget {
 				rec.TasksFailed++
-				return 0, trace, rec, ErrAttemptsExhausted
+				return 0, trace, rec, true
 			}
 			rec.Retries++
 			wait := RetryBackoff << (n - 1)
@@ -207,7 +194,7 @@ func (fp *FaultPlan) RunAttempts(key uint64, start time.Duration, workers int, a
 		if dec.DelayFactor <= 1 {
 			done = vstart + dur
 			trace = append(trace, Attempt{Attempt: n, Worker: dec.Worker, Start: vstart, End: done, Outcome: AttemptOK})
-			return done, trace, rec, nil
+			return done, trace, rec, false
 		}
 
 		rec.Stragglers++
@@ -233,7 +220,7 @@ func (fp *FaultPlan) RunAttempts(key uint64, start time.Duration, workers int, a
 		}
 		trace = append(trace, last)
 		rec.RecoveryTime += done - (vstart + dur)
-		return done, trace, rec, nil
+		return done, trace, rec, false
 	}
 }
 

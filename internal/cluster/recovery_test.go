@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -10,9 +9,9 @@ import (
 )
 
 // The two attempt loops RunAttempts replaced, kept as its references:
-// refTaskLoop is the attempt half of the task scheduler's runResilient
-// (pricing only — fed a fixed duration where the scheduler re-executed
-// the operator), refMorselLoop is the morsel simulator's
+// refTaskLoop is the attempt half of the task scheduler's former
+// runResilient (pricing only — fed a fixed duration where that loop
+// re-executed the operator), refMorselLoop is the morsel simulator's
 // runMorselResilient. Their knobs are the values nothing ever changed,
 // spelled as literals so the test also pins the constants beside the
 // shared loop.
@@ -229,14 +228,7 @@ func TestFaultRunAttemptsMatchesOldLoops(t *testing.T) {
 			budget = 4
 		}
 
-		calls := 0
-		done, trace, rec, err := fp.RunAttempts(key, start, workers, func() (time.Duration, error) {
-			calls++
-			return dur, nil
-		})
-		if err != nil && !errors.Is(err, ErrAttemptsExhausted) {
-			t.Fatalf("case %d: unexpected error %v", i, err)
-		}
+		done, trace, rec, failed := fp.RunAttempts(key, start, workers, dur)
 
 		tDone, tTrace, tRes, tFailed := refTaskLoop(fp, budget, key, start, dur, workers)
 		wantRec := Recovery{
@@ -244,22 +236,17 @@ func TestFaultRunAttemptsMatchesOldLoops(t *testing.T) {
 			SpeculativeLaunched: tRes.specLaunch, SpeculativeWins: tRes.specWins,
 			TasksFailed: tRes.taskFailed, RecoveryTime: tRes.recovery,
 		}
-		if done != tDone || (err != nil) != tFailed || rec != wantRec || !reflect.DeepEqual(trace, tTrace) {
-			t.Fatalf("case %d: plan %+v key %#x start %v dur %v workers %d\n shared loop: done %v err %v rec %+v\n  trace %v\n task loop:   done %v failed %v rec %+v\n  trace %v",
-				i, fp, key, start, dur, workers, done, err, rec, trace, tDone, tFailed, wantRec, tTrace)
+		if done != tDone || failed != tFailed || rec != wantRec || !reflect.DeepEqual(trace, tTrace) {
+			t.Fatalf("case %d: plan %+v key %#x start %v dur %v workers %d\n shared loop: done %v exhausted %v rec %+v\n  trace %v\n task loop:   done %v failed %v rec %+v\n  trace %v",
+				i, fp, key, start, dur, workers, done, failed, rec, trace, tDone, tFailed, wantRec, tTrace)
 		}
-		// One real execution per non-speculative attempt.
-		if want := int(rec.Attempts - rec.SpeculativeLaunched); calls != want {
-			t.Fatalf("case %d: attempt callback ran %d times, want %d", i, calls, want)
-		}
-
 		var mRec refMorselRecovery
 		mDone, mTrace := refMorselLoop(fp, budget, key, start, dur, workers, &mRec)
 		if mTrace != nil {
-			if err == nil || !reflect.DeepEqual(trace, mTrace) {
-				t.Fatalf("case %d: morsel loop exhausted with trace %v; shared loop err %v trace %v", i, mTrace, err, trace)
+			if !failed || !reflect.DeepEqual(trace, mTrace) {
+				t.Fatalf("case %d: morsel loop exhausted with trace %v; shared loop exhausted %v trace %v", i, mTrace, failed, trace)
 			}
-		} else if err != nil {
+		} else if failed {
 			t.Fatalf("case %d: shared loop exhausted, morsel loop completed at %v", i, mDone)
 		}
 		gotM := refMorselRecovery{rec.Attempts, rec.Retries, rec.Stragglers, rec.SpeculativeLaunched, rec.SpeculativeWins, rec.RecoveryTime}
@@ -267,7 +254,7 @@ func TestFaultRunAttemptsMatchesOldLoops(t *testing.T) {
 			t.Fatalf("case %d: plan %+v\n shared loop: done %v rec %+v\n morsel loop: done %v rec %+v", i, fp, done, gotM, mDone, mRec)
 		}
 
-		if err != nil {
+		if failed {
 			exhausted++
 		}
 		specWins += int(rec.SpeculativeWins)
@@ -283,27 +270,5 @@ func TestFaultRunAttemptsMatchesOldLoops(t *testing.T) {
 	if exhausted == 0 || specWins == 0 || outages == 0 || retried == 0 {
 		t.Errorf("random plans missed a branch: %d exhausted, %d speculative wins, %d outage attempts, %d retries",
 			exhausted, specWins, outages, retried)
-	}
-}
-
-// TestFaultRunAttemptsStopsOnRealError: an error from the attempt
-// callback is a real failure, not an injected one — the loop returns it
-// as is, without retrying, with the record of the attempts before it.
-func TestFaultRunAttemptsStopsOnRealError(t *testing.T) {
-	boom := errors.New("boom")
-	fp := &FaultPlan{Seed: 3, FailRate: 1, MaxFailuresPerTask: 1}
-	calls := 0
-	_, trace, rec, err := fp.RunAttempts(1, 0, 4, func() (time.Duration, error) {
-		calls++
-		if calls == 2 {
-			return 0, boom
-		}
-		return time.Millisecond, nil
-	})
-	if err != boom || calls != 2 {
-		t.Fatalf("err %v after %d calls, want boom after 2", err, calls)
-	}
-	if want := (Recovery{Attempts: 1, Retries: 1, RecoveryTime: time.Millisecond + 50*time.Millisecond}); rec != want || len(trace) != 1 {
-		t.Errorf("rec %+v trace %v, want %+v and the one failed attempt", rec, trace, want)
 	}
 }

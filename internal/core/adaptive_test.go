@@ -164,8 +164,8 @@ func TestAdaptiveDisabledForPaperModes(t *testing.T) {
 // store, lineage recompute reached a Bound leaf of a re-planned round
 // whose relation had already been handed on, and the query failed with
 // "bound leaf … lost its relation during lineage recompute". Every plan
-// now runs to completion, so recompute only ever re-executes operators
-// of the one plan: the faulted run must return the fault-free rows.
+// now runs to completion and lineage recompute is priced, not run: the
+// faulted run must return the fault-free rows.
 func TestAdaptiveFaultRecomputeKeepsRows(t *testing.T) {
 	s := adaptiveStore(t)
 	q := sparql.MustParse(adaptiveQuery)

@@ -35,13 +35,16 @@ type QueryOptions struct {
 	// plan is built from scratch, not inserted, and never corrected — the
 	// static plan, exactly as a first execution runs it.
 	NoPlanCache bool
-	// Faults injects a deterministic fault schedule for this query,
-	// overriding the cluster-wide plan (cluster.Config.Faults). Nil
-	// inherits the cluster's; a nil or inactive resolved plan keeps
-	// execution on the unchanged fault-free hot path (no checksums, no
-	// attempt bookkeeping). The plan is the whole fault configuration —
-	// its MaxAttempts is the per-task attempt budget whose exhaustion
-	// aborts the query with a *TaskFailedError; retry backoff and the
+	// Faults injects a deterministic fault schedule into this query; it
+	// is the only way to set one. Its recovery is priced on the virtual
+	// clock, never acted out: every operator runs once, and retries,
+	// stragglers, speculation and lineage recompute of corrupted
+	// deliveries are charged from that run's time, on every route —
+	// local or sharded — and either executor, so rows never change. A
+	// nil or inactive plan keeps execution on the unchanged fault-free
+	// hot path. The plan is the whole fault configuration — its
+	// MaxAttempts is the per-task attempt budget whose exhaustion aborts
+	// the query with a *TaskFailedError; retry backoff and the
 	// speculation multiple are constants beside the attempt loop
 	// (cluster.FaultPlan.RunAttempts). An invalid plan is refused before
 	// planning. Fault options never affect planning, so cached plans are

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/plan"
 	"repro/internal/sparql"
 	"repro/internal/watdiv"
 )
@@ -58,8 +59,8 @@ func TestFaultActiveButQuietKeepsSimTime(t *testing.T) {
 	s := testStore(t, false)
 	clean := faultRun(t, s, nil, nil)
 	// Active plan (outage on a worker index the 3-worker cluster never
-	// assigns) whose schedule hits nothing: checksums and attempt
-	// bookkeeping run, but pricing must be untouched.
+	// assigns) whose schedule hits nothing: recovery pricing and attempt
+	// bookkeeping run, but the clock must be untouched.
 	quiet := faultRun(t, s, &cluster.FaultPlan{
 		Seed:    5,
 		Outages: []cluster.WorkerOutage{{Worker: 7, From: 0, Until: time.Hour}},
@@ -158,18 +159,28 @@ func TestFaultWorkerOutageReschedulesAcrossWorkers(t *testing.T) {
 func TestFaultCorruptExchangeRecomputesFromLineage(t *testing.T) {
 	s := testStore(t, false)
 	clean := faultRun(t, s, nil, nil)
-	// Every delivery corrupted; with static plans the eager release
-	// policy has already freed consumed inputs, so recovery must walk
-	// lineage back to re-reading the store.
+	// Every delivery corrupted, the root's to the driver included; the
+	// eager release policy has already freed consumed inputs, so each
+	// recovery is priced as the producer's whole lineage subtree, down
+	// to re-reading the store.
 	res := faultRun(t, s, &cluster.FaultPlan{Seed: 9, CorruptRate: 1}, nil)
 	if got, want := renderRows(res), renderRows(clean); strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Fatalf("rows differ after lineage recompute: %v vs %v", got, want)
 	}
-	if res.Resilience.ChecksumFailures == 0 {
-		t.Fatal("CorruptRate=1 detected no checksum failures")
+	var nodes, lineage int64
+	var walk func(n *plan.Node) int64
+	walk = func(n *plan.Node) int64 {
+		size := int64(1)
+		for _, c := range n.Children {
+			size += walk(c)
+		}
+		nodes, lineage = nodes+1, lineage+size
+		return size
 	}
-	if res.Resilience.LineageRecomputes < res.Resilience.ChecksumFailures {
-		t.Fatalf("recomputes %d < checksum failures %d", res.Resilience.LineageRecomputes, res.Resilience.ChecksumFailures)
+	walk(res.Plan.Root)
+	if r := res.Resilience; r.ChecksumFailures != nodes || r.LineageRecomputes != lineage {
+		t.Fatalf("%d checksum failures, %d lineage recomputes; want one per task (%d) and every subtree's size (%d)",
+			r.ChecksumFailures, r.LineageRecomputes, nodes, lineage)
 	}
 	overhead := res.SimTime - clean.SimTime
 	if overhead <= 0 {
@@ -343,5 +354,56 @@ func TestFaultConcurrentQueriesRace(t *testing.T) {
 	if after.HeapAlloc > base.HeapAlloc+allowance {
 		t.Errorf("heap high-water grew %d bytes (from %d to %d); intermediate relations stranded?",
 			after.HeapAlloc-base.HeapAlloc, base.HeapAlloc, after.HeapAlloc)
+	}
+}
+
+// TestFaultExhaustionSameAtAnyParallelism runs queries whose tasks
+// exhaust their attempts on independent branches 20 times at
+// GOMAXPROCS 1, 2 and 4: the reported task, its attempt trace and the
+// completed-task count must not depend on which worker got there first.
+func TestFaultExhaustionSameAtAnyParallelism(t *testing.T) {
+	g := watdiv.MustGenerate(watdiv.Config{Scale: 100, Seed: 7})
+	s, err := Load(g, Options{Cluster: cluster.MustNew(cluster.Config{Workers: 4, DefaultPartitions: 8})})
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	plans := []*cluster.FaultPlan{
+		{Seed: 1, FailRate: 1, MaxAttempts: 2},
+		{Seed: 2, FailRate: 0.5, MaxAttempts: 2},
+	}
+	outcome := func(q *sparql.Query, fp *cluster.FaultPlan) string {
+		res, err := s.Query(q, QueryOptions{NoPlanCache: true, Faults: fp})
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprintf("ok: %v %+v", res.SimTime, res.Resilience)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := map[string]string{}
+	failed := 0
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 20; run++ {
+			for pi, fp := range plans {
+				for _, q := range watdiv.BasicQuerySet() {
+					key := fmt.Sprintf("plan %d %s", pi, q.Name)
+					got := outcome(q.Parsed, fp)
+					w, seen := want[key]
+					if !seen {
+						want[key] = got
+						if !strings.HasPrefix(got, "ok: ") {
+							failed++
+						}
+						continue
+					}
+					if got != w {
+						t.Fatalf("%s at GOMAXPROCS %d, run %d:\n got %s\nwant %s", key, procs, run, got, w)
+					}
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no query exhausted its attempts; the test checks nothing")
 	}
 }

@@ -45,15 +45,23 @@ type QueryAbort interface {
 
 // TaskFailedError reports a task that exhausted its attempt budget
 // under fault injection — the permanent-failure abort, carrying the
-// full attempt trace for diagnosis. prost-serve returns it as a 500
+// full attempt trace for diagnosis. When several tasks exhaust theirs,
+// it names the one whose last attempt ends earliest on the virtual
+// timeline (ties: the lower plan node ID), so the report is the same
+// however the workers interleaved. prost-serve returns it as a 500
 // (distinct from the 504 a *CancelError produces).
 type TaskFailedError struct {
 	// Task describes the failed plan operator.
 	Task string
 	// Attempts is the task's full attempt trace, in virtual-time order.
 	Attempts []cluster.Attempt
-	// CompletedTasks and TotalTasks count plan operators executed vs
-	// scheduled when the query aborted.
+	// CompletedTasks counts the plan tasks that produced their output:
+	// under fault exhaustion, every operator that neither exhausted its
+	// attempts nor depends on one that did (on the streaming executor,
+	// the pipelines finished before the failed morsel's), a number
+	// deterministic for a given plan and fault plan; for a dead shard,
+	// the operators completed when it was seen. TotalTasks counts the
+	// plan's tasks (streaming: pipelines).
 	CompletedTasks, TotalTasks int
 	// Cause is the underlying failure for non-injected aborts — a dead
 	// shard process surfaces its *wire.ShardError here. Nil for

@@ -21,8 +21,8 @@ type resolved struct {
 	// chunk is the streaming rows per batch and per priced morsel.
 	chunk int
 	// faults is the active fault plan (nil: the fault-free hot path, no
-	// checksums, no attempt bookkeeping); faultSalt decorrelates its
-	// schedule across queries.
+	// recovery pricing, no attempt bookkeeping); faultSalt decorrelates
+	// its schedule across queries.
 	faults    *cluster.FaultPlan
 	faultSalt uint64
 	// dist is where a sharded query's kernels run — runMaterialized opens
@@ -45,10 +45,11 @@ type resolved struct {
 //
 //	when                                then
 //	Dist is set                         kernels run on the shards through one session; streaming off
-//	                                    (reported as a downgrade), fault injection off, ExtVP not
-//	                                    offered (shards hold base tables), no join pairs mined
-//	                                    (nothing would scan the reductions built)
-//	Faults                              nil: the cluster's plan; an inactive plan: none
+//	                                    (reported as a downgrade), ExtVP not offered (shards hold
+//	                                    base tables), no join pairs mined (nothing would scan the
+//	                                    reductions built)
+//	Faults                              nil or inactive: none; active: priced on the coordinator,
+//	                                    on every route and either executor
 //	BroadcastThreshold                  0: engine.DefaultBroadcastThreshold; negative: no broadcasts
 //	NoPlanCache                         planned fresh, not inserted, never corrected
 //	no workload model                   ExtVP not offered, nothing mined
@@ -59,7 +60,6 @@ type resolved struct {
 // before planning. Resolving has no side effect: Plan and QueryContext
 // share it.
 func (s *Store) resolve(q *sparql.Query, opts QueryOptions) (resolved, error) {
-	// A per-query plan gets the check cluster.New gives the cluster's.
 	if err := opts.Faults.Validate(); err != nil {
 		return resolved{}, err
 	}
@@ -83,13 +83,10 @@ func (s *Store) resolve(q *sparql.Query, opts QueryOptions) (resolved, error) {
 	if r.chunk <= 0 {
 		r.chunk = DefaultChunkSize
 	}
-	if r.faults == nil {
-		r.faults = s.cluster.Config().Faults
-	}
-	if !local || !r.faults.Active() {
-		r.faults = nil
-	} else {
+	if r.faults.Active() {
 		r.faultSalt = queryFaultSalt(q)
+	} else {
+		r.faults = nil
 	}
 	return r, nil
 }

@@ -42,12 +42,10 @@ const (
 // gone with the option) and must stay string-equal, so no cached plan is
 // ever shared or split differently.
 func TestResolveTable(t *testing.T) {
-	clusterFaults := &cluster.FaultPlan{Seed: 7, FailRate: 0.1}
 	queryFaults := &cluster.FaultPlan{Seed: 8, StragglerRate: 0.3}
 	stores := map[string]Options{
-		"plain":          {},
-		"workload":       {ExtVPBudget: 1 << 20},
-		"cluster-faults": {},
+		"plain":    {},
+		"workload": {ExtVPBudget: 1 << 20},
 	}
 	// Keys shared by several rows.
 	const (
@@ -66,15 +64,14 @@ func TestResolveTable(t *testing.T) {
 		{"defaults", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{} },
 			func(r *resolved) {}, keyDefault},
 
-		// Dist: streaming and faults off, ExtVP not offered.
+		// Dist: streaming off, ExtVP not offered; faults are priced on
+		// the coordinator as for a local query.
 		{"dist", "plain", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d} },
 			func(r *resolved) {}, keyDefault},
 		{"dist + streaming", "plain", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d, Streaming: true} },
 			func(r *resolved) { r.downgraded = true }, keyDefault},
 		{"dist + faults", "plain", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d, Faults: queryFaults} },
-			func(r *resolved) {}, keyDefault},
-		{"dist on a cluster with faults", "cluster-faults", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d} },
-			func(r *resolved) {}, keyDefault},
+			func(r *resolved) { r.faults = queryFaults }, keyDefault},
 		{"dist on a store with a workload model", "workload", resolvePlain, func(d DistRunner) QueryOptions { return QueryOptions{Dist: d} },
 			func(r *resolved) {}, keyDefault},
 		{"local on a store with a workload model", "workload", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{} },
@@ -105,12 +102,10 @@ func TestResolveTable(t *testing.T) {
 		{"negative re-plan bound", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{} },
 			func(r *resolved) {}, keyDefault},
 
-		// Faults: per query, else the cluster's, else none. Never in the key.
-		{"cluster-wide fault plan", "cluster-faults", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{} },
-			func(r *resolved) { r.faults = clusterFaults }, keyDefault},
-		{"per-query fault plan over the cluster's", "cluster-faults", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Faults: queryFaults} },
+		// Faults: the query's active plan, else none. Never in the key.
+		{"per-query fault plan", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Faults: queryFaults} },
 			func(r *resolved) { r.faults = queryFaults }, keyDefault},
-		{"inactive per-query plan switches the cluster's off", "cluster-faults", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Faults: &cluster.FaultPlan{Seed: 9}} },
+		{"inactive per-query plan is none", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Faults: &cluster.FaultPlan{Seed: 9}} },
 			func(r *resolved) {}, keyDefault},
 		{"per-query fault plan, streaming", "plain", resolvePlain, func(DistRunner) QueryOptions { return QueryOptions{Faults: queryFaults, Streaming: true} },
 			func(r *resolved) { r.faults, r.streaming = queryFaults, true }, keyDefault},
@@ -139,12 +134,8 @@ func TestResolveTable(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := cluster.Config{Workers: 3, DefaultPartitions: 4}
-			if row.store == "cluster-faults" {
-				cfg.Faults = clusterFaults
-			}
 			lopts := stores[row.store]
-			lopts.Cluster = cluster.MustNew(cfg)
+			lopts.Cluster = cluster.MustNew(cluster.Config{Workers: 3, DefaultPartitions: 4})
 			s, err := Load(testGraph(), lopts)
 			if err != nil {
 				t.Fatalf("Load: %v", err)

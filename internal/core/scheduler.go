@@ -32,6 +32,9 @@ type execTask struct {
 	// forever, when execution failed before it could run), and nil again
 	// once its consumer completed (releaseInputs).
 	rel *engine.Relation
+	// own is the virtual time of the task's operator alone: its clock's
+	// stage sum.
+	own time.Duration
 	// done is the task's virtual completion time: start plus the task's
 	// own stage time (plus recovery, under fault injection).
 	done time.Duration
@@ -42,13 +45,11 @@ type execTask struct {
 	// sweep to count.
 	zeroCopy bool
 
-	// xsum is the delivered exchange checksum of the task's output in
-	// the packed-uint64 wire format, possibly corrupted in flight by the
-	// fault plan; the consumer verifies it against the payload before
-	// reading. Guarded by hasXsum and only set under an active fault
-	// plan — the fault-free path never computes checksums.
-	xsum    uint64
-	hasXsum bool
+	// exhausted is the attempt trace of a task that ran out of attempts
+	// under the fault plan; lost marks such a task and every task above
+	// it, which never run. The rest of the plan runs to completion.
+	exhausted []cluster.Attempt
+	lost      bool
 }
 
 // scheduler executes one physical plan as a task DAG on a bounded set
@@ -58,11 +59,11 @@ type execTask struct {
 // plan and those cardinalities, never on worker interleaving, so SimTime
 // is identical across runs and concurrency levels.
 //
-// Under an active fault plan a task's attempts run through
-// cluster.FaultPlan.RunAttempts, the loop the morsel simulator shares;
-// what the scheduler owns of fault handling is what only materialized
-// tasks have — consumer-side checksum verification (verifyInput) and
-// lineage recompute.
+// Each operator runs once. Under an active fault plan its recovery is
+// priced from that run's time, never re-executed: its attempts through
+// cluster.FaultPlan.RunAttempts, the loop the morsel simulator shares,
+// and a corrupted delivery as a recompute of the producer's lineage
+// (price).
 //
 // All mutable state is per-execution, so Store.Query remains safe for
 // concurrent callers sharing cached plans.
@@ -71,9 +72,8 @@ type scheduler struct {
 	nodes   []*Node
 	filters []compiledFilter
 	// r is the query's resolved options: the broadcast cap and the fault
-	// plan. dist, when set, is the shard session scan and
-	// exchange kernels are delegated to (fault injection is off then, so
-	// only the fault-free run() path ever sees it).
+	// plan. dist, when set, is the shard session scan and exchange
+	// kernels are delegated to.
 	r    resolved
 	dist DistSession
 	ctx  context.Context
@@ -95,6 +95,9 @@ type scheduler struct {
 
 	completed atomic.Int64
 
+	// failed, errOnce and err hold the first real error or cancellation,
+	// which stops every task; an exhausted attempt budget stops only its
+	// own ancestors.
 	failed  atomic.Bool
 	errOnce sync.Once
 	err     error
@@ -142,17 +145,30 @@ func (sc *scheduler) execute(pl *plan.Plan) (*execTask, error) {
 	if sc.err != nil {
 		return nil, sc.err
 	}
-	if sc.r.faults != nil {
-		// The root's own delivery to the driver is an exchange too: verify
-		// it and recompute from lineage on corruption, so the epilogue
-		// always reads a clean payload.
-		extra, err := sc.verifyInput(sc.root)
-		if err != nil {
-			return nil, err
-		}
-		sc.root.done += extra
+	if sc.root.lost {
+		return nil, sc.exhaustion()
 	}
 	return sc.root, nil
+}
+
+// exhaustion reports the task whose attempts ran out earliest on the
+// virtual timeline (ties: the lower plan node ID). Every task not above
+// an exhausted one ran, so the report and its progress count are the
+// same however the workers interleaved.
+func (sc *scheduler) exhaustion() error {
+	end := func(t *execTask) time.Duration { return t.exhausted[len(t.exhausted)-1].End }
+	var first *execTask
+	for _, t := range sc.tasks {
+		if t.exhausted != nil && (first == nil || end(t) < end(first) || end(t) == end(first) && t.node.ID < first.node.ID) {
+			first = t
+		}
+	}
+	return &TaskFailedError{
+		Task:           nodeDesc(first.node),
+		Attempts:       first.exhausted,
+		CompletedTasks: int(sc.completed.Load()),
+		TotalTasks:     len(sc.tasks),
+	}
 }
 
 // dispatch queues t, its dependencies all done, to start at the last.
@@ -191,15 +207,18 @@ func (sc *scheduler) newExec(n *plan.Node) *engine.Exec {
 	return e
 }
 
-// fail records the first error and stops further work.
+// fail records the first real error or cancellation and stops further
+// work.
 func (sc *scheduler) fail(err error) {
 	sc.errOnce.Do(func() { sc.err = err })
 	sc.failed.Store(true)
 }
 
-// run executes one task against its own virtual clock and records its
-// observed cardinality and completion time. Tasks scheduled after a
-// failure complete immediately without doing work, so the DAG drains.
+// run executes one task's operator, once, against its own virtual
+// clock and records its observed cardinality and completion time; under
+// a fault plan, price then charges its recovery. Tasks scheduled after a
+// failure complete immediately without doing work, so the DAG drains;
+// a task with a lost input is lost too.
 func (sc *scheduler) run(t *execTask) {
 	if sc.failed.Load() {
 		return
@@ -214,173 +233,107 @@ func (sc *scheduler) run(t *execTask) {
 			return
 		}
 	}
-	if sc.r.faults != nil {
-		sc.runResilient(t)
-		return
+	for _, d := range t.deps {
+		if d.lost {
+			t.lost = true
+			return
+		}
 	}
 	e := sc.newExec(t.node)
-	rel, err := sc.execOp(e, t, taskInputs(t))
+	rel, err := sc.execOp(e, t)
 	if err != nil {
 		// A dead shard becomes the typed abort; any other error passes
 		// through unchanged.
 		sc.fail(wrapShardErr(err, t, int(sc.completed.Load()), len(sc.tasks)))
 		return
 	}
+	t.own = e.Clock.Elapsed()
+	// Zero-cost operators (empty-table shortcuts) still complete strictly
+	// after they start.
+	t.done = t.start + max(t.own, 1)
+	if sc.r.faults != nil && !sc.price(t) {
+		return
+	}
 	t.rel = rel
 	sc.obs.Record(t.node, int64(rel.NumRows()))
 	t.stages = e.Clock.Stages()
 	releaseInputs(t)
-	// Zero-cost operators (empty-table shortcuts) still complete strictly
-	// after they start.
-	t.done = t.start + max(e.Clock.Elapsed(), 1)
 	sc.completed.Add(1)
 }
 
 // releaseInputs frees a completed task's consumed inputs, so large
-// intermediates do not outlive the operator that read them. Under fault
-// injection a freed input can still be recovered: lineage
-// recomputation re-executes its subtree on demand.
+// intermediates do not outlive the operator that read them. Recovering
+// a freed input is priced, not run (lineage).
 func releaseInputs(t *execTask) {
 	for _, d := range t.deps {
 		d.rel = nil
 	}
 }
 
-// taskKey identifies one task for the fault plan: the node's stable
-// plan ID, independent of pool interleaving. The scheduler XORs in its
-// per-query fault salt so two queries whose plans happen to share small
-// node IDs still draw independent fault schedules.
-func taskKey(nodeID int) uint64 {
-	return uint64(uint32(nodeID))
+// faultKey identifies t for the fault plan: its node's stable plan ID,
+// independent of pool interleaving, salted per query so two queries
+// whose plans share small node IDs draw independent fault schedules.
+func (sc *scheduler) faultKey(t *execTask) uint64 {
+	return uint64(uint32(t.node.ID)) ^ sc.r.faultSalt
 }
 
-// corruptFlip is the bit pattern a corrupted exchange XORs into the
-// delivered checksum, guaranteeing a detectable mismatch.
-const corruptFlip uint64 = 0xDEADBEEFCAFEF00D
-
-// runResilient executes one task under the active fault plan. What is
-// specific to a materialized task lives here: every input is
-// checksum-verified before reading (a corrupted exchange recomputes its
-// producer from lineage), each attempt re-executes the operator for
-// real, and the output's delivered checksum may be corrupted in turn.
-// The attempt loop itself — retries with capped exponential virtual
-// backoff, straggler speculation, the attempt budget — is
-// cluster.FaultPlan.RunAttempts, shared with the morsel simulator. All
-// recovery is priced into the task's virtual completion, so SimTime
-// reflects recovery cost; exhausting the budget aborts the query with a
-// typed *TaskFailedError carrying the attempt trace.
+// price charges the active fault plan against t's one run and reports
+// whether t completed. A corrupted delivery of an input is detected by
+// its consumer and recomputed from lineage before the consumer starts;
+// so is the root's delivery to the driver, after the root's attempts.
+// The attempts themselves — retries with capped exponential virtual
+// backoff, straggler speculation, the attempt budget — are
+// cluster.FaultPlan.RunAttempts, shared with the morsel simulator, each
+// attempt costing the run's time. A task that exhausts the budget is
+// lost, and with it its ancestors; execute reports it as a
+// *TaskFailedError.
 //
 // Every fault decision is a pure function of (seed, node ID, attempt,
 // virtual start), so the recovery schedule — and therefore SimTime — is
 // deterministic across runs and concurrency levels.
-func (sc *scheduler) runResilient(t *execTask) {
-	f := sc.r.faults
-	key := taskKey(t.node.ID) ^ sc.r.faultSalt
-
-	// Consumer-side integrity check: verify each input's delivered
-	// checksum against its payload before reading it; recovery time is
-	// sequenced before this task's own attempts.
-	vstart := t.start
+func (sc *scheduler) price(t *execTask) bool {
+	var rec cluster.Recovery
+	start := t.start
 	for _, d := range t.deps {
-		extra, err := sc.verifyInput(d)
-		if err != nil {
-			sc.fail(err)
-			return
-		}
-		vstart += extra
+		start += sc.lineage(d, &rec)
 	}
-
-	// The last attempt's output and stage trace are the task's.
-	var rel *engine.Relation
-	var clk *cluster.Clock
-	done, trace, rec, err := f.RunAttempts(key, vstart, sc.store.cluster.Workers(), func() (time.Duration, error) {
-		e := sc.newExec(t.node)
-		clk = e.Clock
-		var err error
-		if rel, err = sc.execOp(e, t, taskInputs(t)); err != nil {
-			return 0, err
-		}
-		return max(clk.Elapsed(), 1), nil
-	})
+	done, trace, arec, exhausted := sc.r.faults.RunAttempts(sc.faultKey(t), start, sc.store.cluster.Workers(), max(t.own, 1))
+	rec.Add(arec)
+	if !exhausted && t.parent == nil {
+		done += sc.lineage(t, &rec)
+	}
 	sc.recovery.add(rec)
-	if err != nil {
-		if err == cluster.ErrAttemptsExhausted {
-			err = &TaskFailedError{
-				Task:           nodeDesc(t.node),
-				Attempts:       trace,
-				CompletedTasks: int(sc.completed.Load()),
-				TotalTasks:     len(sc.tasks),
-			}
-		}
-		// Anything else is a real execution error, not an injected
-		// fault: fail fast.
-		sc.fail(err)
-		return
+	if exhausted {
+		t.exhausted, t.lost = trace, true
+		return false
 	}
-	t.rel = rel
-	t.stages = clk.Stages()
 	t.done = done
-
-	// Delivered checksum over the packed-uint64 payload: a corrupted
-	// exchange flips bits in flight; the consumer detects the mismatch
-	// and recomputes this task from lineage.
-	sum := t.rel.Checksum()
-	if f.CorruptDelivery(key) {
-		sum ^= corruptFlip
-	}
-	t.xsum, t.hasXsum = sum, true
-
-	sc.obs.Record(t.node, int64(t.rel.NumRows()))
 	sc.obs.RecordAttempts(t.node, len(trace))
-	releaseInputs(t)
-	sc.completed.Add(1)
+	return true
 }
 
-// verifyInput checks a produced task's delivered checksum against its
-// payload. On mismatch — the simulated exchange corrupted the relation
-// in flight — the producer is re-executed from its lineage (inputs
-// already freed by the eager-release policy are recursively recomputed;
-// scans re-read the store), the re-delivery is marked clean, and the
-// recomputation's priced time is returned for the consumer to sequence
-// before its own work. A task's relation has exactly one consumer (the
-// plan is a tree), so no locking is needed.
-func (sc *scheduler) verifyInput(d *execTask) (time.Duration, error) {
-	if !d.hasXsum || d.rel == nil || d.xsum == d.rel.Checksum() {
-		return 0, nil
+// lineage prices the recovery of d's delivery when the fault plan
+// corrupts it: the consumer's checksum fails and d's whole subtree is
+// recomputed (freed inputs included, scans re-reading the store), as
+// Spark recovers a lost partition from its lineage. It returns the time
+// that adds before the consumer may read, zero for a clean delivery.
+func (sc *scheduler) lineage(d *execTask, rec *cluster.Recovery) time.Duration {
+	if !sc.r.faults.CorruptDelivery(sc.faultKey(d)) {
+		return 0
 	}
-	rec := cluster.Recovery{ChecksumFailures: 1}
-	e := sc.newExec(d.node)
-	rel, err := sc.recompute(e, d, &rec)
-	if err == nil {
-		d.rel = rel
-		d.xsum = rel.Checksum()
-		rec.RecoveryTime = max(e.Clock.Elapsed(), 1)
-	}
-	sc.recovery.add(rec)
-	return rec.RecoveryTime, err
-}
-
-// recompute re-executes a task's operator from its recorded lineage —
-// the task tree itself: dependencies whose relations were eagerly freed
-// are recursively recomputed (scans re-read the store), exactly the
-// lineage-based recovery Spark performs for a lost partition. The
-// transient input relations are not re-retained; only the requested
-// task's output is returned; rec counts every task re-executed.
-func (sc *scheduler) recompute(e *engine.Exec, t *execTask, rec *cluster.Recovery) (*engine.Relation, error) {
-	rec.LineageRecomputes++
-	in := make([]*engine.Relation, len(t.deps))
-	for i, d := range t.deps {
-		if d.rel != nil {
-			in[i] = d.rel
-			continue
+	var own time.Duration
+	var walk func(t *execTask)
+	walk = func(t *execTask) {
+		rec.LineageRecomputes++
+		own += t.own
+		for _, c := range t.deps {
+			walk(c)
 		}
-		rel, err := sc.recompute(e, d, rec)
-		if err != nil {
-			return nil, err
-		}
-		in[i] = rel
 	}
-	return sc.execOp(e, t, in)
+	walk(d)
+	rec.ChecksumFailures++
+	rec.RecoveryTime += max(own, 1)
+	return max(own, 1)
 }
 
 // nodeDesc renders a node for errors and correction events.
@@ -406,26 +359,10 @@ func (sc *scheduler) appendTrace(clock *cluster.Clock) {
 	}
 }
 
-// taskInputs gathers a task's dependency relations in child order —
-// the inputs execOp evaluates over in normal execution. Lineage
-// recomputation passes reconstructed relations instead.
-func taskInputs(t *execTask) []*engine.Relation {
-	if len(t.deps) == 0 {
-		return nil
-	}
-	in := make([]*engine.Relation, len(t.deps))
-	for i, d := range t.deps {
-		in[i] = d.rel
-	}
-	return in
-}
-
-// execOp evaluates one plan operator over the given input relations
-// (one per child, in child order). Inputs are passed explicitly rather
-// than read off the task's dependencies so lineage recomputation can
-// re-run an operator whose original inputs were freed.
-func (sc *scheduler) execOp(e *engine.Exec, t *execTask, in []*engine.Relation) (*engine.Relation, error) {
-	n := t.node
+// execOp evaluates one plan operator over its dependencies' relations
+// (one per child, in child order).
+func (sc *scheduler) execOp(e *engine.Exec, t *execTask) (*engine.Relation, error) {
+	n, in := t.node, t.deps
 	switch n.Op {
 	case plan.OpScan:
 		rel, err := sc.execScan(e, t)
@@ -434,33 +371,37 @@ func (sc *scheduler) execOp(e *engine.Exec, t *execTask, in []*engine.Relation) 
 		}
 		return rel, nil
 	case plan.OpFilter:
-		return applyResidualFilters(e, in[0], pickFilters(sc.filters, n.Filters))
+		return applyResidualFilters(e, in[0].rel, pickFilters(sc.filters, n.Filters))
 	case plan.OpJoin:
-		rel, err := e.JoinKeep(in[0], in[1], n.Children[1].Label, joinStrategy(n.Method), n.Keep)
+		rel, err := e.JoinKeep(in[0].rel, in[1].rel, n.Children[1].Label, joinStrategy(n.Method), n.Keep)
 		if err != nil {
 			return nil, fmt.Errorf("core: joining %s: %w", n.Children[1].Label, err)
 		}
 		return rel, nil
 	case plan.OpProject:
-		return e.Project(in[0], n.Cols)
+		return e.Project(in[0].rel, n.Cols)
 	case plan.OpDistinct:
-		return e.Distinct(in[0])
+		return e.Distinct(in[0].rel)
 	case plan.OpLeftJoin:
-		rel, err := e.LeftJoin(in[0], in[1], n.Label)
+		rel, err := e.LeftJoin(in[0].rel, in[1].rel, n.Label)
 		if err != nil {
 			return nil, fmt.Errorf("core: left-joining %s: %w", n.Label, err)
 		}
 		return rel, nil
 	case plan.OpUnion:
-		return e.UnionAll(in...)
+		rels := make([]*engine.Relation, len(in))
+		for i, d := range in {
+			rels[i] = d.rel
+		}
+		return e.UnionAll(rels...)
 	case plan.OpTopK:
-		return e.TopK(in[0], sc.store.topkLess(n), n.Limit, n.Offset)
+		return e.TopK(in[0].rel, sc.store.topkLess(n), n.Limit, n.Offset)
 	case plan.OpAggregate:
 		counts := make([]engine.AggCount, len(n.CountVars))
 		for i, v := range n.CountVars {
 			counts[i] = engine.AggCount{Var: v, As: n.Vars[len(n.GroupCols)+i]}
 		}
-		return e.Aggregate(in[0], n.GroupCols, counts)
+		return e.Aggregate(in[0].rel, n.GroupCols, counts)
 	default:
 		return nil, fmt.Errorf("core: unknown plan operator %v", n.Op)
 	}

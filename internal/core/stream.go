@@ -1479,10 +1479,10 @@ func (sp *streamPlan) peakMemBytes(pipes []cluster.MorselPipeline, res *cluster.
 // memory high-water mark after a successful run. Each relation lives
 // from its task's completion to the end of the query, as Spark keeps a
 // job's shuffle outputs until the job ends (the scheduler itself frees
-// an intermediate as soon as its consumer completed; lineage recompute
-// recovers it on demand). Scans whose output aliases the stored table
-// (an unshaped, unfiltered VP scan) count nothing, matching the
-// streaming sweep's treatment of aliased source batches.
+// an intermediate as soon as its consumer completed; recovering it is
+// priced as a lineage recompute). Scans whose output aliases the
+// stored table (an unshaped, unfiltered VP scan) count nothing,
+// matching the streaming sweep's treatment of aliased source batches.
 //
 // Broadcast joins additionally pin one deserialized copy of the build
 // relation on every receiving executor for the rest of the job — the

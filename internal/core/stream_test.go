@@ -607,7 +607,17 @@ func TestStreamingLateHelper(t *testing.T) {
 func storeFingerprint(s *Store) map[string]uint64 {
 	fp := map[string]uint64{}
 	for pid, table := range s.vp {
-		fp[fmt.Sprintf("vp/%d", pid)] = table.Rel.Checksum()
+		h := fnv.New64a()
+		for _, part := range table.Rel.Parts() {
+			for i := 0; i < part.Len(); i++ {
+				for _, v := range part.Row(i) {
+					h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24), 0xff})
+				}
+				h.Write([]byte{0xfe})
+			}
+			h.Write([]byte{0xfd})
+		}
+		fp[fmt.Sprintf("vp/%d", pid)] = h.Sum64()
 	}
 	for name, pt := range map[string]*PropertyTable{"pt": s.pt, "ipt": s.ipt} {
 		if pt == nil {

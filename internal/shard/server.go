@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -21,6 +22,9 @@ import (
 type Server struct {
 	store *core.Store
 	slot  slot
+	// hello and frame are helloTimeout and frameTimeout; only this
+	// package's tests shorten them.
+	hello, frame time.Duration
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -34,8 +38,17 @@ func NewServer(store *core.Store, shard, shards int) (*Server, error) {
 	if shards < 1 || shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("shard: invalid position %d of %d", shard, shards)
 	}
-	return &Server{store: store, slot: slot{shard, shards}, conns: map[net.Conn]struct{}{}}, nil
+	return &Server{store: store, slot: slot{shard, shards}, hello: helloTimeout, frame: frameTimeout, conns: map[net.Conn]struct{}{}}, nil
 }
+
+// A peer must deliver its handshake within helloTimeout of connecting,
+// and the rest of every later frame within frameTimeout of the frame's
+// first byte, or it loses its connection. Between frames a handshaken
+// coordinator may stay idle for as long as it has no query to run.
+const (
+	helloTimeout = 10 * time.Second
+	frameTimeout = 30 * time.Second
+)
 
 // Serve accepts coordinator connections on ln until Close. It returns
 // nil after Close, the accept error otherwise.
@@ -113,7 +126,8 @@ func (s *Server) Close() error {
 }
 
 // handle serves one coordinator connection: a strict request/response
-// loop over wire frames, handshake first, until either direction fails.
+// loop over wire frames, handshake first, until either direction fails
+// or a read deadline (helloTimeout, frameTimeout) passes.
 func (s *Server) handle(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -123,7 +137,25 @@ func (s *Server) handle(c net.Conn) {
 	}()
 	br := bufio.NewReader(c)
 	state := conn{srv: s}
-	for state.next(br, c) == nil {
+	hello := time.Now().Add(s.hello)
+	for {
+		if state.helloed {
+			// Idle until the next frame starts, then bound the rest of it.
+			if c.SetReadDeadline(time.Time{}) != nil {
+				return
+			}
+			if _, err := br.Peek(1); err != nil {
+				return
+			}
+			if c.SetReadDeadline(time.Now().Add(s.frame)) != nil {
+				return
+			}
+		} else if c.SetReadDeadline(hello) != nil {
+			return
+		}
+		if state.next(br, c) != nil {
+			return
+		}
 	}
 }
 

@@ -518,3 +518,169 @@ func goroutinesAtMost(n int) int {
 		}
 	}
 }
+
+// TestFaultsPricedOnShards runs seeded fault schedules on two shards:
+// recovery is priced on the coordinator, so a sharded query's SimTime,
+// recovery record and rows equal the single-process run's.
+func TestFaultsPricedOnShards(t *testing.T) {
+	store := testStore(t)
+	coord := dialShards(t, store, 2)
+	schedules := []*cluster.FaultPlan{
+		{Seed: 1, FailRate: 0.05},
+		{Seed: 2, MaxAttempts: 6, Outages: []cluster.WorkerOutage{
+			{Worker: 0, From: 0, Until: 800 * time.Millisecond},
+			{Worker: 1, From: 100 * time.Millisecond, Until: time.Second},
+		}},
+		{Seed: 3, StragglerRate: 0.10, StragglerFactor: 6},
+		{Seed: 4, CorruptRate: 0.15},
+		{Seed: 5, FailRate: 0.05, StragglerRate: 0.05, StragglerFactor: 6, CorruptRate: 0.05, MaxAttempts: 6,
+			Outages: []cluster.WorkerOutage{{Worker: 2, From: 0, Until: 500 * time.Millisecond}}},
+	}
+	recovered := 0
+	for _, fp := range schedules {
+		for _, q := range watdiv.BasicQuerySet() {
+			opts := core.QueryOptions{NoPlanCache: true, Faults: fp}
+			base, err := store.Query(q.Parsed, opts)
+			if err != nil {
+				t.Fatalf("seed %d %s single-process: %v", fp.Seed, q.Name, err)
+			}
+			opts.Dist = coord
+			res, err := store.Query(q.Parsed, opts)
+			if err != nil {
+				t.Fatalf("seed %d %s on 2 shards: %v", fp.Seed, q.Name, err)
+			}
+			if got, want := renderResult(res), renderResult(base); got != want {
+				t.Errorf("seed %d %s on 2 shards: rows diverge from single-process", fp.Seed, q.Name)
+			}
+			if res.SimTime != base.SimTime || res.Resilience != base.Resilience {
+				t.Errorf("seed %d %s on 2 shards: %v %+v, single-process %v %+v",
+					fp.Seed, q.Name, res.SimTime, res.Resilience, base.SimTime, base.Resilience)
+			}
+			if base.Resilience.Recovered() {
+				recovered++
+			}
+		}
+	}
+	if recovered == 0 {
+		t.Fatal("no schedule recovered anything; the test checks nothing")
+	}
+}
+
+// serveShort starts shard i of n with its read deadlines shortened to
+// bound and returns the server and its address.
+func serveShort(t *testing.T, store *core.Store, i, n int, bound time.Duration) (*Server, string) {
+	t.Helper()
+	srv, err := NewServer(store, i, n)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	srv.hello, srv.frame = bound, bound
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return srv, ln.Addr().String()
+}
+
+// TestStalledPeersAreDropped: a peer that never says hello, or stops
+// halfway through a frame before or after its handshake, loses its
+// connection once the read deadline passes, instead of holding it open
+// forever.
+func TestStalledPeersAreDropped(t *testing.T) {
+	store := testStore(t)
+	const bound = 200 * time.Millisecond
+	cases := map[string]func(t *testing.T, addr string) net.Conn{
+		"silent before hello": func(t *testing.T, addr string) net.Conn {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return c
+		},
+		"partial frame before hello": func(t *testing.T, addr string) net.Conn {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			if _, err := c.Write([]byte(wire.Magic[:2])); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
+		"partial frame after hello": func(t *testing.T, addr string) net.Conn {
+			coord, err := Dial(store, []string{addr})
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			t.Cleanup(func() { coord.Close() })
+			c := coord.conns[0].c
+			if _, err := c.Write([]byte(wire.Magic[:2])); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
+	}
+	for name, open := range cases {
+		t.Run(name, func(t *testing.T) {
+			srv, addr := serveShort(t, store, 0, 1, bound)
+			start := time.Now()
+			c := open(t, addr)
+			c.SetReadDeadline(start.Add(bound + 5*time.Second))
+			_, err := c.Read(make([]byte, 1))
+			var ne net.Error
+			if err == nil || errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("read %v: the server kept the stalled connection", err)
+			}
+			if held := time.Since(start); held < bound {
+				t.Errorf("dropped after %v, before the %v bound", held, bound)
+			}
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				srv.mu.Lock()
+				live := len(srv.conns)
+				srv.mu.Unlock()
+				if live == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%d connections still registered", live)
+				}
+			}
+		})
+	}
+}
+
+// TestIdleCoordinatorKeepsItsConnection: the frame deadline starts at a
+// frame's first byte, so a coordinator idle between queries for longer
+// than both bounds still gets its next query answered.
+func TestIdleCoordinatorKeepsItsConnection(t *testing.T) {
+	store := testStore(t)
+	const bound = 100 * time.Millisecond
+	addrs := make([]string, 2)
+	for i := range addrs {
+		_, addrs[i] = serveShort(t, store, i, len(addrs), bound)
+	}
+	coord, err := Dial(store, addrs)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	q := watdiv.BasicQuerySet()[0]
+	base, err := store.Query(q.Parsed, core.QueryOptions{NoPlanCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		time.Sleep(4 * bound)
+		res, err := store.Query(q.Parsed, core.QueryOptions{NoPlanCache: true, Dist: coord})
+		if err != nil {
+			t.Fatalf("round %d after %v idle: %v", round, 4*bound, err)
+		}
+		if renderResult(res) != renderResult(base) {
+			t.Fatalf("round %d: rows diverge from single-process", round)
+		}
+	}
+}
