@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -110,24 +111,24 @@ func run(o options) error {
 			return err
 		}
 	}
-	res, err := store.Query(q, opts)
+	res, ids, err := store.QueryIDs(context.Background(), q, opts)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("%s\n", strings.Join(res.Vars, "\t"))
-	rows := res.Rows // ORDER BY order; re-sorting would undo DESC keys
-	if !res.Ordered {
-		rows = res.SortedRows()
-	}
+	// The display order /sparql writes: ORDER BY results as the query
+	// ordered them (re-sorting would undo DESC keys), the rest sorted.
+	var rows core.DisplayRows
+	rows.Decode(ids, res.Ordered)
 	var line []byte
-	for i, row := range rows {
+	for i := range rows.Len() {
 		if o.maxRows > 0 && i >= o.maxRows {
-			fmt.Printf("… (%d more rows)\n", len(res.Rows)-o.maxRows)
+			fmt.Printf("… (%d more rows)\n", rows.Len()-o.maxRows)
 			break
 		}
 		line = line[:0]
-		for j, t := range row {
+		for j, t := range rows.Row(i) {
 			if j > 0 {
 				line = append(line, '\t')
 			}
@@ -139,7 +140,7 @@ func run(o options) error {
 		os.Stdout.Write(line)
 	}
 	fmt.Printf("\n%d rows; simulated cluster time %v (wall %v, strategy %s)\n",
-		len(res.Rows), res.SimTime, res.WallTime, opts.Strategy)
+		rows.Len(), res.SimTime, res.WallTime, opts.Strategy)
 	if res.Streamed {
 		fmt.Printf("streamed over morsel pipelines: first row at %v; peak intermediate footprint %d B\n",
 			res.FirstRow, res.PeakMemBytes)

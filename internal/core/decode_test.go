@@ -78,7 +78,7 @@ func TestDecodeRowsSameAtAnyParallelism(t *testing.T) {
 			for r := 0; r < b.Len(); r++ {
 				var row []rdf.Term
 				for j, id := range b.Row(r) {
-					row = append(row, decodeCell(terms, id, j < len(countCols) && countCols[j]))
+					row = append(row, decodeCell(terms, id, j < len(countCols) && countCols[j], nil))
 				}
 				rows = append(rows, row)
 			}

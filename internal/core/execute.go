@@ -82,7 +82,7 @@ type Result struct {
 	// Vars is the projected variable list.
 	Vars []string
 	// Rows holds the decoded result rows, one term per projected
-	// variable.
+	// variable. It is nil from QueryIDs, which returns the rows as IDs.
 	Rows [][]rdf.Term
 	// SimTime is the simulated cluster time the query took.
 	SimTime time.Duration
@@ -165,7 +165,9 @@ func (r *Result) ReplanSummary() string {
 }
 
 // SortedRows returns the rows sorted by their rendered terms, for
-// deterministic comparisons in tests and examples.
+// deterministic comparisons in tests and examples. DisplayRows sorts
+// the rows it presents with the same comparator, and the tests hold it
+// to this one.
 func (r *Result) SortedRows() [][]rdf.Term {
 	rows := make([][]rdf.Term, len(r.Rows))
 	copy(rows, r.Rows)
@@ -216,7 +218,8 @@ func (s *Store) Query(q *sparql.Query, opts QueryOptions) (*Result, error) {
 // reachable may point into the region. Result.Rows is decoded out of it
 // (decodeRows copies; a large result decodes on up to GOMAXPROCS
 // workers, as a materialized stage's tasks do, and every task has
-// finished when decodeRows returns), the plan and trace hold no rows,
+// finished when decodeRows returns) — QueryIDs copies the IDs out to
+// the heap instead — the plan and trace hold no rows,
 // every task the query ran has finished (a helper that starts late
 // finds none left to claim and touches nothing), and the stored VP and
 // PT blocks a scan shares are never region memory.
@@ -228,6 +231,35 @@ func (s *Store) Query(q *sparql.Query, opts QueryOptions) (*Result, error) {
 // QueryContext is safe for concurrent callers — cached plans are
 // shared read-only, and all execution state is per-call.
 func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOptions) (*Result, error) {
+	return s.query(ctx, q, opts, func(res *Result, rows []engine.Block, countCols []bool) {
+		res.Rows = s.decodeRows(rows, countCols)
+	})
+}
+
+// QueryIDs runs a query exactly as QueryContext does — the same body,
+// step for step — and hands back its rows as dictionary IDs instead of
+// decoded terms: the Result's Rows is nil, and the IDRows hold the rows,
+// in result order, with what decodes them. Where QueryContext decodes
+// the rows out of the query's region, QueryIDs copies them out into one
+// heap slice of IDs, 4 bytes a cell against a Term's 56 (and no row
+// header); the COUNT-column flags are the cached plan's, which is never
+// written, and the dictionary snapshot is heap memory too. So the region
+// rule holds: nothing reachable after QueryIDs returns points into the
+// region. A caller that presents the rows decodes them once, into
+// storage it reuses, with DisplayRows.Decode.
+func (s *Store) QueryIDs(ctx context.Context, q *sparql.Query, opts QueryOptions) (*Result, IDRows, error) {
+	var ids IDRows
+	res, err := s.query(ctx, q, opts, func(_ *Result, rows []engine.Block, countCols []bool) {
+		ids = IDRows{Block: heapBlock(rows), CountCols: countCols, Terms: s.dict.Snapshot()}
+	})
+	return res, ids, err
+}
+
+// query is the body QueryContext and QueryIDs share: resolve, plan,
+// execute and assemble, with finish taking the result's rows out of the
+// region — still the query's own memory while finish runs — into the
+// Result or beside it. WallTime includes finish.
+func (s *Store) query(ctx context.Context, q *sparql.Query, opts QueryOptions, finish func(res *Result, rows []engine.Block, countCols []bool)) (*Result, error) {
 	start := time.Now()
 	// Resolve: every default and every feature-off rule, decided once.
 	r, err := s.resolve(q, opts)
@@ -286,11 +318,9 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 	for _, sc := range scans {
 		ordered = append(ordered, entry.nodes[sc.Leaf])
 	}
-	return &Result{
+	res := &Result{
 		Vars:                q.Projection(),
-		Rows:                s.decodeRows(x.rows, entry.plan.Root.CountCols),
 		SimTime:             x.simTime,
-		WallTime:            time.Since(start),
 		Tree:                &JoinTree{Nodes: ordered},
 		Plan:                x.plan,
 		Clock:               clock,
@@ -302,7 +332,10 @@ func (s *Store) QueryContext(ctx context.Context, q *sparql.Query, opts QueryOpt
 		PeakMemBytes:        x.peak,
 		Ordered:             len(q.Order) > 0,
 		StreamingDowngraded: r.downgraded,
-	}, nil
+	}
+	finish(res, x.rows, entry.plan.Root.CountCols)
+	res.WallTime = time.Since(start)
+	return res, nil
 }
 
 // execution is what either executor hands the driver: the result as

@@ -11,8 +11,10 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -223,12 +225,25 @@ func compareCell(terms rdf.Snapshot, x, y rdf.ID, isCount bool) int {
 // decodeCell turns one result cell into a term: COUNT columns hold raw
 // counts (decoded to xsd:integer literals), NullID is an unbound
 // OPTIONAL variable (decoded to the zero Term — callers render it as
-// an empty binding), everything else is a dictionary ID. decodeRows
+// an empty binding), everything else is a dictionary ID. decodeRow
 // calls it for COUNT columns alone; the tests decode every cell through
 // it, as the reference a row decoded in place must match.
-func decodeCell(terms rdf.Snapshot, id rdf.ID, isCount bool) rdf.Term {
+//
+// A count's digits are a string of their own when digits is nil.
+// Otherwise they are appended to *digits and the literal views them
+// there, so a reused buffer decodes counts without allocating; the
+// bytes of *digits up to its length must then not be written again
+// while the term lives (appending is safe: a grown buffer leaves the
+// old one as it was).
+func decodeCell(terms rdf.Snapshot, id rdf.ID, isCount bool, digits *[]byte) rdf.Term {
 	if isCount {
-		return rdf.NewTypedLiteral(strconv.FormatUint(uint64(id), 10), rdf.XSDInteger)
+		if digits == nil {
+			return rdf.NewTypedLiteral(strconv.FormatUint(uint64(id), 10), rdf.XSDInteger)
+		}
+		lo := len(*digits)
+		*digits = strconv.AppendUint(*digits, uint64(id), 10)
+		d := (*digits)[lo:]
+		return rdf.NewTypedLiteral(unsafe.String(unsafe.SliceData(d), len(d)), rdf.XSDInteger)
 	}
 	if id == rdf.NullID {
 		return rdf.Term{}
@@ -286,7 +301,7 @@ func decodeRange(terms rdf.Snapshot, decoded [][]rdf.Term, blocks []engine.Block
 			i := first + r
 			k := (i - lo) * width
 			out := cells[k : k+width : k+width]
-			decodeRow(terms, out, b.Row(r), countCols)
+			decodeRow(terms, out, b.Row(r), countCols, nil)
 			decoded[i] = out
 		}
 		if first += b.Len(); first >= hi {
@@ -297,15 +312,104 @@ func decodeRange(terms rdf.Snapshot, decoded [][]rdf.Term, blocks []engine.Block
 
 // decodeRow writes row's terms into out, each where it lies. COUNT
 // columns alone go through decodeCell, which turns their raw counts
-// into xsd:integer literals.
-func decodeRow(terms rdf.Snapshot, out []rdf.Term, row engine.Row, countCols []bool) {
+// into xsd:integer literals, their digits in *digits unless digits is
+// nil.
+func decodeRow(terms rdf.Snapshot, out []rdf.Term, row engine.Row, countCols []bool, digits *[]byte) {
 	from := 0
 	for j, isCount := range countCols[:min(len(countCols), len(row))] {
 		if isCount {
 			terms.DecodeInto(out[from:j], row[from:j])
-			out[j] = decodeCell(terms, row[j], true)
+			out[j] = decodeCell(terms, row[j], true, digits)
 			from = j + 1
 		}
 	}
 	terms.DecodeInto(out[from:], row[from:])
+}
+
+// IDRows is a result's rows as dictionary IDs, what QueryIDs returns in
+// place of Result.Rows. Block holds the rows in result order, on the
+// heap, never in a query's region; CountCols flags the columns whose
+// cells are raw COUNT values; Terms resolves every other cell but
+// NullID, an unbound one.
+type IDRows struct {
+	Block     engine.Block
+	CountCols []bool
+	Terms     rdf.Snapshot
+}
+
+// Len returns the row count.
+func (r IDRows) Len() int { return r.Block.Len() }
+
+// heapBlock copies a result's blocks, in order, into one block on the
+// heap: one allocation, none for an empty result.
+func heapBlock(blocks []engine.Block) engine.Block {
+	n, width := 0, 0
+	for _, b := range blocks {
+		if b.Len() > 0 {
+			n, width = n+b.Len(), b.Width()
+		}
+	}
+	ids := make([]rdf.ID, 0, n*width)
+	for _, b := range blocks {
+		ids = append(ids, b.IDs()...)
+	}
+	return engine.MakeBlock(width, n, ids)
+}
+
+// DisplayRows is a result's rows decoded for presentation, in display
+// order: query order for an ORDER BY result, otherwise sorted by
+// rendered terms with Result.SortedRows' comparator. Every cell is
+// decoded once, as decodeRows decodes it, and the sort compares decoded
+// terms: resolving both cells through the dictionary on every
+// comparison took the sort three times the CPU. Its storage is reused
+// from one Decode to the next, so a warm DisplayRows decodes, sorts and
+// hands out rows without allocating; the terms of a Row are valid until
+// the next Decode. The zero value is ready to use.
+type DisplayRows struct {
+	width  int
+	cells  []rdf.Term // row i's terms are cells[i*width:(i+1)*width]
+	order  []int      // the row numbers in display order
+	digits []byte     // the text of the COUNT cells
+}
+
+// Decode decodes rows — an ORDER BY result's when ordered — replacing
+// what the DisplayRows held.
+func (d *DisplayRows) Decode(rows IDRows, ordered bool) {
+	n, w := rows.Len(), rows.Block.Width()
+	d.width = w
+	d.cells = slices.Grow(d.cells[:0], n*w)[:n*w]
+	d.order = slices.Grow(d.order[:0], n)[:n]
+	d.digits = d.digits[:0]
+	for i := range n {
+		decodeRow(rows.Terms, d.cells[i*w:(i+1)*w], rows.Block.Row(i), rows.CountCols, &d.digits)
+		d.order[i] = i
+	}
+	if ordered {
+		return
+	}
+	cells := d.cells
+	slices.SortFunc(d.order, func(a, b int) int {
+		x, y := cells[a*w:(a+1)*w], cells[b*w:(b+1)*w]
+		for k := range x {
+			if c := x[k].Compare(y[k]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+}
+
+// Len returns the row count.
+func (d *DisplayRows) Len() int { return len(d.order) }
+
+// Row returns the i-th row in display order, capacity-clipped.
+func (d *DisplayRows) Row(i int) []rdf.Term {
+	lo := d.order[i] * d.width
+	return d.cells[lo : lo+d.width : lo+d.width]
+}
+
+// RetainedBytes is how much memory the DisplayRows keeps for the next
+// Decode.
+func (d *DisplayRows) RetainedBytes() int {
+	return cap(d.cells)*int(unsafe.Sizeof(rdf.Term{})) + cap(d.order)*int(unsafe.Sizeof(0)) + cap(d.digits)
 }

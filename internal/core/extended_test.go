@@ -99,7 +99,7 @@ func refEval(t *testing.T, s *Store, g *rdf.Graph, q *sparql.Query) string {
 			if i > 0 {
 				sb.WriteByte('\t')
 			}
-			sb.WriteString(decodeCell(s.dict.Snapshot(), id, countAlias[proj[i]]).String())
+			sb.WriteString(decodeCell(s.dict.Snapshot(), id, countAlias[proj[i]], nil).String())
 		}
 		sb.WriteByte('\n')
 	}

@@ -571,7 +571,7 @@ func TestDecodeRowsSharesOneBackingSlice(t *testing.T) {
 	}
 	for i, r := range rows {
 		for j, id := range r {
-			if want := decodeCell(s.dict.Snapshot(), id, false); decoded[i][j] != want {
+			if want := decodeCell(s.dict.Snapshot(), id, false, nil); decoded[i][j] != want {
 				t.Fatalf("row %d col %d decoded to %v, want %v", i, j, decoded[i][j], want)
 			}
 		}
@@ -625,19 +625,7 @@ func TestGallopMatchesLinearSearch(t *testing.T) {
 // either size; one partition keeps the partitions holding rows the same.
 func TestQueryAllocsIndependentOfRowCount(t *testing.T) {
 	allocs := func(n int) float64 {
-		g := rdf.NewGraph(0)
-		iri := func(f string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%s%s%d", testNS, f, i)) }
-		for i := 0; i < n; i++ {
-			g.AddSPO(iri("s", i), rdf.NewIRI(testNS+"p"), iri("o", i%10))
-		}
-		for i := 0; i < 10; i++ {
-			g.AddSPO(iri("o", i), rdf.NewIRI(testNS+"q"), iri("x", i))
-		}
-		s := starStore(t, g, 1)
-		q, err := sparql.Parse("SELECT ?s ?o ?x WHERE { ?s <" + testNS + "p> ?o . ?o <" + testNS + "q> ?x }")
-		if err != nil {
-			t.Fatal(err)
-		}
+		s, q := rowCountStore(t, n)
 		opts := QueryOptions{BroadcastThreshold: -1}
 		return testing.AllocsPerRun(20, func() {
 			res, err := s.Query(q, opts)
@@ -650,6 +638,58 @@ func TestQueryAllocsIndependentOfRowCount(t *testing.T) {
 	t.Logf("allocations per query: %.0f at 10 rows, %.0f at 1,000, %.0f at 1,400", small, large, split)
 	if large > small || split > small {
 		t.Errorf("a query's allocations follow its row count: %.0f at 10 rows, %.0f at 1,000, %.0f at 1,400", small, large, split)
+	}
+}
+
+// rowCountStore holds a graph on which q returns n rows: n subjects
+// joined, through a shuffle of their side on the object (once
+// broadcasts are off), to ten objects that build the hash table at
+// either size, in one partition.
+func rowCountStore(t *testing.T, n int) (*Store, *sparql.Query) {
+	t.Helper()
+	g := rdf.NewGraph(0)
+	iri := func(f string, i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%s%s%d", testNS, f, i)) }
+	for i := 0; i < n; i++ {
+		g.AddSPO(iri("s", i), rdf.NewIRI(testNS+"p"), iri("o", i%10))
+	}
+	for i := 0; i < 10; i++ {
+		g.AddSPO(iri("o", i), rdf.NewIRI(testNS+"q"), iri("x", i))
+	}
+	return starStore(t, g, 1), sparql.MustParse("SELECT ?s ?o ?x WHERE { ?s <" + testNS + "p> ?o . ?o <" + testNS + "q> ?x }")
+}
+
+// TestQueryIDsAllocsOneBlockForRows: QueryIDs runs QueryContext's body
+// but copies the rows' IDs out as one block instead of decoding them
+// into a row slice and a term slice, so it allocates at least one fewer
+// time than QueryContext, and the same at 10 rows as at 1,000.
+func TestQueryIDsAllocsOneBlockForRows(t *testing.T) {
+	allocs := func(n int) (ids, decoded float64) {
+		s, q := rowCountStore(t, n)
+		opts := QueryOptions{BroadcastThreshold: -1}
+		ids = testing.AllocsPerRun(20, func() {
+			_, rows, err := s.QueryIDs(context.Background(), q, opts)
+			if err != nil || rows.Len() != n {
+				t.Fatalf("%d subjects: %d rows (err %v)", n, rows.Len(), err)
+			}
+		})
+		decoded = testing.AllocsPerRun(20, func() {
+			if _, err := s.QueryContext(context.Background(), q, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return ids, decoded
+	}
+	var perQuery []float64
+	for _, n := range []int{10, 1000} {
+		ids, decoded := allocs(n)
+		t.Logf("%d rows: QueryIDs %.0f allocations, QueryContext %.0f", n, ids, decoded)
+		if ids > decoded-1 {
+			t.Errorf("%d rows: QueryIDs allocates %.0f times, QueryContext %.0f; want at least one fewer", n, ids, decoded)
+		}
+		perQuery = append(perQuery, ids)
+	}
+	if perQuery[1] > perQuery[0] {
+		t.Errorf("QueryIDs allocates %.0f times at 1,000 rows, %.0f at 10", perQuery[1], perQuery[0])
 	}
 }
 

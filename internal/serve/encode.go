@@ -6,6 +6,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"repro/internal/core"
 	"repro/internal/rdf"
 )
 
@@ -20,9 +21,17 @@ import (
 // however large the result.
 const writeChunkBytes = 32 << 10
 
+// maxPooledRowBytes bounds the decoded rows a pooled encoder keeps for
+// the next response (about 4,000 cells). An encoder whose rows grew past
+// it is dropped, not pooled, so the pool never pins one huge result,
+// nor for long the dictionary pages of a store that is gone: decoded
+// terms view those pages.
+const maxPooledRowBytes = 256 << 10
+
 // respEncoder is one response's encoding state, reused across requests.
 type respEncoder struct {
-	buf []byte // encoded bytes not yet written out
+	buf  []byte           // encoded bytes not yet written out
+	rows core.DisplayRows // the response's rows, decoded in display order
 	// JSON only: the columns in the order encoding/json writes map keys,
 	// and their escaped `"name":` prefixes back to back in keys.
 	cols []jsonCol
@@ -39,9 +48,10 @@ type jsonCol struct {
 var encoderPool = sync.Pool{New: func() any { return new(respEncoder) }}
 
 // release returns the encoder to the pool, unless one huge row grew its
-// buffer far past the write chunk.
+// buffer far past the write chunk or a large result its decoded rows
+// past maxPooledRowBytes.
 func (e *respEncoder) release() {
-	if cap(e.buf) <= 4*writeChunkBytes {
+	if cap(e.buf) <= 4*writeChunkBytes && e.rows.RetainedBytes() <= maxPooledRowBytes {
 		encoderPool.Put(e)
 	}
 }

@@ -7,12 +7,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 	"repro/internal/watdiv"
 )
 
@@ -56,76 +60,146 @@ func nastyTerms() []rdf.Term {
 	)
 }
 
-// render runs writeResult over res and returns the body.
-func render(t *testing.T, srv *Server, res *core.Result, tsv bool) string {
+// idResult lays ids out as the ID rows QueryIDs returns: rows of width
+// cells, where the columns countCols flags hold raw counts, NullID is
+// unbound and any other ID is one dict issued. It sets res.Rows to the
+// same rows decoded the reference way — a count as its xsd:integer
+// literal, NullID as the zero Term, any other cell through the
+// dictionary — so res.SortedRows is the reference display order.
+func idResult(dict *rdf.Dictionary, width int, ids []rdf.ID, countCols []bool, res *core.Result) core.IDRows {
+	n := 0
+	if width > 0 {
+		n = len(ids) / width
+	}
+	return idResultRows(dict, width, n, ids, countCols, res)
+}
+
+// idResultRows is idResult with the row count given, so rows of no
+// cells can be counted.
+func idResultRows(dict *rdf.Dictionary, width, n int, ids []rdf.ID, countCols []bool, res *core.Result) core.IDRows {
+	res.Rows = make([][]rdf.Term, n)
+	for i := range res.Rows {
+		row := make([]rdf.Term, width)
+		for j, id := range ids[i*width : (i+1)*width] {
+			switch {
+			case j < len(countCols) && countCols[j]:
+				row[j] = rdf.NewTypedLiteral(strconv.FormatUint(uint64(id), 10), rdf.XSDInteger)
+			case id != rdf.NullID:
+				row[j] = dict.Term(id)
+			}
+		}
+		res.Rows[i] = row
+	}
+	return core.IDRows{Block: engine.MakeBlock(width, n, ids), CountCols: countCols, Terms: dict.Snapshot()}
+}
+
+// nastyDict is a dictionary holding nastyTerms, and their IDs.
+func nastyDict() (*rdf.Dictionary, []rdf.ID) {
+	dict := rdf.NewDictionary()
+	var ids []rdf.ID
+	for _, t := range nastyTerms() {
+		ids = append(ids, dict.Encode(t))
+	}
+	return dict, ids
+}
+
+// render runs writeResult over res and rows and returns the body.
+func render(t *testing.T, srv *Server, res *core.Result, rows core.IDRows, tsv bool) string {
 	t.Helper()
 	w := httptest.NewRecorder()
-	srv.writeResult(w, res, tsv)
+	srv.writeResult(w, res, rows, tsv)
 	return w.Body.String()
 }
 
 // TestEncodersMatchReferenceOnNastyTerms compares whole response bodies,
 // in both formats, against the old json.Marshal / strings.Join
-// renderings over terms and variable names chosen to hit every escape.
+// renderings over terms and variable names chosen to hit every escape,
+// with a COUNT column among the terms.
 func TestEncodersMatchReferenceOnNastyTerms(t *testing.T) {
 	srv := testServer(t)
-	terms := nastyTerms()
-	var unboundCell rdf.Term
-	// Rows of four cells walking the term list, with unbound cells at
-	// every position, one all-unbound row and one short row.
-	var rows [][]rdf.Term
+	dict, terms := nastyDict()
+	// Rows of four term cells walking the term list, with unbound cells
+	// at every position, and a COUNT column in the middle; three rows
+	// that only their counts tell apart, which sort as their literals do
+	// ("10" before "9"); one all-unbound row with a count of 0.
+	const width = 5
+	countCols := []bool{false, false, true, false, false}
+	var ids []rdf.ID
 	for i := 0; i+3 < len(terms); i += 3 {
-		row := []rdf.Term{terms[i], terms[i+1], terms[i+2], terms[i+3]}
-		row[i%4] = [2]rdf.Term{unboundCell, row[i%4]}[i%2]
-		rows = append(rows, row)
+		row := []rdf.ID{terms[i], terms[i+1], rdf.ID(i % 13), terms[i+2], terms[i+3]}
+		if k := i / 3; k%2 == 0 {
+			row[[4]int{0, 1, 3, 4}[k/2%4]] = rdf.NullID
+		}
+		ids = append(ids, row...)
 	}
-	rows = append(rows, []rdf.Term{{}, {}, {}, {}}, []rdf.Term{terms[2]})
+	for _, count := range []rdf.ID{9, 100, 10} {
+		ids = append(ids, terms[5], terms[6], count, terms[7], terms[8])
+	}
+	ids = append(ids, rdf.NullID, rdf.NullID, 0, rdf.NullID, rdf.NullID)
 
 	cases := []struct {
 		name string
 		vars []string
-		rows [][]rdf.Term
+		ids  []rdf.ID
 	}{
-		{"nasty terms", []string{"s", "p", "o", "g"}, rows},
-		{"keys out of order", []string{"z", "a", "m", "B"}, rows},
-		{"names needing escapes", []string{`q"uote`, "lt<gt>&", "tab\t", "sep" + string(rune(0x2028)) + "\xff"}, rows},
-		{"duplicate names", []string{"x", "y", "x", "x"}, rows},
-		{"more columns than names", []string{"only"}, rows},
-		{"zero variables", nil, [][]rdf.Term{{}, {}}},
-		{"empty variable list", []string{}, nil},
-		{"zero rows", []string{"a", "b"}, nil},
+		{"nasty terms", []string{"s", "p", "n", "o", "g"}, ids},
+		{"keys out of order", []string{"z", "a", "m", "B", "c"}, ids},
+		{"names needing escapes", []string{`q"uote`, "lt<gt>&", "tab\t", "sep" + string(rune(0x2028)) + "\xff", ""}, ids},
+		{"duplicate names", []string{"x", "y", "x", "x", "y"}, ids},
+		{"more columns than names", []string{"only"}, ids},
+		{"zero rows", []string{"a", "b", "n", "c", "d"}, nil},
+	}
+	check := func(name string, vars []string, ordered bool, res *core.Result, rows core.IDRows) {
+		t.Helper()
+		want := res.Rows
+		if !ordered {
+			want = res.SortedRows()
+		}
+		st := sparqlStats{Rows: len(res.Rows), SimMS: 1.234567, WallMS: 7.654321, Ordered: ordered}
+		if got, ref := render(t, srv, res, rows, false), referenceJSON(vars, want, st); got != ref {
+			t.Errorf("%s (ordered=%v): JSON body differs from the reference\n got: %q\nwant: %q", name, ordered, got, ref)
+		}
+		if got, ref := render(t, srv, res, rows, true), referenceTSV(vars, want); got != ref {
+			t.Errorf("%s (ordered=%v): TSV body differs from the reference\n got: %q\nwant: %q", name, ordered, got, ref)
+		}
 	}
 	for _, tc := range cases {
 		for _, ordered := range []bool{true, false} {
-			res := &core.Result{Vars: tc.vars, Rows: tc.rows, Ordered: ordered, SimTime: 1234567, WallTime: 7654321}
-			want := res.Rows
-			if !ordered {
-				want = res.SortedRows()
-			}
-			st := sparqlStats{Rows: len(tc.rows), SimMS: 1.234567, WallMS: 7.654321, Ordered: ordered}
-			if got, ref := render(t, srv, res, false), referenceJSON(tc.vars, want, st); got != ref {
-				t.Errorf("%s (ordered=%v): JSON body differs from the reference\n got: %q\nwant: %q", tc.name, ordered, got, ref)
-			}
-			if got, ref := render(t, srv, res, true), referenceTSV(tc.vars, want); got != ref {
-				t.Errorf("%s (ordered=%v): TSV body differs from the reference\n got: %q\nwant: %q", tc.name, ordered, got, ref)
-			}
+			res := &core.Result{Vars: tc.vars, Ordered: ordered, SimTime: 1234567, WallTime: 7654321}
+			check(tc.name, tc.vars, ordered, res, idResult(dict, width, tc.ids, countCols, res))
+		}
+	}
+	// None or two rows of no cells, under no variable list and an empty
+	// one.
+	for _, vars := range [][]string{nil, {}} {
+		for _, n := range []int{0, 2} {
+			res := &core.Result{Vars: vars, SimTime: 1234567, WallTime: 7654321}
+			check(fmt.Sprintf("%d zero-width rows", n), vars, false, res, idResultRows(dict, 0, n, nil, nil, res))
 		}
 	}
 }
 
 // TestLargeResultWrittenInPieces: a result far larger than the write
 // chunk still matches the reference, reaches the ResponseWriter in
-// bounded pieces, and leaves the pooled buffer about one chunk big.
+// bounded pieces, and leaves the pooled buffer about one chunk big and
+// the pooled cells and order within maxPooledCells.
 func TestLargeResultWrittenInPieces(t *testing.T) {
 	srv := testServer(t)
-	rows := make([][]rdf.Term, 20000)
-	for i := range rows {
-		rows[i] = []rdf.Term{rdf.NewIRI(fmt.Sprintf("http://example.org/s%06d", i)), rdf.NewLiteral("v<" + strings.Repeat("x", i%50))}
+	dict := rdf.NewDictionary()
+	const n = 20000
+	ids := make([]rdf.ID, 0, 3*n)
+	for i := 0; i < n; i++ {
+		o := dict.Encode(rdf.NewLiteral("v<" + strings.Repeat("x", i%50)))
+		if i%7 == 0 {
+			o = rdf.NullID
+		}
+		ids = append(ids, dict.Encode(rdf.NewIRI(fmt.Sprintf("http://example.org/s%06d", i))), o, rdf.ID(i%23))
 	}
-	res := &core.Result{Vars: []string{"s", "o"}, Rows: rows, Ordered: true}
+	res := &core.Result{Vars: []string{"s", "o", "n"}, Ordered: true}
+	rows := idResult(dict, 3, ids, []bool{false, false, true}, res)
 	w := &pieceWriter{header: http.Header{}}
-	srv.writeResult(w, res, false)
-	if got, ref := w.body.String(), referenceJSON(res.Vars, rows, sparqlStats{Rows: len(rows), Ordered: true}); got != ref {
+	srv.writeResult(w, res, rows, false)
+	if got, ref := w.body.String(), referenceJSON(res.Vars, res.Rows, sparqlStats{Rows: n, Ordered: true}); got != ref {
 		t.Errorf("large JSON body differs from the reference (%d vs %d bytes)", len(got), len(ref))
 	}
 	if w.writes < 10 || w.largest > 2*writeChunkBytes {
@@ -135,6 +209,9 @@ func TestLargeResultWrittenInPieces(t *testing.T) {
 	defer enc.release()
 	if cap(enc.buf) > 4*writeChunkBytes {
 		t.Errorf("pooled buffer holds %d bytes after a large response", cap(enc.buf))
+	}
+	if b := enc.rows.RetainedBytes(); b > maxPooledRowBytes {
+		t.Errorf("pooled encoder keeps %d bytes of decoded rows after a large response, bound %d", b, maxPooledRowBytes)
 	}
 }
 
@@ -187,89 +264,168 @@ func watdivServer(t testing.TB) *Server {
 	return srv
 }
 
-// TestWatDivBodiesMatchReference sends all 26 WatDiv queries through
-// the handler, materialized and streamed, in both formats: each body
-// must equal the reference rendering of Store.Query's rows — apart
-// from stats.wallMs, which is taken from the response.
-func TestWatDivBodiesMatchReference(t *testing.T) {
-	srv := watdivServer(t)
-	queries := append(watdiv.BasicQuerySet(), watdiv.ExtendedQuerySet()...)
-	if len(queries) != 26 {
-		t.Fatalf("%d WatDiv queries, want 26", len(queries))
-	}
-	for _, q := range queries {
-		for _, streaming := range []bool{false, true} {
-			opts := srv.cfg.Options
-			opts.Streaming = streaming
-			res, err := srv.cfg.Store.Query(q.Parsed, opts)
-			if err != nil {
-				t.Fatalf("%s: Query: %v", q.Name, err)
-			}
-			rows := res.Rows
-			if !res.Ordered {
-				rows = res.SortedRows()
-			}
-			path := "/sparql?query=" + url.QueryEscape(q.Text)
-			if streaming {
-				path += "&streaming=1"
-			}
-			label := fmt.Sprintf("%s streaming=%v", q.Name, streaming)
+// extraDiffQueries extend the WatDiv queries in the differential test:
+// an OPTIONAL query whose unbound cells fall at several positions, and a
+// GROUP BY … COUNT query without ORDER BY whose count column leads, so
+// the display sort orders rows by their counts' literals ("10" before
+// "9").
+var extraDiffQueries = []struct{ name, text string }{
+	{"optional-unbound", `PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
+PREFIX sorg: <http://schema.org/>
+PREFIX foaf: <http://xmlns.com/foaf/>
+SELECT ?a ?u ?e ?city WHERE {
+	?u wsdbm:likes ?p .
+	OPTIONAL { ?u foaf:age ?a . }
+	OPTIONAL { ?u sorg:email ?e . }
+	OPTIONAL { ?u wsdbm:livesIn ?city . }
+}`},
+	{"count-unordered", `PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
+SELECT (COUNT(?u) AS ?n) ?f WHERE { ?u wsdbm:follows ?f . } GROUP BY ?f`},
+}
 
-			w := get(t, srv, path)
-			if w.Code != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", label, w.Code, w.Body)
+// TestWatDivBodiesMatchReference is the differential test of the ID-row
+// path: every /sparql body — JSON and TSV, materialized and
+// ?streaming=1, from a local store, from one that truncates at MaxRows
+// and from a 2-shard coordinator — must equal the reference rendering of
+// Store.QueryContext's rows for the same query (SortedRows, or Rows when
+// ordered), apart from stats.wallMs, which is taken from the response.
+// The queries are the 26 WatDiv ones and extraDiffQueries. Released
+// query regions are poisoned, so a body written from rows still in the
+// region fails to decode.
+func TestWatDivBodiesMatchReference(t *testing.T) {
+	defer engine.PoisonReleased(engine.PoisonReleased(true))
+	local := watdivServer(t)
+	store := local.cfg.Store
+	truncating, err := New(Config{Store: store, Options: local.cfg.Options, MaxRows: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, _ := shardCoordinator(t, store, 2)
+	sharded, err := New(Config{Store: store, Options: core.QueryOptions{NoPlanCache: true, Dist: coord}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type query struct{ name, text string }
+	var queries []query
+	for _, q := range append(watdiv.BasicQuerySet(), watdiv.ExtendedQuerySet()...) {
+		queries = append(queries, query{q.Name, q.Text})
+	}
+	for _, q := range extraDiffQueries {
+		queries = append(queries, query{q.name, q.text})
+	}
+	if len(queries) != 28 {
+		t.Fatalf("%d queries, want 28", len(queries))
+	}
+	var unboundCols [4]bool
+	countOrderDiffers := false
+	for _, srv := range []struct {
+		name string
+		*Server
+	}{{"local", local}, {"max-rows", truncating}, {"2 shards", sharded}} {
+		for _, q := range queries {
+			parsed, err := sparql.Parse(q.text)
+			if err != nil {
+				t.Fatalf("%s: %v", q.name, err)
 			}
-			var doc struct{ Stats sparqlStats }
-			if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
-				t.Fatalf("%s: bad JSON: %v", label, err)
-			}
-			st := sparqlStats{
-				Rows:                len(res.Rows),
-				SimMS:               float64(res.SimTime) / 1e6,
-				WallMS:              doc.Stats.WallMS,
-				Streamed:            res.Streamed,
-				PeakMemBytes:        res.PeakMemBytes,
-				Ordered:             res.Ordered,
-				StreamingDowngraded: res.StreamingDowngraded,
-			}
-			if res.Streamed {
-				st.FirstRowMS = float64(res.FirstRow) / 1e6
-			}
-			if got, ref := w.Body.String(), referenceJSON(res.Vars, rows, st); got != ref {
-				t.Errorf("%s: JSON body differs from the reference\n got: %.600q\nwant: %.600q", label, got, ref)
-			}
-			if got, ref := get(t, srv, path+"&format=tsv").Body.String(), referenceTSV(res.Vars, rows); got != ref {
-				t.Errorf("%s: TSV body differs from the reference\n got: %.600q\nwant: %.600q", label, got, ref)
+			for _, streaming := range []bool{false, true} {
+				label := fmt.Sprintf("%s %s streaming=%v", srv.name, q.name, streaming)
+				opts := srv.cfg.Options
+				opts.Streaming = streaming
+				res, err := store.QueryContext(context.Background(), parsed, opts)
+				if err != nil {
+					t.Fatalf("%s: QueryContext: %v", label, err)
+				}
+				rows := res.Rows
+				if !res.Ordered {
+					rows = res.SortedRows()
+				}
+				st := sparqlStats{
+					Rows:                len(res.Rows),
+					SimMS:               float64(res.SimTime) / 1e6,
+					Streamed:            res.Streamed,
+					PeakMemBytes:        res.PeakMemBytes,
+					Ordered:             res.Ordered,
+					StreamingDowngraded: res.StreamingDowngraded,
+				}
+				if res.Streamed {
+					st.FirstRowMS = float64(res.FirstRow) / 1e6
+				}
+				if max := srv.cfg.MaxRows; max > 0 && len(rows) > max {
+					rows, st.Truncated = rows[:max], true
+				}
+				switch q.name {
+				case "optional-unbound":
+					for _, row := range rows {
+						for j, c := range row {
+							unboundCols[j] = unboundCols[j] || unbound(c)
+						}
+					}
+				case "count-unordered":
+					for i := 1; i < len(rows); i++ {
+						a, _ := strconv.Atoi(rows[i-1][0].Value)
+						b, _ := strconv.Atoi(rows[i][0].Value)
+						countOrderDiffers = countOrderDiffers || a > b
+					}
+				}
+
+				path := "/sparql?query=" + url.QueryEscape(q.text)
+				if streaming {
+					path += "&streaming=1"
+				}
+				w := get(t, srv.Server, path)
+				if w.Code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", label, w.Code, w.Body)
+				}
+				var doc struct{ Stats sparqlStats }
+				if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+					t.Fatalf("%s: bad JSON: %v", label, err)
+				}
+				st.WallMS = doc.Stats.WallMS
+				if got, ref := w.Body.String(), referenceJSON(res.Vars, rows, st); got != ref {
+					t.Errorf("%s: JSON body differs from the reference\n got: %.600q\nwant: %.600q", label, got, ref)
+				}
+				if got, ref := get(t, srv.Server, path+"&format=tsv").Body.String(), referenceTSV(res.Vars, rows); got != ref {
+					t.Errorf("%s: TSV body differs from the reference\n got: %.600q\nwant: %.600q", label, got, ref)
+				}
 			}
 		}
+	}
+	if n := len(slices.DeleteFunc(unboundCols[:], func(b bool) bool { return !b })); n < 2 {
+		t.Errorf("the OPTIONAL query left cells unbound in %d columns, want at least 2", n)
+	}
+	if !countOrderDiffers {
+		t.Error("the COUNT query's display order never puts a larger count first: the literal order is not exercised")
 	}
 }
 
 // TestEncodeAllocatesNothingWarm: with the encoder's buffers grown by
-// one pass, encoding 1,000 rows of 4 variables in either format
-// allocates nothing — no per-row map, no per-cell string.
+// one pass, decoding 1,000 ID rows of 4 variables and a COUNT column
+// into its cells, sorting them for display and encoding them in either
+// format allocates nothing — no per-row map, no per-cell string.
 func TestEncodeAllocatesNothingWarm(t *testing.T) {
-	terms := nastyTerms()
-	vars := []string{"s", "p", "o", "g"}
-	rows := make([][]rdf.Term, 1000)
-	for i := range rows {
-		rows[i] = []rdf.Term{terms[i%len(terms)], terms[(i+1)%len(terms)], {}, terms[(i+3)%len(terms)]}
+	dict, terms := nastyDict()
+	vars := []string{"s", "p", "o", "n", "g"}
+	ids := make([]rdf.ID, 0, 5*1000)
+	for i := 0; i < 1000; i++ {
+		ids = append(ids, terms[i%len(terms)], terms[(i+1)%len(terms)], rdf.NullID, rdf.ID(i), terms[(i+3)%len(terms)])
 	}
+	rows := core.IDRows{Block: engine.MakeBlock(5, 1000, ids), CountCols: []bool{false, false, false, true}, Terms: dict.Snapshot()}
 	enc := new(respEncoder)
 	encode := func() {
+		enc.rows.Decode(rows, false)
 		enc.setVars(vars)
 		enc.buf = appendJSONHead(enc.buf[:0], vars)
-		for i, row := range rows {
-			enc.buf = enc.appendJSONRow(enc.buf, i == 0, row)
+		for i := range enc.rows.Len() {
+			enc.buf = enc.appendJSONRow(enc.buf, i == 0, enc.rows.Row(i))
 		}
 		enc.buf = appendTSVHead(enc.buf, vars)
-		for _, row := range rows {
-			enc.buf = appendTSVRow(enc.buf, row)
+		for i := range enc.rows.Len() {
+			enc.buf = appendTSVRow(enc.buf, enc.rows.Row(i))
 		}
 	}
 	encode()
 	if n := testing.AllocsPerRun(10, encode); n != 0 {
-		t.Errorf("encoding 1000 rows x 4 variables into a warmed buffer allocates %v times, want 0", n)
+		t.Errorf("decoding, sorting and encoding 1000 rows x 5 columns into warmed buffers allocates %v times, want 0", n)
 	}
 }
 
@@ -299,8 +455,9 @@ func (w discardWriter) WriteHeader(int)             {}
 func (w discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // TestRequestAllocsIndependentOfRowCount: what a whole /sparql request
-// allocates on top of Store.QueryContext — URL parameters, parse,
-// sort, encoding, stats — is the same for 1,000 result rows as for 10.
+// allocates on top of Store.QueryIDs, the query it runs — URL
+// parameters, parse, decode, sort, encoding, stats — is the same for
+// 1,000 result rows as for 10.
 func TestRequestAllocsIndependentOfRowCount(t *testing.T) {
 	q, err := watdiv.QueryByName("L1")
 	if err != nil {
@@ -318,14 +475,14 @@ func TestRequestAllocsIndependentOfRowCount(t *testing.T) {
 			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
 		}
 		query := func() {
-			res, err := store.QueryContext(context.Background(), q.Parsed, core.QueryOptions{})
-			if err != nil || len(res.Rows) != n {
-				t.Fatalf("L1 over %d products: %d rows, err %v", n, len(res.Rows), err)
+			_, rows, err := store.QueryIDs(context.Background(), q.Parsed, core.QueryOptions{})
+			if err != nil || rows.Len() != n {
+				t.Fatalf("L1 over %d products: %d rows, err %v", n, rows.Len(), err)
 			}
 		}
 		request() // plan cache, pooled encoder
 		whole, exec := testing.AllocsPerRun(20, request), testing.AllocsPerRun(20, query)
-		t.Logf("%d rows: request %.0f allocs, Store.QueryContext %.0f", n, whole, exec)
+		t.Logf("%d rows: request %.0f allocs, Store.QueryIDs %.0f", n, whole, exec)
 		return whole - exec
 	}
 	// AllocsPerRun floors each of the four averages, so the differences

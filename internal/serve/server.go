@@ -1,6 +1,6 @@
 // Package serve implements prost-serve's HTTP layer: a SPARQL query
 // endpoint over a loaded PRoST store, built to exercise the concurrent
-// execution path for real. Every request runs Store.Query directly —
+// execution path for real. Every request runs Store.QueryIDs directly —
 // cached plans are shared read-only across in-flight requests, each
 // execution schedules its plan DAG on its own bounded worker pool, and
 // an in-flight semaphore caps how many queries execute at once.
@@ -323,11 +323,11 @@ func (s *Server) parseRequest(r *http.Request, params url.Values) (req request, 
 // timeouts, permanently failed or otherwise broken executions as
 // failed). Shed requests (open breaker, draining, in-flight overflow)
 // are rejected before executing and counted only in shedRequests.
-func (s *Server) runQuery(r *http.Request, params url.Values) (*core.Result, request, error) {
+func (s *Server) runQuery(r *http.Request, params url.Values) (*core.Result, core.IDRows, request, error) {
 	ok, probe := s.brk.allow()
 	if !ok {
 		s.shed.Add(1)
-		return nil, request{}, unavailable{
+		return nil, core.IDRows{}, request{}, unavailable{
 			msg:        "circuit breaker open: shedding load until the store recovers",
 			retryAfter: breakerCooldown,
 		}
@@ -337,18 +337,18 @@ func (s *Server) runQuery(r *http.Request, params url.Values) (*core.Result, req
 	defer s.brk.abandon(probe)
 	if err := s.beginRequest(); err != nil {
 		s.shed.Add(1)
-		return nil, request{}, err
+		return nil, core.IDRows{}, request{}, err
 	}
 	defer s.endRequest()
 
-	res, req, err := s.doQuery(r, params)
+	res, rows, req, err := s.doQuery(r, params)
 
 	var ua unavailable
 	if errors.As(err, &ua) {
 		// Shed at the in-flight bound: never executed, so neither a
 		// query counter nor a breaker sample.
 		s.shed.Add(1)
-		return nil, request{}, err
+		return nil, core.IDRows{}, request{}, err
 	}
 	var br badRequest
 	isBad := errors.As(err, &br)
@@ -367,7 +367,7 @@ func (s *Server) runQuery(r *http.Request, params url.Values) (*core.Result, req
 		} else if !isBad {
 			s.failed++
 		}
-		return nil, request{}, err
+		return nil, core.IDRows{}, request{}, err
 	}
 	s.simTotal += res.SimTime
 	s.wallTotal += res.WallTime
@@ -392,7 +392,7 @@ func (s *Server) runQuery(r *http.Request, params url.Values) (*core.Result, req
 			}
 		}
 	}
-	return res, req, nil
+	return res, rows, req, nil
 }
 
 // badRequest marks an error as the caller's fault (malformed query or
@@ -449,14 +449,18 @@ func writeError(w http.ResponseWriter, err error) {
 	http.Error(w, err.Error(), errStatus(err))
 }
 
-// doQuery is runQuery without the bookkeeping. With a configured
+// doQuery is runQuery without the bookkeeping. The query runs through
+// Store.QueryIDs, so its rows come back as IDs copied out of the query's
+// region, not decoded: the in-flight slot is free again before a byte
+// of the body is written, and writeResult decodes each cell once, into
+// the pooled encoder's storage. With a configured
 // QueryTimeout the execution runs under a deadline; a timed-out query
 // returns a *core.CancelError whose message carries the partial trace
 // info (completed vs scheduled plan tasks) the 504 body reports.
-func (s *Server) doQuery(r *http.Request, params url.Values) (*core.Result, request, error) {
+func (s *Server) doQuery(r *http.Request, params url.Values) (*core.Result, core.IDRows, request, error) {
 	req, err := s.parseRequest(r, params)
 	if err != nil {
-		return nil, request{}, err
+		return nil, core.IDRows{}, request{}, err
 	}
 	// Shed instead of queue: a request over the in-flight bound gets an
 	// immediate 503 + Retry-After, keeping latency bounded under
@@ -464,7 +468,7 @@ func (s *Server) doQuery(r *http.Request, params url.Values) (*core.Result, requ
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		return nil, request{}, unavailable{
+		return nil, core.IDRows{}, request{}, unavailable{
 			msg:        fmt.Sprintf("over capacity: %d queries already executing", cap(s.sem)),
 			retryAfter: time.Second,
 		}
@@ -476,8 +480,8 @@ func (s *Server) doQuery(r *http.Request, params url.Values) (*core.Result, requ
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
 		defer cancel()
 	}
-	res, err := s.cfg.Store.QueryContext(ctx, req.query, req.opts)
-	return res, req, err
+	res, rows, err := s.cfg.Store.QueryIDs(ctx, req.query, req.opts)
+	return res, rows, req, err
 }
 
 // sparqlStats is the /sparql response's execution record. The
@@ -512,35 +516,32 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	if params == nil {
 		return
 	}
-	res, req, err := s.runQuery(r, params)
+	res, rows, req, err := s.runQuery(r, params)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	s.writeResult(w, res, req.tsv)
+	s.writeResult(w, res, rows, req.tsv)
 }
 
-// writeResult renders a result as the response body: encoded by the
-// append encoders of encode.go into one pooled buffer, which is written
-// out whenever it passes writeChunkBytes. A streamed query's rows are
-// also flushed to the client every flushEveryRows, so consumers see
-// results while the body is still being written (the HTTP analogue of
-// the executor's first-row latency).
-func (s *Server) writeResult(w http.ResponseWriter, res *core.Result, tsv bool) {
-	// ORDER BY results arrive in query order and must be presented
-	// as-is; everything else is sorted for stable output.
-	rows := res.Rows
-	if !res.Ordered {
-		rows = res.SortedRows()
-	}
-	truncated := false
-	if s.cfg.MaxRows > 0 && len(rows) > s.cfg.MaxRows {
-		rows = rows[:s.cfg.MaxRows]
-		truncated = true
-	}
-
+// writeResult renders a result as the response body: its ID rows are
+// decoded into the pooled encoder's rows, in display order
+// (core.DisplayRows: ORDER BY results as the query ordered them,
+// everything else sorted for stable output), then encoded by the append
+// encoders of encode.go into one pooled buffer, which is written out
+// whenever it passes writeChunkBytes. A streamed query's rows are also
+// flushed to the client every flushEveryRows, so consumers see results
+// while the body is still being written (the HTTP analogue of the
+// executor's first-row latency).
+func (s *Server) writeResult(w http.ResponseWriter, res *core.Result, rows core.IDRows, tsv bool) {
 	enc := encoderPool.Get().(*respEncoder)
 	defer enc.release()
+	enc.rows.Decode(rows, res.Ordered)
+	n, truncated := enc.rows.Len(), false
+	if s.cfg.MaxRows > 0 && n > s.cfg.MaxRows {
+		n, truncated = s.cfg.MaxRows, true
+	}
+
 	enc.buf = enc.buf[:0]
 	if tsv {
 		w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
@@ -551,7 +552,8 @@ func (s *Server) writeResult(w http.ResponseWriter, res *core.Result, tsv bool) 
 		enc.buf = appendJSONHead(enc.buf, res.Vars)
 	}
 	flusher, _ := w.(http.Flusher)
-	for i, row := range rows {
+	for i := range n {
+		row := enc.rows.Row(i)
 		if tsv {
 			enc.buf = appendTSVRow(enc.buf, row)
 		} else {
@@ -570,7 +572,7 @@ func (s *Server) writeResult(w http.ResponseWriter, res *core.Result, tsv bool) 
 	}
 	if !tsv {
 		st := sparqlStats{
-			Rows:                len(res.Rows),
+			Rows:                rows.Len(),
 			Truncated:           truncated,
 			SimMS:               float64(res.SimTime) / float64(time.Millisecond),
 			WallMS:              float64(res.WallTime) / float64(time.Millisecond),
@@ -624,7 +626,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, pl.ErrorSummary())
 		return
 	}
-	res, _, err := s.runQuery(r, params)
+	res, rows, _, err := s.runQuery(r, params)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -640,7 +642,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if rs := res.Resilience.String(); rs != "" {
 		fmt.Fprint(w, rs)
 	}
-	fmt.Fprintf(w, "\n%d rows; simulated cluster time %v (wall %v)\n", len(res.Rows), res.SimTime, res.WallTime)
+	fmt.Fprintf(w, "\n%d rows; simulated cluster time %v (wall %v)\n", rows.Len(), res.SimTime, res.WallTime)
 	if res.Streamed {
 		fmt.Fprintf(w, "streamed: first row at %v; peak intermediate footprint %d B\n", res.FirstRow, res.PeakMemBytes)
 	}

@@ -1071,15 +1071,14 @@ func TestSPARQLExtendedSurface(t *testing.T) {
 	}
 }
 
-// TestStreamingDowngradeSurfaced pins the sharded-coordinator
-// interaction: ?streaming=1 against a coordinator runs materialized,
-// and the downgrade is explicit — in the response's stats block and in
-// the /stats streamingDowngraded counter — never silent.
-func TestStreamingDowngradeSurfaced(t *testing.T) {
-	store := testServer(t).cfg.Store
+// shardCoordinator starts n shard servers over store on loopback
+// listeners, all stopped when the test ends, and dials a coordinator to
+// them; it returns the coordinator and the shards' addresses.
+func shardCoordinator(t testing.TB, store *core.Store, n int) (*shard.Coordinator, []string) {
+	t.Helper()
 	var addrs []string
-	for i := 0; i < 2; i++ {
-		sh, err := shard.NewServer(store, i, 2)
+	for i := 0; i < n; i++ {
+		sh, err := shard.NewServer(store, i, n)
 		if err != nil {
 			t.Fatalf("NewServer: %v", err)
 		}
@@ -1096,6 +1095,16 @@ func TestStreamingDowngradeSurfaced(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	t.Cleanup(func() { coord.Close() })
+	return coord, addrs
+}
+
+// TestStreamingDowngradeSurfaced pins the sharded-coordinator
+// interaction: ?streaming=1 against a coordinator runs materialized,
+// and the downgrade is explicit — in the response's stats block and in
+// the /stats streamingDowngraded counter — never silent.
+func TestStreamingDowngradeSurfaced(t *testing.T) {
+	store := testServer(t).cfg.Store
+	coord, _ := shardCoordinator(t, store, 2)
 	srv, err := New(Config{Store: store, Options: core.QueryOptions{Dist: coord}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -1144,25 +1153,7 @@ func TestStatsNetworkBlock(t *testing.T) {
 	}
 
 	store := testServer(t).cfg.Store
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		sh, err := shard.NewServer(store, i, 2)
-		if err != nil {
-			t.Fatalf("NewServer: %v", err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("Listen: %v", err)
-		}
-		go sh.Serve(ln)
-		t.Cleanup(func() { sh.Close() })
-		addrs = append(addrs, ln.Addr().String())
-	}
-	coord, err := shard.Dial(store, addrs)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	t.Cleanup(func() { coord.Close() })
+	coord, addrs := shardCoordinator(t, store, 2)
 	srv, err := New(Config{Store: store, Options: core.QueryOptions{Dist: coord}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
