@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -117,30 +118,9 @@ func run(o options) error {
 	}
 
 	fmt.Printf("%s\n", strings.Join(res.Vars, "\t"))
-	// The display order /sparql writes: ORDER BY results as the query
-	// ordered them (re-sorting would undo DESC keys), the rest sorted.
-	var rows core.DisplayRows
-	rows.Decode(ids, res.Ordered)
-	var line []byte
-	for i := range rows.Len() {
-		if o.maxRows > 0 && i >= o.maxRows {
-			fmt.Printf("… (%d more rows)\n", rows.Len()-o.maxRows)
-			break
-		}
-		line = line[:0]
-		for j, t := range rows.Row(i) {
-			if j > 0 {
-				line = append(line, '\t')
-			}
-			if t != (rdf.Term{}) { // an unbound OPTIONAL cell stays empty, not "<>"
-				line = t.AppendNTriples(line)
-			}
-		}
-		line = append(line, '\n')
-		os.Stdout.Write(line)
-	}
+	writeRows(os.Stdout, ids, res.Ordered, o.maxRows)
 	fmt.Printf("\n%d rows; simulated cluster time %v (wall %v, strategy %s)\n",
-		rows.Len(), res.SimTime, res.WallTime, opts.Strategy)
+		ids.Len(), res.SimTime, res.WallTime, opts.Strategy)
 	if res.Streamed {
 		fmt.Printf("streamed over morsel pipelines: first row at %v; peak intermediate footprint %d B\n",
 			res.FirstRow, res.PeakMemBytes)
@@ -205,4 +185,31 @@ func run(o options) error {
 		fmt.Print(res.Clock.Trace())
 	}
 	return nil
+}
+
+// writeRows prints the first maxRows result rows (all when maxRows is
+// 0) in the display order /sparql writes — ORDER BY results as the query
+// ordered them (re-sorting would undo DESC keys), the rest sorted — as
+// tab-separated N-Triples terms, then how many rows it left out. Only
+// the rows printed of an ordered result are decoded.
+func writeRows(w io.Writer, ids core.IDRows, ordered bool, maxRows int) {
+	var rows core.DisplayRows
+	rows.Decode(ids, ordered, maxRows)
+	var line []byte
+	for i := range rows.Len() {
+		line = line[:0]
+		for j, t := range rows.Row(i) {
+			if j > 0 {
+				line = append(line, '\t')
+			}
+			if t != (rdf.Term{}) { // an unbound OPTIONAL cell stays empty, not "<>"
+				line = t.AppendNTriples(line)
+			}
+		}
+		line = append(line, '\n')
+		w.Write(line)
+	}
+	if left := ids.Len() - rows.Len(); left > 0 {
+		fmt.Fprintf(w, "… (%d more rows)\n", left)
+	}
 }

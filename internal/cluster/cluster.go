@@ -21,6 +21,8 @@ package cluster
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sync"
 	"time"
 )
 
@@ -143,14 +145,19 @@ func (s *TaskStats) Add(o TaskStats) {
 // The partitions are the tasks of one Run on min(GOMAXPROCS,
 // partitions) workers, the calling goroutine first, so a stage of one
 // partition (or on one processor) starts no goroutine and what a stage
-// allocates does not depend on how many partitions it has. Every
-// partition runs even after one has failed; the error reported is the
-// lowest failing partition's, and a failed stage charges nothing.
+// allocates does not depend on how many partitions it has: the
+// per-partition slots come from statsPool. Every partition runs even
+// after one has failed; the error reported is the lowest failing
+// partition's, and a failed stage charges nothing.
 func (c *Cluster) RunStage(clock *Clock, launch time.Duration, name string, partitions int, fn func(part int) (TaskStats, error)) error {
 	if partitions <= 0 {
 		partitions = 1
 	}
-	st := &stage{name: name, fn: fn, stats: make([]TaskStats, partitions)}
+	slots := statsPool.Get().(*[]TaskStats)
+	defer statsPool.Put(slots)
+	// Every slot is written by its partition's task before it is read.
+	*slots = slices.Grow((*slots)[:0], partitions)[:partitions]
+	st := &stage{name: name, fn: fn, stats: *slots}
 	if err := Run(runtime.GOMAXPROCS(0), partitions, &st.tasks, st); err != nil {
 		return err
 	}
@@ -176,6 +183,13 @@ func (c *Cluster) RunStage(clock *Clock, launch time.Duration, name string, part
 	})
 	return nil
 }
+
+// statsPool holds the per-partition slots of stages that are over. A
+// stage reads its slots only to price itself, before it returns, and a
+// helper that starts after the last claim touches only the stage's
+// Tasks, which are therefore not pooled: the next stage takes the slots
+// over.
+var statsPool = sync.Pool{New: func() any { return new([]TaskStats) }}
 
 // stage is one RunStage's Run: each partition's priced work lands in its
 // own slot.

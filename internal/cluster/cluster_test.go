@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -366,28 +367,35 @@ func runStageCase(t *testing.T, partitions, procs int, failing bool) {
 }
 
 // TestRunStageAllocsIndependentOfPartitions: a stage allocates its
-// outcome slots and its queue, plus what starting the bounded workers
-// costs — the same number of allocations for two partitions as for a
+// run state, plus what starting the bounded workers costs — the same
+// number of allocations and the same bytes for two partitions as for a
 // thousand, on one processor and on two. (One goroutine and closure per
-// partition made it grow.)
+// partition made the count grow; a slice of per-partition slots made
+// per stage, 40 KB at a thousand partitions, made the bytes grow.) The
+// collector is off, so the pooled slots stay pooled.
 func TestRunStageAllocsIndependentOfPartitions(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, procs := range []int{1, 2} {
 		setProcs(t, procs)
 		c := MustNew(Config{Workers: 3, DefaultPartitions: 6})
 		clock := NewClock()
 		fn := func(part int) (TaskStats, error) { return stageTaskStats(part), nil }
-		allocs := func(partitions int) float64 {
-			return allocsPerRun(50, func() {
+		mem := func(partitions int) (allocs, bytes float64) {
+			return memPerRun(50, func() {
 				clock.Reset()
 				if err := c.RunStage(clock, 0, "allocs", partitions, fn); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
-		small, large := allocs(2), allocs(1000)
-		t.Logf("GOMAXPROCS=%d: %.0f allocations per stage at 2 partitions, %.0f at 1000", procs, small, large)
+		small, smallBytes := mem(2)
+		large, largeBytes := mem(1000)
+		t.Logf("GOMAXPROCS=%d: %.0f allocations and %.0f bytes per stage at 2 partitions, %.0f and %.0f at 1000", procs, small, smallBytes, large, largeBytes)
 		if large != small || large > 6 {
 			t.Errorf("GOMAXPROCS=%d: a stage allocates %.0f times at 2 partitions and %.0f at 1000; want the same handful", procs, small, large)
+		}
+		if largeBytes != smallBytes {
+			t.Errorf("GOMAXPROCS=%d: a stage allocates %.0f bytes at 2 partitions and %.0f at 1000; want the same", procs, smallBytes, largeBytes)
 		}
 	}
 }
@@ -412,6 +420,13 @@ func setProcs(t *testing.T, n int) {
 // files, and a shared package would ship with the program and start
 // goroutines outside cluster.Run.
 func allocsPerRun(runs int, f func()) float64 {
+	allocs, _ := memPerRun(runs, f)
+	return allocs
+}
+
+// memPerRun is allocsPerRun that also returns the fewest bytes
+// allocated per run over the same three rounds.
+func memPerRun(runs int, f func()) (allocs, bytes float64) {
 	// Park and end a few hundred goroutines first. A helper that ends,
 	// or a caller that parks, leaves its goroutine descriptor or its
 	// wait record on the processor it ran on last, and the runtime moves
@@ -428,18 +443,19 @@ func allocsPerRun(runs int, f func()) float64 {
 	close(release)
 	wg.Wait()
 	f() // warm-up, as AllocsPerRun does
-	fewest := uint64(math.MaxUint64)
+	fewest, least := uint64(math.MaxUint64), uint64(math.MaxUint64)
 	for range 3 {
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		before := m.Mallocs
+		mallocs, total := m.Mallocs, m.TotalAlloc
 		for range runs {
 			f()
 		}
 		runtime.ReadMemStats(&m)
-		fewest = min(fewest, (m.Mallocs-before)/uint64(runs))
+		fewest = min(fewest, (m.Mallocs-mallocs)/uint64(runs))
+		least = min(least, (m.TotalAlloc-total)/uint64(runs))
 	}
-	return float64(fewest)
+	return float64(fewest), float64(least)
 }
 
 func ExampleCluster_RunStage() {

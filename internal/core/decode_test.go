@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -156,6 +157,54 @@ func TestDecodeRowsSameAtAnyParallelism(t *testing.T) {
 				want = got
 			} else if got != want {
 				t.Errorf("streaming %v: rows at GOMAXPROCS %d differ from GOMAXPROCS 1", streaming, procs)
+			}
+		}
+	}
+}
+
+// TestDisplayRowsDecodeOnlyWhatTheyShow: a DisplayRows limited to k
+// rows shows the first k rows the unlimited one shows, in the same
+// order, for an ORDER BY result (query order) and for any other (the
+// display sort, which needs every row decoded), with NullID cells and
+// a COUNT column. An ordered result decodes only the rows shown: a
+// fresh DisplayRows then holds k rows of cells, not the result's.
+func TestDisplayRowsDecodeOnlyWhatTheyShow(t *testing.T) {
+	s := decodeTestStore(t, 200)
+	rng := rand.New(rand.NewSource(45))
+	const n, width = 500, 3
+	ids := make([]rdf.ID, n*width)
+	for k := range ids {
+		if k%width == 1 {
+			ids[k] = rdf.ID(rng.Intn(1000)) // a raw count
+		} else {
+			ids[k] = rdf.ID(rng.Intn(s.dict.Len() + 1)) // 0 is NullID
+		}
+	}
+	rows := IDRows{Block: engine.MakeBlock(width, n, ids), CountCols: []bool{false, true, false}, Terms: s.dict.Snapshot()}
+	for _, ordered := range []bool{true, false} {
+		var all DisplayRows
+		all.Decode(rows, ordered, 0)
+		if all.Len() != n {
+			t.Fatalf("ordered %v: %d rows shown of %d, no limit", ordered, all.Len(), n)
+		}
+		for _, limit := range []int{-1, 1, 3, 7, n - 1, n, n + 5} {
+			label := fmt.Sprintf("ordered %v, limit %d", ordered, limit)
+			var d DisplayRows
+			d.Decode(rows, ordered, limit)
+			want := n
+			if limit > 0 {
+				want = min(limit, n)
+			}
+			if d.Len() != want {
+				t.Fatalf("%s: %d rows shown, want %d", label, d.Len(), want)
+			}
+			for i := range want {
+				if got, ref := d.Row(i), all.Row(i); !slices.Equal(got, ref) {
+					t.Fatalf("%s: row %d is %v, the unlimited display's %v", label, i, got, ref)
+				}
+			}
+			if decoded := cap(d.cells) / width; ordered && decoded != want || !ordered && decoded != n {
+				t.Errorf("%s: holds %d rows of cells for %d shown of %d", label, decoded, want, n)
 			}
 		}
 	}

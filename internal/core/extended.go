@@ -356,28 +356,41 @@ func heapBlock(blocks []engine.Block) engine.Block {
 	return engine.MakeBlock(width, n, ids)
 }
 
-// DisplayRows is a result's rows decoded for presentation, in display
-// order: query order for an ORDER BY result, otherwise sorted by
-// rendered terms with Result.SortedRows' comparator. Every cell is
-// decoded once, as decodeRows decodes it, and the sort compares decoded
-// terms: resolving both cells through the dictionary on every
-// comparison took the sort three times the CPU. Its storage is reused
-// from one Decode to the next, so a warm DisplayRows decodes, sorts and
-// hands out rows without allocating; the terms of a Row are valid until
-// the next Decode. The zero value is ready to use.
+// DisplayRows is the part of a result's rows that is shown, decoded for
+// presentation, in display order: query order for an ORDER BY result,
+// otherwise sorted by rendered terms with Result.SortedRows' comparator.
+// Every cell is decoded once, as decodeRows decodes it, and the sort
+// compares decoded terms: resolving both cells through the dictionary
+// on every comparison took the sort three times the CPU. Its storage is
+// reused from one Decode to the next, so a warm DisplayRows decodes,
+// sorts and hands out rows without allocating; the terms of a Row are
+// valid until the next Decode. The zero value is ready to use.
 type DisplayRows struct {
 	width  int
 	cells  []rdf.Term // row i's terms are cells[i*width:(i+1)*width]
-	order  []int      // the row numbers in display order
+	order  []int      // the row numbers shown, in display order
 	digits []byte     // the text of the COUNT cells
 }
 
 // Decode decodes rows — an ORDER BY result's when ordered — replacing
-// what the DisplayRows held.
-func (d *DisplayRows) Decode(rows IDRows, ordered bool) {
+// what the DisplayRows held, and shows the first limit rows in display
+// order (all of them when limit ≤ 0). An ordered result decodes only the
+// rows it shows; any other is decoded whole, since the display sort
+// needs every row.
+func (d *DisplayRows) Decode(rows IDRows, ordered bool, limit int) {
 	n, w := rows.Len(), rows.Block.Width()
+	shown := n
+	if limit > 0 && limit < n {
+		shown = limit
+	}
+	if ordered {
+		n = shown
+	}
 	d.width = w
-	d.cells = slices.Grow(d.cells[:0], n*w)[:n*w]
+	if cap(d.cells) < n*w {
+		d.cells = make([]rdf.Term, n*w) // exactly: no cells beyond the rows decoded
+	}
+	d.cells = d.cells[:n*w]
 	d.order = slices.Grow(d.order[:0], n)[:n]
 	d.digits = d.digits[:0]
 	for i := range n {
@@ -397,9 +410,10 @@ func (d *DisplayRows) Decode(rows IDRows, ordered bool) {
 		}
 		return 0
 	})
+	d.order = d.order[:shown]
 }
 
-// Len returns the row count.
+// Len returns the number of rows shown.
 func (d *DisplayRows) Len() int { return len(d.order) }
 
 // Row returns the i-th row in display order, capacity-clipped.

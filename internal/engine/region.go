@@ -84,6 +84,10 @@ var poisonReleased atomic.Bool
 // previous setting.
 func PoisonReleased(on bool) (was bool) { return poisonReleased.Swap(on) }
 
+// Poisoning reports whether the PoisonReleased hook is on, for memory
+// pooled outside this package that honours it too (the shard frames).
+func Poisoning() bool { return poisonReleased.Load() }
+
 // NewRegion returns an empty region; it takes no slab until asked.
 func NewRegion() *Region { return new(Region) }
 

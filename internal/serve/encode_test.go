@@ -265,10 +265,11 @@ func watdivServer(t testing.TB) *Server {
 }
 
 // extraDiffQueries extend the WatDiv queries in the differential test:
-// an OPTIONAL query whose unbound cells fall at several positions, and a
+// an OPTIONAL query whose unbound cells fall at several positions, a
 // GROUP BY … COUNT query without ORDER BY whose count column leads, so
 // the display sort orders rows by their counts' literals ("10" before
-// "9").
+// "9"), and an ORDER BY query without LIMIT over far more rows than
+// MaxRows shows, of which only the rows shown are decoded.
 var extraDiffQueries = []struct{ name, text string }{
 	{"optional-unbound", `PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
 PREFIX sorg: <http://schema.org/>
@@ -281,6 +282,8 @@ SELECT ?a ?u ?e ?city WHERE {
 }`},
 	{"count-unordered", `PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
 SELECT (COUNT(?u) AS ?n) ?f WHERE { ?u wsdbm:follows ?f . } GROUP BY ?f`},
+	{"ordered-unlimited", `PREFIX wsdbm: <http://db.uwaterloo.ca/~galuc/wsdbm/>
+SELECT ?u ?p WHERE { ?u wsdbm:likes ?p . } ORDER BY DESC(?p) ?u`},
 }
 
 // TestWatDivBodiesMatchReference is the differential test of the ID-row
@@ -313,8 +316,8 @@ func TestWatDivBodiesMatchReference(t *testing.T) {
 	for _, q := range extraDiffQueries {
 		queries = append(queries, query{q.name, q.text})
 	}
-	if len(queries) != 28 {
-		t.Fatalf("%d queries, want 28", len(queries))
+	if len(queries) != 29 {
+		t.Fatalf("%d queries, want 29", len(queries))
 	}
 	var unboundCols [4]bool
 	countOrderDiffers := false
@@ -359,6 +362,10 @@ func TestWatDivBodiesMatchReference(t *testing.T) {
 						for j, c := range row {
 							unboundCols[j] = unboundCols[j] || unbound(c)
 						}
+					}
+				case "ordered-unlimited":
+					if !res.Ordered || len(res.Rows) <= 7 {
+						t.Fatalf("%s: %d rows, ordered=%v; want an ordered result of more than 7", label, len(res.Rows), res.Ordered)
 					}
 				case "count-unordered":
 					for i := 1; i < len(rows); i++ {
@@ -412,7 +419,7 @@ func TestEncodeAllocatesNothingWarm(t *testing.T) {
 	rows := core.IDRows{Block: engine.MakeBlock(5, 1000, ids), CountCols: []bool{false, false, false, true}, Terms: dict.Snapshot()}
 	enc := new(respEncoder)
 	encode := func() {
-		enc.rows.Decode(rows, false)
+		enc.rows.Decode(rows, false, 0)
 		enc.setVars(vars)
 		enc.buf = appendJSONHead(enc.buf[:0], vars)
 		for i := range enc.rows.Len() {

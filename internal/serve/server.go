@@ -524,23 +524,21 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	s.writeResult(w, res, rows, req.tsv)
 }
 
-// writeResult renders a result as the response body: its ID rows are
-// decoded into the pooled encoder's rows, in display order
-// (core.DisplayRows: ORDER BY results as the query ordered them,
-// everything else sorted for stable output), then encoded by the append
-// encoders of encode.go into one pooled buffer, which is written out
-// whenever it passes writeChunkBytes. A streamed query's rows are also
+// writeResult renders a result as the response body: the rows it shows
+// — the first MaxRows when that is set — are decoded into the pooled
+// encoder's rows, in display order (core.DisplayRows: ORDER BY results
+// as the query ordered them, everything else sorted for stable output),
+// then encoded by the append encoders of encode.go into one pooled
+// buffer, which is written out whenever it passes writeChunkBytes. A streamed query's rows are also
 // flushed to the client every flushEveryRows, so consumers see results
 // while the body is still being written (the HTTP analogue of the
 // executor's first-row latency).
 func (s *Server) writeResult(w http.ResponseWriter, res *core.Result, rows core.IDRows, tsv bool) {
 	enc := encoderPool.Get().(*respEncoder)
 	defer enc.release()
-	enc.rows.Decode(rows, res.Ordered)
-	n, truncated := enc.rows.Len(), false
-	if s.cfg.MaxRows > 0 && n > s.cfg.MaxRows {
-		n, truncated = s.cfg.MaxRows, true
-	}
+	enc.rows.Decode(rows, res.Ordered, s.cfg.MaxRows)
+	n := enc.rows.Len()
+	truncated := n < rows.Len()
 
 	enc.buf = enc.buf[:0]
 	if tsv {

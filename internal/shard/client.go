@@ -8,7 +8,7 @@ import (
 	"math"
 	"net"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -169,9 +169,6 @@ type shardConn struct {
 	c    net.Conn
 	br   *bufio.Reader
 	mu   sync.Mutex
-	// buf is the connection's frame buffer, guarded by mu: a request is
-	// built and written from it, then the response is read back into it.
-	buf []byte
 	// broken is why roundTrip closed the connection, nil while it is
 	// usable; guarded by mu. Calls that find it set fail with it at once.
 	broken error
@@ -187,26 +184,26 @@ type shardConn struct {
 // overwrite ring-style so quantiles track the recent window.
 const maxRTTSamples = 1 << 13
 
-// maxRetainBytes bounds each buffer a connection keeps between calls:
-// the frame buffer on the coordinator's end; on the server's, the two
-// frame buffers and the int lists (conn). A request that needs more gets
-// storage that dies with it. Rows are region memory on both ends and are
-// never kept.
-const maxRetainBytes = 256 << 10
-
 // call performs one framed request/response exchange, handing the
 // response payload (valid only during the callback) to decode, whose
-// row sections are carved from region. Every failure — transport,
-// shard-reported, or codec — comes back as a *wire.ShardError naming
-// this shard, so query errors surface through the task-attempt
-// machinery as a worker outage.
+// row sections are carved from region. The request is built and the
+// response read in one frame borrowed from wire's pool, given back once
+// decode has copied the rows out; a connection keeps no frame between
+// calls. Every failure — transport, shard-reported, or codec — comes
+// back as a *wire.ShardError naming this shard, so query errors surface
+// through the task-attempt machinery as a worker outage.
 func (sc *shardConn) call(ctx context.Context, region *engine.Region, typ byte, req request, decode func(*dec)) (sent, recv int64, wall time.Duration, err error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	frame := wire.GetFrame()
 	start := time.Now()
-	rtyp, payload, sent, recv, err := sc.roundTrip(ctx, typ, req)
+	rtyp, payload, sent, recv, err := sc.roundTrip(ctx, frame, typ, req)
 	wall = time.Since(start)
 	sc.note(sent, recv, wall)
+	// A frame whose call failed is dropped, not pooled: a read that
+	// failed may have sized it from a length prefix no checksum vouched
+	// for.
+	pooled := err == nil
 	switch {
 	case err != nil:
 	case rtyp == msgErr:
@@ -218,8 +215,8 @@ func (sc *shardConn) call(ctx context.Context, region *engine.Region, typ byte, 
 	default:
 		err = fmt.Errorf("unexpected response type %d", rtyp)
 	}
-	if cap(sc.buf) > maxRetainBytes {
-		sc.buf = nil
+	if pooled {
+		putFrame(frame)
 	}
 	if err != nil {
 		err = &wire.ShardError{Addr: sc.addr, Shard: sc.slot.shard, Err: err}
@@ -228,7 +225,7 @@ func (sc *shardConn) call(ctx context.Context, region *engine.Region, typ byte, 
 }
 
 // roundTrip writes the request frame and reads the response frame,
-// both through sc.buf. The connection deadline follows ctx, and a
+// both through frame. The connection deadline follows ctx, and a
 // cancellation while the call is blocked in I/O breaks it at once. Any
 // failure past the first written byte leaves the stream mid-frame, so
 // the connection is closed and the cause kept: later calls then fail
@@ -236,7 +233,7 @@ func (sc *shardConn) call(ctx context.Context, region *engine.Region, typ byte, 
 // call of the same query that was queued behind the failing one, instead
 // of reporting a closed socket when what happened is the query's own
 // deadline.
-func (sc *shardConn) roundTrip(ctx context.Context, typ byte, req request) (rtyp byte, payload []byte, sent, recv int64, err error) {
+func (sc *shardConn) roundTrip(ctx context.Context, frame *[]byte, typ byte, req request) (rtyp byte, payload []byte, sent, recv int64, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, nil, 0, 0, err
 	}
@@ -244,18 +241,18 @@ func (sc *shardConn) roundTrip(ctx context.Context, typ byte, req request) (rtyp
 		return 0, nil, 0, 0, fmt.Errorf("connection closed after an earlier call failed: %w", sc.broken)
 	}
 	// The row sections are sized exactly; 256 bytes cover the spec header.
-	frame, err := wire.Finish(req.appendTo(wire.Begin(sc.buf, typ, req.size(sc.slot)+256), sc.slot))
+	out, err := wire.Finish(req.appendTo(wire.Begin(*frame, typ, req.size(sc.slot)+256), sc.slot))
 	if err != nil {
 		return 0, nil, 0, 0, err
 	}
-	sc.buf = frame
+	*frame = out
 	deadline, _ := ctx.Deadline() // the zero time clears a previous call's
 	sc.c.SetDeadline(deadline)
 	stop := context.AfterFunc(ctx, func() { sc.c.SetDeadline(time.Unix(1, 0)) })
-	n, err := sc.c.Write(frame)
+	n, err := sc.c.Write(out)
 	sent = int64(n)
 	if err == nil {
-		rtyp, payload, sc.buf, recv, err = wire.ReadFrameInto(sc.br, sc.buf)
+		rtyp, payload, *frame, recv, err = wire.ReadFrameInto(sc.br, *frame)
 	}
 	// A cancellation that raced a completed call still fails it: its
 	// deadline poke may land on the next call otherwise.
@@ -297,15 +294,17 @@ func (sc *shardConn) snapshot() (sent, recv, calls int64, rtts []time.Duration) 
 	return sc.sent, sc.recv, sc.calls, append([]time.Duration(nil), sc.rtts...)
 }
 
-// durationQuantile returns the q-quantile of samples (nearest-rank).
+// durationQuantile returns the q-quantile of samples by nearest rank:
+// the smallest sample at least a fraction q of the samples do not
+// exceed, the ceil(q·n)-th smallest.
 func durationQuantile(samples []time.Duration, q float64) time.Duration {
 	if len(samples) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[max(rank, 1)-1]
 }
 
 // session is one query's DistSession: it resolves FILTER indexes

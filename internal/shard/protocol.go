@@ -9,10 +9,10 @@
 //
 // The protocol is one request/response frame pair per shard per
 // exchange (package wire framing: magic, type, length, payload, CRC-32C).
-// Each message is written once, straight into a frame buffer its
-// connection owns: a small hand-rolled header (uint32 ints, length-
-// prefixed strings and int lists) followed by raw row sections in the
-// packed layout of wire.AppendRows. A part set — one side of an exchange
+// Each message is written once, straight into a frame buffer the call
+// borrowed from wire's pool: a small hand-rolled header (uint32 ints,
+// length-prefixed strings and int lists) followed by raw row sections in
+// the packed layout of wire.AppendRows. A part set — one side of an exchange
 // as seen by one shard — is the total partition count followed by one
 // row section per partition that shard owns, in ascending partition
 // order; both ends derive ownership from the topology, so no indexes
@@ -32,10 +32,10 @@
 // partition at a time: decode that partition's sections into IDs carved
 // from the request's region, sized from each section's header, run the
 // kernel into the same region, append the output section to the response
-// frame. The request's region is released once its response is written,
-// so a connection keeps no row or hash table between requests; what it
-// does keep — its frame buffers and int lists — never exceeds
-// maxRetainBytes per buffer.
+// frame. The request's region is released once its response is written
+// and its frames go back to the pool, so a connection keeps no row, hash
+// table or frame between requests; what it does keep — its int lists —
+// never exceeds maxRetainBytes.
 package shard
 
 import (
@@ -64,6 +64,20 @@ const (
 	msgOK
 	msgErr
 )
+
+// putFrame gives a frame back to wire's pool once its call is over.
+// While engine.PoisonReleased is on, its bytes are overwritten first, so
+// that a row section still read from a returned frame decodes as
+// engine.PoisonID.
+func putFrame(frame *[]byte) {
+	if engine.Poisoning() {
+		b := (*frame)[:cap(*frame)]
+		for i := range b {
+			b[i] = 0xFF
+		}
+	}
+	wire.PutFrame(frame)
+}
 
 // slot is one shard's position in the topology: it owns the partitions
 // p with p % shards == shard.
@@ -301,8 +315,8 @@ func (w *partSetWriter) add(rows engine.Block) {
 		// Partitions are hash-placed, so those to come will be about the
 		// size of those so far: grow once, to where the set is heading
 		// (and a little past: a scan's counts and the frame's checksum
-		// follow it), not by doublings that a frame too large to keep
-		// would go through again on every request.
+		// follow it), not by doublings. A pooled frame that served a
+		// response this large before already has the room.
 		mean := (len(w.b) - w.first + size) / w.n
 		w.b = slices.Grow(w.b, size+(w.owned-w.n)*(mean+mean/8)+8*w.owned+16)
 	}

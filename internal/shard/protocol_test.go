@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -349,11 +351,11 @@ func FuzzDecodeRequest(f *testing.F) {
 // (or partition) count. At 1,000 rows everything the server needs is
 // warm, and what is left is the coordinator's fan-out and the result it
 // hands back: 17 allocations (20 under the race detector). The larger
-// message is past maxRetainBytes on both ends, so each exchange takes its
-// frames again, and the large slabs of the server's request region — a
-// few per owned partition: its section, chain heads and output — come
-// back from pools that the collector, run by those frames, empties: 18
-// more, a constant, whatever the size.
+// message's frames come back from wire's pool on both ends as the small
+// one's do; what a collection costs it — the large slabs of the server's
+// request region, a few per owned partition (its section, chain heads
+// and output), taken again from pools the collector emptied — is a
+// constant, whatever the size.
 func TestBroadcastAllocsIndependentOfRows(t *testing.T) {
 	store := testStore(t)
 	coord := dialShards(t, store, 1)
@@ -387,6 +389,56 @@ func TestBroadcastAllocsIndependentOfRows(t *testing.T) {
 	}
 	if large > small+25 {
 		t.Errorf("allocations follow the row count: %.0f at 1,000 rows, %.0f at 100,000", small, large)
+	}
+}
+
+// TestWarmCallAllocatesNoFrameBytes: a broadcast call whose request
+// and response frames are both past 256 KiB, repeated on a warm
+// loopback coordinator/server pair, finds every frame it needs — the
+// coordinator's one, the server's two — grown in wire's pool: ten calls
+// allocate fewer bytes, on both ends together, than one such frame
+// holds. (Connections that dropped each frame past a 256 KiB retention
+// cap took four frames anew on every such call.) The collector is off
+// and one processor runs both ends, so the pool keeps what it is given
+// and every call finds it where the last one left it.
+func TestWarmCallAllocatesNoFrameBytes(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	store := testStore(t)
+	sc := dialShards(t, store, 1).conns[0]
+	const rows, parts, frameBytes = 100_000, 8, 256 << 10
+	req := &exchangeReq{KeyA: []int{0}, KeyB: []int{0}, OutWidth: 3, RKeep: []int{1},
+		Whole: spreadRows(16, 1, 16), A: spreadRows(rows, parts, 16)}
+	var region engine.Region
+	call := func() {
+		var out []engine.Block
+		sent, recv, _, err := sc.call(context.Background(), &region, msgBroadcast, req, func(d *dec) { out = d.partSet(parts) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent <= frameBytes || recv <= frameBytes {
+			t.Fatalf("frames of %d and %d bytes, want both past %d", sent, recv, frameBytes)
+		}
+		if got := totalRows(out); got != rows {
+			t.Fatalf("join of %d probe rows returned %d", rows, got)
+		}
+		region.Release()
+	}
+	for range 3 {
+		call()
+	}
+	const calls = 10
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	for range calls {
+		call()
+	}
+	runtime.ReadMemStats(&m)
+	got := m.TotalAlloc - before
+	t.Logf("%d warm calls allocated %d bytes", calls, got)
+	if got >= frameBytes {
+		t.Errorf("%d warm calls allocated %d bytes, at least one frame's %d", calls, got, frameBytes)
 	}
 }
 

@@ -159,72 +159,73 @@ func (s *Server) handle(c net.Conn) {
 	}
 }
 
-// conn is the state of one coordinator connection. Two frame buffers: a
-// request is read into in and stays there, still encoded, while the
-// response is appended to out — the request's sections are read as late
-// as the last partition. Everything else the request holds as rows — the
-// whole side that ships to every shard (wholeSide is the one-block list a
+// conn is the state of one coordinator connection. Each request borrows
+// two frames from wire's pool: the request is read into one and stays
+// there, still encoded, while the response is appended to the other —
+// the request's sections are read as late as the last partition. Both go
+// back once the response is written, so between requests a connection
+// holds no frame. Everything else the request holds as rows — the whole
+// side that ships to every shard (wholeSide is the one-block list a
 // request's Whole is), each owned partition's decoded sections, hash
 // tables and outputs — is carved from region, which the request owns
-// from its first decode until its response frame is written. The frames,
-// wholeSide and the int lists are the connection's own, reused by the
-// next request.
+// from its first decode until its response frame is written. wholeSide
+// and the int lists are the connection's own, reused by the next
+// request.
 type conn struct {
 	srv     *Server
 	helloed bool
 
-	in, out   []byte
 	wholeSide []engine.Block
 	ints      []int   // the request's key and keep lists
 	processed []int64 // a scan's per-partition counts, sent after its rows
 	region    engine.Region
 }
 
+// maxRetainBytes bounds the int lists a connection keeps between
+// requests; a request whose lists grew past it leaves them to the
+// collector.
+const maxRetainBytes = 256 << 10
+
 // next reads one request frame from r and answers it on w with a frame
-// built in c.out. A request that cannot be served — malformed, refused,
-// failed — is answered msgErr and keeps the connection alive for the
-// next; the error return is for a connection that is over. Once the
-// response is written the request's region is released, and nothing the
-// request grew past maxRetainBytes is still held.
+// built in a second pooled frame. A request that cannot be served —
+// malformed, refused, failed — is answered msgErr and keeps the
+// connection alive for the next; the error return is for a connection
+// that is over. Once the response is written the request's region is
+// released and both frames go back to the pool.
 func (c *conn) next(r io.Reader, w io.Writer) error {
-	typ, payload, frame, _, err := wire.ReadFrameInto(r, c.in)
+	in := wire.GetFrame()
+	typ, payload, frame, _, err := wire.ReadFrameInto(r, *in)
 	if err != nil {
+		// The frame is dropped, not pooled: a read that failed may have
+		// sized it from a length prefix no checksum vouched for.
 		return err
 	}
-	c.in = frame
-	resp, err := c.respond(typ, payload)
+	*in = frame
+	out := wire.GetFrame()
+	resp, err := c.respond(*out, typ, payload)
 	if err != nil {
 		msg := err.Error()
-		resp = append(wire.Begin(c.out, msgErr, len(msg)), msg...)
+		resp = append(wire.Begin(*out, msgErr, len(msg)), msg...)
 	}
-	if c.out, err = wire.Finish(resp); err == nil {
-		_, err = w.Write(c.out)
+	if *out, err = wire.Finish(resp); err == nil {
+		_, err = w.Write(*out)
 	}
 	// The whole side is region memory: no block of it may outlive the
 	// release.
 	clear(c.wholeSide)
 	c.region.Release()
-	c.trim()
-	return err
-}
-
-// trim drops every message-sized buffer that outgrew maxRetainBytes, so
-// nothing larger survives the request that needed it.
-func (c *conn) trim() {
-	if cap(c.in) > maxRetainBytes {
-		c.in = nil
-	}
-	if cap(c.out) > maxRetainBytes {
-		c.out = nil
-	}
+	putFrame(in)
+	putFrame(out)
 	if cap(c.ints)*8 > maxRetainBytes {
 		c.ints = nil
 	}
+	return err
 }
 
-// respond evaluates one request and returns its unsealed msgOK frame.
-// The whole payload is decoded or validated before any kernel runs.
-func (c *conn) respond(typ byte, payload []byte) ([]byte, error) {
+// respond evaluates one request and returns its unsealed msgOK frame,
+// begun in out's storage. The whole payload is decoded or validated
+// before any kernel runs.
+func (c *conn) respond(out []byte, typ byte, payload []byte) ([]byte, error) {
 	if typ < msgHello || typ > msgDistinct { // the request types
 		return nil, fmt.Errorf("shard: unknown message type %d", typ)
 	}
@@ -242,13 +243,13 @@ func (c *conn) respond(typ byte, payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		c.helloed = true
-		return wire.Begin(c.out, msgOK, 0), nil
+		return wire.Begin(out, msgOK, 0), nil
 	case msgScan:
 		var m scanReq
 		if m.decode(&d); d.done() != nil {
 			return nil, d.err
 		}
-		return c.scan(&m)
+		return c.scan(out, &m)
 	}
 	var m exchangeReq
 	a, b := m.decodeLazy(&d, c.wholeSide)
@@ -256,11 +257,12 @@ func (c *conn) respond(typ byte, payload []byte) ([]byte, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	return c.exchange(typ, &m, a, b)
+	return c.exchange(out, typ, &m, a, b)
 }
 
-// scan evaluates a scan node over the owned partitions.
-func (c *conn) scan(m *scanReq) ([]byte, error) {
+// scan evaluates a scan node over the owned partitions into a response
+// begun in out's storage.
+func (c *conn) scan(out []byte, m *scanReq) ([]byte, error) {
 	if len(m.Node.Patterns) == 0 {
 		return nil, fmt.Errorf("shard: scan node without patterns")
 	}
@@ -269,7 +271,7 @@ func (c *conn) scan(m *scanReq) ([]byte, error) {
 		return nil, err
 	}
 	sl, total := c.srv.slot, ns.Partitions()
-	w := beginPartSet(wire.Begin(c.out, msgOK, 0), total, sl)
+	w := beginPartSet(wire.Begin(out, msgOK, 0), total, sl)
 	c.processed = c.processed[:0]
 	for p := sl.shard; p < total; p += sl.shards {
 		rows, processed := ns.ScanPart(p, &c.region)
@@ -283,8 +285,9 @@ func (c *conn) scan(m *scanReq) ([]byte, error) {
 }
 
 // exchange runs an exchange kernel over the owned partitions of a
-// validated request, one at a time, in the request's region.
-func (c *conn) exchange(typ byte, m *exchangeReq, a, b sections) ([]byte, error) {
+// validated request, one at a time, in the request's region, into a
+// response begun in out's storage.
+func (c *conn) exchange(out []byte, typ byte, m *exchangeReq, a, b sections) ([]byte, error) {
 	if typ == msgShuffle && b.total != a.total {
 		return nil, fmt.Errorf("shard: shuffle sides of %d and %d partitions", a.total, b.total)
 	}
@@ -296,7 +299,7 @@ func (c *conn) exchange(typ byte, m *exchangeReq, a, b sections) ([]byte, error)
 		build = engine.BuildJoinProbe(r, m.Whole, m.KeyA)
 	}
 	sl := c.srv.slot
-	w := beginPartSet(wire.Begin(c.out, msgOK, 0), a.total, sl)
+	w := beginPartSet(wire.Begin(out, msgOK, 0), a.total, sl)
 	for p := sl.shard; p < a.total; p += sl.shards {
 		rows, err := a.next(r)
 		if err != nil {

@@ -53,9 +53,10 @@ func exchangeOver(t *testing.T, c *conn, frame []byte) (byte, []byte) {
 }
 
 // largestBuffer is the size in bytes of the largest buffer c holds
-// between requests: its frames and int lists.
+// between requests: its int lists, the one message-sized buffer a
+// connection keeps (its frames go back to the pool).
 func (c *conn) largestBuffer() int {
-	return max(cap(c.in), cap(c.out), cap(c.ints)*8)
+	return cap(c.ints) * 8
 }
 
 // spreadRows deals n rows of (key, serial) over parts partitions, keys
@@ -126,9 +127,9 @@ func scanRequests() map[string]*scanReq {
 }
 
 // TestWarmConnAllocations: once a connection has served a request, the
-// same request again — frame read, decode, kernels, response, release,
-// trim — allocates for what it cannot reuse and nothing else. Exchanges
-// reuse both frames and carve everything else (decoded rows, hash index
+// same request again — frame read, decode, kernels, response, release —
+// allocates for what it cannot reuse and nothing else. Exchanges take
+// both frames back from the pool and carve everything else (decoded rows, hash index
 // or row set, outputs) from the request's region, whose slabs the pools
 // hand back: zero — a server that never released would drain the pools
 // and allocate. A scan still decodes its node and resolves it against
@@ -182,9 +183,9 @@ func TestWarmConnAllocations(t *testing.T) {
 
 // TestConnKeepsNothingLarge: a 100,000-row broadcast over 8 partitions
 // needs frames past maxRetainBytes; once it is answered, and again after
-// a 1,000-row request, no buffer the connection still holds — frames and
-// int lists; its rows were region memory, released — is larger than
-// that.
+// a 1,000-row request, no buffer the connection still holds — its int
+// lists; its frames went back to the pool and its rows were region
+// memory, released — is larger than that.
 func TestConnKeepsNothingLarge(t *testing.T) {
 	sl := slot{0, 1}
 	c := testConn(t, sl)

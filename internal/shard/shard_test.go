@@ -684,3 +684,34 @@ func TestIdleCoordinatorKeepsItsConnection(t *testing.T) {
 		}
 	}
 }
+
+// TestDurationQuantileNearestRank holds /stats' shardRTT quantiles to
+// nearest rank: the q-quantile of n samples is the ceil(q·n)-th
+// smallest, so the p99 of fewer than 100 samples is the largest. The
+// samples are 1..n ms in descending order, so an unsorted read shows.
+func TestDurationQuantileNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n        int
+		p50, p99 time.Duration
+	}{
+		{1, 1, 1},
+		{10, 5, 10},
+		{100, 50, 99},
+	} {
+		samples := make([]time.Duration, c.n)
+		for i := range samples {
+			samples[i] = time.Duration(c.n-i) * time.Millisecond
+		}
+		for _, q := range []struct {
+			q    float64
+			want time.Duration
+		}{{0.50, c.p50}, {0.99, c.p99}} {
+			if got := durationQuantile(samples, q.q); got != q.want*time.Millisecond {
+				t.Errorf("n=%d: q=%.2f is %v, want %v", c.n, q.q, got, q.want*time.Millisecond)
+			}
+		}
+	}
+	if got := durationQuantile(nil, 0.99); got != 0 {
+		t.Errorf("no samples: p99 is %v, want 0", got)
+	}
+}

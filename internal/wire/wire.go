@@ -11,11 +11,14 @@
 //	check   4 bytes  CRC-32C (Castagnoli) over type ++ length ++ payload
 //
 // A frame is built in place: Begin reserves the header in a buffer the
-// caller owns and reuses, the caller appends the payload behind it,
-// Finish patches the length and appends the checksum, and the frame
-// goes out in one Write; ReadFrameInto reads one back into a reusable
-// buffer. The checksum is the protocol's only integrity check: one
-// hardware-accelerated pass over every payload byte per direction.
+// caller borrowed from the frame pool (GetFrame), the caller appends the
+// payload behind it, Finish patches the length and appends the
+// checksum, and the frame goes out in one Write; ReadFrameInto reads one
+// back into a borrowed buffer. A call gives its buffers back (PutFrame)
+// once it is over, grown to whatever its frames needed, so the next
+// call of any size finds them grown. The checksum is the protocol's
+// only integrity check: one hardware-accelerated pass over every
+// payload byte per direction.
 //
 // Row payloads use PR 1's packed layout: each value is one uint32
 // dictionary ID, rows are fixed-width, so a partition serializes as
@@ -98,15 +101,25 @@ func Finish(frame []byte) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame[len(Magic):], castagnoli)), nil
 }
 
-// framePool lends WriteFrame the reusable frame buffer a connection
-// would own.
+// framePool holds the frame buffers of calls that are over, whatever
+// their size, for the next call to build or read its frames in. A
+// buffer is stored by pointer, so returning one boxes nothing; what no
+// call takes back between two collections, the collector frees.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// GetFrame lends a frame buffer from the pool, to pass to Begin or
+// ReadFrameInto and to store what they return back into.
+func GetFrame() *[]byte { return framePool.Get().(*[]byte) }
+
+// PutFrame gives a buffer GetFrame lent back to the pool. Nothing may
+// read or write its bytes afterwards: the next GetFrame hands them out.
+func PutFrame(buf *[]byte) { framePool.Put(buf) }
 
 // WriteFrame writes one frame of the given type and payload to w in a
 // single Write, returning the total bytes written on the wire.
 func WriteFrame(w io.Writer, typ byte, payload []byte) (int64, error) {
-	buf := framePool.Get().(*[]byte)
-	defer framePool.Put(buf)
+	buf := GetFrame()
+	defer PutFrame(buf)
 	frame, err := Finish(append(Begin(*buf, typ, len(payload)), payload...))
 	if err != nil {
 		return 0, err
