@@ -128,7 +128,7 @@ func Load(st *core.Store) (*Store, error) {
 	for _, idx := range []*kv.Store{s.spo, s.pos, s.osp} {
 		size += compressedIndexBytes(idx)
 	}
-	if _, err := st.FS().Write(pathPrefix+"/tables", size); err != nil {
+	if err := st.FS().Write(pathPrefix+"/tables", size); err != nil {
 		return nil, err
 	}
 

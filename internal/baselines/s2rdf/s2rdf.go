@@ -108,7 +108,7 @@ func Load(st *core.Store, opts Options) (*Store, error) {
 
 	// VP tables: PRoST's, written as S2RDF's own Parquet files.
 	preds := slices.Sorted(maps.Keys(s.stats.ByPredicate))
-	replication := int64(s.fs.Config().Replication)
+	replication := int64(s.fs.Replication())
 	var vpRows, vpWrite int64
 	for _, pred := range preds {
 		t := st.VPTable(pred)
@@ -155,7 +155,7 @@ func (s *Store) buildExtVP(clock *cluster.Clock, preds []rdf.ID) error {
 	for _, p := range preds {
 		keys[p] = [2]map[rdf.ID]struct{}{s.vp[p].Keys(0), s.vp[p].Keys(1)}
 	}
-	replication := int64(s.fs.Config().Replication)
+	replication := int64(s.fs.Replication())
 	var stages, processed, extWrite int64
 	for _, p := range preds {
 		base := s.vp[p]

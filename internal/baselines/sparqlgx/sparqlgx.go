@@ -96,7 +96,7 @@ func Load(st *core.Store) (*Store, error) {
 	for _, pred := range preds {
 		rows := byPred[pred]
 		size := s.textFileBytes(rows)
-		if _, err := fs.Write(fmt.Sprintf("%s/vp/p%d.txt.deflate", pathPrefix, pred), size); err != nil {
+		if err := fs.Write(fmt.Sprintf("%s/vp/p%d.txt.deflate", pathPrefix, pred), size); err != nil {
 			return nil, err
 		}
 		// The rows are PRoST's VP table's, but a text file is block
@@ -107,7 +107,7 @@ func Load(st *core.Store) (*Store, error) {
 		totalWrite += size
 		shuffleBytes += int64(len(rows)) * 2 * 5
 	}
-	writeBytes := totalWrite * int64(fs.Config().Replication)
+	writeBytes := totalWrite * int64(fs.Replication())
 	parts := int64(st.Partitions())
 	err := s.cluster.RunStage(clock, cost.SQLStageLaunch, "write VP text files", st.Partitions(), func(p int) (cluster.TaskStats, error) {
 		return cluster.TaskStats{

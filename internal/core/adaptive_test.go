@@ -222,76 +222,19 @@ func TestTimedOutQueryLeavesCacheUntouched(t *testing.T) {
 	eqStrings(t, renderRows(res), renderRows(static), "post-timeout result")
 }
 
-// TestFeedbackEntryInvalidatedByGenerationBump pins the generation
-// counter: reloading statistics — even bit-identical ones, where the
-// fingerprint key cannot change — strands corrected entries, because
-// they were re-planned from observations of the old data.
-func TestFeedbackEntryInvalidatedByGenerationBump(t *testing.T) {
-	s := adaptiveStore(t)
-	q := sparql.MustParse(adaptiveQuery)
-	if _, err := s.Query(q, QueryOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if m := s.PlanCacheMetrics(); m.CorrectedEntries == 0 {
-		t.Fatalf("no corrected entry to invalidate (metrics %+v)", m)
-	}
-	base := s.PlanCacheMetrics()
-
-	s.swapStats(stats.Collect(s.triples)) // same data, same fingerprint, new generation
-	res, err := s.Query(q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheFeedback {
-		t.Errorf("stale-generation corrected entry served after stats reload")
-	}
-	m := s.PlanCacheMetrics()
-	if m.Generation != base.Generation+1 {
-		t.Errorf("generation = %d, want %d", m.Generation, base.Generation+1)
-	}
-	if got := m.Misses - base.Misses; got == 0 {
-		t.Errorf("post-reload lookup did not miss (metrics %+v)", m)
-	}
-}
-
-// TestStaleGenerationFreesFIFOSlot pins the cache's eviction
-// bookkeeping: dropping a generation-stale entry must free its FIFO
-// slot, so re-inserting the same key afterwards holds exactly one slot
-// and eviction never removes the live entry early.
-func TestStaleGenerationFreesFIFOSlot(t *testing.T) {
-	c := newPlanCache(2)
-	c.put("a", &cachedPlan{})
-	c.bumpGeneration()
-	if _, ok := c.get("a"); ok {
-		t.Fatalf("stale-generation entry served")
-	}
-	c.put("a", &cachedPlan{corrected: true}) // re-insert after the lazy drop
-	c.put("b", &cachedPlan{})                // fills the cache; nothing may evict yet
-	if e, ok := c.get("a"); !ok || !e.corrected {
-		t.Fatalf("re-inserted entry lost (ok=%v): stale FIFO slot evicted the live entry", ok)
-	}
-	if m := c.metrics(); m.Entries != 2 || m.Evictions != 0 {
-		t.Fatalf("metrics %+v, want 2 entries and no evictions", m)
-	}
-}
-
-// TestConcurrentStatsReloadWithSketches reloads the join-graph
-// statistics (different sketch top-K → different fingerprint AND a
-// generation bump) while 16 goroutines keep querying — the -race gate
-// for swapStats under load. The store's statistics are swapped for a
-// collection with one pair sketch right after loading, so
-// the a⋈b correlation stays uncovered and executions write corrected
-// feedback entries; the reload must strand them, and no
-// post-reload execution may serve a plan priced against the old
-// sketches: a post-reload query's estimates must match a fresh plan
-// built from the new collection.
-func TestConcurrentStatsReloadWithSketches(t *testing.T) {
+// TestConcurrentCorrectionWithBoundedSketches runs 16 querying
+// goroutines against a store whose join statistics keep one pair sketch
+// — the -race gate for sketch-priced plans and their corrections under
+// load. The top-1 bound leaves the a⋈b correlation uncovered, so the
+// estimate still misses and executions serve and rewrite corrected
+// feedback entries; every row must match the uncached baseline.
+func TestConcurrentCorrectionWithBoundedSketches(t *testing.T) {
 	c := cluster.MustNew(cluster.Config{Workers: 4, DefaultPartitions: 8})
 	s, err := Load(correlatedGraph(), Options{Cluster: c})
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	s.swapStats(stats.CollectJoinStats(s.triples, stats.Config{CSets: true, SketchTopK: 1}))
+	setStats(s, stats.Config{CSets: true, SketchTopK: 1})
 	q := sparql.MustParse(adaptiveQuery)
 	static, err := s.Query(q, QueryOptions{NoPlanCache: true})
 	if err != nil {
@@ -299,15 +242,14 @@ func TestConcurrentStatsReloadWithSketches(t *testing.T) {
 	}
 	want := renderRows(static)
 
-	// Warm to a corrected feedback entry (the top-1 sketch bound leaves
-	// the correlated pair uncovered, so the estimate still misses).
+	// Warm to a corrected feedback entry.
 	if _, err := s.Query(q, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if m := s.PlanCacheMetrics(); m.CorrectedEntries == 0 {
-		t.Fatalf("no corrected entry before the reload (metrics %+v); the sketch bound no longer leaves the correlated join uncovered", m)
+	base := s.PlanCacheMetrics()
+	if base.CorrectedEntries == 0 {
+		t.Fatalf("no corrected entry after the warm run (metrics %+v); the sketch bound no longer leaves the correlated join uncovered", base)
 	}
-	baseGen := s.PlanCacheMetrics().Generation
 
 	const goroutines = 16
 	const rounds = 6
@@ -340,41 +282,14 @@ func TestConcurrentStatsReloadWithSketches(t *testing.T) {
 		}(gi)
 	}
 	close(start)
-	// Two reloads with different sketch bounds while queries are in
-	// flight: fingerprints differ each time, generations advance.
-	s.swapStats(stats.CollectJoinStats(s.triples, stats.Config{CSets: true, SketchTopK: 2}))
-	s.swapStats(stats.CollectJoinStats(s.triples, stats.Config{CSets: true, SketchTopK: 3}))
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-
-	m := s.PlanCacheMetrics()
-	if m.Generation != baseGen+2 {
-		t.Errorf("generation = %d, want %d after two reloads", m.Generation, baseGen+2)
+	if m := s.PlanCacheMetrics(); m.FeedbackHits == base.FeedbackHits {
+		t.Errorf("no execution served the corrected entry (metrics %+v)", m)
 	}
-
-	// No plan priced against the old sketches may be served: a fresh
-	// post-reload execution's estimates must match a from-scratch plan
-	// built over the current collection.
-	res, err := s.Query(q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := s.Plan(q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, wantEst := res.Plan.Root.Est, fresh.Root.Est; got != wantEst {
-		// The served plan may be a corrected entry written back AFTER
-		// the reload — that is current-generation feedback, not
-		// staleness — so only a non-feedback plan must match.
-		if !res.CacheFeedback {
-			t.Errorf("post-reload plan root est %g != fresh plan est %g (stale sketch pricing served)", got, wantEst)
-		}
-	}
-	eqStrings(t, renderRows(res), want, "post-reload result")
 }
 
 // TestConcurrentAdaptiveReplanSharedCache hammers the corrected path

@@ -1,9 +1,8 @@
 package core
 
 // Tests for the concurrent execution path introduced with the DAG
-// scheduler: plan-cache behaviour (hits, invalidation, option
-// isolation) and race-detector coverage of Store.Query under parallel
-// callers. The TestConcurrent* names are load-bearing: CI runs
+// scheduler: plan-cache behaviour (hits, option isolation) and
+// race-detector coverage of Store.Query under parallel callers. The TestConcurrent* names are load-bearing: CI runs
 // `go test -race ./internal/core -run Concurrent` as a fast gate.
 
 import (
@@ -17,7 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/plan"
 	"repro/internal/sparql"
-	"repro/internal/stats"
 	"repro/internal/watdiv"
 )
 
@@ -45,35 +43,6 @@ func TestPlanCacheHitOnRepeatedQuery(t *testing.T) {
 	if m.Entries == 0 {
 		t.Errorf("cache has no entries after a cached run")
 	}
-}
-
-func TestPlanCacheMissAfterStatsReload(t *testing.T) {
-	s := testStore(t, false)
-	q := sparql.MustParse(cacheTestQuery)
-	want := runQuery(t, s, cacheTestQuery, StrategyMixed)
-	base := s.PlanCacheMetrics()
-
-	// Reload the statistics from a perturbed view of the data: the
-	// fingerprint changes, so the cached plan must not be reused.
-	st := stats.Collect(s.triples[:len(s.triples)-1])
-	oldFP := s.statsFingerprint()
-	s.swapStats(st)
-	if s.statsFingerprint() == oldFP {
-		t.Fatalf("stats fingerprint unchanged after reload")
-	}
-	res, err := s.Query(q, QueryOptions{})
-	if err != nil {
-		t.Fatalf("Query after reload: %v", err)
-	}
-	m := s.PlanCacheMetrics()
-	if got := m.Misses - base.Misses; got != 1 {
-		t.Errorf("misses after stats reload = %d, want 1 (old plan invalidated)", got)
-	}
-	if got := m.Hits - base.Hits; got != 0 {
-		t.Errorf("hits after stats reload = %d, want 0", got)
-	}
-	// The data itself is unchanged, so results must match.
-	eqStrings(t, renderRows(res), want, "post-reload result")
 }
 
 func TestPlanCacheNoCrossTalkBetweenOptions(t *testing.T) {
@@ -114,14 +83,14 @@ func TestPlanCacheNoCrossTalkBetweenOptions(t *testing.T) {
 	}
 }
 
-// TestPlanCacheBypass: a fresh store has an empty plan cache at
-// generation 0, and NoPlanCache queries neither read nor write it.
+// TestPlanCacheBypass: a fresh store has an empty plan cache, and
+// NoPlanCache queries neither read nor write it.
 func TestPlanCacheBypass(t *testing.T) {
 	s := testStore(t, false)
 	q := sparql.MustParse(cacheTestQuery)
 	base := s.PlanCacheMetrics()
 	if base != (CacheMetrics{}) {
-		t.Errorf("fresh store's plan cache: %+v, want empty at generation 0", base)
+		t.Errorf("fresh store's plan cache: %+v, want empty", base)
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := s.Query(q, QueryOptions{NoPlanCache: true}); err != nil {

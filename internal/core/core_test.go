@@ -8,6 +8,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/stats"
 )
 
 // testGraph builds a small social graph:
@@ -57,6 +58,14 @@ func testStore(t *testing.T, inverse bool) *Store {
 		t.Fatalf("Load: %v", err)
 	}
 	return s
+}
+
+// setStats gives a freshly loaded store statistics collected under cfg
+// in place of the ones Load collected. Load sets a store's statistics
+// once and nothing replaces them, so call it before the store's first
+// query.
+func setStats(s *Store, cfg stats.Config) {
+	s.stats = stats.CollectJoinStats(s.triples, cfg)
 }
 
 // runQuery executes src under the given strategy and returns rendered

@@ -87,14 +87,6 @@ type ExchangeRecord struct {
 	Wall time.Duration
 }
 
-// CalibrationRatio is MeasuredBytes/PricedBytes, 0 when unpriced.
-func (r ExchangeRecord) CalibrationRatio() float64 {
-	if r.PricedBytes <= 0 || r.MeasuredBytes <= 0 {
-		return 0
-	}
-	return float64(r.MeasuredBytes) / float64(r.PricedBytes)
-}
-
 // NetworkStats aggregates a coordinator's exchange measurements for
 // /stats.
 type NetworkStats struct {

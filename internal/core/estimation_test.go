@@ -18,8 +18,8 @@ import (
 // join order and physical methods, but they must never change results.
 // Checked for random connected BGPs under all three storage strategies.
 // Load collects characteristic sets and pair sketches together, so the
-// sets-only store swaps its statistics for a collection without
-// sketches.
+// sets-only store is given a collection without sketches before its
+// first query.
 func TestRandomBGPEstimationModesAgree(t *testing.T) {
 	g := watdiv.MustGenerate(watdiv.Config{Scale: 150, Seed: 21})
 	load := func(opts Options) *Store {
@@ -32,7 +32,7 @@ func TestRandomBGPEstimationModesAgree(t *testing.T) {
 		return s
 	}
 	csets := load(Options{})
-	csets.swapStats(stats.CollectJoinStats(csets.triples, stats.Config{CSets: true, SketchTopK: -1}))
+	setStats(csets, stats.Config{CSets: true, SketchTopK: -1})
 	stores := []struct {
 		name  string
 		store *Store

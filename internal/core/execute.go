@@ -12,7 +12,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
-	"repro/internal/stats"
 )
 
 // QueryOptions tunes one query execution.
@@ -192,8 +191,8 @@ func (s *Store) Query(q *sparql.Query, opts QueryOptions) (*Result, error) {
 // each written once. Resolve: the options become a resolved value that
 // carries every default and every "feature X turns feature Y off" rule
 // (Store.resolve's table). Plan: the plan cache (keyed on the
-// normalized query, the resolved options and the loader-statistics
-// fingerprint) is consulted; on a miss each BGP group is translated
+// normalized query, the resolved options and the workload epoch) is
+// consulted; on a miss each BGP group is translated
 // into a Join Tree (paper §3.2) and planned, and an extended query's
 // group plans are composed. Execute: the plan runs to completion on the
 // materialized task scheduler or on the streaming pipelines, whichever
@@ -267,13 +266,8 @@ func (s *Store) query(ctx context.Context, q *sparql.Query, opts QueryOptions, f
 		return nil, err
 	}
 
-	// Plan. One statistics snapshot serves the whole query: the cache
-	// key's fingerprint, leaf estimation, plan pricing and a correction's
-	// re-plan all read the same collection, so a reload landing mid-query
-	// can never produce a plan priced from a mixture of old and new
-	// statistics (or cache one under the wrong fingerprint).
-	snap := s.statsSnap.Load()
-	entry, key, err := s.planEntry(snap, q, r)
+	// Plan.
+	entry, key, err := s.planEntry(q, r)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +301,7 @@ func (s *Store) query(ctx context.Context, q *sparql.Query, opts QueryOptions, f
 	clock := cluster.NewClock()
 	clock.MergeTrace(x.trace, x.simTime)
 
-	events := s.correct(snap.col, q, r, key, entry, x.plan)
+	events := s.correct(q, r, key, entry, x.plan)
 	s.mineWorkload(x.plan, entry.nodes, r)
 
 	// The plan may have reordered (or bushed) the leaves; present the
@@ -410,14 +404,14 @@ func (s *Store) runMaterialized(ctx context.Context, q *sparql.Query, r resolved
 // planEntry is the plan step behind the plan cache: a hit returns the
 // shared immutable entry; a miss plans, inserts and returns. The key
 // lets the driver write a corrected entry back after the execution.
-func (s *Store) planEntry(snap *statsSnapshot, q *sparql.Query, r resolved) (entry *cachedPlan, key string, err error) {
+func (s *Store) planEntry(q *sparql.Query, r resolved) (entry *cachedPlan, key string, err error) {
 	if r.cacheable {
-		key = planCacheKey(q, r, snap.fp, s.workloadEpoch())
+		key = planCacheKey(q, r, s.workloadEpoch())
 		if e, ok := s.planCache.get(key); ok {
 			return e, key, nil
 		}
 	}
-	nodes, pl, err := s.planQuery(snap.col, q, r)
+	nodes, pl, err := s.planQuery(q, r)
 	if err != nil {
 		return nil, "", err
 	}
@@ -436,7 +430,7 @@ func (s *Store) planEntry(snap *statsSnapshot, q *sparql.Query, r resolved) (ent
 // input plus every cardinality this execution counted, merged over the
 // observations the entry already carries — and written back under the
 // same key. It returns the correction's event, or nil.
-func (s *Store) correct(st *stats.Collection, q *sparql.Query, r resolved, key string, entry *cachedPlan, executed *plan.Plan) []ReplanEvent {
+func (s *Store) correct(q *sparql.Query, r resolved, key string, entry *cachedPlan, executed *plan.Plan) []ReplanEvent {
 	if !r.cacheable || q.Extended() || (r.mode != plan.ModeCost && r.mode != plan.ModeCostLeftDeep) {
 		return nil
 	}
@@ -445,7 +439,7 @@ func (s *Store) correct(st *stats.Collection, q *sparql.Query, r resolved, key s
 		return nil
 	}
 	obs := executed.Observations(entry.obs)
-	nodes, pl, err := s.planGroup(st, q, r, obs)
+	nodes, pl, err := s.planGroup(q, r, obs)
 	if err != nil {
 		return nil // the same input planned once already; unreachable
 	}

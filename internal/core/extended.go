@@ -21,7 +21,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
-	"repro/internal/stats"
 )
 
 // planQuery is the plan step. A plain query is one BGP group. In an
@@ -33,9 +32,9 @@ import (
 // first, then its OPTIONAL groups) — the same order extendedFilterList
 // concatenates filters in, so the plan's offset leaf and filter indexes
 // line up.
-func (s *Store) planQuery(st *stats.Collection, q *sparql.Query, r resolved) (nodes []*Node, _ *plan.Plan, _ error) {
+func (s *Store) planQuery(q *sparql.Query, r resolved) (nodes []*Node, _ *plan.Plan, _ error) {
 	if !q.Extended() {
-		return s.planGroup(st, q, r, nil)
+		return s.planGroup(q, r, nil)
 	}
 	if err := q.Validate(); err != nil {
 		return nil, nil, err
@@ -49,7 +48,7 @@ func (s *Store) planQuery(st *stats.Collection, q *sparql.Query, r resolved) (no
 		// (sorted, so the group's output schema is planner-mode
 		// independent) and carries no limit: LIMIT/OFFSET belong to the
 		// composed plan's TopK operator, never to a group.
-		gnodes, pl, err := s.planGroup(st, &sparql.Query{
+		gnodes, pl, err := s.planGroup(&sparql.Query{
 			Vars:     sortedPatternVars(pats),
 			Patterns: pats,
 			Filters:  fs,

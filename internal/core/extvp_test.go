@@ -2,10 +2,10 @@ package core
 
 // Tests for the workload-driven ExtVP subsystem: byte-identity of
 // rewritten executions across every planner/strategy/executor
-// combination, budget enforcement end to end, invalidation on
-// statistics reload, cross-query estimate seeding, and race-detector
-// coverage of queries running concurrently with reduction builds on
-// other queries' goroutines (the TestConcurrent* name is load-bearing: CI's race gate runs
+// combination, budget enforcement end to end, cross-query estimate
+// seeding, and race-detector coverage of queries running concurrently
+// with reduction builds on other queries' goroutines (the
+// TestConcurrent* name is load-bearing: CI's race gate runs
 // -run Concurrent).
 
 import (
@@ -17,7 +17,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
-	"repro/internal/stats"
 )
 
 // extvpGraph builds a graph where semi-join reductions actually shrink
@@ -252,7 +251,7 @@ func TestExtVPBudgetHonored(t *testing.T) {
 // TestExtVPFilesMatchLiveTables: the file system holds exactly the live
 // reductions. Under a budget one byte short of the full footprint,
 // evicted and rejected reductions must lose their files with their
-// tables, and a statistics reload must delete every reduction's files.
+// tables.
 func TestExtVPFilesMatchLiveTables(t *testing.T) {
 	big := extvpStore(t, 1<<30)
 	for _, src := range extvpQueries {
@@ -276,73 +275,6 @@ func TestExtVPFilesMatchLiveTables(t *testing.T) {
 	}
 	if s.WorkloadMetrics().TablesEvicted == 0 {
 		t.Fatalf("the budgeted pass evicted nothing: the test exercises no drop")
-	}
-	s.swapStats(stats.CollectJoinStats(s.triples, stats.Config{CSets: true}))
-	check("after the reload")
-	if _, err := s.Query(sparql.MustParse(extvpQueries[0]), QueryOptions{Strategy: StrategyVPOnly}); err != nil {
-		t.Fatalf("re-mine: %v", err)
-	}
-	check("after rebuilding")
-}
-
-// TestExtVPInvalidatedOnStatsReload pins the generation contract: a
-// statistics reload drops every reduction and observation, stale plan
-// entries become unreachable (workload epoch moved), and no execution
-// scans a stale table — plans built after the reload carry no rewrite
-// until new builds complete against the new generation.
-func TestExtVPInvalidatedOnStatsReload(t *testing.T) {
-	s := extvpStore(t, 1<<20)
-	plain := plainExtvpStore(t)
-	q := sparql.MustParse(extvpQueries[0])
-	opts := QueryOptions{Strategy: StrategyVPOnly}
-
-	if _, err := s.Query(q, opts); err != nil {
-		t.Fatalf("cold: %v", err)
-	}
-	warm, err := s.Query(q, opts)
-	if err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-	if !planUsesExtVP(warm.Plan) {
-		t.Fatalf("warm plan carries no rewrite — test cannot exercise invalidation")
-	}
-	// Grab the warm plan's reduction ref; after the reload it must no
-	// longer resolve (the executor falls back to the full table).
-	var ref *plan.ExtVPRef
-	for _, n := range warm.Plan.Scans() {
-		if n.ExtVP != nil {
-			ref = n.ExtVP
-		}
-	}
-	gen := s.Workload().Generation()
-
-	s.swapStats(stats.CollectJoinStats(s.triples, stats.Config{CSets: true}))
-
-	if got := s.Workload().Generation(); got != gen+1 {
-		t.Fatalf("generation = %d after reload, want %d", got, gen+1)
-	}
-	if met := s.WorkloadMetrics(); met.TablesLive != 0 {
-		t.Fatalf("%d tables survived the reload", met.TablesLive)
-	}
-	if _, _, ok := s.extvpTable(ref); ok {
-		t.Fatalf("stale reduction ref still resolves after reload")
-	}
-	post, err := s.Query(q, opts)
-	if err != nil {
-		t.Fatalf("post-reload: %v", err)
-	}
-	if planUsesExtVP(post.Plan) {
-		t.Fatalf("post-reload plan still scans a reduction:\n%s", post.Plan)
-	}
-	want, _ := plain.Query(q, opts)
-	eqStrings(t, renderRows(post), renderRows(want), "post-reload rows")
-
-	// The model rebuilds against the new generation from fresh mining.
-	if _, err := s.Query(q, opts); err != nil {
-		t.Fatalf("re-mine: %v", err)
-	}
-	if met := s.WorkloadMetrics(); met.TablesLive == 0 {
-		t.Errorf("no reductions rebuilt after the reload (metrics %+v)", met)
 	}
 }
 
@@ -390,9 +322,9 @@ func TestExtVPObservedSeeding(t *testing.T) {
 
 // TestConcurrentExtVPQueriesDuringBuilds races 16 query goroutines
 // (both executors, all strategies) whose mining builds reductions on
-// their own goroutines, against two mid-flight statistics reloads;
-// every result must match the plain store. Run under -race in
-// CI's concurrent gate.
+// their own goroutines; every result must match the plain store, and
+// the file system must hold exactly the live reductions. Run under
+// -race in CI's concurrent gate.
 func TestConcurrentExtVPQueriesDuringBuilds(t *testing.T) {
 	s := extvpStore(t, 1<<20)
 	plain := plainExtvpStore(t)
@@ -441,20 +373,12 @@ func TestConcurrentExtVPQueriesDuringBuilds(t *testing.T) {
 			}
 		}(w)
 	}
-	// Two reloads land while queries and their builds are running.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2; i++ {
-			s.swapStats(stats.CollectJoinStats(s.triples, stats.Config{CSets: true}))
-		}
-	}()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-	// Builds a reload made stale were discarded with their files.
+	// The file system holds exactly the live reductions.
 	if got, live := s.FS().LogicalBytes(s.opts.PathPrefix+"/extvp/"), s.WorkloadMetrics().TableBytes; got != live {
 		t.Errorf("%d bytes of reduction files on HDFS, %d bytes of live reductions", got, live)
 	}

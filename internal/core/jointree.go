@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/sparql"
-	"repro/internal/stats"
 )
 
 // NodeKind identifies which storage structure a Join Tree node reads.
@@ -138,13 +137,6 @@ func (t *JoinTree) String() string {
 // §3.2–3.3). The Join Tree references only pattern structure and
 // statistics, so it can be built (and inspected) without executing.
 func (s *Store) Translate(q *sparql.Query, strategy Strategy) (*JoinTree, error) {
-	return s.translateWith(s.curStats(), q, strategy)
-}
-
-// translateWith is Translate against an explicit statistics snapshot,
-// so one query's translation and planning read a single consistent
-// collection even when a reload lands mid-flight.
-func (s *Store) translateWith(st *stats.Collection, q *sparql.Query, strategy Strategy) (*JoinTree, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -153,9 +145,9 @@ func (s *Store) translateWith(st *stats.Collection, q *sparql.Query, strategy St
 	}
 	nodes := s.groupPatterns(q, strategy)
 	for _, n := range nodes {
-		n.Priority = s.scoreNode(st, n)
+		n.Priority = s.scoreNode(n)
 	}
-	ordered := s.orderNodes(st, nodes)
+	ordered := s.orderNodes(nodes)
 	return &JoinTree{Nodes: ordered}, nil
 }
 
@@ -249,12 +241,12 @@ const (
 )
 
 // scoreNode implements the paper's three scoring rules (§3.3).
-func (s *Store) scoreNode(st *stats.Collection, n *Node) float64 {
+func (s *Store) scoreNode(n *Node) float64 {
 	var boost float64
 	sizeEst := -1.0
 	for _, tp := range n.Patterns {
 		boost += patternBoost(tp)
-		est := s.patternSize(st, tp)
+		est := s.patternSize(tp)
 		if sizeEst < 0 || est < sizeEst {
 			sizeEst = est
 		}
@@ -284,15 +276,15 @@ func patternBoost(tp sparql.TriplePattern) float64 {
 // patternSize estimates a pattern's tuple count: the predicate's triple
 // count adjusted by its distinct-subject ratio, so predicates with heavy
 // object fan-out (many triples per subject) sink toward the root.
-func (s *Store) patternSize(st *stats.Collection, tp sparql.TriplePattern) float64 {
+func (s *Store) patternSize(tp sparql.TriplePattern) float64 {
 	if tp.P.IsVar() {
-		return float64(st.TotalTriples)
+		return float64(s.stats.TotalTriples)
 	}
 	pid, ok := s.dict.Lookup(tp.P.Term)
 	if !ok {
 		return 0 // unseen predicate: empty result, cheapest possible
 	}
-	ps := st.Predicate(pid)
+	ps := s.stats.Predicate(pid)
 	// Adjustment (paper: "adjusted according to the number of distinct
 	// subjects"): multi-valued predicates produce more join fan-out per
 	// subject, so their effective size grows by the inverse subject
@@ -308,7 +300,7 @@ func (s *Store) patternSize(st *stats.Collection, tp sparql.TriplePattern) float
 // |A ⋈ B| ≈ |A|·|B| / max(d_A(v), d_B(v)) over the shared variables,
 // with d taken from the loader's distinct-subject/object statistics.
 // The largest node therefore sinks to the end — the paper's root.
-func (s *Store) orderNodes(st *stats.Collection, nodes []*Node) []*Node {
+func (s *Store) orderNodes(nodes []*Node) []*Node {
 	if len(nodes) == 0 {
 		return nil
 	}
@@ -327,7 +319,7 @@ func (s *Store) orderNodes(st *stats.Collection, nodes []*Node) []*Node {
 	take := func(i int, joinedSize float64) {
 		n := pending[i]
 		order = append(order, n)
-		_, dist := s.nodeEstimate(st, n)
+		_, dist := s.nodeEstimate(n)
 		for v, d := range dist {
 			if prev, ok := curDist[v]; !ok || d < prev {
 				curDist[v] = d
@@ -336,12 +328,12 @@ func (s *Store) orderNodes(st *stats.Collection, nodes []*Node) []*Node {
 		curSize = joinedSize
 		pending = append(pending[:i], pending[i+1:]...)
 	}
-	startSize, _ := s.nodeEstimate(st, pending[0])
+	startSize, _ := s.nodeEstimate(pending[0])
 	take(0, startSize)
 	for len(pending) > 0 {
 		best, bestEst := -1, 0.0
 		for i, n := range pending {
-			size, dist := s.nodeEstimate(st, n)
+			size, dist := s.nodeEstimate(n)
 			denom := 0.0
 			for v, d := range dist {
 				if cd, ok := curDist[v]; ok {
@@ -365,7 +357,7 @@ func (s *Store) orderNodes(st *stats.Collection, nodes []*Node) []*Node {
 		if best < 0 {
 			// Disconnected BGP: fall back to priority order; the join
 			// becomes a cartesian product whichever node is chosen.
-			size, _ := s.nodeEstimate(st, pending[0])
+			size, _ := s.nodeEstimate(pending[0])
 			take(0, curSize*size)
 			continue
 		}
@@ -380,11 +372,11 @@ func (s *Store) orderNodes(st *stats.Collection, nodes []*Node) []*Node {
 // nodeEstimate returns a node's estimated output cardinality and, per
 // output variable, an estimated distinct-value count, both derived from
 // the per-predicate statistics gathered at load time.
-func (s *Store) nodeEstimate(st *stats.Collection, n *Node) (float64, map[string]float64) {
+func (s *Store) nodeEstimate(n *Node) (float64, map[string]float64) {
 	dist := map[string]float64{}
 	size := -1.0
 	for _, tp := range n.Patterns {
-		base, svD, ovD := s.patternEstimate(st, tp)
+		base, svD, ovD := s.patternEstimate(tp)
 		if size < 0 || base < size {
 			size = base
 		}
@@ -399,7 +391,7 @@ func (s *Store) nodeEstimate(st *stats.Collection, n *Node) (float64, map[string
 			}
 		}
 		if tp.P.IsVar() {
-			dist[tp.P.Var] = float64(len(st.ByPredicate))
+			dist[tp.P.Var] = float64(len(s.stats.ByPredicate))
 		}
 	}
 	if size < 0 {
@@ -416,16 +408,16 @@ func (s *Store) nodeEstimate(st *stats.Collection, n *Node) (float64, map[string
 
 // patternEstimate returns (rows, distinct subjects, distinct objects)
 // for one pattern after applying its bound positions.
-func (s *Store) patternEstimate(st *stats.Collection, tp sparql.TriplePattern) (rows, subjD, objD float64) {
+func (s *Store) patternEstimate(tp sparql.TriplePattern) (rows, subjD, objD float64) {
 	if tp.P.IsVar() {
-		t := float64(st.TotalTriples)
-		return t, float64(st.DistinctSubjects), float64(st.DistinctObjects)
+		t := float64(s.stats.TotalTriples)
+		return t, float64(s.stats.DistinctSubjects), float64(s.stats.DistinctObjects)
 	}
 	pid, ok := s.dict.Lookup(tp.P.Term)
 	if !ok {
 		return 0, 0, 0
 	}
-	ps := st.Predicate(pid)
+	ps := s.stats.Predicate(pid)
 	rows = float64(ps.Triples)
 	subjD = float64(ps.DistinctSubjects)
 	objD = float64(ps.DistinctObjects)

@@ -109,7 +109,7 @@ func TestResolveScan(t *testing.T) {
 			t.Errorf("%s: charged %d disk bytes, want %d", tc.name, ns.diskBytes, disk)
 		}
 
-		leaf := s.planLeaves(s.curStats(), &JoinTree{Nodes: []*Node{n}})[0]
+		leaf := s.planLeaves(&JoinTree{Nodes: []*Node{n}})[0]
 		if got := strings.Join(leaf.Vars, " "); got != tc.schema {
 			t.Errorf("%s: plan leaf Vars %q, resolved schema %q", tc.name, got, tc.schema)
 		}
@@ -176,11 +176,19 @@ func TestResolveScanErrors(t *testing.T) {
 
 // TestResolveScanReduction: a scan the planner rewrote resolves to the
 // live reduction, labelled and charged as such; once the reduction is
-// gone the same reference falls back to the predicate's full table.
+// evicted the same reference falls back to the predicate's full table.
 func TestResolveScanReduction(t *testing.T) {
-	s := extvpStore(t, 1<<20)
 	q := sparql.MustParse(extvpQueries[0])
 	opts := QueryOptions{Strategy: StrategyVPOnly}
+	// The budget holds this query's reductions and nothing more, so the
+	// reductions other queries earn later must evict them.
+	measure := extvpStore(t, 1<<20)
+	for range 2 {
+		if _, err := measure.Query(q, opts); err != nil {
+			t.Fatalf("measure: %v", err)
+		}
+	}
+	s := extvpStore(t, measure.WorkloadMetrics().TableBytes)
 	if _, err := s.Query(q, opts); err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -219,7 +227,18 @@ func TestResolveScanReduction(t *testing.T) {
 			live.Partitions(), live.schema(), base.Rel.Partitions(), scan.Vars)
 	}
 
-	s.Workload().Invalidate()
+	ref := scan.ExtVP
+	for _, src := range extvpQueries[1:] {
+		if _, ok := s.Workload().Peek(ref.Pred, ref.Partner, uint8(ref.Pos)); !ok {
+			break
+		}
+		if _, err := s.Query(sparql.MustParse(src), opts); err != nil {
+			t.Fatalf("evicting query: %v", err)
+		}
+	}
+	if _, ok := s.Workload().Peek(ref.Pred, ref.Partner, uint8(ref.Pos)); ok {
+		t.Fatalf("no later build evicted the reduction (metrics %+v)", s.WorkloadMetrics())
+	}
 	gone, err := s.resolveScan(node, nil, scan.ExtVP)
 	if err != nil {
 		t.Fatalf("evicted: %v", err)

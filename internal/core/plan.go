@@ -30,7 +30,7 @@ func (s *Store) Plan(q *sparql.Query, opts QueryOptions) (*plan.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, pl, err := s.planQuery(s.curStats(), q, r)
+	_, pl, err := s.planQuery(q, r)
 	return pl, err
 }
 
@@ -38,20 +38,17 @@ func (s *Store) Plan(q *sparql.Query, opts QueryOptions) (*plan.Plan, error) {
 // §3.2), keep the written order for the naive planner, describe the
 // nodes to the planner as leaves and run the optimizer passes, recording
 // estimate provenance for /stats. obs is what earlier executions of the
-// query counted (nil but for a correction, Store.correct). Everything is
-// read from the caller's statistics snapshot: a plan is always priced
-// end to end from the same collection whose fingerprint keys it in the
-// cache, even when a reload lands while planning runs.
-func (s *Store) planGroup(st *stats.Collection, q *sparql.Query, r resolved, obs plan.Observed) ([]*Node, *plan.Plan, error) {
-	tree, err := s.translateWith(st, q, r.strategy)
+// query counted (nil but for a correction, Store.correct).
+func (s *Store) planGroup(q *sparql.Query, r resolved, obs plan.Observed) ([]*Node, *plan.Plan, error) {
+	tree, err := s.Translate(q, r.strategy)
 	if err != nil {
 		return nil, nil, err
 	}
 	if r.mode == plan.ModeNaive {
 		naiveOrder(tree, q)
 	}
-	leaves := s.planLeaves(st, tree)
-	pl := plan.Build(leaves, filterSpecs(q, leaves), q.Projection(), q.Distinct, r.mode, s.planCosts(st, r), obs)
+	leaves := s.planLeaves(tree)
+	pl := plan.Build(leaves, filterSpecs(q, leaves), q.Projection(), q.Distinct, r.mode, s.planCosts(r), obs)
 	if pl == nil {
 		return nil, nil, fmt.Errorf("core: query has no patterns")
 	}
@@ -63,10 +60,10 @@ func (s *Store) planGroup(st *stats.Collection, q *sparql.Query, r resolved, obs
 // schema in engine column order, statistics-based cardinality and
 // distinct estimates, the triple patterns behind the scan (for sketch
 // lookups), and the partitioning its scan will produce.
-func (s *Store) planLeaves(st *stats.Collection, tree *JoinTree) []plan.Leaf {
+func (s *Store) planLeaves(tree *JoinTree) []plan.Leaf {
 	leaves := make([]plan.Leaf, len(tree.Nodes))
 	for i, n := range tree.Nodes {
-		size, dist, src := s.leafEstimate(st, n)
+		size, dist, src := s.leafEstimate(n)
 		// Schema and partitioning come from the functions of the node
 		// the scan's resolver uses (nodescan.go), so a leaf's Vars and
 		// the executed scan's schema cannot disagree.
@@ -100,8 +97,8 @@ func (s *Store) planLeaves(st *stats.Collection, tree *JoinTree) []plan.Leaf {
 // csets are unavailable), and the per-predicate independence estimate
 // otherwise. The translator's §3.3 ordering (nodeEstimate) is left
 // untouched so the heuristic planner keeps reproducing the paper.
-func (s *Store) leafEstimate(st *stats.Collection, n *Node) (float64, map[string]float64, string) {
-	size, dist := s.nodeEstimate(st, n)
+func (s *Store) leafEstimate(n *Node) (float64, map[string]float64, string) {
+	size, dist := s.nodeEstimate(n)
 	if len(n.Patterns) < 2 {
 		// Cross-query seeding: a previous execution of the same
 		// (predicate, constant) subpattern recorded its exact
@@ -116,22 +113,22 @@ func (s *Store) leafEstimate(st *stats.Collection, n *Node) (float64, map[string
 		}
 		return size, dist, plan.EstIndep
 	}
-	pids, boundSel, ok := s.groupPreds(st, n)
+	pids, boundSel, ok := s.groupPreds(n)
 	if !ok {
 		return size, dist, plan.EstIndep
 	}
 	switch n.Kind {
 	case NodePT:
-		if subj, rows, ok := st.StarEstimate(pids); ok {
+		if subj, rows, ok := s.stats.StarEstimate(pids); ok {
 			rows *= boundSel
 			minDist(dist, n.Key, subj*boundSel)
 			return rows, dist, plan.EstCSet
 		}
-		if rows, ok := pairLeafEstimate(st, pids, stats.JoinSS, boundSel, dist, n.Key); ok {
+		if rows, ok := pairLeafEstimate(s.stats, pids, stats.JoinSS, boundSel, dist, n.Key); ok {
 			return rows, dist, plan.EstSketch
 		}
 	case NodeIPT:
-		if rows, ok := pairLeafEstimate(st, pids, stats.JoinOO, boundSel, dist, n.Key); ok {
+		if rows, ok := pairLeafEstimate(s.stats, pids, stats.JoinOO, boundSel, dist, n.Key); ok {
 			return rows, dist, plan.EstSketch
 		}
 	}
@@ -168,7 +165,7 @@ func minDist(dist map[string]float64, v string, d float64) {
 // ok is false when a predicate is variable or unknown, or when value
 // variables repeat — shapes whose scan applies equality constraints
 // the star statistics cannot see.
-func (s *Store) groupPreds(st *stats.Collection, n *Node) (pids []rdf.ID, boundSel float64, ok bool) {
+func (s *Store) groupPreds(n *Node) (pids []rdf.ID, boundSel float64, ok bool) {
 	boundSel = 1
 	seenVars := map[string]bool{n.Key: true}
 	for _, tp := range n.Patterns {
@@ -180,7 +177,7 @@ func (s *Store) groupPreds(st *stats.Collection, n *Node) (pids []rdf.ID, boundS
 			return nil, 0, false
 		}
 		pids = append(pids, pid)
-		ps := st.Predicate(pid)
+		ps := s.stats.Predicate(pid)
 		value := tp.O
 		boundDistinct := float64(ps.DistinctObjects)
 		if n.Kind == NodeIPT {
@@ -285,8 +282,8 @@ func filterSpecs(q *sparql.Query, leaves []plan.Leaf) []plan.FilterSpec {
 }
 
 // planCosts bundles the cluster facts physical selection prices with,
-// reading join sketches from the caller's statistics snapshot.
-func (s *Store) planCosts(st *stats.Collection, r resolved) plan.Costs {
+// reading join sketches from the store's statistics.
+func (s *Store) planCosts(r resolved) plan.Costs {
 	c := plan.Costs{
 		Workers:            s.cluster.Workers(),
 		BroadcastThreshold: max(r.broadcast, 0), // 0: disabled
@@ -295,7 +292,7 @@ func (s *Store) planCosts(st *stats.Collection, r resolved) plan.Costs {
 		// The loader statistics implement the sketch lookup; with join
 		// statistics disabled every lookup reports no sketch and the
 		// estimator falls back to independence everywhere.
-		JoinStats: st,
+		JoinStats: s.stats,
 	}
 	// The assignment is guarded so a plan that may not be rewritten
 	// leaves the interface nil (a typed-nil provider would look non-nil

@@ -25,15 +25,12 @@ const planCacheSize = 256
 // written back over the entry they ran under the same key; obs is what
 // it was re-planned with, accumulated over every correction, so a
 // further correction only ever adds to it. Executions hitting it do not
-// repeat the estimation mistake. gen records the cache generation the
-// entry was written in; a statistics reload bumps the generation and
-// strands older entries.
+// repeat the estimation mistake.
 type cachedPlan struct {
 	nodes     []*Node
 	plan      *plan.Plan
 	obs       plan.Observed
 	corrected bool
-	gen       uint64
 }
 
 // CacheMetrics is a point-in-time snapshot of plan-cache behaviour.
@@ -51,9 +48,6 @@ type CacheMetrics struct {
 	FeedbackHits uint64
 	// CorrectedEntries is the current number of corrected plans held.
 	CorrectedEntries int
-	// Generation is the statistics generation the cache is serving;
-	// entries written under an older generation are treated as misses.
-	Generation uint64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
@@ -75,7 +69,6 @@ type planCache struct {
 	max          int
 	entries      map[string]*cachedPlan
 	order        []string // insertion order, for FIFO eviction
-	gen          uint64   // statistics generation; bumped on reload
 	hits         uint64
 	misses       uint64
 	evictions    uint64
@@ -87,47 +80,29 @@ func newPlanCache(max int) *planCache {
 	return &planCache{max: max, entries: make(map[string]*cachedPlan)}
 }
 
-// get looks a key up, counting the hit or miss. An entry written under
-// an older statistics generation is dropped and reported as a miss —
-// its plan (and, for corrected entries, its observed cardinalities)
-// describes data that no longer exists.
+// get looks a key up, counting the hit or miss.
 func (c *planCache) get(key string) (*cachedPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
-	if ok && e.gen != c.gen {
-		delete(c.entries, key)
-		// Drop the key's FIFO slot too: leaving it would let a later
-		// re-insert of the same key hold two slots, and eviction would
-		// then pop the stale slot and delete the live entry early.
-		for i, k := range c.order {
-			if k == key {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
-		ok = false
-	}
-	if ok {
-		c.hits++
-		if e.corrected {
-			c.feedbackHits++
-		}
-	} else {
+	if !ok {
 		c.misses++
-		e = nil
+		return nil, false
 	}
-	return e, ok
+	c.hits++
+	if e.corrected {
+		c.feedbackHits++
+	}
+	return e, true
 }
 
-// put inserts an entry stamped with the current generation, evicting
-// the oldest insertions beyond the bound. Re-inserting an existing key
+// put inserts an entry, evicting the oldest insertions beyond the
+// bound. Re-inserting an existing key
 // (the feedback write-back path) replaces the entry in place without
 // consuming a new FIFO slot.
 func (c *planCache) put(key string, e *cachedPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e.gen = c.gen
 	if _, exists := c.entries[key]; !exists {
 		c.order = append(c.order, key)
 	}
@@ -142,28 +117,13 @@ func (c *planCache) put(key string, e *cachedPlan) {
 	}
 }
 
-// bumpGeneration advances the statistics generation and purges the
-// cache outright: every existing entry — static plans keyed on the old
-// fingerprint, corrected plans re-planned from observations of the old
-// data — is a guaranteed miss under the new
-// generation, so dropping them eagerly frees the memory and keeps the
-// metrics consistent. The generation check in get remains as a
-// defensive backstop.
-func (c *planCache) bumpGeneration() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	c.entries = make(map[string]*cachedPlan)
-	c.order = nil
-}
-
 // metrics snapshots the counters.
 func (c *planCache) metrics() CacheMetrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	corrected := 0
 	for _, e := range c.entries {
-		if e.corrected && e.gen == c.gen {
+		if e.corrected {
 			corrected++
 		}
 	}
@@ -174,21 +134,20 @@ func (c *planCache) metrics() CacheMetrics {
 		Entries:          len(c.entries),
 		FeedbackHits:     c.feedbackHits,
 		CorrectedEntries: corrected,
-		Generation:       c.gen,
 	}
 }
 
 // planCacheKey renders everything a plan depends on into a lookup key:
 // the BGP patterns and filters in written order, the effective
 // projection and DISTINCT flag, the strategy, planner mode and
-// broadcast threshold, the loader-statistics fingerprint (so a
-// statistics reload invalidates every previously cached plan), the
-// workload epoch (so a plan priced before a reduction was installed,
-// evicted, or a scan cardinality first observed never outlives that
-// state), and whether the planner was offered the ExtVP provider (a
-// sharded query is not: a rewritten and an unrewritten plan must never
-// share an entry). Written pattern order is kept for every mode — the naive
-// planner keys on it outright, and the heuristic/cost orderings break
+// broadcast threshold, the workload epoch (so a plan priced before a
+// reduction was installed, evicted, or a scan cardinality first
+// observed never outlives that state), and whether the planner was
+// offered the ExtVP provider (a sharded query is not: a rewritten and
+// an unrewritten plan must never share an entry). The loader statistics
+// need no segment: Load sets them once, for the store's whole life.
+// Written pattern order is kept for every mode — the naive planner keys
+// on it outright, and the heuristic/cost orderings break
 // estimate ties by translation order, so two equivalent queries
 // written differently may legitimately plan differently and must not
 // share an entry. Extended queries additionally key on the full
@@ -200,12 +159,11 @@ func (c *planCache) metrics() CacheMetrics {
 // The key is appended into a buffer on the stack, every term through
 // rdf.Term.AppendNTriples, so a lookup allocates once — the key string —
 // unless the key outgrows the buffer.
-func planCacheKey(q *sparql.Query, r resolved, statsFP, wlEpoch uint64) string {
+func planCacheKey(q *sparql.Query, r resolved, wlEpoch uint64) string {
 	var buf [planKeyBuffer]byte
 	b := append(buf[:0], r.mode.String()...)
 	b = append(append(b, '|'), r.strategy.String()...)
 	b = strconv.AppendInt(append(b, '|'), r.broadcastOpt, 10)
-	b = strconv.AppendUint(append(b, '|'), statsFP, 16)
 	b = strconv.AppendUint(append(b, '|'), wlEpoch, 10)
 	if r.extvp {
 		b = append(b, "+extvp"...)

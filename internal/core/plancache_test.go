@@ -14,15 +14,13 @@ import (
 // legacyPlanCacheKey is planCacheKey as it was rendered through
 // fmt.Sprintf and strings.Builder — the reference the appended key must
 // equal byte for byte.
-func legacyPlanCacheKey(q *sparql.Query, r resolved, statsFP, wlEpoch uint64) string {
+func legacyPlanCacheKey(q *sparql.Query, r resolved, wlEpoch uint64) string {
 	var sb strings.Builder
 	sb.WriteString(r.mode.String())
 	sb.WriteByte('|')
 	sb.WriteString(r.strategy.String())
 	sb.WriteByte('|')
 	sb.WriteString(strconv.FormatInt(r.broadcastOpt, 10))
-	sb.WriteByte('|')
-	sb.WriteString(strconv.FormatUint(statsFP, 16))
 	sb.WriteByte('|')
 	sb.WriteString(strconv.FormatUint(wlEpoch, 10))
 	if r.extvp {
@@ -154,7 +152,7 @@ var keyOptions = []resolved{
 	{mode: plan.ModeCostLeftDeep, strategy: StrategyVPOnly, broadcastOpt: 1 << 20},
 }
 
-const keyFP, keyEpoch = 0xfeedface12345678, 42
+const keyEpoch = 42
 
 // TestPlanCacheKeyMatchesLegacyRendering: the key appended term by term
 // is byte-identical to the old fmt rendering for every WatDiv and
@@ -176,7 +174,7 @@ func TestPlanCacheKeyMatchesLegacyRendering(t *testing.T) {
 	}
 	for _, wq := range queries {
 		for oi, r := range keyOptions {
-			got, want := planCacheKey(wq.Parsed, r, keyFP, keyEpoch), legacyPlanCacheKey(wq.Parsed, r, keyFP, keyEpoch)
+			got, want := planCacheKey(wq.Parsed, r, keyEpoch), legacyPlanCacheKey(wq.Parsed, r, keyEpoch)
 			if got != want {
 				t.Fatalf("%s, options %d: key\n%q\nwant\n%q", wq.Name, oi, got, want)
 			}
@@ -190,7 +188,7 @@ func TestPlanCacheKeyAllocatesOnce(t *testing.T) {
 	for _, wq := range append(watdiv.BasicQuerySet(), watdiv.ExtendedQuerySet()...) {
 		for _, r := range keyOptions {
 			var key string
-			if a := testing.AllocsPerRun(10, func() { key = planCacheKey(wq.Parsed, r, keyFP, keyEpoch) }); a > 1 {
+			if a := testing.AllocsPerRun(10, func() { key = planCacheKey(wq.Parsed, r, keyEpoch) }); a > 1 {
 				t.Errorf("%s: building its %d-byte key allocates %.0f times, want 1", wq.Name, len(key), a)
 			}
 		}

@@ -269,7 +269,7 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 	var totalWrite int64
 	for pi, f := range files {
 		path := fmt.Sprintf("%s/part-%05d.parquet", prefix, pi)
-		if _, err := s.fs.Write(path, f.file); err != nil {
+		if err := s.fs.Write(path, f.file); err != nil {
 			return nil, err
 		}
 		t.numKeys += f.keys
@@ -284,7 +284,7 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 	// Charge: one wide shuffle (every triple moves to its key's
 	// partition) plus the replicated write.
 	shuffleBytes := int64(len(s.triples)) * 3 * 5
-	writeBytes := totalWrite * int64(replicationOf(s))
+	writeBytes := totalWrite * int64(s.fs.Replication())
 	err = s.cluster.RunStage(clock, s.cluster.Config().Cost.SQLStageLaunch, "build "+what, s.parts, func(p int) (cluster.TaskStats, error) {
 		return cluster.TaskStats{
 			Rows:      int64(len(s.triples)) / int64(s.parts),

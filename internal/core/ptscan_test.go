@@ -753,7 +753,7 @@ func TestPTStreamExaminesEachCandidateOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entry, _, err := s.planEntry(s.statsSnap.Load(), q, r)
+		entry, _, err := s.planEntry(q, r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -37,10 +36,10 @@ const (
 // replaced computed for that combination (QueryContext's in-flight
 // option rewriting, chunkSize(), offersExtVP, the fault-plan and
 // broadcast-threshold defaulting), and the plan-cache key it looked the
-// plan up under: the keys were recorded from a run of that code (%FP%
-// stands for the statistics fingerprint; the re-plan bound's segment is
-// gone with the option) and must stay string-equal, so no cached plan is
-// ever shared or split differently.
+// plan up under: the keys were recorded from a run of that code (the
+// re-plan bound's segment is gone with the option, the statistics
+// fingerprint's with statistics reloads) and must stay string-equal, so
+// no cached plan is ever shared or split differently.
 func TestResolveTable(t *testing.T) {
 	queryFaults := &cluster.FaultPlan{Seed: 8, StragglerRate: 0.3}
 	stores := map[string]Options{
@@ -50,7 +49,7 @@ func TestResolveTable(t *testing.T) {
 	// Keys shared by several rows.
 	const (
 		keyTail     = "||u,v|?u <http://example.org/follows> ?v\n?v <http://example.org/likes> ?p\n|"
-		keyDefault  = "cost|mixed|0|%FP%|0" + keyTail
+		keyDefault  = "cost|mixed|0|0" + keyTail
 		keyExtended = keyDefault + "|ext|SELECT ?u ?v WHERE {\n  ?u <http://example.org/follows> ?v .\n  ?v <http://example.org/likes> ?p .\n}\nORDER BY ASC(?u)\nLIMIT 2"
 	)
 	rows := []struct {
@@ -161,12 +160,11 @@ func TestResolveTable(t *testing.T) {
 				t.Errorf("resolved\n got %+v\nwant %+v", got, want)
 			}
 
-			snap := s.statsSnap.Load()
-			wantKey := strings.Replace(row.key, "%FP%", strconv.FormatUint(snap.fp, 16), 1)
-			if key := planCacheKey(q, got, snap.fp, s.workloadEpoch()); got.cacheable && key != wantKey {
+			wantKey := row.key
+			if key := planCacheKey(q, got, s.workloadEpoch()); got.cacheable && key != wantKey {
 				t.Errorf("plan-cache key\n got %q\nwant %q", key, wantKey)
 			}
-			_, key, err := s.planEntry(snap, q, got)
+			_, key, err := s.planEntry(q, got)
 			if row.name == "mixed+ipt without the inverse PT" {
 				if err == nil || err.Error() != "core: StrategyMixedIPT requires a store loaded with BuildInversePT" {
 					t.Errorf("planning mixed+ipt without the inverse PT: %v", err)

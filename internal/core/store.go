@@ -120,11 +120,9 @@ type Store struct {
 	dict    *rdf.Dictionary
 	parts   int
 
-	// statsSnap holds the current loader statistics and their
-	// fingerprint behind one atomic pointer, so a statistics reload
-	// (swapStats) is safe under in-flight queries: every reader sees a
-	// consistent (collection, fingerprint) pair.
-	statsSnap atomic.Pointer[statsSnapshot]
+	// stats are the loader statistics, collected once by Load and never
+	// replaced.
+	stats *stats.Collection
 
 	// vp maps predicate ID → its Vertical Partitioning table.
 	vp map[rdf.ID]*VPTable
@@ -146,9 +144,7 @@ type Store struct {
 	inputBytes int64
 	rowsRead   int
 
-	// planCache memoizes physical plans across queries; its keys embed
-	// the loader-statistics fingerprint, so replacing the statistics
-	// invalidates every cached plan.
+	// planCache memoizes physical plans across queries.
 	planCache *planCache
 
 	// workload is the cross-query workload model: mined predicate
@@ -264,43 +260,8 @@ type LoadReport struct {
 // decoding and the benchmark harness).
 func (s *Store) Dictionary() *rdf.Dictionary { return s.dict }
 
-// statsSnapshot pairs a statistics collection with its fingerprint.
-type statsSnapshot struct {
-	col *stats.Collection
-	fp  uint64
-}
-
 // Stats exposes the loader-time statistics.
-func (s *Store) Stats() *stats.Collection { return s.curStats() }
-
-// curStats returns the current statistics collection.
-func (s *Store) curStats() *stats.Collection { return s.statsSnap.Load().col }
-
-// statsFingerprint returns the current collection's content hash — the
-// component of every plan-cache key that ties a plan to the statistics
-// (including join sketches) it was priced with.
-func (s *Store) statsFingerprint() uint64 { return s.statsSnap.Load().fp }
-
-// swapStats replaces the loader statistics and refreshes their
-// fingerprint. Cached plans keyed on the old fingerprint become
-// unreachable, and the plan cache's generation counter advances so any
-// entry from the old statistics era — including corrected feedback
-// plans, re-planned from observations of the old data —
-// is invalidated outright. Safe to call with queries in flight: the
-// snapshot swap is atomic, in-flight executions keep the collection
-// they started with, and any entry such an execution writes back is
-// either stranded by the generation bump (written before it) or keyed
-// on the old fingerprint (unreachable after it).
-func (s *Store) swapStats(st *stats.Collection) {
-	s.statsSnap.Store(&statsSnapshot{col: st, fp: st.Fingerprint()})
-	s.planCache.bumpGeneration()
-	if s.workload != nil {
-		// Reductions and observed cardinalities describe the old data;
-		// the generation bump also strands any build still running on
-		// another query's goroutine.
-		s.dropExtVP(s.workload.Invalidate())
-	}
-}
+func (s *Store) Stats() *stats.Collection { return s.stats }
 
 // LoadReport returns the loading summary.
 func (s *Store) LoadReport() LoadReport { return s.load }
@@ -421,18 +382,14 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 	// overhead": one extra pass). Join-graph statistics (characteristic
 	// sets + pair sketches) ride the same subject-grouped layout the
 	// Property Table build needs and cost one more pass over the rows.
-	var col *stats.Collection
 	if opts.DisableJoinStats {
-		col = stats.Collect(s.triples)
+		s.stats = stats.Collect(s.triples)
 		clock.Charge("statistics", time.Duration(len(s.triples))*s.cluster.Config().Cost.RowTime)
 	} else {
-		col = stats.CollectJoinStats(s.triples, stats.Config{CSets: true})
+		s.stats = stats.CollectJoinStats(s.triples, stats.Config{CSets: true})
 		clock.Charge("statistics", time.Duration(len(s.triples))*s.cluster.Config().Cost.RowTime)
 		clock.Charge("join statistics", time.Duration(len(s.triples))*s.cluster.Config().Cost.RowTime)
 	}
-	// The first statistics invalidate nothing, so the plan cache starts
-	// at generation 0; swapStats is for replacing them.
-	s.statsSnap.Store(&statsSnapshot{col: col, fp: col.Fingerprint()})
 
 	if opts.ExtVPBudget > 0 {
 		s.workload = workload.New(workload.Config{

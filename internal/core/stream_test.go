@@ -490,7 +490,7 @@ func TestStreamingLateHelper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entry, _, err := s.planEntry(s.statsSnap.Load(), q.Parsed, r)
+		entry, _, err := s.planEntry(q.Parsed, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -672,7 +672,7 @@ func streamWithResidualFilters(t *testing.T, s *Store, q *sparql.Query, opts Que
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	entry, _, err := s.planEntry(s.statsSnap.Load(), q, r)
+	entry, _, err := s.planEntry(q, r)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -784,7 +784,7 @@ func TestStreamingHandBackIsReported(t *testing.T) {
 	if err != nil || !r.cacheable || !r.streaming {
 		t.Fatalf("resolve: %+v err=%v", r, err)
 	}
-	entry, key, err := s.planEntry(s.statsSnap.Load(), q, r)
+	entry, key, err := s.planEntry(q, r)
 	if err != nil {
 		t.Fatalf("planEntry: %v", err)
 	}

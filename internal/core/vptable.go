@@ -99,7 +99,7 @@ func vpFileSizes(dict *rdf.Dictionary, parts []engine.Block) []int64 {
 func writeVPFiles(fs *hdfs.FS, dir string, sizes []int64) (int64, error) {
 	var total int64
 	for p, size := range sizes {
-		if _, err := fs.Write(fmt.Sprintf("%s/part-%05d.parquet", dir, p), size); err != nil {
+		if err := fs.Write(fmt.Sprintf("%s/part-%05d.parquet", dir, p), size); err != nil {
 			return 0, err
 		}
 		total += size
@@ -117,7 +117,7 @@ func writeVPFiles(fs *hdfs.FS, dir string, sizes []int64) (int64, error) {
 // triples counts them, a second writes every (s,o) pair straight into
 // its partition, in input order.
 func (s *Store) buildVP(clock *cluster.Clock) error {
-	s.predOrder = sortedPredicates(s.dict, s.curStats())
+	s.predOrder = sortedPredicates(s.dict, s.stats)
 	slot := make(map[rdf.ID]int, len(s.predOrder))
 	for i, pred := range s.predOrder {
 		slot[pred] = i * s.parts
@@ -161,8 +161,8 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 		s.vp[pred] = &VPTable{Pred: pred, Rel: rel, FileBytes: fileBytes}
 		s.vpBytes += fileBytes
 		rows := int64(rel.NumRows())
-		totalShuffleBytes += rows * 2 * 5                      // rows repartitioned by subject
-		totalWriteBytes += fileBytes * int64(replicationOf(s)) // replicated write
+		totalShuffleBytes += rows * 2 * 5                        // rows repartitioned by subject
+		totalWriteBytes += fileBytes * int64(s.fs.Replication()) // replicated write
 		totalRows += rows
 	}
 
@@ -177,6 +177,3 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 		}, nil
 	})
 }
-
-// replicationOf returns the store's HDFS replication factor.
-func replicationOf(s *Store) int { return s.fs.Config().Replication }

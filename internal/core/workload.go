@@ -55,12 +55,11 @@ type reduction struct {
 // materializes the semi-join reduction of pred's VP table against
 // partner at pos — the rows of pred whose join-position value occurs
 // anywhere in partner's full table — re-partitioned by subject and
-// written to HDFS under a generation-stamped path, so a build racing a
-// statistics reload never collides with the next generation's files.
-// It runs on the goroutine of the query whose mining crossed the build
-// threshold, concurrently with other queries and builds; everything it
-// reads (the VP relations, the dictionary) is immutable after Load.
-func (s *Store) buildExtVPTable(pred, partner uint64, pos uint8, gen uint64) (workload.Table, bool) {
+// written to HDFS. It runs on the goroutine of the query whose mining
+// crossed the build threshold, concurrently with other queries and
+// builds; everything it reads (the VP relations, the dictionary) is
+// immutable after Load.
+func (s *Store) buildExtVPTable(pred, partner uint64, pos uint8) (workload.Table, bool) {
 	base := s.vp[rdf.ID(pred)]
 	other := s.vp[rdf.ID(partner)]
 	if base == nil || other == nil {
@@ -83,7 +82,7 @@ func (s *Store) buildExtVPTable(pred, partner uint64, pos uint8, gen uint64) (wo
 	// usually far smaller than its source, and per-partition file
 	// overhead plus cross-partition term-dictionary duplication would
 	// swallow most of the byte savings the scan price is based on.
-	dir := fmt.Sprintf("%s/extvp/g%d/p%d_p%d_%d", s.opts.PathPrefix, gen, pred, partner, pos)
+	dir := fmt.Sprintf("%s/extvp/p%d_p%d_%d", s.opts.PathPrefix, pred, partner, pos)
 	fileBytes, err := WriteVPFiles(s.fs, s.dict, dir, []engine.Block{rows})
 	if err != nil {
 		return workload.Table{}, false
@@ -121,8 +120,8 @@ func (p extvpCosts) ExtVPTable(pred, partner uint64, pos uint8) (int64, int64, b
 
 // extvpTable resolves a rewritten scan's reduction against the live
 // model at execution time, counting the hit. ok=false — the table was
-// evicted or invalidated after planning — sends the scan back to the
-// full VP table, a superset, so results are unchanged either way.
+// evicted after planning — sends the scan back to the full VP table, a
+// superset, so results are unchanged either way.
 func (s *Store) extvpTable(ref *plan.ExtVPRef) (*VPTable, string, bool) {
 	if s.workload == nil {
 		return nil, "", false

@@ -1,9 +1,8 @@
 // Package hdfs simulates the Hadoop Distributed File System layer the
-// paper's systems store their tables in: files are split into blocks,
-// blocks are replicated across data nodes, and readers are charged for
-// the bytes they stream. The simulator tracks logical sizes (what the
-// paper's Table 1 reports) and physical sizes (logical × replication),
-// and provides the per-node usage view used to sanity-check placement.
+// paper's systems store their tables in. It records each file's path
+// and logical size — what the paper's Table 1 reports — and the
+// replication factor writers price their writes at: HDFS stores every
+// byte Replication times.
 package hdfs
 
 import (
@@ -13,48 +12,22 @@ import (
 	"sync"
 )
 
-// DefaultBlockSize is the HDFS default block size (128 MiB).
-const DefaultBlockSize = 128 << 20
+// Replication is HDFS's default block replication factor. A deployment
+// with fewer data nodes stores one copy per node.
+const Replication = 3
 
 // Config describes the simulated HDFS deployment.
 type Config struct {
 	// DataNodes is the number of storage nodes (the paper's cluster has
 	// 10 machines; HDFS runs on all of them).
 	DataNodes int
-	// BlockSize is the file split granularity; 0 means DefaultBlockSize.
-	BlockSize int64
-	// Replication is the block replication factor; 0 means 3, and the
-	// effective factor is capped at DataNodes.
-	Replication int
-}
-
-// Block is one replicated block of a file.
-type Block struct {
-	// Index is the block's position within its file.
-	Index int
-	// Size is the block's byte length (≤ BlockSize).
-	Size int64
-	// Replicas lists the data nodes holding a copy.
-	Replicas []int
-}
-
-// FileInfo describes one stored file.
-type FileInfo struct {
-	// Path is the file's absolute path.
-	Path string
-	// Size is the file's logical byte length.
-	Size int64
-	// Blocks is the file's block list in order.
-	Blocks []Block
 }
 
 // FS is the simulated filesystem. It is safe for concurrent use.
 type FS struct {
-	cfg      Config
-	mu       sync.RWMutex
-	files    map[string]*FileInfo
-	nodeUsed []int64
-	nextNode int
+	replication int
+	mu          sync.RWMutex
+	files       map[string]int64 // path → logical size
 }
 
 // New returns an empty filesystem.
@@ -62,111 +35,35 @@ func New(cfg Config) (*FS, error) {
 	if cfg.DataNodes <= 0 {
 		return nil, fmt.Errorf("hdfs: DataNodes must be positive, got %d", cfg.DataNodes)
 	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = DefaultBlockSize
-	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = 3
-	}
-	if cfg.Replication > cfg.DataNodes {
-		cfg.Replication = cfg.DataNodes
-	}
-	return &FS{
-		cfg:      cfg,
-		files:    make(map[string]*FileInfo),
-		nodeUsed: make([]int64, cfg.DataNodes),
-	}, nil
+	return &FS{replication: min(Replication, cfg.DataNodes), files: make(map[string]int64)}, nil
 }
 
-// MustNew is New that panics on error; for tests and fixtures.
-func MustNew(cfg Config) *FS {
-	fs, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return fs
-}
+// Replication returns the number of copies a written byte is stored as:
+// Replication, capped at the number of data nodes.
+func (fs *FS) Replication() int { return fs.replication }
 
-// Config returns the deployment configuration (with defaults applied).
-func (fs *FS) Config() Config { return fs.cfg }
-
-// Write stores a file of the given logical size, splitting it into
-// blocks and placing replicas round-robin (a simplification of HDFS's
-// rack-aware placement that preserves its load-balancing effect).
-// Writing an existing path overwrites it.
-func (fs *FS) Write(path string, size int64) (*FileInfo, error) {
+// Write stores a file of the given logical size. Writing an existing
+// path overwrites it.
+func (fs *FS) Write(path string, size int64) error {
 	if path == "" || !strings.HasPrefix(path, "/") {
-		return nil, fmt.Errorf("hdfs: path %q must be absolute", path)
+		return fmt.Errorf("hdfs: path %q must be absolute", path)
 	}
 	if size < 0 {
-		return nil, fmt.Errorf("hdfs: negative size %d for %q", size, path)
+		return fmt.Errorf("hdfs: negative size %d for %q", size, path)
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if old, ok := fs.files[path]; ok {
-		fs.releaseLocked(old)
-	}
-	fi := &FileInfo{Path: path, Size: size}
-	remaining := size
-	for idx := 0; remaining > 0 || idx == 0; idx++ {
-		bs := fs.cfg.BlockSize
-		if remaining < bs {
-			bs = remaining
-		}
-		replicas := make([]int, fs.cfg.Replication)
-		for r := 0; r < fs.cfg.Replication; r++ {
-			node := (fs.nextNode + r) % fs.cfg.DataNodes
-			replicas[r] = node
-			fs.nodeUsed[node] += bs
-		}
-		fs.nextNode = (fs.nextNode + 1) % fs.cfg.DataNodes
-		fi.Blocks = append(fi.Blocks, Block{Index: idx, Size: bs, Replicas: replicas})
-		remaining -= bs
-		if remaining <= 0 {
-			break
-		}
-	}
-	fs.files[path] = fi
-	return fi, nil
+	fs.files[path] = size
+	return nil
 }
 
-// releaseLocked returns an overwritten/deleted file's bytes to the nodes.
-func (fs *FS) releaseLocked(fi *FileInfo) {
-	for _, b := range fi.Blocks {
-		for _, node := range b.Replicas {
-			fs.nodeUsed[node] -= b.Size
-		}
-	}
-}
-
-// Stat returns the file's metadata.
-func (fs *FS) Stat(path string) (*FileInfo, error) {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	fi, ok := fs.files[path]
-	if !ok {
-		return nil, fmt.Errorf("hdfs: no such file %q", path)
-	}
-	return fi, nil
-}
-
-// Exists reports whether the path is stored.
-func (fs *FS) Exists(path string) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.files[path]
-	return ok
-}
-
-// Delete removes a file, freeing its replicas.
+// Delete removes a file.
 func (fs *FS) Delete(path string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fi, ok := fs.files[path]
-	if !ok {
+	if _, ok := fs.files[path]; !ok {
 		return fmt.Errorf("hdfs: no such file %q", path)
 	}
-	fs.releaseLocked(fi)
 	delete(fs.files, path)
 	return nil
 }
@@ -191,34 +88,10 @@ func (fs *FS) LogicalBytes(prefix string) int64 {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	var total int64
-	for p, fi := range fs.files {
+	for p, size := range fs.files {
 		if strings.HasPrefix(p, prefix) {
-			total += fi.Size
+			total += size
 		}
 	}
 	return total
-}
-
-// PhysicalBytes returns the replicated storage consumed under a prefix.
-func (fs *FS) PhysicalBytes(prefix string) int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var total int64
-	for p, fi := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			for _, b := range fi.Blocks {
-				total += b.Size * int64(len(b.Replicas))
-			}
-		}
-	}
-	return total
-}
-
-// NodeUsage returns per-node stored bytes (replicas included).
-func (fs *FS) NodeUsage() []int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	out := make([]int64, len(fs.nodeUsed))
-	copy(out, fs.nodeUsed)
-	return out
 }

@@ -2,17 +2,12 @@ package hdfs
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestNewConfigDefaults(t *testing.T) {
-	fs := MustNew(Config{DataNodes: 10})
-	cfg := fs.Config()
-	if cfg.BlockSize != DefaultBlockSize {
-		t.Errorf("BlockSize = %d, want default", cfg.BlockSize)
-	}
-	if cfg.Replication != 3 {
-		t.Errorf("Replication = %d, want 3", cfg.Replication)
+	fs := mustNew(t, 10)
+	if got := fs.Replication(); got != 3 {
+		t.Errorf("Replication = %d, want 3", got)
 	}
 }
 
@@ -23,95 +18,63 @@ func TestNewErrors(t *testing.T) {
 }
 
 func TestReplicationCappedAtNodes(t *testing.T) {
-	fs := MustNew(Config{DataNodes: 2, Replication: 5})
-	if fs.Config().Replication != 2 {
-		t.Errorf("Replication = %d, want capped at 2", fs.Config().Replication)
-	}
-}
-
-func TestWriteSplitsIntoBlocks(t *testing.T) {
-	fs := MustNew(Config{DataNodes: 4, BlockSize: 100, Replication: 2})
-	fi, err := fs.Write("/data/file1", 250)
-	if err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if len(fi.Blocks) != 3 {
-		t.Fatalf("blocks = %d, want 3", len(fi.Blocks))
-	}
-	sizes := []int64{100, 100, 50}
-	for i, b := range fi.Blocks {
-		if b.Size != sizes[i] {
-			t.Errorf("block %d size = %d, want %d", i, b.Size, sizes[i])
-		}
-		if len(b.Replicas) != 2 {
-			t.Errorf("block %d has %d replicas, want 2", i, len(b.Replicas))
-		}
-		if b.Replicas[0] == b.Replicas[1] {
-			t.Errorf("block %d replicas on the same node", i)
-		}
+	if got := mustNew(t, 2).Replication(); got != 2 {
+		t.Errorf("Replication = %d, want capped at 2", got)
 	}
 }
 
 func TestWriteEmptyFile(t *testing.T) {
-	fs := MustNew(Config{DataNodes: 2})
-	fi, err := fs.Write("/empty", 0)
-	if err != nil {
-		t.Fatalf("Write: %v", err)
+	fs := mustNew(t, 2)
+	mustWrite(t, fs, "/empty", 0)
+	if got := fs.ListPrefix("/"); len(got) != 1 || got[0] != "/empty" {
+		t.Errorf("ListPrefix = %v, want the empty file", got)
 	}
-	if fi.Size != 0 || len(fi.Blocks) != 1 || fi.Blocks[0].Size != 0 {
-		t.Errorf("empty file info = %+v", fi)
+	if got := fs.LogicalBytes("/"); got != 0 {
+		t.Errorf("LogicalBytes = %d, want 0", got)
 	}
 }
 
 func TestWriteErrors(t *testing.T) {
-	fs := MustNew(Config{DataNodes: 2})
-	if _, err := fs.Write("relative/path", 10); err == nil {
+	fs := mustNew(t, 2)
+	if err := fs.Write("relative/path", 10); err == nil {
 		t.Errorf("Write with relative path succeeded")
 	}
-	if _, err := fs.Write("", 10); err == nil {
+	if err := fs.Write("", 10); err == nil {
 		t.Errorf("Write with empty path succeeded")
 	}
-	if _, err := fs.Write("/x", -1); err == nil {
+	if err := fs.Write("/x", -1); err == nil {
 		t.Errorf("Write with negative size succeeded")
 	}
 }
 
-func TestStatExistsDelete(t *testing.T) {
-	fs := MustNew(Config{DataNodes: 3})
-	if fs.Exists("/a") {
-		t.Errorf("Exists before write")
+func TestDelete(t *testing.T) {
+	fs := mustNew(t, 3)
+	if err := fs.Delete("/a"); err == nil {
+		t.Errorf("Delete before write succeeded")
 	}
-	if _, err := fs.Stat("/a"); err == nil {
-		t.Errorf("Stat before write succeeded")
-	}
-	if _, err := fs.Write("/a", 10); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	fi, err := fs.Stat("/a")
-	if err != nil || fi.Size != 10 {
-		t.Errorf("Stat = %+v, %v", fi, err)
-	}
+	mustWrite(t, fs, "/a", 10)
+	mustWrite(t, fs, "/b", 5)
 	if err := fs.Delete("/a"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if fs.Exists("/a") {
-		t.Errorf("Exists after delete")
+	if got := fs.ListPrefix("/"); len(got) != 1 || got[0] != "/b" {
+		t.Errorf("ListPrefix after delete = %v, want [/b]", got)
+	}
+	if got := fs.LogicalBytes("/"); got != 5 {
+		t.Errorf("LogicalBytes after delete = %d, want 5", got)
 	}
 	if err := fs.Delete("/a"); err == nil {
 		t.Errorf("double Delete succeeded")
 	}
 }
 
-func TestLogicalAndPhysicalBytes(t *testing.T) {
-	fs := MustNew(Config{DataNodes: 5, BlockSize: 1000, Replication: 3})
+func TestLogicalBytes(t *testing.T) {
+	fs := mustNew(t, 5)
 	mustWrite(t, fs, "/prost/vp/p1", 500)
 	mustWrite(t, fs, "/prost/pt/part0", 1500)
 	mustWrite(t, fs, "/rya/spo", 700)
 	if got := fs.LogicalBytes("/prost/"); got != 2000 {
 		t.Errorf("LogicalBytes(/prost/) = %d, want 2000", got)
-	}
-	if got := fs.PhysicalBytes("/prost/"); got != 6000 {
-		t.Errorf("PhysicalBytes(/prost/) = %d, want 6000", got)
 	}
 	if got := fs.LogicalBytes("/"); got != 2700 {
 		t.Errorf("LogicalBytes(/) = %d, want 2700", got)
@@ -119,28 +82,18 @@ func TestLogicalAndPhysicalBytes(t *testing.T) {
 }
 
 func TestOverwriteReleasesSpace(t *testing.T) {
-	fs := MustNew(Config{DataNodes: 3, BlockSize: 100, Replication: 1})
+	fs := mustNew(t, 3)
 	mustWrite(t, fs, "/f", 300)
-	before := fs.PhysicalBytes("/")
+	before := fs.LogicalBytes("/")
 	mustWrite(t, fs, "/f", 100)
-	after := fs.PhysicalBytes("/")
+	after := fs.LogicalBytes("/")
 	if before != 300 || after != 100 {
-		t.Errorf("physical bytes before/after overwrite = %d/%d, want 300/100", before, after)
-	}
-	var total int64
-	for _, u := range fs.NodeUsage() {
-		total += u
-		if u < 0 {
-			t.Errorf("negative node usage %d", u)
-		}
-	}
-	if total != 100 {
-		t.Errorf("summed node usage = %d, want 100", total)
+		t.Errorf("logical bytes before/after overwrite = %d/%d, want 300/100", before, after)
 	}
 }
 
 func TestListPrefix(t *testing.T) {
-	fs := MustNew(Config{DataNodes: 2})
+	fs := mustNew(t, 2)
 	mustWrite(t, fs, "/b/2", 1)
 	mustWrite(t, fs, "/b/1", 1)
 	mustWrite(t, fs, "/a/1", 1)
@@ -153,55 +106,18 @@ func TestListPrefix(t *testing.T) {
 	}
 }
 
-func TestPlacementBalance(t *testing.T) {
-	// Writing many equal files must spread bytes roughly evenly.
-	fs := MustNew(Config{DataNodes: 5, BlockSize: 10, Replication: 2})
-	for i := 0; i < 100; i++ {
-		mustWrite(t, fs, "/f/"+string(rune('a'+i%26))+string(rune('0'+i/26)), 10)
+func mustNew(t *testing.T, dataNodes int) *FS {
+	t.Helper()
+	fs, err := New(Config{DataNodes: dataNodes})
+	if err != nil {
+		t.Fatal(err)
 	}
-	usage := fs.NodeUsage()
-	for node, u := range usage {
-		if u < 300 || u > 500 {
-			t.Errorf("node %d stores %d bytes; placement unbalanced %v", node, u, usage)
-		}
-	}
-}
-
-func TestPhysicalEqualsLogicalTimesReplication(t *testing.T) {
-	f := func(sizes []uint16) bool {
-		fs := MustNew(Config{DataNodes: 4, BlockSize: 64, Replication: 3})
-		var logical int64
-		for i, s := range sizes {
-			if i > 50 {
-				break
-			}
-			logical += int64(s)
-			if _, err := fs.Write("/p/"+itoa(i), int64(s)); err != nil {
-				return false
-			}
-		}
-		return fs.LogicalBytes("/p/") == logical && fs.PhysicalBytes("/p/") == 3*logical
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
+	return fs
 }
 
 func mustWrite(t *testing.T, fs *FS, path string, size int64) {
 	t.Helper()
-	if _, err := fs.Write(path, size); err != nil {
+	if err := fs.Write(path, size); err != nil {
 		t.Fatalf("Write(%q, %d): %v", path, size, err)
 	}
 }

@@ -5,9 +5,6 @@ type Triple struct {
 	S, P, O Term
 }
 
-// NewTriple is a convenience constructor.
-func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
-
 // String renders the triple as one N-Triples line (without newline).
 func (t Triple) String() string {
 	return string(t.AppendNTriples(nil))
@@ -60,29 +57,3 @@ func (g *Graph) Len() int { return len(g.triples) }
 
 // Triples returns the backing slice. Callers must not mutate it.
 func (g *Graph) Triples() []Triple { return g.triples }
-
-// Predicates returns the distinct predicate terms in first-seen order.
-func (g *Graph) Predicates() []Term {
-	seen := make(map[Term]struct{})
-	var out []Term
-	for _, t := range g.triples {
-		if _, ok := seen[t.P]; !ok {
-			seen[t.P] = struct{}{}
-			out = append(out, t.P)
-		}
-	}
-	return out
-}
-
-// Subjects returns the distinct subject terms in first-seen order.
-func (g *Graph) Subjects() []Term {
-	seen := make(map[Term]struct{})
-	var out []Term
-	for _, t := range g.triples {
-		if _, ok := seen[t.S]; !ok {
-			seen[t.S] = struct{}{}
-			out = append(out, t.S)
-		}
-	}
-	return out
-}

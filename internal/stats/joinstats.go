@@ -565,8 +565,8 @@ func (c *Collection) JoinStatsSummary() (JoinStatsSummary, bool) {
 }
 
 // fingerprintJoins mixes the join-graph statistics into a collection
-// fingerprint, so enabling, disabling or re-bounding them invalidates
-// cached plans exactly like a data change would.
+// fingerprint, so enabling, disabling or re-bounding them changes it
+// exactly like a data change would.
 func (j *JoinStats) fingerprint(mix func(uint64)) {
 	if j == nil {
 		mix(0)

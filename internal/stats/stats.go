@@ -68,8 +68,8 @@ func Collect(triples []rdf.EncodedTriple) *Collection {
 // Fingerprint returns a content hash of the collection: two
 // collections computed from the same data fingerprint identically, and
 // any change to a count changes the hash with overwhelming
-// probability. Plan caches key on it so cached plans are invalidated
-// the moment the loader statistics they were priced with change.
+// probability. A shard's handshake compares it with its coordinator's,
+// so two processes never plan over statistics of different data.
 func (c *Collection) Fingerprint() uint64 {
 	const (
 		offset = 14695981039346656037

@@ -15,13 +15,10 @@
 // callback that materializes one directional reduction and returns its
 // exact row count, byte footprint and an opaque handle the executor
 // later resolves. Every method that drops tables returns them, so the
-// owner can release their storage. Invalidation is generational — a
-// stats reload bumps the generation, dropping every table and
-// discarding any build still running on another goroutine — and every
-// externally visible change (table installed, table evicted,
-// invalidation, first observation of a subpattern) bumps a separate
-// epoch counter that plan-cache keys incorporate, so cached plans never
-// outlive the workload state they were priced against.
+// owner can release their storage. Every externally visible change
+// (table installed, table evicted, first observation of a subpattern)
+// bumps an epoch counter that plan-cache keys incorporate, so cached
+// plans never outlive the workload state they were priced against.
 package workload
 
 import (
@@ -59,8 +56,8 @@ type TableKey struct {
 // goroutine of the query whose observation earned the build, with the
 // model unlocked, so it must be safe to run concurrently with other
 // queries and other builds. It returns ok=false when the reduction is
-// not worth keeping (empty, or the predicate vanished after a reload).
-type Builder func(pred, partner uint64, pos uint8, gen uint64) (Table, bool)
+// not worth keeping.
+type Builder func(pred, partner uint64, pos uint8) (Table, bool)
 
 // Config tunes a Model.
 type Config struct {
@@ -113,7 +110,6 @@ type Model struct {
 	tables map[TableKey]*tableEntry
 	bytes  int64 // total bytes of live tables
 	obs    map[obsKey]int64
-	gen    uint64 // bumped by Invalidate; stale builds discard
 	epoch  uint64 // bumped on any externally visible change
 
 	built   uint64 // cumulative tables installed
@@ -159,15 +155,14 @@ func (m *Model) ObserveJoin(p1, p2 uint64, pos uint8, actualRows int64) []Table 
 	st.volume += actualRows
 	build := m.enabled() && !st.built && st.hits >= int64(m.cfg.BuildAfter)
 	st.built = st.built || build
-	gen := m.gen
 	m.mu.Unlock()
 	if !build {
 		return nil
 	}
 	var dropped []Table
 	for _, tk := range directions(k) {
-		if t, ok := m.cfg.Builder(tk.Pred, tk.Partner, tk.Pos, gen); ok {
-			dropped = append(dropped, m.install(tk, k, t, gen)...)
+		if t, ok := m.cfg.Builder(tk.Pred, tk.Partner, tk.Pos); ok {
+			dropped = append(dropped, m.install(tk, k, t)...)
 		}
 	}
 	return dropped
@@ -184,16 +179,14 @@ func directions(k pairKey) []TableKey {
 	return []TableKey{a, b}
 }
 
-// install registers a table built for pair at generation gen,
-// evicting lower-value tables to stay within budget, and returns the
-// tables it dropped. A table whose generation went stale while it was
-// built, or that cannot fit even alone, is itself dropped. The pair's
-// built flag admits one build per key and generation, so tk is never
-// already live.
-func (m *Model) install(tk TableKey, pair pairKey, t Table, gen uint64) []Table {
+// install registers a table built for pair, evicting lower-value
+// tables to stay within budget, and returns the tables it dropped. A
+// table that cannot fit even alone is itself dropped. The pair's built
+// flag admits one build per key, so tk is never already live.
+func (m *Model) install(tk TableKey, pair pairKey, t Table) []Table {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.gen != gen || t.Bytes > m.cfg.BudgetBytes {
+	if t.Bytes > m.cfg.BudgetBytes {
 		return []Table{t}
 	}
 	m.tables[tk] = &tableEntry{table: t, pair: pair}
@@ -302,37 +295,6 @@ func (m *Model) LookupObserved(pred, constID uint64, subjBound bool) (int64, boo
 	defer m.mu.Unlock()
 	rows, ok := m.obs[obsKey{pred, constID, subjBound}]
 	return rows, ok
-}
-
-// Invalidate drops every table and observation and bumps the
-// generation: reductions and observed cardinalities were computed
-// against data that no longer exists. Builds still running against the
-// old generation discard their result on install. Invalidate returns
-// the tables it dropped.
-func (m *Model) Invalidate() []Table {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.gen++
-	m.epoch++
-	m.evicted += uint64(len(m.tables))
-	dropped := make([]Table, 0, len(m.tables))
-	for _, e := range m.tables {
-		dropped = append(dropped, e.table)
-	}
-	m.tables = make(map[TableKey]*tableEntry)
-	m.bytes = 0
-	m.obs = make(map[obsKey]int64)
-	for _, st := range m.pairs {
-		st.built = false // allow rebuilds against the new data
-	}
-	return dropped
-}
-
-// Generation returns the current invalidation generation.
-func (m *Model) Generation() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gen
 }
 
 // Epoch returns the change counter plan-cache keys incorporate.

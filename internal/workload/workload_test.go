@@ -11,7 +11,7 @@ import (
 // countingBuilder returns a Builder producing fixed-size tables and
 // recording every build request.
 func countingBuilder(bytes int64, mu *sync.Mutex, calls *[]TableKey) Builder {
-	return func(pred, partner uint64, pos uint8, gen uint64) (Table, bool) {
+	return func(pred, partner uint64, pos uint8) (Table, bool) {
 		mu.Lock()
 		*calls = append(*calls, TableKey{Pred: pred, Partner: partner, Pos: pos})
 		mu.Unlock()
@@ -29,9 +29,13 @@ func TestBuildAfterThreshold(t *testing.T) {
 	if _, ok := m.Lookup(1, 2, uint8(stats.JoinSO)); ok {
 		t.Fatalf("table built after 2 observations, want threshold 3")
 	}
+	epoch := m.Epoch()
 	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 50)
 	if _, ok := m.Lookup(1, 2, uint8(stats.JoinSO)); !ok {
 		t.Fatalf("table not built after crossing threshold")
+	}
+	if m.Epoch() == epoch {
+		t.Fatalf("installing tables did not bump the epoch")
 	}
 	// Both directions of a non-self pair materialize.
 	if _, ok := m.Lookup(2, 1, uint8(stats.JoinOS)); !ok {
@@ -83,7 +87,11 @@ func TestBudgetEviction(t *testing.T) {
 	if _, ok := m.Lookup(1, 2, uint8(stats.JoinSO)); !ok {
 		t.Fatalf("first pair not built")
 	}
+	epoch := m.Epoch()
 	dropped := m.ObserveJoin(3, 4, uint8(stats.JoinSO), 1000) // high volume
+	if m.Epoch() == epoch {
+		t.Fatalf("installing and evicting tables did not bump the epoch")
+	}
 
 	met := m.Metrics()
 	if met.TableBytes > met.BudgetBytes {
@@ -124,43 +132,11 @@ func TestOversizedTableRejected(t *testing.T) {
 	}
 }
 
-func TestInvalidateDropsEverything(t *testing.T) {
-	var mu sync.Mutex
-	var calls []TableKey
-	m := New(Config{BudgetBytes: 1 << 20, BuildAfter: 1, Builder: countingBuilder(100, &mu, &calls)})
-	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 10)
-	m.ObserveScan(1, 99, true, 42)
-	epoch := m.Epoch()
-	gen := m.Generation()
-
-	if dropped := m.Invalidate(); len(dropped) != 2 {
-		t.Fatalf("Invalidate returned %d dropped tables, want both directions", len(dropped))
-	}
-	if m.Generation() != gen+1 {
-		t.Fatalf("generation %d, want %d", m.Generation(), gen+1)
-	}
-	if m.Epoch() <= epoch {
-		t.Fatalf("epoch did not advance on invalidate")
-	}
-	if _, ok := m.Lookup(1, 2, uint8(stats.JoinSO)); ok {
-		t.Fatalf("table survived invalidation")
-	}
-	if _, ok := m.LookupObserved(1, 99, true); ok {
-		t.Fatalf("observation survived invalidation")
-	}
-	// The pair's build eligibility resets: one more observation crosses
-	// the threshold again and rebuilds against the new generation.
-	m.ObserveJoin(1, 2, uint8(stats.JoinSO), 10)
-	if _, ok := m.Lookup(1, 2, uint8(stats.JoinSO)); !ok {
-		t.Fatalf("pair not rebuilt after invalidation")
-	}
-}
-
 // TestBuildInstalledWhenObserveReturns pins the build contract: the
 // observation that crosses the threshold returns only once both
 // reductions are live, however long the Builder takes.
 func TestBuildInstalledWhenObserveReturns(t *testing.T) {
-	m := New(Config{BudgetBytes: 1 << 20, BuildAfter: 1, Builder: func(pred, partner uint64, pos uint8, gen uint64) (Table, bool) {
+	m := New(Config{BudgetBytes: 1 << 20, BuildAfter: 1, Builder: func(pred, partner uint64, pos uint8) (Table, bool) {
 		time.Sleep(5 * time.Millisecond)
 		return Table{Rows: 1, Bytes: 10, Data: pred}, true
 	}})
@@ -170,31 +146,6 @@ func TestBuildInstalledWhenObserveReturns(t *testing.T) {
 	}
 	if _, ok := m.Lookup(2, 1, uint8(stats.JoinOS)); !ok {
 		t.Fatalf("transposed reduction not live when the crossing ObserveJoin returned")
-	}
-}
-
-// TestStaleBuildDiscarded: an invalidation that lands while another
-// goroutine's ObserveJoin is building makes that build stale, so it
-// installs nothing and hands both tables back as dropped.
-func TestStaleBuildDiscarded(t *testing.T) {
-	building := make(chan struct{}, 2)
-	release := make(chan struct{})
-	m := New(Config{BudgetBytes: 1 << 20, BuildAfter: 1, Builder: func(pred, partner uint64, pos uint8, gen uint64) (Table, bool) {
-		building <- struct{}{}
-		<-release // hold the build until the invalidation lands
-		return Table{Rows: 1, Bytes: 10, Data: nil}, true
-	}})
-	done := make(chan []Table)
-	go func() { done <- m.ObserveJoin(1, 2, uint8(stats.JoinSS), 10) }()
-	<-building
-	m.Invalidate() // races past the running build
-	close(release)
-	dropped := <-done
-	if met := m.Metrics(); met.TablesLive != 0 {
-		t.Fatalf("stale build installed %d tables after invalidation", met.TablesLive)
-	}
-	if len(dropped) != 2 {
-		t.Fatalf("ObserveJoin returned %d dropped tables, want both stale directions", len(dropped))
 	}
 }
 
