@@ -3,15 +3,15 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/testenv"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -374,6 +374,7 @@ func runStageCase(t *testing.T, partitions, procs int, failing bool) {
 // per stage, 40 KB at a thousand partitions, made the bytes grow.) The
 // collector is off, so the pooled slots stay pooled.
 func TestRunStageAllocsIndependentOfPartitions(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, procs := range []int{1, 2} {
 		setProcs(t, procs)
@@ -381,7 +382,7 @@ func TestRunStageAllocsIndependentOfPartitions(t *testing.T) {
 		clock := NewClock()
 		fn := func(part int) (TaskStats, error) { return stageTaskStats(part), nil }
 		mem := func(partitions int) (allocs, bytes float64) {
-			return memPerRun(50, func() {
+			return testenv.ParallelMemPerRun(t, 50, func() {
 				clock.Reset()
 				if err := c.RunStage(clock, 0, "allocs", partitions, fn); err != nil {
 					t.Fatal(err)
@@ -405,57 +406,6 @@ func TestRunStageAllocsIndependentOfPartitions(t *testing.T) {
 func setProcs(t *testing.T, n int) {
 	prev := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-// allocsPerRun is testing.AllocsPerRun without its switch to one
-// processor, which would leave every stage a single worker. It
-// returns the fewest allocations per run over three rounds: what f
-// allocates is the same in every round, while the runtime allocates on
-// its own now and then — a thread, or a goroutine descriptor or wait
-// record for a processor that has no spare — and that only adds. An
-// allocation f makes on every call, a helper start's included, still
-// shows in every round.
-//
-// internal/core's decode_test.go has a copy: packages share no test
-// files, and a shared package would ship with the program and start
-// goroutines outside cluster.Run.
-func allocsPerRun(runs int, f func()) float64 {
-	allocs, _ := memPerRun(runs, f)
-	return allocs
-}
-
-// memPerRun is allocsPerRun that also returns the fewest bytes
-// allocated per run over the same three rounds.
-func memPerRun(runs int, f func()) (allocs, bytes float64) {
-	// Park and end a few hundred goroutines first. A helper that ends,
-	// or a caller that parks, leaves its goroutine descriptor or its
-	// wait record on the processor it ran on last, and the runtime moves
-	// spares between processors in batches, so until a process has
-	// spares everywhere a helper start or a park may allocate one.
-	// Without this, a fresh process's first stages at GOMAXPROCS 2 read
-	// 4 allocations at 2 partitions and 3 at 1,000.
-	var wg sync.WaitGroup
-	release := make(chan struct{})
-	for range 512 {
-		wg.Add(1)
-		go func() { <-release; wg.Done() }()
-	}
-	close(release)
-	wg.Wait()
-	f() // warm-up, as AllocsPerRun does
-	fewest, least := uint64(math.MaxUint64), uint64(math.MaxUint64)
-	for range 3 {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		mallocs, total := m.Mallocs, m.TotalAlloc
-		for range runs {
-			f()
-		}
-		runtime.ReadMemStats(&m)
-		fewest = min(fewest, (m.Mallocs-mallocs)/uint64(runs))
-		least = min(least, (m.TotalAlloc-total)/uint64(runs))
-	}
-	return float64(fewest), float64(least)
 }
 
 func ExampleCluster_RunStage() {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testenv"
 )
 
 // TestRun checks the one rule every parallel task in the process runs
@@ -271,6 +273,7 @@ func (j *countJob) Task(_, _ int) error { j.n.Add(1); return nil }
 // waits until all of its width-1 helpers have made their last claim,
 // so every Run measured starts them all.
 func TestRunHelperAllocatesNothing(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	for _, procs := range []int{1, 2} {
 		setProcs(t, procs)
 		for _, width := range []int{1, 8} {
@@ -278,7 +281,7 @@ func TestRunHelperAllocatesNothing(t *testing.T) {
 			var j countJob
 			tasks := make([]Tasks, 1+3*runs) // a warm-up and three rounds: a Tasks serves one Run
 			next := 0
-			allocs := allocsPerRun(runs, func() {
+			allocs := testenv.ParallelAllocsPerRun(t, runs, func() {
 				if err := Run(width, 64, &tasks[next], &j); err != nil {
 					t.Fatal(err)
 				}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/rdf"
+	"repro/internal/testenv"
 )
 
 // refScalarBytes is the reference size of a scalar column: each row
@@ -185,8 +186,9 @@ func TestEmptyFile(t *testing.T) {
 // TestSizerAllocatesNothing feeds a Sizer more than a row group of
 // scalar, list and absent rows without an allocation.
 func TestSizerAllocatesNothing(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	list := []rdf.ID{3, 4, 5}
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs := testenv.AllocsPerRun(t, 5, func() {
 		var scalar, lists Sizer
 		for i := range DefaultRowGroupSize {
 			scalar.Add(rdf.ID(i))

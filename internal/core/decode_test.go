@@ -2,17 +2,16 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/testenv"
 )
 
 // decodeTestStore loads n subjects whose objects span every kind of
@@ -215,6 +214,7 @@ func TestDisplayRowsDecodeOnlyWhatTheyShow(t *testing.T) {
 // — the row headers, a backing slice per range, the stage — is the
 // same for 5,000 rows as for 50,000.
 func TestDecodeRowsAllocsIndependentOfRowCount(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := denseStarStore(t, 50)
 	allocs := func(n int) float64 {
@@ -223,7 +223,7 @@ func TestDecodeRowsAllocsIndependentOfRowCount(t *testing.T) {
 			ids[k] = rdf.ID(1 + k%50)
 		}
 		blocks := []engine.Block{engine.MakeBlock(3, n, ids)}
-		return allocsPerRun(10, func() {
+		return testenv.ParallelAllocsPerRun(t, 10, func() {
 			if rows := s.decodeRows(blocks, nil); len(rows) != n {
 				t.Fatalf("decoded %d rows of %d", len(rows), n)
 			}
@@ -234,32 +234,4 @@ func TestDecodeRowsAllocsIndependentOfRowCount(t *testing.T) {
 	if large != small {
 		t.Errorf("decoding allocates %.0f times at 5,000 rows and %.0f at 50,000; want the same", small, large)
 	}
-}
-
-// allocsPerRun is testing.AllocsPerRun without its switch to one
-// processor, which would decode every result on the caller. It is a copy
-// of internal/cluster's allocsPerRun (cluster_test.go), which says why
-// it warms up and keeps the fewest of three rounds, and why it is copied.
-func allocsPerRun(runs int, f func()) float64 {
-	var wg sync.WaitGroup
-	release := make(chan struct{})
-	for range 512 {
-		wg.Add(1)
-		go func() { <-release; wg.Done() }()
-	}
-	close(release)
-	wg.Wait()
-	f() // warm-up, as AllocsPerRun does
-	fewest := uint64(math.MaxUint64)
-	for range 3 {
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		before := m.Mallocs
-		for range runs {
-			f()
-		}
-		runtime.ReadMemStats(&m)
-		fewest = min(fewest, (m.Mallocs-before)/uint64(runs))
-	}
-	return float64(fewest)
 }

@@ -63,7 +63,7 @@ func refEval(t *testing.T, s *Store, g *rdf.Graph, q *sparql.Query) string {
 	}
 
 	proj := q.Projection()
-	countAlias := q.CountAliases()
+	countAlias := countAliases(q)
 	var out []engine.Row
 	if len(q.Counts) > 0 {
 		out = refAggregate(rows, q, proj)
@@ -272,12 +272,22 @@ func refRowKey(r engine.Row) string {
 	return string(b)
 }
 
+// countAliases returns the projection names COUNT aggregates produce
+// rather than the graph pattern binds.
+func countAliases(q *sparql.Query) map[string]bool {
+	m := map[string]bool{}
+	for _, c := range q.Counts {
+		m[c.Alias] = true
+	}
+	return m
+}
+
 // refLess mirrors the executors' top-K comparator: ORDER BY keys first
 // (count columns numerically, unbound before bound, terms by
 // CompareTermIDs), then the full-row dictionary-ID tie-break. It
 // returns a sort.SliceStable less over rows.
 func refLess(s *Store, q *sparql.Query, proj []string, rows []engine.Row) func(i, j int) bool {
-	countAlias := q.CountAliases()
+	countAlias := countAliases(q)
 	type key struct {
 		col   int
 		desc  bool

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/rdf"
+	"repro/internal/testenv"
 	"repro/internal/watdiv"
 )
 
@@ -417,6 +418,7 @@ func loadCost(t *testing.T) (mallocs, allocated float64) {
 // partition file, not per triple, so the ratio rises on smaller
 // inputs.
 func TestLoadNTriplesAllocs(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	perTriple, _ := loadCost(t)
 	t.Logf("%.2f mallocs per input triple", perTriple)
 	if perTriple > 0.2 {
@@ -431,6 +433,7 @@ func TestLoadNTriplesAllocs(t *testing.T) {
 // map-backed dictionary and a map dedup allocated about 640 B, and
 // encoding every file to measure it 318 B).
 func TestLoadNTriplesBytes(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	_, perTriple := loadCost(t)
 	t.Logf("%.0f bytes allocated per input triple", perTriple)
 	if perTriple > 250 {

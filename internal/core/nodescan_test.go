@@ -9,6 +9,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/testenv"
 )
 
 // scanNode builds a Join Tree node of the given kind over the patterns
@@ -61,6 +62,7 @@ var resolveCases = []struct {
 // planner's leaf for the same node agrees on schema and partitioning; and
 // a resolve allocates no more than preparing a shard scan used to.
 func TestResolveScan(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	s := testStore(t, true)
 	var vpBytes int64
 	for _, table := range s.vp {
@@ -118,7 +120,7 @@ func TestResolveScan(t *testing.T) {
 		}
 
 		if tc.allocs >= 0 {
-			if got := testing.AllocsPerRun(50, func() { s.resolveScan(n, nil, nil) }); got > tc.allocs {
+			if got := testenv.AllocsPerRun(t, 50, func() { s.resolveScan(n, nil, nil) }); got > tc.allocs {
 				t.Errorf("%s: a resolve allocates %.0f times, want at most %.0f", tc.name, got, tc.allocs)
 			}
 		}

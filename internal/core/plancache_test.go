@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/sparql"
+	"repro/internal/testenv"
 	"repro/internal/watdiv"
 )
 
@@ -185,10 +186,11 @@ func TestPlanCacheKeyMatchesLegacyRendering(t *testing.T) {
 // TestPlanCacheKeyAllocatesOnce: building the key of any WatDiv or
 // extended query allocates once — the key string.
 func TestPlanCacheKeyAllocatesOnce(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	for _, wq := range append(watdiv.BasicQuerySet(), watdiv.ExtendedQuerySet()...) {
 		for _, r := range keyOptions {
 			var key string
-			if a := testing.AllocsPerRun(10, func() { key = planCacheKey(wq.Parsed, r, keyEpoch) }); a > 1 {
+			if a := testenv.AllocsPerRun(t, 10, func() { key = planCacheKey(wq.Parsed, r, keyEpoch) }); a > 1 {
 				t.Errorf("%s: building its %d-byte key allocates %.0f times, want 1", wq.Name, len(key), a)
 			}
 		}

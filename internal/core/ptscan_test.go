@@ -17,6 +17,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/testenv"
 )
 
 // edgeGraph exercises the Property Table corner cases: multi-valued
@@ -511,6 +512,7 @@ func denseStarStore(t testing.TB, keys int) *Store {
 // map-based table allocated three times per key.) The wrapper's count
 // crosses slab-pool traffic, so the collector is off while it counts.
 func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(keys int) (scan, rows float64) {
 		s := denseStarStore(t, keys)
@@ -519,7 +521,7 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 		spec := s.ptNodeScan(s.pt, node)
 		part := s.pt.parts[0]
 		var emitted int64
-		scan = testing.AllocsPerRun(10, func() {
+		scan = testenv.AllocsPerRun(t, 10, func() {
 			emitted = 0
 			var sc ptScan
 			sc.init(part, spec.specs, len(spec.schema))
@@ -529,7 +531,7 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 			t.Fatalf("%d keys: scan emitted %d rows, want %d", keys, emitted, 2*keys)
 		}
 		region := engine.NewRegion()
-		rows = testing.AllocsPerRun(10, func() {
+		rows = testenv.AllocsPerRun(t, 10, func() {
 			out, processed := new(ptScan).rows(part, spec, nil, region)
 			if out.Len() != 2*keys || processed != int64(keys) {
 				t.Fatalf("%d keys: %d rows, %d processed", keys, out.Len(), processed)
@@ -545,9 +547,9 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 		t.Errorf("allocations grew with the key count: scan %.0f -> %.0f, materialized %.0f -> %.0f", smallScan, bigScan, smallRows, bigRows)
 	}
 	// The property is the equality above; the ceilings are loose (3 and 3
-	// measured). It is an allocation pin (ALLOC_PINS): under the race
-	// detector sync.Pool drops a share of the slabs put back, so the
-	// wrapper's count follows the pool, not the scan.
+	// measured). It is an allocation pin, skipped under the race
+	// detector: there sync.Pool drops a share of the slabs put back, so
+	// the wrapper's count follows the pool, not the scan.
 	if bigScan > 6 || bigRows > 12 {
 		t.Errorf("scan allocates %.0f times, materialized %.0f; want at most 6 and 12", bigScan, bigRows)
 	}
@@ -557,6 +559,7 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 // into one slice (two allocations for a thousand rows, not a thousand
 // and one), and a row handed out cannot grow into its neighbour.
 func TestDecodeRowsSharesOneBackingSlice(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	s := denseStarStore(t, 50)
 	rows := make([]engine.Row, 1000)
 	for i := range rows {
@@ -566,7 +569,7 @@ func TestDecodeRowsSharesOneBackingSlice(t *testing.T) {
 	all := engine.NewBlock(3, rows)
 	blocks := []engine.Block{all.Slice(0, 400), all.Slice(400, 400), all.Slice(400, 1000)}
 	var decoded [][]rdf.Term
-	if n := testing.AllocsPerRun(10, func() { decoded = s.decodeRows(blocks, nil) }); n > 2 {
+	if n := testenv.AllocsPerRun(t, 10, func() { decoded = s.decodeRows(blocks, nil) }); n > 2 {
 		t.Errorf("decoding 1000 rows allocated %.0f times, want 2", n)
 	}
 	for i, r := range rows {
@@ -624,10 +627,11 @@ func TestGallopMatchesLinearSearch(t *testing.T) {
 // (broadcasts are off), to ten objects that build the hash table at
 // either size; one partition keeps the partitions holding rows the same.
 func TestQueryAllocsIndependentOfRowCount(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	allocs := func(n int) float64 {
 		s, q := rowCountStore(t, n)
 		opts := QueryOptions{BroadcastThreshold: -1}
-		return testing.AllocsPerRun(20, func() {
+		return testenv.AllocsPerRun(t, 20, func() {
 			res, err := s.Query(q, opts)
 			if err != nil || len(res.Rows) != n {
 				t.Fatalf("%d subjects: %d rows (err %v)", n, len(res.Rows), err)
@@ -663,16 +667,17 @@ func rowCountStore(t *testing.T, n int) (*Store, *sparql.Query) {
 // into a row slice and a term slice, so it allocates at least one fewer
 // time than QueryContext, and the same at 10 rows as at 1,000.
 func TestQueryIDsAllocsOneBlockForRows(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	allocs := func(n int) (ids, decoded float64) {
 		s, q := rowCountStore(t, n)
 		opts := QueryOptions{BroadcastThreshold: -1}
-		ids = testing.AllocsPerRun(20, func() {
+		ids = testenv.AllocsPerRun(t, 20, func() {
 			_, rows, err := s.QueryIDs(context.Background(), q, opts)
 			if err != nil || rows.Len() != n {
 				t.Fatalf("%d subjects: %d rows (err %v)", n, rows.Len(), err)
 			}
 		})
-		decoded = testing.AllocsPerRun(20, func() {
+		decoded = testenv.AllocsPerRun(t, 20, func() {
 			if _, err := s.QueryContext(context.Background(), q, opts); err != nil {
 				t.Fatal(err)
 			}
@@ -699,6 +704,7 @@ func TestQueryIDsAllocsOneBlockForRows(t *testing.T) {
 // 2 does, on both executors. The star's pushed FILTER keeps no row, so
 // the scan's work is all there is to count.
 func TestPTScanScratchIndependentOfPartitions(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	g := rdf.NewGraph(0)
 	for i := 0; i < 400; i++ {
 		s := rdf.NewIRI(fmt.Sprintf("%ss%d", testNS, i))
@@ -726,7 +732,7 @@ func TestPTScanScratchIndependentOfPartitions(t *testing.T) {
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			run()
-			return testing.AllocsPerRun(20, run)
+			return testenv.AllocsPerRun(t, 20, run)
 		}
 		few, many := allocs(2), allocs(16)
 		t.Logf("streaming %v: %.0f allocations per query over 2 partitions, %.0f over 16", streaming, few, many)

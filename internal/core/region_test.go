@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/testenv"
 	"repro/internal/watdiv"
 )
 
@@ -104,6 +105,7 @@ func TestReleasedRegionsPoisoned(t *testing.T) {
 // grows with n as well; the one thing that may grow is the virtual
 // scheduler's record of the morsels it priced, 16 B a morsel.
 func TestWarmQueryAllocsIndependentOfIntermediateRows(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	stores := map[int]*Store{}
 	for _, n := range []int{100, 20000} {
 		g := rdf.NewGraph(0)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/testenv"
 	"repro/internal/watdiv"
 )
 
@@ -843,6 +844,7 @@ func allocsPerQuery(t *testing.T, s *Store, q *sparql.Query, opts QueryOptions) 
 // heap bytes or more allocations per query than the operator-at-a-time
 // one.
 func TestStreamingAllocsAtMostMaterialized(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	s := watdivStreamStore(t)
 	for _, name := range []string{"C2", "F3"} {
 		q := mustQueryByName(t, name)

@@ -43,9 +43,9 @@ func TestBlockWidthZeroKeepsCount(t *testing.T) {
 	}
 	rel := NewBlockRelation(Schema{}, []Block{b, {}, MakeBlock(0, 2, nil)}, "")
 	e := testExec(t)
-	u, err := e.Union(rel, rel)
+	u, err := e.UnionAll(rel, rel)
 	if err != nil || u.NumRows() != 14 {
-		t.Errorf("Union of two 7-row existence relations: %d rows, err %v", u.NumRows(), err)
+		t.Errorf("UnionAll of two 7-row existence relations: %d rows, err %v", u.NumRows(), err)
 	}
 	parts, moved := shuffleRows(nil, rel, nil, 4)
 	if totalRows(parts) != 7 || len(parts) != 4 {

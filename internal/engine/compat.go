@@ -92,12 +92,6 @@ func JoinPartitionKernel(lRows, rRows []Row, lKey, rKey []int, outWidth int, lKe
 	return JoinPartition(nil, blockOf(lRows), blockOf(rRows), lKey, rKey, outWidth, lKeep, rKeep).Rows()
 }
 
-// CartesianKernel is the cartesian operator's partition kernel over
-// rows.
-func CartesianKernel(largeRows, smallRows []Row, smallIsLeft bool, outWidth int, lKeep, rKeep []int) []Row {
-	return Cartesian(nil, blockOf(largeRows), []Block{blockOf(smallRows)}, smallIsLeft, outWidth, lKeep, rKeep).Rows()
-}
-
 // DistinctKernel is the distinct operator's partition kernel
 // (Distinct) over rows: the benchmark's engine.distinct_ns_per_row probe
 // times it, adapter included.
@@ -117,14 +111,6 @@ func NewJoinProbe(buildRows []Row, buildKey []int) *JoinProbe {
 // ProbeBlock.
 func (jp *JoinProbe) Probe(probeRows []Row, probeKey []int, buildIsLeft bool, outWidth int, lKeep, rKeep []int) []Row {
 	return jp.ProbeBlock(nil, blockOf(probeRows), probeKey, buildIsLeft, outWidth, lKeep, rKeep).Rows()
-}
-
-// ProbeOuter emits the left outer join of probeRows (the left side)
-// against the indexed build side (the right side), as LeftJoin's
-// partition tasks do: a probe row with no match emits once, padded with
-// nullRight in the right-only columns.
-func (jp *JoinProbe) ProbeOuter(probeRows []Row, probeKey []int, outWidth int, rKeep []int, nullRight Row) []Row {
-	return jp.ix.probeBatch(nil, blockOf(probeRows), probeKey, &joinEmit{width: outWidth, rKeep: rKeep, nullRight: nullRight}).Rows()
 }
 
 // Build indexes a copy of buildRows; see BuildBlocks. With Probe below

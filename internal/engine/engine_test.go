@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -65,8 +66,8 @@ func TestPartitionColocatesKeys(t *testing.T) {
 			}
 		}
 	}
-	if r.PartitionKey() != "s" {
-		t.Errorf("PartitionKey = %q", r.PartitionKey())
+	if !slices.Equal(r.partCols, []string{"s"}) {
+		t.Errorf("partition columns = %q", r.partCols)
 	}
 }
 
@@ -91,7 +92,7 @@ func TestFilter(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Filter result = %v, want %v", got, want)
 	}
-	if out.PartitionKey() != "s" {
+	if !slices.Equal(out.partCols, []string{"s"}) {
 		t.Errorf("Filter lost partition key")
 	}
 }
@@ -111,15 +112,15 @@ func TestProject(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("rows = %v, want %v", got, want)
 	}
-	if out.PartitionKey() != "s" {
-		t.Errorf("projection keeping key column lost partition key: %q", out.PartitionKey())
+	if !slices.Equal(out.partCols, []string{"s"}) {
+		t.Errorf("projection keeping key column lost partition key: %q", out.partCols)
 	}
 	out2, err := e.Project(r, []string{"o"})
 	if err != nil {
 		t.Fatalf("Project: %v", err)
 	}
-	if out2.PartitionKey() != "" {
-		t.Errorf("projection dropping key column kept partition key %q", out2.PartitionKey())
+	if out2.partCols != nil {
+		t.Errorf("projection dropping key column kept partition key %q", out2.partCols)
 	}
 	if _, err := e.Project(r, []string{"nope"}); err == nil {
 		t.Errorf("Project with unknown column succeeded")
@@ -295,20 +296,22 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
+// TestUnion: a union keeps duplicates (bag semantics) and refuses
+// mismatched schemas.
 func TestUnion(t *testing.T) {
 	e := testExec(t)
 	a := rel(t, Schema{"x"}, "x", Row{1}, Row{2})
 	b := rel(t, Schema{"x"}, "x", Row{2}, Row{3})
-	out, err := e.Union(a, b)
+	out, err := e.UnionAll(a, b)
 	if err != nil {
-		t.Fatalf("Union: %v", err)
+		t.Fatalf("UnionAll: %v", err)
 	}
 	if out.NumRows() != 4 {
 		t.Errorf("union rows = %d, want 4 (bag semantics)", out.NumRows())
 	}
 	c := rel(t, Schema{"y"}, "y", Row{1})
-	if _, err := e.Union(a, c); err == nil {
-		t.Errorf("Union with mismatched schema succeeded")
+	if _, err := e.UnionAll(a, c); err == nil {
+		t.Errorf("UnionAll with mismatched schema succeeded")
 	}
 }
 

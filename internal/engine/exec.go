@@ -280,33 +280,6 @@ func (e *Exec) Distinct(rel *Relation) (*Relation, error) {
 	return &Relation{schema: rel.schema.Clone(), parts: out, partCols: cloneCols(rel.schema)}, nil
 }
 
-// Union concatenates two relations with identical schemas, partition
-// by partition: an output partition holding rows from both inputs is a
-// copy of them, one holding rows from one input shares its block.
-func (e *Exec) Union(a, b *Relation) (*Relation, error) {
-	if len(a.schema) != len(b.schema) {
-		return nil, fmt.Errorf("engine: union schema mismatch %v vs %v", a.schema, b.schema)
-	}
-	for i := range a.schema {
-		if a.schema[i] != b.schema[i] {
-			return nil, fmt.Errorf("engine: union schema mismatch %v vs %v", a.schema, b.schema)
-		}
-	}
-	n := max(a.Partitions(), b.Partitions())
-	parts := make([]Block, n)
-	for i := range parts {
-		var pair [2]Block
-		if i < a.Partitions() {
-			pair[0] = a.parts[i]
-		}
-		if i < b.Partitions() {
-			pair[1] = b.parts[i]
-		}
-		parts[i] = concatBlocks(e.Region, len(a.schema), pair[:])
-	}
-	return &Relation{schema: a.schema.Clone(), parts: parts}, nil
-}
-
 // Collect hands all rows to the driver, charging their transfer: the
 // relation's own blocks, in partition order, uncopied.
 func (e *Exec) Collect(rel *Relation) ([]Block, error) {

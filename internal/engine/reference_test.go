@@ -162,8 +162,8 @@ func TestDistinctMatchesReference(t *testing.T) {
 		}
 		// Distinct's output is shuffled on every column; it must record
 		// that so a second Distinct dedups in place.
-		if !reflect.DeepEqual(got.PartitionCols(), []string(schema)) {
-			t.Errorf("trial %d: Distinct partCols = %v, want %v", trial, got.PartitionCols(), schema)
+		if !reflect.DeepEqual(got.partCols, []string(schema)) {
+			t.Errorf("trial %d: Distinct partCols = %v, want %v", trial, got.partCols, schema)
 		}
 	}
 }
@@ -303,8 +303,8 @@ func TestShuffleJoinRecordsMultiColumnPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first.PartitionCols(), []string{"a", "b"}) {
-		t.Fatalf("multi-column join partCols = %v, want [a b]", first.PartitionCols())
+	if !reflect.DeepEqual(first.partCols, []string{"a", "b"}) {
+		t.Fatalf("multi-column join partCols = %v, want [a b]", first.partCols)
 	}
 
 	// Second join on the same two columns: only the fresh side moves.

@@ -131,7 +131,7 @@ func TestRegionKernelsMatchHeapKernels(t *testing.T) {
 		add(e.Filter(l, "f", func(r Row) bool { return r[1]%3 == 0 }))
 		add(e.Project(l, []string{"j", "k"}))
 		add(e.Distinct(l))
-		add(e.Union(l, l))
+		add(e.UnionAll(l, l))
 		add(e.TopK(l, lessRows, 25, 5))
 		add(e.JoinKeep(l, NewRelation(Schema{"z"}, [][]Row{{{1}, {2}}}, ""), "cross", StrategyAuto, nil))
 		return out

@@ -152,20 +152,6 @@ func (r *Relation) Schema() Schema { return r.schema }
 // Partitions returns the partition count.
 func (r *Relation) Partitions() int { return len(r.parts) }
 
-// PartitionKey returns the single column the relation is
-// hash-partitioned by, or "" when the layout is arbitrary or keyed on
-// multiple columns (see PartitionCols).
-func (r *Relation) PartitionKey() string {
-	if len(r.partCols) == 1 {
-		return r.partCols[0]
-	}
-	return ""
-}
-
-// PartitionCols returns the columns the relation is hash-partitioned
-// by, in shuffle-hash order, or nil. The returned slice is a copy.
-func (r *Relation) PartitionCols() []string { return cloneCols(r.partCols) }
-
 // Part returns one partition's block.
 func (r *Relation) Part(i int) Block { return r.parts[i] }
 

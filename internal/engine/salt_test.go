@@ -63,7 +63,7 @@ func TestSaltedShuffleJoinMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: salted shuffle join differs from reference (%d vs %d rows)", trial, len(got), len(want))
 		}
-		if cols := out.PartitionCols(); cols != nil {
+		if cols := out.partCols; cols != nil {
 			t.Errorf("trial %d: salted join output claims partitioning %v; salted placement is not the key hash", trial, cols)
 		}
 	}
@@ -144,7 +144,7 @@ func TestSaltingDisabledBelowVolumeFloor(t *testing.T) {
 	if out.NumRows() != 6 {
 		t.Fatalf("join produced %d rows, want 6", out.NumRows())
 	}
-	if cols := out.PartitionCols(); len(cols) != 1 || cols[0] != "b" {
+	if cols := out.partCols; len(cols) != 1 || cols[0] != "b" {
 		t.Errorf("tiny join lost its key partitioning: %v", cols)
 	}
 }

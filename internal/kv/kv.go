@@ -109,17 +109,6 @@ func (s *Store) SizeBytes() int64 {
 	return n
 }
 
-// Tablets returns the number of range-partitioned tablets the store's
-// entries occupy.
-func (s *Store) Tablets() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.entries) == 0 {
-		return 1
-	}
-	return (len(s.entries) + s.tabletSize - 1) / s.tabletSize
-}
-
 // ErrNotFlushed is returned by scans on a store with unflushed writes.
 var ErrNotFlushed = fmt.Errorf("kv: store has unflushed writes; call Flush first")
 

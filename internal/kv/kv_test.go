@@ -131,9 +131,6 @@ func TestTabletBoundariesCostExtraSeeks(t *testing.T) {
 		s.Put([]byte(fmt.Sprintf("key%03d", i)), nil)
 	}
 	s.Flush()
-	if s.Tablets() != 10 {
-		t.Fatalf("Tablets = %d, want 10", s.Tablets())
-	}
 	// Scanning all 100 entries spans 10 tablets: 1 seek + 9 crossings.
 	_, stats, err := s.ScanRange(nil, nil)
 	if err != nil {
@@ -164,8 +161,8 @@ func TestSizeBytes(t *testing.T) {
 func TestEmptyStore(t *testing.T) {
 	s := NewStore(0)
 	s.Flush()
-	if s.Len() != 0 || s.Tablets() != 1 {
-		t.Errorf("empty store Len=%d Tablets=%d", s.Len(), s.Tablets())
+	if s.Len() != 0 {
+		t.Errorf("empty store Len=%d", s.Len())
 	}
 	entries, stats, err := s.ScanRange(nil, nil)
 	if err != nil || len(entries) != 0 || stats.Seeks != 1 {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testenv"
 )
 
 func TestDictionaryEncodeLookup(t *testing.T) {
@@ -72,6 +74,7 @@ func TestDictionaryTermPanicsOnInvalid(t *testing.T) {
 // returns into every cell of a row, and the zero Term where the row
 // holds NullID, whatever the cell held before, allocating nothing.
 func TestSnapshotDecodeRowsInPlace(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	d := NewDictionary()
 	for _, term := range []Term{
 		NewIRI("http://a"), NewLiteral("x"), NewTypedLiteral("7", XSDInteger),
@@ -85,7 +88,7 @@ func TestSnapshotDecodeRowsInPlace(t *testing.T) {
 	for j := range dst {
 		dst[j] = NewIRI("stale")
 	}
-	if n := testing.AllocsPerRun(10, func() { terms.DecodeInto(dst, ids) }); n != 0 {
+	if n := testenv.AllocsPerRun(t, 10, func() { terms.DecodeInto(dst, ids) }); n != 0 {
 		t.Errorf("DecodeInto allocated %.0f times, want 0", n)
 	}
 	for j, id := range ids {
@@ -214,6 +217,7 @@ func TestDictionaryConcurrentEncodeAndTerm(t *testing.T) {
 // allocated for a term already known, and a new term's strings copied
 // out of the caller's buffer.
 func TestDictionaryEncodeBytes(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	terms := []Term{
 		NewIRI("http://example.org/a"),
 		NewLiteral("http://example.org/a"),
@@ -248,7 +252,7 @@ func TestDictionaryEncodeBytes(t *testing.T) {
 		t.Errorf("dictionary holds %d terms, want %d", d.Len(), len(terms))
 	}
 	known := span(terms[3])
-	if avg := testing.AllocsPerRun(100, func() { d.EncodeBytes(known) }); avg != 0 {
+	if avg := testenv.AllocsPerRun(t, 100, func() { d.EncodeBytes(known) }); avg != 0 {
 		t.Errorf("interning a known term allocated %.1f times, want 0", avg)
 	}
 }
@@ -258,6 +262,7 @@ func TestDictionaryEncodeBytes(t *testing.T) {
 // record array and index doubling, so a thousand new terms cost at most
 // two allocations, whichever entry point interns them.
 func TestDictionaryNewTermsAllocs(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	const batch, runs = 1000, 20
 	spans := make([]TermBytes, batch*(runs+1))
 	terms := make([]Term, len(spans))
@@ -270,7 +275,7 @@ func TestDictionaryNewTermsAllocs(t *testing.T) {
 	}
 	for _, viaBytes := range []bool{false, true} {
 		d, next := NewDictionary(), 0
-		avg := testing.AllocsPerRun(runs, func() {
+		avg := testenv.AllocsPerRun(t, runs, func() {
 			for i := next; i < next+batch; i++ {
 				if viaBytes {
 					d.EncodeBytes(spans[i])

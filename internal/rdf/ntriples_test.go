@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testenv"
 )
 
 func TestParseNTriplesBasic(t *testing.T) {
@@ -150,10 +152,11 @@ func TestParseErrorLineTooLong(t *testing.T) {
 // TestReadAllocatesOneStringPerLine pins what ReadAll costs: the
 // triple's strings share one allocation, escaped literal or not.
 func TestReadAllocatesOneStringPerLine(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	line := `<http://example.org/s> <http://example.org/p> "a\tb \u00e9"^^<http://www.w3.org/2001/XMLSchema#string> .` + "\n"
 	const lines = 100
 	doc := strings.Repeat(line, lines)
-	if avg := testing.AllocsPerRun(20, func() {
+	if avg := testenv.AllocsPerRun(t, 20, func() {
 		r := NewNTriplesReader(strings.NewReader(doc))
 		for {
 			if _, err := r.Read(); err != nil {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/testenv"
 	"repro/internal/watdiv"
 )
 
@@ -410,6 +411,7 @@ func TestWatDivBodiesMatchReference(t *testing.T) {
 // into its cells, sorting them for display and encoding them in either
 // format allocates nothing — no per-row map, no per-cell string.
 func TestEncodeAllocatesNothingWarm(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	dict, terms := nastyDict()
 	vars := []string{"s", "p", "o", "n", "g"}
 	ids := make([]rdf.ID, 0, 5*1000)
@@ -431,7 +433,7 @@ func TestEncodeAllocatesNothingWarm(t *testing.T) {
 		}
 	}
 	encode()
-	if n := testing.AllocsPerRun(10, encode); n != 0 {
+	if n := testenv.AllocsPerRun(t, 10, encode); n != 0 {
 		t.Errorf("decoding, sorting and encoding 1000 rows x 5 columns into warmed buffers allocates %v times, want 0", n)
 	}
 }
@@ -466,6 +468,7 @@ func (w discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 // parameters, parse, decode, sort, encoding, stats — is the same for
 // 1,000 result rows as for 10.
 func TestRequestAllocsIndependentOfRowCount(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	q, err := watdiv.QueryByName("L1")
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +491,7 @@ func TestRequestAllocsIndependentOfRowCount(t *testing.T) {
 			}
 		}
 		request() // plan cache, pooled encoder
-		whole, exec := testing.AllocsPerRun(20, request), testing.AllocsPerRun(20, query)
+		whole, exec := testenv.AllocsPerRun(t, 20, request), testenv.AllocsPerRun(t, 20, query)
 		t.Logf("%d rows: request %.0f allocs, Store.QueryIDs %.0f", n, whole, exec)
 		return whole - exec
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/testenv"
 	"repro/internal/watdiv"
 	"repro/internal/wire"
 )
@@ -357,6 +358,7 @@ func FuzzDecodeRequest(f *testing.F) {
 // and output), taken again from pools the collector emptied — is a
 // constant, whatever the size.
 func TestBroadcastAllocsIndependentOfRows(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	store := testStore(t)
 	coord := dialShards(t, store, 1)
 	sess, err := coord.Session(context.Background(), &sparql.Query{}, nil)
@@ -368,7 +370,7 @@ func TestBroadcastAllocsIndependentOfRows(t *testing.T) {
 	spec := engine.BroadcastSpec{Name: "allocs", BuildKey: []int{0}, ProbeKey: []int{0}, OutWidth: 3, RKeep: []int{1}}
 	allocs := func(n int) float64 {
 		probe := spreadRows(n, parts, keys)
-		return testing.AllocsPerRun(5, func() {
+		return testenv.AllocsPerRun(t, 5, func() {
 			out, err := sess.BroadcastJoin(spec, build, probe)
 			if err != nil {
 				t.Fatal(err)
@@ -402,6 +404,7 @@ func TestBroadcastAllocsIndependentOfRows(t *testing.T) {
 // and one processor runs both ends, so the pool keeps what it is given
 // and every call finds it where the last one left it.
 func TestWarmCallAllocatesNoFrameBytes(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	store := testStore(t)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/rdf"
 	"repro/internal/sparql"
+	"repro/internal/testenv"
 	"repro/internal/watdiv"
 	"repro/internal/wire"
 )
@@ -139,6 +140,7 @@ func scanRequests() map[string]*scanReq {
 // PT kinds at what they take under the race detector, three more than
 // without).
 func TestWarmConnAllocations(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	sl := slot{0, 1}
 	c := testConn(t, sl)
 	const parts = 8
@@ -167,7 +169,7 @@ func TestWarmConnAllocations(t *testing.T) {
 		}
 		var rd bytes.Reader
 		var resp bytes.Buffer
-		got := testing.AllocsPerRun(20, func() {
+		got := testenv.AllocsPerRun(t, 20, func() {
 			rd.Reset(frame)
 			resp.Reset()
 			if err := c.next(&rd, &resp); err != nil {
@@ -187,6 +189,7 @@ func TestWarmConnAllocations(t *testing.T) {
 // lists; its frames went back to the pool and its rows were region
 // memory, released — is larger than that.
 func TestConnKeepsNothingLarge(t *testing.T) {
+	testenv.SkipUnderRace(t)
 	sl := slot{0, 1}
 	c := testConn(t, sl)
 	build := spreadRows(16, 1, 16)
@@ -288,7 +291,7 @@ func wholeKernels(typ byte, m *exchangeReq, sl slot) []engine.Block {
 		case msgBroadcast:
 			rows = jp.Probe(m.A[p].Rows(), m.KeyB, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
 		case msgCartesian:
-			rows = engine.CartesianKernel(m.A[p].Rows(), whole, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep)
+			rows = engine.Cartesian(nil, m.A[p], m.Whole, m.AIsLeft, m.OutWidth, m.LKeep, m.RKeep).Rows()
 		case msgDistinct:
 			rows = engine.DistinctKernel(m.A[p].Rows(), m.OutWidth)
 		}

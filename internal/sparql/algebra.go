@@ -265,19 +265,6 @@ func (q *Query) Extended() bool {
 	return q.Limit >= 0 || q.Offset > 0
 }
 
-// CountAliases returns the set of projection names produced by COUNT
-// aggregates rather than bound by the graph pattern.
-func (q *Query) CountAliases() map[string]bool {
-	if len(q.Counts) == 0 {
-		return nil
-	}
-	m := make(map[string]bool, len(q.Counts))
-	for _, c := range q.Counts {
-		m[c.Alias] = true
-	}
-	return m
-}
-
 // AllVars returns every variable bound by the graph pattern (across all
 // UNION branches and OPTIONAL groups), sorted. COUNT aliases are not
 // included: they are projection names, not pattern bindings.

@@ -260,9 +260,6 @@ func TestParseGroupByCount(t *testing.T) {
 	if want := []string{"s", "n", "total"}; len(q.Vars) != 3 || q.Vars[0] != want[0] || q.Vars[1] != want[1] || q.Vars[2] != want[2] {
 		t.Errorf("Vars = %v, want %v", q.Vars, want)
 	}
-	if !q.CountAliases()["n"] || !q.CountAliases()["total"] {
-		t.Errorf("CountAliases = %v", q.CountAliases())
-	}
 }
 
 func TestExtendedStringRoundTrip(t *testing.T) {
