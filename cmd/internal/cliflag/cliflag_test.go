@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,7 +83,7 @@ func TestInvalidFaultFlagsRefusedOnBothPaths(t *testing.T) {
 	}
 	for _, fp := range []*cluster.FaultPlan{
 		{FailRate: 0.5, StragglerFactor: 0.5},
-		{FailRate: 0.5, MaxAttempts: -1},
+		{FailRate: 0.5, StragglerFactor: math.Inf(1)},
 	} {
 		if _, err := store.Query(q, core.QueryOptions{Faults: fp}); err == nil {
 			t.Errorf("QueryContext accepted %+v", fp)
@@ -90,6 +91,27 @@ func TestInvalidFaultFlagsRefusedOnBothPaths(t *testing.T) {
 	}
 	if m := store.ResilienceMetrics(); m != (cluster.Recovery{}) {
 		t.Errorf("a refused plan still executed something: %+v", m)
+	}
+
+	// Non-finite and huge values parse as floats; a NaN rate, which
+	// compares false with everything, must not turn the plan off.
+	for _, args := range [][]string{
+		{"-fault-fail-rate", "NaN"},
+		{"-fault-straggler-rate", "NaN"},
+		{"-fault-corrupt-rate", "Inf"},
+		{"-fault-straggler-rate", "1", "-fault-straggler-factor", "NaN"},
+		{"-fault-straggler-rate", "1", "-fault-straggler-factor", "+Inf"},
+		{"-fault-straggler-rate", "1", "-fault-straggler-factor", "1e300"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		query := Query(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if _, err := query(); err == nil {
+			t.Errorf("Query accepted %v", args)
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ func main() {
 	partitions := flag.Int("partitions", 0, "table partitions (0 = 2x workers)")
 	inversePT := flag.Bool("inverse-pt", false, "also build the object-keyed inverse Property Table")
 	showStats := flag.Bool("stats", false, "print per-predicate statistics")
-	extvpBudget := flag.Int64("extvp-budget", 0, "byte budget for workload-driven ExtVP semi-join tables (0 = subsystem off)")
 	flag.Parse()
 
 	if *in == "" {
@@ -36,13 +35,13 @@ func main() {
 	if *partitions > 0 {
 		cfg.DefaultPartitions = *partitions
 	}
-	if err := run(*in, cfg, *inversePT, *showStats, *extvpBudget); err != nil {
+	if err := run(*in, cfg, *inversePT, *showStats); err != nil {
 		fmt.Fprintln(os.Stderr, "prost-load:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in string, cfg cluster.Config, inversePT, showStats bool, extvpBudget int64) error {
+func run(in string, cfg cluster.Config, inversePT, showStats bool) error {
 	f, err := os.Open(in)
 	if err != nil {
 		return err
@@ -53,7 +52,7 @@ func run(in string, cfg cluster.Config, inversePT, showStats bool, extvpBudget i
 	if err != nil {
 		return err
 	}
-	store, err := core.LoadNTriples(f, core.Options{Cluster: c, BuildInversePT: inversePT, ExtVPBudget: extvpBudget})
+	store, err := core.LoadNTriples(f, core.Options{Cluster: c, BuildInversePT: inversePT})
 	if err != nil {
 		return err
 	}
@@ -65,9 +64,6 @@ func run(in string, cfg cluster.Config, inversePT, showStats bool, extvpBudget i
 	fmt.Printf("PT columns:     %d over %d rows\n", rep.PTColumns, store.PropertyTable().Rows())
 	if ipt := store.InversePropertyTable(); ipt != nil {
 		fmt.Printf("inverse PT:     %d columns over %d rows\n", ipt.Columns(), ipt.Rows())
-	}
-	if extvpBudget > 0 {
-		fmt.Printf("ExtVP budget:   %.2f MiB (workload-driven semi-join tables, built at query time)\n", float64(extvpBudget)/(1<<20))
 	}
 	fmt.Printf("simulated load: %v\n", rep.LoadTime)
 	fmt.Printf("wall time:      %v\n", rep.WallTime)

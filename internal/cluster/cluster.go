@@ -13,9 +13,9 @@
 // Fault tolerance — what the paper gets from Spark — lives here too, in
 // one place: a FaultPlan decides each attempt's fate, and
 // FaultPlan.RunAttempts is the one retry / backoff / speculation loop
-// that acts on those decisions, writing one attempt trace (Attempt) and
-// one recovery record (Recovery). The task scheduler in internal/core
-// and the morsel simulator (SimulateMorsels) both call it.
+// that acts on those decisions, writing one recovery record (Recovery).
+// The task scheduler in internal/core and the morsel simulator
+// (SimulateMorsels) both call it.
 package cluster
 
 import (

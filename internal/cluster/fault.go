@@ -1,52 +1,36 @@
 package cluster
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // FaultPlan is a deterministic, seedable fault-injection schedule for
 // chaos testing the execution stack. Every decision is a pure function
-// of (Seed, task key, attempt number, virtual start time) — never of
-// wall time, pool interleaving or call order — so a fault run is
-// exactly reproducible: the same plan over the same data under the
-// same FaultPlan injects the same failures at the same virtual times
-// and prices the same recovery, no matter how many goroutines execute
-// it.
+// of (Seed, task key, attempt number) — never of wall time, pool
+// interleaving or call order — so a fault run is exactly reproducible:
+// the same plan over the same data under the same FaultPlan injects the
+// same failures at the same virtual times and prices the same recovery,
+// no matter how many goroutines execute it.
 //
-// Four fault classes are supported, mirroring what a real cluster
-// loses: outright task-attempt failures (FailRate), workers dead for a
-// virtual-time window (Outages), stragglers whose priced time is
-// multiplied (StragglerRate/StragglerFactor), and corrupted exchange
-// deliveries (CorruptRate). Faults are priced on the virtual clock, not
-// acted out: no payload is ever touched and nothing is re-executed.
+// Three fault classes are supported, mirroring what a real cluster
+// loses: outright task-attempt failures (FailRate), stragglers whose
+// priced time is multiplied (StragglerRate/StragglerFactor), and
+// corrupted exchange deliveries (CorruptRate). Faults are priced on the
+// virtual clock, not acted out: no payload is ever touched and nothing
+// is re-executed. Every schedule recovers: at most MaxFailuresPerTask
+// attempts of a task fail, and the next one runs.
 type FaultPlan struct {
 	// Seed selects the pseudo-random schedule; two plans with different
 	// seeds inject disjoint fault patterns at the same rates.
 	Seed uint64
-	// FailRate is the probability an eligible task attempt fails
-	// outright after consuming its priced time.
+	// FailRate is the probability one of a task's first
+	// MaxFailuresPerTask attempts fails outright after consuming its
+	// priced time.
 	FailRate float64
-	// MaxFailuresPerTask caps how many attempts of one task FailRate
-	// may kill (0 = DefaultMaxFailuresPerTask). The cap keeps every
-	// schedule recoverable: retries beyond it only fail if they land on
-	// a dead worker.
-	MaxFailuresPerTask int
-	// MaxAttempts bounds execution attempts per task (0 =
-	// DefaultMaxAttempts); exhausting it aborts the query with a typed
-	// error carrying the attempt trace. A schedule stays recoverable
-	// only while this exceeds MaxFailuresPerTask plus the attempts its
-	// outage windows can kill.
-	MaxAttempts int
-	// Outages lists worker-loss windows on the virtual timeline: an
-	// attempt placed on a dead worker during its window fails. Retries
-	// rotate to other workers and back off past the window.
-	Outages []WorkerOutage
 	// StragglerRate is the probability an attempt runs slow; its priced
 	// time is multiplied by StragglerFactor.
 	StragglerRate float64
 	// StragglerFactor multiplies a straggling attempt's priced time
-	// (0 = DefaultStragglerFactor; must be >= 1 otherwise).
+	// (0 = DefaultStragglerFactor; in [1, MaxStragglerFactor]
+	// otherwise).
 	StragglerFactor float64
 	// CorruptRate is the probability a task's first output delivery is
 	// corrupted in the exchange, priced as the consumer's checksum
@@ -55,96 +39,55 @@ type FaultPlan struct {
 	CorruptRate float64
 }
 
-// Fault-plan defaults.
+// Fault-plan constants.
 const (
-	// DefaultMaxFailuresPerTask bounds injected outright failures per
-	// task so rate-based schedules stay recoverable under the executor's
-	// attempt budget.
-	DefaultMaxFailuresPerTask = 2
+	// MaxFailuresPerTask bounds the injected outright failures per task:
+	// the attempt after them always runs, so every schedule recovers.
+	MaxFailuresPerTask = 2
 	// DefaultStragglerFactor is the priced-time multiplier of an
 	// injected straggler when FaultPlan.StragglerFactor is zero.
 	DefaultStragglerFactor = 6.0
+	// MaxStragglerFactor bounds FaultPlan.StragglerFactor, so that a
+	// straggler's priced time stays a finite, representable duration.
+	MaxStragglerFactor = 1000.0
 )
-
-// WorkerOutage marks one simulated worker dead for a window of virtual
-// time: attempts placed on it with a virtual start in [From, Until)
-// fail with a worker-outage outcome.
-type WorkerOutage struct {
-	// Worker is the simulated worker index (0-based).
-	Worker int
-	// From and Until bound the outage on the virtual timeline
-	// (inclusive start, exclusive end).
-	From, Until time.Duration
-}
 
 // FaultDecision is the fate of one task attempt under a FaultPlan.
 type FaultDecision struct {
-	// Worker is the simulated worker the attempt was placed on.
-	// Consecutive attempts of one task rotate across workers, the way a
-	// real scheduler avoids re-placing a retry on the machine that just
-	// failed it.
-	Worker int
 	// Fail reports the attempt dies after consuming its priced time.
 	Fail bool
-	// Outage reports the failure was a worker-loss window (Fail is set
-	// too); false on an injected task-level failure.
-	Outage bool
 	// DelayFactor multiplies the attempt's priced time; 1 for a healthy
 	// attempt, StragglerFactor for an injected straggler.
 	DelayFactor float64
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. NaN fails every range test
+// (the comparisons are written so that it does), and so does ±Inf.
 func (fp *FaultPlan) Validate() error {
 	if fp == nil {
 		return nil
 	}
-	for name, rate := range map[string]float64{
-		"FailRate": fp.FailRate, "StragglerRate": fp.StragglerRate, "CorruptRate": fp.CorruptRate,
-	} {
-		if rate < 0 || rate > 1 {
-			return fmt.Errorf("cluster: FaultPlan.%s = %g out of [0,1]", name, rate)
+	for _, r := range []struct {
+		name string
+		rate float64
+	}{{"FailRate", fp.FailRate}, {"StragglerRate", fp.StragglerRate}, {"CorruptRate", fp.CorruptRate}} {
+		if !(r.rate >= 0 && r.rate <= 1) {
+			return fmt.Errorf("cluster: FaultPlan.%s = %g out of [0,1]", r.name, r.rate)
 		}
 	}
-	if fp.StragglerFactor != 0 && fp.StragglerFactor < 1 {
-		return fmt.Errorf("cluster: FaultPlan.StragglerFactor = %g must be >= 1", fp.StragglerFactor)
-	}
-	if fp.MaxAttempts < 0 {
-		return fmt.Errorf("cluster: FaultPlan.MaxAttempts = %d must be >= 0", fp.MaxAttempts)
-	}
-	for _, o := range fp.Outages {
-		if o.Worker < 0 {
-			return fmt.Errorf("cluster: FaultPlan outage worker %d must be >= 0", o.Worker)
-		}
-		if o.Until < o.From {
-			return fmt.Errorf("cluster: FaultPlan outage window [%v,%v) inverted", o.From, o.Until)
-		}
+	if f := fp.StragglerFactor; f != 0 && !(f >= 1 && f <= MaxStragglerFactor) {
+		return fmt.Errorf("cluster: FaultPlan.StragglerFactor = %g out of [1,%g]", f, MaxStragglerFactor)
 	}
 	return nil
 }
 
 // Active reports whether the plan injects anything at all; executors
 // skip every resilience hook (recovery pricing, attempt bookkeeping) for
-// an inactive plan, keeping the fault-free hot path untouched.
+// an inactive plan, keeping the fault-free hot path untouched. A rate
+// that is set but invalid (NaN included) counts as active, so that it
+// reaches Validate instead of turning the plan off.
 func (fp *FaultPlan) Active() bool {
-	return fp != nil && (fp.FailRate > 0 || len(fp.Outages) > 0 ||
-		fp.StragglerRate > 0 || fp.CorruptRate > 0)
-}
-
-// maxFailures resolves the per-task injected-failure cap.
-func (fp *FaultPlan) maxFailures() int {
-	if fp.MaxFailuresPerTask > 0 {
-		return fp.MaxFailuresPerTask
-	}
-	return DefaultMaxFailuresPerTask
-}
-
-// maxAttempts resolves the per-task attempt budget.
-func (fp *FaultPlan) maxAttempts() int {
-	if fp.MaxAttempts > 0 {
-		return fp.MaxAttempts
-	}
-	return DefaultMaxAttempts
+	return fp != nil && (fp.FailRate != 0 || fp.StragglerRate != 0 || fp.CorruptRate != 0)
 }
 
 // stragglerFactor resolves the straggler multiplier.
@@ -155,36 +98,19 @@ func (fp *FaultPlan) stragglerFactor() float64 {
 	return DefaultStragglerFactor
 }
 
-// Hash salts separating the independent decision streams.
+// Hash salts separating the independent decision streams. Their values
+// are part of every seeded schedule.
 const (
-	saltPlace uint64 = iota + 1
-	saltFail
-	saltStraggle
-	saltCorrupt
+	saltFail     uint64 = 2
+	saltStraggle uint64 = 3
+	saltCorrupt  uint64 = 4
 )
 
-// Decide returns the fate of one attempt of a task: its worker
-// placement, whether it fails (injected or by landing on a worker that
-// is dead at start), and its straggler delay factor. attempt is
-// 1-based; workers is the cluster's worker count.
-func (fp *FaultPlan) Decide(taskKey uint64, attempt int, start time.Duration, workers int) FaultDecision {
-	if workers < 1 {
-		workers = 1
-	}
-	// Consecutive attempts rotate across consecutive workers so a retry
-	// never lands back on the machine that just failed it.
-	base := mix64(fp.Seed, taskKey, saltPlace)
-	d := FaultDecision{
-		Worker:      int((base + uint64(attempt-1)) % uint64(workers)),
-		DelayFactor: 1,
-	}
-	for _, o := range fp.Outages {
-		if o.Worker == d.Worker && start >= o.From && start < o.Until {
-			d.Fail, d.Outage = true, true
-			return d
-		}
-	}
-	if fp.FailRate > 0 && attempt <= fp.maxFailures() &&
+// Decide returns the fate of one attempt of a task: whether it fails,
+// and its straggler delay factor. attempt is 1-based.
+func (fp *FaultPlan) Decide(taskKey uint64, attempt int) FaultDecision {
+	d := FaultDecision{DelayFactor: 1}
+	if fp.FailRate > 0 && attempt <= MaxFailuresPerTask &&
 		unitFloat(mix64(fp.Seed, taskKey, saltFail+uint64(attempt)<<8)) < fp.FailRate {
 		d.Fail = true
 		return d

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -9,8 +10,8 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	fp := &FaultPlan{Seed: 42, FailRate: 0.3, StragglerRate: 0.2, CorruptRate: 0.25}
 	for key := uint64(0); key < 200; key++ {
 		for attempt := 1; attempt <= 4; attempt++ {
-			a := fp.Decide(key, attempt, 100*time.Millisecond, 9)
-			b := fp.Decide(key, attempt, 100*time.Millisecond, 9)
+			a := fp.Decide(key, attempt)
+			b := fp.Decide(key, attempt)
 			if a != b {
 				t.Fatalf("Decide(key=%d attempt=%d) not deterministic: %+v vs %+v", key, attempt, a, b)
 			}
@@ -30,10 +31,10 @@ func TestFaultPlanRates(t *testing.T) {
 	const n = 20000
 	var fails, straggles, corrupts int
 	for key := uint64(0); key < n; key++ {
-		if failing.Decide(key, 1, 0, 9).Fail {
+		if failing.Decide(key, 1).Fail {
 			fails++
 		}
-		if straggling.Decide(key, 1, 0, 9).DelayFactor > 1 {
+		if straggling.Decide(key, 1).DelayFactor > 1 {
 			straggles++
 		}
 		if corrupting.CorruptDelivery(key) {
@@ -58,7 +59,7 @@ func TestFaultPlanSeedsDiffer(t *testing.T) {
 	same := 0
 	const n = 1000
 	for key := uint64(0); key < n; key++ {
-		if a.Decide(key, 1, 0, 9).Fail == b.Decide(key, 1, 0, 9).Fail {
+		if a.Decide(key, 1).Fail == b.Decide(key, 1).Fail {
 			same++
 		}
 	}
@@ -68,46 +69,14 @@ func TestFaultPlanSeedsDiffer(t *testing.T) {
 }
 
 func TestFaultPlanFailureCap(t *testing.T) {
-	fp := &FaultPlan{Seed: 3, FailRate: 1.0, MaxFailuresPerTask: 2}
+	fp := &FaultPlan{Seed: 3, FailRate: 1.0}
 	for key := uint64(0); key < 50; key++ {
-		if !fp.Decide(key, 1, 0, 9).Fail || !fp.Decide(key, 2, 0, 9).Fail {
+		if !fp.Decide(key, 1).Fail || !fp.Decide(key, 2).Fail {
 			t.Fatalf("key %d: FailRate=1 should fail attempts 1 and 2", key)
 		}
-		if fp.Decide(key, 3, 0, 9).Fail {
-			t.Fatalf("key %d: attempt 3 exceeds MaxFailuresPerTask=2 yet failed", key)
+		if fp.Decide(key, 3).Fail {
+			t.Fatalf("key %d: attempt 3 exceeds MaxFailuresPerTask yet failed", key)
 		}
-	}
-}
-
-func TestFaultPlanOutageWindowAndRotation(t *testing.T) {
-	fp := &FaultPlan{Seed: 11, Outages: []WorkerOutage{{Worker: 2, From: 0, Until: time.Second}}}
-	foundOutage := false
-	for key := uint64(0); key < 100; key++ {
-		d := fp.Decide(key, 1, 500*time.Millisecond, 4)
-		if d.Worker == 2 {
-			if !d.Fail || !d.Outage {
-				t.Fatalf("key %d on dead worker 2 did not fail with outage", key)
-			}
-			foundOutage = true
-			// A retry rotates to the next worker and must survive.
-			d2 := fp.Decide(key, 2, 600*time.Millisecond, 4)
-			if d2.Worker == 2 {
-				t.Fatalf("key %d attempt 2 re-placed on failed worker 2", key)
-			}
-			if d2.Fail {
-				t.Fatalf("key %d attempt 2 on live worker %d failed", key, d2.Worker)
-			}
-			// Past the window the dead worker is healthy again.
-			d3 := fp.Decide(key, 1, 2*time.Second, 4)
-			if d3.Fail {
-				t.Fatalf("key %d failed on worker %d after outage window", key, d3.Worker)
-			}
-		} else if d.Fail {
-			t.Fatalf("key %d failed on live worker %d", key, d.Worker)
-		}
-	}
-	if !foundOutage {
-		t.Fatal("no task landed on the dead worker; placement hash suspicious")
 	}
 }
 
@@ -125,16 +94,46 @@ func TestFaultPlanValidateAndActive(t *testing.T) {
 	if !(&FaultPlan{CorruptRate: 0.1}).Active() {
 		t.Fatal("corrupting plan reported inactive")
 	}
+	// A NaN rate counts as set, so that it reaches Validate instead of
+	// turning the plan off.
+	if !(&FaultPlan{FailRate: math.NaN()}).Active() || !(&FaultPlan{StragglerRate: math.NaN()}).Active() {
+		t.Fatal("NaN-rate plan reported inactive")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
 	bad := []FaultPlan{
 		{FailRate: 1.5},
 		{CorruptRate: -0.1},
 		{StragglerFactor: 0.5, StragglerRate: 0.1},
-		{Outages: []WorkerOutage{{Worker: -1}}},
-		{Outages: []WorkerOutage{{Worker: 0, From: time.Second, Until: 0}}},
+		{FailRate: nan},
+		{StragglerRate: nan},
+		{CorruptRate: nan},
+		{FailRate: inf},
+		{CorruptRate: -inf},
+		{StragglerRate: 1, StragglerFactor: nan},
+		{StragglerRate: 1, StragglerFactor: inf},
+		{StragglerRate: 1, StragglerFactor: 1e300},
+		{StragglerRate: 1, StragglerFactor: MaxStragglerFactor * 1.01},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {
-			t.Errorf("bad plan %d passed Validate", i)
+			t.Errorf("bad plan %d (%+v) passed Validate", i, bad[i])
 		}
+	}
+	good := []FaultPlan{
+		{FailRate: 1, StragglerRate: 1, CorruptRate: 1},
+		{StragglerRate: 1, StragglerFactor: 1},
+		{StragglerRate: 1, StragglerFactor: MaxStragglerFactor},
+	}
+	for i := range good {
+		if err := good[i].Validate(); err != nil {
+			t.Errorf("good plan %d (%+v): %v", i, good[i], err)
+		}
+	}
+
+	// At the largest factor a straggler's priced time stays a positive,
+	// finite duration.
+	fp := &FaultPlan{StragglerRate: 1, StragglerFactor: MaxStragglerFactor}
+	if done, _, _ := fp.RunAttempts(1, 0, time.Hour); done < time.Hour {
+		t.Errorf("RunAttempts at the largest factor finished at %v", done)
 	}
 }

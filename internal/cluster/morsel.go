@@ -26,7 +26,7 @@ import (
 // MorselPipeline is one pipeline's aggregate priced work, split evenly
 // into morsels by the simulator.
 type MorselPipeline struct {
-	// Name labels the pipeline in traces and failure reports.
+	// Name labels the pipeline in traces.
 	Name string
 	// Deps lists pipelines (by index, each < this pipeline's index)
 	// whose completion gates this pipeline — hash-join build sides the
@@ -60,10 +60,8 @@ type MorselSimConfig struct {
 	Cost CostModel
 	// Start is the query's planning charge; no morsel starts before it.
 	Start time.Duration
-	// Faults, when active, prices per-morsel fault injection (a morsel
-	// that exhausts Faults.MaxAttempts fails the simulation with a
-	// *MorselFailedError); FaultSalt decorrelates schedules across
-	// queries.
+	// Faults, when active, prices per-morsel fault injection;
+	// FaultSalt decorrelates schedules across queries.
 	Faults    *FaultPlan
 	FaultSalt uint64
 }
@@ -80,20 +78,6 @@ type MorselSimResult struct {
 	// Recovery is the fault-injection record (zero-valued without an
 	// active fault plan).
 	Recovery Recovery
-}
-
-// MorselFailedError reports a morsel that exhausted its attempt budget
-// under fault injection.
-type MorselFailedError struct {
-	Pipeline string
-	Morsel   int
-	Attempts []Attempt
-}
-
-// Error implements error.
-func (e *MorselFailedError) Error() string {
-	return fmt.Sprintf("cluster: pipeline %q morsel %d failed permanently after %d attempts",
-		e.Pipeline, e.Morsel, len(e.Attempts))
 }
 
 // morselKey derives the fault key of one morsel, decorrelated across
@@ -116,9 +100,6 @@ func splitWork(total time.Duration, m int) (base, first time.Duration) {
 // SimulateMorsels list-schedules every pipeline's morsels onto the
 // simulated workers and returns the priced outcome. Pipelines must be
 // topologically ordered (each Deps entry refers to an earlier index).
-// On a *MorselFailedError the partial result is returned alongside the
-// error: its Recovery record holds the attempts spent before the
-// abort, which callers aggregate exactly like a successful run's.
 func SimulateMorsels(pipelines []MorselPipeline, cfg MorselSimConfig) (*MorselSimResult, error) {
 	workers := cfg.Workers
 	if workers < 1 {
@@ -198,12 +179,9 @@ func SimulateMorsels(pipelines []MorselPipeline, cfg MorselSimConfig) (*MorselSi
 			if faults != nil {
 				// A morsel is priced, not executed: every attempt costs
 				// its share of the pipeline's work.
-				fDone, trace, rec, exhausted := faults.RunAttempts(morselKey(cfg.FaultSalt, pi, mi), start, workers, dur)
+				var rec Recovery
+				mDone, _, rec = faults.RunAttempts(morselKey(cfg.FaultSalt, pi, mi), start, dur)
 				res.Recovery.Add(rec)
-				if exhausted {
-					return res, &MorselFailedError{Pipeline: p.Name, Morsel: mi, Attempts: trace}
-				}
-				mDone = fDone
 			}
 			free[w] = mDone
 			if mDone > done {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -104,27 +103,14 @@ func TestSimulateMorselsFaultsDeterministic(t *testing.T) {
 	if a.Recovery.Retries == 0 {
 		t.Errorf("expected retries under FailRate 0.3, got %+v", a.Recovery)
 	}
-	// A rate-only plan caps failures per task below MaxAttempts, so the
-	// simulation must recover rather than abort.
+	// At most MaxFailuresPerTask attempts of a morsel fail, so the
+	// simulation recovers.
 	clean, err := SimulateMorsels(pipes, simCfg(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Done <= clean.Done {
 		t.Errorf("faulted run (%v) should cost more than clean run (%v)", a.Done, clean.Done)
-	}
-}
-
-func TestSimulateMorselsPermanentFailure(t *testing.T) {
-	cfg := simCfg(2)
-	cfg.Faults = &FaultPlan{Seed: 3, FailRate: 1.0, MaxFailuresPerTask: 10, MaxAttempts: 2}
-	_, err := SimulateMorsels([]MorselPipeline{{Name: "doomed", Morsels: 2, Work: TaskStats{Rows: 100}}}, cfg)
-	var mfe *MorselFailedError
-	if !errors.As(err, &mfe) {
-		t.Fatalf("want MorselFailedError, got %v", err)
-	}
-	if len(mfe.Attempts) != 2 {
-		t.Fatalf("attempt trace has %d entries, want 2", len(mfe.Attempts))
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -24,8 +23,8 @@ const (
 
 // refRecorder is the scheduler's old recovery bookkeeping.
 type refRecorder struct {
-	attempts, retries, stragglers, specLaunch, specWins, taskFailed int64
-	recovery                                                        time.Duration
+	attempts, retries, stragglers, specLaunch, specWins int64
+	recovery                                            time.Duration
 }
 
 func (r *refRecorder) addRecovery(d time.Duration) {
@@ -46,25 +45,17 @@ func refScaleDuration(d time.Duration, f float64) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-func refTaskLoop(fp *FaultPlan, maxAttempts int, key uint64, start, elapsed time.Duration, workers int) (done time.Duration, trace []Attempt, res refRecorder, failed bool) {
+// refTaskLoop returns the length of the attempt trace the old loop
+// wrote: one entry per attempt, and one more for a speculative
+// duplicate that won.
+func refTaskLoop(fp *FaultPlan, key uint64, start, elapsed time.Duration) (done time.Duration, trace int, res refRecorder) {
 	vstart := start
 	for attempt := 1; ; attempt++ {
-		dec := fp.Decide(key, attempt, vstart, workers)
+		dec := fp.Decide(key, attempt)
 		res.attempts++
+		trace++
 
 		if dec.Fail {
-			outcome := "failed"
-			if dec.Outage {
-				outcome = "worker-outage"
-			}
-			trace = append(trace, Attempt{
-				Attempt: attempt, Worker: dec.Worker,
-				Start: vstart, End: vstart + elapsed, Outcome: outcome,
-			})
-			if attempt >= maxAttempts {
-				res.taskFailed++
-				return 0, trace, res, true
-			}
 			res.retries++
 			wait := refRetryDelay(refRetryBackoff, attempt)
 			res.addRecovery(elapsed + wait)
@@ -77,38 +68,23 @@ func refTaskLoop(fp *FaultPlan, maxAttempts int, key uint64, start, elapsed time
 			res.stragglers++
 			slowDone := vstart + refScaleDuration(elapsed, dec.DelayFactor)
 			done = slowDone
-			specWon := false
 			if sf := refSpecFactor; sf > 0 && dec.DelayFactor > sf {
 				specStart := vstart + refScaleDuration(elapsed, sf)
-				specDec := fp.Decide(key, attempt+refSpecBase, specStart, workers)
+				specDec := fp.Decide(key, attempt+refSpecBase)
 				res.specLaunch++
 				res.attempts++
 				if !specDec.Fail {
 					specDone := specStart + refScaleDuration(elapsed, math.Max(specDec.DelayFactor, 1))
 					if specDone < slowDone {
-						specWon = true
 						done = specDone
 						res.specWins++
-						trace = append(trace,
-							Attempt{Attempt: attempt, Worker: dec.Worker, Start: vstart, End: slowDone, Outcome: "straggler-lost"},
-							Attempt{Attempt: attempt, Worker: specDec.Worker, Start: specStart, End: specDone, Outcome: "speculative-win", Speculative: true})
+						trace++
 					}
 				}
 			}
-			if !specWon {
-				trace = append(trace, Attempt{
-					Attempt: attempt, Worker: dec.Worker,
-					Start: vstart, End: slowDone, Outcome: "straggler",
-				})
-			}
 			res.addRecovery(done - (vstart + elapsed))
-		} else {
-			trace = append(trace, Attempt{
-				Attempt: attempt, Worker: dec.Worker,
-				Start: vstart, End: done, Outcome: "ok",
-			})
 		}
-		return done, trace, res, false
+		return done, trace, res
 	}
 }
 
@@ -119,26 +95,12 @@ type refMorselRecovery struct {
 	Recovery                      time.Duration
 }
 
-// refMorselLoop returns the failed-attempt trace only on exhaustion:
-// the old loop kept no trace of a morsel that completed.
-func refMorselLoop(fp *FaultPlan, maxAttempts int, key uint64, start, dur time.Duration, workers int, rec *refMorselRecovery) (time.Duration, []Attempt) {
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	var trace []Attempt
+func refMorselLoop(fp *FaultPlan, key uint64, start, dur time.Duration, rec *refMorselRecovery) time.Duration {
 	vstart := start
 	for attempt := 1; ; attempt++ {
-		dec := fp.Decide(key, attempt, vstart, workers)
+		dec := fp.Decide(key, attempt)
 		rec.Attempts++
 		if dec.Fail {
-			outcome := "failed"
-			if dec.Outage {
-				outcome = "worker-outage"
-			}
-			trace = append(trace, Attempt{Attempt: attempt, Worker: dec.Worker, Start: vstart, End: vstart + dur, Outcome: outcome})
-			if attempt >= maxAttempts {
-				return 0, trace
-			}
 			rec.Retries++
 			wait := refRetryBackoff << (attempt - 1)
 			if wait > refMaxBackoff || wait <= 0 {
@@ -155,7 +117,7 @@ func refMorselLoop(fp *FaultPlan, maxAttempts int, key uint64, start, dur time.D
 			done = slowDone
 			if sf := refSpecFactor; sf > 0 && dec.DelayFactor > sf {
 				specStart := vstart + time.Duration(float64(dur)*sf)
-				specDec := fp.Decide(key, attempt+refSpecBase, specStart, workers)
+				specDec := fp.Decide(key, attempt+refSpecBase)
 				rec.SpecLaunched++
 				rec.Attempts++
 				if !specDec.Fail {
@@ -168,19 +130,16 @@ func refMorselLoop(fp *FaultPlan, maxAttempts int, key uint64, start, dur time.D
 			}
 			rec.Recovery += done - (vstart + dur)
 		}
-		return done, nil
+		return done
 	}
 }
 
-// randomFaultPlan draws a plan over all four fault classes: outage sets
-// that sometimes cover every worker (so only exhaustion ends the task),
-// failure caps on both sides of the attempt budget, straggler factors
-// on both sides of the speculation multiple.
-func randomFaultPlan(rng *rand.Rand, workers int) *FaultPlan {
+// randomFaultPlan draws a plan over the three fault classes: straggler
+// factors on both sides of the speculation multiple.
+func randomFaultPlan(rng *rand.Rand) *FaultPlan {
 	fp := &FaultPlan{Seed: rng.Uint64()}
 	if rng.Intn(3) > 0 {
 		fp.FailRate = []float64{0.05, 0.3, 0.7, 1}[rng.Intn(4)]
-		fp.MaxFailuresPerTask = rng.Intn(9) // 0 = default 2; up to past any budget drawn below
 	}
 	if rng.Intn(2) == 0 {
 		fp.StragglerRate = []float64{0.1, 0.5, 1}[rng.Intn(3)]
@@ -189,31 +148,18 @@ func randomFaultPlan(rng *rand.Rand, workers int) *FaultPlan {
 	if rng.Intn(4) == 0 {
 		fp.CorruptRate = rng.Float64()
 	}
-	fp.MaxAttempts = rng.Intn(8) // 0 = default 4
-	switch rng.Intn(4) {
-	case 0: // every worker dead over one long window
-		for w := 0; w < workers; w++ {
-			fp.Outages = append(fp.Outages, WorkerOutage{Worker: w, From: 0, Until: time.Duration(rng.Int63n(int64(20 * time.Second)))})
-		}
-	case 1: // scattered windows
-		for i := rng.Intn(4); i > 0; i-- {
-			from := time.Duration(rng.Int63n(int64(time.Second)))
-			fp.Outages = append(fp.Outages, WorkerOutage{Worker: rng.Intn(workers + 1), From: from, Until: from + time.Duration(rng.Int63n(int64(3*time.Second)))})
-		}
-	}
 	return fp
 }
 
 // TestFaultRunAttemptsMatchesOldLoops holds the shared attempt loop to
-// both loops it replaced, over random plans × keys × starts × durations
-// × worker counts: completion time, attempt trace, recovery record and
-// exhaustion are equal.
+// both loops it replaced, over random plans × keys × starts ×
+// durations: completion time, attempt count and recovery record are
+// equal.
 func TestFaultRunAttemptsMatchesOldLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	var exhausted, specWins, outages, retried int
+	var specWins, specLosses, capped int
 	for i := 0; i < 20000; i++ {
-		workers := 1 + rng.Intn(9)
-		fp := randomFaultPlan(rng, workers)
+		fp := randomFaultPlan(rng)
 		if err := fp.Validate(); err != nil {
 			t.Fatalf("drew an invalid plan %+v: %v", fp, err)
 		}
@@ -223,52 +169,36 @@ func TestFaultRunAttemptsMatchesOldLoops(t *testing.T) {
 		if rng.Intn(10) == 0 {
 			dur = 1 // the zero-cost clamp both callers apply
 		}
-		budget := fp.MaxAttempts
-		if budget == 0 {
-			budget = 4
-		}
 
-		done, trace, rec, failed := fp.RunAttempts(key, start, workers, dur)
+		done, attempts, rec := fp.RunAttempts(key, start, dur)
 
-		tDone, tTrace, tRes, tFailed := refTaskLoop(fp, budget, key, start, dur, workers)
+		tDone, tTrace, tRes := refTaskLoop(fp, key, start, dur)
 		wantRec := Recovery{
 			Attempts: tRes.attempts, Retries: tRes.retries, Stragglers: tRes.stragglers,
 			SpeculativeLaunched: tRes.specLaunch, SpeculativeWins: tRes.specWins,
-			TasksFailed: tRes.taskFailed, RecoveryTime: tRes.recovery,
+			RecoveryTime: tRes.recovery,
 		}
-		if done != tDone || failed != tFailed || rec != wantRec || !reflect.DeepEqual(trace, tTrace) {
-			t.Fatalf("case %d: plan %+v key %#x start %v dur %v workers %d\n shared loop: done %v exhausted %v rec %+v\n  trace %v\n task loop:   done %v failed %v rec %+v\n  trace %v",
-				i, fp, key, start, dur, workers, done, failed, rec, trace, tDone, tFailed, wantRec, tTrace)
+		if done != tDone || attempts != tTrace || rec != wantRec {
+			t.Fatalf("case %d: plan %+v key %#x start %v dur %v\n shared loop: done %v attempts %d rec %+v\n task loop:   done %v trace %d rec %+v",
+				i, fp, key, start, dur, done, attempts, rec, tDone, tTrace, wantRec)
 		}
 		var mRec refMorselRecovery
-		mDone, mTrace := refMorselLoop(fp, budget, key, start, dur, workers, &mRec)
-		if mTrace != nil {
-			if !failed || !reflect.DeepEqual(trace, mTrace) {
-				t.Fatalf("case %d: morsel loop exhausted with trace %v; shared loop exhausted %v trace %v", i, mTrace, failed, trace)
-			}
-		} else if failed {
-			t.Fatalf("case %d: shared loop exhausted, morsel loop completed at %v", i, mDone)
-		}
+		mDone := refMorselLoop(fp, key, start, dur, &mRec)
 		gotM := refMorselRecovery{rec.Attempts, rec.Retries, rec.Stragglers, rec.SpeculativeLaunched, rec.SpeculativeWins, rec.RecoveryTime}
 		if done != mDone || gotM != mRec {
 			t.Fatalf("case %d: plan %+v\n shared loop: done %v rec %+v\n morsel loop: done %v rec %+v", i, fp, done, gotM, mDone, mRec)
 		}
 
-		if failed {
-			exhausted++
-		}
 		specWins += int(rec.SpeculativeWins)
-		retried += int(rec.Retries)
-		for _, a := range trace {
-			if a.Outcome == AttemptOutage {
-				outages++
-			}
+		specLosses += int(rec.SpeculativeLaunched - rec.SpeculativeWins)
+		if rec.Retries == MaxFailuresPerTask {
+			capped++
 		}
 	}
 	// The draw must reach every branch of the loop, or equality proves
 	// nothing.
-	if exhausted == 0 || specWins == 0 || outages == 0 || retried == 0 {
-		t.Errorf("random plans missed a branch: %d exhausted, %d speculative wins, %d outage attempts, %d retries",
-			exhausted, specWins, outages, retried)
+	if specWins == 0 || specLosses == 0 || capped == 0 {
+		t.Errorf("random plans missed a branch: %d speculative wins, %d speculative losses, %d tasks at the failure cap",
+			specWins, specLosses, capped)
 	}
 }

@@ -51,7 +51,7 @@ type DistSession interface {
 	// stat is the raw partition length the coordinator already knows).
 	// planNode is the scan's plan node ID, for its ExchangeRecord;
 	// filterIdx indexes the session query's FILTER list; label and
-	// modeledBytes feed the calibration layer's leaf-pricing record.
+	// modeledBytes name and price the scan's ExchangeRecord.
 	ScanNode(planNode int, n *Node, filterIdx []int, label string, modeledBytes int64) (parts []engine.Block, processed []int64, err error)
 	// Records returns the session's exchange records in execution order.
 	Records() []ExchangeRecord
@@ -71,8 +71,8 @@ type ExchangeRecord struct {
 	// scan label).
 	Name string
 	// PricedBytes is what the cost model charged for the exchange's
-	// network movement (for scans: the calibrated leaf disk-bytes
-	// price).
+	// network movement (for scans: the modeled disk bytes of the
+	// leaf).
 	PricedBytes int64
 	// MeasuredBytes is the payload actually shuffled over the wire —
 	// fragments that moved because the cost model says they move.
@@ -121,11 +121,10 @@ type NetworkReporter interface {
 }
 
 // wrapShardErr converts a shard-process failure into the typed
-// *TaskFailedError of the PR 6 attempt machinery: a dead shard is a
-// permanent worker outage from the query's point of view — there is no
-// redundant replica to retry against — so the error carries a
-// one-attempt trace with the worker-outage outcome and unwraps to the
-// underlying *wire.ShardError.
+// *TaskFailedError: a dead shard is a permanent worker outage from the
+// query's point of view — there is no redundant replica to retry
+// against — so the error carries a one-attempt trace with the
+// worker-outage outcome and unwraps to the underlying *wire.ShardError.
 func wrapShardErr(err error, t *execTask, completed, total int) error {
 	var se *wire.ShardError
 	if !errors.As(err, &se) {

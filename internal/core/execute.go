@@ -41,13 +41,12 @@ type QueryOptions struct {
 	// deliveries are charged from that run's time, on every route —
 	// local or sharded — and either executor, so rows never change. A
 	// nil or inactive plan keeps execution on the unchanged fault-free
-	// hot path. The plan is the whole fault configuration — its
-	// MaxAttempts is the per-task attempt budget whose exhaustion aborts
-	// the query with a *TaskFailedError; retry backoff and the
-	// speculation multiple are constants beside the attempt loop
-	// (cluster.FaultPlan.RunAttempts). An invalid plan is refused before
-	// planning. Fault options never affect planning, so cached plans are
-	// shared across fault settings.
+	// hot path. The plan is the whole fault configuration, and every
+	// schedule recovers: an injected fault never fails the query. The
+	// failure cap, retry backoff and the speculation multiple are
+	// constants beside the attempt loop (cluster.FaultPlan.RunAttempts).
+	// An invalid plan is refused before planning. Fault options never
+	// affect planning, so cached plans are shared across fault settings.
 	Faults *cluster.FaultPlan
 	// Streaming routes the query through the morsel-driven pipeline
 	// executor: operators fuse into chunk-at-a-time pipelines, SimTime
@@ -287,8 +286,9 @@ func (s *Store) query(ctx context.Context, q *sparql.Query, opts QueryOptions, f
 		x, err = s.runMaterialized(ctx, q, r, entry, filters, region)
 	}
 	if r.faults != nil {
-		// The record totals on the store even when the query aborted —
-		// failed recovery is exactly what /stats should show.
+		// The record totals on the store even when the query aborted
+		// (canceled, or a shard died): the recovery it priced is what
+		// /stats should show.
 		s.resilience.add(x.recovery)
 	}
 	if err != nil {

@@ -32,10 +32,10 @@ func queryFaultSalt(q *sparql.Query) uint64 {
 }
 
 // QueryAbort is the shared face of errors that abort a query
-// mid-execution — context cancellation (*CancelError) and fault
-// exhaustion (*TaskFailedError) — so servers can report partial
-// progress uniformly while still distinguishing the two by type
-// (504 vs 500, queries.timeouts vs queries.failed).
+// mid-execution — context cancellation (*CancelError) and a dead shard
+// (*TaskFailedError) — so servers can report partial progress uniformly
+// while still distinguishing the two by type (504 vs 500,
+// queries.timeouts vs queries.failed).
 type QueryAbort interface {
 	error
 	// AbortProgress reports plan tasks completed vs scheduled when the
@@ -43,34 +43,25 @@ type QueryAbort interface {
 	AbortProgress() (completed, total int)
 }
 
-// TaskFailedError reports a task that exhausted its attempt budget
-// under fault injection — the permanent-failure abort, carrying the
-// full attempt trace for diagnosis. When several tasks exhaust theirs,
-// it names the one whose last attempt ends earliest on the virtual
-// timeline (ties: the lower plan node ID), so the report is the same
-// however the workers interleaved. prost-serve returns it as a 500
-// (distinct from the 504 a *CancelError produces).
+// TaskFailedError reports a plan task whose shard process died — the
+// dead-shard abort: there is no replica to retry against, so the query
+// fails (injected faults never abort one; their recovery is priced).
+// prost-serve returns it as a 500 (distinct from the 504 a
+// *CancelError produces).
 type TaskFailedError struct {
 	// Task describes the failed plan operator.
 	Task string
-	// Attempts is the task's full attempt trace, in virtual-time order.
+	// Attempts is the task's attempt trace: one attempt on the dead
+	// shard, with the worker-outage outcome.
 	Attempts []cluster.Attempt
-	// CompletedTasks counts the plan tasks that produced their output:
-	// under fault exhaustion, every operator that neither exhausted its
-	// attempts nor depends on one that did (on the streaming executor,
-	// the pipelines finished before the failed morsel's), a number
-	// deterministic for a given plan and fault plan; for a dead shard,
-	// the operators completed when it was seen. TotalTasks counts the
-	// plan's tasks (streaming: pipelines).
+	// CompletedTasks counts the plan operators completed when the dead
+	// shard was seen; TotalTasks counts the plan's operators.
 	CompletedTasks, TotalTasks int
-	// Cause is the underlying failure for non-injected aborts — a dead
-	// shard process surfaces its *wire.ShardError here. Nil for
-	// simulated fault-injection aborts.
+	// Cause is the shard's *wire.ShardError.
 	Cause error
 }
 
-// Unwrap exposes the underlying failure (e.g. a *wire.ShardError) to
-// errors.Is/As.
+// Unwrap exposes the underlying *wire.ShardError to errors.Is/As.
 func (e *TaskFailedError) Unwrap() error { return e.Cause }
 
 // Error implements error.
@@ -82,9 +73,7 @@ func (e *TaskFailedError) Error() string {
 		sb.WriteString("; ")
 		sb.WriteString(a.String())
 	}
-	if e.Cause != nil {
-		fmt.Fprintf(&sb, "; cause: %v", e.Cause)
-	}
+	fmt.Fprintf(&sb, "; cause: %v", e.Cause)
 	return sb.String()
 }
 

@@ -44,12 +44,6 @@ type execTask struct {
 	// rows (NodeScan.zeroCopy): no intermediate exists for the peak-memory
 	// sweep to count.
 	zeroCopy bool
-
-	// exhausted is the attempt trace of a task that ran out of attempts
-	// under the fault plan; lost marks such a task and every task above
-	// it, which never run. The rest of the plan runs to completion.
-	exhausted []cluster.Attempt
-	lost      bool
 }
 
 // scheduler executes one physical plan as a task DAG on a bounded set
@@ -95,9 +89,8 @@ type scheduler struct {
 
 	completed atomic.Int64
 
-	// failed, errOnce and err hold the first real error or cancellation,
-	// which stops every task; an exhausted attempt budget stops only its
-	// own ancestors.
+	// failed, errOnce and err hold the first error or cancellation,
+	// which stops every task.
 	failed  atomic.Bool
 	errOnce sync.Once
 	err     error
@@ -145,30 +138,7 @@ func (sc *scheduler) execute(pl *plan.Plan) (*execTask, error) {
 	if sc.err != nil {
 		return nil, sc.err
 	}
-	if sc.root.lost {
-		return nil, sc.exhaustion()
-	}
 	return sc.root, nil
-}
-
-// exhaustion reports the task whose attempts ran out earliest on the
-// virtual timeline (ties: the lower plan node ID). Every task not above
-// an exhausted one ran, so the report and its progress count are the
-// same however the workers interleaved.
-func (sc *scheduler) exhaustion() error {
-	end := func(t *execTask) time.Duration { return t.exhausted[len(t.exhausted)-1].End }
-	var first *execTask
-	for _, t := range sc.tasks {
-		if t.exhausted != nil && (first == nil || end(t) < end(first) || end(t) == end(first) && t.node.ID < first.node.ID) {
-			first = t
-		}
-	}
-	return &TaskFailedError{
-		Task:           nodeDesc(first.node),
-		Attempts:       first.exhausted,
-		CompletedTasks: int(sc.completed.Load()),
-		TotalTasks:     len(sc.tasks),
-	}
 }
 
 // dispatch queues t, its dependencies all done, to start at the last.
@@ -207,8 +177,7 @@ func (sc *scheduler) newExec(n *plan.Node) *engine.Exec {
 	return e
 }
 
-// fail records the first real error or cancellation and stops further
-// work.
+// fail records the first error or cancellation and stops further work.
 func (sc *scheduler) fail(err error) {
 	sc.errOnce.Do(func() { sc.err = err })
 	sc.failed.Store(true)
@@ -217,8 +186,7 @@ func (sc *scheduler) fail(err error) {
 // run executes one task's operator, once, against its own virtual
 // clock and records its observed cardinality and completion time; under
 // a fault plan, price then charges its recovery. Tasks scheduled after a
-// failure complete immediately without doing work, so the DAG drains;
-// a task with a lost input is lost too.
+// failure complete immediately without doing work, so the DAG drains.
 func (sc *scheduler) run(t *execTask) {
 	if sc.failed.Load() {
 		return
@@ -230,12 +198,6 @@ func (sc *scheduler) run(t *execTask) {
 				CompletedTasks: int(sc.completed.Load()),
 				TotalTasks:     len(sc.tasks),
 			})
-			return
-		}
-	}
-	for _, d := range t.deps {
-		if d.lost {
-			t.lost = true
 			return
 		}
 	}
@@ -251,8 +213,8 @@ func (sc *scheduler) run(t *execTask) {
 	// Zero-cost operators (empty-table shortcuts) still complete strictly
 	// after they start.
 	t.done = t.start + max(t.own, 1)
-	if sc.r.faults != nil && !sc.price(t) {
-		return
+	if sc.r.faults != nil {
+		sc.price(t)
 	}
 	t.rel = rel
 	sc.obs.Record(t.node, int64(rel.NumRows()))
@@ -277,39 +239,31 @@ func (sc *scheduler) faultKey(t *execTask) uint64 {
 	return uint64(uint32(t.node.ID)) ^ sc.r.faultSalt
 }
 
-// price charges the active fault plan against t's one run and reports
-// whether t completed. A corrupted delivery of an input is detected by
-// its consumer and recomputed from lineage before the consumer starts;
-// so is the root's delivery to the driver, after the root's attempts.
-// The attempts themselves — retries with capped exponential virtual
-// backoff, straggler speculation, the attempt budget — are
+// price charges the active fault plan against t's one run. A corrupted
+// delivery of an input is detected by its consumer and recomputed from
+// lineage before the consumer starts; so is the root's delivery to the
+// driver, after the root's attempts. The attempts themselves — retries
+// with exponential virtual backoff, straggler speculation — are
 // cluster.FaultPlan.RunAttempts, shared with the morsel simulator, each
-// attempt costing the run's time. A task that exhausts the budget is
-// lost, and with it its ancestors; execute reports it as a
-// *TaskFailedError.
+// attempt costing the run's time.
 //
-// Every fault decision is a pure function of (seed, node ID, attempt,
-// virtual start), so the recovery schedule — and therefore SimTime — is
-// deterministic across runs and concurrency levels.
-func (sc *scheduler) price(t *execTask) bool {
+// Every fault decision is a pure function of (seed, node ID, attempt),
+// so the recovery schedule — and therefore SimTime — is deterministic
+// across runs and concurrency levels.
+func (sc *scheduler) price(t *execTask) {
 	var rec cluster.Recovery
 	start := t.start
 	for _, d := range t.deps {
 		start += sc.lineage(d, &rec)
 	}
-	done, trace, arec, exhausted := sc.r.faults.RunAttempts(sc.faultKey(t), start, sc.store.cluster.Workers(), max(t.own, 1))
+	done, attempts, arec := sc.r.faults.RunAttempts(sc.faultKey(t), start, max(t.own, 1))
 	rec.Add(arec)
-	if !exhausted && t.parent == nil {
+	if t.parent == nil {
 		done += sc.lineage(t, &rec)
 	}
 	sc.recovery.add(rec)
-	if exhausted {
-		t.exhausted, t.lost = trace, true
-		return false
-	}
 	t.done = done
-	sc.obs.RecordAttempts(t.node, len(trace))
-	return true
+	sc.obs.RecordAttempts(t.node, attempts)
 }
 
 // lineage prices the recovery of d's delivery when the fault plan

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -1554,34 +1553,17 @@ func (s *Store) runStreaming(ctx context.Context, r resolved, entry *cachedPlan,
 	cost := s.cluster.Config().Cost
 	workers := s.cluster.Workers()
 	pipes := sp.price(s, r, pl)
-	simRes, serr := cluster.SimulateMorsels(pipes, cluster.MorselSimConfig{
+	simRes, err := cluster.SimulateMorsels(pipes, cluster.MorselSimConfig{
 		Workers:   workers,
 		Cost:      cost,
 		Start:     cost.SQLPlanning,
 		Faults:    r.faults,
 		FaultSalt: r.faultSalt,
 	})
-	if simRes != nil {
-		x.recovery = simRes.Recovery
+	if err != nil {
+		return x, err
 	}
-	if serr != nil {
-		var mfe *cluster.MorselFailedError
-		if errors.As(serr, &mfe) {
-			completed := 0
-			for _, d := range simRes.PipelineDone {
-				if d > 0 {
-					completed++
-				}
-			}
-			return x, &TaskFailedError{
-				Task:           fmt.Sprintf("%s (morsel %d)", mfe.Pipeline, mfe.Morsel),
-				Attempts:       mfe.Attempts,
-				CompletedTasks: completed,
-				TotalTasks:     len(pipes),
-			}
-		}
-		return x, serr
-	}
+	x.recovery = simRes.Recovery
 
 	// One trace record per pipeline (display-only; the clock advances by
 	// the simulated completion, not the stage sum).

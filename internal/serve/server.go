@@ -32,9 +32,10 @@
 //
 // Config.QueryTimeout bounds each query's execution; a query past the
 // deadline stops at the next operator boundary and the request
-// returns 504 with partial trace info. A query that exhausts its task
-// attempts under fault injection returns 500 with its attempt trace —
-// the two are counted separately (queries.timeouts vs queries.failed).
+// returns 504 with partial trace info. A query whose shard process died
+// (a *core.TaskFailedError) returns 500 — the two are counted
+// separately (queries.timeouts vs queries.failed). Injected faults
+// never fail a query: their recovery is priced on the virtual clock.
 //
 // The server degrades instead of collapsing: queries over the
 // in-flight bound are shed immediately with 503 + Retry-After rather
@@ -417,9 +418,8 @@ func (e unavailable) Error() string { return e.msg }
 // errStatus maps an error to its HTTP status: 400 for caller mistakes
 // (413 for an oversized body), 503 for shed load, 504 for queries
 // stopped at their deadline, 500 for other execution failures
-// (including fault-exhausted tasks, whose *core.TaskFailedError body
-// carries the attempt trace), so retry policies and monitoring can tell
-// them apart.
+// (including a dead shard, whose *core.TaskFailedError body names the
+// shard), so retry policies and monitoring can tell them apart.
 func errStatus(err error) int {
 	var br badRequest
 	if errors.As(err, &br) {
@@ -665,8 +665,7 @@ type statsResponse struct {
 		Total uint64 `json:"total"`
 		// Errors counts every errored query; Timeouts the subset stopped
 		// at their deadline (504), Failed the subset broken by execution
-		// itself — e.g. a task that exhausted its fault-injection attempt
-		// budget (500).
+		// itself — e.g. a dead shard (500).
 		Errors   uint64  `json:"errors"`
 		Timeouts uint64  `json:"timeouts"`
 		Failed   uint64  `json:"failed"`

@@ -515,25 +515,25 @@ func TestFaultShedOverflowReturns503(t *testing.T) {
 }
 
 // TestFaultBreakerTripsAndRecovers drives the breaker through its full
-// cycle on a fake clock: unrecoverable fault injection produces 500s
-// with attempt traces (counted as queries.failed, not timeouts), the
-// failure rate trips the breaker to fast 503s and flips /readyz, and
-// after the cooldown a successful half-open probe closes it again.
+// cycle on a fake clock: a dead shard produces 500s naming it (counted
+// as queries.failed, not timeouts), the failure rate trips the breaker
+// to fast 503s and flips /readyz, and after the cooldown a successful
+// half-open probe closes it again.
 func TestFaultBreakerTripsAndRecovers(t *testing.T) {
 	srv := testServer(t)
 	clock := time.Unix(1000, 0)
 	srv.brk.now = func() time.Time { return clock }
 
-	// Every attempt fails and the budget is one: each query aborts with
-	// a *core.TaskFailedError.
-	srv.cfg.Options.Faults = &cluster.FaultPlan{Seed: 1, FailRate: 1, MaxFailuresPerTask: 100, MaxAttempts: 1}
+	// The only shard is dead: each query aborts with a
+	// *core.TaskFailedError.
+	srv.cfg.Options.Dist = deadShardCoordinator(t, srv.cfg.Store)
 	for i := 0; i < breakerMinSamples; i++ {
 		w := get(t, srv, "/sparql?query="+url.QueryEscape(serveQuery))
 		if w.Code != http.StatusInternalServerError {
-			t.Fatalf("faulted query %d = %d (%s), want 500", i, w.Code, w.Body)
+			t.Fatalf("query %d on a dead shard = %d (%s), want 500", i, w.Code, w.Body)
 		}
-		if !strings.Contains(w.Body.String(), "failed permanently") {
-			t.Fatalf("500 body lacks the attempt trace: %s", w.Body)
+		if !strings.Contains(w.Body.String(), "failed permanently") || !strings.Contains(w.Body.String(), "shard 0") {
+			t.Fatalf("500 body does not name the dead shard: %s", w.Body)
 		}
 	}
 
@@ -553,7 +553,6 @@ func TestFaultBreakerTripsAndRecovers(t *testing.T) {
 			Total, Errors, Timeouts, Failed uint64
 		}
 		Resilience struct {
-			TasksFailed  uint64 `json:"tasksFailed"`
 			BreakerState string `json:"breakerState"`
 			ShedRequests uint64 `json:"shedRequests"`
 		}
@@ -564,14 +563,14 @@ func TestFaultBreakerTripsAndRecovers(t *testing.T) {
 	if doc.Queries.Failed != uint64(breakerMinSamples) || doc.Queries.Timeouts != 0 {
 		t.Errorf("queries = %+v, want %d failed / 0 timeouts", doc.Queries, breakerMinSamples)
 	}
-	if doc.Resilience.BreakerState != "open" || doc.Resilience.ShedRequests == 0 || doc.Resilience.TasksFailed == 0 {
-		t.Errorf("resilience = %+v, want open breaker with shed requests and failed tasks", doc.Resilience)
+	if doc.Resilience.BreakerState != "open" || doc.Resilience.ShedRequests == 0 {
+		t.Errorf("resilience = %+v, want open breaker with shed requests", doc.Resilience)
 	}
 
 	// Cooldown elapses and the store heals: the half-open probe succeeds
 	// and closes the breaker.
 	clock = clock.Add(breakerCooldown + time.Second)
-	srv.cfg.Options.Faults = nil
+	srv.cfg.Options.Dist = nil
 	if w := get(t, srv, "/sparql?query="+url.QueryEscape(serveQuery)); w.Code != http.StatusOK {
 		t.Fatalf("probe after cooldown = %d (%s), want 200", w.Code, w.Body)
 	}
@@ -593,7 +592,8 @@ func TestFaultBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
 	srv := testServer(t)
 	clock := time.Unix(1000, 0)
 	srv.brk.now = func() time.Time { return clock }
-	srv.cfg.Options.Faults = &cluster.FaultPlan{Seed: 1, FailRate: 1, MaxFailuresPerTask: 100, MaxAttempts: 1}
+	dead := deadShardCoordinator(t, srv.cfg.Store)
+	srv.cfg.Options.Dist = dead
 	query := "/sparql?query=" + url.QueryEscape(serveQuery)
 	tripAndCool := func() {
 		t.Helper()
@@ -710,7 +710,7 @@ func TestFaultBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
 	if w := get(t, srv, "/sparql?query=SELECT+nonsense"); w.Code != http.StatusBadRequest {
 		t.Errorf("bad-request probe = %d (%s), want 400", w.Code, w.Body)
 	}
-	srv.cfg.Options.Faults = nil
+	srv.cfg.Options.Dist = nil
 	if w := get(t, srv, query); w.Code != http.StatusOK {
 		t.Errorf("probe after a bad-request probe = %d (%s), want 200", w.Code, w.Body)
 	}
@@ -719,7 +719,7 @@ func TestFaultBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
 	}
 
 	// A probe caught by a drain frees the slot too.
-	srv.cfg.Options.Faults = &cluster.FaultPlan{Seed: 1, FailRate: 1, MaxFailuresPerTask: 100, MaxAttempts: 1}
+	srv.cfg.Options.Dist = dead
 	tripAndCool()
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -739,7 +739,7 @@ func TestFaultBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
 // (retried-to-success queries are not failures).
 func TestFaultStatsAndExplainShowRecovery(t *testing.T) {
 	srv := testServer(t)
-	srv.cfg.Options.Faults = &cluster.FaultPlan{Seed: 3, FailRate: 1, MaxFailuresPerTask: 2}
+	srv.cfg.Options.Faults = &cluster.FaultPlan{Seed: 3, FailRate: 1}
 	w := get(t, srv, "/explain?query="+url.QueryEscape(serveQuery))
 	if w.Code != http.StatusOK {
 		t.Fatalf("explain under recoverable faults = %d (%s)", w.Code, w.Body)
@@ -1075,7 +1075,23 @@ func TestSPARQLExtendedSurface(t *testing.T) {
 // listeners, all stopped when the test ends, and dials a coordinator to
 // them; it returns the coordinator and the shards' addresses.
 func shardCoordinator(t testing.TB, store *core.Store, n int) (*shard.Coordinator, []string) {
+	coord, _, addrs := shardTopology(t, store, n)
+	return coord, addrs
+}
+
+// deadShardCoordinator returns a coordinator whose one shard server has
+// closed: every query routed through it fails with the dead-shard abort,
+// a *core.TaskFailedError wrapping the *wire.ShardError.
+func deadShardCoordinator(t testing.TB, store *core.Store) *shard.Coordinator {
+	coord, shards, _ := shardTopology(t, store, 1)
+	shards[0].Close()
+	return coord
+}
+
+// shardTopology is shardCoordinator, returning the shard servers too.
+func shardTopology(t testing.TB, store *core.Store, n int) (*shard.Coordinator, []*shard.Server, []string) {
 	t.Helper()
+	var shards []*shard.Server
 	var addrs []string
 	for i := 0; i < n; i++ {
 		sh, err := shard.NewServer(store, i, n)
@@ -1088,6 +1104,7 @@ func shardCoordinator(t testing.TB, store *core.Store, n int) (*shard.Coordinato
 		}
 		go sh.Serve(ln)
 		t.Cleanup(func() { sh.Close() })
+		shards = append(shards, sh)
 		addrs = append(addrs, ln.Addr().String())
 	}
 	coord, err := shard.Dial(store, addrs)
@@ -1095,7 +1112,7 @@ func shardCoordinator(t testing.TB, store *core.Store, n int) (*shard.Coordinato
 		t.Fatalf("Dial: %v", err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	return coord, addrs
+	return coord, shards, addrs
 }
 
 // TestStreamingDowngradeSurfaced pins the sharded-coordinator
@@ -1310,7 +1327,7 @@ func referenceTermString(t rdf.Term) string {
 func TestStatsResilienceObjectBytes(t *testing.T) {
 	rec := cluster.Recovery{
 		Attempts: 11, Retries: 2, Stragglers: 3, SpeculativeLaunched: 4, SpeculativeWins: 5,
-		ChecksumFailures: 6, LineageRecomputes: 7, TasksFailed: 8, RecoveryTime: 1234567 * time.Nanosecond,
+		ChecksumFailures: 6, LineageRecomputes: 7, RecoveryTime: 1234567 * time.Nanosecond,
 	}
 	for _, tc := range []struct {
 		name     string
@@ -1321,10 +1338,10 @@ func TestStatsResilienceObjectBytes(t *testing.T) {
 		wantText string
 	}{
 		{"zero", cluster.Recovery{}, "closed", 0,
-			`{"attempts":0,"retries":0,"stragglers":0,"speculativeLaunched":0,"speculativeWins":0,"checksumFailures":0,"lineageRecomputes":0,"tasksFailed":0,"breakerState":"closed","shedRequests":0}`,
+			`{"attempts":0,"retries":0,"stragglers":0,"speculativeLaunched":0,"speculativeWins":0,"checksumFailures":0,"lineageRecomputes":0,"breakerState":"closed","shedRequests":0}`,
 			""},
 		{"every field", rec, "open", 9,
-			`{"attempts":11,"retries":2,"stragglers":3,"speculativeLaunched":4,"speculativeWins":5,"checksumFailures":6,"lineageRecomputes":7,"tasksFailed":8,"breakerState":"open","shedRequests":9}`,
+			`{"attempts":11,"retries":2,"stragglers":3,"speculativeLaunched":4,"speculativeWins":5,"checksumFailures":6,"lineageRecomputes":7,"breakerState":"open","shedRequests":9}`,
 			"resilience: attempts=11 retries=2 stragglers=3 speculative=5/4 checksum-failures=6 lineage-recomputes=7 recovery=1.235ms\n"},
 	} {
 		var doc statsResponse
@@ -1348,7 +1365,7 @@ func TestStatsResilienceObjectBytes(t *testing.T) {
 	if err := json.Compact(&body, get(t, testServer(t), "/stats").Body.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	want := `"resilience":{"attempts":0,"retries":0,"stragglers":0,"speculativeLaunched":0,"speculativeWins":0,"checksumFailures":0,"lineageRecomputes":0,"tasksFailed":0,"breakerState":"closed","shedRequests":0}`
+	want := `"resilience":{"attempts":0,"retries":0,"stragglers":0,"speculativeLaunched":0,"speculativeWins":0,"checksumFailures":0,"lineageRecomputes":0,"breakerState":"closed","shedRequests":0}`
 	if !strings.Contains(body.String(), want) {
 		t.Errorf("/stats lacks %s:\n%s", want, body.String())
 	}

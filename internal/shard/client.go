@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -24,20 +23,12 @@ import (
 // TCP connection per shard, handed to queries as per-query DistSessions
 // (core.DistRunner) and aggregating wire measurements across sessions
 // (core.NetworkReporter). It also hosts the calibration layer: every
-// exchange records measured bytes against the cost model's price, and
-// measured per-table scan bytes feed back into the next run's leaf
-// pricing record so the calibration error narrows run over run.
+// exchange records measured bytes against the cost model's price.
 type Coordinator struct {
 	parts   int
 	workers int
 	fp      uint64
 	conns   []*shardConn
-
-	// leafMu guards leaf, the calibration store: measured wire bytes per
-	// scan site (label + pushed filters), seeded by the first run and
-	// used to price the same leaf on later runs.
-	leafMu sync.Mutex
-	leaf   map[string]int64
 
 	// aggMu guards the cross-session exchange aggregates /stats reports.
 	aggMu     sync.Mutex
@@ -62,7 +53,6 @@ func Dial(store *core.Store, addrs []string) (*Coordinator, error) {
 		parts:   store.Partitions(),
 		workers: store.Cluster().Workers(),
 		fp:      store.Stats().Fingerprint(),
-		leaf:    map[string]int64{},
 	}
 	ctx, cancel := context.WithTimeout(context.TODO(), dialTimeout)
 	defer cancel()
@@ -127,24 +117,6 @@ func (c *Coordinator) NetworkStats() core.NetworkStats {
 	return ns
 }
 
-// leafPrice resolves a scan site's calibrated price: the measured bytes
-// a previous run stored, or the cost model's figure on first sight.
-func (c *Coordinator) leafPrice(key string, modeledBytes int64) int64 {
-	c.leafMu.Lock()
-	defer c.leafMu.Unlock()
-	if m, ok := c.leaf[key]; ok {
-		return m
-	}
-	return modeledBytes
-}
-
-// storeLeaf records a scan site's measured wire bytes for later runs.
-func (c *Coordinator) storeLeaf(key string, measured int64) {
-	c.leafMu.Lock()
-	c.leaf[key] = measured
-	c.leafMu.Unlock()
-}
-
 // noteRecord folds one exchange record into the cross-session
 // aggregates. Only shuffle exchanges enter the calibration error: their
 // price and payload describe the same physical movement, whereas
@@ -191,7 +163,7 @@ const maxRTTSamples = 1 << 13
 // decode has copied the rows out; a connection keeps no frame between
 // calls. Every failure — transport, shard-reported, or codec — comes
 // back as a *wire.ShardError naming this shard, so query errors surface
-// through the task-attempt machinery as a worker outage.
+// as the dead-shard abort (*core.TaskFailedError).
 func (sc *shardConn) call(ctx context.Context, region *engine.Region, typ byte, req request, decode func(*dec)) (sent, recv int64, wall time.Duration, err error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -417,31 +389,12 @@ func (s *session) ScanNode(planNode int, n *core.Node, filterIdx []int, label st
 	if err != nil {
 		return nil, nil, err
 	}
-	payload := partPayloadBytes(out)
-	key := leafKey(label, filters)
-	priced := s.c.leafPrice(key, modeledBytes)
-	s.c.storeLeaf(key, payload)
 	s.record(core.ExchangeRecord{
 		Node: planNode, Kind: "scan", Name: label,
-		PricedBytes: priced, MeasuredBytes: payload,
+		PricedBytes: modeledBytes, MeasuredBytes: partPayloadBytes(out),
 		WireBytes: wireBytes, Wall: wall,
 	})
 	return out, processed, nil
-}
-
-// leafKey identifies a scan site for the calibration store: the node
-// label plus the pushed filters that shape its measured payload.
-func leafKey(label string, filters []sparql.Filter) string {
-	if len(filters) == 0 {
-		return label
-	}
-	var sb strings.Builder
-	sb.WriteString(label)
-	for _, f := range filters {
-		sb.WriteByte('|')
-		sb.WriteString(f.String())
-	}
-	return sb.String()
 }
 
 // ShuffleJoin implements engine.Exchanger. The coordinator already

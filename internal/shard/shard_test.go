@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -214,61 +213,10 @@ func TestShuffleCalibrationWithin2x(t *testing.T) {
 	}
 }
 
-// scanError sums a plan's leaf-pricing calibration error, in
-// |log2(measured/priced)| terms.
-func scanError(p *plan.Plan) (sum float64, scans int) {
-	for _, n := range netAnnotated(p) {
-		if n.Op != plan.OpScan || n.PricedNetBytes <= 0 || n.MeasuredNetBytes <= 0 {
-			continue
-		}
-		sum += math.Abs(math.Log2(float64(n.MeasuredNetBytes) / float64(n.PricedNetBytes)))
-		scans++
-	}
-	return sum, scans
-}
-
-// TestLeafPricingFeedbackNarrows verifies the calibration feedback
-// loop: the first run prices scans from the cost model, the measured
-// wire bytes are stored, and a second identical run prices from the
-// stored measurement — so its leaf-pricing error collapses.
-func TestLeafPricingFeedbackNarrows(t *testing.T) {
-	store := testStore(t)
-	coord := dialShards(t, store, 2)
-	q := watdiv.BasicQuerySet()[0]
-	opts := core.QueryOptions{Dist: coord}
-
-	first, err := store.Query(q.Parsed, opts)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	err1, scans1 := scanError(first.Plan)
-	if scans1 == 0 {
-		t.Fatalf("first run annotated no priced scans")
-	}
-	if err1 == 0 {
-		t.Fatalf("first-run leaf error already 0 — modeled scan bytes cannot equal wire payload")
-	}
-
-	second, err := store.Query(q.Parsed, opts)
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	err2, scans2 := scanError(second.Plan)
-	if scans2 != scans1 {
-		t.Fatalf("second run annotated %d scans, first %d", scans2, scans1)
-	}
-	if err2 >= err1 {
-		t.Errorf("leaf-pricing error did not narrow: first %.4f, second %.4f", err1, err2)
-	}
-	if err2 > 0.01 {
-		t.Errorf("second-run leaf error %.4f, want ~0 (priced from measured bytes of an identical run)", err2)
-	}
-}
-
 // TestShardDeathSurfacesTypedError kills one shard mid-topology and
-// verifies the failure reaches the caller through the task-attempt
-// machinery: a *core.TaskFailedError whose attempt records a worker
-// outage and which unwraps to the underlying *wire.ShardError.
+// verifies the failure reaches the caller as the dead-shard abort: a
+// *core.TaskFailedError whose attempt records a worker outage and which
+// unwraps to the underlying *wire.ShardError.
 func TestShardDeathSurfacesTypedError(t *testing.T) {
 	store := testStore(t)
 	addrs := make([]string, 2)
@@ -416,9 +364,7 @@ func netAnnotation(p *plan.Plan) string {
 // and run concurrently at the default pool width; matched by label in
 // arrival order, their records would swap whenever the arms finished the
 // other way round. Every run must annotate exactly as the
-// one-operator-at-a-time run does. (A warm-up run first settles the
-// coordinator's leaf pricing, which prices a scan label's first
-// measurement differently from the later ones.)
+// one-operator-at-a-time run does.
 func TestNetAnnotationKeyedByNode(t *testing.T) {
 	store := testStore(t)
 	coord := dialShards(t, store, 2)
@@ -433,9 +379,6 @@ func TestNetAnnotationKeyedByNode(t *testing.T) {
 	serial := func() (*core.Result, error) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		return store.Query(q, opts)
-	}
-	if _, err := serial(); err != nil {
-		t.Fatal(err)
 	}
 	want, err := serial()
 	if err != nil {
@@ -527,14 +470,9 @@ func TestFaultsPricedOnShards(t *testing.T) {
 	coord := dialShards(t, store, 2)
 	schedules := []*cluster.FaultPlan{
 		{Seed: 1, FailRate: 0.05},
-		{Seed: 2, MaxAttempts: 6, Outages: []cluster.WorkerOutage{
-			{Worker: 0, From: 0, Until: 800 * time.Millisecond},
-			{Worker: 1, From: 100 * time.Millisecond, Until: time.Second},
-		}},
 		{Seed: 3, StragglerRate: 0.10, StragglerFactor: 6},
 		{Seed: 4, CorruptRate: 0.15},
-		{Seed: 5, FailRate: 0.05, StragglerRate: 0.05, StragglerFactor: 6, CorruptRate: 0.05, MaxAttempts: 6,
-			Outages: []cluster.WorkerOutage{{Worker: 2, From: 0, Until: 500 * time.Millisecond}}},
+		{Seed: 5, FailRate: 0.05, StragglerRate: 0.05, StragglerFactor: 6, CorruptRate: 0.05},
 	}
 	recovered := 0
 	for _, fp := range schedules {

@@ -1121,7 +1121,71 @@ import "repro/internal/cluster"
 
 // attempt decides a task's fault outside the shared attempt loop.
 func attempt(fp *cluster.FaultPlan) cluster.FaultDecision {
-	return fp.Decide(1, 1, 0, 1)
+	return fp.Decide(1, 1)
+}
+`},
+}, {
+	// A fault knob no binary can set is a second fault model only tests
+	// reach: every field of cluster.FaultPlan is bound by a -fault-* flag,
+	// an fs.*Var(&fp.<Field>, …) call on a FaultPlan the cliflag package
+	// builds.
+	name: "Fault knobs are the binaries' flags",
+	check: func(s *srcSet, r *report) {
+		bound := map[string]bool{}
+		for _, f := range s.product("cmd/internal/cliflag") {
+			plans := map[string]bool{} // "func.var" of every FaultPlan built
+			inspect(f, func(n ast.Node, fn *ast.FuncDecl) {
+				if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+					for i, rhs := range as.Rhs {
+						if u, ok := rhs.(*ast.UnaryExpr); ok && u.Op == token.AND {
+							rhs = u.X
+						}
+						if lit, ok := rhs.(*ast.CompositeLit); ok && pkgSel(f, lit.Type, "repro/internal/cluster") == "FaultPlan" {
+							if id, ok := as.Lhs[i].(*ast.Ident); ok {
+								plans[funcName(fn)+"."+id.Name] = true
+							}
+						}
+					}
+				}
+				call, sel := methodCall(n)
+				if sel == nil || !strings.HasSuffix(sel.Sel.Name, "Var") || len(call.Args) == 0 {
+					return
+				}
+				if u, ok := call.Args[0].(*ast.UnaryExpr); ok && u.Op == token.AND {
+					if fsel, ok := u.X.(*ast.SelectorExpr); ok {
+						if id, ok := fsel.X.(*ast.Ident); ok && plans[funcName(fn)+"."+id.Name] {
+							bound[fsel.Sel.Name] = true
+						}
+					}
+				}
+			})
+		}
+		found := false
+		structs(s.product("internal/cluster"), func(typeName string, field *ast.Field) {
+			if typeName != "FaultPlan" {
+				return
+			}
+			found = true
+			for _, name := range field.Names {
+				if !bound[name.Name] {
+					r.at(name.Pos(), "FaultPlan."+name.Name+" is bound by no -fault-* flag in cmd/internal/cliflag")
+				}
+			}
+		})
+		if !found {
+			r.out = append(r.out, "module: no cluster.FaultPlan")
+		}
+	},
+	bad: map[string]string{"internal/cluster/fault.go": `package cluster
+
+// FaultPlan has a knob no binary can set.
+type FaultPlan struct {
+	Seed            uint64
+	FailRate        float64
+	StragglerRate   float64
+	StragglerFactor float64
+	CorruptRate     float64
+	MaxAttempts     int
 }
 `},
 }, {
