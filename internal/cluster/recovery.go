@@ -30,28 +30,6 @@ const (
 	speculativeAttemptBase = 1 << 16
 )
 
-// AttemptOutage is the outcome of an attempt whose worker was lost.
-const AttemptOutage = "worker-outage"
-
-// Attempt is one entry of an attempt trace: where the attempt ran on
-// the virtual timeline and how it ended.
-type Attempt struct {
-	// Attempt is the 1-based attempt number.
-	Attempt int
-	// Worker is the worker the attempt was placed on.
-	Worker int
-	// Start and End bound the attempt on the virtual timeline.
-	Start, End time.Duration
-	// Outcome is how the attempt ended (AttemptOutage).
-	Outcome string
-}
-
-// String renders one attempt for the error trace.
-func (a Attempt) String() string {
-	return fmt.Sprintf("attempt %d on worker %d [%v..%v]: %s",
-		a.Attempt, a.Worker, a.Start.Round(time.Microsecond), a.End.Round(time.Microsecond), a.Outcome)
-}
-
 // Recovery is the fault-recovery record: what RunAttempts accumulates
 // for one task, what a query's Result carries, what a store totals
 // across queries and what /stats embeds (the JSON tags are its

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/plan"
 	"repro/internal/sparql"
@@ -123,22 +122,16 @@ type NetworkReporter interface {
 // wrapShardErr converts a shard-process failure into the typed
 // *TaskFailedError: a dead shard is a permanent worker outage from the
 // query's point of view — there is no redundant replica to retry
-// against — so the error carries a one-attempt trace with the
-// worker-outage outcome and unwraps to the underlying *wire.ShardError.
+// against — so the error names the shard and unwraps to the underlying
+// *wire.ShardError.
 func wrapShardErr(err error, t *execTask, completed, total int) error {
 	var se *wire.ShardError
 	if !errors.As(err, &se) {
 		return err
 	}
 	return &TaskFailedError{
-		Task: nodeDesc(t.node),
-		Attempts: []cluster.Attempt{{
-			Attempt: 1,
-			Worker:  se.Shard,
-			Start:   t.start,
-			End:     t.start,
-			Outcome: cluster.AttemptOutage,
-		}},
+		Task:           nodeDesc(t.node),
+		Shard:          se.Shard,
 		CompletedTasks: completed,
 		TotalTasks:     total,
 		Cause:          se,

@@ -154,11 +154,13 @@ func (t *PropertyTable) fill(s *Store) error {
 	}
 	err := cluster.Run(runtime.GOMAXPROCS(0), n, new(cluster.Tasks), cluster.Func(func(_, p int) error {
 		slices.SortFunc(cells[bounds[p]:bounds[p+1]], func(a, b ptCell) int {
-			return cmp.Or(
-				cmp.Compare(a.pred, b.pred),
-				cmp.Compare(a.key, b.key),
-				cmp.Compare(a.seq, b.seq),
-			)
+			switch { // cmp.Or would compare all three
+			case a.pred != b.pred:
+				return cmp.Compare(a.pred, b.pred)
+			case a.key != b.key:
+				return cmp.Compare(a.key, b.key)
+			}
+			return cmp.Compare(a.seq, b.seq)
 		})
 		return nil
 	}))
@@ -249,10 +251,12 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 	n := len(s.predOrder)
 	cols := make([]int64, len(t.parts)*n) // one backing array for every partition's column sizes
 	width := runtime.GOMAXPROCS(0)
-	bufs := make([][]rdf.ID, width) // local-term buffers, one per worker slot
+	// Row-key and local-term buffers, one of each per worker slot.
+	keyBufs, bufs := make([][]rdf.ID, width), make([][]rdf.ID, width)
 	err := cluster.Run(width, len(t.parts), new(cluster.Tasks), cluster.Func(func(w, pi int) error {
 		part := t.parts[pi]
-		rowKeys := part.rowKeys()
+		keyBufs[w] = part.rowKeys(keyBufs[w][:0])
+		rowKeys := keyBufs[w]
 		f := sized{cols: cols[pi*n : (pi+1)*n], keys: len(rowKeys)}
 		var data int64
 		data, f.key = t.sizePartition(s.predOrder, part, rowKeys, f.cols)
@@ -303,14 +307,14 @@ func ptColumnName(dict *rdf.Dictionary, pred rdf.ID) string {
 	return dict.Term(pred).Value
 }
 
-// rowKeys returns the partition's row keys ascending: every key with a
-// value in some column.
-func (part *ptPartition) rowKeys() []rdf.ID {
+// rowKeys appends to keys the partition's row keys ascending: every key
+// with a value in some column.
+func (part *ptPartition) rowKeys(keys []rdf.ID) []rdf.ID {
 	n := 0
 	for _, col := range part.cols {
 		n += len(col.keys)
 	}
-	keys := make([]rdf.ID, 0, n)
+	keys = slices.Grow(keys, n)
 	for _, col := range part.cols {
 		keys = append(keys, col.keys...)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/cluster"
@@ -51,9 +50,8 @@ type QueryAbort interface {
 type TaskFailedError struct {
 	// Task describes the failed plan operator.
 	Task string
-	// Attempts is the task's attempt trace: one attempt on the dead
-	// shard, with the worker-outage outcome.
-	Attempts []cluster.Attempt
+	// Shard is the index of the dead shard the task ran on.
+	Shard int
 	// CompletedTasks counts the plan operators completed when the dead
 	// shard was seen; TotalTasks counts the plan's operators.
 	CompletedTasks, TotalTasks int
@@ -66,15 +64,8 @@ func (e *TaskFailedError) Unwrap() error { return e.Cause }
 
 // Error implements error.
 func (e *TaskFailedError) Error() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "core: task %s failed permanently after %d attempts (%d/%d plan tasks completed)",
-		e.Task, len(e.Attempts), e.CompletedTasks, e.TotalTasks)
-	for _, a := range e.Attempts {
-		sb.WriteString("; ")
-		sb.WriteString(a.String())
-	}
-	fmt.Fprintf(&sb, "; cause: %v", e.Cause)
-	return sb.String()
+	return fmt.Sprintf("core: task %s failed permanently on shard %d (%d/%d plan tasks completed); cause: %v",
+		e.Task, e.Shard, e.CompletedTasks, e.TotalTasks, e.Cause)
 }
 
 // AbortProgress implements QueryAbort.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -290,42 +291,89 @@ func (s *Store) InversePropertyTable() *PropertyTable { return s.ipt }
 // with the parsing already done: the two share every step below the
 // source of the triples.
 func Load(g *rdf.Graph, opts Options) (*Store, error) {
-	rest := g.Triples()
-	return load(opts, len(rest), func(d *rdf.Dictionary) (rdf.EncodedTriple, int64, error) {
-		if len(rest) == 0 {
-			return rdf.EncodedTriple{}, 0, io.EOF
-		}
-		t := rest[0]
-		rest = rest[1:]
-		return d.EncodeTriple(t), ntriplesBytes(len(t.S.Value), len(t.P.Value), len(t.O.Value), len(t.O.Datatype), len(t.O.Lang)), nil
-	})
+	return load(opts, g.Len(), &graphSource{triples: g.Triples()})
 }
 
 // LoadNTriples loads an N-Triples document from r in one streaming
-// pass: each line's terms go from the reader's buffer straight into the
-// dictionary, and the document is never held as text, strings or terms.
+// pass: each window of lines is parsed into a batch whose terms go from
+// the batch's buffer straight into the dictionary, and the document is
+// never held as a whole, as strings or as terms.
 //
 // The pass is reader → intern → dedup → statistics → VP → PT, each
 // phase charged to a virtual clock whose total becomes
 // LoadReport.LoadTime: the input scan is priced on the bytes and rows
 // read (duplicates included), dictionary encoding per row read,
 // statistics per distinct triple (twice with join statistics), and the
-// table builds on what they shuffle and write.
+// table builds on what they shuffle and write. On the real clock two
+// pairs of phases overlap: the next window is parsed while the current
+// one is interned, and the statistics are collected while the tables
+// are built.
 func LoadNTriples(r io.Reader, opts Options) (*Store, error) {
-	nr := rdf.NewNTriplesReader(r)
-	return load(opts, 0, func(d *rdf.Dictionary) (rdf.EncodedTriple, int64, error) {
-		s, p, o, err := nr.ReadBytes()
-		if err != nil {
-			if err != io.EOF {
-				err = fmt.Errorf("core: parsing input: %w", err)
-			}
-			return rdf.EncodedTriple{}, 0, err
+	return load(opts, 0, &textSource{r: rdf.NewNTriplesReader(r)})
+}
+
+// source is an input ingest reads window by window, through two slots:
+// while the window in one slot is interned, the next is read into the
+// other.
+type source interface {
+	// read reads the input's next window into slot, and returns io.EOF
+	// once the input is spent.
+	read(slot int) error
+	// encode interns the triples of the window in slot, in input order,
+	// appends them to out and returns it with their priced bytes.
+	encode(slot int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64)
+}
+
+// graphSource is a graph's triples, one window of them all.
+type graphSource struct {
+	triples []rdf.Triple
+	done    bool
+}
+
+func (g *graphSource) read(int) error {
+	if g.done {
+		return io.EOF
+	}
+	g.done = true
+	return nil
+}
+
+func (g *graphSource) encode(_ int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64) {
+	var priced int64
+	for _, t := range g.triples {
+		out = append(out, d.EncodeTriple(t))
+		priced += ntriplesBytes(len(t.S.Value), len(t.P.Value), len(t.O.Value), len(t.O.Datatype), len(t.O.Lang))
+	}
+	return out, priced
+}
+
+// textSource is an N-Triples document, one parsed window per slot.
+type textSource struct {
+	r     *rdf.NTriplesReader
+	batch [2]rdf.Batch
+}
+
+func (t *textSource) read(slot int) error {
+	if err := t.r.ReadBatch(&t.batch[slot]); err != nil {
+		if err != io.EOF {
+			err = fmt.Errorf("core: parsing input: %w", err)
 		}
+		return err
+	}
+	return nil
+}
+
+func (t *textSource) encode(slot int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64) {
+	b := &t.batch[slot]
+	var priced int64
+	for i := range b.Len() {
+		s, p, o := b.Triple(i)
 		// Interned in S, P, O order, duplicates included: dictionary IDs
 		// drive hash placement and the LIMIT total order.
-		et := rdf.EncodedTriple{S: d.EncodeBytes(s), P: d.EncodeBytes(p), O: d.EncodeBytes(o)}
-		return et, ntriplesBytes(len(s.Value), len(p.Value), len(o.Value), len(o.Datatype), len(o.Lang)), nil
-	})
+		out = append(out, rdf.EncodedTriple{S: d.EncodeBytes(s), P: d.EncodeBytes(p), O: d.EncodeBytes(o)})
+		priced += ntriplesBytes(len(s.Value), len(p.Value), len(o.Value), len(o.Datatype), len(o.Lang))
+	}
+	return out, priced
 }
 
 // ntriplesBytes is the input volume one triple is priced at: its terms'
@@ -334,10 +382,9 @@ func ntriplesBytes(s, p, o, datatype, lang int) int64 {
 	return int64(s + p + o + datatype + lang + 12)
 }
 
-// load is the one loader. next interns the input's next triple into the
-// store's dictionary and returns it with its priced bytes, io.EOF at the
-// end; sizeHint is the number of triples to expect, when known.
-func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTriple, int64, error)) (*Store, error) {
+// load is the one loader: it ingests in, whose size in triples is
+// sizeHint when known, and builds the store.
+func load(opts Options, sizeHint int, in source) (*Store, error) {
 	if opts.Cluster == nil {
 		return nil, fmt.Errorf("core: Options.Cluster is required")
 	}
@@ -370,7 +417,7 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 	// Phases 1 and 2, one pass: read + parse the input, dictionary-encode
 	// and deduplicate. Both are priced on what was read, not what was
 	// kept.
-	if err := s.ingest(sizeHint, next); err != nil {
+	if err := s.ingest(sizeHint, in); err != nil {
 		return nil, err
 	}
 	if err := s.ChargeInputScan(clock, s.cluster.Config().Cost.SQLStageLaunch); err != nil {
@@ -382,13 +429,12 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 	// overhead": one extra pass). Join-graph statistics (characteristic
 	// sets + pair sketches) ride the same subject-grouped layout the
 	// Property Table build needs and cost one more pass over the rows.
-	if opts.DisableJoinStats {
-		s.stats = stats.Collect(s.triples)
-		clock.Charge("statistics", time.Duration(len(s.triples))*s.cluster.Config().Cost.RowTime)
-	} else {
-		s.stats = stats.CollectJoinStats(s.triples, stats.Config{CSets: true})
-		clock.Charge("statistics", time.Duration(len(s.triples))*s.cluster.Config().Cost.RowTime)
-		clock.Charge("join statistics", time.Duration(len(s.triples))*s.cluster.Config().Cost.RowTime)
+	// Both are priced on the distinct triples alone, so they are
+	// charged here, before the table builds, whenever they run.
+	statsTime := time.Duration(len(s.triples)) * s.cluster.Config().Cost.RowTime
+	clock.Charge("statistics", statsTime)
+	if !opts.DisableJoinStats {
+		clock.Charge("join statistics", statsTime)
 	}
 
 	if opts.ExtVPBudget > 0 {
@@ -399,26 +445,27 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 		})
 	}
 
-	// Phase 4: Vertical Partitioning tables.
-	if err := s.buildVP(clock); err != nil {
-		return nil, fmt.Errorf("core: building VP tables: %w", err)
-	}
-
-	// Phase 5: Property Table (subject-partitioned; paper §3.1).
-	pt, err := buildPropertyTable(s, clock, keyOnSubject)
-	if err != nil {
-		return nil, fmt.Errorf("core: building property table: %w", err)
-	}
-	s.pt = pt
-
-	// Phase 6 (optional): inverse Property Table keyed on objects.
-	if opts.BuildInversePT {
-		ipt, err := buildPropertyTable(s, clock, keyOnObject)
-		if err != nil {
-			return nil, fmt.Errorf("core: building inverse property table: %w", err)
+	// The statistics are collected (task 1) while the tables are built
+	// (task 0): no table build reads them, and both only read the
+	// triples and the dictionary. On one processor the tasks run one
+	// after the other.
+	s.predOrder = predicatesByIRI(s.dict, s.triples)
+	var st *stats.Collection
+	err := cluster.Run(runtime.GOMAXPROCS(0), 2, new(cluster.Tasks), cluster.Func(func(_, task int) error {
+		switch {
+		case task == 0:
+			return s.buildTables(clock)
+		case opts.DisableJoinStats:
+			st = stats.Collect(s.triples)
+		default:
+			st = stats.CollectJoinStats(s.triples, stats.Config{CSets: true})
 		}
-		s.ipt = ipt
+		return nil
+	}))
+	if err != nil {
+		return nil, err
 	}
+	s.stats = st
 
 	s.load = LoadReport{
 		Triples:    int64(len(s.triples)),
@@ -432,61 +479,124 @@ func load(opts Options, sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTri
 	return s, nil
 }
 
-// ingest drains next into s.triples, dropping duplicate triples, and
+// buildTables builds the VP tables, the Property Table and, if asked
+// for, the inverse Property Table, charging each to clock.
+func (s *Store) buildTables(clock *cluster.Clock) error {
+	// Phase 4: Vertical Partitioning tables.
+	if err := s.buildVP(clock); err != nil {
+		return fmt.Errorf("core: building VP tables: %w", err)
+	}
+
+	// Phase 5: Property Table (subject-partitioned; paper §3.1).
+	pt, err := buildPropertyTable(s, clock, keyOnSubject)
+	if err != nil {
+		return fmt.Errorf("core: building property table: %w", err)
+	}
+	s.pt = pt
+
+	// Phase 6 (optional): inverse Property Table keyed on objects.
+	if s.opts.BuildInversePT {
+		ipt, err := buildPropertyTable(s, clock, keyOnObject)
+		if err != nil {
+			return fmt.Errorf("core: building inverse property table: %w", err)
+		}
+		s.ipt = ipt
+	}
+	return nil
+}
+
+// ingest reads in into s.triples, dropping duplicate triples, and
 // records the priced input volume and the number of triples read.
+//
+// Each step is one two-task run: task 0 interns and dedups the window in
+// one slot, in input order — IDs are handed out in the order terms are
+// first seen, so interning stays sequential — while task 1 reads and
+// parses the next window into the other slot.
+func (s *Store) ingest(sizeHint int, in source) error {
+	g := &ingester{s: s, in: in, set: make([]int32, max(1<<bits.Len(uint(2*sizeHint)), 1024))}
+	err := in.read(0)
+	for ; err == nil; g.slot ^= 1 {
+		if err = cluster.Run(runtime.GOMAXPROCS(0), 2, new(cluster.Tasks), g); err == nil {
+			err = g.next
+		}
+	}
+	if err != io.EOF {
+		return err
+	}
+	s.triples = make([]rdf.EncodedTriple, 0, g.n)
+	for _, c := range g.chunks {
+		s.triples = append(s.triples, c...)
+	}
+	return nil
+}
+
+// ingester is ingest's step, a cluster.Job, and what it keeps across
+// steps.
 //
 // Kept triples grow in fixed-size chunks, so none is ever copied while
 // reading, and are copied once, in input order, into a slice of exactly
 // their number. Duplicates are found through an open-addressed set of
 // indexes into the kept triples, at most half full; a triple is kept at
-// its first occurrence. Chunks and set die with the call, so neither is
-// live while the tables are built.
-func (s *Store) ingest(sizeHint int, next func(*rdf.Dictionary) (rdf.EncodedTriple, int64, error)) error {
-	var chunks [][]rdf.EncodedTriple
-	kept := func(i int32) rdf.EncodedTriple { return chunks[i/ingestChunk][i%ingestChunk] }
-	set := make([]int32, max(1<<bits.Len(uint(2*sizeHint)), 1024)) // index+1 of a kept triple; 0 is empty
-	n := int32(0)
-	for {
-		et, priced, err := next(s.dict)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		s.inputBytes += priced
-		s.rowsRead++
-		mask := len(set) - 1
-		slot := tripleHash(et) & mask
-		for set[slot] != 0 && kept(set[slot]-1) != et {
-			slot = (slot + 1) & mask
-		}
-		if set[slot] != 0 {
-			continue
-		}
-		if n%ingestChunk == 0 {
-			chunks = append(chunks, make([]rdf.EncodedTriple, 0, ingestChunk))
-		}
-		c := &chunks[len(chunks)-1]
-		*c = append(*c, et)
-		n++
-		set[slot] = n
-		if 2*int(n) > len(set) {
-			set = make([]int32, 2*len(set))
-			for i := int32(0); i < n; i++ {
-				slot := tripleHash(kept(i)) & (len(set) - 1)
-				for set[slot] != 0 {
-					slot = (slot + 1) & (len(set) - 1)
-				}
-				set[slot] = i + 1
-			}
-		}
+// its first occurrence. Chunks and set die with the ingest, so neither
+// is live while the tables are built.
+type ingester struct {
+	s  *Store
+	in source
+	// slot holds the window task 0 interns; next is what task 1's read
+	// of the other slot returned.
+	slot int
+	next error
+	// window is the current window's triples, encoded.
+	window []rdf.EncodedTriple
+	chunks [][]rdf.EncodedTriple
+	set    []int32 // index+1 of a kept triple; 0 is empty
+	n      int32
+}
+
+// Task implements cluster.Job.
+func (g *ingester) Task(_, task int) error {
+	if task == 1 {
+		g.next = g.in.read(g.slot ^ 1)
+		return nil
 	}
-	s.triples = make([]rdf.EncodedTriple, 0, n)
-	for _, c := range chunks {
-		s.triples = append(s.triples, c...)
+	var priced int64
+	g.window, priced = g.in.encode(g.slot, g.s.dict, g.window[:0])
+	g.s.inputBytes += priced
+	g.s.rowsRead += len(g.window)
+	for _, et := range g.window {
+		g.keep(et)
 	}
 	return nil
+}
+
+// keep adds et to the kept triples unless it is a duplicate.
+func (g *ingester) keep(et rdf.EncodedTriple) {
+	kept := func(i int32) rdf.EncodedTriple { return g.chunks[i/ingestChunk][i%ingestChunk] }
+	mask := len(g.set) - 1
+	slot := tripleHash(et) & mask
+	for g.set[slot] != 0 && kept(g.set[slot]-1) != et {
+		slot = (slot + 1) & mask
+	}
+	if g.set[slot] != 0 {
+		return
+	}
+	if g.n%ingestChunk == 0 {
+		g.chunks = append(g.chunks, make([]rdf.EncodedTriple, 0, ingestChunk))
+	}
+	c := &g.chunks[len(g.chunks)-1]
+	*c = append(*c, et)
+	g.n++
+	g.set[slot] = g.n
+	if 2*int(g.n) > len(g.set) {
+		g.set = make([]int32, 2*len(g.set))
+		for i := int32(0); i < g.n; i++ {
+			slot := tripleHash(kept(i)) & (len(g.set) - 1)
+			for g.set[slot] != 0 {
+				slot = (slot + 1) & (len(g.set) - 1)
+			}
+			g.set[slot] = i + 1
+		}
+	}
 }
 
 // ingestChunk is how many triples one chunk of ingest's kept triples
@@ -516,11 +626,16 @@ func (s *Store) ChargeInputScan(clock *cluster.Clock, launch time.Duration) erro
 	})
 }
 
-// sortedPredicates returns the dataset's predicate IDs ordered by IRI.
-func sortedPredicates(dict *rdf.Dictionary, st *stats.Collection) []rdf.ID {
-	out := make([]rdf.ID, 0, len(st.ByPredicate))
-	for p := range st.ByPredicate {
-		out = append(out, p)
+// predicatesByIRI returns the distinct predicates of triples ordered by
+// IRI.
+func predicatesByIRI(dict *rdf.Dictionary, triples []rdf.EncodedTriple) []rdf.ID {
+	seen := make([]uint64, dict.Len()/64+1) // bit i: ID i is a predicate
+	var out []rdf.ID
+	for _, t := range triples {
+		if w, b := t.P/64, uint64(1)<<(t.P%64); seen[w]&b == 0 {
+			seen[w] |= b
+			out = append(out, t.P)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return dict.Term(out[i]).Value < dict.Term(out[j]).Value

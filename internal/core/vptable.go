@@ -65,16 +65,17 @@ func (t *VPTable) SemiJoin(col int, keys map[rdf.ID]struct{}) engine.Block {
 // size. It is the one writer of VP-shaped files: PRoST's VP tables and
 // ExtVP reductions and S2RDF's tables all go through it.
 func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts []engine.Block) (int64, error) {
-	return writeVPFiles(fs, dir, vpFileSizes(dict, parts))
+	sizes := make([]int64, len(parts))
+	vpFileSizes(dict, parts, sizes, nil)
+	return writeVPFiles(fs, dir, sizes)
 }
 
 // vpFileSizes sizes each part as WriteVPFiles lays it out — an "s" and
-// an "o" column plus the local dictionary — and returns the files'
-// sizes, in part order. It only reads the dictionary and writes
-// nothing, so tables can be sized concurrently.
-func vpFileSizes(dict *rdf.Dictionary, parts []engine.Block) []int64 {
-	sizes := make([]int64, len(parts))
-	var localTerms []rdf.ID // reused across the table's files
+// an "o" column plus the local dictionary — into sizes, in part order.
+// localTerms is scratch for the files' local terms, returned as it grew.
+// It only reads the dictionary and writes nothing, so tables can be
+// sized concurrently.
+func vpFileSizes(dict *rdf.Dictionary, parts []engine.Block, sizes []int64, localTerms []rdf.ID) []rdf.ID {
 	for p, part := range parts {
 		var subj, obj columnar.Sizer
 		localTerms = localTerms[:0]
@@ -91,7 +92,7 @@ func vpFileSizes(dict *rdf.Dictionary, parts []engine.Block) []int64 {
 			obj.Bytes() + columnar.ColumnFooterBytes("o") +
 			sizeenc.CompressedTermBytes(dict, localTerms)
 	}
-	return sizes
+	return localTerms
 }
 
 // writeVPFiles writes dir/part-%05d.parquet of the given sizes, in part
@@ -108,16 +109,16 @@ func writeVPFiles(fs *hdfs.FS, dir string, sizes []int64) (int64, error) {
 }
 
 // buildVP groups the dataset by predicate and materializes one VP table
-// per predicate: partition rows by subject, size each partition as a
-// columnar file (IDs plus a local term dictionary, like a Parquet file),
-// write it to HDFS, and charge the shuffle + write to the clock.
+// per predicate of s.predOrder: partition rows by subject, size each
+// partition as a columnar file (IDs plus a local term dictionary, like a
+// Parquet file), write it to HDFS, and charge the shuffle + write to the
+// clock.
 //
 // Every table's partitions are blocks of one array, laid out from the
 // rows each (predicate, partition) pair counts: one pass over the
 // triples counts them, a second writes every (s,o) pair straight into
 // its partition, in input order.
 func (s *Store) buildVP(clock *cluster.Clock) error {
-	s.predOrder = sortedPredicates(s.dict, s.stats)
 	slot := make(map[rdf.ID]int, len(s.predOrder))
 	for i, pred := range s.predOrder {
 		slot[pred] = i * s.parts
@@ -141,9 +142,11 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 	// workers, one table per task, and charges nothing. The files are
 	// written below, in predicate order, so their block placement does
 	// not depend on which task finished first.
-	sizes := make([][]int64, len(s.predOrder))
-	err := cluster.Run(runtime.GOMAXPROCS(0), len(s.predOrder), new(cluster.Tasks), cluster.Func(func(_, i int) error {
-		sizes[i] = vpFileSizes(s.dict, blocks[i*s.parts:(i+1)*s.parts])
+	sizes := make([]int64, len(blocks))
+	width := runtime.GOMAXPROCS(0)
+	bufs := make([][]rdf.ID, width) // local-term buffers, one per worker slot
+	err := cluster.Run(width, len(s.predOrder), new(cluster.Tasks), cluster.Func(func(w, i int) error {
+		bufs[w] = vpFileSizes(s.dict, blocks[i*s.parts:(i+1)*s.parts], sizes[i*s.parts:(i+1)*s.parts], bufs[w])
 		return nil
 	}))
 	if err != nil {
@@ -154,7 +157,7 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 	var totalRows int64
 	for i, pred := range s.predOrder {
 		rel := engine.NewBlockRelation(engine.Schema{"s", "o"}, blocks[i*s.parts:(i+1)*s.parts:(i+1)*s.parts], "s")
-		fileBytes, err := writeVPFiles(s.fs, fmt.Sprintf("%s/vp/p%d", s.opts.PathPrefix, pred), sizes[i])
+		fileBytes, err := writeVPFiles(s.fs, fmt.Sprintf("%s/vp/p%d", s.opts.PathPrefix, pred), sizes[i*s.parts:(i+1)*s.parts])
 		if err != nil {
 			return err
 		}

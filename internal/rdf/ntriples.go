@@ -3,10 +3,11 @@ package rdf
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -27,34 +28,47 @@ func (e *ParseError) Error() string {
 // comments, blank lines, and the \t \n \r \" \\ \uXXXX \UXXXXXXXX string
 // escapes.
 //
-// Lines are parsed in place, as bytes: a term is three spans of the
-// scanner's buffer (a literal is copied, unescaped, into the reader's
-// scratch only when it contains a backslash). ReadBytes hands those
-// spans out as they are, so a caller that interns them — the loader —
-// allocates nothing for a term it has seen before; Read copies them
-// into one exact-size string per line.
+// The document is read in windows of whole lines. ReadBatch parses one
+// window into a Batch: the window's text is copied into the batch, and
+// each term is kept as offsets into that copy (a literal with escapes
+// is unescaped where it lies). A caller that interns the terms — the
+// loader — allocates nothing for a term it has seen before, and can
+// parse the next window into a second batch while it interns the
+// first. Read serves the triples of the reader's own batch one at a
+// time, copying each line's terms into one exact-size string.
 type NTriplesReader struct {
-	scan *bufio.Scanner
+	src io.Reader
+	// line counts the lines of the windows parsed so far.
 	line int
-	// unesc holds the unescaped lexical forms of the current line's
-	// literals; spans into it stay valid until the next line is read.
-	unesc []byte
+	// rest holds what was read past the last window's final line end.
+	rest []byte
+	// err is the source's error (io.EOF at its end), reported once rest
+	// has been parsed.
+	err error
+
+	// b, at and berr are Read's batch, its next triple and the error
+	// that ended it.
+	b    Batch
+	at   int
+	berr error
 }
 
 // maxLineBytes is the longest line the reader accepts.
 const maxLineBytes = 1 << 20
 
+// windowBytes is how much text one window holds at least, unless the
+// document ends first: the window then runs to the end of its last line.
+const windowBytes = 64 << 10
+
 // NewNTriplesReader returns a reader consuming r. A line longer than
 // 1 MiB is a syntax error.
 func NewNTriplesReader(r io.Reader) *NTriplesReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-	return &NTriplesReader{scan: sc}
+	return &NTriplesReader{src: r}
 }
 
-// TermBytes is a parsed term whose text still lies in the reader's
+// TermBytes is a parsed term whose text still lies in a batch's
 // buffers: the fields mean what Term's do, and are valid only until the
-// reader's next call.
+// batch is reused.
 type TermBytes struct {
 	Kind                  TermKind
 	Value, Datatype, Lang []byte
@@ -65,36 +79,141 @@ func (t TermBytes) Term() Term {
 	return Term{Kind: t.Kind, Value: string(t.Value), Datatype: string(t.Datatype), Lang: string(t.Lang)}
 }
 
-// ReadBytes returns the next triple as spans of the reader's buffers,
-// valid until the next call, or io.EOF when the document is exhausted.
-func (r *NTriplesReader) ReadBytes() (s, p, o TermBytes, err error) {
-	for r.scan.Scan() {
+// Batch is one window of a document, parsed: its text, each escaped
+// literal unescaped where it lies, and three term spans per triple, in
+// document order. The zero value is ready for ReadBatch, which reuses
+// its buffers.
+type Batch struct {
+	text  []byte
+	terms []termSpan
+}
+
+// Len returns the number of triples in the batch.
+func (b *Batch) Len() int { return len(b.terms) / 3 }
+
+// Triple returns the batch's i-th triple as spans of its buffers, valid
+// until the batch is reused.
+func (b *Batch) Triple(i int) (s, p, o TermBytes) {
+	return termBytes(b.text, b.terms[3*i]), termBytes(b.text, b.terms[3*i+1]), termBytes(b.text, b.terms[3*i+2])
+}
+
+// termSpan is a parsed term as offsets into the text it was parsed
+// from.
+type termSpan struct {
+	kind          TermKind
+	val, dt, lang span
+}
+
+// span is the offsets [from, to) of a term's part.
+type span struct{ from, to uint32 }
+
+// termBytes resolves t against the text it was parsed from.
+func termBytes(text []byte, t termSpan) TermBytes {
+	return TermBytes{
+		Kind:     t.kind,
+		Value:    text[t.val.from:t.val.to],
+		Datatype: text[t.dt.from:t.dt.to],
+		Lang:     text[t.lang.from:t.lang.to],
+	}
+}
+
+// ReadBatch reads the document's next window into b and parses it. It
+// returns the first error the window holds — a *ParseError, or the
+// source's failure once every line read before it has been parsed —
+// with the triples before it in b, and io.EOF, b empty, once the
+// document is exhausted; after any other error the reader is spent.
+// Calls must not overlap, but the batch one call filled may be read
+// while the next call parses into another.
+func (r *NTriplesReader) ReadBatch(b *Batch) error {
+	r.fill(b)
+	b.terms = b.terms[:0]
+	if len(b.text) == 0 {
+		if r.err == io.EOF {
+			return io.EOF
+		}
+		return fmt.Errorf("ntriples: read: %w", r.err)
+	}
+	text := b.text
+	b.terms = slices.Grow(b.terms, 3*(bytes.Count(text, []byte{'\n'})+1)) // a triple per line at most
+	for start := 0; start < len(text); {
+		end := len(text)
+		if i := bytes.IndexByte(text[start:], '\n'); i >= 0 {
+			end = start + i
+		}
 		r.line++
-		line := bytes.TrimSpace(r.scan.Bytes())
+		if end-start >= maxLineBytes {
+			return &ParseError{Line: r.line, Msg: fmt.Sprintf("line longer than the %d-byte limit", maxLineBytes)}
+		}
+		// The line without bytes.TrimSpace's white space at either end.
+		line := bytes.TrimLeftFunc(text[start:end], unicode.IsSpace)
+		from := end - len(line)
+		line = bytes.TrimRightFunc(line, unicode.IsSpace)
+		start = end + 1
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		lp := lineParser{s: line, line: r.line, unesc: r.unesc[:0]}
-		err = lp.triple(&s, &p, &o)
-		r.unesc = lp.unesc // keep the scratch at the size it grew to
-		return s, p, o, err
-	}
-	if err := r.scan.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return s, p, o, &ParseError{Line: r.line + 1, Msg: fmt.Sprintf("line longer than the %d-byte limit", maxLineBytes)}
+		lp := lineParser{s: text[:from+len(line)], start: from, pos: from, line: r.line}
+		var t [3]termSpan
+		if err := lp.triple(&t); err != nil {
+			return err
 		}
-		return s, p, o, fmt.Errorf("ntriples: read: %w", err)
+		b.terms = append(b.terms, t[:]...)
 	}
-	return s, p, o, io.EOF
+	if r.err != nil && r.err != io.EOF { // the window is the last text read
+		return fmt.Errorf("ntriples: read: %w", r.err)
+	}
+	return nil
+}
+
+// fill sets b.text to the document's next window: the text held back
+// from the last one, then more from the source until the text holds a
+// line end at or past windowBytes, or a line too long to accept, or the
+// source ends. The window ends at its last line end; what follows is
+// held back for the next, unless the source has ended.
+func (r *NTriplesReader) fill(b *Batch) {
+	b.text = append(slices.Grow(b.text[:0], windowBytes), r.rest...)
+	r.rest = r.rest[:0]
+	searched := 0 // b.text[:searched] holds no line end
+	for empty := 0; r.err == nil; {
+		if len(b.text) >= windowBytes {
+			if i := bytes.LastIndexByte(b.text[searched:], '\n'); i >= 0 {
+				end := searched + i + 1
+				r.rest = append(r.rest, b.text[end:]...)
+				b.text = b.text[:end]
+				return
+			}
+			if len(b.text) >= maxLineBytes {
+				return // the window is one line, which ReadBatch rejects
+			}
+			searched = len(b.text)
+		}
+		if len(b.text) == cap(b.text) {
+			b.text = slices.Grow(b.text, windowBytes)
+		}
+		n, err := r.src.Read(b.text[len(b.text):cap(b.text)])
+		b.text = b.text[:len(b.text)+n]
+		r.err = err
+		// A source that keeps returning nothing fails as bufio.Scanner
+		// fails it.
+		if empty++; n > 0 {
+			empty = 0
+		} else if empty == 100 && err == nil {
+			r.err = io.ErrNoProgress
+		}
+	}
 }
 
 // Read returns the next triple, or io.EOF when the document is exhausted.
 // The triple's strings share one allocation holding exactly their bytes.
 func (r *NTriplesReader) Read() (Triple, error) {
-	s, p, o, err := r.ReadBytes()
-	if err != nil {
-		return Triple{}, err
+	for r.at == r.b.Len() {
+		if r.berr != nil {
+			return Triple{}, r.berr
+		}
+		r.at, r.berr = 0, r.ReadBatch(&r.b)
 	}
+	s, p, o := r.b.Triple(r.at)
+	r.at++
 	// A subject or predicate literal was rejected by the parser, so only
 	// the object can carry a datatype or language tag.
 	text := concat(s.Value, p.Value, o.Value, o.Datatype, o.Lang)
@@ -149,45 +268,39 @@ func ParseTerm(s string) (Term, error) {
 	p := lineParser{s: []byte(s), line: 1}
 	t, err := p.term()
 	if err == nil && p.pos != len(p.s) {
-		err = p.errf("trailing text after term at column %d", p.pos+1)
+		err = p.errf("trailing text after term at column %d", p.column())
 	}
 	if err != nil {
 		return Term{}, err
 	}
-	return t.Term(), nil
+	return termBytes(p.s, t).Term(), nil
 }
 
-// lineParser is a tiny cursor over one line of input.
+// lineParser is a tiny cursor over one line of input: the line is
+// s[start:], and the spans it returns are offsets into s.
 type lineParser struct {
-	s    []byte
-	pos  int
-	line int
-	// unesc receives the lexical form of each literal that contains an
-	// escape. An append may move it; spans handed out before then keep
-	// pointing at the old array, whose bytes nothing overwrites while
-	// the line is in use.
-	unesc []byte
+	s     []byte
+	start int
+	pos   int
+	line  int
 }
 
 // triple parses the whole line — three terms and the terminating dot —
-// into s, pred and o.
-func (p *lineParser) triple(s, pred, o *TermBytes) (err error) {
-	if *s, err = p.term(); err != nil {
-		return err
-	}
-	if *pred, err = p.term(); err != nil {
-		return err
-	}
-	if *o, err = p.term(); err != nil {
-		return err
+// into t: subject, predicate, object.
+func (p *lineParser) triple(t *[3]termSpan) (err error) {
+	for i := range t {
+		if t[i], err = p.term(); err != nil {
+			return err
+		}
 	}
 	if err = p.dot(); err != nil {
 		return err
 	}
 	// The subject must be an IRI or blank node and the predicate an IRI
 	// (Triple.Valid; the parser never yields an empty IRI or label).
-	if s.Kind == KindLiteral || pred.Kind != KindIRI {
-		return p.errf("not a valid RDF triple: %s", Triple{S: s.Term(), P: pred.Term(), O: o.Term()})
+	if t[0].kind == KindLiteral || t[1].kind != KindIRI {
+		term := func(i int) Term { return termBytes(p.s, t[i]).Term() }
+		return p.errf("not a valid RDF triple: %s", Triple{S: term(0), P: term(1), O: term(2)})
 	}
 	return nil
 }
@@ -196,6 +309,9 @@ func (p *lineParser) errf(format string, args ...any) error {
 	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
 }
 
+// column is the 1-based column of the cursor within the line.
+func (p *lineParser) column() int { return p.pos - p.start + 1 }
+
 func (p *lineParser) skipSpace() {
 	for p.pos < len(p.s) && isTermBoundary(p.s[p.pos]) {
 		p.pos++
@@ -203,146 +319,143 @@ func (p *lineParser) skipSpace() {
 }
 
 // term parses the next IRI, literal or blank node.
-func (p *lineParser) term() (TermBytes, error) {
+func (p *lineParser) term() (termSpan, error) {
 	p.skipSpace()
 	if p.pos >= len(p.s) {
-		return TermBytes{}, p.errf("unexpected end of line, expected term")
+		return termSpan{}, p.errf("unexpected end of line, expected term")
 	}
 	switch c := p.s[p.pos]; {
 	case c == '<':
 		iri, err := p.iri()
-		return TermBytes{Kind: KindIRI, Value: iri}, err
+		return termSpan{kind: KindIRI, val: iri}, err
 	case c == '"':
 		return p.literal()
 	case c == '_':
 		return p.blank()
 	default:
-		return TermBytes{}, p.errf("unexpected character %q at column %d", c, p.pos+1)
+		return termSpan{}, p.errf("unexpected character %q at column %d", c, p.column())
 	}
 }
 
 // iri consumes <...> and returns what is between the brackets.
-func (p *lineParser) iri() ([]byte, error) {
+func (p *lineParser) iri() (span, error) {
 	start := p.pos + 1
 	end := bytes.IndexByte(p.s[start:], '>')
 	if end < 0 {
-		return nil, p.errf("unterminated IRI")
+		return span{}, p.errf("unterminated IRI")
 	}
 	if end == 0 {
-		return nil, p.errf("empty IRI")
+		return span{}, p.errf("empty IRI")
 	}
 	p.pos = start + end + 1
-	return p.s[start : start+end], nil
+	return span{uint32(start), uint32(start + end)}, nil
 }
 
 // untilBoundary consumes and returns the bytes up to the next space or
 // tab (or the end of the line).
-func (p *lineParser) untilBoundary() []byte {
+func (p *lineParser) untilBoundary() span {
 	start := p.pos
 	for p.pos < len(p.s) && !isTermBoundary(p.s[p.pos]) {
 		p.pos++
 	}
-	return p.s[start:p.pos]
+	return span{uint32(start), uint32(p.pos)}
 }
 
-func (p *lineParser) blank() (TermBytes, error) {
+func (s span) empty() bool { return s.from == s.to }
+
+func (p *lineParser) blank() (termSpan, error) {
 	if p.pos+1 >= len(p.s) || p.s[p.pos+1] != ':' {
-		return TermBytes{}, p.errf("malformed blank node label")
+		return termSpan{}, p.errf("malformed blank node label")
 	}
 	p.pos += 2
 	label := p.untilBoundary()
-	if len(label) == 0 {
-		return TermBytes{}, p.errf("empty blank node label")
+	if label.empty() {
+		return termSpan{}, p.errf("empty blank node label")
 	}
-	return TermBytes{Kind: KindBlank, Value: label}, nil
+	return termSpan{kind: KindBlank, val: label}, nil
 }
 
 func isTermBoundary(c byte) bool { return c == ' ' || c == '\t' }
 
-func (p *lineParser) literal() (TermBytes, error) {
+func (p *lineParser) literal() (termSpan, error) {
 	lex, err := p.lexicalForm()
 	if err != nil {
-		return TermBytes{}, err
+		return termSpan{}, err
 	}
-	t := TermBytes{Kind: KindLiteral, Value: lex}
+	t := termSpan{kind: KindLiteral, val: lex}
 	// Optional language tag or datatype.
 	switch {
 	case p.pos < len(p.s) && p.s[p.pos] == '@':
 		p.pos++
-		if t.Lang = p.untilBoundary(); len(t.Lang) == 0 {
-			return TermBytes{}, p.errf("empty language tag")
+		if t.lang = p.untilBoundary(); t.lang.empty() {
+			return termSpan{}, p.errf("empty language tag")
 		}
 	case bytes.HasPrefix(p.s[p.pos:], []byte("^^")):
 		p.pos += 2
 		if p.pos >= len(p.s) || p.s[p.pos] != '<' {
-			return TermBytes{}, p.errf("datatype must be an IRI")
+			return termSpan{}, p.errf("datatype must be an IRI")
 		}
-		if t.Datatype, err = p.iri(); err != nil {
-			return TermBytes{}, err
+		if t.dt, err = p.iri(); err != nil {
+			return termSpan{}, err
 		}
 	}
 	return t, nil
 }
 
 // lexicalForm consumes a quoted string (the cursor is on the opening
-// quote) and returns its unescaped content: a span of the line itself
-// when it holds no backslash, of the unescape scratch otherwise.
-func (p *lineParser) lexicalForm() ([]byte, error) {
+// quote) and returns the span of its content. A string with escapes is
+// unescaped in place: no escape is shorter than what it stands for, so
+// the decoded bytes never overtake the ones still to be read.
+func (p *lineParser) lexicalForm() (span, error) {
 	p.pos++
 	start := p.pos
 	n := bytes.IndexAny(p.s[start:], "\"\\")
 	if n < 0 {
-		return nil, p.errf("unterminated literal")
+		return span{}, p.errf("unterminated literal")
 	}
 	p.pos += n
-	if p.s[p.pos] == '"' {
-		p.pos++
-		return p.s[start : p.pos-1], nil
-	}
-	out := p.unesc
-	from := len(out)
-	out = append(out, p.s[start:p.pos]...)
+	w := p.pos // where the next decoded byte goes
 	for {
 		if p.pos >= len(p.s) {
-			return nil, p.errf("unterminated literal")
+			return span{}, p.errf("unterminated literal")
 		}
 		c := p.s[p.pos]
 		if c == '"' {
 			p.pos++
-			break
+			return span{uint32(start), uint32(w)}, nil
 		}
 		if c == '\\' {
 			var err error
-			if out, err = p.escape(out); err != nil {
-				return nil, err
+			if w, err = p.escape(w); err != nil {
+				return span{}, err
 			}
 			continue
 		}
-		out = append(out, c)
+		p.s[w] = c
+		w++
 		p.pos++
 	}
-	p.unesc = out
-	return out[from:len(out):len(out)], nil
 }
 
-// escape consumes one backslash escape sequence, appending the decoded
-// rune to dst.
-func (p *lineParser) escape(dst []byte) ([]byte, error) {
+// escape consumes one backslash escape sequence and writes the rune it
+// stands for at s[w:], returning the position after it.
+func (p *lineParser) escape(w int) (int, error) {
 	if p.pos+1 >= len(p.s) {
-		return nil, p.errf("dangling backslash")
+		return 0, p.errf("dangling backslash")
 	}
 	c := p.s[p.pos+1]
+	var b byte
 	switch c {
 	case 't':
-		dst = append(dst, '\t')
+		b = '\t'
 	case 'n':
-		dst = append(dst, '\n')
+		b = '\n'
 	case 'r':
-		dst = append(dst, '\r')
+		b = '\r'
 	case '"':
-		dst = append(dst, '"')
+		b = '"'
 	case '\\':
-		dst = append(dst, '\\')
+		b = '\\'
 	case 'u', 'U':
 		n := 4
 		if c == 'U' {
@@ -350,26 +463,27 @@ func (p *lineParser) escape(dst []byte) ([]byte, error) {
 		}
 		hexStart := p.pos + 2
 		if hexStart+n > len(p.s) {
-			return nil, p.errf("truncated \\%c escape", c)
+			return 0, p.errf("truncated \\%c escape", c)
 		}
 		var r rune
 		for i := 0; i < n; i++ {
 			d := hexDigit(p.s[hexStart+i])
 			if d < 0 {
-				return nil, p.errf("invalid hex digit %q in \\%c escape", p.s[hexStart+i], c)
+				return 0, p.errf("invalid hex digit %q in \\%c escape", p.s[hexStart+i], c)
 			}
 			r = r<<4 | rune(d)
 		}
 		if !utf8.ValidRune(r) {
-			return nil, p.errf("escape \\%c%s is not a valid rune", c, p.s[hexStart:hexStart+n])
+			return 0, p.errf("escape \\%c%s is not a valid rune", c, p.s[hexStart:hexStart+n])
 		}
 		p.pos = hexStart + n
-		return utf8.AppendRune(dst, r), nil
+		return w + utf8.EncodeRune(p.s[w:], r), nil
 	default:
-		return nil, p.errf("unknown escape \\%c", c)
+		return 0, p.errf("unknown escape \\%c", c)
 	}
+	p.s[w] = b
 	p.pos += 2
-	return dst, nil
+	return w + 1, nil
 }
 
 func hexDigit(c byte) int {

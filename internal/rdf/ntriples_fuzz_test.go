@@ -311,3 +311,60 @@ func FuzzNTriplesLine(f *testing.F) {
 		}
 	})
 }
+
+// TestReadMatchesReferenceAcrossWindows holds the windowed reader to
+// the line-at-a-time reference on documents many windows long: lines
+// cut by a window boundary wherever it falls, a line longer than a
+// window, and a syntax error far past the first window, reported with
+// the reference's line number and message.
+func TestReadMatchesReferenceAcrossWindows(t *testing.T) {
+	lines := []string{
+		`<http://example.org/s> <http://example.org/p> <http://example.org/o> .`,
+		`<http://s> <http://p> "42"^^<http://www.w3.org/2001/XMLSchema#integer> .`,
+		"<http://s> <http://p> \"chat\"@fr .\r",
+		`_:b0 <http://example.org/p> _:b1 .`,
+		"# a comment",
+		"",
+		"  \t<http://s>\t<http://p> \"indented\" .  ",
+		`<http://s> <http://p> "a\"b\\c\nd\te\rf\u00e9\U0001F600" .`,
+		"\u00a0<http://s> <http://p> \"no-break space\" .\u0085",
+	}
+	var sb strings.Builder
+	for i := 0; sb.Len() < 5*windowBytes; i++ {
+		sb.WriteString(lines[i%len(lines)])
+		sb.WriteString(strings.Repeat(" ", i%7)) // moves every later line across the window boundaries
+		sb.WriteByte('\n')
+		if i == 3000 {
+			sb.WriteString(`<http://s> <http://p> "` + strings.Repeat(`long\t`, windowBytes/3) + `" .` + "\n")
+		}
+	}
+	doc := sb.String()
+	for _, c := range []struct {
+		doc     string
+		invalid bool
+	}{
+		{doc, false},
+		{doc + "<http://s> <http://p> \"no final newline\" .", false},
+		{doc + "<http://s> <http://p> oops .\n" + doc, true},
+	} {
+		want, wantErr := refReadAll(c.doc)
+		if _, syntax := wantErr.(*ParseError); syntax != c.invalid {
+			t.Fatalf("reference error %v on a document whose invalidity is %v", wantErr, c.invalid)
+		}
+		g, err := ParseNTriples(c.doc)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("windowed reader error %v, reference %v", err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if g.Len() != len(want) {
+			t.Fatalf("windowed reader read %d triples, reference %d", g.Len(), len(want))
+		}
+		for i, tr := range g.Triples() {
+			if tr != want[i] {
+				t.Fatalf("triple %d: windowed reader %#v, reference %#v", i, tr, want[i])
+			}
+		}
+	}
+}

@@ -3,9 +3,10 @@
 // dictionary encoder that maps terms to dense integer IDs.
 //
 // The loader's path through the package allocates neither per line nor
-// per term: NTriplesReader.ReadBytes yields each term as spans of the
-// read buffer, and Dictionary.EncodeBytes interns them as they lie,
-// appending a new term's text to the dictionary's byte pages. The
+// per term: NTriplesReader.ReadBatch parses a window of lines into a
+// reused Batch whose terms are spans of the window's text, and
+// Dictionary.EncodeBytes interns them as they lie, appending a new
+// term's text to the dictionary's byte pages. The
 // dictionary holds no pointer per term — text pages, fixed-size
 // records and an open-addressed ID index — and the Terms it returns
 // view its pages. Read, ReadAll and Graph build the same triples as

@@ -215,7 +215,7 @@ func TestShuffleCalibrationWithin2x(t *testing.T) {
 
 // TestShardDeathSurfacesTypedError kills one shard mid-topology and
 // verifies the failure reaches the caller as the dead-shard abort: a
-// *core.TaskFailedError whose attempt records a worker outage and which
+// *core.TaskFailedError that names the dead shard and
 // unwraps to the underlying *wire.ShardError.
 func TestShardDeathSurfacesTypedError(t *testing.T) {
 	store := testStore(t)
@@ -252,11 +252,11 @@ func TestShardDeathSurfacesTypedError(t *testing.T) {
 	if !errors.As(err, &tfe) {
 		t.Fatalf("error %v (%T) is not a *core.TaskFailedError", err, err)
 	}
-	if len(tfe.Attempts) != 1 || tfe.Attempts[0].Outcome != cluster.AttemptOutage {
-		t.Errorf("attempt trace %+v, want one worker-outage attempt", tfe.Attempts)
+	if tfe.Shard != 1 {
+		t.Errorf("TaskFailedError.Shard = %d, want dead shard 1", tfe.Shard)
 	}
-	if tfe.Attempts[0].Worker != 1 {
-		t.Errorf("attempt worker = %d, want dead shard 1", tfe.Attempts[0].Worker)
+	if msg := tfe.Error(); !strings.Contains(msg, "failed permanently on shard 1") {
+		t.Errorf("error %q does not name the dead shard", msg)
 	}
 	var se *wire.ShardError
 	if !errors.As(err, &se) {

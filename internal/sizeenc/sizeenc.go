@@ -7,48 +7,58 @@ package sizeenc
 import (
 	"compress/flate"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/rdf"
 )
 
-// flateWriters recycles deflate writers: a fresh one zeroes about
-// 1.2 MB of tables, which dominated the cost of sizing the many small
-// partition files a load writes. Reset restores the state NewWriter
-// leaves, so a recycled writer emits the same bytes as a fresh one.
-var flateWriters = sync.Pool{New: func() any {
-	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
+// termSizer is what one CompressedTermBytes call needs, recycled whole:
+// a fresh deflate writer zeroes about 1.2 MB of tables, which dominated
+// the cost of sizing the many small partition files a load writes, and
+// the counter it writes to and the record buffer would each cost an
+// allocation per call. Reset restores the state NewWriter leaves, so a
+// recycled writer emits the same bytes as a fresh one.
+type termSizer struct {
+	fw  *flate.Writer
+	out CountingWriter
+	rec []byte
+}
+
+var termSizers = sync.Pool{New: func() any {
+	z := &termSizer{}
+	fw, err := flate.NewWriter(&z.out, flate.BestSpeed)
 	if err != nil {
 		// flate.NewWriter fails only on invalid compression levels.
 		panic(fmt.Sprintf("sizeenc: flate writer: %v", err))
 	}
-	return fw
+	z.fw = fw
+	return z
 }}
 
 // CompressedTermBytes returns the deflate-compressed size of the terms
 // named by ids, which must be ascending and distinct (slices.Sort then
-// slices.Compact): the order makes the size deterministic.
+// slices.Compact): the order makes the size deterministic. A call on a
+// warm pool allocates nothing.
 func CompressedTermBytes(dict *rdf.Dictionary, ids []rdf.ID) int64 {
 	terms := dict.Snapshot()
-	cw := &CountingWriter{}
-	fw := flateWriters.Get().(*flate.Writer)
-	fw.Reset(cw)
-	// One record per term through a reused buffer (flate.Writer takes
+	z := termSizers.Get().(*termSizer)
+	z.out.N = 0
+	z.fw.Reset(&z.out)
+	// One record per term through the reused buffer (flate.Writer takes
 	// no strings; io.WriteString would copy each). Writes to a
 	// CountingWriter cannot fail.
-	var rec []byte
 	for _, id := range ids {
 		t := terms.Term(id)
-		rec = append(rec[:0], t.Value...)
-		rec = append(rec, t.Datatype...)
-		rec = append(rec, t.Lang...)
-		rec = append(rec, '\n')
-		fw.Write(rec)
+		z.rec = append(z.rec[:0], t.Value...)
+		z.rec = append(z.rec, t.Datatype...)
+		z.rec = append(z.rec, t.Lang...)
+		z.rec = append(z.rec, '\n')
+		z.fw.Write(z.rec)
 	}
-	fw.Close()
-	flateWriters.Put(fw)
-	return cw.N
+	z.fw.Close()
+	n := z.out.N
+	termSizers.Put(z)
+	return n
 }
 
 // CountingWriter counts the bytes written through it.

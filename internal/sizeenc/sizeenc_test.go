@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/rdf"
+	"repro/internal/testenv"
 )
 
 // termSet interns terms and returns their IDs the way
@@ -129,6 +130,22 @@ func TestCompressedTermBytesPooledEqualsFresh(t *testing.T) {
 		if got, want := CompressedTermBytes(d, sorted), freshTermBytes(t, d, ids); got != want {
 			t.Fatalf("round %d (%d terms): pooled writer gave %d bytes, fresh writer %d", round, len(ids), got, want)
 		}
+	}
+}
+
+// TestCompressedTermBytesAllocs pins a warm call at no allocation: the
+// pooled sizer holds the writer, its counter and the record buffer.
+func TestCompressedTermBytesAllocs(t *testing.T) {
+	d := rdf.NewDictionary()
+	var terms []rdf.Term
+	for i := range 200 {
+		terms = append(terms, rdf.NewIRI(fmt.Sprintf("http://example.org/entity%d", i)),
+			rdf.NewLangLiteral(fmt.Sprintf("label %d", i), "en"))
+	}
+	ids := termSet(d, terms...)
+	CompressedTermBytes(d, ids) // warm the pool
+	if n := testenv.AllocsPerRun(t, 100, func() { CompressedTermBytes(d, ids) }); n != 0 {
+		t.Errorf("CompressedTermBytes made %v allocations per warm call, want 0", n)
 	}
 }
 

@@ -17,7 +17,6 @@ package stats
 
 import (
 	"cmp"
-	"encoding/binary"
 	"math"
 	"slices"
 
@@ -199,7 +198,7 @@ func CollectJoinStats(triples []rdf.EncodedTriple, cfg Config) *Collection {
 	c := &Collection{ByPredicate: make(map[rdf.ID]*Predicate), TotalTriples: int64(len(triples))}
 	var csets *csetBuilder
 	if cfg.CSets {
-		csets = &csetBuilder{index: make(map[string]int), sets: []CharacteristicSet{}}
+		csets = &csetBuilder{index: make(map[uint64]int32), sets: []CharacteristicSet{}}
 	}
 	var sketches *sketchBuilder
 	if cfg.SketchTopK >= 0 {
@@ -302,36 +301,70 @@ func keyRun(pairs []uint64, i int, key rdf.ID, run []predDeg) ([]predDeg, int) {
 }
 
 // csetBuilder accumulates characteristic sets, one subject run at a
-// time.
+// time. A set's Preds and Triples are carved, capacity-clipped, from
+// chunks shared by many sets, so a new set allocates nothing of its own.
 type csetBuilder struct {
-	// index maps a predicate list, as its IDs' bytes, to its set.
-	index map[string]int
+	// index maps a hash of a predicate list to the newest set with that
+	// hash; prev links each set to the previous one sharing it, or -1.
+	index map[uint64]int32
 	sets  []CharacteristicSet
-	key   []byte
+	prev  []int32
+	// preds and triples are the free rest of the current chunks.
+	preds   []rdf.ID
+	triples []int64
 }
+
+// csetChunk is how many predicates one chunk of csetBuilder holds.
+const csetChunk = 1024
 
 // add counts one subject, whose predicates (ascending) and degrees are
 // run.
 func (b *csetBuilder) add(run []predDeg) {
-	b.key = b.key[:0]
+	h := uint64(14695981039346656037) // FNV-1a over the predicate IDs
 	for _, pd := range run {
-		b.key = binary.LittleEndian.AppendUint32(b.key, uint32(pd.pred))
+		h = (h ^ uint64(pd.pred)) * 1099511628211
 	}
-	i, ok := b.index[string(b.key)]
+	head, ok := b.index[h]
 	if !ok {
-		i = len(b.sets)
-		b.index[string(b.key)] = i
-		preds := make([]rdf.ID, len(run))
-		for k, pd := range run {
-			preds[k] = pd.pred
+		head = -1
+	}
+	i := head
+	for i >= 0 && !sameSet(b.sets[i].Preds, run) {
+		i = b.prev[i]
+	}
+	if i < 0 {
+		n := len(run)
+		if len(b.preds) < n {
+			b.preds, b.triples = make([]rdf.ID, max(n, csetChunk)), make([]int64, max(n, csetChunk))
 		}
-		b.sets = append(b.sets, CharacteristicSet{Preds: preds, Triples: make([]int64, len(run))})
+		cs := CharacteristicSet{Preds: b.preds[:n:n], Triples: b.triples[:n:n]}
+		b.preds, b.triples = b.preds[n:], b.triples[n:]
+		for k, pd := range run {
+			cs.Preds[k] = pd.pred
+		}
+		i = int32(len(b.sets))
+		b.index[h] = i
+		b.sets = append(b.sets, cs)
+		b.prev = append(b.prev, head)
 	}
 	cs := &b.sets[i]
 	cs.Count++
 	for k, pd := range run {
 		cs.Triples[k] += pd.deg
 	}
+}
+
+// sameSet reports whether preds are exactly run's predicates.
+func sameSet(preds []rdf.ID, run []predDeg) bool {
+	if len(preds) != len(run) {
+		return false
+	}
+	for k, p := range preds {
+		if run[k].pred != p {
+			return false
+		}
+	}
+	return true
 }
 
 // finish orders the sets and indexes them by predicate.

@@ -7,6 +7,11 @@
 // of two sorted copies of the encoded triples (CollectJoinStats),
 // mirroring the paper's claim that they are "calculated during the
 // loading phase without any significant overhead".
+//
+// A collection reads the triples and nothing else, so the loader
+// collects it on one worker while the others build the tables, which
+// never read it; what the statistics cost on the simulated clock
+// depends on the triple count alone.
 package stats
 
 import (

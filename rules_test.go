@@ -845,6 +845,63 @@ var width = flag.Int("parallelism", 0, "operator width")
 func main() { flag.Parse() }
 `},
 }, {
+	// A load collects its statistics while it builds its tables, both
+	// reading the triples and the dictionary; that is race-free only
+	// while no table build reads the statistics. Nothing an internal/core
+	// function reachable from buildVP or buildPropertyTable calls, by
+	// name, selects a .stats field.
+	name: "Table builds read no statistics",
+	check: func(s *srcSet, r *report) {
+		decls := map[string][]*ast.FuncDecl{}
+		for _, f := range s.product("internal/core") {
+			for _, d := range f.ast.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok {
+					decls[fn.Name.Name] = append(decls[fn.Name.Name], fn)
+				}
+			}
+		}
+		seen := map[*ast.FuncDecl]bool{}
+		var visit func(fn *ast.FuncDecl)
+		visit = func(fn *ast.FuncDecl) {
+			if seen[fn] {
+				return
+			}
+			seen[fn] = true
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "stats" {
+					r.at(sel.Pos(), funcName(fn)+", which a table build calls, reads the statistics (.stats) the load collects beside it")
+				}
+				for _, d := range decls[callee(n)] {
+					visit(d)
+				}
+				return true
+			})
+		}
+		for _, root := range []string{"buildVP", "buildPropertyTable"} {
+			if len(decls[root]) == 0 {
+				r.out = append(r.out, "module: no "+root+" in internal/core")
+			}
+			for _, d := range decls[root] {
+				visit(d)
+			}
+		}
+	},
+	bad: map[string]string{"internal/core/bad.go": `package core
+
+import "repro/internal/rdf"
+
+// buildPropertyTable orders its columns by the statistics.
+func buildPropertyTable(s *Store) []rdf.ID { return columnOrder(s) }
+
+func columnOrder(s *Store) []rdf.ID {
+	var out []rdf.ID
+	for p := range s.stats.ByPredicate {
+		out = append(out, p)
+	}
+	return out
+}
+`},
+}, {
 	// Every parallel task in the process runs through cluster.Run: a
 	// stage's partitions, a streaming scan's, the scheduler's operators,
 	// a coordinator's per-shard calls, the loader's and the result
