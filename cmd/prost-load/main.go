@@ -67,9 +67,30 @@ func run(in string, cfg cluster.Config, inversePT, showStats bool) error {
 	}
 	fmt.Printf("simulated load: %v\n", rep.LoadTime)
 	fmt.Printf("wall time:      %v\n", rep.WallTime)
+	printRetained(rep.Retained, rep.Triples)
 	if showStats {
 		fmt.Println()
 		fmt.Print(store.Stats().Summary(store.Dictionary()))
 	}
 	return nil
+}
+
+// printRetained prints what the store holds in memory, by part, in MiB
+// and in bytes per triple.
+func printRetained(r core.RetainedBytes, triples int64) {
+	line := func(name string, bytes int64, detail string) {
+		fmt.Printf("  %-12s %7.2f MiB %6.1f B/triple%s\n", name+":", float64(bytes)/(1<<20), float64(bytes)/float64(max(triples, 1)), detail)
+	}
+	fmt.Println("retained in memory:")
+	d := r.Dictionary
+	line("dictionary", d.Total(), fmt.Sprintf(" (records %.2f, text %.2f, index %.2f, tags %.3f MiB)",
+		float64(d.Records)/(1<<20), float64(d.Text)/(1<<20), float64(d.Index)/(1<<20), float64(d.Tags)/(1<<20)))
+	line("triples", r.Triples, "")
+	line("VP", r.VP, "")
+	line("PT", r.PT, "")
+	if r.InversePT > 0 {
+		line("inverse PT", r.InversePT, "")
+	}
+	line("statistics", r.Stats, "")
+	line("total", r.Total(), "")
 }

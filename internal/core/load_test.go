@@ -390,6 +390,40 @@ func TestLoadSizesFrozen(t *testing.T) {
 	}
 }
 
+// TestRetainedDictionaryBytes holds the dictionary of the benchmark's
+// fixture, WatDiv scale 10,000 / seed 1 (216,080 triples, 74,345
+// terms), to what its layout retains: 12-byte records in whole chunks,
+// one text copy of the two datatype IRIs, and an index of 131,072
+// slots, grown past two thirds full. The old layout (24-byte records in
+// a doubled array, each literal's datatype written out again, an index
+// kept at most half full) retained 36.4 bytes per triple.
+func TestRetainedDictionaryBytes(t *testing.T) {
+	s, err := Load(watdiv.MustGenerate(watdiv.Config{Scale: 10000, Seed: 1}), Options{Cluster: cluster.MustNew(cluster.DefaultConfig())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := s.LoadReport()
+	d, terms := r.Retained.Dictionary, int64(s.dict.Len())
+	perTriple := float64(d.Total()) / float64(r.Triples)
+	t.Logf("%d triples, %d terms: dictionary %.1f B per triple; store %.1f B per triple, %+v",
+		r.Triples, terms, perTriple, float64(r.Retained.Total())/float64(r.Triples), r.Retained)
+	if r.Triples != 216_080 || terms != 74_345 {
+		t.Fatalf("the fixture moved: %d triples, %d terms", r.Triples, terms)
+	}
+	if perTriple > 21.5 {
+		t.Errorf("the dictionary retains %.1f B per triple, want at most 21.5", perTriple)
+	}
+	if chunk := int64(4096 * 12); d.Records > 12*terms+chunk+1024 {
+		t.Errorf("records take %d bytes for %d terms: more than 12 B each and one chunk's slack", d.Records, terms)
+	}
+	if d.Index != 131_072*4 {
+		t.Errorf("the index takes %d bytes, want 131,072 four-byte slots", d.Index)
+	}
+	if r.Retained.Triples != 12*r.Triples || r.Retained.VP <= 0 || r.Retained.PT <= 0 || r.Retained.InversePT != 0 || r.Retained.Stats <= 0 {
+		t.Errorf("retained breakdown %+v", r.Retained)
+	}
+}
+
 // TestLoadPredicateNamedKey loads a document whose predicate IRI is
 // <key>, the name of the Property Table's key column. Columns are sized
 // by position, so the load succeeds, and it prices exactly like the

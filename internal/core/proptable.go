@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/columnar"
@@ -81,6 +82,21 @@ func (c *ptColumn) values(i int) []rdf.ID {
 		return c.vals[i : i+1]
 	}
 	return c.vals[c.offs[i]:c.offs[i+1]]
+}
+
+// retainedBytes is what the table holds in memory: its columns' slices
+// at their capacity, and each map entry at its key and value.
+func (t *PropertyTable) retainedBytes() int64 {
+	const id = int64(unsafe.Sizeof(rdf.ID(0)))
+	n := int64(len(t.cols))*(id+1) + int64(len(t.colBytes))*(id+8) + int64(cap(t.parts))*int64(unsafe.Sizeof(&ptPartition{}))
+	for _, part := range t.parts {
+		n += int64(unsafe.Sizeof(*part))
+		for _, c := range part.cols {
+			n += id + int64(unsafe.Sizeof(c)+unsafe.Sizeof(*c))
+			n += int64(cap(c.keys)+cap(c.vals))*id + int64(cap(c.offs))*int64(unsafe.Sizeof(uint32(0)))
+		}
+	}
+	return n
 }
 
 // Columns returns the number of predicate columns.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/rdf"
@@ -116,29 +117,51 @@ type ptScan struct {
 	row engine.Row
 }
 
-// ptScans returns scratch for the n partition scans of one node, which
+// ptScratch is the scaffolding of one node's n partition scans, which
 // may run concurrently: a window of three shared buffers each, the row's
-// carved from r, sized for spec so that init grows none of them. A scan
-// stage's scratch is then the same few allocations whatever its
-// partition count. The windows lie a cache line apart, so that scans
-// running at once never write to one line.
-func ptScans(spec ptNodeScan, n int, r *engine.Region) []ptScan {
+// carved from the query's region, sized for the node's patterns so that
+// init grows none of them. The windows lie a cache line apart, so that
+// scans running at once never write to one line. Cursors point into
+// the table, so they cannot live in a region; the scans and cursor
+// buffers come from ptScratchPool instead, and a warm scan stage
+// allocates nothing, whatever its partition count.
+type ptScratch struct {
+	scans []ptScan
+	curs  []ptCursor
+	out   []*ptCursor
+}
+
+var ptScratchPool = sync.Pool{New: func() any { return new(ptScratch) }}
+
+// ptScans returns scratch for the n partition scans of spec, to be
+// handed back with release once every scan is done.
+func ptScans(spec ptNodeScan, n int, r *engine.Region) *ptScratch {
 	k, w := len(spec.specs), len(spec.schema)
 	// The gaps: a cursor is wider than a line, a pointer an eighth of
 	// one, an ID a sixteenth.
 	ck, ok, rw := k+1, k+8, w+16
-	curs := make([]ptCursor, n*ck)
-	out := make([]*ptCursor, n*ok)
+	sc := ptScratchPool.Get().(*ptScratch)
+	sc.scans = slices.Grow(sc.scans[:0], n)[:n]
+	sc.curs = slices.Grow(sc.curs[:0], n*ck)[:n*ck]
+	sc.out = slices.Grow(sc.out[:0], n*ok)[:n*ok]
 	row := r.IDs(n * rw)
-	scans := make([]ptScan, n)
-	for i := range scans {
-		scans[i] = ptScan{
-			curs: curs[i*ck : i*ck : i*ck+k],
-			out:  out[i*ok : i*ok : i*ok+k],
+	for i := range sc.scans {
+		sc.scans[i] = ptScan{
+			curs: sc.curs[i*ck : i*ck : i*ck+k],
+			out:  sc.out[i*ok : i*ok : i*ok+k],
 			row:  row[i*rw : i*rw : i*rw+w],
 		}
 	}
-	return scans
+	return sc
+}
+
+// release returns the scratch to the pool, dropping what it points to:
+// the tables' columns, and the row in the query's region.
+func (sc *ptScratch) release() {
+	clear(sc.scans)
+	clear(sc.curs)
+	clear(sc.out)
+	ptScratchPool.Put(sc)
 }
 
 // init prepares a scan of a node's patterns over one PT partition, in

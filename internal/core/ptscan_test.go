@@ -555,6 +555,47 @@ func TestPTScanAllocationsIndependentOfKeyCount(t *testing.T) {
 	}
 }
 
+// TestWarmPTScanStageAllocatesNothing: the scratch of a PT scan stage —
+// the scans, their cursors and output lists — comes back from the pool
+// it was released to, and the rows from the query's region, so a warm
+// stage of 18 partition scans allocates nothing. The count crosses
+// slab-pool traffic, so the collector is off and one processor runs it.
+func TestWarmPTScanStageAllocatesNothing(t *testing.T) {
+	testenv.SkipUnderRace(t)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := rdf.NewGraph(0)
+	for i := 0; i < 2000; i++ {
+		s := rdf.NewIRI(fmt.Sprintf("%ss%d", testNS, i))
+		g.AddSPO(s, rdf.NewIRI(testNS+"p"), rdf.NewIRI(fmt.Sprintf("%so%d", testNS, i%7)))
+		g.AddSPO(s, rdf.NewIRI(testNS+"q"), rdf.NewIRI(fmt.Sprintf("%sx%d", testNS, i%5)))
+	}
+	const parts = 18
+	s := starStore(t, g, parts)
+	node := &Node{Kind: NodePT, Key: "k", Patterns: starPatterns(keyOnSubject, []starPat{{"p", "?x"}, {"q", "?y"}})}
+	spec := s.ptNodeScan(s.pt, node)
+	region := engine.NewRegion()
+	var emitted int
+	stage := func() {
+		emitted = 0
+		scans := ptScans(spec, parts, region)
+		for p := range parts {
+			if sc := &scans.scans[p]; sc.init(s.pt.parts[p], spec.specs, len(spec.schema)) {
+				sc.run(nil, func(engine.Row) { emitted++ })
+			}
+		}
+		scans.release()
+		region.Release()
+	}
+	stage()
+	if emitted != 2000 {
+		t.Fatalf("the stage emitted %d rows, want 2000", emitted)
+	}
+	if n := testenv.AllocsPerRun(t, 20, stage); n != 0 {
+		t.Errorf("a warm PT scan stage allocated %.1f times, want 0", n)
+	}
+}
+
 // TestDecodeRowsSharesOneBackingSlice: a result's terms are decoded
 // into one slice (two allocations for a thousand rows, not a thousand
 // and one), and a row handed out cannot grow into its neighbour.

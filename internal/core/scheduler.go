@@ -427,14 +427,15 @@ func (sc *scheduler) execScan(e *engine.Exec, t *execTask) (*engine.Relation, er
 		parts = ns.table.Rel.Parts()
 	default:
 		parts = make([]engine.Block, ns.parts)
-		var scans []ptScan
+		var scans *ptScratch
 		if ps.pt != nil {
 			scans = ptScans(ps.spec, ns.parts, sc.region)
+			defer scans.release() // the stage below runs every scan before it returns
 		}
 		scan = func(p int) (engine.Block, int64) {
 			var scratch *ptScan
 			if scans != nil {
-				scratch = &scans[p]
+				scratch = &scans.scans[p]
 			}
 			rows, keys := ps.scan(scratch, p, sc.region)
 			return rows, ps.stageRows(p, keys, rows.Len())

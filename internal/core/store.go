@@ -9,6 +9,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
@@ -17,6 +18,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/hdfs"
@@ -255,6 +257,43 @@ type LoadReport struct {
 	VPTables int
 	// PTColumns is the number of Property Table columns (predicates).
 	PTColumns int
+	// Retained is what the store holds in memory once loaded, by part.
+	Retained RetainedBytes
+}
+
+// RetainedBytes is what a store retains in memory, by part, in bytes
+// read off its structures' capacities; a map counts each entry at its
+// key and value, without the map's own overhead. InversePT is zero
+// when the store has none.
+type RetainedBytes struct {
+	Dictionary                        rdf.DictionarySize
+	Triples, VP, PT, InversePT, Stats int64
+}
+
+// Total is the sum of the parts.
+func (r RetainedBytes) Total() int64 {
+	return r.Dictionary.Total() + r.Triples + r.VP + r.PT + r.InversePT + r.Stats
+}
+
+// retained measures what s holds once loaded.
+func (s *Store) retained() RetainedBytes {
+	r := RetainedBytes{
+		Dictionary: s.dict.Retained(),
+		Triples:    int64(cap(s.triples)) * int64(unsafe.Sizeof(rdf.EncodedTriple{})),
+		PT:         s.pt.retainedBytes(),
+		Stats:      s.stats.RetainedBytes(),
+	}
+	if s.ipt != nil {
+		r.InversePT = s.ipt.retainedBytes()
+	}
+	const id = int64(unsafe.Sizeof(rdf.ID(0)))
+	for _, t := range s.vp {
+		r.VP += id + int64(unsafe.Sizeof(t)+unsafe.Sizeof(*t)+unsafe.Sizeof(*t.Rel))
+		for _, part := range t.Rel.Parts() {
+			r.VP += int64(unsafe.Sizeof(part)) + int64(cap(part.IDs()))*id
+		}
+	}
+	return r
 }
 
 // Dictionary exposes the store's term dictionary (used by result
@@ -321,7 +360,7 @@ type source interface {
 	read(slot int) error
 	// encode interns the triples of the window in slot, in input order,
 	// appends them to out and returns it with their priced bytes.
-	encode(slot int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64)
+	encode(slot int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64, error)
 }
 
 // graphSource is a graph's triples, one window of them all.
@@ -338,13 +377,17 @@ func (g *graphSource) read(int) error {
 	return nil
 }
 
-func (g *graphSource) encode(_ int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64) {
+func (g *graphSource) encode(_ int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64, error) {
 	var priced int64
-	for _, t := range g.triples {
-		out = append(out, d.EncodeTriple(t))
+	for i, t := range g.triples {
+		et, err := d.EncodeTriple(t)
+		if err != nil {
+			return out, priced, fmt.Errorf("core: interning triple %d: %w", i+1, err)
+		}
+		out = append(out, et)
 		priced += ntriplesBytes(len(t.S.Value), len(t.P.Value), len(t.O.Value), len(t.O.Datatype), len(t.O.Lang))
 	}
-	return out, priced
+	return out, priced, nil
 }
 
 // textSource is an N-Triples document, one parsed window per slot.
@@ -363,17 +406,24 @@ func (t *textSource) read(slot int) error {
 	return nil
 }
 
-func (t *textSource) encode(slot int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64) {
+func (t *textSource) encode(slot int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64, error) {
 	b := &t.batch[slot]
 	var priced int64
 	for i := range b.Len() {
 		s, p, o := b.Triple(i)
 		// Interned in S, P, O order, duplicates included: dictionary IDs
-		// drive hash placement and the LIMIT total order.
-		out = append(out, rdf.EncodedTriple{S: d.EncodeBytes(s), P: d.EncodeBytes(p), O: d.EncodeBytes(o)})
+		// drive hash placement and the LIMIT total order. No term of a
+		// line the reader accepts is over the dictionary's limit.
+		si, serr := d.EncodeBytes(s)
+		pi, perr := d.EncodeBytes(p)
+		oi, oerr := d.EncodeBytes(o)
+		if err := cmp.Or(serr, perr, oerr); err != nil {
+			return out, priced, fmt.Errorf("core: interning: %w", err)
+		}
+		out = append(out, rdf.EncodedTriple{S: si, P: pi, O: oi})
 		priced += ntriplesBytes(len(s.Value), len(p.Value), len(o.Value), len(o.Datatype), len(o.Lang))
 	}
-	return out, priced
+	return out, priced, nil
 }
 
 // ntriplesBytes is the input volume one triple is priced at: its terms'
@@ -475,6 +525,7 @@ func load(opts Options, sizeHint int, in source) (*Store, error) {
 		WallTime:   time.Since(start),
 		VPTables:   len(s.vp),
 		PTColumns:  len(s.pt.cols),
+		Retained:   s.retained(),
 	}
 	return s, nil
 }
@@ -560,7 +611,11 @@ func (g *ingester) Task(_, task int) error {
 		return nil
 	}
 	var priced int64
-	g.window, priced = g.in.encode(g.slot, g.s.dict, g.window[:0])
+	var err error
+	g.window, priced, err = g.in.encode(g.slot, g.s.dict, g.window[:0])
+	if err != nil {
+		return err
+	}
 	g.s.inputBytes += priced
 	g.s.rowsRead += len(g.window)
 	for _, et := range g.window {

@@ -313,7 +313,7 @@ type streamPipe struct {
 	ctx     context.Context
 	chunk   int
 	workers []streamWorker
-	scans   []ptScan
+	scans   *ptScratch
 	stopped atomic.Bool
 
 	// out collects the batches that reached the sink, per source
@@ -790,6 +790,7 @@ func (p *streamPipe) run(ctx context.Context, s *Store, workers []streamWorker, 
 	case scanPT:
 		p.cloneAtSink = !replaced
 		p.scans = ptScans(src.spec, src.parts, p.region)
+		defer func() { p.scans.release(); p.scans = nil }() // after the run, which waits for every scan
 	default:
 		return fmt.Errorf("core: unknown stream source kind %d", src.kind)
 	}
@@ -816,7 +817,7 @@ func (p *streamPipe) Task(w, pi int) error {
 	case p.ctx != nil && p.ctx.Err() != nil:
 		p.stopped.Store(true)
 	case p.src.kind == scanPT:
-		p.scanPTPart(pi, &p.scans[pi], &p.workers[w])
+		p.scanPTPart(pi, &p.scans.scans[pi], &p.workers[w])
 	default:
 		p.scanVPPart(pi, &p.workers[w])
 	}

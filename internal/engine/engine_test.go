@@ -395,8 +395,8 @@ func TestEstimatedBytes(t *testing.T) {
 
 func TestCompareIDs(t *testing.T) {
 	dict := rdf.NewDictionary()
-	five := dict.Encode(rdf.NewTypedLiteral("5", rdf.XSDInteger))
-	alpha := dict.Encode(rdf.NewLiteral("alpha"))
+	five, _ := dict.Encode(rdf.NewTypedLiteral("5", rdf.XSDInteger))
+	alpha, _ := dict.Encode(rdf.NewLiteral("alpha"))
 	d := dict.Snapshot()
 
 	lt := func(c int) bool { return c < 0 }

@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"sync"
@@ -17,78 +19,140 @@ type ID uint32
 // NullID is the reserved "no value" identifier.
 const NullID ID = 0
 
-// Page sizes of the dictionary's text: the first page is small, so a
-// dictionary of a few terms stays small, and each next one doubles up
-// to the cap. A term at least as long as the page that would come next
-// gets a page of its own.
+// Sizes of the dictionary's parts. Text pages: the first is small, so
+// a dictionary of a few terms stays small, and each next one doubles up
+// to the cap; a term at least as long as the page that would come next
+// gets a page of its own. Records come in fixed chunks of chunkRecs.
 const (
 	firstPageBytes = 4 << 10
 	maxPageBytes   = 256 << 10
+	chunkBits      = 12
+	chunkRecs      = 1 << chunkBits
 )
+
+// MaxTermBytes bounds a term's text, its value, datatype and language
+// tag together. The N-Triples reader refuses longer lines, so no term
+// it parses comes near it; Encode and EncodeBytes refuse a longer term
+// with a *TermTooLongError.
+const MaxTermBytes = 1<<lenBits - 1
+
+// A record's meta word: the value's length in the low lenBits, the kind
+// above it, and the tag — the ID of the (datatype, language tag) pair —
+// in the top tagBits. Tag 0 is the pair of empty strings. A pair first
+// seen once tags 0 to tagInline-1 are taken has no tag: its term's
+// record holds tagInline and the term's page text carries the pair
+// itself (see add).
+const (
+	lenBits   = 20
+	kindShift = lenBits
+	tagShift  = kindShift + 2
+	tagBits   = 32 - tagShift
+	tagInline = 1<<tagBits - 1
+	lenMask   = 1<<lenBits - 1
+
+	// inlineHeader is the two little-endian uint32 lengths, datatype's
+	// and language tag's, an inline term's value is preceded by.
+	inlineHeader = 8
+)
+
+// TermTooLongError is what interning a term longer than MaxTermBytes
+// returns.
+type TermTooLongError struct {
+	// Bytes is the length of the term's text.
+	Bytes int
+}
+
+func (e *TermTooLongError) Error() string {
+	return fmt.Sprintf("rdf: term of %d bytes is longer than the dictionary's %d-byte limit", e.Bytes, MaxTermBytes)
+}
 
 // Dictionary is a bidirectional map between RDF terms and dense IDs.
 // IDs start at 1 and grow densely in first-seen order, so they double
 // as indexes into columnar dictionaries.
 //
-// It holds no pointer per term. Term text is appended to byte pages
-// that are never rewritten, each ID has a fixed-size record locating
-// its text, and the inverse mapping is an open-addressed table of IDs
-// hashed over the text. The collector sees a few page pointers and
-// pointer-free arrays, and a new term costs no allocation of its own:
-// what interning allocates is a new page, or an array that doubles
-// (records, page list, index) and the reader view republished with it.
+// It holds no pointer per term. Each ID has a 12-byte record, with no
+// pointer in it, in fixed chunks of 4,096 that are never copied: it
+// locates the term's value in byte pages that are never rewritten, and
+// packs the value's length, the kind and a tag, the ID of the term's
+// (datatype, language tag) pair. A pair's text is stored once, in the
+// pages, however many literals carry it; 1,022 pairs get a tag, and a
+// term with a pair beyond them keeps the pair's text beside its value.
+// The inverse mapping is an open-addressed table of IDs hashed over the
+// text, grown past two thirds full. The collector sees a few page and
+// chunk pointers and pointer-free arrays, and a new term costs no
+// allocation of its own: what interning allocates is a new chunk or
+// page, an index or list that doubles, and the reader view republished
+// when a list moves.
 //
 // It is safe for concurrent use: Encode and Lookup share a lock around
 // the index, while Term, Snapshot and Len — called per result cell and
 // per term comparison — take none: they read the append-only records
-// through an atomically published view.
+// through an atomically published view. A reader loads the term count,
+// then the view; every record below that count, every page byte and
+// tag such a record names, is in place before the count is stored and
+// never written again, so a Term's strings, views of the pages, stay
+// valid for the dictionary's life.
 type Dictionary struct {
 	mu   sync.RWMutex
 	seed maphash.Seed
-	// recs[i] locates the text of ID(i+1); pages hold that text; index
-	// holds IDs at the slots their terms hash to (0 is an empty slot),
-	// probed linearly and kept at most half full. cur is the page being
-	// filled and fill its bytes used. All are written under mu.
-	recs  []termRec
-	pages [][]byte
-	index []uint32
-	cur   int
-	fill  int
+	// chunks hold the records, ID i+1's at chunks[i>>chunkBits]; pages
+	// hold the text; tags the (datatype, lang) pairs, tag i at index i,
+	// and tagIDs their tags by text; index holds IDs at the slots their
+	// terms hash to (0 is an empty slot), probed linearly. cur is the page
+	// being filled and fill its bytes used, recs the number of records.
+	// All are written under mu.
+	chunks []*recChunk
+	pages  [][]byte
+	tags   []tagText
+	tagIDs map[tagText]uint32
+	index  []uint32
+	cur    int
+	fill   int
+	recs   int
 
-	// view holds recs' and pages' backing arrays at full capacity,
-	// republished whenever an append moves either; n is the number of
-	// terms readers may see, stored after the term itself is in place. A
-	// reader loads n, then view: the arrays it gets hold at least the
-	// first n records and the pages they name, and no record below n,
-	// nor a page byte it covers, is ever written again.
+	// view holds the chunk, page and tag lists at full capacity,
+	// republished whenever an append moves one; n is the number of
+	// terms readers may see, stored after the term itself is in place.
 	view atomic.Pointer[dictView]
 	n    atomic.Uint32
 }
 
-// termRec locates one term: its text is the page's bytes from off on,
-// value, datatype and lang lengths in that order.
+// termRec locates one term: its value is len bytes of the page from
+// off on, len, kind and tag packed in meta. It holds no pointer, so the
+// collector never scans the chunks.
 type termRec struct {
-	page, off             uint32
-	value, datatype, lang uint32
-	kind                  TermKind
+	page, off, meta uint32
 }
+
+// recChunk is a fixed run of records, allocated whole and never moved.
+type recChunk [chunkRecs]termRec
+
+// tagText is a (datatype, language tag) pair, viewing the pages.
+type tagText struct {
+	datatype, lang string
+}
+
+// noTags is the tag list of a new dictionary: tag 0, the empty pair. Its
+// capacity is its length, so the first new tag moves the list.
+var noTags = []tagText{{}}
 
 // dictView is what lock-free readers see of a dictionary.
 type dictView struct {
-	recs  []termRec
-	pages [][]byte
+	chunks []*recChunk
+	pages  [][]byte
+	tags   []tagText
 }
 
 // NewDictionary returns an empty dictionary.
 func NewDictionary() *Dictionary {
-	d := &Dictionary{seed: maphash.MakeSeed()}
-	d.view.Store(&dictView{})
+	d := &Dictionary{seed: maphash.MakeSeed(), tags: noTags}
+	d.view.Store(&dictView{tags: noTags})
 	return d
 }
 
 // Encode interns the term and returns its ID, allocating a fresh ID on
-// first sight.
-func (d *Dictionary) Encode(t Term) ID {
+// first sight. A term longer than MaxTermBytes is an error.
+func (d *Dictionary) Encode(t Term) (ID, error) {
 	return d.intern(t.Kind, t.Value, t.Datatype, t.Lang)
 }
 
@@ -97,7 +161,7 @@ func (d *Dictionary) Encode(t Term) ID {
 // and compared where they lie, and a new term's bytes are copied into
 // the dictionary's pages, so nothing is allocated for the term and the
 // dictionary never holds on to the input around it.
-func (d *Dictionary) EncodeBytes(t TermBytes) ID {
+func (d *Dictionary) EncodeBytes(t TermBytes) (ID, error) {
 	return d.intern(t.Kind, borrow(t.Value), borrow(t.Datatype), borrow(t.Lang))
 }
 
@@ -107,15 +171,43 @@ func borrow(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b))
 
 // intern returns the ID of the term given by its parts, adding it
 // unless it is known.
-func (d *Dictionary) intern(kind TermKind, value, datatype, lang string) ID {
+func (d *Dictionary) intern(kind TermKind, value, datatype, lang string) (ID, error) {
+	if size := len(value) + len(datatype) + len(lang); size > MaxTermBytes {
+		return NullID, &TermTooLongError{Bytes: size}
+	}
+	if kind > KindBlank {
+		return NullID, fmt.Errorf("rdf: interning a term of invalid kind %d", kind)
+	}
 	h := d.hash(kind, value, datatype, lang)
 	d.mu.RLock()
-	_, id := d.find(h, kind, value, datatype, lang)
+	id := NullID
+	if tag, ok := d.tagOf(datatype, lang); ok {
+		_, id = d.find(h, meta(kind, value, tag), value, datatype, lang)
+	}
 	d.mu.RUnlock()
 	if id != NullID {
-		return id
+		return id, nil
 	}
-	return d.add(h, kind, value, datatype, lang)
+	return d.add(h, kind, value, datatype, lang), nil
+}
+
+// meta packs a record's meta word.
+func meta(kind TermKind, value string, tag uint32) uint32 {
+	return uint32(len(value)) | uint32(kind)<<kindShift | tag<<tagShift
+}
+
+// tagOf returns the tag of a (datatype, lang) pair: the pair's own, or
+// tagInline once every tag is taken and the pair has none. It is false
+// for a pair no term has carried while tags were left. The caller holds
+// mu.
+func (d *Dictionary) tagOf(datatype, lang string) (uint32, bool) {
+	if datatype == "" && lang == "" {
+		return 0, true
+	}
+	if tag, ok := d.tagIDs[tagText{datatype, lang}]; ok {
+		return tag, true
+	}
+	return tagInline, len(d.tags) == tagInline
 }
 
 // add interns a term no reader found, unless another writer got there
@@ -123,38 +215,78 @@ func (d *Dictionary) intern(kind TermKind, value, datatype, lang string) ID {
 func (d *Dictionary) add(h uint64, kind TermKind, value, datatype, lang string) ID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if 2*(len(d.recs)+1) > len(d.index) {
+	moved := false
+	tag, ok := d.tagOf(datatype, lang)
+	if !ok {
+		tag, moved = d.addTag(datatype, lang)
+	}
+	if 3*(d.recs+1) > 2*len(d.index) {
 		d.grow()
 	}
-	slot, id := d.find(h, kind, value, datatype, lang)
+	want := meta(kind, value, tag)
+	slot, id := d.find(h, want, value, datatype, lang)
 	if id != NullID {
-		return id
+		return id // a known term's tag was known: nothing moved
 	}
-	size := len(value) + len(datatype) + len(lang)
-	moved := len(d.recs) == cap(d.recs)
-	page, off, pagesMoved := d.reserve(size)
+	// The text: the value, or for an inline pair the pair's two lengths,
+	// the value and the pair's text.
+	size := len(value)
+	if tag == tagInline {
+		size += inlineHeader + len(datatype) + len(lang)
+	}
+	page, off, pageMoved := d.reserve(size)
+	moved = moved || pageMoved
 	text := d.pages[page][off : off+size]
-	n := copy(text, value)
-	n += copy(text[n:], datatype)
-	copy(text[n:], lang)
+	if tag == tagInline {
+		binary.LittleEndian.PutUint32(text, uint32(len(datatype)))
+		binary.LittleEndian.PutUint32(text[4:], uint32(len(lang)))
+		text, off = text[inlineHeader:], off+inlineHeader
+		copy(text[len(value):], datatype)
+		copy(text[len(value)+len(datatype):], lang)
+	}
+	copy(text, value)
+	i := d.recs
+	if i>>chunkBits == len(d.chunks) {
+		moved = moved || len(d.chunks) == cap(d.chunks)
+		d.chunks = append(d.chunks, new(recChunk))
+	}
+	d.chunks[i>>chunkBits][i&(chunkRecs-1)] = termRec{page: uint32(page), off: uint32(off), meta: want}
+	d.recs++
 	if moved {
-		// Doubling keeps the copies linear in the final size.
-		recs := make([]termRec, len(d.recs), max(2*cap(d.recs), 256))
-		copy(recs, d.recs)
-		d.recs = recs
+		d.publish()
 	}
-	d.recs = append(d.recs, termRec{
-		page: uint32(page), off: uint32(off),
-		value: uint32(len(value)), datatype: uint32(len(datatype)), lang: uint32(len(lang)),
-		kind: kind,
-	})
-	if moved || pagesMoved {
-		d.view.Store(&dictView{recs: d.recs[:cap(d.recs)], pages: d.pages[:cap(d.pages)]})
-	}
-	id = ID(len(d.recs))
+	id = ID(d.recs)
 	d.index[slot] = uint32(id)
 	d.n.Store(uint32(id))
 	return id
+}
+
+// addTag gives a pair seen for the first time, while tags are left,
+// the next tag, its text copied into the pages. It reports whether the
+// tag or page list moved.
+func (d *Dictionary) addTag(datatype, lang string) (tag uint32, moved bool) {
+	page, off, moved := d.reserve(len(datatype) + len(lang))
+	text := d.pages[page][off:]
+	copy(text[copy(text, datatype):], lang)
+	at := unsafe.Pointer(unsafe.SliceData(text))
+	t := tagText{
+		datatype: unsafe.String((*byte)(at), len(datatype)),
+		lang:     unsafe.String((*byte)(unsafe.Add(at, len(datatype))), len(lang)),
+	}
+	moved = moved || len(d.tags) == cap(d.tags)
+	d.tags = append(d.tags, t)
+	if d.tagIDs == nil {
+		d.tagIDs = make(map[tagText]uint32)
+	}
+	tag = uint32(len(d.tags) - 1)
+	d.tagIDs[t] = tag
+	return tag, moved
+}
+
+// publish stores a view of the lists at full capacity. The caller holds
+// mu.
+func (d *Dictionary) publish() {
+	d.view.Store(&dictView{chunks: d.chunks[:cap(d.chunks)], pages: d.pages[:cap(d.pages)], tags: d.tags[:cap(d.tags)]})
 }
 
 // reserve returns where size bytes of new text go: a page index and an
@@ -187,21 +319,24 @@ func (d *Dictionary) reserve(size int) (page, off int, moved bool) {
 func (d *Dictionary) grow() {
 	d.index = make([]uint32, max(2*len(d.index), 1024))
 	mask := len(d.index) - 1
-	terms := d.Snapshot() // every record so far: the last add stored n
-	for i := range d.recs {
-		t := terms.Term(ID(i + 1))
+	// Every record so far, through the lists as they stand: a list that
+	// moved since the last publish is not in the view yet.
+	terms := Snapshot{v: &dictView{chunks: d.chunks, pages: d.pages, tags: d.tags}, n: uint32(d.recs)}
+	var t Term
+	for id := ID(1); int(id) <= d.recs; id++ {
+		terms.termTo(&t, id)
 		slot := int(d.hash(t.Kind, t.Value, t.Datatype, t.Lang)) & mask
 		for d.index[slot] != 0 {
 			slot = (slot + 1) & mask
 		}
-		d.index[slot] = uint32(i + 1)
+		d.index[slot] = uint32(id)
 	}
 }
 
-// find probes the index for the term hashed to h. It returns the
-// term's ID and slot, or NullID and the empty slot the term would take.
-// The caller holds mu.
-func (d *Dictionary) find(h uint64, kind TermKind, value, datatype, lang string) (slot int, id ID) {
+// find probes the index for the term hashed to h whose record's meta
+// word is want. It returns the term's ID and slot, or NullID and the
+// empty slot the term would take. The caller holds mu.
+func (d *Dictionary) find(h uint64, want uint32, value, datatype, lang string) (slot int, id ID) {
 	if len(d.index) == 0 {
 		return 0, NullID
 	}
@@ -211,17 +346,32 @@ func (d *Dictionary) find(h uint64, kind TermKind, value, datatype, lang string)
 		if at == 0 {
 			return slot, NullID
 		}
-		r := &d.recs[at-1]
-		if r.kind != kind || int(r.value) != len(value) || int(r.datatype) != len(datatype) || int(r.lang) != len(lang) {
+		i := at - 1
+		r := &d.chunks[i>>chunkBits][i&(chunkRecs-1)]
+		if r.meta != want {
 			continue
 		}
-		text := d.pages[r.page][r.off:]
-		if string(text[:len(value)]) == value &&
-			string(text[len(value):len(value)+len(datatype)]) == datatype &&
-			string(text[len(value)+len(datatype):len(value)+len(datatype)+len(lang)]) == lang {
-			return slot, ID(at)
+		page := d.pages[r.page]
+		if string(page[r.off:int(r.off)+len(value)]) != value {
+			continue
 		}
+		if want>>tagShift == tagInline {
+			dt, l := inlinePair(page, int(r.off), len(value))
+			if dt != datatype || l != lang {
+				continue
+			}
+		}
+		return slot, ID(at)
 	}
+}
+
+// inlinePair returns the (datatype, lang) pair stored beside the value
+// of length n at off in page.
+func inlinePair(page []byte, off, n int) (datatype, lang string) {
+	dn := int(binary.LittleEndian.Uint32(page[off-inlineHeader:]))
+	ln := int(binary.LittleEndian.Uint32(page[off-4:]))
+	at := off + n
+	return unsafe.String(&page[at], dn), unsafe.String(&page[at+dn], ln)
 }
 
 // hash mixes a term's kind and the three parts of its text, each part
@@ -242,10 +392,17 @@ func (d *Dictionary) hash(kind TermKind, value, datatype, lang string) uint64 {
 // false when the term has never been encoded, which query translation
 // uses to answer literal-constrained patterns with an empty result.
 func (d *Dictionary) Lookup(t Term) (ID, bool) {
+	if len(t.Value)+len(t.Datatype)+len(t.Lang) > MaxTermBytes || t.Kind > KindBlank {
+		return NullID, false // never interned, and its meta word would not fit
+	}
 	h := d.hash(t.Kind, t.Value, t.Datatype, t.Lang)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	_, id := d.find(h, t.Kind, t.Value, t.Datatype, t.Lang)
+	tag, ok := d.tagOf(t.Datatype, t.Lang)
+	if !ok {
+		return NullID, false
+	}
+	_, id := d.find(h, meta(t.Kind, t.Value, tag), t.Value, t.Datatype, t.Lang)
 	return id, id != NullID
 }
 
@@ -299,23 +456,29 @@ func (s Snapshot) DecodeInto(dst []Term, ids []ID) {
 	}
 }
 
-// termTo sets *t to the term for id. Its strings view the page: page
+// termTo sets *t to the term for id. Its strings view the pages: page
 // bytes a record covers are never written again, and add places each
 // record's text inside its page, so the views need no bounds check.
 // The fields are set one by one through t: a composite literal is
 // built in a temporary and copied out in 16-byte moves over 8-byte
 // stores, which defeats store forwarding and doubled a lookup.
 func (s Snapshot) termTo(t *Term, id ID) {
-	if uint32(id)-1 >= s.n {
+	i := uint32(id) - 1
+	if i >= s.n {
 		invalidID(id, s.n)
 	}
-	r := &s.v.recs[id-1]
+	r := &s.v.chunks[i>>chunkBits][i&(chunkRecs-1)]
 	text := unsafe.Add(unsafe.Pointer(unsafe.SliceData(s.v.pages[r.page])), r.off)
-	dt := unsafe.Add(text, r.value)
-	t.Kind = r.kind
-	t.Value = unsafe.String((*byte)(text), r.value)
-	t.Datatype = unsafe.String((*byte)(dt), r.datatype)
-	t.Lang = unsafe.String((*byte)(unsafe.Add(dt, r.datatype)), r.lang)
+	n := r.meta & lenMask
+	t.Kind = TermKind(r.meta >> kindShift & 3)
+	t.Value = unsafe.String((*byte)(text), n)
+	if tag := r.meta >> tagShift; tag != tagInline {
+		p := &s.v.tags[tag]
+		t.Datatype = p.datatype
+		t.Lang = p.lang
+		return
+	}
+	t.Datatype, t.Lang = inlinePair(s.v.pages[r.page], int(r.off), int(n))
 }
 
 // invalidID panics on an ID no term was issued for; out of line, so
@@ -329,16 +492,61 @@ type EncodedTriple struct {
 	S, P, O ID
 }
 
-// EncodeTriple interns all three terms of t.
-func (d *Dictionary) EncodeTriple(t Triple) EncodedTriple {
-	return EncodedTriple{S: d.Encode(t.S), P: d.Encode(t.P), O: d.Encode(t.O)}
+// EncodeTriple interns all three terms of t, and returns the first
+// error of the three.
+func (d *Dictionary) EncodeTriple(t Triple) (EncodedTriple, error) {
+	s, serr := d.Encode(t.S)
+	p, perr := d.Encode(t.P)
+	o, oerr := d.Encode(t.O)
+	return EncodedTriple{S: s, P: p, O: o}, cmp.Or(serr, perr, oerr)
 }
 
-// EncodeGraph encodes every triple of g, preserving order.
+// EncodeGraph encodes every triple of g, preserving order. It panics on
+// a term longer than MaxTermBytes, which no graph the N-Triples reader
+// builds holds; a load from any graph reports one as an error instead.
 func (d *Dictionary) EncodeGraph(g *Graph) []EncodedTriple {
 	out := make([]EncodedTriple, 0, g.Len())
 	for _, t := range g.Triples() {
-		out = append(out, d.EncodeTriple(t))
+		e, err := d.EncodeTriple(t)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, e)
 	}
 	return out
+}
+
+// DictionarySize is what a dictionary retains, by part, in bytes of
+// capacity: what its structures hold, used or not.
+type DictionarySize struct {
+	// Records is the record chunks and their list.
+	Records int64
+	// Text is the text pages and their list.
+	Text int64
+	// Index is the ID index's slots.
+	Index int64
+	// Tags is the (datatype, lang) pair list and the map of their tags,
+	// counted at one key and tag per pair; their text is in Text.
+	Tags int64
+}
+
+// Total is the sum of the parts.
+func (s DictionarySize) Total() int64 { return s.Records + s.Text + s.Index + s.Tags }
+
+// Retained returns what the dictionary retains.
+func (d *Dictionary) Retained() DictionarySize {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	const word = int64(unsafe.Sizeof(uintptr(0)))
+	s := DictionarySize{
+		Records: int64(len(d.chunks))*int64(unsafe.Sizeof(recChunk{})) + int64(cap(d.chunks))*word,
+		Text:    int64(cap(d.pages)) * int64(unsafe.Sizeof([]byte(nil))),
+		Index:   int64(cap(d.index)) * int64(unsafe.Sizeof(uint32(0))),
+		Tags: int64(cap(d.tags))*int64(unsafe.Sizeof(tagText{})) +
+			int64(len(d.tagIDs))*int64(unsafe.Sizeof(tagText{})+unsafe.Sizeof(uint32(0))),
+	}
+	for _, p := range d.pages {
+		s.Text += int64(cap(p))
+	}
+	return s
 }

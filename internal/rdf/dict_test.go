@@ -1,8 +1,10 @@
 package rdf
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,15 +18,15 @@ func TestDictionaryEncodeLookup(t *testing.T) {
 	a := NewIRI("http://a")
 	b := NewLiteral("b")
 
-	ida := d.Encode(a)
-	idb := d.Encode(b)
+	ida := mustEncode(t, d, a)
+	idb := mustEncode(t, d, b)
 	if ida == NullID || idb == NullID {
 		t.Fatalf("Encode returned NullID")
 	}
 	if ida == idb {
 		t.Fatalf("distinct terms share ID %d", ida)
 	}
-	if got := d.Encode(a); got != ida {
+	if got := mustEncode(t, d, a); got != ida {
 		t.Errorf("re-Encode(a) = %d, want %d", got, ida)
 	}
 	if got := d.Term(ida); got != a {
@@ -44,11 +46,11 @@ func TestDictionaryEncodeLookup(t *testing.T) {
 func TestDictionaryDistinguishesLiteralFlavours(t *testing.T) {
 	d := NewDictionary()
 	ids := map[ID]bool{
-		d.Encode(NewLiteral("x")):                 true,
-		d.Encode(NewTypedLiteral("x", XSDString)): true,
-		d.Encode(NewLangLiteral("x", "en")):       true,
-		d.Encode(NewIRI("x")):                     true,
-		d.Encode(NewBlank("x")):                   true,
+		mustEncode(t, d, NewLiteral("x")):                 true,
+		mustEncode(t, d, NewTypedLiteral("x", XSDString)): true,
+		mustEncode(t, d, NewLangLiteral("x", "en")):       true,
+		mustEncode(t, d, NewIRI("x")):                     true,
+		mustEncode(t, d, NewBlank("x")):                   true,
 	}
 	if len(ids) != 5 {
 		t.Errorf("same-value terms of different kinds collapsed: %d distinct IDs, want 5", len(ids))
@@ -57,7 +59,7 @@ func TestDictionaryDistinguishesLiteralFlavours(t *testing.T) {
 
 func TestDictionaryTermPanicsOnInvalid(t *testing.T) {
 	d := NewDictionary()
-	d.Encode(NewIRI("http://a"))
+	mustEncode(t, d, NewIRI("http://a"))
 	for _, id := range []ID{NullID, 99} {
 		func() {
 			defer func() {
@@ -80,7 +82,7 @@ func TestSnapshotDecodeRowsInPlace(t *testing.T) {
 		NewIRI("http://a"), NewLiteral("x"), NewTypedLiteral("7", XSDInteger),
 		NewLangLiteral("chat", "fr"), NewBlank("b0"), NewLiteral(""),
 	} {
-		d.Encode(term)
+		mustEncode(t, d, term)
 	}
 	terms := d.Snapshot()
 	ids := []ID{3, NullID, 1, 6, 4, NullID, 2, 5}
@@ -139,7 +141,12 @@ func TestDictionaryConcurrentEncode(t *testing.T) {
 			ids := make([]ID, termsPer)
 			for i := 0; i < termsPer; i++ {
 				// All goroutines intern the same term set.
-				ids[i] = d.Encode(NewIRI(fmt.Sprintf("http://t/%d", i)))
+				id, err := d.Encode(NewIRI(fmt.Sprintf("http://t/%d", i)))
+				if err != nil {
+					t.Error(err) // not Fatal: this is not the test's goroutine
+					return
+				}
+				ids[i] = id
 			}
 			results[gi] = ids
 		}(gi)
@@ -162,7 +169,7 @@ func TestDictionaryEncodeDecodePropery(t *testing.T) {
 	d := NewDictionary()
 	f := func(v string, kind uint8) bool {
 		term := Term{Kind: TermKind(kind % 3), Value: v}
-		id := d.Encode(term)
+		id := mustEncode(t, d, term)
 		return d.Term(id) == term && id != NullID
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -172,12 +179,26 @@ func TestDictionaryEncodeDecodePropery(t *testing.T) {
 
 // TestDictionaryConcurrentEncodeAndTerm exercises the lock-free read
 // path under the race detector: readers resolve every ID below Len
-// while a writer keeps interning (and so keeps moving the backing
-// array); each must see exactly the term that ID was issued for.
+// while a writer keeps interning, and so keeps adding record chunks,
+// text pages (a long literal now and then gets one of its own) and
+// tags; each must see exactly the term that ID was issued for.
 func TestDictionaryConcurrentEncodeAndTerm(t *testing.T) {
 	d := NewDictionary()
-	const terms = 20000
-	name := func(i int) Term { return NewIRI(fmt.Sprintf("http://t/%d", i)) }
+	const terms = 3*chunkRecs + 100
+	name := func(i int) Term {
+		switch i % 4 {
+		case 0:
+			return NewIRI(fmt.Sprintf("http://t/%d", i))
+		case 1:
+			return NewTypedLiteral(fmt.Sprint(i), fmt.Sprintf("http://dt/%d", i%7))
+		case 2:
+			return NewLangLiteral(fmt.Sprint(i), fmt.Sprintf("l%d", i%5))
+		}
+		if i%1000 == 3 {
+			return NewLiteral(strings.Repeat(fmt.Sprint(i), 10_000))
+		}
+		return Term{Kind: KindLiteral, Value: fmt.Sprint(i), Datatype: "http://dt/x", Lang: "en"}
+	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -201,7 +222,7 @@ func TestDictionaryConcurrentEncodeAndTerm(t *testing.T) {
 		}()
 	}
 	for i := 0; i < terms; i++ {
-		if id := d.Encode(name(i)); id != ID(i+1) {
+		if id := mustEncode(t, d, name(i)); id != ID(i+1) {
 			t.Fatalf("Encode issued ID %d for term %d", id, i)
 		}
 	}
@@ -209,6 +230,103 @@ func TestDictionaryConcurrentEncodeAndTerm(t *testing.T) {
 	wg.Wait()
 	if d.Len() != terms {
 		t.Fatalf("Len() = %d, want %d", d.Len(), terms)
+	}
+	if v := d.view.Load(); len(v.pages) < 8 || len(v.tags) < 13 {
+		t.Errorf("the writer made %d pages and %d tags; the test wants to cross more of them", len(v.pages), len(v.tags))
+	}
+}
+
+// TestDictionaryManyTags interns 70,000 distinct datatype IRIs, more
+// than a 16-bit tag could count and far more than a record's tag can,
+// then lang-only and datatype-and-lang literals: the pairs past the
+// last tag are kept beside their terms' values, and every term still
+// round-trips, looks up and re-interns to its ID, whichever side of that
+// line its pair fell on.
+func TestDictionaryManyTags(t *testing.T) {
+	d := NewDictionary()
+	const datatypes, pairs = 70_000, 72_000
+	term := func(i int) Term {
+		switch {
+		case i < datatypes:
+			return NewTypedLiteral(fmt.Sprint(i%10), fmt.Sprintf("http://example.org/datatype/%d", i))
+		case i%2 == 0:
+			return NewLangLiteral("v", fmt.Sprintf("x-%d", i))
+		}
+		return Term{Kind: KindLiteral, Value: "v", Datatype: fmt.Sprintf("http://example.org/datatype/%d", i%datatypes), Lang: "en"}
+	}
+	for i := range pairs {
+		if id := mustEncode(t, d, term(i)); id != ID(i+1) {
+			t.Fatalf("term %d got ID %d", i, id)
+		}
+	}
+	if got := len(d.tags); got != tagInline {
+		t.Fatalf("%d tags in use, want all %d", got, tagInline)
+	}
+	terms := d.Snapshot()
+	for i := range pairs {
+		want, id := term(i), ID(i+1)
+		if got := terms.Term(id); got != want {
+			t.Fatalf("Term(%d) = %#v, want %#v", id, got, want)
+		}
+		if got, ok := d.Lookup(want); !ok || got != id {
+			t.Fatalf("Lookup(%#v) = %d, %v, want %d", want, got, ok, id)
+		}
+		if got := mustEncode(t, d, want); got != id {
+			t.Fatalf("re-interning %#v gave %d, want %d", want, got, id)
+		}
+	}
+	for _, missing := range []Term{
+		NewTypedLiteral("v", "http://example.org/datatype/1"),     // a tagged pair, another value
+		NewTypedLiteral("v", "http://example.org/datatype/69999"), // an inline pair, another value
+		NewTypedLiteral("1", "http://example.org/datatype/none"),  // a pair no term carried
+	} {
+		if id, ok := d.Lookup(missing); ok {
+			t.Errorf("Lookup(%#v) found ID %d", missing, id)
+		}
+	}
+	if d.Len() != pairs {
+		t.Errorf("Len() = %d, want %d", d.Len(), pairs)
+	}
+}
+
+// TestDictionaryTermTooLong: a term whose text is longer than
+// MaxTermBytes is a *TermTooLongError from both entry points and is
+// never found, while one of exactly MaxTermBytes interns.
+func TestDictionaryTermTooLong(t *testing.T) {
+	d := NewDictionary()
+	atLimit := NewTypedLiteral(strings.Repeat("x", MaxTermBytes-len(XSDString)), XSDString)
+	over := NewLangLiteral(strings.Repeat("x", MaxTermBytes), "en")
+	id := mustEncode(t, d, atLimit)
+	if got := d.Term(id); got != atLimit {
+		t.Errorf("the term at the limit came back %d bytes long", len(got.Value))
+	}
+	_, err := d.Encode(over)
+	_, errBytes := d.EncodeBytes(TermBytes{Kind: over.Kind, Value: []byte(over.Value), Lang: []byte(over.Lang)})
+	for _, err := range []error{err, errBytes} {
+		var long *TermTooLongError
+		if !errors.As(err, &long) || long.Bytes != MaxTermBytes+2 {
+			t.Errorf("interning %d bytes: %v, want a *TermTooLongError", MaxTermBytes+2, err)
+		}
+	}
+	if _, ok := d.Lookup(over); ok || d.Len() != 1 {
+		t.Errorf("the term over the limit was found or kept: %d terms", d.Len())
+	}
+}
+
+// TestTermRecordLayout: a record is at most 12 bytes and holds no
+// pointer, so the chunks cost what the records do and the collector
+// never scans them.
+func TestTermRecordLayout(t *testing.T) {
+	typ := reflect.TypeOf(termRec{})
+	if typ.Size() > 12 {
+		t.Errorf("a record is %d bytes, want at most 12", typ.Size())
+	}
+	for i := range typ.NumField() {
+		switch k := typ.Field(i).Type.Kind(); k {
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("record field %s is a %s; records hold integers only", typ.Field(i).Name, k)
+		}
 	}
 }
 
@@ -234,8 +352,11 @@ func TestDictionaryEncodeBytes(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, term := range terms {
 			buf := span(term)
-			id := d.EncodeBytes(buf)
-			if want := ref.Encode(term); id != want {
+			id, err := d.EncodeBytes(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := mustEncode(t, ref, term); id != want {
 				t.Errorf("EncodeBytes(%v) = %d, Encode gives %d", term, id, want)
 			}
 			for _, b := range [][]byte{buf.Value, buf.Datatype, buf.Lang} {
@@ -277,10 +398,14 @@ func TestDictionaryNewTermsAllocs(t *testing.T) {
 		d, next := NewDictionary(), 0
 		avg := testenv.AllocsPerRun(t, runs, func() {
 			for i := next; i < next+batch; i++ {
+				var err error
 				if viaBytes {
-					d.EncodeBytes(spans[i])
+					_, err = d.EncodeBytes(spans[i])
 				} else {
-					d.Encode(terms[i])
+					_, err = d.Encode(terms[i])
+				}
+				if err != nil {
+					t.Fatal(err)
 				}
 			}
 			next += batch
@@ -300,15 +425,30 @@ func TestDictionaryNewTermsAllocs(t *testing.T) {
 // with which kind, how many of the following bytes are the term's text,
 // and where that text splits into value, datatype and language tag —
 // so the same bytes split two ways ("ab"+"" against "a"+"b") are two
-// terms. An op with the high bit set repeats its text past a page.
+// terms. An op with the high bit set repeats its text past a page. An
+// input that starts with 0xff first gives every tag but the last to a
+// pair of its own, so the input's own pairs run out of tags.
 func FuzzDictionary(f *testing.F) {
 	f.Add([]byte{0x04, 2, 2, 'a', 'b', 0x04, 2, 1 + 9*1, 'a', 'b', 0x05, 2, 1 + 9*1, 'a', 'b'})
 	f.Add([]byte{0x00, 0, 0, 0x01, 0, 0, 0x02, 0, 0, 0x04, 0, 0, 0x08, 0, 0, 0x0b, 0, 0})
 	f.Add([]byte{0x04, 3, 1 + 9*2, 'x', 'e', 'n', 0x08, 3, 0, 'x', 'e', 'n', 0x81, 4, 4, 'b', 'i', 'g', '!', 0x80, 4, 4, 'b', 'i', 'g', '!', 0x03, 1, 0})
+	// One text as a datatype-only, a lang-only and a both literal.
+	mixed := []byte{0x04, 6, 2 + 9*4, 'a', 'b', 'c', 'd', 'e', 'f', 0x05, 6, 2, 'a', 'b', 'c', 'd', 'e', 'f',
+		0x04, 6, 2 + 9*2, 'a', 'b', 'c', 'd', 'e', 'f', 0x06, 6, 2 + 9*2, 'a', 'b', 'c', 'd', 'e', 'f', 0x07, 0, 2}
+	f.Add(mixed)
+	f.Add(append([]byte{0xff}, mixed...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDictionary()
 		ref := map[Term]ID{}
 		var order []Term
+		if len(data) > 0 && data[0] == 0xff {
+			data = data[1:]
+			for i := 1; i < tagInline-1; i++ {
+				term := NewTypedLiteral("", fmt.Sprint(i))
+				ref[term] = mustEncode(t, d, term)
+				order = append(order, term)
+			}
+		}
 		var buf []byte // EncodeBytes' spans, overwritten after every call
 		bigs := 0
 		for len(data) >= 3 {
@@ -329,12 +469,13 @@ func FuzzDictionary(f *testing.F) {
 				want = ID(len(order) + 1)
 			}
 			var got ID
+			var err error
 			switch op & 3 {
 			case 0:
-				got = d.Encode(term)
+				got, err = d.Encode(term)
 			case 1:
 				buf = append(buf[:0], text...)
-				got = d.EncodeBytes(TermBytes{Kind: term.Kind, Value: buf[:c1], Datatype: buf[c1:c2], Lang: buf[c2:]})
+				got, err = d.EncodeBytes(TermBytes{Kind: term.Kind, Value: buf[:c1], Datatype: buf[c1:c2], Lang: buf[c2:]})
 				for i := range buf {
 					buf[i] = '!'
 				}
@@ -353,8 +494,8 @@ func FuzzDictionary(f *testing.F) {
 				}
 				continue
 			}
-			if got != want {
-				t.Fatalf("interning %q gave ID %d, want %d", term, got, want)
+			if err != nil || got != want {
+				t.Fatalf("interning %q gave ID %d (%v), want %d", term, got, err, want)
 			}
 			if !known {
 				ref[term] = want
@@ -380,6 +521,16 @@ func FuzzDictionary(f *testing.F) {
 	})
 }
 
+// mustEncode interns term, failing tb on an error.
+func mustEncode(tb testing.TB, d *Dictionary, term Term) ID {
+	tb.Helper()
+	id, err := d.Encode(term)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return id
+}
+
 // termSink keeps the benchmarked lookups from being optimised away.
 var termSink int
 
@@ -388,7 +539,7 @@ var termSink int
 func BenchmarkDictionaryTerm(b *testing.B) {
 	d := NewDictionary()
 	for i := 0; i < 50000; i++ {
-		d.Encode(NewIRI(fmt.Sprintf("http://example.org/entity/%d", i)))
+		mustEncode(b, d, NewIRI(fmt.Sprintf("http://example.org/entity/%d", i)))
 	}
 	rng := rand.New(rand.NewSource(1))
 	ids := make([]ID, 4096)

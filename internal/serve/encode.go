@@ -151,17 +151,33 @@ func appendBinding(dst []byte, t rdf.Term) []byte {
 	return append(dst, '}')
 }
 
+// jsonSafe marks the ASCII bytes a JSON string carries as they are;
+// the rest — `"`, `\`, `<`, `>`, `&`, control bytes, and every byte from
+// utf8.RuneSelf up — appendJSONString looks at, like encoding/json's
+// htmlSafeSet.
+var jsonSafe = func() (safe [256]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		safe[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+	return safe
+}()
+
 // appendJSONString appends s as a JSON string exactly as encoding/json
 // does with its default HTML-safe escaping: `"` and `\` backslashed,
 // control bytes as \b \f \n \r \t or \u00XX, `<` `>` `&` as \u003c
 // \u003e \u0026, U+2028/U+2029 as \u2028 \u2029, and each byte of
-// invalid UTF-8 as \ufffd.
+// invalid UTF-8 as \ufffd. A run of safe bytes costs one table lookup
+// per byte and is copied in one append.
 func appendJSONString(dst []byte, s string) []byte {
 	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
 	start := 0 // s[start:i] is pending, copied verbatim at the next escape
 	for i := 0; i < len(s); {
 		b := s[i]
+		if jsonSafe[b] {
+			i++
+			continue
+		}
 		if b >= utf8.RuneSelf {
 			r, size := utf8.DecodeRuneInString(s[i:])
 			switch {
@@ -173,10 +189,6 @@ func appendJSONString(dst []byte, s string) []byte {
 				start = i + size
 			}
 			i += size
-			continue
-		}
-		if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-			i++
 			continue
 		}
 		dst = append(dst, s[start:i]...)

@@ -99,7 +99,8 @@ func nastyDict() (*rdf.Dictionary, []rdf.ID) {
 	dict := rdf.NewDictionary()
 	var ids []rdf.ID
 	for _, t := range nastyTerms() {
-		ids = append(ids, dict.Encode(t))
+		id, _ := dict.Encode(t)
+		ids = append(ids, id)
 	}
 	return dict, ids
 }
@@ -190,11 +191,12 @@ func TestLargeResultWrittenInPieces(t *testing.T) {
 	const n = 20000
 	ids := make([]rdf.ID, 0, 3*n)
 	for i := 0; i < n; i++ {
-		o := dict.Encode(rdf.NewLiteral("v<" + strings.Repeat("x", i%50)))
+		o, _ := dict.Encode(rdf.NewLiteral("v<" + strings.Repeat("x", i%50)))
 		if i%7 == 0 {
 			o = rdf.NullID
 		}
-		ids = append(ids, dict.Encode(rdf.NewIRI(fmt.Sprintf("http://example.org/s%06d", i))), o, rdf.ID(i%23))
+		s, _ := dict.Encode(rdf.NewIRI(fmt.Sprintf("http://example.org/s%06d", i)))
+		ids = append(ids, s, o, rdf.ID(i%23))
 	}
 	res := &core.Result{Vars: []string{"s", "o", "n"}, Ordered: true}
 	rows := idResult(dict, 3, ids, []bool{false, false, true}, res)
@@ -246,6 +248,36 @@ func FuzzAppendJSONString(f *testing.F) {
 			t.Errorf("appendJSONString(%q) = %s, json.Marshal gives %s", s, got[1:], want)
 		}
 	})
+}
+
+// jsonSink keeps the benchmarked encodes from being optimised away.
+var jsonSink int
+
+// BenchmarkAppendJSONString encodes the text of every term of a WatDiv
+// graph (scale 150, seed 7: IRIs, plain, typed and a few escaped
+// literals) as JSON strings, as /sparql bodies carry them; one op is
+// all of them.
+func BenchmarkAppendJSONString(b *testing.B) {
+	var texts []string
+	var n int64
+	for _, t := range watdiv.MustGenerate(watdiv.Config{Scale: 150, Seed: 7}).Triples() {
+		for _, term := range []rdf.Term{t.S, t.P, t.O} {
+			for _, s := range []string{term.Value, term.Datatype, term.Lang} {
+				if s != "" {
+					texts = append(texts, s)
+					n += int64(len(s))
+				}
+			}
+		}
+	}
+	b.SetBytes(n)
+	buf := make([]byte, 0, 4096)
+	for b.Loop() {
+		for _, s := range texts {
+			buf = appendJSONString(buf[:0], s)
+		}
+		jsonSink += len(buf)
+	}
 }
 
 // watdivServer loads a small WatDiv graph behind a Server. The plan

@@ -18,7 +18,8 @@ import (
 func termSet(dict *rdf.Dictionary, terms ...rdf.Term) []rdf.ID {
 	ids := make([]rdf.ID, 0, len(terms))
 	for _, t := range terms {
-		ids = append(ids, dict.Encode(t))
+		id, _ := dict.Encode(t)
+		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids)
@@ -115,7 +116,8 @@ func TestCompressedTermBytesPooledEqualsFresh(t *testing.T) {
 		default:
 			term = rdf.NewLangLiteral(fmt.Sprintf("mot%d", rng.Intn(500)), "fr")
 		}
-		all = append(all, d.Encode(term))
+		id, _ := d.Encode(term)
+		all = append(all, id)
 	}
 	for round := 0; round < 100; round++ {
 		ids := make(map[rdf.ID]struct{})

@@ -262,9 +262,9 @@ func TestFingerprintSensitiveToJoinStats(t *testing.T) {
 
 func TestSummaryReportsJoinStats(t *testing.T) {
 	d := rdf.NewDictionary()
-	s := d.Encode(rdf.NewIRI("http://s"))
-	p := d.Encode(rdf.NewIRI("http://example.org/follows"))
-	o := d.Encode(rdf.NewIRI("http://o"))
+	s, _ := d.Encode(rdf.NewIRI("http://s"))
+	p, _ := d.Encode(rdf.NewIRI("http://example.org/follows"))
+	o, _ := d.Encode(rdf.NewIRI("http://o"))
 	c := CollectJoinStats([]rdf.EncodedTriple{{S: s, P: p, O: o}}, Config{CSets: true})
 	sum := c.Summary(d)
 	if !strings.Contains(sum, "join stats:") || !strings.Contains(sum, "characteristic sets") {

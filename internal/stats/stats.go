@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/rdf"
 )
@@ -63,6 +64,25 @@ type Collection struct {
 	// counts were collected (plain Collect, or CollectJoinStats with
 	// everything disabled).
 	Joins *JoinStats
+}
+
+// RetainedBytes is what the collection holds in memory: its slices at
+// their capacity, and each map entry at its key and value, without the
+// map's own overhead.
+func (c *Collection) RetainedBytes() int64 {
+	n := int64(len(c.ByPredicate)) * int64(unsafe.Sizeof(rdf.ID(0))+unsafe.Sizeof(&Predicate{})+unsafe.Sizeof(Predicate{}))
+	if j := c.Joins; j != nil {
+		n += int64(cap(j.CSets)) * int64(unsafe.Sizeof(CharacteristicSet{}))
+		for _, cs := range j.CSets {
+			n += int64(cap(cs.Preds))*int64(unsafe.Sizeof(rdf.ID(0))) + int64(cap(cs.Triples))*8
+		}
+		for _, sets := range j.byPred {
+			n += int64(unsafe.Sizeof(rdf.ID(0))+unsafe.Sizeof(sets)) + int64(cap(sets))*int64(unsafe.Sizeof(0))
+		}
+		n += int64(len(j.sketches)) * int64(unsafe.Sizeof(pairKey{})+unsafe.Sizeof(PairSketch{}))
+		n += int64(len(j.candidates)) * int64(unsafe.Sizeof(pairKey{}))
+	}
+	return n
 }
 
 // Collect computes the per-predicate statistics alone.

@@ -88,9 +88,9 @@ func TestSameObjectDifferentPredicates(t *testing.T) {
 
 func TestSummary(t *testing.T) {
 	d := rdf.NewDictionary()
-	s := d.Encode(rdf.NewIRI("http://s"))
-	p := d.Encode(rdf.NewIRI("http://example.org/follows"))
-	o := d.Encode(rdf.NewIRI("http://o"))
+	s, _ := d.Encode(rdf.NewIRI("http://s"))
+	p, _ := d.Encode(rdf.NewIRI("http://example.org/follows"))
+	o, _ := d.Encode(rdf.NewIRI("http://o"))
 	c := Collect([]rdf.EncodedTriple{{S: s, P: p, O: o}})
 	sum := c.Summary(d)
 	if !strings.Contains(sum, "http://example.org/follows") {
