@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
+	"io"
 	"maps"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -185,6 +188,63 @@ func TestLoadEntryPointsAgreeOnWatDiv(t *testing.T) {
 	}
 	a, b = loadBoth(t, g, doc.Bytes(), Options{BuildInversePT: true, DisableJoinStats: true})
 	sameStore(t, a, b)
+}
+
+// TestLoadSizedFromAnyReader loads one document from a *bytes.Reader
+// and from a file, whose sizes size the ingest's dedup set and triple
+// table up front, from a file read past its first line, and from a
+// reader that tells no size, whose set and table grow as they fill:
+// every store must be the graph's, down to a triple table of exactly
+// the triples kept.
+func TestLoadSizedFromAnyReader(t *testing.T) {
+	g := watdiv.MustGenerate(watdiv.Config{Scale: 1000, Seed: 1})
+	var doc bytes.Buffer
+	if err := rdf.WriteNTriples(&doc, g); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "doc.nt")
+	text := append([]byte("# a comment line\n"), doc.Bytes()...)
+	if err := os.WriteFile(path, text, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	open := func(skip int64) *os.File {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		if _, err := f.Seek(skip, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	want, err := Load(g, Options{Cluster: cluster.MustNew(cluster.DefaultConfig())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip := int64(len("# a comment line\n"))
+	for _, in := range []struct {
+		name string
+		r    io.Reader
+		size int64
+	}{
+		{"bytes.Reader", bytes.NewReader(doc.Bytes()), int64(doc.Len())},
+		{"file", open(0), int64(len(text))},
+		{"file past its first line", open(skip), int64(doc.Len())},
+		{"unsized reader", struct{ io.Reader }{bytes.NewReader(doc.Bytes())}, -1},
+	} {
+		if got := readerSize(in.r); got != in.size {
+			t.Errorf("%s: readerSize = %d, want %d", in.name, got, in.size)
+		}
+		s, err := LoadNTriples(in.r, Options{Cluster: cluster.MustNew(cluster.DefaultConfig())})
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		sameStore(t, want, s)
+		if len(s.triples) != cap(s.triples) {
+			t.Errorf("%s: the triple table holds %d triples in room for %d", in.name, len(s.triples), cap(s.triples))
+		}
+	}
 }
 
 // TestLoadSameAtAnyParallelism loads one document with the table builds

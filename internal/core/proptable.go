@@ -11,7 +11,6 @@ import (
 	"repro/internal/columnar"
 	"repro/internal/engine"
 	"repro/internal/rdf"
-	"repro/internal/sizeenc"
 )
 
 // ptKeyMode selects which triple position keys the Property Table rows.
@@ -229,7 +228,7 @@ func (t *PropertyTable) fill(s *Store) error {
 // The partitions are sized as tasks on the cluster's workers, which
 // charge nothing; the files are then written, and the table's sizes
 // summed, in partition order.
-func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*PropertyTable, error) {
+func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode, sizers termSizers) (*PropertyTable, error) {
 	t := &PropertyTable{
 		mode:     mode,
 		parts:    make([]*ptPartition, s.parts),
@@ -266,7 +265,7 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 	files := make([]sized, len(t.parts))
 	n := len(s.predOrder)
 	cols := make([]int64, len(t.parts)*n) // one backing array for every partition's column sizes
-	width := runtime.GOMAXPROCS(0)
+	width := len(sizers)
 	// Row-key and local-term buffers, one of each per worker slot.
 	keyBufs, bufs := make([][]rdf.ID, width), make([][]rdf.ID, width)
 	err := cluster.Run(width, len(t.parts), new(cluster.Tasks), cluster.Func(func(w, pi int) error {
@@ -277,7 +276,7 @@ func buildPropertyTable(s *Store, clock *cluster.Clock, mode ptKeyMode) (*Proper
 		var data int64
 		data, f.key = t.sizePartition(s.predOrder, part, rowKeys, f.cols)
 		bufs[w] = part.localTerms(bufs[w][:0], rowKeys)
-		f.file = footers + data + sizeenc.CompressedTermBytes(s.dict, bufs[w])
+		f.file = footers + data + sizers.get(w).Bytes(s.dict, bufs[w])
 		files[pi] = f
 		return nil
 	}))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -27,6 +28,11 @@ type patSpec struct {
 	// eqKey constrains the value to equal the row key (?s p ?s).
 	eqKey bool
 }
+
+// constant reports whether the pattern tests each key's values against
+// a constant — its bound value, or the key itself — rather than adding
+// them to the row.
+func (sp patSpec) constant() bool { return sp.boundVal != rdf.NullID || sp.eqKey }
 
 // ptNodeScan is a PT/IPT node's scan recipe, the part of its NodeScan
 // every route reads: the output schema, the per-pattern specs, and the
@@ -95,12 +101,14 @@ func valueTerm(tp sparql.TriplePattern, mode ptKeyMode) sparql.PatternTerm {
 type ptCursor struct {
 	spec patSpec
 	col  *ptColumn
+	// pat is the pattern's index in the node, which orders out.
+	pat int
 	// pos indexes col.keys: every key before it is below the current
 	// driver key.
 	pos int
 	// vals is the current key's value list (aliasing the column) and
-	// next the odometer's position in it; both are used only for
-	// patterns that contribute to the output row.
+	// next the odometer's position in it; both are set only for patterns
+	// that contribute to the output row, once the key is in every column.
 	vals []rdf.ID
 	next int
 }
@@ -109,12 +117,16 @@ type ptCursor struct {
 // cursors, the ones whose values reach the output row, and the scratch
 // row — set up once per partition by init for its one pass.
 type ptScan struct {
-	curs   []ptCursor
-	driver int
+	// curs holds one cursor per pattern: the driver's first, then those
+	// of the patterns that carry a constant, then the rest, each group in
+	// pattern order.
+	curs []ptCursor
 	// out lists the patterns whose values reach the row, in pattern
 	// order; the others only constrain.
 	out []*ptCursor
 	row engine.Row
+	// keys is the smallest column's key count.
+	keys int64
 }
 
 // ptScratch is the scaffolding of one node's n partition scans, which
@@ -167,25 +179,57 @@ func (sc *ptScratch) release() {
 // init prepares a scan of a node's patterns over one PT partition, in
 // the storage sc holds from the partition before (the zero ptScan
 // allocates it). The column with the fewest keys drives (the first such
-// on a tie). ok is false when the partition lacks one of the columns:
-// it holds no answer and costs nothing.
+// on a tie), unless a column that carries a constant is close enough in
+// size to drive instead (constantDrives): scanning it tests the
+// constant on each of its keys, in order, where any other driver would
+// gallop to each of its own keys in it first. The cursors are then
+// ordered so that a key meets the constants before it meets the
+// columns that only fill the row. ok is false when the partition lacks
+// one of the columns: it holds no answer and costs nothing.
 func (sc *ptScan) init(part *ptPartition, specs []patSpec, width int) (ok bool) {
-	sc.curs = slices.Grow(sc.curs[:0], len(specs))[:len(specs)]
-	sc.driver = 0
+	curs := slices.Grow(sc.curs[:0], len(specs))[:len(specs)]
+	sc.curs = curs
+	smallest, lead := 0, -1 // lead: the constant column with the fewest keys
 	for i, sp := range specs {
 		col := part.cols[sp.pid]
 		if col == nil {
 			return false // a required predicate has no cells here
 		}
-		sc.curs[i] = ptCursor{spec: sp, col: col}
-		if len(col.keys) < len(sc.curs[sc.driver].col.keys) {
-			sc.driver = i
+		curs[i] = ptCursor{spec: sp, col: col, pat: i}
+		if len(col.keys) < len(curs[smallest].col.keys) {
+			smallest = i
+		}
+		if sp.constant() && (lead < 0 || len(col.keys) < len(curs[lead].col.keys)) {
+			lead = i
+		}
+	}
+	sc.keys = int64(len(curs[smallest].col.keys))
+	driver := smallest
+	if lead >= 0 && constantDrives(curs[lead].col, len(curs[smallest].col.keys)) {
+		driver = lead
+	}
+	// The driver to the front, then the constants behind it, each move a
+	// rotation, so every group keeps its pattern order.
+	d := curs[driver]
+	copy(curs[1:driver+1], curs[:driver])
+	curs[0] = d
+	next := 1
+	for i := 1; i < len(curs); i++ {
+		if c := curs[i]; c.spec.constant() {
+			copy(curs[next+1:i+1], curs[next:i])
+			curs[next] = c
+			next++
 		}
 	}
 	sc.out = slices.Grow(sc.out[:0], len(specs))
-	for i := range sc.curs {
-		if sp := sc.curs[i].spec; sp.newCol >= 0 || sp.eqCol >= 0 {
-			sc.out = append(sc.out, &sc.curs[i])
+	for pat, sp := range specs {
+		if sp.newCol < 0 && sp.eqCol < 0 {
+			continue
+		}
+		for i := range curs {
+			if curs[i].pat == pat {
+				sc.out = append(sc.out, &curs[i])
+			}
 		}
 	}
 	// run writes every column of the row before it yields it.
@@ -193,30 +237,53 @@ func (sc *ptScan) init(part *ptPartition, specs []patSpec, width int) (ok bool) 
 	return true
 }
 
-// processed is the number of driver keys, the size of the smallest
-// column a Parquet reader would have to walk; it is what the cost model
-// charges the scan for beside its output rows. It is defined on the
-// column, not on the keys a pass happens to reach before another column
-// runs out, so that the priced work of a scan depends on the data
-// alone.
-func (sc *ptScan) processed() int64 { return int64(len(sc.curs[sc.driver].col.keys)) }
+// constantDrives reports whether c, a column that carries a constant,
+// drives a scan whose smallest column has least keys. Driven from the
+// smallest column, a scan gallops into c once per key of its own, each
+// time some n/least keys on (n is c's key count), which costs about
+// 1 + 2·log2(n/least) key comparisons; driven from c, it reads each of
+// c's values once, in order, testing the constant. c drives when that
+// read is no longer: for a column of one value per key, when n/least is
+// at most about 6.3. Measured over WatDiv 10,000's 18 partitions, with
+// every partition driven from c or every one from the smallest column:
+// S7's sorg:language (one value per key, 4.9–6.9 times the smallest
+// column) scanned in 6.2 µs against 8.3 µs; S3's rdf:type (1.33 values
+// per key, 6.0–9.0 times) in 137 µs against 76 µs, which its value
+// count keeps from driving; random single-valued columns whose constant
+// 1 % of the keys hold won at 6 times the smallest column's keys and
+// lost at 8. A constant most keys hold would have the smallest column
+// drive at any ratio, but nothing in the columns tells.
+func constantDrives(c *ptColumn, least int) bool {
+	n := float64(len(c.keys))
+	return least > 0 && float64(len(c.vals)) <= float64(least)*(1+2*math.Log2(n/float64(least)))
+}
+
+// processed is the number of keys in the smallest column, the one a
+// Parquet reader would have to walk; it is what the cost model charges
+// the scan for beside its output rows, whichever column drives. It is
+// defined on the column, not on the keys a pass happens to reach before
+// another column runs out, so that the priced work of a scan depends on
+// the data alone.
+func (sc *ptScan) processed() int64 { return sc.keys }
 
 // run makes one pass over the partition as a sorted intersection of
 // the patterns' columns: the driver's keys are visited in ascending
 // order and every other pattern's cursor is advanced to the same key by
-// galloping search, so a key missing from any column is skipped without
-// touching its values. For a key present in all of them, bound-value
-// and ?s p ?s patterns are membership tests on the value list, and the
-// remaining lists are combined by an odometer (first pattern slowest)
-// into the one reused row — the multi-valued flatten — with repeated
-// variables checked as the row fills. Rows passing rowPred (pushed-down
-// FILTERs, may be nil) are yielded; the yielded row is scratch the
-// callback MUST copy. Every caller makes one pass per partition — a
-// counting pass ahead of it would repeat the whole intersection — so
-// each candidate row is built and tested once. Nothing is allocated,
-// per key or per pass.
+// galloping search, in cursor order, so a key missing from any column
+// is skipped without searching the columns after it. A bound-value or
+// ?s p ?s pattern is a membership test on the key's value list as soon
+// as its cursor reaches the key — the driver's before any other column
+// is searched. Only for a key present in all of them and passing every
+// test are the remaining patterns' lists looked up, and combined by an
+// odometer (first pattern slowest) into the one reused row — the
+// multi-valued flatten — with repeated variables checked as the row
+// fills. Rows passing rowPred (pushed-down FILTERs, may be nil) are
+// yielded; the yielded row is scratch the callback MUST copy. Every
+// caller makes one pass per partition — a counting pass ahead of it
+// would repeat the whole intersection — so each candidate row is built
+// and tested once. Nothing is allocated, per key or per pass.
 func (sc *ptScan) run(rowPred func(engine.Row) bool, yield func(engine.Row)) {
-	curs, out, row, driver := sc.curs, sc.out, sc.row, sc.driver
+	curs, out, row := sc.curs, sc.out, sc.row
 	emit := func() {
 		if rowPred == nil || rowPred(row) {
 			yield(row)
@@ -226,13 +293,17 @@ func (sc *ptScan) run(rowPred func(engine.Row) bool, yield func(engine.Row)) {
 		curs[i].pos = 0
 	}
 
+	// The driver's own cursor is visited only to test its constant.
+	first := 1
+	if curs[0].spec.constant() {
+		first = 0
+	}
 nextKey:
-	for di, key := range curs[driver].col.keys {
-		for i := range curs {
+	for di, key := range curs[0].col.keys {
+		curs[0].pos = di
+		for i := first; i < len(curs); i++ {
 			c := &curs[i]
-			if i == driver {
-				c.pos = di
-			} else {
+			if i > 0 {
 				c.pos = gallop(c.col.keys, c.pos, key)
 				if c.pos == len(c.col.keys) {
 					break nextKey // this column has no key ≥ key left
@@ -241,17 +312,19 @@ nextKey:
 					continue nextKey
 				}
 			}
-			c.vals = c.col.values(c.pos)
 			switch {
 			case c.spec.boundVal != rdf.NullID:
-				if !slices.Contains(c.vals, c.spec.boundVal) {
+				if !slices.Contains(c.col.values(c.pos), c.spec.boundVal) {
 					continue nextKey
 				}
 			case c.spec.eqKey:
-				if !slices.Contains(c.vals, key) {
+				if !slices.Contains(c.col.values(c.pos), key) {
 					continue nextKey
 				}
 			}
+		}
+		for _, c := range out {
+			c.vals = c.col.values(c.pos)
 		}
 		row[0] = key
 		if len(out) == 0 {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/rdf"
 	"repro/internal/sparql"
 	"repro/internal/testenv"
+	"repro/internal/watdiv"
 )
 
 // edgeGraph exercises the Property Table corner cases: multi-valued
@@ -223,7 +224,9 @@ func starPatterns(mode ptKeyMode, pats []starPat) []sparql.TriplePattern {
 // p0..p3 with 0–3 values per (entity, predicate), half of them drawn
 // from e0..e3, plus a predicate
 // "rare" that only two entities carry, so most partitions lack its
-// column.
+// column, and two of fewer keys than p0..p3: "mid", which about half
+// the entities carry, and "sparse", about a sixth, with one or two
+// values each from e0..e3.
 func randomStarGraph(rng *rand.Rand, n int) *rdf.Graph {
 	ent := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%se%d", testNS, i)) }
 	pred := func(name string) rdf.Term { return rdf.NewIRI(testNS + name) }
@@ -244,6 +247,18 @@ func randomStarGraph(rng *rand.Rand, n int) *rdf.Graph {
 	}
 	for i := 0; i < 2; i++ {
 		g.AddSPO(ent(rng.Intn(n)), pred("rare"), ent(rng.Intn(n)))
+	}
+	for s := 0; s < n; s++ {
+		for _, p := range []struct {
+			name string
+			one  int // one entity in one carries the predicate
+		}{{"mid", 2}, {"sparse", 6}} {
+			if rng.Intn(p.one) == 0 || s == 0 { // e0 carries both, so every graph has them
+				for k := 1 + rng.Intn(2); k > 0; k-- {
+					g.AddSPO(ent(s), pred(p.name), ent(rng.Intn(4)))
+				}
+			}
+		}
 	}
 	return g
 }
@@ -283,28 +298,37 @@ func sortedRowStrings(rows []engine.Row) []string {
 // partition lacking a column) and that rows come out in ascending key
 // order in their key's partition.
 func TestPTScanMatchesReferenceOnRandomGraphs(t *testing.T) {
-	templates := func(bound string) map[string][]starPat {
+	templates := func(bound, bound2 string) map[string][]starPat {
 		return map[string][]starPat{
-			"self loop":                   {{"p0", "?k"}, {"p1", "?x"}},
-			"variable across predicates":  {{"p0", "?x"}, {"p1", "?x"}},
-			"predicate twice, two vars":   {{"p2", "?x"}, {"p2", "?y"}},
-			"predicate twice, one var":    {{"p2", "?x"}, {"p2", "?x"}, {"p3", "?y"}},
-			"bound value":                 {{"p0", bound}, {"p1", "?x"}},
-			"bound value and self loop":   {{"p0", bound}, {"p1", "?k"}},
-			"column missing in places":    {{"rare", "?x"}, {"p0", "?y"}},
-			"three multi-valued columns":  {{"p0", "?x"}, {"p1", "?y"}, {"p3", "?z"}},
-			"shared var after a new one":  {{"p0", "?x"}, {"p1", "?y"}, {"p2", "?x"}},
-			"bound value, dense driver":   {{"p3", "?x"}, {"p2", bound}, {"p1", "?y"}},
-			"self loop on the last wheel": {{"p1", "?x"}, {"p3", "?y"}, {"p0", "?k"}},
+			"constant on the smallest column": {{"p0", "?x"}, {"sparse", bound}, {"p1", "?y"}},
+			"constant on a middle column":     {{"sparse", "?x"}, {"mid", bound}, {"p0", "?y"}},
+			"constant past the driver bound":  {{"rare", "?x"}, {"p2", bound}},
+			"two constants":                   {{"sparse", "?x"}, {"mid", bound}, {"p0", bound2}},
+			"constant and self loop":          {{"sparse", "?x"}, {"p1", "?k"}, {"mid", bound}},
+			"self loop":                       {{"p0", "?k"}, {"p1", "?x"}},
+			"variable across predicates":      {{"p0", "?x"}, {"p1", "?x"}},
+			"predicate twice, two vars":       {{"p2", "?x"}, {"p2", "?y"}},
+			"predicate twice, one var":        {{"p2", "?x"}, {"p2", "?x"}, {"p3", "?y"}},
+			"bound value":                     {{"p0", bound}, {"p1", "?x"}},
+			"bound value and self loop":       {{"p0", bound}, {"p1", "?k"}},
+			"column missing in places":        {{"rare", "?x"}, {"p0", "?y"}},
+			"three multi-valued columns":      {{"p0", "?x"}, {"p1", "?y"}, {"p3", "?z"}},
+			"shared var after a new one":      {{"p0", "?x"}, {"p1", "?y"}, {"p2", "?x"}},
+			"bound value, dense driver":       {{"p3", "?x"}, {"p2", bound}, {"p1", "?y"}},
+			"self loop on the last wheel":     {{"p1", "?x"}, {"p3", "?y"}, {"p0", "?k"}},
 		}
 	}
 	matched := map[string]int{} // reference rows per template and table, over all seeds
+	// The partitions, per template, whose scan a constant's column drives
+	// while it is not the smallest, and those where the smallest column
+	// drives although a constant's column is there.
+	constantLed, smallestLed := map[string]int{}, map[string]int{}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(40)
 		g := randomStarGraph(rng, n)
 		s := starStore(t, g, 1+rng.Intn(6))
-		for name, star := range templates(fmt.Sprintf("e%d", rng.Intn(4))) {
+		for name, star := range templates(fmt.Sprintf("e%d", rng.Intn(4)), fmt.Sprintf("e%d", rng.Intn(4))) {
 			for _, mode := range []ptKeyMode{keyOnSubject, keyOnObject} {
 				label := fmt.Sprintf("seed %d, %s, inverse=%v", seed, name, mode == keyOnObject)
 				node := &Node{Kind: NodePT, Key: "k", Patterns: starPatterns(mode, star)}
@@ -342,19 +366,35 @@ func TestPTScanMatchesReferenceOnRandomGraphs(t *testing.T) {
 							t.Errorf("%s: partition %d rows not in ascending key order", label, p)
 						}
 					}
-					driverKeys := int64(-1)
+					smallest := int64(-1)
 					for _, sp := range spec.specs {
 						col := pt.parts[p].cols[sp.pid]
 						if col == nil {
-							driverKeys = 0
+							smallest = 0
 							break
 						}
-						if driverKeys < 0 || int64(len(col.keys)) < driverKeys {
-							driverKeys = int64(len(col.keys))
+						if smallest < 0 || int64(len(col.keys)) < smallest {
+							smallest = int64(len(col.keys))
 						}
 					}
-					if processed[p] != driverKeys {
-						t.Errorf("%s: partition %d processed = %d, want the driver column's %d keys", label, p, processed[p], driverKeys)
+					if processed[p] != smallest {
+						t.Errorf("%s: partition %d processed = %d, want the smallest column's %d keys", label, p, processed[p], smallest)
+					}
+					var sc ptScan
+					if !sc.init(pt.parts[p], spec.specs, len(spec.schema)) {
+						continue
+					}
+					hasConstant := slices.ContainsFunc(spec.specs, patSpec.constant)
+					switch driver := sc.curs[0]; {
+					case driver.spec.constant() && int64(len(driver.col.keys)) > smallest:
+						constantLed[name]++
+					case !driver.spec.constant() && hasConstant:
+						smallestLed[name]++
+					}
+					for i, c := range sc.curs[1:] {
+						if c.spec.constant() && i > 0 && !sc.curs[i].spec.constant() {
+							t.Errorf("%s: partition %d meets a constant's column after one that only fills the row", label, p)
+						}
 					}
 				}
 				eqStrings(t, sortedRowStrings(got), sortedRowStrings(want), label)
@@ -397,14 +437,23 @@ func TestPTScanMatchesReferenceOnRandomGraphs(t *testing.T) {
 			}
 		}
 	}
-	if len(matched) != 2*len(templates("")) {
-		t.Errorf("%d template × table combinations ran, want %d", len(matched), 2*len(templates("")))
+	if len(matched) != 2*len(templates("", "")) {
+		t.Errorf("%d template × table combinations ran, want %d", len(matched), 2*len(templates("", "")))
 	}
 	for label, rows := range matched {
 		if rows == 0 {
 			t.Errorf("%s: no seed produced a matching row; the case is not being tested", label)
 		}
 	}
+	for _, name := range []string{"constant on a middle column", "two constants", "constant and self loop"} {
+		if constantLed[name] == 0 {
+			t.Errorf("%s: no partition's scan was driven by a constant's column larger than the smallest", name)
+		}
+	}
+	if smallestLed["constant past the driver bound"] == 0 {
+		t.Errorf("constant past the driver bound: every partition's scan was driven by the constant's column")
+	}
+	t.Logf("partitions led by a larger constant column %v; by the smallest beside a constant %v", constantLed, smallestLed)
 }
 
 // TestPTColumnsSortedAndComplete checks the layout itself: in every
@@ -845,5 +894,49 @@ func TestPTStreamExaminesEachCandidateOnce(t *testing.T) {
 		if got := calls(QueryOptions{Streaming: true, chunkSize: chunk}); got != want {
 			t.Errorf("chunk size %d: the FILTER ran %d times streamed, %d times materialized", chunk, got, want)
 		}
+	}
+}
+
+// BenchmarkPTStarScan runs the Property Table scans of the WatDiv star
+// queries S1–S7 over WatDiv scale 10,000 (seed 1): every partition of
+// each query's PT node into a region, the work of the query's scan
+// stage, as a shard server does it.
+func BenchmarkPTStarScan(b *testing.B) {
+	s, err := Load(watdiv.MustGenerate(watdiv.Config{Scale: 10000, Seed: 1}), Options{Cluster: cluster.MustNew(cluster.DefaultConfig())})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range watdiv.BasicQuerySet() {
+		if q.Group != "S" {
+			continue
+		}
+		tree, err := s.Translate(q.Parsed, StrategyMixed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var scans []*NodeScan
+		for _, n := range tree.Nodes {
+			if n.Kind == NodePT {
+				ns, err := s.PrepareNodeScan(n, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				scans = append(scans, ns)
+			}
+		}
+		if len(scans) == 0 {
+			b.Fatalf("%s has no PT node", q.Name)
+		}
+		b.Run(q.Name, func(b *testing.B) {
+			region := engine.NewRegion()
+			for range b.N {
+				for _, ns := range scans {
+					for p := range ns.parts {
+						ns.ScanPart(p, region)
+					}
+				}
+				region.Release()
+			}
+		})
 	}
 }

@@ -9,10 +9,12 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -330,7 +332,7 @@ func (s *Store) InversePropertyTable() *PropertyTable { return s.ipt }
 // with the parsing already done: the two share every step below the
 // source of the triples.
 func Load(g *rdf.Graph, opts Options) (*Store, error) {
-	return load(opts, g.Len(), &graphSource{triples: g.Triples()})
+	return load(opts, &graphSource{triples: g.Triples()})
 }
 
 // LoadNTriples loads an N-Triples document from r in one streaming
@@ -348,7 +350,28 @@ func Load(g *rdf.Graph, opts Options) (*Store, error) {
 // one is interned, and the statistics are collected while the tables
 // are built.
 func LoadNTriples(r io.Reader, opts Options) (*Store, error) {
-	return load(opts, 0, &textSource{r: rdf.NewNTriplesReader(r)})
+	return load(opts, &textSource{r: rdf.NewNTriplesReader(r), size: readerSize(r)})
+}
+
+// readerSize returns how many bytes are left to read from r when r can
+// tell — a *bytes.Reader its unread length, a regular *os.File its size
+// past its offset — and -1 when it cannot.
+func readerSize(r io.Reader) int64 {
+	switch r := r.(type) {
+	case *bytes.Reader:
+		return int64(r.Len())
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return -1
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return fi.Size() - off
+	}
+	return -1
 }
 
 // source is an input ingest reads window by window, through two slots:
@@ -361,6 +384,9 @@ type source interface {
 	// encode interns the triples of the window in slot, in input order,
 	// appends them to out and returns it with their priced bytes.
 	encode(slot int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64, error)
+	// expected is how many triples the input holds, as far as the first
+	// window (in slot 0) tells: 0 when it cannot tell.
+	expected() int
 }
 
 // graphSource is a graph's triples, one window of them all.
@@ -377,6 +403,8 @@ func (g *graphSource) read(int) error {
 	return nil
 }
 
+func (g *graphSource) expected() int { return len(g.triples) }
+
 func (g *graphSource) encode(_ int, d *rdf.Dictionary, out []rdf.EncodedTriple) ([]rdf.EncodedTriple, int64, error) {
 	var priced int64
 	for i, t := range g.triples {
@@ -390,10 +418,25 @@ func (g *graphSource) encode(_ int, d *rdf.Dictionary, out []rdf.EncodedTriple) 
 	return out, priced, nil
 }
 
-// textSource is an N-Triples document, one parsed window per slot.
+// textSource is an N-Triples document, one parsed window per slot, and
+// its size in bytes when the reader tells it (-1 otherwise).
 type textSource struct {
 	r     *rdf.NTriplesReader
 	batch [2]rdf.Batch
+	size  int64
+}
+
+// expected extrapolates the document's triple count from its size and
+// the first window's bytes per triple, plus a sixteenth: a window is
+// some 500 WatDiv lines, whose mean length is within 1 % of the
+// document's.
+func (t *textSource) expected() int {
+	b := &t.batch[0]
+	if t.size <= 0 || b.Len() == 0 {
+		return 0
+	}
+	n := t.size * int64(b.Len()) / int64(b.Size())
+	return int(n + n/16)
 }
 
 func (t *textSource) read(slot int) error {
@@ -432,9 +475,8 @@ func ntriplesBytes(s, p, o, datatype, lang int) int64 {
 	return int64(s + p + o + datatype + lang + 12)
 }
 
-// load is the one loader: it ingests in, whose size in triples is
-// sizeHint when known, and builds the store.
-func load(opts Options, sizeHint int, in source) (*Store, error) {
+// load is the one loader: it ingests in and builds the store.
+func load(opts Options, in source) (*Store, error) {
 	if opts.Cluster == nil {
 		return nil, fmt.Errorf("core: Options.Cluster is required")
 	}
@@ -467,7 +509,7 @@ func load(opts Options, sizeHint int, in source) (*Store, error) {
 	// Phases 1 and 2, one pass: read + parse the input, dictionary-encode
 	// and deduplicate. Both are priced on what was read, not what was
 	// kept.
-	if err := s.ingest(sizeHint, in); err != nil {
+	if err := s.ingest(in); err != nil {
 		return nil, err
 	}
 	if err := s.ChargeInputScan(clock, s.cluster.Config().Cost.SQLStageLaunch); err != nil {
@@ -531,15 +573,20 @@ func load(opts Options, sizeHint int, in source) (*Store, error) {
 }
 
 // buildTables builds the VP tables, the Property Table and, if asked
-// for, the inverse Property Table, charging each to clock.
+// for, the inverse Property Table, charging each to clock. Their sizing
+// runs share one term sizer per worker slot, taken at the slot's first
+// file and put back once the last table is sized.
 func (s *Store) buildTables(clock *cluster.Clock) error {
+	sizers := make(termSizers, runtime.GOMAXPROCS(0))
+	defer sizers.put()
+
 	// Phase 4: Vertical Partitioning tables.
-	if err := s.buildVP(clock); err != nil {
+	if err := s.buildVP(clock, sizers); err != nil {
 		return fmt.Errorf("core: building VP tables: %w", err)
 	}
 
 	// Phase 5: Property Table (subject-partitioned; paper §3.1).
-	pt, err := buildPropertyTable(s, clock, keyOnSubject)
+	pt, err := buildPropertyTable(s, clock, keyOnSubject, sizers)
 	if err != nil {
 		return fmt.Errorf("core: building property table: %w", err)
 	}
@@ -547,7 +594,7 @@ func (s *Store) buildTables(clock *cluster.Clock) error {
 
 	// Phase 6 (optional): inverse Property Table keyed on objects.
 	if s.opts.BuildInversePT {
-		ipt, err := buildPropertyTable(s, clock, keyOnObject)
+		ipt, err := buildPropertyTable(s, clock, keyOnObject, sizers)
 		if err != nil {
 			return fmt.Errorf("core: building inverse property table: %w", err)
 		}
@@ -563,9 +610,15 @@ func (s *Store) buildTables(clock *cluster.Clock) error {
 // one slot, in input order — IDs are handed out in the order terms are
 // first seen, so interning stays sequential — while task 1 reads and
 // parses the next window into the other slot.
-func (s *Store) ingest(sizeHint int, in source) error {
-	g := &ingester{s: s, in: in, set: make([]int32, max(1<<bits.Len(uint(2*sizeHint)), 1024))}
+func (s *Store) ingest(in source) error {
 	err := in.read(0)
+	n := in.expected()
+	g := &ingester{
+		s:    s,
+		in:   in,
+		set:  make([]int32, max(1<<bits.Len(uint(2*n)), 1024)),
+		kept: make([]rdf.EncodedTriple, 0, max(n, 1024)),
+	}
 	for ; err == nil; g.slot ^= 1 {
 		if err = cluster.Run(runtime.GOMAXPROCS(0), 2, new(cluster.Tasks), g); err == nil {
 			err = g.next
@@ -574,9 +627,11 @@ func (s *Store) ingest(sizeHint int, in source) error {
 	if err != io.EOF {
 		return err
 	}
-	s.triples = make([]rdf.EncodedTriple, 0, g.n)
-	for _, c := range g.chunks {
-		s.triples = append(s.triples, c...)
+	s.triples = g.kept
+	if len(g.kept) < cap(g.kept) {
+		// The table holds exactly the triples kept: what an estimate
+		// overshot, or the duplicates dropped, is trimmed by a copy.
+		s.triples = append(make([]rdf.EncodedTriple, 0, len(g.kept)), g.kept...)
 	}
 	return nil
 }
@@ -584,12 +639,12 @@ func (s *Store) ingest(sizeHint int, in source) error {
 // ingester is ingest's step, a cluster.Job, and what it keeps across
 // steps.
 //
-// Kept triples grow in fixed-size chunks, so none is ever copied while
-// reading, and are copied once, in input order, into a slice of exactly
-// their number. Duplicates are found through an open-addressed set of
-// indexes into the kept triples, at most half full; a triple is kept at
-// its first occurrence. Chunks and set die with the ingest, so neither
-// is live while the tables are built.
+// Kept triples are appended to one slice, and duplicates found through
+// an open-addressed set of indexes into it, at most half full; a triple
+// is kept at its first occurrence. Both are sized once, for the triples
+// the source expects, when it expects any; otherwise they double as
+// they fill. The set dies with the ingest, so it is not live while the
+// tables are built.
 type ingester struct {
 	s  *Store
 	in source
@@ -599,9 +654,8 @@ type ingester struct {
 	next error
 	// window is the current window's triples, encoded.
 	window []rdf.EncodedTriple
-	chunks [][]rdf.EncodedTriple
+	kept   []rdf.EncodedTriple
 	set    []int32 // index+1 of a kept triple; 0 is empty
-	n      int32
 }
 
 // Task implements cluster.Job.
@@ -626,37 +680,28 @@ func (g *ingester) Task(_, task int) error {
 
 // keep adds et to the kept triples unless it is a duplicate.
 func (g *ingester) keep(et rdf.EncodedTriple) {
-	kept := func(i int32) rdf.EncodedTriple { return g.chunks[i/ingestChunk][i%ingestChunk] }
 	mask := len(g.set) - 1
 	slot := tripleHash(et) & mask
-	for g.set[slot] != 0 && kept(g.set[slot]-1) != et {
+	for g.set[slot] != 0 && g.kept[g.set[slot]-1] != et {
 		slot = (slot + 1) & mask
 	}
 	if g.set[slot] != 0 {
 		return
 	}
-	if g.n%ingestChunk == 0 {
-		g.chunks = append(g.chunks, make([]rdf.EncodedTriple, 0, ingestChunk))
-	}
-	c := &g.chunks[len(g.chunks)-1]
-	*c = append(*c, et)
-	g.n++
-	g.set[slot] = g.n
-	if 2*int(g.n) > len(g.set) {
+	g.kept = append(g.kept, et)
+	g.set[slot] = int32(len(g.kept))
+	if 2*len(g.kept) > len(g.set) {
 		g.set = make([]int32, 2*len(g.set))
-		for i := int32(0); i < g.n; i++ {
-			slot := tripleHash(kept(i)) & (len(g.set) - 1)
+		mask = len(g.set) - 1
+		for i, t := range g.kept {
+			slot := tripleHash(t) & mask
 			for g.set[slot] != 0 {
-				slot = (slot + 1) & (len(g.set) - 1)
+				slot = (slot + 1) & mask
 			}
-			g.set[slot] = i + 1
+			g.set[slot] = int32(i + 1)
 		}
 	}
 }
-
-// ingestChunk is how many triples one chunk of ingest's kept triples
-// holds (96 KiB of them).
-const ingestChunk = 8192
 
 // tripleHash places an encoded triple in ingest's dedup set.
 func tripleHash(t rdf.EncodedTriple) int {

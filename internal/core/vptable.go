@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 
 	"repro/internal/cluster"
@@ -66,16 +65,17 @@ func (t *VPTable) SemiJoin(col int, keys map[rdf.ID]struct{}) engine.Block {
 // ExtVP reductions and S2RDF's tables all go through it.
 func WriteVPFiles(fs *hdfs.FS, dict *rdf.Dictionary, dir string, parts []engine.Block) (int64, error) {
 	sizes := make([]int64, len(parts))
-	vpFileSizes(dict, parts, sizes, nil)
+	vpFileSizes(dict, sizeenc.CompressedTermBytes, parts, sizes, nil)
 	return writeVPFiles(fs, dir, sizes)
 }
 
 // vpFileSizes sizes each part as WriteVPFiles lays it out — an "s" and
 // an "o" column plus the local dictionary — into sizes, in part order.
-// localTerms is scratch for the files' local terms, returned as it grew.
-// It only reads the dictionary and writes nothing, so tables can be
-// sized concurrently.
-func vpFileSizes(dict *rdf.Dictionary, parts []engine.Block, sizes []int64, localTerms []rdf.ID) []rdf.ID {
+// localTerms is scratch for the files' local terms, returned as it grew,
+// and termBytes sizes their local dictionaries (sizeenc's
+// CompressedTermBytes, or a worker's own TermSizer). It only reads the
+// dictionary and writes nothing, so tables can be sized concurrently.
+func vpFileSizes(dict *rdf.Dictionary, termBytes func(*rdf.Dictionary, []rdf.ID) int64, parts []engine.Block, sizes []int64, localTerms []rdf.ID) []rdf.ID {
 	for p, part := range parts {
 		var subj, obj columnar.Sizer
 		localTerms = localTerms[:0]
@@ -90,9 +90,32 @@ func vpFileSizes(dict *rdf.Dictionary, parts []engine.Block, sizes []int64, loca
 		sizes[p] = columnar.FileFooterBytes +
 			subj.Bytes() + columnar.ColumnFooterBytes("s") +
 			obj.Bytes() + columnar.ColumnFooterBytes("o") +
-			sizeenc.CompressedTermBytes(dict, localTerms)
+			termBytes(dict, localTerms)
 	}
 	return localTerms
+}
+
+// termSizers holds the term sizers of a load's sizing runs, one per
+// worker slot, each taken from the pool at the slot's first file and put
+// back when the last run ends.
+type termSizers []*sizeenc.TermSizer
+
+// get returns worker slot w's sizer.
+func (zs termSizers) get(w int) *sizeenc.TermSizer {
+	if zs[w] == nil {
+		zs[w] = sizeenc.GetTermSizer()
+	}
+	return zs[w]
+}
+
+// put hands every sizer taken back to the pool.
+func (zs termSizers) put() {
+	for w, z := range zs {
+		if z != nil {
+			z.Put()
+			zs[w] = nil
+		}
+	}
 }
 
 // writeVPFiles writes dir/part-%05d.parquet of the given sizes, in part
@@ -118,7 +141,7 @@ func writeVPFiles(fs *hdfs.FS, dir string, sizes []int64) (int64, error) {
 // rows each (predicate, partition) pair counts: one pass over the
 // triples counts them, a second writes every (s,o) pair straight into
 // its partition, in input order.
-func (s *Store) buildVP(clock *cluster.Clock) error {
+func (s *Store) buildVP(clock *cluster.Clock, sizers termSizers) error {
 	slot := make(map[rdf.ID]int, len(s.predOrder))
 	for i, pred := range s.predOrder {
 		slot[pred] = i * s.parts
@@ -143,10 +166,10 @@ func (s *Store) buildVP(clock *cluster.Clock) error {
 	// written below, in predicate order, so their block placement does
 	// not depend on which task finished first.
 	sizes := make([]int64, len(blocks))
-	width := runtime.GOMAXPROCS(0)
+	width := len(sizers)
 	bufs := make([][]rdf.ID, width) // local-term buffers, one per worker slot
 	err := cluster.Run(width, len(s.predOrder), new(cluster.Tasks), cluster.Func(func(w, i int) error {
-		bufs[w] = vpFileSizes(s.dict, blocks[i*s.parts:(i+1)*s.parts], sizes[i*s.parts:(i+1)*s.parts], bufs[w])
+		bufs[w] = vpFileSizes(s.dict, sizers.get(w).Bytes, blocks[i*s.parts:(i+1)*s.parts], sizes[i*s.parts:(i+1)*s.parts], bufs[w])
 		return nil
 	}))
 	if err != nil {

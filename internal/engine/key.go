@@ -377,14 +377,20 @@ func (ix *joinIndex) emitChain(head int32, pr Row, probeIdx []int, e *joinEmit, 
 // of hashing again. Both are carved from r — fresh heap storage when r
 // is nil, the output one exactly sized allocation. A batch that emits
 // nothing returns an empty block, so a selective probe costs memory for
-// its output, not its input.
+// its output, not its input. A probe row whose key no build row has
+// costs one head-table read: neither pass walks its empty chain, and an
+// inner probe's emit pass skips it on its remembered head alone.
 func (ix *joinIndex) probeBatch(r *Region, probe Block, probeIdx []int, e *joinEmit) Block {
 	heads := r.int32s(probe.n)
 	total := 0
 	for k := range heads {
 		pr := probe.Row(k)
-		heads[k] = ix.first(pr, probeIdx)
-		n := ix.countChain(heads[k], pr, probeIdx)
+		head := ix.first(pr, probeIdx)
+		heads[k] = head
+		n := 0
+		if head != 0 {
+			n = ix.countChain(head, pr, probeIdx)
+		}
 		if n == 0 && e.nullRight != nil {
 			n = 1
 		}
@@ -394,9 +400,17 @@ func (ix *joinIndex) probeBatch(r *Region, probe Block, probeIdx []int, e *joinE
 		return emptyBlock(e.width)
 	}
 	out := r.Arena(e.width, total)
+	if e.nullRight == nil {
+		for k, head := range heads {
+			if head != 0 {
+				ix.emitChain(head, probe.Row(k), probeIdx, e, &out)
+			}
+		}
+		return out.Block()
+	}
 	for k, head := range heads {
 		pr := probe.Row(k)
-		if ix.emitChain(head, pr, probeIdx, e, &out) == 0 && e.nullRight != nil {
+		if ix.emitChain(head, pr, probeIdx, e, &out) == 0 {
 			e.appendTo(&out, e.nullRight, pr)
 		}
 	}

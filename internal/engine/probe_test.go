@@ -57,8 +57,9 @@ func refProbe(build, probe []Row, buildKey, probeKey []int, buildLeft bool, lKee
 // the streaming batch probe and the row-at-a-time streaming probe —
 // over one-, two- and three-column keys (ID-keyed, packed, hashed, and
 // hashed with every key forced to collide), pruned and unpruned keeps,
-// either build orientation, an empty build side and a probe side that
-// misses entirely, and requires the naive model's rows in its order.
+// either build orientation, an empty build side, and probe sides of
+// which none, half, 99 % or all of the rows find no build row, and
+// requires the naive model's rows in its order.
 func TestProbeBatchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	left, right := Schema{"a", "b", "c", "x"}, Schema{"c", "b", "a", "y", "z"}
@@ -69,12 +70,14 @@ func TestProbeBatchMatchesReference(t *testing.T) {
 			for _, shape := range []struct {
 				name                   string
 				nBuild, nProbe, domain int
-				probeOffset            rdf.ID
+				miss                   int // percent of the probe rows keyed past every build row
 			}{
 				{"dense", 60, 90, 3, 0},
 				{"sparse", 60, 90, 12, 0},
 				{"empty build", 0, 40, 3, 0},
-				{"all miss", 60, 40, 3, 1000},
+				{"half miss", 60, 200, 3, 50},
+				{"99% miss", 60, 400, 3, 99},
+				{"all miss", 60, 40, 3, 100},
 			} {
 				for _, pruned := range []bool{false, true} {
 					for _, buildLeft := range []bool{false, true} {
@@ -87,8 +90,10 @@ func TestProbeBatchMatchesReference(t *testing.T) {
 						}
 						build := randomRows(rng, buildW, shape.nBuild, shape.domain)
 						probe := randomRows(rng, probeW, shape.nProbe, shape.domain)
-						for _, pr := range probe {
-							pr[probeKey[0]] += shape.probeOffset
+						for i, pr := range probe {
+							if i%100 < shape.miss {
+								pr[probeKey[0]] += 1000
+							}
 						}
 						var lKeep, rKeep []int
 						rKeep = []int{3, 4}
@@ -150,6 +155,35 @@ func TestProbeBatchMatchesReference(t *testing.T) {
 		}
 	}
 	testCollideHashedKeys = false
+}
+
+// BenchmarkProbeBatchMisses probes a 10,000-row build side with 10,000
+// rows of which none, half or 99 % find no partner, as an inner probe:
+// the broadcast join kernel at the miss rates of WatDiv's join
+// templates (about 0 % on F4, 50–75 % on C1–C3, 94–100 % on L1–L5).
+func BenchmarkProbeBatchMisses(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	build := randomRows(rng, 2, 10000, 10000)
+	ix := buildJoinIndex(nil, []Block{NewBlock(2, build)}, []int{0})
+	e := joinEmit{width: 3, rKeep: []int{1}}
+	for _, miss := range []int{0, 50, 99} {
+		probe := randomRows(rng, 2, 10000, 10000)
+		for _, pr := range probe {
+			if rng.Intn(100) < miss {
+				pr[0] += 10000 // past every build key
+			} else {
+				pr[0] = build[rng.Intn(len(build))][0]
+			}
+		}
+		probeBlock := NewBlock(2, probe)
+		b.Run(fmt.Sprintf("miss=%d%%", miss), func(b *testing.B) {
+			region := NewRegion()
+			for range b.N {
+				ix.probeBatch(region, probeBlock, []int{0}, &e)
+				region.Release()
+			}
+		})
+	}
 }
 
 // splitBlocks copies rows into blocks of 1, 3, 9, … rows, with an empty

@@ -91,6 +91,9 @@ type Batch struct {
 // Len returns the number of triples in the batch.
 func (b *Batch) Len() int { return len(b.terms) / 3 }
 
+// Size returns the bytes of document text the batch was parsed from.
+func (b *Batch) Size() int { return len(b.text) }
+
 // Triple returns the batch's i-th triple as spans of its buffers, valid
 // until the batch is reused.
 func (b *Batch) Triple(i int) (s, p, o TermBytes) {
